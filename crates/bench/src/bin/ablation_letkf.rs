@@ -25,7 +25,7 @@ fn run_with(config: LetkfConfig) -> f64 {
     let osse = base_osse();
     let nature = nature_run(&osse);
     let mut model = SqgForecast::perfect(osse.params.clone());
-    let mut scheme = LetkfScheme::new(config, &osse.params, osse.obs_sigma);
+    let mut scheme = LetkfScheme::with_obs(config, &osse.params, osse.obs_spec());
     let series = run_experiment("letkf", &osse, &nature, &mut model, &mut scheme)
         .expect("ablation OSSE is well-formed");
     series.steady_rmse()

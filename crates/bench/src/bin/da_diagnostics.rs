@@ -15,7 +15,7 @@
 
 use bench::{bar, header, Json};
 use da_core::osse::{nature_run, run_experiment, OsseConfig};
-use da_core::{EnsfScheme, FlowMatchingEnsfScheme, LetkfScheme, SqgForecast};
+use da_core::{Completion, EnsfScheme, LetkfScheme, SqgForecast};
 use sqg::SqgParams;
 use telemetry::CycleRecord;
 
@@ -124,10 +124,11 @@ fn main() {
     );
 
     let mut model = SqgForecast::perfect(config.params.clone());
-    let mut ensf = EnsfScheme::new(
+    let mut ensf = EnsfScheme::with_obs(
         ensf::EnsfConfig { n_steps: 20, seed: config.seed ^ 0xE45F, ..Default::default() },
         dim,
-        config.obs_sigma,
+        config.obs_spec(),
+        Completion::Inpaint,
     );
     let ensf_series =
         run_experiment("EnSF", &config, &nature, &mut model, &mut ensf).expect("EnSF run failed");
@@ -139,8 +140,9 @@ fn main() {
     // EXPERIMENTS.md: under full RTPS the reduced-grid forecast spread
     // runs away and the deterministic path has no obs noise to hide it).
     let mut model_flow = SqgForecast::perfect(config.params.clone());
-    let mut flow = FlowMatchingEnsfScheme::new(
+    let mut flow = EnsfScheme::with_obs(
         ensf::EnsfConfig {
+            method: ensf::AnalysisMethod::FlowMatching,
             n_steps: 6,
             seed: config.seed ^ 0xE45F,
             spread_relaxation: 0.25,
@@ -148,13 +150,15 @@ fn main() {
             ..Default::default()
         },
         dim,
-        config.obs_sigma,
+        config.obs_spec(),
+        Completion::Inpaint,
     );
     let flow_series = run_experiment("FlowEnSF", &config, &nature, &mut model_flow, &mut flow)
         .expect("FlowEnSF run failed");
 
     let mut model2 = SqgForecast::perfect(config.params.clone());
-    let mut letkf = LetkfScheme::new(letkf::LetkfConfig::default(), &config.params, config.obs_sigma);
+    let mut letkf =
+        LetkfScheme::with_obs(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
     let letkf_series = run_experiment("LETKF", &config, &nature, &mut model2, &mut letkf)
         .expect("LETKF run failed");
 

@@ -21,11 +21,8 @@
 
 use bench::{header, Json};
 use da_core::osse::{initial_ensemble, nature_run, NatureRun, ObsOperatorKind, OsseConfig};
-use da_core::{
-    AnalysisScheme, ArctanEnsfScheme, EnsfScheme, FlowMatchingArctanEnsfScheme,
-    FlowMatchingEnsfScheme, ForecastModel, LetkfScheme, SqgForecast,
-};
-use ensf::{Ensf, EnsfConfig, IdentityObs, ScoreKernel};
+use da_core::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, SqgForecast};
+use ensf::{AnalysisMethod, Ensf, EnsfConfig, MaskedObs, ScoreKernel};
 use fft::{plan_cache, Complex, Direction, Fft2};
 use linalg::gemm::{matmul_abt_into, matmul_slices_into};
 use sqg::dynamics::Stepper;
@@ -64,7 +61,7 @@ fn ensf_analysis_secs(
     n_steps: usize,
     reps: usize,
 ) -> f64 {
-    let obs = IdentityObs::new(fc.dim(), 0.5);
+    let obs = MaskedObs::identity(fc.dim(), 0.5);
     median_secs(reps, || {
         let mut f = Ensf::new(EnsfConfig { n_steps, seed: 9, kernel, ..Default::default() });
         let an = f.analyze(fc, y, &obs);
@@ -280,38 +277,22 @@ fn cycle_da(config: &OsseConfig, nature: &NatureRun, scheme: &mut dyn AnalysisSc
     (tail.iter().sum::<f64>() / tail.len() as f64, analysis_secs)
 }
 
-/// Builds the EnSF-family scheme for one sweep point.
-fn sweep_scheme(
-    operator: ObsOperatorKind,
-    flow: bool,
-    n_steps: usize,
-    dim: usize,
-    obs_sigma: f64,
-) -> Box<dyn AnalysisScheme> {
+/// Builds the EnSF-family scheme for one sweep point of `osse`.
+fn sweep_scheme(osse: &OsseConfig, flow: bool, n_steps: usize, dim: usize) -> EnsfScheme {
     // Shared calibration for both transports (see EXPERIMENTS.md): mild
     // RTPS (the paper's 1.0 re-inflates the runaway reduced-grid forecast
     // spread until the few-step ODE ensemble leaves the SQG stability
     // envelope) and full variance shrinkage for the flow guidance (16
     // members are too few for usable raw per-component variances).
     let config = EnsfConfig {
+        method: if flow { AnalysisMethod::FlowMatching } else { AnalysisMethod::ReverseSde },
         n_steps,
         seed: 5,
         spread_relaxation: 0.25,
         variance_smoothing: 1.0,
         ..Default::default()
     };
-    match (operator, flow) {
-        (ObsOperatorKind::Identity, false) => Box::new(EnsfScheme::new(config, dim, obs_sigma)),
-        (ObsOperatorKind::Identity, true) => {
-            Box::new(FlowMatchingEnsfScheme::new(config, dim, obs_sigma))
-        }
-        (ObsOperatorKind::Arctan { gain }, false) => {
-            Box::new(ArctanEnsfScheme::new(config, dim, obs_sigma, gain))
-        }
-        (ObsOperatorKind::Arctan { gain }, true) => {
-            Box::new(FlowMatchingArctanEnsfScheme::new(config, dim, obs_sigma, gain))
-        }
-    }
+    EnsfScheme::with_obs(config, dim, osse.obs_spec(), Completion::Inpaint)
 }
 
 /// Step-count-vs-RMSE sweep: few-step probability-flow ODE vs the reverse
@@ -343,8 +324,8 @@ fn bench_flow(quick: bool) -> Json {
                 steps.push(baseline_steps);
             }
             for n_steps in steps {
-                let mut scheme = sweep_scheme(operator, flow, n_steps, dim, config.obs_sigma);
-                let (rmse, secs) = cycle_da(&config, &nature, scheme.as_mut());
+                let mut scheme = sweep_scheme(&config, flow, n_steps, dim);
+                let (rmse, secs) = cycle_da(&config, &nature, &mut scheme);
                 let method = if flow { "flow" } else { "ensf" };
                 println!(
                     "flow sweep {op_name:8} {method:4} steps={n_steps:3}:  rmse {rmse:.5e}  analysis {secs:.4}s"
@@ -365,8 +346,11 @@ fn bench_flow(quick: bool) -> Json {
         if matches!(operator, ObsOperatorKind::Identity) {
             // LETKF reference row (identity obs only: the localized solver
             // assumes h = I).
-            let mut letkf =
-                LetkfScheme::new(letkf::LetkfConfig::default(), &config.params, config.obs_sigma);
+            let mut letkf = LetkfScheme::with_obs(
+                letkf::LetkfConfig::default(),
+                &config.params,
+                config.obs_spec(),
+            );
             let (rmse, secs) = cycle_da(&config, &nature, &mut letkf);
             println!("flow sweep {op_name:8} letkf        :  rmse {rmse:.5e}  analysis {secs:.4}s");
             sweep.push(Json::obj(vec![

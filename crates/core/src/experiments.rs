@@ -10,7 +10,7 @@ use crate::forecast::SqgForecast;
 use crate::model_error::{ModelError, ModelErrorConfig};
 use crate::osse::{nature_run_with_error, run_experiment, CycleSeries, NatureRun, OsseConfig};
 use crate::surrogate::VitSurrogate;
-use crate::traits::{EnsfScheme, LetkfScheme, NoAssimilation};
+use crate::traits::{Completion, EnsfScheme, LetkfScheme, NoAssimilation};
 use vit::VitConfig;
 
 /// Knobs of the four-way comparison.
@@ -170,10 +170,10 @@ pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) ->
     // 3. SQG + LETKF (SOTA baseline, paper-tuned inflation/localization).
     {
         let mut model = SqgForecast::perfect(config.osse.params.clone());
-        let mut scheme = LetkfScheme::new(
+        let mut scheme = LetkfScheme::with_obs(
             letkf::LetkfConfig { cutoff: config.letkf_cutoff, rtps_alpha: config.letkf_rtps },
             &config.osse.params,
-            config.osse.obs_sigma,
+            config.osse.obs_spec(),
         );
         series.push(
             run_experiment("SQG+LETKF", &config.osse, &nature, &mut model, &mut scheme)
@@ -184,14 +184,15 @@ pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) ->
     // 4. ViT + EnSF with online surrogate fine-tuning (the proposal).
     {
         surrogate.online_steps = config.online_steps;
-        let mut scheme = EnsfScheme::new(
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig {
                 n_steps: config.ensf_steps,
                 seed: config.osse.seed ^ 0xE5F,
                 ..Default::default()
             },
             config.osse.params.state_dim(),
-            config.osse.obs_sigma,
+            config.osse.obs_spec(),
+            Completion::Inpaint,
         );
         series.push(
             run_experiment("ViT+EnSF", &config.osse, &nature, &mut surrogate, &mut scheme)

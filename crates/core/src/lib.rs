@@ -49,10 +49,8 @@ pub use forecast::SqgForecast;
 pub use lorenz96::{Lorenz96, Lorenz96Params};
 pub use model_error::{ModelError, ModelErrorConfig};
 pub use surrogate::VitSurrogate;
-pub use osse::{MaskKind, ObsOperatorKind};
+pub use osse::{MaskKind, ObsOperatorKind, ObsSpec};
 pub use scenario::{run_scenario, standard_scenarios, ScenarioMethod, ScenarioResult, ScenarioSpec};
 pub use traits::{
-    AnalysisScheme, ArctanEnsfScheme, EnsfScheme, FlowMatchingArctanEnsfScheme,
-    FlowMatchingEnsfScheme, ForecastModel, LetkfScheme, MaskIgnoringEnsfScheme, MaskedEnsfScheme,
-    MaskedLetkfScheme, NoAssimilation, SparseEnsfScheme,
+    AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation,
 };

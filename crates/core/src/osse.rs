@@ -8,149 +8,11 @@
 
 use crate::model_error::ModelError;
 use crate::traits::{AnalysisScheme, ForecastModel};
+pub use ensf::{MaskKind, ObsOperatorKind, ObsSpec};
 use sqg::{SqgModel, SqgParams};
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
 use stats::Ensemble;
-
-/// The observation operator `h` of the OSSE scenario, applied componentwise
-/// to the truth when observations are generated (and by schemes/guardrails
-/// when comparing states against observations).
-///
-/// `Identity` reproduces the paper's baseline `h = I` bit-for-bit;
-/// `Arctan` promotes the `nonlinear_obs` stress operator
-/// `h(x) = arctan(γ x)` (the EnSF papers' saturating nonlinearity) into
-/// the standard scenario configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ObsOperatorKind {
-    /// Direct observation of every state component (`h = I`).
-    #[default]
-    Identity,
-    /// Componentwise saturating observation `h(x) = arctan(gain · x)`.
-    Arctan {
-        /// Saturation gain γ (> 0): larger values bite harder.
-        gain: f64,
-    },
-}
-
-impl ObsOperatorKind {
-    /// Applies `h` to one state component.
-    pub fn h(self, v: f64) -> f64 {
-        match self {
-            ObsOperatorKind::Identity => v,
-            ObsOperatorKind::Arctan { gain } => (gain * v).atan(),
-        }
-    }
-
-    /// Maps a full state into observation space.
-    pub fn apply(self, state: &[f64]) -> Vec<f64> {
-        state.iter().map(|&v| self.h(v)).collect()
-    }
-}
-
-/// Which state components the observing network actually sees.
-///
-/// A mask composes with [`ObsOperatorKind`]: the operator maps state to
-/// observation space componentwise, the mask then *selects* which of those
-/// components reach the filter. The observation vector shrinks to the
-/// observed components in ascending state-index order — unobserved state is
-/// reconstructed by the filter (inpainting), never fabricated by the OSSE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaskKind {
-    /// Every component observed (the paper's baseline network).
-    #[default]
-    Full,
-    /// Contiguous sensor outage: components `[start, start + len)` are
-    /// unobserved (clamped to the state dimension).
-    Block {
-        /// First unobserved component.
-        start: usize,
-        /// Number of unobserved components.
-        len: usize,
-    },
-    /// Strided network with gaps: component `i` is observed iff
-    /// `i % stride == phase`.
-    Strided {
-        /// Spacing between observed components (≥ 1).
-        stride: usize,
-        /// Offset of the observed comb (< `stride`).
-        phase: usize,
-    },
-    /// Moving satellite track: a wrapping window of `width` observed
-    /// components whose start advances by `speed` components per cycle.
-    /// Periodic in the cycle index with period dividing the state dim.
-    Track {
-        /// Observed window width (≥ 1).
-        width: usize,
-        /// Window advance per assimilation cycle.
-        speed: usize,
-    },
-}
-
-impl MaskKind {
-    /// True when the mask hides nothing (all fast paths stay bitwise
-    /// identical to the pre-mask code under this).
-    pub fn is_full(self) -> bool {
-        match self {
-            MaskKind::Full => true,
-            MaskKind::Block { len, .. } => len == 0,
-            MaskKind::Strided { stride, .. } => stride <= 1,
-            MaskKind::Track { width: _, speed: _ } => false,
-        }
-    }
-
-    /// Is state component `i` observed at assimilation `cycle` (0-based)
-    /// in a state of dimension `dim`?
-    pub fn is_observed(self, i: usize, dim: usize, cycle: u64) -> bool {
-        debug_assert!(i < dim);
-        match self {
-            MaskKind::Full => true,
-            MaskKind::Block { start, len } => !(i >= start && i < start.saturating_add(len)),
-            MaskKind::Strided { stride, phase } => {
-                if stride <= 1 {
-                    true
-                } else {
-                    i % stride == phase % stride
-                }
-            }
-            MaskKind::Track { width, speed } => {
-                if width >= dim {
-                    return true;
-                }
-                let d = dim as u64;
-                let start = ((speed as u64 % d) * (cycle % d)) % d;
-                ((i as u64 + d - start) % d) < width as u64
-            }
-        }
-    }
-
-    /// Ascending state indices observed at `cycle` — the bijection from
-    /// observation-vector slots onto unmasked components.
-    pub fn observed_indices(self, dim: usize, cycle: u64) -> Vec<usize> {
-        (0..dim).filter(|&i| self.is_observed(i, dim, cycle)).collect()
-    }
-
-    /// Number of observed components at `cycle`.
-    pub fn obs_dim(self, dim: usize, cycle: u64) -> usize {
-        match self {
-            MaskKind::Full => dim,
-            MaskKind::Block { start, len } => {
-                dim - (start.saturating_add(len)).min(dim).saturating_sub(start.min(dim))
-            }
-            _ => (0..dim).filter(|&i| self.is_observed(i, dim, cycle)).count(),
-        }
-    }
-
-    /// Short label for scenario names and telemetry keys.
-    pub fn label(self) -> String {
-        match self {
-            MaskKind::Full => "full".to_string(),
-            MaskKind::Block { start, len } => format!("block{start}+{len}"),
-            MaskKind::Strided { stride, phase } => format!("stride{stride}p{phase}"),
-            MaskKind::Track { width, speed } => format!("track{width}v{speed}"),
-        }
-    }
-}
 
 /// OSSE configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,6 +58,14 @@ impl Default for OsseConfig {
     }
 }
 
+impl OsseConfig {
+    /// What this experiment observes, as the one value the nature run, the
+    /// analysis schemes, the diagnostics and the guardrails all consume.
+    pub fn obs_spec(&self) -> ObsSpec {
+        ObsSpec { operator: self.obs_operator, mask: self.obs_mask, sigma: self.obs_sigma }
+    }
+}
+
 /// Truth states and synthetic observations for every cycle.
 #[derive(Debug, Clone)]
 pub struct NatureRun {
@@ -228,6 +98,7 @@ pub fn nature_run_with_error(
         .to_state_vector();
 
     let mut rng = seeded(stats::rng::split_seed(config.seed, 0x0B5));
+    let spec = config.obs_spec();
     let mut truth = Vec::with_capacity(config.cycles + 1);
     let mut observations = Vec::with_capacity(config.cycles);
     truth.push(state.clone());
@@ -237,26 +108,13 @@ pub fn nature_run_with_error(
             err.perturb(&mut state);
         }
         truth.push(state.clone());
-        // The full-mask arm must stay byte-identical to the pre-mask code:
-        // one normal per state component from the same stream. The masked
-        // arm draws one normal per *observed* component (same stream, fewer
-        // draws), in ascending state-index order.
-        let obs: Vec<f64> = if config.obs_mask.is_full() {
-            state
-                .iter()
-                .map(|&v| config.obs_operator.h(v) + config.obs_sigma * standard_normal(&mut rng))
-                .collect()
-        } else {
-            config
-                .obs_mask
-                .observed_indices(state.len(), cycle as u64)
-                .into_iter()
-                .map(|i| {
-                    config.obs_operator.h(state[i])
-                        + config.obs_sigma * standard_normal(&mut rng)
-                })
-                .collect()
-        };
+        // One normal per *observed* component from the one stream, in
+        // ascending state-index order (a full mask draws one per component).
+        let obs: Vec<f64> = spec
+            .project(&state, cycle as u64)
+            .into_iter()
+            .map(|hx| hx + spec.sigma * standard_normal(&mut rng))
+            .collect();
         observations.push(obs);
     }
     // Climatology: std over all truth states about their global mean.
@@ -360,6 +218,7 @@ pub fn run_experiment(
     let mut rmse = Vec::with_capacity(config.cycles);
     let mut spread = Vec::with_capacity(config.cycles);
     let mut prev_mean = ensemble.mean();
+    let spec = config.obs_spec();
 
     for cycle in 0..config.cycles {
         let _cycle_span = telemetry::span!("osse.cycle");
@@ -371,12 +230,10 @@ pub fn run_experiment(
         // analysis overwrites the forecast ensemble (projected through the
         // mask when the network is partial).
         let pre_diag = telemetry::enabled().then(|| {
-            crate::diagnostics::forecast_stats_masked(
+            crate::diagnostics::forecast_stats(
                 &ensemble,
                 &nature.observations[cycle],
-                config.obs_sigma,
-                config.obs_operator,
-                config.obs_mask,
+                &spec,
                 cycle as u64,
             )
         });
@@ -406,14 +263,13 @@ pub fn run_experiment(
                 ],
                 events: Vec::new(),
                 diagnostics: pre_diag.as_ref().map(|pre| {
-                    crate::diagnostics::complete_masked(
+                    crate::diagnostics::complete(
                         pre,
                         &ensemble,
                         &nature.observations[cycle],
                         // INVARIANT: rmse was pushed for this cycle above.
                         *rmse.last().unwrap(),
-                        config.obs_operator,
-                        config.obs_mask,
+                        &spec,
                         cycle as u64,
                     )
                 }),

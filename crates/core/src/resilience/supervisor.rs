@@ -225,6 +225,7 @@ fn cycle_loop(
         .clone()
         .unwrap_or_else(|| super::HealthPolicy::for_obs_sigma(config.obs_sigma));
     let dim = nature.truth[0].len();
+    let spec = config.obs_spec();
 
     let (start_cycle, mut state, mut ensemble, mut prev_mean, mut hours, mut rmse, mut spread, mut counters) =
         match start {
@@ -322,20 +323,9 @@ fn cycle_loop(
                 // innovation there, so only the surviving network
                 // constrains the analysis. Under a masked network the
                 // batch is already the shrunk observed vector, so thinning
-                // strides over observation slots, back-filling the rest
-                // with `h(x̄_f)` at the corresponding state indices.
+                // strides over observation slots.
                 let real = &nature.observations[cycle];
-                let mut y = if config.obs_mask.is_full() {
-                    ensemble.mean()
-                } else {
-                    let mean = ensemble.mean();
-                    config
-                        .obs_mask
-                        .observed_indices(dim, cycle as u64)
-                        .into_iter()
-                        .map(|i| config.obs_operator.h(mean[i]))
-                        .collect()
-                };
+                let mut y = spec.project(&ensemble.mean(), cycle as u64);
                 for i in (0..y.len()).step_by(stride) {
                     y[i] = real[i];
                 }
@@ -349,14 +339,9 @@ fn cycle_loop(
         // chi², rank histogram) — must be captured before the analysis
         // overwrites the forecast ensemble.
         let pre_diag = match (&obs, telemetry::enabled()) {
-            (Some(y), true) => Some(crate::diagnostics::forecast_stats_masked(
-                &ensemble,
-                y,
-                config.obs_sigma,
-                config.obs_operator,
-                config.obs_mask,
-                cycle as u64,
-            )),
+            (Some(y), true) => {
+                Some(crate::diagnostics::forecast_stats(&ensemble, y, &spec, cycle as u64))
+            }
             _ => None,
         };
 
@@ -439,21 +424,9 @@ fn cycle_loop(
         // overconfident about it — obs-space spread–skill below the policy
         // threshold — then the ensemble is loosened by inflation.
         if let Some(y) = &obs {
-            // Compare in observation space: map the analysis mean through the
-            // configured operator (identity is an elementwise no-op) at the
-            // components the mask actually observes — on partial networks
-            // the innovation must not mix unobserved state into the RMSE.
-            let mean_a = if config.obs_mask.is_full() {
-                config.obs_operator.apply(&ensemble.mean())
-            } else {
-                let mean = ensemble.mean();
-                config
-                    .obs_mask
-                    .observed_indices(dim, cycle as u64)
-                    .into_iter()
-                    .map(|i| config.obs_operator.h(mean[i]))
-                    .collect()
-            };
+            // Compare in observation space: on partial networks the
+            // innovation must not mix unobserved state into the RMSE.
+            let mean_a = spec.project(&ensemble.mean(), cycle as u64);
             let innovation = stats::metrics::rmse(&mean_a, y);
             let ratio = stats::diagnostics::spread_skill(ensemble.spread(), innovation);
             if innovation > policy.divergence_factor * nature.climatology_sd
@@ -517,15 +490,7 @@ fn cycle_loop(
             let diagnostics = pre_diag.as_ref().zip(obs.as_ref()).map(|(pre, y)| {
                 // INVARIANT: rmse was pushed for this cycle above.
                 let skill = *rmse.last().unwrap();
-                crate::diagnostics::complete_masked(
-                    pre,
-                    &ensemble,
-                    y,
-                    skill,
-                    config.obs_operator,
-                    config.obs_mask,
-                    cycle as u64,
-                )
+                crate::diagnostics::complete(pre, &ensemble, y, skill, &spec, cycle as u64)
             });
             if let Some(d) = &diagnostics {
                 telemetry::gauge_set("supervisor.spread_skill", d.spread_skill);
@@ -644,7 +609,7 @@ mod tests {
     use super::*;
     use crate::forecast::SqgForecast;
     use crate::osse::nature_run;
-    use crate::traits::{EnsfScheme, LetkfScheme, NoAssimilation};
+    use crate::traits::{Completion, EnsfScheme, LetkfScheme, NoAssimilation};
     use sqg::SqgParams;
 
     fn tiny_config(cycles: usize) -> OsseConfig {
@@ -661,10 +626,11 @@ mod tests {
     }
 
     fn ensf_scheme(cfg: &OsseConfig, dim: usize) -> EnsfScheme {
-        EnsfScheme::new(
+        EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 15, seed: cfg.seed ^ 0xE45F, ..Default::default() },
             dim,
-            cfg.obs_sigma,
+            cfg.obs_spec(),
+            Completion::Inpaint,
         )
     }
 
@@ -749,7 +715,8 @@ mod tests {
         let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = ensf_scheme(&cfg, dim);
-        let mut fallback = LetkfScheme::new(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_sigma);
+        let mut fallback =
+            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_spec());
         // Fail more attempts than the retry budget allows: must fall back.
         let res = ResilienceConfig {
             plan: FaultPlan {
@@ -819,20 +786,13 @@ mod tests {
     #[test]
     fn masked_network_survives_supervision_and_thinning() {
         use crate::osse::MaskKind;
-        use crate::traits::MaskedEnsfScheme;
         let mask = MaskKind::Block { start: 32, len: 32 };
         let cfg = OsseConfig { obs_mask: mask, ..tiny_config(4) };
         let nr = nature_run(&cfg);
         let dim = nr.truth[0].len();
         assert_eq!(nr.observations[0].len(), dim - 32, "obs vector shrinks to the mask");
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = MaskedEnsfScheme::new(
-            ensf::EnsfConfig { n_steps: 15, seed: cfg.seed ^ 0xE45F, ..Default::default() },
-            dim,
-            cfg.obs_sigma,
-            cfg.obs_operator,
-            mask,
-        );
+        let mut scheme = ensf_scheme(&cfg, dim);
         // Thin the already-masked batch at cycle 1: the guardrails (incl.
         // the masked obs-space divergence check) must keep the run finite.
         let res = ResilienceConfig {

@@ -12,9 +12,7 @@
 
 use crate::forecast::SqgForecast;
 use crate::osse::{initial_ensemble, nature_run, MaskKind, ObsOperatorKind, OsseConfig};
-use crate::traits::{
-    AnalysisScheme, ForecastModel, MaskIgnoringEnsfScheme, MaskedEnsfScheme, MaskedLetkfScheme,
-};
+use crate::traits::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme};
 
 /// One named observing-network scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,6 +136,10 @@ fn split_rmse(mean: &[f64], truth: &[f64], observed: &[usize]) -> (f64, f64) {
 /// the steady-state observed/unobserved RMSE split and the cumulative
 /// analysis latency. `base` supplies the grid, cycle count, noise levels
 /// and seed; its `obs_operator`/`obs_mask` are overridden by the spec.
+///
+/// # Panics
+/// Panics for [`ScenarioMethod::MaskedLetkf`] on a non-identity operator
+/// (see [`LetkfScheme::with_obs`]).
 pub fn run_scenario(
     base: &OsseConfig,
     spec: &ScenarioSpec,
@@ -152,36 +154,24 @@ pub fn run_scenario(
     let nature = nature_run(&config);
     let dim = nature.truth[0].len();
 
+    let ensf_scheme = |method, completion| {
+        let ensf_config = ensf::EnsfConfig { method, ..ensf_config.clone() };
+        EnsfScheme::with_obs(ensf_config, dim, config.obs_spec(), completion)
+    };
     let mut scheme: Box<dyn AnalysisScheme> = match method {
-        ScenarioMethod::InpaintEnsf => Box::new(MaskedEnsfScheme::new(
-            ensf::EnsfConfig { method: ensf::AnalysisMethod::ReverseSde, ..ensf_config.clone() },
-            dim,
-            config.obs_sigma,
-            spec.operator,
-            spec.mask,
-        )),
-        ScenarioMethod::InpaintFlow => Box::new(MaskedEnsfScheme::new(
-            ensf::EnsfConfig {
-                method: ensf::AnalysisMethod::FlowMatching,
-                ..ensf_config.clone()
-            },
-            dim,
-            config.obs_sigma,
-            spec.operator,
-            spec.mask,
-        )),
-        ScenarioMethod::MaskIgnoringEnsf => Box::new(MaskIgnoringEnsfScheme::new(
-            ensf::EnsfConfig { method: ensf::AnalysisMethod::ReverseSde, ..ensf_config.clone() },
-            dim,
-            config.obs_sigma,
-            spec.operator,
-            spec.mask,
-        )),
-        ScenarioMethod::MaskedLetkf => Box::new(MaskedLetkfScheme::new(
+        ScenarioMethod::InpaintEnsf => {
+            Box::new(ensf_scheme(ensf::AnalysisMethod::ReverseSde, Completion::Inpaint))
+        }
+        ScenarioMethod::InpaintFlow => {
+            Box::new(ensf_scheme(ensf::AnalysisMethod::FlowMatching, Completion::Inpaint))
+        }
+        ScenarioMethod::MaskIgnoringEnsf => {
+            Box::new(ensf_scheme(ensf::AnalysisMethod::ReverseSde, Completion::ZeroFill))
+        }
+        ScenarioMethod::MaskedLetkf => Box::new(LetkfScheme::with_obs(
             letkf::LetkfConfig::default(),
             &config.params,
-            config.obs_sigma,
-            spec.mask,
+            config.obs_spec(),
         )),
     };
 

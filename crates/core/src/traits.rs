@@ -4,6 +4,7 @@
 //! be the physics-based SQG, the ViT surrogate, or any AI foundation model;
 //! the analysis scheme can be EnSF, LETKF, or nothing (free runs).
 
+use ensf::{ObsOperatorKind, ObsSpec};
 use stats::Ensemble;
 
 /// A forecast model advancing a flat state vector through time.
@@ -84,453 +85,118 @@ impl AnalysisScheme for NoAssimilation {
     }
 }
 
-/// EnSF adapter over identity observations with error `sigma`.
-pub struct EnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::IdentityObs,
+/// How [`EnsfScheme`] completes a partial network's shrunk observation
+/// vector to the dense one its score kernels assimilate (irrelevant under
+/// a full mask, where the vector is dense already).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Completion {
+    /// Harmonic inpainting of the obs-space innovation field `y − h(x̄_f)`
+    /// on the two-level grid ([`crate::inpaint::harmonic_fill`]; Liang et
+    /// al., arXiv:2501.12419). Observed pixels keep their real
+    /// measurements, so guidance there is exact; masked pixels receive
+    /// spatially interpolated pseudo-observations, anchoring the diffusion
+    /// inside the outage to real information from the surrounding network
+    /// instead of leaving it to the prior score alone (which lets small
+    /// ensembles drift; see the scenario bench).
+    Inpaint,
+    /// The canonical outage bug, kept as the baseline inpainting must beat
+    /// on unobserved regions: dead sensors flat-line at zero in observation
+    /// space and those zeros are assimilated as real measurements with
+    /// full guidance weight.
+    ZeroFill,
 }
 
-impl EnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64) -> Self {
-        EnsfScheme { filter: ensf::Ensf::new(config), obs: ensf::IdentityObs::new(dim, obs_sigma) }
-    }
-}
-
-impl AnalysisScheme for EnsfScheme {
-    fn name(&self) -> &str {
-        "EnSF"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// EnSF adapter over the saturating `h(x) = arctan(gain · x)` observation
-/// operator — the `nonlinear_obs` stress operator promoted into a standard
-/// scheme so OSSE scenarios with [`crate::ObsOperatorKind::Arctan`]
-/// assimilate observations generated in the matching observation space.
-pub struct ArctanEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::ArctanObs,
-}
-
-impl ArctanEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed through
-    /// `arctan(gain · x)` with error `sigma` in observation space.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64, gain: f64) -> Self {
-        ArctanEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::ArctanObs::with_gain(dim, obs_sigma, gain),
-        }
-    }
-}
-
-impl AnalysisScheme for ArctanEnsfScheme {
-    fn name(&self) -> &str {
-        "EnSF-arctan"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// Flow-matching EnSF adapter over identity observations: the same score
-/// machinery as [`EnsfScheme`], but the analysis integrates the few-step
-/// deterministic probability-flow ODE instead of the 100-step stochastic
-/// reverse SDE. `config.method` is forced to
-/// [`ensf::AnalysisMethod::FlowMatching`], so `n_steps` means ODE grid
-/// steps (5–10 reach SDE-level accuracy).
-pub struct FlowMatchingEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::IdentityObs,
-}
-
-impl FlowMatchingEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state; `config.method` is
-    /// overridden to the flow-matching analysis path.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64) -> Self {
-        let config = ensf::EnsfConfig { method: ensf::AnalysisMethod::FlowMatching, ..config };
-        FlowMatchingEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::IdentityObs::new(dim, obs_sigma),
-        }
-    }
-}
-
-impl AnalysisScheme for FlowMatchingEnsfScheme {
-    fn name(&self) -> &str {
-        "FlowEnSF"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// Flow-matching EnSF adapter over the saturating arctan observation
-/// operator ([`ArctanEnsfScheme`]'s deterministic few-step counterpart).
-/// The flow's guidance linearizes `h` at the denoised estimate via the
-/// operator's Jacobian, so the nonlinear-obs path needs no extra wiring.
-pub struct FlowMatchingArctanEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::ArctanObs,
-}
-
-impl FlowMatchingArctanEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed through
-    /// `arctan(gain · x)` with error `sigma` in observation space;
-    /// `config.method` is overridden to the flow-matching analysis path.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64, gain: f64) -> Self {
-        let config = ensf::EnsfConfig { method: ensf::AnalysisMethod::FlowMatching, ..config };
-        FlowMatchingArctanEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::ArctanObs::with_gain(dim, obs_sigma, gain),
-        }
-    }
-}
-
-impl AnalysisScheme for FlowMatchingArctanEnsfScheme {
-    fn name(&self) -> &str {
-        "FlowEnSF-arctan"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        self.filter.analyze(forecast, observation, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// EnSF adapter over a *sparse* network observing every `stride`-th state
-/// component. The workflow still hands the full noisy-state vector to the
-/// scheme (the OSSE measures everything); the scheme subsamples it, so only
-/// the network's share of the information reaches the filter.
-pub struct SparseEnsfScheme {
-    filter: ensf::Ensf,
-    obs: ensf::StridedObs,
-    stride: usize,
-}
-
-impl SparseEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed at every
-    /// `stride`-th component.
-    pub fn new(config: ensf::EnsfConfig, dim: usize, stride: usize, obs_sigma: f64) -> Self {
-        assert!(stride >= 1);
-        SparseEnsfScheme {
-            filter: ensf::Ensf::new(config),
-            obs: ensf::StridedObs::new(dim, stride, obs_sigma),
-            stride,
-        }
-    }
-}
-
-impl AnalysisScheme for SparseEnsfScheme {
-    fn name(&self) -> &str {
-        "EnSF-sparse"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let y: Vec<f64> = observation.iter().step_by(self.stride).copied().collect();
-        self.filter.analyze(forecast, &y, &self.obs)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// LETKF adapter over the two-level SQG grid with identity observations,
-/// optionally thinned to every `stride`-th grid point (sparse networks are
-/// LETKF's home turf: localization spreads the sparse information).
-pub struct LetkfScheme {
-    filter: letkf::Letkf,
-    obs_sigma: f64,
-    stride: usize,
-}
-
-impl LetkfScheme {
-    /// Builds the scheme for an `n × n × 2` grid with physical parameters
-    /// from `params` (Rossby-coupled vertical localization).
-    pub fn new(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs_sigma: f64) -> Self {
-        Self::with_stride(config, params, obs_sigma, 1)
-    }
-
-    /// Same, observing only every `stride`-th state component.
-    pub fn with_stride(
-        config: letkf::LetkfConfig,
-        params: &sqg::SqgParams,
-        obs_sigma: f64,
-        stride: usize,
-    ) -> Self {
-        assert!(stride >= 1);
-        let geometry = letkf::GridGeometry::new(
-            params.n,
-            sqg::LEVELS,
-            params.domain,
-            params.rossby_radius(),
-        );
-        LetkfScheme { filter: letkf::Letkf::new(config, geometry), obs_sigma, stride }
-    }
-}
-
-impl AnalysisScheme for LetkfScheme {
-    fn name(&self) -> &str {
-        "LETKF"
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let network: Vec<letkf::PointObs> = observation
-            .iter()
-            .enumerate()
-            .step_by(self.stride)
-            .map(|(i, &v)| letkf::PointObs { state_index: i, value: v, sigma: self.obs_sigma })
-            .collect();
-        self.filter.analyze(forecast, &network)
-    }
-}
-
-/// Runs one dense analysis through the operator kind's batched-GEMM-ready
-/// dense observation operator (shared by the masked schemes, which
-/// complete the observation vector before assimilating).
-fn dense_analyze(
-    filter: &mut ensf::Ensf,
-    forecast: &Ensemble,
-    y: &[f64],
-    dim: usize,
-    obs_sigma: f64,
-    operator: crate::osse::ObsOperatorKind,
-) -> Ensemble {
-    match operator {
-        crate::osse::ObsOperatorKind::Identity => {
-            filter.analyze(forecast, y, &ensf::IdentityObs::new(dim, obs_sigma))
-        }
-        crate::osse::ObsOperatorKind::Arctan { gain } => {
-            filter.analyze(forecast, y, &ensf::ArctanObs::with_gain(dim, obs_sigma, gain))
-        }
-    }
-}
-
-/// Inpainting-EnSF adapter over a partially observed network (Liang et
-/// al., arXiv:2501.12419): the observation vector holds only the mask's
-/// observed components; the scheme rebuilds a dense vector by harmonic
-/// inpainting of the obs-space innovation field `y − h(x̄_f)` on the
-/// two-level grid ([`crate::inpaint::harmonic_fill`]) and assimilates the
-/// completed vector through the dense batched-GEMM score kernels. Observed
-/// pixels keep their real measurements, so guidance there is exact; masked
-/// pixels receive spatially interpolated pseudo-observations, anchoring
-/// the diffusion inside the outage to real information from the
-/// surrounding network instead of leaving it to the prior score alone
-/// (which lets small ensembles drift; see the scenario bench). Pure
-/// guidance masking — score-only diffusion on masked pixels — remains
-/// available as the [`ensf::MaskedObs`] operator, which the sharded
-/// runtime partitions per tile. Serves both transport paths — set
-/// [`ensf::EnsfConfig::method`] to pick the reverse SDE or the few-step
-/// probability-flow ODE.
+/// The EnSF adapter: one [`ensf::Ensf`] filter behind an [`ObsSpec`].
+/// Reverse SDE versus few-step probability-flow ODE is
+/// [`ensf::EnsfConfig::method`]; the observation map, network mask and
+/// error are the spec; [`Completion`] says how a partial network's vector
+/// is made dense. Pure guidance masking — score-only diffusion on masked
+/// pixels — remains available as the spec's own operator
+/// ([`ObsSpec::operator_on`]), which the sharded runtime partitions per
+/// tile.
 ///
 /// The mask's cycle index is the filter's analysis-cycle counter, so
 /// moving-track masks stay aligned with the OSSE as long as the scheme
 /// performs one analysis per assimilation cycle (checkpoint restore
 /// re-aligns it through [`AnalysisScheme::set_rng_state`]).
-pub struct MaskedEnsfScheme {
+pub struct EnsfScheme {
     filter: ensf::Ensf,
     dim: usize,
-    obs_sigma: f64,
-    operator: crate::osse::ObsOperatorKind,
-    mask: crate::osse::MaskKind,
-    name: &'static str,
+    obs: ObsSpec,
+    completion: Completion,
 }
 
-impl MaskedEnsfScheme {
-    /// Builds the scheme for a `dim`-dimensional state observed through
-    /// `operator` at the components `mask` leaves visible.
-    pub fn new(
+impl EnsfScheme {
+    /// The paper's setting: a `dim`-dimensional state fully observed
+    /// through `h = I` with error `obs_sigma`.
+    pub fn new(config: ensf::EnsfConfig, dim: usize, obs_sigma: f64) -> Self {
+        Self::with_obs(config, dim, ObsSpec::identity(obs_sigma), Completion::Inpaint)
+    }
+
+    /// Builds the scheme for a `dim`-dimensional state observed as `obs`
+    /// says (pass the experiment's [`crate::osse::OsseConfig::obs_spec`],
+    /// so the scheme cannot disagree with the nature run that feeds it).
+    pub fn with_obs(
         config: ensf::EnsfConfig,
         dim: usize,
-        obs_sigma: f64,
-        operator: crate::osse::ObsOperatorKind,
-        mask: crate::osse::MaskKind,
+        obs: ObsSpec,
+        completion: Completion,
     ) -> Self {
-        let name = match config.method {
-            ensf::AnalysisMethod::ReverseSde => "EnSF-inpaint",
-            ensf::AnalysisMethod::FlowMatching => "FlowEnSF-inpaint",
-        };
-        MaskedEnsfScheme { filter: ensf::Ensf::new(config), dim, obs_sigma, operator, mask, name }
+        EnsfScheme { filter: ensf::Ensf::new(config), dim, obs, completion }
     }
 }
 
-impl AnalysisScheme for MaskedEnsfScheme {
+impl AnalysisScheme for EnsfScheme {
     fn name(&self) -> &str {
-        self.name
-    }
-
-    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let cycle = self.filter.cycle();
-        if self.mask.is_full() {
-            // Bitwise identical to the dense schemes: same operator, same
-            // observation vector, no fill arithmetic on the way.
-            return dense_analyze(
-                &mut self.filter,
-                forecast,
-                observation,
-                self.dim,
-                self.obs_sigma,
-                self.operator,
-            );
-        }
-        let observed = self.mask.observed_indices(self.dim, cycle);
-        assert_eq!(
-            observation.len(),
-            observed.len(),
-            "observation vector must hold exactly the mask's observed components"
-        );
-        let mean = forecast.mean();
-        // Harmonic inpainting of the obs-space innovation field: Dirichlet
-        // data at observed pixels, Laplace fill across the outage.
-        let mut innovation = vec![0.0; self.dim];
-        let mut known = vec![false; self.dim];
-        for (k, &i) in observed.iter().enumerate() {
-            innovation[i] = observation[k] - self.operator.h(mean[i]);
-            known[i] = true;
-        }
-        crate::inpaint::harmonic_fill(&mut innovation, &known, crate::inpaint::FILL_SWEEPS);
-        let mut y_full = vec![0.0; self.dim];
-        let mut k = 0;
-        for i in 0..self.dim {
-            if known[i] {
-                // Real measurements pass through exactly.
-                y_full[i] = observation[k];
-                k += 1;
-            } else {
-                y_full[i] = self.operator.h(mean[i]) + innovation[i];
+        let flow = self.filter.config().method == ensf::AnalysisMethod::FlowMatching;
+        if self.obs.mask.is_full() {
+            match (flow, self.obs.operator) {
+                (false, ObsOperatorKind::Identity) => "EnSF",
+                (false, ObsOperatorKind::Arctan { .. }) => "EnSF-arctan",
+                (true, ObsOperatorKind::Identity) => "FlowEnSF",
+                (true, ObsOperatorKind::Arctan { .. }) => "FlowEnSF-arctan",
+            }
+        } else {
+            match (flow, self.completion) {
+                (false, Completion::Inpaint) => "EnSF-inpaint",
+                (true, Completion::Inpaint) => "FlowEnSF-inpaint",
+                (false, Completion::ZeroFill) => "EnSF-ignore",
+                (true, Completion::ZeroFill) => "FlowEnSF-ignore",
             }
         }
-        dense_analyze(&mut self.filter, forecast, &y_full, self.dim, self.obs_sigma, self.operator)
-    }
-
-    fn rng_state(&self) -> (u64, u64) {
-        (self.filter.cycle(), self.filter.config().seed)
-    }
-
-    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
-        self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.filter.reseed(seed);
-    }
-}
-
-/// Mask-*ignoring* EnSF baseline: the canonical outage bug. The dense
-/// pipeline is fed as if the network were complete — dead sensors
-/// flat-line at zero in observation space, and those zeros are
-/// assimilated as real measurements with full guidance weight, pinning
-/// unobserved components toward zero regardless of the flow state. This
-/// is the comparison target the inpainting guidance must beat on
-/// unobserved regions (Liang et al.'s plain-EnSF comparison).
-pub struct MaskIgnoringEnsfScheme {
-    filter: ensf::Ensf,
-    dim: usize,
-    obs_sigma: f64,
-    operator: crate::osse::ObsOperatorKind,
-    mask: crate::osse::MaskKind,
-}
-
-impl MaskIgnoringEnsfScheme {
-    /// Builds the baseline for a `dim`-dimensional state under `mask`,
-    /// observing through `operator` (dead slots read zero in its
-    /// observation space).
-    pub fn new(
-        config: ensf::EnsfConfig,
-        dim: usize,
-        obs_sigma: f64,
-        operator: crate::osse::ObsOperatorKind,
-        mask: crate::osse::MaskKind,
-    ) -> Self {
-        MaskIgnoringEnsfScheme { filter: ensf::Ensf::new(config), dim, obs_sigma, operator, mask }
-    }
-}
-
-impl AnalysisScheme for MaskIgnoringEnsfScheme {
-    fn name(&self) -> &str {
-        "EnSF-ignore"
     }
 
     fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let cycle = self.filter.cycle();
-        let observed = self.mask.observed_indices(self.dim, cycle);
+        let dense = ensf::MaskedObs::new(self.dim, self.obs.operator, None, self.obs.sigma);
+        if self.obs.mask.is_full() {
+            return self.filter.analyze(forecast, observation, &dense);
+        }
+        let observed = self.obs.observed(self.dim, self.filter.cycle());
         assert_eq!(
             observation.len(),
             observed.len(),
             "observation vector must hold exactly the mask's observed components"
         );
+        // Real measurements pass through exactly; the rest is completed.
         let mut y_full = vec![0.0; self.dim];
-        for (k, &i) in observed.iter().enumerate() {
-            y_full[i] = observation[k];
+        if self.completion == Completion::Inpaint {
+            // Dirichlet data at observed pixels, Laplace fill across the
+            // outage, then back to observation space about h(x̄_f).
+            let mean = forecast.mean();
+            let mut known = vec![false; self.dim];
+            for (&i, y) in observed.iter().zip(observation) {
+                y_full[i] = y - self.obs.operator.h(mean[i]);
+                known[i] = true;
+            }
+            crate::inpaint::harmonic_fill(&mut y_full, &known, crate::inpaint::FILL_SWEEPS);
+            for i in (0..self.dim).filter(|&i| !known[i]) {
+                y_full[i] += self.obs.operator.h(mean[i]);
+            }
         }
-        dense_analyze(&mut self.filter, forecast, &y_full, self.dim, self.obs_sigma, self.operator)
+        for (&i, &y) in observed.iter().zip(observation) {
+            y_full[i] = y;
+        }
+        self.filter.analyze(forecast, &y_full, &dense)
     }
 
     fn rng_state(&self) -> (u64, u64) {
@@ -547,57 +213,70 @@ impl AnalysisScheme for MaskIgnoringEnsfScheme {
     }
 }
 
-/// LETKF adapter over a masked identity network: the observation vector
-/// holds only the mask's observed components, each becoming a
-/// [`letkf::PointObs`] at its true grid location so localization spreads
-/// the partial information — LETKF's native answer to sensor outages, and
-/// the masked baseline the EnSF scenarios are judged against.
-pub struct MaskedLetkfScheme {
+/// The LETKF adapter over the two-level SQG grid: every observed component
+/// of an [`ObsSpec`] becomes a [`letkf::PointObs`] at its true grid
+/// location, so localization spreads a partial network's information —
+/// LETKF's native answer to sensor outages, and the masked baseline the
+/// EnSF scenarios are judged against. The analysis-cycle counter that
+/// indexes moving masks travels through
+/// [`AnalysisScheme::rng_state`]/[`AnalysisScheme::set_rng_state`].
+pub struct LetkfScheme {
     filter: letkf::Letkf,
-    obs_sigma: f64,
     dim: usize,
-    mask: crate::osse::MaskKind,
+    obs: ObsSpec,
     cycle: u64,
 }
 
-impl MaskedLetkfScheme {
-    /// Builds the scheme for an `n × n × 2` grid under `mask` (identity
-    /// observation base; LETKF linearizes about the forecast, so the
-    /// saturating operators stay with the EnSF adapters).
-    pub fn new(
-        config: letkf::LetkfConfig,
-        params: &sqg::SqgParams,
-        obs_sigma: f64,
-        mask: crate::osse::MaskKind,
-    ) -> Self {
+impl LetkfScheme {
+    /// The paper's setting: the `n × n × 2` grid of `params`
+    /// (Rossby-coupled vertical localization) fully observed through
+    /// `h = I` with error `obs_sigma`.
+    pub fn new(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs_sigma: f64) -> Self {
+        Self::with_obs(config, params, ObsSpec::identity(obs_sigma))
+    }
+
+    /// Builds the scheme for the network `obs` describes.
+    ///
+    /// # Panics
+    /// Panics unless `obs.operator` is the identity: a [`letkf::PointObs`]
+    /// is `h = e_i`, and LETKF linearizes about the forecast, so the
+    /// saturating operators stay with the EnSF adapter.
+    pub fn with_obs(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs: ObsSpec) -> Self {
+        assert!(
+            obs.operator == ObsOperatorKind::Identity,
+            "LETKF point observations are h = e_i; non-identity operators need the EnSF adapter"
+        );
         let geometry = letkf::GridGeometry::new(
             params.n,
             sqg::LEVELS,
             params.domain,
             params.rossby_radius(),
         );
-        MaskedLetkfScheme {
+        LetkfScheme {
             filter: letkf::Letkf::new(config, geometry),
-            obs_sigma,
             dim: params.state_dim(),
-            mask,
+            obs,
             cycle: 0,
         }
     }
 }
 
-impl AnalysisScheme for MaskedLetkfScheme {
+impl AnalysisScheme for LetkfScheme {
     fn name(&self) -> &str {
-        "LETKF-masked"
+        if self.obs.mask.is_full() {
+            "LETKF"
+        } else {
+            "LETKF-masked"
+        }
     }
 
     fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let observed = self.mask.observed_indices(self.dim, self.cycle);
+        let observed = self.obs.observed(self.dim, self.cycle);
         self.cycle += 1;
         let network: Vec<letkf::PointObs> = observed
             .iter()
             .zip(observation)
-            .map(|(&i, &v)| letkf::PointObs { state_index: i, value: v, sigma: self.obs_sigma })
+            .map(|(&i, &v)| letkf::PointObs { state_index: i, value: v, sigma: self.obs.sigma })
             .collect();
         self.filter.analyze(forecast, &network)
     }
@@ -614,6 +293,7 @@ impl AnalysisScheme for MaskedLetkfScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ensf::MaskKind;
 
     struct Doubler;
     impl ForecastModel for Doubler {
@@ -645,22 +325,76 @@ mod tests {
         assert_eq!(s.name(), "none");
     }
 
+    /// Ensemble whose member `m` is the constant vector `0.1·m + offset`.
+    fn ramp_ensemble(members: usize, dim: usize, offset: f64) -> Ensemble {
+        let rows: Vec<Vec<f64>> = (0..members).map(|m| vec![0.1 * m as f64 + offset; dim]).collect();
+        Ensemble::from_members(&rows)
+    }
+
+    /// Ten constant members spread over ±0.9 on the 4 × 4 × 2 grid.
+    fn letkf_forecast() -> Ensemble {
+        let rows: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
+        Ensemble::from_members(&rows)
+    }
+
+    #[test]
+    fn scheme_names_are_the_legacy_report_keys() {
+        // Reports, BENCH_*.json rows and supervisor events
+        // (`analysis_fallback:LETKF`) key on these strings.
+        use ensf::AnalysisMethod::{FlowMatching, ReverseSde};
+        const ID: ObsOperatorKind = ObsOperatorKind::Identity;
+        const ATAN: ObsOperatorKind = ObsOperatorKind::Arctan { gain: 4.0 };
+        const BLOCK: MaskKind = MaskKind::Block { start: 0, len: 4 };
+        let ensf_cases = [
+            (ReverseSde, ID, MaskKind::Full, Completion::Inpaint, "EnSF"),
+            (ReverseSde, ATAN, MaskKind::Full, Completion::Inpaint, "EnSF-arctan"),
+            (FlowMatching, ID, MaskKind::Full, Completion::Inpaint, "FlowEnSF"),
+            (FlowMatching, ATAN, MaskKind::Full, Completion::Inpaint, "FlowEnSF-arctan"),
+            (ReverseSde, ID, BLOCK, Completion::Inpaint, "EnSF-inpaint"),
+            (ReverseSde, ATAN, BLOCK, Completion::Inpaint, "EnSF-inpaint"),
+            (FlowMatching, ID, BLOCK, Completion::Inpaint, "FlowEnSF-inpaint"),
+            (ReverseSde, ID, BLOCK, Completion::ZeroFill, "EnSF-ignore"),
+        ];
+        for (method, operator, mask, completion, want) in ensf_cases {
+            let config = ensf::EnsfConfig { method, ..Default::default() };
+            let obs = ObsSpec { operator, mask, sigma: 0.1 };
+            let scheme = EnsfScheme::with_obs(config, 8, obs, completion);
+            assert_eq!(scheme.name(), want, "{method:?} {operator:?} {mask:?} {completion:?}");
+        }
+        assert_eq!(EnsfScheme::new(ensf::EnsfConfig::default(), 8, 0.1).name(), "EnSF");
+
+        let params = sqg::SqgParams { n: 4, ..Default::default() };
+        let letkf = |mask| {
+            let obs = ObsSpec { mask, ..ObsSpec::identity(0.1) };
+            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &params, obs)
+        };
+        assert_eq!(letkf(MaskKind::Full).name(), "LETKF");
+        assert_eq!(letkf(BLOCK).name(), "LETKF-masked");
+        assert_eq!(LetkfScheme::new(letkf::LetkfConfig::default(), &params, 0.1).name(), "LETKF");
+    }
+
+    #[test]
+    #[should_panic(expected = "LETKF point observations are h = e_i")]
+    fn letkf_rejects_non_identity_operators() {
+        let params = sqg::SqgParams { n: 4, ..Default::default() };
+        let arctan =
+            ObsSpec { operator: ObsOperatorKind::Arctan { gain: 4.0 }, ..ObsSpec::identity(0.1) };
+        let _ = LetkfScheme::with_obs(letkf::LetkfConfig::default(), &params, arctan);
+    }
+
     #[test]
     fn arctan_scheme_pulls_toward_obs_space_target() {
         let dim = 8;
         let gain = 4.0;
-        let mut scheme = ArctanEnsfScheme::new(
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 20, seed: 7, ..Default::default() },
             dim,
-            0.05,
-            gain,
+            ObsSpec { operator: ObsOperatorKind::Arctan { gain }, ..ObsSpec::identity(0.05) },
+            Completion::Inpaint,
         );
-        assert_eq!(scheme.name(), "EnSF-arctan");
         // Ensemble scattered around 0; truth at 0.8, observed through
         // arctan(gain·x). The analysis mean must move toward the truth.
-        let members: Vec<Vec<f64>> =
-            (0..12).map(|m| vec![0.1 * m as f64 - 0.55; dim]).collect();
-        let fc = Ensemble::from_members(&members);
+        let fc = ramp_ensemble(12, dim, -0.55);
         let truth = 0.8;
         let y = vec![(gain * truth).atan(); dim];
         let an = scheme.analyze(&fc, &y);
@@ -676,9 +410,7 @@ mod tests {
             4,
             0.5,
         );
-        assert_eq!(scheme.name(), "EnSF");
-        let members: Vec<Vec<f64>> = (0..12).map(|m| vec![0.1 * m as f64 - 0.55; 4]).collect();
-        let fc = Ensemble::from_members(&members);
+        let fc = ramp_ensemble(12, 4, -0.55);
         let an = scheme.analyze(&fc, &[1.0; 4]);
         let before = fc.mean()[0];
         let after = an.mean()[0];
@@ -686,50 +418,16 @@ mod tests {
     }
 
     #[test]
-    fn sparse_schemes_only_use_their_network() {
-        // With stride 2, perturbing an UNOBSERVED component of the
-        // observation vector must not change the analysis.
-        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.1 * m as f64; 8]).collect();
-        let fc = Ensemble::from_members(&members);
-        let mut scheme = SparseEnsfScheme::new(
-            ensf::EnsfConfig { n_steps: 15, seed: 2, ..Default::default() },
-            8,
-            2,
-            0.5,
-        );
-        assert_eq!(scheme.name(), "EnSF-sparse");
-        let mut y = vec![1.0; 8];
-        let a1 = scheme.analyze(&fc, &y);
-        y[1] = 99.0; // unobserved slot
-        let mut scheme2 = SparseEnsfScheme::new(
-            ensf::EnsfConfig { n_steps: 15, seed: 2, ..Default::default() },
-            8,
-            2,
-            0.5,
-        );
-        let a2 = scheme2.analyze(&fc, &y);
-        assert_eq!(a1.as_slice(), a2.as_slice());
-    }
-
-    #[test]
     fn letkf_stride_thins_network() {
         let params = sqg::SqgParams { n: 4, ..Default::default() };
-        let mut dense = LetkfScheme::new(
-            letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
-            &params,
-            0.3,
-        );
-        let mut sparse = LetkfScheme::with_stride(
-            letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
-            &params,
-            0.3,
-            4,
-        );
-        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
-        let fc = Ensemble::from_members(&members);
-        let y = vec![1.0; 32];
-        let ad = dense.analyze(&fc, &y);
-        let asp = sparse.analyze(&fc, &y);
+        let config = letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() };
+        let mut dense = LetkfScheme::new(config.clone(), &params, 0.3);
+        let every_fourth = MaskKind::Strided { stride: 4, phase: 0 };
+        let sparse_obs = ObsSpec { mask: every_fourth, ..ObsSpec::identity(0.3) };
+        let mut sparse = LetkfScheme::with_obs(config, &params, sparse_obs);
+        let fc = letkf_forecast();
+        let ad = dense.analyze(&fc, &[1.0; 32]);
+        let asp = sparse.analyze(&fc, &[1.0; 8]);
         let pull = |e: &Ensemble, i: usize| (e.mean()[i] - fc.mean()[i]).abs();
         // Component 1 is unobserved by the sparse network (and, with the
         // default 2000 km cutoff on this coarse 5000 km-spacing grid, out of
@@ -743,45 +441,16 @@ mod tests {
     }
 
     #[test]
-    fn masked_ensf_scheme_full_mask_matches_dense_scheme_bitwise() {
-        // Under ScoreKernel::Reference there is no hoisted constant-Jacobian
-        // branch, so the full-mask MaskedObs must reproduce the dense
-        // IdentityObs analysis bit-for-bit.
-        let dim = 6;
-        let config = ensf::EnsfConfig {
-            n_steps: 12,
-            seed: 9,
-            kernel: ensf::ScoreKernel::Reference,
-            ..Default::default()
-        };
-        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.1 * m as f64 - 0.4; dim]).collect();
-        let fc = Ensemble::from_members(&members);
-        let y = vec![0.7; dim];
-        let mut dense = EnsfScheme::new(config.clone(), dim, 0.5);
-        let mut masked = MaskedEnsfScheme::new(
-            config,
-            dim,
-            0.5,
-            crate::osse::ObsOperatorKind::Identity,
-            crate::osse::MaskKind::Full,
-        );
-        assert_eq!(masked.name(), "EnSF-inpaint");
-        assert_eq!(dense.analyze(&fc, &y).as_slice(), masked.analyze(&fc, &y).as_slice());
-    }
-
-    #[test]
     fn masked_ensf_scheme_accepts_shrunk_observation_vector() {
         let dim = 8;
-        let mask = crate::osse::MaskKind::Block { start: 2, len: 4 };
-        let mut scheme = MaskedEnsfScheme::new(
+        let mask = MaskKind::Block { start: 2, len: 4 };
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 10, seed: 3, ..Default::default() },
             dim,
-            0.5,
-            crate::osse::ObsOperatorKind::Identity,
-            mask,
+            ObsSpec { mask, ..ObsSpec::identity(0.5) },
+            Completion::Inpaint,
         );
-        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.1 * m as f64; dim]).collect();
-        let fc = Ensemble::from_members(&members);
+        let fc = ramp_ensemble(10, dim, 0.0);
         // Only 4 of 8 components observed.
         let an = scheme.analyze(&fc, &[1.0; 4]);
         assert_eq!(an.dim(), dim);
@@ -791,18 +460,15 @@ mod tests {
     #[test]
     fn mask_ignoring_baseline_assimilates_dead_sensor_zeros() {
         let dim = 8;
-        let mask = crate::osse::MaskKind::Block { start: 4, len: 4 };
-        let mut scheme = MaskIgnoringEnsfScheme::new(
+        let mask = MaskKind::Block { start: 4, len: 4 };
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 15, seed: 4, ..Default::default() },
             dim,
-            0.05,
-            crate::osse::ObsOperatorKind::Identity,
-            mask,
+            ObsSpec { mask, ..ObsSpec::identity(0.05) },
+            Completion::ZeroFill,
         );
-        assert_eq!(scheme.name(), "EnSF-ignore");
         // Forecast mean sits at 0.55; real obs say 1.0, dead sensors say 0.
-        let members: Vec<Vec<f64>> = (0..12).map(|m| vec![0.1 * m as f64; dim]).collect();
-        let fc = Ensemble::from_members(&members);
+        let fc = ramp_ensemble(12, dim, 0.0);
         let an = scheme.analyze(&fc, &[1.0; 4]);
         // Observed half pulls toward 1.0; the outage is dragged toward the
         // flat-lined zeros instead of staying with the forecast.
@@ -826,16 +492,14 @@ mod tests {
         // harmonic fill reconstructs the (constant) innovation and the
         // analysis pulls the outage toward the observed value, not zero.
         let dim = 8;
-        let mask = crate::osse::MaskKind::Block { start: 0, len: 4 };
-        let mut scheme = MaskedEnsfScheme::new(
+        let mask = MaskKind::Block { start: 0, len: 4 };
+        let mut scheme = EnsfScheme::with_obs(
             ensf::EnsfConfig { n_steps: 15, seed: 4, ..Default::default() },
             dim,
-            0.05,
-            crate::osse::ObsOperatorKind::Identity,
-            mask,
+            ObsSpec { mask, ..ObsSpec::identity(0.05) },
+            Completion::Inpaint,
         );
-        let members: Vec<Vec<f64>> = (0..12).map(|m| vec![0.1 * m as f64; dim]).collect();
-        let fc = Ensemble::from_members(&members);
+        let fc = ramp_ensemble(12, dim, 0.0);
         let an = scheme.analyze(&fc, &[1.0; 4]);
         // The unobserved bottom level lands near the inpainted 1.0, far
         // from both zero and the 0.55 forecast mean.
@@ -845,16 +509,13 @@ mod tests {
     #[test]
     fn masked_letkf_updates_only_near_observed_components() {
         let params = sqg::SqgParams { n: 4, ..Default::default() };
-        let mask = crate::osse::MaskKind::Block { start: 1, len: 30 };
-        let mut scheme = MaskedLetkfScheme::new(
+        let mask = MaskKind::Block { start: 1, len: 30 };
+        let mut scheme = LetkfScheme::with_obs(
             letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
             &params,
-            0.3,
-            mask,
+            ObsSpec { mask, ..ObsSpec::identity(0.3) },
         );
-        assert_eq!(scheme.name(), "LETKF-masked");
-        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
-        let fc = Ensemble::from_members(&members);
+        let fc = letkf_forecast();
         // Observed indices are {0, 31}; y carries exactly those two slots.
         let an = scheme.analyze(&fc, &[1.0, 1.0]);
         let pull = |e: &Ensemble, i: usize| (e.mean()[i] - fc.mean()[i]).abs();
@@ -878,9 +539,7 @@ mod tests {
             &params,
             0.3,
         );
-        assert_eq!(scheme.name(), "LETKF");
-        let members: Vec<Vec<f64>> = (0..10).map(|m| vec![0.2 * m as f64 - 0.9; 32]).collect();
-        let fc = Ensemble::from_members(&members);
+        let fc = letkf_forecast();
         let an = scheme.analyze(&fc, &[1.0; 32]);
         let before = fc.mean()[0];
         let after = an.mean()[0];

@@ -2,8 +2,8 @@
 //! inpainting EnSF's dense-limit behavior.
 
 use da_core::osse::MaskKind;
-use da_core::{AnalysisScheme, EnsfScheme, MaskedEnsfScheme, ObsOperatorKind};
-use ensf::{ArctanObs, EnsfConfig, MaskedObs, ObservationOperator};
+use da_core::{AnalysisScheme, Completion, EnsfScheme, ObsOperatorKind, ObsSpec};
+use ensf::{EnsfConfig, MaskedObs, ObservationOperator};
 use proptest::prelude::*;
 use stats::gaussian::fill_standard_normal;
 use stats::rng::member_rng;
@@ -72,11 +72,12 @@ proptest! {
         let mut state = vec![0.0; dim];
         fill_standard_normal(&mut rng, &mut state);
 
-        let dense_op = ArctanObs::with_gain(dim, 0.1, gain);
+        let operator = ObsOperatorKind::Arctan { gain };
+        let dense_op = MaskedObs::new(dim, operator, None, 0.1);
         let mut dense = vec![0.0; dim];
         dense_op.apply(&state, &mut dense);
 
-        let masked_op = MaskedObs::arctan(dim, observed.clone(), 0.1, gain);
+        let masked_op = ObsSpec { operator, mask, sigma: 0.1 }.operator(dim, cycle);
         let mut shrunk = vec![0.0; masked_op.obs_dim()];
         masked_op.apply(&state, &mut shrunk);
 
@@ -126,13 +127,9 @@ proptest! {
         let config = EnsfConfig { n_steps: 4, seed: 7, ..Default::default() };
 
         let mut dense = EnsfScheme::new(config.clone(), dim, 0.3);
-        let mut masked = MaskedEnsfScheme::new(
-            config,
-            dim,
-            0.3,
-            ObsOperatorKind::Identity,
-            MaskKind::Full,
-        );
+        // A zero-length outage: full, but only by `is_full()`'s account.
+        let full = ObsSpec { mask: MaskKind::Block { start: 3, len: 0 }, ..ObsSpec::identity(0.3) };
+        let mut masked = EnsfScheme::with_obs(config, dim, full, Completion::Inpaint);
         let a = dense.analyze(&forecast, &y);
         let b = masked.analyze(&forecast, &y);
         prop_assert_eq!(a.as_slice(), b.as_slice(), "full-mask inpainting drifted from dense");

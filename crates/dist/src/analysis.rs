@@ -32,7 +32,7 @@
 use crate::shard::ShardPlan;
 use crate::DistError;
 use ensf::{
-    relax_spread, AnalysisMethod, ArctanObs, DiffusionSchedule, EnsfConfig, IdentityObs,
+    relax_spread, AnalysisMethod, DiffusionSchedule, EnsfConfig, MaskedObs, ObsSpec,
     ObservationOperator, ScoreKernel, TimeGrid,
 };
 use hpc::mpi::Comm;
@@ -45,94 +45,6 @@ use stats::gaussian::{fill_standard_normal, NormalSampler};
 use stats::rng::{seeded, split_seed};
 use stats::softmax::softmax_in_place;
 use stats::Ensemble;
-
-/// Observation model of the distributed runtime.
-///
-/// The sharded analysis updates each state block independently, so the
-/// observation operator must restrict cleanly to a contiguous block: the
-/// variants here are exactly the componentwise operators (the paper's SQG
-/// setting uses `h = I`; arctan is the EnSF papers' nonlinear stress
-/// test; [`DistObs::Masked`] composes either base with a partial-network
-/// mask, which is still componentwise — each tile's share of the mask is
-/// a pure function of the *global* tile bounds and the cycle, so the
-/// partition stays rank-layout invariant). Operators that couple state
-/// components across tiles (integrals, convolutions) would need an
-/// observation-space exchange and are out of scope for this runtime.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DistObs {
-    /// Fully observed state, `h = I`, error std `sigma`.
-    Identity {
-        /// Per-component observation error standard deviation.
-        sigma: f64,
-    },
-    /// Componentwise `h(x) = arctan(gain · x)`, error std `sigma`.
-    Arctan {
-        /// Per-component observation error standard deviation.
-        sigma: f64,
-        /// Saturation gain γ of `arctan(γ x)`.
-        gain: f64,
-    },
-    /// Partially observed network: `base` applied at the components `mask`
-    /// leaves visible for the analysis cycle. The observation vector holds
-    /// only the observed components (ascending global index); guidance acts
-    /// only there, and masked components evolve by score-driven diffusion.
-    Masked {
-        /// Per-component observation error standard deviation.
-        sigma: f64,
-        /// Componentwise base operator applied at observed components.
-        base: da_core::ObsOperatorKind,
-        /// Which components the network observes (cycle-indexed).
-        mask: da_core::MaskKind,
-    },
-}
-
-impl DistObs {
-    /// Observation error standard deviation.
-    pub fn sigma(&self) -> f64 {
-        match *self {
-            DistObs::Identity { sigma }
-            | DistObs::Arctan { sigma, .. }
-            | DistObs::Masked { sigma, .. } => sigma,
-        }
-    }
-
-    /// Expected observation-vector length for a `dim`-dimensional state at
-    /// analysis cycle `cycle` (masked networks shrink it to the observed
-    /// components).
-    pub fn obs_len(&self, dim: usize, cycle: u64) -> usize {
-        match self {
-            DistObs::Masked { mask, .. } => mask.obs_dim(dim, cycle),
-            _ => dim,
-        }
-    }
-
-    /// The operator restricted to a `len`-component block. Because the
-    /// dense variants are elementwise, the restriction is just the same
-    /// operator on a smaller dimension.
-    ///
-    /// # Panics
-    /// Panics for [`DistObs::Masked`], whose restriction needs the global
-    /// tile bounds (see [`ShardKernel::new`]).
-    pub fn block_operator(&self, len: usize) -> Box<dyn ObservationOperator> {
-        match *self {
-            DistObs::Identity { sigma } => Box::new(IdentityObs::new(len, sigma)),
-            DistObs::Arctan { sigma, gain } => Box::new(ArctanObs::with_gain(len, sigma, gain)),
-            DistObs::Masked { .. } => {
-                panic!("masked operators restrict per global tile, not per bare length")
-            }
-        }
-    }
-
-    /// Uniform squared observation Jacobian, if one exists (see
-    /// [`ObservationOperator::constant_jacobian_sq`]). Masked networks have
-    /// a per-component on/off pattern, so they never admit one.
-    pub fn constant_jacobian_sq(&self) -> Option<f64> {
-        match self {
-            DistObs::Identity { .. } => Some(1.0),
-            DistObs::Arctan { .. } | DistObs::Masked { .. } => None,
-        }
-    }
-}
 
 /// Simulated-network specification for the distributed runtime: the
 /// machine topology plus scripted rank faults, driving
@@ -234,13 +146,13 @@ pub struct ShardKernel {
     /// One RNG per `(particle, local tile)`, indexed `p * n_local + lt`.
     rngs: Vec<StdRng>,
     sampler: NormalSampler,
-    /// Local observation slice per local tile. Dense operators slice the
-    /// state-length vector at the tile bounds; masked operators hold each
-    /// tile's (possibly empty) run of observed-component values.
+    /// Each local tile's (possibly empty) run of the observation vector.
     y_tiles: Vec<Vec<f64>>,
-    /// Observation operator restricted to each local tile.
-    ops: Vec<Box<dyn ObservationOperator>>,
-    obs: DistObs,
+    /// Observation operator restricted to each local tile
+    /// ([`ObsSpec::operator_on`]: componentwise operators restrict cleanly
+    /// to a contiguous block; ones that couple state across tiles would
+    /// need an observation-space exchange and are out of scope here).
+    ops: Vec<MaskedObs>,
     sigma_obs_sq: f64,
     // Scratch (allocated once; the step loop is allocation-free).
     partials: Vec<f64>,
@@ -284,7 +196,7 @@ impl ShardKernel {
         cycle: u64,
         forecast: &Ensemble,
         y: &[f64],
-        obs: &DistObs,
+        obs: &ObsSpec,
     ) -> Self {
         config.validate().expect("invalid EnSF configuration");
         assert_eq!(forecast.dim(), plan.dim(), "forecast dimension mismatch");
@@ -383,46 +295,17 @@ impl ShardKernel {
             }
         }
 
-        // Per-tile observation slices and operators. Both are pure
-        // functions of the *global* tile bounds (and, for masked networks,
-        // the cycle), so whichever rank owns a tile builds identical bits.
-        let (y_tiles, ops): (Vec<Vec<f64>>, Vec<Box<dyn ObservationOperator>>) = match *obs {
-            DistObs::Masked { sigma, base, mask } => {
-                let observed = mask.observed_indices(plan.dim(), cycle);
-                tiles
-                    .iter()
-                    .map(|tile| {
-                        let lo = rank_lo + tile.off;
-                        let hi = lo + tile.len;
-                        // The mask's observed indices are ascending, so a
-                        // tile's share of the observation vector is the
-                        // contiguous run of entries whose index falls in
-                        // the tile — positioned by a global count, never
-                        // by the rank layout.
-                        let a = observed.partition_point(|&i| i < lo);
-                        let b = observed.partition_point(|&i| i < hi);
-                        let local: Vec<usize> = observed[a..b].iter().map(|&i| i - lo).collect();
-                        let op: Box<dyn ObservationOperator> = match base {
-                            da_core::ObsOperatorKind::Identity => {
-                                Box::new(ensf::MaskedObs::identity(tile.len, local, sigma))
-                            }
-                            da_core::ObsOperatorKind::Arctan { gain } => {
-                                Box::new(ensf::MaskedObs::arctan(tile.len, local, sigma, gain))
-                            }
-                        };
-                        (y[a..b].to_vec(), op)
-                    })
-                    .unzip()
-            }
-            _ => tiles
-                .iter()
-                .map(|tile| {
-                    let lo = rank_lo + tile.off;
-                    (y[lo..lo + tile.len].to_vec(), obs.block_operator(tile.len))
-                })
-                .unzip(),
-        };
-        let sigma = obs.sigma();
+        // Per-tile observation slices and operators: pure functions of the
+        // *global* tile bounds and the cycle, so whichever rank owns a tile
+        // builds identical bits.
+        let (y_tiles, ops): (Vec<Vec<f64>>, Vec<MaskedObs>) = tiles
+            .iter()
+            .map(|tile| {
+                let lo = rank_lo + tile.off;
+                let (op, slots) = obs.operator_on(lo..lo + tile.len, plan.dim(), cycle);
+                (y[slots].to_vec(), op)
+            })
+            .unzip();
 
         ShardKernel {
             n_tiles: plan.n_tiles(),
@@ -443,8 +326,7 @@ impl ShardKernel {
             sampler: NormalSampler::new(),
             y_tiles,
             ops,
-            obs: *obs,
-            sigma_obs_sq: sigma * sigma,
+            sigma_obs_sq: obs.sigma * obs.sigma,
             partials: vec![0.0; n_local * members * batch_len],
             weights: vec![0.0; members * batch_len],
             z_tile: vec![0.0; members * tile_max],
@@ -580,8 +462,10 @@ impl ShardKernel {
         let gain = sig2 * self.schedule.damping(t) * dt;
         // Constant-Jacobian operators admit one damping factor per step
         // (same arithmetic as the per-element branch, so the two paths
-        // agree bitwise for such operators).
-        let hoisted_factor = self.obs.constant_jacobian_sq().map(|jc| {
+        // agree bitwise for such operators). The spec decides it, so every
+        // tile's operator gives the same answer.
+        let jac_const = self.ops.first().and_then(|op| op.constant_jacobian_sq());
+        let hoisted_factor = jac_const.map(|jc| {
             let c = gain * jc / self.sigma_obs_sq;
             if c > 1e-8 {
                 (1.0 - (-c).exp()) / c
@@ -784,21 +668,52 @@ pub fn dist_analyze(
     cycle: u64,
     forecast: &Ensemble,
     y: &[f64],
-    obs: &DistObs,
+    obs: &ObsSpec,
     spec: Option<&CommSpec>,
     stats: &mut CommStats,
 ) -> Result<Vec<f64>, DistError> {
+    let local = analyze_steps(comm, plan, config, cycle, forecast, y, obs, spec, stats, None)?;
+    // INVARIANT: the stepping returns `None` only for a scripted kill.
+    Ok(local.expect("no kill was scripted"))
+}
+
+/// The stepping behind [`dist_analyze`] and the elastic driver, with the
+/// latter's scripted suicide: when `kill_after = Some(n)` this rank
+/// registers itself dead after completing `n` partial exchanges (after the
+/// last one, i.e. before the caller's reassembly gather, when `n` exceeds
+/// the step count) and returns `Ok(None)`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn analyze_steps(
+    comm: &Comm,
+    plan: &ShardPlan,
+    config: &EnsfConfig,
+    cycle: u64,
+    forecast: &Ensemble,
+    y: &[f64],
+    obs: &ObsSpec,
+    spec: Option<&CommSpec>,
+    stats: &mut CommStats,
+    kill_after: Option<usize>,
+) -> Result<Option<Vec<f64>>, DistError> {
     assert_eq!(plan.ranks(), comm.size(), "plan/communicator size mismatch");
     let _span = telemetry::span!("dist.analysis");
     let mut kernel = ShardKernel::new(plan, comm.rank(), config, cycle, forecast, y, obs);
     let times = TimeGrid::LogSpaced.points(&config.schedule, config.n_steps);
     let exchanged_bytes = (kernel.n_tiles() * kernel.partials_per_tile() * 8) as u64;
 
-    for win in times.windows(2) {
+    for (step, win) in times.windows(2).enumerate() {
+        if kill_after == Some(step) {
+            comm.kill();
+            return Ok(None);
+        }
         let partials = kernel.tile_partials(win[0]);
         model_collective(spec, stats, Collective::AllGather, comm.size(), exchanged_bytes)?;
         let full = comm.try_allgather_concat(partials)?;
         kernel.apply_step(win[0], win[1], &full);
+    }
+    if kill_after.is_some() {
+        comm.kill();
+        return Ok(None);
     }
     telemetry::counter_add("dist.analyses", 1);
     match config.method {
@@ -809,12 +724,13 @@ pub fn dist_analyze(
             telemetry::counter_add("dist.flow_steps", (times.len() - 1) as u64)
         }
     }
-    Ok(kernel.finish())
+    Ok(Some(kernel.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ensf::{MaskKind, ObsOperatorKind};
     use hpc::mpi::run_world;
     use stats::rng::member_rng;
 
@@ -836,7 +752,7 @@ mod tests {
         let dim = 96;
         let forecast = gaussian_ensemble(6, dim, 11);
         let y = vec![0.25; dim];
-        let obs = DistObs::Identity { sigma: 0.4 };
+        let obs = ObsSpec::identity(0.4);
         let config = EnsfConfig { n_steps: 12, seed: 9, minibatch, kernel, ..Default::default() };
         let plan = ShardPlan::new(dim, tile, ranks);
         let blocks = run_world(ranks, |comm| {
@@ -894,7 +810,7 @@ mod tests {
         let members = 40;
         let forecast = gaussian_ensemble(members, dim, 3);
         let y = vec![2.0; dim];
-        let obs = DistObs::Identity { sigma: 0.3 };
+        let obs = ObsSpec::identity(0.3);
         let config = EnsfConfig { n_steps: 50, seed: 4, ..Default::default() };
         let plan = ShardPlan::new(dim, 4, 2);
         let blocks = run_world(2, |comm| {
@@ -906,8 +822,7 @@ mod tests {
         let dist_mean: f64 = blocks.iter().flatten().sum::<f64>() / n_elems as f64;
 
         let mut serial = ensf::Ensf::new(config);
-        let serial_obs = ensf::IdentityObs::new(dim, 0.3);
-        let analysis = serial.analyze(&forecast, &y, &serial_obs);
+        let analysis = serial.analyze(&forecast, &y, &obs.operator(dim, 0));
         let serial_mean: f64 =
             analysis.as_slice().iter().sum::<f64>() / (members * dim) as f64;
 
@@ -929,7 +844,7 @@ mod tests {
         let dim = 48;
         let forecast = gaussian_ensemble(5, dim, 21);
         let y = vec![0.3; dim];
-        let obs = DistObs::Arctan { sigma: 0.3, gain: 1.0 };
+        let obs = ObsSpec { operator: ObsOperatorKind::Arctan { gain: 1.0 }, ..ObsSpec::identity(0.3) };
         let config = EnsfConfig { n_steps: 10, seed: 2, ..Default::default() };
         let run = |ranks: usize| {
             let plan = ShardPlan::new(dim, 8, ranks);
@@ -960,7 +875,7 @@ mod tests {
         let dim = 96;
         let forecast = gaussian_ensemble(6, dim, 11);
         let y = vec![0.25; dim];
-        let obs = DistObs::Identity { sigma: 0.4 };
+        let obs = ObsSpec::identity(0.4);
         let config = EnsfConfig {
             n_steps,
             seed: 9,
@@ -1011,7 +926,7 @@ mod tests {
         let dim = 96;
         let forecast = gaussian_ensemble(6, dim, 13);
         let y = vec![0.25; dim];
-        let obs = DistObs::Identity { sigma: 0.4 };
+        let obs = ObsSpec::identity(0.4);
         let config = EnsfConfig {
             n_steps: 5,
             seed: 9,
@@ -1053,7 +968,7 @@ mod tests {
         let members = 40;
         let forecast = gaussian_ensemble(members, dim, 3);
         let y = vec![2.0; dim];
-        let obs = DistObs::Identity { sigma: 0.3 };
+        let obs = ObsSpec::identity(0.3);
         let config = EnsfConfig {
             n_steps: 6,
             seed: 4,
@@ -1070,8 +985,7 @@ mod tests {
         let dist_mean: f64 = blocks.iter().flatten().sum::<f64>() / n_elems as f64;
 
         let mut serial = ensf::Ensf::new(config.clone());
-        let serial_obs = ensf::IdentityObs::new(dim, 0.3);
-        let analysis = serial.analyze(&forecast, &y, &serial_obs);
+        let analysis = serial.analyze(&forecast, &y, &obs.operator(dim, 0));
         let serial_mean: f64 = analysis.as_slice().iter().sum::<f64>() / (members * dim) as f64;
 
         let prior_mean: f64 = forecast.as_slice().iter().sum::<f64>() / (members * dim) as f64;
@@ -1091,7 +1005,7 @@ mod tests {
         let dim = 48;
         let forecast = gaussian_ensemble(5, dim, 21);
         let y = vec![0.3; dim];
-        let obs = DistObs::Arctan { sigma: 0.3, gain: 1.0 };
+        let obs = ObsSpec { operator: ObsOperatorKind::Arctan { gain: 1.0 }, ..ObsSpec::identity(0.3) };
         let config = EnsfConfig {
             n_steps: 8,
             seed: 2,
@@ -1122,17 +1036,13 @@ mod tests {
         ranks: usize,
         kernel: ScoreKernel,
         method: AnalysisMethod,
-        mask: da_core::MaskKind,
+        mask: MaskKind,
         cycle: u64,
     ) -> Vec<f64> {
         let dim = 96;
         let members = 6;
         let forecast = gaussian_ensemble(members, dim, 11);
-        let obs = DistObs::Masked {
-            sigma: 0.05,
-            base: da_core::ObsOperatorKind::Identity,
-            mask,
-        };
+        let obs = ObsSpec { mask, ..ObsSpec::identity(0.05) };
         // Shrunk observation vector: one value per observed component.
         let y: Vec<f64> = (0..obs.obs_len(dim, cycle)).map(|k| 0.25 + 0.001 * k as f64).collect();
         let config = EnsfConfig {
@@ -1164,7 +1074,7 @@ mod tests {
         // The outage spans tiles 0–2 entirely and cuts tile 3 in half, so
         // some ranks own tiles with empty observation slices — the
         // partition must stay invariant to who owns what.
-        let mask = da_core::MaskKind::Block { start: 0, len: 56 };
+        let mask = MaskKind::Block { start: 0, len: 56 };
         for kernel in [ScoreKernel::Reference, ScoreKernel::Batched] {
             let one =
                 masked_analyze_with_ranks(1, kernel, AnalysisMethod::ReverseSde, mask, 0);
@@ -1182,7 +1092,7 @@ mod tests {
         // Moving-track mask: the observed window depends on the cycle
         // index, which reaches the kernel directly — the per-tile partition
         // must re-resolve identically on every rank layout.
-        let mask = da_core::MaskKind::Track { width: 40, speed: 7 };
+        let mask = MaskKind::Track { width: 40, speed: 7 };
         for cycle in [0, 3] {
             let one = masked_analyze_with_ranks(
                 1,
@@ -1211,7 +1121,7 @@ mod tests {
         // components must track the observations much more tightly than
         // the score-only outage.
         let dim = 96;
-        let mask = da_core::MaskKind::Block { start: 48, len: 48 };
+        let mask = MaskKind::Block { start: 48, len: 48 };
         let full = masked_analyze_with_ranks(
             2,
             ScoreKernel::Batched,
@@ -1239,7 +1149,7 @@ mod tests {
         let dim = 32;
         let forecast = gaussian_ensemble(4, dim, 7);
         let y = vec![0.0; dim];
-        let obs = DistObs::Identity { sigma: 1.0 };
+        let obs = ObsSpec::identity(1.0);
         let config = EnsfConfig { n_steps: 5, seed: 1, ..Default::default() };
         let plan = ShardPlan::new(dim, 8, 2);
         let spec = CommSpec {
@@ -1262,7 +1172,7 @@ mod tests {
         let dim = 32;
         let forecast = gaussian_ensemble(4, dim, 7);
         let y = vec![0.0; dim];
-        let obs = DistObs::Identity { sigma: 1.0 };
+        let obs = ObsSpec::identity(1.0);
         let config = EnsfConfig { n_steps: 5, seed: 1, ..Default::default() };
         let plan = ShardPlan::new(dim, 8, 2);
         let spec = CommSpec::clean(2);

@@ -12,9 +12,9 @@
 //! collective model so the two contributions stay legible in
 //! `BENCH_scaling.json`.
 
-use crate::analysis::{CommStats, CommSpec, DistObs, ShardKernel};
+use crate::analysis::{CommStats, CommSpec, ShardKernel};
 use crate::shard::ShardPlan;
-use ensf::{EnsfConfig, TimeGrid};
+use ensf::{EnsfConfig, ObsSpec, TimeGrid};
 use hpc::{collective_with_retry, Collective};
 use stats::gaussian::fill_standard_normal;
 use stats::rng::member_rng;
@@ -66,7 +66,7 @@ pub fn measure_analysis(
         fill_standard_normal(&mut rng, forecast.member_mut(m));
     }
     let y = vec![0.1; dim];
-    let obs = DistObs::Identity { sigma: 0.3 };
+    let obs = ObsSpec::identity(0.3);
 
     let plan = ShardPlan::new(dim, tile, ranks);
     let mut kernels: Vec<ShardKernel> = (0..ranks)
@@ -178,7 +178,7 @@ mod tests {
             fill_standard_normal(&mut rng, forecast.member_mut(m));
         }
         let y = vec![0.1; dim];
-        let obs = DistObs::Identity { sigma: 0.3 };
+        let obs = ObsSpec::identity(0.3);
         let plan = ShardPlan::new(dim, 16, 3);
 
         // Sequential (the bench path, minus timing).

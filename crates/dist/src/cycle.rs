@@ -5,23 +5,22 @@
 //! deterministic spectral integration, so every rank advances the same full
 //! ensemble and lands on identical bits — replication costs no
 //! communication and keeps the forecast model unmodified. The analysis is
-//! **sharded** along the state dimension ([`dist_analyze`]); afterwards one
+//! **sharded** along the state dimension ([`crate::dist_analyze`]); afterwards one
 //! allgather reassembles the analysis blocks into the replicated full
 //! ensemble for the next forecast (the scatter is implicit: each rank reads
 //! its block out of the replicated state). Diagnostics (RMSE, spread) are
 //! computed redundantly on every rank from the reassembled ensemble, which
 //! keeps them trivially consistent.
+//!
+//! The loop itself lives in [`crate::elastic`]; this module is its
+//! fault-free face.
 
-use crate::analysis::{dist_analyze, model_collective, CommSpec, CommStats, DistObs};
-use crate::shard::ShardPlan;
+use crate::analysis::{CommSpec, CommStats};
+use crate::elastic::{run_elastic_from, ElasticCycleConfig};
 use crate::DistError;
-use da_core::osse::{
-    initial_ensemble, nature_run, CycleSeries, NatureRun, ObsOperatorKind, OsseConfig,
-};
-use da_core::{ForecastModel, SqgForecast};
-use ensf::EnsfConfig;
+use da_core::osse::{nature_run, CycleSeries, NatureRun, OsseConfig};
+use ensf::{EnsfConfig, ObsSpec};
 use hpc::mpi::{run_world, Comm};
-use hpc::Collective;
 use stats::Ensemble;
 
 /// Default tile width: 64 components. The paper's reduced test grid
@@ -57,24 +56,11 @@ impl Default for DistCycleConfig {
     }
 }
 
-/// The distributed observation model matching an OSSE configuration: the
-/// nature run synthesizes observations through `osse.obs_operator` (shrunk
-/// to `osse.obs_mask`'s observed components when the network is partial),
-/// so the analysis must assimilate through the same operator and mask.
-/// Full masks map to the dense variants so the pre-existing paths stay
-/// bitwise untouched.
-pub fn dist_obs_for(osse: &OsseConfig) -> DistObs {
-    if !osse.obs_mask.is_full() {
-        return DistObs::Masked {
-            sigma: osse.obs_sigma,
-            base: osse.obs_operator,
-            mask: osse.obs_mask,
-        };
-    }
-    match osse.obs_operator {
-        ObsOperatorKind::Identity => DistObs::Identity { sigma: osse.obs_sigma },
-        ObsOperatorKind::Arctan { gain } => DistObs::Arctan { sigma: osse.obs_sigma, gain },
-    }
+/// What the sharded analysis observes: the OSSE's own [`ObsSpec`], so it
+/// assimilates through the operator and mask the nature run synthesized
+/// its observations with.
+pub fn dist_obs_for(osse: &OsseConfig) -> ObsSpec {
+    osse.obs_spec()
 }
 
 /// Result of one distributed experiment (identical on every rank).
@@ -91,7 +77,9 @@ pub struct DistRunResult {
     pub stats: CommStats,
 }
 
-/// Runs one distributed OSSE experiment on this rank's slice of the world.
+/// Runs one distributed OSSE experiment on this rank's slice of the world:
+/// the elastic loop ([`run_elastic_from`]) with no faults, stragglers,
+/// deadline or checkpointing scripted.
 ///
 /// Every rank receives the same configuration and nature run and returns
 /// the same [`DistRunResult`] (bar [`CommStats`], which is per-rank but
@@ -107,150 +95,12 @@ pub fn run_dist_experiment(
     config: &DistCycleConfig,
     nature: &NatureRun,
 ) -> Result<DistRunResult, DistError> {
-    let Some(truth0) = nature.truth.first() else {
-        return Err(DistError::Config("empty nature run".into()));
-    };
-    let dim = config.osse.params.state_dim();
-    if truth0.len() != dim {
-        return Err(DistError::Config(format!(
-            "nature run dimension {} does not match model dimension {dim}",
-            truth0.len()
-        )));
-    }
-    if nature.observations.len() < config.osse.cycles {
-        return Err(DistError::Config(format!(
-            "nature run provides {} observations for {} cycles",
-            nature.observations.len(),
-            config.osse.cycles
-        )));
-    }
-    if config.tile == 0 {
-        return Err(DistError::Config("tile width must be positive".into()));
-    }
-    if let Err(msg) = config.ensf.validate() {
-        return Err(DistError::Config(msg));
-    }
-
-    let plan = ShardPlan::new(dim, config.tile, comm.size());
-    let obs = dist_obs_for(&config.osse);
-    let spec = config.comm.as_ref();
-    let mut model = SqgForecast::perfect(config.osse.params.clone());
-    let mut ensemble = initial_ensemble(&config.osse, truth0);
-    let members = ensemble.members();
-    let (rank_lo, rank_hi) = plan.rank_range(comm.rank());
-
-    let mut stats = CommStats::default();
-    let mut hours = Vec::with_capacity(config.osse.cycles);
-    let mut rmse = Vec::with_capacity(config.osse.cycles);
-    let mut spread = Vec::with_capacity(config.osse.cycles);
-    let mut cycle_means = Vec::with_capacity(config.osse.cycles);
-
-    for cycle in 0..config.osse.cycles {
-        let _span = telemetry::span!("dist.cycle");
-        // Replicated forecast: deterministic, so every rank stays bitwise
-        // in lockstep without exchanging state.
-        let t_fc = telemetry::enabled().then(std::time::Instant::now);
-        model.forecast_ensemble(&mut ensemble, config.osse.obs_interval_hours);
-        let forecast_secs = t_fc.map(|t| t.elapsed().as_secs_f64());
-
-        // Forecast half of the per-cycle diagnostics, computed on rank 0
-        // only (the record would be identical on every rank — replicated
-        // state — so one rank speaks for the world).
-        let pre_diag = (telemetry::enabled() && comm.rank() == 0).then(|| {
-            da_core::diagnostics::forecast_stats_masked(
-                &ensemble,
-                &nature.observations[cycle],
-                config.osse.obs_sigma,
-                config.osse.obs_operator,
-                config.osse.obs_mask,
-                cycle as u64,
-            )
-        });
-
-        // Sharded analysis on this rank's block.
-        let t_an = telemetry::enabled().then(std::time::Instant::now);
-        let local = dist_analyze(
-            comm,
-            &plan,
-            &config.ensf,
-            cycle as u64,
-            &ensemble,
-            &nature.observations[cycle],
-            &obs,
-            spec,
-            &mut stats,
-        )?;
-        debug_assert_eq!(local.len(), members * (rank_hi - rank_lo));
-
-        // Gather the analysis blocks back into the replicated ensemble.
-        model_collective(spec, &mut stats, Collective::AllGather, comm.size(), (members * dim * 8) as u64)?;
-        let blocks = comm.try_allgather(&local)?;
-        for (r, block) in blocks.iter().enumerate() {
-            let (lo, hi) = plan.rank_range(r);
-            let len = hi - lo;
-            for p in 0..members {
-                ensemble.member_mut(p)[lo..hi].copy_from_slice(&block[p * len..(p + 1) * len]);
-            }
-        }
-        let analysis_secs = t_an.map(|t| t.elapsed().as_secs_f64());
-
-        let mean = ensemble.mean();
-        hours.push((cycle + 1) as f64 * config.osse.obs_interval_hours);
-        rmse.push(stats::metrics::rmse(&mean, &nature.truth[cycle + 1]));
-        spread.push(ensemble.spread());
-        if telemetry::enabled() {
-            telemetry::counter_add("dist.cycles", 1);
-            // INVARIANT: pushed immediately above.
-            telemetry::gauge_set("dist.cycle.rmse", *rmse.last().unwrap());
-            // INVARIANT: pushed immediately above.
-            telemetry::gauge_set("dist.cycle.spread", *spread.last().unwrap());
-            if let Some(pre) = &pre_diag {
-                let diagnostics = da_core::diagnostics::complete_masked(
-                    pre,
-                    &ensemble,
-                    &nature.observations[cycle],
-                    // INVARIANT: pushed immediately above.
-                    *rmse.last().unwrap(),
-                    config.osse.obs_operator,
-                    config.osse.obs_mask,
-                    cycle as u64,
-                );
-                telemetry::gauge_set("dist.cycle.spread_skill", diagnostics.spread_skill);
-                telemetry::gauge_set("dist.cycle.chi2", diagnostics.chi2);
-                telemetry::record_cycle(telemetry::CycleRecord {
-                    label: format!("dist-ensf@{}r", comm.size()),
-                    cycle,
-                    // INVARIANT: pushed immediately above.
-                    hours: *hours.last().unwrap(),
-                    rmse: *rmse.last().unwrap(), // INVARIANT: pushed above
-                    spread: *spread.last().unwrap(), // INVARIANT: pushed above
-                    obs_count: nature.observations[cycle].len(),
-                    phases: vec![
-                        ("forecast".to_string(), forecast_secs.unwrap_or(0.0)),
-                        ("analysis".to_string(), analysis_secs.unwrap_or(0.0)),
-                    ],
-                    events: Vec::new(),
-                    diagnostics: Some(diagnostics),
-                });
-            }
-        }
-        cycle_means.push(mean);
-    }
-
-    // INVARIANT: cycle_means has an entry per cycle; with zero cycles the
-    // final mean is the initial ensemble's.
-    let final_mean = cycle_means.last().cloned().unwrap_or_else(|| ensemble.mean());
+    let run = run_elastic_from(comm, &ElasticCycleConfig::clean(config.clone()), nature, None)?;
     Ok(DistRunResult {
-        series: CycleSeries {
-            label: format!("dist-ensf@{}r", comm.size()),
-            hours,
-            rmse,
-            spread,
-            final_mean,
-        },
-        cycle_means,
-        ensemble,
-        stats,
+        series: CycleSeries { label: format!("dist-ensf@{}r", comm.size()), ..run.series },
+        cycle_means: run.cycle_means.into_iter().map(|(_, mean)| mean).collect(),
+        ensemble: run.ensemble,
+        stats: run.stats,
     })
 }
 

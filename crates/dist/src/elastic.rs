@@ -1,8 +1,8 @@
 //! Elastic rank-failure recovery and deadline-aware degraded analysis.
 //!
-//! The fault-surviving variant of [`crate::cycle`]: the same replicated
-//! forecast / sharded analysis loop, but wired to the live fault machinery
-//! of [`hpc::mpi`] instead of the pure retry model. A rank killed by a
+//! The one sharded cycling loop — replicated forecast, sharded analysis —
+//! wired to the live fault machinery of [`hpc::mpi`] ([`crate::cycle`] is
+//! its fault-free face). A rank killed by a
 //! [`FaultPlan`] surfaces as [`hpc::MpiError::RankDead`] inside the first
 //! collective that misses it (never a hang); the survivors then run a
 //! ULFM-style recovery:
@@ -35,14 +35,14 @@
 //! `(cycle, membership, scripts, config)`, replicated on every rank, so
 //! the degraded trajectory remains bitwise reproducible.
 
-use crate::analysis::{model_collective, CommStats, DistObs};
-use crate::cycle::{dist_obs_for, DistCycleConfig};
+use crate::analysis::{analyze_steps, model_collective, CommStats};
+use crate::cycle::DistCycleConfig;
 use crate::shard::ShardPlan;
 use crate::DistError;
 use da_core::osse::{initial_ensemble, nature_run, CycleSeries, NatureRun};
 use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, LoopState, RecoveryCounters};
 use da_core::{ForecastModel, SqgForecast};
-use ensf::{EnsfConfig, TimeGrid};
+use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
 use hpc::{collective_time, shard_step_compute_secs, Collective, MpiError, StragglerPlan};
 use stats::Ensemble;
@@ -124,8 +124,8 @@ pub struct ElasticCycleConfig {
 
 impl ElasticCycleConfig {
     /// An elastic wrapper around `base` with no faults, no stragglers, no
-    /// deadline and no checkpointing — behaviorally identical to
-    /// [`crate::run_dist_experiment`].
+    /// deadline and no checkpointing — what [`crate::run_dist_experiment`]
+    /// runs.
     pub fn clean(base: DistCycleConfig) -> Self {
         ElasticCycleConfig {
             base,
@@ -226,45 +226,6 @@ fn decide_mode(
     } else {
         CycleMode::ForecastOnly
     }
-}
-
-/// One sharded analysis attempt with optional scripted suicide: when
-/// `kill_after = Some(n)` this rank registers itself dead after completing
-/// `n` partial exchanges (before the reassembly gather when `n` exceeds
-/// the step count) and returns `Ok(None)`. A peer dying mid-exchange
-/// surfaces as `Err(DistError::Mpi(..))`.
-#[allow(clippy::too_many_arguments)]
-fn elastic_analyze(
-    comm: &Comm,
-    plan: &ShardPlan,
-    config: &EnsfConfig,
-    cycle: u64,
-    forecast: &Ensemble,
-    y: &[f64],
-    obs: &DistObs,
-    spec: Option<&crate::CommSpec>,
-    stats: &mut CommStats,
-    kill_after: Option<usize>,
-) -> Result<Option<Vec<f64>>, DistError> {
-    let mut kernel =
-        crate::ShardKernel::new(plan, comm.rank(), config, cycle, forecast, y, obs);
-    let times = TimeGrid::LogSpaced.points(&config.schedule, config.n_steps);
-    let exchanged_bytes = (kernel.n_tiles() * kernel.partials_per_tile() * 8) as u64;
-    for (step, win) in times.windows(2).enumerate() {
-        if kill_after == Some(step) {
-            comm.kill();
-            return Ok(None);
-        }
-        let partials = kernel.tile_partials(win[0]);
-        model_collective(spec, stats, Collective::AllGather, comm.size(), exchanged_bytes)?;
-        let full = comm.try_allgather_concat(partials)?;
-        kernel.apply_step(win[0], win[1], &full);
-    }
-    if kill_after.is_some() {
-        comm.kill();
-        return Ok(None);
-    }
-    Ok(Some(kernel.finish()))
 }
 
 /// What a dead rank does next.
@@ -394,8 +355,8 @@ fn validate(config: &ElasticCycleConfig, world: usize, cycles: usize) -> Result<
 
 /// Runs one elastic distributed OSSE experiment on this rank.
 ///
-/// Equivalent to [`crate::run_dist_experiment`] when `config` scripts no
-/// faults, stragglers or deadline; see the module docs for what each
+/// With no faults, stragglers or deadline scripted this *is*
+/// [`crate::run_dist_experiment`]; see the module docs for what each
 /// machinery adds. Every rank receives the same configuration and nature
 /// run; ranks that die and never rejoin return
 /// [`ElasticOutcome::Died`] with their partial trajectory.
@@ -452,7 +413,7 @@ pub fn run_elastic_from(
 
     let me = comm.world_rank();
     let world = comm.world_size();
-    let obs = dist_obs_for(&config.base.osse);
+    let obs = config.base.osse.obs_spec();
     let spec = config.base.comm.as_ref();
     let members = config.base.osse.ens_size;
     let mut model = SqgForecast::perfect(config.base.osse.params.clone());
@@ -528,14 +489,7 @@ pub fn run_elastic_from(
         model.forecast_ensemble(&mut ensemble, config.base.osse.obs_interval_hours);
         let y = &nature.observations[cycle];
         let pre_diag = lead.then(|| {
-            da_core::diagnostics::forecast_stats_masked(
-                &ensemble,
-                y,
-                config.base.osse.obs_sigma,
-                config.base.osse.obs_operator,
-                config.base.osse.obs_mask,
-                cycle as u64,
-            )
+            da_core::diagnostics::forecast_stats(&ensemble, y, &obs, cycle as u64)
         });
 
         let my_kill = config.faults.rank_kill_at(cycle, me);
@@ -583,7 +537,7 @@ pub fn run_elastic_from(
             modeled_secs += slow * modeled_analysis_secs(&config.base, dim, members, steps, group.len());
             let ensf_cfg = EnsfConfig { n_steps: steps, ..config.base.ensf.clone() };
             let plan = ShardPlan::new(dim, config.base.tile, comm.size());
-            let attempt = elastic_analyze(
+            let attempt = analyze_steps(
                 comm,
                 &plan,
                 &ensf_cfg,
@@ -660,7 +614,7 @@ pub fn run_elastic_from(
                         }
                     }
                 }
-                Ok(None) => unreachable!("elastic_analyze returns None only for a victim"),
+                Ok(None) => unreachable!("the stepping returns None only for a victim"),
                 Err(DistError::Mpi(MpiError::RankDead { .. })) => {
                     comm.revoke();
                     shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
@@ -754,13 +708,12 @@ pub fn run_elastic_from(
             if let Some(pre) = &pre_diag {
                 // INVARIANT: pushed immediately above.
                 let cycle_rmse = *rmse.last().unwrap();
-                let diagnostics = da_core::diagnostics::complete_masked(
+                let diagnostics = da_core::diagnostics::complete(
                     pre,
                     &ensemble,
                     y,
                     cycle_rmse,
-                    config.base.osse.obs_operator,
-                    config.base.osse.obs_mask,
+                    &obs,
                     cycle as u64,
                 );
                 telemetry::record_cycle(telemetry::CycleRecord {
@@ -979,21 +932,7 @@ mod tests {
     }
 
     fn ckpt_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("sqg_da_elastic_{name}.ckpt"))
-    }
-
-    #[test]
-    fn clean_elastic_run_matches_plain_dist_run() {
-        let config = tiny_config(2);
-        let plain = crate::run_osse(&config.base, 4).unwrap();
-        let elastic = run_elastic_osse(&config, 4).unwrap();
-        assert_eq!(elastic.outcome, ElasticOutcome::Completed);
-        let means: Vec<&Vec<f64>> = elastic.cycle_means.iter().map(|(_, m)| m).collect();
-        for (c, (a, b)) in plain.cycle_means.iter().zip(&means).enumerate() {
-            assert_eq!(a, *b, "clean elastic run diverged from dist run at cycle {c}");
-        }
-        assert_eq!(plain.ensemble.as_slice(), elastic.ensemble.as_slice());
-        assert_eq!(elastic.deadline_hits, elastic.deadline_total);
+        std::env::temp_dir().join(format!("sqg_da_elastic_{name}_{}.ckpt", std::process::id()))
     }
 
     #[test]

@@ -35,12 +35,18 @@
 //!
 //! * [`shard`] — the fixed-tile partition of the state dimension.
 //! * [`analysis`] — the sharded EnSF analysis kernel and the collective
-//!   driver ([`dist_analyze`]).
-//! * [`cycle`] — the distributed OSSE cycling runtime
-//!   ([`run_dist_experiment`], [`run_osse`]).
-//! * [`elastic`] — the fault-surviving variant: ULFM-style shrink on rank
+//!   driver ([`dist_analyze`]). What is observed is the OSSE's own
+//!   [`ensf::ObsSpec`] ([`dist_obs_for`]); each tile's operator and slice
+//!   of `y` come from [`ensf::ObsSpec::operator_on`], and reverse SDE
+//!   versus probability flow is [`ensf::EnsfConfig::method`] — the same
+//!   `{method, ObsSpec}` data the serial `da_core::EnsfScheme` is built
+//!   from (which adds a `Completion`; the sharded kernel masks the
+//!   guidance instead of completing the vector).
+//! * [`elastic`] — the one sharded cycling loop: ULFM-style shrink on rank
 //!   death, checkpoint-backed rejoin, and deadline-aware degraded analysis
 //!   ([`run_elastic_experiment`], [`run_elastic_osse`]).
+//! * [`cycle`] — its fault-free face ([`run_dist_experiment`],
+//!   [`run_osse`]): the elastic loop with nothing scripted.
 //! * [`bench`] — the sequential per-rank-timed driver behind the
 //!   `scaling_suite` bench bin.
 //! * [`timeline`] — the traced variant of the bench driver: per-rank
@@ -56,7 +62,7 @@ pub mod elastic;
 pub mod shard;
 pub mod timeline;
 
-pub use analysis::{dist_analyze, CommSpec, CommStats, DistObs, ShardKernel};
+pub use analysis::{dist_analyze, CommSpec, CommStats, ShardKernel};
 pub use bench::{measure_analysis, ScalingMeasurement};
 pub use cycle::{dist_obs_for, run_dist_experiment, run_osse, DistCycleConfig, DistRunResult};
 pub use elastic::{

@@ -16,10 +16,10 @@
 //! for the same `(dim, tile, members, n_steps, ranks)` shape — the
 //! `trace_report` bin asserts this.
 
-use crate::analysis::{CommSpec, DistObs, ShardKernel};
+use crate::analysis::{CommSpec, ShardKernel};
 use crate::shard::ShardPlan;
 use da_core::{ForecastModel, SqgForecast};
-use ensf::{EnsfConfig, TimeGrid};
+use ensf::{EnsfConfig, ObsSpec, TimeGrid};
 use hpc::{collective_with_retry, Collective};
 use sqg::SqgParams;
 use stats::gaussian::fill_standard_normal;
@@ -163,7 +163,7 @@ pub fn trace_timeline(spec: &TimelineSpec) -> TimelineResult {
         fill_standard_normal(&mut rng, ensemble.member_mut(m));
     }
     let y = vec![0.1; spec.dim];
-    let obs = DistObs::Identity { sigma: 0.3 };
+    let obs = ObsSpec::identity(0.3);
     let plan = ShardPlan::new(spec.dim, spec.tile, spec.ranks);
     let comm = CommSpec::clean(spec.ranks);
     let comm_lane = spec.ranks;

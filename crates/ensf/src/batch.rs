@@ -368,7 +368,7 @@ pub(crate) fn analyze_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::IdentityObs;
+    use crate::obs::MaskedObs;
     use crate::score::ScoreEstimator;
     use stats::gaussian::standard_normal;
     use stats::rng::seeded;
@@ -457,7 +457,7 @@ mod tests {
         let sch = DiffusionSchedule::default();
         let batch: Vec<usize> = (0..members).collect();
         let score = BatchedScore::new(&ens, members, dim, sch, &batch);
-        let obs = IdentityObs::new(dim, 0.7);
+        let obs = MaskedObs::identity(dim, 0.7);
         let y = vec![0.2; dim];
 
         let mut z = vec![0.0; b * dim];

@@ -368,7 +368,7 @@ pub fn relax_spread(analysis: &mut Ensemble, forecast: &Ensemble, r: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{ArctanObs, IdentityObs};
+    use crate::obs::{MaskedObs, ObsOperatorKind};
     use stats::gaussian::standard_normal;
     use stats::rng::seeded;
 
@@ -388,7 +388,7 @@ mod tests {
         // Forecast centered at 0, obs at 2 with tight error: analysis mean
         // should move decisively toward the observation.
         let fc = gaussian_ensemble(40, 4, 0.0, 1.0, 1);
-        let obs = IdentityObs::new(4, 0.3);
+        let obs = MaskedObs::identity(4, 0.3);
         let y = vec![2.0; 4];
         let mut filter = Ensf::new(EnsfConfig { seed: 7, ..Default::default() });
         let an = filter.analyze(&fc, &y, &obs);
@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn loose_observation_changes_little() {
         let fc = gaussian_ensemble(40, 4, 0.0, 0.5, 2);
-        let obs = IdentityObs::new(4, 100.0); // essentially uninformative
+        let obs = MaskedObs::identity(4, 100.0); // essentially uninformative
         let y = vec![5.0; 4];
         let mut filter = Ensf::new(EnsfConfig { seed: 3, ..Default::default() });
         let an = filter.analyze(&fc, &y, &obs);
@@ -416,7 +416,7 @@ mod tests {
     #[test]
     fn spread_relaxation_restores_forecast_spread() {
         let fc = gaussian_ensemble(30, 6, 0.0, 1.0, 4);
-        let obs = IdentityObs::new(6, 0.1);
+        let obs = MaskedObs::identity(6, 0.1);
         let y = vec![0.5; 6];
         let mut with = Ensf::new(EnsfConfig { seed: 5, spread_relaxation: 1.0, ..Default::default() });
         let mut without =
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed_and_cycle() {
         let fc = gaussian_ensemble(16, 3, 1.0, 0.5, 6);
-        let obs = IdentityObs::new(3, 0.5);
+        let obs = MaskedObs::identity(3, 0.5);
         let y = vec![1.5; 3];
         let run = || {
             let mut f = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn consecutive_cycles_use_fresh_noise() {
         let fc = gaussian_ensemble(16, 3, 1.0, 0.5, 6);
-        let obs = IdentityObs::new(3, 0.5);
+        let obs = MaskedObs::identity(3, 0.5);
         let y = vec![1.5; 3];
         let mut f = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
         let a = f.analyze(&fc, &y, &obs);
@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn minibatch_analysis_still_tracks_observation() {
         let fc = gaussian_ensemble(40, 4, 0.0, 1.0, 8);
-        let obs = IdentityObs::new(4, 0.3);
+        let obs = MaskedObs::identity(4, 0.3);
         let y = vec![1.5; 4];
         let mut f = Ensf::new(EnsfConfig { seed: 1, minibatch: Some(10), ..Default::default() });
         let an = f.analyze(&fc, &y, &obs);
@@ -474,7 +474,7 @@ mod tests {
     fn nonlinear_observation_supported() {
         // Truth at x=1.2 observed through arctan; forecast centered at 0.
         let fc = gaussian_ensemble(60, 2, 0.0, 1.0, 9);
-        let obs = ArctanObs::new(2, 0.05);
+        let obs = MaskedObs::new(2, ObsOperatorKind::Arctan { gain: 1.0 }, None, 0.05);
         let truth = [1.2, 1.2];
         let mut y = vec![0.0; 2];
         obs.apply(&truth, &mut y);
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn analysis_is_finite_in_high_dim() {
         let fc = gaussian_ensemble(20, 2048, 0.0, 1.0, 11);
-        let obs = IdentityObs::new(2048, 1.0);
+        let obs = MaskedObs::identity(2048, 1.0);
         let y = vec![0.3; 2048];
         let mut f = Ensf::new(EnsfConfig { seed: 2, n_steps: 20, ..Default::default() });
         let an = f.analyze(&fc, &y, &obs);
@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn reseed_changes_noise_and_cycle_restores_streams() {
         let fc = gaussian_ensemble(16, 3, 1.0, 0.5, 6);
-        let obs = IdentityObs::new(3, 0.5);
+        let obs = MaskedObs::identity(3, 0.5);
         let y = vec![1.5; 3];
         let mut a = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
         let mut b = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
@@ -520,7 +520,7 @@ mod tests {
     #[should_panic]
     fn wrong_obs_length_panics() {
         let fc = gaussian_ensemble(8, 3, 0.0, 1.0, 1);
-        let obs = IdentityObs::new(3, 1.0);
+        let obs = MaskedObs::identity(3, 1.0);
         let mut f = Ensf::new(EnsfConfig::default());
         let _ = f.analyze(&fc, &[0.0; 2], &obs);
     }

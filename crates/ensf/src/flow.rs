@@ -321,7 +321,7 @@ pub fn probability_flow_assimilate_batched_with_times(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::IdentityObs;
+    use crate::obs::MaskedObs;
     use stats::gaussian::{fill_standard_normal, standard_normal};
     use stats::rng::seeded;
 
@@ -335,7 +335,7 @@ mod tests {
         let v_prior = 1.0f64;
         let sigma_obs = 0.5f64;
         let y = vec![1.5];
-        let obs = IdentityObs::new(1, sigma_obs);
+        let obs = MaskedObs::identity(1, sigma_obs);
         // Kalman: posterior mean = v/(v+r) * y with r = sigma_obs^2.
         let want_mean = v_prior / (v_prior + sigma_obs * sigma_obs) * y[0];
 
@@ -379,7 +379,7 @@ mod tests {
         let v_prior = 1.0f64;
         let sigma_obs = 0.5f64;
         let y = vec![1.5];
-        let obs = IdentityObs::new(1, sigma_obs);
+        let obs = MaskedObs::identity(1, sigma_obs);
         let r = sigma_obs * sigma_obs;
         let want_mean = v_prior / (v_prior + r) * y[0];
         let want_var = v_prior * r / (v_prior + r);
@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn flow_is_deterministic_without_any_rng() {
         let sch = DiffusionSchedule::default();
-        let obs = IdentityObs::new(3, 0.4);
+        let obs = MaskedObs::identity(3, 0.4);
         let y = vec![0.5, -0.5, 1.0];
         let run = || {
             let mut z = vec![0.3, -0.7, 1.9];
@@ -449,7 +449,7 @@ mod tests {
         let score = BatchedScore::new(&ens, members, dim, sch, &batch);
         let prior_var = batch_variance(&ens, members, dim, &batch);
         let reference = crate::score::ScoreEstimator::new(&ens, members, dim, sch);
-        let obs = IdentityObs::new(dim, 0.6);
+        let obs = MaskedObs::identity(dim, 0.6);
         let y = vec![0.3; dim];
 
         let mut z0 = vec![0.0; b * dim];
@@ -498,7 +498,7 @@ mod tests {
         let sch = DiffusionSchedule::default();
         let y = vec![2.0];
         for sigma_obs in [1e-6, 1e-3, 1.0, 1e3] {
-            let obs = IdentityObs::new(1, sigma_obs);
+            let obs = MaskedObs::identity(1, sigma_obs);
             let mut z = vec![-5.0];
             probability_flow_assimilate(
                 &mut z,
@@ -524,7 +524,7 @@ mod tests {
     #[test]
     fn tight_observation_pins_endpoint() {
         let sch = DiffusionSchedule::new(1e-4);
-        let obs = IdentityObs::new(1, 1e-2);
+        let obs = MaskedObs::identity(1, 1e-2);
         let y = vec![2.0];
         let mut rng = seeded(5);
         let n = 500;
@@ -559,7 +559,7 @@ mod tests {
     fn step_refinement_converges_in_distribution() {
         let sch = DiffusionSchedule::new(1e-4);
         let sigma_obs = 0.7f64;
-        let obs = IdentityObs::new(1, sigma_obs);
+        let obs = MaskedObs::identity(1, sigma_obs);
         let y = vec![0.8];
         let r = sigma_obs * sigma_obs;
         let want_mean = 1.0 / (1.0 + r) * y[0];

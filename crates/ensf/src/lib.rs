@@ -27,7 +27,7 @@
 //!    [`EnsfConfig::method`] = [`AnalysisMethod::FlowMatching`].
 //!
 //! ```
-//! use ensf::{Ensf, EnsfConfig, IdentityObs};
+//! use ensf::{Ensf, EnsfConfig, MaskedObs};
 //! use stats::Ensemble;
 //!
 //! // Forecast ensemble of 8 members in 4 dimensions around 0.
@@ -35,7 +35,7 @@
 //!     .map(|m| vec![0.1 * m as f64; 4])
 //!     .collect();
 //! let forecast = Ensemble::from_members(&members);
-//! let obs = IdentityObs::new(4, 0.5);
+//! let obs = MaskedObs::identity(4, 0.5);
 //! let mut filter = Ensf::new(EnsfConfig::default());
 //! let analysis = filter.analyze(&forecast, &[0.4; 4], &obs);
 //! assert_eq!(analysis.members(), 8);
@@ -61,7 +61,7 @@ pub use flow::{
     batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
     probability_flow_assimilate_batched_with_times, smooth_variance,
 };
-pub use obs::{ArctanObs, CubicObs, IdentityObs, MaskedBase, MaskedObs, ObservationOperator, StridedObs};
+pub use obs::{MaskKind, MaskedObs, ObsOperatorKind, ObsSpec, ObservationOperator};
 pub use schedule::{Damping, DiffusionSchedule};
 pub use score::ScoreEstimator;
 pub use sde::{reverse_sde_assimilate, reverse_sde_euler, reverse_sde_stiff, reverse_sde_with_grid, TimeGrid};

@@ -1,10 +1,13 @@
-//! Observation operators and likelihood scores.
+//! The observation model: what is observed, and its likelihood score.
 //!
 //! The EnSF update needs `∇_x log p(y | x)` — the likelihood score. With
 //! additive Gaussian observation error `y = h(x) + ε`, `ε ~ N(0, R)` and
-//! diagonal `R`, the score is `J_h(x)ᵀ R⁻¹ (y − h(x))`. Implementations
-//! provide the forward map and the score directly so nonlinear operators
-//! (a selling point of EnSF over LETKF) avoid materializing Jacobians.
+//! diagonal `R`, the score is `J_h(x)ᵀ R⁻¹ (y − h(x))`. One value,
+//! [`ObsSpec`], says what a scenario observes (componentwise map, network
+//! mask, error); [`MaskedObs`] is its operator on a block of state,
+//! providing the forward map and the score directly so the nonlinear
+//! operator (a selling point of EnSF over LETKF) never materializes a
+//! Jacobian.
 
 /// An observation operator `h` with additive Gaussian error of per-component
 /// standard deviation `sigma` (diagonal R).
@@ -62,294 +65,335 @@ pub trait ObservationOperator: Sync {
     }
 }
 
-/// Fully observed state: `h = I` (the paper's SQG experiment setting).
-#[derive(Debug, Clone)]
-pub struct IdentityObs {
-    dim: usize,
-    sigma: f64,
-}
-
-impl IdentityObs {
-    /// Identity operator on a `dim`-dimensional state with error std `sigma`.
-    ///
-    /// # Panics
-    /// Panics unless `sigma > 0`.
-    pub fn new(dim: usize, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "observation error must be positive");
-        IdentityObs { dim, sigma }
-    }
-}
-
-impl ObservationOperator for IdentityObs {
-    fn obs_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn apply(&self, state: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(state);
-    }
-
-    fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        let w = weight / (self.sigma * self.sigma);
-        for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-            *s += w * (yi - x);
-        }
-    }
-
-    fn likelihood_score_into(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        let w = weight / (self.sigma * self.sigma);
-        for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-            *s = w * (yi - x);
-        }
-    }
-
-    fn constant_jacobian_sq(&self) -> Option<f64> {
-        Some(1.0)
-    }
-}
-
-/// Observes every `stride`-th state component (sparse network).
-#[derive(Debug, Clone)]
-pub struct StridedObs {
-    state_dim: usize,
-    stride: usize,
-    sigma: f64,
-}
-
-impl StridedObs {
-    /// Observes components `0, stride, 2·stride, …` of a `state_dim` state.
-    pub fn new(state_dim: usize, stride: usize, sigma: f64) -> Self {
-        assert!(stride >= 1 && sigma > 0.0);
-        StridedObs { state_dim, stride, sigma }
-    }
-}
-
-impl ObservationOperator for StridedObs {
-    fn obs_dim(&self) -> usize {
-        self.state_dim.div_ceil(self.stride)
-    }
-
-    fn jacobian_sq(&self, _state: &[f64], out: &mut [f64]) {
-        out.fill(0.0);
-        for slot in out.iter_mut().step_by(self.stride) {
-            *slot = 1.0;
-        }
-    }
-
-    fn apply(&self, state: &[f64], out: &mut [f64]) {
-        for (o, chunk) in out.iter_mut().zip(state.iter().step_by(self.stride)) {
-            *o = *chunk;
-        }
-    }
-
-    fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        let w = weight / (self.sigma * self.sigma);
-        for (k, yi) in y.iter().enumerate() {
-            let idx = k * self.stride;
-            score_out[idx] += w * (yi - state[idx]);
-        }
-    }
-}
-
-/// Nonlinear observation `h(x) = arctan(γ x)` componentwise — the stress
-/// test used in the EnSF papers to demonstrate non-Gaussian DA. The gain γ
-/// controls how hard the saturation bites: with γ |x| ≫ 1 the Jacobian
-/// vanishes and the observation carries almost no amplitude information.
-#[derive(Debug, Clone)]
-pub struct ArctanObs {
-    dim: usize,
-    sigma: f64,
-    gain: f64,
-}
-
-impl ArctanObs {
-    /// Componentwise `arctan(x)` observation with error `sigma` (gain 1).
-    pub fn new(dim: usize, sigma: f64) -> Self {
-        Self::with_gain(dim, sigma, 1.0)
-    }
-
-    /// Componentwise `arctan(gain · x)` observation.
-    pub fn with_gain(dim: usize, sigma: f64, gain: f64) -> Self {
-        assert!(sigma > 0.0 && gain > 0.0);
-        ArctanObs { dim, sigma, gain }
-    }
-}
-
-impl ObservationOperator for ArctanObs {
-    fn obs_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
-        for (o, x) in out.iter_mut().zip(state) {
-            let g = self.gain;
-            let j = g / (1.0 + (g * x) * (g * x));
-            *o = j * j;
-        }
-    }
-
-    fn apply(&self, state: &[f64], out: &mut [f64]) {
-        for (o, x) in out.iter_mut().zip(state) {
-            *o = (self.gain * x).atan();
-        }
-    }
-
-    fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        // d/dx atan(gx) = g/(1+(gx)²).
-        let w = weight / (self.sigma * self.sigma);
-        let g = self.gain;
-        for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-            *s += w * (yi - (g * x).atan()) * g / (1.0 + (g * x) * (g * x));
-        }
-    }
-}
-
-/// Nonlinear observation `h(x) = x³ / scale` componentwise: strongly
-/// nonlinear yet informative at large amplitudes (the complement of
-/// arctan's saturation).
-#[derive(Debug, Clone)]
-pub struct CubicObs {
-    dim: usize,
-    sigma: f64,
-    scale: f64,
-}
-
-impl CubicObs {
-    /// Componentwise `x³ / scale` observation with error `sigma`.
-    pub fn new(dim: usize, sigma: f64, scale: f64) -> Self {
-        assert!(sigma > 0.0 && scale > 0.0);
-        CubicObs { dim, sigma, scale }
-    }
-}
-
-impl ObservationOperator for CubicObs {
-    fn obs_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
-        for (o, x) in out.iter_mut().zip(state) {
-            let j = 3.0 * x * x / self.scale;
-            *o = j * j;
-        }
-    }
-
-    fn apply(&self, state: &[f64], out: &mut [f64]) {
-        for (o, x) in out.iter_mut().zip(state) {
-            *o = x * x * x / self.scale;
-        }
-    }
-
-    fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        let w = weight / (self.sigma * self.sigma);
-        for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-            *s += w * (yi - x * x * x / self.scale) * 3.0 * x * x / self.scale;
-        }
-    }
-}
-
-/// The componentwise base map a masked observing network sees through.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MaskedBase {
-    /// Direct observation `h(x) = x` at each observed component.
+/// The componentwise observation map `h` of a scenario, applied to the
+/// truth when observations are generated and by the filters when comparing
+/// states against them.
+///
+/// `Identity` is the paper's baseline `h = I`; `Arctan` is the EnSF papers'
+/// saturating stress operator `h(x) = arctan(γ x)` (Bao et al.,
+/// arXiv:2404.00844): with γ |x| ≫ 1 the Jacobian vanishes and the
+/// observation carries almost no amplitude information.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum ObsOperatorKind {
+    /// Direct observation of a state component (`h = I`).
+    #[default]
     Identity,
-    /// Saturating observation `h(x) = arctan(gain · x)` at each observed
-    /// component (the EnSF papers' nonlinear stress operator).
+    /// Componentwise saturating observation `h(x) = arctan(gain · x)`.
     Arctan {
-        /// Saturation gain γ (> 0).
+        /// Saturation gain γ (> 0): larger values bite harder.
         gain: f64,
     },
 }
 
-/// Partial observation of an explicit set of state components — the
-/// inpainting-EnSF operator (Liang et al., arXiv:2501.12419).
+impl ObsOperatorKind {
+    /// Applies `h` to one state component.
+    pub fn h(self, v: f64) -> f64 {
+        match self {
+            ObsOperatorKind::Identity => v,
+            ObsOperatorKind::Arctan { gain } => (gain * v).atan(),
+        }
+    }
+
+    /// `dh/dx` at one state component.
+    fn dh(self, x: f64) -> f64 {
+        match self {
+            ObsOperatorKind::Identity => 1.0,
+            ObsOperatorKind::Arctan { gain: g } => g / (1.0 + (g * x) * (g * x)),
+        }
+    }
+
+    /// One component of the likelihood score, `w · (y − h(x)) · h'(x)`. The
+    /// expression order is pinned by the arctan goldens.
+    fn score_term(self, w: f64, yi: f64, x: f64) -> f64 {
+        match self {
+            ObsOperatorKind::Identity => w * (yi - x),
+            ObsOperatorKind::Arctan { gain: g } => {
+                w * (yi - (g * x).atan()) * g / (1.0 + (g * x) * (g * x))
+            }
+        }
+    }
+}
+
+/// Which state components the observing network actually sees.
 ///
-/// The observation vector holds only the observed components, in ascending
-/// state-index order. The likelihood score and its squared Jacobian are
-/// *exactly zero* at unobserved components, so the reverse-SDE and
-/// probability-flow integrators apply pure score-driven diffusion there
-/// (inpainting) and observation-guided transport on the observed set — no
-/// special-casing in the integrators themselves.
+/// A mask composes with [`ObsOperatorKind`]: the operator maps state to
+/// observation space componentwise, the mask then *selects* which of those
+/// components reach the filter. The observation vector shrinks to the
+/// observed components in ascending state-index order — unobserved state is
+/// reconstructed by the filter (inpainting), never fabricated by the OSSE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MaskKind {
+    /// Every component observed (the paper's baseline network).
+    #[default]
+    Full,
+    /// Contiguous sensor outage: components `[start, start + len)` are
+    /// unobserved (clamped to the state dimension).
+    Block {
+        /// First unobserved component.
+        start: usize,
+        /// Number of unobserved components.
+        len: usize,
+    },
+    /// Strided network with gaps: component `i` is observed iff
+    /// `i % stride == phase`.
+    Strided {
+        /// Spacing between observed components (≥ 1).
+        stride: usize,
+        /// Offset of the observed comb (< `stride`).
+        phase: usize,
+    },
+    /// Moving satellite track: a wrapping window of `width` observed
+    /// components whose start advances by `speed` components per cycle.
+    /// Periodic in the cycle index with period dividing the state dim.
+    Track {
+        /// Observed window width (≥ 1).
+        width: usize,
+        /// Window advance per assimilation cycle.
+        speed: usize,
+    },
+}
+
+/// First observed component of a moving track at `cycle`.
+fn track_start(speed: usize, dim: usize, cycle: u64) -> usize {
+    let d = dim as u64;
+    (((speed as u64 % d) * (cycle % d)) % d) as usize
+}
+
+impl MaskKind {
+    /// True when the mask hides nothing (all fast paths stay bitwise
+    /// identical to the pre-mask code under this).
+    pub fn is_full(self) -> bool {
+        match self {
+            MaskKind::Full => true,
+            MaskKind::Block { len, .. } => len == 0,
+            MaskKind::Strided { stride, .. } => stride <= 1,
+            MaskKind::Track { width: _, speed: _ } => false,
+        }
+    }
+
+    /// Is state component `i` observed at assimilation `cycle` (0-based)
+    /// in a state of dimension `dim`?
+    pub fn is_observed(self, i: usize, dim: usize, cycle: u64) -> bool {
+        debug_assert!(i < dim);
+        match self {
+            MaskKind::Full => true,
+            MaskKind::Block { start, len } => !(i >= start && i < start.saturating_add(len)),
+            MaskKind::Strided { stride, phase } => stride <= 1 || i % stride == phase % stride,
+            MaskKind::Track { width, speed } => {
+                width >= dim || (i + dim - track_start(speed, dim, cycle)) % dim < width
+            }
+        }
+    }
+
+    /// Ascending state indices observed at `cycle` — the bijection from
+    /// observation-vector slots onto unmasked components.
+    pub fn observed_indices(self, dim: usize, cycle: u64) -> Vec<usize> {
+        (0..dim).filter(|&i| self.is_observed(i, dim, cycle)).collect()
+    }
+
+    /// Number of observed components with index `< i` at `cycle`: the slot
+    /// of component `i` in the observation vector, in closed form so a
+    /// block of the state finds its share of `y` without scanning the
+    /// components below it.
+    pub fn count_before(self, i: usize, dim: usize, cycle: u64) -> usize {
+        debug_assert!(i <= dim);
+        // |[0, i) ∩ [lo, hi)| for lo ≤ hi.
+        let within = |lo: usize, hi: usize| i.min(hi) - i.min(lo);
+        match self {
+            MaskKind::Full => i,
+            MaskKind::Block { start, len } => i - within(start, start.saturating_add(len)),
+            MaskKind::Strided { stride, phase } => {
+                if stride <= 1 {
+                    i
+                } else {
+                    (i + stride - 1 - phase % stride) / stride
+                }
+            }
+            MaskKind::Track { width, speed } => {
+                if width >= dim {
+                    return i;
+                }
+                let start = track_start(speed, dim, cycle);
+                let end = start + width;
+                if end <= dim {
+                    within(start, end)
+                } else {
+                    within(start, dim) + within(0, end - dim)
+                }
+            }
+        }
+    }
+
+    /// Number of observed components at `cycle`.
+    pub fn obs_dim(self, dim: usize, cycle: u64) -> usize {
+        self.count_before(dim, dim, cycle)
+    }
+
+    /// Short label for scenario names and telemetry keys.
+    pub fn label(self) -> String {
+        match self {
+            MaskKind::Full => "full".to_string(),
+            MaskKind::Block { start, len } => format!("block{start}+{len}"),
+            MaskKind::Strided { stride, phase } => format!("stride{stride}p{phase}"),
+            MaskKind::Track { width, speed } => format!("track{width}v{speed}"),
+        }
+    }
+}
+
+/// The one description of "what is observed": `y = h(x)|mask + ε`,
+/// `ε ~ N(0, σ² I)`. The nature run synthesizes observations from it, the
+/// serial and sharded filters assimilate through it, and the diagnostics
+/// and guardrails compare states against observations with it, so none of
+/// them can disagree about the observation space.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObsSpec {
+    /// Componentwise observation map `h`.
+    pub operator: ObsOperatorKind,
+    /// Which components the network sees (cycle-indexed).
+    pub mask: MaskKind,
+    /// Observation error standard deviation (in observation units).
+    pub sigma: f64,
+}
+
+impl ObsSpec {
+    /// The paper's setting (§IV-A): `h = I`, every component observed.
+    pub fn identity(sigma: f64) -> Self {
+        ObsSpec { operator: ObsOperatorKind::Identity, mask: MaskKind::Full, sigma }
+    }
+
+    /// Ascending state indices observed at `cycle`.
+    pub fn observed(&self, dim: usize, cycle: u64) -> Vec<usize> {
+        self.mask.observed_indices(dim, cycle)
+    }
+
+    /// Length of the observation vector at `cycle`.
+    pub fn obs_len(&self, dim: usize, cycle: u64) -> usize {
+        self.mask.obs_dim(dim, cycle)
+    }
+
+    /// Maps a state into this spec's observation space: `h` at the
+    /// components observed at `cycle`, ascending.
+    pub fn project(&self, state: &[f64], cycle: u64) -> Vec<f64> {
+        if self.mask.is_full() {
+            state.iter().map(|&v| self.operator.h(v)).collect()
+        } else {
+            let observed = self.observed(state.len(), cycle);
+            observed.into_iter().map(|i| self.operator.h(state[i])).collect()
+        }
+    }
+
+    /// The operator restricted to the global index range `range` of a
+    /// `dim`-dimensional state, plus the range of observation-vector slots
+    /// it reads. Both are pure functions of the *global* bounds and the
+    /// cycle, so any cut of `0..dim` into contiguous ranges partitions the
+    /// whole-state operator exactly — whichever rank owns a tile builds
+    /// the same bits. Full masks yield the dense operator (no index list),
+    /// which keeps [`ObservationOperator::constant_jacobian_sq`] and the
+    /// overwriting score path on the paper's `h = I` setting.
+    ///
+    /// # Panics
+    /// Panics when the range leaves `0..dim`.
+    pub fn operator_on(
+        &self,
+        range: std::ops::Range<usize>,
+        dim: usize,
+        cycle: u64,
+    ) -> (MaskedObs, std::ops::Range<usize>) {
+        assert!(range.start <= range.end && range.end <= dim, "range {range:?} outside 0..{dim}");
+        if self.mask.is_full() {
+            return (MaskedObs::new(range.len(), self.operator, None, self.sigma), range);
+        }
+        let local: Vec<usize> = range
+            .clone()
+            .filter(|&i| self.mask.is_observed(i, dim, cycle))
+            .map(|i| i - range.start)
+            .collect();
+        let first = self.mask.count_before(range.start, dim, cycle);
+        let slots = first..first + local.len();
+        (MaskedObs::new(range.len(), self.operator, Some(local), self.sigma), slots)
+    }
+
+    /// The whole-state operator at `cycle`.
+    pub fn operator(&self, dim: usize, cycle: u64) -> MaskedObs {
+        self.operator_on(0..dim, dim, cycle).0
+    }
+}
+
+/// The observation operator of an [`ObsSpec`] on one block of state: `h`
+/// at an optional list of observed components — the only
+/// [`ObservationOperator`] in the tree.
+///
+/// With an index list the observation vector holds only the observed
+/// components, in ascending state-index order, and the likelihood score
+/// and its squared Jacobian are *exactly zero* elsewhere, so the
+/// reverse-SDE and probability-flow integrators apply pure score-driven
+/// diffusion there (inpainting, Liang et al., arXiv:2501.12419) and
+/// observation-guided transport on the observed set — no special-casing in
+/// the integrators themselves. Without one (`None`) every component is
+/// observed and the loops are the dense ones; the indexed loops mirror
+/// their expression order, so listing every index reproduces the dense
+/// operator bit for bit.
 #[derive(Debug, Clone)]
 pub struct MaskedObs {
     state_dim: usize,
-    observed: Vec<usize>,
-    base: MaskedBase,
+    operator: ObsOperatorKind,
+    observed: Option<Vec<usize>>,
     sigma: f64,
 }
 
 impl MaskedObs {
-    /// Direct (identity-base) partial observation of the `observed` state
-    /// components (ascending, unique, all `< state_dim`).
+    /// `operator` at the `observed` components (ascending, unique, all
+    /// `< state_dim`; `None` = every component) of a `state_dim` block,
+    /// with error std `sigma`.
     ///
     /// # Panics
-    /// Panics unless `sigma > 0` and the index list is strictly ascending
-    /// and in range.
-    pub fn identity(state_dim: usize, observed: Vec<usize>, sigma: f64) -> Self {
-        Self::with_base(state_dim, observed, MaskedBase::Identity, sigma)
-    }
-
-    /// Saturating (`arctan(gain · x)`) partial observation — the composed
-    /// Arctan+mask scenario operator.
-    pub fn arctan(state_dim: usize, observed: Vec<usize>, sigma: f64, gain: f64) -> Self {
-        assert!(gain > 0.0, "arctan gain must be positive");
-        Self::with_base(state_dim, observed, MaskedBase::Arctan { gain }, sigma)
-    }
-
-    fn with_base(state_dim: usize, observed: Vec<usize>, base: MaskedBase, sigma: f64) -> Self {
+    /// Panics unless `sigma > 0`, an arctan gain is positive, and the index
+    /// list is strictly ascending and in range.
+    pub fn new(
+        state_dim: usize,
+        operator: ObsOperatorKind,
+        observed: Option<Vec<usize>>,
+        sigma: f64,
+    ) -> Self {
         assert!(sigma > 0.0, "observation error must be positive");
-        assert!(
-            observed.windows(2).all(|w| w[0] < w[1]),
-            "observed indices must be strictly ascending"
-        );
-        if let Some(&last) = observed.last() {
-            assert!(last < state_dim, "observed index {last} out of range {state_dim}");
+        if let ObsOperatorKind::Arctan { gain } = operator {
+            assert!(gain > 0.0, "arctan gain must be positive");
         }
-        MaskedObs { state_dim, observed, base, sigma }
+        if let Some(observed) = &observed {
+            assert!(
+                observed.windows(2).all(|w| w[0] < w[1]),
+                "observed indices must be strictly ascending"
+            );
+            if let Some(&last) = observed.last() {
+                assert!(last < state_dim, "observed index {last} out of range {state_dim}");
+            }
+        }
+        MaskedObs { state_dim, operator, observed, sigma }
     }
 
-    /// The observed state indices (ascending).
-    pub fn observed(&self) -> &[usize] {
-        &self.observed
-    }
-
-    /// Dimension of the underlying state.
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
+    /// Fully observed `h = I` on a `dim`-dimensional state (the paper's SQG
+    /// experiment setting).
+    pub fn identity(dim: usize, sigma: f64) -> Self {
+        Self::new(dim, ObsOperatorKind::Identity, None, sigma)
     }
 }
 
 impl ObservationOperator for MaskedObs {
     fn obs_dim(&self) -> usize {
-        self.observed.len()
+        self.observed.as_ref().map_or(self.state_dim, Vec::len)
     }
 
     fn apply(&self, state: &[f64], out: &mut [f64]) {
-        match self.base {
-            MaskedBase::Identity => {
-                for (o, &i) in out.iter_mut().zip(&self.observed) {
-                    *o = state[i];
+        match (&self.observed, self.operator) {
+            (None, ObsOperatorKind::Identity) => out.copy_from_slice(state),
+            (None, op) => {
+                for (o, x) in out.iter_mut().zip(state) {
+                    *o = op.h(*x);
                 }
             }
-            MaskedBase::Arctan { gain } => {
-                for (o, &i) in out.iter_mut().zip(&self.observed) {
-                    *o = (gain * state[i]).atan();
+            (Some(observed), op) => {
+                for (o, &i) in out.iter_mut().zip(observed) {
+                    *o = op.h(state[i]);
                 }
             }
         }
@@ -359,41 +403,62 @@ impl ObservationOperator for MaskedObs {
         self.sigma
     }
 
-    fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
-        out.fill(0.0);
-        match self.base {
-            MaskedBase::Identity => {
-                for &i in &self.observed {
-                    out[i] = 1.0;
+    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
+        let w = weight / (self.sigma * self.sigma);
+        match (&self.observed, self.operator) {
+            (None, ObsOperatorKind::Identity) => {
+                for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
+                    *s += w * (yi - x);
                 }
             }
-            MaskedBase::Arctan { gain } => {
-                for &i in &self.observed {
-                    let x = state[i];
-                    let j = gain / (1.0 + (gain * x) * (gain * x));
+            (None, op) => {
+                for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
+                    *s += op.score_term(w, *yi, *x);
+                }
+            }
+            (Some(observed), op) => {
+                for (&i, yi) in observed.iter().zip(y) {
+                    score_out[i] += op.score_term(w, *yi, state[i]);
+                }
+            }
+        }
+    }
+
+    fn likelihood_score_into(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
+        if let (None, ObsOperatorKind::Identity) = (&self.observed, self.operator) {
+            let w = weight / (self.sigma * self.sigma);
+            for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
+                *s = w * (yi - x);
+            }
+        } else {
+            score_out.fill(0.0);
+            self.add_likelihood_score(state, y, weight, score_out);
+        }
+    }
+
+    fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
+        match (&self.observed, self.operator) {
+            (None, ObsOperatorKind::Identity) => out.fill(1.0),
+            (None, op) => {
+                for (o, x) in out.iter_mut().zip(state) {
+                    let j = op.dh(*x);
+                    *o = j * j;
+                }
+            }
+            (Some(observed), op) => {
+                out.fill(0.0);
+                for &i in observed {
+                    let j = op.dh(state[i]);
                     out[i] = j * j;
                 }
             }
         }
     }
 
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        // Expression order mirrors IdentityObs / ArctanObs exactly so a
-        // full mask reproduces the dense operators bit-for-bit.
-        let w = weight / (self.sigma * self.sigma);
-        match self.base {
-            MaskedBase::Identity => {
-                for (&i, yi) in self.observed.iter().zip(y) {
-                    score_out[i] += w * (yi - state[i]);
-                }
-            }
-            MaskedBase::Arctan { gain } => {
-                let g = gain;
-                for (&i, yi) in self.observed.iter().zip(y) {
-                    let x = state[i];
-                    score_out[i] += w * (yi - (g * x).atan()) * g / (1.0 + (g * x) * (g * x));
-                }
-            }
+    fn constant_jacobian_sq(&self) -> Option<f64> {
+        match (&self.observed, self.operator) {
+            (None, ObsOperatorKind::Identity) => Some(1.0),
+            _ => None,
         }
     }
 }
@@ -401,6 +466,8 @@ impl ObservationOperator for MaskedObs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ARCTAN: ObsOperatorKind = ObsOperatorKind::Arctan { gain: 1.0 };
 
     fn finite_diff_score<O: ObservationOperator>(op: &O, x: &[f64], y: &[f64]) -> Vec<f64> {
         let h = 1e-6;
@@ -419,7 +486,7 @@ mod tests {
 
     #[test]
     fn identity_score_matches_finite_difference() {
-        let op = IdentityObs::new(4, 0.7);
+        let op = MaskedObs::identity(4, 0.7);
         let x = [0.3, -1.2, 2.0, 0.0];
         let y = [0.5, -1.0, 1.5, 0.2];
         let mut s = vec![0.0; 4];
@@ -432,7 +499,7 @@ mod tests {
 
     #[test]
     fn arctan_score_matches_finite_difference() {
-        let op = ArctanObs::new(3, 0.5);
+        let op = MaskedObs::new(3, ARCTAN, None, 0.5);
         let x = [0.3, -2.0, 5.0];
         let mut y = vec![0.0; 3];
         op.apply(&[0.1, -1.8, 4.0], &mut y);
@@ -445,36 +512,16 @@ mod tests {
     }
 
     #[test]
-    fn strided_obs_picks_components() {
-        let op = StridedObs::new(6, 2, 1.0);
-        assert_eq!(op.obs_dim(), 3);
-        let mut out = vec![0.0; 3];
-        op.apply(&[10.0, 11.0, 12.0, 13.0, 14.0, 15.0], &mut out);
-        assert_eq!(out, vec![10.0, 12.0, 14.0]);
-    }
-
-    #[test]
-    fn strided_score_only_touches_observed_components() {
-        let op = StridedObs::new(4, 2, 1.0);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [0.0, 0.0];
-        let mut s = vec![0.0; 4];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s);
-        assert!(s[0] != 0.0 && s[2] != 0.0);
-        assert_eq!(s[1], 0.0);
-        assert_eq!(s[3], 0.0);
-    }
-
-    #[test]
     fn likelihood_score_into_matches_zeroed_add() {
-        // The overwriting variant must agree with fill(0) + add for every
-        // operator (IdentityObs overrides it; the rest use the default).
+        // The overwriting variant must agree with fill(0) + add on every
+        // arm (dense identity overrides it; the rest zero and delegate).
         let x = [1.0, -2.0, 0.5, 3.0];
         let y = [0.5, 0.5, 0.5, 0.5];
-        let ops: Vec<Box<dyn ObservationOperator>> = vec![
-            Box::new(IdentityObs::new(4, 0.7)),
-            Box::new(ArctanObs::new(4, 0.3)),
-            Box::new(CubicObs::new(4, 0.5, 10.0)),
+        let ops = [
+            MaskedObs::identity(4, 0.7),
+            MaskedObs::new(4, ARCTAN, None, 0.3),
+            MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![0, 3]), 0.5),
+            MaskedObs::new(4, ARCTAN, Some(vec![1, 2]), 0.5),
         ];
         for op in &ops {
             let mut via_add = vec![0.0; 4];
@@ -491,20 +538,22 @@ mod tests {
     fn constant_jacobian_sq_agrees_with_jacobian_sq() {
         // Some(c) must mean jacobian_sq writes exactly c everywhere.
         let x = [0.4, -1.1, 2.0];
-        let ident = IdentityObs::new(3, 1.0);
+        let ident = MaskedObs::identity(3, 1.0);
         let c = ident.constant_jacobian_sq().unwrap();
         let mut js = vec![0.0; 3];
         ident.jacobian_sq(&x, &mut js);
         assert!(js.iter().all(|&j| j == c));
-        // Non-uniform / state-dependent operators must opt out.
-        assert!(StridedObs::new(4, 2, 1.0).constant_jacobian_sq().is_none());
-        assert!(ArctanObs::new(3, 0.3).constant_jacobian_sq().is_none());
-        assert!(CubicObs::new(3, 0.5, 10.0).constant_jacobian_sq().is_none());
+        // Non-uniform / state-dependent operators must opt out — including
+        // an index list that happens to name every component: the choice is
+        // made at spec level, not per block.
+        let all = MaskedObs::new(3, ObsOperatorKind::Identity, Some(vec![0, 1, 2]), 1.0);
+        assert!(all.constant_jacobian_sq().is_none());
+        assert!(MaskedObs::new(3, ARCTAN, None, 0.3).constant_jacobian_sq().is_none());
     }
 
     #[test]
     fn score_weight_scales_linearly() {
-        let op = IdentityObs::new(2, 1.0);
+        let op = MaskedObs::identity(2, 1.0);
         let x = [1.0, -1.0];
         let y = [0.0, 0.0];
         let mut s1 = vec![0.0; 2];
@@ -517,23 +566,9 @@ mod tests {
     }
 
     #[test]
-    fn cubic_score_matches_finite_difference() {
-        let op = CubicObs::new(3, 0.5, 10.0);
-        let x = [0.3, -2.0, 3.0];
-        let mut y = vec![0.0; 3];
-        op.apply(&[0.2, -1.9, 2.8], &mut y);
-        let mut s = vec![0.0; 3];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s);
-        let fd = finite_diff_score(&op, &x, &y);
-        for (a, b) in s.iter().zip(&fd) {
-            assert!((a - b).abs() < 1e-3 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn arctan_gain_controls_saturation() {
-        let sharp = ArctanObs::with_gain(1, 0.1, 1.0);
-        let mild = ArctanObs::with_gain(1, 0.1, 0.2);
+        let sharp = MaskedObs::new(1, ObsOperatorKind::Arctan { gain: 1.0 }, None, 0.1);
+        let mild = MaskedObs::new(1, ObsOperatorKind::Arctan { gain: 0.2 }, None, 0.1);
         let mut js = vec![0.0];
         let mut jm = vec![0.0];
         sharp.jacobian_sq(&[5.0], &mut js);
@@ -544,17 +579,12 @@ mod tests {
 
     #[test]
     fn jacobian_sq_matches_operators() {
-        let id = IdentityObs::new(3, 1.0);
+        let id = MaskedObs::identity(3, 1.0);
         let mut out = vec![9.0; 3];
         id.jacobian_sq(&[1.0, 2.0, 3.0], &mut out);
         assert_eq!(out, vec![1.0, 1.0, 1.0]);
 
-        let strided = StridedObs::new(4, 2, 1.0);
-        let mut out = vec![9.0; 4];
-        strided.jacobian_sq(&[0.0; 4], &mut out);
-        assert_eq!(out, vec![1.0, 0.0, 1.0, 0.0]);
-
-        let atan = ArctanObs::new(2, 1.0);
+        let atan = MaskedObs::new(2, ARCTAN, None, 1.0);
         let mut out = vec![0.0; 2];
         atan.jacobian_sq(&[0.0, 3.0], &mut out);
         assert!((out[0] - 1.0).abs() < 1e-12);
@@ -563,15 +593,15 @@ mod tests {
 
     #[test]
     fn log_likelihood_peaks_at_consistent_state() {
-        let op = IdentityObs::new(2, 1.0);
+        let op = MaskedObs::identity(2, 1.0);
         let y = [1.0, 2.0];
         assert!(op.log_likelihood(&[1.0, 2.0], &y) > op.log_likelihood(&[0.0, 0.0], &y));
     }
 
     #[test]
     fn tighter_sigma_means_stronger_pull() {
-        let tight = IdentityObs::new(1, 0.1);
-        let loose = IdentityObs::new(1, 1.0);
+        let tight = MaskedObs::identity(1, 0.1);
+        let loose = MaskedObs::identity(1, 1.0);
         let mut st = vec![0.0];
         let mut sl = vec![0.0];
         tight.add_likelihood_score(&[0.0], &[1.0], 1.0, &mut st);
@@ -584,24 +614,12 @@ mod tests {
     fn identity_zero_sigma_rejected() {
         // A zero-variance observation makes the likelihood score singular;
         // the constructor is the only guard.
-        let _ = IdentityObs::new(4, 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn strided_zero_sigma_rejected() {
-        let _ = StridedObs::new(4, 2, 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn arctan_zero_sigma_rejected() {
-        let _ = ArctanObs::new(4, 0.0);
+        let _ = MaskedObs::identity(4, 0.0);
     }
 
     #[test]
     fn masked_identity_score_matches_finite_difference() {
-        let op = MaskedObs::identity(5, vec![0, 2, 4], 0.7);
+        let op = MaskedObs::new(5, ObsOperatorKind::Identity, Some(vec![0, 2, 4]), 0.7);
         let x = [0.3, -1.2, 2.0, 0.0, -0.4];
         let y = [0.5, 1.5, -0.1];
         let mut s = vec![0.0; 5];
@@ -616,7 +634,7 @@ mod tests {
 
     #[test]
     fn masked_arctan_score_matches_finite_difference() {
-        let op = MaskedObs::arctan(4, vec![1, 3], 0.5, 3.0);
+        let op = MaskedObs::new(4, ObsOperatorKind::Arctan { gain: 3.0 }, Some(vec![1, 3]), 0.5);
         let x = [9.0, 0.3, 9.0, -0.8];
         let mut y = vec![0.0; 2];
         op.apply(&[0.0, 0.2, 0.0, -0.7], &mut y);
@@ -631,34 +649,8 @@ mod tests {
     }
 
     #[test]
-    fn full_masked_obs_reduces_to_dense_operators_bitwise() {
-        let dim = 6;
-        let all: Vec<usize> = (0..dim).collect();
-        let x = [1.0, -2.0, 3.0, -0.5, 0.25, 4.0];
-        let y = [0.5, 0.25, -0.5, 1.0, 0.0, -1.0];
-
-        let masked = MaskedObs::identity(dim, all.clone(), 0.7);
-        let dense = IdentityObs::new(dim, 0.7);
-        let (mut a, mut b) = (vec![0.0; dim], vec![0.0; dim]);
-        masked.add_likelihood_score(&x, &y, 1.3, &mut a);
-        dense.add_likelihood_score(&x, &y, 1.3, &mut b);
-        for (u, v) in a.iter().zip(&b) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-
-        let masked = MaskedObs::arctan(dim, all, 0.7, 40.0);
-        let dense = ArctanObs::with_gain(dim, 0.7, 40.0);
-        let (mut a, mut b) = (vec![0.0; dim], vec![0.0; dim]);
-        masked.add_likelihood_score(&x, &y, 0.9, &mut a);
-        dense.add_likelihood_score(&x, &y, 0.9, &mut b);
-        for (u, v) in a.iter().zip(&b) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
     fn masked_jacobian_vanishes_off_mask() {
-        let op = MaskedObs::identity(4, vec![1, 2], 1.0);
+        let op = MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![1, 2]), 1.0);
         let mut out = vec![9.0; 4];
         op.jacobian_sq(&[0.0; 4], &mut out);
         assert_eq!(out, vec![0.0, 1.0, 1.0, 0.0]);
@@ -668,40 +660,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn masked_obs_rejects_unsorted_indices() {
-        let _ = MaskedObs::identity(4, vec![2, 1], 1.0);
+        let _ = MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![2, 1]), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn masked_obs_rejects_out_of_range_index() {
-        let _ = MaskedObs::identity(4, vec![0, 4], 1.0);
-    }
-
-    #[test]
-    fn strided_obs_with_stride_one_is_the_identity_network() {
-        let dense = StridedObs::new(5, 1, 0.7);
-        let ident = IdentityObs::new(5, 0.7);
-        assert_eq!(dense.obs_dim(), 5);
-        let x = [1.0, -2.0, 3.0, -4.0, 5.0];
-        let y = [0.5; 5];
-        let (mut a, mut b) = (vec![0.0; 5], vec![0.0; 5]);
-        dense.add_likelihood_score(&x, &y, 2.0, &mut a);
-        ident.add_likelihood_score(&x, &y, 2.0, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn strided_obs_wider_than_state_keeps_one_component() {
-        // stride > dim: only component 0 is observed; the score leaves
-        // every other component untouched.
-        let op = StridedObs::new(4, 10, 1.0);
-        assert_eq!(op.obs_dim(), 1);
-        let mut out = vec![0.0; 1];
-        op.apply(&[9.0, 8.0, 7.0, 6.0], &mut out);
-        assert_eq!(out, vec![9.0]);
-        let mut s = vec![0.0; 4];
-        op.add_likelihood_score(&[9.0, 8.0, 7.0, 6.0], &[0.0], 1.0, &mut s);
-        assert!(s[0] != 0.0); // lint: allow(float-exact-compare, reason="score of the observed component is an exact nonzero product")
-        assert_eq!(&s[1..], &[0.0, 0.0, 0.0]);
+        let _ = MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![0, 4]), 1.0);
     }
 }

@@ -187,7 +187,7 @@ pub fn analyze_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::IdentityObs;
+    use crate::obs::MaskedObs;
     use stats::gaussian::standard_normal;
     use stats::rng::seeded;
 
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn partitioned_matches_reference_bitwise() {
         let fc = ens(12, 16, 3);
-        let obs = IdentityObs::new(16, 0.5);
+        let obs = MaskedObs::identity(16, 0.5);
         let y = vec![0.4; 16];
         let config = EnsfConfig { seed: 21, n_steps: 25, ..Default::default() };
         let reference = analyze_reference(&config, &fc, &y, &obs);
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn different_cycles_differ() {
         let fc = ens(8, 8, 5);
-        let obs = IdentityObs::new(8, 0.5);
+        let obs = MaskedObs::identity(8, 0.5);
         let y = vec![0.0; 8];
         let config = EnsfConfig { seed: 9, n_steps: 10, ..Default::default() };
         let plan = RankPlan::new(8, 2);

@@ -429,13 +429,13 @@ mod tests {
     /// likelihood integrator buys).
     #[test]
     fn assimilate_stable_for_tight_observations() {
-        use crate::obs::IdentityObs;
+        use crate::obs::MaskedObs;
         let sch = DiffusionSchedule::default();
         let m_prior = 0.0f64;
         let v_prior = 1.0f64;
         let y = vec![2.0];
         for sigma_obs in [1e-4, 1e-2, 1.0, 1e2] {
-            let obs = IdentityObs::new(1, sigma_obs);
+            let obs = MaskedObs::identity(1, sigma_obs);
             let mut rng = seeded(31);
             let n = 400;
             let mut mean = 0.0;
@@ -472,11 +472,11 @@ mod tests {
     /// and observation as the observation tightens.
     #[test]
     fn assimilate_monotone_in_precision() {
-        use crate::obs::IdentityObs;
+        use crate::obs::MaskedObs;
         let sch = DiffusionSchedule::default();
         let y = vec![1.0];
         let mean_for = |sigma_obs: f64| {
-            let obs = IdentityObs::new(1, sigma_obs);
+            let obs = MaskedObs::identity(1, sigma_obs);
             let mut rng = seeded(13);
             let n = 500;
             let mut mean = 0.0;
@@ -535,7 +535,7 @@ mod tests {
         // Brownian increment is omitted — so the result cannot depend on
         // the RNG at all, for any of the integration entry points.
         let sch = DiffusionSchedule::default();
-        let obs = crate::obs::IdentityObs::new(3, 0.5);
+        let obs = crate::obs::MaskedObs::identity(3, 0.5);
         let y = vec![1.0, -2.0, 0.5];
         let run = |seed: u64| {
             let mut rng = seeded(seed);
@@ -565,7 +565,7 @@ mod tests {
         // tame it into a bounded pull toward y instead of a 1e24-sized
         // explicit Euler overshoot.
         let sch = DiffusionSchedule::default();
-        let obs = crate::obs::IdentityObs::new(2, 1e-12);
+        let obs = crate::obs::MaskedObs::identity(2, 1e-12);
         let y = vec![2.0, -1.0];
         let mut rng = seeded(3);
         let mut z = vec![-10.0, 10.0];

@@ -1,7 +1,7 @@
 //! Property-based tests for the Ensemble Score Filter.
 
 use ensf::{
-    AnalysisMethod, DiffusionSchedule, Ensf, EnsfConfig, IdentityObs, ScoreEstimator, TimeGrid,
+    AnalysisMethod, DiffusionSchedule, Ensf, EnsfConfig, MaskedObs, ScoreEstimator, TimeGrid,
 };
 use proptest::prelude::*;
 use stats::Ensemble;
@@ -69,7 +69,7 @@ proptest! {
         sigma in 0.05f64..5.0,
         steps in 1usize..12,
     ) {
-        let obs = IdentityObs::new(5, sigma);
+        let obs = MaskedObs::identity(5, sigma);
         let y = vec![obs_val; 5];
         let mut filter = Ensf::new(EnsfConfig {
             n_steps: steps,
@@ -134,7 +134,7 @@ proptest! {
         obs_val in -3.0f64..3.0,
         sigma in 0.05f64..5.0,
     ) {
-        let obs = IdentityObs::new(5, sigma);
+        let obs = MaskedObs::identity(5, sigma);
         let y = vec![obs_val; 5];
         let mut filter = Ensf::new(EnsfConfig {
             n_steps: 15,
@@ -166,7 +166,7 @@ proptest! {
         obs_val in -4.0f64..4.0,
         sigma in 0.1f64..2.0,
     ) {
-        let obs = IdentityObs::new(3, sigma);
+        let obs = MaskedObs::identity(3, sigma);
         let y = vec![obs_val; 3];
         let mut filter = Ensf::new(EnsfConfig { n_steps: 20, seed: 3, ..Default::default() });
         let an = filter.analyze(&ens, &y, &obs);

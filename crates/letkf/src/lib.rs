@@ -29,13 +29,11 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod diagnostics;
-pub mod enkf;
 mod filter;
 pub mod inflation;
 mod localization;
 pub mod solver;
 
 pub use diagnostics::{innovation_stats, AdaptiveInflation, InnovationStats};
-pub use enkf::{EnkfConfig, StochasticEnkf};
 pub use filter::{Letkf, LetkfConfig, PointObs};
 pub use localization::{gaspari_cohn, GridGeometry};

@@ -13,7 +13,7 @@
 
 use sqg_da::da_core::experiments::{pretrain_surrogate, ComparisonConfig};
 use sqg_da::da_core::osse::{nature_run, run_experiment};
-use sqg_da::da_core::EnsfScheme;
+use sqg_da::da_core::{Completion, EnsfScheme};
 use sqg_da::ensf::EnsfConfig;
 
 fn main() {
@@ -34,10 +34,11 @@ fn main() {
     let run = |label: &str, online_steps: usize| {
         let mut surrogate = pretrain_surrogate(&config);
         surrogate.online_steps = online_steps;
-        let mut scheme = EnsfScheme::new(
+        let mut scheme = EnsfScheme::with_obs(
             EnsfConfig { n_steps: config.ensf_steps, seed: 9, ..Default::default() },
             config.osse.params.state_dim(),
-            config.osse.obs_sigma,
+            config.osse.obs_spec(),
+            Completion::Inpaint,
         );
         run_experiment(label, &config.osse, &nature, &mut surrogate, &mut scheme)
             .expect("online-surrogate OSSE is well-formed")

@@ -17,7 +17,7 @@
 //! that is set.
 
 use sqg_da::da_core::ForecastModel;
-use sqg_da::ensf::{Ensf, EnsfConfig, IdentityObs};
+use sqg_da::ensf::{Ensf, EnsfConfig, ObsSpec};
 use sqg_da::sqg::{SqgModel, SqgParams};
 use sqg_da::stats::{gaussian, metrics, rng, Ensemble};
 
@@ -43,7 +43,8 @@ fn main() {
     // 3. Cycle: 12 h forecast + EnSF analysis, five times.
     let mut model = sqg_da::da_core::SqgForecast::perfect(params);
     let obs_sigma = 0.005;
-    let obs_op = IdentityObs::new(truth.len(), obs_sigma);
+    let obs = ObsSpec::identity(obs_sigma);
+    let obs_op = obs.operator(truth.len(), 0);
     let mut filter = Ensf::new(EnsfConfig {
         seed: 1,
         spread_relaxation: 0.9,
@@ -66,7 +67,7 @@ fn main() {
             .map(|&t| t + obs_sigma * gaussian::standard_normal(&mut obs_rng))
             .collect();
         let pre_diag = telemetry::enabled()
-            .then(|| sqg_da::da_core::diagnostics::forecast_stats(&ensemble, &y, obs_sigma));
+            .then(|| sqg_da::da_core::diagnostics::forecast_stats(&ensemble, &y, &obs, 0));
         let t_an = telemetry::enabled().then(std::time::Instant::now);
         ensemble = filter.analyze(&ensemble, &y, &obs_op);
         let analysis_secs = t_an.map(|t| t.elapsed().as_secs_f64());
@@ -87,7 +88,14 @@ fn main() {
                 ],
                 events: Vec::new(),
                 diagnostics: pre_diag.as_ref().map(|pre| {
-                    sqg_da::da_core::diagnostics::complete(pre, &ensemble, &y, last_analysis)
+                    sqg_da::da_core::diagnostics::complete(
+                        pre,
+                        &ensemble,
+                        &y,
+                        last_analysis,
+                        &obs,
+                        0,
+                    )
                 }),
             });
         }

@@ -6,20 +6,22 @@
 //! ```
 //!
 //! Operational networks never observe the whole state. This example thins
-//! the OSSE network to every `stride`-th grid point and cycles both filters:
-//! LETKF spreads the sparse information spatially through Gaspari–Cohn
-//! localization, while EnSF's global score update receives it through the
-//! likelihood. Sweeping the coverage shows how each filter's skill decays as
+//! the OSSE network to every `stride`-th grid point (`MaskKind::Strided`)
+//! and cycles both filters, each built from the experiment's own
+//! `obs_spec()`: LETKF spreads the sparse information spatially through
+//! Gaspari–Cohn localization, while EnSF completes the shrunk observation
+//! vector by harmonic inpainting of the innovation before its global score
+//! update. Sweeping the coverage shows how each filter's skill decays as
 //! observations are withdrawn.
 
-use sqg_da::da_core::osse::{nature_run, run_experiment, OsseConfig};
-use sqg_da::da_core::{LetkfScheme, SparseEnsfScheme, SqgForecast};
+use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, OsseConfig};
+use sqg_da::da_core::{Completion, EnsfScheme, LetkfScheme, SqgForecast};
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
 
 fn main() {
-    let cfg = OsseConfig {
+    let base = OsseConfig {
         params: SqgParams { n: 16, ekman: 0.05, ..Default::default() },
         cycles: 15,
         obs_sigma: 0.005,
@@ -29,31 +31,34 @@ fn main() {
         seed: 404,
         ..Default::default()
     };
-    let nature = nature_run(&cfg);
-    println!("grid 16x16x2, obs sigma {}, climatology {:.3}\n", cfg.obs_sigma, nature.climatology_sd);
+    println!("grid 16x16x2, obs sigma {}\n", base.obs_sigma);
+    let mut climatology_sd = 0.0;
     println!(
         "{:>8} {:>10} {:>14} {:>14}",
         "stride", "coverage", "LETKF RMSE", "EnSF RMSE"
     );
 
     for stride in [1usize, 2, 4, 8] {
+        let cfg = OsseConfig { obs_mask: MaskKind::Strided { stride, phase: 0 }, ..base.clone() };
+        let nature = nature_run(&cfg);
+        climatology_sd = nature.climatology_sd;
+
         let mut letkf_model = SqgForecast::perfect(cfg.params.clone());
-        let mut letkf_scheme = LetkfScheme::with_stride(
+        let mut letkf_scheme = LetkfScheme::with_obs(
             LetkfConfig { cutoff: 4.0e6, rtps_alpha: 0.3 },
             &cfg.params,
-            cfg.obs_sigma,
-            stride,
+            cfg.obs_spec(),
         );
         let letkf =
             run_experiment("letkf", &cfg, &nature, &mut letkf_model, &mut letkf_scheme)
                 .expect("sparse-network OSSE is well-formed");
 
         let mut ensf_model = SqgForecast::perfect(cfg.params.clone());
-        let mut ensf_scheme = SparseEnsfScheme::new(
+        let mut ensf_scheme = EnsfScheme::with_obs(
             EnsfConfig { n_steps: 25, seed: 7, spread_relaxation: 0.9, ..Default::default() },
             cfg.params.state_dim(),
-            stride,
-            cfg.obs_sigma,
+            cfg.obs_spec(),
+            Completion::Inpaint,
         );
         let ensf = run_experiment("ensf", &cfg, &nature, &mut ensf_model, &mut ensf_scheme)
             .expect("sparse-network OSSE is well-formed");
@@ -67,8 +72,11 @@ fn main() {
         );
     }
 
-    println!("\nreading: both filters beat the climatological error at every");
-    println!("coverage; LETKF's localization makes it graceful under thinning,");
-    println!("while EnSF (global update, no localization) needs denser coverage —");
-    println!("the complementarity behind the paper's 'no tuning needed' trade-off.");
+    println!("\nclimatological error: {climatology_sd:.3}");
+    println!("reading: both filters beat the climatological error at every coverage.");
+    println!("LETKF's localization keeps it within ~10x of the observation error down");
+    println!("to 25 % coverage, then it loses the state. EnSF (global update, no");
+    println!("localization, innovation inpainted across the gaps) trails LETKF by");
+    println!("5-10x at 50 % and 25 %, but degrades more slowly: at 12 % coverage it");
+    println!("is the better of the two.");
 }

@@ -12,17 +12,25 @@ use sqg_da::da_core::resilience::{
     CheckpointError, FaultPlan, HealthPolicy, LoopState, MemberFault, MemberFaultKind,
     ObsFault, ResilienceConfig,
 };
-use sqg_da::da_core::{
-    EnsfScheme, FlowMatchingEnsfScheme, LetkfScheme, NoAssimilation, SqgForecast,
-};
-use sqg_da::ensf::EnsfConfig;
+use sqg_da::da_core::{Completion, EnsfScheme, LetkfScheme, NoAssimilation, SqgForecast};
+use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
 
-/// Serializes the tests that flip process-global telemetry state (enable
-/// flag, cycle records, flight ring, postmortem sink); the checkpoint
-/// tests run telemetry-dark and stay parallel.
+/// Serializes every test of this binary: telemetry's enable flag, cycle
+/// records, flight ring and postmortem sink are process-global, so a
+/// supervised loop running while another test has telemetry on would write
+/// into that test's records and postmortem directory.
 static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn telemetry_gate() -> std::sync::MutexGuard<'static, ()> {
+    TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A scratch path under the system temp dir, private to this process.
+fn scratch_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("sqg_da_chaos_{name}_{}", std::process::id()))
+}
 
 fn chaos_config(cycles: usize, seed: u64) -> OsseConfig {
     OsseConfig {
@@ -46,10 +54,11 @@ fn ensf_scheme_with(
     dim: usize,
     kernel: sqg_da::ensf::ScoreKernel,
 ) -> EnsfScheme {
-    EnsfScheme::new(
+    EnsfScheme::with_obs(
         EnsfConfig { n_steps: 20, seed: cfg.seed ^ 0xE45F, kernel, ..Default::default() },
         dim,
-        cfg.obs_sigma,
+        cfg.obs_spec(),
+        Completion::Inpaint,
     )
 }
 
@@ -60,7 +69,7 @@ fn ensf_scheme_with(
 /// enough to beat a free (no-DA) run.
 #[test]
 fn chaos_run_completes_and_beats_free_run() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _gate = telemetry_gate();
     let cfg = chaos_config(16, 23);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
@@ -88,7 +97,7 @@ fn chaos_run_completes_and_beats_free_run() {
     telemetry::set_enabled(true);
     let mut model = SqgForecast::perfect(cfg.params.clone());
     let mut scheme = ensf_scheme(&cfg, dim);
-    let mut fallback = LetkfScheme::new(LetkfConfig::default(), &cfg.params, cfg.obs_sigma);
+    let mut fallback = LetkfScheme::with_obs(LetkfConfig::default(), &cfg.params, cfg.obs_spec());
     let run = run_supervised(
         "chaos",
         &cfg,
@@ -151,6 +160,7 @@ fn chaos_run_completes_and_beats_free_run() {
 /// cycle, and the run still completes every cycle and beats the free run.
 #[test]
 fn flow_matching_chaos_run_retries_and_falls_back() {
+    let _gate = telemetry_gate();
     let cfg = chaos_config(12, 31);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
@@ -168,13 +178,19 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
     };
 
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = FlowMatchingEnsfScheme::new(
-        EnsfConfig { n_steps: 8, seed: cfg.seed ^ 0xE45F, ..Default::default() },
+    let mut scheme = EnsfScheme::with_obs(
+        EnsfConfig {
+            method: AnalysisMethod::FlowMatching,
+            n_steps: 8,
+            seed: cfg.seed ^ 0xE45F,
+            ..Default::default()
+        },
         dim,
-        cfg.obs_sigma,
+        cfg.obs_spec(),
+        Completion::Inpaint,
     );
     assert_eq!(scheme.name(), "FlowEnSF");
-    let mut fallback = LetkfScheme::new(LetkfConfig::default(), &cfg.params, cfg.obs_sigma);
+    let mut fallback = LetkfScheme::with_obs(LetkfConfig::default(), &cfg.params, cfg.obs_spec());
     let run = run_supervised(
         "flow-chaos",
         &cfg,
@@ -212,11 +228,11 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
 /// its innovation diagnostics attached, and (c) the supervisor counters.
 #[test]
 fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let _gate = telemetry_gate();
     let cfg = chaos_config(6, 53);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
-    let dir = std::env::temp_dir().join("sqg_da_chaos_postmortem");
+    let dir = scratch_path("postmortem");
     std::fs::remove_dir_all(&dir).ok();
 
     // Two NaN'd members at cycle 3: quarantine ⇒ Healthy → Degraded.
@@ -308,10 +324,11 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
 /// final ensemble to match an uninterrupted run bit for bit.
 #[test]
 fn checkpoint_kill_restore_is_bit_identical() {
+    let _gate = telemetry_gate();
     let cfg = chaos_config(8, 31);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
-    let path = std::env::temp_dir().join("sqg_da_chaos_ckpt.bin");
+    let path = scratch_path("ckpt.bin");
 
     // Reference: the same fault plan minus the kill, run to completion.
     let plan = FaultPlan {
@@ -379,11 +396,12 @@ fn checkpoint_kill_restore_is_bit_identical() {
 #[test]
 fn checkpoint_restore_is_bit_identical_under_both_kernels() {
     use sqg_da::ensf::ScoreKernel;
+    let _gate = telemetry_gate();
     for (kernel, tag) in [(ScoreKernel::Reference, "ref"), (ScoreKernel::Batched, "bat")] {
         let cfg = chaos_config(6, 37);
         let nr = nature_run(&cfg);
         let dim = nr.truth[0].len();
-        let path = std::env::temp_dir().join(format!("sqg_da_kernel_ckpt_{tag}.bin"));
+        let path = scratch_path(&format!("kernel_ckpt_{tag}.bin"));
 
         let mut m_ref = SqgForecast::perfect(cfg.params.clone());
         let mut s_ref = ensf_scheme_with(&cfg, dim, kernel);
@@ -441,10 +459,11 @@ fn checkpoint_restore_is_bit_identical_under_both_kernels() {
 /// fed into the cycling loop.
 #[test]
 fn corrupted_checkpoint_file_is_rejected() {
+    let _gate = telemetry_gate();
     let cfg = chaos_config(4, 41);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
-    let path = std::env::temp_dir().join("sqg_da_chaos_bad_ckpt.bin");
+    let path = scratch_path("bad_ckpt.bin");
 
     let res = ResilienceConfig {
         plan: FaultPlan { kill_after: Some(2), ..FaultPlan::none() },

@@ -20,9 +20,7 @@
 
 use sqg_da::da_core::osse::{initial_ensemble, nature_run, MaskKind, ObsOperatorKind, OsseConfig};
 use sqg_da::da_core::{
-    AnalysisScheme, ArctanEnsfScheme, EnsfScheme, FlowMatchingArctanEnsfScheme,
-    FlowMatchingEnsfScheme, ForecastModel, LetkfScheme, MaskedEnsfScheme, MaskedLetkfScheme,
-    SqgForecast,
+    AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, SqgForecast,
 };
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
@@ -207,15 +205,30 @@ fn check_against_golden(name: &str, traj: &Trajectory) {
     }
 }
 
+/// The EnSF scheme of every fixture: 10 reverse-SDE steps or 6
+/// probability-flow steps, observing what `config`'s nature run emits.
+fn ensf_scheme(config: &OsseConfig, method: AnalysisMethod) -> EnsfScheme {
+    let n_steps = match method {
+        AnalysisMethod::ReverseSde => 10,
+        AnalysisMethod::FlowMatching => 6,
+    };
+    EnsfScheme::with_obs(
+        EnsfConfig { n_steps, seed: 5, method, ..Default::default() },
+        config.params.state_dim(),
+        config.obs_spec(),
+        Completion::Inpaint,
+    )
+}
+
+fn letkf_scheme(config: &OsseConfig) -> LetkfScheme {
+    LetkfScheme::with_obs(LetkfConfig::default(), &config.params, config.obs_spec())
+}
+
 #[test]
 fn ensf_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = osse_config();
-    let mut scheme = EnsfScheme::new(
-        EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
-        config.params.state_dim(),
-        config.obs_sigma,
-    );
+    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
     check_against_golden("ensf", &run_trajectory(&config, &mut scheme));
 }
 
@@ -223,7 +236,7 @@ fn ensf_trajectory_matches_golden() {
 fn letkf_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = osse_config();
-    let mut scheme = LetkfScheme::new(LetkfConfig::default(), &config.params, config.obs_sigma);
+    let mut scheme = letkf_scheme(&config);
     check_against_golden("letkf", &run_trajectory(&config, &mut scheme));
 }
 
@@ -235,12 +248,7 @@ fn letkf_trajectory_matches_golden() {
 fn ensf_arctan_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = arctan_config();
-    let mut scheme = ArctanEnsfScheme::new(
-        EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
-        config.params.state_dim(),
-        config.obs_sigma,
-        ARCTAN_GAIN,
-    );
+    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
     check_against_golden("ensf_arctan", &run_trajectory(&config, &mut scheme));
 }
 
@@ -253,11 +261,7 @@ fn ensf_arctan_trajectory_matches_golden() {
 fn flow_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = osse_config();
-    let mut scheme = FlowMatchingEnsfScheme::new(
-        EnsfConfig { n_steps: 6, seed: 5, ..Default::default() },
-        config.params.state_dim(),
-        config.obs_sigma,
-    );
+    let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
     check_against_golden("flow", &run_trajectory(&config, &mut scheme));
 }
 
@@ -268,12 +272,7 @@ fn flow_trajectory_matches_golden() {
 fn flow_arctan_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = arctan_config();
-    let mut scheme = FlowMatchingArctanEnsfScheme::new(
-        EnsfConfig { n_steps: 6, seed: 5, ..Default::default() },
-        config.params.state_dim(),
-        config.obs_sigma,
-        ARCTAN_GAIN,
-    );
+    let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
     check_against_golden("flow_arctan", &run_trajectory(&config, &mut scheme));
 }
 
@@ -290,13 +289,7 @@ const BLOCK25: MaskKind = MaskKind::Block { start: 192, len: 128 };
 fn ensf_mask_block_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme = MaskedEnsfScheme::new(
-        EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
-        config.params.state_dim(),
-        config.obs_sigma,
-        ObsOperatorKind::Identity,
-        BLOCK25,
-    );
+    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
     check_against_golden("ensf_mask_block", &run_trajectory(&config, &mut scheme));
 }
 
@@ -308,13 +301,7 @@ fn ensf_track_trajectory_matches_golden() {
     pin_scalar_simd();
     let track = MaskKind::Track { width: 256, speed: 40 };
     let config = OsseConfig { obs_mask: track, ..osse_config() };
-    let mut scheme = MaskedEnsfScheme::new(
-        EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
-        config.params.state_dim(),
-        config.obs_sigma,
-        ObsOperatorKind::Identity,
-        track,
-    );
+    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
     check_against_golden("ensf_track", &run_trajectory(&config, &mut scheme));
 }
 
@@ -324,18 +311,7 @@ fn ensf_track_trajectory_matches_golden() {
 fn flow_inpaint_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme = MaskedEnsfScheme::new(
-        EnsfConfig {
-            n_steps: 6,
-            seed: 5,
-            method: AnalysisMethod::FlowMatching,
-            ..Default::default()
-        },
-        config.params.state_dim(),
-        config.obs_sigma,
-        ObsOperatorKind::Identity,
-        BLOCK25,
-    );
+    let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
     check_against_golden("flow_inpaint", &run_trajectory(&config, &mut scheme));
 }
 
@@ -346,8 +322,7 @@ fn flow_inpaint_trajectory_matches_golden() {
 fn letkf_mask_block_trajectory_matches_golden() {
     pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme =
-        MaskedLetkfScheme::new(LetkfConfig::default(), &config.params, config.obs_sigma, BLOCK25);
+    let mut scheme = letkf_scheme(&config);
     check_against_golden("letkf_mask_block", &run_trajectory(&config, &mut scheme));
 }
 
