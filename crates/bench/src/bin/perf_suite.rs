@@ -25,7 +25,7 @@ use da_core::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme
 use ensf::{AnalysisMethod, Ensf, EnsfConfig, MaskedObs, ScoreKernel};
 use fft::{plan_cache, Complex, Direction, Fft2};
 use linalg::gemm::{matmul_abt_into, matmul_slices_into};
-use sqg::dynamics::Stepper;
+use sqg::dynamics::{StepWorkspace, Stepper};
 use sqg::SqgParams;
 use stats::gaussian::fill_standard_normal;
 use stats::rng::seeded;
@@ -106,12 +106,13 @@ fn bench_sqg(quick: bool, reps: usize) -> Json {
     let state = sqg::init::random_large_scale(n, 0.05, 3);
 
     // RK4 step on the plan-cached, scratch-hoisted hot path.
-    let mut stepper = Stepper::new(params.clone());
+    let stepper = Stepper::new(params.clone());
+    let mut workspace = StepWorkspace::new(n);
     let mut theta = [state.level(0).to_vec(), state.level(1).to_vec()];
     let step_secs = median_secs(reps, || {
         let mut th = theta.clone();
         for _ in 0..4 {
-            stepper.step(&mut th);
+            stepper.step(&mut th, &mut workspace);
         }
         theta[0][0] = th[0][0]; // keep the work observable
     });

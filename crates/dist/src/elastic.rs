@@ -485,8 +485,13 @@ pub fn run_elastic_from(
             }
         }
 
-        // --- Replicated forecast.
-        model.forecast_ensemble(&mut ensemble, config.base.osse.obs_interval_hours);
+        // --- Replicated forecast, member by member on the rank's own thread:
+        // a rank is one processor of the simulated machine, and the ranks
+        // already fill the cores `forecast_ensemble` would fan out over
+        // (its result is this loop's, bit for bit).
+        for member in ensemble.iter_mut() {
+            model.forecast(member, config.base.osse.obs_interval_hours);
+        }
         let y = &nature.observations[cycle];
         let pre_diag = lead.then(|| {
             da_core::diagnostics::forecast_stats(&ensemble, y, &obs, cycle as u64)

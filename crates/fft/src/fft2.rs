@@ -1,25 +1,16 @@
-//! 2-D transforms over row-major grids, with optional rayon parallelism.
+//! 2-D transforms over row-major grids.
 //!
 //! The SQG model calls these on every Runge-Kutta stage, so [`Fft2`] owns
-//! both row and column plans plus per-call scratch handling, and parallelizes
-//! over rows/columns when the grid is large enough to amortize the fork-join
-//! overhead.
+//! both row and column plans and [`Fft2Scratch`] carries the per-call
+//! buffers. A transform runs on the calling thread: the ensemble's member
+//! axis is where the forecast is parallel, and a fork-join here would nest
+//! inside those workers.
 
 use crate::complex::Complex;
 use crate::plan::{Direction, FftPlan};
-use rayon::prelude::*;
-
-/// Below this many total points, the sequential path is faster than
-/// spinning up rayon tasks (measured: crossover near 64x64 on 8 cores).
-const PAR_THRESHOLD: usize = 128 * 128;
-
-/// Rows handed to one rayon task in the parallel pass, so each task's
-/// 1-D scratch allocation is amortized over many transforms instead of
-/// being re-created per row.
-const ROWS_PER_TASK: usize = 16;
 
 /// Reusable scratch for [`Fft2::process_with_scratch`]: the transpose
-/// buffer plus the 1-D plan scratch used on the sequential path. Grown on
+/// buffer plus the 1-D plan scratch. Grown on
 /// first use, then reused allocation-free across calls (e.g. once per RK4
 /// stage loop in the SQG stepper).
 #[derive(Debug, Default)]
@@ -95,22 +86,9 @@ impl Fft2 {
             self.rows * self.cols
         );
 
-        let parallel = self.rows * self.cols >= PAR_THRESHOLD;
-
-        // Pass 1: independent FFTs along each row. Parallel tasks own a
-        // block of rows and one scratch each; each row transform is
-        // independent, so the grouping cannot affect results.
-        if parallel {
-            data.par_chunks_mut(self.cols * ROWS_PER_TASK).for_each(|chunk| {
-                let mut task_scratch = Vec::new();
-                for row in chunk.chunks_mut(self.cols) {
-                    self.row_plan.process_buffered(row, &mut task_scratch);
-                }
-            });
-        } else {
-            for row in data.chunks_mut(self.cols) {
-                self.row_plan.process_buffered(row, &mut scratch.row);
-            }
+        // Pass 1: independent FFTs along each row.
+        for row in data.chunks_mut(self.cols) {
+            self.row_plan.process_buffered(row, &mut scratch.row);
         }
 
         // Pass 2: transpose, FFT rows of the transpose, transpose back.
@@ -122,17 +100,8 @@ impl Fft2 {
         }
         let t = &mut scratch.t[..n];
         transpose_into(data, self.rows, self.cols, t);
-        if parallel {
-            t.par_chunks_mut(self.rows * ROWS_PER_TASK).for_each(|chunk| {
-                let mut task_scratch = Vec::new();
-                for col in chunk.chunks_mut(self.rows) {
-                    self.col_plan.process_buffered(col, &mut task_scratch);
-                }
-            });
-        } else {
-            for col in t.chunks_mut(self.rows) {
-                self.col_plan.process_buffered(col, &mut scratch.row);
-            }
+        for col in t.chunks_mut(self.rows) {
+            self.col_plan.process_buffered(col, &mut scratch.row);
         }
         transpose_into(t, self.cols, self.rows, data);
     }
@@ -293,9 +262,8 @@ mod tests {
 
     #[test]
     fn scratch_entry_point_is_bitwise_identical() {
-        // Cover both the sequential path and (65_536 points) the parallel
-        // row-grouped path, plus a Bluestein shape, and reuse one scratch
-        // across all of them to exercise buffer growth.
+        // A small, a Bluestein and a large (65_536 points) shape, reusing
+        // one scratch across all of them to exercise buffer growth.
         let mut scratch = Fft2Scratch::new();
         for (rows, cols) in [(8, 8), (6, 10), (256, 256)] {
             let input: Vec<Complex> = (0..rows * cols)
@@ -313,8 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn large_grid_parallel_path_round_trip() {
-        let (rows, cols) = (128, 128); // crosses PAR_THRESHOLD
+    fn large_grid_round_trip() {
+        let (rows, cols) = (128, 128); // larger than any SQG caller's grid
         let input: Vec<Complex> =
             (0..rows * cols).map(|i| Complex::new((i as f64 * 0.011).sin(), 0.0)).collect();
         let mut buf = input.clone();

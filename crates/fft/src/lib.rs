@@ -6,12 +6,13 @@
 //! - [`Complex`] — a minimal `f64` complex type.
 //! - [`FftPlan`] — reusable 1-D plans; radix-2 Cooley–Tukey for power-of-two
 //!   lengths, Bluestein chirp-z for everything else.
-//! - [`Fft2`] — 2-D transforms with cache-blocked transposes and rayon
-//!   parallelism for large grids; [`Fft2Scratch`] makes hot loops
-//!   allocation-free via [`Fft2::process_with_scratch`].
+//! - [`Fft2`] — 2-D transforms with cache-blocked transposes;
+//!   [`Fft2Scratch`] makes hot loops allocation-free via
+//!   [`Fft2::process_with_scratch`].
 //! - [`plan_cache`] — process-wide memoization of 2-D plans keyed on
 //!   `(rows, cols, direction)`, shared as `Arc<Fft2>`.
-//! - [`real`] — real-signal helpers and Hermitian-symmetry utilities.
+//! - [`real`] — two real fields per complex transform (pack / Hermitian
+//!   split), real-signal helpers and Hermitian-symmetry utilities.
 //!
 //! ## Conventions
 //!

@@ -3,6 +3,13 @@
 use fft::{real, Complex, Direction, Fft2, FftPlan};
 use proptest::prelude::*;
 
+/// Forward 2-D transform of a real field, one full complex transform.
+fn fft2_of_real(field: &[f64], rows: usize, cols: usize) -> Vec<Complex> {
+    let mut buf: Vec<Complex> = field.iter().map(|&x| Complex::from_re(x)).collect();
+    Fft2::new(rows, cols, Direction::Forward).process(&mut buf);
+    buf
+}
+
 fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex>> {
     prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), len)
         .prop_map(|v| v.into_iter().map(|(re, im)| Complex::new(re, im)).collect())
@@ -128,6 +135,53 @@ proptest! {
         plan.process(&mut fs);
         for i in 0..n {
             prop_assert!((fx[i].abs() - fs[i].abs()).abs() < 1e-7 * n as f64);
+        }
+    }
+
+    /// Two real fields per complex transform: the Hermitian split of
+    /// `fft2(a + i b)` is `(fft2(a), fft2(b))`, both exactly Hermitian, and
+    /// packing the two spectra inverts to `a + i b`. Power-of-two, Bluestein
+    /// and the SQG model's own shape.
+    #[test]
+    fn real_pair_rides_one_transform(shape in 0usize..3, seed in any::<u64>()) {
+        let (rows, cols) = [(8, 8), (6, 10), (64, 64)][shape];
+        let m = rows * cols;
+        let mut s = seed | 1;
+        let mut next = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        let a: Vec<f64> = (0..m).map(|_| next()).collect();
+        let b: Vec<f64> = (0..m).map(|_| next()).collect();
+
+        let mut z = vec![Complex::ZERO; m];
+        real::pack_pair(&a, &b, &mut z);
+        Fft2::new(rows, cols, Direction::Forward).process(&mut z);
+        let (mut sa, mut sb) = (vec![Complex::ZERO; m], vec![Complex::ZERO; m]);
+        real::split_pair(&z, rows, cols, &mut sa, &mut sb);
+
+        let tol = 1e-12 * m as f64;
+        for (got, field) in [(&sa, &a), (&sb, &b)] {
+            for (g, w) in got.iter().zip(&fft2_of_real(field, rows, cols)) {
+                prop_assert!((*g - *w).abs() < tol, "{:?} vs {:?}", g, w);
+            }
+            for i in 0..rows {
+                for j in 0..cols {
+                    let (k, neg) = (i * cols + j, real::conj_index(i, j, rows, cols));
+                    prop_assert!(got[k] == got[neg].conj(), "mode ({}, {}) not Hermitian", i, j);
+                    if k == neg {
+                        prop_assert!(got[k].im == 0.0, "self-conjugate mode ({}, {}) not real", i, j);
+                    }
+                }
+            }
+        }
+
+        real::pack_spectra(&sa, &sb, &mut z);
+        Fft2::new(rows, cols, Direction::Inverse).process(&mut z);
+        let (mut ra, mut rb) = (vec![0.0; m], vec![0.0; m]);
+        real::unpack_pair(&z, &mut ra, &mut rb);
+        for (got, want) in ra.iter().zip(&a).chain(rb.iter().zip(&b)) {
+            prop_assert!((got - want).abs() < tol);
         }
     }
 }

@@ -20,7 +20,7 @@
 use crate::grid::SpectralGrid;
 use crate::params::SqgParams;
 use crate::state::LEVELS;
-use fft::{plan_cache, Complex, Direction, Fft2, Fft2Scratch};
+use fft::{plan_cache, real, Complex, Direction, Fft2, Fft2Scratch};
 use std::sync::Arc;
 
 /// Inverts boundary buoyancy to boundary streamfunction, writing into `psi`.
@@ -51,14 +51,11 @@ pub fn invert(
     }
 }
 
-/// Scratch buffers reused across tendency evaluations (8 complex grids plus
-/// the FFT transpose scratch).
+/// Scratch reused across tendency evaluations: the inverted streamfunction
+/// (2 grids), the packed advection buffer (1 grid) and the FFT transpose
+/// scratch.
 pub struct TendencyScratch {
     psi: [Vec<Complex>; LEVELS],
-    u: Vec<Complex>,
-    v: Vec<Complex>,
-    tx: Vec<Complex>,
-    ty: Vec<Complex>,
     adv: Vec<Complex>,
     fft: Fft2Scratch,
 }
@@ -67,24 +64,25 @@ impl TendencyScratch {
     /// Allocates scratch for an `n x n` grid.
     pub fn new(n: usize) -> Self {
         let z = vec![Complex::ZERO; n * n];
-        TendencyScratch {
-            psi: [z.clone(), z.clone()],
-            u: z.clone(),
-            v: z.clone(),
-            tx: z.clone(),
-            ty: z.clone(),
-            adv: z,
-            fft: Fft2Scratch::new(),
-        }
+        TendencyScratch { psi: [z.clone(), z.clone()], adv: z, fft: Fft2Scratch::new() }
     }
 }
 
 /// Computes `dθ̂/dt` for both levels into `tend`.
 ///
-/// `fwd`/`inv` are forward/inverse 2-D FFT plans for the model grid. The
+/// `fwd`/`ifft` are forward/inverse 2-D FFT plans for the model grid. The
 /// nonlinear advection is evaluated pseudo-spectrally and dealiased with the
 /// grid's 2/3 mask; the background-shear and mean-gradient terms are linear
 /// and handled exactly in spectral space.
+///
+/// Every transformed field is real, so two ride each complex transform
+/// (`fft::real`): per level `û + i·v̂ = −(kx + i·ky)·ψ̂` and
+/// `θ̂x + i·θ̂y = i·(kx + i·ky)·θ̂` come back from one inverse transform each
+/// as `u + i·v` and `θx + i·θy`, and the two levels' advection goes forward
+/// as `adv₀ + i·adv₁` and is separated by the Hermitian split: five
+/// transforms per call. `theta` must be Hermitian, which the split preserves
+/// exactly. Until the final assembly `tend`'s two grids serve as the packed
+/// velocity and gradient buffers.
 // lint: no_alloc
 #[allow(clippy::too_many_arguments)]
 pub fn tendency(
@@ -97,82 +95,87 @@ pub fn tendency(
     scratch: &mut TendencyScratch,
 ) {
     let n = grid.n;
-    let m = n * n;
     telemetry::counter_add("sqg.tendency.calls", 1);
     invert(grid, theta, &mut scratch.psi);
 
     let ubg = p.background_wind();
     let bbar_y = p.mean_buoyancy_gradient();
 
-    for l in 0..LEVELS {
-        let th = &theta[l];
-        let psi = &scratch.psi[l];
+    {
+        let [vel, grad] = &mut *tend;
+        for l in 0..LEVELS {
+            let th = &theta[l];
+            let psi = &scratch.psi[l];
 
-        // Spectral derivatives -> grid space.
-        for i in 0..n {
-            let ky = grid.ky[i];
-            for j in 0..n {
-                let kx = grid.kx[j];
-                let idx = i * n + j;
-                // u = -∂ψ/∂y, v = ∂ψ/∂x
-                scratch.u[idx] = Complex::new(0.0, -ky) * psi[idx];
-                scratch.v[idx] = Complex::new(0.0, kx) * psi[idx];
-                scratch.tx[idx] = Complex::new(0.0, kx) * th[idx];
-                scratch.ty[idx] = Complex::new(0.0, ky) * th[idx];
+            // Spectral derivatives, packed: u = -∂ψ/∂y, v = ∂ψ/∂x.
+            for i in 0..n {
+                let ky = grid.ky[i];
+                for j in 0..n {
+                    let k = Complex::new(grid.kx[j], ky);
+                    let idx = i * n + j;
+                    vel[idx] = -(k * psi[idx]);
+                    grad[idx] = Complex::I * (k * th[idx]);
+                }
+            }
+            {
+                let _span = telemetry::span!("fft");
+                ifft.process_with_scratch(vel, &mut scratch.fft);
+                ifft.process_with_scratch(grad, &mut scratch.fft);
+            }
+
+            // Nonlinear advection u θx + v θy in grid space: level 0 into the
+            // real part, level 1 into the imaginary part.
+            for ((a, v), g) in scratch.adv.iter_mut().zip(vel.iter()).zip(grad.iter()) {
+                let adv = v.re * g.re + v.im * g.im;
+                if l == 0 {
+                    a.re = adv;
+                } else {
+                    a.im = adv;
+                }
             }
         }
-        {
-            let _span = telemetry::span!("fft");
-            ifft.process_with_scratch(&mut scratch.u, &mut scratch.fft);
-            ifft.process_with_scratch(&mut scratch.v, &mut scratch.fft);
-            ifft.process_with_scratch(&mut scratch.tx, &mut scratch.fft);
-            ifft.process_with_scratch(&mut scratch.ty, &mut scratch.fft);
-        }
+    }
+    {
+        let _span = telemetry::span!("fft");
+        fwd.process_with_scratch(&mut scratch.adv, &mut scratch.fft);
+    }
 
-        // Nonlinear advection in grid space (real parts; imaginary parts are
-        // round-off because the physical fields are real).
-        for idx in 0..m {
-            let adv = scratch.u[idx].re * scratch.tx[idx].re
-                + scratch.v[idx].re * scratch.ty[idx].re;
-            scratch.adv[idx] = Complex::from_re(adv);
-        }
-        {
-            let _span = telemetry::span!("fft");
-            fwd.process_with_scratch(&mut scratch.adv, &mut scratch.fft);
-        }
-
-        // Assemble the spectral tendency with dealiasing on the product.
-        let _span = telemetry::span!("dealias");
-        let t = &mut tend[l];
-        for i in 0..n {
-            let ky = grid.ky[i];
-            let _ = ky;
-            for j in 0..n {
-                let kx = grid.kx[j];
-                let idx = i * n + j;
-                let ikx = Complex::new(0.0, kx);
-                let mut dt = -(scratch.adv[idx] * grid.dealias_mask[idx]);
+    // Separate the two levels' advection and assemble the spectral tendency
+    // with dealiasing on the product.
+    let _span = telemetry::span!("dealias");
+    for i in 0..n {
+        for j in 0..n {
+            let idx = i * n + j;
+            let ikx = Complex::new(0.0, grid.kx[j]);
+            let neg = real::conj_index(i, j, n, n);
+            let (adv0, adv1) = real::split_pair_mode(scratch.adv[idx], scratch.adv[neg]);
+            for (l, adv) in [adv0, adv1].into_iter().enumerate() {
+                let mut dt = -(adv * grid.dealias_mask[idx]);
                 // Background advection: -u_bg ∂θ/∂x
-                dt -= ikx * th[idx] * ubg[l];
+                dt -= ikx * theta[l][idx] * ubg[l];
                 // Mean-gradient term: -v ∂b̄/∂y with v̂ = i kx ψ̂
-                dt -= ikx * psi[idx] * bbar_y;
-                t[idx] = dt;
+                dt -= ikx * scratch.psi[l][idx] * bbar_y;
+                tend[l][idx] = dt;
             }
         }
+    }
 
-        // Ekman damping acts on the bottom boundary only.
-        if l == 0 && p.ekman != 0.0 { // lint: allow(float-exact-compare, reason="ekman = 0 is the exact feature-off sentinel")
-            for idx in 0..m {
-                let k2 = grid.kmag[idx] * grid.kmag[idx];
-                tend[0][idx] += scratch.psi[0][idx] * (p.ekman * k2);
-            }
+    // Ekman damping acts on the bottom boundary only.
+    if p.ekman != 0.0 { // lint: allow(float-exact-compare, reason="ekman = 0 is the exact feature-off sentinel")
+        for idx in 0..n * n {
+            let k2 = grid.kmag[idx] * grid.kmag[idx];
+            tend[0][idx] += scratch.psi[0][idx] * (p.ekman * k2);
         }
     }
 }
 
-/// Advances `theta` one step with classic RK4 on the advective terms and an
-/// integrating-factor (exact exponential) treatment of hyperdiffusion, as in
-/// the reference implementation.
+/// The immutable half of the time stepper: parameters, spectral tables, the
+/// two cached FFT plans and the optional relaxation reference. Shared by
+/// every worker; everything a step writes lives in a [`StepWorkspace`].
+///
+/// A step is classic RK4 on the advective terms with an integrating-factor
+/// (exact exponential) treatment of hyperdiffusion, as in the reference
+/// implementation.
 pub struct Stepper {
     /// Model parameters.
     pub params: SqgParams,
@@ -180,35 +183,46 @@ pub struct Stepper {
     pub grid: SpectralGrid,
     fwd: Arc<Fft2>,
     ifft: Arc<Fft2>,
-    scratch: TendencyScratch,
-    k1: [Vec<Complex>; LEVELS],
-    k2: [Vec<Complex>; LEVELS],
-    k3: [Vec<Complex>; LEVELS],
-    k4: [Vec<Complex>; LEVELS],
+    /// Spectral reference state for thermal relaxation (`None` = zeros).
+    reference: Option<[Vec<Complex>; LEVELS]>,
+}
+
+/// The mutable half of the time stepper, one per worker: the current stage's
+/// tendency `k`, the running RK4 sum `acc`, the stage input `tmp` (6 grids)
+/// and the [`TendencyScratch`] (3 grids plus FFT scratch).
+pub struct StepWorkspace {
+    k: [Vec<Complex>; LEVELS],
+    acc: [Vec<Complex>; LEVELS],
     tmp: [Vec<Complex>; LEVELS],
-    /// Spectral reference state for thermal relaxation (zeros by default).
-    reference: [Vec<Complex>; LEVELS],
+    tend: TendencyScratch,
+}
+
+impl StepWorkspace {
+    /// Allocates a workspace for an `n x n` grid.
+    pub fn new(n: usize) -> Self {
+        let z = vec![Complex::ZERO; n * n];
+        let mk = || [z.clone(), z.clone()];
+        StepWorkspace { k: mk(), acc: mk(), tmp: mk(), tend: TendencyScratch::new(n) }
+    }
+
+    /// An `n²` work buffer and the FFT scratch, free between steps (the
+    /// state conversions around a member forecast borrow them).
+    pub(crate) fn pair_buffers(&mut self) -> (&mut [Complex], &mut Fft2Scratch) {
+        (&mut self.tend.adv, &mut self.tend.fft)
+    }
 }
 
 impl Stepper {
-    /// Builds a stepper (plans + scratch) for the given parameters.
+    /// Builds the tables and fetches the plans for the given parameters.
     pub fn new(params: SqgParams) -> Self {
         let grid = SpectralGrid::new(&params);
         let n = params.n;
-        let z = vec![Complex::ZERO; n * n];
-        let mk = || [z.clone(), z.clone()];
         Stepper {
             fwd: plan_cache::fft2(n, n, Direction::Forward),
             ifft: plan_cache::fft2(n, n, Direction::Inverse),
-            scratch: TendencyScratch::new(n),
             grid,
             params,
-            k1: mk(),
-            k2: mk(),
-            k3: mk(),
-            k4: mk(),
-            tmp: mk(),
-            reference: mk(),
+            reference: None,
         }
     }
 
@@ -217,36 +231,43 @@ impl Stepper {
     pub fn set_reference(&mut self, reference: [Vec<Complex>; LEVELS]) {
         let m = self.grid.n * self.grid.n;
         assert!(reference[0].len() == m && reference[1].len() == m);
-        self.reference = reference;
+        self.reference = Some(reference);
     }
 
-    /// One RK4 step of length `params.dt` applied in place.
+    /// The cached forward and inverse plans of the model grid.
+    pub(crate) fn plans(&self) -> (&Fft2, &Fft2) {
+        (&self.fwd, &self.ifft)
+    }
+
+    /// One RK4 step of length `params.dt` applied to `theta` in place.
     // lint: no_alloc
-    pub fn step(&mut self, theta: &mut [Vec<Complex>; LEVELS]) {
+    pub fn step(&self, theta: &mut [Vec<Complex>; LEVELS], ws: &mut StepWorkspace) {
         let _span = telemetry::span!("sqg.step");
         telemetry::counter_add("sqg.steps", 1);
         let dt = self.params.dt;
         let m = self.grid.n * self.grid.n;
+        let StepWorkspace { k, acc, tmp, tend } = ws;
 
-        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, theta, &mut self.k1, &mut self.scratch);
+        // Stage inputs are θ + c·k; `acc` accumulates k1 + 2 k2 + 2 k3 in
+        // that order, so the increment below sums exactly as
+        // ((k1 + 2 k2) + 2 k3) + k4.
+        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, theta, k, tend);
         for l in 0..LEVELS {
             for idx in 0..m {
-                self.tmp[l][idx] = theta[l][idx] + self.k1[l][idx] * (0.5 * dt);
+                acc[l][idx] = k[l][idx];
+                tmp[l][idx] = theta[l][idx] + k[l][idx] * (0.5 * dt);
             }
         }
-        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, &self.tmp, &mut self.k2, &mut self.scratch);
-        for l in 0..LEVELS {
-            for idx in 0..m {
-                self.tmp[l][idx] = theta[l][idx] + self.k2[l][idx] * (0.5 * dt);
+        for c in [0.5 * dt, dt] {
+            tendency(&self.params, &self.grid, &self.fwd, &self.ifft, tmp, k, tend);
+            for l in 0..LEVELS {
+                for idx in 0..m {
+                    acc[l][idx] += k[l][idx] * 2.0;
+                    tmp[l][idx] = theta[l][idx] + k[l][idx] * c;
+                }
             }
         }
-        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, &self.tmp, &mut self.k3, &mut self.scratch);
-        for l in 0..LEVELS {
-            for idx in 0..m {
-                self.tmp[l][idx] = theta[l][idx] + self.k3[l][idx] * dt;
-            }
-        }
-        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, &self.tmp, &mut self.k4, &mut self.scratch);
+        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, tmp, k, tend);
 
         let sixth = dt / 6.0;
         // Thermal relaxation handled split-step with its exact exponential,
@@ -257,16 +278,13 @@ impl Stepper {
             1.0
         };
         for l in 0..LEVELS {
+            let reference = self.reference.as_ref().map(|r| &r[l]);
             for idx in 0..m {
-                let incr = (self.k1[l][idx]
-                    + self.k2[l][idx] * 2.0
-                    + self.k3[l][idx] * 2.0
-                    + self.k4[l][idx])
-                    * sixth;
+                let incr = (acc[l][idx] + k[l][idx]) * sixth;
                 // Implicit hyperdiffusion: exact exponential decay per step.
                 let mut next = (theta[l][idx] + incr) * self.grid.hyperdiff[idx];
                 if relax < 1.0 {
-                    let r = self.reference[l][idx];
+                    let r = reference.map_or(Complex::ZERO, |r| r[idx]);
                     next = r + (next - r) * relax;
                 }
                 theta[l][idx] = next;
@@ -282,6 +300,110 @@ mod tests {
 
     fn small_params() -> SqgParams {
         SqgParams { n: 16, ..Default::default() }
+    }
+
+    fn stepper_for(p: SqgParams) -> (Stepper, StepWorkspace) {
+        let ws = StepWorkspace::new(p.n);
+        (Stepper::new(p), ws)
+    }
+
+    /// The tendency as it was before two real fields shared a transform:
+    /// one full complex transform per real field (four inverse, one forward
+    /// per level), imaginary parts of the grid fields discarded. Kept as the
+    /// oracle for [`tendency`].
+    fn tendency_four_transform(
+        p: &SqgParams,
+        grid: &SpectralGrid,
+        theta: &[Vec<Complex>; LEVELS],
+    ) -> [Vec<Complex>; LEVELS] {
+        let n = grid.n;
+        let m = n * n;
+        let fwd = plan_cache::fft2(n, n, Direction::Forward);
+        let ifft = plan_cache::fft2(n, n, Direction::Inverse);
+        let mut psi = theta.clone();
+        invert(grid, theta, &mut psi);
+        let ubg = p.background_wind();
+        let bbar_y = p.mean_buoyancy_gradient();
+        let mut tend = theta.clone();
+        for l in 0..LEVELS {
+            let derivative = |field: &[Complex], along_x: bool, sign: f64| -> Vec<Complex> {
+                let mut d: Vec<Complex> = (0..m)
+                    .map(|idx| {
+                        let k = if along_x { grid.kx[idx % n] } else { grid.ky[idx / n] };
+                        Complex::new(0.0, sign * k) * field[idx]
+                    })
+                    .collect();
+                ifft.process(&mut d);
+                d
+            };
+            // u = -∂ψ/∂y, v = ∂ψ/∂x
+            let u = derivative(&psi[l], false, -1.0);
+            let v = derivative(&psi[l], true, 1.0);
+            let tx = derivative(&theta[l], true, 1.0);
+            let ty = derivative(&theta[l], false, 1.0);
+            let mut adv: Vec<Complex> = (0..m)
+                .map(|idx| Complex::from_re(u[idx].re * tx[idx].re + v[idx].re * ty[idx].re))
+                .collect();
+            fwd.process(&mut adv);
+            for idx in 0..m {
+                let ikx = Complex::new(0.0, grid.kx[idx % n]);
+                let mut dt = -(adv[idx] * grid.dealias_mask[idx]);
+                dt -= ikx * theta[l][idx] * ubg[l];
+                dt -= ikx * psi[l][idx] * bbar_y;
+                tend[l][idx] = dt;
+            }
+        }
+        if p.ekman != 0.0 {
+            for idx in 0..m {
+                let k2 = grid.kmag[idx] * grid.kmag[idx];
+                tend[0][idx] += psi[0][idx] * (p.ekman * k2);
+            }
+        }
+        tend
+    }
+
+    #[test]
+    fn packed_tendency_matches_four_transform_oracle() {
+        for ekman in [0.0, 0.05] {
+            let p = SqgParams { ekman, ..small_params() };
+            let n = p.n;
+            let (stepper, mut ws) = stepper_for(p.clone());
+            // Spun up: every resolved scale carries energy.
+            let mut theta = random_state(n, 0.05, 13);
+            for _ in 0..100 {
+                stepper.step(&mut theta, &mut ws);
+            }
+            let want = tendency_four_transform(&p, &stepper.grid, &theta);
+            let mut got = theta.clone();
+            let (fwd, ifft) = stepper.plans();
+            tendency(&p, &stepper.grid, fwd, ifft, &theta, &mut got, &mut ws.tend);
+            let scale = want.iter().flatten().map(|z| z.abs()).fold(0.0, f64::max);
+            assert!(scale > 0.0);
+            for l in 0..LEVELS {
+                for idx in 0..n * n {
+                    let err = (got[l][idx] - want[l][idx]).abs();
+                    assert!(err <= 1e-12 * scale, "ekman {ekman}, level {l}, mode {idx}: {err:e} of {scale:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_keeps_the_state_exactly_hermitian() {
+        // The Hermitian split returns conjugate-symmetric advection to the
+        // last bit and every other operation of a step commutes with
+        // conjugation, so a state built from grid fields never leaves the
+        // spectra-of-real-fields subspace the packed transforms assume.
+        let p = small_params();
+        let n = p.n;
+        let (stepper, mut ws) = stepper_for(p);
+        let mut st = random_state(n, 0.05, 31);
+        for _ in 0..20 {
+            stepper.step(&mut st, &mut ws);
+        }
+        for l in 0..LEVELS {
+            assert_eq!(crate::init::hermitian_defect_2d(&st[l], n), 0.0);
+        }
     }
 
     #[test]
@@ -345,9 +467,9 @@ mod tests {
     #[test]
     fn zero_state_is_fixed_point() {
         let p = small_params();
-        let mut stepper = Stepper::new(p.clone());
+        let (stepper, mut ws) = stepper_for(p.clone());
         let mut theta = [vec![Complex::ZERO; 256], vec![Complex::ZERO; 256]];
-        stepper.step(&mut theta);
+        stepper.step(&mut theta, &mut ws);
         assert!(theta[0].iter().chain(&theta[1]).all(|z| z.abs() < 1e-14));
     }
 
@@ -357,13 +479,13 @@ mod tests {
         // means of both levels are exact invariants.
         let p = small_params();
         let n = p.n;
-        let mut stepper = Stepper::new(p);
+        let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 0.05, 42);
         st[0][0] = Complex::from_re(7.0 * (n * n) as f64);
         let dc0 = st[0][0];
         let dc1 = st[1][0];
         for _ in 0..10 {
-            stepper.step(&mut st);
+            stepper.step(&mut st, &mut ws);
         }
         assert!((st[0][0] - dc0).abs() < 1e-9 * dc0.abs().max(1.0));
         assert!((st[1][0] - dc1).abs() < 1e-9);
@@ -403,10 +525,10 @@ mod tests {
     fn short_integration_stays_finite_and_real() {
         let p = small_params();
         let n = p.n;
-        let mut stepper = Stepper::new(p);
+        let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 0.05, 7);
         for _ in 0..50 {
-            stepper.step(&mut st);
+            stepper.step(&mut st, &mut ws);
         }
         let state = SqgState::from_spectral(n, st[0].clone(), st[1].clone());
         assert!(state.is_finite());
@@ -433,11 +555,11 @@ mod tests {
             ..Default::default()
         };
         let n = p.n;
-        let mut stepper = Stepper::new(p);
+        let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 0.05, 99);
         let v0 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
         for _ in 0..20 {
-            stepper.step(&mut st);
+            stepper.step(&mut st, &mut ws);
         }
         let v1 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
         assert!(
@@ -450,7 +572,7 @@ mod tests {
     fn hyperdiffusion_reduces_variance() {
         let p = SqgParams { n: 16, shear: 0.0, diff_efold: 900.0, ..Default::default() };
         let n = p.n;
-        let mut stepper = Stepper::new(p);
+        let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 0.05, 5);
         // Put energy at small scales so the hyperdiffusion bites.
         for l in 0..2 {
@@ -466,7 +588,7 @@ mod tests {
         let mut st = [sym.level(0).to_vec(), sym.level(1).to_vec()];
         let v0 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
         for _ in 0..10 {
-            stepper.step(&mut st);
+            stepper.step(&mut st, &mut ws);
         }
         let v1 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
         assert!(v1 < v0, "hyperdiffusion must dissipate variance: {v0} -> {v1}");
@@ -479,10 +601,10 @@ mod tests {
         let p = SqgParams { n: 16, shear: 0.0, tdiab: 9000.0, ..Default::default() };
         let n = p.n;
         let reference = random_state(n, 0.05, 21);
-        let mut stepper = Stepper::new(p.clone());
+        let (mut stepper, mut ws) = stepper_for(p.clone());
         stepper.set_reference(reference.clone());
         let mut st = [vec![Complex::ZERO; n * n], vec![Complex::ZERO; n * n]];
-        stepper.step(&mut st);
+        stepper.step(&mut st, &mut ws);
         // After one step: theta ≈ (1 - e^{-dt/tau}) * reference (plus tiny
         // advection of the relaxed increment next step; one step is clean).
         let frac = 1.0 - (-p.dt / p.tdiab).exp();
@@ -501,10 +623,10 @@ mod tests {
     fn relaxation_disabled_by_default() {
         let p = SqgParams { n: 16, shear: 0.0, ..Default::default() };
         let n = p.n;
-        let mut stepper = Stepper::new(p);
+        let (mut stepper, mut ws) = stepper_for(p);
         stepper.set_reference(random_state(n, 0.05, 22));
         let mut st = [vec![Complex::ZERO; n * n], vec![Complex::ZERO; n * n]];
-        stepper.step(&mut st);
+        stepper.step(&mut st, &mut ws);
         // tdiab = 0: the reference must not leak into the state.
         assert!(st[0].iter().chain(&st[1]).all(|z| z.abs() < 1e-14));
     }
@@ -515,11 +637,11 @@ mod tests {
         // should extract energy from the mean state (Eady growth).
         let p = SqgParams { n: 32, ..Default::default() };
         let n = p.n;
-        let mut stepper = Stepper::new(p);
+        let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 1e-4, 11);
         let v0 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
         for _ in 0..200 {
-            stepper.step(&mut st);
+            stepper.step(&mut st, &mut ws);
         }
         let v1 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
         assert!(v1 > 1.5 * v0, "expected baroclinic growth: {v0} -> {v1}");

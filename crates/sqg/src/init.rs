@@ -77,9 +77,7 @@ pub fn hermitian_defect_2d(spec: &[Complex], n: usize) -> f64 {
     let mut worst = 0.0f64;
     for i in 0..n {
         for j in 0..n {
-            let ci = (n - i) % n;
-            let cj = (n - j) % n;
-            let d = (spec[i * n + j] - spec[ci * n + cj].conj()).abs();
+            let d = (spec[i * n + j] - spec[fft::real::conj_index(i, j, n, n)].conj()).abs();
             worst = worst.max(d);
         }
     }

@@ -1,21 +1,54 @@
 //! High-level model interface used by the DA framework.
 
-use crate::dynamics::Stepper;
+use crate::dynamics::{StepWorkspace, Stepper};
 use crate::init;
 use crate::params::SqgParams;
-use crate::state::SqgState;
+use crate::state::{self, SqgState, LEVELS};
+use fft::Complex;
 
-/// The SQG forecast model: owns the stepper (FFT plans + scratch) and
-/// advances grid-space state vectors, which is the representation the DA
-/// filters exchange.
+/// The SQG forecast model: owns the stepper's shared tables and the calling
+/// thread's workspace, and advances grid-space state vectors, which is the
+/// representation the DA filters exchange.
 pub struct SqgModel {
     stepper: Stepper,
+    workspace: MemberWorkspace,
+}
+
+/// What one worker needs to forecast a member without allocating: the
+/// member's spectral state (2 grids) and the step workspace (9 grids).
+struct MemberWorkspace {
+    theta: [Vec<Complex>; LEVELS],
+    step: StepWorkspace,
+}
+
+impl MemberWorkspace {
+    fn new(n: usize) -> Self {
+        let z = vec![Complex::ZERO; n * n];
+        MemberWorkspace { theta: [z.clone(), z], step: StepWorkspace::new(n) }
+    }
+}
+
+/// Advances one grid-space member by `steps` model steps: load (one forward
+/// transform), step, store (one inverse transform), all in `ws`. A pure
+/// function of `member`; `ws` carries nothing between calls.
+// lint: no_alloc
+fn forecast_member(stepper: &Stepper, ws: &mut MemberWorkspace, member: &mut [f64], steps: usize) {
+    let (fwd, inv) = stepper.plans();
+    let (bottom, top) = member.split_at_mut(stepper.grid.n * stepper.grid.n);
+    let (pair, scratch) = ws.step.pair_buffers();
+    state::load_fields(fwd, bottom, top, &mut ws.theta, pair, scratch);
+    for _ in 0..steps {
+        stepper.step(&mut ws.theta, &mut ws.step);
+    }
+    let (pair, scratch) = ws.step.pair_buffers();
+    state::store_fields(inv, &ws.theta, bottom, top, pair, scratch);
 }
 
 impl SqgModel {
     /// Creates a model for the given parameters.
     pub fn new(params: SqgParams) -> Self {
-        SqgModel { stepper: Stepper::new(params) }
+        let workspace = MemberWorkspace::new(params.n);
+        SqgModel { stepper: Stepper::new(params), workspace }
     }
 
     /// Model parameters.
@@ -31,21 +64,64 @@ impl SqgModel {
     /// Advances a spectral state `steps` model steps in place.
     pub fn step_spectral(&mut self, state: &mut SqgState, steps: usize) {
         for _ in 0..steps {
-            self.stepper.step(state.levels_mut());
+            self.stepper.step(state.levels_mut(), &mut self.workspace.step);
         }
     }
 
     /// Advances a flat grid-space state vector by `steps` model steps.
     ///
-    /// Convenience wrapper for DA: converts to spectral space, integrates,
-    /// converts back. For member loops prefer doing the conversion once if
-    /// profiling shows it matters (it is ~2 extra FFT pairs per call).
+    /// # Panics
+    /// Panics if `state.len() != 2 n²`.
     pub fn forecast(&mut self, state: &mut [f64], steps: usize) {
-        let n = self.stepper.params.n;
-        let mut spec = SqgState::from_state_vector(n, state);
-        self.step_spectral(&mut spec, steps);
-        let out = spec.to_state_vector();
-        state.copy_from_slice(&out);
+        assert_eq!(state.len(), self.state_dim(), "state vector must have 2 n^2 entries");
+        forecast_member(&self.stepper, &mut self.workspace, state, steps);
+    }
+
+    /// Advances every member of a member-major batch (`members.len()` a
+    /// multiple of `2 n²`) by `steps` model steps, members in parallel.
+    ///
+    /// Each of `min(available cores, members)` workers takes a contiguous
+    /// block of members; the calling thread is the first worker. A member's
+    /// forecast is a pure function of its state, so the result is bitwise
+    /// that of calling [`SqgModel::forecast`] member by member, whatever the
+    /// core count.
+    pub fn forecast_batch(&mut self, members: &mut [f64], steps: usize) {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        self.forecast_batch_on(members, steps, cores);
+    }
+
+    /// [`SqgModel::forecast_batch`] on at most `workers` workers (the tests
+    /// vary the count; callers derive it from the machine).
+    pub(crate) fn forecast_batch_on(&mut self, members: &mut [f64], steps: usize, workers: usize) {
+        let dim = self.state_dim();
+        assert_eq!(members.len() % dim, 0, "batch must hold whole 2 n^2 members");
+        let count = members.len() / dim;
+        if count == 0 {
+            return;
+        }
+        let per_worker = count.div_ceil(workers.clamp(1, count));
+        let stepper = &self.stepper;
+        let run = |block: &mut [f64], ws: &mut MemberWorkspace| {
+            for member in block.chunks_mut(dim) {
+                forecast_member(stepper, ws, member, steps);
+            }
+        };
+        let path = telemetry::span_path();
+        std::thread::scope(|scope| {
+            let (first, rest) = members.split_at_mut(per_worker * dim);
+            for block in rest.chunks_mut(per_worker * dim) {
+                let (run, path) = (&run, &path);
+                // A spawned worker builds its workspace on its own thread and
+                // drops it with the call: resident while members are
+                // forecast, gone before the analysis allocates (which sets
+                // the process's peak RSS).
+                scope.spawn(move || {
+                    let _path = path.adopt();
+                    run(block, &mut MemberWorkspace::new(stepper.params.n));
+                });
+            }
+            run(first, &mut self.workspace);
+        });
     }
 
     /// Number of model steps per `hours` of simulated time.
@@ -103,6 +179,61 @@ mod tests {
         m1.forecast(&mut v1, 5);
         m2.forecast(&mut v2, 5);
         assert_eq!(v1, v2);
+    }
+
+    /// `members` perturbed copies of one spun-up n = 16 state, member-major.
+    fn batch(members: usize) -> Vec<f64> {
+        let base = init::random_large_scale(16, 0.05, 3);
+        (0..members)
+            .flat_map(|m| init::perturb(&base, 0.01, 100 + m as u64).to_state_vector())
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn batch_forecast_is_bitwise_the_member_loop_for_any_worker_count() {
+        let p = SqgParams { n: 16, ..Default::default() };
+        let dim = p.state_dim();
+        for members in [1, 2, 3, 20] {
+            let ic = batch(members);
+            let mut want = ic.clone();
+            let mut serial = SqgModel::new(p.clone());
+            for member in want.chunks_mut(dim) {
+                serial.forecast(member, 6);
+            }
+            for workers in [1, 2, 3, 7] {
+                let mut got = ic.clone();
+                SqgModel::new(p.clone()).forecast_batch_on(&mut got, 6, workers);
+                assert_eq!(bits(&got), bits(&want), "{members} members on {workers} workers");
+            }
+            let mut got = ic;
+            SqgModel::new(p.clone()).forecast_batch(&mut got, 6);
+            assert_eq!(bits(&got), bits(&want), "{members} members on the derived worker count");
+        }
+    }
+
+    #[test]
+    fn workspaces_carry_no_state_between_calls() {
+        let p = SqgParams { n: 16, ..Default::default() };
+        let (first, second) = (batch(5), batch(3));
+        let mut reused = SqgModel::new(p.clone());
+        let (mut a, mut b) = (first.clone(), second.clone());
+        reused.forecast_batch_on(&mut a, 4, 3);
+        reused.forecast_batch_on(&mut b, 4, 2);
+        let (mut a_fresh, mut b_fresh) = (first, second);
+        SqgModel::new(p.clone()).forecast_batch_on(&mut a_fresh, 4, 3);
+        SqgModel::new(p).forecast_batch_on(&mut b_fresh, 4, 2);
+        assert_eq!(bits(&a), bits(&a_fresh));
+        assert_eq!(bits(&b), bits(&b_fresh));
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let mut m = SqgModel::new(SqgParams { n: 16, ..Default::default() });
+        m.forecast_batch(&mut [], 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! boundary levels, with conversions to/from the flat grid-space state
 //! vector the DA filters operate on.
 
-use fft::{plan_cache, Complex, Direction};
+use fft::{plan_cache, real, Complex, Direction, Fft2, Fft2Scratch};
 
 /// Number of vertical levels (the two boundaries of the Eady model).
 pub const LEVELS: usize = 2;
@@ -53,40 +53,29 @@ impl SqgState {
 
     /// Converts grid-space fields (row-major, one per level) to a state.
     ///
-    /// FFT plans come from the shared [`fft::plan_cache`], so repeated
-    /// conversions (once per member per DA cycle) reuse one plan.
+    /// Both levels ride one forward transform (see [`load_fields`]); the
+    /// resulting spectra are exactly Hermitian.
     pub fn from_grid(n: usize, grid: &[Vec<f64>; LEVELS]) -> Self {
-        let fwd = plan_cache::fft2(n, n, Direction::Forward);
-        let mut levels: [Vec<Complex>; LEVELS] =
-            [vec![Complex::ZERO; n * n], vec![Complex::ZERO; n * n]];
-        for (l, g) in grid.iter().enumerate() {
-            assert_eq!(g.len(), n * n);
-            for (z, &x) in levels[l].iter_mut().zip(g) {
-                *z = Complex::from_re(x);
-            }
-            fwd.process(&mut levels[l]);
-        }
-        SqgState { n, levels }
+        Self::from_fields(n, &grid[0], &grid[1])
     }
 
-    /// Converts the spectral state to grid-space fields.
+    /// Converts the spectral state to grid-space fields (one inverse
+    /// transform for both levels).
     pub fn to_grid(&self) -> [Vec<f64>; LEVELS] {
-        let inv = plan_cache::fft2(self.n, self.n, Direction::Inverse);
-        let mut out: [Vec<f64>; LEVELS] = [Vec::new(), Vec::new()];
-        for (l, spec) in self.levels.iter().enumerate() {
-            let mut buf = spec.clone();
-            inv.process(&mut buf);
-            out[l] = buf.into_iter().map(|z| z.re).collect();
-        }
+        let m = self.n * self.n;
+        let mut out = [vec![0.0; m], vec![0.0; m]];
+        let [bottom, top] = &mut out;
+        self.store(bottom, top);
         out
     }
 
     /// Flattens to the DA state vector: bottom grid field then top grid
     /// field, `2 n²` values.
     pub fn to_state_vector(&self) -> Vec<f64> {
-        let [b, t] = self.to_grid();
-        let mut v = b;
-        v.extend_from_slice(&t);
+        let m = self.n * self.n;
+        let mut v = vec![0.0; 2 * m];
+        let (bottom, top) = v.split_at_mut(m);
+        self.store(bottom, top);
         v
     }
 
@@ -96,9 +85,22 @@ impl SqgState {
     /// Panics if `v.len() != 2 n²`.
     pub fn from_state_vector(n: usize, v: &[f64]) -> Self {
         assert_eq!(v.len(), 2 * n * n, "state vector must have 2 n^2 entries");
-        let bottom = v[..n * n].to_vec();
-        let top = v[n * n..].to_vec();
-        SqgState::from_grid(n, &[bottom, top])
+        let (bottom, top) = v.split_at(n * n);
+        Self::from_fields(n, bottom, top)
+    }
+
+    fn from_fields(n: usize, bottom: &[f64], top: &[f64]) -> Self {
+        let mut state = SqgState::zeros(n);
+        let fwd = plan_cache::fft2(n, n, Direction::Forward);
+        let mut pair = vec![Complex::ZERO; n * n];
+        load_fields(&fwd, bottom, top, &mut state.levels, &mut pair, &mut Fft2Scratch::new());
+        state
+    }
+
+    fn store(&self, bottom: &mut [f64], top: &mut [f64]) {
+        let inv = plan_cache::fft2(self.n, self.n, Direction::Inverse);
+        let mut pair = vec![Complex::ZERO; self.n * self.n];
+        store_fields(&inv, &self.levels, bottom, top, &mut pair, &mut Fft2Scratch::new());
     }
 
     /// Mean (domain-averaged) buoyancy of each level, read off the DC mode.
@@ -125,6 +127,41 @@ impl SqgState {
     pub fn is_finite(&self) -> bool {
         self.levels.iter().all(|spec| spec.iter().all(|z| z.is_finite()))
     }
+}
+
+/// Grid fields → spectral levels with one forward transform: the two real
+/// fields are packed as `bottom + i·top` in `pair`, transformed, and separated
+/// by the Hermitian split. `pair` is an `n²` work buffer.
+// lint: no_alloc
+pub(crate) fn load_fields(
+    fwd: &Fft2,
+    bottom: &[f64],
+    top: &[f64],
+    levels: &mut [Vec<Complex>; LEVELS],
+    pair: &mut [Complex],
+    scratch: &mut Fft2Scratch,
+) {
+    real::pack_pair(bottom, top, pair);
+    fwd.process_with_scratch(pair, scratch);
+    let [l0, l1] = levels;
+    real::split_pair(pair, fwd.rows(), fwd.cols(), l0, l1);
+}
+
+/// Spectral levels → grid fields with one inverse transform of
+/// `θ̂₀ + i·θ̂₁`. The levels must be Hermitian (spectra of real fields), as
+/// every state built from grid fields and advanced by the stepper is.
+// lint: no_alloc
+pub(crate) fn store_fields(
+    inv: &Fft2,
+    levels: &[Vec<Complex>; LEVELS],
+    bottom: &mut [f64],
+    top: &mut [f64],
+    pair: &mut [Complex],
+    scratch: &mut Fft2Scratch,
+) {
+    real::pack_spectra(&levels[0], &levels[1], pair);
+    inv.process_with_scratch(pair, scratch);
+    real::unpack_pair(pair, bottom, top);
 }
 
 #[cfg(test)]

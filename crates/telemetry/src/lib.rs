@@ -51,7 +51,7 @@ pub use json::Json;
 pub use metrics::{
     counter_add, counter_value, gauge_set, gauge_value, histogram_record, HistogramSnapshot,
 };
-pub use span::{span_enter, span_snapshot, SpanGuard, SpanStat};
+pub use span::{span_enter, span_path, span_snapshot, SpanGuard, SpanPath, SpanStat};
 pub use trace::{chrome_trace, TraceEvent};
 
 /// Tri-state enable flag: 0 = unresolved, 1 = disabled, 2 = enabled.

@@ -119,6 +119,51 @@ impl Drop for SpanGuard {
     }
 }
 
+/// A thread's active span path, captured by [`span_path`] so that a worker
+/// it spawns can open its spans under the same parent.
+///
+/// Span nesting is a per-thread stack; without this, a span opened in a
+/// spawned worker would record at the root while the same span opened on
+/// the spawning thread records under its parents — paths would depend on
+/// how many workers a call happened to use.
+#[derive(Debug)]
+pub struct SpanPath(Vec<&'static str>);
+
+/// Captures the calling thread's active span path (empty when telemetry is
+/// disabled: one relaxed load, no allocation).
+#[inline]
+pub fn span_path() -> SpanPath {
+    if !crate::enabled() {
+        return SpanPath(Vec::new());
+    }
+    SpanPath(SPAN_STACK.with(|stack| stack.borrow().clone()))
+}
+
+impl SpanPath {
+    /// Makes the captured path this thread's span parents until the guard
+    /// drops. Nothing is recorded for the adoption itself.
+    pub fn adopt(&self) -> AdoptedPath {
+        SPAN_STACK.with(|stack| stack.borrow_mut().extend_from_slice(&self.0));
+        AdoptedPath { len: self.0.len() }
+    }
+}
+
+/// Guard returned by [`SpanPath::adopt`]; pops the adopted path on drop.
+#[must_use = "the adopted path is dropped with the guard"]
+pub struct AdoptedPath {
+    len: usize,
+}
+
+impl Drop for AdoptedPath {
+    fn drop(&mut self) {
+        SPAN_STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            let keep = stack.len().saturating_sub(self.len);
+            stack.truncate(keep);
+        });
+    }
+}
+
 /// Snapshot of all recorded span statistics, sorted by path.
 pub fn span_snapshot() -> Vec<SpanStat> {
     let mut out = Vec::new();
@@ -166,6 +211,47 @@ mod tests {
         assert_eq!(inner.count, 3);
         assert!(outer.total_secs >= inner.total_secs, "parent covers children");
         assert!(inner.min_secs <= inner.max_secs);
+    }
+
+    #[test]
+    fn spawned_worker_adopts_its_spawners_path() {
+        let _lock = crate::TEST_LOCK.lock();
+        crate::set_enabled(true);
+        reset_spans();
+        {
+            let _parent = crate::span!("adopt_parent");
+            let path = span_path();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _path = path.adopt();
+                    let _child = crate::span!("child");
+                });
+            });
+            // The spawner's own stack is untouched by the worker.
+            let _sibling = crate::span!("sibling");
+        }
+        let snap = span_snapshot();
+        let paths: Vec<&str> = snap.iter().map(|s| s.path.as_str()).collect();
+        assert!(paths.contains(&"adopt_parent.child"), "{paths:?}");
+        assert!(paths.contains(&"adopt_parent.sibling"), "{paths:?}");
+        assert!(!paths.contains(&"child"), "worker span rooted at the top: {paths:?}");
+    }
+
+    #[test]
+    fn adoption_while_disabled_records_nothing() {
+        let _lock = crate::TEST_LOCK.lock();
+        crate::set_enabled(true);
+        reset_spans();
+        crate::set_enabled(false);
+        let path = span_path();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _path = path.adopt();
+                let _child = crate::span!("ghost_child");
+            });
+        });
+        crate::set_enabled(true);
+        assert!(span_snapshot().is_empty(), "{:?}", span_snapshot());
     }
 
     #[test]
