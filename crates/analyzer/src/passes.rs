@@ -299,7 +299,7 @@ const RNG_CONSTRUCTORS: &[&str] =
     &["seed_from_u64", "from_seed", "from_rng", "from_os_rng", "from_entropy", "thread_rng"];
 
 /// Seed-derivation fns that make a `seeded(...)` call stream-disciplined.
-const STREAM_DERIVERS: &[&str] = &["split_seed", "member_rng", "tile_rng"];
+const STREAM_DERIVERS: &[&str] = &["split_seed", "member_rng"];
 
 /// Determinism dataflow: `hash-float-fold` and `rng-stream-discipline`.
 fn determinism_dataflow(files: &[FileFacts], report: &mut WorkspaceReport) {
@@ -515,10 +515,10 @@ fn hash_bindings(tokens: &[Token], sig: usize, open: usize, close: usize) -> BTr
 }
 
 /// `rng-stream-discipline`: in `dist`/`ensf` library code, RNGs must come
-/// from the seeded per-(particle,tile) stream API. Raw constructors
+/// from the seeded per-particle stream API. Raw constructors
 /// (`StdRng::seed_from_u64`, `from_entropy`, `thread_rng`, ...) and
 /// `seeded(...)` calls whose seed is not derived through
-/// `split_seed`/`member_rng`/`tile_rng` are flagged: a raw or shared stream
+/// `split_seed`/`member_rng` are flagged: a raw or shared stream
 /// either breaks run-to-run reproducibility or correlates particles.
 fn rng_stream_discipline(f: &FileFacts, report: &mut WorkspaceReport) {
     for i in 0..f.tokens.len() {
@@ -535,7 +535,7 @@ fn rng_stream_discipline(f: &FileFacts, report: &mut WorkspaceReport) {
                 t.line,
                 t.col,
                 format!("raw RNG construction `{}` bypasses the seeded stream API", t.text),
-                "derive streams with stats::rng::{member_rng, split_seed + seeded} (or dist's tile_rng) so every (particle, tile) draw is replicated on all ranks",
+                "derive streams with stats::rng::{member_rng, split_seed + seeded} so every particle's draws depend on its global index alone",
             );
             continue;
         }
@@ -556,7 +556,7 @@ fn rng_stream_discipline(f: &FileFacts, report: &mut WorkspaceReport) {
                     t.line,
                     t.col,
                     "`seeded(...)` without a derived child seed shares one stream across particles/tiles".to_string(),
-                    "derive the seed with split_seed(parent, stream) (or use member_rng/tile_rng) so streams stay decorrelated and rank-layout invariant",
+                    "derive the seed with split_seed(parent, stream) (or use member_rng) so streams stay decorrelated and rank-layout invariant",
                 );
             }
         }

@@ -1,17 +1,22 @@
-//! Scaling study of the state-sharded distributed EnSF analysis.
+//! Scaling study of the particle-sharded distributed EnSF analysis.
 //!
 //! Measures the `crates/dist` sharded analysis at 1/2/4/8/16 simulated
 //! ranks with the sequential per-rank-timed driver
-//! ([`dist::measure_analysis`]): every rank's compute is timed in
-//! isolation on this machine's single core, the analysis wall time is the
-//! slowest rank's compute, and the allgather exchanges are priced with the
-//! α–β collective model so compute and communication stay separate in the
-//! report.
+//! ([`dist::measure_analysis`]): every rank's share (prepare + its particle
+//! block) is timed in isolation, the analysis wall time is the slowest
+//! rank's compute, and the one allgather is priced with the α–β collective
+//! model so compute and communication stay separate in the report. These
+//! are *modeled* multi-rank times: real rank threads on this machine's two
+//! cores measure parity with the serial filter, not the speedups below.
 //!
 //! * **Strong scaling** — paper-scale analysis (`P = 20`, `d = 8192`,
-//!   tile 64, 100 reverse-SDE steps) split over more ranks: wall time
-//!   should drop near-linearly until per-rank tiles run out.
-//! * **Weak scaling** — `d = 1024` per rank: wall time should stay flat.
+//!   100 reverse-SDE steps) split over more ranks. Ranks own whole
+//!   particles, so the ceiling is `P / ⌈P/R⌉`: 2×, 4×, 6.7× (8 ranks hold
+//!   3, 3, 3, 3, 2, 2, 2, 2) and 10× at 16.
+//! * **Weak scaling** — `d = 1024` per rank at fixed `P`: a rank's block
+//!   shrinks as the state grows, so wall time stays near flat until blocks
+//!   stop shrinking evenly (`⌈P/R⌉` particles of an `R`-times larger
+//!   state: 1.2× the work at 8 ranks, 1.6× at 16).
 //!
 //! The numerics are rank-count invariant (bitwise — see
 //! `tests/dist_determinism.rs`), so every row of the study computes the
@@ -23,20 +28,20 @@
 //! Run: `cargo run --release -p bench --bin scaling_suite`
 
 use bench::{bar, header, Json};
+use dist::cycle::DEFAULT_TILE;
 use dist::{measure_analysis, ScalingMeasurement};
 use ensf::EnsfConfig;
 
 /// Runs `reps` measurements and keeps the one with the median wall time.
 fn median_measurement(
     dim: usize,
-    tile: usize,
     members: usize,
     config: &EnsfConfig,
     ranks: usize,
     reps: usize,
 ) -> ScalingMeasurement {
     let mut runs: Vec<ScalingMeasurement> = (0..reps)
-        .map(|_| measure_analysis(dim, tile, members, config, ranks, 7))
+        .map(|_| measure_analysis(dim, DEFAULT_TILE, members, config, ranks, 7))
         .collect();
     runs.sort_by(|a, b| a.analysis_secs.partial_cmp(&b.analysis_secs).unwrap());
     runs.swap_remove(runs.len() / 2)
@@ -58,13 +63,12 @@ fn measurement_json(m: &ScalingMeasurement, speedup: f64) -> Json {
 
 fn strong_scaling(
     dim: usize,
-    tile: usize,
     members: usize,
     config: &EnsfConfig,
     rank_counts: &[usize],
     reps: usize,
 ) -> Json {
-    println!("strong scaling: P = {members}, d = {dim}, tile {tile}, {} SDE steps", config.n_steps);
+    println!("strong scaling: P = {members}, d = {dim}, {} SDE steps", config.n_steps);
     println!(
         "{:>6} {:>12} {:>9} {:>11} {:>12}",
         "ranks", "analysis", "speedup", "comm", ""
@@ -72,7 +76,7 @@ fn strong_scaling(
     let mut t1 = 0.0f64;
     let mut rows = Vec::new();
     for &ranks in rank_counts {
-        let m = median_measurement(dim, tile, members, config, ranks, reps);
+        let m = median_measurement(dim, members, config, ranks, reps);
         if ranks == rank_counts[0] {
             t1 = m.analysis_secs;
         }
@@ -92,18 +96,17 @@ fn strong_scaling(
 
 fn weak_scaling(
     dim_per_rank: usize,
-    tile: usize,
     members: usize,
     config: &EnsfConfig,
     rank_counts: &[usize],
     reps: usize,
 ) -> Json {
-    println!("\nweak scaling: P = {members}, d = {dim_per_rank} per rank, tile {tile}");
+    println!("\nweak scaling: P = {members}, d = {dim_per_rank} per rank");
     println!("{:>6} {:>9} {:>12} {:>11} {:>11}", "ranks", "dim", "analysis", "comm", "eff");
     let mut t1 = 0.0f64;
     let mut rows = Vec::new();
     for &ranks in rank_counts {
-        let m = median_measurement(dim_per_rank * ranks, tile, members, config, ranks, reps);
+        let m = median_measurement(dim_per_rank * ranks, members, config, ranks, reps);
         if ranks == rank_counts[0] {
             t1 = m.analysis_secs;
         }
@@ -128,16 +131,16 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_scaling.json".to_string());
 
-    header("scaling_suite", "State-sharded distributed EnSF analysis scaling study");
-    println!("sequential per-rank timing on one core; comm priced by the α–β model\n");
+    header("scaling_suite", "Particle-sharded distributed EnSF analysis scaling study");
+    println!("sequential per-rank timing; the one gather priced by the α–β model\n");
 
-    let (dim, tile, members, n_steps, dim_per_rank, reps): (usize, usize, usize, usize, usize, usize) =
-        if quick { (512, 64, 8, 5, 256, 1) } else { (8192, 64, 20, 100, 1024, 3) };
+    let (dim, members, n_steps, dim_per_rank, reps): (usize, usize, usize, usize, usize) =
+        if quick { (512, 8, 5, 256, 1) } else { (8192, 20, 100, 1024, 3) };
     let rank_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8, 16] };
     let config = EnsfConfig { n_steps, seed: 9, ..Default::default() };
 
-    let strong = strong_scaling(dim, tile, members, &config, rank_counts, reps);
-    let weak = weak_scaling(dim_per_rank, tile, members, &config, rank_counts, reps);
+    let strong = strong_scaling(dim, members, &config, rank_counts, reps);
+    let weak = weak_scaling(dim_per_rank, members, &config, rank_counts, reps);
 
     println!("\nthe decomposition is bitwise rank-count invariant, so every row");
     println!("computes the same analysis (tests/dist_determinism.rs proves it).");
@@ -151,7 +154,6 @@ fn main() {
             Json::obj(vec![
                 ("strong", strong),
                 ("weak", weak),
-                ("tile", Json::from(tile as u64)),
                 ("n_steps", Json::from(n_steps as u64)),
             ]),
         ),

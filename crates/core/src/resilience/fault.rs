@@ -64,18 +64,15 @@ pub struct AnalysisFault {
     pub failures: usize,
 }
 
-/// A scripted rank death in the distributed runtime: the victim registers
-/// itself dead at its scripted point inside `cycle`'s analysis, after
-/// contributing to `after_steps` SDE-step exchanges (0 = before the first
-/// one), so survivors observe the failure mid-collective.
+/// A scripted rank death in the distributed runtime: the victim forecasts
+/// `cycle` and registers itself dead instead of entering the analysis, so
+/// survivors observe the failure inside the cycle's one gather.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankKill {
     /// Zero-based cycle during whose analysis the rank dies.
     pub cycle: usize,
     /// World rank of the victim.
     pub rank: usize,
-    /// SDE-step exchanges the victim completes before dying.
-    pub after_steps: usize,
 }
 
 /// A scripted rank rejoin: at the start of `cycle` the coordinator grants
@@ -275,7 +272,7 @@ mod tests {
         assert!(!plan().is_empty());
         assert!(!FaultPlan { kill_after: Some(3), ..FaultPlan::none() }.is_empty());
         assert!(!FaultPlan {
-            rank_kills: vec![RankKill { cycle: 1, rank: 0, after_steps: 0 }],
+            rank_kills: vec![RankKill { cycle: 1, rank: 0 }],
             ..FaultPlan::none()
         }
         .is_empty());
@@ -285,8 +282,8 @@ mod tests {
     fn membership_tracks_kills_and_rejoins() {
         let p = FaultPlan {
             rank_kills: vec![
-                RankKill { cycle: 2, rank: 1, after_steps: 0 },
-                RankKill { cycle: 6, rank: 1, after_steps: 1 },
+                RankKill { cycle: 2, rank: 1 },
+                RankKill { cycle: 6, rank: 1 },
             ],
             rank_rejoins: vec![RankRejoin { cycle: 5, rank: 1 }],
             ..FaultPlan::none()
@@ -301,7 +298,7 @@ mod tests {
         // Killed again at cycle 6: gone from cycle 7 on.
         assert_eq!(p.membership_at(6, 4), vec![0, 1, 2, 3]);
         assert_eq!(p.membership_at(7, 4), vec![0, 2, 3]);
-        assert_eq!(p.rank_kill_at(2, 1), Some(RankKill { cycle: 2, rank: 1, after_steps: 0 }));
+        assert_eq!(p.rank_kill_at(2, 1), Some(RankKill { cycle: 2, rank: 1 }));
         assert_eq!(p.rank_kill_at(2, 0), None);
         assert_eq!(p.rank_rejoin_of(1), Some(RankRejoin { cycle: 5, rank: 1 }));
         assert_eq!(p.rank_rejoin_of(2), None);

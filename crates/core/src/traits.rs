@@ -112,8 +112,8 @@ pub enum Completion {
 /// error are the spec; [`Completion`] says how a partial network's vector
 /// is made dense. Pure guidance masking — score-only diffusion on masked
 /// pixels — remains available as the spec's own operator
-/// ([`ObsSpec::operator_on`]), which the sharded runtime partitions per
-/// tile.
+/// ([`ObsSpec::operator`]), which is what the sharded runtime assimilates
+/// through.
 ///
 /// The mask's cycle index is the filter's analysis-cycle counter, so
 /// moving-track masks stay aligned with the OSSE as long as the scheme

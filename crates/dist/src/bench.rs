@@ -1,21 +1,19 @@
-//! Sequential per-rank-timed driver for the scaling study.
+//! Per-rank block timing for the scaling study.
 //!
-//! The container running CI has a single core, so actually threading the
-//! ranks would time-slice them and hide any scaling signal. This driver
-//! instead runs all ranks of one sharded analysis **sequentially**,
-//! interleaving them step by step exactly as the real exchange would, and
-//! measures each rank's compute in isolation — the same "each rank's wall
-//! time is measured independently" idiom the Fig. 10 study in
-//! [`ensf::parallel`] uses. The analysis wall time of an `R`-rank run is
-//! then the slowest rank's compute (ranks proceed in lockstep between
-//! allgathers); communication is priced separately through the α–β
+//! Threading the ranks on a CI container with one or two cores would
+//! time-slice them and hide any scaling signal. This driver instead runs
+//! every rank's share of one sharded analysis **sequentially** and times
+//! each in isolation — the same "each rank's wall time is measured
+//! independently" idiom the Fig. 10 study uses. Ranks only meet at the one
+//! gather, so the analysis wall time of an `R`-rank run is the slowest
+//! rank's compute; the gather is priced separately through the α–β
 //! collective model so the two contributions stay legible in
 //! `BENCH_scaling.json`.
 
-use crate::analysis::{CommStats, CommSpec, ShardKernel};
-use crate::shard::ShardPlan;
-use ensf::{EnsfConfig, ObsSpec, TimeGrid};
-use hpc::{collective_with_retry, Collective};
+use crate::analysis::{model_collective, CommSpec, CommStats};
+use ensf::parallel::{BlockAnalysis, RankPlan};
+use ensf::{EnsfConfig, ObsSpec};
+use hpc::Collective;
 use stats::gaussian::fill_standard_normal;
 use stats::rng::member_rng;
 use stats::Ensemble;
@@ -36,23 +34,33 @@ pub struct ScalingMeasurement {
     pub per_rank_secs: Vec<f64>,
     /// Sum of all ranks' compute (the serial-equivalent work).
     pub total_cpu_secs: f64,
-    /// Modeled allgather time across the whole analysis (α–β model;
-    /// zero for a single rank, which exchanges nothing).
+    /// Modeled time of the analysis' one allgather (α–β model; zero for a
+    /// single rank, which exchanges nothing).
     pub modeled_comm_secs: f64,
-    /// Collective accounting (counts the per-step partial exchanges).
+    /// Collective accounting (one gather per analysis).
     pub stats: CommStats,
 }
 
-/// Runs one sharded analysis with all ranks interleaved sequentially and
-/// each rank's compute timed independently. The numerics are identical to
-/// [`crate::dist_analyze`] (same kernels, same exchange protocol), so the
-/// timing exercises exactly the production code path.
+fn synthetic_forecast(members: usize, dim: usize, seed: u64) -> Ensemble {
+    let mut forecast = Ensemble::zeros(members, dim);
+    for m in 0..members {
+        let mut rng = member_rng(seed, m);
+        fill_standard_normal(&mut rng, forecast.member_mut(m));
+    }
+    forecast
+}
+
+/// Times each rank's share of one sharded analysis — preparing from the
+/// replicated forecast and integrating its [`RankPlan`] block, exactly what
+/// [`crate::dist_analyze`] runs before the gather — one rank after another.
+/// The replicated spread relaxation (a few passes over `P x d`) is not
+/// timed. `_tile` is ignored: ranks own particles.
 ///
 /// # Panics
-/// Panics on invalid configuration (see [`ShardKernel::new`]).
+/// Panics on an invalid filter configuration.
 pub fn measure_analysis(
     dim: usize,
-    tile: usize,
+    _tile: usize,
     members: usize,
     config: &EnsfConfig,
     ranks: usize,
@@ -60,82 +68,37 @@ pub fn measure_analysis(
 ) -> ScalingMeasurement {
     // Synthetic forecast ensemble and observation: the kernels' cost is
     // data-independent, so any well-scaled input measures the real thing.
-    let mut forecast = Ensemble::zeros(members, dim);
-    for m in 0..members {
-        let mut rng = member_rng(seed, m);
-        fill_standard_normal(&mut rng, forecast.member_mut(m));
-    }
+    let forecast = synthetic_forecast(members, dim, seed);
     let y = vec![0.1; dim];
-    let obs = ObsSpec::identity(0.3);
+    let operator = ObsSpec::identity(0.3).operator(dim, 0);
 
-    let plan = ShardPlan::new(dim, tile, ranks);
-    let mut kernels: Vec<ShardKernel> = (0..ranks)
-        .map(|r| ShardKernel::new(&plan, r, config, 0, &forecast, &y, &obs))
+    let per_rank_secs: Vec<f64> = RankPlan::new(members, ranks)
+        .blocks
+        .iter()
+        .map(|&(start, end)| {
+            let t0 = Instant::now();
+            let prepared = BlockAnalysis::prepare(config, 0, &forecast, &y, &operator);
+            std::hint::black_box(prepared.run_block(start..end));
+            t0.elapsed().as_secs_f64()
+        })
         .collect();
-    let times = TimeGrid::LogSpaced.points(&config.schedule, config.n_steps);
-    let pj = kernels[0].partials_per_tile();
-    let n_tiles = plan.n_tiles();
-    let exchanged_bytes = (n_tiles * pj * 8) as u64;
-    let spec = CommSpec::clean(ranks);
 
-    let mut per_rank_secs = vec![0.0; ranks];
+    // The gather: modeled, not executed (ranks share an address space
+    // here); a single rank exchanges nothing, so nothing is priced.
     let mut stats = CommStats::default();
-    let mut full = vec![0.0; n_tiles * pj];
+    let spec = (ranks > 1).then(|| CommSpec::clean(ranks));
+    let bytes = (members * dim * 8) as u64;
+    // INVARIANT: a clean spec cannot exhaust the retry budget.
+    model_collective(spec.as_ref(), &mut stats, Collective::AllGather, ranks, bytes)
+        .expect("clean collective cannot fail");
 
-    for win in times.windows(2) {
-        // Phase 1: every rank computes its tile partials (timed per rank).
-        let mut offset = 0;
-        for (r, kernel) in kernels.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            let partials = kernel.tile_partials(win[0]);
-            per_rank_secs[r] += t0.elapsed().as_secs_f64();
-            full[offset..offset + partials.len()].copy_from_slice(partials);
-            offset += partials.len();
-        }
-        debug_assert_eq!(offset, full.len());
-        // The exchange: modeled, not executed (ranks share an address
-        // space here). Per-rank counters mirror the production path.
-        stats.collectives += 1;
-        stats.bytes += exchanged_bytes;
-        if ranks > 1 {
-            // INVARIANT: a clean spec cannot exhaust the retry budget.
-            let r = collective_with_retry(
-                &spec.topo,
-                Collective::AllGather,
-                ranks,
-                exchanged_bytes,
-                &spec.faults,
-                &spec.policy,
-            )
-            .expect("clean collective cannot fail");
-            stats.attempts += u64::from(r.attempts);
-            stats.modeled_comm_secs += r.time;
-        } else {
-            stats.attempts += 1;
-        }
-        // Phase 2: every rank applies the step to its block (timed).
-        for (r, kernel) in kernels.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            kernel.apply_step(win[0], win[1], &full);
-            per_rank_secs[r] += t0.elapsed().as_secs_f64();
-        }
-    }
-    // Spread relaxation, timed as part of each rank's compute.
-    for (r, kernel) in kernels.into_iter().enumerate() {
-        let t0 = Instant::now();
-        let _block = kernel.finish();
-        per_rank_secs[r] += t0.elapsed().as_secs_f64();
-    }
-
-    let analysis_secs = per_rank_secs.iter().cloned().fold(0.0, f64::max);
-    let total_cpu_secs = per_rank_secs.iter().sum();
     ScalingMeasurement {
         ranks,
         dim,
         members,
-        analysis_secs,
+        analysis_secs: per_rank_secs.iter().cloned().fold(0.0, f64::max),
+        total_cpu_secs: per_rank_secs.iter().sum(),
         per_rank_secs,
-        total_cpu_secs,
         modeled_comm_secs: stats.modeled_comm_secs,
         stats,
     }
@@ -153,7 +116,8 @@ mod tests {
         assert_eq!(m.per_rank_secs.len(), 4);
         assert!(m.per_rank_secs.iter().all(|&s| s >= 0.0));
         assert!(m.analysis_secs <= m.total_cpu_secs + 1e-12);
-        assert_eq!(m.stats.collectives, 6, "one exchange per SDE step");
+        assert_eq!(m.stats.collectives, 1, "one gather per analysis");
+        assert_eq!(m.stats.bytes, (6 * 256 * 8) as u64);
         assert!(m.modeled_comm_secs > 0.0);
     }
 
@@ -166,43 +130,30 @@ mod tests {
     }
 
     #[test]
-    fn sequential_driver_matches_threaded_runtime_bitwise() {
-        // The bench driver must time exactly the production numerics: its
-        // reassembled analysis equals dist_analyze's for the same inputs.
+    fn sequential_driver_prices_what_the_threaded_runtime_exchanges() {
+        // The bench driver must account exactly the production protocol:
+        // its collective count, bytes and modeled seconds equal what
+        // dist_analyze charges every rank for the same shape — including
+        // more ranks than members.
         use hpc::mpi::run_world;
-        let (dim, members) = (96, 5);
+        let (dim, members, ranks) = (96, 5, 6);
         let config = EnsfConfig { n_steps: 8, seed: 13, ..Default::default() };
-        let mut forecast = Ensemble::zeros(members, dim);
-        for m in 0..members {
-            let mut rng = member_rng(7, m);
-            fill_standard_normal(&mut rng, forecast.member_mut(m));
-        }
+        let measured = measure_analysis(dim, 16, members, &config, ranks, 7);
+        assert_eq!(measured.per_rank_secs.len(), ranks);
+
+        let forecast = synthetic_forecast(members, dim, 7);
         let y = vec![0.1; dim];
         let obs = ObsSpec::identity(0.3);
-        let plan = ShardPlan::new(dim, 16, 3);
-
-        // Sequential (the bench path, minus timing).
-        let times = TimeGrid::LogSpaced.points(&config.schedule, config.n_steps);
-        let mut kernels: Vec<ShardKernel> = (0..3)
-            .map(|r| ShardKernel::new(&plan, r, &config, 0, &forecast, &y, &obs))
-            .collect();
-        for win in times.windows(2) {
-            let mut full = Vec::new();
-            for kernel in kernels.iter_mut() {
-                full.extend_from_slice(kernel.tile_partials(win[0]));
-            }
-            for kernel in kernels.iter_mut() {
-                kernel.apply_step(win[0], win[1], &full);
-            }
-        }
-        let sequential: Vec<Vec<f64>> = kernels.into_iter().map(|k| k.finish()).collect();
-
-        // Threaded over the simulated communicator.
-        let threaded = run_world(3, |comm| {
+        let plan = crate::ShardPlan::new(dim, 16, ranks);
+        let spec = CommSpec::clean(ranks);
+        let threaded = run_world(ranks, |comm| {
             let mut stats = CommStats::default();
-            crate::dist_analyze(comm, &plan, &config, 0, &forecast, &y, &obs, None, &mut stats)
-                .unwrap()
+            crate::dist_analyze(comm, &plan, &config, 0, &forecast, &y, &obs, Some(&spec), &mut stats)
+                .unwrap();
+            stats
         });
-        assert_eq!(sequential, threaded);
+        for stats in threaded {
+            assert_eq!(stats, measured.stats);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Elastic rank-failure recovery and deadline-aware degraded analysis.
 //!
-//! The one sharded cycling loop — replicated forecast, sharded analysis —
-//! wired to the live fault machinery of [`hpc::mpi`] ([`crate::cycle`] is
-//! its fault-free face). A rank killed by a
+//! The one sharded cycling loop — replicated forecast, particle-sharded
+//! analysis, one gather per cycle — wired to the live fault machinery of
+//! [`hpc::mpi`] ([`crate::cycle`] is its fault-free face). A rank killed by a
 //! [`FaultPlan`] surfaces as [`hpc::MpiError::RankDead`] inside the first
 //! collective that misses it (never a hang); the survivors then run a
 //! ULFM-style recovery:
@@ -14,9 +14,10 @@
 //!    minus anything registered dead — and calls [`hpc::Comm::recover`]
 //!    with the agreed generation counter;
 //! 3. the cycle's analysis is **redone from the replicated forecast** on
-//!    the shrunken group. Because the sharded analysis is bitwise
-//!    rank-count-invariant, the redone cycle (and every later one) is
-//!    bitwise identical to a fresh run at the surviving rank count.
+//!    the shrunken group. The sharded analysis is the serial filter bit
+//!    for bit at every rank count, so the redone cycle (and every later
+//!    one) is identical to a fresh run at the surviving rank count by
+//!    construction.
 //!
 //! Dead ranks can **rejoin**: at the scripted cycle the coordinator
 //! (lowest surviving world rank) revives the rank, sends it an
@@ -35,13 +36,13 @@
 //! `(cycle, membership, scripts, config)`, replicated on every rank, so
 //! the degraded trajectory remains bitwise reproducible.
 
-use crate::analysis::{analyze_steps, model_collective, CommStats};
+use crate::analysis::{analyze_replicated, CommStats};
 use crate::cycle::DistCycleConfig;
-use crate::shard::ShardPlan;
 use crate::DistError;
 use da_core::osse::{initial_ensemble, nature_run, CycleSeries, NatureRun};
 use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, LoopState, RecoveryCounters};
 use da_core::{ForecastModel, SqgForecast};
+use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
 use hpc::{collective_time, shard_step_compute_secs, Collective, MpiError, StragglerPlan};
@@ -107,7 +108,7 @@ pub struct ElasticCounters {
 /// Configuration of one elastic distributed experiment.
 #[derive(Debug, Clone)]
 pub struct ElasticCycleConfig {
-    /// The underlying distributed experiment (grid, filter, tile, network).
+    /// The underlying distributed experiment (grid, filter, network).
     pub base: DistCycleConfig,
     /// Scripted rank kills and rejoins ([`FaultPlan::rank_kills`] /
     /// [`FaultPlan::rank_rejoins`]; the member/obs/analysis fault channels
@@ -168,9 +169,9 @@ pub struct ElasticRunResult {
 
 /// Modeled wall time of one sharded analysis at `ranks` ranks with `steps`
 /// SDE steps — the pure estimator behind the deadline ladder. Compute uses
-/// the GCD-rate model on the widest rank block; communication prices each
-/// per-step partial exchange plus the block gather with the α–β model
-/// (zero without a [`crate::CommSpec`]).
+/// the GCD-rate model on the largest particle block; communication is the
+/// one particle-block allgather, priced with the α–β model (zero without a
+/// [`crate::CommSpec`]).
 pub fn modeled_analysis_secs(
     base: &DistCycleConfig,
     dim: usize,
@@ -178,26 +179,12 @@ pub fn modeled_analysis_secs(
     steps: usize,
     ranks: usize,
 ) -> f64 {
-    let plan = ShardPlan::new(dim, base.tile, ranks);
-    let local_max = (0..ranks)
-        .map(|r| {
-            let (lo, hi) = plan.rank_range(r);
-            hi - lo
-        })
-        .max()
-        .unwrap_or(0);
-    let compute = steps as f64 * shard_step_compute_secs(members, local_max);
-    let comm = base
-        .comm
-        .as_ref()
-        .map(|spec| {
-            let batch = base.ensf.minibatch.filter(|&j| j < members).unwrap_or(members);
-            let partial_bytes = (plan.n_tiles() * members * batch * 8) as u64;
-            let block_bytes = (members * dim * 8) as u64;
-            steps as f64 * collective_time(&spec.topo, Collective::AllGather, ranks, partial_bytes)
-                + collective_time(&spec.topo, Collective::AllGather, ranks, block_bytes)
-        })
-        .unwrap_or(0.0);
+    let block = RankPlan::new(members, ranks).max_block();
+    let compute = steps as f64 * shard_step_compute_secs(block, dim);
+    let comm = base.comm.as_ref().map_or(0.0, |spec| {
+        let bytes = (members * dim * 8) as u64;
+        collective_time(&spec.topo, Collective::AllGather, ranks, bytes)
+    });
     compute + comm
 }
 
@@ -403,9 +390,6 @@ pub fn run_elastic_from(
             nature.observations.len()
         )));
     }
-    if config.base.tile == 0 {
-        return Err(DistError::Config("tile width must be positive".into()));
-    }
     if let Err(msg) = config.base.ensf.validate() {
         return Err(DistError::Config(msg));
     }
@@ -497,7 +481,29 @@ pub fn run_elastic_from(
             da_core::diagnostics::forecast_stats(&ensemble, y, &obs, cycle as u64)
         });
 
-        let my_kill = config.faults.rank_kill_at(cycle, me);
+        // --- A scripted victim dies here, before the analysis: it never
+        // enters a collective this cycle, and the survivors meet its absence
+        // at the gather (or, on a forecast-only cycle, at the next one).
+        if config.faults.rank_kill_at(cycle, me).is_some() {
+            comm.kill();
+            match dead_wait(comm, config, cycle, cycles) {
+                AfterDeath::Gone => {
+                    outcome = ElasticOutcome::Died { at_cycle: cycle };
+                    break 'cycling;
+                }
+                AfterDeath::Resume { checkpoint, generation: g } => {
+                    generation = g;
+                    cycle = checkpoint.cycle;
+                    ensemble = checkpoint.ensemble.clone();
+                    hours = checkpoint.hours.clone();
+                    rmse = checkpoint.rmse.clone();
+                    spread = checkpoint.spread.clone();
+                    state = checkpoint.state;
+                    counters.rejoins += 1;
+                    continue 'cycling;
+                }
+            }
+        }
         let mut modeled_secs = 0.0;
         let mut mode;
 
@@ -508,118 +514,23 @@ pub fn run_elastic_from(
             let group = comm.group();
             let slow = config.stragglers.worst(cycle, &group);
             mode = decide_mode(config, dim, members, cycle, &group);
-            if mode == CycleMode::ForecastOnly {
-                if my_kill.is_some() {
-                    comm.kill();
-                    match dead_wait(comm, config, cycle, cycles) {
-                        AfterDeath::Gone => {
-                            outcome = ElasticOutcome::Died { at_cycle: cycle };
-                            break 'cycling;
-                        }
-                        AfterDeath::Resume { checkpoint, generation: g } => {
-                            generation = g;
-                            cycle = checkpoint.cycle;
-                            ensemble = checkpoint.ensemble.clone();
-                            hours = checkpoint.hours.clone();
-                            rmse = checkpoint.rmse.clone();
-                            spread = checkpoint.spread.clone();
-                            state = checkpoint.state;
-                            counters.rejoins += 1;
-                            continue 'cycling;
-                        }
-                    }
-                }
-                break;
-            }
             let steps = match mode {
                 CycleMode::Full => config.base.ensf.n_steps,
                 CycleMode::Degraded => {
                     // INVARIANT: Degraded only arises with a policy.
                     config.deadline.as_ref().unwrap().degraded_steps
                 }
-                CycleMode::ForecastOnly => unreachable!("handled above"),
+                CycleMode::ForecastOnly => break,
             };
             modeled_secs += slow * modeled_analysis_secs(&config.base, dim, members, steps, group.len());
             let ensf_cfg = EnsfConfig { n_steps: steps, ..config.base.ensf.clone() };
-            let plan = ShardPlan::new(dim, config.base.tile, comm.size());
-            let attempt = analyze_steps(
-                comm,
-                &plan,
-                &ensf_cfg,
-                cycle as u64,
-                &ensemble,
-                y,
-                &obs,
-                spec,
-                &mut stats,
-                my_kill.map(|k| k.after_steps),
-            );
-            // A scheduled victim that observes the epoch collapsing (a
-            // same-cycle peer died first and the survivors excluded it)
-            // simply dies now instead of retrying.
-            let i_die_now = my_kill.is_some()
-                && matches!(
-                    attempt,
-                    Err(DistError::Mpi(MpiError::RankDead { .. } | MpiError::Revoked))
-                );
-            if i_die_now {
-                comm.kill();
-            }
+            let attempt =
+                analyze_replicated(comm, &ensf_cfg, cycle as u64, &ensemble, y, &obs, spec, &mut stats);
             match attempt {
-                Ok(Some(local)) => {
-                    model_collective(
-                        spec,
-                        &mut stats,
-                        Collective::AllGather,
-                        comm.size(),
-                        (members * dim * 8) as u64,
-                    )?;
-                    match comm.try_allgather(&local) {
-                        Ok(blocks) => {
-                            for (r, block) in blocks.iter().enumerate() {
-                                let (lo, hi) = plan.rank_range(r);
-                                let len = hi - lo;
-                                for p in 0..members {
-                                    ensemble.member_mut(p)[lo..hi]
-                                        .copy_from_slice(&block[p * len..(p + 1) * len]);
-                                }
-                            }
-                            break;
-                        }
-                        Err(MpiError::RankDead { .. }) => {
-                            comm.revoke();
-                            shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
-                        }
-                        Err(MpiError::Revoked) => {
-                            shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
+                Ok(analysis) => {
+                    ensemble = analysis;
+                    break;
                 }
-                Ok(None) | Err(DistError::Mpi(MpiError::RankDead { .. } | MpiError::Revoked))
-                    if my_kill.is_some() =>
-                {
-                    // Ok(None): scripted death point reached. Errors: this
-                    // victim was shrunk away first (killed above).
-                    match dead_wait(comm, config, cycle, cycles) {
-                        AfterDeath::Gone => {
-                            outcome = ElasticOutcome::Died { at_cycle: cycle };
-                            break 'cycling;
-                        }
-                        AfterDeath::Resume { checkpoint, generation: g } => {
-                            generation = g;
-                            cycle = checkpoint.cycle;
-                            ensemble = checkpoint.ensemble.clone();
-                            hours = checkpoint.hours.clone();
-                            rmse = checkpoint.rmse.clone();
-                            spread = checkpoint.spread.clone();
-                            state = checkpoint.state;
-                            counters.rejoins += 1;
-                            continue 'cycling;
-                        }
-                    }
-                }
-                Ok(None) => unreachable!("the stepping returns None only for a victim"),
                 Err(DistError::Mpi(MpiError::RankDead { .. })) => {
                     comm.revoke();
                     shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
@@ -918,7 +829,7 @@ mod tests {
     use da_core::resilience::RankKill;
     use sqg::SqgParams;
 
-    /// Reduced grid (d = 512, 8 tiles of 64), mirroring the cycle tests.
+    /// Reduced grid (d = 512, 8 members), mirroring the cycle tests.
     fn tiny_config(cycles: usize) -> ElasticCycleConfig {
         ElasticCycleConfig::clean(DistCycleConfig {
             osse: OsseConfig {
@@ -943,7 +854,7 @@ mod tests {
     #[test]
     fn killed_rank_shrinks_group_and_trajectory_matches_survivor_count() {
         let mut config = tiny_config(3);
-        config.faults.rank_kills.push(RankKill { cycle: 1, rank: 2, after_steps: 4 });
+        config.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
         let faulted = run_elastic_osse(&config, 3).unwrap();
         assert_eq!(faulted.outcome, ElasticOutcome::Completed);
         assert_eq!(faulted.counters.shrinks, 1);
@@ -964,8 +875,7 @@ mod tests {
     #[test]
     fn kill_during_final_gather_is_survived() {
         let mut config = tiny_config(2);
-        // after_steps beyond the SDE step count: dies before reassembly.
-        config.faults.rank_kills.push(RankKill { cycle: 0, rank: 1, after_steps: 99 });
+        config.faults.rank_kills.push(RankKill { cycle: 0, rank: 1 });
         let result = run_elastic_osse(&config, 2).unwrap();
         assert_eq!(result.counters.shrinks, 1);
         assert_eq!(result.group_sizes.last(), Some(&(1, 1)));
@@ -975,7 +885,7 @@ mod tests {
     fn rejoin_restores_full_group_bitwise() {
         let path = ckpt_path("rejoin");
         let mut config = tiny_config(4);
-        config.faults.rank_kills.push(RankKill { cycle: 1, rank: 1, after_steps: 2 });
+        config.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
         config
             .faults
             .rank_rejoins
@@ -1046,7 +956,7 @@ mod tests {
     #[test]
     fn invalid_scripts_are_config_errors() {
         let mut kill0 = tiny_config(2);
-        kill0.faults.rank_kills.push(RankKill { cycle: 0, rank: 0, after_steps: 0 });
+        kill0.faults.rank_kills.push(RankKill { cycle: 0, rank: 0 });
         assert!(matches!(run_elastic_osse(&kill0, 2), Err(DistError::Config(_))));
 
         let mut orphan = tiny_config(4);

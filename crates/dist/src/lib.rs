@@ -1,57 +1,56 @@
 //! # dist — rank-parallel distributed DA cycling runtime
 //!
 //! The paper runs its EnSF+SQG cycling experiments across thousands of
-//! Frontier GCDs (§IV). This crate reproduces that execution shape on the
+//! Frontier GCDs (§IV), the EnSF parallelized "along the dimension of the
+//! ensemble". This crate reproduces that execution shape on the
 //! workspace's simulated MPI communicator ([`hpc::mpi::Comm`]): a full
-//! forecast → observe → analyze OSSE loop in which the EnSF analysis is
-//! sharded **along the state dimension** — each rank owns a contiguous
-//! block of state components and only ever updates its block.
+//! forecast → observe → analyze OSSE loop in which every rank holds the
+//! whole (small) ensemble, **owns a contiguous block of particles** of the
+//! EnSF analysis, and one allgather per cycle replicates the result.
 //!
 //! ## Determinism contract
 //!
-//! The headline property, enforced by `tests/dist_determinism.rs` at the
-//! workspace root: for a fixed configuration the entire 10-cycle experiment
-//! is **bitwise identical for any rank count**. Three ingredients:
+//! For a fixed configuration the sharded experiment is the *serial* one —
+//! `da_core::osse::run_experiment` with `da_core::EnsfScheme` on a full
+//! observation network — **bit for bit at every rank count**, including
+//! more ranks than members (`tests/dist_determinism.rs` at the workspace
+//! root proves it at 1/2/4/8 ranks). Two ingredients:
 //!
-//! 1. **Tile-fixed reductions** ([`ShardPlan`]): every reduction over the
-//!    state dimension (the score-normalization statistics `‖z − α x_j‖²`
-//!    that feed the softmax weights) is computed as per-tile partials with
-//!    tile-fixed arithmetic, then folded over tiles in ascending tile order
-//!    identically on every rank. Tile geometry depends only on `(d, tile)`,
-//!    never on the rank count.
-//! 2. **Tile-keyed RNG streams** ([`ShardKernel`]): reverse-SDE noise is
-//!    drawn from one stream per `(particle, tile)` pair, seeded from global
-//!    indices, with a fixed consumption order — whichever rank owns a tile
-//!    draws the same numbers.
-//! 3. **Replicated control flow**: forecasts, observation handling, softmax
-//!    weights and retry/shrink decisions ([`CommSpec`]) are evaluated
-//!    identically on every rank from identical inputs, so no rank ever
-//!    branches differently from its peers.
+//! 1. **Global-index streams**: a particle's `N(0, I)` start and SDE noise
+//!    come from `stats::rng::member_rng(cycle_seed, global index)`, and
+//!    every reduction of the score kernel is per particle, so a particle's
+//!    bits cannot depend on which rank (or which block) integrated it
+//!    ([`ensf::parallel::BlockAnalysis`]).
+//! 2. **Replicated control flow**: forecasts, the mini-batch draw, the
+//!    spread relaxation, diagnostics and retry/shrink decisions
+//!    ([`CommSpec`]) are evaluated identically on every rank from
+//!    identical inputs, so no rank ever branches differently from its
+//!    peers.
 //!
-//! Changing the *tile width* legitimately reassociates floating-point sums
-//! and changes low-order bits; changing the *rank count* never does.
+//! Nothing depends on the rank count, so a shrunken group redoing a cycle
+//! computes what a fresh run at the survivor count would: shrink-retry
+//! equivalence holds by construction.
 //!
 //! ## Modules
 //!
-//! * [`shard`] — the fixed-tile partition of the state dimension.
-//! * [`analysis`] — the sharded EnSF analysis kernel and the collective
-//!   driver ([`dist_analyze`]). What is observed is the OSSE's own
-//!   [`ensf::ObsSpec`] ([`dist_obs_for`]); each tile's operator and slice
-//!   of `y` come from [`ensf::ObsSpec::operator_on`], and reverse SDE
-//!   versus probability flow is [`ensf::EnsfConfig::method`] — the same
+//! * [`analysis`] — one sharded analysis ([`dist_analyze`]): this rank's
+//!   particle block through the serial kernel, one gather, replicated
+//!   relaxation. What is observed is the OSSE's own [`ensf::ObsSpec`]
+//!   ([`dist_obs_for`]) through [`ensf::ObsSpec::operator`], and reverse
+//!   SDE versus probability flow is [`ensf::EnsfConfig::method`] — the same
 //!   `{method, ObsSpec}` data the serial `da_core::EnsfScheme` is built
-//!   from (which adds a `Completion`; the sharded kernel masks the
-//!   guidance instead of completing the vector).
+//!   from (which adds a `Completion`; the sharded analysis masks the
+//!   guidance instead of completing the vector, so the two coincide on a
+//!   full network).
 //! * [`elastic`] — the one sharded cycling loop: ULFM-style shrink on rank
 //!   death, checkpoint-backed rejoin, and deadline-aware degraded analysis
 //!   ([`run_elastic_experiment`], [`run_elastic_osse`]).
 //! * [`cycle`] — its fault-free face ([`run_dist_experiment`],
 //!   [`run_osse`]): the elastic loop with nothing scripted.
-//! * [`bench`] — the sequential per-rank-timed driver behind the
-//!   `scaling_suite` bench bin.
-//! * [`timeline`] — the traced variant of the bench driver: per-rank
-//!   Chrome trace-event streams with a comm-vs-compute breakdown, behind
-//!   the `trace_report` bin.
+//! * [`mod@bench`] — per-rank block timing behind the `scaling_suite` bench
+//!   bin.
+//! * [`shard`] — the state-block geometry of [`dist_analyze`]'s
+//!   compatibility face.
 
 #![warn(missing_docs)]
 
@@ -60,9 +59,8 @@ pub mod bench;
 pub mod cycle;
 pub mod elastic;
 pub mod shard;
-pub mod timeline;
 
-pub use analysis::{dist_analyze, CommSpec, CommStats, ShardKernel};
+pub use analysis::{dist_analyze, CommSpec, CommStats};
 pub use bench::{measure_analysis, ScalingMeasurement};
 pub use cycle::{dist_obs_for, run_dist_experiment, run_osse, DistCycleConfig, DistRunResult};
 pub use elastic::{
@@ -71,7 +69,6 @@ pub use elastic::{
     ElasticOutcome, ElasticRunResult,
 };
 pub use shard::ShardPlan;
-pub use timeline::{trace_timeline, CycleBreakdown, TimelineResult, TimelineSpec};
 
 /// Why a distributed experiment could not complete.
 #[derive(Debug, Clone, PartialEq)]

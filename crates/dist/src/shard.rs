@@ -1,17 +1,10 @@
 //! Fixed-tile partition of the state dimension across ranks.
 //!
-//! The determinism contract of the sharded analysis rests on one idea: the
-//! unit of decomposition is a **tile** of fixed width, not "whatever block
-//! a rank happens to own". The state dimension is cut into `⌈d / tile⌉`
-//! tiles once, independently of the rank count; a rank owns a contiguous
-//! run of tiles. Every floating-point reduction over the state dimension is
-//! evaluated as (a) an intra-tile reduction — computed by exactly one rank,
-//! with arithmetic that depends only on the tile — followed by (b) a fold
-//! over per-tile partials in ascending tile order, replicated identically
-//! on every rank. Neither part depends on *which* rank owned a tile, so
-//! results are bitwise identical for any rank count (changing the tile
-//! width, by contrast, reassociates the arithmetic and legitimately
-//! changes low-order bits).
+//! Not part of the sharded analysis, whose ranks own particles
+//! ([`ensf::parallel::RankPlan`]). [`ShardPlan`] survives only to name the
+//! state block [`crate::dist_analyze`] hands back to callers that
+//! reassemble state blocks themselves (`benchmark/`'s traced replica); a
+//! benchmark issue retires both together.
 
 /// Contiguous-tile decomposition of a `dim`-dimensional state over ranks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,8 +131,8 @@ mod tests {
 
     #[test]
     fn tile_layout_is_independent_of_rank_count() {
-        // The partition into tiles (and hence every intra-tile reduction)
-        // must not change with the rank count — only the ownership does.
+        // The partition into tiles must not change with the rank count —
+        // only the ownership does.
         let reference = ShardPlan::new(8192, 64, 1);
         for ranks in [2, 3, 4, 8, 16, 200] {
             let plan = ShardPlan::new(8192, 64, ranks);

@@ -29,28 +29,26 @@
 //! All scratch lives in a caller-owned [`BatchScratch`]; after construction
 //! the inner SDE loop performs no heap allocation.
 
-use crate::filter::EnsfConfig;
 use crate::obs::ObservationOperator;
 use crate::schedule::DiffusionSchedule;
-use crate::sde::TimeGrid;
 use linalg::gemm::{matmul_abt_into, matmul_slices_affine_into, row_sq_norms, GemmScratch};
 use linalg::vector::{axpy, scale_add};
 use rand::Rng;
-use rayon::prelude::*;
-use stats::gaussian::{fill_standard_normal, NormalSampler};
-use stats::rng::member_rng;
+use stats::gaussian::NormalSampler;
 use stats::softmax::softmax_in_place;
-use stats::Ensemble;
+use std::borrow::Cow;
 
 /// Batched Monte-Carlo prior-score evaluator.
 ///
-/// Owns an index-ordered gather of the (mini-batched) forecast ensemble as
-/// a contiguous `J x d` block plus the per-member squared norms, both
-/// computed once per analysis and shared read-only by every particle block.
-pub struct BatchedScore {
-    /// Mini-batch members gathered contiguously, `J x d` row-major, in
-    /// batch order (matching the reference path's summation order).
-    gathered: Vec<f64>,
+/// Holds the (mini-batched) forecast ensemble as a contiguous `J x d` block
+/// in batch order — the ensemble buffer itself when the batch is every
+/// member in order, an index-ordered gather otherwise — plus the per-member
+/// squared norms, computed once per analysis and shared read-only by every
+/// particle block.
+pub struct BatchedScore<'a> {
+    /// Mini-batch members contiguously, `J x d` row-major, in batch order
+    /// (matching the reference path's summation order).
+    gathered: Cow<'a, [f64]>,
     /// `‖x_j‖²` per gathered member.
     xnorm: Vec<f64>,
     batch_len: usize,
@@ -58,14 +56,14 @@ pub struct BatchedScore {
     schedule: DiffusionSchedule,
 }
 
-impl BatchedScore {
-    /// Gathers `batch` members (in the given order) out of the member-major
+impl<'a> BatchedScore<'a> {
+    /// Takes `batch` members (in the given order) out of the member-major
     /// `ensemble` buffer and precomputes their squared norms.
     ///
     /// # Panics
     /// Panics on shape mismatch, an empty batch, or an out-of-range index.
     pub fn new(
-        ensemble: &[f64],
+        ensemble: &'a [f64],
         members: usize,
         dim: usize,
         schedule: DiffusionSchedule,
@@ -74,10 +72,15 @@ impl BatchedScore {
         assert_eq!(ensemble.len(), members * dim, "ensemble buffer shape mismatch");
         assert!(!batch.is_empty(), "mini-batch must be nonempty");
         assert!(batch.iter().all(|&j| j < members), "batch index out of range");
-        let mut gathered = Vec::with_capacity(batch.len() * dim);
-        for &j in batch {
-            gathered.extend_from_slice(&ensemble[j * dim..(j + 1) * dim]);
-        }
+        let gathered = if batch.iter().copied().eq(0..members) {
+            Cow::Borrowed(ensemble)
+        } else {
+            let mut gathered = Vec::with_capacity(batch.len() * dim);
+            for &j in batch {
+                gathered.extend_from_slice(&ensemble[j * dim..(j + 1) * dim]);
+            }
+            Cow::Owned(gathered)
+        };
         let mut xnorm = vec![0.0; batch.len()];
         row_sq_norms(&gathered, batch.len(), dim, &mut xnorm);
         BatchedScore { gathered, xnorm, batch_len: batch.len(), dim, schedule }
@@ -174,6 +177,9 @@ impl BatchScratch {
 ///
 /// * `z` — `rngs.len() x dim` row-major block; on entry each row is a
 ///   sample of `N(0, I)`, on exit a posterior sample.
+/// * `times` — the descending pseudo-time grid (`1 − eps = t_0 > … > t_n =
+///   0`, as produced by [`crate::TimeGrid::points`]), owned by the caller so the
+///   integration itself never allocates.
 /// * `rngs` — one RNG per particle, positioned exactly after the initial
 ///   Gaussian fill (the reference stream contract).
 ///
@@ -181,32 +187,9 @@ impl BatchScratch {
 /// for operation — exponential linear step, explicit prior score, final-step
 /// noise omission, damped likelihood pull — so the two paths agree to
 /// floating-point reassociation and draw identical noise.
-#[allow(clippy::too_many_arguments)]
-pub fn reverse_sde_assimilate_batched<R: Rng>(
-    z: &mut [f64],
-    schedule: &DiffusionSchedule,
-    n_steps: usize,
-    grid: TimeGrid,
-    score: &BatchedScore,
-    obs: &impl ObservationOperator,
-    y: &[f64],
-    rngs: &mut [R],
-    scratch: &mut BatchScratch,
-) {
-    // The one allocation of the whole integration: the time grid, computed
-    // once up front. The stepping core below is allocation-free.
-    let times = grid.points(schedule, n_steps);
-    telemetry::counter_add("ensf.sde.euler_steps", ((times.len() - 1) * rngs.len()) as u64);
-    reverse_sde_assimilate_batched_with_times(z, schedule, &times, score, obs, y, rngs, scratch);
-}
-
-/// Core of [`reverse_sde_assimilate_batched`] over a precomputed descending
-/// time grid (`1 − eps = t_0 > … > t_n = 0`, as produced by
-/// [`TimeGrid::points`]). Callers that must stay allocation-free per cycle
-/// hoist the grid into caller-owned storage and call this directly.
 // lint: no_alloc
 #[allow(clippy::too_many_arguments)]
-pub fn reverse_sde_assimilate_batched_with_times<R: Rng>(
+pub fn reverse_sde_assimilate_batched<R: Rng>(
     z: &mut [f64],
     schedule: &DiffusionSchedule,
     times: &[f64],
@@ -280,98 +263,14 @@ pub fn reverse_sde_assimilate_batched_with_times<R: Rng>(
     }
 }
 
-/// Runs the batched analysis over explicit particle blocks (one parallel
-/// task per block, sequential within a block — the rank-decomposition
-/// execution shape). Shared by [`crate::Ensf::analyze`] and
-/// [`crate::parallel::analyze_partitioned`]; spread relaxation is the
-/// caller's job. [`crate::AnalysisMethod::FlowMatching`] configs route each
-/// block through the deterministic probability-flow integrator instead of
-/// the reverse SDE (same initial fill, no further draws).
-pub(crate) fn analyze_blocks(
-    config: &EnsfConfig,
-    cycle_seed: u64,
-    blocks: &[(usize, usize)],
-    forecast: &Ensemble,
-    y: &[f64],
-    obs: &impl ObservationOperator,
-    batch: &[usize],
-) -> Ensemble {
-    let members = forecast.members();
-    let dim = forecast.dim();
-    let score = BatchedScore::new(forecast.as_slice(), members, dim, config.schedule, batch);
-    let schedule = config.schedule;
-    let n_steps = config.n_steps;
-    let method = config.method;
-    // The flow path needs the per-component prior spread of the same batch
-    // the score gathers; computed once, shared read-only by every block.
-    let prior_var = match method {
-        crate::AnalysisMethod::FlowMatching => {
-            let mut var = crate::flow::batch_variance(forecast.as_slice(), members, dim, batch);
-            crate::flow::smooth_variance(&mut var, config.variance_smoothing);
-            var
-        }
-        crate::AnalysisMethod::ReverseSde => Vec::new(),
-    };
-
-    let block_results: Vec<(usize, Vec<f64>)> = blocks
-        .par_iter()
-        .map(|&(start, end)| {
-            let b = end - start;
-            let mut block = vec![0.0; b * dim];
-            // RNG streams keyed by *global* particle index: the basis of the
-            // partition-invariance contract.
-            let mut rngs: Vec<_> = (start..end).map(|m| member_rng(cycle_seed, m)).collect();
-            for (row, rng) in block.chunks_exact_mut(dim).zip(rngs.iter_mut()) {
-                fill_standard_normal(rng, row);
-            }
-            let mut scratch = BatchScratch::new(b, score.batch_len(), dim);
-            match method {
-                crate::AnalysisMethod::ReverseSde => reverse_sde_assimilate_batched(
-                    &mut block,
-                    &schedule,
-                    n_steps,
-                    TimeGrid::LogSpaced,
-                    &score,
-                    obs,
-                    y,
-                    &mut rngs,
-                    &mut scratch,
-                ),
-                crate::AnalysisMethod::FlowMatching => {
-                    crate::flow::probability_flow_assimilate_batched(
-                        &mut block,
-                        b,
-                        &schedule,
-                        n_steps,
-                        TimeGrid::LogSpaced,
-                        &score,
-                        &prior_var,
-                        obs,
-                        y,
-                        &mut scratch,
-                    )
-                }
-            }
-            (start, block)
-        })
-        .collect();
-
-    let mut analysis = Ensemble::zeros(members, dim);
-    for (start, block) in block_results {
-        for (local, row) in block.chunks_exact(dim).enumerate() {
-            analysis.member_mut(start + local).copy_from_slice(row);
-        }
-    }
-    analysis
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::MaskedObs;
     use crate::score::ScoreEstimator;
-    use stats::gaussian::standard_normal;
-    use stats::rng::seeded;
+    use crate::sde::TimeGrid;
+    use stats::gaussian::{fill_standard_normal, standard_normal};
+    use stats::rng::{member_rng, seeded};
 
     fn gaussian_block(rows: usize, dim: usize, seed: u64) -> Vec<f64> {
         let mut rng = seeded(seed);
@@ -466,14 +365,14 @@ mod tests {
             fill_standard_normal(rng, row);
         }
         let mut scratch = BatchScratch::new(b, members, dim);
+        let times = TimeGrid::LogSpaced.points(&sch, n_steps);
         reverse_sde_assimilate_batched(
-            &mut z, &sch, n_steps, TimeGrid::LogSpaced, &score, &obs, &y, &mut rngs, &mut scratch,
+            &mut z, &sch, &times, &score, &obs, &y, &mut rngs, &mut scratch,
         );
 
         // After the run every stream must sit at the reference position:
         // the next draw equals a fresh stream fast-forwarded by the same
         // number of draws.
-        let times = TimeGrid::LogSpaced.points(&sch, n_steps);
         let draws = dim + (times.len() - 2) * dim; // init + per non-final step
         for (m, rng) in rngs.iter_mut().enumerate() {
             let mut fresh = member_rng(99, m);

@@ -12,17 +12,12 @@
 //!    (the paper's stability safeguard in lieu of localization/inflation).
 //!
 //! Particles are independent given the (read-only) forecast ensemble, so
-//! step 3 parallelizes embarrassingly — rayon here, simulated MPI ranks in
-//! [`crate::parallel`].
+//! step 3 parallelizes embarrassingly: [`crate::parallel`] runs it one
+//! particle block at a time, and this filter is that decomposition over
+//! the machine's cores.
 
 use crate::obs::ObservationOperator;
 use crate::schedule::DiffusionSchedule;
-use crate::score::ScoreEstimator;
-use crate::sde::{reverse_sde_assimilate, TimeGrid};
-use rand::seq::SliceRandom;
-use rayon::prelude::*;
-use stats::gaussian::fill_standard_normal;
-use stats::rng::{member_rng, seeded, split_seed};
 use stats::Ensemble;
 
 /// Which implementation evaluates the Monte-Carlo score inside the
@@ -181,120 +176,25 @@ impl Ensf {
         y: &[f64],
         obs: &impl ObservationOperator,
     ) -> Ensemble {
-        assert_eq!(y.len(), obs.obs_dim(), "observation length mismatch");
         let _span = telemetry::span!("ensf.analysis");
+        // One block per available worker; every particle's result is a
+        // function of its global index alone, so the layout is purely a
+        // load-balancing choice.
         let members = forecast.members();
-        let dim = forecast.dim();
-        let cycle_seed = split_seed(self.config.seed, self.cycle.wrapping_add(0x5151));
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, members.max(1));
+        let plan = crate::parallel::RankPlan::new(members, workers);
+        let analysis = crate::parallel::analyze_partitioned(
+            &self.config,
+            self.cycle,
+            &plan,
+            forecast,
+            y,
+            obs,
+        );
         self.cycle += 1;
-
-        // Mini-batch selection for the score MC sum (shared by all particles
-        // within a cycle, re-drawn each cycle).
-        let batch: Vec<usize> = match self.config.minibatch {
-            Some(j) if j < members => {
-                let mut idx: Vec<usize> = (0..members).collect();
-                let mut rng = seeded(split_seed(cycle_seed, 0xBA7C4));
-                idx.shuffle(&mut rng);
-                idx.truncate(j);
-                idx
-            }
-            _ => (0..members).collect(),
-        };
-
-        // Each particle: fresh Gaussian start, reverse SDE with posterior
-        // score = prior score + damped likelihood score. The two kernels
-        // agree to floating-point reassociation; both derive per-particle
-        // RNG streams from the global member index.
-        let mut analysis = match self.config.kernel {
-            ScoreKernel::Batched => {
-                // One block per available worker; the kernel's fixed-order
-                // reductions make the result bitwise independent of the
-                // block layout, so this is purely a load-balancing choice.
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .clamp(1, members.max(1));
-                let plan = crate::parallel::RankPlan::new(members, workers);
-                crate::batch::analyze_blocks(
-                    &self.config,
-                    cycle_seed,
-                    &plan.blocks,
-                    forecast,
-                    y,
-                    obs,
-                    &batch,
-                )
-            }
-            ScoreKernel::Reference => {
-                let estimator = ScoreEstimator::new(
-                    forecast.as_slice(),
-                    members,
-                    dim,
-                    self.config.schedule,
-                )
-                .with_batch(batch);
-
-                let schedule = self.config.schedule;
-                let n_steps = self.config.n_steps;
-                let method = self.config.method;
-                let prior_var = match method {
-                    AnalysisMethod::FlowMatching => {
-                        let mut var = crate::flow::batch_variance(
-                            forecast.as_slice(),
-                            members,
-                            dim,
-                            estimator.batch(),
-                        );
-                        crate::flow::smooth_variance(&mut var, self.config.variance_smoothing);
-                        var
-                    }
-                    AnalysisMethod::ReverseSde => Vec::new(),
-                };
-                let mut analysis = Ensemble::zeros(members, dim);
-                analysis
-                    .as_mut_slice()
-                    .par_chunks_mut(dim)
-                    .enumerate()
-                    .for_each(|(m, out)| {
-                        let mut rng = member_rng(cycle_seed, m);
-                        fill_standard_normal(&mut rng, out);
-                        let mut scratch = vec![0.0; estimator.batch_len()];
-                        match method {
-                            AnalysisMethod::ReverseSde => reverse_sde_assimilate(
-                                out,
-                                &schedule,
-                                n_steps,
-                                TimeGrid::LogSpaced,
-                                |z, t, s| {
-                                    estimator.score_into(z, t, s, &mut scratch);
-                                },
-                                obs,
-                                y,
-                                &mut rng,
-                            ),
-                            AnalysisMethod::FlowMatching => {
-                                crate::flow::probability_flow_assimilate(
-                                    out,
-                                    &schedule,
-                                    n_steps,
-                                    TimeGrid::LogSpaced,
-                                    &prior_var,
-                                    |z, t, s| {
-                                        estimator.score_into(z, t, s, &mut scratch);
-                                    },
-                                    obs,
-                                    y,
-                                )
-                            }
-                        }
-                    });
-                analysis
-            }
-        };
-
-        if self.config.spread_relaxation > 0.0 {
-            relax_spread(&mut analysis, forecast, self.config.spread_relaxation);
-        }
         if telemetry::enabled() {
             telemetry::counter_add("ensf.analyses", 1);
             telemetry::gauge_set("ensf.analysis.spread", analysis.spread());
@@ -320,10 +220,9 @@ impl Ensf {
 }
 
 /// Relaxes the per-variable analysis spread toward the forecast spread:
-/// anomalies are rescaled so `σ_new = (1 − r) σ_a + r σ_f`. Shared with
-/// [`crate::parallel::analyze_partitioned`] and the distributed runtime's
-/// state-sharded analysis (the statistics are per-variable, so applying it
-/// to a contiguous state block equals applying it to the full state).
+/// anomalies are rescaled so `σ_new = (1 − r) σ_a + r σ_f`. Applied by
+/// [`crate::parallel::analyze_partitioned`] and, replicated on every rank
+/// after the particle gather, by the distributed runtime.
 ///
 /// When a variable's analysis spread has (numerically) collapsed — tight
 /// observations can pull every member onto the observation to the last bit,

@@ -88,7 +88,7 @@ use crate::sde::TimeGrid;
 /// This is the `v_i` the flow-matching guidance needs. The accumulation
 /// order is the batch order, so the result is deterministic and — because
 /// the batch is shared by every particle block — identical regardless of
-/// how particles are partitioned over blocks, tiles or ranks.
+/// how particles are partitioned over blocks or ranks.
 ///
 /// # Panics
 /// Panics on a shape mismatch or an out-of-range batch index.
@@ -136,9 +136,7 @@ pub fn batch_variance(ensemble: &[f64], members: usize, dim: usize, batch: &[usi
 /// from `d·(J − 1)` samples instead of `J − 1`, so blending toward it
 /// (`γ = 1` replaces the estimate outright) trades spatial heterogeneity
 /// for estimator noise. The mean is accumulated in slice order, so the
-/// result only depends on the slice contents — callers that shard the
-/// state must smooth over a partition-independent extent (the distributed
-/// kernel smooths within its fixed score tiles).
+/// result only depends on the slice contents.
 ///
 /// `γ = 0` (the [`crate::EnsfConfig`] default) and an empty slice are
 /// exact no-ops.
@@ -252,6 +250,9 @@ fn flow_step(
 ///
 /// * `z` — `b x dim` row-major block; each row a sample of `N(0, I)` on
 ///   entry, a posterior sample on exit.
+/// * `times` — the descending pseudo-time grid (as produced by
+///   [`TimeGrid::points`]), owned by the caller so the integration itself
+///   never allocates.
 /// * `prior_var` — per-component prior variance of the score batch
 ///   ([`batch_variance`] over the same members `score` gathered).
 ///
@@ -259,35 +260,9 @@ fn flow_step(
 /// for operation, so the two paths agree to floating-point reassociation
 /// (the same contract the SDE pair has). No RNG parameter: after the
 /// caller's initial fill the integration is a pure function of the block.
-#[allow(clippy::too_many_arguments)]
-pub fn probability_flow_assimilate_batched(
-    z: &mut [f64],
-    b: usize,
-    schedule: &DiffusionSchedule,
-    n_steps: usize,
-    grid: TimeGrid,
-    score: &BatchedScore,
-    prior_var: &[f64],
-    obs: &impl ObservationOperator,
-    y: &[f64],
-    scratch: &mut BatchScratch,
-) {
-    // The one allocation of the whole integration: the time grid, computed
-    // once up front. The stepping core below is allocation-free.
-    let times = grid.points(schedule, n_steps);
-    telemetry::counter_add("ensf.flow.ode_steps", ((times.len() - 1) * b) as u64);
-    probability_flow_assimilate_batched_with_times(
-        z, b, schedule, &times, score, prior_var, obs, y, scratch,
-    );
-}
-
-/// Core of [`probability_flow_assimilate_batched`] over a precomputed
-/// descending time grid (as produced by [`TimeGrid::points`]). Callers that
-/// must stay allocation-free per cycle hoist the grid into caller-owned
-/// storage and call this directly.
 // lint: no_alloc
 #[allow(clippy::too_many_arguments)]
-pub fn probability_flow_assimilate_batched_with_times(
+pub fn probability_flow_assimilate_batched(
     z: &mut [f64],
     b: usize,
     schedule: &DiffusionSchedule,
@@ -461,8 +436,7 @@ mod tests {
             &mut zb,
             b,
             &sch,
-            n_steps,
-            TimeGrid::LogSpaced,
+            &TimeGrid::LogSpaced.points(&sch, n_steps),
             &score,
             &prior_var,
             &obs,

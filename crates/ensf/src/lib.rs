@@ -12,10 +12,12 @@
 //!    ensemble (Eqs. 12–16), numerically stabilized with log-sum-exp.
 //! 3. [`reverse_sde_euler`] — Euler–Maruyama integration of the
 //!    reverse-time SDE (Eq. 7) from `N(0, I)` to the Bayesian posterior.
-//! 4. [`Ensf::analyze`] — the full update, rayon-parallel over particles,
+//! 4. [`Ensf::analyze`] — the full update, parallel over particle blocks,
 //!    with the paper's spread-relaxation stability safeguard.
-//! 5. [`parallel`] — the explicit rank decomposition used for the Fig. 10
-//!    weak-scaling study, bitwise-equivalent to the sequential filter.
+//! 5. [`parallel`] — the particle block, the filter's one unit of work
+//!    ([`parallel::BlockAnalysis`]): `Ensf::analyze`, the Fig. 10 rank
+//!    decomposition and the distributed runtime all run it, so they
+//!    compute the same analysis bit for bit.
 //! 6. [`batch`] — the step-major batched analysis kernel ([`BatchedScore`]):
 //!    per reverse-SDE step the score for a whole particle block is produced
 //!    by two GEMMs plus a row-wise softmax, selected via
@@ -52,14 +54,11 @@ mod schedule;
 mod score;
 mod sde;
 
-pub use batch::{
-    reverse_sde_assimilate_batched, reverse_sde_assimilate_batched_with_times, BatchScratch,
-    BatchedScore,
-};
+pub use batch::{reverse_sde_assimilate_batched, BatchScratch, BatchedScore};
 pub use filter::{relax_spread, AnalysisMethod, Ensf, EnsfConfig, ScoreKernel};
 pub use flow::{
     batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
-    probability_flow_assimilate_batched_with_times, smooth_variance,
+    smooth_variance,
 };
 pub use obs::{MaskKind, MaskedObs, ObsOperatorKind, ObsSpec, ObservationOperator};
 pub use schedule::{Damping, DiffusionSchedule};

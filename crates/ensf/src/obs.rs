@@ -191,42 +191,9 @@ impl MaskKind {
         (0..dim).filter(|&i| self.is_observed(i, dim, cycle)).collect()
     }
 
-    /// Number of observed components with index `< i` at `cycle`: the slot
-    /// of component `i` in the observation vector, in closed form so a
-    /// block of the state finds its share of `y` without scanning the
-    /// components below it.
-    pub fn count_before(self, i: usize, dim: usize, cycle: u64) -> usize {
-        debug_assert!(i <= dim);
-        // |[0, i) ∩ [lo, hi)| for lo ≤ hi.
-        let within = |lo: usize, hi: usize| i.min(hi) - i.min(lo);
-        match self {
-            MaskKind::Full => i,
-            MaskKind::Block { start, len } => i - within(start, start.saturating_add(len)),
-            MaskKind::Strided { stride, phase } => {
-                if stride <= 1 {
-                    i
-                } else {
-                    (i + stride - 1 - phase % stride) / stride
-                }
-            }
-            MaskKind::Track { width, speed } => {
-                if width >= dim {
-                    return i;
-                }
-                let start = track_start(speed, dim, cycle);
-                let end = start + width;
-                if end <= dim {
-                    within(start, end)
-                } else {
-                    within(start, dim) + within(0, end - dim)
-                }
-            }
-        }
-    }
-
     /// Number of observed components at `cycle`.
     pub fn obs_dim(self, dim: usize, cycle: u64) -> usize {
-        self.count_before(dim, dim, cycle)
+        (0..dim).filter(|&i| self.is_observed(i, dim, cycle)).count()
     }
 
     /// Short label for scenario names and telemetry keys.
@@ -282,46 +249,18 @@ impl ObsSpec {
         }
     }
 
-    /// The operator restricted to the global index range `range` of a
-    /// `dim`-dimensional state, plus the range of observation-vector slots
-    /// it reads. Both are pure functions of the *global* bounds and the
-    /// cycle, so any cut of `0..dim` into contiguous ranges partitions the
-    /// whole-state operator exactly — whichever rank owns a tile builds
-    /// the same bits. Full masks yield the dense operator (no index list),
-    /// which keeps [`ObservationOperator::constant_jacobian_sq`] and the
-    /// overwriting score path on the paper's `h = I` setting.
-    ///
-    /// # Panics
-    /// Panics when the range leaves `0..dim`.
-    pub fn operator_on(
-        &self,
-        range: std::ops::Range<usize>,
-        dim: usize,
-        cycle: u64,
-    ) -> (MaskedObs, std::ops::Range<usize>) {
-        assert!(range.start <= range.end && range.end <= dim, "range {range:?} outside 0..{dim}");
-        if self.mask.is_full() {
-            return (MaskedObs::new(range.len(), self.operator, None, self.sigma), range);
-        }
-        let local: Vec<usize> = range
-            .clone()
-            .filter(|&i| self.mask.is_observed(i, dim, cycle))
-            .map(|i| i - range.start)
-            .collect();
-        let first = self.mask.count_before(range.start, dim, cycle);
-        let slots = first..first + local.len();
-        (MaskedObs::new(range.len(), self.operator, Some(local), self.sigma), slots)
-    }
-
-    /// The whole-state operator at `cycle`.
+    /// The whole-state operator at `cycle`. Full masks yield the dense
+    /// operator (no index list), which keeps
+    /// [`ObservationOperator::constant_jacobian_sq`] and the overwriting
+    /// score path on the paper's `h = I` setting.
     pub fn operator(&self, dim: usize, cycle: u64) -> MaskedObs {
-        self.operator_on(0..dim, dim, cycle).0
+        let observed = (!self.mask.is_full()).then(|| self.observed(dim, cycle));
+        MaskedObs::new(dim, self.operator, observed, self.sigma)
     }
 }
 
-/// The observation operator of an [`ObsSpec`] on one block of state: `h`
-/// at an optional list of observed components — the only
-/// [`ObservationOperator`] in the tree.
+/// The observation operator of an [`ObsSpec`]: `h` at an optional list of
+/// observed components — the only [`ObservationOperator`] in the tree.
 ///
 /// With an index list the observation vector holds only the observed
 /// components, in ascending state-index order, and the likelihood score

@@ -1,22 +1,35 @@
-//! Rank-decomposed EnSF execution (the paper's §III-A3 / Fig. 10 layout).
+//! The particle block: the EnSF analysis' one unit of work (the paper's
+//! §III-A3 / Fig. 10 layout).
 //!
 //! On Frontier the EnSF is parallelized "along the dimension of the
 //! ensemble": every rank owns a contiguous block of particles, shares the
 //! (small) forecast ensemble read-only, integrates its block independently
-//! and the outputs are reduced at the end. This module reproduces that
-//! decomposition explicitly — [`RankPlan`] computes the block layout and
-//! [`analyze_partitioned`] executes the blocks (concurrently under rayon),
-//! asserting that the result is bitwise identical to the single-rank filter
-//! because every particle derives its RNG stream from its *global* index.
+//! and the outputs are gathered at the end. [`BlockAnalysis`] is that
+//! decomposition: everything particles share is prepared once per analysis,
+//! then [`BlockAnalysis::run_block`] integrates any contiguous range of
+//! particles on the calling thread. Every particle derives its RNG stream
+//! from its *global* index and every reduction is per particle, so a
+//! particle's bits do not depend on which block it ran in:
+//! [`crate::Ensf::analyze`] (blocks over this machine's cores),
+//! [`analyze_partitioned`] (blocks of a [`RankPlan`]) and the distributed
+//! runtime (one block per rank, gathered once) all compute the same
+//! analysis, bit for bit.
 
-use crate::filter::{Ensf, EnsfConfig, ScoreKernel};
+use crate::batch::{reverse_sde_assimilate_batched, BatchScratch, BatchedScore};
+use crate::filter::{relax_spread, AnalysisMethod, EnsfConfig, ScoreKernel};
+use crate::flow::{
+    batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
+    smooth_variance,
+};
 use crate::obs::ObservationOperator;
 use crate::score::ScoreEstimator;
 use crate::sde::{reverse_sde_assimilate, TimeGrid};
+use rand::seq::SliceRandom;
 use rayon::prelude::*;
 use stats::gaussian::fill_standard_normal;
-use stats::rng::{member_rng, split_seed};
+use stats::rng::{member_rng, seeded, split_seed};
 use stats::Ensemble;
+use std::ops::Range;
 
 /// Static block decomposition of `members` particles over `ranks` ranks.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,15 +65,201 @@ impl RankPlan {
     }
 }
 
-/// Runs one EnSF analysis with the ensemble partitioned into rank blocks.
-///
-/// Functionally identical to [`Ensf::analyze`] with no mini-batching; used
-/// by the weak-scaling benchmark (Fig. 10) where each rank's wall time is
-/// measured independently.
+/// The prior-score evaluator of one analysis, per [`ScoreKernel`].
+enum Score<'a> {
+    Batched(BatchedScore<'a>),
+    Reference(ScoreEstimator<'a>),
+}
+
+/// One EnSF analysis, prepared once and shared read-only by every particle
+/// block: the mini-batch of `(seed, cycle)`, its score evaluator, the flow
+/// prior variance and the pseudo-time grid.
+pub struct BlockAnalysis<'a, O: ObservationOperator> {
+    config: &'a EnsfConfig,
+    cycle_seed: u64,
+    dim: usize,
+    y: &'a [f64],
+    obs: &'a O,
+    score: Score<'a>,
+    /// Per-component prior variance of the score batch (flow matching
+    /// only; empty for the reverse SDE).
+    prior_var: Vec<f64>,
+    times: Vec<f64>,
+}
+
+impl<'a, O: ObservationOperator> BlockAnalysis<'a, O> {
+    /// Prepares analysis number `cycle` of `forecast` against `y` under
+    /// `obs`. `(config.seed, cycle)` pins the mini-batch and every
+    /// particle's RNG stream.
+    ///
+    /// # Panics
+    /// Panics when `config` fails validation, `y` does not match the
+    /// operator's observation dimension, or the forecast is empty.
+    pub fn prepare(
+        config: &'a EnsfConfig,
+        cycle: u64,
+        forecast: &'a Ensemble,
+        y: &'a [f64],
+        obs: &'a O,
+    ) -> Self {
+        config.validate().expect("invalid EnSF configuration");
+        assert_eq!(y.len(), obs.obs_dim(), "observation length mismatch");
+        let members = forecast.members();
+        let dim = forecast.dim();
+        let cycle_seed = split_seed(config.seed, cycle.wrapping_add(0x5151));
+
+        // Mini-batch of the score's Monte-Carlo sum: shared by all
+        // particles within a cycle, re-drawn each cycle.
+        let batch: Vec<usize> = match config.minibatch {
+            Some(j) if j < members => {
+                let mut idx: Vec<usize> = (0..members).collect();
+                let mut rng = seeded(split_seed(cycle_seed, 0xBA7C4));
+                idx.shuffle(&mut rng);
+                idx.truncate(j);
+                idx
+            }
+            _ => (0..members).collect(),
+        };
+        let prior_var = match config.method {
+            AnalysisMethod::FlowMatching => {
+                let mut var = batch_variance(forecast.as_slice(), members, dim, &batch);
+                smooth_variance(&mut var, config.variance_smoothing);
+                var
+            }
+            AnalysisMethod::ReverseSde => Vec::new(),
+        };
+        let score = match config.kernel {
+            ScoreKernel::Batched => Score::Batched(BatchedScore::new(
+                forecast.as_slice(),
+                members,
+                dim,
+                config.schedule,
+                &batch,
+            )),
+            ScoreKernel::Reference => Score::Reference(
+                ScoreEstimator::new(forecast.as_slice(), members, dim, config.schedule)
+                    .with_batch(batch),
+            ),
+        };
+        BlockAnalysis {
+            config,
+            cycle_seed,
+            dim,
+            y,
+            obs,
+            score,
+            prior_var,
+            times: TimeGrid::LogSpaced.points(&config.schedule, config.n_steps),
+        }
+    }
+
+    /// Pseudo-time steps every particle is integrated through.
+    pub fn steps(&self) -> usize {
+        self.times.len() - 1
+    }
+
+    /// Integrates particles `particles` (global indices) on the calling
+    /// thread and returns them as a `len x dim` row-major block, before
+    /// spread relaxation: a fresh `N(0, I)` start from each particle's own
+    /// stream, then the reverse SDE or the probability flow with posterior
+    /// score = prior score + likelihood guidance.
+    pub fn run_block(&self, particles: Range<usize>) -> Vec<f64> {
+        let (dim, b) = (self.dim, particles.len());
+        let mut block = vec![0.0; b * dim];
+        if b == 0 {
+            return block;
+        }
+        let schedule = &self.config.schedule;
+        let method = self.config.method;
+        match &self.score {
+            Score::Batched(score) => {
+                let mut rngs: Vec<_> =
+                    particles.map(|m| member_rng(self.cycle_seed, m)).collect();
+                for (row, rng) in block.chunks_exact_mut(dim).zip(rngs.iter_mut()) {
+                    fill_standard_normal(rng, row);
+                }
+                let mut scratch = BatchScratch::new(b, score.batch_len(), dim);
+                // The batched integrators leave step accounting to the
+                // caller that owns the grid.
+                let integrated = (self.steps() * b) as u64;
+                match method {
+                    AnalysisMethod::ReverseSde => {
+                        telemetry::counter_add("ensf.sde.euler_steps", integrated);
+                        reverse_sde_assimilate_batched(
+                            &mut block,
+                            schedule,
+                            &self.times,
+                            score,
+                            self.obs,
+                            self.y,
+                            &mut rngs,
+                            &mut scratch,
+                        )
+                    }
+                    AnalysisMethod::FlowMatching => {
+                        telemetry::counter_add("ensf.flow.ode_steps", integrated);
+                        probability_flow_assimilate_batched(
+                            &mut block,
+                            b,
+                            schedule,
+                            &self.times,
+                            score,
+                            &self.prior_var,
+                            self.obs,
+                            self.y,
+                            &mut scratch,
+                        )
+                    }
+                }
+            }
+            Score::Reference(estimator) => {
+                // The per-particle oracle: one particle at a time, exactly
+                // as the equivalence tests drive the integrators.
+                let mut weights = vec![0.0; estimator.batch_len()];
+                for (out, m) in block.chunks_exact_mut(dim).zip(particles) {
+                    let mut rng = member_rng(self.cycle_seed, m);
+                    fill_standard_normal(&mut rng, out);
+                    let prior = |z: &[f64], t: f64, s: &mut [f64]| {
+                        estimator.score_into(z, t, s, &mut weights);
+                    };
+                    match method {
+                        AnalysisMethod::ReverseSde => reverse_sde_assimilate(
+                            out,
+                            schedule,
+                            self.config.n_steps,
+                            TimeGrid::LogSpaced,
+                            prior,
+                            self.obs,
+                            self.y,
+                            &mut rng,
+                        ),
+                        AnalysisMethod::FlowMatching => probability_flow_assimilate(
+                            out,
+                            schedule,
+                            self.config.n_steps,
+                            TimeGrid::LogSpaced,
+                            &self.prior_var,
+                            prior,
+                            self.obs,
+                            self.y,
+                        ),
+                    }
+                }
+            }
+        }
+        block
+    }
+}
+
+/// Runs one EnSF analysis with the ensemble partitioned into the blocks of
+/// `plan`: one parallel task per block, particles sequential within a
+/// block (exactly as a rank would run them), blocks gathered in order,
+/// then spread relaxation. Bitwise independent of the plan; it is
+/// [`crate::Ensf::analyze`] with the cycle counter passed in.
 ///
 /// # Panics
-/// Panics when `config` fails validation, `y` does not match the operator's
-/// observation dimension, or `plan` does not cover the ensemble.
+/// Panics when `plan` does not cover the ensemble, and as
+/// [`BlockAnalysis::prepare`].
 pub fn analyze_partitioned(
     config: &EnsfConfig,
     cycle: u64,
@@ -69,119 +268,25 @@ pub fn analyze_partitioned(
     y: &[f64],
     obs: &impl ObservationOperator,
 ) -> Ensemble {
-    config.validate().expect("invalid EnSF configuration");
     let members = forecast.members();
     let dim = forecast.dim();
-    assert_eq!(y.len(), obs.obs_dim());
     assert_eq!(
         plan.blocks.last().map(|b| b.1),
         Some(members),
         "plan does not cover the ensemble"
     );
+    let prepared = BlockAnalysis::prepare(config, cycle, forecast, y, obs);
+    let blocks: Vec<Vec<f64>> =
+        plan.blocks.par_iter().map(|&(start, end)| prepared.run_block(start..end)).collect();
 
-    let cycle_seed = split_seed(config.seed, cycle.wrapping_add(0x5151));
-
-    let mut analysis = match config.kernel {
-        ScoreKernel::Batched => {
-            // The batched kernel's per-particle outputs are bitwise
-            // independent of the block layout (see `linalg::matmul_abt_into`),
-            // so handing the plan's blocks straight to the shared block
-            // driver reproduces the single-rank filter exactly.
-            let batch: Vec<usize> = (0..members).collect();
-            crate::batch::analyze_blocks(config, cycle_seed, &plan.blocks, forecast, y, obs, &batch)
-        }
-        ScoreKernel::Reference => {
-            let estimator =
-                ScoreEstimator::new(forecast.as_slice(), members, dim, config.schedule);
-            let schedule = config.schedule;
-            let n_steps = config.n_steps;
-            let method = config.method;
-            let prior_var = match method {
-                crate::AnalysisMethod::FlowMatching => {
-                    let full: Vec<usize> = (0..members).collect();
-                    let mut var =
-                        crate::flow::batch_variance(forecast.as_slice(), members, dim, &full);
-                    crate::flow::smooth_variance(&mut var, config.variance_smoothing);
-                    var
-                }
-                crate::AnalysisMethod::ReverseSde => Vec::new(),
-            };
-
-            let mut analysis = Ensemble::zeros(members, dim);
-
-            // One task per rank block; inside a block, particles run
-            // sequentially, exactly as a single MPI rank would execute them.
-            let block_results: Vec<(usize, Vec<f64>)> = plan
-                .blocks
-                .par_iter()
-                .map(|&(start, end)| {
-                    let mut block = vec![0.0; (end - start) * dim];
-                    let mut scratch = vec![0.0; estimator.batch_len()];
-                    for (local, m) in (start..end).enumerate() {
-                        let out = &mut block[local * dim..(local + 1) * dim];
-                        let mut rng = member_rng(cycle_seed, m);
-                        fill_standard_normal(&mut rng, out);
-                        match method {
-                            crate::AnalysisMethod::ReverseSde => reverse_sde_assimilate(
-                                out,
-                                &schedule,
-                                n_steps,
-                                TimeGrid::LogSpaced,
-                                |z, t, s| {
-                                    estimator.score_into(z, t, s, &mut scratch);
-                                },
-                                obs,
-                                y,
-                                &mut rng,
-                            ),
-                            crate::AnalysisMethod::FlowMatching => {
-                                crate::flow::probability_flow_assimilate(
-                                    out,
-                                    &schedule,
-                                    n_steps,
-                                    TimeGrid::LogSpaced,
-                                    &prior_var,
-                                    |z, t, s| {
-                                        estimator.score_into(z, t, s, &mut scratch);
-                                    },
-                                    obs,
-                                    y,
-                                )
-                            }
-                        }
-                    }
-                    (start, block)
-                })
-                .collect();
-
-            // "MPI reduce": gather rank blocks into the global analysis.
-            for (start, block) in block_results {
-                let nb = block.len() / dim;
-                for local in 0..nb {
-                    analysis
-                        .member_mut(start + local)
-                        .copy_from_slice(&block[local * dim..(local + 1) * dim]);
-                }
-            }
-            analysis
-        }
-    };
-
+    let mut analysis = Ensemble::zeros(members, dim);
+    for (&(start, end), block) in plan.blocks.iter().zip(&blocks) {
+        analysis.as_mut_slice()[start * dim..end * dim].copy_from_slice(block);
+    }
     if config.spread_relaxation > 0.0 {
-        crate::filter::relax_spread(&mut analysis, forecast, config.spread_relaxation);
+        relax_spread(&mut analysis, forecast, config.spread_relaxation);
     }
     analysis
-}
-
-/// Convenience: sequential reference via [`Ensf`] for equivalence tests.
-pub fn analyze_reference(
-    config: &EnsfConfig,
-    forecast: &Ensemble,
-    y: &[f64],
-    obs: &impl ObservationOperator,
-) -> Ensemble {
-    let mut f = Ensf::new(config.clone());
-    f.analyze(forecast, y, obs)
 }
 
 #[cfg(test)]
@@ -228,7 +333,7 @@ mod tests {
         let obs = MaskedObs::identity(16, 0.5);
         let y = vec![0.4; 16];
         let config = EnsfConfig { seed: 21, n_steps: 25, ..Default::default() };
-        let reference = analyze_reference(&config, &fc, &y, &obs);
+        let reference = crate::Ensf::new(config.clone()).analyze(&fc, &y, &obs);
         for ranks in [1, 2, 3, 5, 12] {
             let plan = RankPlan::new(12, ranks);
             let got = analyze_partitioned(&config, 0, &plan, &fc, &y, &obs);

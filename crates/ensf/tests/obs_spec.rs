@@ -1,9 +1,7 @@
-//! The partition invariant of the observation model, in the one place it
-//! lives: any cut of `0..dim` into contiguous ranges splits the whole-state
-//! operator of an [`ObsSpec`] exactly — forward map, likelihood score,
-//! squared Jacobian and observation-vector slots — for every
-//! operator × mask kind. The sharded runtime's rank-count invariance under
-//! partial networks rests on nothing else.
+//! The observation model of an [`ObsSpec`], in the one place it lives: for
+//! every operator × mask kind the observation-vector length, the observed
+//! index list, `project` and the whole-state operator agree, and an index
+//! list naming every component is the dense operator bit for bit.
 
 use ensf::{MaskKind, MaskedObs, ObsOperatorKind, ObsSpec, ObservationOperator};
 use proptest::prelude::*;
@@ -54,7 +52,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn contiguous_cuts_partition_the_whole_state_operator(
+    fn project_and_obs_len_agree_with_the_whole_state_operator(
         arctan in 0u8..2,
         gain in 0.5f64..50.0,
         selector in 0u8..4,
@@ -62,7 +60,6 @@ proptest! {
         b in 0usize..512,
         dim in 4usize..160,
         cycle in 0u64..50,
-        cuts in prop::collection::vec(0usize..160, 0..6),
         seed in 0u64..1000,
     ) {
         let spec = ObsSpec {
@@ -71,33 +68,21 @@ proptest! {
             sigma: 0.4,
         };
         let state = normals(seed, 0, dim);
+        let observed = spec.observed(dim, cycle);
         let obs_len = spec.obs_len(dim, cycle);
-        prop_assert_eq!(spec.observed(dim, cycle).len(), obs_len);
+        prop_assert_eq!(observed.len(), obs_len);
         let y = normals(seed, 1, obs_len);
 
-        let (hx, score, jsq) = evaluate(&spec.operator(dim, cycle), &state, &y);
+        let op = spec.operator(dim, cycle);
+        prop_assert_eq!(op.obs_dim(), obs_len);
+        let (hx, score, jsq) = evaluate(&op, &state, &y);
         prop_assert_eq!(bits(&spec.project(&state, cycle)), bits(&hx), "project ≠ whole-state h");
-
-        // Repeated cut points give empty ranges, which must be harmless.
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (dim + 1)).collect();
-        bounds.extend([0, dim]);
-        bounds.sort_unstable();
-        let (mut hx_cat, mut score_cat, mut jsq_cat) = (Vec::new(), Vec::new(), Vec::new());
-        let mut next_slot = 0;
-        for w in bounds.windows(2) {
-            let (op, slots) = spec.operator_on(w[0]..w[1], dim, cycle);
-            prop_assert_eq!(slots.start, next_slot, "slot ranges must tile y in order");
-            prop_assert_eq!(slots.len(), op.obs_dim());
-            next_slot = slots.end;
-            let (h, s, j) = evaluate(&op, &state[w[0]..w[1]], &y[slots]);
-            hx_cat.extend(h);
-            score_cat.extend(s);
-            jsq_cat.extend(j);
+        // Guidance exists exactly on the observed components.
+        for i in 0..dim {
+            let seen = observed.binary_search(&i).is_ok();
+            prop_assert_eq!(jsq[i] != 0.0, seen, "jacobian² at {}", i);
+            prop_assert!(seen || score[i] == 0.0, "score leaked to unobserved {}", i);
         }
-        prop_assert_eq!(next_slot, obs_len, "Σ obs_len(range) ≠ obs_len(0..dim)");
-        prop_assert_eq!(bits(&hx_cat), bits(&hx));
-        prop_assert_eq!(bits(&score_cat), bits(&score));
-        prop_assert_eq!(bits(&jsq_cat), bits(&jsq));
     }
 
     /// The indexed loops mirror the dense ones' expression order: an index

@@ -570,18 +570,11 @@ impl Comm {
         self.try_scatter(parts).unwrap_or_else(|e| panic!("scatter failed: {e}"))
     }
 
-    /// Gathers every group member's `data` to all members (fallible):
-    /// returns the per-member parts in group order on every rank
-    /// (gather-to-root + broadcast). Parts may have different lengths.
-    pub fn try_allgather(&self, data: &[f64]) -> Result<Vec<Vec<f64>>, MpiError> {
-        let size = self.size();
-        if size == 1 {
-            return Ok(vec![data.to_vec()]);
-        }
-        let gathered = self.try_gather(data)?;
-        // Frame as [len_0, …, len_{size-1}, part_0 …, part_{size-1} …] so a
-        // single broadcast carries both the lengths and the payload.
-        let mut frame = if let Some(parts) = gathered {
+    /// The gather-to-root + broadcast behind both allgathers, framed as
+    /// `[len_0, …, len_{size-1}, part_0 …, part_{size-1} …]` so a single
+    /// broadcast carries both the lengths and the payload.
+    fn try_allgather_frame(&self, data: &[f64]) -> Result<Vec<f64>, MpiError> {
+        let mut frame = if let Some(parts) = self.try_gather(data)? {
             let mut frame: Vec<f64> = parts.iter().map(|p| p.len() as f64).collect();
             for p in &parts {
                 frame.extend_from_slice(p);
@@ -591,10 +584,22 @@ impl Comm {
             Vec::new()
         };
         self.try_broadcast(&mut frame)?;
-        let lens: Vec<usize> = frame[..size].iter().map(|&l| l as usize).collect();
+        Ok(frame)
+    }
+
+    /// Gathers every group member's `data` to all members (fallible):
+    /// returns the per-member parts in group order on every rank. Parts
+    /// may have different lengths.
+    pub fn try_allgather(&self, data: &[f64]) -> Result<Vec<Vec<f64>>, MpiError> {
+        let size = self.size();
+        if size == 1 {
+            return Ok(vec![data.to_vec()]);
+        }
+        let frame = self.try_allgather_frame(data)?;
         let mut out = Vec::with_capacity(size);
         let mut offset = size;
-        for len in lens {
+        for &len in &frame[..size] {
+            let len = len as usize;
             out.push(frame[offset..offset + len].to_vec());
             offset += len;
         }
@@ -618,11 +623,11 @@ impl Comm {
         if self.size() == 1 {
             return Ok(data.to_vec());
         }
-        let mut out = Vec::new();
-        for part in self.try_allgather(data)? {
-            out.extend_from_slice(&part);
-        }
-        Ok(out)
+        // The frame behind its length header *is* the concatenation: no
+        // per-part copies.
+        let mut frame = self.try_allgather_frame(data)?;
+        frame.drain(..self.size());
+        Ok(frame)
     }
 
     /// [`Comm::allgather`] flattened into one vector in group order.

@@ -212,14 +212,15 @@ pub fn ensf_step_time(topo: &Topology, job: &EnsfJob, gcds: usize) -> f64 {
     compute + reduce
 }
 
-/// Modeled compute time [s] of one sharded reverse-SDE step on one rank:
-/// the rank scores `members` particles over its `local_len` state
-/// components at the calibrated [`ENSF_GCD_RATE`]. The elastic cycle
-/// driver prices its per-cycle deadline budget with this — the bulk-
-/// synchronous step then costs the *worst* rank's figure (largest shard ×
+/// Modeled compute time [s] of one reverse-SDE step on one rank of the
+/// particle-sharded analysis: the rank scores its block of `particles`
+/// over the full `dim`-component state at the calibrated
+/// [`ENSF_GCD_RATE`]. The elastic cycle driver prices its per-cycle
+/// deadline budget with this — ranks only meet at the cycle's one gather,
+/// so the analysis costs the *worst* rank's figure (largest block ×
 /// largest straggler slowdown).
-pub fn shard_step_compute_secs(members: usize, local_len: usize) -> f64 {
-    members as f64 * local_len as f64 / ENSF_GCD_RATE
+pub fn shard_step_compute_secs(particles: usize, dim: usize) -> f64 {
+    particles as f64 * dim as f64 / ENSF_GCD_RATE
 }
 
 /// The full Fig.-1 workflow cycle: online ViT fine-tuning followed by the

@@ -27,8 +27,8 @@
 //! * [`flight_record`] + [`dump_postmortem`] — allocation-free flight
 //!   recorder ring with a structured postmortem snapshot to
 //!   `SQG_DA_POSTMORTEM_DIR` when a run leaves its healthy state.
-//! * [`TraceEvent`] + [`chrome_trace`] — Chrome trace-event timelines for
-//!   the distributed runtime's cross-rank comm/compute breakdown.
+//! * [`TraceEvent`] + [`chrome_trace`] — Chrome trace-event timelines, one
+//!   lane per rank (written by `cyclebench --trace 1`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

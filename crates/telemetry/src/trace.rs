@@ -12,7 +12,7 @@ use crate::json::Json;
 /// One complete ("X") trace event on some rank's timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name, e.g. `"tile_partials"` or `"allgather"`.
+    /// Event name, e.g. `"run_block"` or `"allgather"`.
     pub name: String,
     /// Category: the timeline convention is `"compute"` vs `"comm"` (plus
     /// `"cycle"` for per-cycle envelope rows).
@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn chrome_object_format_round_trips() {
-        let events = [ev("tile_partials", "compute", 0, 0.0, 12.5), ev("allgather", "comm", 1, 12.5, 3.0)];
+        let events = [ev("run_block", "compute", 0, 0.0, 12.5), ev("allgather", "comm", 1, 12.5, 3.0)];
         let doc = chrome_trace(&events);
         let back = crate::json::parse(&doc.to_string()).unwrap();
         let arr = back.get("traceEvents").and_then(Json::as_arr).unwrap();

@@ -2,10 +2,11 @@
 //! the central test deliverable of the sharded-DA work.
 //!
 //! The contract (see `crates/dist`): a full OSSE experiment — forecast,
-//! observe, sharded EnSF analysis, repeat — is **bitwise identical for any
-//! simulated rank count**. This file proves it at 1/2/4/8 ranks over a
-//! 10-cycle experiment, under both score kernels, and under each
-//! `LINALG_SIMD` cap.
+//! observe, particle-sharded EnSF analysis, repeat — is **bitwise identical
+//! for any simulated rank count**, and on a full observation network it is
+//! the serial driver's experiment bit for bit. This file proves both at
+//! 1/2/4/8 ranks over a 10-cycle experiment, under both score kernels, and
+//! the rank invariance under each `LINALG_SIMD` cap.
 //!
 //! The SIMD cap needs special handling: `linalg::simd::level()` latches the
 //! detected level in a process-wide `OnceLock` on first use, so a test
@@ -16,12 +17,14 @@
 //! different bits (SIMD width reassociates reductions); the invariant is
 //! that *within* one cap the rank count never changes them.
 
+use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, OsseConfig};
+use sqg_da::da_core::{AnalysisScheme, EnsfScheme, SqgForecast};
 use sqg_da::dist::{run_osse, DistCycleConfig, DistRunResult};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig, ScoreKernel};
 use sqg_da::sqg::SqgParams;
-use sqg_da::da_core::osse::{MaskKind, OsseConfig};
+use sqg_da::stats::Ensemble;
 
-/// Reduced-grid 10-cycle experiment: `d = 512` (8 tiles of 64), 8 members.
+/// Reduced-grid 10-cycle experiment: `d = 512`, 8 members.
 fn determinism_config(kernel: ScoreKernel) -> DistCycleConfig {
     DistCycleConfig {
         osse: OsseConfig {
@@ -40,8 +43,7 @@ fn determinism_config(kernel: ScoreKernel) -> DistCycleConfig {
 }
 
 /// The same experiment driven by the few-step flow-matching analysis: no
-/// per-step noise at all, so rank invariance reduces entirely to the
-/// fixed-order tile fold.
+/// per-step noise at all, only each particle's initial draw.
 fn flow_determinism_config() -> DistCycleConfig {
     let mut config = determinism_config(ScoreKernel::Batched);
     config.ensf.n_steps = 6;
@@ -102,9 +104,8 @@ fn ten_cycle_flow_osse_is_bitwise_rank_invariant() {
 }
 
 /// The same experiment with a 25 % contiguous sensor outage: the
-/// observation vector shrinks to the live sensors and the runtime
-/// restricts the mask per *global* tile, so the analysis bits must stay
-/// independent of how tiles are dealt to ranks.
+/// observation vector shrinks to the live sensors, and the analysis bits
+/// must stay independent of how particles are dealt to ranks.
 fn masked_config(kernel: ScoreKernel) -> DistCycleConfig {
     let mut config = determinism_config(kernel);
     config.osse.obs_mask = MaskKind::Block { start: 192, len: 128 };
@@ -122,13 +123,65 @@ fn masked_osse_is_bitwise_rank_invariant_reference() {
 }
 
 /// The moving satellite-track outage under the flow analysis: the observed
-/// window (and observation length) changes every cycle, so every cycle
-/// re-partitions the mask across tiles.
+/// window (and observation length) changes every cycle.
 #[test]
 fn masked_track_flow_osse_is_bitwise_rank_invariant() {
     let mut config = flow_determinism_config();
     config.osse.obs_mask = MaskKind::Track { width: 256, speed: 40 };
     assert_rank_invariant(&config, "Masked/Flow");
+}
+
+/// Records what the serial driver's scheme produced each cycle, so the
+/// serial experiment exposes the same fingerprint the sharded one does.
+struct Recording {
+    inner: EnsfScheme,
+    cycle_means: Vec<Vec<f64>>,
+    last: Option<Ensemble>,
+}
+
+impl AnalysisScheme for Recording {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
+        let analysis = self.inner.analyze(forecast, observation);
+        self.cycle_means.push(analysis.mean());
+        self.last = Some(analysis.clone());
+        analysis
+    }
+}
+
+/// The sharded cycle is not merely rank-invariant: on a full network it is
+/// `run_experiment` with `EnsfScheme`, bit for bit, at every rank count.
+#[test]
+fn sharded_cycle_is_the_serial_driver_bitwise() {
+    for config in [determinism_config(ScoreKernel::Batched), flow_determinism_config()] {
+        let osse = &config.osse;
+        let mut model = SqgForecast::perfect(osse.params.clone());
+        let mut scheme = Recording {
+            inner: EnsfScheme::new(config.ensf.clone(), osse.params.state_dim(), osse.obs_sigma),
+            cycle_means: Vec::new(),
+            last: None,
+        };
+        let series =
+            run_experiment("serial", osse, &nature_run(osse), &mut model, &mut scheme).unwrap();
+        let serial_ensemble = scheme.last.expect("ten analyses ran");
+        for ranks in [1usize, 2, 4, 8] {
+            let sharded = run_osse(&config, ranks).unwrap();
+            let method = config.ensf.method;
+            assert_eq!(
+                sharded.cycle_means, scheme.cycle_means,
+                "{method:?}: cycle means diverged from the serial driver at {ranks} ranks"
+            );
+            assert_eq!(
+                sharded.ensemble.as_slice(),
+                serial_ensemble.as_slice(),
+                "{method:?}: final ensemble diverged from the serial driver at {ranks} ranks"
+            );
+            assert_eq!(sharded.series.rmse, series.rmse);
+        }
+    }
 }
 
 /// Child entry point for the SIMD-cap subprocess protocol: inert unless

@@ -27,7 +27,7 @@ use sqg_da::sqg::SqgParams;
 const KILL_CYCLE: usize = 3;
 
 /// Reduced-grid experiment matching `tests/dist_determinism.rs`:
-/// `d = 512` (8 tiles of 64), 8 members.
+/// `d = 512`, 8 members.
 fn elastic_config(cycles: usize) -> ElasticCycleConfig {
     ElasticCycleConfig::clean(DistCycleConfig {
         osse: OsseConfig {
@@ -69,7 +69,7 @@ fn fingerprint_from(result: &ElasticRunResult, from_cycle: usize) -> u64 {
 /// `ELASTIC_DET_CHILD` is set.
 ///
 /// * `ELASTIC_DET_CHILD=kill` — 10-cycle 8-rank elastic run with rank 5
-///   killed during cycle 3's analysis (mid-collective, after 4 SDE steps);
+///   killed during cycle 3's analysis (before contributing to its gather);
 ///   prints the fingerprint of cycles 3.. as the shrunk 7-rank group
 ///   computed them.
 /// * `ELASTIC_DET_CHILD=resume` — reconstructs the cycle-3 checkpoint from
@@ -86,11 +86,7 @@ fn elastic_child() {
     match mode.as_str() {
         "kill" => {
             let mut config = elastic_config(10);
-            config.faults.rank_kills.push(RankKill {
-                cycle: KILL_CYCLE,
-                rank: 5,
-                after_steps: 4,
-            });
+            config.faults.rank_kills.push(RankKill { cycle: KILL_CYCLE, rank: 5 });
             let result = run_elastic_osse(&config, 8).unwrap();
             assert_eq!(result.outcome, ElasticOutcome::Completed);
             assert_eq!(result.counters.shrinks, 1);
@@ -158,7 +154,7 @@ fn kill_cycle_checkpoint_from_killed_run_restores_bitwise() {
     let path = std::env::temp_dir()
         .join(format!("sqg_da_elastic_selfck_{}.ckpt", std::process::id()));
     let mut config = elastic_config(3);
-    config.faults.rank_kills.push(RankKill { cycle: 2, rank: 3, after_steps: 4 });
+    config.faults.rank_kills.push(RankKill { cycle: 2, rank: 3 });
     config.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 2 });
     let killed = run_elastic_osse(&config, 4).unwrap();
     assert_eq!(killed.group_sizes.last(), Some(&(2, 3)));
