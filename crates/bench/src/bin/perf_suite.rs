@@ -20,8 +20,10 @@
 //! Run: `cargo run --release -p bench --bin perf_suite`
 
 use bench::{header, Json};
-use da_core::osse::{initial_ensemble, nature_run, NatureRun, ObsOperatorKind, OsseConfig};
-use da_core::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, SqgForecast};
+use da_core::cycle::{run_cycles, SingleProcess};
+use da_core::osse::{nature_run, NatureRun, ObsOperatorKind, OsseConfig};
+use da_core::resilience::FaultPlan;
+use da_core::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme, SqgForecast};
 use ensf::{AnalysisMethod, Ensf, EnsfConfig, MaskedObs, ScoreKernel};
 use fft::{plan_cache, Complex, Direction, Fft2};
 use linalg::gemm::{matmul_abt_into, matmul_slices_into};
@@ -257,25 +259,19 @@ fn flow_osse_config(quick: bool, obs_operator: ObsOperatorKind) -> OsseConfig {
 /// across schemes). Returns (steady RMSE vs truth, total analysis seconds).
 fn cycle_da(config: &OsseConfig, nature: &NatureRun, scheme: &mut dyn AnalysisScheme) -> (f64, f64) {
     let mut model = SqgForecast::perfect(config.params.clone());
-    let mut ensemble = initial_ensemble(config, &nature.truth[0]);
     let mut analysis_secs = 0.0;
-    let mut rmse = Vec::with_capacity(config.cycles);
-    for cycle in 0..config.cycles {
-        model.forecast_ensemble(&mut ensemble, config.obs_interval_hours);
-        let t0 = Instant::now();
-        ensemble = scheme.analyze(&ensemble, &nature.observations[cycle]);
-        analysis_secs += t0.elapsed().as_secs_f64();
-        rmse.push(stats::metrics::rmse(&ensemble.mean(), &nature.truth[cycle + 1]));
-        if std::env::var("FLOW_SWEEP_TRACE").is_ok() {
-            println!(
-                "  trace cycle {cycle:2}: rmse {:.4e}  spread {:.4e}",
-                rmse.last().unwrap(),
-                ensemble.spread()
-            );
+    let series = run_cycles(
+        "flow-sweep", config, nature, &mut model, scheme, None, &FaultPlan::none(), None, None,
+        &mut SingleProcess, &mut |_, _, secs| analysis_secs += secs, None,
+    )
+    .expect("the sweep's nature run fits its configuration")
+    .series;
+    if std::env::var("FLOW_SWEEP_TRACE").is_ok() {
+        for (cycle, (rmse, spread)) in series.rmse.iter().zip(&series.spread).enumerate() {
+            println!("  trace cycle {cycle:2}: rmse {rmse:.4e}  spread {spread:.4e}");
         }
     }
-    let tail = &rmse[rmse.len() / 2..];
-    (tail.iter().sum::<f64>() / tail.len() as f64, analysis_secs)
+    (series.steady_rmse(), analysis_secs)
 }
 
 /// Builds the EnSF-family scheme for one sweep point of `osse`.

@@ -1,4 +1,4 @@
-//! Typed errors for the OSSE harness and the supervised cycling loop.
+//! Typed errors for the OSSE harness and the cycle loop.
 //!
 //! The seed harness aborted on configuration mismatches (`assert_eq!`),
 //! which is fine for twin experiments run by hand but useless for callers
@@ -27,7 +27,7 @@ pub enum OsseError {
         /// Observations available in the nature run.
         observations: usize,
     },
-    /// The supervised loop ran out of recovery options at a cycle (e.g.
+    /// The cycle loop ran out of recovery options at a cycle (e.g.
     /// every ensemble member went non-finite at once).
     Unrecoverable {
         /// Zero-based cycle index where cycling had to stop.

@@ -5,6 +5,8 @@
 //! surrogate, or any future foundation model) and in the analysis scheme
 //! (EnSF, LETKF, or none), with:
 //!
+//! - [`cycle`] — the one forecast → observe → analyse → verify → record
+//!   loop every driver is an argument list of,
 //! - [`osse`] — twin-experiment harness (nature run, synthetic observations
 //!   every 12 h, `h = I`, diagonal R),
 //! - [`ModelError`] — the 4-component stochastic model-error process of
@@ -14,7 +16,7 @@
 //! - [`experiments`] — the four architectures of Figs. 4–5
 //!   (SQG-only / ViT-only / SQG+LETKF / ViT+EnSF) over a shared nature run,
 //! - [`resilience`] — fault injection, ensemble health guardrails,
-//!   checkpoint/restore, and the supervised (fault-tolerant) cycling loop.
+//!   checkpoint/restore, and the supervised (fault-tolerant) face of the loop.
 //!
 //! ```no_run
 //! use da_core::experiments::{pretrain_surrogate, run_comparison, ComparisonConfig};
@@ -31,6 +33,7 @@
 // RK4 stage loops update state arrays at matched indices.
 #![allow(clippy::needless_range_loop)]
 
+pub mod cycle;
 pub mod diagnostics;
 mod error;
 pub mod experiments;
@@ -52,5 +55,6 @@ pub use surrogate::VitSurrogate;
 pub use osse::{MaskKind, ObsOperatorKind, ObsSpec};
 pub use scenario::{run_scenario, standard_scenarios, ScenarioMethod, ScenarioResult, ScenarioSpec};
 pub use traits::{
-    AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation,
+    AnalysisReport, AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme,
+    NoAssimilation,
 };

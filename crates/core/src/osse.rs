@@ -6,7 +6,9 @@
 //! `R = σ² I`); the experiment under test forecasts with its own (possibly
 //! imperfect, possibly surrogate) model and assimilates with its scheme.
 
+use crate::cycle::{run_cycles, SingleProcess};
 use crate::model_error::ModelError;
+use crate::resilience::FaultPlan;
 use crate::traits::{AnalysisScheme, ForecastModel};
 pub use ensf::{MaskKind, ObsOperatorKind, ObsSpec};
 use sqg::{SqgModel, SqgParams};
@@ -194,7 +196,10 @@ pub(crate) fn validate_experiment(
     Ok(())
 }
 
-/// Runs one DA experiment against a prepared nature run.
+/// Runs one DA experiment against a prepared nature run: the cycle loop
+/// ([`run_cycles`]) with nothing scripted, no health policy and no
+/// checkpointing. Nothing is scanned, repaired or retried, so a non-finite
+/// analysis shows in the series from that cycle on.
 ///
 /// After every analysis, `model.assimilate_feedback` receives the analyzed
 /// transition (previous analysis mean → current analysis mean) — the online
@@ -202,9 +207,7 @@ pub(crate) fn validate_experiment(
 ///
 /// Configuration mismatches (wrong model dimension, empty or too-short
 /// nature run) are reported as [`crate::OsseError`] instead of aborting,
-/// so batch drivers can skip a bad experiment and keep going. For cycling
-/// that also survives *runtime* faults, see
-/// [`resilience::run_supervised`](crate::resilience::run_supervised).
+/// so batch drivers can skip a bad experiment and keep going.
 pub fn run_experiment(
     label: &str,
     config: &OsseConfig,
@@ -212,81 +215,24 @@ pub fn run_experiment(
     model: &mut dyn ForecastModel,
     scheme: &mut dyn AnalysisScheme,
 ) -> Result<CycleSeries, crate::OsseError> {
-    validate_experiment(config, nature, model)?;
-    let mut ensemble = initial_ensemble(config, &nature.truth[0]);
-    let mut hours = Vec::with_capacity(config.cycles);
-    let mut rmse = Vec::with_capacity(config.cycles);
-    let mut spread = Vec::with_capacity(config.cycles);
-    let mut prev_mean = ensemble.mean();
-    let spec = config.obs_spec();
+    run_observed(label, config, nature, model, scheme, &mut |_, _, _| {})
+}
 
-    for cycle in 0..config.cycles {
-        let _cycle_span = telemetry::span!("osse.cycle");
-        // Forecast every member to the next observation time.
-        let t_fc = telemetry::enabled().then(std::time::Instant::now);
-        model.forecast_ensemble(&mut ensemble, config.obs_interval_hours);
-        let forecast_secs = t_fc.map(|t| t.elapsed().as_secs_f64());
-        // Forecast half of the per-cycle diagnostics, captured before the
-        // analysis overwrites the forecast ensemble (projected through the
-        // mask when the network is partial).
-        let pre_diag = telemetry::enabled().then(|| {
-            crate::diagnostics::forecast_stats(
-                &ensemble,
-                &nature.observations[cycle],
-                &spec,
-                cycle as u64,
-            )
-        });
-        // Analysis.
-        let t_an = telemetry::enabled().then(std::time::Instant::now);
-        let analysis = scheme.analyze(&ensemble, &nature.observations[cycle]);
-        let analysis_secs = t_an.map(|t| t.elapsed().as_secs_f64());
-        ensemble = analysis;
-
-        let mean = ensemble.mean();
-        hours.push((cycle + 1) as f64 * config.obs_interval_hours);
-        rmse.push(stats::metrics::rmse(&mean, &nature.truth[cycle + 1]));
-        spread.push(ensemble.spread());
-
-        if telemetry::enabled() {
-            telemetry::record_cycle(telemetry::CycleRecord {
-                label: label.to_string(),
-                cycle,
-                hours: (cycle + 1) as f64 * config.obs_interval_hours,
-                // INVARIANT: both series were pushed to this cycle above.
-                rmse: *rmse.last().unwrap(),
-                spread: *spread.last().unwrap(), // INVARIANT: pushed above
-                obs_count: nature.observations[cycle].len(),
-                phases: vec![
-                    ("forecast".to_string(), forecast_secs.unwrap_or(0.0)),
-                    ("analysis".to_string(), analysis_secs.unwrap_or(0.0)),
-                ],
-                events: Vec::new(),
-                diagnostics: pre_diag.as_ref().map(|pre| {
-                    crate::diagnostics::complete(
-                        pre,
-                        &ensemble,
-                        &nature.observations[cycle],
-                        // INVARIANT: rmse was pushed for this cycle above.
-                        *rmse.last().unwrap(),
-                        &spec,
-                        cycle as u64,
-                    )
-                }),
-            });
-        }
-
-        model.assimilate_feedback(&prev_mean, &mean);
-        prev_mean = mean;
-    }
-
-    Ok(CycleSeries {
-        label: label.to_string(),
-        hours,
-        rmse,
-        spread,
-        final_mean: ensemble.mean(),
-    })
+/// [`run_experiment`] with a reader of every completed cycle's `(index,
+/// analysis mean, analysis wall seconds)`.
+pub(crate) fn run_observed(
+    label: &str,
+    config: &OsseConfig,
+    nature: &NatureRun,
+    model: &mut dyn ForecastModel,
+    scheme: &mut dyn AnalysisScheme,
+    observe: &mut dyn FnMut(usize, &[f64], f64),
+) -> Result<CycleSeries, crate::OsseError> {
+    let run = run_cycles(
+        label, config, nature, model, scheme, None, &FaultPlan::none(), None, None,
+        &mut SingleProcess, observe, None,
+    )?;
+    Ok(run.series)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Binary checkpoint/restore of full cycling state.
 //!
-//! A [`Checkpoint`] captures everything the supervised loop needs to resume
+//! A [`Checkpoint`] captures everything the cycle loop needs to resume
 //! *bit-identically* after a crash: the analysis ensemble, the analysis
 //! scheme's RNG position (epoch + current seed — enough to regenerate every
 //! SDE noise stream), the verification series so far, the supervisor's

@@ -64,9 +64,9 @@ pub struct AnalysisFault {
     pub failures: usize,
 }
 
-/// A scripted rank death in the distributed runtime: the victim forecasts
-/// `cycle` and registers itself dead instead of entering the analysis, so
-/// survivors observe the failure inside the cycle's one gather.
+/// A scripted rank death in the distributed runtime: the victim registers
+/// itself dead at the boundary entering `cycle`, so survivors observe the
+/// failure inside that cycle's one gather.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankKill {
     /// Zero-based cycle during whose analysis the rank dies.
@@ -107,8 +107,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan injecting nothing (the supervised loop then behaves like the
-    /// plain one, plus health monitoring).
+    /// A plan injecting nothing (under a health policy the loop then behaves
+    /// like the plain one, plus health monitoring).
     pub fn none() -> Self {
         FaultPlan::default()
     }

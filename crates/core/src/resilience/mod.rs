@@ -5,7 +5,7 @@
 //! cadence, thousands of ranks), component failures are routine rather than
 //! exceptional: forecast members crash or silently blow up, observation
 //! feeds stall, and stochastic analyses occasionally produce garbage. This
-//! module makes the cycling loop survive all of that:
+//! module is what lets the cycle loop survive all of that:
 //!
 //! - [`fault`] — deterministic, seedable fault scripts ([`FaultPlan`]) so
 //!   every failure mode can be rehearsed reproducibly in CI;
@@ -15,10 +15,11 @@
 //! - [`checkpoint`] — binary [`Checkpoint`]s of the *full* cycling state
 //!   (ensemble, scheme RNG position, verification series, health state)
 //!   that resume bit-identically;
-//! - [`supervisor`] — the supervised loop itself, a state machine
-//!   (`Healthy → Degraded → Recovering → Healthy`) wrapping
-//!   `run_experiment`'s cycle body with retry, fallback, and forecast-only
-//!   degradation, reporting every recovery through telemetry.
+//! - [`supervisor`] — the supervised face of [`crate::cycle::run_cycles`]:
+//!   the loop with a fault script, a [`HealthPolicy`] (retry, fallback,
+//!   forecast-only degradation; `Healthy → Degraded → Recovering →
+//!   Healthy`) and checkpointing switched on, every recovery reported
+//!   through telemetry.
 
 pub mod checkpoint;
 pub mod fault;

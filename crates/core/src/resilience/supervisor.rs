@@ -1,8 +1,10 @@
-//! The supervised cycling loop: a fault-tolerant `run_experiment`.
+//! The supervised face of the cycle loop: [`crate::cycle::run_cycles`]
+//! with a fault script, a health policy and checkpointing switched on.
 //!
-//! The plain OSSE loop assumes every forecast is finite, every observation
-//! batch arrives, and every analysis succeeds. This supervisor assumes none
-//! of that. Each cycle runs through guardrails — non-finite/outlier member
+//! The plain face assumes every forecast is finite, every observation
+//! batch arrives, and every analysis succeeds. Under a
+//! [`HealthPolicy`](super::HealthPolicy) the loop assumes none of that.
+//! Each cycle runs through guardrails — non-finite/outlier member
 //! quarantine, observation-outage degradation, bounded analysis retry with
 //! a fresh noise stream and an optional fallback scheme, spread-collapse
 //! re-inflation, and climatology-relative divergence detection — and the
@@ -19,22 +21,13 @@
 //! killed run resumes *bit-identically* (all repair randomness is a pure
 //! function of the master seed and the cycle index).
 
-use super::checkpoint::{Checkpoint, CheckpointError};
-use super::fault::ObsFault;
-use super::health;
+use super::checkpoint::Checkpoint;
+use crate::cycle::{run_cycles, SingleProcess};
 use crate::error::OsseError;
-use crate::osse::{initial_ensemble, CycleSeries, NatureRun, OsseConfig};
+use crate::osse::{CycleSeries, NatureRun, OsseConfig};
 use crate::traits::{AnalysisScheme, ForecastModel};
-use stats::rng::split_seed;
-use stats::Ensemble;
 
-/// Seed salts keeping the supervisor's repair streams independent of the
-/// nature run, the initial ensemble, and each other.
-const RESAMPLE_SALT: u64 = 0xFA07_5A1E;
-const RETRY_SALT: u64 = 0xFA07_11E7;
-const REINFLATE_SALT: u64 = 0xFA07_1F1A;
-
-/// Health state of the supervised loop.
+/// Health state of the cycle loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LoopState {
@@ -173,6 +166,13 @@ pub struct SupervisedRun {
     pub checkpoint: Checkpoint,
 }
 
+impl ResilienceConfig {
+    /// The guardrail thresholds in force for `config`.
+    fn policy_for(&self, config: &OsseConfig) -> super::HealthPolicy {
+        self.health.clone().unwrap_or_else(|| super::HealthPolicy::for_obs_sigma(config.obs_sigma))
+    }
+}
+
 /// Runs a supervised OSSE experiment from cycle 0.
 ///
 /// `fallback` is tried once per cycle after the retry budget is exhausted
@@ -187,7 +187,11 @@ pub fn run_supervised(
     scheme: &mut dyn AnalysisScheme,
     fallback: Option<&mut dyn AnalysisScheme>,
 ) -> Result<SupervisedRun, OsseError> {
-    cycle_loop(label, config, resilience, nature, model, scheme, fallback, None)
+    let policy = resilience.policy_for(config);
+    run_cycles(
+        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy),
+        resilience.checkpoint.as_ref(), &mut SingleProcess, &mut |_, _, _| {}, None,
+    )
 }
 
 /// Resumes a supervised run from a checkpoint, replaying the remaining
@@ -204,413 +208,23 @@ pub fn resume_supervised(
     fallback: Option<&mut dyn AnalysisScheme>,
     checkpoint: Checkpoint,
 ) -> Result<SupervisedRun, OsseError> {
-    cycle_loop(label, config, resilience, nature, model, scheme, fallback, Some(checkpoint))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cycle_loop(
-    label: &str,
-    config: &OsseConfig,
-    resilience: &ResilienceConfig,
-    nature: &NatureRun,
-    model: &mut dyn ForecastModel,
-    scheme: &mut dyn AnalysisScheme,
-    mut fallback: Option<&mut dyn AnalysisScheme>,
-    start: Option<Checkpoint>,
-) -> Result<SupervisedRun, OsseError> {
-    crate::osse::validate_experiment(config, nature, model)?;
-    let plan = &resilience.plan;
-    let policy = resilience
-        .health
-        .clone()
-        .unwrap_or_else(|| super::HealthPolicy::for_obs_sigma(config.obs_sigma));
-    let dim = nature.truth[0].len();
-    let spec = config.obs_spec();
-
-    let (start_cycle, mut state, mut ensemble, mut prev_mean, mut hours, mut rmse, mut spread, mut counters) =
-        match start {
-            Some(ck) => {
-                if ck.ensemble.dim() != dim
-                    || ck.prev_mean.len() != dim
-                    || ck.ensemble.members() != config.ens_size
-                    || ck.cycle > config.cycles
-                {
-                    return Err(CheckpointError::BadHeader.into());
-                }
-                scheme.set_rng_state(ck.scheme_epoch, ck.scheme_seed);
-                if let Some(blob) = &ck.model_state {
-                    if !model.load_state(blob) {
-                        return Err(CheckpointError::ModelStateRejected.into());
-                    }
-                }
-                (ck.cycle, ck.state, ck.ensemble, ck.prev_mean, ck.hours, ck.rmse, ck.spread, ck.counters)
-            }
-            None => {
-                let ens = initial_ensemble(config, &nature.truth[0]);
-                let mean = ens.mean();
-                (
-                    0,
-                    LoopState::Healthy,
-                    ens,
-                    mean,
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    RecoveryCounters::default(),
-                )
-            }
-        };
-
-    let mut cycles_log: Vec<SupervisedCycle> = Vec::new();
-    let mut interrupted = false;
-
-    for cycle in start_cycle..config.cycles {
-        let _span = telemetry::span!("osse.supervised_cycle");
-        let mut events: Vec<String> = Vec::new();
-
-        // Forecast, then apply this cycle's scripted member damage.
-        let t_fc = telemetry::enabled().then(std::time::Instant::now);
-        model.forecast_ensemble(&mut ensemble, config.obs_interval_hours);
-        let forecast_secs = t_fc.map(|t| t.elapsed().as_secs_f64());
-        events.extend(plan.inject_member_faults(cycle, &mut ensemble));
-
-        // Guardrail 1: quarantine non-finite and physically impossible
-        // members, resampling them from healthy donors.
-        let mut bad = health::scan_members(&ensemble);
-        let outlier_limit = policy.outlier_factor * nature.climatology_sd;
-        for o in health::scan_outliers(&ensemble, outlier_limit) {
-            if !bad.contains(&o) {
-                bad.push(o);
-            }
-        }
-        bad.sort_unstable();
-        if !bad.is_empty() {
-            let seed = split_seed(config.seed ^ RESAMPLE_SALT, cycle as u64);
-            if !health::quarantine_and_resample(&mut ensemble, &bad, seed, policy.resample_sigma)
-            {
-                return Err(OsseError::Unrecoverable {
-                    cycle,
-                    reason: "every ensemble member is corrupt; no healthy donor to resample from"
-                        .to_string(),
-                });
-            }
-            counters.quarantined_members += bad.len() as u64;
-            for b in &bad {
-                events.push(format!("member_quarantined:{b}"));
-            }
-        }
-
-        // Stale copies of earlier delayed batches are discarded, never
-        // assimilated (the analysis they would correct already happened).
-        for _ in 0..plan.stale_arrivals_at(cycle) {
-            counters.stale_obs_discarded += 1;
-            events.push("stale_obs_discarded".to_string());
-        }
-
-        // Observation delivery, possibly degraded by the fault plan.
-        let obs: Option<Vec<f64>> = match plan.obs_fault_at(cycle) {
-            Some(ObsFault::Drop) => {
-                events.push("obs_dropped".to_string());
-                None
-            }
-            Some(ObsFault::Delay { by }) => {
-                events.push(format!("obs_delayed:{by}"));
-                None
-            }
-            Some(ObsFault::Thin { stride }) if stride > 1 => {
-                // Thinned components are back-filled with the forecast
-                // mean's observation equivalent: the scheme sees zero
-                // innovation there, so only the surviving network
-                // constrains the analysis. Under a masked network the
-                // batch is already the shrunk observed vector, so thinning
-                // strides over observation slots.
-                let real = &nature.observations[cycle];
-                let mut y = spec.project(&ensemble.mean(), cycle as u64);
-                for i in (0..y.len()).step_by(stride) {
-                    y[i] = real[i];
-                }
-                events.push(format!("obs_thinned:{stride}"));
-                Some(y)
-            }
-            _ => Some(nature.observations[cycle].clone()),
-        };
-
-        // Forecast half of the per-cycle diagnostics (innovation moments,
-        // chi², rank histogram) — must be captured before the analysis
-        // overwrites the forecast ensemble.
-        let pre_diag = match (&obs, telemetry::enabled()) {
-            (Some(y), true) => {
-                Some(crate::diagnostics::forecast_stats(&ensemble, y, &spec, cycle as u64))
-            }
-            _ => None,
-        };
-
-        // Analysis with bounded retry, optional fallback, and forecast-only
-        // degradation as the last resort.
-        let t_an = telemetry::enabled().then(std::time::Instant::now);
-        let mut retry_exhausted = false;
-        let analysis = match &obs {
-            None => {
-                counters.degraded_cycles += 1;
-                events.push("degraded_cycle:forecast_only".to_string());
-                None
-            }
-            Some(y) => {
-                let forced_failures = plan.analysis_failures_at(cycle);
-                let mut produced = None;
-                for attempt in 0..=policy.max_analysis_retries {
-                    let mut candidate = scheme.analyze(&ensemble, y);
-                    if attempt < forced_failures {
-                        candidate.as_mut_slice().fill(f64::NAN);
-                    }
-                    if health::all_finite(&candidate) {
-                        produced = Some(candidate);
-                        break;
-                    }
-                    if attempt < policy.max_analysis_retries {
-                        let seed = split_seed(
-                            config.seed ^ RETRY_SALT,
-                            ((cycle as u64) << 8) | (attempt as u64 + 1),
-                        );
-                        scheme.reseed(seed);
-                        counters.analysis_retries += 1;
-                        events.push(format!("analysis_retry:{}", attempt + 1));
-                    }
-                }
-                if produced.is_none() {
-                    if let Some(fb) = fallback.as_deref_mut() {
-                        let candidate = fb.analyze(&ensemble, y);
-                        if health::all_finite(&candidate) {
-                            counters.analysis_fallbacks += 1;
-                            events.push(format!("analysis_fallback:{}", fb.name()));
-                            produced = Some(candidate);
-                        }
-                    }
-                }
-                if produced.is_none() {
-                    counters.degraded_cycles += 1;
-                    events.push("degraded_cycle:analysis_failed".to_string());
-                    retry_exhausted = true;
-                    telemetry::flight_record(
-                        telemetry::FlightKind::RetryExhausted,
-                        cycle as i64,
-                        "analysis_retry_exhausted",
-                        (policy.max_analysis_retries + 1) as f64,
-                        forced_failures as f64,
-                    );
-                }
-                produced
-            }
-        };
-        let analysis_secs = t_an.map(|t| t.elapsed().as_secs_f64());
-        if let Some(a) = analysis {
-            ensemble = a;
-        }
-
-        // Guardrail 2: spread collapse → re-inflate.
-        if ensemble.spread() < policy.spread_floor {
-            health::reinflate(
-                &mut ensemble,
-                policy.reinflate_target,
-                split_seed(config.seed ^ REINFLATE_SALT, cycle as u64),
-            );
-            counters.reinflations += 1;
-            events.push("spread_reinflated".to_string());
-        }
-
-        // Guardrail 3: climatology-relative divergence from the batch we
-        // actually assimilated. A large innovation alone can just be a hard
-        // cycle; divergence is flagged only when the ensemble is *also*
-        // overconfident about it — obs-space spread–skill below the policy
-        // threshold — then the ensemble is loosened by inflation.
-        if let Some(y) = &obs {
-            // Compare in observation space: on partial networks the
-            // innovation must not mix unobserved state into the RMSE.
-            let mean_a = spec.project(&ensemble.mean(), cycle as u64);
-            let innovation = stats::metrics::rmse(&mean_a, y);
-            let ratio = stats::diagnostics::spread_skill(ensemble.spread(), innovation);
-            if innovation > policy.divergence_factor * nature.climatology_sd
-                && ratio < policy.divergence_spread_skill
-            {
-                ensemble.inflate(policy.divergence_inflation);
-                counters.divergence_flags += 1;
-                events.push("divergence_detected".to_string());
-            }
-        }
-
-        let mean = ensemble.mean();
-        hours.push((cycle + 1) as f64 * config.obs_interval_hours);
-        rmse.push(stats::metrics::rmse(&mean, &nature.truth[cycle + 1]));
-        spread.push(ensemble.spread());
-
-        let prev_state = state;
-        state = if events.is_empty() {
-            match state {
-                LoopState::Degraded => LoopState::Recovering,
-                LoopState::Recovering | LoopState::Healthy => LoopState::Healthy,
-            }
-        } else {
-            LoopState::Degraded
-        };
-
-        if telemetry::enabled() {
-            for event in &events {
-                let key = event.split(':').next().unwrap_or(event);
-                telemetry::counter_add(&format!("resilience.{key}"), 1);
-                telemetry::flight_record(
-                    telemetry::FlightKind::Guardrail,
-                    cycle as i64,
-                    key,
-                    0.0,
-                    0.0,
-                );
-            }
-            if state != prev_state {
-                telemetry::counter_add("supervisor.transitions", 1);
-                telemetry::counter_add(
-                    &format!("supervisor.transition.{}_to_{}", prev_state.name(), state.name()),
-                    1,
-                );
-                telemetry::flight_record(
-                    telemetry::FlightKind::Transition,
-                    cycle as i64,
-                    &format!("{}->{}", prev_state.name(), state.name()),
-                    prev_state as u8 as f64,
-                    state as u8 as f64,
-                );
-            }
-            telemetry::gauge_set("supervisor.state", state as u8 as f64);
-            telemetry::gauge_set("supervisor.retries", counters.analysis_retries as f64);
-            telemetry::gauge_set("supervisor.fallbacks", counters.analysis_fallbacks as f64);
-            telemetry::gauge_set(
-                "supervisor.quarantined_members",
-                counters.quarantined_members as f64,
-            );
-            telemetry::gauge_set("supervisor.divergence_flags", counters.divergence_flags as f64);
-            let diagnostics = pre_diag.as_ref().zip(obs.as_ref()).map(|(pre, y)| {
-                // INVARIANT: rmse was pushed for this cycle above.
-                let skill = *rmse.last().unwrap();
-                crate::diagnostics::complete(pre, &ensemble, y, skill, &spec, cycle as u64)
-            });
-            if let Some(d) = &diagnostics {
-                telemetry::gauge_set("supervisor.spread_skill", d.spread_skill);
-                telemetry::gauge_set("supervisor.chi2", d.chi2);
-                telemetry::flight_record(
-                    telemetry::FlightKind::CycleDiag,
-                    cycle as i64,
-                    "cycle_diagnostics",
-                    d.chi2,
-                    d.spread_skill,
-                );
-            }
-            telemetry::record_cycle(telemetry::CycleRecord {
-                label: label.to_string(),
-                cycle,
-                // INVARIANT: all three series were pushed to this cycle above.
-                hours: *hours.last().unwrap(),
-                rmse: *rmse.last().unwrap(), // INVARIANT: pushed above
-                spread: *spread.last().unwrap(), // INVARIANT: pushed above
-                obs_count: obs.as_ref().map_or(0, Vec::len),
-                phases: vec![
-                    ("forecast".to_string(), forecast_secs.unwrap_or(0.0)),
-                    ("analysis".to_string(), analysis_secs.unwrap_or(0.0)),
-                ],
-                events: events.clone(),
-                diagnostics,
-            });
-            // Postmortem: dump *after* the cycle record so the snapshot's
-            // recent-cycles window includes the cycle that went wrong.
-            if retry_exhausted {
-                telemetry::dump_postmortem("analysis_retry_exhausted");
-            } else if prev_state == LoopState::Healthy && state == LoopState::Degraded {
-                telemetry::dump_postmortem("left_healthy");
-            }
-        }
-
-        model.assimilate_feedback(&prev_mean, &mean);
-        prev_mean = mean;
-        cycles_log.push(SupervisedCycle { cycle, state, events });
-
-        let completed = cycle + 1;
-        let killed = plan.kill_after == Some(completed) && completed < config.cycles;
-        let due = resilience
-            .checkpoint
-            .as_ref()
-            .is_some_and(|c| c.every > 0 && completed % c.every == 0);
-        if due || killed {
-            if let Some(ckcfg) = &resilience.checkpoint {
-                make_checkpoint(
-                    completed, state, scheme, model, &ensemble, &prev_mean, &hours, &rmse,
-                    &spread, counters,
-                )
-                .save(&ckcfg.path)?;
-            }
-        }
-        if killed {
-            interrupted = true;
-            break;
-        }
-    }
-
-    let completed = start_cycle + cycles_log.len();
-    let checkpoint = make_checkpoint(
-        completed, state, scheme, model, &ensemble, &prev_mean, &hours, &rmse, &spread,
-        counters,
-    );
-    let series = CycleSeries {
-        label: label.to_string(),
-        hours,
-        rmse,
-        spread,
-        final_mean: ensemble.mean(),
-    };
-    Ok(SupervisedRun {
-        series,
-        cycles: cycles_log,
-        counters,
-        interrupted,
-        final_state: state,
-        checkpoint,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn make_checkpoint(
-    cycle: usize,
-    state: LoopState,
-    scheme: &mut dyn AnalysisScheme,
-    model: &mut dyn ForecastModel,
-    ensemble: &Ensemble,
-    prev_mean: &[f64],
-    hours: &[f64],
-    rmse: &[f64],
-    spread: &[f64],
-    counters: RecoveryCounters,
-) -> Checkpoint {
-    let (scheme_epoch, scheme_seed) = scheme.rng_state();
-    Checkpoint {
-        cycle,
-        state,
-        scheme_epoch,
-        scheme_seed,
-        ensemble: ensemble.clone(),
-        prev_mean: prev_mean.to_vec(),
-        hours: hours.to_vec(),
-        rmse: rmse.to_vec(),
-        spread: spread.to_vec(),
-        counters,
-        model_state: model.save_state(),
-    }
+    let policy = resilience.policy_for(config);
+    run_cycles(
+        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy),
+        resilience.checkpoint.as_ref(), &mut SingleProcess, &mut |_, _, _| {}, Some(checkpoint),
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::fault::{AnalysisFault, FaultPlan, MemberFault, MemberFaultKind};
+    use super::super::checkpoint::CheckpointError;
+    use super::super::fault::{AnalysisFault, FaultPlan, MemberFault, MemberFaultKind, ObsFault};
     use super::*;
     use crate::forecast::SqgForecast;
     use crate::osse::nature_run;
     use crate::traits::{Completion, EnsfScheme, LetkfScheme, NoAssimilation};
     use sqg::SqgParams;
+    use stats::Ensemble;
 
     fn tiny_config(cycles: usize) -> OsseConfig {
         OsseConfig {
@@ -652,10 +266,61 @@ mod tests {
             run_supervised("sup", &cfg, &res, &nr, &mut m2, &mut s2, None).unwrap();
 
         assert_eq!(run.series.rmse, plain.rmse, "no faults ⇒ bit-identical to plain loop");
+        assert_eq!(run.series.spread, plain.spread);
+        assert_eq!(run.series.hours, plain.hours);
+        assert_eq!(run.series.final_mean, plain.final_mean);
+        assert_eq!(run.checkpoint.prev_mean, plain.final_mean);
         assert_eq!(run.counters.total(), 0);
         assert!(!run.interrupted);
         assert!(run.cycles.iter().all(|c| c.events.is_empty()));
         assert_eq!(run.final_state, LoopState::Healthy);
+    }
+
+    /// Returns an all-NaN analysis whenever it is handed `bad_batch`,
+    /// however often it is retried.
+    struct FailsOn {
+        inner: EnsfScheme,
+        bad_batch: Vec<f64>,
+    }
+
+    impl AnalysisScheme for FailsOn {
+        fn name(&self) -> &str {
+            "fails-on"
+        }
+        fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
+            let mut analysis = self.inner.analyze(forecast, observation);
+            if observation == self.bad_batch {
+                analysis.as_mut_slice().fill(f64::NAN);
+            }
+            analysis
+        }
+    }
+
+    /// The absent policy is the plain contract: the same failing scheme
+    /// poisons `run_experiment` from the failing cycle on, and costs
+    /// `run_supervised` one forecast-only cycle.
+    #[test]
+    fn without_a_policy_a_failed_analysis_propagates() {
+        let cfg = tiny_config(4);
+        let nr = nature_run(&cfg);
+        let dim = nr.truth[0].len();
+        let failing =
+            || FailsOn { inner: ensf_scheme(&cfg, dim), bad_batch: nr.observations[1].clone() };
+
+        let mut model = SqgForecast::perfect(cfg.params.clone());
+        let plain =
+            crate::osse::run_experiment("plain", &cfg, &nr, &mut model, &mut failing()).unwrap();
+        assert!(plain.rmse[0].is_finite());
+        assert!(plain.rmse[1..].iter().all(|r| !r.is_finite()), "{:?}", plain.rmse);
+
+        let mut model = SqgForecast::perfect(cfg.params.clone());
+        let res = ResilienceConfig::default();
+        let run =
+            run_supervised("sup", &cfg, &res, &nr, &mut model, &mut failing(), None).unwrap();
+        assert!(run.cycles[1].events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
+        assert_eq!(run.counters.degraded_cycles, 1);
+        assert!(run.series.rmse.iter().all(|r| r.is_finite()), "{:?}", run.series.rmse);
+        assert_eq!(run.series.rmse[0], plain.rmse[0], "identical until the failure");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! `BENCH_scenarios.json`.
 
 use crate::forecast::SqgForecast;
-use crate::osse::{initial_ensemble, nature_run, MaskKind, ObsOperatorKind, OsseConfig};
-use crate::traits::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme};
+use crate::osse::{nature_run, run_observed, MaskKind, ObsOperatorKind, OsseConfig};
+use crate::traits::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme};
 
 /// One named observing-network scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,23 +175,21 @@ pub fn run_scenario(
         )),
     };
 
+    // The plain face of the cycle loop, read cycle by cycle for the
+    // observed/unobserved split and the analysis wall time.
     let mut model = SqgForecast::perfect(config.params.clone());
-    let mut ensemble = initial_ensemble(&config, &nature.truth[0]);
-    let mut per_cycle: Vec<(f64, f64, f64)> = Vec::with_capacity(config.cycles);
+    let mut per_cycle: Vec<(f64, f64)> = Vec::with_capacity(config.cycles);
     let mut analysis_secs = 0.0;
-    for cycle in 0..config.cycles {
-        model.forecast_ensemble(&mut ensemble, config.obs_interval_hours);
-        let t = std::time::Instant::now();
-        ensemble = scheme.analyze(&ensemble, &nature.observations[cycle]);
-        analysis_secs += t.elapsed().as_secs_f64();
-        let mean = ensemble.mean();
+    let mut read = |cycle: usize, mean: &[f64], secs: f64| {
+        analysis_secs += secs;
         let observed = spec.mask.observed_indices(dim, cycle as u64);
-        let (ro, ru) = split_rmse(&mean, &nature.truth[cycle + 1], &observed);
-        per_cycle.push((ro, ru, stats::metrics::rmse(&mean, &nature.truth[cycle + 1])));
-    }
+        per_cycle.push(split_rmse(mean, &nature.truth[cycle + 1], &observed));
+    };
+    let series = run_observed(spec.name, &config, &nature, &mut model, scheme.as_mut(), &mut read)
+        .expect("the scenario's own nature run fits its configuration");
 
-    // Steady state: mean over the last half of the cycles (same convention
-    // as `CycleSeries::steady_rmse`).
+    // Steady state: mean over the last half of the cycles (the convention
+    // of `CycleSeries::steady_rmse`).
     let tail = &per_cycle[per_cycle.len() / 2..];
     let n = tail.len().max(1) as f64;
     ScenarioResult {
@@ -199,7 +197,7 @@ pub fn run_scenario(
         method: method.label(),
         rmse_observed: tail.iter().map(|r| r.0).sum::<f64>() / n,
         rmse_unobserved: tail.iter().map(|r| r.1).sum::<f64>() / n,
-        rmse_total: tail.iter().map(|r| r.2).sum::<f64>() / n,
+        rmse_total: series.steady_rmse(),
         analysis_secs,
         cycles: config.cycles,
     }

@@ -64,11 +64,37 @@ pub trait AnalysisScheme {
     /// noise streams of the uninterrupted one. Default: no-op.
     fn set_rng_state(&mut self, _epoch: u64, _seed: u64) {}
 
-    /// Switches the scheme onto a fresh internal noise stream — the
-    /// supervised loop's retry path after a failed analysis. Deterministic
-    /// schemes ignore it (a retry would reproduce the same failure, so the
-    /// supervisor falls back instead).
+    /// Switches the scheme onto a fresh internal noise stream — the cycle
+    /// loop's retry path after a failed analysis. Deterministic schemes
+    /// ignore it (a retry would reproduce the same failure, so the loop
+    /// falls back instead).
     fn reseed(&mut self, _seed: u64) {}
+
+    /// What the last [`AnalysisScheme::analyze`] call decided besides its
+    /// ensemble; the cycle loop drains it after every call. Schemes that
+    /// decide nothing (every one in this crate) keep the empty default.
+    fn take_report(&mut self) -> AnalysisReport {
+        AnalysisReport::default()
+    }
+}
+
+/// Runtime decisions an analysis took on its own — the sharded analysis
+/// shrinks its group around a dead rank and rides a deadline ladder — in
+/// the terms the cycle loop already keeps for its own guardrails.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AnalysisReport {
+    /// Recovery events (they degrade the cycle's health state and land in
+    /// its record like any guardrail event).
+    pub events: Vec<String>,
+    /// Extra `(phase, seconds)` pairs for the cycle record, e.g. a
+    /// modelled analysis time next to the measured one.
+    pub phases: Vec<(String, f64)>,
+    /// Reasons to dump a flight-recorder postmortem once the cycle's
+    /// record is written.
+    pub postmortems: Vec<&'static str>,
+    /// Set when the analysis failed beyond recovery: the loop stops with
+    /// [`crate::OsseError::Unrecoverable`] carrying this reason.
+    pub abort: Option<String>,
 }
 
 /// The "no assimilation" scheme: analysis = forecast (free run).

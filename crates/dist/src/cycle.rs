@@ -12,15 +12,16 @@
 //! redundantly on every rank from identical bytes, which keeps them
 //! trivially consistent.
 //!
-//! The loop itself lives in [`crate::elastic`]; this module is its
-//! fault-free face.
+//! The loop is `da_core::cycle::run_cycles`; [`crate::elastic`] fills its
+//! slots for one rank, and this module is that driver with nothing
+//! scripted.
 
 use crate::analysis::{CommSpec, CommStats};
-use crate::elastic::{run_elastic_from, ElasticCycleConfig};
+use crate::elastic::{run_elastic_from, run_elastic_osse, ElasticCycleConfig, ElasticRunResult};
 use crate::DistError;
-use da_core::osse::{nature_run, CycleSeries, NatureRun, OsseConfig};
+use da_core::osse::{CycleSeries, NatureRun, OsseConfig};
 use ensf::{EnsfConfig, ObsSpec};
-use hpc::mpi::{run_world, Comm};
+use hpc::mpi::Comm;
 use stats::Ensemble;
 
 /// Default of [`DistCycleConfig::tile`].
@@ -77,8 +78,20 @@ pub struct DistRunResult {
     pub stats: CommStats,
 }
 
+impl DistRunResult {
+    /// The fault-free view of an elastic run on a `ranks`-rank group.
+    fn from_elastic(run: ElasticRunResult, ranks: usize) -> Self {
+        DistRunResult {
+            series: CycleSeries { label: format!("dist-ensf@{ranks}r"), ..run.series },
+            cycle_means: run.cycle_means.into_iter().map(|(_, mean)| mean).collect(),
+            ensemble: run.ensemble,
+            stats: run.stats,
+        }
+    }
+}
+
 /// Runs one distributed OSSE experiment on this rank's slice of the world:
-/// the elastic loop ([`run_elastic_from`]) with no faults, stragglers,
+/// the elastic driver ([`run_elastic_from`]) with no faults, stragglers,
 /// deadline or checkpointing scripted.
 ///
 /// Every rank receives the same configuration and nature run and returns
@@ -96,17 +109,12 @@ pub fn run_dist_experiment(
     nature: &NatureRun,
 ) -> Result<DistRunResult, DistError> {
     let run = run_elastic_from(comm, &ElasticCycleConfig::clean(config.clone()), nature, None)?;
-    Ok(DistRunResult {
-        series: CycleSeries { label: format!("dist-ensf@{}r", comm.size()), ..run.series },
-        cycle_means: run.cycle_means.into_iter().map(|(_, mean)| mean).collect(),
-        ensemble: run.ensemble,
-        stats: run.stats,
-    })
+    Ok(DistRunResult::from_elastic(run, comm.size()))
 }
 
-/// Convenience driver: generates the nature run, spins up `ranks` simulated
-/// MPI ranks ([`run_world`]), runs the distributed experiment on each, and
-/// returns rank 0's result after asserting the replicated-state contract.
+/// Convenience driver: [`run_elastic_osse`] with nothing scripted — the
+/// nature run, `ranks` simulated MPI ranks, the distributed experiment on
+/// each, and rank 0's result after asserting the replicated-state contract.
 ///
 /// # Errors
 /// Propagates the (identical) per-rank [`DistError`].
@@ -115,30 +123,16 @@ pub fn run_dist_experiment(
 /// Panics if the ranks disagree on the analysis trajectory — a broken
 /// internal invariant, not a user error.
 pub fn run_osse(config: &DistCycleConfig, ranks: usize) -> Result<DistRunResult, DistError> {
-    let nature = nature_run(&config.osse);
-    let mut results = run_world(ranks, |comm| run_dist_experiment(comm, config, &nature));
-    let first = results.remove(0)?;
-    for (r, result) in results.into_iter().enumerate() {
-        let result = result?;
-        assert_eq!(
-            result.cycle_means, first.cycle_means,
-            "rank {} disagrees with rank 0 on the analysis trajectory",
-            r + 1
-        );
-        assert_eq!(
-            result.ensemble.as_slice(),
-            first.ensemble.as_slice(),
-            "rank {} disagrees with rank 0 on the final ensemble",
-            r + 1
-        );
-    }
-    Ok(first)
+    let run = run_elastic_osse(&ElasticCycleConfig::clean(config.clone()), ranks)?;
+    Ok(DistRunResult::from_elastic(run, ranks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use da_core::osse::nature_run;
     use ensf::ScoreKernel;
+    use hpc::mpi::run_world;
     use sqg::SqgParams;
 
     /// Reduced grid (d = 512, 8 members): fast enough for unit tests.
@@ -248,5 +242,12 @@ mod tests {
         };
         let errs = run_world(1, |comm| run_dist_experiment(comm, &config, &nature).unwrap_err());
         assert!(matches!(&errs[0], DistError::Config(_)));
+
+        // Enough observations but too few truth states to verify against.
+        let config = tiny_config(2);
+        let mut nature = nature_run(&config.osse);
+        nature.truth.truncate(2);
+        let errs = run_world(2, |comm| run_dist_experiment(comm, &config, &nature).unwrap_err());
+        assert!(errs.iter().all(|e| matches!(e, DistError::Config(_))), "{errs:?}");
     }
 }

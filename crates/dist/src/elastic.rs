@@ -1,11 +1,13 @@
 //! Elastic rank-failure recovery and deadline-aware degraded analysis.
 //!
-//! The one sharded cycling loop — replicated forecast, particle-sharded
-//! analysis, one gather per cycle — wired to the live fault machinery of
-//! [`hpc::mpi`] ([`crate::cycle`] is its fault-free face). A rank killed by a
-//! [`FaultPlan`] surfaces as [`hpc::MpiError::RankDead`] inside the first
-//! collective that misses it (never a hang); the survivors then run a
-//! ULFM-style recovery:
+//! One rank's argument list for the cycle loop (`da_core::cycle::run_cycles`):
+//! the forecast on the rank's own thread, the particle-sharded analysis as
+//! its scheme, and the rank's membership in the world as its process group
+//! — wired to the live fault machinery of [`hpc::mpi`] ([`crate::cycle`] is
+//! the same with nothing scripted). A rank killed by a [`FaultPlan`] leaves
+//! at the cycle boundary and surfaces as [`hpc::MpiError::RankDead`] inside
+//! the first collective that misses it (never a hang); the survivors then
+//! run a ULFM-style recovery:
 //!
 //! 1. the detecting rank **revokes** the epoch, waking every parked peer
 //!    with [`hpc::MpiError::Revoked`];
@@ -27,7 +29,7 @@
 //!
 //! Independently, a per-cycle **deadline budget** ([`DeadlinePolicy`])
 //! models the paper's real-time constraint: before each analysis the
-//! driver estimates the cycle's modeled wall time (α–β collective model +
+//! scheme estimates the cycle's modeled wall time (α–β collective model +
 //! the GCD compute-rate model, scaled by scripted stragglers) and degrades
 //! deterministically — full analysis → reduced SDE step count → forecast
 //! only. A post-hoc watchdog flags cycles whose *actual* modeled time
@@ -39,16 +41,17 @@
 use crate::analysis::{analyze_replicated, CommStats};
 use crate::cycle::DistCycleConfig;
 use crate::DistError;
-use da_core::osse::{initial_ensemble, nature_run, CycleSeries, NatureRun};
-use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, LoopState, RecoveryCounters};
-use da_core::{ForecastModel, SqgForecast};
+use da_core::cycle::{run_cycles, Entry, ProcessGroup};
+use da_core::osse::{nature_run, CycleSeries, NatureRun};
+use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan};
+use da_core::{AnalysisReport, AnalysisScheme, ForecastModel, SqgForecast};
 use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
 use hpc::{collective_time, shard_step_compute_secs, Collective, MpiError, StragglerPlan};
 use stats::Ensemble;
 use std::time::Duration;
-use telemetry::flight::{dump_postmortem, flight_record, FlightKind};
+use telemetry::flight::{flight_record, FlightKind};
 
 /// How long a dead rank waits for its rejoin grant before giving up. Real
 /// wall-clock (the watchdog of last resort), sized far above any test or
@@ -188,57 +191,42 @@ pub fn modeled_analysis_secs(
     compute + comm
 }
 
-/// The deadline ladder: picks the most capable mode whose modeled cost
-/// (straggler-scaled) fits the budget. Pure in `(config, cycle, group)`,
-/// so every rank lands on the same rung.
-fn decide_mode(
+/// The deadline ladder: the most capable rung — `(mode, SDE steps,
+/// straggler-scaled modeled seconds)` — whose cost fits the budget (the
+/// full one without a policy). Pure in `(config, cycle, group)`, so every
+/// rank lands on the same rung.
+fn decide_rung(
     config: &ElasticCycleConfig,
     dim: usize,
     members: usize,
     cycle: usize,
     group: &[usize],
-) -> CycleMode {
-    let Some(policy) = &config.deadline else {
-        return CycleMode::Full;
-    };
+) -> (CycleMode, usize, f64) {
     let slow = config.stragglers.worst(cycle, group);
-    let full = modeled_analysis_secs(&config.base, dim, members, config.base.ensf.n_steps, group.len());
-    if full * slow <= policy.budget_secs {
-        return CycleMode::Full;
+    let cost =
+        |steps| slow * modeled_analysis_secs(&config.base, dim, members, steps, group.len());
+    let n_steps = config.base.ensf.n_steps;
+    match &config.deadline {
+        Some(p) if cost(n_steps) > p.budget_secs => {
+            if cost(p.degraded_steps) <= p.budget_secs {
+                (CycleMode::Degraded, p.degraded_steps, cost(p.degraded_steps))
+            } else {
+                (CycleMode::ForecastOnly, 0, 0.0)
+            }
+        }
+        _ => (CycleMode::Full, n_steps, cost(n_steps)),
     }
-    let degraded =
-        modeled_analysis_secs(&config.base, dim, members, policy.degraded_steps, group.len());
-    if degraded * slow <= policy.budget_secs {
-        CycleMode::Degraded
-    } else {
-        CycleMode::ForecastOnly
-    }
-}
-
-/// What a dead rank does next.
-enum AfterDeath {
-    /// No rejoin scripted (or the grant/restore failed): stay dead.
-    Gone,
-    /// Re-admitted: resume cycling from the checkpoint at `generation`.
-    Resume {
-        checkpoint: Box<Checkpoint>,
-        generation: u64,
-    },
 }
 
 /// Parks a dead rank until its scripted rejoin grant arrives (or forever
 /// isn't an option: a generous real-time deadline turns a missing grant
-/// into [`AfterDeath::Gone`]). On a grant, loads and validates the
-/// checkpoint; a bad checkpoint re-kills the rank so the survivors shrink
-/// it away again instead of hanging on it.
-fn dead_wait(
-    comm: &Comm,
-    config: &ElasticCycleConfig,
-    died_at: usize,
-    cycles: usize,
-) -> AfterDeath {
+/// into [`Entry::Gone`]). On a grant, loads the boundary checkpoint; a
+/// missing or stale one re-kills the rank so the survivors shrink it away
+/// again instead of hanging on it.
+fn dead_wait(comm: &Comm, config: &ElasticCycleConfig, died_at: usize) -> Entry {
     let me = comm.world_rank();
     let world = comm.world_size();
+    let cycles = config.base.osse.cycles;
     let Some(rejoin) = config
         .faults
         .rank_rejoins
@@ -246,7 +234,7 @@ fn dead_wait(
         .filter(|r| r.rank == me && r.cycle > died_at && r.cycle < cycles)
         .min_by_key(|r| r.cycle)
     else {
-        return AfterDeath::Gone;
+        return Entry::Gone;
     };
     // The grantor is the lowest world rank alive at the rejoin cycle that
     // is not itself rejoining then — a pure function of the script, so the
@@ -256,13 +244,13 @@ fn dead_wait(
         !config.faults.rank_rejoins.iter().any(|j| j.rank == r && j.cycle == rejoin.cycle)
     });
     let Some(&coordinator) = members.first() else {
-        return AfterDeath::Gone;
+        return Entry::Gone;
     };
     comm.set_recv_deadline(Some(GRANT_WAIT));
     let grant = comm.recv_grant(coordinator);
     comm.set_recv_deadline(None);
     let Ok(grant) = grant else {
-        return AfterDeath::Gone;
+        return Entry::Gone;
     };
     let generation = grant.first().copied().unwrap_or(0.0) as u64;
     let at_cycle = grant.get(1).copied().unwrap_or(0.0) as usize;
@@ -275,14 +263,16 @@ fn dead_wait(
         // Can't restore bit-identical state: die again. The survivors'
         // next collective sees RankDead and shrinks us away.
         comm.kill();
-        return AfterDeath::Gone;
+        return Entry::Gone;
     };
     let new_members = config.faults.membership_at(at_cycle, world);
     comm.recover(&new_members, generation);
-    AfterDeath::Resume { checkpoint: Box::new(checkpoint), generation }
+    Entry::Restore(Box::new(checkpoint))
 }
 
-fn validate(config: &ElasticCycleConfig, world: usize, cycles: usize) -> Result<(), DistError> {
+fn validate(config: &ElasticCycleConfig, world: usize) -> Result<(), DistError> {
+    let cycles = config.base.osse.cycles;
+    config.base.ensf.validate().map_err(DistError::Config)?;
     for k in &config.faults.rank_kills {
         if k.rank == 0 {
             return Err(DistError::Config(
@@ -340,6 +330,248 @@ fn validate(config: &ElasticCycleConfig, world: usize, cycles: usize) -> Result<
     Ok(())
 }
 
+/// This rank's membership in the world: the [`ProcessGroup`] the cycle
+/// loop consults at every boundary. World rank 0 leads — it speaks for the
+/// (replicated) world so counters and the flight ring aren't inflated
+/// ×ranks, and it writes the checkpoints; validation pins it alive, so the
+/// lead never changes hands.
+struct RankGroup<'a> {
+    comm: &'a Comm,
+    config: &'a ElasticCycleConfig,
+    rejoins: u64,
+}
+
+impl ProcessGroup for RankGroup<'_> {
+    fn leads(&self) -> bool {
+        self.comm.world_rank() == 0
+    }
+
+    fn enter_cycle(&mut self, cycle: usize, events: &mut Vec<String>) -> Entry {
+        let (comm, faults) = (self.comm, &self.config.faults);
+        let me = comm.world_rank();
+
+        // Rejoin admission (survivor side).
+        let admitting: Vec<usize> = {
+            let group = comm.group();
+            faults
+                .rank_rejoins
+                .iter()
+                .filter(|r| r.cycle == cycle && r.rank != me && !group.contains(&r.rank))
+                .map(|r| r.rank)
+                .collect()
+        };
+        if !admitting.is_empty() {
+            let generation = comm.epoch() + 1;
+            if comm.rank() == 0 {
+                for &r in &admitting {
+                    comm.revive(r);
+                    comm.send_grant(r, &[generation as f64, cycle as f64]);
+                }
+            }
+            comm.recover(&faults.membership_at(cycle, comm.world_size()), generation);
+            self.rejoins += admitting.len() as u64;
+            events.push("rank_rejoin".to_string());
+            if self.leads() && telemetry::enabled() {
+                telemetry::counter_add("elastic.rejoins", admitting.len() as u64);
+                for &r in &admitting {
+                    flight_record(
+                        FlightKind::RankRejoin,
+                        cycle as i64,
+                        "rank_rejoin",
+                        r as f64,
+                        comm.size() as f64,
+                    );
+                }
+            }
+        }
+
+        // A scripted victim dies here, at the boundary: it never enters a
+        // collective this cycle, and the survivors meet its absence at the
+        // gather (or, on a forecast-only cycle, at the next one).
+        if faults.rank_kill_at(cycle, me).is_none() {
+            return Entry::Proceed;
+        }
+        comm.kill();
+        let entry = dead_wait(comm, self.config, cycle);
+        if matches!(entry, Entry::Restore(_)) {
+            self.rejoins += 1;
+        }
+        entry
+    }
+
+    /// Forced when the next cycle admits a rejoiner: the grant is only
+    /// sent after this write, so the restored state is always the boundary
+    /// state.
+    fn forces_checkpoint(&self, completed: usize) -> bool {
+        self.config.faults.rank_rejoins.iter().any(|r| r.cycle == completed)
+    }
+}
+
+/// `SqgForecast` member by member on the rank's own thread (the trait's
+/// default `forecast_ensemble`): the ranks already fill the cores that
+/// `SqgForecast`'s own would fan out over — to the same bits.
+struct OnRankThread(SqgForecast);
+
+impl ForecastModel for OnRankThread {
+    fn state_dim(&self) -> usize {
+        self.0.state_dim()
+    }
+
+    fn forecast(&mut self, state: &mut [f64], hours: f64) {
+        self.0.forecast(state, hours);
+    }
+}
+
+/// The sharded analysis as an [`AnalysisScheme`]: [`analyze_replicated`]
+/// behind the deadline ladder, redone on the shrunken group whenever a
+/// peer dies in its gather. What it decided goes to the cycle through
+/// [`AnalysisScheme::take_report`]; what the rank's result reports stays
+/// here until the run ends.
+struct ShardedEnsf<'a> {
+    comm: &'a Comm,
+    config: &'a ElasticCycleConfig,
+    /// Index of the next analysis cycle (noise streams, mask alignment).
+    epoch: u64,
+    seed: u64,
+    report: AnalysisReport,
+    /// The typed failure behind an aborting report.
+    error: Option<DistError>,
+    counters: ElasticCounters,
+    stats: CommStats,
+    modes: Vec<(usize, CycleMode)>,
+    group_sizes: Vec<(usize, usize)>,
+    deadline_hits: usize,
+}
+
+impl ShardedEnsf<'_> {
+    /// Shrinks the group to the survivors of this cycle's scripted kills
+    /// (plus anything registered dead out of script, e.g. a failed
+    /// rejoiner). Every survivor computes the same set from the same
+    /// script, so the recovery needs no agreement round.
+    fn shrink(&mut self, cycle: usize, lead: bool) {
+        let comm = self.comm;
+        let group = comm.group();
+        let survivors: Vec<usize> = group
+            .iter()
+            .copied()
+            .filter(|&r| self.config.faults.rank_kill_at(cycle, r).is_none() && comm.is_alive(r))
+            .collect();
+        let excluded = group.len() - survivors.len();
+        comm.recover(&survivors, comm.epoch() + 1);
+        self.counters.shrinks += excluded as u64;
+        self.counters.redone_analyses += 1;
+        if !self.report.events.iter().any(|e| e == "rank_dead_shrink") {
+            self.report.events.push("rank_dead_shrink".to_string());
+            self.report.postmortems.push("rank_dead_shrink");
+        }
+        if lead {
+            telemetry::counter_add("elastic.shrinks", excluded as u64);
+            telemetry::counter_add("elastic.redone_analyses", 1);
+            flight_record(
+                FlightKind::CollectiveShrink,
+                cycle as i64,
+                "rank_dead_shrink",
+                survivors.len() as f64,
+                excluded as f64,
+            );
+        }
+    }
+}
+
+impl AnalysisScheme for ShardedEnsf<'_> {
+    fn name(&self) -> &str {
+        "sharded-EnSF"
+    }
+
+    fn analyze(&mut self, forecast: &Ensemble, y: &[f64]) -> Ensemble {
+        let (comm, config) = (self.comm, self.config);
+        let cycle = self.epoch as usize;
+        self.epoch += 1;
+        let lead = comm.world_rank() == 0 && telemetry::enabled();
+        let (dim, members) = (forecast.dim(), forecast.members());
+
+        // Shrink-retry. Each attempt re-evaluates the deadline ladder at
+        // the current group size, so a redone cycle matches what a fresh
+        // run at the survivor count would decide.
+        let mut modeled_secs = 0.0;
+        let (mode, analysis) = loop {
+            let group = comm.group();
+            let (mode, steps, secs) = decide_rung(config, dim, members, cycle, &group);
+            if mode == CycleMode::ForecastOnly {
+                break (mode, forecast.clone());
+            }
+            modeled_secs += secs;
+            let ensf = EnsfConfig { n_steps: steps, seed: self.seed, ..config.base.ensf.clone() };
+            let (obs, comm_spec) = (config.base.osse.obs_spec(), config.base.comm.as_ref());
+            match analyze_replicated(
+                comm, &ensf, cycle as u64, forecast, y, &obs, comm_spec, &mut self.stats,
+            ) {
+                Ok(analysis) => break (mode, analysis),
+                Err(DistError::Mpi(MpiError::RankDead { .. })) => {
+                    comm.revoke();
+                    self.shrink(cycle, lead);
+                }
+                Err(DistError::Mpi(MpiError::Revoked)) => self.shrink(cycle, lead),
+                Err(e) => {
+                    self.report.abort = Some(e.to_string());
+                    self.error = Some(e);
+                    return forecast.clone();
+                }
+            }
+        };
+
+        let deadline_event = match mode {
+            CycleMode::Full => None,
+            CycleMode::Degraded => {
+                self.counters.degraded_cycles += 1;
+                Some(("deadline_degraded", "elastic.deadline.degraded"))
+            }
+            CycleMode::ForecastOnly => {
+                self.counters.forecast_only_cycles += 1;
+                Some(("deadline_forecast_only", "elastic.deadline.forecast_only"))
+            }
+        };
+        // Without a policy the budget is unbounded and nothing below fires.
+        let budget = config.deadline.as_ref().map_or(f64::INFINITY, |p| p.budget_secs);
+        let blown = modeled_secs > budget;
+        let blown_event = blown.then(|| {
+            self.counters.deadline_blown += 1;
+            self.report.postmortems.push("deadline_blown");
+            ("deadline_blown", "elastic.deadline.blown")
+        });
+        if mode != CycleMode::ForecastOnly && !blown {
+            self.deadline_hits += 1;
+        }
+        if lead {
+            telemetry::counter_add("elastic.cycles", 1);
+        }
+        for (event, counter) in deadline_event.into_iter().chain(blown_event) {
+            self.report.events.push(event.to_string());
+            if lead {
+                flight_record(FlightKind::Deadline, cycle as i64, event, modeled_secs, budget);
+                telemetry::counter_add(counter, 1);
+            }
+        }
+        self.report.phases.push(("analysis_modeled".to_string(), modeled_secs));
+        self.modes.push((cycle, mode));
+        self.group_sizes.push((cycle, comm.size()));
+        analysis
+    }
+
+    fn rng_state(&self) -> (u64, u64) {
+        (self.epoch, self.seed)
+    }
+
+    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
+        self.epoch = epoch;
+        self.seed = seed;
+    }
+
+    fn take_report(&mut self) -> AnalysisReport {
+        std::mem::take(&mut self.report)
+    }
+}
+
 /// Runs one elastic distributed OSSE experiment on this rank.
 ///
 /// With no faults, stragglers or deadline scripted this *is*
@@ -362,398 +594,109 @@ pub fn run_elastic_experiment(
 /// [`run_elastic_experiment`] starting from a checkpoint: cycles before
 /// `resume.cycle` are taken as already completed (their series entries come
 /// from the checkpoint) and cycling continues bit-identically from the
-/// checkpointed ensemble — the entry point behind both the rank-rejoin
-/// restore and the shrink-determinism harness.
+/// checkpointed ensemble — the entry point behind the shrink-determinism
+/// harness. The checkpoint may come from any face of the cycle loop: a
+/// supervised serial run's resumes here, and this driver's resumes there.
+///
+/// The cycle loop ([`run_cycles`]) with this rank's `{forecast on its own
+/// thread, sharded analysis, group membership}` in its slots. A rank that
+/// leaves the loop with an error registers itself dead first, so its peers
+/// meet a typed [`MpiError::RankDead`] rather than a silent member.
 ///
 /// # Errors
-/// As [`run_elastic_experiment`].
+/// As [`run_elastic_experiment`]; [`DistError::Checkpoint`] when `resume`
+/// does not fit the experiment or a checkpoint cannot be written.
 pub fn run_elastic_from(
     comm: &Comm,
     config: &ElasticCycleConfig,
     nature: &NatureRun,
     resume: Option<&Checkpoint>,
 ) -> Result<ElasticRunResult, DistError> {
-    let Some(truth0) = nature.truth.first() else {
-        return Err(DistError::Config("empty nature run".into()));
-    };
-    let dim = config.base.osse.params.state_dim();
-    if truth0.len() != dim {
-        return Err(DistError::Config(format!(
-            "nature run dimension {} does not match model dimension {dim}",
-            truth0.len()
-        )));
-    }
-    let cycles = config.base.osse.cycles;
-    if nature.observations.len() < cycles {
-        return Err(DistError::Config(format!(
-            "nature run provides {} observations for {cycles} cycles",
-            nature.observations.len()
-        )));
-    }
-    if let Err(msg) = config.base.ensf.validate() {
-        return Err(DistError::Config(msg));
-    }
-    validate(config, comm.world_size(), cycles)?;
-
-    let me = comm.world_rank();
-    let world = comm.world_size();
-    let obs = config.base.osse.obs_spec();
-    let spec = config.base.comm.as_ref();
-    let members = config.base.osse.ens_size;
-    let mut model = SqgForecast::perfect(config.base.osse.params.clone());
-
-    let mut generation = comm.epoch();
-    let mut counters = ElasticCounters::default();
-    let mut stats = CommStats::default();
-    let mut state = LoopState::Healthy;
-    let mut outcome = ElasticOutcome::Completed;
-
-    let (mut cycle, mut ensemble, mut hours, mut rmse, mut spread) = match resume {
-        Some(ck) => {
-            if ck.ensemble.dim() != dim {
-                return Err(DistError::Config("checkpoint dimension mismatch".into()));
-            }
-            state = ck.state;
-            (ck.cycle, ck.ensemble.clone(), ck.hours.clone(), ck.rmse.clone(), ck.spread.clone())
-        }
-        None => (0, initial_ensemble(&config.base.osse, truth0), Vec::new(), Vec::new(), Vec::new()),
+    validate(config, comm.world_size())?;
+    let osse = &config.base.osse;
+    let mut group = RankGroup { comm, config, rejoins: 0 };
+    let mut scheme = ShardedEnsf {
+        comm,
+        config,
+        epoch: 0,
+        seed: config.base.ensf.seed,
+        report: AnalysisReport::default(),
+        error: None,
+        counters: ElasticCounters::default(),
+        stats: CommStats::default(),
+        modes: Vec::new(),
+        group_sizes: Vec::new(),
+        deadline_hits: 0,
     };
     let mut cycle_means: Vec<(usize, Vec<f64>)> = Vec::new();
-    let mut modes: Vec<(usize, CycleMode)> = Vec::new();
-    let mut group_sizes: Vec<(usize, usize)> = Vec::new();
-    let mut deadline_hits = 0usize;
-    let mut deadline_total = 0usize;
-
-    'cycling: while cycle < cycles {
-        let _span = telemetry::span!("elastic.cycle");
-        // Telemetry leadership: world rank 0 speaks for the (replicated)
-        // world so counters and the flight ring aren't inflated ×ranks.
-        // Validation pins rank 0 alive, so the lead never changes hands.
-        let lead = me == 0 && telemetry::enabled();
-        let mut events: Vec<String> = Vec::new();
-
-        // --- Rejoin admission at the start of the cycle (survivor side).
-        let admitting: Vec<usize> = {
-            let group = comm.group();
-            config
-                .faults
-                .rank_rejoins
-                .iter()
-                .filter(|r| r.cycle == cycle && r.rank != me && !group.contains(&r.rank))
-                .map(|r| r.rank)
-                .collect()
-        };
-        if !admitting.is_empty() {
-            generation += 1;
-            if comm.rank() == 0 {
-                for &r in &admitting {
-                    comm.revive(r);
-                    comm.send_grant(r, &[generation as f64, cycle as f64]);
-                }
-            }
-            let new_members = config.faults.membership_at(cycle, world);
-            comm.recover(&new_members, generation);
-            counters.rejoins += admitting.len() as u64;
-            events.push("rank_rejoin".to_string());
-            if lead {
-                telemetry::counter_add("elastic.rejoins", admitting.len() as u64);
-                for &r in &admitting {
-                    flight_record(
-                        FlightKind::RankRejoin,
-                        cycle as i64,
-                        "rank_rejoin",
-                        r as f64,
-                        comm.size() as f64,
-                    );
-                }
-            }
-        }
-
-        // --- Replicated forecast, member by member on the rank's own thread:
-        // a rank is one processor of the simulated machine, and the ranks
-        // already fill the cores `forecast_ensemble` would fan out over
-        // (its result is this loop's, bit for bit).
-        for member in ensemble.iter_mut() {
-            model.forecast(member, config.base.osse.obs_interval_hours);
-        }
-        let y = &nature.observations[cycle];
-        let pre_diag = lead.then(|| {
-            da_core::diagnostics::forecast_stats(&ensemble, y, &obs, cycle as u64)
-        });
-
-        // --- A scripted victim dies here, before the analysis: it never
-        // enters a collective this cycle, and the survivors meet its absence
-        // at the gather (or, on a forecast-only cycle, at the next one).
-        if config.faults.rank_kill_at(cycle, me).is_some() {
+    // No fault plan and no health policy: the member/obs/analysis fault
+    // channels stay with the serial faces; a rank's script is its membership.
+    let label = format!("elastic@{}r", comm.size());
+    let mut model = OnRankThread(SqgForecast::perfect(osse.params.clone()));
+    let run = run_cycles(
+        &label, osse, nature, &mut model, &mut scheme, None, &FaultPlan::none(), None,
+        config.checkpoint.as_ref(), &mut group,
+        &mut |cycle, mean, _| cycle_means.push((cycle, mean.to_vec())), resume.cloned(),
+    );
+    let run = match run {
+        Ok(run) => run,
+        Err(e) => {
             comm.kill();
-            match dead_wait(comm, config, cycle, cycles) {
-                AfterDeath::Gone => {
-                    outcome = ElasticOutcome::Died { at_cycle: cycle };
-                    break 'cycling;
-                }
-                AfterDeath::Resume { checkpoint, generation: g } => {
-                    generation = g;
-                    cycle = checkpoint.cycle;
-                    ensemble = checkpoint.ensemble.clone();
-                    hours = checkpoint.hours.clone();
-                    rmse = checkpoint.rmse.clone();
-                    spread = checkpoint.spread.clone();
-                    state = checkpoint.state;
-                    counters.rejoins += 1;
-                    continue 'cycling;
-                }
-            }
+            return Err(scheme.error.take().unwrap_or_else(|| e.into()));
         }
-        let mut modeled_secs = 0.0;
-        let mut mode;
-
-        // --- Analysis with shrink-retry. Each attempt re-evaluates the
-        // deadline ladder at the current group size, so a redone cycle
-        // matches what a fresh run at the survivor count would decide.
-        loop {
-            let group = comm.group();
-            let slow = config.stragglers.worst(cycle, &group);
-            mode = decide_mode(config, dim, members, cycle, &group);
-            let steps = match mode {
-                CycleMode::Full => config.base.ensf.n_steps,
-                CycleMode::Degraded => {
-                    // INVARIANT: Degraded only arises with a policy.
-                    config.deadline.as_ref().unwrap().degraded_steps
-                }
-                CycleMode::ForecastOnly => break,
-            };
-            modeled_secs += slow * modeled_analysis_secs(&config.base, dim, members, steps, group.len());
-            let ensf_cfg = EnsfConfig { n_steps: steps, ..config.base.ensf.clone() };
-            let attempt =
-                analyze_replicated(comm, &ensf_cfg, cycle as u64, &ensemble, y, &obs, spec, &mut stats);
-            match attempt {
-                Ok(analysis) => {
-                    ensemble = analysis;
-                    break;
-                }
-                Err(DistError::Mpi(MpiError::RankDead { .. })) => {
-                    comm.revoke();
-                    shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
-                }
-                Err(DistError::Mpi(MpiError::Revoked)) => {
-                    shrink(comm, config, cycle, &mut generation, &mut counters, &mut events, lead);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        // --- Cycle epilogue (survivors only).
-        match mode {
-            CycleMode::Degraded => {
-                counters.degraded_cycles += 1;
-                events.push("deadline_degraded".to_string());
-            }
-            CycleMode::ForecastOnly => {
-                counters.forecast_only_cycles += 1;
-                events.push("deadline_forecast_only".to_string());
-            }
-            CycleMode::Full => {}
-        }
-        let blown = config.deadline.as_ref().is_some_and(|p| modeled_secs > p.budget_secs);
-        if blown {
-            counters.deadline_blown += 1;
-            events.push("deadline_blown".to_string());
-        }
-        deadline_total += 1;
-        if mode != CycleMode::ForecastOnly && !blown {
-            deadline_hits += 1;
-        }
-
-        let mean = ensemble.mean();
-        hours.push((cycle + 1) as f64 * config.base.osse.obs_interval_hours);
-        rmse.push(stats::metrics::rmse(&mean, &nature.truth[cycle + 1]));
-        spread.push(ensemble.spread());
-        let prev_state = state;
-        state = if events.is_empty() {
-            match state {
-                LoopState::Degraded => LoopState::Recovering,
-                LoopState::Recovering | LoopState::Healthy => LoopState::Healthy,
-            }
-        } else {
-            LoopState::Degraded
-        };
-
-        if lead {
-            telemetry::counter_add("elastic.cycles", 1);
-            if let Some(p) = &config.deadline {
-                if mode == CycleMode::Degraded {
-                    flight_record(
-                        FlightKind::Deadline,
-                        cycle as i64,
-                        "deadline_degraded",
-                        modeled_secs,
-                        p.budget_secs,
-                    );
-                    telemetry::counter_add("elastic.deadline.degraded", 1);
-                }
-                if mode == CycleMode::ForecastOnly {
-                    flight_record(
-                        FlightKind::Deadline,
-                        cycle as i64,
-                        "deadline_forecast_only",
-                        modeled_secs,
-                        p.budget_secs,
-                    );
-                    telemetry::counter_add("elastic.deadline.forecast_only", 1);
-                }
-                if blown {
-                    flight_record(
-                        FlightKind::Deadline,
-                        cycle as i64,
-                        "deadline_blown",
-                        modeled_secs,
-                        p.budget_secs,
-                    );
-                    telemetry::counter_add("elastic.deadline.blown", 1);
-                }
-            }
-            if prev_state != state {
-                flight_record(
-                    FlightKind::Transition,
-                    cycle as i64,
-                    &format!("{prev_state:?}->{state:?}"),
-                    0.0,
-                    0.0,
-                );
-            }
-            if let Some(pre) = &pre_diag {
-                // INVARIANT: pushed immediately above.
-                let cycle_rmse = *rmse.last().unwrap();
-                let diagnostics = da_core::diagnostics::complete(
-                    pre,
-                    &ensemble,
-                    y,
-                    cycle_rmse,
-                    &obs,
-                    cycle as u64,
-                );
-                telemetry::record_cycle(telemetry::CycleRecord {
-                    label: format!("elastic@{}r", comm.size()),
-                    cycle,
-                    // INVARIANT: pushed immediately above.
-                    hours: *hours.last().unwrap(),
-                    rmse: cycle_rmse,
-                    // INVARIANT: pushed immediately above.
-                    spread: *spread.last().unwrap(),
-                    obs_count: y.len(),
-                    phases: vec![("analysis_modeled".to_string(), modeled_secs)],
-                    events: events.clone(),
-                    diagnostics: Some(diagnostics),
-                });
-            }
-            // Postmortems after the cycle record, so the black box contains
-            // the degrading cycle's own diagnostics.
-            if events.iter().any(|e| e == "rank_dead_shrink") {
-                dump_postmortem("rank_dead_shrink");
-            }
-            if blown {
-                dump_postmortem("deadline_blown");
-            }
-        }
-        cycle_means.push((cycle, mean));
-        modes.push((cycle, mode));
-        group_sizes.push((cycle, comm.size()));
-
-        // --- Checkpoint at the boundary (coordinator only), forced when
-        // the next cycle admits a rejoiner: the grant is only sent after
-        // this write, so the restored state is always the boundary state.
-        if let Some(ckcfg) = &config.checkpoint {
-            let rejoin_next =
-                config.faults.rank_rejoins.iter().any(|r| r.cycle == cycle + 1);
-            let due = (ckcfg.every > 0 && (cycle + 1) % ckcfg.every == 0) || rejoin_next;
-            if due && me == 0 {
-                let ck = Checkpoint {
-                    cycle: cycle + 1,
-                    state,
-                    scheme_epoch: (cycle + 1) as u64,
-                    scheme_seed: config.base.ensf.seed,
-                    ensemble: ensemble.clone(),
-                    // INVARIANT: mean pushed into cycle_means above.
-                    prev_mean: cycle_means.last().unwrap().1.clone(),
-                    hours: hours.clone(),
-                    rmse: rmse.clone(),
-                    spread: spread.clone(),
-                    counters: RecoveryCounters::default(),
-                    model_state: None,
-                };
-                ck.save(&ckcfg.path)
-                    .map_err(|e| DistError::Config(format!("checkpoint write failed: {e}")))?;
-            }
-        }
-        cycle += 1;
-    }
-
-    let final_mean =
-        cycle_means.last().map(|(_, m)| m.clone()).unwrap_or_else(|| ensemble.mean());
+    };
+    let outcome = if run.interrupted {
+        ElasticOutcome::Died { at_cycle: run.checkpoint.cycle }
+    } else {
+        ElasticOutcome::Completed
+    };
     Ok(ElasticRunResult {
         outcome,
-        series: CycleSeries {
-            label: format!("elastic@{world}w"),
-            hours,
-            rmse,
-            spread,
-            final_mean,
-        },
+        series: CycleSeries { label: format!("elastic@{}w", comm.world_size()), ..run.series },
         cycle_means,
-        modes,
-        group_sizes,
-        deadline_hits,
-        deadline_total,
-        counters,
-        ensemble,
-        stats,
+        deadline_total: scheme.modes.len(),
+        modes: scheme.modes,
+        group_sizes: scheme.group_sizes,
+        deadline_hits: scheme.deadline_hits,
+        counters: ElasticCounters { rejoins: group.rejoins, ..scheme.counters },
+        ensemble: run.checkpoint.ensemble,
+        stats: scheme.stats,
     })
 }
 
-/// Shrinks the group to the survivors of this cycle's scripted kills (plus
-/// anything registered dead out of script, e.g. a failed rejoiner). Every
-/// survivor computes the same set from the same script, so the recovery
-/// needs no agreement round.
-fn shrink(
-    comm: &Comm,
-    config: &ElasticCycleConfig,
-    cycle: usize,
-    generation: &mut u64,
-    counters: &mut ElasticCounters,
-    events: &mut Vec<String>,
-    lead: bool,
-) {
-    let group = comm.group();
-    let survivors: Vec<usize> = group
-        .iter()
-        .copied()
-        .filter(|&r| config.faults.rank_kill_at(cycle, r).is_none() && comm.is_alive(r))
-        .collect();
-    let excluded = group.len() - survivors.len();
-    *generation += 1;
-    comm.recover(&survivors, *generation);
-    counters.shrinks += excluded as u64;
-    counters.redone_analyses += 1;
-    if !events.iter().any(|e| e == "rank_dead_shrink") {
-        events.push("rank_dead_shrink".to_string());
+/// Spins up `ranks` simulated MPI ranks, runs `per_rank` on each, asserts
+/// that every rank's trajectory agrees bitwise with world rank 0's on the
+/// cycles both completed — and, for ranks that ran to the end, on the final
+/// ensemble — and returns rank 0's result (rank 0 is validated never to
+/// die, so its trajectory spans the run).
+fn run_agreeing_world(
+    ranks: usize,
+    per_rank: impl Fn(&Comm) -> Result<ElasticRunResult, DistError> + Sync,
+) -> Result<ElasticRunResult, DistError> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut results = run_world(ranks, per_rank);
+    let first = results.remove(0)?;
+    for (i, result) in results.into_iter().enumerate() {
+        let result = result?;
+        for (c, mean) in &result.cycle_means {
+            if let Some((_, m0)) = first.cycle_means.iter().find(|(c0, _)| c0 == c) {
+                assert_eq!(bits(mean), bits(m0), "rank {} disagrees with rank 0 at cycle {c}", i + 1);
+            }
+        }
+        if result.outcome == ElasticOutcome::Completed {
+            assert_eq!(
+                bits(result.ensemble.as_slice()),
+                bits(first.ensemble.as_slice()),
+                "surviving rank {} disagrees with rank 0 on the final ensemble",
+                i + 1
+            );
+        }
     }
-    if lead {
-        telemetry::counter_add("elastic.shrinks", excluded as u64);
-        telemetry::counter_add("elastic.redone_analyses", 1);
-        flight_record(
-            FlightKind::CollectiveShrink,
-            cycle as i64,
-            "rank_dead_shrink",
-            survivors.len() as f64,
-            excluded as f64,
-        );
-    }
+    Ok(first)
 }
 
-/// Convenience driver: spins up `ranks` simulated MPI ranks, runs the
-/// elastic experiment on each, asserts that every rank's trajectory agrees
-/// bitwise on commonly-completed cycles, and returns world rank 0's result
-/// (rank 0 is validated never to die, so its trajectory spans the run).
+/// Convenience driver: generates the nature run and runs the elastic
+/// experiment on `ranks` simulated ranks, returning world rank 0's result.
 ///
 /// # Errors
 /// Propagates the per-rank [`DistError`].
@@ -766,31 +709,7 @@ pub fn run_elastic_osse(
     ranks: usize,
 ) -> Result<ElasticRunResult, DistError> {
     let nature = nature_run(&config.base.osse);
-    let mut results = run_world(ranks, |comm| run_elastic_experiment(comm, config, &nature));
-    let first = results.remove(0)?;
-    for (i, result) in results.into_iter().enumerate() {
-        let result = result?;
-        for (c, mean) in &result.cycle_means {
-            if let Some((_, m0)) = first.cycle_means.iter().find(|(c0, _)| c0 == c) {
-                let bits: Vec<u64> = mean.iter().map(|v| v.to_bits()).collect();
-                let bits0: Vec<u64> = m0.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(
-                    bits, bits0,
-                    "rank {} disagrees with rank 0 at cycle {c}",
-                    i + 1
-                );
-            }
-        }
-        if result.outcome == ElasticOutcome::Completed {
-            assert_eq!(
-                result.ensemble.as_slice(),
-                first.ensemble.as_slice(),
-                "surviving rank {} disagrees with rank 0 on the final ensemble",
-                i + 1
-            );
-        }
-    }
-    Ok(first)
+    run_agreeing_world(ranks, |comm| run_elastic_experiment(comm, config, &nature))
 }
 
 /// [`run_elastic_osse`] resuming every rank from `checkpoint` — the
@@ -808,18 +727,7 @@ pub fn run_elastic_osse_from(
     checkpoint: &Checkpoint,
 ) -> Result<ElasticRunResult, DistError> {
     let nature = nature_run(&config.base.osse);
-    let mut results =
-        run_world(ranks, |comm| run_elastic_from(comm, config, &nature, Some(checkpoint)));
-    let first = results.remove(0)?;
-    for (i, result) in results.into_iter().enumerate() {
-        let result = result?;
-        assert_eq!(
-            result.cycle_means, first.cycle_means,
-            "rank {} disagrees with rank 0 on the resumed trajectory",
-            i + 1
-        );
-    }
-    Ok(first)
+    run_agreeing_world(ranks, |comm| run_elastic_from(comm, config, &nature, Some(checkpoint)))
 }
 
 #[cfg(test)]
@@ -969,6 +877,59 @@ mod tests {
         let mut bad_deadline = tiny_config(2);
         bad_deadline.deadline = Some(DeadlinePolicy { budget_secs: 1.0, degraded_steps: 0 });
         assert!(matches!(run_elastic_osse(&bad_deadline, 2), Err(DistError::Config(_))));
+    }
+
+    #[test]
+    fn mismatched_checkpoint_is_rejected_like_the_serial_resume() {
+        let config = tiny_config(3);
+        let osse = &config.base.osse;
+        let dim = osse.params.state_dim();
+        let good = Checkpoint {
+            cycle: 1,
+            state: da_core::resilience::LoopState::Healthy,
+            scheme_epoch: 1,
+            scheme_seed: config.base.ensf.seed,
+            ensemble: Ensemble::zeros(osse.ens_size, dim),
+            prev_mean: vec![0.0; dim],
+            hours: vec![12.0],
+            rmse: vec![0.1],
+            spread: vec![0.1],
+            counters: Default::default(),
+            model_state: None,
+        };
+        assert!(run_elastic_osse_from(&config, 2, &good).is_ok(), "the template itself fits");
+        let wrong_members =
+            Checkpoint { ensemble: Ensemble::zeros(osse.ens_size + 1, dim), ..good.clone() };
+        let wrong_mean = Checkpoint { prev_mean: vec![0.0; dim - 1], ..good.clone() };
+        let past_the_end = Checkpoint { cycle: 4, ..good.clone() };
+        let wrong_dim = Checkpoint {
+            ensemble: Ensemble::zeros(osse.ens_size, dim + 1),
+            prev_mean: vec![0.0; dim + 1],
+            ..good
+        };
+        for bad in [wrong_members, wrong_mean, past_the_end, wrong_dim] {
+            assert_eq!(
+                run_elastic_osse_from(&config, 2, &bad).unwrap_err(),
+                DistError::Checkpoint(da_core::resilience::CheckpointError::BadHeader)
+            );
+        }
+    }
+
+    #[test]
+    fn failed_checkpoint_write_is_an_error_not_a_hang() {
+        // The lead cannot write its boundary checkpoint and leaves with the
+        // error; it registers itself dead on the way out, so its peer meets
+        // a typed `RankDead` in the next gather and finishes alone instead
+        // of waiting on a silent member forever.
+        let mut config = tiny_config(3);
+        let path = std::env::temp_dir().join("sqg_da_no_such_dir").join("elastic.ckpt");
+        config.checkpoint = Some(CheckpointConfig { path, every: 1 });
+        let nature = nature_run(&config.base.osse);
+        let results = run_world(2, |comm| run_elastic_experiment(comm, &config, &nature));
+        assert!(matches!(&results[0], Err(DistError::Checkpoint(_))), "{:?}", results[0]);
+        let survivor = results[1].as_ref().expect("rank 1 shrinks the lead away and completes");
+        assert_eq!(survivor.outcome, ElasticOutcome::Completed);
+        assert_eq!(survivor.group_sizes, vec![(0, 2), (1, 1), (2, 1)]);
     }
 
     #[test]

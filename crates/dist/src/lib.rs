@@ -42,11 +42,13 @@
 //!   from (which adds a `Completion`; the sharded analysis masks the
 //!   guidance instead of completing the vector, so the two coincide on a
 //!   full network).
-//! * [`elastic`] — the one sharded cycling loop: ULFM-style shrink on rank
-//!   death, checkpoint-backed rejoin, and deadline-aware degraded analysis
-//!   ([`run_elastic_experiment`], [`run_elastic_osse`]).
-//! * [`cycle`] — its fault-free face ([`run_dist_experiment`],
-//!   [`run_osse`]): the elastic loop with nothing scripted.
+//! * [`elastic`] — one rank's slots for `da_core::cycle::run_cycles`: the
+//!   sharded analysis as its scheme (ULFM-style shrink on rank death,
+//!   deadline-aware degradation) and the rank's membership as its process
+//!   group (checkpoint-backed rejoin) ([`run_elastic_experiment`],
+//!   [`run_elastic_osse`]).
+//! * [`cycle`] — the same with nothing scripted ([`run_dist_experiment`],
+//!   [`run_osse`]).
 //! * [`mod@bench`] — per-rank block timing behind the `scaling_suite` bench
 //!   bin.
 //! * [`shard`] — the state-block geometry of [`dist_analyze`]'s
@@ -86,6 +88,9 @@ pub enum DistError {
     /// The configuration and nature run disagree (dimension mismatch,
     /// too-short nature run, invalid filter settings).
     Config(String),
+    /// A checkpoint does not fit the experiment it should resume, or could
+    /// not be written — the serial resume's error, typed the same.
+    Checkpoint(da_core::resilience::CheckpointError),
 }
 
 impl std::fmt::Display for DistError {
@@ -94,6 +99,7 @@ impl std::fmt::Display for DistError {
             DistError::Collective(e) => write!(f, "distributed collective failed: {e}"),
             DistError::Mpi(e) => write!(f, "MPI operation failed: {e}"),
             DistError::Config(msg) => write!(f, "invalid distributed experiment: {msg}"),
+            DistError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
         }
     }
 }
@@ -103,6 +109,16 @@ impl std::error::Error for DistError {}
 impl From<hpc::CollectiveError> for DistError {
     fn from(e: hpc::CollectiveError) -> Self {
         DistError::Collective(e)
+    }
+}
+
+/// What the cycle loop refuses or gives up on, in this crate's terms.
+impl From<da_core::OsseError> for DistError {
+    fn from(e: da_core::OsseError) -> Self {
+        match e {
+            da_core::OsseError::Checkpoint(e) => DistError::Checkpoint(e),
+            other => DistError::Config(other.to_string()),
+        }
     }
 }
 

@@ -106,6 +106,24 @@ fn rank_kill_leaves_shrink_postmortem_with_cycle_diagnostics() {
     assert!(text.contains("\"diagnostics\""), "degrading cycle carries diagnostics:\n{text}");
     assert!(text.contains("\"spread_skill\""), "diagnostics block is populated");
 
+    // The lead's records are the one cycle loop's: measured forecast and
+    // analysis seconds next to the modelled analysis time...
+    let records = telemetry::cycle_records();
+    assert_eq!(records.len(), 3);
+    for r in &records {
+        let secs = |name: &str| r.phases.iter().find(|(n, _)| n == name).map(|&(_, s)| s);
+        assert!(secs("forecast").is_some_and(|s| s > 0.0), "{:?}", r.phases);
+        assert!(secs("analysis").is_some_and(|s| s > 0.0), "{:?}", r.phases);
+        assert!(secs("analysis_modeled").is_some_and(|s| s > 0.0), "{:?}", r.phases);
+    }
+    // ...and the shrink's health transition is the serial loop's event.
+    let transition = telemetry::flight_events()
+        .into_iter()
+        .find(|e| e.kind == telemetry::FlightKind::Transition && e.cycle == 1)
+        .expect("the shrink leaves healthy");
+    assert_eq!(transition.label(), "healthy->degraded");
+    assert_eq!((transition.a, transition.b), (0.0, 1.0), "from/to state codes");
+
     telemetry_close();
     std::fs::remove_dir_all(&dir).ok();
 }

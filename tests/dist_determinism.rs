@@ -17,8 +17,9 @@
 //! different bits (SIMD width reassociates reductions); the invariant is
 //! that *within* one cap the rank count never changes them.
 
-use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, OsseConfig};
-use sqg_da::da_core::{AnalysisScheme, EnsfScheme, SqgForecast};
+use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, ObsOperatorKind, OsseConfig};
+use sqg_da::da_core::resilience::{run_supervised, LoopState, ResilienceConfig};
+use sqg_da::da_core::{AnalysisScheme, Completion, EnsfScheme, SqgForecast};
 use sqg_da::dist::{run_osse, DistCycleConfig, DistRunResult};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig, ScoreKernel};
 use sqg_da::sqg::SqgParams;
@@ -180,6 +181,73 @@ fn sharded_cycle_is_the_serial_driver_bitwise() {
                 "{method:?}: final ensemble diverged from the serial driver at {ranks} ranks"
             );
             assert_eq!(sharded.series.rmse, series.rmse);
+        }
+    }
+}
+
+/// Three faces, one run: the plain face, the supervised face on a healthy
+/// run and the sharded face at 1 and 2 ranks are the same cycle loop with
+/// different arguments, so on a full network they agree **bitwise** on the
+/// whole RMSE and spread series, every cycle's analysis mean and the final
+/// ensemble — for both transports and a linear and a nonlinear operator.
+#[test]
+fn three_faces_one_run() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let rows = |m: &[Vec<f64>]| m.iter().map(|v| bits(v)).collect::<Vec<_>>();
+    for base in [determinism_config(ScoreKernel::Batched), flow_determinism_config()] {
+        for operator in [ObsOperatorKind::Identity, ObsOperatorKind::Arctan { gain: 1.0 }] {
+            let mut config = base.clone();
+            config.osse.cycles = 4;
+            config.osse.obs_operator = operator;
+            let (osse, case) = (&config.osse, format!("{:?} x {operator:?}", config.ensf.method));
+            let nature = nature_run(osse);
+            let recording = || Recording {
+                inner: EnsfScheme::with_obs(
+                    config.ensf.clone(),
+                    osse.params.state_dim(),
+                    osse.obs_spec(),
+                    Completion::Inpaint,
+                ),
+                cycle_means: Vec::new(),
+                last: None,
+            };
+
+            let mut plain_scheme = recording();
+            let mut model = SqgForecast::perfect(osse.params.clone());
+            let plain = run_experiment("plain", osse, &nature, &mut model, &mut plain_scheme).unwrap();
+            let plain_ensemble = plain_scheme.last.expect("four analyses ran");
+
+            let mut sup_scheme = recording();
+            let mut model = SqgForecast::perfect(osse.params.clone());
+            let res = ResilienceConfig::default();
+            let sup =
+                run_supervised("sup", osse, &res, &nature, &mut model, &mut sup_scheme, None).unwrap();
+            assert_eq!(sup.counters.total(), 0, "{case}: the run must be healthy");
+            assert_eq!(sup.final_state, LoopState::Healthy);
+            assert_eq!(bits(&sup.series.rmse), bits(&plain.rmse), "{case}: supervised rmse");
+            assert_eq!(bits(&sup.series.spread), bits(&plain.spread), "{case}: supervised spread");
+            assert_eq!(rows(&sup_scheme.cycle_means), rows(&plain_scheme.cycle_means), "{case}");
+            assert_eq!(
+                bits(sup.checkpoint.ensemble.as_slice()),
+                bits(plain_ensemble.as_slice()),
+                "{case}: supervised final ensemble"
+            );
+
+            for ranks in [1usize, 2] {
+                let sharded = run_osse(&config, ranks).unwrap();
+                assert_eq!(bits(&sharded.series.rmse), bits(&plain.rmse), "{case}@{ranks}r: rmse");
+                assert_eq!(bits(&sharded.series.spread), bits(&plain.spread), "{case}@{ranks}r");
+                assert_eq!(
+                    rows(&sharded.cycle_means),
+                    rows(&plain_scheme.cycle_means),
+                    "{case}@{ranks}r: cycle means"
+                );
+                assert_eq!(
+                    bits(sharded.ensemble.as_slice()),
+                    bits(plain_ensemble.as_slice()),
+                    "{case}@{ranks}r: final ensemble"
+                );
+            }
         }
     }
 }

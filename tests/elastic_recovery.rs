@@ -14,8 +14,12 @@
 //! An in-process companion test additionally proves the checkpoint written
 //! *by the killed run itself* restores bitwise.
 
-use sqg_da::da_core::osse::OsseConfig;
-use sqg_da::da_core::resilience::{Checkpoint, CheckpointConfig, RankKill};
+use sqg_da::da_core::osse::{nature_run, OsseConfig};
+use sqg_da::da_core::resilience::{
+    resume_supervised, run_supervised, Checkpoint, CheckpointConfig, FaultPlan, RankKill,
+    ResilienceConfig,
+};
+use sqg_da::da_core::{EnsfScheme, SqgForecast};
 use sqg_da::dist::{
     run_elastic_osse, run_elastic_osse_from, DistCycleConfig, ElasticCycleConfig,
     ElasticOutcome, ElasticRunResult,
@@ -175,4 +179,57 @@ fn kill_cycle_checkpoint_from_killed_run_restores_bitwise() {
         assert_eq!(bits_a, bits_b, "post-kill cycle {ca} diverged from the fresh 3-rank run");
     }
     assert_eq!(killed.ensemble.as_slice(), fresh.ensemble.as_slice());
+}
+
+/// One checkpoint writer, so checkpoints are portable between the faces
+/// of the cycle loop: a supervised serial run killed at cycle 2 resumes on
+/// 2 ranks, and a 2-rank run's cycle-2 checkpoint resumes serially — both
+/// onto the bits of the uninterrupted serial run.
+#[test]
+fn checkpoints_are_portable_between_the_serial_and_sharded_faces() {
+    let config = elastic_config(5);
+    let osse = &config.base.osse;
+    let nature = nature_run(osse);
+    let model = || SqgForecast::perfect(osse.params.clone());
+    let scheme =
+        || EnsfScheme::new(config.base.ensf.clone(), osse.params.state_dim(), osse.obs_sigma);
+    let clean = ResilienceConfig::default();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+
+    let full =
+        run_supervised("full", osse, &clean, &nature, &mut model(), &mut scheme(), None).unwrap();
+    assert_eq!(full.counters.total(), 0, "the reference must be a healthy run");
+
+    // Serial → sharded.
+    let kill = ResilienceConfig {
+        plan: FaultPlan { kill_after: Some(2), ..FaultPlan::none() },
+        ..Default::default()
+    };
+    let killed =
+        run_supervised("killed", osse, &kill, &nature, &mut model(), &mut scheme(), None).unwrap();
+    assert!(killed.interrupted);
+    assert_eq!(killed.checkpoint.cycle, 2);
+    let sharded = run_elastic_osse_from(&config, 2, &killed.checkpoint).unwrap();
+    assert_eq!(bits(&sharded.series.rmse), bits(&full.series.rmse));
+    assert_eq!(bits(&sharded.series.spread), bits(&full.series.spread));
+    assert_eq!(bits(sharded.ensemble.as_slice()), bits(full.checkpoint.ensemble.as_slice()));
+
+    // Sharded → serial.
+    let path = std::env::temp_dir()
+        .join(format!("sqg_da_elastic_portable_{}.ckpt", std::process::id()));
+    let mut prefix = elastic_config(2);
+    prefix.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 2 });
+    run_elastic_osse(&prefix, 2).unwrap();
+    let ck = Checkpoint::load(&path).expect("the 2-rank prefix wrote its checkpoint");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ck.cycle, 2);
+    let serial =
+        resume_supervised("resumed", osse, &clean, &nature, &mut model(), &mut scheme(), None, ck)
+            .unwrap();
+    assert_eq!(bits(&serial.series.rmse), bits(&full.series.rmse));
+    assert_eq!(bits(&serial.series.spread), bits(&full.series.spread));
+    assert_eq!(
+        bits(serial.checkpoint.ensemble.as_slice()),
+        bits(full.checkpoint.ensemble.as_slice())
+    );
 }
