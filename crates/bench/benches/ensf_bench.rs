@@ -2,7 +2,7 @@
 //! including the DESIGN.md ablations (SDE steps, mini-batch, time grid).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ensf::{DiffusionSchedule, Ensf, EnsfConfig, MaskedObs, ScoreEstimator};
+use ensf::{DiffusionSchedule, Ensf, EnsfConfig, ObsOperator, ScoreEstimator};
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
 use stats::Ensemble;
@@ -40,7 +40,7 @@ fn bench_analysis(c: &mut Criterion) {
     // Dimension sweep (the Fig. 10 x-axis at laptop scale).
     for dim in [1024usize, 8192] {
         let fc = gaussian_ensemble(20, dim, 2);
-        let obs = MaskedObs::identity(dim, 0.5);
+        let obs = ObsOperator::identity(0.5);
         let y = vec![0.3; dim];
         group.bench_with_input(BenchmarkId::new("dim", dim), &dim, |b, _| {
             let mut filter = Ensf::new(EnsfConfig { n_steps: 30, seed: 3, ..Default::default() });
@@ -55,7 +55,7 @@ fn bench_ablation_sde_steps(c: &mut Criterion) {
     group.sample_size(10);
     let dim = 2048;
     let fc = gaussian_ensemble(20, dim, 4);
-    let obs = MaskedObs::identity(dim, 0.5);
+    let obs = ObsOperator::identity(0.5);
     let y = vec![0.3; dim];
     for steps in [10usize, 30, 100] {
         group.bench_with_input(BenchmarkId::from_parameter(steps), &steps, |b, &s| {
@@ -71,7 +71,7 @@ fn bench_ablation_minibatch(c: &mut Criterion) {
     group.sample_size(10);
     let dim = 2048;
     let fc = gaussian_ensemble(40, dim, 6);
-    let obs = MaskedObs::identity(dim, 0.5);
+    let obs = ObsOperator::identity(0.5);
     let y = vec![0.3; dim];
     for j in [5usize, 10, 20, 40] {
         group.bench_with_input(BenchmarkId::from_parameter(j), &j, |b, &jj| {

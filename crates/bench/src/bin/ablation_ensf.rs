@@ -9,7 +9,7 @@
 //! this binary runs that exploration.
 
 use da_core::{ForecastModel, Lorenz96, Lorenz96Params};
-use ensf::{Damping, DiffusionSchedule, Ensf, EnsfConfig, MaskedObs};
+use ensf::{Damping, DiffusionSchedule, Ensf, EnsfConfig, ObsOperator};
 use stats::gaussian::standard_normal;
 use stats::rng::{member_rng, seeded};
 use stats::{metrics, Ensemble};
@@ -27,7 +27,7 @@ fn run_with(config: EnsfConfig) -> f64 {
     let mut nature = Lorenz96::new(Lorenz96Params::default());
     let mut truth = nature.spinup(11, 20.0);
     let mut model = Lorenz96::new(Lorenz96Params::default());
-    let obs = MaskedObs::identity(DIM, OBS_SIGMA);
+    let obs = ObsOperator::identity(OBS_SIGMA);
     let mut obs_rng = seeded(config.seed ^ 0x0B5);
 
     let mut ens = Ensemble::zeros(MEMBERS, DIM);

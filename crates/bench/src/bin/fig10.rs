@@ -7,7 +7,7 @@
 
 use bench::Json;
 use ensf::parallel::{analyze_partitioned, RankPlan};
-use ensf::{EnsfConfig, MaskedObs};
+use ensf::{EnsfConfig, ObsOperator};
 use hpc::{ensf_step_time, EnsfJob, Topology};
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
@@ -53,7 +53,7 @@ fn main() {
     let dim = 4096;
     let members = 16;
     let config = EnsfConfig { n_steps: 20, seed: 7, ..Default::default() };
-    let obs = MaskedObs::identity(dim, 0.5);
+    let obs = ObsOperator::identity(0.5);
     let y = vec![0.2; dim];
     let mut rng = seeded(11);
     let mut fc = Ensemble::zeros(members, dim);

@@ -8,7 +8,7 @@
 //! run, with an identity-observation EnSF as the linear reference.
 
 use da_core::{ForecastModel, Lorenz96, Lorenz96Params};
-use ensf::{Ensf, EnsfConfig, MaskedObs, ObsOperatorKind, ObservationOperator};
+use ensf::{Ensf, EnsfConfig, ObsOperator, ObsOperatorKind};
 use stats::gaussian::standard_normal;
 use stats::rng::{member_rng, seeded};
 use stats::{metrics, Ensemble};
@@ -71,7 +71,7 @@ fn main() {
     let free = cycle("free", seed, |ens, _truth, _c| ens.clone());
 
     // EnSF with componentwise arctan observations.
-    let arctan_op = MaskedObs::new(DIM, ObsOperatorKind::Arctan { gain: 1.0 }, None, OBS_SIGMA);
+    let arctan_op = ObsOperator::new(ObsOperatorKind::Arctan { gain: 1.0 }, OBS_SIGMA);
     let mut obs_rng = seeded(seed ^ 0x0B5);
     let mut filter_nl = Ensf::new(EnsfConfig {
         n_steps: 40,
@@ -89,7 +89,7 @@ fn main() {
     });
 
     // EnSF with identity observations (linear reference).
-    let id_op = MaskedObs::identity(DIM, OBS_SIGMA);
+    let id_op = ObsOperator::identity(OBS_SIGMA);
     let mut obs_rng2 = seeded(seed ^ 0x0B5);
     let mut filter_id = Ensf::new(EnsfConfig {
         n_steps: 40,

@@ -24,7 +24,7 @@ use da_core::cycle::{run_cycles, SingleProcess};
 use da_core::osse::{nature_run, NatureRun, ObsOperatorKind, OsseConfig};
 use da_core::resilience::FaultPlan;
 use da_core::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme, SqgForecast};
-use ensf::{AnalysisMethod, Ensf, EnsfConfig, MaskedObs, ScoreKernel};
+use ensf::{AnalysisMethod, Ensf, EnsfConfig, ObsOperator, ScoreKernel};
 use fft::{plan_cache, Complex, Direction, Fft2};
 use linalg::gemm::{matmul_abt_into, matmul_slices_into};
 use sqg::dynamics::{StepWorkspace, Stepper};
@@ -63,7 +63,7 @@ fn ensf_analysis_secs(
     n_steps: usize,
     reps: usize,
 ) -> f64 {
-    let obs = MaskedObs::identity(fc.dim(), 0.5);
+    let obs = ObsOperator::identity(0.5);
     median_secs(reps, || {
         let mut f = Ensf::new(EnsfConfig { n_steps, seed: 9, kernel, ..Default::default() });
         let an = f.analyze(fc, y, &obs);

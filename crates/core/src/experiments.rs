@@ -7,10 +7,11 @@
 //!    surrogate forecasts, with online surrogate fine-tuning.
 
 use crate::forecast::SqgForecast;
+use crate::inpaint::Completion;
 use crate::model_error::{ModelError, ModelErrorConfig};
 use crate::osse::{nature_run_with_error, run_experiment, CycleSeries, NatureRun, OsseConfig};
 use crate::surrogate::VitSurrogate;
-use crate::traits::{Completion, EnsfScheme, LetkfScheme, NoAssimilation};
+use crate::traits::{EnsfScheme, LetkfScheme, NoAssimilation};
 use vit::VitConfig;
 
 /// Knobs of the four-way comparison.

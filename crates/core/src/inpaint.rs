@@ -1,20 +1,97 @@
 //! Observation-space inpainting for partially observed networks.
 //!
-//! The inpainting-EnSF schemes reconstruct the missing entries of an
-//! observation-space field (the innovation `y − h(x̄_f)` at the masked
-//! components) before assimilation. [`harmonic_fill`] solves the discrete
-//! Laplace equation on the two-level SQG grid graph — the four periodic
-//! horizontal neighbours plus the vertically colocated partner level —
-//! with the observed entries as Dirichlet data, using a fixed number of
-//! Gauss–Seidel sweeps in ascending index order so the fill is bitwise
-//! deterministic. States whose dimension is not a two-level square grid
-//! (unit tests, toy problems) fall back to a periodic 1-D chain stencil.
+//! The EnSF kernels assimilate a dense observation vector, so a partial
+//! network's shrunk vector is completed first: [`Completion::complete`] is
+//! the one place that happens, for the serial schemes and the sharded
+//! runtime alike. The inpainting completion reconstructs the missing
+//! entries of an observation-space field (the innovation `y − h(x̄_f)` at
+//! the masked components) before assimilation. [`harmonic_fill`] solves
+//! the discrete Laplace equation on the two-level SQG grid graph — the
+//! four periodic horizontal neighbours plus the vertically colocated
+//! partner level — with the observed entries as Dirichlet data, using a
+//! fixed number of Gauss–Seidel sweeps in ascending index order so the
+//! fill is bitwise deterministic. States whose dimension is not a
+//! two-level square grid (unit tests, toy problems) fall back to a
+//! periodic 1-D chain stencil.
 
-/// Gauss–Seidel sweep count used by the schemes. With every unobserved
-/// pixel at most a few cells from Dirichlet data (and usually vertically
-/// anchored), 64 sweeps converge far below the observation noise floor
-/// while keeping the fill cost at `O(sweeps · dim)` — negligible next to
-/// one diffusion step.
+use ensf::ObsSpec;
+use stats::Ensemble;
+use std::borrow::Cow;
+
+/// How a partial network's shrunk observation vector is completed to the
+/// dense one the EnSF score kernels assimilate (irrelevant under a full
+/// mask, where the vector is dense already).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Completion {
+    /// Harmonic inpainting of the obs-space innovation field `y − h(x̄_f)`
+    /// on the two-level grid ([`harmonic_fill`]; Liang et al.,
+    /// arXiv:2501.12419). Observed pixels keep their real measurements, so
+    /// guidance there is exact; masked pixels receive spatially
+    /// interpolated pseudo-observations, anchoring the diffusion inside the
+    /// outage to real information from the surrounding network instead of
+    /// leaving it to the prior score alone (which lets small ensembles
+    /// drift; see the scenario bench).
+    Inpaint,
+    /// The canonical outage bug, kept as the baseline inpainting must beat
+    /// on unobserved regions: dead sensors flat-line at zero in observation
+    /// space and those zeros are assimilated as real measurements with
+    /// full guidance weight.
+    ZeroFill,
+}
+
+impl Completion {
+    /// The dense observation vector for analysis number `cycle` of
+    /// `forecast`: `observation` itself under a full mask, otherwise the
+    /// real measurements at the components `obs` observes at `cycle` and
+    /// this completion everywhere else.
+    ///
+    /// # Panics
+    /// Panics unless `observation` holds exactly the observed components.
+    pub fn complete<'a>(
+        self,
+        obs: &ObsSpec,
+        cycle: u64,
+        forecast: &Ensemble,
+        observation: &'a [f64],
+    ) -> Cow<'a, [f64]> {
+        if obs.mask.is_full() {
+            return Cow::Borrowed(observation);
+        }
+        let dim = forecast.dim();
+        let observed = obs.observed(dim, cycle);
+        assert_eq!(
+            observation.len(),
+            observed.len(),
+            "observation vector must hold exactly the mask's observed components"
+        );
+        let mut y_full = vec![0.0; dim];
+        if self == Completion::Inpaint {
+            // Dirichlet data at observed pixels, Laplace fill across the
+            // outage, then back to observation space about h(x̄_f).
+            let mean = forecast.mean();
+            let mut known = vec![false; dim];
+            for (&i, y) in observed.iter().zip(observation) {
+                y_full[i] = y - obs.operator.h(mean[i]);
+                known[i] = true;
+            }
+            harmonic_fill(&mut y_full, &known, FILL_SWEEPS);
+            for i in (0..dim).filter(|&i| !known[i]) {
+                y_full[i] += obs.operator.h(mean[i]);
+            }
+        }
+        // Real measurements pass through exactly.
+        for (&i, &y) in observed.iter().zip(observation) {
+            y_full[i] = y;
+        }
+        Cow::Owned(y_full)
+    }
+}
+
+/// Gauss–Seidel sweep count used by [`Completion::Inpaint`]. With every
+/// unobserved pixel at most a few cells from Dirichlet data (and usually
+/// vertically anchored), 64 sweeps converge far below the observation
+/// noise floor while keeping the fill cost at `O(sweeps · dim)` —
+/// negligible next to one diffusion step.
 pub const FILL_SWEEPS: usize = 64;
 
 /// Side length `n` when `dim` is a two-level `n × n` row-major state.

@@ -54,7 +54,7 @@ pub use model_error::{ModelError, ModelErrorConfig};
 pub use surrogate::VitSurrogate;
 pub use osse::{MaskKind, ObsOperatorKind, ObsSpec};
 pub use scenario::{run_scenario, standard_scenarios, ScenarioMethod, ScenarioResult, ScenarioSpec};
+pub use inpaint::Completion;
 pub use traits::{
-    AnalysisReport, AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme,
-    NoAssimilation,
+    AnalysisReport, AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation,
 };

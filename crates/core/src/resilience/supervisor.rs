@@ -221,8 +221,9 @@ mod tests {
     use super::super::fault::{AnalysisFault, FaultPlan, MemberFault, MemberFaultKind, ObsFault};
     use super::*;
     use crate::forecast::SqgForecast;
+    use crate::inpaint::Completion;
     use crate::osse::nature_run;
-    use crate::traits::{Completion, EnsfScheme, LetkfScheme, NoAssimilation};
+    use crate::traits::{EnsfScheme, LetkfScheme, NoAssimilation};
     use sqg::SqgParams;
     use stats::Ensemble;
 

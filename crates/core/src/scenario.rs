@@ -11,8 +11,9 @@
 //! `BENCH_scenarios.json`.
 
 use crate::forecast::SqgForecast;
+use crate::inpaint::Completion;
 use crate::osse::{nature_run, run_observed, MaskKind, ObsOperatorKind, OsseConfig};
-use crate::traits::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme};
+use crate::traits::{AnalysisScheme, EnsfScheme, LetkfScheme};
 
 /// One named observing-network scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]

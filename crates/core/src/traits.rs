@@ -4,6 +4,7 @@
 //! be the physics-based SQG, the ViT surrogate, or any AI foundation model;
 //! the analysis scheme can be EnSF, LETKF, or nothing (free runs).
 
+use crate::inpaint::Completion;
 use ensf::{ObsOperatorKind, ObsSpec};
 use stats::Ensemble;
 
@@ -111,35 +112,12 @@ impl AnalysisScheme for NoAssimilation {
     }
 }
 
-/// How [`EnsfScheme`] completes a partial network's shrunk observation
-/// vector to the dense one its score kernels assimilate (irrelevant under
-/// a full mask, where the vector is dense already).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Completion {
-    /// Harmonic inpainting of the obs-space innovation field `y − h(x̄_f)`
-    /// on the two-level grid ([`crate::inpaint::harmonic_fill`]; Liang et
-    /// al., arXiv:2501.12419). Observed pixels keep their real
-    /// measurements, so guidance there is exact; masked pixels receive
-    /// spatially interpolated pseudo-observations, anchoring the diffusion
-    /// inside the outage to real information from the surrounding network
-    /// instead of leaving it to the prior score alone (which lets small
-    /// ensembles drift; see the scenario bench).
-    Inpaint,
-    /// The canonical outage bug, kept as the baseline inpainting must beat
-    /// on unobserved regions: dead sensors flat-line at zero in observation
-    /// space and those zeros are assimilated as real measurements with
-    /// full guidance weight.
-    ZeroFill,
-}
-
 /// The EnSF adapter: one [`ensf::Ensf`] filter behind an [`ObsSpec`].
 /// Reverse SDE versus few-step probability-flow ODE is
 /// [`ensf::EnsfConfig::method`]; the observation map, network mask and
 /// error are the spec; [`Completion`] says how a partial network's vector
-/// is made dense. Pure guidance masking — score-only diffusion on masked
-/// pixels — remains available as the spec's own operator
-/// ([`ObsSpec::operator`]), which is what the sharded runtime assimilates
-/// through.
+/// is made dense before the filter sees it ([`Completion::complete`], the
+/// same call the sharded runtime makes).
 ///
 /// The mask's cycle index is the filter's analysis-cycle counter, so
 /// moving-track masks stay aligned with the OSSE as long as the scheme
@@ -193,36 +171,9 @@ impl AnalysisScheme for EnsfScheme {
     }
 
     fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let dense = ensf::MaskedObs::new(self.dim, self.obs.operator, None, self.obs.sigma);
-        if self.obs.mask.is_full() {
-            return self.filter.analyze(forecast, observation, &dense);
-        }
-        let observed = self.obs.observed(self.dim, self.filter.cycle());
-        assert_eq!(
-            observation.len(),
-            observed.len(),
-            "observation vector must hold exactly the mask's observed components"
-        );
-        // Real measurements pass through exactly; the rest is completed.
-        let mut y_full = vec![0.0; self.dim];
-        if self.completion == Completion::Inpaint {
-            // Dirichlet data at observed pixels, Laplace fill across the
-            // outage, then back to observation space about h(x̄_f).
-            let mean = forecast.mean();
-            let mut known = vec![false; self.dim];
-            for (&i, y) in observed.iter().zip(observation) {
-                y_full[i] = y - self.obs.operator.h(mean[i]);
-                known[i] = true;
-            }
-            crate::inpaint::harmonic_fill(&mut y_full, &known, crate::inpaint::FILL_SWEEPS);
-            for i in (0..self.dim).filter(|&i| !known[i]) {
-                y_full[i] += self.obs.operator.h(mean[i]);
-            }
-        }
-        for (&i, &y) in observed.iter().zip(observation) {
-            y_full[i] = y;
-        }
-        self.filter.analyze(forecast, &y_full, &dense)
+        assert_eq!(forecast.dim(), self.dim, "forecast dimension mismatch");
+        let y = self.completion.complete(&self.obs, self.filter.cycle(), forecast, observation);
+        self.filter.analyze(forecast, &y, &self.obs.operator())
     }
 
     fn rng_state(&self) -> (u64, u64) {

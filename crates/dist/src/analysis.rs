@@ -13,13 +13,17 @@
 //! Nothing here is a second implementation of the filter. A particle's
 //! bits depend on `(seed, cycle, its global index)` and the replicated
 //! forecast only — never on which rank integrated it — so the gathered
-//! ensemble is [`ensf::Ensf::analyze`]'s, bit for bit, at every rank count
+//! ensemble is `da_core::EnsfScheme`'s, bit for bit, at every rank count
 //! (ranks beyond the member count own an empty block), for both
 //! [`ensf::ScoreKernel`]s, both [`ensf::AnalysisMethod`]s and every
-//! [`ObsSpec`]. The tests below pin that.
+//! [`ObsSpec`]: a partial network's vector is completed by the same
+//! [`Completion::Inpaint`] call the serial scheme makes, from the
+//! replicated forecast, before the kernel sees it. The tests below pin
+//! that.
 
 use crate::shard::ShardPlan;
 use crate::DistError;
+use da_core::Completion;
 use ensf::parallel::{BlockAnalysis, RankPlan};
 use ensf::{relax_spread, AnalysisMethod, EnsfConfig, ObsSpec};
 use hpc::mpi::Comm;
@@ -153,8 +157,9 @@ pub(crate) fn analyze_replicated(
     // The prepared batch and the block's scratch die with this scope, so
     // they are not resident during the gather.
     let (local, steps) = {
-        let operator = obs.operator(dim, cycle);
-        let prepared = BlockAnalysis::prepare(config, cycle, forecast, y, &operator);
+        let y = Completion::Inpaint.complete(obs, cycle, forecast, y);
+        let operator = obs.operator();
+        let prepared = BlockAnalysis::prepare(config, cycle, forecast, &y, &operator);
         (prepared.run_block(start..end), prepared.steps())
     };
 
@@ -188,7 +193,8 @@ pub(crate) fn analyze_replicated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ensf::{Ensf, MaskKind, ObsOperatorKind, ScoreKernel};
+    use da_core::{AnalysisScheme, EnsfScheme};
+    use ensf::{MaskKind, ObsOperatorKind, ScoreKernel};
     use hpc::mpi::run_world;
     use stats::gaussian::fill_standard_normal;
     use stats::rng::member_rng;
@@ -233,14 +239,15 @@ mod tests {
 
     fn serial(config: &EnsfConfig, obs: &ObsSpec, cycle: u64) -> Vec<f64> {
         let forecast = gaussian_ensemble(MEMBERS, DIM, 11);
-        let mut filter = Ensf::new(config.clone());
-        filter.set_cycle(cycle);
-        filter.analyze(&forecast, &observation(obs, cycle), &obs.operator(DIM, cycle)).as_slice().to_vec()
+        let mut scheme = EnsfScheme::with_obs(config.clone(), DIM, *obs, Completion::Inpaint);
+        scheme.set_rng_state(cycle, config.seed);
+        scheme.analyze(&forecast, &observation(obs, cycle)).as_slice().to_vec()
     }
 
     /// The contract: at every rank count — uneven blocks, ranks = members,
     /// ranks > members — the reassembled sharded analysis is the serial
-    /// filter's, bit for bit, for every observation spec and mini-batch.
+    /// scheme's, bit for bit, for every observation spec (partial networks
+    /// inpainted on both sides) and mini-batch.
     fn assert_sharded_is_serial(base: EnsfConfig) {
         let operators = [ObsOperatorKind::Identity, ObsOperatorKind::Arctan { gain: 1.0 }];
         let masks = [
@@ -313,28 +320,6 @@ mod tests {
                 assert_eq!(sharded(ranks, &config, &obs, 0), want, "{ranks} ranks, {config:?}");
             }
         }
-    }
-
-    #[test]
-    fn masked_guidance_pulls_only_observed_components() {
-        // With guidance confined to the observed window, observed
-        // components must track the observations much more tightly than
-        // the score-only outage.
-        let obs = ObsSpec { mask: MaskKind::Block { start: 48, len: 48 }, ..ObsSpec::identity(0.05) };
-        let config = EnsfConfig { n_steps: 20, ..sde(ScoreKernel::Batched) };
-        let full = sharded(2, &config, &obs, 0);
-        let mut mean = vec![0.0; DIM];
-        for p in 0..MEMBERS {
-            for i in 0..DIM {
-                mean[i] += full[p * DIM + i] / MEMBERS as f64;
-            }
-        }
-        let err_obs: f64 = (0..48).map(|i| (mean[i] - 0.25).abs()).sum::<f64>() / 48.0;
-        let err_out: f64 = (48..96).map(|i| (mean[i] - 0.25).abs()).sum::<f64>() / 48.0;
-        assert!(
-            err_obs < 0.35 && err_out > 1.5 * err_obs,
-            "observed err {err_obs} vs outage err {err_out}"
-        );
     }
 
     fn stats_on_two_ranks(spec: &CommSpec) -> Vec<Result<CommStats, DistError>> {

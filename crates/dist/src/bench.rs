@@ -70,7 +70,7 @@ pub fn measure_analysis(
     // data-independent, so any well-scaled input measures the real thing.
     let forecast = synthetic_forecast(members, dim, seed);
     let y = vec![0.1; dim];
-    let operator = ObsSpec::identity(0.3).operator(dim, 0);
+    let operator = ObsSpec::identity(0.3).operator();
 
     let per_rank_secs: Vec<f64> = RankPlan::new(members, ranks)
         .blocks

@@ -11,9 +11,9 @@
 //! ## Determinism contract
 //!
 //! For a fixed configuration the sharded experiment is the *serial* one —
-//! `da_core::osse::run_experiment` with `da_core::EnsfScheme` on a full
-//! observation network — **bit for bit at every rank count**, including
-//! more ranks than members (`tests/dist_determinism.rs` at the workspace
+//! `da_core::osse::run_experiment` with `da_core::EnsfScheme`, on a full
+//! or a partial observation network — **bit for bit at every rank count**,
+//! including more ranks than members (`tests/dist_determinism.rs` at the workspace
 //! root proves it at 1/2/4/8 ranks). Two ingredients:
 //!
 //! 1. **Global-index streams**: a particle's `N(0, I)` start and SDE noise
@@ -36,12 +36,11 @@
 //! * [`analysis`] — one sharded analysis ([`dist_analyze`]): this rank's
 //!   particle block through the serial kernel, one gather, replicated
 //!   relaxation. What is observed is the OSSE's own [`ensf::ObsSpec`]
-//!   ([`dist_obs_for`]) through [`ensf::ObsSpec::operator`], and reverse
-//!   SDE versus probability flow is [`ensf::EnsfConfig::method`] — the same
-//!   `{method, ObsSpec}` data the serial `da_core::EnsfScheme` is built
-//!   from (which adds a `Completion`; the sharded analysis masks the
-//!   guidance instead of completing the vector, so the two coincide on a
-//!   full network).
+//!   ([`dist_obs_for`]), a partial network's vector completed by
+//!   `da_core::Completion::Inpaint`, and reverse SDE versus probability
+//!   flow is [`ensf::EnsfConfig::method`] — the same `{method, ObsSpec}`
+//!   data, and the same completion call, as the serial
+//!   `da_core::EnsfScheme`.
 //! * [`elastic`] — one rank's slots for `da_core::cycle::run_cycles`: the
 //!   sharded analysis as its scheme (ULFM-style shrink on rank death,
 //!   deadline-aware degradation) and the rank's membership as its process

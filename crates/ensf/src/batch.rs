@@ -29,7 +29,7 @@
 //! All scratch lives in a caller-owned [`BatchScratch`]; after construction
 //! the inner SDE loop performs no heap allocation.
 
-use crate::obs::ObservationOperator;
+use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
 use linalg::gemm::{matmul_abt_into, matmul_slices_affine_into, row_sq_norms, GemmScratch};
 use linalg::vector::{axpy, scale_add};
@@ -178,7 +178,7 @@ impl BatchScratch {
 /// * `z` — `rngs.len() x dim` row-major block; on entry each row is a
 ///   sample of `N(0, I)`, on exit a posterior sample.
 /// * `times` — the descending pseudo-time grid (`1 − eps = t_0 > … > t_n =
-///   0`, as produced by [`crate::TimeGrid::points`]), owned by the caller so the
+///   0`, as produced by [`crate::time_grid`]), owned by the caller so the
 ///   integration itself never allocates.
 /// * `rngs` — one RNG per particle, positioned exactly after the initial
 ///   Gaussian fill (the reference stream contract).
@@ -194,7 +194,7 @@ pub fn reverse_sde_assimilate_batched<R: Rng>(
     schedule: &DiffusionSchedule,
     times: &[f64],
     score: &BatchedScore,
-    obs: &impl ObservationOperator,
+    obs: &ObsOperator,
     y: &[f64],
     rngs: &mut [R],
     scratch: &mut BatchScratch,
@@ -266,9 +266,8 @@ pub fn reverse_sde_assimilate_batched<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::MaskedObs;
     use crate::score::ScoreEstimator;
-    use crate::sde::TimeGrid;
+    use crate::sde::time_grid;
     use stats::gaussian::{fill_standard_normal, standard_normal};
     use stats::rng::{member_rng, seeded};
 
@@ -356,7 +355,7 @@ mod tests {
         let sch = DiffusionSchedule::default();
         let batch: Vec<usize> = (0..members).collect();
         let score = BatchedScore::new(&ens, members, dim, sch, &batch);
-        let obs = MaskedObs::identity(dim, 0.7);
+        let obs = ObsOperator::identity(0.7);
         let y = vec![0.2; dim];
 
         let mut z = vec![0.0; b * dim];
@@ -365,7 +364,7 @@ mod tests {
             fill_standard_normal(rng, row);
         }
         let mut scratch = BatchScratch::new(b, members, dim);
-        let times = TimeGrid::LogSpaced.points(&sch, n_steps);
+        let times = time_grid(&sch, n_steps);
         reverse_sde_assimilate_batched(
             &mut z, &sch, &times, &score, &obs, &y, &mut rngs, &mut scratch,
         );

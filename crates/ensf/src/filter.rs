@@ -16,7 +16,7 @@
 //! particle block at a time, and this filter is that decomposition over
 //! the machine's cores.
 
-use crate::obs::ObservationOperator;
+use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
 use stats::Ensemble;
 
@@ -169,13 +169,9 @@ impl Ensf {
     }
 
     /// Performs one analysis: combines the forecast ensemble with the
-    /// observation `y` under `obs`, returning the analysis ensemble.
-    pub fn analyze(
-        &mut self,
-        forecast: &Ensemble,
-        y: &[f64],
-        obs: &impl ObservationOperator,
-    ) -> Ensemble {
+    /// dense observation vector `y` (one value per state component) under
+    /// `obs`, returning the analysis ensemble.
+    pub fn analyze(&mut self, forecast: &Ensemble, y: &[f64], obs: &ObsOperator) -> Ensemble {
         let _span = telemetry::span!("ensf.analysis");
         // One block per available worker; every particle's result is a
         // function of its global index alone, so the layout is purely a
@@ -199,19 +195,8 @@ impl Ensf {
             telemetry::counter_add("ensf.analyses", 1);
             telemetry::gauge_set("ensf.analysis.spread", analysis.spread());
             // Obs-space O−A residual moments: a quick filter-health pulse
-            // without the full diagnostics pipeline. Partial-observation
-            // operators shrink `y` below the state dimension; the residual
-            // is then taken against `h(mean)` so only observed components
-            // are compared (the dense path keeps its raw-mean comparison
-            // bit-for-bit).
-            let mean = analysis.mean();
-            let (oa_mean, oa_var) = if y.len() == mean.len() {
-                stats::diagnostics::residual_moments(&mean, y)
-            } else {
-                let mut hx = vec![0.0; obs.obs_dim()];
-                obs.apply(&mean, &mut hx);
-                stats::diagnostics::residual_moments(&hx, y)
-            };
+            // without the full diagnostics pipeline.
+            let (oa_mean, oa_var) = stats::diagnostics::residual_moments(&analysis.mean(), y);
             telemetry::gauge_set("ensf.analysis.oa_mean", oa_mean);
             telemetry::gauge_set("ensf.analysis.oa_var", oa_var);
         }
@@ -267,7 +252,7 @@ pub fn relax_spread(analysis: &mut Ensemble, forecast: &Ensemble, r: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{MaskedObs, ObsOperatorKind};
+    use crate::obs::ObsOperatorKind;
     use stats::gaussian::standard_normal;
     use stats::rng::seeded;
 
@@ -287,7 +272,7 @@ mod tests {
         // Forecast centered at 0, obs at 2 with tight error: analysis mean
         // should move decisively toward the observation.
         let fc = gaussian_ensemble(40, 4, 0.0, 1.0, 1);
-        let obs = MaskedObs::identity(4, 0.3);
+        let obs = ObsOperator::identity(0.3);
         let y = vec![2.0; 4];
         let mut filter = Ensf::new(EnsfConfig { seed: 7, ..Default::default() });
         let an = filter.analyze(&fc, &y, &obs);
@@ -303,7 +288,7 @@ mod tests {
     #[test]
     fn loose_observation_changes_little() {
         let fc = gaussian_ensemble(40, 4, 0.0, 0.5, 2);
-        let obs = MaskedObs::identity(4, 100.0); // essentially uninformative
+        let obs = ObsOperator::identity(100.0); // essentially uninformative
         let y = vec![5.0; 4];
         let mut filter = Ensf::new(EnsfConfig { seed: 3, ..Default::default() });
         let an = filter.analyze(&fc, &y, &obs);
@@ -315,7 +300,7 @@ mod tests {
     #[test]
     fn spread_relaxation_restores_forecast_spread() {
         let fc = gaussian_ensemble(30, 6, 0.0, 1.0, 4);
-        let obs = MaskedObs::identity(6, 0.1);
+        let obs = ObsOperator::identity(0.1);
         let y = vec![0.5; 6];
         let mut with = Ensf::new(EnsfConfig { seed: 5, spread_relaxation: 1.0, ..Default::default() });
         let mut without =
@@ -335,7 +320,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed_and_cycle() {
         let fc = gaussian_ensemble(16, 3, 1.0, 0.5, 6);
-        let obs = MaskedObs::identity(3, 0.5);
+        let obs = ObsOperator::identity(0.5);
         let y = vec![1.5; 3];
         let run = || {
             let mut f = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
@@ -349,7 +334,7 @@ mod tests {
     #[test]
     fn consecutive_cycles_use_fresh_noise() {
         let fc = gaussian_ensemble(16, 3, 1.0, 0.5, 6);
-        let obs = MaskedObs::identity(3, 0.5);
+        let obs = ObsOperator::identity(0.5);
         let y = vec![1.5; 3];
         let mut f = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
         let a = f.analyze(&fc, &y, &obs);
@@ -360,7 +345,7 @@ mod tests {
     #[test]
     fn minibatch_analysis_still_tracks_observation() {
         let fc = gaussian_ensemble(40, 4, 0.0, 1.0, 8);
-        let obs = MaskedObs::identity(4, 0.3);
+        let obs = ObsOperator::identity(0.3);
         let y = vec![1.5; 4];
         let mut f = Ensf::new(EnsfConfig { seed: 1, minibatch: Some(10), ..Default::default() });
         let an = f.analyze(&fc, &y, &obs);
@@ -373,7 +358,7 @@ mod tests {
     fn nonlinear_observation_supported() {
         // Truth at x=1.2 observed through arctan; forecast centered at 0.
         let fc = gaussian_ensemble(60, 2, 0.0, 1.0, 9);
-        let obs = MaskedObs::new(2, ObsOperatorKind::Arctan { gain: 1.0 }, None, 0.05);
+        let obs = ObsOperator::new(ObsOperatorKind::Arctan { gain: 1.0 }, 0.05);
         let truth = [1.2, 1.2];
         let mut y = vec![0.0; 2];
         obs.apply(&truth, &mut y);
@@ -387,7 +372,7 @@ mod tests {
     #[test]
     fn analysis_is_finite_in_high_dim() {
         let fc = gaussian_ensemble(20, 2048, 0.0, 1.0, 11);
-        let obs = MaskedObs::identity(2048, 1.0);
+        let obs = ObsOperator::identity(1.0);
         let y = vec![0.3; 2048];
         let mut f = Ensf::new(EnsfConfig { seed: 2, n_steps: 20, ..Default::default() });
         let an = f.analyze(&fc, &y, &obs);
@@ -397,7 +382,7 @@ mod tests {
     #[test]
     fn reseed_changes_noise_and_cycle_restores_streams() {
         let fc = gaussian_ensemble(16, 3, 1.0, 0.5, 6);
-        let obs = MaskedObs::identity(3, 0.5);
+        let obs = ObsOperator::identity(0.5);
         let y = vec![1.5; 3];
         let mut a = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
         let mut b = Ensf::new(EnsfConfig { seed: 42, ..Default::default() });
@@ -419,7 +404,7 @@ mod tests {
     #[should_panic]
     fn wrong_obs_length_panics() {
         let fc = gaussian_ensemble(8, 3, 0.0, 1.0, 1);
-        let obs = MaskedObs::identity(3, 1.0);
+        let obs = ObsOperator::identity(1.0);
         let mut f = Ensf::new(EnsfConfig::default());
         let _ = f.analyze(&fc, &[0.0; 2], &obs);
     }

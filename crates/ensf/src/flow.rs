@@ -15,7 +15,7 @@
 //!
 //! 1. **Few-step integration.** Without per-step noise injection the only
 //!    error source is the drift discretization, so the two-sided log grid
-//!    ([`TimeGrid::LogSpaced`]) reaches the accuracy of the 100-step SDE in
+//!    ([`time_grid`]) reaches the accuracy of the 100-step SDE in
 //!    ~5–10 steps: each analysis costs proportionally fewer score GEMMs.
 //! 2. **A smaller determinism surface.** Particles consume *no* RNG draws
 //!    beyond the initial Gaussian fill, so the member-keyed (serial) and
@@ -77,9 +77,9 @@
 //! to undo its own obs-pinning overdispersion correction.
 
 use crate::batch::{BatchScratch, BatchedScore};
-use crate::obs::ObservationOperator;
+use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
-use crate::sde::TimeGrid;
+use crate::sde::time_grid;
 
 /// Per-component sample variance over `batch` members of a member-major
 /// ensemble buffer (divisor `J − 1`; all zeros when the batch has fewer
@@ -165,20 +165,18 @@ pub fn smooth_variance(var: &mut [f64], gamma: f64) {
 ///
 /// # Panics
 /// Panics when `prior_var` does not match the state dimension.
-#[allow(clippy::too_many_arguments)]
 pub fn probability_flow_assimilate(
     z: &mut [f64],
     schedule: &DiffusionSchedule,
     n_steps: usize,
-    grid: TimeGrid,
     prior_var: &[f64],
     mut prior_score: impl FnMut(&[f64], f64, &mut [f64]),
-    obs: &impl ObservationOperator,
+    obs: &ObsOperator,
     y: &[f64],
 ) {
     let dim = z.len();
     assert_eq!(prior_var.len(), dim, "prior variance shape mismatch");
-    let times = grid.points(schedule, n_steps);
+    let times = time_grid(schedule, n_steps);
     telemetry::counter_add("ensf.flow.ode_steps", (times.len() - 1) as u64);
     let mut s = vec![0.0; dim];
     let mut xh = vec![0.0; dim];
@@ -207,7 +205,7 @@ fn flow_step(
     lik: &mut [f64],
     jsq: &mut [f64],
     prior_var: &[f64],
-    obs: &impl ObservationOperator,
+    obs: &ObsOperator,
     y: &[f64],
     r: f64,
     schedule: &DiffusionSchedule,
@@ -251,7 +249,7 @@ fn flow_step(
 /// * `z` — `b x dim` row-major block; each row a sample of `N(0, I)` on
 ///   entry, a posterior sample on exit.
 /// * `times` — the descending pseudo-time grid (as produced by
-///   [`TimeGrid::points`]), owned by the caller so the integration itself
+///   [`time_grid`]), owned by the caller so the integration itself
 ///   never allocates.
 /// * `prior_var` — per-component prior variance of the score batch
 ///   ([`batch_variance`] over the same members `score` gathered).
@@ -269,7 +267,7 @@ pub fn probability_flow_assimilate_batched(
     times: &[f64],
     score: &BatchedScore,
     prior_var: &[f64],
-    obs: &impl ObservationOperator,
+    obs: &ObsOperator,
     y: &[f64],
     scratch: &mut BatchScratch,
 ) {
@@ -296,7 +294,6 @@ pub fn probability_flow_assimilate_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::MaskedObs;
     use stats::gaussian::{fill_standard_normal, standard_normal};
     use stats::rng::seeded;
 
@@ -310,7 +307,7 @@ mod tests {
         let v_prior = 1.0f64;
         let sigma_obs = 0.5f64;
         let y = vec![1.5];
-        let obs = MaskedObs::identity(1, sigma_obs);
+        let obs = ObsOperator::identity(sigma_obs);
         // Kalman: posterior mean = v/(v+r) * y with r = sigma_obs^2.
         let want_mean = v_prior / (v_prior + sigma_obs * sigma_obs) * y[0];
 
@@ -324,7 +321,6 @@ mod tests {
                     &mut z,
                     &sch,
                     steps,
-                    TimeGrid::LogSpaced,
                     &[v_prior],
                     |z, t, out| {
                         let a = sch.alpha(t);
@@ -354,7 +350,7 @@ mod tests {
         let v_prior = 1.0f64;
         let sigma_obs = 0.5f64;
         let y = vec![1.5];
-        let obs = MaskedObs::identity(1, sigma_obs);
+        let obs = ObsOperator::identity(sigma_obs);
         let r = sigma_obs * sigma_obs;
         let want_mean = v_prior / (v_prior + r) * y[0];
         let want_var = v_prior * r / (v_prior + r);
@@ -369,7 +365,6 @@ mod tests {
                 &mut z,
                 &sch,
                 100,
-                TimeGrid::LogSpaced,
                 &[v_prior],
                 |z, t, out| {
                     let a = sch.alpha(t);
@@ -392,7 +387,7 @@ mod tests {
     #[test]
     fn flow_is_deterministic_without_any_rng() {
         let sch = DiffusionSchedule::default();
-        let obs = MaskedObs::identity(3, 0.4);
+        let obs = ObsOperator::identity(0.4);
         let y = vec![0.5, -0.5, 1.0];
         let run = || {
             let mut z = vec![0.3, -0.7, 1.9];
@@ -400,7 +395,6 @@ mod tests {
                 &mut z,
                 &sch,
                 8,
-                TimeGrid::LogSpaced,
                 &[1.0, 0.5, 2.0],
                 |_, _, out| out.fill(0.0),
                 &obs,
@@ -424,7 +418,7 @@ mod tests {
         let score = BatchedScore::new(&ens, members, dim, sch, &batch);
         let prior_var = batch_variance(&ens, members, dim, &batch);
         let reference = crate::score::ScoreEstimator::new(&ens, members, dim, sch);
-        let obs = MaskedObs::identity(dim, 0.6);
+        let obs = ObsOperator::identity(0.6);
         let y = vec![0.3; dim];
 
         let mut z0 = vec![0.0; b * dim];
@@ -436,7 +430,7 @@ mod tests {
             &mut zb,
             b,
             &sch,
-            &TimeGrid::LogSpaced.points(&sch, n_steps),
+            &time_grid(&sch, n_steps),
             &score,
             &prior_var,
             &obs,
@@ -451,7 +445,6 @@ mod tests {
                 row,
                 &sch,
                 n_steps,
-                TimeGrid::LogSpaced,
                 &prior_var,
                 |z, t, out| {
                     reference.score_into(z, t, out, &mut buf);
@@ -472,13 +465,12 @@ mod tests {
         let sch = DiffusionSchedule::default();
         let y = vec![2.0];
         for sigma_obs in [1e-6, 1e-3, 1.0, 1e3] {
-            let obs = MaskedObs::identity(1, sigma_obs);
+            let obs = ObsOperator::identity(sigma_obs);
             let mut z = vec![-5.0];
             probability_flow_assimilate(
                 &mut z,
                 &sch,
                 5,
-                TimeGrid::LogSpaced,
                 &[1.0],
                 |z, t, out| {
                     let a = sch.alpha(t);
@@ -498,7 +490,7 @@ mod tests {
     #[test]
     fn tight_observation_pins_endpoint() {
         let sch = DiffusionSchedule::new(1e-4);
-        let obs = MaskedObs::identity(1, 1e-2);
+        let obs = ObsOperator::identity(1e-2);
         let y = vec![2.0];
         let mut rng = seeded(5);
         let n = 500;
@@ -509,7 +501,6 @@ mod tests {
                 &mut z,
                 &sch,
                 10,
-                TimeGrid::LogSpaced,
                 &[1.0],
                 |z, t, out| {
                     let a = sch.alpha(t);
@@ -533,7 +524,7 @@ mod tests {
     fn step_refinement_converges_in_distribution() {
         let sch = DiffusionSchedule::new(1e-4);
         let sigma_obs = 0.7f64;
-        let obs = MaskedObs::identity(1, sigma_obs);
+        let obs = ObsOperator::identity(sigma_obs);
         let y = vec![0.8];
         let r = sigma_obs * sigma_obs;
         let want_mean = 1.0 / (1.0 + r) * y[0];
@@ -549,7 +540,6 @@ mod tests {
                     &mut z,
                     &sch,
                     steps,
-                    TimeGrid::LogSpaced,
                     &[1.0],
                     |z, t, out| {
                         let a = sch.alpha(t);

@@ -10,8 +10,10 @@
 //!    damping `h(t) = 1 − t` for the likelihood score (Eq. 11).
 //! 2. [`ScoreEstimator`] — Monte-Carlo prior score from the forecast
 //!    ensemble (Eqs. 12–16), numerically stabilized with log-sum-exp.
-//! 3. [`reverse_sde_euler`] — Euler–Maruyama integration of the
-//!    reverse-time SDE (Eq. 7) from `N(0, I)` to the Bayesian posterior.
+//! 3. [`reverse_sde_assimilate`] — Euler–Maruyama integration of the
+//!    reverse-time SDE (Eq. 7) from `N(0, I)` to the Bayesian posterior
+//!    over the two-sided [`time_grid`], the damped likelihood score of an
+//!    [`ObsOperator`] added to the prior score.
 //! 4. [`Ensf::analyze`] — the full update, parallel over particle blocks,
 //!    with the paper's spread-relaxation stability safeguard.
 //! 5. [`parallel`] — the particle block, the filter's one unit of work
@@ -29,7 +31,7 @@
 //!    [`EnsfConfig::method`] = [`AnalysisMethod::FlowMatching`].
 //!
 //! ```
-//! use ensf::{Ensf, EnsfConfig, MaskedObs};
+//! use ensf::{Ensf, EnsfConfig, ObsOperator};
 //! use stats::Ensemble;
 //!
 //! // Forecast ensemble of 8 members in 4 dimensions around 0.
@@ -37,7 +39,7 @@
 //!     .map(|m| vec![0.1 * m as f64; 4])
 //!     .collect();
 //! let forecast = Ensemble::from_members(&members);
-//! let obs = MaskedObs::identity(4, 0.5);
+//! let obs = ObsOperator::identity(0.5);
 //! let mut filter = Ensf::new(EnsfConfig::default());
 //! let analysis = filter.analyze(&forecast, &[0.4; 4], &obs);
 //! assert_eq!(analysis.members(), 8);
@@ -60,7 +62,7 @@ pub use flow::{
     batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
     smooth_variance,
 };
-pub use obs::{MaskKind, MaskedObs, ObsOperatorKind, ObsSpec, ObservationOperator};
+pub use obs::{MaskKind, ObsOperator, ObsOperatorKind, ObsSpec};
 pub use schedule::{Damping, DiffusionSchedule};
 pub use score::ScoreEstimator;
-pub use sde::{reverse_sde_assimilate, reverse_sde_euler, reverse_sde_stiff, reverse_sde_with_grid, TimeGrid};
+pub use sde::{reverse_sde_assimilate, time_grid};

@@ -4,66 +4,12 @@
 //! additive Gaussian observation error `y = h(x) + ε`, `ε ~ N(0, R)` and
 //! diagonal `R`, the score is `J_h(x)ᵀ R⁻¹ (y − h(x))`. One value,
 //! [`ObsSpec`], says what a scenario observes (componentwise map, network
-//! mask, error); [`MaskedObs`] is its operator on a block of state,
+//! mask, error); [`ObsOperator`] is its dense componentwise operator,
 //! providing the forward map and the score directly so the nonlinear
 //! operator (a selling point of EnSF over LETKF) never materializes a
-//! Jacobian.
-
-/// An observation operator `h` with additive Gaussian error of per-component
-/// standard deviation `sigma` (diagonal R).
-pub trait ObservationOperator: Sync {
-    /// Dimension of the observation vector.
-    fn obs_dim(&self) -> usize;
-
-    /// Applies `h` to a state, writing into `out` (`out.len() == obs_dim`).
-    fn apply(&self, state: &[f64], out: &mut [f64]);
-
-    /// Per-component observation error standard deviation.
-    fn sigma(&self) -> f64;
-
-    /// Likelihood score `∇_x log p(y | x)` accumulated into `score_out`
-    /// (added, not overwritten, scaled by `weight`), so the filter can fold
-    /// the damping factor in without a temporary.
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]);
-
-    /// Overwriting variant of [`add_likelihood_score`]
-    /// (Self::add_likelihood_score): writes the weighted score into
-    /// `score_out` directly. The default zeroes and delegates; dense
-    /// operators override to save the clearing pass in the per-step hot
-    /// loop. Must produce the same values as the default.
-    fn likelihood_score_into(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        score_out.fill(0.0);
-        self.add_likelihood_score(state, y, weight, score_out);
-    }
-
-    /// Writes the squared row norm of the observation Jacobian per state
-    /// component, `out[i] = Σ_j (∂h_j/∂x_i)²`, used by the stabilized
-    /// reverse-SDE integrator to bound the likelihood pull by its *local*
-    /// stiffness. Default: 1 everywhere (identity-like operators).
-    fn jacobian_sq(&self, _state: &[f64], out: &mut [f64]) {
-        out.fill(1.0);
-    }
-
-    /// If [`jacobian_sq`](Self::jacobian_sq) is the same state-independent
-    /// constant for *every* component, that constant; otherwise `None`.
-    ///
-    /// Lets the batched reverse-SDE integrator compute the likelihood
-    /// damping factor once per step instead of one `exp` per state element.
-    /// Only return `Some` when `jacobian_sq` writes exactly this value into
-    /// every slot for every state — operators with per-component patterns
-    /// (e.g. strided masks) or state-dependent Jacobians must return `None`.
-    fn constant_jacobian_sq(&self) -> Option<f64> {
-        None
-    }
-
-    /// Log-likelihood `log p(y | x)` up to an additive constant.
-    fn log_likelihood(&self, state: &[f64], y: &[f64]) -> f64 {
-        let mut hx = vec![0.0; self.obs_dim()];
-        self.apply(state, &mut hx);
-        let inv2s2 = 0.5 / (self.sigma() * self.sigma());
-        -hx.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() * inv2s2
-    }
-}
+//! Jacobian. The filter always assimilates a dense observation vector: a
+//! partial network's shrunk vector is completed before it reaches the
+//! kernels (`da_core::Completion`), so the mask never enters them.
 
 /// The componentwise observation map `h` of a scenario, applied to the
 /// truth when observations are generated and by the filters when comparing
@@ -249,155 +195,106 @@ impl ObsSpec {
         }
     }
 
-    /// The whole-state operator at `cycle`. Full masks yield the dense
-    /// operator (no index list), which keeps
-    /// [`ObservationOperator::constant_jacobian_sq`] and the overwriting
-    /// score path on the paper's `h = I` setting.
-    pub fn operator(&self, dim: usize, cycle: u64) -> MaskedObs {
-        let observed = (!self.mask.is_full()).then(|| self.observed(dim, cycle));
-        MaskedObs::new(dim, self.operator, observed, self.sigma)
+    /// The dense componentwise operator every filter kernel assimilates
+    /// through (the mask is applied before them, by completing the vector).
+    pub fn operator(&self) -> ObsOperator {
+        ObsOperator::new(self.operator, self.sigma)
     }
 }
 
-/// The observation operator of an [`ObsSpec`]: `h` at an optional list of
-/// observed components — the only [`ObservationOperator`] in the tree.
-///
-/// With an index list the observation vector holds only the observed
-/// components, in ascending state-index order, and the likelihood score
-/// and its squared Jacobian are *exactly zero* elsewhere, so the
-/// reverse-SDE and probability-flow integrators apply pure score-driven
-/// diffusion there (inpainting, Liang et al., arXiv:2501.12419) and
-/// observation-guided transport on the observed set — no special-casing in
-/// the integrators themselves. Without one (`None`) every component is
-/// observed and the loops are the dense ones; the indexed loops mirror
-/// their expression order, so listing every index reproduces the dense
-/// operator bit for bit.
-#[derive(Debug, Clone)]
-pub struct MaskedObs {
-    state_dim: usize,
-    operator: ObsOperatorKind,
-    observed: Option<Vec<usize>>,
+/// The observation operator of an [`ObsSpec`]: `h` at every state
+/// component with error std `sigma`, so `y` and the state have one length
+/// and the likelihood score and its squared Jacobian are elementwise.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObsOperator {
+    kind: ObsOperatorKind,
     sigma: f64,
 }
 
-impl MaskedObs {
-    /// `operator` at the `observed` components (ascending, unique, all
-    /// `< state_dim`; `None` = every component) of a `state_dim` block,
-    /// with error std `sigma`.
+impl ObsOperator {
+    /// `kind` at every component, with error std `sigma`.
     ///
     /// # Panics
-    /// Panics unless `sigma > 0`, an arctan gain is positive, and the index
-    /// list is strictly ascending and in range.
-    pub fn new(
-        state_dim: usize,
-        operator: ObsOperatorKind,
-        observed: Option<Vec<usize>>,
-        sigma: f64,
-    ) -> Self {
+    /// Panics unless `sigma > 0` and an arctan gain is positive.
+    pub fn new(kind: ObsOperatorKind, sigma: f64) -> Self {
         assert!(sigma > 0.0, "observation error must be positive");
-        if let ObsOperatorKind::Arctan { gain } = operator {
+        if let ObsOperatorKind::Arctan { gain } = kind {
             assert!(gain > 0.0, "arctan gain must be positive");
         }
-        if let Some(observed) = &observed {
-            assert!(
-                observed.windows(2).all(|w| w[0] < w[1]),
-                "observed indices must be strictly ascending"
-            );
-            if let Some(&last) = observed.last() {
-                assert!(last < state_dim, "observed index {last} out of range {state_dim}");
-            }
-        }
-        MaskedObs { state_dim, operator, observed, sigma }
+        ObsOperator { kind, sigma }
     }
 
-    /// Fully observed `h = I` on a `dim`-dimensional state (the paper's SQG
-    /// experiment setting).
-    pub fn identity(dim: usize, sigma: f64) -> Self {
-        Self::new(dim, ObsOperatorKind::Identity, None, sigma)
-    }
-}
-
-impl ObservationOperator for MaskedObs {
-    fn obs_dim(&self) -> usize {
-        self.observed.as_ref().map_or(self.state_dim, Vec::len)
+    /// Fully observed `h = I` (the paper's SQG experiment setting).
+    pub fn identity(sigma: f64) -> Self {
+        Self::new(ObsOperatorKind::Identity, sigma)
     }
 
-    fn apply(&self, state: &[f64], out: &mut [f64]) {
-        match (&self.observed, self.operator) {
-            (None, ObsOperatorKind::Identity) => out.copy_from_slice(state),
-            (None, op) => {
+    /// Applies `h` to a state, writing into `out` (same length).
+    pub fn apply(&self, state: &[f64], out: &mut [f64]) {
+        match self.kind {
+            ObsOperatorKind::Identity => out.copy_from_slice(state),
+            op => {
                 for (o, x) in out.iter_mut().zip(state) {
                     *o = op.h(*x);
                 }
             }
-            (Some(observed), op) => {
-                for (o, &i) in out.iter_mut().zip(observed) {
-                    *o = op.h(state[i]);
-                }
-            }
         }
     }
 
-    fn sigma(&self) -> f64 {
+    /// Per-component observation error standard deviation.
+    pub fn sigma(&self) -> f64 {
         self.sigma
     }
 
-    fn add_likelihood_score(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
+    /// Writes the likelihood score `∇_x log p(y | x)`, scaled by `weight`,
+    /// into `score_out`, so the integrators can fold the damping factor in
+    /// without a temporary.
+    pub fn likelihood_score_into(
+        &self,
+        state: &[f64],
+        y: &[f64],
+        weight: f64,
+        score_out: &mut [f64],
+    ) {
         let w = weight / (self.sigma * self.sigma);
-        match (&self.observed, self.operator) {
-            (None, ObsOperatorKind::Identity) => {
+        match self.kind {
+            ObsOperatorKind::Identity => {
                 for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-                    *s += w * (yi - x);
+                    *s = w * (yi - x);
                 }
             }
-            (None, op) => {
+            op => {
                 for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-                    *s += op.score_term(w, *yi, *x);
-                }
-            }
-            (Some(observed), op) => {
-                for (&i, yi) in observed.iter().zip(y) {
-                    score_out[i] += op.score_term(w, *yi, state[i]);
+                    *s = op.score_term(w, *yi, *x);
                 }
             }
         }
     }
 
-    fn likelihood_score_into(&self, state: &[f64], y: &[f64], weight: f64, score_out: &mut [f64]) {
-        if let (None, ObsOperatorKind::Identity) = (&self.observed, self.operator) {
-            let w = weight / (self.sigma * self.sigma);
-            for ((s, x), yi) in score_out.iter_mut().zip(state).zip(y) {
-                *s = w * (yi - x);
-            }
-        } else {
-            score_out.fill(0.0);
-            self.add_likelihood_score(state, y, weight, score_out);
-        }
-    }
-
-    fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
-        match (&self.observed, self.operator) {
-            (None, ObsOperatorKind::Identity) => out.fill(1.0),
-            (None, op) => {
+    /// Writes the squared observation Jacobian per state component,
+    /// `out[i] = h'(x_i)²`, used by the integrators to bound the likelihood
+    /// pull by its *local* stiffness.
+    pub fn jacobian_sq(&self, state: &[f64], out: &mut [f64]) {
+        match self.kind {
+            ObsOperatorKind::Identity => out.fill(1.0),
+            op => {
                 for (o, x) in out.iter_mut().zip(state) {
                     let j = op.dh(*x);
                     *o = j * j;
                 }
             }
-            (Some(observed), op) => {
-                out.fill(0.0);
-                for &i in observed {
-                    let j = op.dh(state[i]);
-                    out[i] = j * j;
-                }
-            }
         }
     }
 
-    fn constant_jacobian_sq(&self) -> Option<f64> {
-        match (&self.observed, self.operator) {
-            (None, ObsOperatorKind::Identity) => Some(1.0),
-            _ => None,
+    /// If [`jacobian_sq`](Self::jacobian_sq) writes the same
+    /// state-independent constant into every slot, that constant; otherwise
+    /// `None`. Lets the batched reverse-SDE integrator compute the
+    /// likelihood damping factor once per step instead of one `exp` per
+    /// state element.
+    pub fn constant_jacobian_sq(&self) -> Option<f64> {
+        match self.kind {
+            ObsOperatorKind::Identity => Some(1.0),
+            ObsOperatorKind::Arctan { .. } => None,
         }
     }
 }
@@ -408,68 +305,57 @@ mod tests {
 
     const ARCTAN: ObsOperatorKind = ObsOperatorKind::Arctan { gain: 1.0 };
 
-    fn finite_diff_score<O: ObservationOperator>(op: &O, x: &[f64], y: &[f64]) -> Vec<f64> {
+    /// Log-likelihood `log p(y | x)` up to an additive constant.
+    fn log_likelihood(op: &ObsOperator, state: &[f64], y: &[f64]) -> f64 {
+        let mut hx = vec![0.0; state.len()];
+        op.apply(state, &mut hx);
+        let inv2s2 = 0.5 / (op.sigma() * op.sigma());
+        -hx.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() * inv2s2
+    }
+
+    fn finite_diff_score(op: &ObsOperator, x: &[f64], y: &[f64]) -> Vec<f64> {
         let h = 1e-6;
         let mut g = vec![0.0; x.len()];
         let mut xp = x.to_vec();
         for i in 0..x.len() {
             xp[i] = x[i] + h;
-            let lp = op.log_likelihood(&xp, y);
+            let lp = log_likelihood(op, &xp, y);
             xp[i] = x[i] - h;
-            let lm = op.log_likelihood(&xp, y);
+            let lm = log_likelihood(op, &xp, y);
             xp[i] = x[i];
             g[i] = (lp - lm) / (2.0 * h);
         }
         g
     }
 
+    /// The weighted score; the buffer starts as NaN because the method must
+    /// overwrite, not accumulate.
+    fn score(op: &ObsOperator, x: &[f64], y: &[f64], weight: f64) -> Vec<f64> {
+        let mut s = vec![f64::NAN; x.len()];
+        op.likelihood_score_into(x, y, weight, &mut s);
+        s
+    }
+
     #[test]
     fn identity_score_matches_finite_difference() {
-        let op = MaskedObs::identity(4, 0.7);
+        let op = ObsOperator::identity(0.7);
         let x = [0.3, -1.2, 2.0, 0.0];
         let y = [0.5, -1.0, 1.5, 0.2];
-        let mut s = vec![0.0; 4];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s);
         let fd = finite_diff_score(&op, &x, &y);
-        for (a, b) in s.iter().zip(&fd) {
+        for (a, b) in score(&op, &x, &y, 1.0).iter().zip(&fd) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
     }
 
     #[test]
     fn arctan_score_matches_finite_difference() {
-        let op = MaskedObs::new(3, ARCTAN, None, 0.5);
+        let op = ObsOperator::new(ARCTAN, 0.5);
         let x = [0.3, -2.0, 5.0];
         let mut y = vec![0.0; 3];
         op.apply(&[0.1, -1.8, 4.0], &mut y);
-        let mut s = vec![0.0; 3];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s);
         let fd = finite_diff_score(&op, &x, &y);
-        for (a, b) in s.iter().zip(&fd) {
+        for (a, b) in score(&op, &x, &y, 1.0).iter().zip(&fd) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn likelihood_score_into_matches_zeroed_add() {
-        // The overwriting variant must agree with fill(0) + add on every
-        // arm (dense identity overrides it; the rest zero and delegate).
-        let x = [1.0, -2.0, 0.5, 3.0];
-        let y = [0.5, 0.5, 0.5, 0.5];
-        let ops = [
-            MaskedObs::identity(4, 0.7),
-            MaskedObs::new(4, ARCTAN, None, 0.3),
-            MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![0, 3]), 0.5),
-            MaskedObs::new(4, ARCTAN, Some(vec![1, 2]), 0.5),
-        ];
-        for op in &ops {
-            let mut via_add = vec![0.0; 4];
-            op.add_likelihood_score(&x, &y, 1.3, &mut via_add);
-            let mut via_into = vec![f64::NAN; 4]; // must overwrite, not read
-            op.likelihood_score_into(&x, &y, 1.3, &mut via_into);
-            for (a, b) in via_add.iter().zip(&via_into) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
         }
     }
 
@@ -477,37 +363,29 @@ mod tests {
     fn constant_jacobian_sq_agrees_with_jacobian_sq() {
         // Some(c) must mean jacobian_sq writes exactly c everywhere.
         let x = [0.4, -1.1, 2.0];
-        let ident = MaskedObs::identity(3, 1.0);
+        let ident = ObsOperator::identity(1.0);
         let c = ident.constant_jacobian_sq().unwrap();
         let mut js = vec![0.0; 3];
         ident.jacobian_sq(&x, &mut js);
         assert!(js.iter().all(|&j| j == c));
-        // Non-uniform / state-dependent operators must opt out — including
-        // an index list that happens to name every component: the choice is
-        // made at spec level, not per block.
-        let all = MaskedObs::new(3, ObsOperatorKind::Identity, Some(vec![0, 1, 2]), 1.0);
-        assert!(all.constant_jacobian_sq().is_none());
-        assert!(MaskedObs::new(3, ARCTAN, None, 0.3).constant_jacobian_sq().is_none());
+        // State-dependent operators must opt out.
+        assert!(ObsOperator::new(ARCTAN, 0.3).constant_jacobian_sq().is_none());
     }
 
     #[test]
     fn score_weight_scales_linearly() {
-        let op = MaskedObs::identity(2, 1.0);
+        let op = ObsOperator::identity(1.0);
         let x = [1.0, -1.0];
         let y = [0.0, 0.0];
-        let mut s1 = vec![0.0; 2];
-        let mut s2 = vec![0.0; 2];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s1);
-        op.add_likelihood_score(&x, &y, 0.5, &mut s2);
-        for (a, b) in s1.iter().zip(&s2) {
+        for (a, b) in score(&op, &x, &y, 1.0).iter().zip(&score(&op, &x, &y, 0.5)) {
             assert!((0.5 * a - b).abs() < 1e-14);
         }
     }
 
     #[test]
     fn arctan_gain_controls_saturation() {
-        let sharp = MaskedObs::new(1, ObsOperatorKind::Arctan { gain: 1.0 }, None, 0.1);
-        let mild = MaskedObs::new(1, ObsOperatorKind::Arctan { gain: 0.2 }, None, 0.1);
+        let sharp = ObsOperator::new(ObsOperatorKind::Arctan { gain: 1.0 }, 0.1);
+        let mild = ObsOperator::new(ObsOperatorKind::Arctan { gain: 0.2 }, 0.1);
         let mut js = vec![0.0];
         let mut jm = vec![0.0];
         sharp.jacobian_sq(&[5.0], &mut js);
@@ -518,12 +396,12 @@ mod tests {
 
     #[test]
     fn jacobian_sq_matches_operators() {
-        let id = MaskedObs::identity(3, 1.0);
+        let id = ObsOperator::identity(1.0);
         let mut out = vec![9.0; 3];
         id.jacobian_sq(&[1.0, 2.0, 3.0], &mut out);
         assert_eq!(out, vec![1.0, 1.0, 1.0]);
 
-        let atan = MaskedObs::new(2, ARCTAN, None, 1.0);
+        let atan = ObsOperator::new(ARCTAN, 1.0);
         let mut out = vec![0.0; 2];
         atan.jacobian_sq(&[0.0, 3.0], &mut out);
         assert!((out[0] - 1.0).abs() < 1e-12);
@@ -531,21 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn log_likelihood_peaks_at_consistent_state() {
-        let op = MaskedObs::identity(2, 1.0);
-        let y = [1.0, 2.0];
-        assert!(op.log_likelihood(&[1.0, 2.0], &y) > op.log_likelihood(&[0.0, 0.0], &y));
-    }
-
-    #[test]
     fn tighter_sigma_means_stronger_pull() {
-        let tight = MaskedObs::identity(1, 0.1);
-        let loose = MaskedObs::identity(1, 1.0);
-        let mut st = vec![0.0];
-        let mut sl = vec![0.0];
-        tight.add_likelihood_score(&[0.0], &[1.0], 1.0, &mut st);
-        loose.add_likelihood_score(&[0.0], &[1.0], 1.0, &mut sl);
-        assert!(st[0] > sl[0]);
+        let tight = score(&ObsOperator::identity(0.1), &[0.0], &[1.0], 1.0);
+        let loose = score(&ObsOperator::identity(1.0), &[0.0], &[1.0], 1.0);
+        assert!(tight[0] > loose[0]);
     }
 
     #[test]
@@ -553,58 +420,6 @@ mod tests {
     fn identity_zero_sigma_rejected() {
         // A zero-variance observation makes the likelihood score singular;
         // the constructor is the only guard.
-        let _ = MaskedObs::identity(4, 0.0);
-    }
-
-    #[test]
-    fn masked_identity_score_matches_finite_difference() {
-        let op = MaskedObs::new(5, ObsOperatorKind::Identity, Some(vec![0, 2, 4]), 0.7);
-        let x = [0.3, -1.2, 2.0, 0.0, -0.4];
-        let y = [0.5, 1.5, -0.1];
-        let mut s = vec![0.0; 5];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s);
-        let fd = finite_diff_score(&op, &x, &y);
-        for (a, b) in s.iter().zip(&fd) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-        assert_eq!(s[1], 0.0);
-        assert_eq!(s[3], 0.0);
-    }
-
-    #[test]
-    fn masked_arctan_score_matches_finite_difference() {
-        let op = MaskedObs::new(4, ObsOperatorKind::Arctan { gain: 3.0 }, Some(vec![1, 3]), 0.5);
-        let x = [9.0, 0.3, 9.0, -0.8];
-        let mut y = vec![0.0; 2];
-        op.apply(&[0.0, 0.2, 0.0, -0.7], &mut y);
-        let mut s = vec![0.0; 4];
-        op.add_likelihood_score(&x, &y, 1.0, &mut s);
-        let fd = finite_diff_score(&op, &x, &y);
-        for (a, b) in s.iter().zip(&fd) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-        assert_eq!(s[0], 0.0);
-        assert_eq!(s[2], 0.0);
-    }
-
-    #[test]
-    fn masked_jacobian_vanishes_off_mask() {
-        let op = MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![1, 2]), 1.0);
-        let mut out = vec![9.0; 4];
-        op.jacobian_sq(&[0.0; 4], &mut out);
-        assert_eq!(out, vec![0.0, 1.0, 1.0, 0.0]);
-        assert!(op.constant_jacobian_sq().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn masked_obs_rejects_unsorted_indices() {
-        let _ = MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![2, 1]), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn masked_obs_rejects_out_of_range_index() {
-        let _ = MaskedObs::new(4, ObsOperatorKind::Identity, Some(vec![0, 4]), 1.0);
+        let _ = ObsOperator::identity(0.0);
     }
 }

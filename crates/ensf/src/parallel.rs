@@ -21,9 +21,9 @@ use crate::flow::{
     batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
     smooth_variance,
 };
-use crate::obs::ObservationOperator;
+use crate::obs::ObsOperator;
 use crate::score::ScoreEstimator;
-use crate::sde::{reverse_sde_assimilate, TimeGrid};
+use crate::sde::{reverse_sde_assimilate, time_grid};
 use rand::seq::SliceRandom;
 use rayon::prelude::*;
 use stats::gaussian::fill_standard_normal;
@@ -74,12 +74,12 @@ enum Score<'a> {
 /// One EnSF analysis, prepared once and shared read-only by every particle
 /// block: the mini-batch of `(seed, cycle)`, its score evaluator, the flow
 /// prior variance and the pseudo-time grid.
-pub struct BlockAnalysis<'a, O: ObservationOperator> {
+pub struct BlockAnalysis<'a> {
     config: &'a EnsfConfig,
     cycle_seed: u64,
     dim: usize,
     y: &'a [f64],
-    obs: &'a O,
+    obs: &'a ObsOperator,
     score: Score<'a>,
     /// Per-component prior variance of the score batch (flow matching
     /// only; empty for the reverse SDE).
@@ -87,25 +87,25 @@ pub struct BlockAnalysis<'a, O: ObservationOperator> {
     times: Vec<f64>,
 }
 
-impl<'a, O: ObservationOperator> BlockAnalysis<'a, O> {
-    /// Prepares analysis number `cycle` of `forecast` against `y` under
-    /// `obs`. `(config.seed, cycle)` pins the mini-batch and every
-    /// particle's RNG stream.
+impl<'a> BlockAnalysis<'a> {
+    /// Prepares analysis number `cycle` of `forecast` against the dense
+    /// observation vector `y` under `obs`. `(config.seed, cycle)` pins the
+    /// mini-batch and every particle's RNG stream.
     ///
     /// # Panics
     /// Panics when `config` fails validation, `y` does not match the
-    /// operator's observation dimension, or the forecast is empty.
+    /// state dimension, or the forecast is empty.
     pub fn prepare(
         config: &'a EnsfConfig,
         cycle: u64,
         forecast: &'a Ensemble,
         y: &'a [f64],
-        obs: &'a O,
+        obs: &'a ObsOperator,
     ) -> Self {
         config.validate().expect("invalid EnSF configuration");
-        assert_eq!(y.len(), obs.obs_dim(), "observation length mismatch");
         let members = forecast.members();
         let dim = forecast.dim();
+        assert_eq!(y.len(), dim, "observation length mismatch");
         let cycle_seed = split_seed(config.seed, cycle.wrapping_add(0x5151));
 
         // Mini-batch of the score's Monte-Carlo sum: shared by all
@@ -149,7 +149,7 @@ impl<'a, O: ObservationOperator> BlockAnalysis<'a, O> {
             obs,
             score,
             prior_var,
-            times: TimeGrid::LogSpaced.points(&config.schedule, config.n_steps),
+            times: time_grid(&config.schedule, config.n_steps),
         }
     }
 
@@ -227,7 +227,6 @@ impl<'a, O: ObservationOperator> BlockAnalysis<'a, O> {
                             out,
                             schedule,
                             self.config.n_steps,
-                            TimeGrid::LogSpaced,
                             prior,
                             self.obs,
                             self.y,
@@ -237,7 +236,6 @@ impl<'a, O: ObservationOperator> BlockAnalysis<'a, O> {
                             out,
                             schedule,
                             self.config.n_steps,
-                            TimeGrid::LogSpaced,
                             &self.prior_var,
                             prior,
                             self.obs,
@@ -266,7 +264,7 @@ pub fn analyze_partitioned(
     plan: &RankPlan,
     forecast: &Ensemble,
     y: &[f64],
-    obs: &impl ObservationOperator,
+    obs: &ObsOperator,
 ) -> Ensemble {
     let members = forecast.members();
     let dim = forecast.dim();
@@ -292,7 +290,6 @@ pub fn analyze_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::MaskedObs;
     use stats::gaussian::standard_normal;
     use stats::rng::seeded;
 
@@ -330,7 +327,7 @@ mod tests {
     #[test]
     fn partitioned_matches_reference_bitwise() {
         let fc = ens(12, 16, 3);
-        let obs = MaskedObs::identity(16, 0.5);
+        let obs = ObsOperator::identity(0.5);
         let y = vec![0.4; 16];
         let config = EnsfConfig { seed: 21, n_steps: 25, ..Default::default() };
         let reference = crate::Ensf::new(config.clone()).analyze(&fc, &y, &obs);
@@ -348,7 +345,7 @@ mod tests {
     #[test]
     fn different_cycles_differ() {
         let fc = ens(8, 8, 5);
-        let obs = MaskedObs::identity(8, 0.5);
+        let obs = ObsOperator::identity(0.5);
         let y = vec![0.0; 8];
         let config = EnsfConfig { seed: 9, n_steps: 10, ..Default::default() };
         let plan = RankPlan::new(8, 2);

@@ -8,7 +8,7 @@
 //! own is bitwise deterministic and partition-invariant.
 
 use ensf::parallel::{analyze_partitioned, RankPlan};
-use ensf::{Ensf, EnsfConfig, MaskedObs, ScoreKernel};
+use ensf::{Ensf, EnsfConfig, ObsOperator, ScoreKernel};
 use proptest::prelude::*;
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
@@ -34,7 +34,7 @@ fn max_rel_diff(a: &Ensemble, b: &Ensemble) -> f64 {
 }
 
 fn analyze_with(config: &EnsfConfig, fc: &Ensemble, y: &[f64], sigma: f64) -> Ensemble {
-    let obs = MaskedObs::identity(fc.dim(), sigma);
+    let obs = ObsOperator::identity(sigma);
     Ensf::new(config.clone()).analyze(fc, y, &obs)
 }
 
@@ -141,7 +141,7 @@ fn batched_partitioning_is_bitwise_invariant() {
     let (members, dim) = (11, 48);
     let fc = ens(members, dim, 6);
     let y = vec![-0.2; dim];
-    let obs = MaskedObs::identity(dim, 0.5);
+    let obs = ObsOperator::identity(0.5);
     let config =
         EnsfConfig { n_steps: 18, seed: 3, kernel: ScoreKernel::Batched, ..Default::default() };
     let single = analyze_partitioned(&config, 0, &RankPlan::new(members, 1), &fc, &y, &obs);

@@ -10,7 +10,7 @@
 //! 100-step SDE reaches — in ~5–10 steps.
 
 use ensf::parallel::{analyze_partitioned, RankPlan};
-use ensf::{AnalysisMethod, Ensf, EnsfConfig, MaskedObs, ScoreKernel};
+use ensf::{AnalysisMethod, Ensf, EnsfConfig, ObsOperator, ScoreKernel};
 use proptest::prelude::*;
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
@@ -36,7 +36,7 @@ fn max_rel_diff(a: &Ensemble, b: &Ensemble) -> f64 {
 }
 
 fn analyze_with(config: &EnsfConfig, fc: &Ensemble, y: &[f64], sigma: f64) -> Ensemble {
-    let obs = MaskedObs::identity(fc.dim(), sigma);
+    let obs = ObsOperator::identity(sigma);
     Ensf::new(config.clone()).analyze(fc, y, &obs)
 }
 
@@ -112,7 +112,7 @@ fn flow_partitioning_is_bitwise_invariant() {
     let (members, dim) = (11, 48);
     let fc = ens(members, dim, 6);
     let y = vec![-0.2; dim];
-    let obs = MaskedObs::identity(dim, 0.5);
+    let obs = ObsOperator::identity(0.5);
     let config = flow_config(ScoreKernel::Batched, 6, 3);
     let single = analyze_partitioned(&config, 0, &RankPlan::new(members, 1), &fc, &y, &obs);
     for ranks in [2, 3, 4, 7, 11] {

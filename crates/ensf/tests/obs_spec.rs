@@ -1,9 +1,9 @@
 //! The observation model of an [`ObsSpec`], in the one place it lives: for
 //! every operator × mask kind the observation-vector length, the observed
-//! index list, `project` and the whole-state operator agree, and an index
-//! list naming every component is the dense operator bit for bit.
+//! index list and `project` agree with the dense operator restricted to the
+//! observed components.
 
-use ensf::{MaskKind, MaskedObs, ObsOperatorKind, ObsSpec, ObservationOperator};
+use ensf::{MaskKind, ObsOperatorKind, ObsSpec};
 use proptest::prelude::*;
 use stats::gaussian::fill_standard_normal;
 use stats::rng::member_rng;
@@ -33,17 +33,6 @@ fn normals(seed: u64, stream: usize, len: usize) -> Vec<f64> {
     v
 }
 
-/// `(h(x), score, jacobian²)` of `op` at `state` against `y`.
-fn evaluate(op: &MaskedObs, state: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let mut hx = vec![0.0; op.obs_dim()];
-    op.apply(state, &mut hx);
-    let mut score = vec![0.0; state.len()];
-    op.add_likelihood_score(state, y, 1.3, &mut score);
-    let mut jsq = vec![f64::NAN; state.len()];
-    op.jacobian_sq(state, &mut jsq);
-    (hx, score, jsq)
-}
-
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -69,41 +58,13 @@ proptest! {
         };
         let state = normals(seed, 0, dim);
         let observed = spec.observed(dim, cycle);
-        let obs_len = spec.obs_len(dim, cycle);
-        prop_assert_eq!(observed.len(), obs_len);
-        let y = normals(seed, 1, obs_len);
+        prop_assert_eq!(observed.len(), spec.obs_len(dim, cycle));
 
-        let op = spec.operator(dim, cycle);
-        prop_assert_eq!(op.obs_dim(), obs_len);
-        let (hx, score, jsq) = evaluate(&op, &state, &y);
-        prop_assert_eq!(bits(&spec.project(&state, cycle)), bits(&hx), "project ≠ whole-state h");
-        // Guidance exists exactly on the observed components.
-        for i in 0..dim {
-            let seen = observed.binary_search(&i).is_ok();
-            prop_assert_eq!(jsq[i] != 0.0, seen, "jacobian² at {}", i);
-            prop_assert!(seen || score[i] == 0.0, "score leaked to unobserved {}", i);
-        }
-    }
-
-    /// The indexed loops mirror the dense ones' expression order: an index
-    /// list naming every component reproduces the dense operator bit for
-    /// bit, for both componentwise maps.
-    #[test]
-    fn listing_every_index_reduces_to_the_dense_operator_bitwise(
-        arctan in 0u8..2,
-        gain in 0.5f64..50.0,
-        dim in 1usize..64,
-        seed in 0u64..1000,
-    ) {
-        let operator = decode_operator(arctan == 1, gain);
-        let state = normals(seed, 0, dim);
-        let y = normals(seed, 1, dim);
-        let dense = evaluate(&MaskedObs::new(dim, operator, None, 0.7), &state, &y);
-        let listed =
-            evaluate(&MaskedObs::new(dim, operator, Some((0..dim).collect()), 0.7), &state, &y);
-        prop_assert_eq!(bits(&dense.0), bits(&listed.0));
-        prop_assert_eq!(bits(&dense.1), bits(&listed.1));
-        prop_assert_eq!(bits(&dense.2), bits(&listed.2));
+        // `project` is the dense operator's h(x) at the observed components.
+        let mut hx = vec![0.0; dim];
+        spec.operator().apply(&state, &mut hx);
+        let selected: Vec<f64> = observed.iter().map(|&i| hx[i]).collect();
+        prop_assert_eq!(bits(&spec.project(&state, cycle)), bits(&selected), "project ≠ h|observed");
     }
 }
 
@@ -122,14 +83,10 @@ fn strided_networks_observe_exactly_their_comb() {
         (&[9.0, 8.0, 7.0, 6.0], 10, &[9.0]),
     ];
     for (state, stride, want) in cases {
-        let op = spec(stride).operator(state.len(), 0);
-        let y = vec![0.0; want.len()];
-        let (hx, score, jsq) = evaluate(&op, state, &y);
-        assert_eq!(hx, want, "stride {stride}");
-        for i in 0..state.len() {
-            let on_comb = i % stride == 0;
-            assert_eq!(score[i] != 0.0, on_comb, "stride {stride}: score at {i}"); // lint: allow(float-exact-compare, reason="off-comb score slots are never written")
-            assert_eq!(jsq[i], if on_comb { 1.0 } else { 0.0 });
-        }
+        let spec = spec(stride);
+        assert_eq!(spec.project(state, 0), want, "stride {stride}");
+        assert_eq!(spec.obs_len(state.len(), 0), want.len(), "stride {stride}");
+        let comb: Vec<usize> = (0..state.len()).step_by(stride).collect();
+        assert_eq!(spec.observed(state.len(), 0), comb, "stride {stride}");
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the Ensemble Score Filter.
 
 use ensf::{
-    AnalysisMethod, DiffusionSchedule, Ensf, EnsfConfig, MaskedObs, ScoreEstimator, TimeGrid,
+    time_grid, AnalysisMethod, DiffusionSchedule, Ensf, EnsfConfig, ObsOperator, ScoreEstimator,
 };
 use proptest::prelude::*;
 use stats::Ensemble;
@@ -28,18 +28,15 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&s.damping(t)));
     }
 
-    /// Time grids always descend from 1-eps to exactly 0 with n+1 points.
+    /// The time grid always descends from 1-eps to exactly 0 with n+1 points.
     #[test]
     fn grid_structure(n in 1usize..100, eps in 1e-6f64..0.3) {
-        let s = DiffusionSchedule::new(eps);
-        for grid in [TimeGrid::LogSpaced, TimeGrid::Uniform] {
-            let pts = grid.points(&s, n);
-            prop_assert_eq!(pts.len(), n + 1);
-            prop_assert!((pts[0] - (1.0 - eps)).abs() < 1e-12);
-            prop_assert_eq!(*pts.last().unwrap(), 0.0);
-            for w in pts.windows(2) {
-                prop_assert!(w[1] < w[0]);
-            }
+        let pts = time_grid(&DiffusionSchedule::new(eps), n);
+        prop_assert_eq!(pts.len(), n + 1);
+        prop_assert!((pts[0] - (1.0 - eps)).abs() < 1e-12);
+        prop_assert_eq!(*pts.last().unwrap(), 0.0);
+        for w in pts.windows(2) {
+            prop_assert!(w[1] < w[0]);
         }
     }
 
@@ -51,12 +48,9 @@ proptest! {
     /// bitwise-invariance contract.
     #[test]
     fn few_step_grid_endpoints_bitwise_exact(n in 1usize..=100, eps in 1e-6f64..0.3) {
-        let s = DiffusionSchedule::new(eps);
-        for grid in [TimeGrid::LogSpaced, TimeGrid::Uniform] {
-            let pts = grid.points(&s, n);
-            prop_assert_eq!(pts[0].to_bits(), (1.0 - eps).to_bits());
-            prop_assert_eq!(pts.last().unwrap().to_bits(), 0.0f64.to_bits());
-        }
+        let pts = time_grid(&DiffusionSchedule::new(eps), n);
+        prop_assert_eq!(pts[0].to_bits(), (1.0 - eps).to_bits());
+        prop_assert_eq!(pts.last().unwrap().to_bits(), 0.0f64.to_bits());
     }
 
     /// Flow-matching analyses obey the same invariants as the SDE path —
@@ -69,7 +63,7 @@ proptest! {
         sigma in 0.05f64..5.0,
         steps in 1usize..12,
     ) {
-        let obs = MaskedObs::identity(5, sigma);
+        let obs = ObsOperator::identity(sigma);
         let y = vec![obs_val; 5];
         let mut filter = Ensf::new(EnsfConfig {
             n_steps: steps,
@@ -134,7 +128,7 @@ proptest! {
         obs_val in -3.0f64..3.0,
         sigma in 0.05f64..5.0,
     ) {
-        let obs = MaskedObs::identity(5, sigma);
+        let obs = ObsOperator::identity(sigma);
         let y = vec![obs_val; 5];
         let mut filter = Ensf::new(EnsfConfig {
             n_steps: 15,
@@ -166,7 +160,7 @@ proptest! {
         obs_val in -4.0f64..4.0,
         sigma in 0.1f64..2.0,
     ) {
-        let obs = MaskedObs::identity(3, sigma);
+        let obs = ObsOperator::identity(sigma);
         let y = vec![obs_val; 3];
         let mut filter = Ensf::new(EnsfConfig { n_steps: 20, seed: 3, ..Default::default() });
         let an = filter.analyze(&ens, &y, &obs);

@@ -28,12 +28,10 @@
 // Ensemble-space kernels index member/variable arrays at matched positions.
 #![allow(clippy::needless_range_loop)]
 
-pub mod diagnostics;
 mod filter;
 pub mod inflation;
 mod localization;
 pub mod solver;
 
-pub use diagnostics::{innovation_stats, AdaptiveInflation, InnovationStats};
 pub use filter::{Letkf, LetkfConfig, PointObs};
 pub use localization::{gaspari_cohn, GridGeometry};

@@ -8,7 +8,7 @@
 //!   multivariate sampling (no external distribution crates).
 //! - [`Ensemble`] — member-major ensemble container with mean/variance/
 //!   spread/anomaly/inflation operations used by both filters.
-//! - [`metrics`] — RMSE/bias/MAE/pattern-correlation/CRPS verification.
+//! - [`metrics`] — RMSE/bias/pattern-correlation verification.
 //! - [`diagnostics`] — DA consistency statistics: innovation moments,
 //!   chi-squared calibration, rank histograms, spread–skill ratio.
 //! - [`softmax`] — stable log-sum-exp / softmax reductions (the EnSF score

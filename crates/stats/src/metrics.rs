@@ -1,8 +1,9 @@
 //! Verification metrics for DA experiments.
 //!
 //! The paper's headline accuracy figure (Fig. 4) is RMSE of the analysis
-//! ensemble mean against the nature run; we also provide bias, MAE, pattern
-//! correlation and the ensemble CRPS used in the extended diagnostics.
+//! ensemble mean against the nature run; we also provide bias and pattern
+//! correlation. Ensemble calibration (rank histogram, χ², spread–skill)
+//! lives in [`crate::diagnostics`].
 
 /// Root-mean-square error between two fields.
 ///
@@ -20,13 +21,6 @@ pub fn bias(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "bias: length mismatch");
     assert!(!a.is_empty(), "bias: empty input");
     a.iter().zip(b).map(|(x, y)| x - y).sum::<f64>() / a.len() as f64
-}
-
-/// Mean absolute error.
-pub fn mae(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "mae: length mismatch");
-    assert!(!a.is_empty(), "mae: empty input");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64
 }
 
 /// Centered anomaly (Pearson) correlation between two fields.
@@ -54,121 +48,6 @@ pub fn pattern_correlation(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Continuous ranked probability score of a scalar ensemble forecast against
-/// a scalar truth, via the standard kernel form
-/// `CRPS = E|X - y| - 0.5 E|X - X'|`.
-pub fn crps_scalar(ensemble: &[f64], truth: f64) -> f64 {
-    assert!(!ensemble.is_empty(), "crps: empty ensemble");
-    let m = ensemble.len() as f64;
-    let e_xy: f64 = ensemble.iter().map(|x| (x - truth).abs()).sum::<f64>() / m;
-    let mut e_xx = 0.0;
-    for (i, xi) in ensemble.iter().enumerate() {
-        for xj in &ensemble[i + 1..] {
-            e_xx += (xi - xj).abs();
-        }
-    }
-    e_xy - e_xx / (m * m)
-}
-
-/// Field-averaged ensemble CRPS: CRPS of each state variable against the
-/// truth, averaged over variables. `members` is member-major with dimension
-/// `dim` (same layout as [`crate::Ensemble`]).
-pub fn crps_field(members: &[&[f64]], truth: &[f64]) -> f64 {
-    assert!(!members.is_empty());
-    let dim = truth.len();
-    for m in members {
-        assert_eq!(m.len(), dim, "crps_field: member/truth length mismatch");
-    }
-    let mut scratch = vec![0.0; members.len()];
-    let mut total = 0.0;
-    for v in 0..dim {
-        for (s, m) in scratch.iter_mut().zip(members) {
-            *s = m[v];
-        }
-        total += crps_scalar(&scratch, truth[v]);
-    }
-    total / dim as f64
-}
-
-/// Talagrand (rank) histogram accumulator: for each verification, records
-/// the rank of the truth within the sorted ensemble values. A calibrated
-/// ensemble gives a flat histogram; a U shape flags underdispersion (the
-/// LETKF-divergence signature), a dome overdispersion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankHistogram {
-    counts: Vec<u64>,
-}
-
-impl RankHistogram {
-    /// Histogram for ensembles of `members` members (`members + 1` bins).
-    pub fn new(members: usize) -> Self {
-        assert!(members >= 1);
-        RankHistogram { counts: vec![0; members + 1] }
-    }
-
-    /// Adds one scalar verification: the truth's rank among the member
-    /// values (ties broken toward the lower rank).
-    pub fn push(&mut self, ensemble: &[f64], truth: f64) {
-        assert_eq!(ensemble.len() + 1, self.counts.len(), "ensemble size mismatch");
-        let rank = ensemble.iter().filter(|&&v| v < truth).count();
-        self.counts[rank] += 1;
-    }
-
-    /// Adds every variable of a member-major ensemble against a truth field.
-    pub fn push_field(&mut self, members: &[&[f64]], truth: &[f64]) {
-        let mut scratch = vec![0.0; members.len()];
-        for (v, t) in truth.iter().enumerate().map(|(i, t)| (i, *t)) {
-            for (s, m) in scratch.iter_mut().zip(members) {
-                *s = m[v];
-            }
-            self.push(&scratch, t);
-        }
-    }
-
-    /// Raw bin counts (length `members + 1`).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of verifications recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Flatness statistic: the chi-square distance of the histogram from
-    /// uniform, normalized by bins (0 = perfectly flat). Values ≫ 1 flag
-    /// miscalibration.
-    pub fn chi_square_flatness(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let expected = total as f64 / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .map(|&c| {
-                let d = c as f64 - expected;
-                d * d / expected
-            })
-            .sum::<f64>()
-            / self.counts.len() as f64
-    }
-
-    /// U-shape indicator: mean of the two edge bins over the mean interior
-    /// bin; > 1 means the truth escapes the ensemble too often
-    /// (underdispersion).
-    pub fn edge_ratio(&self) -> f64 {
-        let n = self.counts.len();
-        if n < 3 || self.total() == 0 {
-            return 1.0;
-        }
-        let edges = (self.counts[0] + self.counts[n - 1]) as f64 / 2.0;
-        let interior: f64 =
-            self.counts[1..n - 1].iter().sum::<u64>() as f64 / (n - 2) as f64;
-        edges / interior.max(1e-300)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,12 +67,10 @@ mod tests {
     }
 
     #[test]
-    fn bias_and_mae() {
+    fn bias_known_value() {
         assert!((bias(&[2.0, 4.0], &[1.0, 1.0]) - 2.0).abs() < 1e-15);
-        assert!((mae(&[2.0, 0.0], &[1.0, 1.0]) - 1.0).abs() < 1e-15);
-        // bias can cancel where mae cannot
+        // opposite errors cancel
         assert_eq!(bias(&[1.0, -1.0], &[0.0, 0.0]), 0.0);
-        assert_eq!(mae(&[1.0, -1.0], &[0.0, 0.0]), 1.0);
     }
 
     #[test]
@@ -205,83 +82,6 @@ mod tests {
         assert!((pattern_correlation(&a, &c) + 1.0).abs() < 1e-12);
         let flat = vec![5.0; 4];
         assert_eq!(pattern_correlation(&a, &flat), 0.0);
-    }
-
-    #[test]
-    fn crps_of_perfect_deterministic_forecast_is_zero() {
-        assert!(crps_scalar(&[2.0], 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn crps_penalizes_distance() {
-        let ens = [0.0, 0.1, -0.1];
-        let near = crps_scalar(&ens, 0.0);
-        let far = crps_scalar(&ens, 5.0);
-        assert!(far > near);
-    }
-
-    #[test]
-    fn crps_rewards_calibrated_spread_over_overconfidence() {
-        // Truth drawn away from the ensemble mean: a spread ensemble beats a
-        // collapsed (overconfident) one.
-        let collapsed = [1.0, 1.0, 1.0, 1.0];
-        let spread = [0.0, 0.5, 1.5, 2.0];
-        let truth = 2.0;
-        assert!(crps_scalar(&spread, truth) < crps_scalar(&collapsed, truth));
-    }
-
-    #[test]
-    fn crps_field_averages() {
-        let m1 = vec![0.0, 1.0];
-        let m2 = vec![2.0, 1.0];
-        let truth = vec![1.0, 1.0];
-        let got = crps_field(&[&m1, &m2], &truth);
-        let want = (crps_scalar(&[0.0, 2.0], 1.0) + crps_scalar(&[1.0, 1.0], 1.0)) / 2.0;
-        assert!((got - want).abs() < 1e-15);
-    }
-
-    #[test]
-    fn rank_histogram_flat_for_calibrated_ensemble() {
-        use crate::gaussian::standard_normal;
-        use crate::rng::seeded;
-        let mut rng = seeded(3);
-        let members = 9;
-        let mut h = RankHistogram::new(members);
-        for _ in 0..20_000 {
-            // Truth and members drawn from the same distribution.
-            let ens: Vec<f64> = (0..members).map(|_| standard_normal(&mut rng)).collect();
-            let truth = standard_normal(&mut rng);
-            h.push(&ens, truth);
-        }
-        assert_eq!(h.total(), 20_000);
-        assert!(h.chi_square_flatness() < 3.0, "chi2 {}", h.chi_square_flatness());
-        assert!((h.edge_ratio() - 1.0).abs() < 0.25, "edge ratio {}", h.edge_ratio());
-    }
-
-    #[test]
-    fn rank_histogram_u_shape_for_underdispersed_ensemble() {
-        use crate::gaussian::standard_normal;
-        use crate::rng::seeded;
-        let mut rng = seeded(5);
-        let mut h = RankHistogram::new(9);
-        for _ in 0..5000 {
-            // Ensemble spread 0.2 vs truth spread 1: truth often outside.
-            let ens: Vec<f64> = (0..9).map(|_| 0.2 * standard_normal(&mut rng)).collect();
-            let truth = standard_normal(&mut rng);
-            h.push(&ens, truth);
-        }
-        assert!(h.edge_ratio() > 3.0, "expected U shape, edge ratio {}", h.edge_ratio());
-        assert!(h.chi_square_flatness() > 10.0);
-    }
-
-    #[test]
-    fn rank_histogram_field_accumulation() {
-        let mut h = RankHistogram::new(2);
-        let m1 = vec![0.0, 10.0];
-        let m2 = vec![1.0, 11.0];
-        // truth below both members at var 0 (rank 0), above both at var 1.
-        h.push_field(&[&m1, &m2], &[-1.0, 12.0]);
-        assert_eq!(h.counts(), &[1, 0, 1]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! side by side, and reports how well each tracks the vortex center.
 
 use sqg_da::da_core::{ForecastModel, SqgForecast};
-use sqg_da::ensf::{Ensf, EnsfConfig, MaskedObs};
+use sqg_da::ensf::{Ensf, EnsfConfig, ObsOperator};
 use sqg_da::sqg::{SqgModel, SqgParams, SqgState};
 use sqg_da::stats::{gaussian, metrics, rng, Ensemble};
 
@@ -85,7 +85,7 @@ fn main() {
     let mut da_model = SqgForecast::perfect(params.clone());
     let mut free_model = SqgForecast::perfect(params.clone());
     let obs_sigma = 0.005;
-    let obs_op = MaskedObs::identity(dim, obs_sigma);
+    let obs_op = ObsOperator::identity(obs_sigma);
     let mut filter = Ensf::new(EnsfConfig { seed: 3, ..Default::default() });
     let mut obs_rng = rng::seeded(777);
 

@@ -44,7 +44,7 @@ fn main() {
     let mut model = sqg_da::da_core::SqgForecast::perfect(params);
     let obs_sigma = 0.005;
     let obs = ObsSpec::identity(obs_sigma);
-    let obs_op = obs.operator(truth.len(), 0);
+    let obs_op = obs.operator();
     let mut filter = Ensf::new(EnsfConfig {
         seed: 1,
         spread_relaxation: 0.9,

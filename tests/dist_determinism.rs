@@ -3,8 +3,9 @@
 //!
 //! The contract (see `crates/dist`): a full OSSE experiment — forecast,
 //! observe, particle-sharded EnSF analysis, repeat — is **bitwise identical
-//! for any simulated rank count**, and on a full observation network it is
-//! the serial driver's experiment bit for bit. This file proves both at
+//! for any simulated rank count**, and it is the serial driver's
+//! experiment bit for bit, on full and partial observation networks alike
+//! (both complete a shrunk vector by inpainting). This file proves both at
 //! 1/2/4/8 ranks over a 10-cycle experiment, under both score kernels, and
 //! the rank invariance under each `LINALG_SIMD` cap.
 //!
@@ -153,8 +154,8 @@ impl AnalysisScheme for Recording {
     }
 }
 
-/// The sharded cycle is not merely rank-invariant: on a full network it is
-/// `run_experiment` with `EnsfScheme`, bit for bit, at every rank count.
+/// The sharded cycle is not merely rank-invariant: it is `run_experiment`
+/// with `EnsfScheme`, bit for bit, at every rank count.
 #[test]
 fn sharded_cycle_is_the_serial_driver_bitwise() {
     for config in [determinism_config(ScoreKernel::Batched), flow_determinism_config()] {
@@ -187,19 +188,27 @@ fn sharded_cycle_is_the_serial_driver_bitwise() {
 
 /// Three faces, one run: the plain face, the supervised face on a healthy
 /// run and the sharded face at 1 and 2 ranks are the same cycle loop with
-/// different arguments, so on a full network they agree **bitwise** on the
-/// whole RMSE and spread series, every cycle's analysis mean and the final
-/// ensemble — for both transports and a linear and a nonlinear operator.
+/// different arguments, so they agree **bitwise** on the whole RMSE and
+/// spread series, every cycle's analysis mean and the final ensemble — for
+/// both transports, a linear and a nonlinear operator, and a full, a
+/// blocked-out and a moving-track network.
 #[test]
 fn three_faces_one_run() {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     let rows = |m: &[Vec<f64>]| m.iter().map(|v| bits(v)).collect::<Vec<_>>();
     for base in [determinism_config(ScoreKernel::Batched), flow_determinism_config()] {
-        for operator in [ObsOperatorKind::Identity, ObsOperatorKind::Arctan { gain: 1.0 }] {
+        for (operator, mask) in [
+            (ObsOperatorKind::Identity, MaskKind::Full),
+            (ObsOperatorKind::Arctan { gain: 1.0 }, MaskKind::Full),
+            (ObsOperatorKind::Identity, MaskKind::Block { start: 192, len: 128 }),
+            (ObsOperatorKind::Identity, MaskKind::Track { width: 256, speed: 40 }),
+        ] {
             let mut config = base.clone();
             config.osse.cycles = 4;
             config.osse.obs_operator = operator;
-            let (osse, case) = (&config.osse, format!("{:?} x {operator:?}", config.ensf.method));
+            config.osse.obs_mask = mask;
+            let method = config.ensf.method;
+            let (osse, case) = (&config.osse, format!("{method:?} x {operator:?} x {mask:?}"));
             let nature = nature_run(osse);
             let recording = || Recording {
                 inner: EnsfScheme::with_obs(
