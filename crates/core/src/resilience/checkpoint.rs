@@ -5,17 +5,171 @@
 //! scheme's RNG position (epoch + current seed — enough to regenerate every
 //! SDE noise stream), the verification series so far, the supervisor's
 //! health state and counters, and an optional opaque forecast-model blob
-//! (the ViT surrogate's online-adapted weights). The format follows
-//! `sqg::io`: little-endian, magic + version framing, and deserialization
-//! that rejects truncated or non-finite payloads instead of propagating
-//! garbage into a restarted run.
+//! (the ViT surrogate's online-adapted weights and normalisation).
+//!
+//! `Writer` and `Reader` are the workspace's only binary encoder and
+//! decoder; the surrogate's blob goes through them too. The reader is the
+//! one place the format's rules are enforced: a magic + version header,
+//! little-endian fields, every length checked against the bytes that
+//! remain *before* anything is allocated, finite float arrays and no
+//! trailing bytes — so a damaged file is rejected with a typed error
+//! instead of seeding, or aborting, a restarted run.
 
 use super::supervisor::{LoopState, RecoveryCounters};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stats::Ensemble;
 
 const MAGIC: u32 = 0x5351_474B; // "SQGK"
 const VERSION: u32 = 1;
+
+/// Little-endian encoder behind a magic + version header.
+pub(crate) struct Writer(Vec<u8>);
+
+impl Writer {
+    pub(crate) fn new(magic: u32, version: u32) -> Self {
+        let mut w = Writer(Vec::new());
+        w.u32(magic);
+        w.u32(version);
+        w
+    }
+
+    pub(crate) fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+
+    pub(crate) fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    pub(crate) fn f32s(&mut self, vs: &[f32]) {
+        for v in vs {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    pub(crate) fn f64s(&mut self, vs: &[f64]) {
+        for v in vs {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
+        self.0.extend_from_slice(b);
+    }
+
+    pub(crate) fn finish(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+/// Decoder for what `Writer` wrote. Every read fails with
+/// [`CheckpointError::Truncated`] rather than run past the end.
+pub(crate) struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// Opens `buf` after checking its header against `magic` and `version`.
+    pub(crate) fn new(buf: &'a [u8], magic: u32, version: u32) -> Result<Self, CheckpointError> {
+        let mut r = Reader(buf);
+        if r.u32()? != magic {
+            return Err(CheckpointError::BadMagic);
+        }
+        match r.u32()? {
+            v if v == version => Ok(r),
+            v => Err(CheckpointError::BadVersion(v)),
+        }
+    }
+
+    /// The next `len` bytes.
+    pub(crate) fn bytes(&mut self, len: usize) -> Result<&'a [u8], CheckpointError> {
+        if len > self.0.len() {
+            return Err(CheckpointError::Truncated);
+        }
+        let (head, tail) = self.0.split_at(len);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.bytes(N)?);
+        Ok(a)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u64` count or index; one that does not fit a `usize` cannot
+    /// describe bytes that are there.
+    pub(crate) fn usize(&mut self) -> Result<usize, CheckpointError> {
+        usize::try_from(self.u64()?).map_err(|_| CheckpointError::Truncated)
+    }
+
+    /// `count` f32s, all finite (`field` names the section on failure).
+    pub(crate) fn f32s(
+        &mut self,
+        count: usize,
+        field: &'static str,
+    ) -> Result<Vec<f32>, CheckpointError> {
+        self.finite(count, field, f32::from_le_bytes, f32::is_finite)
+    }
+
+    /// `count` f64s, all finite (`field` names the section on failure).
+    pub(crate) fn f64s(
+        &mut self,
+        count: usize,
+        field: &'static str,
+    ) -> Result<Vec<f64>, CheckpointError> {
+        self.finite(count, field, f64::from_le_bytes, f64::is_finite)
+    }
+
+    fn finite<T, const N: usize>(
+        &mut self,
+        count: usize,
+        field: &'static str,
+        decode: fn([u8; N]) -> T,
+        is_finite: fn(T) -> bool,
+    ) -> Result<Vec<T>, CheckpointError>
+    where
+        T: Copy,
+    {
+        // The byte count is checked against the buffer before the output
+        // is allocated, so a corrupt count cannot request a huge vector.
+        let raw = self.bytes(count.checked_mul(N).ok_or(CheckpointError::Truncated)?)?;
+        raw.chunks_exact(N)
+            .map(|chunk| {
+                let mut a = [0u8; N];
+                a.copy_from_slice(chunk);
+                let v = decode(a);
+                if is_finite(v) {
+                    Ok(v)
+                } else {
+                    Err(CheckpointError::NonFinite { field })
+                }
+            })
+            .collect()
+    }
+
+    /// Ends the read; bytes past the last field mean the framing lied.
+    pub(crate) fn finish(self) -> Result<(), CheckpointError> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(CheckpointError::BadHeader)
+        }
+    }
+}
 
 /// Complete cycling state at a cycle boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,108 +202,72 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Serializes to a byte buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let members = self.ensemble.members();
-        let dim = self.ensemble.dim();
-        let mut buf = BytesMut::with_capacity(
-            128 + (members * dim + dim + 3 * self.hours.len()) * 8
-                + self.model_state.as_ref().map_or(0, Vec::len),
-        );
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(self.cycle as u64);
-        buf.put_u8(self.state as u8);
-        buf.put_u64_le(self.scheme_epoch);
-        buf.put_u64_le(self.scheme_seed);
-        buf.put_u64_le(members as u64);
-        buf.put_u64_le(dim as u64);
-        for &v in self.ensemble.as_slice() {
-            buf.put_f64_le(v);
-        }
-        for &v in &self.prev_mean {
-            buf.put_f64_le(v);
-        }
-        buf.put_u64_le(self.hours.len() as u64);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new(MAGIC, VERSION);
+        w.u64(self.cycle as u64);
+        w.u8(self.state as u8);
+        w.u64(self.scheme_epoch);
+        w.u64(self.scheme_seed);
+        w.u64(self.ensemble.members() as u64);
+        w.u64(self.ensemble.dim() as u64);
+        w.f64s(self.ensemble.as_slice());
+        w.f64s(&self.prev_mean);
+        w.u64(self.hours.len() as u64);
         for series in [&self.hours, &self.rmse, &self.spread] {
-            for &v in series.iter() {
-                buf.put_f64_le(v);
-            }
+            w.f64s(series);
         }
         for c in self.counters.as_array() {
-            buf.put_u64_le(c);
+            w.u64(c);
         }
         match &self.model_state {
             Some(blob) => {
-                buf.put_u8(1);
-                buf.put_u64_le(blob.len() as u64);
-                buf.put_slice(blob);
+                w.u8(1);
+                w.u64(blob.len() as u64);
+                w.bytes(blob);
             }
-            None => buf.put_u8(0),
+            None => w.u8(0),
         }
-        buf.freeze()
+        w.finish()
     }
 
     /// Deserializes from a byte buffer, validating framing and finiteness.
-    pub fn from_bytes(bytes: &Bytes) -> Result<Self, CheckpointError> {
-        let mut buf = bytes.clone();
-        if buf.remaining() < 49 {
-            return Err(CheckpointError::Truncated);
-        }
-        if buf.get_u32_le() != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        let cycle = buf.get_u64_le() as usize;
-        let state = LoopState::from_u8(buf.get_u8()).ok_or(CheckpointError::BadHeader)?;
-        let scheme_epoch = buf.get_u64_le();
-        let scheme_seed = buf.get_u64_le();
-        let members = buf.get_u64_le() as usize;
-        let dim = buf.get_u64_le() as usize;
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::new(bytes, MAGIC, VERSION)?;
+        let cycle = r.usize()?;
+        let state = LoopState::from_u8(r.u8()?).ok_or(CheckpointError::BadHeader)?;
+        let scheme_epoch = r.u64()?;
+        let scheme_seed = r.u64()?;
+        let members = r.usize()?;
+        let dim = r.usize()?;
         if members == 0 || dim == 0 {
             return Err(CheckpointError::BadHeader);
         }
-        let ens_vals = read_finite(&mut buf, members.saturating_mul(dim), "ensemble")?;
+        let ens_vals = r.f64s(members.saturating_mul(dim), "ensemble")?;
         let mut ensemble = Ensemble::zeros(members, dim);
         ensemble.as_mut_slice().copy_from_slice(&ens_vals);
-        let prev_mean = read_finite(&mut buf, dim, "prev_mean")?;
-        if buf.remaining() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let series_len = buf.get_u64_le() as usize;
+        let prev_mean = r.f64s(dim, "prev_mean")?;
+        let series_len = r.usize()?;
         if series_len < cycle {
             // Fewer series points than completed cycles: inconsistent.
             return Err(CheckpointError::BadHeader);
         }
-        let hours = read_finite(&mut buf, series_len, "hours")?;
-        let rmse = read_finite(&mut buf, series_len, "rmse")?;
-        let spread = read_finite(&mut buf, series_len, "spread")?;
-        if buf.remaining() < RecoveryCounters::FIELDS * 8 + 1 {
-            return Err(CheckpointError::Truncated);
-        }
+        let hours = r.f64s(series_len, "hours")?;
+        let rmse = r.f64s(series_len, "rmse")?;
+        let spread = r.f64s(series_len, "spread")?;
         let mut raw = [0u64; RecoveryCounters::FIELDS];
         for c in raw.iter_mut() {
-            *c = buf.get_u64_le();
+            *c = r.u64()?;
         }
         let counters = RecoveryCounters::from_array(raw);
-        let model_state = match buf.get_u8() {
+        let model_state = match r.u8()? {
             0 => None,
             1 => {
-                if buf.remaining() < 8 {
-                    return Err(CheckpointError::Truncated);
-                }
-                let len = buf.get_u64_le() as usize;
-                if buf.remaining() < len {
-                    return Err(CheckpointError::Truncated);
-                }
-                let mut blob = vec![0u8; len];
-                buf.copy_to_slice(&mut blob);
-                Some(blob)
+                let len = r.usize()?;
+                Some(r.bytes(len)?.to_vec())
             }
             _ => return Err(CheckpointError::BadHeader),
         };
+        r.finish()?;
         Ok(Checkpoint {
             cycle,
             state,
@@ -174,29 +292,8 @@ impl Checkpoint {
     /// Reads and validates a checkpoint from a file.
     pub fn load(path: &std::path::Path) -> Result<Self, CheckpointError> {
         let data = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        Self::from_bytes(&Bytes::from(data))
+        Self::from_bytes(&data)
     }
-}
-
-/// Reads `count` little-endian f64s, rejecting truncation and non-finite
-/// values (a corrupt checkpoint must never seed a resumed run).
-fn read_finite(
-    buf: &mut Bytes,
-    count: usize,
-    field: &'static str,
-) -> Result<Vec<f64>, CheckpointError> {
-    if buf.remaining() < count.saturating_mul(8) {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let v = buf.get_f64_le();
-        if !v.is_finite() {
-            return Err(CheckpointError::NonFinite { field });
-        }
-        out.push(v);
-    }
-    Ok(out)
 }
 
 /// Why a checkpoint could not be written or restored.
@@ -208,7 +305,8 @@ pub enum CheckpointError {
     BadMagic,
     /// Unsupported version.
     BadVersion(u32),
-    /// Nonsensical header fields (zero dimensions, unknown state byte…).
+    /// Nonsensical header fields or framing (zero dimensions, unknown
+    /// state byte, trailing bytes…).
     BadHeader,
     /// A float payload carries NaN/inf values.
     NonFinite {
@@ -299,9 +397,8 @@ mod tests {
     fn truncation_rejected_at_every_length() {
         let full = sample().to_bytes();
         for cut in 0..full.len() {
-            let partial = Bytes::from(full[..cut].to_vec());
             assert!(
-                Checkpoint::from_bytes(&partial).is_err(),
+                Checkpoint::from_bytes(&full[..cut]).is_err(),
                 "prefix of {cut} bytes must not parse"
             );
         }
@@ -309,27 +406,45 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_rejected() {
-        let mut raw = sample().to_bytes().to_vec();
+        let mut raw = sample().to_bytes();
         raw[0] ^= 0xFF;
         assert_eq!(
-            Checkpoint::from_bytes(&Bytes::from(raw)).unwrap_err(),
+            Checkpoint::from_bytes(&raw).unwrap_err(),
             CheckpointError::BadMagic
         );
 
-        let mut nan = sample().to_bytes().to_vec();
+        let mut nan = sample().to_bytes();
         // First ensemble value sits right after the 49-byte header.
         nan[49..57].copy_from_slice(&f64::NAN.to_le_bytes());
         assert_eq!(
-            Checkpoint::from_bytes(&Bytes::from(nan)).unwrap_err(),
+            Checkpoint::from_bytes(&nan).unwrap_err(),
             CheckpointError::NonFinite { field: "ensemble" }
         );
 
-        let mut bad_state = sample().to_bytes().to_vec();
+        let mut bad_state = sample().to_bytes();
         bad_state[16] = 9; // state byte follows magic/version/cycle.
         assert_eq!(
-            Checkpoint::from_bytes(&Bytes::from(bad_state)).unwrap_err(),
+            Checkpoint::from_bytes(&bad_state).unwrap_err(),
             CheckpointError::BadHeader
         );
+
+        let mut trailing = sample().to_bytes();
+        trailing.push(0);
+        assert_eq!(Checkpoint::from_bytes(&trailing).unwrap_err(), CheckpointError::BadHeader);
+    }
+
+    /// Version-1 files written by an earlier build of the encoder: the
+    /// writer reproduces them byte for byte and the reader reads them back.
+    #[test]
+    fn version_1_layout_is_pinned() {
+        let with_model: &[u8] = include_bytes!("../../tests/fixtures/checkpoint_v1.bin");
+        let without: &[u8] = include_bytes!("../../tests/fixtures/checkpoint_v1_no_model.bin");
+        let mut no_model = sample();
+        no_model.model_state = None;
+        for (ck, pinned) in [(sample(), with_model), (no_model, without)] {
+            assert_eq!(ck.to_bytes(), pinned);
+            assert_eq!(Checkpoint::from_bytes(pinned).unwrap(), ck);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! An in-process simulated MPI runtime with ULFM-style fault surfacing.
 //!
 //! Real concurrent "ranks" (one OS thread each) exchanging typed messages
-//! over crossbeam channels, with the point-to-point and collective
+//! over `std::sync::mpsc` channels, with the point-to-point and collective
 //! operations the EnSF decomposition needs: `send`/`recv` (tagged, with
 //! out-of-order buffering), `barrier`, `allreduce_sum`, `gather`,
 //! `broadcast`, `scatter` and `allgather`/`allgather_concat`. This gives
@@ -38,9 +38,9 @@
 //! membership changes, while [`Comm::world_rank`] stays fixed for
 //! addressing point-to-point messages.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -655,7 +655,7 @@ where
     let mut txs = Vec::with_capacity(size);
     let mut rxs = Vec::with_capacity(size);
     for _ in 0..size {
-        let (tx, rx) = unbounded::<Message>();
+        let (tx, rx) = channel::<Message>();
         txs.push(tx);
         rxs.push(rx);
     }

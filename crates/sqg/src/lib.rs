@@ -32,7 +32,6 @@ pub mod diag;
 pub mod dynamics;
 mod grid;
 pub mod init;
-pub mod io;
 mod model;
 mod params;
 mod state;

@@ -87,60 +87,3 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
-
-fn sample_trajectory() -> sqg::io::Trajectory {
-    let mut traj = sqg::io::Trajectory::new(4, 12.0);
-    for k in 0..3usize {
-        let snap: Vec<f64> = (0..32).map(|i| ((i + k * 32) as f64 * 0.1).sin()).collect();
-        traj.push(&snap);
-    }
-    traj
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Decoding is total under truncation: every strict prefix of a valid
-    /// buffer is rejected with an error, never a panic.
-    #[test]
-    fn trajectory_truncation_always_rejected(cut in 0usize..800) {
-        let full = sample_trajectory().to_bytes();
-        prop_assume!(cut < full.len());
-        let prefix = bytes::Bytes::from(full[..cut].to_vec());
-        prop_assert!(sqg::io::Trajectory::from_bytes(&prefix).is_err());
-    }
-
-    /// Decoding never propagates garbage: flipping any byte of a valid
-    /// buffer either fails cleanly or still yields an all-finite
-    /// trajectory of the advertised shape.
-    #[test]
-    fn trajectory_corruption_never_yields_nonfinite(
-        pos in 0usize..800,
-        flip in 1u8..=255,
-    ) {
-        let full = sample_trajectory().to_bytes();
-        prop_assume!(pos < full.len());
-        let mut raw = full.to_vec();
-        raw[pos] ^= flip;
-        match sqg::io::Trajectory::from_bytes(&bytes::Bytes::from(raw)) {
-            Err(_) => {}
-            Ok(t) => {
-                for snap in &t.snapshots {
-                    prop_assert_eq!(snap.len(), 2 * t.n * t.n);
-                    prop_assert!(snap.iter().all(|v| v.is_finite()));
-                }
-            }
-        }
-    }
-
-    /// NaN payloads are rejected no matter which snapshot value is hit.
-    #[test]
-    fn trajectory_nan_anywhere_rejected(slot in 0usize..96) {
-        let full = sample_trajectory().to_bytes();
-        let mut raw = full.to_vec();
-        let off = 32 + slot * 8;
-        raw[off..off + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        let err = sqg::io::Trajectory::from_bytes(&bytes::Bytes::from(raw)).unwrap_err();
-        prop_assert_eq!(err, sqg::io::TrajectoryError::NonFinite { snapshot: slot / 32 });
-    }
-}

@@ -33,12 +33,10 @@ pub mod layers;
 mod model;
 pub mod optim;
 mod schedule;
-mod serialize;
 mod tensor;
 pub mod train;
 
 pub use config::VitConfig;
 pub use schedule::LrSchedule;
 pub use model::SqgVit;
-pub use serialize::{load_weights, save_weights, LoadError};
 pub use tensor::Tensor;
