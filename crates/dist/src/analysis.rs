@@ -37,7 +37,9 @@ use stats::Ensemble;
 /// The retry model is a *pure function* of this specification, so every
 /// rank evaluates the same retry/shrink/abort decision locally — a failed
 /// collective surfaces as the same [`DistError::Collective`] on all ranks
-/// with no extra agreement round.
+/// with no extra agreement round. The cycle's forecast gather is priced by
+/// the same topology but never retried: the scripted faults drive only the
+/// analysis gather, so a forecast cannot fail.
 #[derive(Debug, Clone)]
 pub struct CommSpec {
     /// Machine topology for the α–β collective cost model.
@@ -60,19 +62,34 @@ impl CommSpec {
     }
 }
 
-/// Per-rank accounting of the analysis collectives.
+/// Per-rank accounting of the cycle's collectives.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
-    /// Collectives executed (one particle-block allgather per analysis).
+    /// Collectives executed: one member-block allgather per forecast and
+    /// one particle-block allgather per analysis attempt.
     pub collectives: u64,
     /// Total attempts across all modeled collectives (equals
-    /// `collectives` when no fault was scripted).
+    /// `collectives` when no fault was scripted; a forecast gather is
+    /// always one attempt, since [`CommSpec::faults`] drive only the
+    /// analysis gather).
     pub attempts: u64,
     /// Modeled wall time of the collectives (α–β cost model plus retry
     /// backoffs); `0.0` without a [`CommSpec`].
     pub modeled_comm_secs: f64,
     /// Bytes moved through the collectives (payload, per rank).
     pub bytes: u64,
+}
+
+impl CommStats {
+    /// Two ledgers summed: a rank's forecast and analysis gathers.
+    pub(crate) fn merged(self, other: CommStats) -> CommStats {
+        CommStats {
+            collectives: self.collectives + other.collectives,
+            attempts: self.attempts + other.attempts,
+            modeled_comm_secs: self.modeled_comm_secs + other.modeled_comm_secs,
+            bytes: self.bytes + other.bytes,
+        }
+    }
 }
 
 /// Accounts one modeled collective against `spec` (when present) and

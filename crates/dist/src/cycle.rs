@@ -2,15 +2,15 @@
 //!
 //! The execution shape of the paper's Frontier campaigns (§IV) on the
 //! simulated communicator. State is **replicated** at the two boundaries of
-//! a cycle and work is sharded between them. Forecasts are replicated
-//! outright: the SQG step is a deterministic spectral integration, so every
-//! rank advances the same full ensemble and lands on identical bits. The
-//! analysis is **sharded over particles** ([`crate::analysis`]): each rank
-//! integrates its block of particles against the replicated forecast and
-//! one allgather replicates the analysis ensemble for the next forecast.
-//! Spread relaxation and diagnostics (RMSE, spread) are computed
-//! redundantly on every rank from identical bytes, which keeps them
-//! trivially consistent.
+//! a cycle and work is sharded between them, over particles both times.
+//! Each rank forecasts its block of members and one allgather replicates
+//! the forecast ensemble (a member's forecast depends on its own state
+//! only, so the bits are the member loop's). Each rank then integrates its
+//! block of particles against the replicated forecast
+//! ([`crate::analysis`]) and a second allgather replicates the analysis
+//! ensemble for the next forecast. Spread relaxation and diagnostics
+//! (RMSE, spread) are computed redundantly on every rank from identical
+//! bytes, which keeps them trivially consistent.
 //!
 //! The loop is `da_core::cycle::run_cycles`; [`crate::elastic`] fills its
 //! slots for one rank, and this module is that driver with nothing
@@ -225,9 +225,10 @@ mod tests {
         let mut config = tiny_config(1);
         config.comm = Some(CommSpec::clean(2));
         let result = run_osse(&config, 2).unwrap();
-        // One particle-block gather per cycle, whatever the step count.
-        assert_eq!(result.stats.collectives, 1);
-        assert_eq!(result.stats.bytes, (8 * 512 * 8) as u64);
+        // A member-block and a particle-block gather per cycle, whatever
+        // the step count.
+        assert_eq!(result.stats.collectives, 2);
+        assert_eq!(result.stats.bytes, (2 * 8 * 512 * 8) as u64);
         assert!(result.stats.modeled_comm_secs > 0.0);
     }
 

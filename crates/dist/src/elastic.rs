@@ -1,20 +1,24 @@
 //! Elastic rank-failure recovery and deadline-aware degraded analysis.
 //!
 //! One rank's argument list for the cycle loop (`da_core::cycle::run_cycles`):
-//! the forecast on the rank's own thread, the particle-sharded analysis as
-//! its scheme, and the rank's membership in the world as its process group
-//! — wired to the live fault machinery of [`hpc::mpi`] ([`crate::cycle`] is
-//! the same with nothing scripted). A rank killed by a [`FaultPlan`] leaves
-//! at the cycle boundary and surfaces as [`hpc::MpiError::RankDead`] inside
-//! the first collective that misses it (never a hang); the survivors then
-//! run a ULFM-style recovery:
+//! the member-sharded forecast as its model, the particle-sharded analysis
+//! as its scheme, and the rank's membership in the world as its process
+//! group — wired to the live fault machinery of [`hpc::mpi`]
+//! ([`crate::cycle`] is the same with nothing scripted). A rank killed by a
+//! [`FaultPlan`] leaves at the cycle boundary and surfaces as
+//! [`hpc::MpiError::RankDead`] inside the first collective that misses it,
+//! the forecast gather (never a hang); the survivors then run a ULFM-style
+//! recovery:
 //!
 //! 1. the detecting rank **revokes** the epoch, waking every parked peer
-//!    with [`hpc::MpiError::Revoked`];
-//! 2. every survivor independently computes the same shrunken group — the
-//!    current group minus the ranks the fault script kills this cycle and
-//!    minus anything registered dead — and calls [`hpc::Comm::recover`]
-//!    with the agreed generation counter;
+//!    with [`hpc::MpiError::Revoked`], and every survivor forecasts the
+//!    members it is missing itself — the forecast gather never shrinks the
+//!    group, so the cycle's forecast is the replicated one;
+//! 2. the analysis gather meets the revoked epoch, and every survivor
+//!    independently computes the same shrunken group — the current group
+//!    minus the ranks the fault script kills this cycle and minus anything
+//!    registered dead — and calls [`hpc::Comm::recover`] with the agreed
+//!    generation counter;
 //! 3. the cycle's analysis is **redone from the replicated forecast** on
 //!    the shrunken group. The sharded analysis is the serial filter bit
 //!    for bit at every rank count, so the redone cycle (and every later
@@ -40,11 +44,12 @@
 
 use crate::analysis::{analyze_replicated, CommStats};
 use crate::cycle::DistCycleConfig;
+use crate::forecast::ShardedForecast;
 use crate::DistError;
 use da_core::cycle::{run_cycles, Entry, ProcessGroup};
 use da_core::osse::{nature_run, CycleSeries, NatureRun};
 use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan};
-use da_core::{AnalysisReport, AnalysisScheme, ForecastModel, SqgForecast};
+use da_core::{AnalysisReport, AnalysisScheme, SqgForecast};
 use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
@@ -386,8 +391,10 @@ impl ProcessGroup for RankGroup<'_> {
         }
 
         // A scripted victim dies here, at the boundary: it never enters a
-        // collective this cycle, and the survivors meet its absence at the
-        // gather (or, on a forecast-only cycle, at the next one).
+        // collective this cycle. The survivors meet its absence at the
+        // forecast gather, which revokes the epoch and falls back, and
+        // shrink at the analysis gather (or, on a forecast-only cycle, at
+        // the next one).
         if faults.rank_kill_at(cycle, me).is_none() {
             return Entry::Proceed;
         }
@@ -404,21 +411,6 @@ impl ProcessGroup for RankGroup<'_> {
     /// state.
     fn forces_checkpoint(&self, completed: usize) -> bool {
         self.config.faults.rank_rejoins.iter().any(|r| r.cycle == completed)
-    }
-}
-
-/// `SqgForecast` member by member on the rank's own thread (the trait's
-/// default `forecast_ensemble`): the ranks already fill the cores that
-/// `SqgForecast`'s own would fan out over — to the same bits.
-struct OnRankThread(SqgForecast);
-
-impl ForecastModel for OnRankThread {
-    fn state_dim(&self) -> usize {
-        self.0.state_dim()
-    }
-
-    fn forecast(&mut self, state: &mut [f64], hours: f64) {
-        self.0.forecast(state, hours);
     }
 }
 
@@ -598,10 +590,11 @@ pub fn run_elastic_experiment(
 /// harness. The checkpoint may come from any face of the cycle loop: a
 /// supervised serial run's resumes here, and this driver's resumes there.
 ///
-/// The cycle loop ([`run_cycles`]) with this rank's `{forecast on its own
-/// thread, sharded analysis, group membership}` in its slots. A rank that
-/// leaves the loop with an error registers itself dead first, so its peers
-/// meet a typed [`MpiError::RankDead`] rather than a silent member.
+/// The cycle loop ([`run_cycles`]) with this rank's `{member-sharded
+/// forecast, sharded analysis, group membership}` in its slots. A rank that
+/// leaves the loop — with an error or at the end — registers itself dead,
+/// so its peers meet a typed [`MpiError::RankDead`] rather than a silent
+/// member or a vanished one; `comm` is spent afterwards.
 ///
 /// # Errors
 /// As [`run_elastic_experiment`]; [`DistError::Checkpoint`] when `resume`
@@ -632,19 +625,18 @@ pub fn run_elastic_from(
     // No fault plan and no health policy: the member/obs/analysis fault
     // channels stay with the serial faces; a rank's script is its membership.
     let label = format!("elastic@{}r", comm.size());
-    let mut model = OnRankThread(SqgForecast::perfect(osse.params.clone()));
+    let perfect = SqgForecast::perfect(osse.params.clone());
+    let mut model = ShardedForecast::new(comm, perfect, config.base.comm.as_ref());
     let run = run_cycles(
         &label, osse, nature, &mut model, &mut scheme, None, &FaultPlan::none(), None,
         config.checkpoint.as_ref(), &mut group,
         &mut |cycle, mean, _| cycle_means.push((cycle, mean.to_vec())), resume.cloned(),
     );
-    let run = match run {
-        Ok(run) => run,
-        Err(e) => {
-            comm.kill();
-            return Err(scheme.error.take().unwrap_or_else(|| e.into()));
-        }
-    };
+    // Leaving, even at the end, registers this rank dead: survivors of a
+    // kill that only forecast-only cycles followed never got back in step,
+    // and a peer may still be sending into the failed forecast gather.
+    comm.kill();
+    let run = run.map_err(|e| scheme.error.take().unwrap_or_else(|| e.into()))?;
     let outcome = if run.interrupted {
         ElasticOutcome::Died { at_cycle: run.checkpoint.cycle }
     } else {
@@ -660,7 +652,7 @@ pub fn run_elastic_from(
         deadline_hits: scheme.deadline_hits,
         counters: ElasticCounters { rejoins: group.rejoins, ..scheme.counters },
         ensemble: run.checkpoint.ensemble,
-        stats: scheme.stats,
+        stats: scheme.stats.merged(model.stats),
     })
 }
 

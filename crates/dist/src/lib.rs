@@ -5,8 +5,10 @@
 //! ensemble". This crate reproduces that execution shape on the
 //! workspace's simulated MPI communicator ([`hpc::mpi::Comm`]): a full
 //! forecast → observe → analyze OSSE loop in which every rank holds the
-//! whole (small) ensemble, **owns a contiguous block of particles** of the
-//! EnSF analysis, and one allgather per cycle replicates the result.
+//! whole (small) ensemble at the cycle boundaries and **owns a contiguous
+//! block of particles** in between — it forecasts those members and
+//! integrates those particles of the EnSF analysis — and two allgathers
+//! per cycle, one after each half, replicate the results.
 //!
 //! ## Determinism contract
 //!
@@ -21,11 +23,12 @@
 //!    every reduction of the score kernel is per particle, so a particle's
 //!    bits cannot depend on which rank (or which block) integrated it
 //!    ([`ensf::parallel::BlockAnalysis`]).
-//! 2. **Replicated control flow**: forecasts, the mini-batch draw, the
-//!    spread relaxation, diagnostics and retry/shrink decisions
-//!    ([`CommSpec`]) are evaluated identically on every rank from
-//!    identical inputs, so no rank ever branches differently from its
-//!    peers.
+//! 2. **Replicated control flow**: the mini-batch draw, the spread
+//!    relaxation, diagnostics and retry/shrink decisions ([`CommSpec`])
+//!    are evaluated identically on every rank from identical inputs, so
+//!    no rank ever branches differently from its peers; a member's
+//!    forecast is a pure function of its own state, so it does not matter
+//!    which rank ran it.
 //!
 //! Nothing depends on the rank count, so a shrunken group redoing a cycle
 //! computes what a fresh run at the survivor count would: shrink-retry
@@ -41,11 +44,14 @@
 //!   flow is [`ensf::EnsfConfig::method`] — the same `{method, ObsSpec}`
 //!   data, and the same completion call, as the serial
 //!   `da_core::EnsfScheme`.
+//! * `forecast` (private) — the member-sharded forecast: this rank's
+//!   member block on its own thread, one gather, and a fallback to the
+//!   replicated forecast when a peer is missing from it.
 //! * [`elastic`] — one rank's slots for `da_core::cycle::run_cycles`: the
-//!   sharded analysis as its scheme (ULFM-style shrink on rank death,
-//!   deadline-aware degradation) and the rank's membership as its process
-//!   group (checkpoint-backed rejoin) ([`run_elastic_experiment`],
-//!   [`run_elastic_osse`]).
+//!   member-sharded forecast as its model, the sharded analysis as its
+//!   scheme (ULFM-style shrink on rank death, deadline-aware degradation)
+//!   and the rank's membership as its process group (checkpoint-backed
+//!   rejoin) ([`run_elastic_experiment`], [`run_elastic_osse`]).
 //! * [`cycle`] — the same with nothing scripted ([`run_dist_experiment`],
 //!   [`run_osse`]).
 //! * [`mod@bench`] — per-rank block timing behind the `scaling_suite` bench
@@ -59,6 +65,7 @@ pub mod analysis;
 pub mod bench;
 pub mod cycle;
 pub mod elastic;
+mod forecast;
 pub mod shard;
 
 pub use analysis::{dist_analyze, CommSpec, CommStats};

@@ -11,7 +11,7 @@ use sqg_da::da_core::osse::OsseConfig;
 use sqg_da::da_core::resilience::{CheckpointConfig, RankKill, RankRejoin};
 use sqg_da::dist::{
     modeled_analysis_secs, run_elastic_osse, CycleMode, DeadlinePolicy, DistCycleConfig,
-    ElasticCycleConfig, ElasticOutcome,
+    ElasticCounters, ElasticCycleConfig, ElasticOutcome, ElasticRunResult,
 };
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::hpc::{Straggler, StragglerPlan};
@@ -217,7 +217,7 @@ fn rejoin_after_kill_is_recorded_and_completes() {
 fn flow_matching_survives_shrink_and_deadline_ladder() {
     let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut config = elastic_config(4);
-    // The cycle's one gather costs the same at every step count, so the
+    // The analysis's one gather costs the same at every step count, so the
     // ladder has a window at both group sizes only where the full grid's
     // compute outweighs the 3-rank/2-rank gather difference: 40 steps at
     // d = 512. Every cycle rides the 1-step rung, so the 40 never run.
@@ -270,6 +270,116 @@ fn masked_flow_matching_survives_shrink_retry() {
     assert_eq!(result.counters.redone_analyses, 1, "the masked cycle is redone by survivors");
     assert_eq!(result.cycle_means.len(), 4, "every masked cycle completed");
     assert!(result.series.rmse.iter().all(|r| r.is_finite()));
+}
+
+/// Runs `config` on `ranks` ranks with telemetry on and returns rank 0's
+/// result with the events of every cycle record it wrote.
+fn run_recorded(config: &ElasticCycleConfig, ranks: usize) -> (ElasticRunResult, Vec<Vec<String>>) {
+    let dir = postmortem_dir("recorded");
+    telemetry_scope(&dir);
+    let result = run_elastic_osse(config, ranks).unwrap();
+    let events = telemetry::cycle_records().into_iter().map(|r| r.events).collect();
+    telemetry_close();
+    std::fs::remove_dir_all(&dir).ok();
+    (result, events)
+}
+
+fn assert_bitwise_equal(a: &ElasticRunResult, b: &ElasticRunResult, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(a.cycle_means.len(), b.cycle_means.len(), "{what}");
+    for ((ca, ma), (cb, mb)) in a.cycle_means.iter().zip(&b.cycle_means) {
+        assert_eq!(ca, cb, "{what}");
+        assert_eq!(bits(ma), bits(mb), "{what}: cycle {ca} diverged");
+    }
+    assert_eq!(bits(a.ensemble.as_slice()), bits(b.ensemble.as_slice()), "{what}: final ensemble");
+}
+
+/// A boundary kill is met first by the survivors' forecast gather, which
+/// falls back to the replicated forecast instead of shrinking; the
+/// analysis gather then shrinks once and redoes the analysis, exactly as
+/// when the analysis gather was the first to miss the victim. Covered on
+/// 2 ranks and on 3 with the victim first after the root and last.
+#[test]
+fn forecast_gather_kill_shrinks_once_at_the_analysis_gather() {
+    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for (ranks, victim) in [(2, 1), (3, 1), (3, 2)] {
+        let what = format!("{ranks} ranks, victim {victim}");
+        let mut config = elastic_config(3);
+        config.faults.rank_kills.push(RankKill { cycle: 1, rank: victim });
+        let (faulted, events) = run_recorded(&config, ranks);
+
+        assert_eq!(faulted.outcome, ElasticOutcome::Completed, "{what}");
+        let counters = ElasticCounters { shrinks: 1, redone_analyses: 1, ..Default::default() };
+        assert_eq!(faulted.counters, counters, "{what}");
+        assert_eq!(faulted.group_sizes, vec![(0, ranks), (1, ranks - 1), (2, ranks - 1)], "{what}");
+        assert_eq!(events, [vec![], vec!["rank_dead_shrink".to_string()], vec![]], "{what}");
+        let fresh = run_elastic_osse(&elastic_config(3), ranks - 1).unwrap();
+        assert_bitwise_equal(&faulted, &fresh, &what);
+    }
+}
+
+/// A kill on a forecast-only cycle: that cycle's forecast gather revokes
+/// the epoch and falls back, no analysis gather follows, so the next
+/// cycle's forecast falls back too, and its analysis gather shrinks. When
+/// every cycle from the kill on is forecast-only, nothing ever shrinks and
+/// the survivors finish out of step (a non-root one may still be sending
+/// when the root is done). Either way the run lands on a fresh
+/// survivor-count run's bits (the ladder picks the same rungs there).
+#[test]
+fn forecast_only_kill_falls_back_until_the_next_analysis_shrinks() {
+    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for (ranks, last_forecast_only) in [(2, 1), (3, 1), (3, 3)] {
+        let what = format!("{ranks} ranks, forecast-only cycles 1..={last_forecast_only}");
+        let mut config = elastic_config(4);
+        config.base.comm = Some(sqg_da::dist::CommSpec::clean(3));
+        let dim = config.base.osse.params.state_dim();
+        let steps = config.base.ensf.n_steps;
+        let full = |ranks| modeled_analysis_secs(&config.base, dim, 8, steps, ranks);
+        // Room for a full analysis plus its redo at any group size, and a
+        // straggler no rung survives from the kill on.
+        let budget = 2.0 * full(1).max(full(2)).max(full(3));
+        config.deadline = Some(DeadlinePolicy { budget_secs: budget, degraded_steps: 3 });
+        config.stragglers = StragglerPlan {
+            events: vec![Straggler {
+                rank: 0,
+                from_cycle: 1,
+                to_cycle: last_forecast_only,
+                slowdown: 1e6,
+            }],
+        };
+        let fresh = run_elastic_osse(&config, ranks - 1).unwrap();
+        config.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
+        let (faulted, events) = run_recorded(&config, ranks);
+
+        assert_eq!(faulted.outcome, ElasticOutcome::Completed, "{what}");
+        let shrinks = u64::from(last_forecast_only < 3);
+        let counters = ElasticCounters {
+            shrinks,
+            redone_analyses: shrinks,
+            forecast_only_cycles: last_forecast_only as u64,
+            ..Default::default()
+        };
+        assert_eq!(faulted.counters, counters, "{what}");
+        let size = |c: usize| if c > last_forecast_only { ranks - 1 } else { ranks };
+        let sizes: Vec<(usize, usize)> = (0..4).map(|c| (c, size(c))).collect();
+        assert_eq!(faulted.group_sizes, sizes, "{what}");
+        let forecast_only = |c: usize| (1..=last_forecast_only).contains(&c);
+        let modes: Vec<CycleMode> = faulted.modes.iter().map(|&(_, m)| m).collect();
+        let want: Vec<CycleMode> = (0..4)
+            .map(|c| if forecast_only(c) { CycleMode::ForecastOnly } else { CycleMode::Full })
+            .collect();
+        assert_eq!(modes, want, "{what}");
+        assert_eq!(fresh.modes, faulted.modes, "{what}");
+        let want: Vec<Vec<String>> = (0..4)
+            .map(|c| match c {
+                _ if forecast_only(c) => vec!["deadline_forecast_only".to_string()],
+                _ if c == last_forecast_only + 1 => vec!["rank_dead_shrink".to_string()],
+                _ => vec![],
+            })
+            .collect();
+        assert_eq!(events, want, "{what}");
+        assert_bitwise_equal(&faulted, &fresh, &what);
+    }
 }
 
 /// Belt-and-braces no-hang sweep: all three chaos channels at once (kill,
