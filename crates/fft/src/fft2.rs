@@ -5,14 +5,22 @@
 //! buffers. A transform runs on the calling thread: the ensemble's member
 //! axis is where the forecast is parallel, and a fork-join here would nest
 //! inside those workers.
+//!
+//! Two paths compute the same bits. When the CPU has AVX2 and both axes are
+//! radix-2 and at least 4 long, `crate::simd` transforms the grid in place
+//! (rows, then columns without a transpose). Every other case (non-x86,
+//! no AVX2, a Bluestein axis, an axis shorter than 4) takes the scalar path:
+//! the 1-D plan on every row, then on every row of a cache-blocked
+//! transpose, transposed back. The scalar path is also the vector path's
+//! test oracle.
 
 use crate::complex::Complex;
 use crate::plan::{Direction, FftPlan};
 
-/// Reusable scratch for [`Fft2::process_with_scratch`]: the transpose
-/// buffer plus the 1-D plan scratch. Grown on
-/// first use, then reused allocation-free across calls (e.g. once per RK4
-/// stage loop in the SQG stepper).
+/// Reusable scratch for [`Fft2::process_with_scratch`]: the scalar path's
+/// transpose buffer plus the Bluestein plans' scratch (the AVX2 path needs
+/// neither). Grown on first use, then reused allocation-free across calls
+/// (e.g. once per RK4 stage loop in the SQG stepper).
 #[derive(Debug, Default)]
 pub struct Fft2Scratch {
     t: Vec<Complex>,
@@ -31,8 +39,8 @@ impl Fft2Scratch {
 pub struct Fft2 {
     rows: usize,
     cols: usize,
-    row_plan: FftPlan,
-    col_plan: FftPlan,
+    pub(crate) row_plan: FftPlan,
+    pub(crate) col_plan: FftPlan,
 }
 
 impl Fft2 {
@@ -66,8 +74,8 @@ impl Fft2 {
     ///
     /// Convenience wrapper over [`Fft2::process_with_scratch`] with
     /// call-local scratch; hot loops should hold a [`Fft2Scratch`] and call
-    /// the buffered entry point directly to avoid the per-call transpose
-    /// allocation.
+    /// the buffered entry point directly to avoid the scalar path's per-call
+    /// transpose allocation.
     pub fn process(&self, data: &mut [Complex]) {
         let mut scratch = Fft2Scratch::new();
         self.process_with_scratch(data, &mut scratch);
@@ -76,7 +84,8 @@ impl Fft2 {
     /// Transforms `data` in place, reusing `scratch` across calls.
     ///
     /// Bitwise identical to [`Fft2::process`]: scratch buffers only change
-    /// where intermediates live, never the operation order.
+    /// where intermediates live, never the operation order. The AVX2 path,
+    /// where it applies, is bitwise identical to the scalar path too.
     pub fn process_with_scratch(&self, data: &mut [Complex], scratch: &mut Fft2Scratch) {
         telemetry::counter_add("fft.fft2.calls", 1);
         assert_eq!(
@@ -85,7 +94,14 @@ impl Fft2 {
             "buffer must be rows*cols = {}",
             self.rows * self.cols
         );
+        if !crate::simd::fft2(&self.row_plan, &self.col_plan, data) {
+            self.process_scalar(data, scratch);
+        }
+    }
 
+    /// The portable path: the 1-D plan on every row, then on every row of
+    /// the transpose. `data.len()` must be `rows * cols`.
+    pub(crate) fn process_scalar(&self, data: &mut [Complex], scratch: &mut Fft2Scratch) {
         // Pass 1: independent FFTs along each row.
         for row in data.chunks_mut(self.cols) {
             self.row_plan.process_buffered(row, &mut scratch.row);
@@ -107,16 +123,9 @@ impl Fft2 {
     }
 }
 
-/// Returns the transpose of a `rows x cols` row-major matrix.
-pub fn transpose(data: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; rows * cols];
-    transpose_into(data, rows, cols, &mut out);
-    out
-}
-
 /// Writes the transpose of a `rows x cols` row-major matrix into `out`
 /// (which becomes `cols x rows` row-major).
-pub fn transpose_into(data: &[Complex], rows: usize, cols: usize, out: &mut [Complex]) {
+pub(crate) fn transpose_into(data: &[Complex], rows: usize, cols: usize, out: &mut [Complex]) {
     assert_eq!(data.len(), rows * cols);
     assert_eq!(out.len(), rows * cols);
     // Blocked to keep both source rows and destination rows in cache.
@@ -157,6 +166,13 @@ pub fn irfft2(spectrum: &[Complex], rows: usize, cols: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Returns the transpose of a `rows x cols` row-major matrix.
+    fn transpose(data: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; rows * cols];
+        transpose_into(data, rows, cols, &mut out);
+        out
+    }
 
     fn dft2_naive(input: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
         let mut out = vec![Complex::ZERO; rows * cols];

@@ -6,7 +6,9 @@
 //! - [`Complex`] — a minimal `f64` complex type.
 //! - [`FftPlan`] — reusable 1-D plans; radix-2 Cooley–Tukey for power-of-two
 //!   lengths, Bluestein chirp-z for everything else.
-//! - [`Fft2`] — 2-D transforms with cache-blocked transposes;
+//! - [`Fft2`] — 2-D transforms: a runtime-dispatched AVX2 path for
+//!   radix-2 grids (transpose-free column pass, bitwise identical to the
+//!   scalar path) and the scalar path with cache-blocked transposes;
 //!   [`Fft2Scratch`] makes hot loops allocation-free via
 //!   [`Fft2::process_with_scratch`].
 //! - [`plan_cache`] — process-wide memoization of 2-D plans keyed on
@@ -41,7 +43,8 @@ mod plan;
 pub mod plan_cache;
 mod radix2;
 pub mod real;
+mod simd;
 
 pub use complex::Complex;
-pub use fft2::{irfft2, rfft2, transpose, transpose_into, Fft2, Fft2Scratch};
+pub use fft2::{irfft2, rfft2, Fft2, Fft2Scratch};
 pub use plan::{Direction, FftPlan};

@@ -1,10 +1,10 @@
 //! FFT plans: precomputed twiddle factors and bit-reversal permutations.
 //!
 //! A [`FftPlan`] is created once for a given length and direction and can be
-//! reused across many transforms (the SQG model performs four transforms per
-//! grid row per Runge-Kutta stage, so amortizing the trigonometric setup
-//! matters). Plans are immutable after construction and therefore `Sync`,
-//! allowing them to be shared across rayon worker threads.
+//! reused across many transforms (an SQG RK4 step runs 20 2-D transforms,
+//! each a 1-D transform per row and per column, so amortizing the
+//! trigonometric setup matters). Plans are immutable after construction and
+//! therefore `Sync`, so one cached plan serves every forecast worker thread.
 
 use crate::complex::Complex;
 use std::sync::Arc;
@@ -49,8 +49,9 @@ pub(crate) struct Radix2Plan {
     /// Per-stage twiddle factors, stage `s` holding `2^s` entries
     /// (`w^0 .. w^(2^s - 1)` for the stage's butterfly half-length `2^s`).
     pub twiddles: Vec<Vec<Complex>>,
-    /// Bit-reversal permutation of `0..n`.
-    pub bitrev: Vec<u32>,
+    /// Bit-reversal permutation of `0..n` as its disjoint swaps `(i, r)`,
+    /// `r` the bit reversal of `i` and `i < r`, in ascending `i`.
+    pub swaps: Vec<(u32, u32)>,
 }
 
 impl Radix2Plan {
@@ -66,14 +67,17 @@ impl Radix2Plan {
                 (0..half).map(|j| Complex::cis(sign * step * j as f64)).collect();
             twiddles.push(tw);
         }
-        let mut bitrev = vec![0u32; n];
+        let mut swaps = Vec::new();
         if stages > 0 {
             let shift = u32::BITS - stages as u32;
-            for (i, r) in bitrev.iter_mut().enumerate() {
-                *r = (i as u32).reverse_bits() >> shift;
+            for i in 0..n as u32 {
+                let r = i.reverse_bits() >> shift;
+                if i < r {
+                    swaps.push((i, r));
+                }
             }
         }
-        Radix2Plan { n, twiddles, bitrev }
+        Radix2Plan { n, twiddles, swaps }
     }
 }
 
@@ -136,6 +140,14 @@ impl FftPlan {
         self.dir
     }
 
+    /// The radix-2 tables, or `None` for a Bluestein plan.
+    pub(crate) fn radix2(&self) -> Option<&Radix2Plan> {
+        match &self.kind {
+            PlanKind::Radix2(p) => Some(p),
+            PlanKind::Bluestein(_) => None,
+        }
+    }
+
     /// Executes the transform in place.
     ///
     /// # Panics
@@ -193,10 +205,16 @@ mod tests {
     #[test]
     fn bitrev_is_an_involution() {
         let p = Radix2Plan::new(16, Direction::Forward);
-        for i in 0..16usize {
-            let r = p.bitrev[i] as usize;
-            assert_eq!(p.bitrev[r] as usize, i);
+        let mut idx: Vec<u32> = (0..16).collect();
+        for &(i, j) in &p.swaps {
+            idx.swap(i as usize, j as usize);
         }
+        let want = [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15];
+        assert_eq!(idx, want);
+        for &(i, j) in &p.swaps {
+            idx.swap(i as usize, j as usize);
+        }
+        assert_eq!(idx, (0..16).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -19,11 +19,8 @@ pub(crate) fn fft_in_place(plan: &Radix2Plan, data: &mut [Complex]) {
     }
 
     // Bit-reversal permutation (swap once per pair).
-    for i in 0..n {
-        let j = plan.bitrev[i] as usize;
-        if j > i {
-            data.swap(i, j);
-        }
+    for &(i, j) in &plan.swaps {
+        data.swap(i as usize, j as usize);
     }
 
     // Butterfly stages. Stage `s` combines blocks of length 2^(s+1) from two

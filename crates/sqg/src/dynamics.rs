@@ -52,8 +52,8 @@ pub fn invert(
 }
 
 /// Scratch reused across tendency evaluations: the inverted streamfunction
-/// (2 grids), the packed advection buffer (1 grid) and the FFT transpose
-/// scratch.
+/// (2 grids), the packed advection buffer (1 grid) and the 2-D FFT scratch
+/// (used only where the transform falls back to its scalar path).
 pub struct TendencyScratch {
     psi: [Vec<Complex>; LEVELS],
     adv: Vec<Complex>,
