@@ -143,11 +143,10 @@ const STD_METHODS: &[&str] = &[
     "eq", "expect", "extend", "extend_from_slice", "fill", "filter", "find", "first", "flat_map",
     "fmt", "fold", "for_each", "from", "get", "get_mut", "get_or_init", "hash", "insert", "into",
     "into_iter", "is_empty", "iter", "iter_mut", "join", "last", "len", "load", "lock", "map",
-    "max", "min", "mul", "neg", "next", "par_chunks", "par_chunks_mut", "par_iter", "par_iter_mut",
-    "pop", "position", "powf", "powi", "product", "push", "push_str", "read", "remove", "replace",
-    "resize", "rev", "skip", "sort", "sort_by", "sort_unstable", "split", "sqrt", "store", "sub",
-    "sum", "swap", "take", "to_owned", "to_string", "to_vec", "truncate", "unwrap", "windows",
-    "write", "zip",
+    "max", "min", "mul", "neg", "next", "pop", "position", "powf", "powi", "product", "push",
+    "push_str", "read", "remove", "replace", "resize", "rev", "skip", "sort", "sort_by",
+    "sort_unstable", "split", "sqrt", "store", "sub", "sum", "swap", "take", "to_owned",
+    "to_string", "to_vec", "truncate", "unwrap", "windows", "write", "zip",
 ];
 
 impl SymbolTable {

@@ -106,7 +106,7 @@ mod tests {
         assert_eq!(kind_of("crates/ensf/tests/prop.rs"), (FileKind::Test, true));
         assert_eq!(kind_of("crates/telemetry/src/span.rs"), (FileKind::Library, false));
         assert_eq!(kind_of("crates/bench/src/bin/fig10.rs"), (FileKind::Bin, false));
-        assert_eq!(kind_of("crates/shims/rayon/src/lib.rs"), (FileKind::Library, false));
+        assert_eq!(kind_of("crates/shims/rand/src/lib.rs"), (FileKind::Library, false));
         assert_eq!(kind_of("examples/quickstart.rs"), (FileKind::Example, false));
         assert_eq!(kind_of("src/lib.rs"), (FileKind::Library, false));
         assert_eq!(kind_of("tests/chaos.rs"), (FileKind::Test, false));

@@ -177,10 +177,7 @@ impl Ensf {
         // function of its global index alone, so the layout is purely a
         // load-balancing choice.
         let members = forecast.members();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, members.max(1));
+        let workers = par::cores().clamp(1, members.max(1));
         let plan = crate::parallel::RankPlan::new(members, workers);
         let analysis = crate::parallel::analyze_partitioned(
             &self.config,

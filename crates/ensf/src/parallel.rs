@@ -25,7 +25,6 @@ use crate::obs::ObsOperator;
 use crate::score::ScoreEstimator;
 use crate::sde::{reverse_sde_assimilate, time_grid};
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 use stats::gaussian::fill_standard_normal;
 use stats::rng::{member_rng, seeded, split_seed};
 use stats::Ensemble;
@@ -274,8 +273,10 @@ pub fn analyze_partitioned(
         "plan does not cover the ensemble"
     );
     let prepared = BlockAnalysis::prepare(config, cycle, forecast, y, obs);
-    let blocks: Vec<Vec<f64>> =
-        plan.blocks.par_iter().map(|&(start, end)| prepared.run_block(start..end)).collect();
+    let blocks = par::map(plan.blocks.len(), |b| {
+        let (start, end) = plan.blocks[b];
+        prepared.run_block(start..end)
+    });
 
     let mut analysis = Ensemble::zeros(members, dim);
     for (&(start, end), block) in plan.blocks.iter().zip(&blocks) {

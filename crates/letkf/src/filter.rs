@@ -9,7 +9,6 @@ use crate::inflation::rtps;
 use crate::localization::{gaspari_cohn, GridGeometry};
 use crate::solver::{apply_transform, solve_local, LocalTransform};
 use linalg::Matrix;
-use rayon::prelude::*;
 use stats::Ensemble;
 
 /// A point observation of one state variable.
@@ -95,42 +94,39 @@ impl Letkf {
 
         // Per-grid-point local solves, parallel over state variables.
         let mut analysis = Ensemble::zeros(members, dim);
-        let columns: Vec<Vec<f64>> = (0..dim)
-            .into_par_iter()
-            .map(|g| {
-                // Gather local observations.
-                let mut rows: Vec<&[f64]> = Vec::new();
-                let mut innov = Vec::new();
-                let mut inv_r = Vec::new();
-                for (j, o) in obs.iter().enumerate() {
-                    let d = self.geometry.distance(g, o.state_index);
-                    if d >= cutoff {
-                        continue;
-                    }
-                    let rho = gaspari_cohn(d / half);
-                    if rho <= 0.0 {
-                        continue;
-                    }
-                    rows.push(&yb_anom[j]);
-                    innov.push(innov_all[j]);
-                    inv_r.push(rho / (o.sigma * o.sigma));
+        let columns: Vec<Vec<f64>> = par::map(dim, |g| {
+            // Gather local observations.
+            let mut rows: Vec<&[f64]> = Vec::new();
+            let mut innov = Vec::new();
+            let mut inv_r = Vec::new();
+            for (j, o) in obs.iter().enumerate() {
+                let d = self.geometry.distance(g, o.state_index);
+                if d >= cutoff {
+                    continue;
                 }
+                let rho = gaspari_cohn(d / half);
+                if rho <= 0.0 {
+                    continue;
+                }
+                rows.push(&yb_anom[j]);
+                innov.push(innov_all[j]);
+                inv_r.push(rho / (o.sigma * o.sigma));
+            }
 
-                let x: Vec<f64> = (0..members).map(|m| forecast.member(m)[g]).collect();
-                if rows.is_empty() {
-                    return x; // no information: analysis = forecast
-                }
-                let p = rows.len();
-                telemetry::counter_add("letkf.local_solves", 1);
-                telemetry::histogram_record("letkf.local_obs", p as f64);
-                let mut yb = Matrix::zeros(p, members);
-                for (r, row) in rows.iter().enumerate() {
-                    yb.row_mut(r).copy_from_slice(row);
-                }
-                let t: LocalTransform = solve_local(&yb, &innov, &inv_r);
-                apply_transform(&x, &t)
-            })
-            .collect();
+            let x: Vec<f64> = (0..members).map(|m| forecast.member(m)[g]).collect();
+            if rows.is_empty() {
+                return x; // no information: analysis = forecast
+            }
+            let p = rows.len();
+            telemetry::counter_add("letkf.local_solves", 1);
+            telemetry::histogram_record("letkf.local_obs", p as f64);
+            let mut yb = Matrix::zeros(p, members);
+            for (r, row) in rows.iter().enumerate() {
+                yb.row_mut(r).copy_from_slice(row);
+            }
+            let t: LocalTransform = solve_local(&yb, &innov, &inv_r);
+            apply_transform(&x, &t)
+        });
 
         for (g, col) in columns.into_iter().enumerate() {
             for (m, v) in col.into_iter().enumerate() {

@@ -4,7 +4,7 @@
 //! implemented as deployed operationally (e.g. in KENDA):
 //!
 //! - per-grid-point local analyses in ensemble space (embarrassingly
-//!   parallel — rayon over state variables here, MPI ranks on a real HPC),
+//!   parallel — `par::map` over state variables here, MPI ranks on a real HPC),
 //! - Gaspari–Cohn **R-localization** with the horizontal/vertical extents
 //!   coupled through the Rossby radius of deformation,
 //! - **RTPS** (relaxation to prior spread) inflation, tuned to 0.3 in the

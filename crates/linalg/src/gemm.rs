@@ -5,9 +5,10 @@
 //! microkernels (see [`crate::simd`]) with the portable scalar loop nests
 //! below as fallback and executable specification. The scalar path is a
 //! cache-blocked i-k-j loop nest with the `k`-panel of `B` kept hot in
-//! L1/L2; rows of `C` are parallelized with rayon above a size threshold.
-//! The same kernel family backs the ViT crate's f32 tensors (it has its own
-//! copy specialized to f32); here everything is f64 for the DA math.
+//! L1/L2. No kernel here spawns threads: their callers already run inside
+//! a parallel block (an analysis block, a rank thread). The same kernel
+//! family backs the ViT crate's f32 tensors (it has its own copy
+//! specialized to f32); here everything is f64 for the DA math.
 //!
 //! Whatever the dispatched level, every output element is a fixed-order
 //! accumulation independent of row grouping and tile shape, so results are
@@ -17,10 +18,6 @@
 
 use crate::matrix::Matrix;
 use crate::simd;
-use rayon::prelude::*;
-
-/// Minimum `rows * cols * inner` product before the parallel path engages.
-const PAR_FLOPS_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Cache block edge for the k dimension.
 const KC: usize = 256;
@@ -129,12 +126,8 @@ pub fn matmul_slices_affine_into(
 /// Portable scalar body of [`matmul_slices_into`].
 fn matmul_slices_scalar(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, c: &mut [f64]) {
     c.fill(0.0);
-
-    let a_buf = a;
-    let b_buf = b;
-
-    let kernel = |row_idx: usize, c_row: &mut [f64]| {
-        let a_row = &a_buf[row_idx * k..(row_idx + 1) * k];
+    for i in 0..m {
+        let (a_row, c_row) = (&a[i * k..(i + 1) * k], &mut c[i * n..(i + 1) * n]);
         // Blocked over (k, j): each (kk, jj) panel of B is streamed once per
         // row while the accumulators stay in the C row.
         for kk in (0..k).step_by(KC) {
@@ -146,22 +139,12 @@ fn matmul_slices_scalar(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, c: &
                     if aval == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
                         continue;
                     }
-                    let b_row = &b_buf[p * n..p * n + n];
+                    let b_row = &b[p * n..p * n + n];
                     for j in jj..j_end {
                         c_row[j] += aval * b_row[j];
                     }
                 }
             }
-        }
-    };
-
-    if m * n * k >= PAR_FLOPS_THRESHOLD {
-        c.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| kernel(i, row));
-    } else {
-        for (i, row) in c.chunks_mut(n).enumerate() {
-            kernel(i, row);
         }
     }
 }
@@ -431,7 +414,7 @@ mod tests {
 
     #[test]
     fn matmul_matches_naive_blocked_sizes() {
-        // Cross the KC/JC block boundaries and the parallel threshold.
+        // Cross the KC/JC block boundaries.
         let a = test_matrix(70, 300, 0.19);
         let b = test_matrix(300, 150, 0.41);
         let got = matmul(&a, &b);

@@ -1,10 +1,10 @@
 //! # linalg — dense linear-algebra substrate
 //!
-//! Small, dependency-free (rayon only) dense `f64` kernels sized for the
+//! Small, dependency-free (telemetry only) dense `f64` kernels sized for the
 //! data-assimilation workloads in this workspace:
 //!
 //! - [`Matrix`] — row-major dense matrix with the layout as a public contract.
-//! - [`gemm`] — blocked, rayon-parallel matrix products and matrix-vector
+//! - [`gemm`] — blocked, SIMD-dispatched matrix products and matrix-vector
 //!   kernels (plus transpose-free `AᵀB` / `ABᵀ` variants the LETKF uses).
 //! - [`Cholesky`] — SPD factorization for covariance sampling and solves.
 //! - [`Lu`] — general solver / determinant / inverse with partial pivoting.

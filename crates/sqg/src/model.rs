@@ -6,9 +6,10 @@ use crate::params::SqgParams;
 use crate::state::{self, SqgState, LEVELS};
 use fft::Complex;
 
-/// The SQG forecast model: owns the stepper's shared tables and the calling
-/// thread's workspace, and advances grid-space state vectors, which is the
-/// representation the DA filters exchange.
+/// The SQG forecast model: owns the stepper's shared tables and the
+/// workspace of its one-state calls ([`SqgModel::forecast`],
+/// [`SqgModel::step_spectral`]), and advances grid-space state vectors,
+/// which is the representation the DA filters exchange.
 pub struct SqgModel {
     stepper: Stepper,
     workspace: MemberWorkspace,
@@ -80,47 +81,25 @@ impl SqgModel {
     /// Advances every member of a member-major batch (`members.len()` a
     /// multiple of `2 n²`) by `steps` model steps, members in parallel.
     ///
-    /// Each of `min(available cores, members)` workers takes a contiguous
-    /// block of members; the calling thread is the first worker. A member's
-    /// forecast is a pure function of its state, so the result is bitwise
-    /// that of calling [`SqgModel::forecast`] member by member, whatever the
-    /// core count.
-    pub fn forecast_batch(&mut self, members: &mut [f64], steps: usize) {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        self.forecast_batch_on(members, steps, cores);
-    }
-
-    /// [`SqgModel::forecast_batch`] on at most `workers` workers (the tests
-    /// vary the count; callers derive it from the machine).
-    pub(crate) fn forecast_batch_on(&mut self, members: &mut [f64], steps: usize, workers: usize) {
+    /// [`par::for_each_block`] gives each worker a contiguous block of
+    /// members, and each block forecasts them in a workspace it builds on its
+    /// own thread and drops with the call: resident while members are
+    /// forecast, gone before the analysis allocates (which sets the process's
+    /// peak RSS). A member's forecast is a pure function of its state, so the
+    /// result is bitwise that of calling [`SqgModel::forecast`] member by
+    /// member, whatever the core count.
+    ///
+    /// # Panics
+    /// Panics if `members.len()` is not a multiple of `2 n²`.
+    pub fn forecast_batch(&self, members: &mut [f64], steps: usize) {
         let dim = self.state_dim();
         assert_eq!(members.len() % dim, 0, "batch must hold whole 2 n^2 members");
-        let count = members.len() / dim;
-        if count == 0 {
-            return;
-        }
-        let per_worker = count.div_ceil(workers.clamp(1, count));
         let stepper = &self.stepper;
-        let run = |block: &mut [f64], ws: &mut MemberWorkspace| {
+        par::for_each_block(members, dim, |_, block| {
+            let mut ws = MemberWorkspace::new(stepper.params.n);
             for member in block.chunks_mut(dim) {
-                forecast_member(stepper, ws, member, steps);
+                forecast_member(stepper, &mut ws, member, steps);
             }
-        };
-        let path = telemetry::span_path();
-        std::thread::scope(|scope| {
-            let (first, rest) = members.split_at_mut(per_worker * dim);
-            for block in rest.chunks_mut(per_worker * dim) {
-                let (run, path) = (&run, &path);
-                // A spawned worker builds its workspace on its own thread and
-                // drops it with the call: resident while members are
-                // forecast, gone before the analysis allocates (which sets
-                // the process's peak RSS).
-                scope.spawn(move || {
-                    let _path = path.adopt();
-                    run(block, &mut MemberWorkspace::new(stepper.params.n));
-                });
-            }
-            run(first, &mut self.workspace);
         });
     }
 
@@ -193,8 +172,11 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The batch at this machine's core count. That the result does not
+    /// depend on the block layout at all is `par`'s half: every piece is
+    /// visited once with its global index at any worker count.
     #[test]
-    fn batch_forecast_is_bitwise_the_member_loop_for_any_worker_count() {
+    fn batch_forecast_is_bitwise_the_member_loop_at_this_core_count() {
         let p = SqgParams { n: 16, ..Default::default() };
         let dim = p.state_dim();
         for members in [1, 2, 3, 20] {
@@ -204,14 +186,9 @@ mod tests {
             for member in want.chunks_mut(dim) {
                 serial.forecast(member, 6);
             }
-            for workers in [1, 2, 3, 7] {
-                let mut got = ic.clone();
-                SqgModel::new(p.clone()).forecast_batch_on(&mut got, 6, workers);
-                assert_eq!(bits(&got), bits(&want), "{members} members on {workers} workers");
-            }
             let mut got = ic;
             SqgModel::new(p.clone()).forecast_batch(&mut got, 6);
-            assert_eq!(bits(&got), bits(&want), "{members} members on the derived worker count");
+            assert_eq!(bits(&got), bits(&want), "{members} members");
         }
     }
 
@@ -221,18 +198,20 @@ mod tests {
         let (first, second) = (batch(5), batch(3));
         let mut reused = SqgModel::new(p.clone());
         let (mut a, mut b) = (first.clone(), second.clone());
-        reused.forecast_batch_on(&mut a, 4, 3);
-        reused.forecast_batch_on(&mut b, 4, 2);
+        reused.forecast_batch(&mut a, 4);
+        reused.forecast(&mut b[..p.state_dim()], 4);
+        reused.forecast_batch(&mut b, 4);
         let (mut a_fresh, mut b_fresh) = (first, second);
-        SqgModel::new(p.clone()).forecast_batch_on(&mut a_fresh, 4, 3);
-        SqgModel::new(p).forecast_batch_on(&mut b_fresh, 4, 2);
+        SqgModel::new(p.clone()).forecast_batch(&mut a_fresh, 4);
+        SqgModel::new(p.clone()).forecast(&mut b_fresh[..p.state_dim()], 4);
+        SqgModel::new(p).forecast_batch(&mut b_fresh, 4);
         assert_eq!(bits(&a), bits(&a_fresh));
         assert_eq!(bits(&b), bits(&b_fresh));
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let mut m = SqgModel::new(SqgParams { n: 16, ..Default::default() });
+        let m = SqgModel::new(SqgParams { n: 16, ..Default::default() });
         m.forecast_batch(&mut [], 3);
     }
 

@@ -57,8 +57,8 @@ impl Ensemble {
         self.data.chunks(self.dim)
     }
 
-    /// Mutable iterator over members (for parallel forecast loops, pair with
-    /// `par_chunks_mut` on [`Ensemble::as_mut_slice`]).
+    /// Mutable iterator over members (a parallel member loop takes
+    /// [`Ensemble::as_mut_slice`] in `dim`-long pieces instead).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
         self.data.chunks_mut(self.dim)
     }

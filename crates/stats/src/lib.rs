@@ -3,7 +3,7 @@
 //! Shared statistical machinery for the DA framework:
 //!
 //! - [`rng`] — explicit seeding and per-member stream splitting, so whole
-//!   OSSE experiments are bit-reproducible even under rayon parallelism.
+//!   OSSE experiments are bit-reproducible even when members run in parallel.
 //! - [`gaussian`] — Box–Muller standard normals and Cholesky-colored
 //!   multivariate sampling (no external distribution crates).
 //! - [`Ensemble`] — member-major ensemble container with mean/variance/

@@ -2,7 +2,7 @@
 //!
 //! Long OSSE runs record RMSE/spread series over thousands of cycles; the
 //! Welford accumulator lets the harness track means and variances without
-//! storing the series, and merges across rayon workers.
+//! storing the series, and merges across parallel workers.
 
 /// Numerically stable running mean/variance (Welford), mergeable.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

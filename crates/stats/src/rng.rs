@@ -16,7 +16,7 @@ pub fn seeded(seed: u64) -> StdRng {
 
 /// Derives a child seed from `(seed, stream)` with good avalanche behaviour
 /// (splitmix64 finalizer). Distinct `(seed, stream)` pairs give decorrelated
-/// streams; the mapping is pure, so rayon-parallel member loops can derive
+/// streams; the mapping is pure, so parallel member loops can derive
 /// their own RNGs without any shared mutable state.
 pub fn split_seed(seed: u64, stream: u64) -> u64 {
     let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);

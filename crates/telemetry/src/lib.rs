@@ -18,7 +18,7 @@
 //! * [`span!`] — RAII wall-clock timer; nested spans build dotted paths like
 //!   `osse.cycle.analysis`.
 //! * [`counter_add`] / [`gauge_set`] / [`histogram_record`] — named
-//!   metrics with sharded, rayon-safe aggregation.
+//!   metrics with sharded, thread-safe aggregation.
 //! * [`CycleRecord`] + [`record_cycle`] — structured per-cycle DA
 //!   diagnostics (RMSE, spread, per-phase timings, innovation statistics)
 //!   serializable to JSONL.

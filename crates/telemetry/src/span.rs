@@ -6,7 +6,7 @@
 //! `"osse.cycle"` is active records under `"osse.cycle.analysis"`.
 //!
 //! The registry is sharded (path-hash → shard) so concurrent spans from
-//! rayon workers rarely contend on the same lock.
+//! parallel workers rarely contend on the same lock.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;

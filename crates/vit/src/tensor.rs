@@ -5,8 +5,6 @@
 //! stored as `rows = B·T`, `cols = D`). f32 mirrors the mixed-precision
 //! arithmetic of the GPU training the paper profiles.
 
-use rayon::prelude::*;
-
 /// Dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
@@ -20,6 +18,17 @@ pub struct Tensor {
 
 /// Parallelize GEMMs above this many multiply-adds.
 const PAR_FLOPS: usize = 32 * 32 * 32;
+
+/// Runs a GEMM's row kernel `f(first_row, rows)` over the `n`-wide rows of
+/// `out`: in row blocks on [`par::for_each_block`] when the product has at
+/// least [`PAR_FLOPS`] multiply-adds, in one call otherwise.
+fn run_rows(out: &mut [f32], flops: usize, n: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
+    if flops >= PAR_FLOPS {
+        par::for_each_block(out, n, f);
+    } else {
+        f(0, out);
+    }
+}
 
 impl Tensor {
     /// Zero tensor.
@@ -58,30 +67,25 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` (`[m,k]·[k,n] → [m,n]`), rayon-parallel over rows.
+    /// `self · other` (`[m,k]·[k,n] → [m,n]`), parallel over row blocks.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Tensor::zeros(m, n);
-        let kernel = |i: usize, row_out: &mut [f32]| {
-            let a_row = self.row(i);
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in row_out.iter_mut().zip(b_row) {
-                    *o += a * b;
+        let kernel = |first: usize, rows: &mut [f32]| {
+            for (i, row_out) in (first..).zip(rows.chunks_mut(n)) {
+                for (p, &a) in self.row(i).iter().enumerate() {
+                    if a == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
+                        continue;
+                    }
+                    let b_row = &other.data[p * n..(p + 1) * n];
+                    for (o, &b) in row_out.iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
                 }
             }
         };
-        if m * k * n >= PAR_FLOPS {
-            out.data.par_chunks_mut(n).enumerate().for_each(|(i, r)| kernel(i, r));
-        } else {
-            for (i, r) in out.data.chunks_mut(n).enumerate() {
-                kernel(i, r);
-            }
-        }
+        run_rows(&mut out.data, m * k * n, n, kernel);
         out
     }
 
@@ -91,24 +95,19 @@ impl Tensor {
         assert_eq!(self.cols, other.cols, "matmul_bt inner dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Tensor::zeros(m, n);
-        let kernel = |i: usize, row_out: &mut [f32]| {
-            let a_row = self.row(i);
-            for (j, o) in row_out.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for (x, y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
+        let kernel = |first: usize, rows: &mut [f32]| {
+            for (i, row_out) in (first..).zip(rows.chunks_mut(n)) {
+                let a_row = self.row(i);
+                for (j, o) in row_out.iter_mut().enumerate() {
+                    let mut acc = 0.0f32;
+                    for (x, y) in a_row.iter().zip(other.row(j)) {
+                        acc += x * y;
+                    }
+                    *o = acc;
                 }
-                *o = acc;
             }
         };
-        if m * k * n >= PAR_FLOPS {
-            out.data.par_chunks_mut(n).enumerate().for_each(|(i, r)| kernel(i, r));
-        } else {
-            for (i, r) in out.data.chunks_mut(n).enumerate() {
-                kernel(i, r);
-            }
-        }
+        run_rows(&mut out.data, m * k * n, n, kernel);
         out
     }
 
