@@ -9,7 +9,7 @@
 //!
 //! 1. squared distances via the norm expansion
 //!    `‖z_i − α x_j‖² = ‖z_i‖² − 2α ⟨z_i, x_j⟩ + α² ‖x_j‖²`, with the Gram
-//!    block `Z Xᵀ` computed by [`linalg::gemm::matmul_abt_into`]'s 4x4
+//!    block `Z Xᵀ` computed by [`linalg::gemm::matmul_abt_into`]'s
 //!    register-tiled kernel and the member norms `‖x_j‖²` hoisted out of
 //!    the SDE loop entirely (computed once per analysis);
 //! 2. a row-wise log-sum-exp softmax into weights `W` (P×M);
@@ -17,10 +17,12 @@
 //!    plus one fused [`linalg::vector::scale_add`] pass.
 //!
 //! All reductions are fixed-order and per-output-element independent
-//! (single `k`-ascending chains), so the kernel is bitwise deterministic
-//! and invariant to how particles are partitioned into blocks — the same
-//! contract the reference path guarantees, which keeps
-//! [`crate::parallel::analyze_partitioned`]'s bitwise identity and the
+//! (`linalg::simd`'s specification: 8 FMA chains and a fixed tree for the
+//! Gram block and norms, one ascending FMA chain per element for the
+//! recombination), with the same bits at every SIMD level, so the kernel is
+//! bitwise deterministic and invariant to how particles are partitioned
+//! into blocks — the same contract the reference path guarantees, which
+//! keeps [`crate::parallel::analyze_partitioned`]'s bitwise identity and the
 //! resilience layer's bit-identical checkpoint resume intact. Per-particle
 //! RNG streams are drawn in exactly the reference order (initial `N(0, I)`
 //! fill, then one normal per component per non-final step), so reference

@@ -1,28 +1,19 @@
 //! Matrix multiplication kernels.
 //!
-//! The hot entry points ([`matmul_slices_into`], [`matmul_abt_into`],
-//! [`row_sq_norms`]) dispatch at runtime onto AVX-512 / AVX2+FMA
-//! microkernels (see [`crate::simd`]) with the portable scalar loop nests
-//! below as fallback and executable specification. The scalar path is a
-//! cache-blocked i-k-j loop nest with the `k`-panel of `B` kept hot in
-//! L1/L2. No kernel here spawns threads: their callers already run inside
-//! a parallel block (an analysis block, a rank thread). The same kernel
-//! family backs the ViT crate's f32 tensors (it has its own copy
-//! specialized to f32); here everything is f64 for the DA math.
-//!
-//! Whatever the dispatched level, every output element is a fixed-order
-//! accumulation independent of row grouping and tile shape, so results are
-//! run-to-run deterministic and partition-invariant within a process (the
-//! EnSF rank-decomposition contract). Bits differ *across* SIMD levels —
-//! nothing downstream assumes cross-machine bitwise equality.
+//! The hot entry points ([`matmul_slices_into`],
+//! [`matmul_slices_affine_into`], [`matmul_abt_into`], [`row_sq_norms`]) run
+//! on the widest SIMD tier the CPU has, and every tier computes the portable
+//! scalar body's bits (see [`crate::simd`]). Every output element is a
+//! fixed-order accumulation independent of row grouping, tile shape and
+//! SIMD level, so results are run-to-run deterministic, partition-invariant
+//! (the EnSF rank-decomposition contract) and the same on every CPU. No
+//! kernel here spawns threads: their callers already run inside a parallel
+//! block (an analysis block, a rank thread). The same kernel family backs
+//! the ViT crate's f32 tensors (it has its own copy specialized to f32);
+//! here everything is f64 for the DA math.
 
 use crate::matrix::Matrix;
 use crate::simd;
-
-/// Cache block edge for the k dimension.
-const KC: usize = 256;
-/// Cache block edge for the j dimension.
-const JC: usize = 128;
 
 /// `C = A * B`.
 ///
@@ -49,39 +40,23 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// `C = A * B` on raw row-major slices: `a` is `m x k`, `b` is `k x n`,
 /// `c` (overwritten) is `m x n`.
 ///
-/// Every output element is accumulated as one `k`-ascending chain (FMA-fused
-/// on the SIMD levels), so the result depends only on `(a, b)` — never on
-/// how rows are grouped into parallel tasks or register tiles. This is the
-/// determinism contract the EnSF batched kernel builds on. Zero
-/// coefficients in `a` contribute exactly nothing for finite `b` (the
-/// kernels skip them where profitable — e.g. a peaked softmax weight
-/// matrix costs one row pass, not `k`).
+/// Every output element is one ascending-`p` FMA chain that skips exact-zero
+/// coefficients, so the result depends only on `(a, b)` — never on how rows
+/// are grouped into parallel tasks or register tiles, nor on the SIMD level.
+/// This is the determinism contract the EnSF batched kernel builds on. The
+/// skip makes a peaked softmax weight matrix cost one row pass, not `k`.
 pub fn matmul_slices_into(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "matmul_slices_into: a shape mismatch");
     assert_eq!(b.len(), k * n, "matmul_slices_into: b shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_slices_into: c shape mismatch");
     telemetry::counter_add("linalg.gemm.flops", (2 * m * n * k) as u64);
-    #[cfg(target_arch = "x86_64")]
-    match simd::level() {
-        simd::Level::Avx512 => {
-            // SAFETY: level() only reports instruction sets the CPU
-            // supports, and the shape asserts above establish the kernel's
-            // slice-length contract.
-            return unsafe { simd::avx512::matmul_slices(a, b, m, k, n, c, None) };
-        }
-        simd::Level::Avx2 => {
-            // SAFETY: as above for the AVX2+FMA tier.
-            return unsafe { simd::avx2::matmul_slices(a, b, m, k, n, c, None) };
-        }
-        simd::Level::Scalar => {}
-    }
-    matmul_slices_scalar(a, b, m, k, n, c);
+    simd::dispatch!(matmul_slices(a, b, m, k, n, c, None));
 }
 
 /// `C = ca·(A·B) + cb·Z` — [`matmul_slices_into`] with the affine epilogue
 /// of [`crate::vector::scale_add`] fused into the store, saving one full
-/// read+write pass over `C`. Per-element arithmetic is identical to running
-/// the two calls back to back at the same SIMD level, so fused and unfused
+/// read+write pass over `C`. Each element is `fma(ca, acc, cb·z)`, the
+/// arithmetic of running the two calls back to back, so fused and unfused
 /// results agree bit for bit; the determinism/partition-invariance contract
 /// of [`matmul_slices_into`] carries over unchanged (the epilogue is
 /// elementwise).
@@ -105,48 +80,7 @@ pub fn matmul_slices_affine_into(
     assert_eq!(z.len(), m * n, "matmul_slices_affine_into: z shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_slices_affine_into: c shape mismatch");
     telemetry::counter_add("linalg.gemm.flops", (2 * m * n * k) as u64);
-    #[cfg(target_arch = "x86_64")]
-    match simd::level() {
-        simd::Level::Avx512 => {
-            // SAFETY: level() only reports instruction sets the CPU
-            // supports, and the shape asserts above establish the kernel's
-            // slice-length contract (including `z`).
-            return unsafe { simd::avx512::matmul_slices(a, b, m, k, n, c, Some((z, ca, cb))) };
-        }
-        simd::Level::Avx2 => {
-            // SAFETY: as above for the AVX2+FMA tier.
-            return unsafe { simd::avx2::matmul_slices(a, b, m, k, n, c, Some((z, ca, cb))) };
-        }
-        simd::Level::Scalar => {}
-    }
-    matmul_slices_scalar(a, b, m, k, n, c);
-    crate::vector::scale_add(c, ca, z, cb);
-}
-
-/// Portable scalar body of [`matmul_slices_into`].
-fn matmul_slices_scalar(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, c: &mut [f64]) {
-    c.fill(0.0);
-    for i in 0..m {
-        let (a_row, c_row) = (&a[i * k..(i + 1) * k], &mut c[i * n..(i + 1) * n]);
-        // Blocked over (k, j): each (kk, jj) panel of B is streamed once per
-        // row while the accumulators stay in the C row.
-        for kk in (0..k).step_by(KC) {
-            let k_end = (kk + KC).min(k);
-            for jj in (0..n).step_by(JC) {
-                let j_end = (jj + JC).min(n);
-                for p in kk..k_end {
-                    let aval = a_row[p];
-                    if aval == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                        continue;
-                    }
-                    let b_row = &b[p * n..p * n + n];
-                    for j in jj..j_end {
-                        c_row[j] += aval * b_row[j];
-                    }
-                }
-            }
-        }
-    }
+    simd::dispatch!(matmul_slices(a, b, m, k, n, c, Some((z, ca, cb))));
 }
 
 /// `A^T * B` without materializing the transpose.
@@ -188,144 +122,34 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
 /// (so both operands stream along contiguous rows), `c` (overwritten) is
 /// `m x n`.
 ///
-/// The hot path is a 4x4 register tile: 16 independent accumulator chains
-/// keep the FP units saturated where a single running dot product would be
-/// latency-bound. Each `c[i][j]` is a fixed-order reduction — a single
-/// `k`-ascending chain on the scalar level, a fixed lane-split FMA chain
-/// with a fixed pairwise combine on the SIMD levels — and full tiles and
-/// edge tiles apply the identical per-element operation sequence, so the
-/// output is bitwise independent of how the rows of `a` are grouped or
-/// partitioned. The EnSF analysis relies on this for its rank-decomposition
-/// bitwise-identity contract.
+/// Each `c[i][j]` is the fixed-order reduction of [`crate::simd`]: 8 FMA
+/// chains over ascending `k`, a fixed pairwise tree, then the remainder. The
+/// SIMD tiers run it in register tiles of independent chains, which keep the
+/// FP units saturated where a single running dot product would be
+/// latency-bound; full and edge tiles apply the identical per-element
+/// operation sequence, so the output is bitwise independent of how the rows
+/// of `a` are grouped or partitioned and of the SIMD level. The EnSF
+/// analysis relies on this for its rank-decomposition bitwise-identity
+/// contract.
 pub fn matmul_abt_into(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "matmul_abt_into: a shape mismatch");
     assert_eq!(b.len(), n * k, "matmul_abt_into: b shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_abt_into: c shape mismatch");
     telemetry::counter_add("linalg.gemm.flops", (2 * m * n * k) as u64);
-    #[cfg(target_arch = "x86_64")]
-    match simd::level() {
-        simd::Level::Avx512 => {
-            // SAFETY: level() only reports instruction sets the CPU
-            // supports, and the shape asserts above establish the kernel's
-            // slice-length contract.
-            return unsafe { simd::avx512::matmul_abt(a, b, m, n, k, c) };
-        }
-        simd::Level::Avx2 => {
-            // SAFETY: as above for the AVX2+FMA tier.
-            return unsafe { simd::avx2::matmul_abt(a, b, m, n, k, c) };
-        }
-        simd::Level::Scalar => {}
-    }
-    matmul_abt_scalar(a, b, m, n, k, c);
-}
-
-/// Portable scalar body of [`matmul_abt_into`].
-fn matmul_abt_scalar(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
-    const T: usize = 4;
-    let mut i0 = 0;
-    while i0 < m {
-        let ih = T.min(m - i0);
-        let mut j0 = 0;
-        while j0 < n {
-            let jh = T.min(n - j0);
-            if ih == T && jh == T {
-                let a0 = &a[i0 * k..(i0 + 1) * k];
-                let a1 = &a[(i0 + 1) * k..(i0 + 2) * k];
-                let a2 = &a[(i0 + 2) * k..(i0 + 3) * k];
-                let a3 = &a[(i0 + 3) * k..(i0 + 4) * k];
-                let b0 = &b[j0 * k..(j0 + 1) * k];
-                let b1 = &b[(j0 + 1) * k..(j0 + 2) * k];
-                let b2 = &b[(j0 + 2) * k..(j0 + 3) * k];
-                let b3 = &b[(j0 + 3) * k..(j0 + 4) * k];
-                let (mut c00, mut c01, mut c02, mut c03) = (0.0f64, 0.0, 0.0, 0.0);
-                let (mut c10, mut c11, mut c12, mut c13) = (0.0f64, 0.0, 0.0, 0.0);
-                let (mut c20, mut c21, mut c22, mut c23) = (0.0f64, 0.0, 0.0, 0.0);
-                let (mut c30, mut c31, mut c32, mut c33) = (0.0f64, 0.0, 0.0, 0.0);
-                for p in 0..k {
-                    let (av0, av1, av2, av3) = (a0[p], a1[p], a2[p], a3[p]);
-                    let (bv0, bv1, bv2, bv3) = (b0[p], b1[p], b2[p], b3[p]);
-                    c00 += av0 * bv0;
-                    c01 += av0 * bv1;
-                    c02 += av0 * bv2;
-                    c03 += av0 * bv3;
-                    c10 += av1 * bv0;
-                    c11 += av1 * bv1;
-                    c12 += av1 * bv2;
-                    c13 += av1 * bv3;
-                    c20 += av2 * bv0;
-                    c21 += av2 * bv1;
-                    c22 += av2 * bv2;
-                    c23 += av2 * bv3;
-                    c30 += av3 * bv0;
-                    c31 += av3 * bv1;
-                    c32 += av3 * bv2;
-                    c33 += av3 * bv3;
-                }
-                let tile = [
-                    [c00, c01, c02, c03],
-                    [c10, c11, c12, c13],
-                    [c20, c21, c22, c23],
-                    [c30, c31, c32, c33],
-                ];
-                for (di, row) in tile.iter().enumerate() {
-                    c[(i0 + di) * n + j0..(i0 + di) * n + j0 + T].copy_from_slice(row);
-                }
-            } else {
-                // Edge tile: same per-element k-ascending chain as the full
-                // tile, so values are identical whichever tile an element
-                // lands in.
-                for di in 0..ih {
-                    let ar = &a[(i0 + di) * k..(i0 + di + 1) * k];
-                    for dj in 0..jh {
-                        let br = &b[(j0 + dj) * k..(j0 + dj + 1) * k];
-                        let mut acc = 0.0f64;
-                        for p in 0..k {
-                            acc += ar[p] * br[p];
-                        }
-                        c[(i0 + di) * n + j0 + dj] = acc;
-                    }
-                }
-            }
-            j0 += T;
-        }
-        i0 += T;
-    }
+    simd::dispatch!(matmul_abt(a, b, m, n, k, c));
 }
 
 /// Squared Euclidean norm of each row of a row-major `rows x cols` matrix.
 ///
 /// Each norm is the same fixed-order reduction as the [`matmul_abt_into`]
 /// per-element kernel (applied to the row with itself), keeping the EnSF
-/// distance expansion deterministic and partition-invariant at every SIMD
-/// level.
+/// distance expansion deterministic and partition-invariant, with the same
+/// bits at every SIMD level.
 pub fn row_sq_norms(a: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
     assert_eq!(a.len(), rows * cols, "row_sq_norms: input shape mismatch");
     assert_eq!(out.len(), rows, "row_sq_norms: output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match simd::level() {
-        simd::Level::Avx512 => {
-            for (o, row) in out.iter_mut().zip(a.chunks_exact(cols)) {
-                // SAFETY: level() only reports instruction sets the CPU
-                // supports; both operands are the same in-bounds row.
-                *o = unsafe { simd::avx512::dot(row, row) };
-            }
-            return;
-        }
-        simd::Level::Avx2 => {
-            for (o, row) in out.iter_mut().zip(a.chunks_exact(cols)) {
-                // SAFETY: as above for the AVX2+FMA tier.
-                *o = unsafe { simd::avx2::dot(row, row) };
-            }
-            return;
-        }
-        simd::Level::Scalar => {}
-    }
     for (o, row) in out.iter_mut().zip(a.chunks_exact(cols)) {
-        let mut acc = 0.0f64;
-        for &x in row {
-            acc += x * x;
-        }
-        *o = acc;
+        *o = simd::dispatch!(dot(row, row));
     }
 }
 
@@ -414,7 +238,7 @@ mod tests {
 
     #[test]
     fn matmul_matches_naive_blocked_sizes() {
-        // Cross the KC/JC block boundaries.
+        // Long `p` chains, many 8-column panels and ragged column tails.
         let a = test_matrix(70, 300, 0.19);
         let b = test_matrix(300, 150, 0.41);
         let got = matmul(&a, &b);

@@ -1,77 +1,176 @@
 //! Runtime SIMD dispatch for the GEMM-family kernels.
 //!
 //! The hot EnSF kernels ([`crate::gemm::matmul_abt_into`],
-//! [`crate::gemm::matmul_slices_into`], [`crate::gemm::row_sq_norms`],
-//! [`crate::vector::scale_add`]) dispatch once per call on the detected
-//! [`Level`]; the widest supported instruction set wins. The scalar bodies
-//! remain the portable fallback and the executable specification.
+//! [`crate::gemm::matmul_slices_into`],
+//! [`crate::gemm::matmul_slices_affine_into`], [`crate::gemm::row_sq_norms`],
+//! [`crate::vector::scale_add`]) run on the widest [`Level`] the CPU has,
+//! detected at each call (std caches the CPUID probe). The `scalar` module is
+//! the portable fallback and the specification.
 //!
-//! ## Determinism contract
+//! ## One arithmetic
 //!
-//! Reduction kernels (`A·Bᵀ` dots, row norms) accumulate in a **fixed
-//! lane-split order**: 8 (AVX-512) or 4 (AVX2) independent FMA chains over
-//! ascending `k` chunks, combined pairwise in a fixed tree, with the scalar
-//! remainder appended in ascending order. The per-element arithmetic never
-//! depends on tile shape, row grouping, or matrix size, so within one
-//! process every level is bitwise run-to-run deterministic and
-//! partition-invariant — the property the EnSF rank-decomposition contract
-//! needs. Different levels (scalar vs AVX2 vs AVX-512) produce different
-//! last-bit roundings, so results are *not* bitwise portable across
-//! machines; everything downstream only assumes within-run determinism.
+//! Every level computes the scalar body's bits; the lanes only decide how
+//! many of its chains run at once.
 //!
-//! Set `LINALG_SIMD=scalar` (or `avx2`) to cap the level below what the CPU
-//! supports — useful for differential testing; requests above the detected
-//! level are ignored.
+//! - **Reductions** (`dot`, `matmul_abt`): 8 FMA chains, chain `l` taking
+//!   the indices `k ≡ l (mod 8)` of the whole 8-chunks in ascending order;
+//!   then the fixed tree `((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7))`; then the
+//!   `k mod 8` remainder, FMA-appended in ascending order. AVX-512 holds the
+//!   chains in one register, AVX2 in two (`lo`/`hi`), scalar in an
+//!   `[f64; 8]`.
+//! - **`matmul_slices`**: one ascending-`p` FMA chain per element that skips
+//!   exact-zero coefficients; the affine epilogue is `fma(ca, acc, cb·z)`.
+//! - **`scale_add`**: `fma(a, y, b·x)`.
+//!
+//! No element's arithmetic depends on its tile, its row grouping, the matrix
+//! size or the level, so results are bitwise run-to-run deterministic,
+//! partition-invariant (the EnSF rank-decomposition contract) and the same
+//! on every CPU. `f64::mul_add` is a correctly rounded FMA on every target,
+//! so the scalar body is exact wherever it runs. One nuance sits outside
+//! finite arithmetic: the SIMD `matmul_slices` tiles skip a `p` only when
+//! every row of the tile has a zero coefficient there, which differs from
+//! the scalar per-row skip only where `b` holds an infinity or NaN, or in
+//! the sign of an exactly zero sum.
 
-use std::sync::OnceLock;
-
-/// Instruction-set tier used by the dispatched kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Instruction-set tier the dispatched kernels run on. Every tier computes
+/// the same bits; the tier only sets the speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
-    /// Portable scalar loops (the reference semantics).
+    /// Portable scalar loops (the specification).
     Scalar,
-    /// AVX2 + FMA: 4-lane `f64` chains.
+    /// AVX2 + FMA: the 8 chains in two 4-lane registers.
     Avx2,
-    /// AVX-512F: 8-lane `f64` chains.
+    /// AVX-512F: the 8 chains in one 8-lane register.
     Avx512,
 }
 
-/// Detected (and possibly env-capped) SIMD level, fixed for the process.
+/// The widest tier this CPU supports.
 pub fn level() -> Level {
-    static LEVEL: OnceLock<Level> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let cap = match std::env::var("LINALG_SIMD").as_deref() {
-            Ok("scalar") => Level::Scalar,
-            Ok("avx2") => Level::Avx2,
-            _ => Level::Avx512,
-        };
-        detected().min(cap)
-    })
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detected() -> Level {
-    if is_x86_feature_detected!("avx512f") {
-        Level::Avx512
-    } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        Level::Avx2
-    } else {
-        Level::Scalar
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            return Level::Avx512;
+        }
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            return Level::Avx2;
+        }
     }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detected() -> Level {
     Level::Scalar
 }
 
-/// AVX-512F kernels (8-lane f64).
+/// `dispatch!(kernel(args…))` calls `kernel` on the widest tier this CPU
+/// has; `dispatch!(@ tier, kernel(args…))` calls it on `tier`, which must be
+/// a tier the CPU has. The caller establishes the kernel's slice-length
+/// contract (every caller asserts its shapes first).
+macro_rules! dispatch {
+    ($f:ident($($arg:expr),* $(,)?)) => {
+        $crate::simd::dispatch!(@ $crate::simd::level(), $f($($arg),*))
+    };
+    (@ $tier:expr, $f:ident($($arg:expr),*)) => {
+        match $tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier is one this CPU supports (`level()` reports
+            // only those), and the caller asserted the kernel's shapes.
+            $crate::simd::Level::Avx512 => unsafe { $crate::simd::avx512::$f($($arg),*) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above for the AVX2+FMA tier.
+            $crate::simd::Level::Avx2 => unsafe { $crate::simd::avx2::$f($($arg),*) },
+            _ => $crate::simd::scalar::$f($($arg),*),
+        }
+    };
+}
+pub(crate) use dispatch;
+
+/// The specification: portable loops that every SIMD tier reproduces bit
+/// for bit.
+pub(crate) mod scalar {
+    /// The fixed combine of the 8 chain partials, shared by every tier's
+    /// reductions.
+    #[inline(always)]
+    pub fn tree(l: [f64; 8]) -> f64 {
+        ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+    }
+
+    /// Dot product: 8 FMA chains over the whole 8-chunks, [`tree`], then the
+    /// remainder FMA-appended in ascending order. `b.len() >= a.len()`.
+    // lint: no_alloc
+    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+        let k = a.len();
+        let whole = k / 8 * 8;
+        let mut l = [0.0f64; 8];
+        for (ca, cb) in a[..whole].chunks_exact(8).zip(b[..whole].chunks_exact(8)) {
+            for c in 0..8 {
+                l[c] = ca[c].mul_add(cb[c], l[c]);
+            }
+        }
+        let mut sum = tree(l);
+        for p in whole..k {
+            sum = a[p].mul_add(b[p], sum);
+        }
+        sum
+    }
+
+    /// `C = A·Bᵀ`, each element the [`dot`] of its two rows. `a` is `m×k`,
+    /// `b` is `n×k`, `c` holds `m·n` elements (row-major).
+    // lint: no_alloc
+    pub fn matmul_abt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
+        for i in 0..m {
+            let ar = &a[i * k..(i + 1) * k];
+            for j in 0..n {
+                c[i * n + j] = dot(ar, &b[j * k..(j + 1) * k]);
+            }
+        }
+    }
+
+    /// `C = A·B` as an i-p-j nest: one ascending-`p` FMA chain per element,
+    /// skipping exact-zero coefficients. `epi = Some((z, ca, cb))` stores
+    /// `fma(ca, acc, cb·z)` instead. `a` is `m×k`, `b` is `k×n`, `c` (and
+    /// `z`) hold `m·n` elements.
+    // lint: no_alloc
+    pub fn matmul_slices(
+        a: &[f64],
+        b: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+        c: &mut [f64],
+        epi: Option<(&[f64], f64, f64)>,
+    ) {
+        for i in 0..m {
+            let c_row = &mut c[i * n..(i + 1) * n];
+            c_row.fill(0.0);
+            for p in 0..k {
+                let av = a[i * k + p];
+                if av == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
+                    continue;
+                }
+                for (cj, &bj) in c_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                    *cj = av.mul_add(bj, *cj);
+                }
+            }
+            if let Some((z, ca, cb)) = epi {
+                for (cj, &zj) in c_row.iter_mut().zip(&z[i * n..(i + 1) * n]) {
+                    *cj = ca.mul_add(*cj, cb * zj);
+                }
+            }
+        }
+    }
+
+    /// `y = fma(a, y, b·x)` elementwise. `x.len() >= y.len()`.
+    // lint: no_alloc
+    pub fn scale_add(y: &mut [f64], a: f64, x: &[f64], b: f64) {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi = a.mul_add(*yi, b * xi);
+        }
+    }
+}
+
+/// AVX-512F kernels: the 8 chains in one 8-lane register.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use std::arch::x86_64::*;
 
-    /// Fixed pairwise combine of the 8 lane partials; shared by every
-    /// AVX-512 reduction so tile and edge paths agree bit for bit.
+    /// [`super::scalar::tree`] over the 8 lanes.
     ///
     /// # Safety
     /// AVX-512F must be available; every caller is itself gated on
@@ -82,14 +181,13 @@ pub(crate) mod avx512 {
         // SAFETY: `l` is a 64-byte local array and `storeu` is unaligned;
         // AVX-512F availability is this fn's documented contract.
         unsafe { _mm512_storeu_pd(l.as_mut_ptr(), acc) };
-        ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+        super::scalar::tree(l)
     }
 
     /// Dot product as one 8-lane FMA chain plus ascending scalar remainder.
     ///
     /// # Safety
-    /// AVX-512F must be available at runtime (the dispatcher checks
-    /// `is_x86_feature_detected!`) and `b.len() >= a.len()`.
+    /// AVX-512F must be available at runtime and `b.len() >= a.len()`.
     // lint: no_alloc
     #[target_feature(enable = "avx512f")]
     pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -310,55 +408,61 @@ pub(crate) mod avx512 {
     }
 }
 
-/// AVX2 + FMA kernels (4-lane f64); same structure and contracts as the
-/// AVX-512 module at half the width.
+/// AVX2 + FMA kernels: the 8 chains in two 4-lane registers (`lo` holds
+/// chains 0–3, `hi` chains 4–7); otherwise the AVX-512 module's structure
+/// and contracts.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use std::arch::x86_64::*;
 
-    /// Fixed pairwise combine of the 4 lane partials.
+    /// [`super::scalar::tree`] over the lanes of `lo`, then of `hi`.
     ///
     /// # Safety
     /// AVX2 must be available; every caller is itself gated on
     /// `#[target_feature(enable = "avx2,fma")]`.
     #[inline(always)]
-    unsafe fn hsum(acc: __m256d) -> f64 {
-        let mut l = [0.0f64; 4];
-        // SAFETY: `l` is a 32-byte local array and `storeu` is unaligned;
-        // AVX2 availability is this fn's documented contract.
-        unsafe { _mm256_storeu_pd(l.as_mut_ptr(), acc) };
-        (l[0] + l[1]) + (l[2] + l[3])
+    unsafe fn hsum(lo: __m256d, hi: __m256d) -> f64 {
+        let mut l = [0.0f64; 8];
+        // SAFETY: `l` is a 64-byte local array holding both 32-byte
+        // unaligned stores; AVX2 availability is this fn's documented
+        // contract.
+        unsafe {
+            _mm256_storeu_pd(l.as_mut_ptr(), lo);
+            _mm256_storeu_pd(l.as_mut_ptr().add(4), hi);
+        }
+        super::scalar::tree(l)
     }
 
-    /// Dot product as one 4-lane FMA chain plus ascending scalar remainder.
+    /// Dot product as two 4-lane FMA chains plus ascending scalar remainder.
     ///
     /// # Safety
-    /// AVX2+FMA must be available at runtime (the dispatcher checks
-    /// `is_x86_feature_detected!`) and `b.len() >= a.len()`.
+    /// AVX2+FMA must be available at runtime and `b.len() >= a.len()`.
     // lint: no_alloc
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
         let k = a.len();
-        // SAFETY: each 4-lane load reads `a[c*4..c*4+4]` / `b[c*4..c*4+4]`
-        // with `c*4 + 4 <= k <= b.len()`, so all pointers stay in bounds;
-        // the ISA requirement is the fn's documented safety contract.
+        // SAFETY: each chunk reads `a[c*8..c*8+8]` / `b[c*8..c*8+8]` as two
+        // 4-lane loads with `c*8 + 8 <= k <= b.len()`, so all pointers stay
+        // in bounds; the ISA requirement is the fn's documented contract.
         unsafe {
-            let mut acc = _mm256_setzero_pd();
-            let chunks = k / 4;
+            let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+            let chunks = k / 8;
             for c in 0..chunks {
-                let av = _mm256_loadu_pd(a.as_ptr().add(c * 4));
-                let bv = _mm256_loadu_pd(b.as_ptr().add(c * 4));
-                acc = _mm256_fmadd_pd(av, bv, acc);
+                let (pa, pb) = (a.as_ptr().add(c * 8), b.as_ptr().add(c * 8));
+                lo = _mm256_fmadd_pd(_mm256_loadu_pd(pa), _mm256_loadu_pd(pb), lo);
+                hi = _mm256_fmadd_pd(_mm256_loadu_pd(pa.add(4)), _mm256_loadu_pd(pb.add(4)), hi);
             }
-            let mut sum = hsum(acc);
-            for p in chunks * 4..k {
+            let mut sum = hsum(lo, hi);
+            for p in chunks * 8..k {
                 sum = a[p].mul_add(b[p], sum);
             }
             sum
         }
     }
 
-    /// `C = A·Bᵀ`: 4x4 tiles of 4-lane chains, [`dot`]-identical per element.
+    /// `C = A·Bᵀ`: 2x4 register tiles of 8 chain pairs (4x4 pairs would
+    /// need 32 ymm registers); edge elements fall back to [`dot`], which
+    /// performs the identical per-element operation sequence.
     ///
     /// # Safety
     /// AVX2+FMA must be available at runtime; `a` is `m×k`, `b` is `n×k`,
@@ -366,52 +470,59 @@ pub(crate) mod avx2 {
     // lint: no_alloc
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_abt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
-        const T: usize = 4;
-        // SAFETY: the full-tile path only runs when 4 whole rows of `a` and
-        // `b` exist, so the row pointers and their `off + 4 <= k` loads stay
-        // inside the slices; edge tiles use safe indexing through [`dot`].
-        // The ISA requirement is the fn's documented safety contract.
+        const TI: usize = 2;
+        const TJ: usize = 4;
+        // SAFETY: the full-tile path only runs when 2 whole rows of `a` and
+        // 4 of `b` exist, so the row pointers and their `off + 8 <= k` loads
+        // stay inside the slices; edge tiles use safe indexing through
+        // [`dot`]. The ISA requirement is the fn's documented contract.
         unsafe {
-            let chunks = k / 4;
+            let chunks = k / 8;
             let mut i0 = 0;
             while i0 < m {
-                let ih = T.min(m - i0);
+                let ih = TI.min(m - i0);
                 let mut j0 = 0;
                 while j0 < n {
-                    let jh = T.min(n - j0);
-                    if ih == T && jh == T {
-                        let ap = [
-                            a.as_ptr().add(i0 * k),
-                            a.as_ptr().add((i0 + 1) * k),
-                            a.as_ptr().add((i0 + 2) * k),
-                            a.as_ptr().add((i0 + 3) * k),
-                        ];
+                    let jh = TJ.min(n - j0);
+                    if ih == TI && jh == TJ {
+                        let ap = [a.as_ptr().add(i0 * k), a.as_ptr().add((i0 + 1) * k)];
                         let bp = [
                             b.as_ptr().add(j0 * k),
                             b.as_ptr().add((j0 + 1) * k),
                             b.as_ptr().add((j0 + 2) * k),
                             b.as_ptr().add((j0 + 3) * k),
                         ];
-                        let mut acc = [[_mm256_setzero_pd(); T]; T];
+                        let zero = _mm256_setzero_pd();
+                        let mut acc = [[(zero, zero); TJ]; TI];
                         for ch in 0..chunks {
-                            let off = ch * 4;
-                            let bv = [
-                                _mm256_loadu_pd(bp[0].add(off)),
-                                _mm256_loadu_pd(bp[1].add(off)),
-                                _mm256_loadu_pd(bp[2].add(off)),
-                                _mm256_loadu_pd(bp[3].add(off)),
+                            let off = ch * 8;
+                            let av = [
+                                (
+                                    _mm256_loadu_pd(ap[0].add(off)),
+                                    _mm256_loadu_pd(ap[0].add(off + 4)),
+                                ),
+                                (
+                                    _mm256_loadu_pd(ap[1].add(off)),
+                                    _mm256_loadu_pd(ap[1].add(off + 4)),
+                                ),
                             ];
-                            for (di, &api) in ap.iter().enumerate() {
-                                let av = _mm256_loadu_pd(api.add(off));
-                                for (dj, &bvj) in bv.iter().enumerate() {
-                                    acc[di][dj] = _mm256_fmadd_pd(av, bvj, acc[di][dj]);
+                            for (dj, &bpj) in bp.iter().enumerate() {
+                                let blo = _mm256_loadu_pd(bpj.add(off));
+                                let bhi = _mm256_loadu_pd(bpj.add(off + 4));
+                                for (di, &(alo, ahi)) in av.iter().enumerate() {
+                                    let (lo, hi) = acc[di][dj];
+                                    acc[di][dj] = (
+                                        _mm256_fmadd_pd(alo, blo, lo),
+                                        _mm256_fmadd_pd(ahi, bhi, hi),
+                                    );
                                 }
                             }
                         }
-                        for di in 0..T {
-                            for dj in 0..T {
-                                let mut sum = hsum(acc[di][dj]);
-                                for p in chunks * 4..k {
+                        for di in 0..TI {
+                            for dj in 0..TJ {
+                                let (lo, hi) = acc[di][dj];
+                                let mut sum = hsum(lo, hi);
+                                for p in chunks * 8..k {
                                     sum = (*ap[di].add(p)).mul_add(*bp[dj].add(p), sum);
                                 }
                                 c[(i0 + di) * n + j0 + dj] = sum;
@@ -426,9 +537,9 @@ pub(crate) mod avx2 {
                             }
                         }
                     }
-                    j0 += T;
+                    j0 += TJ;
                 }
-                i0 += T;
+                i0 += TI;
             }
         }
     }
@@ -544,15 +655,111 @@ pub(crate) mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn level_is_stable() {
-        assert_eq!(level(), level());
+    /// The SIMD tiers this CPU can run; each is compared with `scalar`.
+    fn simd_tiers() -> Vec<Level> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+            let avx512 = is_x86_feature_detected!("avx512f");
+            [(Level::Avx2, avx2), (Level::Avx512, avx512)]
+                .into_iter()
+                .filter_map(|(tier, present)| present.then_some(tier))
+                .collect()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Vec::new()
     }
 
-    #[test]
-    fn levels_are_ordered() {
-        assert!(Level::Scalar < Level::Avx2);
-        assert!(Level::Avx2 < Level::Avx512);
+    /// `len` finite values over twenty binades (so a reordered sum rounds
+    /// differently), a `zeros` fraction of them exactly zero.
+    fn values(len: usize, seed: u64, zeros: f64) -> Vec<f64> {
+        let mut rng = proptest::TestRng::new(seed);
+        (0..len)
+            .map(|_| {
+                let (u, e) = (rng.unit_f64(), rng.unit_f64());
+                if rng.unit_f64() < zeros {
+                    0.0
+                } else {
+                    (u - 0.5) * (e * 20.0 - 10.0).round().exp2()
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `dot`, and so `row_sq_norms` (a row with itself), at every
+        /// `k mod 8` residue and chunk count.
+        #[test]
+        fn dot_is_the_scalar_body_at_every_tier(k in 0usize..50, seed in any::<u64>()) {
+            let (a, b) = (values(k, seed, 0.0), values(k, seed ^ 1, 0.0));
+            for tier in simd_tiers() {
+                for (x, y) in [(&a, &b), (&a, &a)] {
+                    let want = scalar::dot(x, y);
+                    let got = dispatch!(@ tier, dot(x, y));
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} k={}", tier, k);
+                }
+            }
+        }
+
+        /// `A·Bᵀ`: full tiles and every edge-tile shape of both SIMD tiles
+        /// (4x4 and 2x4), every `k mod 8` residue.
+        #[test]
+        fn matmul_abt_is_the_scalar_body_at_every_tier(
+            m in 1usize..10, n in 1usize..10, k in 0usize..41, seed in any::<u64>(),
+        ) {
+            let (a, b) = (values(m * k, seed, 0.0), values(n * k, seed ^ 1, 0.0));
+            let mut want = vec![0.0; m * n];
+            scalar::matmul_abt(&a, &b, m, n, k, &mut want);
+            for tier in simd_tiers() {
+                let mut got = vec![f64::NAN; m * n];
+                dispatch!(@ tier, matmul_abt(&a, &b, m, n, k, &mut got));
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} {}x{}x{}", tier, m, n, k);
+            }
+        }
+
+        /// `A·B` with and without the affine epilogue: ragged row tiles,
+        /// `n mod 8` and `n mod 4` column tails, up to 60 % zero
+        /// coefficients (so whole tile columns are skipped).
+        #[test]
+        fn matmul_slices_is_the_scalar_body_at_every_tier(
+            m in 1usize..10, k in 0usize..12, n in 1usize..30, zeros in 0.0f64..0.6,
+            seed in any::<u64>(), (ca, cb) in (-2.0f64..2.0, -2.0f64..2.0),
+        ) {
+            let (a, b) = (values(m * k, seed, zeros), values(k * n, seed ^ 1, 0.0));
+            let z = values(m * n, seed ^ 2, 0.0);
+            for epi in [None, Some((&z[..], ca, cb))] {
+                let mut want = vec![0.0; m * n];
+                scalar::matmul_slices(&a, &b, m, k, n, &mut want, epi);
+                for tier in simd_tiers() {
+                    let mut got = vec![f64::NAN; m * n];
+                    dispatch!(@ tier, matmul_slices(&a, &b, m, k, n, &mut got, epi));
+                    let form = if epi.is_some() { "affine" } else { "plain" };
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {} {}x{}x{}", tier, form, m, k, n);
+                }
+            }
+        }
+
+        /// `y = fma(a, y, b·x)` over vector bodies and scalar tails.
+        #[test]
+        fn scale_add_is_the_scalar_body_at_every_tier(
+            len in 0usize..40, seed in any::<u64>(), (a, b) in (-2.0f64..2.0, -2.0f64..2.0),
+        ) {
+            let (y, x) = (values(len, seed, 0.0), values(len, seed ^ 1, 0.0));
+            let mut want = y.clone();
+            scalar::scale_add(&mut want, a, &x, b);
+            for tier in simd_tiers() {
+                let mut got = y.clone();
+                dispatch!(@ tier, scale_add(&mut got, a, &x, b));
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} len={}", tier, len);
+            }
+        }
     }
 }

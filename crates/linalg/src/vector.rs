@@ -46,30 +46,16 @@ pub fn scale(x: &mut [f64], a: f64) {
     }
 }
 
-/// Fused row update `y = a * y + b * x` in one pass (FMA-vectorized on the
-/// SIMD levels; elementwise, so grouping-invariant at any level).
+/// Fused row update `y = a * y + b * x` in one pass, computed as
+/// `fma(a, y, b·x)` with the same bits at every SIMD level (elementwise, so
+/// grouping-invariant).
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn scale_add(y: &mut [f64], a: f64, x: &[f64], b: f64) {
     assert_eq!(x.len(), y.len(), "scale_add: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    match crate::simd::level() {
-        crate::simd::Level::Avx512 => {
-            // SAFETY: level() only reports instruction sets the CPU
-            // supports; the length assert above matches the kernel contract.
-            return unsafe { crate::simd::avx512::scale_add(y, a, x, b) };
-        }
-        crate::simd::Level::Avx2 => {
-            // SAFETY: as above for the AVX2+FMA tier.
-            return unsafe { crate::simd::avx2::scale_add(y, a, x, b) };
-        }
-        crate::simd::Level::Scalar => {}
-    }
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = a * *yi + b * xi;
-    }
+    crate::simd::dispatch!(scale_add(y, a, x, b));
 }
 
 /// Euclidean norm `||x||_2`.

@@ -6,17 +6,12 @@
 //! for any simulated rank count**, and it is the serial driver's
 //! experiment bit for bit, on full and partial observation networks alike
 //! (both complete a shrunk vector by inpainting). This file proves both at
-//! 1/2/4/8 ranks over a 10-cycle experiment, under both score kernels, and
-//! the rank invariance under each `LINALG_SIMD` cap.
+//! 1/2/4/8 ranks over a 10-cycle experiment, under both score kernels.
 //!
-//! The SIMD cap needs special handling: `linalg::simd::level()` latches the
-//! detected level in a process-wide `OnceLock` on first use, so a test
-//! cannot flip the cap in-process. The `simd_cap_*` tests therefore
-//! re-execute this very test binary as a subprocess per (cap, rank count)
-//! with `LINALG_SIMD` set in its environment, and compare the trajectory
-//! fingerprints the children print. Different caps legitimately produce
-//! different bits (SIMD width reassociates reductions); the invariant is
-//! that *within* one cap the rank count never changes them.
+//! The tests run in-process at whatever SIMD level this CPU dispatches to.
+//! That covers every level: `linalg`'s kernels compute the same bits at
+//! each one (`linalg::simd`'s level proptest), so a trajectory that is
+//! rank-invariant here is rank-invariant, with the same bits, on any CPU.
 
 use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, ObsOperatorKind, OsseConfig};
 use sqg_da::da_core::resilience::{run_supervised, LoopState, ResilienceConfig};
@@ -259,83 +254,4 @@ fn three_faces_one_run() {
             }
         }
     }
-}
-
-/// Child entry point for the SIMD-cap subprocess protocol: inert unless
-/// `DIST_DET_CHILD` is set, in which case it runs the experiment at
-/// `DIST_DET_RANKS` ranks (under whatever `LINALG_SIMD` the parent set
-/// before this process started) and prints the trajectory fingerprint.
-#[test]
-fn simd_cap_child() {
-    if std::env::var("DIST_DET_CHILD").is_err() {
-        return;
-    }
-    let ranks: usize = std::env::var("DIST_DET_RANKS")
-        .expect("parent sets DIST_DET_RANKS")
-        .parse()
-        .expect("DIST_DET_RANKS is a rank count");
-    let config = match std::env::var("DIST_DET_METHOD").as_deref() {
-        Ok("flow") => flow_determinism_config(),
-        _ => determinism_config(ScoreKernel::Batched),
-    };
-    let result = run_osse(&config, ranks).unwrap();
-    println!("DIST_FINGERPRINT {:016x}", fingerprint(&result));
-}
-
-/// Runs `simd_cap_child` in a subprocess with the given SIMD cap, rank
-/// count and analysis method, and returns the fingerprint it printed.
-fn child_fingerprint_for(cap: &str, ranks: usize, method: &str) -> String {
-    let exe = std::env::current_exe().expect("test binary path");
-    let out = std::process::Command::new(exe)
-        .args(["simd_cap_child", "--exact", "--nocapture"])
-        .env("LINALG_SIMD", cap)
-        .env("DIST_DET_CHILD", "1")
-        .env("DIST_DET_RANKS", ranks.to_string())
-        .env("DIST_DET_METHOD", method)
-        .output()
-        .expect("spawn test subprocess");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "child (cap {cap}, {ranks} ranks) failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // The libtest harness may glue "test simd_cap_child ..." onto the same
-    // line, so match the marker anywhere rather than at line start.
-    stdout
-        .split("DIST_FINGERPRINT ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no fingerprint in child output:\n{stdout}"))
-        .to_string()
-}
-
-fn child_fingerprint(cap: &str, ranks: usize) -> String {
-    child_fingerprint_for(cap, ranks, "sde")
-}
-
-#[test]
-fn rank_invariance_holds_under_scalar_simd_cap() {
-    assert_eq!(child_fingerprint("scalar", 1), child_fingerprint("scalar", 4));
-}
-
-#[test]
-fn rank_invariance_holds_under_avx2_simd_cap() {
-    assert_eq!(child_fingerprint("avx2", 1), child_fingerprint("avx2", 8));
-}
-
-#[test]
-fn flow_rank_invariance_holds_under_scalar_simd_cap() {
-    assert_eq!(
-        child_fingerprint_for("scalar", 1, "flow"),
-        child_fingerprint_for("scalar", 4, "flow")
-    );
-}
-
-#[test]
-fn flow_rank_invariance_holds_under_avx2_simd_cap() {
-    assert_eq!(
-        child_fingerprint_for("avx2", 1, "flow"),
-        child_fingerprint_for("avx2", 8, "flow")
-    );
 }

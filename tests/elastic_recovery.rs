@@ -7,10 +7,10 @@
 //! The shrink must not merely recover — it must land on exactly the
 //! trajectory a never-faulted run at the survivor count would produce.
 //!
-//! Like `tests/dist_determinism.rs`, the headline comparison runs each side
-//! in a re-executed subprocess (one per scenario) so the two trajectories
-//! share no process state whatsoever — no latched SIMD level, no RNG pools,
-//! no telemetry globals — and compares the fingerprints the children print.
+//! The headline comparison runs each side in a re-executed subprocess (one
+//! per scenario) so the two trajectories share no process state whatsoever
+//! — no RNG pools, no telemetry globals — and compares the fingerprints the
+//! children print.
 //! An in-process companion test additionally proves the checkpoint written
 //! *by the killed run itself* restores bitwise.
 

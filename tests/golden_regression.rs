@@ -14,10 +14,12 @@
 //! cycles, so they are pinned before that ([`ENSF_ARCTAN`], [`FLOW_ARCTAN`]),
 //! and a non-finite value on either side of a comparison is a failure.
 //!
-//! The fixtures are generated with `LINALG_SIMD=scalar` (the portable
-//! reference semantics; every test here pins the cap before first use of
-//! linalg) and compared with a small tolerance (`GOLDEN_TOL`, default
-//! `1e-9` relative) to absorb cross-toolchain libm differences.
+//! The fixtures hold on any CPU: every SIMD level of the `linalg` kernels
+//! and the FFT computes the scalar specification's bits, so the run is the
+//! same whichever level this machine dispatches to. The comparison keeps a
+//! small tolerance (`GOLDEN_TOL`, default `1e-9` relative) only to absorb
+//! libm differences (`exp`, `ln`, `atan`, …) across toolchains and
+//! platforms.
 //!
 //! Regenerate after an *intentional* numerics change:
 //!
@@ -66,21 +68,6 @@ const FLOW_ARCTAN: Pins = Pins {
          truth of O(2), NaN from cycle 9), after which the run pins no kernel",
     ),
 };
-
-/// Pins the SIMD dispatch to the scalar reference kernels before anything
-/// in this process touches linalg (the level latches in a `OnceLock`), so
-/// fixtures compare across machines with different vector units.
-fn pin_scalar_simd() {
-    static PIN: std::sync::Once = std::sync::Once::new();
-    PIN.call_once(|| {
-        std::env::set_var("LINALG_SIMD", "scalar");
-        assert_eq!(
-            sqg_da::linalg::simd::level(),
-            sqg_da::linalg::simd::Level::Scalar,
-            "SIMD level latched before the golden harness could pin it"
-        );
-    });
-}
 
 fn osse_config() -> OsseConfig {
     OsseConfig {
@@ -132,7 +119,7 @@ fn golden_path(name: &str) -> PathBuf {
 
 fn render(name: &str, note: Option<&str>, traj: &Trajectory) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "# {name} golden trajectory: reduced SQG OSSE (n=16, d=512), scalar SIMD");
+    let _ = writeln!(s, "# {name} golden trajectory: reduced SQG OSSE (n=16, d=512)");
     let _ = writeln!(s, "# regenerate: UPDATE_GOLDEN=1 cargo test --test golden_regression");
     if let Some(note) = note {
         let _ = writeln!(s, "# {note}");
@@ -273,7 +260,6 @@ fn letkf_scheme(config: &OsseConfig) -> LetkfScheme {
 
 #[test]
 fn ensf_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = osse_config();
     let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
     check_against_golden("ensf", &STANDARD, &config, &mut scheme);
@@ -281,7 +267,6 @@ fn ensf_trajectory_matches_golden() {
 
 #[test]
 fn letkf_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = osse_config();
     let mut scheme = letkf_scheme(&config);
     check_against_golden("letkf", &STANDARD, &config, &mut scheme);
@@ -293,7 +278,6 @@ fn letkf_trajectory_matches_golden() {
 /// observation-space pull are on the fixture's critical path.
 #[test]
 fn ensf_arctan_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = arctan_config();
     let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
     check_against_golden("ensf_arctan", &ENSF_ARCTAN, &config, &mut scheme);
@@ -306,7 +290,6 @@ fn ensf_arctan_trajectory_matches_golden() {
 /// prior-variance guidance — not at a noise-stream change.
 #[test]
 fn flow_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = osse_config();
     let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
     check_against_golden("flow", &STANDARD, &config, &mut scheme);
@@ -317,7 +300,6 @@ fn flow_trajectory_matches_golden() {
 /// Kalman correction of the denoised estimate) bit-for-bit.
 #[test]
 fn flow_arctan_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = arctan_config();
     let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
     check_against_golden("flow_arctan", &FLOW_ARCTAN, &config, &mut scheme);
@@ -334,7 +316,6 @@ const BLOCK25: MaskKind = MaskKind::Block { start: 192, len: 128 };
 /// assimilation of the completed vector are all on the critical path.
 #[test]
 fn ensf_mask_block_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
     let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
     check_against_golden("ensf_mask_block", &STANDARD, &config, &mut scheme);
@@ -345,7 +326,6 @@ fn ensf_mask_block_trajectory_matches_golden() {
 /// the cycle-indexed mask resolution end to end.
 #[test]
 fn ensf_track_trajectory_matches_golden() {
-    pin_scalar_simd();
     let track = MaskKind::Track { width: 256, speed: 40 };
     let config = OsseConfig { obs_mask: track, ..osse_config() };
     let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
@@ -356,7 +336,6 @@ fn ensf_track_trajectory_matches_golden() {
 /// block outage: same innovation fill, deterministic DDIM transport.
 #[test]
 fn flow_inpaint_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
     let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
     check_against_golden("flow_inpaint", &STANDARD, &config, &mut scheme);
@@ -367,7 +346,6 @@ fn flow_inpaint_trajectory_matches_golden() {
 /// of the scenario study).
 #[test]
 fn letkf_mask_block_trajectory_matches_golden() {
-    pin_scalar_simd();
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
     let mut scheme = letkf_scheme(&config);
     check_against_golden("letkf_mask_block", &STANDARD, &config, &mut scheme);
@@ -375,7 +353,6 @@ fn letkf_mask_block_trajectory_matches_golden() {
 
 #[test]
 fn fixtures_roundtrip_through_the_parser() {
-    pin_scalar_simd();
     let traj: Trajectory =
         vec![(1, vec![0.5, -1.25e-3], 0.125), (5, vec![2.0, 3.0], 0.25), (10, vec![], 0.0)];
     let parsed = parse("roundtrip", &render("roundtrip", Some("a note"), &traj));
@@ -384,7 +361,6 @@ fn fixtures_roundtrip_through_the_parser() {
 
 #[test]
 fn golden_diff_is_readable() {
-    pin_scalar_simd();
     // A tampered value must fail with the max-abs-err / first-index report,
     // not an opaque assert.
     let got = vec![1.0, 2.0, 3.0];
