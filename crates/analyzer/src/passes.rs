@@ -214,7 +214,7 @@ fn collective_protocol(
                     t.line,
                     t.col,
                     format!("`.{}()` is the panicking collective; rank failure becomes an abort", t.text),
-                    "use the fault-aware `try_*` variant (with collective_with_retry for shrink/backoff semantics)",
+                    "use the fault-aware `try_*` variant (dist::elastic's shrink-retry recovers from its typed error)",
                 );
             }
         }

@@ -5,9 +5,10 @@
 //! dropped / delayed / thinned, analysis steps that fail a set number of
 //! attempts, and a simulated process kill. Plans are plain data — the same
 //! plan replayed against the same configuration produces the same run, so
-//! chaos tests are as reproducible as clean ones. (Rank-level faults for
-//! the simulated collectives live in `hpc::resilience`, next to the cost
-//! models they perturb.)
+//! chaos tests are as reproducible as clean ones. The distributed runtime
+//! (`dist::elastic`) reads only the rank channels ([`FaultPlan::rank_kills`],
+//! [`FaultPlan::rank_rejoins`]) and rejects the others; the straggler
+//! schedule that scales its modelled time lives in `hpc::resilience`.
 
 use stats::Ensemble;
 

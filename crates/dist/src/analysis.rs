@@ -27,38 +27,26 @@ use da_core::Completion;
 use ensf::parallel::{BlockAnalysis, RankPlan};
 use ensf::{relax_spread, AnalysisMethod, EnsfConfig, ObsSpec};
 use hpc::mpi::Comm;
-use hpc::{collective_with_retry, Collective, RankFault, RetryPolicy, Topology};
+use hpc::{collective_time, Collective, Topology};
 use stats::Ensemble;
 
 /// Simulated-network specification for the distributed runtime: the
-/// machine topology plus scripted rank faults, driving
-/// [`hpc::collective_with_retry`] for every analysis collective.
+/// machine topology whose α–β cost model prices every gather of the cycle.
 ///
-/// The retry model is a *pure function* of this specification, so every
-/// rank evaluates the same retry/shrink/abort decision locally — a failed
-/// collective surfaces as the same [`DistError::Collective`] on all ranks
-/// with no extra agreement round. The cycle's forecast gather is priced by
-/// the same topology but never retried: the scripted faults drive only the
-/// analysis gather, so a forecast cannot fail.
+/// It only prices: no collective fails because of it. A dead rank is the
+/// live [`hpc::mpi`] path — a typed
+/// [`hpc::MpiError::RankDead`]/[`hpc::MpiError::Revoked`] that
+/// [`crate::elastic`] answers with a shrink-retry.
 #[derive(Debug, Clone)]
 pub struct CommSpec {
     /// Machine topology for the α–β collective cost model.
     pub topo: Topology,
-    /// Scripted rank faults (transient retries and ULFM-style shrinks).
-    pub faults: Vec<RankFault>,
-    /// Retry/backoff policy.
-    pub policy: RetryPolicy,
 }
 
 impl CommSpec {
-    /// A clean Frontier-like network for `ranks` ranks: no faults, default
-    /// retry policy.
+    /// A Frontier-like network for `ranks` ranks.
     pub fn clean(ranks: usize) -> Self {
-        CommSpec {
-            topo: Topology::frontier(ranks.max(1)),
-            faults: Vec::new(),
-            policy: RetryPolicy::default(),
-        }
+        CommSpec { topo: Topology::frontier(ranks.max(1)) }
     }
 }
 
@@ -68,13 +56,11 @@ pub struct CommStats {
     /// Collectives executed: one member-block allgather per forecast and
     /// one particle-block allgather per analysis attempt.
     pub collectives: u64,
-    /// Total attempts across all modeled collectives (equals
-    /// `collectives` when no fault was scripted; a forecast gather is
-    /// always one attempt, since [`CommSpec::faults`] drive only the
-    /// analysis gather).
+    /// Always equal to `collectives`: a modeled collective takes one
+    /// attempt. Kept for callers that report both.
     pub attempts: u64,
-    /// Modeled wall time of the collectives (α–β cost model plus retry
-    /// backoffs); `0.0` without a [`CommSpec`].
+    /// Modeled wall time of the collectives (α–β cost model); `0.0`
+    /// without a [`CommSpec`].
     pub modeled_comm_secs: f64,
     /// Bytes moved through the collectives (payload, per rank).
     pub bytes: u64,
@@ -92,29 +78,19 @@ impl CommStats {
     }
 }
 
-/// Accounts one modeled collective against `spec` (when present) and
-/// updates `stats`. Pure given its arguments: every rank reaches the same
-/// `Ok`/`Err` verdict locally.
+/// Accounts one collective in `stats`, priced against `spec` when present.
 pub(crate) fn model_collective(
     spec: Option<&CommSpec>,
     stats: &mut CommStats,
     op: Collective,
     ranks: usize,
     bytes: u64,
-) -> Result<(), DistError> {
+) {
     stats.collectives += 1;
+    stats.attempts += 1;
     stats.bytes += bytes;
-    match spec {
-        None => {
-            stats.attempts += 1;
-            Ok(())
-        }
-        Some(spec) => {
-            let r = collective_with_retry(&spec.topo, op, ranks, bytes, &spec.faults, &spec.policy)?;
-            stats.attempts += u64::from(r.attempts);
-            stats.modeled_comm_secs += r.time;
-            Ok(())
-        }
+    if let Some(spec) = spec {
+        stats.modeled_comm_secs += collective_time(&spec.topo, op, ranks, bytes);
     }
 }
 
@@ -126,11 +102,11 @@ pub(crate) fn model_collective(
 /// own gather (`benchmark/`'s traced replica): the analysis itself is
 /// [`analyze_replicated`], and the block is sliced out of its result, so
 /// gathering the blocks by [`ShardPlan::rank_range`] rebuilds the analysis
-/// bitwise. `plan` only chooses the slice.
+/// bitwise. `plan` only chooses the slice. The gather is counted in `stats`
+/// and priced against `spec` when present.
 ///
 /// # Errors
-/// [`DistError::Collective`] when the modeled gather exhausts its retry
-/// budget (on every rank alike), [`DistError::Mpi`] when a peer dies in it.
+/// [`DistError::Mpi`] when a peer dies in the gather or revokes its epoch.
 ///
 /// # Panics
 /// Panics when the plan disagrees with the communicator size or the
@@ -181,7 +157,7 @@ pub(crate) fn analyze_replicated(
     };
 
     let bytes = (members * dim * 8) as u64;
-    model_collective(spec, stats, Collective::AllGather, comm.size(), bytes)?;
+    model_collective(spec, stats, Collective::AllGather, comm.size(), bytes);
     // Blocks are contiguous ascending particle ranges in group order: laid
     // end to end they are the member-major analysis ensemble. It is copied
     // into a buffer this thread allocates instead of adopting the gathered
@@ -339,40 +315,29 @@ mod tests {
         }
     }
 
-    fn stats_on_two_ranks(spec: &CommSpec) -> Vec<Result<CommStats, DistError>> {
-        let dim = 32;
-        let forecast = gaussian_ensemble(4, dim, 7);
+    #[test]
+    fn clean_commspec_accounts_time_without_failing() {
+        let (dim, members) = (32, 4);
+        let forecast = gaussian_ensemble(members, dim, 7);
         let y = vec![0.0; dim];
         let obs = ObsSpec::identity(1.0);
         let config = EnsfConfig { n_steps: 5, seed: 1, ..Default::default() };
         let plan = ShardPlan::new(dim, 8, 2);
-        run_world(2, |comm| {
+        let spec = CommSpec::clean(2);
+        let bytes = (members * dim * 8) as u64;
+        let gather = hpc::collective_time(&spec.topo, Collective::AllGather, 2, bytes);
+        let stats = run_world(2, |comm| {
             let mut stats = CommStats::default();
-            dist_analyze(comm, &plan, &config, 0, &forecast, &y, &obs, Some(spec), &mut stats)
+            dist_analyze(comm, &plan, &config, 0, &forecast, &y, &obs, Some(&spec), &mut stats)
                 .map(|_| stats)
-        })
-    }
-
-    #[test]
-    fn faulty_collective_fails_identically_on_all_ranks() {
-        let spec = CommSpec {
-            faults: vec![RankFault { rank: 0, failures: 99, permanent: false }],
-            ..CommSpec::clean(2)
-        };
-        let want = DistError::Collective(hpc::CollectiveError::Exhausted { attempts: 4 });
-        for r in stats_on_two_ranks(&spec) {
-            assert_eq!(r, Err(want.clone()), "all ranks must observe the same failure");
-        }
-    }
-
-    #[test]
-    fn clean_commspec_accounts_time_without_failing() {
-        for s in stats_on_two_ranks(&CommSpec::clean(2)) {
+        });
+        for s in stats {
             let s = s.unwrap();
             assert_eq!(s.collectives, 1, "one particle-block gather per analysis");
             assert_eq!(s.attempts, 1);
-            assert_eq!(s.bytes, (4 * 32 * 8) as u64);
-            assert!(s.modeled_comm_secs > 0.0);
+            assert_eq!(s.bytes, bytes);
+            assert!(gather > 0.0);
+            assert_eq!(s.modeled_comm_secs.to_bits(), gather.to_bits());
         }
     }
 }

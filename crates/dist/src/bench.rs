@@ -88,9 +88,7 @@ pub fn measure_analysis(
     let mut stats = CommStats::default();
     let spec = (ranks > 1).then(|| CommSpec::clean(ranks));
     let bytes = (members * dim * 8) as u64;
-    // INVARIANT: a clean spec cannot exhaust the retry budget.
-    model_collective(spec.as_ref(), &mut stats, Collective::AllGather, ranks, bytes)
-        .expect("clean collective cannot fail");
+    model_collective(spec.as_ref(), &mut stats, Collective::AllGather, ranks, bytes);
 
     ScalingMeasurement {
         ranks,

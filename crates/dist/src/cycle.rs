@@ -41,8 +41,8 @@ pub struct DistCycleConfig {
     /// together with that face.
     pub tile: usize,
     /// Optional simulated-network model: prices every collective with the
-    /// α–β cost model and applies scripted rank faults through the bounded
-    /// retry path. `None` runs the clean data path only.
+    /// α–β cost model into [`CommStats::modeled_comm_secs`]. It never
+    /// changes the data path; `None` leaves the collectives unpriced.
     pub comm: Option<CommSpec>,
 }
 
@@ -95,14 +95,13 @@ impl DistRunResult {
 /// deadline or checkpointing scripted.
 ///
 /// Every rank receives the same configuration and nature run and returns
-/// the same [`DistRunResult`] (bar [`CommStats`], which is per-rank but
-/// identical under a symmetric fault script) — the replicated-state
-/// contract that [`run_osse`] asserts.
+/// the same [`DistRunResult`] (bar [`CommStats`], which is per-rank) — the
+/// replicated-state contract that [`run_osse`] asserts.
 ///
 /// # Errors
 /// [`DistError::Config`] when the nature run is too short or disagrees
-/// with the model grid; [`DistError::Collective`] when a scripted fault
-/// outlasts the retry budget (raised in the same cycle on every rank).
+/// with the model grid; [`DistError::Mpi`] only for a peer failure that
+/// [`crate::elastic`]'s shrink-retry cannot absorb.
 pub fn run_dist_experiment(
     comm: &Comm,
     config: &DistCycleConfig,

@@ -119,8 +119,8 @@ pub struct ElasticCycleConfig {
     /// The underlying distributed experiment (grid, filter, network).
     pub base: DistCycleConfig,
     /// Scripted rank kills and rejoins ([`FaultPlan::rank_kills`] /
-    /// [`FaultPlan::rank_rejoins`]; the member/obs/analysis fault channels
-    /// are ignored by this driver).
+    /// [`FaultPlan::rank_rejoins`]). The serial faces' channels
+    /// (member/obs/analysis faults, `kill_after`) are config errors here.
     pub faults: FaultPlan,
     /// Scripted per-rank slowdowns applied to the modeled cycle time.
     pub stragglers: StragglerPlan,
@@ -278,7 +278,20 @@ fn dead_wait(comm: &Comm, config: &ElasticCycleConfig, died_at: usize) -> Entry 
 fn validate(config: &ElasticCycleConfig, world: usize) -> Result<(), DistError> {
     let cycles = config.base.osse.cycles;
     config.base.ensf.validate().map_err(DistError::Config)?;
-    for k in &config.faults.rank_kills {
+    let faults = &config.faults;
+    let serial_channels = [
+        ("member_faults", !faults.member_faults.is_empty()),
+        ("obs_faults", !faults.obs_faults.is_empty()),
+        ("analysis_faults", !faults.analysis_faults.is_empty()),
+        ("kill_after", faults.kill_after.is_some()),
+    ];
+    if let Some((channel, _)) = serial_channels.iter().find(|(_, scripted)| *scripted) {
+        return Err(DistError::Config(format!(
+            "FaultPlan::{channel} is scripted, but the elastic driver reads only \
+             rank_kills and rank_rejoins"
+        )));
+    }
+    for k in &faults.rank_kills {
         if k.rank == 0 {
             return Err(DistError::Config(
                 "world rank 0 is the coordinator and must not be killed".into(),
@@ -623,7 +636,8 @@ pub fn run_elastic_from(
     };
     let mut cycle_means: Vec<(usize, Vec<f64>)> = Vec::new();
     // No fault plan and no health policy: the member/obs/analysis fault
-    // channels stay with the serial faces; a rank's script is its membership.
+    // channels stay with the serial faces (validation refuses them here); a
+    // rank's script is its membership.
     let label = format!("elastic@{}r", comm.size());
     let perfect = SqgForecast::perfect(osse.params.clone());
     let mut model = ShardedForecast::new(comm, perfect, config.base.comm.as_ref());
@@ -869,6 +883,31 @@ mod tests {
         let mut bad_deadline = tiny_config(2);
         bad_deadline.deadline = Some(DeadlinePolicy { budget_secs: 1.0, degraded_steps: 0 });
         assert!(matches!(run_elastic_osse(&bad_deadline, 2), Err(DistError::Config(_))));
+    }
+
+    #[test]
+    fn serial_fault_channels_are_config_errors() {
+        use da_core::resilience::{AnalysisFault, MemberFault, MemberFaultKind, ObsFault};
+        let member = MemberFault { cycle: 0, member: 1, kind: MemberFaultKind::Nan };
+        let scripts = [
+            ("member_faults", FaultPlan { member_faults: vec![member], ..FaultPlan::none() }),
+            ("obs_faults", FaultPlan { obs_faults: vec![(0, ObsFault::Drop)], ..FaultPlan::none() }),
+            (
+                "analysis_faults",
+                FaultPlan {
+                    analysis_faults: vec![AnalysisFault { cycle: 0, failures: 1 }],
+                    ..FaultPlan::none()
+                },
+            ),
+            ("kill_after", FaultPlan { kill_after: Some(1), ..FaultPlan::none() }),
+        ];
+        for (channel, faults) in scripts {
+            let config = ElasticCycleConfig { faults, ..tiny_config(2) };
+            match run_elastic_osse(&config, 2) {
+                Err(DistError::Config(msg)) => assert!(msg.contains(channel), "{channel}: {msg}"),
+                other => panic!("{channel} must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

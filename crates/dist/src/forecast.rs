@@ -23,11 +23,11 @@
 //! revoked epoch stays revoked until that shrink, so after a forecast-only
 //! cycle the next cycle's forecast falls back too, without a gather.
 
-use crate::analysis::{CommSpec, CommStats};
+use crate::analysis::{model_collective, CommSpec, CommStats};
 use da_core::ForecastModel;
 use ensf::parallel::RankPlan;
 use hpc::mpi::Comm;
-use hpc::{collective_time, Collective, MpiError};
+use hpc::{Collective, MpiError};
 use stats::Ensemble;
 
 /// A rank's forecast slot for the cycle loop: `model` on this rank's
@@ -61,10 +61,9 @@ impl<M: ForecastModel> ForecastModel for ShardedForecast<'_, M> {
         self.model.forecast(state, hours);
     }
 
-    /// This rank's block, then the gather: priced like any collective but
-    /// never retried, since scripted [`hpc::RankFault`]s drive only the
-    /// analysis gather. A dead peer is absorbed here (see the module docs),
-    /// so the forecast stays infallible.
+    /// This rank's block, then the gather, priced like the analysis's. A
+    /// dead peer is absorbed here (see the module docs), so the forecast
+    /// stays infallible.
     fn forecast_ensemble(&mut self, ensemble: &mut Ensemble, hours: f64) {
         let _span = telemetry::span!("dist.forecast");
         let comm = self.comm;
@@ -76,13 +75,7 @@ impl<M: ForecastModel> ForecastModel for ShardedForecast<'_, M> {
 
         if self.revoked != Some(comm.epoch()) {
             let bytes = (members * dim * 8) as u64;
-            self.stats.collectives += 1;
-            self.stats.attempts += 1;
-            self.stats.bytes += bytes;
-            if let Some(spec) = self.spec {
-                self.stats.modeled_comm_secs +=
-                    collective_time(&spec.topo, Collective::AllGather, comm.size(), bytes);
-            }
+            model_collective(self.spec, &mut self.stats, Collective::AllGather, comm.size(), bytes);
             match comm.try_allgather_concat(&ensemble.as_slice()[start * dim..end * dim]) {
                 Ok(gathered) => {
                     let covered = gathered.len() == members * dim;
@@ -110,6 +103,7 @@ impl<M: ForecastModel> ForecastModel for ShardedForecast<'_, M> {
 mod tests {
     use super::*;
     use da_core::SqgForecast;
+    use hpc::collective_time;
     use hpc::mpi::run_world;
     use sqg::SqgParams;
     use std::sync::atomic::{AtomicUsize, Ordering};

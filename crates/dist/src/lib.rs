@@ -24,11 +24,11 @@
 //!    bits cannot depend on which rank (or which block) integrated it
 //!    ([`ensf::parallel::BlockAnalysis`]).
 //! 2. **Replicated control flow**: the mini-batch draw, the spread
-//!    relaxation, diagnostics and retry/shrink decisions ([`CommSpec`])
-//!    are evaluated identically on every rank from identical inputs, so
-//!    no rank ever branches differently from its peers; a member's
-//!    forecast is a pure function of its own state, so it does not matter
-//!    which rank ran it.
+//!    relaxation, diagnostics, the deadline ladder and the shrunken group
+//!    after a rank death ([`elastic`]) are evaluated identically on every
+//!    rank from identical inputs, so no rank ever branches differently
+//!    from its peers; a member's forecast is a pure function of its own
+//!    state, so it does not matter which rank ran it.
 //!
 //! Nothing depends on the rank count, so a shrunken group redoing a cycle
 //! computes what a fresh run at the survivor count would: shrink-retry
@@ -81,11 +81,6 @@ pub use shard::ShardPlan;
 /// Why a distributed experiment could not complete.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistError {
-    /// A simulated collective exhausted its retry budget or lost every rank
-    /// (propagated identically on all ranks: the retry model is a pure
-    /// function of the scripted faults, so no cross-rank agreement protocol
-    /// is needed to fail consistently).
-    Collective(hpc::CollectiveError),
     /// A live MPI collective failed typed — a peer died mid-operation or
     /// revoked the epoch. The elastic runtime ([`elastic`]) catches this,
     /// shrinks the group, and retries; it is fatal only when every rank is
@@ -102,7 +97,6 @@ pub enum DistError {
 impl std::fmt::Display for DistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DistError::Collective(e) => write!(f, "distributed collective failed: {e}"),
             DistError::Mpi(e) => write!(f, "MPI operation failed: {e}"),
             DistError::Config(msg) => write!(f, "invalid distributed experiment: {msg}"),
             DistError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
@@ -111,12 +105,6 @@ impl std::fmt::Display for DistError {
 }
 
 impl std::error::Error for DistError {}
-
-impl From<hpc::CollectiveError> for DistError {
-    fn from(e: hpc::CollectiveError) -> Self {
-        DistError::Collective(e)
-    }
-}
 
 /// What the cycle loop refuses or gives up on, in this crate's terms.
 impl From<da_core::OsseError> for DistError {

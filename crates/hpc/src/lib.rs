@@ -14,8 +14,8 @@
 //!   (Fig. 9), and the EnSF weak-scaling model (Fig. 10).
 //! - [`mpi`] — a simulated MPI world (threads + channels) used to run the
 //!   EnSF rank decomposition for real at laptop scale.
-//! - [`resilience`] — retry-with-backoff and ULFM-style shrink for the
-//!   simulated collectives, with failure counters through telemetry.
+//! - [`resilience`] — the scripted straggler schedule that scales modelled
+//!   cycle time; a dead rank is [`mpi`]'s typed `RankDead`/`Revoked` path.
 //!
 //! Absolute times are model outputs, not measurements; the *shapes*
 //! (who wins, crossovers, efficiency trends) are the reproduction target —
@@ -36,10 +36,7 @@ mod topology;
 
 pub use collective::{bus_bandwidth, collective_time, Collective};
 pub use mpi::{run_world, Comm, MpiError};
-pub use resilience::{
-    collective_with_retry, CollectiveError, RankFault, RetriedCollective, RetryPolicy,
-    Straggler, StragglerPlan,
-};
+pub use resilience::{Straggler, StragglerPlan};
 pub use gemm_model::{achieved_flops, fig6_heatmap, KernelShape, GCD_PEAK_FLOPS};
 pub use simulate::{
     ensf_step_time, is_realtime, scaling_curve, shard_step_compute_secs, simulate_step,

@@ -1,86 +1,12 @@
-//! Fault-tolerant simulated collectives: retry with exponential backoff
-//! and ULFM-style shrink.
+//! Scripted stragglers: the per-rank slowdown schedule of the modelled
+//! cycle time.
 //!
-//! At Frontier scale a multi-hour DA campaign sees rank failures as a
-//! matter of course. MPI's ULFM proposal handles them by *revoking* the
-//! communicator and *shrinking* it to the survivors; NCCL/RCCL deployments
-//! typically retry the collective after a backoff. This module models both
-//! on top of the α–β cost models: transient rank faults cost extra attempts
-//! (each paying the collective time plus an exponential backoff), permanent
-//! faults remove the rank from the communicator, and everything is reported
-//! through the telemetry counters so campaign simulations can account for
-//! the lost time.
-
-use crate::collective::{collective_time, Collective};
-use crate::topology::Topology;
-
-/// Retry/backoff policy for a failed collective.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Attempts after the first before giving up.
-    pub max_retries: u32,
-    /// Backoff after the first failed attempt (seconds).
-    pub base_backoff: f64,
-    /// Backoff growth factor per further failure.
-    pub backoff_multiplier: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 3, base_backoff: 0.5, backoff_multiplier: 2.0 }
-    }
-}
-
-/// A scripted rank fault in the simulated communicator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankFault {
-    /// Rank (GCD index) that misbehaves.
-    pub rank: usize,
-    /// Number of attempts this rank fails (transient faults heal after
-    /// that many retries; ignored for permanent faults).
-    pub failures: u32,
-    /// Permanent faults are excluded from the communicator (ULFM shrink)
-    /// instead of retried.
-    pub permanent: bool,
-}
-
-/// Outcome of a fault-tolerant collective.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetriedCollective {
-    /// Total wall time: every attempt's collective time plus backoffs.
-    pub time: f64,
-    /// Attempts taken (1 = clean first try).
-    pub attempts: u32,
-    /// Ranks participating in the attempt that succeeded.
-    pub participants: usize,
-    /// Permanently failed ranks excluded by the shrink.
-    pub excluded: Vec<usize>,
-}
-
-/// Why a fault-tolerant collective could not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CollectiveError {
-    /// Transient faults outlasted the retry budget.
-    Exhausted {
-        /// Attempts taken (1 + `max_retries`).
-        attempts: u32,
-    },
-    /// Every rank failed permanently; there is no communicator to shrink to.
-    NoSurvivors,
-}
-
-impl std::fmt::Display for CollectiveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CollectiveError::Exhausted { attempts } => {
-                write!(f, "collective failed after {attempts} attempts")
-            }
-            CollectiveError::NoSurvivors => write!(f, "all ranks failed permanently"),
-        }
-    }
-}
-
-impl std::error::Error for CollectiveError {}
+//! At Frontier scale a bulk-synchronous DA cycle runs at the pace of its
+//! slowest rank. A [`StragglerPlan`] scripts which ranks run slow in which
+//! cycles; `dist::elastic`'s deadline ladder scales its modelled analysis
+//! time by the worst factor in the group. Rank *failure* is not modelled
+//! here: a dead rank is [`crate::mpi`]'s live ULFM path (`RankDead`,
+//! `Revoked`, `recover`) and nothing else.
 
 /// One scripted straggler episode: a rank running slow for a cycle range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,14 +22,14 @@ pub struct Straggler {
     pub slowdown: f64,
 }
 
-/// Seedable per-rank slowdown schedule for the simulated communicator.
+/// Per-rank slowdown schedule for the simulated communicator.
 ///
 /// Stragglers model the contention/thermal slowdowns that dominate tail
-/// latency at Frontier scale. The plan is deterministic — a pure function
-/// of its seed — so every rank evaluates the identical schedule locally
-/// and deadline decisions stay replicated. Slowdowns scale *modeled* time
-/// only (the α–β collective costs and the modeled compute), never the real
-/// wall clock of the in-process runtime.
+/// latency at Frontier scale. The plan is plain data, so every rank
+/// evaluates the identical schedule locally and deadline decisions stay
+/// replicated. Slowdowns scale *modeled* time only (the α–β collective
+/// costs and the modeled compute), never the real wall clock of the
+/// in-process runtime.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StragglerPlan {
     /// The scripted episodes; overlapping episodes take the worst factor.
@@ -114,33 +40,6 @@ impl StragglerPlan {
     /// The empty plan: every rank at full speed.
     pub fn none() -> Self {
         StragglerPlan { events: Vec::new() }
-    }
-
-    /// Deterministically samples a plan: each (rank, cycle) cell straggles
-    /// with probability `rate`, with a slowdown drawn uniformly from
-    /// `(1, max_slowdown]`. Uses a splitmix64 stream keyed by `seed` so
-    /// the plan is identical on every rank.
-    pub fn random(seed: u64, ranks: usize, cycles: usize, rate: f64, max_slowdown: f64) -> Self {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let unit = |v: u64| (v >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let mut events = Vec::new();
-        for rank in 0..ranks {
-            for cycle in 0..cycles {
-                let (toss, mag) = (unit(next()), unit(next()));
-                if toss < rate {
-                    let slowdown = 1.0 + mag * (max_slowdown - 1.0);
-                    events.push(Straggler { rank, from_cycle: cycle, to_cycle: cycle, slowdown });
-                }
-            }
-        }
-        StragglerPlan { events }
     }
 
     /// The slowdown factor for `rank` at `cycle` (1.0 when unaffected;
@@ -161,85 +60,12 @@ impl StragglerPlan {
     }
 }
 
-/// Runs a collective over `gcds` ranks under a set of scripted rank faults.
-///
-/// Permanent faults shrink the communicator first (their ranks never
-/// participate). Each attempt then fails while any transient fault still
-/// has failures left, costing the full collective time plus an exponential
-/// backoff before the next try. Failure counters are exported through
-/// telemetry (`hpc.collective.*`).
-pub fn collective_with_retry(
-    topo: &Topology,
-    op: Collective,
-    gcds: usize,
-    bytes: u64,
-    faults: &[RankFault],
-    policy: &RetryPolicy,
-) -> Result<RetriedCollective, CollectiveError> {
-    let excluded: Vec<usize> =
-        faults.iter().filter(|f| f.permanent && f.rank < gcds).map(|f| f.rank).collect();
-    let participants = gcds - excluded.len();
-    if participants == 0 {
-        return Err(CollectiveError::NoSurvivors);
-    }
-    if !excluded.is_empty() {
-        telemetry::counter_add("hpc.collective.shrinks", 1);
-        telemetry::counter_add("hpc.collective.rank_failures", excluded.len() as u64);
-        telemetry::flight_record(
-            telemetry::FlightKind::CollectiveShrink,
-            -1,
-            "collective_shrink",
-            participants as f64,
-            excluded.len() as f64,
-        );
-        telemetry::dump_postmortem("collective_shrink");
-    }
-
-    // Worst remaining transient fault decides how many attempts fail.
-    let transient_failures = faults
-        .iter()
-        .filter(|f| !f.permanent && f.rank < gcds && !excluded.contains(&f.rank))
-        .map(|f| f.failures)
-        .max()
-        .unwrap_or(0);
-
-    let per_attempt = collective_time(topo, op, participants, bytes);
-    let mut time = 0.0;
-    let mut backoff = policy.base_backoff;
-    for attempt in 1..=(1 + policy.max_retries) {
-        time += per_attempt;
-        telemetry::counter_add("hpc.collective.attempts", 1);
-        if attempt > transient_failures {
-            return Ok(RetriedCollective { time, attempts: attempt, participants, excluded });
-        }
-        telemetry::counter_add("hpc.collective.retries", 1);
-        telemetry::counter_add("hpc.collective.rank_failures", 1);
-        time += backoff;
-        backoff *= policy.backoff_multiplier;
-    }
-    telemetry::flight_record(
-        telemetry::FlightKind::CollectiveExhausted,
-        -1,
-        "collective_retry_exhausted",
-        (1 + policy.max_retries) as f64,
-        bytes as f64,
-    );
-    telemetry::dump_postmortem("collective_retry_exhausted");
-    Err(CollectiveError::Exhausted { attempts: 1 + policy.max_retries })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const MB: u64 = 1 << 20;
-
-    fn topo() -> Topology {
-        Topology::frontier(16)
-    }
-
     #[test]
-    fn straggler_plan_is_seeded_and_bulk_synchronous() {
+    fn straggler_plan_is_bulk_synchronous() {
         assert_eq!(StragglerPlan::none().worst(3, &[0, 1, 2]), 1.0);
         let plan = StragglerPlan {
             events: vec![
@@ -252,135 +78,5 @@ mod tests {
         assert_eq!(plan.slowdown(1, 3), 3.0, "overlap takes the worst factor");
         assert_eq!(plan.worst(3, &[0, 1, 2]), 3.0);
         assert_eq!(plan.worst(3, &[0, 2]), 1.5, "shrunken group drops the straggler");
-        // Same seed => same plan; different seed => (almost surely) different.
-        let a = StragglerPlan::random(7, 8, 20, 0.3, 4.0);
-        let b = StragglerPlan::random(7, 8, 20, 0.3, 4.0);
-        assert_eq!(a, b);
-        assert!(!a.events.is_empty(), "30% rate over 160 cells must fire");
-        assert!(a.events.iter().all(|s| s.slowdown > 1.0 && s.slowdown <= 4.0));
-        assert_ne!(a, StragglerPlan::random(8, 8, 20, 0.3, 4.0));
-    }
-
-    #[test]
-    fn clean_collective_matches_base_model() {
-        let r = collective_with_retry(
-            &topo(),
-            Collective::AllReduce,
-            16,
-            64 * MB,
-            &[],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(r.attempts, 1);
-        assert_eq!(r.participants, 16);
-        assert!(r.excluded.is_empty());
-        assert_eq!(r.time, collective_time(&topo(), Collective::AllReduce, 16, 64 * MB));
-    }
-
-    #[test]
-    fn transient_fault_costs_retries_and_backoff() {
-        let faults = [RankFault { rank: 3, failures: 2, permanent: false }];
-        let policy = RetryPolicy::default();
-        let r = collective_with_retry(
-            &topo(),
-            Collective::AllReduce,
-            16,
-            64 * MB,
-            &faults,
-            &policy,
-        )
-        .unwrap();
-        assert_eq!(r.attempts, 3, "two failures then success");
-        let base = collective_time(&topo(), Collective::AllReduce, 16, 64 * MB);
-        let expected = 3.0 * base + policy.base_backoff * (1.0 + policy.backoff_multiplier);
-        assert!((r.time - expected).abs() < 1e-12, "{} vs {expected}", r.time);
-    }
-
-    #[test]
-    fn permanent_fault_shrinks_communicator() {
-        let faults = [
-            RankFault { rank: 0, failures: 0, permanent: true },
-            RankFault { rank: 5, failures: 0, permanent: true },
-        ];
-        let r = collective_with_retry(
-            &topo(),
-            Collective::AllGather,
-            16,
-            8 * MB,
-            &faults,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(r.participants, 14);
-        assert_eq!(r.excluded, vec![0, 5]);
-        assert_eq!(r.attempts, 1, "survivors succeed on the first try");
-        assert_eq!(r.time, collective_time(&topo(), Collective::AllGather, 14, 8 * MB));
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_is_an_error() {
-        let faults = [RankFault { rank: 1, failures: 99, permanent: false }];
-        let err = collective_with_retry(
-            &topo(),
-            Collective::ReduceScatter,
-            16,
-            MB,
-            &faults,
-            &RetryPolicy::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, CollectiveError::Exhausted { attempts: 4 });
-    }
-
-    #[test]
-    fn all_ranks_permanent_is_no_survivors() {
-        let faults: Vec<RankFault> =
-            (0..4).map(|r| RankFault { rank: r, failures: 0, permanent: true }).collect();
-        let err = collective_with_retry(
-            &topo(),
-            Collective::AllReduce,
-            4,
-            MB,
-            &faults,
-            &RetryPolicy::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, CollectiveError::NoSurvivors);
-        // Out-of-range faults are ignored entirely.
-        let ok = collective_with_retry(
-            &topo(),
-            Collective::AllReduce,
-            4,
-            MB,
-            &[RankFault { rank: 9, failures: 0, permanent: true }],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(ok.participants, 4);
-    }
-
-    #[test]
-    fn failure_counters_reach_telemetry() {
-        telemetry::set_enabled(true);
-        let before = [
-            telemetry::counter_value("hpc.collective.attempts"),
-            telemetry::counter_value("hpc.collective.retries"),
-            telemetry::counter_value("hpc.collective.rank_failures"),
-        ];
-        let faults = [RankFault { rank: 2, failures: 1, permanent: false }];
-        collective_with_retry(
-            &topo(),
-            Collective::AllReduce,
-            8,
-            MB,
-            &faults,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(telemetry::counter_value("hpc.collective.attempts") - before[0], 2);
-        assert_eq!(telemetry::counter_value("hpc.collective.retries") - before[1], 1);
-        assert_eq!(telemetry::counter_value("hpc.collective.rank_failures") - before[2], 1);
-        telemetry::set_enabled(false);
     }
 }

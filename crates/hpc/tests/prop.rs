@@ -2,8 +2,7 @@
 
 use hpc::mpi::run_world;
 use hpc::{
-    bus_bandwidth, collective_time, collective_with_retry, simulate_step, Collective,
-    CollectiveError, RankFault, RetryPolicy, Strategy, Topology, TrainJob,
+    bus_bandwidth, collective_time, simulate_step, Collective, Strategy, Topology, TrainJob,
 };
 use proptest::prelude::*;
 
@@ -258,72 +257,6 @@ proptest! {
         });
         for (r, got) in results.iter().enumerate() {
             prop_assert_eq!(got, &concat, "allgather_concat wrong on rank {}", r);
-        }
-    }
-
-    /// The fault-tolerant retry model is a pure function of its inputs with
-    /// exact ULFM-shrink semantics: permanent faults are excluded up front,
-    /// the worst surviving transient fault fixes the attempt count, and the
-    /// budget bounds everything. Evaluating it twice (as every simulated
-    /// rank does) must give identical results — that purity is what lets
-    /// `crates/dist` fail consistently on all ranks with no agreement
-    /// protocol.
-    #[test]
-    fn retry_model_is_pure_with_exact_shrink_semantics(
-        gcds in 1usize..=8,
-        fault_ranks_raw in prop::collection::vec(0usize..8, 0..4),
-        failures in 0u32..6,
-        permanent_mask in 0u8..16,
-        max_retries in 0u32..5,
-    ) {
-        // One fault script entry per distinct rank (a duplicated permanent
-        // rank would double-count in the shrink bookkeeping).
-        let mut fault_ranks = fault_ranks_raw;
-        fault_ranks.sort_unstable();
-        fault_ranks.dedup();
-        let faults: Vec<RankFault> = fault_ranks
-            .iter()
-            .enumerate()
-            .map(|(i, &rank)| RankFault {
-                rank,
-                failures,
-                permanent: permanent_mask & (1 << i) != 0,
-            })
-            .collect();
-        let policy = RetryPolicy { max_retries, ..Default::default() };
-        let topo = Topology::frontier(gcds);
-        let run = || collective_with_retry(
-            &topo, Collective::AllReduce, gcds, MB, &faults, &policy,
-        );
-        let first = run();
-        prop_assert_eq!(&first, &run(), "retry model is not deterministic");
-
-        let expected_excluded: Vec<usize> = faults
-            .iter()
-            .filter(|f| f.permanent && f.rank < gcds)
-            .map(|f| f.rank)
-            .collect();
-        let transient = faults
-            .iter()
-            .filter(|f| !f.permanent && f.rank < gcds && !expected_excluded.contains(&f.rank))
-            .map(|f| f.failures)
-            .max()
-            .unwrap_or(0);
-        match first {
-            Ok(r) => {
-                prop_assert_eq!(r.excluded, expected_excluded.clone());
-                prop_assert_eq!(r.participants, gcds - expected_excluded.len());
-                prop_assert_eq!(r.attempts, transient + 1);
-                prop_assert!(r.attempts <= 1 + max_retries);
-                prop_assert!(r.time > 0.0 && r.time.is_finite());
-            }
-            Err(CollectiveError::NoSurvivors) => {
-                prop_assert_eq!(expected_excluded.len(), gcds, "shrink had survivors");
-            }
-            Err(CollectiveError::Exhausted { attempts }) => {
-                prop_assert_eq!(attempts, 1 + max_retries);
-                prop_assert!(transient >= attempts, "budget sufficed but model gave up");
-            }
         }
     }
 }

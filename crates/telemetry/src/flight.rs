@@ -41,11 +41,9 @@ pub enum FlightKind {
     Guardrail,
     /// An analysis retry budget was exhausted.
     RetryExhausted,
-    /// A simulated collective shrank away permanently failed ranks
+    /// The rank group shrank away dead ranks after a failed collective
     /// (`a` = surviving participants, `b` = excluded ranks).
     CollectiveShrink,
-    /// A simulated collective exhausted its retry budget (`a` = attempts).
-    CollectiveExhausted,
     /// A previously dead rank rejoined the communicator from a checkpoint
     /// (`a` = rejoined world rank, `b` = new group size).
     RankRejoin,
@@ -66,7 +64,6 @@ impl FlightKind {
             FlightKind::Guardrail => "guardrail",
             FlightKind::RetryExhausted => "retry_exhausted",
             FlightKind::CollectiveShrink => "collective_shrink",
-            FlightKind::CollectiveExhausted => "collective_exhausted",
             FlightKind::RankRejoin => "rank_rejoin",
             FlightKind::Deadline => "deadline",
             FlightKind::Other => "other",
