@@ -179,7 +179,7 @@ fn elastic_hit_rate_straggler(doc: &Json) -> Option<f64> {
 }
 
 /// Fraction of scripted cycles the killed run still completed — survival
-/// of the cycling loop, independent of the deadline ladder.
+/// of the cycling loop, independent of the analysis ladder's rungs.
 fn elastic_kill_completion(doc: &Json) -> Option<f64> {
     let done = elastic_scenario_field(doc, "one_kill", "completed_cycles")?;
     let cycles = elastic_scenario_field(doc, "one_kill", "cycles")?;

@@ -262,7 +262,7 @@ fn cycle_da(config: &OsseConfig, nature: &NatureRun, scheme: &mut dyn AnalysisSc
     let mut analysis_secs = 0.0;
     let series = run_cycles(
         "flow-sweep", config, nature, &mut model, scheme, None, &FaultPlan::none(), None, None,
-        &mut SingleProcess, &mut |_, _, secs| analysis_secs += secs, None,
+        None, &mut SingleProcess, &mut |_, _, secs| analysis_secs += secs, None,
     )
     .expect("the sweep's nature run fits its configuration")
     .series;

@@ -10,8 +10,9 @@
 use crate::error::OsseError;
 use crate::osse::{initial_ensemble, validate_experiment, CycleSeries, NatureRun, OsseConfig};
 use crate::resilience::{
-    health, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, HealthPolicy, LoopState,
-    ObsFault, RecoveryCounters, SupervisedCycle, SupervisedRun,
+    decide_rung, health, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, HealthPolicy,
+    Ladder, LoopState, ObsFault, RecoveryCounters, Rule, Rung, SupervisedCycle,
+    SupervisedRun,
 };
 use crate::traits::{AnalysisScheme, ForecastModel};
 use stats::rng::split_seed;
@@ -93,11 +94,13 @@ fn restore(
 
 /// Runs `config`'s cycles from `resume` (or from the initial ensemble) and
 /// returns the series, the per-cycle log and the boundary state the run
-/// ended at. `fallback` is tried once per cycle after the policy's retry
-/// budget; without a `policy` nothing is scanned, repaired, retried or
-/// re-inflated, and a non-finite analysis propagates into the series.
-/// `observe` receives every completed cycle's `(index, analysis mean,
-/// analysis wall seconds)` — values the loop does not keep.
+/// ended at. The analysis walks one ladder, `scheme` → `fallback` →
+/// forecast-only ([`crate::resilience::decide_rung`]), against the
+/// policy's retries and the modelled seconds `budget` allows an attempt.
+/// Without a `policy` nothing is scanned, repaired, retried or re-inflated,
+/// and a non-finite analysis propagates into the series. `observe` receives
+/// every completed cycle's `(index, analysis mean, analysis wall seconds)`
+/// — values the loop does not keep.
 ///
 /// # Errors
 /// Configuration mismatches and a checkpoint that does not fit the
@@ -113,6 +116,7 @@ pub fn run_cycles(
     mut fallback: Option<&mut dyn AnalysisScheme>,
     plan: &FaultPlan,
     policy: Option<&HealthPolicy>,
+    budget: Option<f64>,
     checkpoint: Option<&CheckpointConfig>,
     group: &mut dyn ProcessGroup,
     observe: &mut dyn FnMut(usize, &[f64], f64),
@@ -243,75 +247,76 @@ pub fn run_cycles(
             crate::diagnostics::forecast_stats(&at.ensemble, y, &spec, cycle as u64)
         });
 
-        // Analysis: one call without a policy; with one, bounded retry,
-        // optional fallback, and forecast-only degradation as the last
-        // resort.
+        // Analysis: the one ladder (`resilience::decide_rung`), asked before
+        // every attempt; every attempt runs at analysis index `cycle`.
         let t_an = Instant::now();
-        let mut extra_phases: Vec<(String, f64)> = Vec::new();
         let mut postmortems: Vec<&'static str> = Vec::new();
-        let analysis = match obs.as_deref() {
-            None => {
-                at.counters.degraded_cycles += 1;
-                events.push("degraded_cycle:forecast_only".to_string());
-                None
+        let max_retries = policy.map_or(0, |p| p.max_analysis_retries);
+        let mut ladder =
+            Ladder { observed: obs.is_some(), max_retries, budget, ..Default::default() };
+        let mut spent = 0.0;
+        let (rung, rule, analysis) = loop {
+            align(scheme, &mut fallback, cycle);
+            ladder.primary = scheme.modeled_secs();
+            ladder.fallback = fallback.as_deref().map(|fb| fb.modeled_secs());
+            let (rung, rule) = decide_rung(&ladder);
+            if rule == Rule::Retry {
+                ladder.retries += 1;
+                let stream = ((cycle as u64) << 8) | ladder.retries as u64;
+                let seed = split_seed(config.seed ^ RETRY_SALT, stream);
+                scheme.set_rng_state(cycle as u64, seed);
+                at.counters.analysis_retries += 1;
+                events.push(format!("analysis_retry:{}", ladder.retries));
             }
-            Some(y) => {
-                let forced_failures = plan.analysis_failures_at(cycle);
-                let mut attempt = 0;
-                let mut produced = loop {
-                    let mut candidate = scheme.analyze(&at.ensemble, y);
-                    let report = scheme.take_report();
-                    if let Some(reason) = report.abort {
-                        return Err(OsseError::Unrecoverable { cycle, reason });
-                    }
-                    events.extend(report.events);
-                    extra_phases.extend(report.phases);
-                    postmortems.extend(report.postmortems);
-                    if attempt < forced_failures {
-                        candidate.as_mut_slice().fill(f64::NAN);
-                    }
-                    let Some(policy) = policy else {
-                        break Some(candidate);
-                    };
-                    if health::all_finite(&candidate) {
-                        break Some(candidate);
-                    }
-                    if attempt == policy.max_analysis_retries {
-                        break None;
-                    }
-                    attempt += 1;
-                    scheme.reseed(split_seed(
-                        config.seed ^ RETRY_SALT,
-                        ((cycle as u64) << 8) | attempt as u64,
-                    ));
-                    at.counters.analysis_retries += 1;
-                    events.push(format!("analysis_retry:{attempt}"));
+            let (slot, price, y): (&mut dyn AnalysisScheme, _, _) =
+                match (rung, fallback.as_deref_mut(), obs.as_deref()) {
+                    (Rung::Primary, _, Some(y)) => (&mut *scheme, ladder.primary, y),
+                    (Rung::Fallback, Some(fb), Some(y)) => (fb, ladder.fallback.flatten(), y),
+                    _ => break (Rung::ForecastOnly, rule, None),
                 };
-                if produced.is_none() {
-                    if let Some(fb) = fallback.as_deref_mut() {
-                        let candidate = fb.analyze(&at.ensemble, y);
-                        if health::all_finite(&candidate) {
-                            at.counters.analysis_fallbacks += 1;
-                            events.push(format!("analysis_fallback:{}", fb.name()));
-                            produced = Some(candidate);
-                        }
-                    }
-                }
-                if produced.is_none() {
-                    at.counters.degraded_cycles += 1;
-                    events.push("degraded_cycle:analysis_failed".to_string());
-                    postmortems.push("analysis_retry_exhausted");
-                    telemetry::flight_record(
-                        telemetry::FlightKind::RetryExhausted,
-                        cycle as i64,
-                        "analysis_retry_exhausted",
-                        (attempt + 1) as f64,
-                        forced_failures as f64,
-                    );
-                }
-                produced
+            spent += price.unwrap_or(0.0);
+            let mut candidate = slot.analyze(&at.ensemble, y);
+            let report = slot.take_report();
+            if let Some(reason) = report.abort {
+                return Err(OsseError::Unrecoverable { cycle, reason });
             }
+            events.extend(report.events);
+            postmortems.extend(report.postmortems);
+            if rung == Rung::Primary && ladder.retries < plan.analysis_failures_at(cycle) {
+                candidate.as_mut_slice().fill(f64::NAN);
+            }
+            ladder.failed = if report.shrunk {
+                None
+            } else if policy.is_some() && !health::all_finite(&candidate) {
+                Some(rung)
+            } else {
+                break (rung, rule, Some(candidate));
+            };
         };
+        at.counters.analysis_fallbacks += u64::from(rung == Rung::Fallback);
+        at.counters.degraded_cycles += u64::from(rung == Rung::ForecastOnly);
+        // The rule that placed the cycle on its rung is its event, and the
+        // attempts' summed price overrunning the budget is one more.
+        let fired = match rule {
+            Rule::Unobserved => Some("degraded_cycle:forecast_only".to_string()),
+            Rule::Fits | Rule::Retry => None,
+            Rule::RetryExhausted => {
+                fallback.as_deref().map(|fb| format!("analysis_fallback:{}", fb.name()))
+            }
+            Rule::AnalysisFailed => {
+                postmortems.push("analysis_retry_exhausted");
+                Some("degraded_cycle:analysis_failed".to_string())
+            }
+            Rule::DeadlineDegraded => Some("deadline_degraded".to_string()),
+            Rule::DeadlineForecastOnly => Some("deadline_forecast_only".to_string()),
+        };
+        let blown = budget.is_some_and(|b| spent > b).then(|| "deadline_blown".to_string());
+        postmortems.extend(blown.as_ref().map(|_| "deadline_blown"));
+        let first = events.len();
+        events.extend(fired.into_iter().chain(blown));
+        let ladder_events = first..events.len();
+        let modeled_secs = ladder.primary.map(|_| spent);
+        align(scheme, &mut fallback, cycle + 1);
         let analysis_secs = t_an.elapsed().as_secs_f64();
         if let Some(a) = analysis {
             at.ensemble = a;
@@ -372,16 +377,16 @@ pub fn run_cycles(
         let state = at.state;
 
         if lead {
-            for event in &events {
+            for (i, event) in events.iter().enumerate() {
                 let key = event.split(':').next().unwrap_or(event);
                 telemetry::counter_add(&format!("resilience.{key}"), 1);
-                telemetry::flight_record(
-                    telemetry::FlightKind::Guardrail,
-                    cycle as i64,
-                    key,
-                    0.0,
-                    0.0,
-                );
+                let (kind, label, a, b) = if ladder_events.contains(&i) {
+                    let budget = budget.unwrap_or(f64::INFINITY);
+                    (telemetry::FlightKind::Ladder, event.as_str(), spent, budget)
+                } else {
+                    (telemetry::FlightKind::Guardrail, key, 0.0, 0.0)
+                };
+                telemetry::flight_record(kind, cycle as i64, label, a, b);
             }
             if state != prev_state {
                 telemetry::counter_add("supervisor.transitions", 1);
@@ -424,7 +429,7 @@ pub fn run_cycles(
                 ("forecast".to_string(), forecast_secs),
                 ("analysis".to_string(), analysis_secs),
             ];
-            phases.extend(extra_phases);
+            phases.extend(modeled_secs.map(|s| ("analysis_modeled".to_string(), s)));
             telemetry::record_cycle(telemetry::CycleRecord {
                 label: label.to_string(),
                 cycle,
@@ -453,7 +458,7 @@ pub fn run_cycles(
         model.assimilate_feedback(&at.prev_mean, &mean);
         observe(cycle, &mean, analysis_secs);
         at.prev_mean = mean;
-        log.push(SupervisedCycle { cycle, state, events });
+        log.push(SupervisedCycle { cycle, state, rung, events });
         at.cycle += 1;
 
         // Checkpoint the boundary, then honour a scripted kill at it.
@@ -489,6 +494,16 @@ pub fn run_cycles(
         final_state: at.state,
         checkpoint: at,
     })
+}
+
+/// Puts `scheme` and `fallback` at analysis index `at` (the cycle their
+/// masks and noise streams belong to), keeping their seeds.
+fn align(scheme: &mut dyn AnalysisScheme, fb: &mut Option<&mut dyn AnalysisScheme>, at: usize) {
+    let (_, seed) = scheme.rng_state();
+    scheme.set_rng_state(at as u64, seed);
+    if let Some(fb) = fb.as_deref_mut() {
+        align(fb, &mut None, at);
+    }
 }
 
 /// Completes the boundary state into a restorable checkpoint: where the

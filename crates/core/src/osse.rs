@@ -229,7 +229,7 @@ pub(crate) fn run_observed(
     observe: &mut dyn FnMut(usize, &[f64], f64),
 ) -> Result<CycleSeries, crate::OsseError> {
     let run = run_cycles(
-        label, config, nature, model, scheme, None, &FaultPlan::none(), None, None,
+        label, config, nature, model, scheme, None, &FaultPlan::none(), None, None, None,
         &mut SingleProcess, observe, None,
     )?;
     Ok(run.series)

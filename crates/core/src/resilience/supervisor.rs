@@ -143,6 +143,8 @@ pub struct SupervisedCycle {
     pub cycle: usize,
     /// Health state *after* this cycle.
     pub state: LoopState,
+    /// The analysis ladder's rung that produced this cycle's analysis.
+    pub rung: super::Rung,
     /// Recovery events fired this cycle (empty ⇒ clean).
     pub events: Vec<String>,
 }
@@ -189,7 +191,7 @@ pub fn run_supervised(
 ) -> Result<SupervisedRun, OsseError> {
     let policy = resilience.policy_for(config);
     run_cycles(
-        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy),
+        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy), None,
         resilience.checkpoint.as_ref(), &mut SingleProcess, &mut |_, _, _| {}, None,
     )
 }
@@ -210,7 +212,7 @@ pub fn resume_supervised(
 ) -> Result<SupervisedRun, OsseError> {
     let policy = resilience.policy_for(config);
     run_cycles(
-        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy),
+        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy), None,
         resilience.checkpoint.as_ref(), &mut SingleProcess, &mut |_, _, _| {}, Some(checkpoint),
     )
 }
@@ -447,6 +449,79 @@ mod tests {
         assert_eq!(run.counters.analysis_fallbacks, 0);
         assert_eq!(run.counters.degraded_cycles, 0);
         assert!(run.cycles[1].events.iter().any(|e| e == "analysis_retry:1"));
+    }
+
+    /// Records the analysis index each call runs at, forwarding the noise
+    /// position so the loop can align it.
+    struct IndexLog<S> {
+        inner: S,
+        indices: Vec<u64>,
+    }
+
+    impl<S: AnalysisScheme> AnalysisScheme for IndexLog<S> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
+            self.indices.push(self.inner.rng_state().0);
+            self.inner.analyze(forecast, observation)
+        }
+        fn rng_state(&self) -> (u64, u64) {
+            self.inner.rng_state()
+        }
+        fn set_rng_state(&mut self, epoch: u64, seed: u64) {
+            self.inner.set_rng_state(epoch, seed);
+        }
+    }
+
+    /// Every attempt at cycle `c` analyses index `c` — the moving track's
+    /// window and the noise streams of cycle `c` — whether it is a first
+    /// try, a retry or the fallback's rescue, so no later cycle shifts.
+    #[test]
+    fn retries_and_fallbacks_analyse_their_own_cycle() {
+        use crate::osse::MaskKind;
+        let track = MaskKind::Track { width: 64, speed: 16 };
+        let cfg = OsseConfig { obs_mask: track, ..tiny_config(4) };
+        let nr = nature_run(&cfg);
+        let dim = nr.truth[0].len();
+        let failing = |cycle, failures| ResilienceConfig {
+            plan: FaultPlan {
+                analysis_faults: vec![AnalysisFault { cycle, failures }],
+                ..FaultPlan::none()
+            },
+            ..Default::default()
+        };
+        for failures in [0, 1, 2] {
+            let mut model = SqgForecast::perfect(cfg.params.clone());
+            let mut scheme = IndexLog { inner: ensf_scheme(&cfg, dim), indices: Vec::new() };
+            let res = failing(1, failures);
+            let run =
+                run_supervised("track", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
+            assert_eq!(run.counters.analysis_retries, failures as u64);
+            let ck = &run.checkpoint;
+            assert_eq!(ck.scheme_epoch, ck.cycle as u64, "{failures} retries");
+            let mut want = vec![0, 1];
+            want.extend(std::iter::repeat_n(1, failures));
+            want.extend([2, 3]);
+            assert_eq!(scheme.indices, want, "{failures} retries");
+        }
+
+        let mut model = SqgForecast::perfect(cfg.params.clone());
+        let letkf = LetkfScheme::with_obs(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_spec());
+        let mut fallback = IndexLog { inner: letkf, indices: Vec::new() };
+        let run = run_supervised(
+            "rescue",
+            &cfg,
+            &failing(2, 9),
+            &nr,
+            &mut model,
+            &mut ensf_scheme(&cfg, dim),
+            Some(&mut fallback),
+        )
+        .unwrap();
+        assert_eq!(run.counters.analysis_fallbacks, 1);
+        assert_eq!(fallback.indices, [2], "the rescue reads cycle 2's track");
+        assert_eq!(run.checkpoint.scheme_epoch, 4);
     }
 
     #[test]

@@ -60,16 +60,19 @@ pub trait AnalysisScheme {
         (0, 0)
     }
 
-    /// Restores the `(epoch, seed)` captured by
-    /// [`AnalysisScheme::rng_state`], so a resumed run replays the exact
-    /// noise streams of the uninterrupted one. Default: no-op.
+    /// Puts the scheme at analysis index `epoch` on noise stream `seed`:
+    /// a resume replays the uninterrupted run's streams, the cycle loop
+    /// aligns every attempt to its cycle, and a retry moves to a fresh
+    /// stream (deterministic schemes ignore the seed, so the loop falls
+    /// back instead). Default: no-op.
     fn set_rng_state(&mut self, _epoch: u64, _seed: u64) {}
 
-    /// Switches the scheme onto a fresh internal noise stream — the cycle
-    /// loop's retry path after a failed analysis. Deterministic schemes
-    /// ignore it (a retry would reproduce the same failure, so the loop
-    /// falls back instead).
-    fn reseed(&mut self, _seed: u64) {}
+    /// Modelled seconds the next [`AnalysisScheme::analyze`] call would cost,
+    /// which [`crate::resilience::decide_rung`] holds against the loop's
+    /// budget. `None` (the default) is unpriced: the budget never binds.
+    fn modeled_secs(&self) -> Option<f64> {
+        None
+    }
 
     /// What the last [`AnalysisScheme::analyze`] call decided besides its
     /// ensemble; the cycle loop drains it after every call. Schemes that
@@ -80,22 +83,22 @@ pub trait AnalysisScheme {
 }
 
 /// Runtime decisions an analysis took on its own — the sharded analysis
-/// shrinks its group around a dead rank and rides a deadline ladder — in
-/// the terms the cycle loop already keeps for its own guardrails.
+/// shrinks its group around a dead rank — in the terms the cycle loop
+/// already keeps for its own guardrails.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisReport {
     /// Recovery events (they degrade the cycle's health state and land in
     /// its record like any guardrail event).
     pub events: Vec<String>,
-    /// Extra `(phase, seconds)` pairs for the cycle record, e.g. a
-    /// modelled analysis time next to the measured one.
-    pub phases: Vec<(String, f64)>,
     /// Reasons to dump a flight-recorder postmortem once the cycle's
     /// record is written.
     pub postmortems: Vec<&'static str>,
     /// Set when the analysis failed beyond recovery: the loop stops with
     /// [`crate::OsseError::Unrecoverable`] carrying this reason.
     pub abort: Option<String>,
+    /// Set when the group shrank under the call: its ensemble is void, and
+    /// the loop decides the cycle's rung again at the new group's prices.
+    pub shrunk: bool,
 }
 
 /// The "no assimilation" scheme: analysis = forecast (free run).
@@ -119,10 +122,10 @@ impl AnalysisScheme for NoAssimilation {
 /// is made dense before the filter sees it ([`Completion::complete`], the
 /// same call the sharded runtime makes).
 ///
-/// The mask's cycle index is the filter's analysis-cycle counter, so
-/// moving-track masks stay aligned with the OSSE as long as the scheme
-/// performs one analysis per assimilation cycle (checkpoint restore
-/// re-aligns it through [`AnalysisScheme::set_rng_state`]).
+/// The mask's cycle index is the filter's analysis-cycle counter, which
+/// the cycle loop sets to the cycle before every attempt through
+/// [`AnalysisScheme::set_rng_state`], so a retry analyses the cycle it
+/// retries and moving-track masks stay aligned with the OSSE.
 pub struct EnsfScheme {
     filter: ensf::Ensf,
     dim: usize,
@@ -182,10 +185,6 @@ impl AnalysisScheme for EnsfScheme {
 
     fn set_rng_state(&mut self, epoch: u64, seed: u64) {
         self.filter.set_cycle(epoch);
-        self.filter.reseed(seed);
-    }
-
-    fn reseed(&mut self, seed: u64) {
         self.filter.reseed(seed);
     }
 }

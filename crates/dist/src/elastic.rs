@@ -1,46 +1,38 @@
-//! Elastic rank-failure recovery and deadline-aware degraded analysis.
+//! Elastic rank-failure recovery on the cycle loop's slots.
 //!
-//! One rank's argument list for the cycle loop (`da_core::cycle::run_cycles`):
-//! the member-sharded forecast as its model, the particle-sharded analysis
-//! as its scheme, and the rank's membership in the world as its process
-//! group — wired to the live fault machinery of [`hpc::mpi`]
-//! ([`crate::cycle`] is the same with nothing scripted). A rank killed by a
-//! [`FaultPlan`] leaves at the cycle boundary and surfaces as
-//! [`hpc::MpiError::RankDead`] inside the first collective that misses it,
-//! the forecast gather (never a hang); the survivors then run a ULFM-style
-//! recovery:
+//! One rank's argument list for `da_core::cycle::run_cycles`: the
+//! member-sharded forecast as its model, the particle-sharded analysis as
+//! its scheme, the rank's membership in the world as its process group —
+//! wired to the live fault machinery of [`hpc::mpi`] ([`crate::cycle`] is
+//! the same with nothing scripted). A rank killed by a [`FaultPlan`] leaves
+//! at the cycle boundary and surfaces as [`hpc::MpiError::RankDead`] in the
+//! first collective that misses it, the forecast gather (never a hang):
 //!
 //! 1. the detecting rank **revokes** the epoch, waking every parked peer
 //!    with [`hpc::MpiError::Revoked`], and every survivor forecasts the
-//!    members it is missing itself — the forecast gather never shrinks the
-//!    group, so the cycle's forecast is the replicated one;
+//!    members it is missing itself — the forecast gather never shrinks;
 //! 2. the analysis gather meets the revoked epoch, and every survivor
-//!    independently computes the same shrunken group — the current group
-//!    minus the ranks the fault script kills this cycle and minus anything
-//!    registered dead — and calls [`hpc::Comm::recover`] with the agreed
-//!    generation counter;
-//! 3. the cycle's analysis is **redone from the replicated forecast** on
-//!    the shrunken group. The sharded analysis is the serial filter bit
-//!    for bit at every rank count, so the redone cycle (and every later
-//!    one) is identical to a fresh run at the surviving rank count by
-//!    construction.
+//!    computes the same shrunken group (the current one minus this
+//!    cycle's scripted victims and anything registered dead) and calls
+//!    [`hpc::Comm::recover`] with the agreed generation counter;
+//! 3. the analysis reports the shrink, and the loop decides the cycle's
+//!    rung again and **redoes it from the replicated forecast**. The
+//!    sharded analysis is the serial filter bit for bit at every rank
+//!    count, so the redone cycle (and every later one) is a fresh run at
+//!    the survivor count by construction.
 //!
 //! Dead ranks can **rejoin**: at the scripted cycle the coordinator
-//! (lowest surviving world rank) revives the rank, sends it an
-//! out-of-band grant, and every survivor re-expands the group; the
-//! rejoiner restores the cycling state from the latest
-//! [`Checkpoint`] and re-enters the loop bit-identically.
+//! (lowest surviving world rank) revives the rank and sends it an
+//! out-of-band grant, every survivor re-expands the group, and the
+//! rejoiner restores the latest [`Checkpoint`] bit-identically.
 //!
-//! Independently, a per-cycle **deadline budget** ([`DeadlinePolicy`])
-//! models the paper's real-time constraint: before each analysis the
-//! scheme estimates the cycle's modeled wall time (α–β collective model +
-//! the GCD compute-rate model, scaled by scripted stragglers) and degrades
-//! deterministically — full analysis → reduced SDE step count → forecast
-//! only. A post-hoc watchdog flags cycles whose *actual* modeled time
-//! (including shrink-retry redo costs) blew the budget, with a
-//! flight-recorder postmortem. All decisions are pure functions of
-//! `(cycle, membership, scripts, config)`, replicated on every rank, so
-//! the degraded trajectory remains bitwise reproducible.
+//! A **deadline** ([`DeadlinePolicy`]) is the loop's analysis budget, and
+//! its reduced-step sharded analysis fills the `fallback` slot: the loop's
+//! one ladder (`da_core::resilience::decide_rung`) holds each attempt's
+//! price ([`modeled_analysis_secs`], scaled by scripted stragglers) to the
+//! budget. Prices are pure in `(cycle, membership, scripts, config)`, so
+//! every rank takes the same rung and the trajectory stays bitwise
+//! reproducible.
 
 use crate::analysis::{analyze_replicated, CommStats};
 use crate::cycle::DistCycleConfig;
@@ -48,7 +40,7 @@ use crate::forecast::ShardedForecast;
 use crate::DistError;
 use da_core::cycle::{run_cycles, Entry, ProcessGroup};
 use da_core::osse::{nature_run, CycleSeries, NatureRun};
-use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan};
+use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, SupervisedCycle};
 use da_core::{AnalysisReport, AnalysisScheme, SqgForecast};
 use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
@@ -63,25 +55,14 @@ use telemetry::flight::{flight_record, FlightKind};
 /// bench cycle time.
 const GRANT_WAIT: Duration = Duration::from_secs(60);
 
-/// Per-cycle real-time budget and the degraded-analysis ladder.
+/// The sharded face's deadline: the loop's budget and its fallback's steps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlinePolicy {
-    /// Modeled seconds one cycle's analysis may cost.
+    /// Modeled seconds one attempt at a cycle's analysis may cost.
     pub budget_secs: f64,
-    /// SDE step count of the degraded analysis (rung two of the ladder;
-    /// rung three drops the analysis entirely).
+    /// SDE step count of the sharded analysis in the `fallback` slot (the
+    /// rung below the full analysis; forecast-only is the last).
     pub degraded_steps: usize,
-}
-
-/// What the deadline ladder chose for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleMode {
-    /// Full-resolution analysis (`ensf.n_steps`).
-    Full,
-    /// Reduced SDE step count ([`DeadlinePolicy::degraded_steps`]).
-    Degraded,
-    /// No assimilation: the forecast is carried forward unchanged.
-    ForecastOnly,
 }
 
 /// How one rank's elastic run ended.
@@ -105,12 +86,6 @@ pub struct ElasticCounters {
     pub rejoins: u64,
     /// Analyses redone from the replicated forecast after a shrink.
     pub redone_analyses: u64,
-    /// Cycles that ran the reduced-step analysis.
-    pub degraded_cycles: u64,
-    /// Cycles that dropped the analysis entirely.
-    pub forecast_only_cycles: u64,
-    /// Cycles whose actual modeled time blew the budget post hoc.
-    pub deadline_blown: u64,
 }
 
 /// Configuration of one elastic distributed experiment.
@@ -158,15 +133,11 @@ pub struct ElasticRunResult {
     /// `(cycle, analysis mean)` for every cycle this rank completed — the
     /// bitwise fingerprint compared across ranks and against fresh runs.
     pub cycle_means: Vec<(usize, Vec<f64>)>,
-    /// `(cycle, mode)` the deadline ladder chose per completed cycle.
-    pub modes: Vec<(usize, CycleMode)>,
+    /// The cycle loop's log of the cycles this rank completed: each one's
+    /// rung, events and health state (the deadline hit rate's source).
+    pub cycles: Vec<SupervisedCycle>,
     /// `(cycle, group size)` after each completed cycle.
     pub group_sizes: Vec<(usize, usize)>,
-    /// Cycles whose analysis completed in full or degraded mode within the
-    /// modeled budget (equals `deadline_total` without a deadline policy).
-    pub deadline_hits: usize,
-    /// Cycles this rank completed (the hit-rate denominator).
-    pub deadline_total: usize,
     /// Recovery accounting.
     pub counters: ElasticCounters,
     /// Final ensemble as this rank saw it.
@@ -176,7 +147,7 @@ pub struct ElasticRunResult {
 }
 
 /// Modeled wall time of one sharded analysis at `ranks` ranks with `steps`
-/// SDE steps — the pure estimator behind the deadline ladder. Compute uses
+/// SDE steps — the sharded analysis's price on the cycle loop's ladder. Compute uses
 /// the GCD-rate model on the largest particle block; communication is the
 /// one particle-block allgather, priced with the α–β model (zero without a
 /// [`crate::CommSpec`]).
@@ -194,33 +165,6 @@ pub fn modeled_analysis_secs(
         collective_time(&spec.topo, Collective::AllGather, ranks, bytes)
     });
     compute + comm
-}
-
-/// The deadline ladder: the most capable rung — `(mode, SDE steps,
-/// straggler-scaled modeled seconds)` — whose cost fits the budget (the
-/// full one without a policy). Pure in `(config, cycle, group)`, so every
-/// rank lands on the same rung.
-fn decide_rung(
-    config: &ElasticCycleConfig,
-    dim: usize,
-    members: usize,
-    cycle: usize,
-    group: &[usize],
-) -> (CycleMode, usize, f64) {
-    let slow = config.stragglers.worst(cycle, group);
-    let cost =
-        |steps| slow * modeled_analysis_secs(&config.base, dim, members, steps, group.len());
-    let n_steps = config.base.ensf.n_steps;
-    match &config.deadline {
-        Some(p) if cost(n_steps) > p.budget_secs => {
-            if cost(p.degraded_steps) <= p.budget_secs {
-                (CycleMode::Degraded, p.degraded_steps, cost(p.degraded_steps))
-            } else {
-                (CycleMode::ForecastOnly, 0, 0.0)
-            }
-        }
-        _ => (CycleMode::Full, n_steps, cost(n_steps)),
-    }
 }
 
 /// Parks a dead rank until its scripted rejoin grant arrives (or forever
@@ -427,14 +371,14 @@ impl ProcessGroup for RankGroup<'_> {
     }
 }
 
-/// The sharded analysis as an [`AnalysisScheme`]: [`analyze_replicated`]
-/// behind the deadline ladder, redone on the shrunken group whenever a
-/// peer dies in its gather. What it decided goes to the cycle through
-/// [`AnalysisScheme::take_report`]; what the rank's result reports stays
-/// here until the run ends.
+/// The sharded analysis as an [`AnalysisScheme`]: one priced
+/// [`analyze_replicated`] attempt on the current group. A peer dying in its
+/// gather shrinks the group and reports it, so the loop decides again.
 struct ShardedEnsf<'a> {
     comm: &'a Comm,
     config: &'a ElasticCycleConfig,
+    /// SDE steps: `ensf.n_steps`, or `degraded_steps` as the fallback.
+    steps: usize,
     /// Index of the next analysis cycle (noise streams, mask alignment).
     epoch: u64,
     seed: u64,
@@ -443,9 +387,6 @@ struct ShardedEnsf<'a> {
     error: Option<DistError>,
     counters: ElasticCounters,
     stats: CommStats,
-    modes: Vec<(usize, CycleMode)>,
-    group_sizes: Vec<(usize, usize)>,
-    deadline_hits: usize,
 }
 
 impl ShardedEnsf<'_> {
@@ -453,7 +394,7 @@ impl ShardedEnsf<'_> {
     /// (plus anything registered dead out of script, e.g. a failed
     /// rejoiner). Every survivor computes the same set from the same
     /// script, so the recovery needs no agreement round.
-    fn shrink(&mut self, cycle: usize, lead: bool) {
+    fn shrink(&mut self, cycle: usize) {
         let comm = self.comm;
         let group = comm.group();
         let survivors: Vec<usize> = group
@@ -465,13 +406,11 @@ impl ShardedEnsf<'_> {
         comm.recover(&survivors, comm.epoch() + 1);
         self.counters.shrinks += excluded as u64;
         self.counters.redone_analyses += 1;
-        if !self.report.events.iter().any(|e| e == "rank_dead_shrink") {
-            self.report.events.push("rank_dead_shrink".to_string());
-            self.report.postmortems.push("rank_dead_shrink");
-        }
-        if lead {
+        self.report.shrunk = true;
+        self.report.events.push("rank_dead_shrink".to_string());
+        self.report.postmortems.push("rank_dead_shrink");
+        if comm.world_rank() == 0 && telemetry::enabled() {
             telemetry::counter_add("elastic.shrinks", excluded as u64);
-            telemetry::counter_add("elastic.redone_analyses", 1);
             flight_record(
                 FlightKind::CollectiveShrink,
                 cycle as i64,
@@ -489,78 +428,26 @@ impl AnalysisScheme for ShardedEnsf<'_> {
     }
 
     fn analyze(&mut self, forecast: &Ensemble, y: &[f64]) -> Ensemble {
-        let (comm, config) = (self.comm, self.config);
-        let cycle = self.epoch as usize;
+        let (comm, base) = (self.comm, &self.config.base);
+        let cycle = self.epoch;
         self.epoch += 1;
-        let lead = comm.world_rank() == 0 && telemetry::enabled();
-        let (dim, members) = (forecast.dim(), forecast.members());
-
-        // Shrink-retry. Each attempt re-evaluates the deadline ladder at
-        // the current group size, so a redone cycle matches what a fresh
-        // run at the survivor count would decide.
-        let mut modeled_secs = 0.0;
-        let (mode, analysis) = loop {
-            let group = comm.group();
-            let (mode, steps, secs) = decide_rung(config, dim, members, cycle, &group);
-            if mode == CycleMode::ForecastOnly {
-                break (mode, forecast.clone());
+        let ensf = EnsfConfig { n_steps: self.steps, seed: self.seed, ..base.ensf.clone() };
+        let (obs, spec) = (base.osse.obs_spec(), base.comm.as_ref());
+        let attempt =
+            analyze_replicated(comm, &ensf, cycle, forecast, y, &obs, spec, &mut self.stats);
+        match attempt {
+            Ok(analysis) => return analysis,
+            Err(DistError::Mpi(MpiError::RankDead { .. })) => {
+                comm.revoke();
+                self.shrink(cycle as usize);
             }
-            modeled_secs += secs;
-            let ensf = EnsfConfig { n_steps: steps, seed: self.seed, ..config.base.ensf.clone() };
-            let (obs, comm_spec) = (config.base.osse.obs_spec(), config.base.comm.as_ref());
-            match analyze_replicated(
-                comm, &ensf, cycle as u64, forecast, y, &obs, comm_spec, &mut self.stats,
-            ) {
-                Ok(analysis) => break (mode, analysis),
-                Err(DistError::Mpi(MpiError::RankDead { .. })) => {
-                    comm.revoke();
-                    self.shrink(cycle, lead);
-                }
-                Err(DistError::Mpi(MpiError::Revoked)) => self.shrink(cycle, lead),
-                Err(e) => {
-                    self.report.abort = Some(e.to_string());
-                    self.error = Some(e);
-                    return forecast.clone();
-                }
-            }
-        };
-
-        let deadline_event = match mode {
-            CycleMode::Full => None,
-            CycleMode::Degraded => {
-                self.counters.degraded_cycles += 1;
-                Some(("deadline_degraded", "elastic.deadline.degraded"))
-            }
-            CycleMode::ForecastOnly => {
-                self.counters.forecast_only_cycles += 1;
-                Some(("deadline_forecast_only", "elastic.deadline.forecast_only"))
-            }
-        };
-        // Without a policy the budget is unbounded and nothing below fires.
-        let budget = config.deadline.as_ref().map_or(f64::INFINITY, |p| p.budget_secs);
-        let blown = modeled_secs > budget;
-        let blown_event = blown.then(|| {
-            self.counters.deadline_blown += 1;
-            self.report.postmortems.push("deadline_blown");
-            ("deadline_blown", "elastic.deadline.blown")
-        });
-        if mode != CycleMode::ForecastOnly && !blown {
-            self.deadline_hits += 1;
-        }
-        if lead {
-            telemetry::counter_add("elastic.cycles", 1);
-        }
-        for (event, counter) in deadline_event.into_iter().chain(blown_event) {
-            self.report.events.push(event.to_string());
-            if lead {
-                flight_record(FlightKind::Deadline, cycle as i64, event, modeled_secs, budget);
-                telemetry::counter_add(counter, 1);
+            Err(DistError::Mpi(MpiError::Revoked)) => self.shrink(cycle as usize),
+            Err(e) => {
+                self.report.abort = Some(e.to_string());
+                self.error = Some(e);
             }
         }
-        self.report.phases.push(("analysis_modeled".to_string(), modeled_secs));
-        self.modes.push((cycle, mode));
-        self.group_sizes.push((cycle, comm.size()));
-        analysis
+        forecast.clone()
     }
 
     fn rng_state(&self) -> (u64, u64) {
@@ -570,6 +457,13 @@ impl AnalysisScheme for ShardedEnsf<'_> {
     fn set_rng_state(&mut self, epoch: u64, seed: u64) {
         self.epoch = epoch;
         self.seed = seed;
+    }
+
+    fn modeled_secs(&self) -> Option<f64> {
+        let (base, group) = (&self.config.base, self.comm.group());
+        let slow = self.config.stragglers.worst(self.epoch as usize, &group);
+        let (dim, members) = (base.osse.params.state_dim(), base.osse.ens_size);
+        Some(slow * modeled_analysis_secs(base, dim, members, self.steps, group.len()))
     }
 
     fn take_report(&mut self) -> AnalysisReport {
@@ -621,36 +515,52 @@ pub fn run_elastic_from(
     validate(config, comm.world_size())?;
     let osse = &config.base.osse;
     let mut group = RankGroup { comm, config, rejoins: 0 };
-    let mut scheme = ShardedEnsf {
+    let sharded = |steps| ShardedEnsf {
         comm,
         config,
+        steps,
         epoch: 0,
         seed: config.base.ensf.seed,
         report: AnalysisReport::default(),
         error: None,
         counters: ElasticCounters::default(),
         stats: CommStats::default(),
-        modes: Vec::new(),
-        group_sizes: Vec::new(),
-        deadline_hits: 0,
     };
+    let mut scheme = sharded(config.base.ensf.n_steps);
+    let mut degraded = config.deadline.map(|p| sharded(p.degraded_steps));
+    let lead = comm.world_rank() == 0 && telemetry::enabled();
     let mut cycle_means: Vec<(usize, Vec<f64>)> = Vec::new();
-    // No fault plan and no health policy: the member/obs/analysis fault
-    // channels stay with the serial faces (validation refuses them here); a
-    // rank's script is its membership.
-    let label = format!("elastic@{}r", comm.size());
+    let mut group_sizes: Vec<(usize, usize)> = Vec::new();
+    let mut observe = |cycle: usize, mean: &[f64], _: f64| {
+        cycle_means.push((cycle, mean.to_vec()));
+        group_sizes.push((cycle, comm.size()));
+        if lead {
+            telemetry::counter_add("elastic.cycles", 1);
+        }
+    };
+    // No fault plan and no health policy (validation refuses the serial
+    // faces' channels): a rank's script is its membership, and a deadline
+    // is the ladder's budget with the reduced-step analysis as fallback.
     let perfect = SqgForecast::perfect(osse.params.clone());
     let mut model = ShardedForecast::new(comm, perfect, config.base.comm.as_ref());
     let run = run_cycles(
-        &label, osse, nature, &mut model, &mut scheme, None, &FaultPlan::none(), None,
-        config.checkpoint.as_ref(), &mut group,
-        &mut |cycle, mean, _| cycle_means.push((cycle, mean.to_vec())), resume.cloned(),
+        &format!("elastic@{}r", comm.size()), osse, nature, &mut model, &mut scheme,
+        degraded.as_mut().map(|s| s as &mut dyn AnalysisScheme), &FaultPlan::none(), None,
+        config.deadline.map(|p| p.budget_secs), config.checkpoint.as_ref(), &mut group,
+        &mut observe, resume.cloned(),
     );
     // Leaving, even at the end, registers this rank dead: survivors of a
     // kill that only forecast-only cycles followed never got back in step,
     // and a peer may still be sending into the failed forecast gather.
     comm.kill();
-    let run = run.map_err(|e| scheme.error.take().unwrap_or_else(|| e.into()))?;
+    let (mut counters, mut stats, mut error) = (ElasticCounters::default(), model.stats, None);
+    for s in std::iter::once(scheme).chain(degraded) {
+        counters.shrinks += s.counters.shrinks;
+        counters.redone_analyses += s.counters.redone_analyses;
+        stats = stats.merged(s.stats);
+        error = error.or(s.error);
+    }
+    let run = run.map_err(|e| error.unwrap_or_else(|| e.into()))?;
     let outcome = if run.interrupted {
         ElasticOutcome::Died { at_cycle: run.checkpoint.cycle }
     } else {
@@ -660,13 +570,11 @@ pub fn run_elastic_from(
         outcome,
         series: CycleSeries { label: format!("elastic@{}w", comm.world_size()), ..run.series },
         cycle_means,
-        deadline_total: scheme.modes.len(),
-        modes: scheme.modes,
-        group_sizes: scheme.group_sizes,
-        deadline_hits: scheme.deadline_hits,
-        counters: ElasticCounters { rejoins: group.rejoins, ..scheme.counters },
+        cycles: run.cycles,
+        group_sizes,
+        counters: ElasticCounters { rejoins: group.rejoins, ..counters },
         ensemble: run.checkpoint.ensemble,
-        stats: scheme.stats.merged(model.stats),
+        stats,
     })
 }
 
@@ -740,7 +648,7 @@ pub fn run_elastic_osse_from(
 mod tests {
     use super::*;
     use da_core::osse::OsseConfig;
-    use da_core::resilience::RankKill;
+    use da_core::resilience::{RankKill, Rung};
     use sqg::SqgParams;
 
     /// Reduced grid (d = 512, 8 members), mirroring the cycle tests.
@@ -843,11 +751,11 @@ mod tests {
         };
         config.deadline = Some(DeadlinePolicy { budget_secs: full * 2.0, degraded_steps: 3 });
         let result = run_elastic_osse(&config, 2).unwrap();
-        let modes: Vec<CycleMode> = result.modes.iter().map(|&(_, m)| m).collect();
-        assert_eq!(modes[0], CycleMode::Full);
-        assert_ne!(modes[1], CycleMode::Full, "50× straggler must force degradation");
-        assert_eq!(modes[2], CycleMode::Full);
-        assert!(result.counters.degraded_cycles + result.counters.forecast_only_cycles >= 1);
+        let rungs: Vec<Rung> = result.cycles.iter().map(|c| c.rung).collect();
+        assert_eq!(rungs[0], Rung::Primary);
+        assert_ne!(rungs[1], Rung::Primary, "50× straggler must force degradation");
+        assert_eq!(rungs[2], Rung::Primary);
+        assert!(rungs.iter().filter(|&&r| r != Rung::Primary).count() >= 1);
         assert!(result.series.rmse.iter().all(|r| r.is_finite()));
     }
 
@@ -862,9 +770,10 @@ mod tests {
         config.deadline =
             Some(DeadlinePolicy { budget_secs: degraded * 0.5, degraded_steps: 3 });
         let result = run_elastic_osse(&config, 2).unwrap();
-        assert_eq!(result.counters.forecast_only_cycles, 2);
-        assert_eq!(result.deadline_hits, 0);
-        assert_eq!(result.deadline_total, 2);
+        let on = |rung| result.cycles.iter().filter(|c| c.rung == rung).count();
+        assert_eq!(on(Rung::ForecastOnly), 2);
+        assert_eq!(on(Rung::Primary) + on(Rung::Fallback), 0, "no deadline hits");
+        assert_eq!(result.cycles.len(), 2);
     }
 
     #[test]

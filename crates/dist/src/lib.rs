@@ -24,11 +24,11 @@
 //!    bits cannot depend on which rank (or which block) integrated it
 //!    ([`ensf::parallel::BlockAnalysis`]).
 //! 2. **Replicated control flow**: the mini-batch draw, the spread
-//!    relaxation, diagnostics, the deadline ladder and the shrunken group
-//!    after a rank death ([`elastic`]) are evaluated identically on every
-//!    rank from identical inputs, so no rank ever branches differently
-//!    from its peers; a member's forecast is a pure function of its own
-//!    state, so it does not matter which rank ran it.
+//!    relaxation, diagnostics, the analysis ladder's rung and the shrunken
+//!    group after a rank death ([`elastic`]) are evaluated identically on
+//!    every rank from identical inputs, so no rank ever branches
+//!    differently from its peers; a member's forecast is a pure function
+//!    of its own state, so it does not matter which rank ran it.
 //!
 //! Nothing depends on the rank count, so a shrunken group redoing a cycle
 //! computes what a fresh run at the survivor count would: shrink-retry
@@ -49,9 +49,9 @@
 //!   replicated forecast when a peer is missing from it.
 //! * [`elastic`] — one rank's slots for `da_core::cycle::run_cycles`: the
 //!   member-sharded forecast as its model, the sharded analysis as its
-//!   scheme (ULFM-style shrink on rank death, deadline-aware degradation)
-//!   and the rank's membership as its process group (checkpoint-backed
-//!   rejoin) ([`run_elastic_experiment`], [`run_elastic_osse`]).
+//!   scheme (ULFM-style shrink on rank death) and, at a deadline's reduced
+//!   step count, its fallback, the rank's membership as its process group
+//!   ([`run_elastic_experiment`], [`run_elastic_osse`]).
 //! * [`cycle`] — the same with nothing scripted ([`run_dist_experiment`],
 //!   [`run_osse`]).
 //! * [`mod@bench`] — per-rank block timing behind the `scaling_suite` bench
@@ -73,7 +73,7 @@ pub use bench::{measure_analysis, ScalingMeasurement};
 pub use cycle::{dist_obs_for, run_dist_experiment, run_osse, DistCycleConfig, DistRunResult};
 pub use elastic::{
     modeled_analysis_secs, run_elastic_experiment, run_elastic_from, run_elastic_osse,
-    run_elastic_osse_from, CycleMode, DeadlinePolicy, ElasticCounters, ElasticCycleConfig,
+    run_elastic_osse_from, DeadlinePolicy, ElasticCounters, ElasticCycleConfig,
     ElasticOutcome, ElasticRunResult,
 };
 pub use shard::ShardPlan;

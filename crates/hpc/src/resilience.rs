@@ -3,8 +3,8 @@
 //!
 //! At Frontier scale a bulk-synchronous DA cycle runs at the pace of its
 //! slowest rank. A [`StragglerPlan`] scripts which ranks run slow in which
-//! cycles; `dist::elastic`'s deadline ladder scales its modelled analysis
-//! time by the worst factor in the group. Rank *failure* is not modelled
+//! cycles; `dist::elastic`'s sharded analysis scales its modelled price
+//! by the worst factor in the group. Rank *failure* is not modelled
 //! here: a dead rank is [`crate::mpi`]'s live ULFM path (`RankDead`,
 //! `Revoked`, `recover`) and nothing else.
 

@@ -4,7 +4,7 @@
 //! Long cycling campaigns fail rarely and late; by the time a supervisor
 //! leaves `Healthy` the console scrollback is gone. The flight recorder
 //! keeps the last [`FLIGHT_CAPACITY`] notable events (state transitions,
-//! guardrail firings, retry exhaustions, collective shrinks, per-cycle
+//! guardrail firings, analysis-ladder rules, collective shrinks, per-cycle
 //! diagnostics summaries) in a pre-allocated ring — recording is
 //! allocation-free and disabled-path cheap like every other telemetry
 //! call — and [`dump_postmortem`] snapshots the ring together with the
@@ -39,18 +39,16 @@ pub enum FlightKind {
     Transition,
     /// A health guardrail fired (`label` names it).
     Guardrail,
-    /// An analysis retry budget was exhausted.
-    RetryExhausted,
+    /// An analysis-ladder rule fired (`label` = its event, e.g.
+    /// `"deadline_degraded"`; `a` = the attempts' modelled seconds, `b` =
+    /// the budget).
+    Ladder,
     /// The rank group shrank away dead ranks after a failed collective
     /// (`a` = surviving participants, `b` = excluded ranks).
     CollectiveShrink,
     /// A previously dead rank rejoined the communicator from a checkpoint
     /// (`a` = rejoined world rank, `b` = new group size).
     RankRejoin,
-    /// A per-cycle deadline event (`label` = `"deadline_degraded"`,
-    /// `"deadline_forecast_only"` or `"deadline_blown"`; `a` = modeled
-    /// cycle seconds, `b` = budget seconds).
-    Deadline,
     /// Anything else worth keeping in the black box.
     Other,
 }
@@ -62,10 +60,9 @@ impl FlightKind {
             FlightKind::CycleDiag => "cycle_diag",
             FlightKind::Transition => "transition",
             FlightKind::Guardrail => "guardrail",
-            FlightKind::RetryExhausted => "retry_exhausted",
+            FlightKind::Ladder => "ladder",
             FlightKind::CollectiveShrink => "collective_shrink",
             FlightKind::RankRejoin => "rank_rejoin",
-            FlightKind::Deadline => "deadline",
             FlightKind::Other => "other",
         }
     }
@@ -337,14 +334,14 @@ mod tests {
     fn elastic_kinds_have_stable_names() {
         let _lock = crate::TEST_LOCK.lock();
         assert_eq!(FlightKind::RankRejoin.as_str(), "rank_rejoin");
-        assert_eq!(FlightKind::Deadline.as_str(), "deadline");
+        assert_eq!(FlightKind::Ladder.as_str(), "ladder");
         crate::set_enabled(true);
         reset_flight();
-        flight_record(FlightKind::Deadline, 4, "deadline_blown", 2.5, 1.0);
+        flight_record(FlightKind::Ladder, 4, "deadline_blown", 2.0, 2.5);
         flight_record(FlightKind::RankRejoin, 5, "rank_rejoin", 3.0, 8.0);
         let events = flight_events();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, FlightKind::Deadline);
+        assert_eq!(events[0].kind, FlightKind::Ladder);
         assert_eq!(events[1].label(), "rank_rejoin");
         reset_flight();
     }

@@ -13,10 +13,16 @@
 //! each one (`linalg::simd`'s level proptest), so a trajectory that is
 //! rank-invariant here is rank-invariant, with the same bits, on any CPU.
 
+use sqg_da::da_core::cycle::{run_cycles, SingleProcess};
 use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, ObsOperatorKind, OsseConfig};
-use sqg_da::da_core::resilience::{run_supervised, LoopState, ResilienceConfig};
+use sqg_da::da_core::resilience::{
+    run_supervised, FaultPlan, HealthPolicy, LoopState, ResilienceConfig, Rung,
+};
 use sqg_da::da_core::{AnalysisScheme, Completion, EnsfScheme, SqgForecast};
-use sqg_da::dist::{run_osse, DistCycleConfig, DistRunResult};
+use sqg_da::dist::{
+    modeled_analysis_secs, run_elastic_osse, run_osse, DeadlinePolicy, DistCycleConfig,
+    DistRunResult, ElasticCycleConfig,
+};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig, ScoreKernel};
 use sqg_da::sqg::SqgParams;
 use sqg_da::stats::Ensemble;
@@ -149,6 +155,34 @@ impl AnalysisScheme for Recording {
     }
 }
 
+/// An EnSF scheme at a fixed modelled price per analysis.
+struct Priced {
+    inner: EnsfScheme,
+    secs: f64,
+}
+
+impl AnalysisScheme for Priced {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
+        self.inner.analyze(forecast, observation)
+    }
+
+    fn rng_state(&self) -> (u64, u64) {
+        self.inner.rng_state()
+    }
+
+    fn set_rng_state(&mut self, epoch: u64, seed: u64) {
+        self.inner.set_rng_state(epoch, seed);
+    }
+
+    fn modeled_secs(&self) -> Option<f64> {
+        Some(self.secs)
+    }
+}
+
 /// The sharded cycle is not merely rank-invariant: it is `run_experiment`
 /// with `EnsfScheme`, bit for bit, at every rank count.
 #[test]
@@ -186,7 +220,10 @@ fn sharded_cycle_is_the_serial_driver_bitwise() {
 /// different arguments, so they agree **bitwise** on the whole RMSE and
 /// spread series, every cycle's analysis mean and the final ensemble — for
 /// both transports, a linear and a nonlinear operator, and a full, a
-/// blocked-out and a moving-track network.
+/// blocked-out and a moving-track network. A deadline row holds the
+/// supervised face and the sharded face at 1 and 2 ranks to one budget
+/// that the full analysis misses and the reduced one fits: they take the
+/// same rung (the fallback) on every cycle and agree bitwise.
 #[test]
 fn three_faces_one_run() {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
@@ -252,6 +289,64 @@ fn three_faces_one_run() {
                     "{case}@{ranks}r: final ensemble"
                 );
             }
+        }
+
+        // The deadline row: the serial schemes priced at one rank.
+        let mut config = base.clone();
+        config.osse.cycles = 4;
+        let (osse, method) = (&config.osse, config.ensf.method);
+        let (dim, members) = (osse.params.state_dim(), osse.ens_size);
+        let (full, reduced) = (config.ensf.n_steps, config.ensf.n_steps / 3);
+        let secs = |steps, ranks| modeled_analysis_secs(&config, dim, members, steps, ranks);
+        let budget = 0.5 * (secs(reduced, 1) + secs(full, 2));
+        assert!(
+            secs(reduced, 2) < budget && secs(reduced, 1) < budget,
+            "{method:?}: the reduced analysis must fit at 1 and 2 ranks"
+        );
+        assert!(
+            secs(full, 1) > budget && secs(full, 2) > budget,
+            "{method:?}: the full analysis must miss at 1 and 2 ranks"
+        );
+        let priced = |steps| Priced {
+            inner: EnsfScheme::with_obs(
+                sqg_da::ensf::EnsfConfig { n_steps: steps, ..config.ensf.clone() },
+                dim,
+                osse.obs_spec(),
+                Completion::Inpaint,
+            ),
+            secs: secs(steps, 1),
+        };
+        let (mut primary, mut fallback) = (priced(full), priced(reduced));
+        let mut model = SqgForecast::perfect(osse.params.clone());
+        let mut means: Vec<Vec<f64>> = Vec::new();
+        let sup = run_cycles(
+            "sup-deadline", osse, &nature_run(osse), &mut model, &mut primary,
+            Some(&mut fallback), &FaultPlan::none(),
+            Some(&HealthPolicy::for_obs_sigma(osse.obs_sigma)), Some(budget), None,
+            &mut SingleProcess, &mut |_, mean, _| means.push(mean.to_vec()), None,
+        )
+        .unwrap();
+        let sup_rungs: Vec<Rung> = sup.cycles.iter().map(|c| c.rung).collect();
+        assert_eq!(sup_rungs, [Rung::Fallback; 4], "{method:?}: supervised rungs");
+        let elastic = ElasticCycleConfig {
+            deadline: Some(DeadlinePolicy { budget_secs: budget, degraded_steps: reduced }),
+            ..ElasticCycleConfig::clean(config.clone())
+        };
+        for ranks in [1usize, 2] {
+            let case = format!("{method:?} deadline@{ranks}r");
+            let sharded = run_elastic_osse(&elastic, ranks).unwrap();
+            let rungs: Vec<Rung> = sharded.cycles.iter().map(|c| c.rung).collect();
+            assert_eq!(rungs, sup_rungs, "{case}: rungs");
+            assert_eq!(bits(&sharded.series.rmse), bits(&sup.series.rmse), "{case}: rmse");
+            assert_eq!(bits(&sharded.series.spread), bits(&sup.series.spread), "{case}");
+            let sharded_means: Vec<Vec<f64>> =
+                sharded.cycle_means.into_iter().map(|(_, m)| m).collect();
+            assert_eq!(rows(&sharded_means), rows(&means), "{case}: cycle means");
+            assert_eq!(
+                bits(sharded.ensemble.as_slice()),
+                bits(sup.checkpoint.ensemble.as_slice()),
+                "{case}: final ensemble"
+            );
         }
     }
 }
