@@ -86,50 +86,42 @@ fn elastic_config(shape: &Shape) -> ElasticCycleConfig {
     config
 }
 
-/// The hit rate and `[degraded, forecast-only, blown]` cycles of `r`'s
-/// per-cycle log (a hit is an analysis within the budget).
-fn ladder(r: &ElasticRunResult) -> (f64, [u64; 3]) {
-    let (mut hits, mut n) = (0, [0; 3]);
-    for c in &r.cycles {
-        let blown = c.events.iter().any(|e| e == "deadline_blown");
-        hits += usize::from(c.rung != Rung::ForecastOnly && !blown);
-        n[0] += u64::from(c.rung == Rung::Fallback);
-        n[1] += u64::from(c.rung == Rung::ForecastOnly);
-        n[2] += u64::from(blown);
-    }
-    (if r.cycles.is_empty() { 1.0 } else { hits as f64 / r.cycles.len() as f64 }, n)
+/// The `[degraded, forecast-only]` cycles of `r`'s per-cycle log.
+fn rungs(r: &ElasticRunResult) -> [usize; 2] {
+    let on = |rung| r.cycles.iter().filter(|c| c.rung == rung).count();
+    [on(Rung::Fallback), on(Rung::ForecastOnly)]
 }
 
 fn scenario_json(name: &str, shape: &Shape, r: &ElasticRunResult) -> Json {
-    let (hit_rate, [degraded, forecast_only, blown]) = ladder(r);
+    let [degraded, forecast_only] = rungs(r);
     Json::obj(vec![
         ("name", Json::from(name)),
         ("ranks", Json::from(shape.ranks as u64)),
         ("cycles", Json::from(shape.cycles as u64)),
         ("completed_cycles", Json::from(r.cycles.len() as u64)),
-        ("hit_rate", Json::Num(hit_rate)),
+        ("hit_rate", Json::Num(r.hit_rate())),
         ("shrinks", Json::from(r.counters.shrinks)),
         ("rejoins", Json::from(r.counters.rejoins)),
-        ("redone_analyses", Json::from(r.counters.redone_analyses)),
-        ("degraded_cycles", Json::from(degraded)),
-        ("forecast_only_cycles", Json::from(forecast_only)),
-        ("deadline_blown", Json::from(blown)),
+        ("redone_analyses", Json::from(r.event_count("rank_dead_shrink") as u64)),
+        ("degraded_cycles", Json::from(degraded as u64)),
+        ("forecast_only_cycles", Json::from(forecast_only as u64)),
+        ("deadline_blown", Json::from(r.event_count("deadline_blown") as u64)),
         ("final_group_size", Json::from(r.group_sizes.last().map_or(0, |&(_, g)| g as u64))),
         ("final_rmse", Json::Num(r.series.rmse.last().copied().unwrap_or(f64::NAN))),
     ])
 }
 
 fn report_row(name: &str, r: &ElasticRunResult) {
-    let (hit_rate, [degraded, forecast_only, blown]) = ladder(r);
+    let [degraded, forecast_only] = rungs(r);
     println!(
         "{:>12} {:>9.3} {:>8} {:>8} {:>9} {:>10} {:>7} {:>10.5}",
         name,
-        hit_rate,
+        r.hit_rate(),
         r.counters.shrinks,
         r.counters.rejoins,
         degraded,
         forecast_only,
-        blown,
+        r.event_count("deadline_blown"),
         r.series.rmse.last().copied().unwrap_or(f64::NAN),
     );
 }
@@ -199,7 +191,7 @@ fn main() {
 
     println!(
         "\nheadline: one injected kill keeps the deadline hit-rate at {:.3} (gate: ≥ 0.95)",
-        ladder(&one_kill).0
+        one_kill.hit_rate()
     );
 
     let scenarios = vec![

@@ -114,9 +114,24 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
+    /// True when the plan injects no faults at all.
+    pub fn is_empty(&self) -> bool {
+        self.member_faults.is_empty()
+            && self.obs_faults.is_empty()
+            && self.analysis_faults.is_empty()
+            && self.kill_after.is_none()
+            && self.rank_kills.is_empty()
+            && self.rank_rejoins.is_empty()
+    }
+
     /// The scripted death of `rank` during `cycle`'s analysis, if any.
     pub fn rank_kill_at(&self, cycle: usize, rank: usize) -> Option<RankKill> {
         self.rank_kills.iter().copied().find(|k| k.cycle == cycle && k.rank == rank)
+    }
+
+    /// The scripted rejoin of `rank`, if any.
+    pub fn rank_rejoin_of(&self, rank: usize) -> Option<RankRejoin> {
+        self.rank_rejoins.iter().copied().find(|r| r.rank == rank)
     }
 
     /// World ranks alive at the *start* of `cycle` under this script,
@@ -253,6 +268,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_plan_is_empty() {
+        assert!(FaultPlan::none().is_empty());
+        assert!(!plan().is_empty());
+        assert!(!FaultPlan { kill_after: Some(3), ..FaultPlan::none() }.is_empty());
+        assert!(!FaultPlan {
+            rank_kills: vec![RankKill { cycle: 1, rank: 0 }],
+            ..FaultPlan::none()
+        }
+        .is_empty());
+    }
+
+    #[test]
     fn membership_tracks_kills_and_rejoins() {
         let p = FaultPlan {
             rank_kills: vec![
@@ -274,5 +301,7 @@ mod tests {
         assert_eq!(p.membership_at(7, 4), vec![0, 2, 3]);
         assert_eq!(p.rank_kill_at(2, 1), Some(RankKill { cycle: 2, rank: 1 }));
         assert_eq!(p.rank_kill_at(2, 0), None);
+        assert_eq!(p.rank_rejoin_of(1), Some(RankRejoin { cycle: 5, rank: 1 }));
+        assert_eq!(p.rank_rejoin_of(2), None);
     }
 }

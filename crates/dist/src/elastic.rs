@@ -40,7 +40,7 @@ use crate::forecast::ShardedForecast;
 use crate::DistError;
 use da_core::cycle::{run_cycles, Entry, ProcessGroup};
 use da_core::osse::{nature_run, CycleSeries, NatureRun};
-use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, SupervisedCycle};
+use da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, Rung, SupervisedCycle};
 use da_core::{AnalysisReport, AnalysisScheme, SqgForecast};
 use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
@@ -84,8 +84,6 @@ pub struct ElasticCounters {
     pub shrinks: u64,
     /// Group re-expansions this rank participated in (or performed).
     pub rejoins: u64,
-    /// Analyses redone from the replicated forecast after a shrink.
-    pub redone_analyses: u64,
 }
 
 /// Configuration of one elastic distributed experiment.
@@ -144,6 +142,22 @@ pub struct ElasticRunResult {
     pub ensemble: Ensemble,
     /// Collective accounting for this rank.
     pub stats: CommStats,
+}
+
+impl ElasticRunResult {
+    /// How often `event` fires in [`Self::cycles`] (each `rank_dead_shrink`
+    /// is one analysis redone from the replicated forecast).
+    pub fn event_count(&self, event: &str) -> usize {
+        self.cycles.iter().flat_map(|c| &c.events).filter(|e| *e == event).count()
+    }
+
+    /// The deadline hit rate: the share of [`Self::cycles`] that produced
+    /// an analysis (full or fallback) with no `deadline_blown` (0 for none).
+    pub fn hit_rate(&self) -> f64 {
+        let blown = |c: &SupervisedCycle| c.events.iter().any(|e| e == "deadline_blown");
+        let hits = self.cycles.iter().filter(|c| c.rung != Rung::ForecastOnly && !blown(c));
+        hits.count() as f64 / self.cycles.len().max(1) as f64
+    }
 }
 
 /// Modeled wall time of one sharded analysis at `ranks` ranks with `steps`
@@ -236,47 +250,29 @@ fn validate(config: &ElasticCycleConfig, world: usize) -> Result<(), DistError> 
         )));
     }
     for k in &faults.rank_kills {
-        if k.rank == 0 {
-            return Err(DistError::Config(
-                "world rank 0 is the coordinator and must not be killed".into(),
-            ));
-        }
-        if k.rank >= world {
-            return Err(DistError::Config(format!(
-                "scripted kill of rank {} in a {world}-rank world",
-                k.rank
-            )));
-        }
-        if k.cycle >= cycles {
-            return Err(DistError::Config(format!(
-                "scripted kill at cycle {} of a {cycles}-cycle run",
-                k.cycle
-            )));
-        }
+        let why = if k.rank == 0 {
+            "world rank 0 is the coordinator and must not be killed".to_string()
+        } else if k.rank >= world {
+            format!("scripted kill of rank {} in a {world}-rank world", k.rank)
+        } else if k.cycle >= cycles {
+            format!("scripted kill at cycle {} of a {cycles}-cycle run", k.cycle)
+        } else {
+            continue;
+        };
+        return Err(DistError::Config(why));
     }
-    for r in &config.faults.rank_rejoins {
-        if r.rank >= world {
-            return Err(DistError::Config(format!(
-                "scripted rejoin of rank {} in a {world}-rank world",
-                r.rank
-            )));
-        }
-        let killed_before = config
-            .faults
-            .rank_kills
-            .iter()
-            .any(|k| k.rank == r.rank && k.cycle < r.cycle);
-        if !killed_before {
-            return Err(DistError::Config(format!(
-                "rejoin of rank {} at cycle {} without a preceding kill",
-                r.rank, r.cycle
-            )));
-        }
-        if config.checkpoint.is_none() {
-            return Err(DistError::Config(
-                "rank rejoin requires checkpointing (ElasticCycleConfig::checkpoint)".into(),
-            ));
-        }
+    for r in &faults.rank_rejoins {
+        let killed_before = faults.rank_kills.iter().any(|k| k.rank == r.rank && k.cycle < r.cycle);
+        let why = if r.rank >= world {
+            format!("scripted rejoin of rank {} in a {world}-rank world", r.rank)
+        } else if !killed_before {
+            format!("rejoin of rank {} at cycle {} without a preceding kill", r.rank, r.cycle)
+        } else if config.checkpoint.is_none() {
+            "rank rejoin requires checkpointing (ElasticCycleConfig::checkpoint)".to_string()
+        } else {
+            continue;
+        };
+        return Err(DistError::Config(why));
     }
     if let Some(p) = &config.deadline {
         if p.budget_secs <= 0.0 || p.budget_secs.is_nan() {
@@ -405,7 +401,6 @@ impl ShardedEnsf<'_> {
         let excluded = group.len() - survivors.len();
         comm.recover(&survivors, comm.epoch() + 1);
         self.counters.shrinks += excluded as u64;
-        self.counters.redone_analyses += 1;
         self.report.shrunk = true;
         self.report.events.push("rank_dead_shrink".to_string());
         self.report.postmortems.push("rank_dead_shrink");
@@ -556,7 +551,6 @@ pub fn run_elastic_from(
     let (mut counters, mut stats, mut error) = (ElasticCounters::default(), model.stats, None);
     for s in std::iter::once(scheme).chain(degraded) {
         counters.shrinks += s.counters.shrinks;
-        counters.redone_analyses += s.counters.redone_analyses;
         stats = stats.merged(s.stats);
         error = error.or(s.error);
     }
@@ -680,7 +674,7 @@ mod tests {
         let faulted = run_elastic_osse(&config, 3).unwrap();
         assert_eq!(faulted.outcome, ElasticOutcome::Completed);
         assert_eq!(faulted.counters.shrinks, 1);
-        assert_eq!(faulted.counters.redone_analyses, 1);
+        assert_eq!(faulted.event_count("rank_dead_shrink"), 1);
         assert_eq!(faulted.group_sizes, vec![(0, 3), (1, 2), (2, 2)]);
 
         // Bitwise: cycle 0 matches a clean 3-rank run, cycles 1.. match a
