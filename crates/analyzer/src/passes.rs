@@ -295,8 +295,17 @@ const ITER_METHODS: &[&str] =
 const ACCUM_METHODS: &[&str] = &["sum", "fold", "product"];
 
 /// Raw RNG constructors that bypass the seeded stream API.
-const RNG_CONSTRUCTORS: &[&str] =
-    &["seed_from_u64", "from_seed", "from_rng", "from_os_rng", "from_entropy", "thread_rng"];
+const RNG_CONSTRUCTORS: &[&str] = &[
+    "seed_from_u64",
+    "from_seed",
+    "from_rng",
+    "from_os_rng",
+    "from_entropy",
+    "thread_rng",
+    // The `rand` shim's raw-state constructor: only `stats` may rebuild a
+    // particle stream from its state words.
+    "from_state",
+];
 
 /// Seed-derivation fns that make a `seeded(...)` call stream-disciplined.
 const STREAM_DERIVERS: &[&str] = &["split_seed", "member_rng"];
@@ -770,6 +779,17 @@ mod tests {
         )];
         let found = lints_of(&files);
         assert_eq!(found, vec![("rng-stream-discipline".into(), "crates/dist/src/a.rs".into(), 2)]);
+    }
+
+    #[test]
+    fn stream_forged_from_raw_state_is_flagged() {
+        let files = vec![facts(
+            "crates/ensf/src/a.rs",
+            "ensf",
+            "fn f(s: [u64; 4]) -> StdRng {\n    StdRng::from_state(s)\n}\n",
+        )];
+        let found = lints_of(&files);
+        assert_eq!(found, vec![("rng-stream-discipline".into(), "crates/ensf/src/a.rs".into(), 2)]);
     }
 
     #[test]

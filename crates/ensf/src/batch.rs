@@ -23,10 +23,14 @@
 //! bitwise deterministic and invariant to how particles are partitioned
 //! into blocks — the same contract the reference path guarantees, which
 //! keeps [`crate::parallel::analyze_partitioned`]'s bitwise identity and the
-//! resilience layer's bit-identical checkpoint resume intact. Per-particle
-//! RNG streams are drawn in exactly the reference order (initial `N(0, I)`
-//! fill, then one normal per component per non-final step), so reference
-//! and batched kernels differ only by floating-point reassociation.
+//! resilience layer's bit-identical checkpoint resume intact. Each
+//! particle keeps its own RNG stream and draws it in exactly the reference
+//! order (initial `N(0, I)` fill, then one normal per component per
+//! non-final step); the step's noise for the whole block is one
+//! [`stats::gaussian::add_scaled_normals`] call, which advances eight
+//! particles' streams side by side in SIMD lanes without reordering any
+//! stream. Reference and batched kernels therefore differ only by
+//! floating-point reassociation.
 //!
 //! All scratch lives in a caller-owned [`BatchScratch`]; after construction
 //! the inner SDE loop performs no heap allocation.
@@ -35,8 +39,8 @@ use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
 use linalg::gemm::{matmul_abt_into, matmul_slices_affine_into, row_sq_norms, GemmScratch};
 use linalg::vector::{axpy, scale_add};
-use rand::Rng;
-use stats::gaussian::NormalSampler;
+use rand::rngs::StdRng;
+use stats::gaussian::add_scaled_normals;
 use stats::softmax::softmax_in_place;
 use std::borrow::Cow;
 
@@ -191,14 +195,14 @@ impl BatchScratch {
 /// floating-point reassociation and draw identical noise.
 // lint: no_alloc
 #[allow(clippy::too_many_arguments)]
-pub fn reverse_sde_assimilate_batched<R: Rng>(
+pub fn reverse_sde_assimilate_batched(
     z: &mut [f64],
     schedule: &DiffusionSchedule,
     times: &[f64],
     score: &BatchedScore,
     obs: &ObsOperator,
     y: &[f64],
-    rngs: &mut [R],
+    rngs: &mut [StdRng],
     scratch: &mut BatchScratch,
 ) {
     let dim = score.dim();
@@ -209,7 +213,6 @@ pub fn reverse_sde_assimilate_batched<R: Rng>(
     // All five buffers live for the whole integration: the step loop below
     // is allocation-free.
     let [s, w, znorm, lik, jsq] = scratch.buffers.slices([b * dim, b * j, b, dim, dim]);
-    let sampler = NormalSampler::new();
 
     for win in times.windows(2) {
         let t = win[0];
@@ -237,18 +240,19 @@ pub fn reverse_sde_assimilate_batched<R: Rng>(
             }
         });
 
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            let zrow = &mut z[i * dim..(i + 1) * dim];
-            let srow = &s[i * dim..(i + 1) * dim];
-            // Drift as one vectorized pass, then the serial noise stream
-            // (RNG call order per particle is the reference contract).
+        // Three passes over the block: every row's drift, then every row's
+        // noise in one call, then every row's likelihood pull. Each row
+        // still takes drift → noise → likelihood in that order, and each
+        // particle's stream draws in its row's element order (the
+        // reference contract).
+        for (zrow, srow) in z.chunks_exact_mut(dim).zip(s.chunks_exact(dim)) {
             scale_add(zrow, decay, srow, sig2 * dt);
-            if noise_amp != 0.0 { // lint: allow(float-exact-compare, reason="noise_amp is set to exactly 0.0 on the final step")
-                for zi in zrow.iter_mut() {
-                    *zi += noise_amp * sampler.sample(rng);
-                }
-            }
-            if gain > 0.0 {
+        }
+        if noise_amp != 0.0 { // lint: allow(float-exact-compare, reason="noise_amp is set to exactly 0.0 on the final step")
+            add_scaled_normals(z, dim, rngs, noise_amp);
+        }
+        if gain > 0.0 {
+            for zrow in z.chunks_exact_mut(dim) {
                 obs.likelihood_score_into(zrow, y, gain, lik);
                 if let Some(factor) = hoisted_factor {
                     axpy(factor, lik, zrow);

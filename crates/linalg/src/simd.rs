@@ -31,6 +31,19 @@
 //! every row of the tile has a zero coefficient there, which differs from
 //! the scalar per-row skip only where `b` holds an infinity or NaN, or in
 //! the sign of an exactly zero sum.
+//!
+//! ## Tiles
+//!
+//! The tiers differ only in how many chains they hold in registers.
+//!
+//! - **`matmul_abt`**: AVX-512 runs `IH×4` tiles (4×4 in the body; the
+//!   `m mod 4` edge rows as 3×4, 2×4 or 1×4), AVX2 2×4 tiles of chain pairs;
+//!   edge columns (`n mod 4`) go through `dot`.
+//! - **`matmul_slices`**: 4-row tiles. AVX-512 builds the tile's union skip
+//!   list once (in segments of `SEGMENT` indices of `p`, the accumulators
+//!   round-tripping exactly through `C` between segments), then runs
+//!   32-column panels (4 registers per row, 16 accumulators), 8-column
+//!   panels and a scalar column tail; AVX2 runs 4-column panels.
 
 /// Instruction-set tier the dispatched kernels run on. Every tier computes
 /// the same bits; the tier only sets the speed.
@@ -211,9 +224,10 @@ pub(crate) mod avx512 {
         }
     }
 
-    /// `C = A·Bᵀ`: 4x4 register tiles of 16 independent chains; edge
-    /// elements fall back to [`dot`], which performs the identical
-    /// per-element operation sequence.
+    /// `C = A·Bᵀ`: `IH×4` register tiles of independent chains (4×4 in the
+    /// body, the `m mod 4` edge rows as 3×4, 2×4 or 1×4); edge columns fall
+    /// back to [`dot`], which performs the identical per-element operation
+    /// sequence.
     ///
     /// # Safety
     /// AVX-512F must be available at runtime; `a` is `m×k`, `b` is `n×k`,
@@ -222,77 +236,107 @@ pub(crate) mod avx512 {
     #[target_feature(enable = "avx512f")]
     pub unsafe fn matmul_abt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
         const T: usize = 4;
-        // SAFETY: the full-tile path only runs when 4 whole rows of `a` and
-        // `b` exist, so the row pointers and their `off + 8 <= k` loads stay
-        // inside the slices; edge tiles use safe indexing through [`dot`].
-        // The ISA requirement is the fn's documented safety contract.
-        unsafe {
-            let chunks = k / 8;
-            let mut i0 = 0;
-            while i0 < m {
-                let ih = T.min(m - i0);
-                let mut j0 = 0;
-                while j0 < n {
-                    let jh = T.min(n - j0);
-                    if ih == T && jh == T {
-                        let ap = [
-                            a.as_ptr().add(i0 * k),
-                            a.as_ptr().add((i0 + 1) * k),
-                            a.as_ptr().add((i0 + 2) * k),
-                            a.as_ptr().add((i0 + 3) * k),
-                        ];
-                        let bp = [
-                            b.as_ptr().add(j0 * k),
-                            b.as_ptr().add((j0 + 1) * k),
-                            b.as_ptr().add((j0 + 2) * k),
-                            b.as_ptr().add((j0 + 3) * k),
-                        ];
-                        let mut acc = [[_mm512_setzero_pd(); T]; T];
-                        for ch in 0..chunks {
-                            let off = ch * 8;
-                            let bv = [
-                                _mm512_loadu_pd(bp[0].add(off)),
-                                _mm512_loadu_pd(bp[1].add(off)),
-                                _mm512_loadu_pd(bp[2].add(off)),
-                                _mm512_loadu_pd(bp[3].add(off)),
-                            ];
-                            for (di, &api) in ap.iter().enumerate() {
-                                let av = _mm512_loadu_pd(api.add(off));
-                                for (dj, &bvj) in bv.iter().enumerate() {
-                                    acc[di][dj] = _mm512_fmadd_pd(av, bvj, acc[di][dj]);
-                                }
-                            }
-                        }
-                        for di in 0..T {
-                            for dj in 0..T {
-                                let mut sum = hsum(acc[di][dj]);
-                                for p in chunks * 8..k {
-                                    sum = (*ap[di].add(p)).mul_add(*bp[dj].add(p), sum);
-                                }
-                                c[(i0 + di) * n + j0 + dj] = sum;
-                            }
-                        }
-                    } else {
-                        for di in 0..ih {
-                            let ar = &a[(i0 + di) * k..(i0 + di + 1) * k];
-                            for dj in 0..jh {
-                                let br = &b[(j0 + dj) * k..(j0 + dj + 1) * k];
-                                c[(i0 + di) * n + j0 + dj] = dot(ar, br);
-                            }
+        let mut i0 = 0;
+        while i0 < m {
+            let ih = T.min(m - i0);
+            let mut j0 = 0;
+            while j0 < n {
+                if n - j0 >= T {
+                    // SAFETY: rows `i0..i0+ih` of `a` and `j0..j0+4` of `b`
+                    // exist (`ih <= m - i0`, `j0 + 4 <= n`); the ISA is this
+                    // fn's safety contract.
+                    unsafe {
+                        match ih {
+                            4 => abt_tile::<4>(a, b, n, k, c, i0, j0),
+                            3 => abt_tile::<3>(a, b, n, k, c, i0, j0),
+                            2 => abt_tile::<2>(a, b, n, k, c, i0, j0),
+                            _ => abt_tile::<1>(a, b, n, k, c, i0, j0),
                         }
                     }
-                    j0 += T;
+                } else {
+                    for di in 0..ih {
+                        let ar = &a[(i0 + di) * k..(i0 + di + 1) * k];
+                        for dj in j0..n {
+                            // SAFETY: `b`'s row `dj < n` has `k` elements;
+                            // the ISA is this fn's safety contract.
+                            c[(i0 + di) * n + dj] = unsafe { dot(ar, &b[dj * k..(dj + 1) * k]) };
+                        }
+                    }
                 }
-                i0 += T;
+                j0 += T;
+            }
+            i0 += T;
+        }
+    }
+
+    /// One `IH×4` tile of [`matmul_abt`] at rows `i0..`, columns `j0..`:
+    /// each element an 8-lane FMA chain over the whole 8-chunks, [`hsum`],
+    /// then the ascending scalar remainder — [`dot`]'s sequence.
+    ///
+    /// # Safety
+    /// AVX-512F must be available at runtime; rows `i0..i0+IH` of `a` and
+    /// `j0..j0+4` of `b` exist (`k` elements each), and `c` holds them.
+    // lint: no_alloc
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn abt_tile<const IH: usize>(
+        a: &[f64],
+        b: &[f64],
+        n: usize,
+        k: usize,
+        c: &mut [f64],
+        i0: usize,
+        j0: usize,
+    ) {
+        const TJ: usize = 4;
+        // SAFETY: the row pointers address existing rows (this fn's
+        // contract) and every load reads `off..off+8` with
+        // `off + 8 <= chunks·8 <= k`; the remainder reads `p < k`.
+        unsafe {
+            let mut ap = [a.as_ptr(); IH];
+            for (di, api) in ap.iter_mut().enumerate() {
+                *api = api.add((i0 + di) * k);
+            }
+            let mut bp = [b.as_ptr(); TJ];
+            for (dj, bpj) in bp.iter_mut().enumerate() {
+                *bpj = bpj.add((j0 + dj) * k);
+            }
+            let chunks = k / 8;
+            let mut acc = [[_mm512_setzero_pd(); TJ]; IH];
+            for ch in 0..chunks {
+                let off = ch * 8;
+                let bv = [
+                    _mm512_loadu_pd(bp[0].add(off)),
+                    _mm512_loadu_pd(bp[1].add(off)),
+                    _mm512_loadu_pd(bp[2].add(off)),
+                    _mm512_loadu_pd(bp[3].add(off)),
+                ];
+                for (accd, &api) in acc.iter_mut().zip(&ap) {
+                    let av = _mm512_loadu_pd(api.add(off));
+                    for (accdj, &bvj) in accd.iter_mut().zip(&bv) {
+                        *accdj = _mm512_fmadd_pd(av, bvj, *accdj);
+                    }
+                }
+            }
+            for (di, accd) in acc.iter().enumerate() {
+                for (dj, &accdj) in accd.iter().enumerate() {
+                    let mut sum = hsum(accdj);
+                    for p in chunks * 8..k {
+                        sum = (*ap[di].add(p)).mul_add(*bp[dj].add(p), sum);
+                    }
+                    c[(i0 + di) * n + j0 + dj] = sum;
+                }
             }
         }
     }
 
-    /// `C = A·B` (axpy formulation): for each 8-column panel of `C`, the
-    /// `p`-ascending FMA chain runs per element, so values are independent
-    /// of the 4-row tiling. A `p` index is skipped when *every* row of the
-    /// tile carries a zero coefficient — an exact no-op for finite `b` that
-    /// makes peaked (softmax-weight) coefficient matrices cheap.
+    /// `C = A·B` (axpy formulation): per 4-row tile, the `p`-ascending FMA
+    /// chain runs per element, so values are independent of the tiling. A
+    /// `p` index is skipped when *every* row of the tile carries a zero
+    /// coefficient — an exact no-op for finite `b` that makes peaked
+    /// (softmax-weight) coefficient matrices cheap. The tile's union skip
+    /// list is built once, then run over 32-column panels (4 registers per
+    /// row, 16 accumulators), 8-column panels and a scalar column tail.
     ///
     /// `epi = Some((z, ca, cb))` fuses the affine epilogue
     /// `C = ca·(A·B) + cb·z` into the store (one `fma` plus one rounded
@@ -315,65 +359,172 @@ pub(crate) mod avx512 {
         epi: Option<(&[f64], f64, f64)>,
     ) {
         const T: usize = 4;
-        // SAFETY: panel loads/stores touch `jv..jv+8` with `jv + 8 <= vcols
-        // <= n`, inside rows `< m` of `b`/`c`/`z`; the scalar column tail
-        // uses safe indexing. ISA availability is the documented contract.
-        unsafe {
-            let vcols = n / 8 * 8;
-            let epiv = epi.map(|(z, ca, cb)| (z, _mm512_set1_pd(ca), _mm512_set1_pd(cb)));
-            let mut i0 = 0;
-            while i0 < m {
-                let ih = T.min(m - i0);
-                // Union skip list: p contributes iff any of the tile's rows
-                // has a nonzero coefficient (per-row zero coefficients are
-                // exact no-ops, so the union never changes a row's value).
-                let mut jv = 0;
+        let mut i0 = 0;
+        while i0 < m {
+            // SAFETY: rows `i0..i0 + min(4, m - i0)` exist in `a`, `c` and
+            // `z`; the ISA is this fn's safety contract.
+            unsafe {
+                match T.min(m - i0) {
+                    4 => slices_tile::<4>(a, b, k, n, c, epi, i0),
+                    3 => slices_tile::<3>(a, b, k, n, c, epi, i0),
+                    2 => slices_tile::<2>(a, b, k, n, c, epi, i0),
+                    _ => slices_tile::<1>(a, b, k, n, c, epi, i0),
+                }
+            }
+            i0 += T;
+        }
+    }
+
+    /// Capacity of a tile's union skip list: `p` runs in segments of this
+    /// many indices, and a panel's accumulators round-trip through `C`
+    /// (an exact store and reload) between segments.
+    const SEGMENT: usize = 128;
+
+    /// Rows `i0..i0+IH` of [`matmul_slices`].
+    ///
+    /// # Safety
+    /// AVX-512F must be available at runtime; rows `i0..i0+IH` exist in
+    /// `a` (`m×k`), `c` and `z` (`m×n`), and `b` is `k×n`.
+    // lint: no_alloc
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn slices_tile<const IH: usize>(
+        a: &[f64],
+        b: &[f64],
+        k: usize,
+        n: usize,
+        c: &mut [f64],
+        epi: Option<(&[f64], f64, f64)>,
+        i0: usize,
+    ) {
+        let epiv = epi.map(|(z, ca, cb)| (z, _mm512_set1_pd(ca), _mm512_set1_pd(cb)));
+        let vcols = n / 8 * 8;
+        let mut live = [0usize; SEGMENT];
+        let mut p0 = 0;
+        loop {
+            let p1 = k.min(p0 + SEGMENT);
+            // Union skip list: p contributes iff any of the tile's rows has
+            // a nonzero coefficient (per-row zero coefficients are exact
+            // no-ops, so the union never changes a row's value).
+            let mut count = 0;
+            for p in p0..p1 {
+                if (0..IH).any(|di| a[(i0 + di) * k + p] != 0.0) { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
+                    live[count] = p;
+                    count += 1;
+                }
+            }
+            let seg = Segment {
+                live: &live[..count],
+                first: p0 == 0,
+                last: p1 == k,
+            };
+            let mut jv = 0;
+            // SAFETY: every panel spans columns `jv..jv + 8·W <= vcols <= n`
+            // of rows that exist (this fn's contract); the ISA is this fn's
+            // safety contract.
+            unsafe {
+                while jv + 32 <= vcols {
+                    slices_panel::<IH, 4>(a, b, k, n, c, epiv, i0, jv, &seg);
+                    jv += 32;
+                }
                 while jv < vcols {
-                    let mut acc = [_mm512_setzero_pd(); T];
-                    for p in 0..k {
-                        let mut any = false;
-                        for di in 0..ih {
-                            any |= a[(i0 + di) * k + p] != 0.0; // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                        }
-                        if !any {
-                            continue;
-                        }
-                        let bv = _mm512_loadu_pd(b.as_ptr().add(p * n + jv));
-                        for (di, accd) in acc.iter_mut().enumerate().take(ih) {
-                            let av = _mm512_set1_pd(a[(i0 + di) * k + p]);
-                            *accd = _mm512_fmadd_pd(av, bv, *accd);
-                        }
-                    }
-                    for (di, accd) in acc.iter().enumerate().take(ih) {
-                        let off = (i0 + di) * n + jv;
-                        let r = match epiv {
-                            Some((z, cav, cbv)) => {
-                                let zv = _mm512_loadu_pd(z.as_ptr().add(off));
-                                _mm512_fmadd_pd(cav, *accd, _mm512_mul_pd(cbv, zv))
-                            }
-                            None => *accd,
-                        };
-                        _mm512_storeu_pd(c.as_mut_ptr().add(off), r);
-                    }
+                    slices_panel::<IH, 1>(a, b, k, n, c, epiv, i0, jv, &seg);
                     jv += 8;
                 }
-                for j in vcols..n {
-                    for di in 0..ih {
-                        let mut sum = 0.0f64;
-                        for p in 0..k {
-                            let av = a[(i0 + di) * k + p];
-                            if av != 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                                sum = av.mul_add(b[p * n + j], sum);
-                            }
-                        }
-                        let idx = (i0 + di) * n + j;
-                        c[idx] = match epi {
-                            Some((z, ca, cb)) => ca.mul_add(sum, cb * z[idx]),
-                            None => sum,
-                        };
+            }
+            if seg.last {
+                break;
+            }
+            p0 = p1;
+        }
+        for j in vcols..n {
+            for di in 0..IH {
+                let mut sum = 0.0f64;
+                for p in 0..k {
+                    let av = a[(i0 + di) * k + p];
+                    if av != 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
+                        sum = av.mul_add(b[p * n + j], sum);
                     }
                 }
-                i0 += T;
+                let idx = (i0 + di) * n + j;
+                c[idx] = match epi {
+                    Some((z, ca, cb)) => ca.mul_add(sum, cb * z[idx]),
+                    None => sum,
+                };
+            }
+        }
+    }
+
+    /// One segment of a tile's `p` range: its live indices, and whether
+    /// it starts the chains (else they resume from `C`) or ends them (then
+    /// the epilogue stores the result).
+    struct Segment<'a> {
+        live: &'a [usize],
+        first: bool,
+        last: bool,
+    }
+
+    /// An `IH`-row, `8·W`-column panel of [`slices_tile`] at column `jv`:
+    /// `IH·W` accumulators, each FMA-chained over the segment's live `p`.
+    ///
+    /// # Safety
+    /// AVX-512F must be available at runtime; columns `jv..jv + 8·W <= n`
+    /// of rows `i0..i0+IH` exist in `c` (and `z`), every live `p < k`
+    /// indexes a row of `b` (`k×n`), and rows `i0..i0+IH` exist in `a`.
+    // lint: no_alloc
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn slices_panel<const IH: usize, const W: usize>(
+        a: &[f64],
+        b: &[f64],
+        k: usize,
+        n: usize,
+        c: &mut [f64],
+        epiv: Option<(&[f64], __m512d, __m512d)>,
+        i0: usize,
+        jv: usize,
+        seg: &Segment,
+    ) {
+        // SAFETY: the loads and stores touch columns `jv..jv + 8·W` of
+        // rows `i0..i0+IH` (of `c`, `z`) and of rows `p < k` (of `b`), all
+        // inside the slices by this fn's contract; `a` uses safe indexing.
+        unsafe {
+            let cp = c.as_mut_ptr();
+            let mut acc = [[_mm512_setzero_pd(); W]; IH];
+            if !seg.first {
+                for (di, accd) in acc.iter_mut().enumerate() {
+                    for (w, accdw) in accd.iter_mut().enumerate() {
+                        *accdw = _mm512_loadu_pd(cp.add((i0 + di) * n + jv + 8 * w));
+                    }
+                }
+            }
+            for &p in seg.live {
+                let bp = b.as_ptr().add(p * n + jv);
+                let mut bv = [_mm512_setzero_pd(); W];
+                for (w, bvw) in bv.iter_mut().enumerate() {
+                    *bvw = _mm512_loadu_pd(bp.add(8 * w));
+                }
+                for (di, accd) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_pd(a[(i0 + di) * k + p]);
+                    for (accdw, &bvw) in accd.iter_mut().zip(&bv) {
+                        *accdw = _mm512_fmadd_pd(av, bvw, *accdw);
+                    }
+                }
+            }
+            for (di, accd) in acc.iter().enumerate() {
+                for (w, &accdw) in accd.iter().enumerate() {
+                    let off = (i0 + di) * n + jv + 8 * w;
+                    let r = match epiv {
+                        Some((z, cav, cbv)) if seg.last => _mm512_fmadd_pd(
+                            cav,
+                            accdw,
+                            _mm512_mul_pd(cbv, _mm512_loadu_pd(z.as_ptr().add(off))),
+                        ),
+                        _ => accdw,
+                    };
+                    _mm512_storeu_pd(cp.add(off), r);
+                }
             }
         }
     }
@@ -692,6 +843,44 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Every tier's `matmul_slices`, plain and affine, against `scalar`.
+    fn assert_slices_match(
+        m: usize,
+        k: usize,
+        n: usize,
+        zeros: f64,
+        seed: u64,
+        (ca, cb): (f64, f64),
+    ) {
+        let (a, b) = (values(m * k, seed, zeros), values(k * n, seed ^ 1, 0.0));
+        let z = values(m * n, seed ^ 2, 0.0);
+        for epi in [None, Some((&z[..], ca, cb))] {
+            let mut want = vec![0.0; m * n];
+            scalar::matmul_slices(&a, &b, m, k, n, &mut want, epi);
+            for tier in simd_tiers() {
+                let mut got = vec![f64::NAN; m * n];
+                dispatch!(@ tier, matmul_slices(&a, &b, m, k, n, &mut got, epi));
+                let form = if epi.is_some() { "affine" } else { "plain" };
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{tier:?} {form} {m}x{k}x{n} zeros={zeros}"
+                );
+            }
+        }
+    }
+
+    /// `k` past the AVX-512 tile's skip-list segment: the chains resume
+    /// from `C` across segment boundaries and end with one epilogue.
+    #[test]
+    fn matmul_slices_spans_skip_list_segments() {
+        for k in [127, 128, 129, 300] {
+            for zeros in [0.0, 0.95] {
+                assert_slices_match(6, k, 41, zeros, k as u64, (0.7, -1.1));
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -726,25 +915,17 @@ mod tests {
         }
 
         /// `A·B` with and without the affine epilogue: ragged row tiles,
-        /// `n mod 8` and `n mod 4` column tails, up to 60 % zero
-        /// coefficients (so whole tile columns are skipped).
+        /// 32-, 8- and 4-column panels with every tail, dense to 60 % zero
+        /// coefficients and peaked (softmax-like, 85–100 % zero) rows, so
+        /// whole tile columns and whole tiles are skipped.
         #[test]
         fn matmul_slices_is_the_scalar_body_at_every_tier(
-            m in 1usize..10, k in 0usize..12, n in 1usize..30, zeros in 0.0f64..0.6,
-            seed in any::<u64>(), (ca, cb) in (-2.0f64..2.0, -2.0f64..2.0),
+            m in 1usize..10, k in 0usize..12, n in 1usize..90, zeros in 0.0f64..0.6,
+            peaked in any::<bool>(), seed in any::<u64>(),
+            (ca, cb) in (-2.0f64..2.0, -2.0f64..2.0),
         ) {
-            let (a, b) = (values(m * k, seed, zeros), values(k * n, seed ^ 1, 0.0));
-            let z = values(m * n, seed ^ 2, 0.0);
-            for epi in [None, Some((&z[..], ca, cb))] {
-                let mut want = vec![0.0; m * n];
-                scalar::matmul_slices(&a, &b, m, k, n, &mut want, epi);
-                for tier in simd_tiers() {
-                    let mut got = vec![f64::NAN; m * n];
-                    dispatch!(@ tier, matmul_slices(&a, &b, m, k, n, &mut got, epi));
-                    let form = if epi.is_some() { "affine" } else { "plain" };
-                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {} {}x{}x{}", tier, form, m, k, n);
-                }
-            }
+            let zeros = if peaked { 0.85 + zeros / 4.0 } else { zeros };
+            assert_slices_match(m, k, n, zeros, seed, (ca, cb));
         }
 
         /// `y = fma(a, y, b·x)` over vector bodies and scalar tails.

@@ -6,6 +6,10 @@
 //! splitmix64 expansion — deterministic and statistically solid, though its
 //! stream differs from upstream `rand`'s ChaCha12 (nothing here relies on
 //! cross-crate stream compatibility, only on within-tree determinism).
+//!
+//! One extension goes beyond upstream's API: [`rngs::StdRng::to_state`] /
+//! [`rngs::StdRng::from_state`], which `stats::gaussian`'s lane-parallel
+//! noise kernel uses to carry eight particle streams in SIMD registers.
 
 #![warn(missing_docs)]
 
@@ -114,6 +118,31 @@ pub mod rngs {
         }
     }
 
+    impl StdRng {
+        /// The raw xoshiro256++ state words `s[0..4]`.
+        ///
+        /// Extension beyond upstream `rand`: together with
+        /// [`StdRng::from_state`] it lets a lane-parallel sampler advance
+        /// several streams in SIMD registers and hand each back exactly
+        /// where the scalar generator would have left it.
+        #[inline]
+        pub fn to_state(&self) -> [u64; 4] {
+            self.s
+        }
+
+        /// Rebuilds the generator from state words taken with
+        /// [`StdRng::to_state`] (or advanced from them by the xoshiro256++
+        /// step); the next output is the one the original would produce.
+        ///
+        /// # Panics
+        /// Panics on the all-zero state, which xoshiro256++ never reaches.
+        #[inline]
+        pub fn from_state(s: [u64; 4]) -> Self {
+            assert_ne!(s, [0; 4], "xoshiro256++ has no all-zero state");
+            StdRng { s }
+        }
+    }
+
     impl Rng for StdRng {
         // Inline across crates: this sits on the floor of every sampling
         // hot loop in the workspace (without the hint, non-generic methods
@@ -173,6 +202,17 @@ mod tests {
         let zs: Vec<u64> = (0..32).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn state_round_trip_resumes_the_stream() {
+        let mut a = StdRng::seed_from_u64(11);
+        a.next_u64();
+        let mut b = StdRng::from_state(a.to_state());
+        assert_eq!(a, b);
+        let xs: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
+        assert_eq!(xs, ys);
     }
 
     #[test]

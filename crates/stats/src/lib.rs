@@ -4,7 +4,8 @@
 //!
 //! - [`rng`] — explicit seeding and per-member stream splitting, so whole
 //!   OSSE experiments are bit-reproducible even when members run in parallel.
-//! - [`gaussian`] — Box–Muller standard normals and Cholesky-colored
+//! - [`gaussian`] — ziggurat standard normals (with a lane-parallel
+//!   AVX-512 tier for the reverse-SDE noise block) and Cholesky-colored
 //!   multivariate sampling (no external distribution crates).
 //! - [`Ensemble`] — member-major ensemble container with mean/variance/
 //!   spread/anomaly/inflation operations used by both filters.
