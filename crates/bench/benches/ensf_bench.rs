@@ -1,8 +1,10 @@
-//! EnSF analysis cost: score estimation, SDE integration, full update —
-//! including the DESIGN.md ablations (SDE steps, mini-batch, time grid).
+//! EnSF analysis cost: score estimation (the per-particle oracle's), SDE
+//! integration, full update — including the DESIGN.md ablations (SDE
+//! steps, mini-batch, time grid).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ensf::{DiffusionSchedule, Ensf, EnsfConfig, ObsOperator, ScoreEstimator};
+use ensf::oracle::ScoreEstimator;
+use ensf::{DiffusionSchedule, Ensf, EnsfConfig, ObsOperator};
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
 use stats::Ensemble;

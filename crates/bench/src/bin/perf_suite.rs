@@ -2,7 +2,8 @@
 //!
 //! Measures (medians over repeated runs):
 //!
-//! * EnSF analysis wall time, reference vs batched kernel, across several
+//! * EnSF analysis wall time, the per-particle oracle
+//!   ([`ensf::oracle::analyze`]) vs the batched filter, across several
 //!   (particles, members, dim) shapes including the paper-scale
 //!   `P=20, M=20, d=8192` with 100 reverse-SDE steps;
 //! * SQG RK4 step time (plan-cached, scratch-hoisted hot path), the cached
@@ -24,7 +25,7 @@ use da_core::cycle::{run_cycles, SingleProcess};
 use da_core::osse::{nature_run, NatureRun, ObsOperatorKind, OsseConfig};
 use da_core::resilience::FaultPlan;
 use da_core::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme, SqgForecast};
-use ensf::{AnalysisMethod, Ensf, EnsfConfig, ObsOperator, ScoreKernel};
+use ensf::{oracle, AnalysisMethod, Ensf, EnsfConfig, ObsOperator};
 use fft::{plan_cache, Complex, Direction, Fft2};
 use linalg::gemm::{matmul_abt_into, matmul_slices_into};
 use sqg::dynamics::{StepWorkspace, Stepper};
@@ -56,19 +57,9 @@ fn forecast(members: usize, dim: usize, seed: u64) -> Ensemble {
     e
 }
 
-fn ensf_analysis_secs(
-    kernel: ScoreKernel,
-    fc: &Ensemble,
-    y: &[f64],
-    n_steps: usize,
-    reps: usize,
-) -> f64 {
-    let obs = ObsOperator::identity(0.5);
-    median_secs(reps, || {
-        let mut f = Ensf::new(EnsfConfig { n_steps, seed: 9, kernel, ..Default::default() });
-        let an = f.analyze(fc, y, &obs);
-        assert!(an.as_slice()[0].is_finite());
-    })
+/// Median wall time of one EnSF analysis.
+fn ensf_analysis_secs(reps: usize, analyze: impl Fn() -> Ensemble) -> f64 {
+    median_secs(reps, || assert!(analyze().as_slice()[0].is_finite()))
 }
 
 fn bench_ensf(quick: bool, reps: usize) -> Json {
@@ -82,8 +73,12 @@ fn bench_ensf(quick: bool, reps: usize) -> Json {
     for &(members, dim, n_steps) in shapes {
         let fc = forecast(members, dim, 1);
         let y = vec![0.2; dim];
-        let reference = ensf_analysis_secs(ScoreKernel::Reference, &fc, &y, n_steps, reps);
-        let batched = ensf_analysis_secs(ScoreKernel::Batched, &fc, &y, n_steps, reps);
+        let obs = ObsOperator::identity(0.5);
+        let config = EnsfConfig { n_steps, seed: 9, ..Default::default() };
+        // Both cut their particle blocks over this machine's cores.
+        let reference = ensf_analysis_secs(reps, || oracle::analyze(&config, 0, &fc, &y, &obs));
+        let batched =
+            ensf_analysis_secs(reps, || Ensf::new(config.clone()).analyze(&fc, &y, &obs));
         let speedup = reference / batched;
         println!(
             "ensf P=M={members:3} d={dim:5} steps={n_steps:3}:  reference {:.4}s  batched {:.4}s  speedup {speedup:.2}x",

@@ -15,11 +15,10 @@
 //! forecast only — never on which rank integrated it — so the gathered
 //! ensemble is `da_core::EnsfScheme`'s, bit for bit, at every rank count
 //! (ranks beyond the member count own an empty block), for both
-//! [`ensf::ScoreKernel`]s, both [`ensf::AnalysisMethod`]s and every
-//! [`ObsSpec`]: a partial network's vector is completed by the same
-//! [`Completion::Inpaint`] call the serial scheme makes, from the
-//! replicated forecast, before the kernel sees it. The tests below pin
-//! that.
+//! [`ensf::AnalysisMethod`]s and every [`ObsSpec`]: a partial network's
+//! vector is completed by the same [`Completion::Inpaint`] call the serial
+//! scheme makes, from the replicated forecast, before the kernel sees it.
+//! The tests below pin that.
 
 use crate::shard::ShardPlan;
 use crate::DistError;
@@ -187,7 +186,7 @@ pub(crate) fn analyze_replicated(
 mod tests {
     use super::*;
     use da_core::{AnalysisScheme, EnsfScheme};
-    use ensf::{MaskKind, ObsOperatorKind, ScoreKernel};
+    use ensf::{MaskKind, ObsOperatorKind};
     use hpc::mpi::run_world;
     use stats::gaussian::fill_standard_normal;
     use stats::rng::member_rng;
@@ -270,32 +269,22 @@ mod tests {
         }
     }
 
-    fn sde(kernel: ScoreKernel) -> EnsfConfig {
-        EnsfConfig { n_steps: 12, seed: 9, kernel, ..Default::default() }
+    fn sde() -> EnsfConfig {
+        EnsfConfig { n_steps: 12, seed: 9, ..Default::default() }
     }
 
-    fn flow(kernel: ScoreKernel) -> EnsfConfig {
-        EnsfConfig { n_steps: 6, method: AnalysisMethod::FlowMatching, ..sde(kernel) }
+    fn flow() -> EnsfConfig {
+        EnsfConfig { n_steps: 6, method: AnalysisMethod::FlowMatching, ..sde() }
     }
 
     #[test]
     fn sharded_sde_is_the_serial_filter_bitwise_batched() {
-        assert_sharded_is_serial(sde(ScoreKernel::Batched));
-    }
-
-    #[test]
-    fn sharded_sde_is_the_serial_filter_bitwise_reference() {
-        assert_sharded_is_serial(sde(ScoreKernel::Reference));
+        assert_sharded_is_serial(sde());
     }
 
     #[test]
     fn sharded_flow_is_the_serial_filter_bitwise_batched() {
-        assert_sharded_is_serial(flow(ScoreKernel::Batched));
-    }
-
-    #[test]
-    fn sharded_flow_is_the_serial_filter_bitwise_reference() {
-        assert_sharded_is_serial(flow(ScoreKernel::Reference));
+        assert_sharded_is_serial(flow());
     }
 
     #[test]
@@ -304,8 +293,8 @@ mod tests {
         // filter does; one DDIM step is the deepest deadline-ladder rung.
         let obs = ObsSpec::identity(0.4);
         for config in [
-            EnsfConfig { variance_smoothing: 0.6, ..flow(ScoreKernel::Batched) },
-            EnsfConfig { n_steps: 1, ..flow(ScoreKernel::Batched) },
+            EnsfConfig { variance_smoothing: 0.6, ..flow() },
+            EnsfConfig { n_steps: 1, ..flow() },
         ] {
             let want = serial(&config, &obs, 0);
             assert!(want.iter().all(|v| v.is_finite()));

@@ -1,6 +1,6 @@
 //! Step-major, GEMM-batched EnSF analysis kernel.
 //!
-//! The reference path ([`crate::ScoreEstimator`]) evaluates the Monte-Carlo
+//! The per-particle oracle ([`crate::oracle`]) evaluates the Monte-Carlo
 //! prior score one particle at a time: per reverse-SDE step it walks the
 //! forecast ensemble twice as strided dot products, re-multiplying every
 //! ensemble element by `α_t` along the way. This module inverts the loop
@@ -21,15 +21,15 @@
 //! Gram block and norms, one ascending FMA chain per element for the
 //! recombination), with the same bits at every SIMD level, so the kernel is
 //! bitwise deterministic and invariant to how particles are partitioned
-//! into blocks — the same contract the reference path guarantees, which
+//! into blocks — the same contract the oracle guarantees, which
 //! keeps [`crate::parallel::analyze_partitioned`]'s bitwise identity and the
 //! resilience layer's bit-identical checkpoint resume intact. Each
-//! particle keeps its own RNG stream and draws it in exactly the reference
+//! particle keeps its own RNG stream and draws it in exactly the oracle's
 //! order (initial `N(0, I)` fill, then one normal per component per
 //! non-final step); the step's noise for the whole block is one
 //! [`stats::gaussian::add_scaled_normals`] call, which advances eight
 //! particles' streams side by side in SIMD lanes without reordering any
-//! stream. Reference and batched kernels therefore differ only by
+//! stream. The oracle and this kernel therefore differ only by
 //! floating-point reassociation.
 //!
 //! All scratch lives in a caller-owned [`BatchScratch`]; after construction
@@ -177,9 +177,10 @@ impl BatchScratch {
     }
 }
 
-/// Batched counterpart of [`crate::reverse_sde_assimilate`]: integrates a
-/// whole block of particles through the reverse SDE step-major, evaluating
-/// the prior score for all of them at once via [`BatchedScore`].
+/// Batched counterpart of [`crate::oracle::reverse_sde_assimilate`]:
+/// integrates a whole block of particles through the reverse SDE
+/// step-major, evaluating the prior score for all of them at once via
+/// [`BatchedScore`].
 ///
 /// * `z` — `rngs.len() x dim` row-major block; on entry each row is a
 ///   sample of `N(0, I)`, on exit a posterior sample.
@@ -189,8 +190,8 @@ impl BatchScratch {
 /// * `rngs` — one RNG per particle, positioned exactly after the initial
 ///   Gaussian fill (the reference stream contract).
 ///
-/// Per particle this replicates [`crate::reverse_sde_assimilate`] operation
-/// for operation — exponential linear step, explicit prior score, final-step
+/// Per particle this replicates the oracle's integrator operation for
+/// operation — exponential linear step, explicit prior score, final-step
 /// noise omission, damped likelihood pull — so the two paths agree to
 /// floating-point reassociation and draw identical noise.
 // lint: no_alloc
@@ -272,7 +273,7 @@ pub fn reverse_sde_assimilate_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::ScoreEstimator;
+    use crate::oracle::ScoreEstimator;
     use crate::sde::time_grid;
     use stats::gaussian::{fill_standard_normal, standard_normal};
     use stats::rng::{member_rng, seeded};

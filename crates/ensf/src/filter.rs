@@ -20,28 +20,10 @@ use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
 use stats::Ensemble;
 
-/// Which implementation evaluates the Monte-Carlo score inside the
-/// reverse-SDE loop.
-///
-/// Both kernels are deterministic, partition-invariant and draw identical
-/// noise streams; they differ only by floating-point reassociation (the
-/// batched kernel computes distances via a GEMM norm expansion). `Batched`
-/// is the default; `Reference` is kept as the per-particle oracle for
-/// equivalence testing and ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreKernel {
-    /// Per-particle strided dot products ([`crate::ScoreEstimator`]).
-    Reference,
-    /// Step-major two-GEMM evaluation over particle blocks
-    /// ([`crate::BatchedScore`]).
-    #[default]
-    Batched,
-}
-
 /// Which dynamics transport the `N(0, I)` start to the posterior.
 ///
 /// Both methods share the diffusion schedule, the time grid, the
-/// Monte-Carlo score machinery (either [`ScoreKernel`]) and the damped
+/// Monte-Carlo score machinery ([`crate::BatchedScore`]) and the damped
 /// likelihood relaxation; they differ only in the integrated equation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMethod {
@@ -51,7 +33,8 @@ pub enum AnalysisMethod {
     ReverseSde,
     /// Deterministic probability-flow ODE (flow matching, Transue et al.
     /// arXiv:2508.13313): same marginals, no Brownian noise, comparable
-    /// accuracy at ~5–10 steps ([`crate::probability_flow_assimilate`]).
+    /// accuracy at ~5–10 steps
+    /// ([`crate::probability_flow_assimilate_batched`]).
     FlowMatching,
 }
 
@@ -72,8 +55,6 @@ pub struct EnsfConfig {
     /// spread to the prior to guarantee long-term stability; `1.0`
     /// reproduces that choice.
     pub spread_relaxation: f64,
-    /// Score kernel implementation (batched GEMM by default).
-    pub kernel: ScoreKernel,
     /// Transport dynamics: stochastic reverse SDE (default) or the
     /// deterministic few-step probability-flow ODE.
     pub method: AnalysisMethod,
@@ -96,7 +77,6 @@ impl Default for EnsfConfig {
             schedule: DiffusionSchedule::default(),
             seed: 0,
             spread_relaxation: 1.0,
-            kernel: ScoreKernel::default(),
             method: AnalysisMethod::default(),
             variance_smoothing: 0.0,
         }
@@ -108,6 +88,10 @@ impl EnsfConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.n_steps == 0 {
             return Err("n_steps must be positive".into());
+        }
+        let eps = self.schedule.eps;
+        if !(eps > 0.0 && eps < 0.5) {
+            return Err(format!("schedule.eps must be in (0, 0.5), got {eps}"));
         }
         if let Some(j) = self.minibatch {
             if j == 0 {
@@ -173,12 +157,7 @@ impl Ensf {
     /// `obs`, returning the analysis ensemble.
     pub fn analyze(&mut self, forecast: &Ensemble, y: &[f64], obs: &ObsOperator) -> Ensemble {
         let _span = telemetry::span!("ensf.analysis");
-        // One block per available worker; every particle's result is a
-        // function of its global index alone, so the layout is purely a
-        // load-balancing choice.
-        let members = forecast.members();
-        let workers = par::cores().clamp(1, members.max(1));
-        let plan = crate::parallel::RankPlan::new(members, workers);
+        let plan = crate::parallel::RankPlan::over_cores(forecast.members());
         let analysis = crate::parallel::analyze_partitioned(
             &self.config,
             self.cycle,
@@ -410,6 +389,10 @@ mod tests {
     fn config_validation() {
         assert!(EnsfConfig { n_steps: 0, ..Default::default() }.validate().is_err());
         assert!(EnsfConfig { minibatch: Some(0), ..Default::default() }.validate().is_err());
+        for eps in [0.0, 0.5, 0.6, -1e-3, f64::NAN] {
+            let schedule = DiffusionSchedule { eps, ..Default::default() };
+            assert!(EnsfConfig { schedule, ..Default::default() }.validate().is_err(), "eps {eps}");
+        }
         assert!(
             EnsfConfig { spread_relaxation: 1.5, ..Default::default() }.validate().is_err()
         );

@@ -1,6 +1,6 @@
 //! Probability-flow ODE integration: the flow-matching analysis path.
 //!
-//! The reverse-time SDE (Eq. 7, [`crate::reverse_sde_assimilate`]) and the
+//! The reverse-time SDE (Eq. 7, [`crate::reverse_sde_assimilate_batched`]) and the
 //! **probability-flow ODE**
 //!
 //! ```text
@@ -15,7 +15,7 @@
 //!
 //! 1. **Few-step integration.** Without per-step noise injection the only
 //!    error source is the drift discretization, so the two-sided log grid
-//!    ([`time_grid`]) reaches the accuracy of the 100-step SDE in
+//!    ([`crate::time_grid`]) reaches the accuracy of the 100-step SDE in
 //!    ~5–10 steps: each analysis costs proportionally fewer score GEMMs.
 //! 2. **A smaller determinism surface.** Particles consume *no* RNG draws
 //!    beyond the initial Gaussian fill, so the member-keyed (serial) and
@@ -79,7 +79,6 @@
 use crate::batch::{BatchScratch, BatchedScore};
 use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
-use crate::sde::time_grid;
 
 /// Per-component sample variance over `batch` members of a member-major
 /// ensemble buffer (divisor `J − 1`; all zeros when the batch has fewer
@@ -150,55 +149,13 @@ pub fn smooth_variance(var: &mut [f64], gamma: f64) {
     }
 }
 
-/// Integrates one particle of the probability-flow ODE in place.
-///
-/// Deterministic counterpart of [`crate::reverse_sde_assimilate`]: same
-/// grid and exponential linear step, with the denoised-estimate guidance
-/// described in the module docs in place of the SDE's damped likelihood
-/// pull — no RNG parameter because the flow consumes no noise.
-///
-/// * `z` — on entry a sample of `N(0, I)`; on exit a posterior sample.
-/// * `prior_var` — per-component prior ensemble variance `v_i`
-///   ([`batch_variance`] over the same members the score uses).
-/// * `prior_score` — callback `(z, t, out)` writing the prior score.
-/// * `obs`, `y` — observation operator and observation vector.
-///
-/// # Panics
-/// Panics when `prior_var` does not match the state dimension.
-pub fn probability_flow_assimilate(
-    z: &mut [f64],
-    schedule: &DiffusionSchedule,
-    n_steps: usize,
-    prior_var: &[f64],
-    mut prior_score: impl FnMut(&[f64], f64, &mut [f64]),
-    obs: &ObsOperator,
-    y: &[f64],
-) {
-    let dim = z.len();
-    assert_eq!(prior_var.len(), dim, "prior variance shape mismatch");
-    let times = time_grid(schedule, n_steps);
-    telemetry::counter_add("ensf.flow.ode_steps", (times.len() - 1) as u64);
-    let mut s = vec![0.0; dim];
-    let mut xh = vec![0.0; dim];
-    let mut lik = vec![0.0; dim];
-    let mut jsq = vec![1.0; dim];
-    let r = obs.sigma() * obs.sigma();
-
-    for w in times.windows(2) {
-        let t = w[0];
-        let t_next = w[1];
-        prior_score(z, t, &mut s);
-        flow_step(z, &s, &mut xh, &mut lik, &mut jsq, prior_var, obs, y, r, schedule, t, t_next);
-    }
-}
-
 /// One flow step for one particle: Tweedie denoising, the per-component
 /// Kalman correction of the denoised estimate, and the DDIM map to the
-/// next grid point. Shared verbatim by the reference and batched
-/// integrators so they agree operation for operation.
+/// next grid point. Shared verbatim by the batched integrator and the
+/// oracle's so they agree operation for operation.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn flow_step(
+pub(crate) fn flow_step(
     z: &mut [f64],
     s: &[f64],
     xh: &mut [f64],
@@ -240,23 +197,23 @@ fn flow_step(
     }
 }
 
-/// Batched counterpart of [`probability_flow_assimilate`]: integrates a
-/// whole block of `b` particles through the probability-flow ODE
-/// step-major, evaluating the prior score for all of them at once via
+/// Batched counterpart of [`crate::oracle::probability_flow_assimilate`]:
+/// integrates a whole block of `b` particles through the probability-flow
+/// ODE step-major, evaluating the prior score for all of them at once via
 /// [`BatchedScore`] — the same two-GEMM score machinery the stochastic
 /// path uses, minus the noise stream.
 ///
 /// * `z` — `b x dim` row-major block; each row a sample of `N(0, I)` on
 ///   entry, a posterior sample on exit.
 /// * `times` — the descending pseudo-time grid (as produced by
-///   [`time_grid`]), owned by the caller so the integration itself
+///   [`crate::time_grid`]), owned by the caller so the integration itself
 ///   never allocates.
 /// * `prior_var` — per-component prior variance of the score batch
 ///   ([`batch_variance`] over the same members `score` gathered).
 ///
-/// Per particle this replicates [`probability_flow_assimilate`] operation
-/// for operation, so the two paths agree to floating-point reassociation
-/// (the same contract the SDE pair has). No RNG parameter: after the
+/// Per particle this replicates the oracle's integrator operation for
+/// operation, so the two paths agree to floating-point reassociation (the
+/// same contract the SDE pair has). No RNG parameter: after the
 /// caller's initial fill the integration is a pure function of the block.
 // lint: no_alloc
 #[allow(clippy::too_many_arguments)]
@@ -294,282 +251,8 @@ pub fn probability_flow_assimilate_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stats::gaussian::{fill_standard_normal, standard_normal};
+    use stats::gaussian::fill_standard_normal;
     use stats::rng::seeded;
-
-    /// With the *analytic* posterior ingredients (Gaussian prior score +
-    /// identity observation) the flow must transport N(0, I) to the
-    /// Kalman posterior — in a handful of steps.
-    #[test]
-    fn few_step_flow_reaches_gaussian_posterior() {
-        let sch = DiffusionSchedule::new(1e-4);
-        let m_prior = 0.0f64;
-        let v_prior = 1.0f64;
-        let sigma_obs = 0.5f64;
-        let y = vec![1.5];
-        let obs = ObsOperator::identity(sigma_obs);
-        // Kalman: posterior mean = v/(v+r) * y with r = sigma_obs^2.
-        let want_mean = v_prior / (v_prior + sigma_obs * sigma_obs) * y[0];
-
-        for steps in [5, 10] {
-            let mut rng = seeded(7);
-            let n = 2000;
-            let mut mean = 0.0;
-            for _ in 0..n {
-                let mut z = vec![standard_normal(&mut rng)];
-                probability_flow_assimilate(
-                    &mut z,
-                    &sch,
-                    steps,
-                    &[v_prior],
-                    |z, t, out| {
-                        let a = sch.alpha(t);
-                        let var = a * a * v_prior + sch.beta_sq(t);
-                        out[0] = -(z[0] - a * m_prior) / var;
-                    },
-                    &obs,
-                    &y,
-                );
-                assert!(z[0].is_finite());
-                mean += z[0];
-            }
-            mean /= n as f64;
-            assert!(
-                (mean - want_mean).abs() < 0.15,
-                "{steps}-step flow mean {mean} vs Kalman {want_mean}"
-            );
-        }
-    }
-
-    /// On a fine grid the guided flow recovers the full Kalman posterior:
-    /// mean *and* variance, the property the naive damped-likelihood flow
-    /// provably lacks (it converges to a biased endpoint).
-    #[test]
-    fn fine_grid_flow_matches_kalman_posterior() {
-        let sch = DiffusionSchedule::new(1e-4);
-        let v_prior = 1.0f64;
-        let sigma_obs = 0.5f64;
-        let y = vec![1.5];
-        let obs = ObsOperator::identity(sigma_obs);
-        let r = sigma_obs * sigma_obs;
-        let want_mean = v_prior / (v_prior + r) * y[0];
-        let want_var = v_prior * r / (v_prior + r);
-
-        let mut rng = seeded(11);
-        let n = 4000;
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        for _ in 0..n {
-            let mut z = vec![standard_normal(&mut rng)];
-            probability_flow_assimilate(
-                &mut z,
-                &sch,
-                100,
-                &[v_prior],
-                |z, t, out| {
-                    let a = sch.alpha(t);
-                    let var = a * a * v_prior + sch.beta_sq(t);
-                    out[0] = -z[0] / var;
-                },
-                &obs,
-                &y,
-            );
-            sum += z[0];
-            sum_sq += z[0] * z[0];
-        }
-        let mean = sum / n as f64;
-        let var = sum_sq / n as f64 - mean * mean;
-        assert!((mean - want_mean).abs() < 0.05, "flow mean {mean} vs Kalman {want_mean}");
-        assert!((var - want_var).abs() < 0.05, "flow var {var} vs Kalman {want_var}");
-    }
-
-    /// The flow is a pure function of its inputs: no hidden RNG anywhere.
-    #[test]
-    fn flow_is_deterministic_without_any_rng() {
-        let sch = DiffusionSchedule::default();
-        let obs = ObsOperator::identity(0.4);
-        let y = vec![0.5, -0.5, 1.0];
-        let run = || {
-            let mut z = vec![0.3, -0.7, 1.9];
-            probability_flow_assimilate(
-                &mut z,
-                &sch,
-                8,
-                &[1.0, 0.5, 2.0],
-                |_, _, out| out.fill(0.0),
-                &obs,
-                &y,
-            );
-            z
-        };
-        assert_eq!(run(), run());
-    }
-
-    /// Batched and reference flow integrators agree to reassociation on
-    /// identical blocks (the same contract the SDE pair has).
-    #[test]
-    fn batched_flow_matches_reference_flow() {
-        let (members, dim, b, n_steps) = (7, 11, 5, 8);
-        let mut rng = seeded(31);
-        let mut ens = vec![0.0; members * dim];
-        fill_standard_normal(&mut rng, &mut ens);
-        let sch = DiffusionSchedule::default();
-        let batch: Vec<usize> = (0..members).collect();
-        let score = BatchedScore::new(&ens, members, dim, sch, &batch);
-        let prior_var = batch_variance(&ens, members, dim, &batch);
-        let reference = crate::score::ScoreEstimator::new(&ens, members, dim, sch);
-        let obs = ObsOperator::identity(0.6);
-        let y = vec![0.3; dim];
-
-        let mut z0 = vec![0.0; b * dim];
-        fill_standard_normal(&mut rng, &mut z0);
-
-        let mut zb = z0.clone();
-        let mut scratch = BatchScratch::new(b, members, dim);
-        probability_flow_assimilate_batched(
-            &mut zb,
-            b,
-            &sch,
-            &time_grid(&sch, n_steps),
-            &score,
-            &prior_var,
-            &obs,
-            &y,
-            &mut scratch,
-        );
-
-        let mut zr = z0;
-        for row in zr.chunks_exact_mut(dim) {
-            let mut buf = vec![0.0; members];
-            probability_flow_assimilate(
-                row,
-                &sch,
-                n_steps,
-                &prior_var,
-                |z, t, out| {
-                    reference.score_into(z, t, out, &mut buf);
-                },
-                &obs,
-                &y,
-            );
-        }
-        for (a, r) in zb.iter().zip(&zr) {
-            assert!((a - r).abs() < 1e-10 * (1.0 + r.abs()), "{a} vs {r}");
-        }
-    }
-
-    /// Tight observations must not blow up: the relaxation factor keeps the
-    /// guidance bounded across twelve orders of magnitude of `σ_obs`.
-    #[test]
-    fn flow_stable_for_tight_observations() {
-        let sch = DiffusionSchedule::default();
-        let y = vec![2.0];
-        for sigma_obs in [1e-6, 1e-3, 1.0, 1e3] {
-            let obs = ObsOperator::identity(sigma_obs);
-            let mut z = vec![-5.0];
-            probability_flow_assimilate(
-                &mut z,
-                &sch,
-                5,
-                &[1.0],
-                |z, t, out| {
-                    let a = sch.alpha(t);
-                    let var = a * a + sch.beta_sq(t);
-                    out[0] = -z[0] / var;
-                },
-                &obs,
-                &y,
-            );
-            assert!(z[0].is_finite(), "blow-up at sigma_obs = {sigma_obs}");
-            assert!(z[0].abs() < 10.0, "overshoot at sigma_obs = {sigma_obs}: {}", z[0]);
-        }
-    }
-
-    /// A tight observation actually *pins* the flow endpoint on the
-    /// observation (the guidance reaches the full Kalman gain at t → 0).
-    #[test]
-    fn tight_observation_pins_endpoint() {
-        let sch = DiffusionSchedule::new(1e-4);
-        let obs = ObsOperator::identity(1e-2);
-        let y = vec![2.0];
-        let mut rng = seeded(5);
-        let n = 500;
-        let mut mean = 0.0;
-        for _ in 0..n {
-            let mut z = vec![standard_normal(&mut rng)];
-            probability_flow_assimilate(
-                &mut z,
-                &sch,
-                10,
-                &[1.0],
-                |z, t, out| {
-                    let a = sch.alpha(t);
-                    let var = a * a + sch.beta_sq(t);
-                    out[0] = -z[0] / var;
-                },
-                &obs,
-                &y,
-            );
-            mean += z[0];
-        }
-        mean /= n as f64;
-        assert!((mean - 2.0).abs() < 0.1, "tight-obs flow mean {mean} should sit on y = 2");
-    }
-
-    /// Step refinement converges *in distribution*: the posterior mean is
-    /// exact at every step count (the DDIM map solves the linear flow in
-    /// closed form), while the sample variance grows monotonically from
-    /// the under-dispersed few-step regime toward the Kalman variance.
-    #[test]
-    fn step_refinement_converges_in_distribution() {
-        let sch = DiffusionSchedule::new(1e-4);
-        let sigma_obs = 0.7f64;
-        let obs = ObsOperator::identity(sigma_obs);
-        let y = vec![0.8];
-        let r = sigma_obs * sigma_obs;
-        let want_mean = 1.0 / (1.0 + r) * y[0];
-        let want_var = r / (1.0 + r);
-
-        let moments = |steps: usize| {
-            let mut rng = seeded(23);
-            let n = 2000;
-            let (mut sum, mut sum_sq) = (0.0, 0.0);
-            for _ in 0..n {
-                let mut z = vec![standard_normal(&mut rng)];
-                probability_flow_assimilate(
-                    &mut z,
-                    &sch,
-                    steps,
-                    &[1.0],
-                    |z, t, out| {
-                        let a = sch.alpha(t);
-                        let var = a * a + sch.beta_sq(t);
-                        out[0] = -z[0] / var;
-                    },
-                    &obs,
-                    &y,
-                );
-                sum += z[0];
-                sum_sq += z[0] * z[0];
-            }
-            let mean = sum / n as f64;
-            (mean, sum_sq / n as f64 - mean * mean)
-        };
-
-        let counts = [1usize, 4, 16, 100];
-        let mv: Vec<(f64, f64)> = counts.iter().map(|&n| moments(n)).collect();
-        for (&steps, &(mean, _)) in counts.iter().zip(&mv) {
-            assert!(
-                (mean - want_mean).abs() < 0.06,
-                "{steps}-step flow mean {mean} vs Kalman {want_mean}"
-            );
-        }
-        for w in mv.windows(2) {
-            assert!(w[0].1 <= w[1].1 + 0.02, "variance not monotone: {} then {}", w[0].1, w[1].1);
-        }
-        let (_, fine_var) = mv[counts.len() - 1];
-        assert!((fine_var - want_var).abs() < 0.05, "100-step var {fine_var} vs {want_var}");
-    }
 
     /// `batch_variance` matches `Ensemble::variance` on the full batch and
     /// restricts correctly to a sub-batch.

@@ -8,10 +8,12 @@
 //!
 //! 1. [`DiffusionSchedule`] — `α_t = 1 − t`, `β_t = √t` (Eq. 9), with the
 //!    damping `h(t) = 1 − t` for the likelihood score (Eq. 11).
-//! 2. [`ScoreEstimator`] — Monte-Carlo prior score from the forecast
-//!    ensemble (Eqs. 12–16), numerically stabilized with log-sum-exp.
-//! 3. [`reverse_sde_assimilate`] — Euler–Maruyama integration of the
-//!    reverse-time SDE (Eq. 7) from `N(0, I)` to the Bayesian posterior
+//! 2. [`BatchedScore`] — Monte-Carlo prior score from the forecast
+//!    ensemble (Eqs. 12–16), numerically stabilized with log-sum-exp and
+//!    evaluated for a whole particle block per step as two GEMMs plus a
+//!    row-wise softmax ([`batch`]).
+//! 3. [`reverse_sde_assimilate_batched`] — Euler–Maruyama integration of
+//!    the reverse-time SDE (Eq. 7) from `N(0, I)` to the Bayesian posterior
 //!    over the two-sided [`time_grid`], the damped likelihood score of an
 //!    [`ObsOperator`] added to the prior score.
 //! 4. [`Ensf::analyze`] — the full update, parallel over particle blocks,
@@ -20,11 +22,9 @@
 //!    ([`parallel::BlockAnalysis`]): `Ensf::analyze`, the Fig. 10 rank
 //!    decomposition and the distributed runtime all run it, so they
 //!    compute the same analysis bit for bit.
-//! 6. [`batch`] — the step-major batched analysis kernel ([`BatchedScore`]):
-//!    per reverse-SDE step the score for a whole particle block is produced
-//!    by two GEMMs plus a row-wise softmax, selected via
-//!    [`EnsfConfig::kernel`] (the default). The per-particle path above is
-//!    kept as the oracle ([`ScoreKernel::Reference`]).
+//! 6. [`oracle`] — the same analysis one particle at a time
+//!    ([`oracle::analyze`]): the reference the equivalence tests hold the
+//!    batched kernel to at 1e-10 relative. No run selects it.
 //! 7. [`flow`] — the deterministic probability-flow ODE analysis path
 //!    (flow matching): the same score machinery integrated without noise,
 //!    reaching SDE-level accuracy in ~5–10 steps. Selected per config via
@@ -51,18 +51,14 @@ pub mod batch;
 mod filter;
 pub mod flow;
 mod obs;
+pub mod oracle;
 pub mod parallel;
 mod schedule;
-mod score;
 mod sde;
 
 pub use batch::{reverse_sde_assimilate_batched, BatchScratch, BatchedScore};
-pub use filter::{relax_spread, AnalysisMethod, Ensf, EnsfConfig, ScoreKernel};
-pub use flow::{
-    batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
-    smooth_variance,
-};
+pub use filter::{relax_spread, AnalysisMethod, Ensf, EnsfConfig};
+pub use flow::{batch_variance, probability_flow_assimilate_batched, smooth_variance};
 pub use obs::{MaskKind, ObsOperator, ObsOperatorKind, ObsSpec};
 pub use schedule::{Damping, DiffusionSchedule};
-pub use score::ScoreEstimator;
-pub use sde::{reverse_sde_assimilate, time_grid};
+pub use sde::time_grid;

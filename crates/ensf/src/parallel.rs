@@ -16,14 +16,10 @@
 //! analysis, bit for bit.
 
 use crate::batch::{reverse_sde_assimilate_batched, BatchScratch, BatchedScore};
-use crate::filter::{relax_spread, AnalysisMethod, EnsfConfig, ScoreKernel};
-use crate::flow::{
-    batch_variance, probability_flow_assimilate, probability_flow_assimilate_batched,
-    smooth_variance,
-};
+use crate::filter::{relax_spread, AnalysisMethod, EnsfConfig};
+use crate::flow::{batch_variance, probability_flow_assimilate_batched, smooth_variance};
 use crate::obs::ObsOperator;
-use crate::score::ScoreEstimator;
-use crate::sde::{reverse_sde_assimilate, time_grid};
+use crate::sde::time_grid;
 use rand::seq::SliceRandom;
 use stats::gaussian::fill_standard_normal;
 use stats::rng::{member_rng, seeded, split_seed};
@@ -62,28 +58,33 @@ impl RankPlan {
     pub fn max_block(&self) -> usize {
         self.blocks.iter().map(|(a, b)| b - a).max().unwrap_or(0)
     }
-}
 
-/// The prior-score evaluator of one analysis, per [`ScoreKernel`].
-enum Score<'a> {
-    Batched(BatchedScore<'a>),
-    Reference(ScoreEstimator<'a>),
+    /// One block per available worker: the layout [`crate::Ensf::analyze`]
+    /// uses. Every particle's result is a function of its global index
+    /// alone, so the layout is purely a load-balancing choice.
+    pub(crate) fn over_cores(members: usize) -> Self {
+        RankPlan::new(members, par::cores().clamp(1, members.max(1)))
+    }
 }
 
 /// One EnSF analysis, prepared once and shared read-only by every particle
-/// block: the mini-batch of `(seed, cycle)`, its score evaluator, the flow
+/// block: the mini-batch of `(seed, cycle)`, its batched score, the flow
 /// prior variance and the pseudo-time grid.
 pub struct BlockAnalysis<'a> {
     config: &'a EnsfConfig,
-    cycle_seed: u64,
+    /// Seeds every particle's stream (`member_rng(cycle_seed, index)`).
+    pub(crate) cycle_seed: u64,
     dim: usize,
     y: &'a [f64],
     obs: &'a ObsOperator,
-    score: Score<'a>,
+    /// Members of the score's Monte-Carlo sum, in summation order.
+    pub(crate) batch: Vec<usize>,
+    score: BatchedScore<'a>,
     /// Per-component prior variance of the score batch (flow matching
     /// only; empty for the reverse SDE).
-    prior_var: Vec<f64>,
-    times: Vec<f64>,
+    pub(crate) prior_var: Vec<f64>,
+    /// The descending pseudo-time grid.
+    pub(crate) times: Vec<f64>,
 }
 
 impl<'a> BlockAnalysis<'a> {
@@ -127,25 +128,14 @@ impl<'a> BlockAnalysis<'a> {
             }
             AnalysisMethod::ReverseSde => Vec::new(),
         };
-        let score = match config.kernel {
-            ScoreKernel::Batched => Score::Batched(BatchedScore::new(
-                forecast.as_slice(),
-                members,
-                dim,
-                config.schedule,
-                &batch,
-            )),
-            ScoreKernel::Reference => Score::Reference(
-                ScoreEstimator::new(forecast.as_slice(), members, dim, config.schedule)
-                    .with_batch(batch),
-            ),
-        };
+        let score = BatchedScore::new(forecast.as_slice(), members, dim, config.schedule, &batch);
         BlockAnalysis {
             config,
             cycle_seed,
             dim,
             y,
             obs,
+            batch,
             score,
             prior_var,
             times: time_grid(&config.schedule, config.n_steps),
@@ -169,79 +159,41 @@ impl<'a> BlockAnalysis<'a> {
             return block;
         }
         let schedule = &self.config.schedule;
-        let method = self.config.method;
-        match &self.score {
-            Score::Batched(score) => {
-                let mut rngs: Vec<_> =
-                    particles.map(|m| member_rng(self.cycle_seed, m)).collect();
-                for (row, rng) in block.chunks_exact_mut(dim).zip(rngs.iter_mut()) {
-                    fill_standard_normal(rng, row);
-                }
-                let mut scratch = BatchScratch::new(b, score.batch_len(), dim);
-                // The batched integrators leave step accounting to the
-                // caller that owns the grid.
-                let integrated = (self.steps() * b) as u64;
-                match method {
-                    AnalysisMethod::ReverseSde => {
-                        telemetry::counter_add("ensf.sde.euler_steps", integrated);
-                        reverse_sde_assimilate_batched(
-                            &mut block,
-                            schedule,
-                            &self.times,
-                            score,
-                            self.obs,
-                            self.y,
-                            &mut rngs,
-                            &mut scratch,
-                        )
-                    }
-                    AnalysisMethod::FlowMatching => {
-                        telemetry::counter_add("ensf.flow.ode_steps", integrated);
-                        probability_flow_assimilate_batched(
-                            &mut block,
-                            b,
-                            schedule,
-                            &self.times,
-                            score,
-                            &self.prior_var,
-                            self.obs,
-                            self.y,
-                            &mut scratch,
-                        )
-                    }
-                }
+        let mut rngs: Vec<_> = particles.map(|m| member_rng(self.cycle_seed, m)).collect();
+        for (row, rng) in block.chunks_exact_mut(dim).zip(rngs.iter_mut()) {
+            fill_standard_normal(rng, row);
+        }
+        let mut scratch = BatchScratch::new(b, self.score.batch_len(), dim);
+        // The batched integrators leave step accounting to the caller that
+        // owns the grid.
+        let integrated = (self.steps() * b) as u64;
+        match self.config.method {
+            AnalysisMethod::ReverseSde => {
+                telemetry::counter_add("ensf.sde.euler_steps", integrated);
+                reverse_sde_assimilate_batched(
+                    &mut block,
+                    schedule,
+                    &self.times,
+                    &self.score,
+                    self.obs,
+                    self.y,
+                    &mut rngs,
+                    &mut scratch,
+                )
             }
-            Score::Reference(estimator) => {
-                // The per-particle oracle: one particle at a time, exactly
-                // as the equivalence tests drive the integrators.
-                let mut weights = vec![0.0; estimator.batch_len()];
-                for (out, m) in block.chunks_exact_mut(dim).zip(particles) {
-                    let mut rng = member_rng(self.cycle_seed, m);
-                    fill_standard_normal(&mut rng, out);
-                    let prior = |z: &[f64], t: f64, s: &mut [f64]| {
-                        estimator.score_into(z, t, s, &mut weights);
-                    };
-                    match method {
-                        AnalysisMethod::ReverseSde => reverse_sde_assimilate(
-                            out,
-                            schedule,
-                            self.config.n_steps,
-                            prior,
-                            self.obs,
-                            self.y,
-                            &mut rng,
-                        ),
-                        AnalysisMethod::FlowMatching => probability_flow_assimilate(
-                            out,
-                            schedule,
-                            self.config.n_steps,
-                            &self.prior_var,
-                            prior,
-                            self.obs,
-                            self.y,
-                        ),
-                    }
-                }
+            AnalysisMethod::FlowMatching => {
+                telemetry::counter_add("ensf.flow.ode_steps", integrated);
+                probability_flow_assimilate_batched(
+                    &mut block,
+                    b,
+                    schedule,
+                    &self.times,
+                    &self.score,
+                    &self.prior_var,
+                    self.obs,
+                    self.y,
+                    &mut scratch,
+                )
             }
         }
         block
@@ -265,6 +217,21 @@ pub fn analyze_partitioned(
     y: &[f64],
     obs: &ObsOperator,
 ) -> Ensemble {
+    let prepared = BlockAnalysis::prepare(config, cycle, forecast, y, obs);
+    assemble(config, plan, forecast, |particles| prepared.run_block(particles))
+}
+
+/// Runs `run` on every block of `plan`, one parallel task per block,
+/// copies the blocks into one ensemble in order and relaxes its spread.
+///
+/// # Panics
+/// Panics when `plan` does not cover the ensemble.
+pub(crate) fn assemble(
+    config: &EnsfConfig,
+    plan: &RankPlan,
+    forecast: &Ensemble,
+    run: impl Fn(Range<usize>) -> Vec<f64> + Sync,
+) -> Ensemble {
     let members = forecast.members();
     let dim = forecast.dim();
     assert_eq!(
@@ -272,10 +239,9 @@ pub fn analyze_partitioned(
         Some(members),
         "plan does not cover the ensemble"
     );
-    let prepared = BlockAnalysis::prepare(config, cycle, forecast, y, obs);
     let blocks = par::map(plan.blocks.len(), |b| {
         let (start, end) = plan.blocks[b];
-        prepared.run_block(start..end)
+        run(start..end)
     });
 
     let mut analysis = Ensemble::zeros(members, dim);

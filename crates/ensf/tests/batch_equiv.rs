@@ -1,14 +1,15 @@
 //! Equivalence, determinism and partition-invariance of the batched
-//! GEMM-based EnSF kernel against the per-particle reference path.
+//! GEMM-based EnSF kernel against the per-particle oracle
+//! ([`ensf::oracle::analyze`]).
 //!
-//! The two kernels draw identical RNG streams and perform the same
-//! per-step operations, differing only by floating-point reassociation
-//! (the batched kernel computes distances via a GEMM norm expansion), so
-//! full analyses must agree to ~1e-10 relative while each kernel on its
-//! own is bitwise deterministic and partition-invariant.
+//! The two draw identical RNG streams and perform the same per-step
+//! operations, differing only by floating-point reassociation (the batched
+//! kernel computes distances via a GEMM norm expansion), so full analyses
+//! must agree to ~1e-10 relative while the filter on its own is bitwise
+//! deterministic and partition-invariant.
 
 use ensf::parallel::{analyze_partitioned, RankPlan};
-use ensf::{Ensf, EnsfConfig, ObsOperator, ScoreKernel};
+use ensf::{oracle, Ensf, EnsfConfig, ObsOperator};
 use proptest::prelude::*;
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
@@ -38,11 +39,16 @@ fn analyze_with(config: &EnsfConfig, fc: &Ensemble, y: &[f64], sigma: f64) -> En
     Ensf::new(config.clone()).analyze(fc, y, &obs)
 }
 
+/// The oracle's analysis of the filter's first call.
+fn oracle_with(config: &EnsfConfig, fc: &Ensemble, y: &[f64], sigma: f64) -> Ensemble {
+    oracle::analyze(config, 0, fc, y, &ObsOperator::identity(sigma))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Full analyses under the two kernels agree to 1e-10 relative for
-    /// random shapes, seeds and step counts.
+    /// Full analyses of the filter and the oracle agree to 1e-10 relative
+    /// for random shapes, seeds and step counts.
     #[test]
     fn kernels_agree_on_random_problems(
         members in 2usize..12,
@@ -53,15 +59,15 @@ proptest! {
     ) {
         let fc = ens(members, dim, seed);
         let y = vec![0.25; dim];
-        let mk = |kernel| EnsfConfig { n_steps, seed, kernel, ..Default::default() };
-        let reference = analyze_with(&mk(ScoreKernel::Reference), &fc, &y, obs_sigma);
-        let batched = analyze_with(&mk(ScoreKernel::Batched), &fc, &y, obs_sigma);
+        let config = EnsfConfig { n_steps, seed, ..Default::default() };
+        let reference = oracle_with(&config, &fc, &y, obs_sigma);
+        let batched = analyze_with(&config, &fc, &y, obs_sigma);
         let worst = max_rel_diff(&reference, &batched);
         prop_assert!(worst < 1e-10, "kernels diverged: max rel diff {}", worst);
     }
 
     /// Mini-batched score sums select the same members in the same order
-    /// under both kernels.
+    /// in the filter and the oracle.
     #[test]
     fn kernels_agree_under_minibatch(
         seed in 0u64..500,
@@ -70,15 +76,9 @@ proptest! {
         let (members, dim) = (10, 12);
         let fc = ens(members, dim, seed);
         let y = vec![-0.1; dim];
-        let mk = |kernel| EnsfConfig {
-            n_steps: 12,
-            minibatch: Some(j),
-            seed,
-            kernel,
-            ..Default::default()
-        };
-        let reference = analyze_with(&mk(ScoreKernel::Reference), &fc, &y, 0.5);
-        let batched = analyze_with(&mk(ScoreKernel::Batched), &fc, &y, 0.5);
+        let config = EnsfConfig { n_steps: 12, minibatch: Some(j), seed, ..Default::default() };
+        let reference = oracle_with(&config, &fc, &y, 0.5);
+        let batched = analyze_with(&config, &fc, &y, 0.5);
         let worst = max_rel_diff(&reference, &batched);
         prop_assert!(worst < 1e-10, "minibatch kernels diverged: {}", worst);
     }
@@ -97,12 +97,9 @@ fn batched_matches_reference_tight_obs_regime() {
         }
     }
     let y: Vec<f64> = (0..dim).map(|i| 0.05 + 0.002 * ((i as f64) * 0.3).sin()).collect();
-    let run = |kernel| {
-        let config = EnsfConfig { n_steps: 15, seed: 7, kernel, ..Default::default() };
-        analyze_with(&config, &fc, &y, 0.005)
-    };
-    let reference = run(ScoreKernel::Reference);
-    let batched = run(ScoreKernel::Batched);
+    let config = EnsfConfig { n_steps: 15, seed: 7, ..Default::default() };
+    let reference = oracle_with(&config, &fc, &y, 0.005);
+    let batched = analyze_with(&config, &fc, &y, 0.005);
     let worst = max_rel_diff(&reference, &batched);
     assert!(worst < 1e-10, "kernels diverged in tight-obs regime: max rel diff {worst:e}");
 }
@@ -112,11 +109,9 @@ fn batched_matches_reference_osse_shape() {
     let (members, dim) = (6, 128);
     let fc = ens(members, dim, 2);
     let y = vec![0.1; dim];
-    let run = |kernel| {
-        let config = EnsfConfig { n_steps: 15, seed: 7, kernel, ..Default::default() };
-        analyze_with(&config, &fc, &y, 0.5)
-    };
-    let worst = max_rel_diff(&run(ScoreKernel::Reference), &run(ScoreKernel::Batched));
+    let config = EnsfConfig { n_steps: 15, seed: 7, ..Default::default() };
+    let worst =
+        max_rel_diff(&oracle_with(&config, &fc, &y, 0.5), &analyze_with(&config, &fc, &y, 0.5));
     assert!(worst < 1e-10, "kernels diverged: max rel diff {worst:e}");
 }
 
@@ -126,8 +121,7 @@ fn batched_analysis_is_bitwise_deterministic() {
     let (members, dim) = (9, 64);
     let fc = ens(members, dim, 5);
     let y = vec![0.3; dim];
-    let config =
-        EnsfConfig { n_steps: 20, seed: 11, kernel: ScoreKernel::Batched, ..Default::default() };
+    let config = EnsfConfig { n_steps: 20, seed: 11, ..Default::default() };
     let a = analyze_with(&config, &fc, &y, 0.4);
     let b = analyze_with(&config, &fc, &y, 0.4);
     assert_eq!(a.as_slice(), b.as_slice(), "batched analysis must be bitwise repeatable");
@@ -142,8 +136,7 @@ fn batched_partitioning_is_bitwise_invariant() {
     let fc = ens(members, dim, 6);
     let y = vec![-0.2; dim];
     let obs = ObsOperator::identity(0.5);
-    let config =
-        EnsfConfig { n_steps: 18, seed: 3, kernel: ScoreKernel::Batched, ..Default::default() };
+    let config = EnsfConfig { n_steps: 18, seed: 3, ..Default::default() };
     let single = analyze_partitioned(&config, 0, &RankPlan::new(members, 1), &fc, &y, &obs);
     for ranks in [2, 3, 4, 7, 11] {
         let plan = RankPlan::new(members, ranks);
@@ -163,8 +156,7 @@ fn batched_analysis_finite_in_high_dim() {
     let (members, dim) = (20, 4096);
     let fc = ens(members, dim, 8);
     let y = vec![0.1; dim];
-    let config =
-        EnsfConfig { n_steps: 30, seed: 4, kernel: ScoreKernel::Batched, ..Default::default() };
+    let config = EnsfConfig { n_steps: 30, seed: 4, ..Default::default() };
     let an = analyze_with(&config, &fc, &y, 1.0);
     assert!(an.as_slice().iter().all(|v| v.is_finite()));
 }

@@ -3,14 +3,14 @@
 //!
 //! The probability-flow ODE shares the diffusion schedule, the time grid
 //! and the batched score machinery with the SDE path; it must (a) agree
-//! between its own reference/batched kernels to ~1e-10 relative, (b) be
-//! bitwise deterministic and rank-partition invariant *by construction*
-//! (no per-step RNG at all), (c) consume exactly the initial-fill RNG
-//! draws and nothing more, and (d) land on the same posterior region the
-//! 100-step SDE reaches — in ~5–10 steps.
+//! with the per-particle oracle ([`ensf::oracle::analyze`]) to ~1e-10
+//! relative, (b) be bitwise deterministic and rank-partition invariant
+//! *by construction* (no per-step RNG at all), (c) consume exactly the
+//! initial-fill RNG draws and nothing more, and (d) land on the same
+//! posterior region the 100-step SDE reaches — in ~5–10 steps.
 
 use ensf::parallel::{analyze_partitioned, RankPlan};
-use ensf::{AnalysisMethod, Ensf, EnsfConfig, ObsOperator, ScoreKernel};
+use ensf::{oracle, AnalysisMethod, Ensf, EnsfConfig, ObsOperator};
 use proptest::prelude::*;
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
@@ -40,14 +40,19 @@ fn analyze_with(config: &EnsfConfig, fc: &Ensemble, y: &[f64], sigma: f64) -> En
     Ensf::new(config.clone()).analyze(fc, y, &obs)
 }
 
-fn flow_config(kernel: ScoreKernel, n_steps: usize, seed: u64) -> EnsfConfig {
-    EnsfConfig { n_steps, seed, kernel, method: AnalysisMethod::FlowMatching, ..Default::default() }
+/// The oracle's analysis of the filter's first call.
+fn oracle_with(config: &EnsfConfig, fc: &Ensemble, y: &[f64], sigma: f64) -> Ensemble {
+    oracle::analyze(config, 0, fc, y, &ObsOperator::identity(sigma))
+}
+
+fn flow_config(n_steps: usize, seed: u64) -> EnsfConfig {
+    EnsfConfig { n_steps, seed, method: AnalysisMethod::FlowMatching, ..Default::default() }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Full flow analyses under the two score kernels agree to 1e-10
+    /// Full flow analyses of the filter and the oracle agree to 1e-10
     /// relative for random shapes, seeds and (few-)step counts.
     #[test]
     fn flow_kernels_agree_on_random_problems(
@@ -59,16 +64,15 @@ proptest! {
     ) {
         let fc = ens(members, dim, seed);
         let y = vec![0.25; dim];
-        let reference =
-            analyze_with(&flow_config(ScoreKernel::Reference, n_steps, seed), &fc, &y, obs_sigma);
-        let batched =
-            analyze_with(&flow_config(ScoreKernel::Batched, n_steps, seed), &fc, &y, obs_sigma);
+        let config = flow_config(n_steps, seed);
+        let reference = oracle_with(&config, &fc, &y, obs_sigma);
+        let batched = analyze_with(&config, &fc, &y, obs_sigma);
         let worst = max_rel_diff(&reference, &batched);
         prop_assert!(worst < 1e-10, "flow kernels diverged: max rel diff {}", worst);
     }
 
     /// Mini-batched flow analyses select the same score members (and the
-    /// same prior variance) in the same order under both kernels.
+    /// same prior variance) in the same order in the filter and the oracle.
     #[test]
     fn flow_kernels_agree_under_minibatch(
         seed in 0u64..500,
@@ -77,16 +81,9 @@ proptest! {
         let (members, dim) = (10, 12);
         let fc = ens(members, dim, seed);
         let y = vec![-0.1; dim];
-        let mk = |kernel| EnsfConfig {
-            n_steps: 8,
-            minibatch: Some(j),
-            seed,
-            kernel,
-            method: AnalysisMethod::FlowMatching,
-            ..Default::default()
-        };
-        let reference = analyze_with(&mk(ScoreKernel::Reference), &fc, &y, 0.5);
-        let batched = analyze_with(&mk(ScoreKernel::Batched), &fc, &y, 0.5);
+        let config = EnsfConfig { minibatch: Some(j), ..flow_config(8, seed) };
+        let reference = oracle_with(&config, &fc, &y, 0.5);
+        let batched = analyze_with(&config, &fc, &y, 0.5);
         let worst = max_rel_diff(&reference, &batched);
         prop_assert!(worst < 1e-10, "minibatch flow kernels diverged: {}", worst);
     }
@@ -98,7 +95,7 @@ fn flow_analysis_is_bitwise_deterministic() {
     let (members, dim) = (9, 64);
     let fc = ens(members, dim, 5);
     let y = vec![0.3; dim];
-    let config = flow_config(ScoreKernel::Batched, 8, 11);
+    let config = flow_config(8, 11);
     let a = analyze_with(&config, &fc, &y, 0.4);
     let b = analyze_with(&config, &fc, &y, 0.4);
     assert_eq!(a.as_slice(), b.as_slice(), "flow analysis must be bitwise repeatable");
@@ -113,7 +110,7 @@ fn flow_partitioning_is_bitwise_invariant() {
     let fc = ens(members, dim, 6);
     let y = vec![-0.2; dim];
     let obs = ObsOperator::identity(0.5);
-    let config = flow_config(ScoreKernel::Batched, 6, 3);
+    let config = flow_config(6, 3);
     let single = analyze_partitioned(&config, 0, &RankPlan::new(members, 1), &fc, &y, &obs);
     for ranks in [2, 3, 4, 7, 11] {
         let plan = RankPlan::new(members, ranks);
@@ -141,7 +138,7 @@ fn single_step_degraded_flow_stays_sane() {
         }
     }
     let y = vec![1.5; dim];
-    let an = analyze_with(&flow_config(ScoreKernel::Batched, 1, 4), &fc, &y, 0.1);
+    let an = analyze_with(&flow_config(1, 4), &fc, &y, 0.1);
     assert!(an.as_slice().iter().all(|v| v.is_finite()));
     let fm = fc.mean();
     for (i, (a, f)) in an.mean().iter().zip(&fm).enumerate() {
@@ -180,7 +177,7 @@ fn few_step_flow_matches_sde_posterior_region() {
         &y,
         sigma,
     );
-    let flow = analyze_with(&flow_config(ScoreKernel::Batched, 6, 7), &fc, &y, sigma);
+    let flow = analyze_with(&flow_config(6, 7), &fc, &y, sigma);
 
     let rmse = |e: &Ensemble| {
         let mean = e.mean();

@@ -1,8 +1,7 @@
 //! Property-based tests for the Ensemble Score Filter.
 
-use ensf::{
-    time_grid, AnalysisMethod, DiffusionSchedule, Ensf, EnsfConfig, ObsOperator, ScoreEstimator,
-};
+use ensf::oracle::ScoreEstimator;
+use ensf::{time_grid, AnalysisMethod, DiffusionSchedule, Ensf, EnsfConfig, ObsOperator};
 use proptest::prelude::*;
 use stats::Ensemble;
 

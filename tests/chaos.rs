@@ -46,16 +46,8 @@ fn chaos_config(cycles: usize, seed: u64) -> OsseConfig {
 }
 
 fn ensf_scheme(cfg: &OsseConfig, dim: usize) -> EnsfScheme {
-    ensf_scheme_with(cfg, dim, sqg_da::ensf::ScoreKernel::default())
-}
-
-fn ensf_scheme_with(
-    cfg: &OsseConfig,
-    dim: usize,
-    kernel: sqg_da::ensf::ScoreKernel,
-) -> EnsfScheme {
     EnsfScheme::with_obs(
-        EnsfConfig { n_steps: 20, seed: cfg.seed ^ 0xE45F, kernel, ..Default::default() },
+        EnsfConfig { n_steps: 20, seed: cfg.seed ^ 0xE45F, ..Default::default() },
         dim,
         cfg.obs_spec(),
         Completion::Inpaint,
@@ -387,72 +379,6 @@ fn checkpoint_kill_restore_is_bit_identical() {
         "final ensembles must match bit for bit"
     );
     assert_eq!(resumed.counters, full.counters);
-}
-
-/// Checkpoint → kill → restore must stay bit-identical under *both* score
-/// kernels: the batched GEMM kernel derives every RNG stream from the same
-/// (seed, cycle, member) keys as the reference path, so resuming mid-run
-/// reproduces the uninterrupted series exactly regardless of kernel.
-#[test]
-fn checkpoint_restore_is_bit_identical_under_both_kernels() {
-    use sqg_da::ensf::ScoreKernel;
-    let _gate = telemetry_gate();
-    for (kernel, tag) in [(ScoreKernel::Reference, "ref"), (ScoreKernel::Batched, "bat")] {
-        let cfg = chaos_config(6, 37);
-        let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
-        let path = scratch_path(&format!("kernel_ckpt_{tag}.bin"));
-
-        let mut m_ref = SqgForecast::perfect(cfg.params.clone());
-        let mut s_ref = ensf_scheme_with(&cfg, dim, kernel);
-        let full = run_supervised(
-            "full",
-            &cfg,
-            &ResilienceConfig::default(),
-            &nr,
-            &mut m_ref,
-            &mut s_ref,
-            None,
-        )
-        .unwrap();
-
-        let res_kill = ResilienceConfig {
-            plan: FaultPlan { kill_after: Some(3), ..FaultPlan::none() },
-            checkpoint: Some(CheckpointConfig { path: path.clone(), every: 1 }),
-            ..Default::default()
-        };
-        let mut m1 = SqgForecast::perfect(cfg.params.clone());
-        let mut s1 = ensf_scheme_with(&cfg, dim, kernel);
-        let killed =
-            run_supervised("kill", &cfg, &res_kill, &nr, &mut m1, &mut s1, None).unwrap();
-        assert!(killed.interrupted);
-
-        let ck = Checkpoint::load(&path).unwrap();
-        let mut m2 = SqgForecast::perfect(cfg.params.clone());
-        let mut s2 = ensf_scheme_with(&cfg, dim, kernel);
-        let resumed = resume_supervised(
-            "resume",
-            &cfg,
-            &ResilienceConfig::default(),
-            &nr,
-            &mut m2,
-            &mut s2,
-            None,
-            ck,
-        )
-        .unwrap();
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(
-            resumed.series.rmse, full.series.rmse,
-            "{kernel:?}: resumed series must be bit-identical"
-        );
-        assert_eq!(
-            resumed.checkpoint.ensemble.as_slice(),
-            full.checkpoint.ensemble.as_slice(),
-            "{kernel:?}: final ensembles must match bit for bit"
-        );
-    }
 }
 
 /// A checkpoint that was damaged on disk must be rejected up front, never

@@ -6,7 +6,7 @@
 //! for any simulated rank count**, and it is the serial driver's
 //! experiment bit for bit, on full and partial observation networks alike
 //! (both complete a shrunk vector by inpainting). This file proves both at
-//! 1/2/4/8 ranks over a 10-cycle experiment, under both score kernels.
+//! 1/2/4/8 ranks over a 10-cycle experiment.
 //!
 //! The tests run in-process at whatever SIMD level this CPU dispatches to.
 //! That covers every level: `linalg`'s kernels compute the same bits at
@@ -23,12 +23,12 @@ use sqg_da::dist::{
     modeled_analysis_secs, run_elastic_osse, run_osse, DeadlinePolicy, DistCycleConfig,
     DistRunResult, ElasticCycleConfig,
 };
-use sqg_da::ensf::{AnalysisMethod, EnsfConfig, ScoreKernel};
+use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::sqg::SqgParams;
 use sqg_da::stats::Ensemble;
 
 /// Reduced-grid 10-cycle experiment: `d = 512`, 8 members.
-fn determinism_config(kernel: ScoreKernel) -> DistCycleConfig {
+fn determinism_config() -> DistCycleConfig {
     DistCycleConfig {
         osse: OsseConfig {
             params: SqgParams { n: 16, ..Default::default() },
@@ -40,7 +40,7 @@ fn determinism_config(kernel: ScoreKernel) -> DistCycleConfig {
             seed: 3,
             ..Default::default()
         },
-        ensf: EnsfConfig { n_steps: 10, seed: 5, kernel, ..Default::default() },
+        ensf: EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
         ..Default::default()
     }
 }
@@ -48,7 +48,7 @@ fn determinism_config(kernel: ScoreKernel) -> DistCycleConfig {
 /// The same experiment driven by the few-step flow-matching analysis: no
 /// per-step noise at all, only each particle's initial draw.
 fn flow_determinism_config() -> DistCycleConfig {
-    let mut config = determinism_config(ScoreKernel::Batched);
+    let mut config = determinism_config();
     config.ensf.n_steps = 6;
     config.ensf.method = AnalysisMethod::FlowMatching;
     config
@@ -93,12 +93,7 @@ fn assert_rank_invariant(config: &DistCycleConfig, label: &str) {
 
 #[test]
 fn ten_cycle_osse_is_bitwise_rank_invariant_batched() {
-    assert_rank_invariant(&determinism_config(ScoreKernel::Batched), "Batched");
-}
-
-#[test]
-fn ten_cycle_osse_is_bitwise_rank_invariant_reference() {
-    assert_rank_invariant(&determinism_config(ScoreKernel::Reference), "Reference");
+    assert_rank_invariant(&determinism_config(), "Batched");
 }
 
 #[test]
@@ -109,20 +104,15 @@ fn ten_cycle_flow_osse_is_bitwise_rank_invariant() {
 /// The same experiment with a 25 % contiguous sensor outage: the
 /// observation vector shrinks to the live sensors, and the analysis bits
 /// must stay independent of how particles are dealt to ranks.
-fn masked_config(kernel: ScoreKernel) -> DistCycleConfig {
-    let mut config = determinism_config(kernel);
+fn masked_config() -> DistCycleConfig {
+    let mut config = determinism_config();
     config.osse.obs_mask = MaskKind::Block { start: 192, len: 128 };
     config
 }
 
 #[test]
 fn masked_osse_is_bitwise_rank_invariant_batched() {
-    assert_rank_invariant(&masked_config(ScoreKernel::Batched), "Masked/Batched");
-}
-
-#[test]
-fn masked_osse_is_bitwise_rank_invariant_reference() {
-    assert_rank_invariant(&masked_config(ScoreKernel::Reference), "Masked/Reference");
+    assert_rank_invariant(&masked_config(), "Masked/Batched");
 }
 
 /// The moving satellite-track outage under the flow analysis: the observed
@@ -187,7 +177,7 @@ impl AnalysisScheme for Priced {
 /// with `EnsfScheme`, bit for bit, at every rank count.
 #[test]
 fn sharded_cycle_is_the_serial_driver_bitwise() {
-    for config in [determinism_config(ScoreKernel::Batched), flow_determinism_config()] {
+    for config in [determinism_config(), flow_determinism_config()] {
         let osse = &config.osse;
         let mut model = SqgForecast::perfect(osse.params.clone());
         let mut scheme = Recording {
@@ -228,7 +218,7 @@ fn sharded_cycle_is_the_serial_driver_bitwise() {
 fn three_faces_one_run() {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     let rows = |m: &[Vec<f64>]| m.iter().map(|v| bits(v)).collect::<Vec<_>>();
-    for base in [determinism_config(ScoreKernel::Batched), flow_determinism_config()] {
+    for base in [determinism_config(), flow_determinism_config()] {
         for (operator, mask) in [
             (ObsOperatorKind::Identity, MaskKind::Full),
             (ObsOperatorKind::Arctan { gain: 1.0 }, MaskKind::Full),
