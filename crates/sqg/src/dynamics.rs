@@ -16,9 +16,42 @@
 //! ```text
 //! ∂θ/∂t = −J(ψ, θ) − u_bg ∂θ/∂x − v ∂b̄/∂y  (+ Ekman at z = 0)
 //! ```
+//!
+//! ## One RK4 stage: three sweeps around five transforms
+//!
+//! [`Stepper::step`] is classic RK4, and each of its four stages evaluates
+//! the tendency at the stage input x̂ (θ̂ for the first stage, `tmp` after)
+//! and applies the stage's update in the same pass. The nonlinear advection
+//! is evaluated pseudo-spectrally; every transformed field is real, so two
+//! ride each complex transform (`fft::real`).
+//!
+//! 1. **Pack.** ψ̂ of both levels from x̂ in registers ([`invert`]'s
+//!    operations), then per level `û + i·v̂ = −(kx + i·ky)·ψ̂` and
+//!    `θ̂x + i·θ̂y = i·(kx + i·ky)·x̂` into the four grids of
+//!    [`TendencyScratch`]. Four inverse transforms return `u + i·v` and
+//!    `θx + i·θy`.
+//! 2. **Product.** `adv = (u₀θx₀ + v₀θy₀) + i·(u₁θx₁ + v₁θy₁)` in one store:
+//!    the two levels' advection as the real and imaginary part of one field,
+//!    which one forward transform takes back to spectral space.
+//! 3. **Assemble and update.** Per mode: the Hermitian split of the
+//!    transformed advection, ψ̂ again from x̂, dθ̂/dt (the dealiased
+//!    advection, the background-shear and mean-gradient terms, which are
+//!    linear and exact in spectral space, and Ekman at the bottom), then the
+//!    stage's RK4 update ([`Stage`]). x̂ at a mode is read before `tmp` is
+//!    written there, so stages 2–4 run in place and no stage stores its
+//!    tendency.
+//!
+//! The split assumes the packed spectra are Hermitian, which every state
+//! built from grid fields is and which a step preserves exactly.
+//!
+//! The scalar sweeps below are the specification. On a CPU with
+//! AVX-512F+DQ, for a grid side that is a multiple of 4 and at least 8,
+//! `crate::simd`'s tier runs them instead and computes their bits: each
+//! element takes the same operations in the same order.
 
 use crate::grid::SpectralGrid;
 use crate::params::SqgParams;
+use crate::simd::Avx512;
 use crate::state::LEVELS;
 use fft::{plan_cache, real, Complex, Direction, Fft2, Fft2Scratch};
 use std::sync::Arc;
@@ -26,6 +59,9 @@ use std::sync::Arc;
 /// Inverts boundary buoyancy to boundary streamfunction, writing into `psi`.
 ///
 /// `theta` and `psi` are two spectral `n*n` fields each.
+///
+/// # Panics
+/// Panics unless all four fields hold `n²` modes.
 // lint: no_alloc
 pub fn invert(
     grid: &SpectralGrid,
@@ -33,29 +69,38 @@ pub fn invert(
     psi: &mut [Vec<Complex>; LEVELS],
 ) {
     let m = grid.n * grid.n;
-    debug_assert!(theta[0].len() == m && psi[0].len() == m);
+    assert!(
+        theta.iter().chain(psi.iter()).all(|f| f.len() == m),
+        "inversion fields must hold n² = {m} modes"
+    );
     for idx in 0..m {
-        let fnk = grid.inv_nk[idx];
-        if fnk == 0.0 { // lint: allow(float-exact-compare, reason="inv_nk is constructed exactly 0.0 at K = 0")
-            // K = 0: no flow from the mean mode.
-            psi[0][idx] = Complex::ZERO;
-            psi[1][idx] = Complex::ZERO;
-            continue;
-        }
-        let it = grid.inv_tanh_mu[idx];
-        let is = grid.inv_sinh_mu[idx];
-        let tb = theta[0][idx];
-        let tt = theta[1][idx];
-        psi[0][idx] = (tt * is - tb * it) * fnk;
-        psi[1][idx] = (tt * it - tb * is) * fnk;
+        [psi[0][idx], psi[1][idx]] = invert_mode(grid, idx, [theta[0][idx], theta[1][idx]]);
     }
 }
 
-/// Scratch reused across tendency evaluations: the inverted streamfunction
-/// (2 grids), the packed advection buffer (1 grid) and the 2-D FFT scratch
+/// ψ̂ of both levels at mode `idx` from the buoyancy there: zero at K = 0,
+/// else `(θ̂₁·(1/sinh μ) − θ̂₀·(1/tanh μ))·(1/NK)` at the bottom and
+/// `(θ̂₁·(1/tanh μ) − θ̂₀·(1/sinh μ))·(1/NK)` at the top.
+#[inline(always)]
+fn invert_mode(grid: &SpectralGrid, idx: usize, theta: [Complex; LEVELS]) -> [Complex; LEVELS] {
+    let fnk = grid.inv_nk[idx];
+    if fnk == 0.0 { // lint: allow(float-exact-compare, reason="inv_nk is constructed exactly 0.0 at K = 0")
+        // K = 0: no flow from the mean mode.
+        return [Complex::ZERO; LEVELS];
+    }
+    let it = grid.inv_tanh_mu[idx];
+    let is = grid.inv_sinh_mu[idx];
+    let [tb, tt] = theta;
+    [(tt * is - tb * it) * fnk, (tt * it - tb * is) * fnk]
+}
+
+/// Scratch of one tendency evaluation, 5 grids plus the FFT scratch: the
+/// four packed derivative grids `[u₀ + i·v₀, θx₀ + i·θy₀, u₁ + i·v₁,
+/// θx₁ + i·θy₁]` (spectral after the pack sweep, grid values after the
+/// inverse transforms), the packed advection `adv`, and the 2-D FFT scratch
 /// (used only where the transform falls back to its scalar path).
 pub struct TendencyScratch {
-    psi: [Vec<Complex>; LEVELS],
+    fields: [Vec<Complex>; 4],
     adv: Vec<Complex>,
     fft: Fft2Scratch,
 }
@@ -64,107 +109,165 @@ impl TendencyScratch {
     /// Allocates scratch for an `n x n` grid.
     pub fn new(n: usize) -> Self {
         let z = vec![Complex::ZERO; n * n];
-        TendencyScratch { psi: [z.clone(), z.clone()], adv: z, fft: Fft2Scratch::new() }
+        TendencyScratch {
+            fields: [z.clone(), z.clone(), z.clone(), z.clone()],
+            adv: z,
+            fft: Fft2Scratch::new(),
+        }
     }
 }
 
-/// Computes `dθ̂/dt` for both levels into `tend`.
-///
-/// `fwd`/`ifft` are forward/inverse 2-D FFT plans for the model grid. The
-/// nonlinear advection is evaluated pseudo-spectrally and dealiased with the
-/// grid's 2/3 mask; the background-shear and mean-gradient terms are linear
-/// and handled exactly in spectral space.
-///
-/// Every transformed field is real, so two ride each complex transform
-/// (`fft::real`): per level `û + i·v̂ = −(kx + i·ky)·ψ̂` and
-/// `θ̂x + i·θ̂y = i·(kx + i·ky)·θ̂` come back from one inverse transform each
-/// as `u + i·v` and `θx + i·θy`, and the two levels' advection goes forward
-/// as `adv₀ + i·adv₁` and is separated by the Hermitian split: five
-/// transforms per call. `theta` must be Hermitian, which the split preserves
-/// exactly. Until the final assembly `tend`'s two grids serve as the packed
-/// velocity and gradient buffers.
+/// The pack sweep: ψ̂ from the stage input `x` at each mode, then
+/// `−(kx + i·ky)·ψ̂` and `i·((kx + i·ky)·x̂)` per level into `fields`.
 // lint: no_alloc
-#[allow(clippy::too_many_arguments)]
-pub fn tendency(
-    p: &SqgParams,
+pub(crate) fn pack(
     grid: &SpectralGrid,
-    fwd: &Fft2,
-    ifft: &Fft2,
-    theta: &[Vec<Complex>; LEVELS],
-    tend: &mut [Vec<Complex>; LEVELS],
-    scratch: &mut TendencyScratch,
+    x: &[Vec<Complex>; LEVELS],
+    fields: &mut [Vec<Complex>; 4],
 ) {
     let n = grid.n;
-    telemetry::counter_add("sqg.tendency.calls", 1);
-    invert(grid, theta, &mut scratch.psi);
-
-    let ubg = p.background_wind();
-    let bbar_y = p.mean_buoyancy_gradient();
-
-    {
-        let [vel, grad] = &mut *tend;
-        for l in 0..LEVELS {
-            let th = &theta[l];
-            let psi = &scratch.psi[l];
-
+    let [u0, g0, u1, g1] = fields;
+    for i in 0..n {
+        let ky = grid.ky[i];
+        for j in 0..n {
+            let idx = i * n + j;
+            let k = Complex::new(grid.kx[j], ky);
+            let (x0, x1) = (x[0][idx], x[1][idx]);
+            let [p0, p1] = invert_mode(grid, idx, [x0, x1]);
             // Spectral derivatives, packed: u = -∂ψ/∂y, v = ∂ψ/∂x.
-            for i in 0..n {
-                let ky = grid.ky[i];
-                for j in 0..n {
-                    let k = Complex::new(grid.kx[j], ky);
-                    let idx = i * n + j;
-                    vel[idx] = -(k * psi[idx]);
-                    grad[idx] = Complex::I * (k * th[idx]);
-                }
-            }
-            {
-                let _span = telemetry::span!("fft");
-                ifft.process_with_scratch(vel, &mut scratch.fft);
-                ifft.process_with_scratch(grad, &mut scratch.fft);
-            }
-
-            // Nonlinear advection u θx + v θy in grid space: level 0 into the
-            // real part, level 1 into the imaginary part.
-            for ((a, v), g) in scratch.adv.iter_mut().zip(vel.iter()).zip(grad.iter()) {
-                let adv = v.re * g.re + v.im * g.im;
-                if l == 0 {
-                    a.re = adv;
-                } else {
-                    a.im = adv;
-                }
-            }
+            u0[idx] = -(k * p0);
+            g0[idx] = Complex::I * (k * x0);
+            u1[idx] = -(k * p1);
+            g1[idx] = Complex::I * (k * x1);
         }
     }
-    {
-        let _span = telemetry::span!("fft");
-        fwd.process_with_scratch(&mut scratch.adv, &mut scratch.fft);
+}
+
+/// The product sweep: the advection `u θx + v θy` of level 0 into the real
+/// part of `adv` and of level 1 into the imaginary part.
+// lint: no_alloc
+pub(crate) fn product(fields: &[Vec<Complex>; 4], adv: &mut [Complex]) {
+    let [u0, g0, u1, g1] = fields;
+    for (idx, a) in adv.iter_mut().enumerate() {
+        let (v0, t0, v1, t1) = (u0[idx], g0[idx], u1[idx], g1[idx]);
+        *a = Complex::new(v0.re * t0.re + v0.im * t0.im, v1.re * t1.re + v1.im * t1.im);
+    }
+}
+
+/// The RK4 stage an assemble sweep finishes, given the stage's tendency `k`
+/// at a mode.
+#[derive(Clone, Copy)]
+pub(crate) enum Stage<'a> {
+    /// Stage 1 (input θ): `acc = k`, `tmp = θ + k·c` with `c = dt/2`.
+    First(f64),
+    /// Stages 2 and 3 (input `tmp`): `acc += k·2`, `tmp = θ + k·c`.
+    Inner(f64),
+    /// Stage 4 (input `tmp`): `θ ← (θ + (acc + k)·sixth)·hyperdiff`, then
+    /// `θ ← r + (θ − r)·relax` when `relax < 1`, with `r` the reference (or
+    /// zero).
+    Last { sixth: f64, relax: f64, reference: Option<&'a [Vec<Complex>; LEVELS]> },
+}
+
+impl Stage<'_> {
+    /// Whether the stage's input is θ itself rather than `tmp`.
+    pub(crate) fn reads_theta(self) -> bool {
+        matches!(self, Stage::First(_))
+    }
+}
+
+/// What the assemble sweep needs besides the grids: the spectral tables,
+/// the linear terms of dθ̂/dt and the stage it finishes.
+#[derive(Clone, Copy)]
+pub(crate) struct Assembly<'a> {
+    pub(crate) grid: &'a SpectralGrid,
+    /// Background wind per level.
+    pub(crate) ubg: [f64; LEVELS],
+    /// Mean meridional buoyancy gradient.
+    pub(crate) bbar_y: f64,
+    /// Ekman coefficient; exactly 0 switches the term off.
+    pub(crate) ekman: f64,
+    pub(crate) stage: Stage<'a>,
+}
+
+impl Assembly<'_> {
+    /// Whether the Ekman term acts.
+    pub(crate) fn ekman_on(&self) -> bool {
+        self.ekman != 0.0 // lint: allow(float-exact-compare, reason="ekman = 0 is the exact feature-off sentinel")
     }
 
-    // Separate the two levels' advection and assemble the spectral tendency
-    // with dealiasing on the product.
-    let _span = telemetry::span!("dealias");
+    /// dθ̂/dt of both levels at mode `idx` (column wavenumber `kx`) from the
+    /// split advection `adv` and the stage input `x` there.
+    #[inline(always)]
+    fn tendency(
+        &self,
+        idx: usize,
+        kx: f64,
+        adv: [Complex; LEVELS],
+        x: [Complex; LEVELS],
+    ) -> [Complex; LEVELS] {
+        let grid = self.grid;
+        let psi = invert_mode(grid, idx, x);
+        let ikx = Complex::new(0.0, kx);
+        let mut k = [Complex::ZERO; LEVELS];
+        for l in 0..LEVELS {
+            let mut dt = -(adv[l] * grid.dealias_mask[idx]);
+            // Background advection: -u_bg ∂θ/∂x
+            dt -= ikx * x[l] * self.ubg[l];
+            // Mean-gradient term: -v ∂b̄/∂y with v̂ = i kx ψ̂
+            dt -= ikx * psi[l] * self.bbar_y;
+            k[l] = dt;
+        }
+        // Ekman damping acts on the bottom boundary only.
+        if self.ekman_on() {
+            let k2 = grid.kmag[idx] * grid.kmag[idx];
+            k[0] += psi[0] * (self.ekman * k2);
+        }
+        k
+    }
+}
+
+/// The assemble sweep: per mode the Hermitian split of the transformed
+/// advection `adv`, dθ̂/dt at the stage input, then the stage's update of
+/// `acc`, `tmp` or `theta`.
+// lint: no_alloc
+pub(crate) fn assemble(
+    a: &Assembly<'_>,
+    adv: &[Complex],
+    theta: &mut [Vec<Complex>; LEVELS],
+    acc: &mut [Vec<Complex>; LEVELS],
+    tmp: &mut [Vec<Complex>; LEVELS],
+) {
+    let grid = a.grid;
+    let n = grid.n;
     for i in 0..n {
         for j in 0..n {
             let idx = i * n + j;
-            let ikx = Complex::new(0.0, grid.kx[j]);
-            let neg = real::conj_index(i, j, n, n);
-            let (adv0, adv1) = real::split_pair_mode(scratch.adv[idx], scratch.adv[neg]);
-            for (l, adv) in [adv0, adv1].into_iter().enumerate() {
-                let mut dt = -(adv * grid.dealias_mask[idx]);
-                // Background advection: -u_bg ∂θ/∂x
-                dt -= ikx * theta[l][idx] * ubg[l];
-                // Mean-gradient term: -v ∂b̄/∂y with v̂ = i kx ψ̂
-                dt -= ikx * scratch.psi[l][idx] * bbar_y;
-                tend[l][idx] = dt;
+            let (a0, a1) = real::split_pair_mode(adv[idx], adv[real::conj_index(i, j, n, n)]);
+            let x = if a.stage.reads_theta() { &*theta } else { &*tmp };
+            let k = a.tendency(idx, grid.kx[j], [a0, a1], [x[0][idx], x[1][idx]]);
+            for l in 0..LEVELS {
+                let k = k[l];
+                match a.stage {
+                    Stage::First(c) => {
+                        acc[l][idx] = k;
+                        tmp[l][idx] = theta[l][idx] + k * c;
+                    }
+                    Stage::Inner(c) => {
+                        acc[l][idx] += k * 2.0;
+                        tmp[l][idx] = theta[l][idx] + k * c;
+                    }
+                    Stage::Last { sixth, relax, reference } => {
+                        let incr = (acc[l][idx] + k) * sixth;
+                        // Implicit hyperdiffusion: exact exponential decay per step.
+                        let mut next = (theta[l][idx] + incr) * grid.hyperdiff[idx];
+                        if relax < 1.0 {
+                            let r = reference.map_or(Complex::ZERO, |r| r[l][idx]);
+                            next = r + (next - r) * relax;
+                        }
+                        theta[l][idx] = next;
+                    }
+                }
             }
-        }
-    }
-
-    // Ekman damping acts on the bottom boundary only.
-    if p.ekman != 0.0 { // lint: allow(float-exact-compare, reason="ekman = 0 is the exact feature-off sentinel")
-        for idx in 0..n * n {
-            let k2 = grid.kmag[idx] * grid.kmag[idx];
-            tend[0][idx] += scratch.psi[0][idx] * (p.ekman * k2);
         }
     }
 }
@@ -175,7 +278,9 @@ pub fn tendency(
 ///
 /// A step is classic RK4 on the advective terms with an integrating-factor
 /// (exact exponential) treatment of hyperdiffusion, as in the reference
-/// implementation.
+/// implementation, and split-step thermal relaxation with its exact
+/// exponential. Each stage is three sweeps around five transforms (module
+/// docs).
 pub struct Stepper {
     /// Model parameters.
     pub params: SqgParams,
@@ -187,11 +292,12 @@ pub struct Stepper {
     reference: Option<[Vec<Complex>; LEVELS]>,
 }
 
-/// The mutable half of the time stepper, one per worker: the current stage's
-/// tendency `k`, the running RK4 sum `acc`, the stage input `tmp` (6 grids)
-/// and the [`TendencyScratch`] (3 grids plus FFT scratch).
+/// The mutable half of the time stepper, one per worker: 9 `n²` grids plus
+/// the FFT scratch. They are the running RK4 sum `acc` and the stage input
+/// `tmp` (2 grids each) and the [`TendencyScratch`] (5 grids). No stage
+/// stores its tendency: the assemble sweep folds it into `acc` and `tmp`
+/// (or θ) as it forms it.
 pub struct StepWorkspace {
-    k: [Vec<Complex>; LEVELS],
     acc: [Vec<Complex>; LEVELS],
     tmp: [Vec<Complex>; LEVELS],
     tend: TendencyScratch,
@@ -202,13 +308,19 @@ impl StepWorkspace {
     pub fn new(n: usize) -> Self {
         let z = vec![Complex::ZERO; n * n];
         let mk = || [z.clone(), z.clone()];
-        StepWorkspace { k: mk(), acc: mk(), tmp: mk(), tend: TendencyScratch::new(n) }
+        StepWorkspace { acc: mk(), tmp: mk(), tend: TendencyScratch::new(n) }
     }
 
     /// An `n²` work buffer and the FFT scratch, free between steps (the
     /// state conversions around a member forecast borrow them).
     pub(crate) fn pair_buffers(&mut self) -> (&mut [Complex], &mut Fft2Scratch) {
         (&mut self.tend.adv, &mut self.tend.fft)
+    }
+
+    /// Whether every grid holds `m` modes.
+    fn holds(&self, m: usize) -> bool {
+        let t = &self.tend;
+        self.acc.iter().chain(&self.tmp).chain(&t.fields).chain([&t.adv]).all(|g| g.len() == m)
     }
 }
 
@@ -228,6 +340,9 @@ impl Stepper {
 
     /// Sets the spectral reference state for thermal relaxation
     /// (`params.tdiab` must be positive for it to act).
+    ///
+    /// # Panics
+    /// Panics unless both levels hold `n²` modes.
     pub fn set_reference(&mut self, reference: [Vec<Complex>; LEVELS]) {
         let m = self.grid.n * self.grid.n;
         assert!(reference[0].len() == m && reference[1].len() == m);
@@ -240,55 +355,102 @@ impl Stepper {
     }
 
     /// One RK4 step of length `params.dt` applied to `theta` in place.
+    ///
+    /// # Panics
+    /// Panics unless both levels of `theta` and every grid of `ws` hold
+    /// `n²` modes.
     // lint: no_alloc
     pub fn step(&self, theta: &mut [Vec<Complex>; LEVELS], ws: &mut StepWorkspace) {
+        self.run_step(theta, ws, true);
+    }
+
+    /// [`Stepper::step`] on the scalar sweeps whatever the CPU: the tier's
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn step_scalar(&self, theta: &mut [Vec<Complex>; LEVELS], ws: &mut StepWorkspace) {
+        self.run_step(theta, ws, false);
+    }
+
+    /// One step, on the AVX-512 tier when `simd` is set and the CPU and grid
+    /// allow it.
+    // lint: no_alloc
+    fn run_step(&self, theta: &mut [Vec<Complex>; LEVELS], ws: &mut StepWorkspace, simd: bool) {
         let _span = telemetry::span!("sqg.step");
         telemetry::counter_add("sqg.steps", 1);
-        let dt = self.params.dt;
+        // Every sweep indexes, and the tier reads through pointers, each
+        // grid at all n² modes.
         let m = self.grid.n * self.grid.n;
-        let StepWorkspace { k, acc, tmp, tend } = ws;
+        assert!(theta.iter().all(|l| l.len() == m), "state levels must hold n² = {m} modes");
+        assert!(ws.holds(m), "step workspace must hold n² = {m} modes per grid");
+        let tier = if simd { Avx512::detect(self.grid.n) } else { None };
 
         // Stage inputs are θ + c·k; `acc` accumulates k1 + 2 k2 + 2 k3 in
-        // that order, so the increment below sums exactly as
+        // that order, so the increment sums exactly as
         // ((k1 + 2 k2) + 2 k3) + k4.
-        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, theta, k, tend);
-        for l in 0..LEVELS {
-            for idx in 0..m {
-                acc[l][idx] = k[l][idx];
-                tmp[l][idx] = theta[l][idx] + k[l][idx] * (0.5 * dt);
-            }
-        }
-        for c in [0.5 * dt, dt] {
-            tendency(&self.params, &self.grid, &self.fwd, &self.ifft, tmp, k, tend);
-            for l in 0..LEVELS {
-                for idx in 0..m {
-                    acc[l][idx] += k[l][idx] * 2.0;
-                    tmp[l][idx] = theta[l][idx] + k[l][idx] * c;
-                }
-            }
-        }
-        tendency(&self.params, &self.grid, &self.fwd, &self.ifft, tmp, k, tend);
-
-        let sixth = dt / 6.0;
-        // Thermal relaxation handled split-step with its exact exponential,
-        // like the hyperdiffusion (both are linear and stiff-safe this way).
+        let dt = self.params.dt;
         let relax = if self.params.tdiab > 0.0 {
             (-dt / self.params.tdiab).exp()
         } else {
             1.0
         };
-        for l in 0..LEVELS {
-            let reference = self.reference.as_ref().map(|r| &r[l]);
-            for idx in 0..m {
-                let incr = (acc[l][idx] + k[l][idx]) * sixth;
-                // Implicit hyperdiffusion: exact exponential decay per step.
-                let mut next = (theta[l][idx] + incr) * self.grid.hyperdiff[idx];
-                if relax < 1.0 {
-                    let r = reference.map_or(Complex::ZERO, |r| r[idx]);
-                    next = r + (next - r) * relax;
-                }
-                theta[l][idx] = next;
+        let last = Stage::Last { sixth: dt / 6.0, relax, reference: self.reference.as_ref() };
+        for stage in [Stage::First(0.5 * dt), Stage::Inner(0.5 * dt), Stage::Inner(dt), last] {
+            self.stage(tier, stage, theta, ws);
+        }
+    }
+
+    /// One RK4 stage: the tendency at the stage input in three sweeps around
+    /// five transforms, folded into the stage's update. Every grid holds
+    /// `n²` modes (checked by [`Stepper::run_step`]) and `tier` was detected
+    /// for this grid.
+    // lint: no_alloc
+    fn stage(
+        &self,
+        tier: Option<Avx512>,
+        stage: Stage<'_>,
+        theta: &mut [Vec<Complex>; LEVELS],
+        ws: &mut StepWorkspace,
+    ) {
+        telemetry::counter_add("sqg.tendency.calls", 1);
+        let grid = &self.grid;
+        let StepWorkspace { acc, tmp, tend } = ws;
+        let TendencyScratch { fields, adv, fft: scratch } = tend;
+        let x = if stage.reads_theta() { &*theta } else { &*tmp };
+        match tier {
+            // SAFETY: the tier was detected for `grid.n`, and `run_step`
+            // asserted that the input and `fields` hold `grid.n²` modes.
+            Some(t) => unsafe { t.pack(grid, x, fields) },
+            None => pack(grid, x, fields),
+        }
+        {
+            let _span = telemetry::span!("fft");
+            for f in fields.iter_mut() {
+                self.ifft.process_with_scratch(f, scratch);
             }
+        }
+        match tier {
+            // SAFETY: as for `pack`; `adv` holds `grid.n²` modes too.
+            Some(t) => unsafe { t.product(fields, adv) },
+            None => product(fields, adv),
+        }
+        {
+            let _span = telemetry::span!("fft");
+            self.fwd.process_with_scratch(adv, scratch);
+        }
+
+        let _span = telemetry::span!("assemble");
+        let a = Assembly {
+            grid,
+            ubg: self.params.background_wind(),
+            bbar_y: self.params.mean_buoyancy_gradient(),
+            ekman: self.params.ekman,
+            stage,
+        };
+        match tier {
+            // SAFETY: as for `pack`; θ, `acc`, `tmp` and `adv` hold
+            // `grid.n²` modes, and so does the reference (`set_reference`).
+            Some(t) => unsafe { t.assemble(&a, adv, theta, acc, tmp) },
+            None => assemble(&a, adv, theta, acc, tmp),
         }
     }
 }
@@ -305,6 +467,20 @@ mod tests {
     fn stepper_for(p: SqgParams) -> (Stepper, StepWorkspace) {
         let ws = StepWorkspace::new(p.n);
         (Stepper::new(p), ws)
+    }
+
+    /// dθ̂/dt at `theta` from the first stage's sweeps, dispatched as in a
+    /// step: that stage's update stores the tendency itself (`acc = k₁`).
+    fn tendency(
+        stepper: &Stepper,
+        theta: &[Vec<Complex>; LEVELS],
+        ws: &mut StepWorkspace,
+    ) -> [Vec<Complex>; LEVELS] {
+        let mut input = theta.clone();
+        let first = Stage::First(0.5 * stepper.params.dt);
+        stepper.stage(Avx512::detect(stepper.grid.n), first, &mut input, ws);
+        assert_eq!(&input, theta, "the first stage reads θ only");
+        ws.acc.clone()
     }
 
     /// The tendency as it was before two real fields shared a transform:
@@ -374,9 +550,7 @@ mod tests {
                 stepper.step(&mut theta, &mut ws);
             }
             let want = tendency_four_transform(&p, &stepper.grid, &theta);
-            let mut got = theta.clone();
-            let (fwd, ifft) = stepper.plans();
-            tendency(&p, &stepper.grid, fwd, ifft, &theta, &mut got, &mut ws.tend);
+            let got = tendency(&stepper, &theta, &mut ws);
             let scale = want.iter().flatten().map(|z| z.abs()).fold(0.0, f64::max);
             assert!(scale > 0.0);
             for l in 0..LEVELS {
@@ -404,6 +578,14 @@ mod tests {
         for l in 0..LEVELS {
             assert_eq!(crate::init::hermitian_defect_2d(&st[l], n), 0.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "step workspace must hold n² = 256 modes per grid")]
+    fn step_rejects_a_workspace_of_another_size() {
+        let (stepper, _) = stepper_for(small_params());
+        let mut theta = random_state(16, 0.05, 3);
+        stepper.step(&mut theta, &mut StepWorkspace::new(8));
     }
 
     #[test]

@@ -34,6 +34,7 @@ mod grid;
 pub mod init;
 mod model;
 mod params;
+mod simd;
 mod state;
 
 pub use grid::SpectralGrid;

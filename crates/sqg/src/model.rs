@@ -15,8 +15,9 @@ pub struct SqgModel {
     workspace: MemberWorkspace,
 }
 
-/// What one worker needs to forecast a member without allocating: the
-/// member's spectral state (2 grids) and the step workspace (9 grids).
+/// What one worker needs to forecast a member without allocating, 11 `n²`
+/// grids plus the FFT scratch: the member's spectral state (2 grids) and the
+/// step workspace (9 grids).
 struct MemberWorkspace {
     theta: [Vec<Complex>; LEVELS],
     step: StepWorkspace,
@@ -63,7 +64,12 @@ impl SqgModel {
     }
 
     /// Advances a spectral state `steps` model steps in place.
+    ///
+    /// # Panics
+    /// Panics if the state's grid side is not the model's.
     pub fn step_spectral(&mut self, state: &mut SqgState, steps: usize) {
+        let n = self.stepper.params.n;
+        assert_eq!(state.n(), n, "state grid n = {} does not match the model's n = {n}", state.n());
         for _ in 0..steps {
             self.stepper.step(state.levels_mut(), &mut self.workspace.step);
         }
@@ -213,6 +219,23 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let m = SqgModel::new(SqgParams { n: 16, ..Default::default() });
         m.forecast_batch(&mut [], 3);
+    }
+
+    /// A state of another grid size is refused before any sweep runs:
+    /// unchecked, a larger state would be stepped in part and a smaller one
+    /// read past its end by the tier's pointer loads.
+    #[test]
+    #[should_panic(expected = "state grid n = 32 does not match the model's n = 16")]
+    fn step_spectral_rejects_a_larger_state() {
+        let mut m = SqgModel::new(SqgParams { n: 16, ..Default::default() });
+        m.step_spectral(&mut init::random_large_scale(32, 0.05, 3), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "state grid n = 8 does not match the model's n = 16")]
+    fn step_spectral_rejects_a_smaller_state() {
+        let mut m = SqgModel::new(SqgParams { n: 16, ..Default::default() });
+        m.step_spectral(&mut init::random_large_scale(8, 0.05, 3), 1);
     }
 
     #[test]

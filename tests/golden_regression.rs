@@ -14,9 +14,10 @@
 //! cycles, so they are pinned before that ([`ENSF_ARCTAN`], [`FLOW_ARCTAN`]),
 //! and a non-finite value on either side of a comparison is a failure.
 //!
-//! The fixtures hold on any CPU: every SIMD level of the `linalg` kernels
-//! and the FFT computes the scalar specification's bits, so the run is the
-//! same whichever level this machine dispatches to. The comparison keeps a
+//! The fixtures hold on any CPU: every SIMD level of the `linalg` kernels,
+//! the reverse-SDE noise, the FFT and the SQG step's sweeps computes the
+//! scalar specification's bits, so the run is the same whichever level
+//! this machine dispatches to. The comparison keeps a
 //! small tolerance (`GOLDEN_TOL`, default `1e-9` relative) only to absorb
 //! libm differences (`exp`, `ln`, `atan`, …) across toolchains and
 //! platforms.
