@@ -3,7 +3,8 @@
 //! study behind the paper's "optimally tuned" baseline (cutoff 2000 km,
 //! RTPS 0.3).
 
-use da_core::osse::{nature_run, run_experiment, OsseConfig};
+use da_core::cycle::{run_cycles, Run, SingleProcess};
+use da_core::osse::{nature_run, OsseConfig};
 use da_core::{LetkfScheme, SqgForecast};
 use letkf::LetkfConfig;
 use sqg::SqgParams;
@@ -26,9 +27,11 @@ fn run_with(config: LetkfConfig) -> f64 {
     let nature = nature_run(&osse);
     let mut model = SqgForecast::perfect(osse.params.clone());
     let mut scheme = LetkfScheme::with_obs(config, &osse.params, osse.obs_spec());
-    let series = run_experiment("letkf", &osse, &nature, &mut model, &mut scheme)
-        .expect("ablation OSSE is well-formed");
-    series.steady_rmse()
+    let run = Run::new("letkf", osse.clone());
+    run_cycles(&run, &nature, &mut model, &mut scheme, None, &mut SingleProcess, None)
+        .expect("ablation OSSE is well-formed")
+        .series
+        .steady_rmse()
 }
 
 fn main() {

@@ -14,8 +14,9 @@
 //! [--cycles N] [--quick] [--json PATH]`
 
 use bench::{bar, header, Json};
-use da_core::osse::{nature_run, run_experiment, OsseConfig};
-use da_core::{Completion, EnsfScheme, LetkfScheme, SqgForecast};
+use da_core::cycle::{run_cycles, Run, SingleProcess};
+use da_core::osse::{nature_run, OsseConfig};
+use da_core::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, SqgForecast};
 use sqg::SqgParams;
 use telemetry::CycleRecord;
 
@@ -130,8 +131,13 @@ fn main() {
         config.obs_spec(),
         Completion::Inpaint,
     );
-    let ensf_series =
-        run_experiment("EnSF", &config, &nature, &mut model, &mut ensf).expect("EnSF run failed");
+    let plain = |label: &str, model: &mut dyn ForecastModel, scheme: &mut dyn AnalysisScheme| {
+        let run = Run::new(label, config.clone());
+        run_cycles(&run, &nature, model, scheme, None, &mut SingleProcess, None)
+            .unwrap_or_else(|e| panic!("{label} run failed: {e}"))
+            .series
+    };
+    let ensf_series = plain("EnSF", &mut model, &mut ensf);
 
     // The flow-matching path runs the same score machinery through a 6-step
     // deterministic probability-flow ODE. Spread relaxation is backed off
@@ -153,14 +159,12 @@ fn main() {
         config.obs_spec(),
         Completion::Inpaint,
     );
-    let flow_series = run_experiment("FlowEnSF", &config, &nature, &mut model_flow, &mut flow)
-        .expect("FlowEnSF run failed");
+    let flow_series = plain("FlowEnSF", &mut model_flow, &mut flow);
 
     let mut model2 = SqgForecast::perfect(config.params.clone());
     let mut letkf =
         LetkfScheme::with_obs(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
-    let letkf_series = run_experiment("LETKF", &config, &nature, &mut model2, &mut letkf)
-        .expect("LETKF run failed");
+    let letkf_series = plain("LETKF", &mut model2, &mut letkf);
 
     let records = telemetry::cycle_records();
     let aggs = [

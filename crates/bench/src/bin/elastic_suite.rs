@@ -26,12 +26,10 @@
 //! Run: `cargo run --release -p bench --bin elastic_suite`
 
 use bench::{header, Json};
-use da_core::osse::OsseConfig;
+use da_core::cycle::Run;
+use da_core::osse::{nature_run, OsseConfig};
 use da_core::resilience::{CheckpointConfig, RankKill, RankRejoin, Rung};
-use dist::{
-    modeled_analysis_secs, run_elastic_osse, DeadlinePolicy, DistCycleConfig, ElasticCycleConfig,
-    ElasticOutcome, ElasticRunResult,
-};
+use dist::{modeled_analysis_secs, run_sharded, ShardedRun, Sharding};
 use ensf::EnsfConfig;
 use hpc::{Straggler, StragglerPlan};
 use sqg::SqgParams;
@@ -48,19 +46,22 @@ struct Shape {
     ranks: usize,
 }
 
-fn base_config(shape: &Shape) -> DistCycleConfig {
-    DistCycleConfig {
-        osse: OsseConfig {
-            params: SqgParams { n: shape.n, ..Default::default() },
-            cycles: shape.cycles,
-            obs_sigma: 0.005,
-            ens_size: shape.members,
-            ic_sigma: 0.01,
-            spinup_steps: 40,
-            seed: 3,
-            ..Default::default()
-        },
+/// The clean run of `shape` with the standard deadline: budget 3× the
+/// modeled clean full analysis, degraded rung at 1/3 of the SDE steps.
+fn deadline_run(shape: &Shape) -> (Run, Sharding) {
+    let osse = OsseConfig {
+        params: SqgParams { n: shape.n, ..Default::default() },
+        cycles: shape.cycles,
+        obs_sigma: 0.005,
+        ens_size: shape.members,
+        ic_sigma: 0.01,
+        spinup_steps: 40,
+        seed: 3,
+        ..Default::default()
+    };
+    let sharding = Sharding {
         ensf: EnsfConfig { n_steps: shape.n_steps, seed: 5, ..Default::default() },
+        degraded_steps: Some((shape.n_steps / 3).max(1)),
         // No network model: the ladder's fallback trades SDE steps for time,
         // which only pays where compute dominates the cycle. At these
         // reduced shapes the modeled latency of the cycle's one gather
@@ -69,60 +70,50 @@ fn base_config(shape: &Shape) -> DistCycleConfig {
         // to buy: priced with `CommSpec::clean`, the straggler cycles fall
         // to forecast-only (hit-rate 0.7; EXPERIMENTS.md has the run).
         ..Default::default()
-    }
-}
-
-/// An elastic config with the standard deadline policy: budget 3× the
-/// modeled clean full analysis, degraded rung at 1/3 of the SDE steps.
-fn elastic_config(shape: &Shape) -> ElasticCycleConfig {
-    let base = base_config(shape);
-    let dim = base.osse.params.state_dim();
-    let full = modeled_analysis_secs(&base, dim, shape.members, shape.n_steps, shape.ranks);
-    let mut config = ElasticCycleConfig::clean(base);
-    config.deadline = Some(DeadlinePolicy {
-        budget_secs: 3.0 * full,
-        degraded_steps: (shape.n_steps / 3).max(1),
-    });
-    config
+    };
+    let dim = osse.params.state_dim();
+    let full = modeled_analysis_secs(None, dim, shape.members, shape.n_steps, shape.ranks);
+    let run = Run { budget: Some(3.0 * full), ..Run::new("elastic", osse) };
+    (run, sharding)
 }
 
 /// The `[degraded, forecast-only]` cycles of `r`'s per-cycle log.
-fn rungs(r: &ElasticRunResult) -> [usize; 2] {
-    let on = |rung| r.cycles.iter().filter(|c| c.rung == rung).count();
+fn rungs(r: &ShardedRun) -> [usize; 2] {
+    let on = |rung| r.run.cycles.iter().filter(|c| c.rung == rung).count();
     [on(Rung::Fallback), on(Rung::ForecastOnly)]
 }
 
-fn scenario_json(name: &str, shape: &Shape, r: &ElasticRunResult) -> Json {
+fn scenario_json(name: &str, shape: &Shape, r: &ShardedRun) -> Json {
     let [degraded, forecast_only] = rungs(r);
     Json::obj(vec![
         ("name", Json::from(name)),
         ("ranks", Json::from(shape.ranks as u64)),
         ("cycles", Json::from(shape.cycles as u64)),
-        ("completed_cycles", Json::from(r.cycles.len() as u64)),
-        ("hit_rate", Json::Num(r.hit_rate())),
+        ("completed_cycles", Json::from(r.run.cycles.len() as u64)),
+        ("hit_rate", Json::Num(r.run.hit_rate())),
         ("shrinks", Json::from(r.counters.shrinks)),
         ("rejoins", Json::from(r.counters.rejoins)),
-        ("redone_analyses", Json::from(r.event_count("rank_dead_shrink") as u64)),
+        ("redone_analyses", Json::from(r.run.event_count("rank_dead_shrink") as u64)),
         ("degraded_cycles", Json::from(degraded as u64)),
         ("forecast_only_cycles", Json::from(forecast_only as u64)),
-        ("deadline_blown", Json::from(r.event_count("deadline_blown") as u64)),
+        ("deadline_blown", Json::from(r.run.event_count("deadline_blown") as u64)),
         ("final_group_size", Json::from(r.group_sizes.last().map_or(0, |&(_, g)| g as u64))),
-        ("final_rmse", Json::Num(r.series.rmse.last().copied().unwrap_or(f64::NAN))),
+        ("final_rmse", Json::Num(r.run.series.rmse.last().copied().unwrap_or(f64::NAN))),
     ])
 }
 
-fn report_row(name: &str, r: &ElasticRunResult) {
+fn report_row(name: &str, r: &ShardedRun) {
     let [degraded, forecast_only] = rungs(r);
     println!(
         "{:>12} {:>9.3} {:>8} {:>8} {:>9} {:>10} {:>7} {:>10.5}",
         name,
-        r.hit_rate(),
+        r.run.hit_rate(),
         r.counters.shrinks,
         r.counters.rejoins,
         degraded,
         forecast_only,
-        r.event_count("deadline_blown"),
-        r.series.rmse.last().copied().unwrap_or(f64::NAN),
+        r.run.event_count("deadline_blown"),
+        r.run.series.rmse.last().copied().unwrap_or(f64::NAN),
     );
 }
 
@@ -155,43 +146,48 @@ fn main() {
     let victim = shape.ranks - 1;
     let mid_kill = RankKill { cycle: KILL_CYCLE, rank: victim };
 
-    let clean_cfg = elastic_config(&shape);
-    let clean = run_elastic_osse(&clean_cfg, shape.ranks).expect("clean scenario");
+    let (clean_run, sharding) = deadline_run(&shape);
+    let nature = nature_run(&clean_run.osse);
+    let scenario = |run: &Run, sharding: &Sharding| {
+        run_sharded(run, sharding, shape.ranks, &nature, None)
+    };
+    let clean = scenario(&clean_run, &sharding).expect("clean scenario");
     report_row("clean", &clean);
 
-    let mut kill_cfg = elastic_config(&shape);
-    kill_cfg.faults.rank_kills.push(mid_kill);
-    let one_kill = run_elastic_osse(&kill_cfg, shape.ranks).expect("one_kill scenario");
+    let mut kill_run = clean_run.clone();
+    kill_run.faults.rank_kills.push(mid_kill);
+    let one_kill = scenario(&kill_run, &sharding).expect("one_kill scenario");
     report_row("one_kill", &one_kill);
-    assert_eq!(one_kill.outcome, ElasticOutcome::Completed);
+    assert!(!one_kill.run.interrupted);
     assert_eq!(one_kill.counters.shrinks, 1, "the injected kill must shrink the group");
 
     let ckpt = std::env::temp_dir()
         .join(format!("sqg_da_elastic_suite_{}.ckpt", std::process::id()));
-    let mut rejoin_cfg = elastic_config(&shape);
-    rejoin_cfg.faults.rank_kills.push(mid_kill);
-    rejoin_cfg.faults.rank_rejoins.push(RankRejoin { cycle: KILL_CYCLE + 2, rank: victim });
-    rejoin_cfg.checkpoint = Some(CheckpointConfig { path: ckpt.clone(), every: 0 });
-    let kill_rejoin = run_elastic_osse(&rejoin_cfg, shape.ranks).expect("kill_rejoin scenario");
+    let mut rejoin_run = kill_run.clone();
+    rejoin_run.faults.rank_rejoins.push(RankRejoin { cycle: KILL_CYCLE + 2, rank: victim });
+    rejoin_run.checkpoint = Some(CheckpointConfig { path: ckpt.clone(), every: 0 });
+    let kill_rejoin = scenario(&rejoin_run, &sharding).expect("kill_rejoin scenario");
     std::fs::remove_file(&ckpt).ok();
     report_row("kill_rejoin", &kill_rejoin);
     assert_eq!(kill_rejoin.counters.rejoins, 1, "the scripted rejoin must land");
 
-    let mut straggler_cfg = elastic_config(&shape);
-    straggler_cfg.stragglers = StragglerPlan {
-        events: vec![Straggler {
-            rank: 1,
-            from_cycle: KILL_CYCLE,
-            to_cycle: KILL_CYCLE + 2,
-            slowdown: 8.0,
-        }],
+    let straggling = Sharding {
+        stragglers: StragglerPlan {
+            events: vec![Straggler {
+                rank: 1,
+                from_cycle: KILL_CYCLE,
+                to_cycle: KILL_CYCLE + 2,
+                slowdown: 8.0,
+            }],
+        },
+        ..sharding.clone()
     };
-    let straggler = run_elastic_osse(&straggler_cfg, shape.ranks).expect("straggler scenario");
+    let straggler = scenario(&clean_run, &straggling).expect("straggler scenario");
     report_row("straggler", &straggler);
 
     println!(
         "\nheadline: one injected kill keeps the deadline hit-rate at {:.3} (gate: ≥ 0.95)",
-        one_kill.hit_rate()
+        one_kill.run.hit_rate()
     );
 
     let scenarios = vec![

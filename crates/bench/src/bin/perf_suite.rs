@@ -21,9 +21,8 @@
 //! Run: `cargo run --release -p bench --bin perf_suite`
 
 use bench::{header, Json};
-use da_core::cycle::{run_cycles, SingleProcess};
+use da_core::cycle::{run_cycles, ProcessGroup, Run};
 use da_core::osse::{nature_run, NatureRun, ObsOperatorKind, OsseConfig};
-use da_core::resilience::FaultPlan;
 use da_core::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme, SqgForecast};
 use ensf::{oracle, AnalysisMethod, Ensf, EnsfConfig, ObsOperator};
 use fft::{plan_cache, Complex, Direction, Fft2};
@@ -249,18 +248,26 @@ fn flow_osse_config(quick: bool, obs_operator: ObsOperatorKind) -> OsseConfig {
     }
 }
 
+/// One process that sums the analysis wall seconds of every cycle.
+struct AnalysisClock(f64);
+
+impl ProcessGroup for AnalysisClock {
+    fn completed(&mut self, _cycle: usize, _mean: &[f64], analysis_secs: f64) {
+        self.0 += analysis_secs;
+    }
+}
+
 /// One cycling DA run against a precomputed nature run, timing *only* the
 /// analysis calls (the RK4 forecast dominates wall time and is identical
 /// across schemes). Returns (steady RMSE vs truth, total analysis seconds).
 fn cycle_da(config: &OsseConfig, nature: &NatureRun, scheme: &mut dyn AnalysisScheme) -> (f64, f64) {
     let mut model = SqgForecast::perfect(config.params.clone());
-    let mut analysis_secs = 0.0;
-    let series = run_cycles(
-        "flow-sweep", config, nature, &mut model, scheme, None, &FaultPlan::none(), None, None,
-        None, &mut SingleProcess, &mut |_, _, secs| analysis_secs += secs, None,
-    )
-    .expect("the sweep's nature run fits its configuration")
-    .series;
+    let mut clock = AnalysisClock(0.0);
+    let run = Run::new("flow-sweep", config.clone());
+    let series = run_cycles(&run, nature, &mut model, scheme, None, &mut clock, None)
+        .expect("the sweep's nature run fits its configuration")
+        .series;
+    let analysis_secs = clock.0;
     if std::env::var("FLOW_SWEEP_TRACE").is_ok() {
         for (cycle, (rmse, spread)) in series.rmse.iter().zip(&series.spread).enumerate() {
             println!("  trace cycle {cycle:2}: rmse {rmse:.4e}  spread {spread:.4e}");

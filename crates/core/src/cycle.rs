@@ -2,22 +2,92 @@
 //!
 //! [`run_cycles`] is the only function in the workspace that iterates over
 //! assimilation cycles (Fig. 1 of the paper: one loop, the model and the
-//! filter as slots). Every driver — [`crate::osse::run_experiment`],
-//! [`crate::resilience::run_supervised`], `dist::run_elastic_from` — is an
-//! argument list for it; DESIGN.md ("The cycle") walks the stages and says
-//! which argument switches each one on.
+//! filter as slots). What runs is one plain-data [`Run`]; where it runs is
+//! the slots: a model, a scheme, an optional fallback and a
+//! [`ProcessGroup`]. `dist::run_sharded` hands the same [`Run`] to every
+//! rank of a world with that rank's slots. DESIGN.md ("The cycle") walks
+//! the stages and says which field of the [`Run`] switches each one on.
 
 use crate::error::OsseError;
 use crate::osse::{initial_ensemble, validate_experiment, CycleSeries, NatureRun, OsseConfig};
 use crate::resilience::{
     decide_rung, health, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, HealthPolicy,
     Ladder, LoopState, ObsFault, RecoveryCounters, Rule, Rung, SupervisedCycle,
-    SupervisedRun,
 };
 use crate::traits::{AnalysisScheme, ForecastModel};
 use stats::rng::split_seed;
 use std::borrow::Cow;
 use std::time::Instant;
+
+/// One run, as plain data: the experiment and everything the loop does
+/// besides cycling. The serial and the sharded face take the same value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Names the run's cycle records and its series.
+    pub label: String,
+    /// The twin experiment: grid, cycles, observing network, ensemble, seed.
+    pub osse: OsseConfig,
+    /// Guardrail thresholds and the ladder's retry budget. `None` runs
+    /// unsupervised: nothing is scanned, repaired, retried or re-inflated,
+    /// and a non-finite analysis propagates into the series.
+    pub health: Option<HealthPolicy>,
+    /// Scripted faults (empty ⇒ nothing is injected).
+    pub faults: FaultPlan,
+    /// Modelled seconds the attempts at one cycle's analysis may cost
+    /// together; `None` never degrades on time.
+    pub budget: Option<f64>,
+    /// Where and how often the boundary state is written.
+    pub checkpoint: Option<CheckpointConfig>,
+}
+
+impl Run {
+    /// The plain run of `osse`: unsupervised, nothing scripted, no budget
+    /// and no checkpoints.
+    pub fn new(label: impl Into<String>, osse: OsseConfig) -> Self {
+        Run {
+            label: label.into(),
+            osse,
+            health: None,
+            faults: FaultPlan::none(),
+            budget: None,
+            checkpoint: None,
+        }
+    }
+}
+
+/// What a run returns, complete or interrupted.
+#[derive(Debug, Clone)]
+pub struct RunResult {
+    /// Verification series over the cycles completed so far (including
+    /// cycles restored from a checkpoint on resume).
+    pub series: CycleSeries,
+    /// Per-cycle rung, events and health state for the cycles executed
+    /// *in this call*.
+    pub cycles: Vec<SupervisedCycle>,
+    /// True when the run stopped before its final cycle: a scripted kill,
+    /// or this process left its group for good.
+    pub interrupted: bool,
+    /// The boundary state the run ended at, its recovery counters and
+    /// health state included — what a restart resumes from (also written
+    /// to disk when checkpointing is configured).
+    pub checkpoint: Checkpoint,
+}
+
+impl RunResult {
+    /// How often `event` fires in [`Self::cycles`] (each `rank_dead_shrink`
+    /// is one analysis redone from the replicated forecast).
+    pub fn event_count(&self, event: &str) -> usize {
+        self.cycles.iter().flat_map(|c| &c.events).filter(|e| *e == event).count()
+    }
+
+    /// The deadline hit rate: the share of [`Self::cycles`] that produced
+    /// an analysis (full or fallback) with no `deadline_blown` (0 for none).
+    pub fn hit_rate(&self) -> f64 {
+        let blown = |c: &SupervisedCycle| c.events.iter().any(|e| e == "deadline_blown");
+        let hits = self.cycles.iter().filter(|c| c.rung != Rung::ForecastOnly && !blown(c));
+        hits.count() as f64 / self.cycles.len().max(1) as f64
+    }
+}
 
 /// Seed salts keeping the loop's repair streams independent of the nature
 /// run, the initial ensemble, and each other.
@@ -48,6 +118,17 @@ pub trait ProcessGroup {
     fn forces_checkpoint(&self, _completed: usize) -> bool {
         false
     }
+
+    /// The ranks of the group's world. World rank 0 leads and is never
+    /// scripted to fail, so a fault plan may kill or rejoin only ranks
+    /// `1..world_size()`.
+    fn world_size(&self) -> usize {
+        1
+    }
+
+    /// The boundary after `cycle` completed: its analysis mean and the
+    /// analysis wall seconds — values the loop does not keep.
+    fn completed(&mut self, _cycle: usize, _mean: &[f64], _analysis_secs: f64) {}
 }
 
 /// How a process comes out of [`ProcessGroup::enter_cycle`].
@@ -80,6 +161,7 @@ fn restore(
         || ck.prev_mean.len() != dim
         || ck.ensemble.members() != config.ens_size
         || ck.cycle > config.cycles
+        || [&ck.hours, &ck.rmse, &ck.spread].iter().any(|s| s.len() != ck.cycle)
     {
         return Err(CheckpointError::BadHeader.into());
     }
@@ -92,39 +174,41 @@ fn restore(
     Ok(ck)
 }
 
-/// Runs `config`'s cycles from `resume` (or from the initial ensemble) and
+/// Runs `run`'s cycles from `resume` (or from the initial ensemble) and
 /// returns the series, the per-cycle log and the boundary state the run
 /// ended at. The analysis walks one ladder, `scheme` → `fallback` →
-/// forecast-only ([`crate::resilience::decide_rung`]), against the
-/// policy's retries and the modelled seconds `budget` allows an attempt.
-/// Without a `policy` nothing is scanned, repaired, retried or re-inflated,
-/// and a non-finite analysis propagates into the series. `observe` receives
-/// every completed cycle's `(index, analysis mean, analysis wall seconds)`
-/// — values the loop does not keep.
+/// forecast-only ([`crate::resilience::decide_rung`]), against the health
+/// policy's retries and the modelled seconds [`Run::budget`] allows.
+/// `group` says who else cycles and hears every completed cycle
+/// ([`ProcessGroup::completed`]). After every analysis,
+/// `model.assimilate_feedback` receives the analysed transition (previous
+/// analysis mean → current one): the online training channel of Fig. 1.
 ///
 /// # Errors
-/// Configuration mismatches and a checkpoint that does not fit the
-/// experiment; [`OsseError::Unrecoverable`] when a cycle runs out of
-/// recovery options; [`OsseError::Checkpoint`] when one cannot be written.
-#[allow(clippy::too_many_arguments)] // the argument list is the driver
+/// Configuration mismatches, a fault plan naming a rank the group cannot
+/// lose and a checkpoint that does not fit the experiment;
+/// [`OsseError::Unrecoverable`] when a cycle runs out of recovery options;
+/// [`OsseError::Checkpoint`] when one cannot be written.
 pub fn run_cycles(
-    label: &str,
-    config: &OsseConfig,
+    run: &Run,
     nature: &NatureRun,
     model: &mut dyn ForecastModel,
     scheme: &mut dyn AnalysisScheme,
     mut fallback: Option<&mut dyn AnalysisScheme>,
-    plan: &FaultPlan,
-    policy: Option<&HealthPolicy>,
-    budget: Option<f64>,
-    checkpoint: Option<&CheckpointConfig>,
     group: &mut dyn ProcessGroup,
-    observe: &mut dyn FnMut(usize, &[f64], f64),
     resume: Option<Checkpoint>,
-) -> Result<SupervisedRun, OsseError> {
+) -> Result<RunResult, OsseError> {
+    let (config, plan, policy, budget) =
+        (&run.osse, &run.faults, run.health.as_ref(), run.budget);
     validate_experiment(config, nature, model)?;
     let dim = nature.truth[0].len();
     let spec = config.obs_spec();
+    let world = group.world_size();
+    let kills = plan.rank_kills.iter().map(|k| k.rank);
+    let mut ranks = kills.chain(plan.rank_rejoins.iter().map(|r| r.rank));
+    if let Some(rank) = ranks.find(|&r| r == 0 || r >= world) {
+        return Err(OsseError::RankOutsideGroup { rank, world });
+    }
 
     // The loop's state *is* a checkpoint: the boundary it last completed.
     let mut at = match resume {
@@ -402,15 +486,7 @@ pub fn run_cycles(
                     state as u8 as f64,
                 );
             }
-            let counters = &at.counters;
             telemetry::gauge_set("supervisor.state", state as u8 as f64);
-            telemetry::gauge_set("supervisor.retries", counters.analysis_retries as f64);
-            telemetry::gauge_set("supervisor.fallbacks", counters.analysis_fallbacks as f64);
-            telemetry::gauge_set(
-                "supervisor.quarantined_members",
-                counters.quarantined_members as f64,
-            );
-            telemetry::gauge_set("supervisor.divergence_flags", counters.divergence_flags as f64);
             let diagnostics = pre_diag.as_ref().zip(obs.as_deref()).map(|(pre, y)| {
                 crate::diagnostics::complete(pre, &at.ensemble, y, rmse, &spec, cycle as u64)
             });
@@ -431,7 +507,7 @@ pub fn run_cycles(
             ];
             phases.extend(modeled_secs.map(|s| ("analysis_modeled".to_string(), s)));
             telemetry::record_cycle(telemetry::CycleRecord {
-                label: label.to_string(),
+                label: run.label.clone(),
                 cycle,
                 hours,
                 rmse,
@@ -456,14 +532,14 @@ pub fn run_cycles(
         }
 
         model.assimilate_feedback(&at.prev_mean, &mean);
-        observe(cycle, &mean, analysis_secs);
+        group.completed(cycle, &mean, analysis_secs);
         at.prev_mean = mean;
         log.push(SupervisedCycle { cycle, state, rung, events });
         at.cycle += 1;
 
         // Checkpoint the boundary, then honour a scripted kill at it.
         let killed = plan.kill_after == Some(at.cycle) && at.cycle < config.cycles;
-        if let Some(ckcfg) = checkpoint {
+        if let Some(ckcfg) = &run.checkpoint {
             let due = (ckcfg.every > 0 && at.cycle % ckcfg.every == 0)
                 || killed
                 || group.forces_checkpoint(at.cycle);
@@ -480,20 +556,13 @@ pub fn run_cycles(
 
     stamp(&mut at, scheme, model);
     let series = CycleSeries {
-        label: label.to_string(),
+        label: run.label.clone(),
         hours: at.hours.clone(),
         rmse: at.rmse.clone(),
         spread: at.spread.clone(),
         final_mean: at.ensemble.mean(),
     };
-    Ok(SupervisedRun {
-        series,
-        cycles: log,
-        counters: at.counters,
-        interrupted,
-        final_state: at.state,
-        checkpoint: at,
-    })
+    Ok(RunResult { series, cycles: log, interrupted, checkpoint: at })
 }
 
 /// Puts `scheme` and `fallback` at analysis index `at` (the cycle their

@@ -35,6 +35,14 @@ pub enum OsseError {
         /// Human-readable cause.
         reason: String,
     },
+    /// The fault plan kills or rejoins a rank its process group cannot
+    /// lose: world rank 0, which leads, or one outside the group's world.
+    RankOutsideGroup {
+        /// The scripted rank.
+        rank: usize,
+        /// The group's world size.
+        world: usize,
+    },
     /// Writing or reading a cycle checkpoint failed.
     Checkpoint(CheckpointError),
 }
@@ -51,6 +59,9 @@ impl std::fmt::Display for OsseError {
             }
             OsseError::Unrecoverable { cycle, reason } => {
                 write!(f, "cycle {cycle} unrecoverable: {reason}")
+            }
+            OsseError::RankOutsideGroup { rank, world } => {
+                write!(f, "fault plan scripts rank {rank}; a {world}-rank group can lose 1..{world}")
             }
             OsseError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
         }

@@ -6,12 +6,13 @@
 //! 4. **ViT + EnSF** — the proposed framework: score-filter analyses of
 //!    surrogate forecasts, with online surrogate fine-tuning.
 
+use crate::cycle::{run_cycles, Run, SingleProcess};
 use crate::forecast::SqgForecast;
 use crate::inpaint::Completion;
 use crate::model_error::{ModelError, ModelErrorConfig};
-use crate::osse::{nature_run_with_error, run_experiment, CycleSeries, NatureRun, OsseConfig};
+use crate::osse::{nature_run_with_error, CycleSeries, NatureRun, OsseConfig};
 use crate::surrogate::VitSurrogate;
-use crate::traits::{EnsfScheme, LetkfScheme, NoAssimilation};
+use crate::traits::{AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation};
 use vit::VitConfig;
 
 /// Knobs of the four-way comparison.
@@ -137,23 +138,25 @@ pub fn pretrain_surrogate(config: &ComparisonConfig) -> VitSurrogate {
 /// `surrogate` is consumed (its weights continue to adapt online inside the
 /// ViT+EnSF run); pre-train it with [`pretrain_surrogate`].
 ///
-/// INVARIANT: each `run_experiment` call below uses a model/scheme pair
-/// built from the same `config.osse`, so the shape checks it performs
-/// cannot fail — the `.expect`s document that consistency, not a real
-/// error path.
+/// INVARIANT: each run below uses a model/scheme pair built from the same
+/// `config.osse`, so the shape checks the loop performs cannot fail — the
+/// `.expect` documents that consistency, not a real error path.
 pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) -> Comparison {
     let nature = nature_run_with_error(&config.osse, config.model_error_instance(0xA7));
     let mut series = Vec::with_capacity(4);
+    let plain = |label: &str, model: &mut dyn ForecastModel, scheme: &mut dyn AnalysisScheme| {
+        let run = Run::new(label, config.osse.clone());
+        run_cycles(&run, &nature, model, scheme, None, &mut SingleProcess, None)
+            .expect("comparison experiments are consistent by construction")
+            .series
+    };
 
     // 1. SQG only: the (now imperfect relative to reality) physics model
     //    free-running from the same initial condition.
     {
         let mut model = SqgForecast::perfect(config.osse.params.clone());
         let mut scheme = NoAssimilation;
-        series.push(
-            run_experiment("SQG only", &config.osse, &nature, &mut model, &mut scheme)
-                .expect("comparison experiments are consistent by construction"),
-        );
+        series.push(plain("SQG only", &mut model, &mut scheme));
     }
 
     // 2. ViT only (offline surrogate, no DA, no online learning). Runs
@@ -162,10 +165,7 @@ pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) ->
     {
         surrogate.online_steps = 0;
         let mut scheme = NoAssimilation;
-        series.push(
-            run_experiment("ViT only", &config.osse, &nature, &mut surrogate, &mut scheme)
-                .expect("comparison experiments are consistent by construction"),
-        );
+        series.push(plain("ViT only", &mut surrogate, &mut scheme));
     }
 
     // 3. SQG + LETKF (SOTA baseline, paper-tuned inflation/localization).
@@ -176,10 +176,7 @@ pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) ->
             &config.osse.params,
             config.osse.obs_spec(),
         );
-        series.push(
-            run_experiment("SQG+LETKF", &config.osse, &nature, &mut model, &mut scheme)
-                .expect("comparison experiments are consistent by construction"),
-        );
+        series.push(plain("SQG+LETKF", &mut model, &mut scheme));
     }
 
     // 4. ViT + EnSF with online surrogate fine-tuning (the proposal).
@@ -195,10 +192,7 @@ pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) ->
             config.osse.obs_spec(),
             Completion::Inpaint,
         );
-        series.push(
-            run_experiment("ViT+EnSF", &config.osse, &nature, &mut surrogate, &mut scheme)
-                .expect("comparison experiments are consistent by construction"),
-        );
+        series.push(plain("ViT+EnSF", &mut surrogate, &mut scheme));
     }
 
     Comparison { nature, series }

@@ -6,7 +6,9 @@
 //! (EnSF, LETKF, or none), with:
 //!
 //! - [`cycle`] — the one forecast → observe → analyse → verify → record
-//!   loop every driver is an argument list of,
+//!   loop, [`cycle::run_cycles`], and the one plain-data description of a
+//!   run it takes, [`cycle::Run`] (the sharded driver, `dist::run_sharded`,
+//!   takes the same value),
 //! - [`osse`] — twin-experiment harness (nature run, synthetic observations
 //!   every 12 h, `h = I`, diagonal R),
 //! - [`ModelError`] — the 4-component stochastic model-error process of
@@ -16,7 +18,8 @@
 //! - [`experiments`] — the four architectures of Figs. 4–5
 //!   (SQG-only / ViT-only / SQG+LETKF / ViT+EnSF) over a shared nature run,
 //! - [`resilience`] — fault injection, ensemble health guardrails,
-//!   checkpoint/restore, and the supervised (fault-tolerant) face of the loop.
+//!   checkpoint/restore, and the health state machine a [`cycle::Run`]
+//!   with a health policy runs under.
 //!
 //! ```no_run
 //! use da_core::experiments::{pretrain_surrogate, run_comparison, ComparisonConfig};

@@ -6,9 +6,8 @@
 //! `R = σ² I`); the experiment under test forecasts with its own (possibly
 //! imperfect, possibly surrogate) model and assimilates with its scheme.
 
-use crate::cycle::{run_cycles, SingleProcess};
+use crate::cycle::{run_cycles, Run, SingleProcess};
 use crate::model_error::ModelError;
-use crate::resilience::FaultPlan;
 use crate::traits::{AnalysisScheme, ForecastModel};
 pub use ensf::{MaskKind, ObsOperatorKind, ObsSpec};
 use sqg::{SqgModel, SqgParams};
@@ -196,18 +195,12 @@ pub(crate) fn validate_experiment(
     Ok(())
 }
 
-/// Runs one DA experiment against a prepared nature run: the cycle loop
-/// ([`run_cycles`]) with nothing scripted, no health policy and no
-/// checkpointing. Nothing is scanned, repaired or retried, so a non-finite
-/// analysis shows in the series from that cycle on.
+/// The plain run of `config` on one process — [`run_cycles`] with
+/// [`Run::new`] — returning its series. Kept for the benchmark adapter,
+/// which names it; everything else calls [`run_cycles`].
 ///
-/// After every analysis, `model.assimilate_feedback` receives the analyzed
-/// transition (previous analysis mean → current analysis mean) — the online
-/// training channel of Fig. 1; physics models ignore it.
-///
-/// Configuration mismatches (wrong model dimension, empty or too-short
-/// nature run) are reported as [`crate::OsseError`] instead of aborting,
-/// so batch drivers can skip a bad experiment and keep going.
+/// # Errors
+/// As [`run_cycles`].
 pub fn run_experiment(
     label: &str,
     config: &OsseConfig,
@@ -215,31 +208,27 @@ pub fn run_experiment(
     model: &mut dyn ForecastModel,
     scheme: &mut dyn AnalysisScheme,
 ) -> Result<CycleSeries, crate::OsseError> {
-    run_observed(label, config, nature, model, scheme, &mut |_, _, _| {})
-}
-
-/// [`run_experiment`] with a reader of every completed cycle's `(index,
-/// analysis mean, analysis wall seconds)`.
-pub(crate) fn run_observed(
-    label: &str,
-    config: &OsseConfig,
-    nature: &NatureRun,
-    model: &mut dyn ForecastModel,
-    scheme: &mut dyn AnalysisScheme,
-    observe: &mut dyn FnMut(usize, &[f64], f64),
-) -> Result<CycleSeries, crate::OsseError> {
-    let run = run_cycles(
-        label, config, nature, model, scheme, None, &FaultPlan::none(), None, None, None,
-        &mut SingleProcess, observe, None,
-    )?;
-    Ok(run.series)
+    let run = Run::new(label, config.clone());
+    Ok(run_cycles(&run, nature, model, scheme, None, &mut SingleProcess, None)?.series)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycle::RunResult;
     use crate::forecast::SqgForecast;
     use crate::traits::{EnsfScheme, NoAssimilation};
+
+    /// `cfg`'s plain run on one process.
+    fn run_plain(
+        cfg: &OsseConfig,
+        nature: &NatureRun,
+        model: &mut dyn ForecastModel,
+        scheme: &mut dyn AnalysisScheme,
+    ) -> Result<RunResult, crate::OsseError> {
+        let run = Run::new("plain", cfg.clone());
+        run_cycles(&run, nature, model, scheme, None, &mut SingleProcess, None)
+    }
 
     fn tiny_config() -> OsseConfig {
         OsseConfig {
@@ -405,7 +394,7 @@ mod tests {
         let wrong = SqgParams { n: 8, ..Default::default() };
         let mut model = SqgForecast::perfect(wrong);
         let mut scheme = NoAssimilation;
-        let err = run_experiment("bad", &cfg, &nr, &mut model, &mut scheme).unwrap_err();
+        let err = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap_err();
         assert_eq!(err, crate::OsseError::DimensionMismatch { model: 128, nature: 512 });
     }
 
@@ -416,11 +405,11 @@ mod tests {
         nr.observations.pop();
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = NoAssimilation;
-        let err = run_experiment("short", &cfg, &nr, &mut model, &mut scheme).unwrap_err();
+        let err = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap_err();
         assert_eq!(err, crate::OsseError::ObservationShortfall { cycles: 5, observations: 4 });
 
         nr.truth.clear();
-        let err = run_experiment("empty", &cfg, &nr, &mut model, &mut scheme).unwrap_err();
+        let err = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap_err();
         assert_eq!(err, crate::OsseError::EmptyNatureRun);
     }
 
@@ -430,7 +419,7 @@ mod tests {
         let nr = nature_run(&cfg);
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = NoAssimilation;
-        let series = run_experiment("free", &cfg, &nr, &mut model, &mut scheme).unwrap();
+        let series = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap().series;
         assert_eq!(series.rmse.len(), 5);
         // Chaotic growth: the last RMSE exceeds the first.
         assert!(series.rmse[4] > series.rmse[0], "{:?}", series.rmse);
@@ -443,8 +432,7 @@ mod tests {
 
         let mut free_model = SqgForecast::perfect(cfg.params.clone());
         let mut free = NoAssimilation;
-        let free_series =
-            run_experiment("free", &cfg, &nr, &mut free_model, &mut free).unwrap();
+        let free_series = run_plain(&cfg, &nr, &mut free_model, &mut free).unwrap().series;
 
         let mut da_model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = EnsfScheme::new(
@@ -452,7 +440,7 @@ mod tests {
             cfg.params.state_dim(),
             cfg.obs_sigma,
         );
-        let da_series = run_experiment("ensf", &cfg, &nr, &mut da_model, &mut scheme).unwrap();
+        let da_series = run_plain(&cfg, &nr, &mut da_model, &mut scheme).unwrap().series;
 
         assert!(
             da_series.steady_rmse() < free_series.steady_rmse(),
@@ -503,7 +491,7 @@ mod tests {
         let nr = nature_run(&cfg);
         let mut model = Probe { dim: 512, calls: 0 };
         let mut scheme = NoAssimilation;
-        run_experiment("probe", &cfg, &nr, &mut model, &mut scheme).unwrap();
+        run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap();
         assert_eq!(model.calls, cfg.cycles);
     }
 }

@@ -247,8 +247,8 @@ impl Checkpoint {
         ensemble.as_mut_slice().copy_from_slice(&ens_vals);
         let prev_mean = r.f64s(dim, "prev_mean")?;
         let series_len = r.usize()?;
-        if series_len < cycle {
-            // Fewer series points than completed cycles: inconsistent.
+        if series_len != cycle {
+            // One series point per completed cycle, no more and no fewer.
             return Err(CheckpointError::BadHeader);
         }
         let hours = r.f64s(series_len, "hours")?;
@@ -431,6 +431,20 @@ mod tests {
         let mut trailing = sample().to_bytes();
         trailing.push(0);
         assert_eq!(Checkpoint::from_bytes(&trailing).unwrap_err(), CheckpointError::BadHeader);
+    }
+
+    /// A series one point longer (or shorter) than the completed cycles is
+    /// refused, however well framed: a resume would verify against it.
+    #[test]
+    fn series_must_match_the_cycle_count() {
+        for len in [1, 3] {
+            let mut ck = sample();
+            ck.hours = vec![12.0; len];
+            ck.rmse = vec![0.5; len];
+            ck.spread = vec![0.3; len];
+            let err = Checkpoint::from_bytes(&ck.to_bytes()).unwrap_err();
+            assert_eq!(err, CheckpointError::BadHeader, "{len} points for 2 cycles");
+        }
     }
 
     /// Version-1 files written by an earlier build of the encoder: the

@@ -1,14 +1,16 @@
 //! Deterministic, seedable fault injection for the cycling loop.
 //!
-//! A [`FaultPlan`] scripts every failure the supervised OSSE loop must
-//! survive: ensemble members corrupted mid-forecast, observation batches
-//! dropped / delayed / thinned, analysis steps that fail a set number of
-//! attempts, and a simulated process kill. Plans are plain data — the same
-//! plan replayed against the same configuration produces the same run, so
-//! chaos tests are as reproducible as clean ones. The distributed runtime
-//! (`dist::elastic`) reads only the rank channels ([`FaultPlan::rank_kills`],
-//! [`FaultPlan::rank_rejoins`]) and rejects the others; the straggler
-//! schedule that scales its modelled time lives in `hpc::resilience`.
+//! A [`FaultPlan`] is a [`Run`](crate::cycle::Run)'s `faults`: every
+//! failure the cycle loop must survive — ensemble members corrupted
+//! mid-forecast, observation batches dropped / delayed / thinned, analysis
+//! steps that fail a set number of attempts, a simulated process kill, and
+//! rank kills and rejoins. Plans are plain data — the same plan replayed
+//! against the same configuration produces the same run, so chaos tests are
+//! as reproducible as clean ones. The loop refuses rank channels that name
+//! a rank its process group cannot lose (on one process, any rank); the
+//! sharded face (`dist::run_sharded`) reads only the rank channels and
+//! refuses the others. The straggler schedule that scales its modelled
+//! time lives in `hpc::resilience`.
 
 use stats::Ensemble;
 
@@ -87,7 +89,7 @@ pub struct RankRejoin {
     pub rank: usize,
 }
 
-/// The full fault script for one supervised run.
+/// The full fault script for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Member corruptions, applied after the forecast of their cycle.

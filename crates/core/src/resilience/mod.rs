@@ -17,11 +17,15 @@
 //! - [`checkpoint`] — binary [`Checkpoint`]s of the *full* cycling state
 //!   (ensemble, scheme RNG position, verification series, health state)
 //!   that resume bit-identically;
-//! - [`supervisor`] — the supervised face of [`crate::cycle::run_cycles`]:
-//!   the loop with a fault script, a [`HealthPolicy`] (guardrails and the
-//!   ladder's retry budget; `Healthy → Degraded → Recovering → Healthy`)
-//!   and checkpointing switched on, every recovery reported through
-//!   telemetry.
+//! - [`supervisor`] — what [`crate::cycle::run_cycles`] tracks when a
+//!   [`Run`](crate::cycle::Run) carries a [`HealthPolicy`] (guardrails and
+//!   the ladder's retry budget): the `Healthy → Degraded → Recovering →
+//!   Healthy` state machine, the recovery counters and the per-cycle log,
+//!   every recovery reported through telemetry.
+//!
+//! A [`Run`](crate::cycle::Run) switches each of them on: `faults` for the
+//! script, `health` for the guardrails, `budget` for the ladder's
+//! deadline and `checkpoint` for the boundary writes.
 
 pub mod checkpoint;
 pub mod fault;
@@ -35,7 +39,4 @@ pub use fault::{
 };
 pub use health::HealthPolicy;
 pub use ladder::{decide_rung, Ladder, Rule, Rung};
-pub use supervisor::{
-    resume_supervised, run_supervised, CheckpointConfig, LoopState, RecoveryCounters,
-    ResilienceConfig, SupervisedCycle, SupervisedRun,
-};
+pub use supervisor::{CheckpointConfig, LoopState, RecoveryCounters, SupervisedCycle};

@@ -1,7 +1,7 @@
-//! The supervised face of the cycle loop: [`crate::cycle::run_cycles`]
-//! with a fault script, a health policy and checkpointing switched on.
+//! The supervisor's state: what the cycle loop ([`crate::cycle::run_cycles`])
+//! tracks when a [`Run`](crate::cycle::Run) carries a health policy.
 //!
-//! The plain face assumes every forecast is finite, every observation
+//! An unsupervised run assumes every forecast is finite, every observation
 //! batch arrives, and every analysis succeeds. Under a
 //! [`HealthPolicy`](super::HealthPolicy) the loop assumes none of that.
 //! Each cycle runs through guardrails — non-finite/outlier member
@@ -16,16 +16,11 @@
 //!    └──────────────────┘  └────────◀───fault───────┘
 //! ```
 //!
-//! Every recovery action is appended to the cycle's telemetry record, and
-//! the full cycling state can be checkpointed each `every` cycles so a
-//! killed run resumes *bit-identically* (all repair randomness is a pure
-//! function of the master seed and the cycle index).
-
-use super::checkpoint::Checkpoint;
-use crate::cycle::{run_cycles, SingleProcess};
-use crate::error::OsseError;
-use crate::osse::{CycleSeries, NatureRun, OsseConfig};
-use crate::traits::{AnalysisScheme, ForecastModel};
+//! Every recovery action is appended to the cycle's telemetry record and
+//! counted in [`RecoveryCounters`], and the full cycling state can be
+//! checkpointed each `every` cycles so a killed run resumes
+//! *bit-identically* (all repair randomness is a pure function of the
+//! master seed and the cycle index).
 
 /// Health state of the cycle loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,19 +118,6 @@ pub struct CheckpointConfig {
     pub every: usize,
 }
 
-/// Fault script + guardrail policy + checkpointing for a supervised run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResilienceConfig {
-    /// Scripted faults (empty plan ⇒ pure supervision).
-    pub plan: super::FaultPlan,
-    /// Guardrail thresholds; `None` derives
-    /// [`HealthPolicy::for_obs_sigma`](super::HealthPolicy::for_obs_sigma)
-    /// from the run's `obs_sigma`.
-    pub health: Option<super::HealthPolicy>,
-    /// Optional periodic checkpointing.
-    pub checkpoint: Option<CheckpointConfig>,
-}
-
 /// One executed cycle, as the supervisor saw it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisedCycle {
@@ -149,83 +131,20 @@ pub struct SupervisedCycle {
     pub events: Vec<String>,
 }
 
-/// Result of a supervised run (complete or interrupted).
-#[derive(Debug, Clone)]
-pub struct SupervisedRun {
-    /// Verification series over the cycles completed so far (including
-    /// cycles restored from a checkpoint on resume).
-    pub series: CycleSeries,
-    /// Per-cycle states and events for the cycles executed *in this call*.
-    pub cycles: Vec<SupervisedCycle>,
-    /// Accumulated recovery counters (across resumes).
-    pub counters: RecoveryCounters,
-    /// True when a scripted kill stopped the run before the final cycle.
-    pub interrupted: bool,
-    /// Health state at the end of the run.
-    pub final_state: LoopState,
-    /// Cycling state at the end of the run — what a crash-restart would
-    /// resume from (also written to disk when checkpointing is configured).
-    pub checkpoint: Checkpoint,
-}
-
-impl ResilienceConfig {
-    /// The guardrail thresholds in force for `config`.
-    fn policy_for(&self, config: &OsseConfig) -> super::HealthPolicy {
-        self.health.clone().unwrap_or_else(|| super::HealthPolicy::for_obs_sigma(config.obs_sigma))
-    }
-}
-
-/// Runs a supervised OSSE experiment from cycle 0.
-///
-/// `fallback` is tried once per cycle after the retry budget is exhausted
-/// (e.g. LETKF behind EnSF); pass `None` to degrade straight to a
-/// forecast-only cycle instead.
-pub fn run_supervised(
-    label: &str,
-    config: &OsseConfig,
-    resilience: &ResilienceConfig,
-    nature: &NatureRun,
-    model: &mut dyn ForecastModel,
-    scheme: &mut dyn AnalysisScheme,
-    fallback: Option<&mut dyn AnalysisScheme>,
-) -> Result<SupervisedRun, OsseError> {
-    let policy = resilience.policy_for(config);
-    run_cycles(
-        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy), None,
-        resilience.checkpoint.as_ref(), &mut SingleProcess, &mut |_, _, _| {}, None,
-    )
-}
-
-/// Resumes a supervised run from a checkpoint, replaying the remaining
-/// cycles bit-identically to an uninterrupted run of the same
-/// configuration and fault plan.
-#[allow(clippy::too_many_arguments)] // run_supervised's signature + the checkpoint
-pub fn resume_supervised(
-    label: &str,
-    config: &OsseConfig,
-    resilience: &ResilienceConfig,
-    nature: &NatureRun,
-    model: &mut dyn ForecastModel,
-    scheme: &mut dyn AnalysisScheme,
-    fallback: Option<&mut dyn AnalysisScheme>,
-    checkpoint: Checkpoint,
-) -> Result<SupervisedRun, OsseError> {
-    let policy = resilience.policy_for(config);
-    run_cycles(
-        label, config, nature, model, scheme, fallback, &resilience.plan, Some(&policy), None,
-        resilience.checkpoint.as_ref(), &mut SingleProcess, &mut |_, _, _| {}, Some(checkpoint),
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::checkpoint::CheckpointError;
-    use super::super::fault::{AnalysisFault, FaultPlan, MemberFault, MemberFaultKind, ObsFault};
+    use super::super::checkpoint::{Checkpoint, CheckpointError};
+    use super::super::fault::{
+        AnalysisFault, FaultPlan, MemberFault, MemberFaultKind, ObsFault, RankKill, RankRejoin,
+    };
+    use super::super::HealthPolicy;
     use super::*;
+    use crate::cycle::{run_cycles, Run, RunResult, SingleProcess};
     use crate::forecast::SqgForecast;
     use crate::inpaint::Completion;
-    use crate::osse::nature_run;
-    use crate::traits::{EnsfScheme, LetkfScheme, NoAssimilation};
+    use crate::osse::{nature_run, NatureRun, OsseConfig};
+    use crate::traits::{AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation};
+    use crate::OsseError;
     use sqg::SqgParams;
     use stats::Ensemble;
 
@@ -251,6 +170,25 @@ mod tests {
         )
     }
 
+    /// `cfg` under `faults`, supervised by the guardrails scaled to its
+    /// observation error.
+    fn supervised(label: &str, cfg: &OsseConfig, faults: FaultPlan) -> Run {
+        let health = Some(HealthPolicy::for_obs_sigma(cfg.obs_sigma));
+        Run { health, faults, ..Run::new(label, cfg.clone()) }
+    }
+
+    /// `run` on one process.
+    fn drive(
+        run: &Run,
+        nature: &NatureRun,
+        model: &mut dyn ForecastModel,
+        scheme: &mut dyn AnalysisScheme,
+        fallback: Option<&mut dyn AnalysisScheme>,
+        resume: Option<Checkpoint>,
+    ) -> Result<RunResult, OsseError> {
+        run_cycles(run, nature, model, scheme, fallback, &mut SingleProcess, resume)
+    }
+
     #[test]
     fn clean_plan_matches_plain_run_and_stays_healthy() {
         let cfg = tiny_config(4);
@@ -260,23 +198,23 @@ mod tests {
         let mut m1 = SqgForecast::perfect(cfg.params.clone());
         let mut s1 = ensf_scheme(&cfg, dim);
         let plain =
-            crate::osse::run_experiment("plain", &cfg, &nr, &mut m1, &mut s1).unwrap();
+            drive(&Run::new("plain", cfg.clone()), &nr, &mut m1, &mut s1, None, None).unwrap();
+        let plain = plain.series;
 
         let mut m2 = SqgForecast::perfect(cfg.params.clone());
         let mut s2 = ensf_scheme(&cfg, dim);
-        let res = ResilienceConfig::default();
-        let run =
-            run_supervised("sup", &cfg, &res, &nr, &mut m2, &mut s2, None).unwrap();
+        let sup = supervised("sup", &cfg, FaultPlan::none());
+        let run = drive(&sup, &nr, &mut m2, &mut s2, None, None).unwrap();
 
         assert_eq!(run.series.rmse, plain.rmse, "no faults ⇒ bit-identical to plain loop");
         assert_eq!(run.series.spread, plain.spread);
         assert_eq!(run.series.hours, plain.hours);
         assert_eq!(run.series.final_mean, plain.final_mean);
         assert_eq!(run.checkpoint.prev_mean, plain.final_mean);
-        assert_eq!(run.counters.total(), 0);
+        assert_eq!(run.checkpoint.counters.total(), 0);
         assert!(!run.interrupted);
         assert!(run.cycles.iter().all(|c| c.events.is_empty()));
-        assert_eq!(run.final_state, LoopState::Healthy);
+        assert_eq!(run.checkpoint.state, LoopState::Healthy);
     }
 
     /// Returns an all-NaN analysis whenever it is handed `bad_batch`,
@@ -300,8 +238,8 @@ mod tests {
     }
 
     /// The absent policy is the plain contract: the same failing scheme
-    /// poisons `run_experiment` from the failing cycle on, and costs
-    /// `run_supervised` one forecast-only cycle.
+    /// poisons the unsupervised run from the failing cycle on, and costs
+    /// the supervised one one forecast-only cycle.
     #[test]
     fn without_a_policy_a_failed_analysis_propagates() {
         let cfg = tiny_config(4);
@@ -311,17 +249,16 @@ mod tests {
             || FailsOn { inner: ensf_scheme(&cfg, dim), bad_batch: nr.observations[1].clone() };
 
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let plain =
-            crate::osse::run_experiment("plain", &cfg, &nr, &mut model, &mut failing()).unwrap();
+        let plain = Run::new("plain", cfg.clone());
+        let plain = drive(&plain, &nr, &mut model, &mut failing(), None, None).unwrap().series;
         assert!(plain.rmse[0].is_finite());
         assert!(plain.rmse[1..].iter().all(|r| !r.is_finite()), "{:?}", plain.rmse);
 
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let res = ResilienceConfig::default();
-        let run =
-            run_supervised("sup", &cfg, &res, &nr, &mut model, &mut failing(), None).unwrap();
+        let sup = supervised("sup", &cfg, FaultPlan::none());
+        let run = drive(&sup, &nr, &mut model, &mut failing(), None, None).unwrap();
         assert!(run.cycles[1].events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
-        assert_eq!(run.counters.degraded_cycles, 1);
+        assert_eq!(run.checkpoint.counters.degraded_cycles, 1);
         assert!(run.series.rmse.iter().all(|r| r.is_finite()), "{:?}", run.series.rmse);
         assert_eq!(run.series.rmse[0], plain.rmse[0], "identical until the failure");
     }
@@ -333,20 +270,16 @@ mod tests {
         let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = ensf_scheme(&cfg, dim);
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                member_faults: vec![
-                    MemberFault { cycle: 1, member: 2, kind: MemberFaultKind::Nan },
-                    MemberFault { cycle: 1, member: 4, kind: MemberFaultKind::Corrupt { scale: 1e8 } },
-                ],
-                ..FaultPlan::none()
-            },
-            ..Default::default()
+        let faults = FaultPlan {
+            member_faults: vec![
+                MemberFault { cycle: 1, member: 2, kind: MemberFaultKind::Nan },
+                MemberFault { cycle: 1, member: 4, kind: MemberFaultKind::Corrupt { scale: 1e8 } },
+            ],
+            ..FaultPlan::none()
         };
-        let run =
-            run_supervised("quarantine", &cfg, &res, &nr, &mut model, &mut scheme, None)
-                .unwrap();
-        assert_eq!(run.counters.quarantined_members, 2);
+        let sup = supervised("quarantine", &cfg, faults);
+        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        assert_eq!(run.checkpoint.counters.quarantined_members, 2);
         assert_eq!(run.cycles[1].state, LoopState::Degraded);
         assert!(run.cycles[1].events.iter().any(|e| e == "member_quarantined:2"));
         assert!(run.cycles[1].events.iter().any(|e| e == "member_quarantined:4"));
@@ -362,18 +295,19 @@ mod tests {
         let nr = nature_run(&cfg);
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = NoAssimilation;
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                member_faults: (0..cfg.ens_size)
-                    .map(|m| MemberFault { cycle: 1, member: m, kind: MemberFaultKind::Nan })
-                    .collect(),
-                ..FaultPlan::none()
-            },
-            ..Default::default()
+        let faults = FaultPlan {
+            member_faults: (0..cfg.ens_size)
+                .map(|m| MemberFault { cycle: 1, member: m, kind: MemberFaultKind::Nan })
+                .collect(),
+            ..FaultPlan::none()
         };
-        let err = run_supervised("doom", &cfg, &res, &nr, &mut model, &mut scheme, None)
-            .unwrap_err();
+        let sup = supervised("doom", &cfg, faults);
+        let err = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap_err();
         assert!(matches!(err, OsseError::Unrecoverable { cycle: 1, .. }), "got {err}");
+    }
+
+    fn analysis_faults(cycle: usize, failures: usize) -> FaultPlan {
+        FaultPlan { analysis_faults: vec![AnalysisFault { cycle, failures }], ..FaultPlan::none() }
     }
 
     #[test]
@@ -386,27 +320,14 @@ mod tests {
         let mut fallback =
             LetkfScheme::with_obs(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_spec());
         // Fail more attempts than the retry budget allows: must fall back.
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                analysis_faults: vec![AnalysisFault { cycle: 2, failures: 9 }],
-                ..FaultPlan::none()
-            },
-            ..Default::default()
-        };
-        let run = run_supervised(
-            "fallback",
-            &cfg,
-            &res,
-            &nr,
-            &mut model,
-            &mut scheme,
-            Some(&mut fallback),
-        )
-        .unwrap();
-        assert_eq!(run.counters.analysis_retries, 2);
-        assert_eq!(run.counters.analysis_fallbacks, 1);
+        let sup = supervised("fallback", &cfg, analysis_faults(2, 9));
+        let run =
+            drive(&sup, &nr, &mut model, &mut scheme, Some(&mut fallback), None).unwrap();
+        let counters = &run.checkpoint.counters;
+        assert_eq!(counters.analysis_retries, 2);
+        assert_eq!(counters.analysis_fallbacks, 1);
         assert!(run.cycles[2].events.iter().any(|e| e == "analysis_fallback:LETKF"));
-        assert_eq!(run.counters.degraded_cycles, 0, "fallback rescued the cycle");
+        assert_eq!(counters.degraded_cycles, 0, "fallback rescued the cycle");
     }
 
     #[test]
@@ -416,16 +337,9 @@ mod tests {
         let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = ensf_scheme(&cfg, dim);
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                analysis_faults: vec![AnalysisFault { cycle: 1, failures: 9 }],
-                ..FaultPlan::none()
-            },
-            ..Default::default()
-        };
-        let run =
-            run_supervised("degrade", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
-        assert_eq!(run.counters.degraded_cycles, 1);
+        let sup = supervised("degrade", &cfg, analysis_faults(1, 9));
+        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        assert_eq!(run.checkpoint.counters.degraded_cycles, 1);
         assert!(run.cycles[1].events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
     }
 
@@ -436,18 +350,12 @@ mod tests {
         let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = ensf_scheme(&cfg, dim);
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                analysis_faults: vec![AnalysisFault { cycle: 1, failures: 1 }],
-                ..FaultPlan::none()
-            },
-            ..Default::default()
-        };
-        let run =
-            run_supervised("retry", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
-        assert_eq!(run.counters.analysis_retries, 1);
-        assert_eq!(run.counters.analysis_fallbacks, 0);
-        assert_eq!(run.counters.degraded_cycles, 0);
+        let sup = supervised("retry", &cfg, analysis_faults(1, 1));
+        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        let counters = &run.checkpoint.counters;
+        assert_eq!(counters.analysis_retries, 1);
+        assert_eq!(counters.analysis_fallbacks, 0);
+        assert_eq!(counters.degraded_cycles, 0);
         assert!(run.cycles[1].events.iter().any(|e| e == "analysis_retry:1"));
     }
 
@@ -484,20 +392,12 @@ mod tests {
         let cfg = OsseConfig { obs_mask: track, ..tiny_config(4) };
         let nr = nature_run(&cfg);
         let dim = nr.truth[0].len();
-        let failing = |cycle, failures| ResilienceConfig {
-            plan: FaultPlan {
-                analysis_faults: vec![AnalysisFault { cycle, failures }],
-                ..FaultPlan::none()
-            },
-            ..Default::default()
-        };
         for failures in [0, 1, 2] {
             let mut model = SqgForecast::perfect(cfg.params.clone());
             let mut scheme = IndexLog { inner: ensf_scheme(&cfg, dim), indices: Vec::new() };
-            let res = failing(1, failures);
-            let run =
-                run_supervised("track", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
-            assert_eq!(run.counters.analysis_retries, failures as u64);
+            let sup = supervised("track", &cfg, analysis_faults(1, failures));
+            let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+            assert_eq!(run.checkpoint.counters.analysis_retries, failures as u64);
             let ck = &run.checkpoint;
             assert_eq!(ck.scheme_epoch, ck.cycle as u64, "{failures} retries");
             let mut want = vec![0, 1];
@@ -507,19 +407,13 @@ mod tests {
         }
 
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let letkf = LetkfScheme::with_obs(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_spec());
+        let letkf =
+            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_spec());
         let mut fallback = IndexLog { inner: letkf, indices: Vec::new() };
-        let run = run_supervised(
-            "rescue",
-            &cfg,
-            &failing(2, 9),
-            &nr,
-            &mut model,
-            &mut ensf_scheme(&cfg, dim),
-            Some(&mut fallback),
-        )
-        .unwrap();
-        assert_eq!(run.counters.analysis_fallbacks, 1);
+        let sup = supervised("rescue", &cfg, analysis_faults(2, 9));
+        let mut scheme = ensf_scheme(&cfg, dim);
+        let run = drive(&sup, &nr, &mut model, &mut scheme, Some(&mut fallback), None).unwrap();
+        assert_eq!(run.checkpoint.counters.analysis_fallbacks, 1);
         assert_eq!(fallback.indices, [2], "the rescue reads cycle 2's track");
         assert_eq!(run.checkpoint.scheme_epoch, 4);
     }
@@ -536,17 +430,13 @@ mod tests {
         let mut scheme = ensf_scheme(&cfg, dim);
         // Thin the already-masked batch at cycle 1: the guardrails (incl.
         // the masked obs-space divergence check) must keep the run finite.
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                obs_faults: vec![(1, ObsFault::Thin { stride: 3 })],
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let run =
-            run_supervised("masked", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
+        let faults =
+            FaultPlan { obs_faults: vec![(1, ObsFault::Thin { stride: 3 })], ..FaultPlan::none() };
+        let sup = supervised("masked", &cfg, faults);
+        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
         assert!(run.cycles[1].events.iter().any(|e| e == "obs_thinned:3"));
-        assert_eq!(run.counters.degraded_cycles, 0, "thinned masked batch still assimilates");
+        let degraded = run.checkpoint.counters.degraded_cycles;
+        assert_eq!(degraded, 0, "thinned masked batch still assimilates");
         assert!(run.series.rmse.iter().all(|r| r.is_finite()));
         assert!(!run.interrupted);
     }
@@ -560,42 +450,21 @@ mod tests {
         // Reference: uninterrupted supervised run.
         let mut m_ref = SqgForecast::perfect(cfg.params.clone());
         let mut s_ref = ensf_scheme(&cfg, dim);
-        let full = run_supervised(
-            "ref",
-            &cfg,
-            &ResilienceConfig::default(),
-            &nr,
-            &mut m_ref,
-            &mut s_ref,
-            None,
-        )
-        .unwrap();
+        let sup = supervised("ref", &cfg, FaultPlan::none());
+        let full = drive(&sup, &nr, &mut m_ref, &mut s_ref, None, None).unwrap();
 
         // Killed at cycle 3, then resumed from the in-memory checkpoint.
-        let res_kill = ResilienceConfig {
-            plan: FaultPlan { kill_after: Some(3), ..FaultPlan::none() },
-            ..Default::default()
-        };
+        let kill = FaultPlan { kill_after: Some(3), ..FaultPlan::none() };
         let mut m1 = SqgForecast::perfect(cfg.params.clone());
         let mut s1 = ensf_scheme(&cfg, dim);
         let killed =
-            run_supervised("kill", &cfg, &res_kill, &nr, &mut m1, &mut s1, None).unwrap();
+            drive(&supervised("kill", &cfg, kill), &nr, &mut m1, &mut s1, None, None).unwrap();
         assert!(killed.interrupted);
         assert_eq!(killed.checkpoint.cycle, 3);
 
         let mut m2 = SqgForecast::perfect(cfg.params.clone());
         let mut s2 = ensf_scheme(&cfg, dim);
-        let resumed = resume_supervised(
-            "resume",
-            &cfg,
-            &ResilienceConfig::default(),
-            &nr,
-            &mut m2,
-            &mut s2,
-            None,
-            killed.checkpoint,
-        )
-        .unwrap();
+        let resumed = drive(&sup, &nr, &mut m2, &mut s2, None, Some(killed.checkpoint)).unwrap();
         assert!(!resumed.interrupted);
         assert_eq!(resumed.series.rmse, full.series.rmse, "resume must be bit-identical");
         assert_eq!(resumed.series.spread, full.series.spread);
@@ -611,26 +480,60 @@ mod tests {
         let cfg = tiny_config(3);
         let nr = nature_run(&cfg);
         let dim = nr.truth[0].len();
-        let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
-        let ck = Checkpoint {
+        let good = Checkpoint {
             cycle: 1,
             state: LoopState::Healthy,
             scheme_epoch: 1,
             scheme_seed: 0,
-            ensemble: Ensemble::zeros(cfg.ens_size, dim + 1), // wrong dim
-            prev_mean: vec![0.0; dim + 1],
+            ensemble: Ensemble::zeros(cfg.ens_size, dim),
+            prev_mean: vec![0.0; dim],
             hours: vec![12.0],
             rmse: vec![0.1],
             spread: vec![0.1],
             counters: RecoveryCounters::default(),
             model_state: None,
         };
-        let err = resume_supervised(
-            "bad", &cfg, &ResilienceConfig::default(), &nr, &mut model, &mut scheme, None, ck,
-        )
-        .unwrap_err();
-        assert_eq!(err, OsseError::Checkpoint(CheckpointError::BadHeader));
+        let wrong_dim = Checkpoint {
+            ensemble: Ensemble::zeros(cfg.ens_size, dim + 1),
+            prev_mean: vec![0.0; dim + 1],
+            ..good.clone()
+        };
+        // One series point more than the completed cycles: a resume would
+        // cycle it into a longer series.
+        let longer_series = Checkpoint {
+            hours: vec![12.0, 999.0],
+            rmse: vec![0.1, 0.1],
+            spread: vec![0.1, 0.1],
+            ..good
+        };
+        let sup = supervised("bad", &cfg, FaultPlan::none());
+        for ck in [wrong_dim, longer_series] {
+            let mut model = SqgForecast::perfect(cfg.params.clone());
+            let mut scheme = ensf_scheme(&cfg, dim);
+            let err = drive(&sup, &nr, &mut model, &mut scheme, None, Some(ck)).unwrap_err();
+            assert_eq!(err, OsseError::Checkpoint(CheckpointError::BadHeader));
+        }
+    }
+
+    /// One process is a one-rank group whose rank leads: a plan that kills
+    /// or rejoins any rank is refused up front, not silently ignored.
+    #[test]
+    fn rank_faults_are_refused_on_one_process() {
+        let cfg = tiny_config(3);
+        let nr = nature_run(&cfg);
+        let kill = |rank| RankKill { cycle: 1, rank };
+        let rejoin = RankRejoin { cycle: 2, rank: 1 };
+        let scripts = [
+            (FaultPlan { rank_kills: vec![kill(1)], ..FaultPlan::none() }, 1),
+            (FaultPlan { rank_kills: vec![kill(0)], ..FaultPlan::none() }, 0),
+            (FaultPlan { rank_rejoins: vec![rejoin], ..FaultPlan::none() }, 1),
+        ];
+        for (faults, rank) in scripts {
+            let mut model = SqgForecast::perfect(cfg.params.clone());
+            let run = Run { faults, ..Run::new("ranks", cfg.clone()) };
+            let err = drive(&run, &nr, &mut model, &mut NoAssimilation, None, None).unwrap_err();
+            assert_eq!(err, OsseError::RankOutsideGroup { rank, world: 1 });
+        }
     }
 
     #[test]
@@ -640,22 +543,16 @@ mod tests {
         let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = ensf_scheme(&cfg, dim);
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                obs_faults: vec![
-                    (0, super::super::fault::ObsFault::Drop),
-                    (1, super::super::fault::ObsFault::Delay { by: 1 }),
-                ],
-                ..Default::default()
-            },
-            ..Default::default()
+        let faults = FaultPlan {
+            obs_faults: vec![(0, ObsFault::Drop), (1, ObsFault::Delay { by: 1 })],
+            ..FaultPlan::none()
         };
-        let run =
-            run_supervised("obs-late", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
+        let sup = supervised("obs-late", &cfg, faults);
+        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
         // Both faulted cycles degrade to forecast-only; the delayed batch
         // arrives stale one cycle later and is discarded, never assimilated.
-        assert_eq!(run.counters.degraded_cycles, 2);
-        assert_eq!(run.counters.stale_obs_discarded, 1);
+        assert_eq!(run.checkpoint.counters.degraded_cycles, 2);
+        assert_eq!(run.checkpoint.counters.stale_obs_discarded, 1);
         assert!(run.cycles[0].events.iter().any(|e| e == "obs_dropped"));
         assert!(run.cycles[1].events.iter().any(|e| e == "obs_delayed:1"));
         assert!(run.cycles[2].events.iter().any(|e| e == "stale_obs_discarded"));
@@ -671,18 +568,13 @@ mod tests {
         let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let mut scheme = ensf_scheme(&cfg, dim);
-        let res = ResilienceConfig {
-            plan: FaultPlan {
-                obs_faults: vec![(1, super::super::fault::ObsFault::Thin { stride: 4 })],
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let run =
-            run_supervised("obs-thin", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
+        let faults =
+            FaultPlan { obs_faults: vec![(1, ObsFault::Thin { stride: 4 })], ..FaultPlan::none() };
+        let sup = supervised("obs-thin", &cfg, faults);
+        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
         // A thinned batch is degraded data, not a degraded cycle: the
         // analysis still runs on the surviving network.
-        assert_eq!(run.counters.degraded_cycles, 0);
+        assert_eq!(run.checkpoint.counters.degraded_cycles, 0);
         assert!(run.cycles[1].events.iter().any(|e| e == "obs_thinned:4"));
         assert_eq!(run.series.rmse.len(), 3);
         assert!(run.series.rmse.iter().all(|r| r.is_finite()));

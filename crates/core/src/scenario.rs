@@ -10,9 +10,10 @@
 //! `scenario_suite` bench bin drives the full matrix into
 //! `BENCH_scenarios.json`.
 
+use crate::cycle::{run_cycles, ProcessGroup, Run};
 use crate::forecast::SqgForecast;
 use crate::inpaint::Completion;
-use crate::osse::{nature_run, run_observed, MaskKind, ObsOperatorKind, OsseConfig};
+use crate::osse::{nature_run, MaskKind, NatureRun, ObsOperatorKind, OsseConfig};
 use crate::traits::{AnalysisScheme, EnsfScheme, LetkfScheme};
 
 /// One named observing-network scenario.
@@ -133,6 +134,23 @@ fn split_rmse(mean: &[f64], truth: &[f64], observed: &[usize]) -> (f64, f64) {
     (rmse(so, no), rmse(su, nu))
 }
 
+/// One process that reads every completed cycle's observed/unobserved
+/// RMSE split and analysis wall seconds.
+struct SplitReader<'a> {
+    mask: MaskKind,
+    nature: &'a NatureRun,
+    per_cycle: Vec<(f64, f64)>,
+    analysis_secs: f64,
+}
+
+impl ProcessGroup for SplitReader<'_> {
+    fn completed(&mut self, cycle: usize, mean: &[f64], analysis_secs: f64) {
+        self.analysis_secs += analysis_secs;
+        let observed = self.mask.observed_indices(mean.len(), cycle as u64);
+        self.per_cycle.push(split_rmse(mean, &self.nature.truth[cycle + 1], &observed));
+    }
+}
+
 /// Runs one scenario with one method over a fresh nature run, returning
 /// the steady-state observed/unobserved RMSE split and the cumulative
 /// analysis latency. `base` supplies the grid, cycle count, noise levels
@@ -176,22 +194,23 @@ pub fn run_scenario(
         )),
     };
 
-    // The plain face of the cycle loop, read cycle by cycle for the
-    // observed/unobserved split and the analysis wall time.
+    // The plain run, read cycle by cycle for the observed/unobserved split
+    // and the analysis wall time.
     let mut model = SqgForecast::perfect(config.params.clone());
-    let mut per_cycle: Vec<(f64, f64)> = Vec::with_capacity(config.cycles);
-    let mut analysis_secs = 0.0;
-    let mut read = |cycle: usize, mean: &[f64], secs: f64| {
-        analysis_secs += secs;
-        let observed = spec.mask.observed_indices(dim, cycle as u64);
-        per_cycle.push(split_rmse(mean, &nature.truth[cycle + 1], &observed));
+    let mut reader = SplitReader {
+        mask: spec.mask,
+        nature: &nature,
+        per_cycle: Vec::with_capacity(config.cycles),
+        analysis_secs: 0.0,
     };
-    let series = run_observed(spec.name, &config, &nature, &mut model, scheme.as_mut(), &mut read)
-        .expect("the scenario's own nature run fits its configuration");
+    let run = Run::new(spec.name, config.clone());
+    let series = run_cycles(&run, &nature, &mut model, scheme.as_mut(), None, &mut reader, None)
+        .expect("the scenario's own nature run fits its configuration")
+        .series;
 
     // Steady state: mean over the last half of the cycles (the convention
     // of `CycleSeries::steady_rmse`).
-    let tail = &per_cycle[per_cycle.len() / 2..];
+    let tail = &reader.per_cycle[reader.per_cycle.len() / 2..];
     let n = tail.len().max(1) as f64;
     ScenarioResult {
         scenario: spec.name,
@@ -199,7 +218,7 @@ pub fn run_scenario(
         rmse_observed: tail.iter().map(|r| r.0).sum::<f64>() / n,
         rmse_unobserved: tail.iter().map(|r| r.1).sum::<f64>() / n,
         rmse_total: series.steady_rmse(),
-        analysis_secs,
+        analysis_secs: reader.analysis_secs,
         cycles: config.cycles,
     }
 }

@@ -442,12 +442,10 @@ mod tests {
     /// surfaces as `ModelStateRejected`.
     #[test]
     fn resume_into_a_fresh_surrogate_is_bitwise() {
+        use crate::cycle::{run_cycles, Run, SingleProcess};
         use crate::inpaint::Completion;
         use crate::osse::{nature_run, OsseConfig};
-        use crate::resilience::{
-            resume_supervised, run_supervised, Checkpoint, CheckpointError, FaultPlan,
-            ResilienceConfig,
-        };
+        use crate::resilience::{Checkpoint, CheckpointError, FaultPlan, HealthPolicy};
         use crate::traits::EnsfScheme;
         use crate::OsseError;
 
@@ -473,22 +471,17 @@ mod tests {
             sur.pretrain(&pairs, 2);
             sur
         };
-        let res = ResilienceConfig::default();
-        let full =
-            run_supervised("ref", &cfg, &res, &nr, &mut pretrained(), &mut scheme(), None)
-                .unwrap();
-        let kill = ResilienceConfig {
-            plan: FaultPlan { kill_after: Some(2), ..FaultPlan::none() },
-            ..Default::default()
+        let health = Some(HealthPolicy::for_obs_sigma(cfg.obs_sigma));
+        let run = Run { health, ..Run::new("ref", cfg.clone()) };
+        let drive = |run: &Run, model: &mut VitSurrogate, resume| {
+            run_cycles(run, &nr, model, &mut scheme(), None, &mut SingleProcess, resume)
         };
-        let killed =
-            run_supervised("kill", &cfg, &kill, &nr, &mut pretrained(), &mut scheme(), None)
-                .unwrap();
+        let full = drive(&run, &mut pretrained(), None).unwrap();
+        let kill = FaultPlan { kill_after: Some(2), ..FaultPlan::none() };
+        let killed = drive(&Run { faults: kill, ..run.clone() }, &mut pretrained(), None).unwrap();
         assert!(killed.interrupted);
         let ck = Checkpoint::from_bytes(&killed.checkpoint.to_bytes()).unwrap();
-        let resume = |ck: Checkpoint| {
-            resume_supervised("resume", &cfg, &res, &nr, &mut tiny(77), &mut scheme(), None, ck)
-        };
+        let resume = |ck: Checkpoint| drive(&run, &mut tiny(77), Some(ck));
 
         let resumed = resume(ck.clone()).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

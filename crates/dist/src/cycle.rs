@@ -12,13 +12,15 @@
 //! (RMSE, spread) are computed redundantly on every rank from identical
 //! bytes, which keeps them trivially consistent.
 //!
-//! The loop is `da_core::cycle::run_cycles`; [`crate::elastic`] fills its
-//! slots for one rank, and this module is that driver with nothing
-//! scripted.
+//! The loop is `da_core::cycle::run_cycles`, and [`crate::run_sharded`]
+//! fills its slots on every rank. This module keeps the one-rank face the
+//! benchmark adapter names: [`run_dist_experiment`] is that driver's
+//! per-rank body with nothing scripted.
 
 use crate::analysis::{CommSpec, CommStats};
-use crate::elastic::{run_elastic_from, run_elastic_osse, ElasticCycleConfig, ElasticRunResult};
+use crate::elastic::{run_rank, Sharding};
 use crate::DistError;
+use da_core::cycle::Run;
 use da_core::osse::{CycleSeries, NatureRun, OsseConfig};
 use ensf::{EnsfConfig, ObsSpec};
 use hpc::mpi::Comm;
@@ -27,7 +29,9 @@ use stats::Ensemble;
 /// Default of [`DistCycleConfig::tile`].
 pub const DEFAULT_TILE: usize = 64;
 
-/// Configuration of one distributed OSSE experiment.
+/// Configuration of one distributed OSSE experiment, as the benchmark
+/// adapter names it: a [`Run::new`] plus a [`Sharding`] with nothing
+/// scripted, which is what everything else writes.
 #[derive(Debug, Clone)]
 pub struct DistCycleConfig {
     /// Twin-experiment setup (grid, cycles, observation noise, ensemble).
@@ -64,7 +68,8 @@ pub fn dist_obs_for(osse: &OsseConfig) -> ObsSpec {
     osse.obs_spec()
 }
 
-/// Result of one distributed experiment (identical on every rank).
+/// Result of [`run_dist_experiment`] (identical on every rank): the parts
+/// of a [`crate::ShardedRun`] the benchmark adapter reads.
 #[derive(Debug, Clone)]
 pub struct DistRunResult {
     /// Per-cycle verification series (same shape as the serial harness).
@@ -78,25 +83,13 @@ pub struct DistRunResult {
     pub stats: CommStats,
 }
 
-impl DistRunResult {
-    /// The fault-free view of an elastic run on a `ranks`-rank group.
-    fn from_elastic(run: ElasticRunResult, ranks: usize) -> Self {
-        DistRunResult {
-            series: CycleSeries { label: format!("dist-ensf@{ranks}r"), ..run.series },
-            cycle_means: run.cycle_means.into_iter().map(|(_, mean)| mean).collect(),
-            ensemble: run.ensemble,
-            stats: run.stats,
-        }
-    }
-}
-
-/// Runs one distributed OSSE experiment on this rank's slice of the world:
-/// the elastic driver ([`run_elastic_from`]) with no faults, stragglers,
-/// deadline or checkpointing scripted.
+/// Runs one distributed OSSE experiment on this rank's slice of the
+/// world: one rank's part of [`crate::run_sharded`] with nothing scripted,
+/// labelled `dist-ensf@{ranks}r`. Kept for the benchmark adapter, which
+/// names it; everything else calls [`crate::run_sharded`].
 ///
 /// Every rank receives the same configuration and nature run and returns
-/// the same [`DistRunResult`] (bar [`CommStats`], which is per-rank) — the
-/// replicated-state contract that [`run_osse`] asserts.
+/// the same [`DistRunResult`] (bar [`CommStats`], which is per-rank).
 ///
 /// # Errors
 /// [`DistError::Config`] when the nature run is too short or disagrees
@@ -107,63 +100,64 @@ pub fn run_dist_experiment(
     config: &DistCycleConfig,
     nature: &NatureRun,
 ) -> Result<DistRunResult, DistError> {
-    let run = run_elastic_from(comm, &ElasticCycleConfig::clean(config.clone()), nature, None)?;
-    Ok(DistRunResult::from_elastic(run, comm.size()))
-}
-
-/// Convenience driver: [`run_elastic_osse`] with nothing scripted — the
-/// nature run, `ranks` simulated MPI ranks, the distributed experiment on
-/// each, and rank 0's result after asserting the replicated-state contract.
-///
-/// # Errors
-/// Propagates the (identical) per-rank [`DistError`].
-///
-/// # Panics
-/// Panics if the ranks disagree on the analysis trajectory — a broken
-/// internal invariant, not a user error.
-pub fn run_osse(config: &DistCycleConfig, ranks: usize) -> Result<DistRunResult, DistError> {
-    let run = run_elastic_osse(&ElasticCycleConfig::clean(config.clone()), ranks)?;
-    Ok(DistRunResult::from_elastic(run, ranks))
+    let run = Run::new(format!("dist-ensf@{}r", comm.size()), config.osse.clone());
+    let sharding =
+        Sharding { ensf: config.ensf.clone(), network: config.comm.clone(), ..Default::default() };
+    let sharded = run_rank(comm, &run, &sharding, nature, None)?;
+    Ok(DistRunResult {
+        series: sharded.run.series,
+        cycle_means: sharded.cycle_means.into_iter().map(|(_, mean)| mean).collect(),
+        ensemble: sharded.run.checkpoint.ensemble,
+        stats: sharded.stats,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_sharded, ShardedRun};
     use da_core::osse::nature_run;
     use hpc::mpi::run_world;
     use sqg::SqgParams;
 
     /// Reduced grid (d = 512, 8 members): fast enough for unit tests.
-    fn tiny_config(cycles: usize) -> DistCycleConfig {
-        DistCycleConfig {
-            osse: OsseConfig {
-                params: SqgParams { n: 16, ..Default::default() },
-                cycles,
-                obs_sigma: 0.005,
-                ens_size: 8,
-                ic_sigma: 0.01,
-                spinup_steps: 40,
-                seed: 3,
-                ..Default::default()
-            },
-            ensf: EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
+    fn tiny(cycles: usize) -> (Run, Sharding) {
+        let osse = OsseConfig {
+            params: SqgParams { n: 16, ..Default::default() },
+            cycles,
+            obs_sigma: 0.005,
+            ens_size: 8,
+            ic_sigma: 0.01,
+            spinup_steps: 40,
+            seed: 3,
             ..Default::default()
+        };
+        let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
+        (Run::new("tiny", osse), Sharding { ensf, ..Default::default() })
+    }
+
+    fn sharded(run: &Run, sharding: &Sharding, ranks: usize) -> ShardedRun {
+        run_sharded(run, sharding, ranks, &nature_run(&run.osse), None).unwrap()
+    }
+
+    fn assert_rank_invariant(run: &Run, sharding: &Sharding, what: &str) {
+        let one = sharded(run, sharding, 1);
+        for ranks in [2, 4] {
+            let many = sharded(run, sharding, ranks);
+            for ((c, a), (_, b)) in one.cycle_means.iter().zip(&many.cycle_means) {
+                let bits_a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+                let bits_b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits_a, bits_b, "{what}cycle {c} diverged at {ranks} ranks");
+            }
+            let ensemble = |r: &ShardedRun| r.run.checkpoint.ensemble.as_slice().to_vec();
+            assert_eq!(ensemble(&one), ensemble(&many));
         }
     }
 
     #[test]
     fn cycling_is_bitwise_identical_across_rank_counts() {
-        let config = tiny_config(2);
-        let one = run_osse(&config, 1).unwrap();
-        for ranks in [2, 4] {
-            let many = run_osse(&config, ranks).unwrap();
-            for (c, (a, b)) in one.cycle_means.iter().zip(&many.cycle_means).enumerate() {
-                let bits_a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                let bits_b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits_a, bits_b, "cycle {c} diverged at {ranks} ranks");
-            }
-            assert_eq!(one.ensemble.as_slice(), many.ensemble.as_slice());
-        }
+        let (run, sharding) = tiny(2);
+        assert_rank_invariant(&run, &sharding, "");
     }
 
     #[test]
@@ -171,49 +165,40 @@ mod tests {
         // 25% contiguous outage spanning the top of level 0 and the bottom
         // of level 1; the shrunk observation vector must not leak any
         // rank-count dependence into the bits.
-        let mut config = tiny_config(2);
-        config.osse.obs_mask = da_core::MaskKind::Block { start: 192, len: 128 };
-        let one = run_osse(&config, 1).unwrap();
-        for ranks in [2, 4] {
-            let many = run_osse(&config, ranks).unwrap();
-            for (c, (a, b)) in one.cycle_means.iter().zip(&many.cycle_means).enumerate() {
-                let bits_a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                let bits_b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits_a, bits_b, "masked cycle {c} diverged at {ranks} ranks");
-            }
-            assert_eq!(one.ensemble.as_slice(), many.ensemble.as_slice());
-        }
+        let (mut run, sharding) = tiny(2);
+        run.osse.obs_mask = da_core::MaskKind::Block { start: 192, len: 128 };
+        assert_rank_invariant(&run, &sharding, "masked ");
     }
 
     #[test]
     fn moving_track_mask_cycles_across_ranks() {
         // The satellite track advances each cycle, so consecutive cycles
         // see different observed windows (and observation lengths).
-        let mut config = tiny_config(3);
-        config.osse.obs_mask = da_core::MaskKind::Track { width: 256, speed: 40 };
-        let one = run_osse(&config, 1).unwrap();
-        let four = run_osse(&config, 4).unwrap();
+        let (mut run, sharding) = tiny(3);
+        run.osse.obs_mask = da_core::MaskKind::Track { width: 256, speed: 40 };
+        let one = sharded(&run, &sharding, 1);
+        let four = sharded(&run, &sharding, 4);
         assert_eq!(one.cycle_means, four.cycle_means);
-        assert!(one.series.rmse.iter().all(|r| r.is_finite()));
+        assert!(one.run.series.rmse.iter().all(|r| r.is_finite()));
     }
 
     #[test]
     fn assimilation_tracks_truth() {
-        let config = tiny_config(4);
-        let result = run_osse(&config, 2).unwrap();
-        assert_eq!(result.series.rmse.len(), 4);
-        assert!(result.series.rmse.iter().all(|r| r.is_finite()));
+        let (run, sharding) = tiny(4);
+        let result = sharded(&run, &sharding, 2);
+        assert_eq!(result.run.series.rmse.len(), 4);
+        assert!(result.run.series.rmse.iter().all(|r| r.is_finite()));
         // With tight observations the analysis stays near the truth
         // (free-running forecasts drift to O(climatology) errors).
-        let last = *result.series.rmse.last().unwrap();
+        let last = *result.run.series.rmse.last().unwrap();
         assert!(last < 0.05, "distributed DA lost the truth: RMSE {last}");
     }
 
     #[test]
     fn comm_spec_prices_cycling_collectives() {
-        let mut config = tiny_config(1);
-        config.comm = Some(CommSpec::clean(2));
-        let result = run_osse(&config, 2).unwrap();
+        let (run, mut sharding) = tiny(1);
+        sharding.network = Some(CommSpec::clean(2));
+        let result = sharded(&run, &sharding, 2);
         // A member-block and a particle-block gather per cycle, whatever
         // the step count.
         assert_eq!(result.stats.collectives, 2);
@@ -223,21 +208,22 @@ mod tests {
 
     #[test]
     fn config_errors_are_reported_not_fatal() {
-        let mut config = tiny_config(1);
-        config.osse.cycles = 99; // nature run generated for 99, then truncated
+        let (mut run, sharding) = tiny(1);
+        run.osse.cycles = 99; // nature run generated for 1 cycle, then truncated
         let nature = {
-            let mut n = nature_run(&tiny_config(1).osse);
+            let mut n = nature_run(&tiny(1).0.osse);
             n.observations.clear();
             n
         };
-        let errs = run_world(1, |comm| run_dist_experiment(comm, &config, &nature).unwrap_err());
+        let rank = |comm: &Comm| run_rank(comm, &run, &sharding, &nature, None).unwrap_err();
+        let errs = run_world(1, rank);
         assert!(matches!(&errs[0], DistError::Config(_)));
 
         // Enough observations but too few truth states to verify against.
-        let config = tiny_config(2);
-        let mut nature = nature_run(&config.osse);
+        let (run, sharding) = tiny(2);
+        let mut nature = nature_run(&run.osse);
         nature.truth.truncate(2);
-        let errs = run_world(2, |comm| run_dist_experiment(comm, &config, &nature).unwrap_err());
+        let errs = run_world(2, |comm| run_rank(comm, &run, &sharding, &nature, None).unwrap_err());
         assert!(errs.iter().all(|e| matches!(e, DistError::Config(_))), "{errs:?}");
     }
 }

@@ -12,9 +12,10 @@
 //!
 //! ## Determinism contract
 //!
-//! For a fixed configuration the sharded experiment is the *serial* one —
-//! `da_core::osse::run_experiment` with `da_core::EnsfScheme`, on a full
-//! or a partial observation network — **bit for bit at every rank count**,
+//! For a fixed `da_core::cycle::Run` the sharded run ([`run_sharded`]) is
+//! the *serial* one — `da_core::cycle::run_cycles` with
+//! `da_core::EnsfScheme`, on a full or a partial observation network —
+//! **bit for bit at every rank count**,
 //! including more ranks than members (`tests/dist_determinism.rs` at the workspace
 //! root proves it at 1/2/4/8 ranks). Two ingredients:
 //!
@@ -47,13 +48,16 @@
 //! * `forecast` (private) — the member-sharded forecast: this rank's
 //!   member block on its own thread, one gather, and a fallback to the
 //!   replicated forecast when a peer is missing from it.
-//! * [`elastic`] — one rank's slots for `da_core::cycle::run_cycles`: the
+//! * [`elastic`] — the sharded driver, [`run_sharded`]: one
+//!   `da_core::cycle::Run` plus a [`Sharding`] on every rank of a world,
+//!   each rank's slots for `da_core::cycle::run_cycles` being the
 //!   member-sharded forecast as its model, the sharded analysis as its
 //!   scheme (ULFM-style shrink on rank death) and, at a deadline's reduced
-//!   step count, its fallback, the rank's membership as its process group
-//!   ([`run_elastic_experiment`], [`run_elastic_osse`]).
-//! * [`cycle`] — the same with nothing scripted ([`run_dist_experiment`],
-//!   [`run_osse`]).
+//!   step count, its fallback, and the rank's membership as its process
+//!   group.
+//! * [`cycle`] — the benchmark adapter's one-rank face,
+//!   [`run_dist_experiment`]: one rank's part of [`run_sharded`] with
+//!   nothing scripted.
 //! * [`mod@bench`] — per-rank block timing behind the `scaling_suite` bench
 //!   bin.
 //! * [`shard`] — the state-block geometry of [`dist_analyze`]'s
@@ -70,12 +74,8 @@ pub mod shard;
 
 pub use analysis::{dist_analyze, CommSpec, CommStats};
 pub use bench::{measure_analysis, ScalingMeasurement};
-pub use cycle::{dist_obs_for, run_dist_experiment, run_osse, DistCycleConfig, DistRunResult};
-pub use elastic::{
-    modeled_analysis_secs, run_elastic_experiment, run_elastic_from, run_elastic_osse,
-    run_elastic_osse_from, DeadlinePolicy, ElasticCounters, ElasticCycleConfig,
-    ElasticOutcome, ElasticRunResult,
-};
+pub use cycle::{dist_obs_for, run_dist_experiment, DistCycleConfig, DistRunResult};
+pub use elastic::{modeled_analysis_secs, run_sharded, ElasticCounters, Sharding, ShardedRun};
 pub use shard::ShardPlan;
 
 /// Why a distributed experiment could not complete.
@@ -84,7 +84,7 @@ pub enum DistError {
     /// A live MPI collective failed typed — a peer died mid-operation or
     /// revoked the epoch. The elastic runtime ([`elastic`]) catches this,
     /// shrinks the group, and retries; it is fatal only when every rank is
-    /// gone or the error escapes a non-elastic driver.
+    /// gone.
     Mpi(hpc::MpiError),
     /// The configuration and nature run disagree (dimension mismatch,
     /// too-short nature run, invalid filter settings).

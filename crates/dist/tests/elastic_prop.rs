@@ -13,9 +13,10 @@
 //! 2. resuming from it at `R'` ranks reproduces the uninterrupted
 //!    reference trajectory bit for bit.
 
-use da_core::osse::OsseConfig;
+use da_core::cycle::Run;
+use da_core::osse::{nature_run, NatureRun, OsseConfig};
 use da_core::resilience::{Checkpoint, CheckpointConfig};
-use dist::{run_elastic_osse, run_elastic_osse_from, DistCycleConfig, ElasticCycleConfig};
+use dist::{run_sharded, Sharding};
 use ensf::EnsfConfig;
 use proptest::prelude::*;
 use sqg::SqgParams;
@@ -26,22 +27,30 @@ const SPLIT: usize = 2;
 /// Total cycles of the resumed experiment.
 const TOTAL: usize = 4;
 
-/// Reduced grid (`d = 512`, 8 tiles of 64), mirroring the elastic tests.
-fn elastic_config(cycles: usize) -> ElasticCycleConfig {
-    ElasticCycleConfig::clean(DistCycleConfig {
-        osse: OsseConfig {
-            params: SqgParams { n: 16, ..Default::default() },
-            cycles,
-            obs_sigma: 0.005,
-            ens_size: 8,
-            ic_sigma: 0.01,
-            spinup_steps: 40,
-            seed: 3,
-            ..Default::default()
-        },
-        ensf: EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
+/// Reduced grid (`d = 512`, 8 members), mirroring the elastic tests.
+fn elastic_run(cycles: usize) -> Run {
+    let osse = OsseConfig {
+        params: SqgParams { n: 16, ..Default::default() },
+        cycles,
+        obs_sigma: 0.005,
+        ens_size: 8,
+        ic_sigma: 0.01,
+        spinup_steps: 40,
+        seed: 3,
         ..Default::default()
-    })
+    };
+    Run::new("elastic-prop", osse)
+}
+
+fn sharding() -> Sharding {
+    let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
+    Sharding { ensf, ..Default::default() }
+}
+
+/// The nature run of the full experiment (the prefix runs on its start).
+fn nature() -> &'static NatureRun {
+    static NATURE: OnceLock<NatureRun> = OnceLock::new();
+    NATURE.get_or_init(|| nature_run(&elastic_run(TOTAL).osse))
 }
 
 /// `(cycle, mean-bits)` pairs plus the final ensemble bits.
@@ -51,13 +60,13 @@ type ReferenceBits = (Vec<(usize, Vec<u64>)>, Vec<u64>);
 fn reference() -> &'static ReferenceBits {
     static REF: OnceLock<ReferenceBits> = OnceLock::new();
     REF.get_or_init(|| {
-        let full = run_elastic_osse(&elastic_config(TOTAL), 1).unwrap();
+        let full = run_sharded(&elastic_run(TOTAL), &sharding(), 1, nature(), None).unwrap();
         let means = full
             .cycle_means
             .iter()
             .map(|(c, m)| (*c, m.iter().map(|v| v.to_bits()).collect()))
             .collect();
-        let ens = full.ensemble.as_slice().iter().map(|v| v.to_bits()).collect();
+        let ens = full.run.checkpoint.ensemble.as_slice().iter().map(|v| v.to_bits()).collect();
         (means, ens)
     })
 }
@@ -79,9 +88,9 @@ proptest! {
             "sqg_da_elastic_prop_{}_{r_write}_{r_read}.ckpt",
             std::process::id()
         ));
-        let mut prefix = elastic_config(SPLIT);
+        let mut prefix = elastic_run(SPLIT);
         prefix.checkpoint = Some(CheckpointConfig { path: path.clone(), every: SPLIT });
-        run_elastic_osse(&prefix, r_write).unwrap();
+        run_sharded(&prefix, &sharding(), r_write, nature(), None).unwrap();
 
         let bytes = std::fs::read(&path).expect("prefix run wrote the checkpoint");
         let ck = Checkpoint::load(&path).expect("checkpoint parses");
@@ -103,7 +112,8 @@ proptest! {
         }
 
         // Claim 2: the resumed tail is bitwise the reference trajectory.
-        let resumed = run_elastic_osse_from(&elastic_config(TOTAL), r_read, &ck).unwrap();
+        let resumed =
+            run_sharded(&elastic_run(TOTAL), &sharding(), r_read, nature(), Some(&ck)).unwrap();
         let (ref_means, ref_ens) = reference();
         prop_assert_eq!(resumed.cycle_means.len(), TOTAL - SPLIT);
         for (cycle, mean) in &resumed.cycle_means {
@@ -120,7 +130,7 @@ proptest! {
             );
         }
         let ens_bits: Vec<u64> =
-            resumed.ensemble.as_slice().iter().map(|v| v.to_bits()).collect();
+            resumed.run.checkpoint.ensemble.as_slice().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(&ens_bits, ref_ens, "final ensemble diverged");
     }
 }

@@ -12,7 +12,8 @@
 //! drifting real atmosphere.
 
 use sqg_da::da_core::experiments::{pretrain_surrogate, ComparisonConfig};
-use sqg_da::da_core::osse::{nature_run, run_experiment};
+use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
+use sqg_da::da_core::osse::nature_run;
 use sqg_da::da_core::{Completion, EnsfScheme};
 use sqg_da::ensf::EnsfConfig;
 
@@ -40,8 +41,10 @@ fn main() {
             config.osse.obs_spec(),
             Completion::Inpaint,
         );
-        run_experiment(label, &config.osse, &nature, &mut surrogate, &mut scheme)
+        let run = Run::new(label, config.osse.clone());
+        run_cycles(&run, &nature, &mut surrogate, &mut scheme, None, &mut SingleProcess, None)
             .expect("online-surrogate OSSE is well-formed")
+            .series
     };
 
     let frozen = run("ViT+EnSF (frozen)", 0);

@@ -14,7 +14,8 @@
 //! update. Sweeping the coverage shows how each filter's skill decays as
 //! observations are withdrawn.
 
-use sqg_da::da_core::osse::{nature_run, run_experiment, MaskKind, OsseConfig};
+use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
+use sqg_da::da_core::osse::{nature_run, MaskKind, OsseConfig};
 use sqg_da::da_core::{Completion, EnsfScheme, LetkfScheme, SqgForecast};
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::letkf::LetkfConfig;
@@ -49,9 +50,13 @@ fn main() {
             &cfg.params,
             cfg.obs_spec(),
         );
-        let letkf =
-            run_experiment("letkf", &cfg, &nature, &mut letkf_model, &mut letkf_scheme)
-                .expect("sparse-network OSSE is well-formed");
+        let run = |label: &str, model, scheme| {
+            let run = Run::new(label, cfg.clone());
+            run_cycles(&run, &nature, model, scheme, None, &mut SingleProcess, None)
+                .expect("sparse-network OSSE is well-formed")
+                .series
+        };
+        let letkf = run("letkf", &mut letkf_model, &mut letkf_scheme);
 
         let mut ensf_model = SqgForecast::perfect(cfg.params.clone());
         let mut ensf_scheme = EnsfScheme::with_obs(
@@ -60,8 +65,7 @@ fn main() {
             cfg.obs_spec(),
             Completion::Inpaint,
         );
-        let ensf = run_experiment("ensf", &cfg, &nature, &mut ensf_model, &mut ensf_scheme)
-            .expect("sparse-network OSSE is well-formed");
+        let ensf = run("ensf", &mut ensf_model, &mut ensf_scheme);
 
         println!(
             "{:>8} {:>9.0}% {:>14.5} {:>14.5}",

@@ -5,13 +5,13 @@
 //! checkpoint → kill → restore round trip through a real file that must
 //! be bit-identical, and a corrupted checkpoint that must be rejected.
 
-use sqg_da::da_core::osse::{nature_run, run_experiment, OsseConfig};
-use sqg_da::da_core::AnalysisScheme;
+use sqg_da::da_core::cycle::{run_cycles, Run, RunResult, SingleProcess};
+use sqg_da::da_core::osse::{nature_run, NatureRun, OsseConfig};
 use sqg_da::da_core::resilience::{
-    resume_supervised, run_supervised, AnalysisFault, Checkpoint, CheckpointConfig,
-    CheckpointError, FaultPlan, HealthPolicy, LoopState, MemberFault, MemberFaultKind,
-    ObsFault, ResilienceConfig,
+    AnalysisFault, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, HealthPolicy,
+    LoopState, MemberFault, MemberFaultKind, ObsFault,
 };
+use sqg_da::da_core::{AnalysisScheme, ForecastModel};
 use sqg_da::da_core::{Completion, EnsfScheme, LetkfScheme, NoAssimilation, SqgForecast};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
@@ -45,6 +45,43 @@ fn chaos_config(cycles: usize, seed: u64) -> OsseConfig {
     }
 }
 
+/// `cfg` under `faults`, supervised by the guardrails scaled to its
+/// observation error.
+fn supervised(label: &str, cfg: &OsseConfig, faults: FaultPlan) -> Run {
+    let health = Some(HealthPolicy::for_obs_sigma(cfg.obs_sigma));
+    Run { health, faults, ..Run::new(label, cfg.clone()) }
+}
+
+/// `cfg` under `faults` with the spread floor loosened: EnSF's equilibrium
+/// spread at this scale sits near the default 0.1σ floor, so only
+/// scripted faults trip guardrails.
+fn chaos_run(label: &str, cfg: &OsseConfig, faults: FaultPlan) -> Run {
+    let health = Some(HealthPolicy {
+        spread_floor: 0.02 * cfg.obs_sigma,
+        ..HealthPolicy::for_obs_sigma(cfg.obs_sigma)
+    });
+    Run { health, faults, ..Run::new(label, cfg.clone()) }
+}
+
+/// `run` on one process.
+fn drive(
+    run: &Run,
+    nature: &NatureRun,
+    model: &mut dyn ForecastModel,
+    scheme: &mut dyn AnalysisScheme,
+    fallback: Option<&mut dyn AnalysisScheme>,
+    resume: Option<Checkpoint>,
+) -> RunResult {
+    run_cycles(run, nature, model, scheme, fallback, &mut SingleProcess, resume).unwrap()
+}
+
+/// The free (no-DA) run of `cfg`: its series.
+fn free_run(cfg: &OsseConfig, nature: &NatureRun) -> sqg_da::da_core::osse::CycleSeries {
+    let mut model = SqgForecast::perfect(cfg.params.clone());
+    drive(&Run::new("free", cfg.clone()), nature, &mut model, &mut NoAssimilation, None, None)
+        .series
+}
+
 fn ensf_scheme(cfg: &OsseConfig, dim: usize) -> EnsfScheme {
     EnsfScheme::with_obs(
         EnsfConfig { n_steps: 20, seed: cfg.seed ^ 0xE45F, ..Default::default() },
@@ -66,40 +103,23 @@ fn chaos_run_completes_and_beats_free_run() {
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
 
-    let res = ResilienceConfig {
-        plan: FaultPlan {
-            member_faults: vec![
-                MemberFault { cycle: 2, member: 3, kind: MemberFaultKind::Nan },
-                MemberFault { cycle: 2, member: 7, kind: MemberFaultKind::Nan },
-                MemberFault { cycle: 9, member: 1, kind: MemberFaultKind::Corrupt { scale: 1e9 } },
-            ],
-            obs_faults: vec![(4, ObsFault::Drop), (11, ObsFault::Thin { stride: 4 })],
-            analysis_faults: vec![AnalysisFault { cycle: 6, failures: 9 }],
-            ..FaultPlan::none()
-        },
-        // EnSF's equilibrium spread at this scale sits near the default
-        // 0.1σ floor; loosen it so only scripted faults trip guardrails.
-        health: Some(HealthPolicy {
-            spread_floor: 0.02 * cfg.obs_sigma,
-            ..HealthPolicy::for_obs_sigma(cfg.obs_sigma)
-        }),
-        ..Default::default()
+    let faults = FaultPlan {
+        member_faults: vec![
+            MemberFault { cycle: 2, member: 3, kind: MemberFaultKind::Nan },
+            MemberFault { cycle: 2, member: 7, kind: MemberFaultKind::Nan },
+            MemberFault { cycle: 9, member: 1, kind: MemberFaultKind::Corrupt { scale: 1e9 } },
+        ],
+        obs_faults: vec![(4, ObsFault::Drop), (11, ObsFault::Thin { stride: 4 })],
+        analysis_faults: vec![AnalysisFault { cycle: 6, failures: 9 }],
+        ..FaultPlan::none()
     };
 
     telemetry::set_enabled(true);
     let mut model = SqgForecast::perfect(cfg.params.clone());
     let mut scheme = ensf_scheme(&cfg, dim);
     let mut fallback = LetkfScheme::with_obs(LetkfConfig::default(), &cfg.params, cfg.obs_spec());
-    let run = run_supervised(
-        "chaos",
-        &cfg,
-        &res,
-        &nr,
-        &mut model,
-        &mut scheme,
-        Some(&mut fallback),
-    )
-    .unwrap();
+    let chaos = chaos_run("chaos", &cfg, faults);
+    let run = drive(&chaos, &nr, &mut model, &mut scheme, Some(&mut fallback), None);
     telemetry::set_enabled(false);
 
     // Every cycle completed despite the fault script.
@@ -109,17 +129,18 @@ fn chaos_run_completes_and_beats_free_run() {
     assert!(run.series.rmse.iter().all(|v| v.is_finite()));
 
     // Each scripted fault left its recovery action in the counters.
-    assert_eq!(run.counters.quarantined_members, 3);
-    assert_eq!(run.counters.degraded_cycles, 1, "dropped obs ⇒ one forecast-only cycle");
-    assert_eq!(run.counters.analysis_retries, 2, "retry budget spent before fallback");
-    assert_eq!(run.counters.analysis_fallbacks, 1);
+    let counters = &run.checkpoint.counters;
+    assert_eq!(counters.quarantined_members, 3);
+    assert_eq!(counters.degraded_cycles, 1, "dropped obs ⇒ one forecast-only cycle");
+    assert_eq!(counters.analysis_retries, 2, "retry budget spent before fallback");
+    assert_eq!(counters.analysis_fallbacks, 1);
 
     // The state machine visited Degraded and climbed back out of it.
     assert_eq!(run.cycles[2].state, LoopState::Degraded);
     assert!(run.cycles.iter().any(|c| c.state == LoopState::Recovering));
     // Spread relaxation keeps the analysis ensemble inflated at this scale,
     // so only scripted faults — never spontaneous collapse — trip guardrails.
-    assert_eq!(run.counters.reinflations, 0, "no collapse repair expected");
+    assert_eq!(counters.reinflations, 0, "no collapse repair expected");
 
     // The recovery trail is visible in telemetry, not just return values.
     let records: Vec<_> =
@@ -134,9 +155,7 @@ fn chaos_run_completes_and_beats_free_run() {
     assert!(telemetry::counter_value("resilience.member_quarantined") >= 3);
 
     // Despite the chaos, assimilation still beats running the model free.
-    let mut free_model = SqgForecast::perfect(cfg.params.clone());
-    let mut free_scheme = NoAssimilation;
-    let free = run_experiment("free", &cfg, &nr, &mut free_model, &mut free_scheme).unwrap();
+    let free = free_run(&cfg, &nr);
     assert!(
         run.series.steady_rmse() < free.steady_rmse(),
         "chaos DA {} must beat free run {}",
@@ -157,16 +176,9 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
 
-    let res = ResilienceConfig {
-        plan: FaultPlan {
-            analysis_faults: vec![AnalysisFault { cycle: 5, failures: 9 }],
-            ..FaultPlan::none()
-        },
-        health: Some(HealthPolicy {
-            spread_floor: 0.02 * cfg.obs_sigma,
-            ..HealthPolicy::for_obs_sigma(cfg.obs_sigma)
-        }),
-        ..Default::default()
+    let faults = FaultPlan {
+        analysis_faults: vec![AnalysisFault { cycle: 5, failures: 9 }],
+        ..FaultPlan::none()
     };
 
     let mut model = SqgForecast::perfect(cfg.params.clone());
@@ -183,28 +195,19 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
     );
     assert_eq!(scheme.name(), "FlowEnSF");
     let mut fallback = LetkfScheme::with_obs(LetkfConfig::default(), &cfg.params, cfg.obs_spec());
-    let run = run_supervised(
-        "flow-chaos",
-        &cfg,
-        &res,
-        &nr,
-        &mut model,
-        &mut scheme,
-        Some(&mut fallback),
-    )
-    .unwrap();
+    let chaos = chaos_run("flow-chaos", &cfg, faults);
+    let run = drive(&chaos, &nr, &mut model, &mut scheme, Some(&mut fallback), None);
 
     assert!(!run.interrupted);
     assert_eq!(run.cycles.len(), cfg.cycles);
     assert!(run.series.rmse.iter().all(|v| v.is_finite()));
-    assert_eq!(run.counters.analysis_retries, 2, "retry budget spent before fallback");
-    assert_eq!(run.counters.analysis_fallbacks, 1);
+    let counters = &run.checkpoint.counters;
+    assert_eq!(counters.analysis_retries, 2, "retry budget spent before fallback");
+    assert_eq!(counters.analysis_fallbacks, 1);
     let all_events: Vec<&String> = run.cycles.iter().flat_map(|c| c.events.iter()).collect();
     assert!(all_events.iter().any(|e| *e == "analysis_fallback:LETKF"));
 
-    let mut free_model = SqgForecast::perfect(cfg.params.clone());
-    let mut free_scheme = NoAssimilation;
-    let free = run_experiment("flow-free", &cfg, &nr, &mut free_model, &mut free_scheme).unwrap();
+    let free = free_run(&cfg, &nr);
     assert!(
         run.series.steady_rmse() < free.steady_rmse(),
         "flow-matching chaos DA {} must beat free run {}",
@@ -228,19 +231,12 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Two NaN'd members at cycle 3: quarantine ⇒ Healthy → Degraded.
-    let res = ResilienceConfig {
-        plan: FaultPlan {
-            member_faults: vec![
-                MemberFault { cycle: 3, member: 2, kind: MemberFaultKind::Nan },
-                MemberFault { cycle: 3, member: 5, kind: MemberFaultKind::Nan },
-            ],
-            ..FaultPlan::none()
-        },
-        health: Some(HealthPolicy {
-            spread_floor: 0.02 * cfg.obs_sigma,
-            ..HealthPolicy::for_obs_sigma(cfg.obs_sigma)
-        }),
-        ..Default::default()
+    let faults = FaultPlan {
+        member_faults: vec![
+            MemberFault { cycle: 3, member: 2, kind: MemberFaultKind::Nan },
+            MemberFault { cycle: 3, member: 5, kind: MemberFaultKind::Nan },
+        ],
+        ..FaultPlan::none()
     };
 
     telemetry::set_enabled(true);
@@ -248,8 +244,8 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
     telemetry::set_postmortem_dir(Some(&dir));
     let mut model = SqgForecast::perfect(cfg.params.clone());
     let mut scheme = ensf_scheme(&cfg, dim);
-    let run =
-        run_supervised("postmortem", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
+    let chaos = chaos_run("postmortem", &cfg, faults);
+    let run = drive(&chaos, &nr, &mut model, &mut scheme, None, None);
     telemetry::set_postmortem_dir(None);
     telemetry::set_enabled(false);
 
@@ -329,26 +325,17 @@ fn checkpoint_kill_restore_is_bit_identical() {
     };
     let mut m_ref = SqgForecast::perfect(cfg.params.clone());
     let mut s_ref = ensf_scheme(&cfg, dim);
-    let full = run_supervised(
-        "ref",
-        &cfg,
-        &ResilienceConfig { plan: plan.clone(), ..Default::default() },
-        &nr,
-        &mut m_ref,
-        &mut s_ref,
-        None,
-    )
-    .unwrap();
+    let reference = supervised("ref", &cfg, plan.clone());
+    let full = drive(&reference, &nr, &mut m_ref, &mut s_ref, None, None);
 
     // Same plan, killed after cycle 4, checkpointing through the file.
-    let res_kill = ResilienceConfig {
-        plan: FaultPlan { kill_after: Some(4), ..plan.clone() },
+    let kill = Run {
         checkpoint: Some(CheckpointConfig { path: path.clone(), every: 2 }),
-        ..Default::default()
+        ..supervised("kill", &cfg, FaultPlan { kill_after: Some(4), ..plan.clone() })
     };
     let mut m1 = SqgForecast::perfect(cfg.params.clone());
     let mut s1 = ensf_scheme(&cfg, dim);
-    let killed = run_supervised("kill", &cfg, &res_kill, &nr, &mut m1, &mut s1, None).unwrap();
+    let killed = drive(&kill, &nr, &mut m1, &mut s1, None, None);
     assert!(killed.interrupted);
     assert_eq!(killed.checkpoint.cycle, 4);
 
@@ -357,17 +344,7 @@ fn checkpoint_kill_restore_is_bit_identical() {
     assert_eq!(ck.cycle, 4);
     let mut m2 = SqgForecast::perfect(cfg.params.clone());
     let mut s2 = ensf_scheme(&cfg, dim);
-    let resumed = resume_supervised(
-        "resume",
-        &cfg,
-        &ResilienceConfig { plan, ..Default::default() },
-        &nr,
-        &mut m2,
-        &mut s2,
-        None,
-        ck,
-    )
-    .unwrap();
+    let resumed = drive(&supervised("resume", &cfg, plan), &nr, &mut m2, &mut s2, None, Some(ck));
     std::fs::remove_file(&path).ok();
 
     assert!(!resumed.interrupted);
@@ -378,7 +355,7 @@ fn checkpoint_kill_restore_is_bit_identical() {
         full.checkpoint.ensemble.as_slice(),
         "final ensembles must match bit for bit"
     );
-    assert_eq!(resumed.counters, full.counters);
+    assert_eq!(resumed.checkpoint.counters, full.checkpoint.counters);
 }
 
 /// A checkpoint that was damaged on disk must be rejected up front, never
@@ -391,14 +368,13 @@ fn corrupted_checkpoint_file_is_rejected() {
     let dim = nr.truth[0].len();
     let path = scratch_path("bad_ckpt.bin");
 
-    let res = ResilienceConfig {
-        plan: FaultPlan { kill_after: Some(2), ..FaultPlan::none() },
+    let victim = Run {
         checkpoint: Some(CheckpointConfig { path: path.clone(), every: 0 }),
-        ..Default::default()
+        ..supervised("victim", &cfg, FaultPlan { kill_after: Some(2), ..FaultPlan::none() })
     };
     let mut model = SqgForecast::perfect(cfg.params.clone());
     let mut scheme = ensf_scheme(&cfg, dim);
-    run_supervised("victim", &cfg, &res, &nr, &mut model, &mut scheme, None).unwrap();
+    drive(&victim, &nr, &mut model, &mut scheme, None, None);
 
     // Bit-rot in the ensemble payload: a NaN where a state value was.
     let mut raw = std::fs::read(&path).unwrap();

@@ -7,13 +7,10 @@
 //! Mirrors `tests/chaos.rs` for the supervised single-process loop; here
 //! the fault surface is the simulated MPI world itself.
 
-use sqg_da::da_core::osse::OsseConfig;
-use sqg_da::da_core::resilience::{CheckpointConfig, RankKill, RankRejoin};
-use sqg_da::dist::{
-    modeled_analysis_secs, run_elastic_osse, DeadlinePolicy, DistCycleConfig, ElasticCounters,
-    ElasticCycleConfig, ElasticOutcome, ElasticRunResult,
-};
-use sqg_da::da_core::resilience::Rung;
+use sqg_da::da_core::cycle::Run;
+use sqg_da::da_core::osse::{nature_run, NatureRun, OsseConfig};
+use sqg_da::da_core::resilience::{CheckpointConfig, RankKill, RankRejoin, Rung};
+use sqg_da::dist::{modeled_analysis_secs, run_sharded, ElasticCounters, ShardedRun, Sharding};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::hpc::{Straggler, StragglerPlan};
 use sqg_da::sqg::SqgParams;
@@ -23,21 +20,30 @@ use sqg_da::sqg::SqgParams;
 static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Reduced grid (`d = 512`, 8 members), matching the elastic unit tests.
-fn elastic_config(cycles: usize) -> ElasticCycleConfig {
-    ElasticCycleConfig::clean(DistCycleConfig {
-        osse: OsseConfig {
-            params: SqgParams { n: 16, ..Default::default() },
-            cycles,
-            obs_sigma: 0.005,
-            ens_size: 8,
-            ic_sigma: 0.01,
-            spinup_steps: 40,
-            seed: 3,
-            ..Default::default()
-        },
-        ensf: EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
+fn elastic_config(cycles: usize) -> (Run, Sharding) {
+    let osse = OsseConfig {
+        params: SqgParams { n: 16, ..Default::default() },
+        cycles,
+        obs_sigma: 0.005,
+        ens_size: 8,
+        ic_sigma: 0.01,
+        spinup_steps: 40,
+        seed: 3,
         ..Default::default()
-    })
+    };
+    let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
+    (Run::new("chaos-dist", osse), Sharding { ensf, ..Default::default() })
+}
+
+/// `run` on `ranks` ranks against its own nature run: world rank 0's result.
+fn sharded(run: &Run, sharding: &Sharding, ranks: usize) -> ShardedRun {
+    run_sharded(run, sharding, ranks, &nature_run(&run.osse), None).unwrap()
+}
+
+/// The modelled price of one sharded analysis of `run` under `sharding`.
+fn modeled(run: &Run, sharding: &Sharding, steps: usize, ranks: usize) -> f64 {
+    let (dim, members) = (run.osse.params.state_dim(), run.osse.ens_size);
+    modeled_analysis_secs(sharding.network.as_ref(), dim, members, steps, ranks)
 }
 
 /// A fresh per-test postmortem directory under the system temp dir.
@@ -85,12 +91,12 @@ fn rank_kill_leaves_shrink_postmortem_with_cycle_diagnostics() {
     let dir = postmortem_dir("kill");
     telemetry_scope(&dir);
 
-    let mut config = elastic_config(3);
-    config.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
-    let result = run_elastic_osse(&config, 3).unwrap();
+    let (mut run, sharding) = elastic_config(3);
+    run.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
+    let result = sharded(&run, &sharding, 3);
 
     // Typed outcome, no hang: the survivors completed every cycle.
-    assert_eq!(result.outcome, ElasticOutcome::Completed);
+    assert!(!result.run.interrupted);
     assert_eq!(result.counters.shrinks, 1);
     assert_eq!(telemetry::counter_value("elastic.shrinks"), 1);
     assert_eq!(telemetry::counter_value("elastic.cycles"), 3);
@@ -140,27 +146,26 @@ fn blown_deadline_leaves_postmortem_and_typed_outcome() {
     let dir = postmortem_dir("deadline");
     telemetry_scope(&dir);
 
-    let mut config = elastic_config(3);
-    config.base.comm = Some(sqg_da::dist::CommSpec::clean(2));
-    let dim = config.base.osse.params.state_dim();
-    let steps = config.base.ensf.n_steps;
-    let full2 = modeled_analysis_secs(&config.base, dim, 8, steps, 2);
-    let deg1 = modeled_analysis_secs(&config.base, dim, 8, 3, 1);
+    let (mut run, mut sharding) = elastic_config(3);
+    sharding.network = Some(sqg_da::dist::CommSpec::clean(2));
+    let steps = sharding.ensf.n_steps;
+    let full2 = modeled(&run, &sharding, steps, 2);
+    let deg1 = modeled(&run, &sharding, 3, 1);
     // Budget fits exactly one clean attempt plus half of the cheapest
     // possible retry: whatever rung the post-shrink re-evaluation picks
     // (full or degraded at 1 rank), the accumulated time must blow it —
     // and the degraded rung still fits on its own, so the retry runs
     // rather than dropping to forecast-only.
-    config.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
-    config.deadline =
-        Some(DeadlinePolicy { budget_secs: full2 + 0.5 * deg1, degraded_steps: 3 });
-    let result = run_elastic_osse(&config, 2).unwrap();
+    run.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
+    run.budget = Some(full2 + 0.5 * deg1);
+    sharding.degraded_steps = Some(3);
+    let result = sharded(&run, &sharding, 2);
 
-    assert_eq!(result.outcome, ElasticOutcome::Completed);
+    assert!(!result.run.interrupted);
     assert_eq!(result.counters.shrinks, 1);
-    assert_eq!(result.event_count("deadline_blown"), 1, "redone cycle 1 must blow its budget");
-    let n = result.cycles.len();
-    assert_eq!(result.hit_rate(), (n - 1) as f64 / n as f64);
+    assert_eq!(result.run.event_count("deadline_blown"), 1, "redone cycle 1 must blow its budget");
+    let n = result.run.cycles.len();
+    assert_eq!(result.run.hit_rate(), (n - 1) as f64 / n as f64);
     assert_eq!(telemetry::counter_value("resilience.deadline_blown"), 1);
 
     let text = postmortems_matching(&dir, "deadline_blown");
@@ -183,14 +188,14 @@ fn rejoin_after_kill_is_recorded_and_completes() {
 
     let path = std::env::temp_dir()
         .join(format!("sqg_da_chaos_dist_rejoin_{}.ckpt", std::process::id()));
-    let mut config = elastic_config(4);
-    config.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
-    config.faults.rank_rejoins.push(RankRejoin { cycle: 3, rank: 1 });
-    config.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 1 });
-    let result = run_elastic_osse(&config, 2).unwrap();
+    let (mut run, sharding) = elastic_config(4);
+    run.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
+    run.faults.rank_rejoins.push(RankRejoin { cycle: 3, rank: 1 });
+    run.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 1 });
+    let result = sharded(&run, &sharding, 2);
     std::fs::remove_file(&path).ok();
 
-    assert_eq!(result.outcome, ElasticOutcome::Completed);
+    assert!(!result.run.interrupted);
     assert_eq!(result.counters.rejoins, 1);
     assert_eq!(result.group_sizes.last(), Some(&(3, 2)), "full group restored");
     assert_eq!(telemetry::counter_value("elastic.rejoins"), 1);
@@ -219,19 +224,18 @@ fn rejoin_after_kill_is_recorded_and_completes() {
 #[test]
 fn flow_matching_survives_shrink_and_deadline_ladder() {
     let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut config = elastic_config(4);
+    let (mut run, mut sharding) = elastic_config(4);
     // The analysis's one gather costs the same at every step count, so the
     // ladder has a window at both group sizes only where the full grid's
     // compute outweighs the 3-rank/2-rank gather difference: 40 steps at
     // d = 512. Every cycle rides the 1-step rung, so the 40 never run.
-    config.base.ensf.n_steps = 40;
-    config.base.ensf.method = AnalysisMethod::FlowMatching;
-    config.base.comm = Some(sqg_da::dist::CommSpec::clean(3));
-    let dim = config.base.osse.params.state_dim();
-    let full3 = modeled_analysis_secs(&config.base, dim, 8, 40, 3);
-    let full2 = modeled_analysis_secs(&config.base, dim, 8, 40, 2);
-    let deg3 = modeled_analysis_secs(&config.base, dim, 8, 1, 3);
-    let deg2 = modeled_analysis_secs(&config.base, dim, 8, 1, 2);
+    sharding.ensf.n_steps = 40;
+    sharding.ensf.method = AnalysisMethod::FlowMatching;
+    sharding.network = Some(sqg_da::dist::CommSpec::clean(3));
+    let full3 = modeled(&run, &sharding, 40, 3);
+    let full2 = modeled(&run, &sharding, 40, 2);
+    let deg3 = modeled(&run, &sharding, 1, 3);
+    let deg2 = modeled(&run, &sharding, 1, 2);
     // Budget sits between the 1-step and 40-step estimates at both group
     // sizes, so the ladder picks Degraded before *and* after the shrink.
     let budget = 0.5 * (deg3.max(deg2) + full3.min(full2));
@@ -240,17 +244,18 @@ fn flow_matching_survives_shrink_and_deadline_ladder() {
         "cost-model sanity: degraded ({deg3:.3e}/{deg2:.3e}) must fit and \
          full ({full3:.3e}/{full2:.3e}) must blow the budget {budget:.3e}"
     );
-    config.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
-    config.deadline = Some(DeadlinePolicy { budget_secs: budget, degraded_steps: 1 });
-    let result = run_elastic_osse(&config, 3).unwrap();
+    run.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
+    run.budget = Some(budget);
+    sharding.degraded_steps = Some(1);
+    let result = sharded(&run, &sharding, 3);
 
-    assert_eq!(result.outcome, ElasticOutcome::Completed);
+    assert!(!result.run.interrupted);
     assert_eq!(result.counters.shrinks, 1);
-    let degraded = result.cycles.iter().filter(|c| c.rung == Rung::Fallback).count();
+    let degraded = result.run.cycles.iter().filter(|c| c.rung == Rung::Fallback).count();
     assert_eq!(degraded, 4, "every cycle rides the 1-step flow rung");
-    assert!(result.cycles.iter().all(|c| c.rung == Rung::Fallback));
+    assert!(result.run.cycles.iter().all(|c| c.rung == Rung::Fallback));
     assert_eq!(result.cycle_means.len(), 4, "every cycle completed");
-    assert!(result.series.rmse.iter().all(|r| r.is_finite()));
+    assert!(result.run.series.rmse.iter().all(|r| r.is_finite()));
 }
 
 /// A masked flow-matching cycle under elastic shrink-retry: a 25 %
@@ -261,41 +266,47 @@ fn flow_matching_survives_shrink_and_deadline_ladder() {
 #[test]
 fn masked_flow_matching_survives_shrink_retry() {
     let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let mut config = elastic_config(4);
-    config.base.osse.obs_mask =
-        sqg_da::da_core::osse::MaskKind::Block { start: 192, len: 128 };
-    config.base.ensf.n_steps = 6;
-    config.base.ensf.method = AnalysisMethod::FlowMatching;
-    config.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
-    let result = run_elastic_osse(&config, 3).unwrap();
+    let (mut run, mut sharding) = elastic_config(4);
+    run.osse.obs_mask = sqg_da::da_core::osse::MaskKind::Block { start: 192, len: 128 };
+    sharding.ensf.n_steps = 6;
+    sharding.ensf.method = AnalysisMethod::FlowMatching;
+    run.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
+    let result = sharded(&run, &sharding, 3);
 
-    assert_eq!(result.outcome, ElasticOutcome::Completed);
+    assert!(!result.run.interrupted);
     assert_eq!(result.counters.shrinks, 1, "the injected kill must shrink the group");
-    assert_eq!(result.event_count("rank_dead_shrink"), 1, "the masked cycle is redone by survivors");
+    let redone = result.run.event_count("rank_dead_shrink");
+    assert_eq!(redone, 1, "the masked cycle is redone by survivors");
     assert_eq!(result.cycle_means.len(), 4, "every masked cycle completed");
-    assert!(result.series.rmse.iter().all(|r| r.is_finite()));
+    assert!(result.run.series.rmse.iter().all(|r| r.is_finite()));
 }
 
-/// Runs `config` on `ranks` ranks with telemetry on and returns rank 0's
+/// Runs `run` on `ranks` ranks with telemetry on and returns rank 0's
 /// result with the events of every cycle record it wrote.
-fn run_recorded(config: &ElasticCycleConfig, ranks: usize) -> (ElasticRunResult, Vec<Vec<String>>) {
+fn run_recorded(
+    run: &Run,
+    sharding: &Sharding,
+    ranks: usize,
+    nature: &NatureRun,
+) -> (ShardedRun, Vec<Vec<String>>) {
     let dir = postmortem_dir("recorded");
     telemetry_scope(&dir);
-    let result = run_elastic_osse(config, ranks).unwrap();
+    let result = run_sharded(run, sharding, ranks, nature, None).unwrap();
     let events = telemetry::cycle_records().into_iter().map(|r| r.events).collect();
     telemetry_close();
     std::fs::remove_dir_all(&dir).ok();
     (result, events)
 }
 
-fn assert_bitwise_equal(a: &ElasticRunResult, b: &ElasticRunResult, what: &str) {
+fn assert_bitwise_equal(a: &ShardedRun, b: &ShardedRun, what: &str) {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(a.cycle_means.len(), b.cycle_means.len(), "{what}");
     for ((ca, ma), (cb, mb)) in a.cycle_means.iter().zip(&b.cycle_means) {
         assert_eq!(ca, cb, "{what}");
         assert_eq!(bits(ma), bits(mb), "{what}: cycle {ca} diverged");
     }
-    assert_eq!(bits(a.ensemble.as_slice()), bits(b.ensemble.as_slice()), "{what}: final ensemble");
+    let ensemble = |r: &ShardedRun| bits(r.run.checkpoint.ensemble.as_slice());
+    assert_eq!(ensemble(a), ensemble(b), "{what}: final ensemble");
 }
 
 /// A boundary kill is met first by the survivors' forecast gather, which
@@ -308,17 +319,19 @@ fn forecast_gather_kill_shrinks_once_at_the_analysis_gather() {
     let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     for (ranks, victim) in [(2, 1), (3, 1), (3, 2)] {
         let what = format!("{ranks} ranks, victim {victim}");
-        let mut config = elastic_config(3);
-        config.faults.rank_kills.push(RankKill { cycle: 1, rank: victim });
-        let (faulted, events) = run_recorded(&config, ranks);
+        let (clean, sharding) = elastic_config(3);
+        let nature = nature_run(&clean.osse);
+        let mut run = clean.clone();
+        run.faults.rank_kills.push(RankKill { cycle: 1, rank: victim });
+        let (faulted, events) = run_recorded(&run, &sharding, ranks, &nature);
 
-        assert_eq!(faulted.outcome, ElasticOutcome::Completed, "{what}");
+        assert!(!faulted.run.interrupted, "{what}");
         let counters = ElasticCounters { shrinks: 1, ..Default::default() };
         assert_eq!(faulted.counters, counters, "{what}");
-        assert_eq!(faulted.event_count("rank_dead_shrink"), 1, "{what}");
+        assert_eq!(faulted.run.event_count("rank_dead_shrink"), 1, "{what}");
         assert_eq!(faulted.group_sizes, vec![(0, ranks), (1, ranks - 1), (2, ranks - 1)], "{what}");
         assert_eq!(events, [vec![], vec!["rank_dead_shrink".to_string()], vec![]], "{what}");
-        let fresh = run_elastic_osse(&elastic_config(3), ranks - 1).unwrap();
+        let fresh = run_sharded(&clean, &sharding, ranks - 1, &nature, None).unwrap();
         assert_bitwise_equal(&faulted, &fresh, &what);
     }
 }
@@ -335,16 +348,16 @@ fn forecast_only_kill_falls_back_until_the_next_analysis_shrinks() {
     let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     for (ranks, last_forecast_only) in [(2, 1), (3, 1), (3, 3)] {
         let what = format!("{ranks} ranks, forecast-only cycles 1..={last_forecast_only}");
-        let mut config = elastic_config(4);
-        config.base.comm = Some(sqg_da::dist::CommSpec::clean(3));
-        let dim = config.base.osse.params.state_dim();
-        let steps = config.base.ensf.n_steps;
-        let full = |ranks| modeled_analysis_secs(&config.base, dim, 8, steps, ranks);
+        let (mut run, mut sharding) = elastic_config(4);
+        sharding.network = Some(sqg_da::dist::CommSpec::clean(3));
+        let steps = sharding.ensf.n_steps;
+        let full = |ranks| modeled(&run, &sharding, steps, ranks);
         // Room for a full analysis plus its redo at any group size, and a
         // straggler no rung survives from the kill on.
         let budget = 2.0 * full(1).max(full(2)).max(full(3));
-        config.deadline = Some(DeadlinePolicy { budget_secs: budget, degraded_steps: 3 });
-        config.stragglers = StragglerPlan {
+        run.budget = Some(budget);
+        sharding.degraded_steps = Some(3);
+        sharding.stragglers = StragglerPlan {
             events: vec![Straggler {
                 rank: 0,
                 from_cycle: 1,
@@ -352,22 +365,23 @@ fn forecast_only_kill_falls_back_until_the_next_analysis_shrinks() {
                 slowdown: 1e6,
             }],
         };
-        let fresh = run_elastic_osse(&config, ranks - 1).unwrap();
-        config.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
-        let (faulted, events) = run_recorded(&config, ranks);
+        let nature = nature_run(&run.osse);
+        let fresh = run_sharded(&run, &sharding, ranks - 1, &nature, None).unwrap();
+        run.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
+        let (faulted, events) = run_recorded(&run, &sharding, ranks, &nature);
 
-        assert_eq!(faulted.outcome, ElasticOutcome::Completed, "{what}");
+        assert!(!faulted.run.interrupted, "{what}");
         let shrinks = u64::from(last_forecast_only < 3);
         let counters = ElasticCounters { shrinks, ..Default::default() };
         assert_eq!(faulted.counters, counters, "{what}");
-        assert_eq!(faulted.event_count("rank_dead_shrink") as u64, shrinks, "{what}");
-        let dropped = faulted.cycles.iter().filter(|c| c.rung == Rung::ForecastOnly).count();
+        assert_eq!(faulted.run.event_count("rank_dead_shrink") as u64, shrinks, "{what}");
+        let dropped = faulted.run.cycles.iter().filter(|c| c.rung == Rung::ForecastOnly).count();
         assert_eq!(dropped, last_forecast_only, "{what}");
         let size = |c: usize| if c > last_forecast_only { ranks - 1 } else { ranks };
         let sizes: Vec<(usize, usize)> = (0..4).map(|c| (c, size(c))).collect();
         assert_eq!(faulted.group_sizes, sizes, "{what}");
         let forecast_only = |c: usize| (1..=last_forecast_only).contains(&c);
-        let rungs = |r: &ElasticRunResult| r.cycles.iter().map(|c| c.rung).collect::<Vec<_>>();
+        let rungs = |r: &ShardedRun| r.run.cycles.iter().map(|c| c.rung).collect::<Vec<_>>();
         let want: Vec<Rung> = (0..4)
             .map(|c| if forecast_only(c) { Rung::ForecastOnly } else { Rung::Primary })
             .collect();
@@ -393,20 +407,20 @@ fn combined_chaos_terminates_with_typed_outcomes() {
     let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     // Telemetry stays dark here: this scenario is about termination, and
     // running it dark also covers the counters-disabled paths.
-    let mut config = elastic_config(4);
-    config.base.comm = Some(sqg_da::dist::CommSpec::clean(4));
-    let dim = config.base.osse.params.state_dim();
-    let full = modeled_analysis_secs(&config.base, dim, 8, config.base.ensf.n_steps, 4);
-    config.faults.rank_kills.push(RankKill { cycle: 1, rank: 3 });
-    config.stragglers = StragglerPlan {
+    let (mut run, mut sharding) = elastic_config(4);
+    sharding.network = Some(sqg_da::dist::CommSpec::clean(4));
+    let full = modeled(&run, &sharding, sharding.ensf.n_steps, 4);
+    run.faults.rank_kills.push(RankKill { cycle: 1, rank: 3 });
+    sharding.stragglers = StragglerPlan {
         events: vec![Straggler { rank: 1, from_cycle: 2, to_cycle: 2, slowdown: 8.0 }],
     };
-    config.deadline = Some(DeadlinePolicy { budget_secs: full * 3.0, degraded_steps: 3 });
-    let result = run_elastic_osse(&config, 4).unwrap();
+    run.budget = Some(full * 3.0);
+    sharding.degraded_steps = Some(3);
+    let result = sharded(&run, &sharding, 4);
 
-    assert_eq!(result.outcome, ElasticOutcome::Completed);
+    assert!(!result.run.interrupted);
     assert_eq!(result.counters.shrinks, 1);
     assert_eq!(result.cycle_means.len(), 4, "every cycle completed");
-    assert!(result.series.rmse.iter().all(|r| r.is_finite()));
-    assert!(result.cycles.len() == 4);
+    assert!(result.run.series.rmse.iter().all(|r| r.is_finite()));
+    assert!(result.run.cycles.len() == 4);
 }

@@ -14,16 +14,11 @@
 //! An in-process companion test additionally proves the checkpoint written
 //! *by the killed run itself* restores bitwise.
 
-use sqg_da::da_core::osse::{nature_run, OsseConfig};
-use sqg_da::da_core::resilience::{
-    resume_supervised, run_supervised, Checkpoint, CheckpointConfig, FaultPlan, RankKill,
-    ResilienceConfig,
-};
+use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
+use sqg_da::da_core::osse::{nature_run, NatureRun, OsseConfig};
+use sqg_da::da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, HealthPolicy, RankKill};
 use sqg_da::da_core::{EnsfScheme, SqgForecast};
-use sqg_da::dist::{
-    run_elastic_osse, run_elastic_osse_from, DistCycleConfig, ElasticCycleConfig,
-    ElasticOutcome, ElasticRunResult,
-};
+use sqg_da::dist::{run_sharded, ShardedRun, Sharding};
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::sqg::SqgParams;
 
@@ -32,27 +27,36 @@ const KILL_CYCLE: usize = 3;
 
 /// Reduced-grid experiment matching `tests/dist_determinism.rs`:
 /// `d = 512`, 8 members.
-fn elastic_config(cycles: usize) -> ElasticCycleConfig {
-    ElasticCycleConfig::clean(DistCycleConfig {
-        osse: OsseConfig {
-            params: SqgParams { n: 16, ..Default::default() },
-            cycles,
-            obs_sigma: 0.005,
-            ens_size: 8,
-            ic_sigma: 0.01,
-            spinup_steps: 40,
-            seed: 3,
-            ..Default::default()
-        },
-        ensf: EnsfConfig { n_steps: 10, seed: 5, ..Default::default() },
+fn elastic_config(cycles: usize) -> (Run, Sharding) {
+    let osse = OsseConfig {
+        params: SqgParams { n: 16, ..Default::default() },
+        cycles,
+        obs_sigma: 0.005,
+        ens_size: 8,
+        ic_sigma: 0.01,
+        spinup_steps: 40,
+        seed: 3,
         ..Default::default()
-    })
+    };
+    let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
+    (Run::new("elastic", osse), Sharding { ensf, ..Default::default() })
+}
+
+/// `run` on `ranks` ranks from `resume`: world rank 0's result.
+fn sharded(
+    run: &Run,
+    sharding: &Sharding,
+    ranks: usize,
+    nature: &NatureRun,
+    resume: Option<&Checkpoint>,
+) -> ShardedRun {
+    run_sharded(run, sharding, ranks, nature, resume).unwrap()
 }
 
 /// FNV-1a over the bit patterns of the analysis means of every cycle
 /// `>= from_cycle` plus the final ensemble — any single-bit divergence in
 /// the post-kill trajectory flips it.
-fn fingerprint_from(result: &ElasticRunResult, from_cycle: usize) -> u64 {
+fn fingerprint_from(result: &ShardedRun, from_cycle: usize) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |v: f64| {
         for b in v.to_bits().to_le_bytes() {
@@ -65,7 +69,7 @@ fn fingerprint_from(result: &ElasticRunResult, from_cycle: usize) -> u64 {
             mean.iter().copied().for_each(&mut eat);
         }
     }
-    result.ensemble.as_slice().iter().copied().for_each(&mut eat);
+    result.run.checkpoint.ensemble.as_slice().iter().copied().for_each(&mut eat);
     h
 }
 
@@ -89,10 +93,10 @@ fn elastic_child() {
     };
     match mode.as_str() {
         "kill" => {
-            let mut config = elastic_config(10);
-            config.faults.rank_kills.push(RankKill { cycle: KILL_CYCLE, rank: 5 });
-            let result = run_elastic_osse(&config, 8).unwrap();
-            assert_eq!(result.outcome, ElasticOutcome::Completed);
+            let (mut run, sharding) = elastic_config(10);
+            run.faults.rank_kills.push(RankKill { cycle: KILL_CYCLE, rank: 5 });
+            let result = sharded(&run, &sharding, 8, &nature_run(&run.osse), None);
+            assert!(!result.run.interrupted);
             assert_eq!(result.counters.shrinks, 1);
             println!("ELASTIC_FINGERPRINT {:016x}", fingerprint_from(&result, KILL_CYCLE));
         }
@@ -100,14 +104,17 @@ fn elastic_child() {
             let path = std::path::PathBuf::from(
                 std::env::var("ELASTIC_DET_CKPT").expect("parent sets ELASTIC_DET_CKPT"),
             );
-            let mut prefix = elastic_config(KILL_CYCLE);
+            let (run, sharding) = elastic_config(10);
+            let nature = nature_run(&run.osse);
+            let mut prefix = run.clone();
+            prefix.osse.cycles = KILL_CYCLE;
             prefix.checkpoint =
                 Some(CheckpointConfig { path: path.clone(), every: KILL_CYCLE });
-            run_elastic_osse(&prefix, 8).unwrap();
+            sharded(&prefix, &sharding, 8, &nature, None);
             let ck = Checkpoint::load(&path).expect("prefix run wrote the checkpoint");
             assert_eq!(ck.cycle, KILL_CYCLE);
             std::fs::remove_file(&path).ok();
-            let result = run_elastic_osse_from(&elastic_config(10), 7, &ck).unwrap();
+            let result = sharded(&run, &sharding, 7, &nature, Some(&ck));
             println!("ELASTIC_FINGERPRINT {:016x}", fingerprint_from(&result, KILL_CYCLE));
         }
         other => panic!("unknown ELASTIC_DET_CHILD mode {other:?}"),
@@ -157,16 +164,18 @@ fn killed_8_rank_run_matches_fresh_7_rank_run_from_checkpoint() {
 fn kill_cycle_checkpoint_from_killed_run_restores_bitwise() {
     let path = std::env::temp_dir()
         .join(format!("sqg_da_elastic_selfck_{}.ckpt", std::process::id()));
-    let mut config = elastic_config(3);
-    config.faults.rank_kills.push(RankKill { cycle: 2, rank: 3 });
-    config.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 2 });
-    let killed = run_elastic_osse(&config, 4).unwrap();
+    let (clean, sharding) = elastic_config(3);
+    let nature = nature_run(&clean.osse);
+    let mut run = clean.clone();
+    run.faults.rank_kills.push(RankKill { cycle: 2, rank: 3 });
+    run.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 2 });
+    let killed = sharded(&run, &sharding, 4, &nature, None);
     assert_eq!(killed.group_sizes.last(), Some(&(2, 3)));
 
     let ck = Checkpoint::load(&path).expect("killed run wrote its cycle-2 checkpoint");
     std::fs::remove_file(&path).ok();
     assert_eq!(ck.cycle, 2, "every: 2 over 3 cycles writes only the cycle-2 boundary");
-    let fresh = run_elastic_osse_from(&elastic_config(3), 3, &ck).unwrap();
+    let fresh = sharded(&clean, &sharding, 3, &nature, Some(&ck));
 
     let killed_tail: Vec<&(usize, Vec<f64>)> =
         killed.cycle_means.iter().filter(|(c, _)| *c >= 2).collect();
@@ -178,58 +187,69 @@ fn kill_cycle_checkpoint_from_killed_run_restores_bitwise() {
         let bits_b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits_a, bits_b, "post-kill cycle {ca} diverged from the fresh 3-rank run");
     }
-    assert_eq!(killed.ensemble.as_slice(), fresh.ensemble.as_slice());
+    let ensemble = |r: &ShardedRun| r.run.checkpoint.ensemble.as_slice().to_vec();
+    assert_eq!(ensemble(&killed), ensemble(&fresh));
 }
 
-/// One checkpoint writer, so checkpoints are portable between the faces
-/// of the cycle loop: a supervised serial run killed at cycle 2 resumes on
-/// 2 ranks, and a 2-rank run's cycle-2 checkpoint resumes serially — both
-/// onto the bits of the uninterrupted serial run.
+/// One checkpoint writer and one run description, so checkpoints are
+/// portable between the faces of the cycle loop: a supervised serial run
+/// killed at cycle 2 resumes on 1 and 2 ranks, and a 1- or 2-rank run's
+/// cycle-2 checkpoint resumes serially — all onto the bits of the
+/// uninterrupted serial run. The serial and the sharded face are handed
+/// the same `Run`.
 #[test]
 fn checkpoints_are_portable_between_the_serial_and_sharded_faces() {
-    let config = elastic_config(5);
-    let osse = &config.base.osse;
+    let (run, sharding) = elastic_config(5);
+    let osse = &run.osse;
     let nature = nature_run(osse);
-    let model = || SqgForecast::perfect(osse.params.clone());
-    let scheme =
-        || EnsfScheme::new(config.base.ensf.clone(), osse.params.state_dim(), osse.obs_sigma);
-    let clean = ResilienceConfig::default();
+    let serial = |run: &Run, resume| {
+        let mut model = SqgForecast::perfect(osse.params.clone());
+        let mut scheme =
+            EnsfScheme::new(sharding.ensf.clone(), osse.params.state_dim(), osse.obs_sigma);
+        run_cycles(run, &nature, &mut model, &mut scheme, None, &mut SingleProcess, resume)
+            .unwrap()
+    };
+    let health = Some(HealthPolicy::for_obs_sigma(osse.obs_sigma));
+    let supervised = Run { health, ..run.clone() };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
 
-    let full =
-        run_supervised("full", osse, &clean, &nature, &mut model(), &mut scheme(), None).unwrap();
-    assert_eq!(full.counters.total(), 0, "the reference must be a healthy run");
+    let full = serial(&supervised, None);
+    assert_eq!(full.checkpoint.counters.total(), 0, "the reference must be a healthy run");
+    let plain = serial(&run, None);
+    assert_eq!(bits(&plain.series.rmse), bits(&full.series.rmse), "the same run on both faces");
 
     // Serial → sharded.
-    let kill = ResilienceConfig {
-        plan: FaultPlan { kill_after: Some(2), ..FaultPlan::none() },
-        ..Default::default()
-    };
-    let killed =
-        run_supervised("killed", osse, &kill, &nature, &mut model(), &mut scheme(), None).unwrap();
+    let kill = FaultPlan { kill_after: Some(2), ..FaultPlan::none() };
+    let killed = serial(&Run { faults: kill, ..supervised.clone() }, None);
     assert!(killed.interrupted);
     assert_eq!(killed.checkpoint.cycle, 2);
-    let sharded = run_elastic_osse_from(&config, 2, &killed.checkpoint).unwrap();
-    assert_eq!(bits(&sharded.series.rmse), bits(&full.series.rmse));
-    assert_eq!(bits(&sharded.series.spread), bits(&full.series.spread));
-    assert_eq!(bits(sharded.ensemble.as_slice()), bits(full.checkpoint.ensemble.as_slice()));
+    for ranks in [1, 2] {
+        let sharded = sharded(&run, &sharding, ranks, &nature, Some(&killed.checkpoint));
+        assert_eq!(bits(&sharded.run.series.rmse), bits(&full.series.rmse), "{ranks} ranks");
+        assert_eq!(bits(&sharded.run.series.spread), bits(&full.series.spread));
+        assert_eq!(
+            bits(sharded.run.checkpoint.ensemble.as_slice()),
+            bits(full.checkpoint.ensemble.as_slice())
+        );
+    }
 
     // Sharded → serial.
     let path = std::env::temp_dir()
         .join(format!("sqg_da_elastic_portable_{}.ckpt", std::process::id()));
-    let mut prefix = elastic_config(2);
+    let mut prefix = run.clone();
+    prefix.osse.cycles = 2;
     prefix.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 2 });
-    run_elastic_osse(&prefix, 2).unwrap();
-    let ck = Checkpoint::load(&path).expect("the 2-rank prefix wrote its checkpoint");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(ck.cycle, 2);
-    let serial =
-        resume_supervised("resumed", osse, &clean, &nature, &mut model(), &mut scheme(), None, ck)
-            .unwrap();
-    assert_eq!(bits(&serial.series.rmse), bits(&full.series.rmse));
-    assert_eq!(bits(&serial.series.spread), bits(&full.series.spread));
-    assert_eq!(
-        bits(serial.checkpoint.ensemble.as_slice()),
-        bits(full.checkpoint.ensemble.as_slice())
-    );
+    for ranks in [1, 2] {
+        sharded(&prefix, &sharding, ranks, &nature, None);
+        let ck = Checkpoint::load(&path).expect("the prefix wrote its checkpoint");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(ck.cycle, 2);
+        let resumed = serial(&supervised, Some(ck));
+        assert_eq!(bits(&resumed.series.rmse), bits(&full.series.rmse), "{ranks} ranks");
+        assert_eq!(bits(&resumed.series.spread), bits(&full.series.spread));
+        assert_eq!(
+            bits(resumed.checkpoint.ensemble.as_slice()),
+            bits(full.checkpoint.ensemble.as_slice())
+        );
+    }
 }

@@ -2,14 +2,27 @@
 //! substrates, exercised end-to-end at small scale.
 
 use sqg_da::da_core::experiments::{pretrain_surrogate, run_comparison, ComparisonConfig};
-use sqg_da::da_core::osse::{nature_run, nature_run_with_error, run_experiment, OsseConfig};
+use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
+use sqg_da::da_core::osse::{nature_run, nature_run_with_error, CycleSeries, NatureRun, OsseConfig};
 use sqg_da::da_core::{
-    EnsfScheme, ForecastModel, LetkfScheme, ModelError, ModelErrorConfig, NoAssimilation,
-    SqgForecast,
+    AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, ModelError, ModelErrorConfig,
+    NoAssimilation, SqgForecast,
 };
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
+
+/// The plain run of `cfg` on one process: its series.
+fn run_plain(
+    label: &str,
+    cfg: &OsseConfig,
+    nature: &NatureRun,
+    model: &mut dyn ForecastModel,
+    scheme: &mut dyn AnalysisScheme,
+) -> CycleSeries {
+    let run = Run::new(label, cfg.clone());
+    run_cycles(&run, nature, model, scheme, None, &mut SingleProcess, None).unwrap().series
+}
 
 fn tiny_osse(cycles: usize, seed: u64) -> OsseConfig {
     OsseConfig {
@@ -61,7 +74,7 @@ fn ensf_physics_long_cycling_is_stable() {
         cfg.params.state_dim(),
         cfg.obs_sigma,
     );
-    let series = run_experiment("ensf", &cfg, &nr, &mut model, &mut scheme).unwrap();
+    let series = run_plain("ensf", &cfg, &nr, &mut model, &mut scheme);
     // Error must not blow up: last-5-cycle average below the climatological
     // scale of the field.
     let tail: f64 = series.rmse[15..].iter().sum::<f64>() / 5.0;
@@ -73,8 +86,7 @@ fn ensf_physics_long_cycling_is_stable() {
     // And below the free-run error at the same horizon.
     let mut free_model = SqgForecast::perfect(cfg.params.clone());
     let mut free = NoAssimilation;
-    let free_series =
-        run_experiment("free", &cfg, &nr, &mut free_model, &mut free).unwrap();
+    let free_series = run_plain("free", &cfg, &nr, &mut free_model, &mut free);
     assert!(series.steady_rmse() < free_series.steady_rmse());
 }
 
@@ -89,7 +101,7 @@ fn letkf_physics_long_cycling_is_stable() {
         &cfg.params,
         cfg.obs_sigma,
     );
-    let series = run_experiment("letkf", &cfg, &nr, &mut model, &mut scheme).unwrap();
+    let series = run_plain("letkf", &cfg, &nr, &mut model, &mut scheme);
     let tail: f64 = series.rmse[15..].iter().sum::<f64>() / 5.0;
     assert!(tail < nr.climatology_sd, "LETKF diverged: {tail}");
 }
@@ -109,8 +121,7 @@ fn model_error_hurts_letkf_more_than_ensf() {
             &cfg.params,
             cfg.obs_sigma,
         );
-        let letkf = run_experiment("letkf", &cfg, nature, &mut m1, &mut letkf_scheme)
-            .unwrap()
+        let letkf = run_plain("letkf", &cfg, nature, &mut m1, &mut letkf_scheme)
             .steady_rmse();
         let mut m2 = SqgForecast::perfect(cfg.params.clone());
         let mut ensf_scheme = EnsfScheme::new(
@@ -119,8 +130,7 @@ fn model_error_hurts_letkf_more_than_ensf() {
             cfg.obs_sigma,
         );
         let ensf =
-            run_experiment("ensf", &cfg, nature, &mut m2, &mut ensf_scheme)
-                .unwrap()
+            run_plain("ensf", &cfg, nature, &mut m2, &mut ensf_scheme)
                 .steady_rmse();
         (letkf, ensf)
     };
