@@ -63,8 +63,8 @@ fn no_alloc_in_hot_path_fixture() {
     assert_single_finding("no_alloc_in_hot_path.rs", "no-alloc-in-hot-path", 5);
 }
 
-/// The telemetry flight recorder's recording path is `no_alloc`-marked;
-/// this fixture pins that the lint catches the realistic regression there
+/// A fixed-buffer event recorder marked `no_alloc`: this fixture pins that
+/// the lint catches the realistic regression on such a recording path
 /// (rendering an event label with `format!`).
 #[test]
 fn flight_recorder_hot_path_fixture() {

@@ -1,8 +1,8 @@
 //! Assimilation-diagnostics report: EnSF vs flow-matching EnSF vs LETKF
 //! filter calibration on the reduced SQG OSSE.
 //!
-//! Runs the analysis schemes over the same nature run with telemetry
-//! on, then aggregates the per-cycle [`telemetry::DaDiagnostics`] into the
+//! Runs the analysis schemes over the same nature run, then aggregates the
+//! per-cycle [`telemetry::DaDiagnostics`] of each run's records into the
 //! classic filter-health pictures: the ensemble **rank histogram** (flat ⇒
 //! calibrated, U-shaped ⇒ underdispersive, dome ⇒ overdispersive), the
 //! **spread–skill ratio** trace (≈ 1 for a calibrated ensemble), and the
@@ -14,11 +14,10 @@
 //! [--cycles N] [--quick] [--json PATH]`
 
 use bench::{bar, header, Json};
-use da_core::cycle::{run_cycles, Run, SingleProcess};
+use da_core::cycle::{run_cycles, Run, RunResult, SingleProcess};
 use da_core::osse::{nature_run, OsseConfig};
 use da_core::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, SqgForecast};
 use sqg::SqgParams;
-use telemetry::CycleRecord;
 
 struct Aggregate {
     label: String,
@@ -28,16 +27,16 @@ struct Aggregate {
     hours: Vec<f64>,
 }
 
-/// Folds one experiment's cycle records into histogram + traces.
-fn aggregate(label: &str, records: &[CycleRecord]) -> Aggregate {
+/// Folds one run's cycle records into histogram + traces.
+fn aggregate(run: &RunResult) -> Aggregate {
     let mut agg = Aggregate {
-        label: label.to_string(),
+        label: run.series.label.clone(),
         rank_hist: Vec::new(),
         spread_skill: Vec::new(),
         chi2: Vec::new(),
         hours: Vec::new(),
     };
-    for r in records.iter().filter(|r| r.label == label) {
+    for r in run.cycles.iter().map(|c| &c.record) {
         let Some(d) = &r.diagnostics else { continue };
         if agg.rank_hist.len() < d.rank_hist.len() {
             agg.rank_hist.resize(d.rank_hist.len(), 0);
@@ -103,9 +102,6 @@ fn main() {
         .unwrap_or(if quick { 10 } else { 40 });
 
     header("da_diagnostics", "EnSF vs FlowEnSF vs LETKF filter calibration on the reduced SQG OSSE");
-    // The diagnostics *are* the product here, so collection is always on.
-    telemetry::set_enabled(true);
-    telemetry::reset();
 
     let config = OsseConfig {
         params: SqgParams { n: 16, ekman: 0.05, ..Default::default() },
@@ -135,9 +131,8 @@ fn main() {
         let run = Run::new(label, config.clone());
         run_cycles(&run, &nature, model, scheme, None, &mut SingleProcess, None)
             .unwrap_or_else(|e| panic!("{label} run failed: {e}"))
-            .series
     };
-    let ensf_series = plain("EnSF", &mut model, &mut ensf);
+    let ensf_run = plain("EnSF", &mut model, &mut ensf);
 
     // The flow-matching path runs the same score machinery through a 6-step
     // deterministic probability-flow ODE. Spread relaxation is backed off
@@ -159,19 +154,16 @@ fn main() {
         config.obs_spec(),
         Completion::Inpaint,
     );
-    let flow_series = plain("FlowEnSF", &mut model_flow, &mut flow);
+    let flow_run = plain("FlowEnSF", &mut model_flow, &mut flow);
 
     let mut model2 = SqgForecast::perfect(config.params.clone());
     let mut letkf =
         LetkfScheme::with_obs(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
-    let letkf_series = plain("LETKF", &mut model2, &mut letkf);
+    let letkf_run = plain("LETKF", &mut model2, &mut letkf);
 
-    let records = telemetry::cycle_records();
-    let aggs = [
-        aggregate("EnSF", &records),
-        aggregate("FlowEnSF", &records),
-        aggregate("LETKF", &records),
-    ];
+    let aggs = [aggregate(&ensf_run), aggregate(&flow_run), aggregate(&letkf_run)];
+    let (ensf_series, flow_series, letkf_series) =
+        (&ensf_run.series, &flow_run.series, &letkf_run.series);
     for agg in &aggs {
         assert_eq!(agg.hours.len(), cycles, "{}: every cycle must carry diagnostics", agg.label);
         print_aggregate(agg);

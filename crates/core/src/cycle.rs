@@ -7,6 +7,11 @@
 //! [`ProcessGroup`]. `dist::run_sharded` hands the same [`Run`] to every
 //! rank of a world with that rank's slots. DESIGN.md ("The cycle") walks
 //! the stages and says which field of the [`Run`] switches each one on.
+//!
+//! Each executed cycle leaves one [`telemetry::CycleRecord`] in the run's
+//! log ([`RunResult::cycles`]) on every rank, whatever the telemetry
+//! switch says: the one copy of what the cycle did. The leader writes
+//! postmortems from that log into [`Run::postmortems`].
 
 use crate::error::OsseError;
 use crate::osse::{initial_ensemble, validate_experiment, CycleSeries, NatureRun, OsseConfig};
@@ -17,7 +22,9 @@ use crate::resilience::{
 use crate::traits::{AnalysisScheme, ForecastModel};
 use stats::rng::split_seed;
 use std::borrow::Cow;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+use telemetry::Json;
 
 /// One run, as plain data: the experiment and everything the loop does
 /// besides cycling. The serial and the sharded face take the same value.
@@ -38,11 +45,15 @@ pub struct Run {
     pub budget: Option<f64>,
     /// Where and how often the boundary state is written.
     pub checkpoint: Option<CheckpointConfig>,
+    /// The directory the leader writes a postmortem into whenever a cycle
+    /// leaves `Healthy`, exhausts its retries, blows its budget or shrinks
+    /// its group; `None` writes none.
+    pub postmortems: Option<PathBuf>,
 }
 
 impl Run {
-    /// The plain run of `osse`: unsupervised, nothing scripted, no budget
-    /// and no checkpoints.
+    /// The plain run of `osse`: unsupervised, nothing scripted, no budget,
+    /// no checkpoints and no postmortems.
     pub fn new(label: impl Into<String>, osse: OsseConfig) -> Self {
         Run {
             label: label.into(),
@@ -51,6 +62,7 @@ impl Run {
             faults: FaultPlan::none(),
             budget: None,
             checkpoint: None,
+            postmortems: None,
         }
     }
 }
@@ -61,8 +73,8 @@ pub struct RunResult {
     /// Verification series over the cycles completed so far (including
     /// cycles restored from a checkpoint on resume).
     pub series: CycleSeries,
-    /// Per-cycle rung, events and health state for the cycles executed
-    /// *in this call*.
+    /// The run's per-cycle log: one record, rung and health state for
+    /// each cycle executed *in this call*.
     pub cycles: Vec<SupervisedCycle>,
     /// True when the run stopped before its final cycle: a scripted kill,
     /// or this process left its group for good.
@@ -77,13 +89,13 @@ impl RunResult {
     /// How often `event` fires in [`Self::cycles`] (each `rank_dead_shrink`
     /// is one analysis redone from the replicated forecast).
     pub fn event_count(&self, event: &str) -> usize {
-        self.cycles.iter().flat_map(|c| &c.events).filter(|e| *e == event).count()
+        self.cycles.iter().flat_map(|c| &c.record.events).filter(|e| *e == event).count()
     }
 
     /// The deadline hit rate: the share of [`Self::cycles`] that produced
     /// an analysis (full or fallback) with no `deadline_blown` (0 for none).
     pub fn hit_rate(&self) -> f64 {
-        let blown = |c: &SupervisedCycle| c.events.iter().any(|e| e == "deadline_blown");
+        let blown = |c: &SupervisedCycle| c.record.events.iter().any(|e| e == "deadline_blown");
         let hits = self.cycles.iter().filter(|c| c.rung != Rung::ForecastOnly && !blown(c));
         hits.count() as f64 / self.cycles.len().max(1) as f64
     }
@@ -95,13 +107,16 @@ const RESAMPLE_SALT: u64 = 0xFA07_5A1E;
 const RETRY_SALT: u64 = 0xFA07_11E7;
 const REINFLATE_SALT: u64 = 0xFA07_1F1A;
 
+/// Log entries a postmortem carries, the cycle that wrote it last.
+const POSTMORTEM_CYCLES: usize = 16;
+
 /// What a process does at a cycle boundary besides cycling. The loop is
 /// the same on one process and on every rank of a world; what differs is
 /// membership, and this is the one place it enters. The defaults are a
 /// single process, which leads and never leaves.
 pub trait ProcessGroup {
-    /// Whether this process speaks for the run: it alone touches
-    /// telemetry, cycle records, postmortems and checkpoint files.
+    /// Whether this process speaks for the run: it alone writes
+    /// postmortems and checkpoint files.
     fn leads(&self) -> bool {
         true
     }
@@ -248,7 +263,6 @@ pub fn run_cycles(
             }
         }
         let _span = telemetry::span!("osse.cycle");
-        let lead = group.leads() && telemetry::enabled();
 
         // Forecast, then apply this cycle's scripted member damage.
         let t_fc = Instant::now();
@@ -327,7 +341,7 @@ pub fn run_cycles(
         // Forecast half of the per-cycle diagnostics (innovation moments,
         // chi², rank histogram) — must be captured before the analysis
         // overwrites the forecast ensemble.
-        let pre_diag = obs.as_deref().filter(|_| lead).map(|y| {
+        let pre_diag = obs.as_deref().map(|y| {
             crate::diagnostics::forecast_stats(&at.ensemble, y, &spec, cycle as u64)
         });
 
@@ -396,9 +410,7 @@ pub fn run_cycles(
         };
         let blown = budget.is_some_and(|b| spent > b).then(|| "deadline_blown".to_string());
         postmortems.extend(blown.as_ref().map(|_| "deadline_blown"));
-        let first = events.len();
         events.extend(fired.into_iter().chain(blown));
-        let ladder_events = first..events.len();
         let modeled_secs = ladder.primary.map(|_| spent);
         align(scheme, &mut fallback, cycle + 1);
         let analysis_secs = t_an.elapsed().as_secs_f64();
@@ -460,81 +472,42 @@ pub fn run_cycles(
         };
         let state = at.state;
 
-        if lead {
-            for (i, event) in events.iter().enumerate() {
-                let key = event.split(':').next().unwrap_or(event);
-                telemetry::counter_add(&format!("resilience.{key}"), 1);
-                let (kind, label, a, b) = if ladder_events.contains(&i) {
-                    let budget = budget.unwrap_or(f64::INFINITY);
-                    (telemetry::FlightKind::Ladder, event.as_str(), spent, budget)
-                } else {
-                    (telemetry::FlightKind::Guardrail, key, 0.0, 0.0)
-                };
-                telemetry::flight_record(kind, cycle as i64, label, a, b);
-            }
-            if state != prev_state {
-                telemetry::counter_add("supervisor.transitions", 1);
-                telemetry::counter_add(
-                    &format!("supervisor.transition.{}_to_{}", prev_state.name(), state.name()),
-                    1,
-                );
-                telemetry::flight_record(
-                    telemetry::FlightKind::Transition,
-                    cycle as i64,
-                    &format!("{}->{}", prev_state.name(), state.name()),
-                    prev_state as u8 as f64,
-                    state as u8 as f64,
-                );
-            }
-            telemetry::gauge_set("supervisor.state", state as u8 as f64);
-            let diagnostics = pre_diag.as_ref().zip(obs.as_deref()).map(|(pre, y)| {
-                crate::diagnostics::complete(pre, &at.ensemble, y, rmse, &spec, cycle as u64)
-            });
-            if let Some(d) = &diagnostics {
-                telemetry::gauge_set("supervisor.spread_skill", d.spread_skill);
-                telemetry::gauge_set("supervisor.chi2", d.chi2);
-                telemetry::flight_record(
-                    telemetry::FlightKind::CycleDiag,
-                    cycle as i64,
-                    "cycle_diagnostics",
-                    d.chi2,
-                    d.spread_skill,
-                );
-            }
-            let mut phases = vec![
-                ("forecast".to_string(), forecast_secs),
-                ("analysis".to_string(), analysis_secs),
-            ];
-            phases.extend(modeled_secs.map(|s| ("analysis_modeled".to_string(), s)));
-            telemetry::record_cycle(telemetry::CycleRecord {
-                label: run.label.clone(),
-                cycle,
-                hours,
-                rmse,
-                spread,
-                obs_count: obs.as_deref().map_or(0, <[f64]>::len),
-                phases,
-                events: events.clone(),
-                diagnostics,
-            });
-            // Postmortems: dumped *after* the cycle record so the
-            // snapshot's recent-cycles window includes the cycle that went
-            // wrong.
-            if postmortems.is_empty()
-                && prev_state == LoopState::Healthy
-                && state == LoopState::Degraded
-            {
-                postmortems.push("left_healthy");
-            }
-            for reason in postmortems {
-                telemetry::dump_postmortem(reason);
+        let diagnostics = pre_diag.as_ref().zip(obs.as_deref()).map(|(pre, y)| {
+            crate::diagnostics::complete(pre, &at.ensemble, y, rmse, &spec, cycle as u64)
+        });
+        let mut phases = vec![
+            ("forecast".to_string(), forecast_secs),
+            ("analysis".to_string(), analysis_secs),
+        ];
+        phases.extend(modeled_secs.map(|s| ("analysis_modeled".to_string(), s)));
+        let record = telemetry::CycleRecord {
+            label: run.label.clone(),
+            cycle,
+            hours,
+            rmse,
+            spread,
+            obs_count: obs.as_deref().map_or(0, <[f64]>::len),
+            phases,
+            events,
+            diagnostics,
+        };
+        log.push(SupervisedCycle { state, rung, record });
+
+        // Postmortems come *after* the cycle's record, so the cycle that
+        // went wrong is the last entry they carry.
+        if postmortems.is_empty() && prev_state == LoopState::Healthy && state == LoopState::Degraded
+        {
+            postmortems.push("left_healthy");
+        }
+        if let Some(dir) = run.postmortems.as_deref().filter(|_| group.leads()) {
+            for (k, reason) in postmortems.into_iter().enumerate() {
+                write_postmortem(dir, cycle, k, reason, &log);
             }
         }
 
         model.assimilate_feedback(&at.prev_mean, &mean);
         group.completed(cycle, &mean, analysis_secs);
         at.prev_mean = mean;
-        log.push(SupervisedCycle { cycle, state, rung, events });
         at.cycle += 1;
 
         // Checkpoint the boundary, then honour a scripted kill at it.
@@ -580,4 +553,33 @@ fn align(scheme: &mut dyn AnalysisScheme, fb: &mut Option<&mut dyn AnalysisSchem
 fn stamp(at: &mut Checkpoint, scheme: &dyn AnalysisScheme, model: &mut dyn ForecastModel) {
     (at.scheme_epoch, at.scheme_seed) = scheme.rng_state();
     at.model_state = model.save_state();
+}
+
+/// Writes `cycle`'s `k`-th postmortem into `dir`, as
+/// `postmortem-<cycle>-<k>-<reason>.json`: the reason, the cycle, the
+/// latest entries of the run's `log` (each its record plus state and rung;
+/// `cycle`'s is the last) and the process's spans and metrics. A
+/// postmortem never takes the run down: a failed write is reported on
+/// stderr.
+fn write_postmortem(dir: &Path, cycle: usize, k: usize, reason: &str, log: &[SupervisedCycle]) {
+    let recent = log[log.len().saturating_sub(POSTMORTEM_CYCLES)..].iter().map(|c| {
+        let mut entry = c.record.to_json();
+        if let Json::Obj(pairs) = &mut entry {
+            pairs.push(("state".to_string(), Json::from(c.state.name())));
+            pairs.push(("rung".to_string(), Json::from(format!("{:?}", c.rung))));
+        }
+        entry
+    });
+    let doc = Json::obj(vec![
+        ("reason", Json::from(reason)),
+        ("cycle", Json::from(cycle)),
+        ("recent_cycles", Json::Arr(recent.collect())),
+        ("telemetry", telemetry::report::snapshot_json()),
+    ]);
+    let path = dir.join(format!("postmortem-{cycle:06}-{k}-{reason}.json"));
+    let written = std::fs::create_dir_all(dir)
+        .and_then(|()| telemetry::report::write_json(&path, &doc));
+    if let Err(e) = written {
+        eprintln!("postmortem {} not written: {e}", path.display());
+    }
 }

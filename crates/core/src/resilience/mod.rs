@@ -21,7 +21,7 @@
 //!   [`Run`](crate::cycle::Run) carries a [`HealthPolicy`] (guardrails and
 //!   the ladder's retry budget): the `Healthy → Degraded → Recovering →
 //!   Healthy` state machine, the recovery counters and the per-cycle log,
-//!   every recovery reported through telemetry.
+//!   every recovery an event in its cycle's record.
 //!
 //! A [`Run`](crate::cycle::Run) switches each of them on: `faults` for the
 //! script, `health` for the guardrails, `budget` for the ladder's

@@ -16,8 +16,8 @@
 //!    └──────────────────┘  └────────◀───fault───────┘
 //! ```
 //!
-//! Every recovery action is appended to the cycle's telemetry record and
-//! counted in [`RecoveryCounters`], and the full cycling state can be
+//! Every recovery action is appended to the cycle's record and counted in
+//! [`RecoveryCounters`], and the full cycling state can be
 //! checkpointed each `every` cycles so a killed run resumes
 //! *bit-identically* (all repair randomness is a pure function of the
 //! master seed and the cycle index).
@@ -35,8 +35,8 @@ pub enum LoopState {
 }
 
 impl LoopState {
-    /// Lower-case state name used in telemetry counter keys and flight
-    /// recorder labels (`"healthy"`, `"degraded"`, `"recovering"`).
+    /// Lower-case state name used in postmortems (`"healthy"`,
+    /// `"degraded"`, `"recovering"`).
     pub fn name(self) -> &'static str {
         match self {
             LoopState::Healthy => "healthy",
@@ -118,17 +118,16 @@ pub struct CheckpointConfig {
     pub every: usize,
 }
 
-/// One executed cycle, as the supervisor saw it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One executed cycle: the run's log entry.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedCycle {
-    /// Zero-based cycle index.
-    pub cycle: usize,
     /// Health state *after* this cycle.
     pub state: LoopState,
     /// The analysis ladder's rung that produced this cycle's analysis.
     pub rung: super::Rung,
-    /// Recovery events fired this cycle (empty ⇒ clean).
-    pub events: Vec<String>,
+    /// What the cycle did: its index, verification, phases, events (empty
+    /// ⇒ clean) and, when a batch was assimilated, its diagnostics.
+    pub record: telemetry::CycleRecord,
 }
 
 #[cfg(test)]
@@ -213,7 +212,7 @@ mod tests {
         assert_eq!(run.checkpoint.prev_mean, plain.final_mean);
         assert_eq!(run.checkpoint.counters.total(), 0);
         assert!(!run.interrupted);
-        assert!(run.cycles.iter().all(|c| c.events.is_empty()));
+        assert!(run.cycles.iter().all(|c| c.record.events.is_empty()));
         assert_eq!(run.checkpoint.state, LoopState::Healthy);
     }
 
@@ -257,7 +256,7 @@ mod tests {
         let mut model = SqgForecast::perfect(cfg.params.clone());
         let sup = supervised("sup", &cfg, FaultPlan::none());
         let run = drive(&sup, &nr, &mut model, &mut failing(), None, None).unwrap();
-        assert!(run.cycles[1].events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
         assert_eq!(run.checkpoint.counters.degraded_cycles, 1);
         assert!(run.series.rmse.iter().all(|r| r.is_finite()), "{:?}", run.series.rmse);
         assert_eq!(run.series.rmse[0], plain.rmse[0], "identical until the failure");
@@ -281,8 +280,8 @@ mod tests {
         let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
         assert_eq!(run.checkpoint.counters.quarantined_members, 2);
         assert_eq!(run.cycles[1].state, LoopState::Degraded);
-        assert!(run.cycles[1].events.iter().any(|e| e == "member_quarantined:2"));
-        assert!(run.cycles[1].events.iter().any(|e| e == "member_quarantined:4"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "member_quarantined:2"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "member_quarantined:4"));
         // Two clean cycles later the loop is healthy again.
         assert_eq!(run.cycles[2].state, LoopState::Recovering);
         assert_eq!(run.cycles[3].state, LoopState::Healthy);
@@ -326,7 +325,7 @@ mod tests {
         let counters = &run.checkpoint.counters;
         assert_eq!(counters.analysis_retries, 2);
         assert_eq!(counters.analysis_fallbacks, 1);
-        assert!(run.cycles[2].events.iter().any(|e| e == "analysis_fallback:LETKF"));
+        assert!(run.cycles[2].record.events.iter().any(|e| e == "analysis_fallback:LETKF"));
         assert_eq!(counters.degraded_cycles, 0, "fallback rescued the cycle");
     }
 
@@ -340,7 +339,7 @@ mod tests {
         let sup = supervised("degrade", &cfg, analysis_faults(1, 9));
         let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
         assert_eq!(run.checkpoint.counters.degraded_cycles, 1);
-        assert!(run.cycles[1].events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
     }
 
     #[test]
@@ -356,7 +355,7 @@ mod tests {
         assert_eq!(counters.analysis_retries, 1);
         assert_eq!(counters.analysis_fallbacks, 0);
         assert_eq!(counters.degraded_cycles, 0);
-        assert!(run.cycles[1].events.iter().any(|e| e == "analysis_retry:1"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "analysis_retry:1"));
     }
 
     /// Records the analysis index each call runs at, forwarding the noise
@@ -434,7 +433,7 @@ mod tests {
             FaultPlan { obs_faults: vec![(1, ObsFault::Thin { stride: 3 })], ..FaultPlan::none() };
         let sup = supervised("masked", &cfg, faults);
         let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
-        assert!(run.cycles[1].events.iter().any(|e| e == "obs_thinned:3"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "obs_thinned:3"));
         let degraded = run.checkpoint.counters.degraded_cycles;
         assert_eq!(degraded, 0, "thinned masked batch still assimilates");
         assert!(run.series.rmse.iter().all(|r| r.is_finite()));
@@ -553,11 +552,11 @@ mod tests {
         // arrives stale one cycle later and is discarded, never assimilated.
         assert_eq!(run.checkpoint.counters.degraded_cycles, 2);
         assert_eq!(run.checkpoint.counters.stale_obs_discarded, 1);
-        assert!(run.cycles[0].events.iter().any(|e| e == "obs_dropped"));
-        assert!(run.cycles[1].events.iter().any(|e| e == "obs_delayed:1"));
-        assert!(run.cycles[2].events.iter().any(|e| e == "stale_obs_discarded"));
+        assert!(run.cycles[0].record.events.iter().any(|e| e == "obs_dropped"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "obs_delayed:1"));
+        assert!(run.cycles[2].record.events.iter().any(|e| e == "stale_obs_discarded"));
         // The clean trailing cycles still assimilate.
-        assert!(run.cycles[3].events.is_empty());
+        assert!(run.cycles[3].record.events.is_empty());
         assert!(run.series.rmse.iter().all(|r| r.is_finite()));
     }
 
@@ -575,7 +574,7 @@ mod tests {
         // A thinned batch is degraded data, not a degraded cycle: the
         // analysis still runs on the surviving network.
         assert_eq!(run.checkpoint.counters.degraded_cycles, 0);
-        assert!(run.cycles[1].events.iter().any(|e| e == "obs_thinned:4"));
+        assert!(run.cycles[1].record.events.iter().any(|e| e == "obs_thinned:4"));
         assert_eq!(run.series.rmse.len(), 3);
         assert!(run.series.rmse.iter().all(|r| r.is_finite()));
         // The run completes (possibly with a guardrail fired on the

@@ -90,8 +90,8 @@ pub struct AnalysisReport {
     /// Recovery events (they degrade the cycle's health state and land in
     /// its record like any guardrail event).
     pub events: Vec<String>,
-    /// Reasons to dump a flight-recorder postmortem once the cycle's
-    /// record is written.
+    /// Reasons for a postmortem, written once the cycle's record is
+    /// ([`Run::postmortems`](crate::cycle::Run::postmortems)).
     pub postmortems: Vec<&'static str>,
     /// Set when the analysis failed beyond recovery: the loop stops with
     /// [`crate::OsseError::Unrecoverable`] carrying this reason.

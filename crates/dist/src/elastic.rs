@@ -49,7 +49,6 @@ use hpc::mpi::{run_world, Comm};
 use hpc::{collective_time, shard_step_compute_secs, Collective, MpiError, StragglerPlan};
 use stats::Ensemble;
 use std::time::Duration;
-use telemetry::flight::{flight_record, FlightKind};
 
 /// How long a dead rank waits for its rejoin grant before giving up. Real
 /// wall-clock (the watchdog of last resort), sized far above any test or
@@ -232,9 +231,8 @@ fn validate(run: &Run, sharding: &Sharding) -> Result<(), DistError> {
 
 /// This rank's membership in the world: the [`ProcessGroup`] the cycle
 /// loop consults at every boundary. World rank 0 leads — it speaks for the
-/// (replicated) world so counters and the flight ring aren't inflated
-/// ×ranks, and it writes the checkpoints; the loop refuses to kill it, so
-/// the lead never changes hands.
+/// (replicated) world, writing the postmortems and the checkpoints; the
+/// loop refuses to kill it, so the lead never changes hands.
 struct RankGroup<'a> {
     comm: &'a Comm,
     run: &'a Run,
@@ -273,18 +271,6 @@ impl ProcessGroup for RankGroup<'_> {
             comm.recover(&faults.membership_at(cycle, comm.world_size()), generation);
             self.rejoins += admitting.len() as u64;
             events.push("rank_rejoin".to_string());
-            if self.leads() && telemetry::enabled() {
-                telemetry::counter_add("elastic.rejoins", admitting.len() as u64);
-                for &r in &admitting {
-                    flight_record(
-                        FlightKind::RankRejoin,
-                        cycle as i64,
-                        "rank_rejoin",
-                        r as f64,
-                        comm.size() as f64,
-                    );
-                }
-            }
         }
 
         // A scripted victim dies here, at the boundary: it never enters a
@@ -317,9 +303,6 @@ impl ProcessGroup for RankGroup<'_> {
     fn completed(&mut self, cycle: usize, mean: &[f64], _analysis_secs: f64) {
         self.cycle_means.push((cycle, mean.to_vec()));
         self.group_sizes.push((cycle, self.comm.size()));
-        if self.leads() && telemetry::enabled() {
-            telemetry::counter_add("elastic.cycles", 1);
-        }
     }
 }
 
@@ -361,16 +344,6 @@ impl ShardedEnsf<'_> {
         self.report.shrunk = true;
         self.report.events.push("rank_dead_shrink".to_string());
         self.report.postmortems.push("rank_dead_shrink");
-        if comm.world_rank() == 0 && telemetry::enabled() {
-            telemetry::counter_add("elastic.shrinks", excluded as u64);
-            flight_record(
-                FlightKind::CollectiveShrink,
-                cycle as i64,
-                "rank_dead_shrink",
-                survivors.len() as f64,
-                excluded as f64,
-            );
-        }
     }
 }
 

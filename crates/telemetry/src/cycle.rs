@@ -1,18 +1,14 @@
 //! Per-cycle data-assimilation diagnostics.
 //!
-//! The OSSE harness records one [`CycleRecord`] per assimilation cycle:
-//! cycle index, forecast hours, analysis RMSE, ensemble spread, observation
-//! count, and per-phase wall-clock timings. Records accumulate in a global
-//! buffer (retrievable via [`cycle_records`], exportable via
-//! [`write_jsonl`]) and, when `SQG_DA_TELEMETRY_JSONL` names a file, stream
-//! to it as JSON Lines as they are recorded.
+//! The cycle loop builds one [`CycleRecord`] per executed cycle: cycle
+//! index, forecast hours, analysis RMSE, ensemble spread, observation
+//! count, per-phase wall-clock timings, the cycle's events and its filter
+//! diagnostics. The records belong to the run that made them (its
+//! per-cycle log); [`CycleRecord::to_json`] writes one as a JSON line and
+//! [`parse_jsonl`] reads such lines back.
 
 use crate::diagnostics::DaDiagnostics;
 use crate::json::{self, Json};
-use parking_lot::Mutex;
-use std::fs::File;
-use std::io::Write;
-use std::path::Path;
 
 /// Diagnostics for one assimilation cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,8 +66,16 @@ impl CycleRecord {
     }
 
     /// Deserializes from the object shape produced by [`to_json`].
+    ///
+    /// `cycle` and `obs_count` must be non-negative integers: a count
+    /// written as `-1`, `2.5` or `1e300` is an error naming its key.
     pub fn from_json(v: &Json) -> Result<CycleRecord, String> {
         let f = |k: &str| v.get(k).and_then(Json::as_f64).ok_or_else(|| format!("missing {k}"));
+        let count = |k: &str| match v.get(k) {
+            Some(&Json::Int(n)) => usize::try_from(n).map_err(|_| format!("negative {k}: {n}")),
+            Some(other) => Err(format!("{k} must be a non-negative integer, got {other}")),
+            None => Err(format!("missing {k}")),
+        };
         let phases = match v.get("phases") {
             Some(Json::Obj(pairs)) => pairs
                 .iter()
@@ -103,78 +107,16 @@ impl CycleRecord {
                 .and_then(Json::as_str)
                 .ok_or("missing label")?
                 .to_string(),
-            cycle: f("cycle")? as usize,
+            cycle: count("cycle")?,
             hours: f("hours")?,
             rmse: f("rmse")?,
             spread: f("spread")?,
-            obs_count: f("obs_count")? as usize,
+            obs_count: count("obs_count")?,
             phases,
             events,
             diagnostics,
         })
     }
-}
-
-struct CycleSink {
-    records: Vec<CycleRecord>,
-    /// Lazily opened JSONL stream; `Some(None)` means "resolved: no file".
-    stream: Option<Option<File>>,
-}
-
-static SINK: Mutex<CycleSink> = Mutex::new(CycleSink { records: Vec::new(), stream: None });
-
-fn open_stream() -> Option<File> {
-    let path = std::env::var("SQG_DA_TELEMETRY_JSONL").ok()?;
-    if path.trim().is_empty() {
-        return None;
-    }
-    match File::create(&path) {
-        Ok(f) => Some(f),
-        Err(e) => {
-            eprintln!("telemetry: cannot open SQG_DA_TELEMETRY_JSONL={path}: {e}");
-            None
-        }
-    }
-}
-
-/// Records one cycle's diagnostics (no-op while telemetry is disabled).
-///
-/// Appends to the in-memory buffer and, when `SQG_DA_TELEMETRY_JSONL` is
-/// set, writes the record's JSON line to that file immediately.
-pub fn record_cycle(record: CycleRecord) {
-    if !crate::enabled() {
-        return;
-    }
-    let mut sink = SINK.lock();
-    let stream = sink.stream.get_or_insert_with(open_stream);
-    if let Some(file) = stream {
-        let line = format!("{}\n", record.to_json());
-        if let Err(e) = file.write_all(line.as_bytes()) {
-            eprintln!("telemetry: JSONL write failed: {e}");
-        }
-    }
-    sink.records.push(record);
-}
-
-/// All cycle records collected so far, in recording order.
-pub fn cycle_records() -> Vec<CycleRecord> {
-    SINK.lock().records.clone()
-}
-
-/// Clears the in-memory cycle buffer (the JSONL stream, if any, is kept).
-pub fn clear_cycles() {
-    SINK.lock().records.clear();
-}
-
-/// Writes all collected cycle records to `path` as JSON Lines.
-pub fn write_jsonl(path: &Path) -> std::io::Result<()> {
-    let records = cycle_records();
-    let mut out = String::new();
-    for r in &records {
-        out.push_str(&r.to_json().to_string());
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// Parses a JSONL string back into records; errors carry the line number.
@@ -242,34 +184,20 @@ mod tests {
     }
 
     #[test]
-    fn record_and_clear_buffer() {
-        let _lock = crate::TEST_LOCK.lock();
-        crate::set_enabled(true);
-        clear_cycles();
-        record_cycle(sample(0));
-        record_cycle(sample(1));
-        let recs = cycle_records();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1].cycle, 1);
-        clear_cycles();
-        assert!(cycle_records().is_empty());
-    }
-
-    #[test]
-    fn disabled_drops_records() {
-        let _lock = crate::TEST_LOCK.lock();
-        crate::set_enabled(true);
-        clear_cycles();
-        crate::set_enabled(false);
-        record_cycle(sample(0));
-        crate::set_enabled(true);
-        assert!(cycle_records().is_empty());
-    }
-
-    #[test]
     fn bad_lines_report_position() {
         let err = parse_jsonl("{\"label\":\"x\"}\n").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
+
+        // Impossible counts are errors naming their key, never clamped,
+        // truncated or saturated into a usize.
+        let good = sample(0).to_json().to_string();
+        for (key, bad) in [("cycle", "-1"), ("cycle", "2.5"), ("obs_count", "1e300")] {
+            let from = format!("\"{key}\":{}", if key == "cycle" { "0" } else { "128" });
+            let line = good.replace(&from, &format!("\"{key}\":{bad}"));
+            assert_ne!(line, good, "replacement must have applied");
+            let err = parse_jsonl(&format!("{good}\n{line}\n")).unwrap_err();
+            assert!(err.starts_with("line 2:") && err.contains(key), "{key}={bad}: {err}");
+        }
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Workspace-wide telemetry: hierarchical span timers, counters / gauges /
-//! histograms, and per-cycle data-assimilation diagnostics with JSONL export.
+//! histograms, the per-cycle record type, and Chrome traces.
 //!
-//! Everything routes through a process-global registry so instrumentation
-//! can be dropped into any crate without plumbing a context object through
-//! hot call paths. The whole layer sits behind a single enable switch:
+//! Spans and metrics route through a process-global registry so
+//! instrumentation can be dropped into any crate without plumbing a
+//! context object through hot call paths. They sit behind a single enable
+//! switch:
 //!
 //! * Set `SQG_DA_TELEMETRY=1` (or `true` / `on`) in the environment, or call
 //!   [`set_enabled(true)`](set_enabled), to turn collection on.
 //! * When disabled (the default), every instrumentation macro reduces to one
 //!   relaxed atomic load — a few nanoseconds — so instrumented hot loops cost
 //!   effectively nothing (see `crates/bench/benches/telemetry_bench.rs`).
-//! * Set `SQG_DA_TELEMETRY_JSONL=/path/to/file.jsonl` to stream every
-//!   completed assimilation cycle record to disk as it is recorded.
 //!
 //! The main entry points:
 //!
@@ -19,14 +18,14 @@
 //!   `osse.cycle.analysis`.
 //! * [`counter_add`] / [`gauge_set`] / [`histogram_record`] — named
 //!   metrics with sharded, thread-safe aggregation.
-//! * [`CycleRecord`] + [`record_cycle`] — structured per-cycle DA
-//!   diagnostics (RMSE, spread, per-phase timings, innovation statistics)
-//!   serializable to JSONL.
+//! * [`CycleRecord`] — one assimilation cycle's facts (RMSE, spread,
+//!   per-phase timings, events, innovation diagnostics), JSONL-serializable.
+//!   It holds no global state and ignores the switch: the cycle loop builds
+//!   one per cycle into the run's own log, and the leader's postmortems
+//!   carry the latest of them.
 //! * [`snapshot_json`](report::snapshot_json) — one JSON object with every
-//!   span and metric, used by the bench binaries' `--json` flag.
-//! * [`flight_record`] + [`dump_postmortem`] — allocation-free flight
-//!   recorder ring with a structured postmortem snapshot to
-//!   `SQG_DA_POSTMORTEM_DIR` when a run leaves its healthy state.
+//!   span and metric, used by the bench binaries' `--json` flag and by
+//!   postmortems.
 //! * [`TraceEvent`] + [`chrome_trace`] — Chrome trace-event timelines, one
 //!   lane per rank (written by `cyclebench --trace 1`).
 
@@ -34,19 +33,14 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod cycle;
 pub mod diagnostics;
-pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use cycle::{clear_cycles, cycle_records, record_cycle, write_jsonl, CycleRecord};
+pub use cycle::CycleRecord;
 pub use diagnostics::DaDiagnostics;
-pub use flight::{
-    dump_postmortem, flight_events, flight_record, reset_flight, set_postmortem_dir,
-    FlightEvent, FlightKind,
-};
 pub use json::Json;
 pub use metrics::{
     counter_add, counter_value, gauge_set, gauge_value, histogram_record, HistogramSnapshot,
@@ -92,14 +86,11 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
 }
 
-/// Resets all collected telemetry (spans, metrics, cycle records, flight
-/// events) without touching the enable state. Intended for tests and
-/// between-experiment boundaries.
+/// Resets all collected spans and metrics without touching the enable
+/// state. Intended for tests and between-experiment boundaries.
 pub fn reset() {
     span::reset_spans();
     metrics::reset_metrics();
-    cycle::clear_cycles();
-    flight::reset_flight();
 }
 
 /// Opens a named wall-clock span for the enclosing scope.

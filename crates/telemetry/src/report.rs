@@ -1,11 +1,11 @@
 //! Whole-process telemetry snapshots and the bench `--json` writer.
 
 use crate::json::Json;
-use crate::{cycle, metrics, span};
+use crate::{metrics, span};
 use std::path::Path;
 
-/// One JSON object summarizing every span, counter, gauge, histogram, and
-/// cycle record collected so far.
+/// One JSON object summarizing every span, counter, gauge and histogram
+/// collected so far.
 ///
 /// Shape:
 /// ```json
@@ -13,8 +13,7 @@ use std::path::Path;
 ///   "spans":      { "osse.cycle": {"count":5,"total_secs":...,"min_secs":...,"max_secs":...}, ... },
 ///   "counters":   { "fft.calls": 1234, ... },
 ///   "gauges":     { "vit.train.loss": 0.73, ... },
-///   "histograms": { "ensf.score.secs": {"count":...,"mean":...,"p50":...,"p99":...,"min":...,"max":...}, ... },
-///   "cycles":     [ { ...cycle record... }, ... ]
+///   "histograms": { "ensf.score.secs": {"count":...,"mean":...,"p50":...,"p99":...,"min":...,"max":...}, ... }
 /// }
 /// ```
 pub fn snapshot_json() -> Json {
@@ -60,25 +59,12 @@ pub fn snapshot_json() -> Json {
             )
         })
         .collect();
-    let cycles = cycle::cycle_records().iter().map(CycleJson::to_json).collect();
     Json::obj(vec![
         ("spans", Json::Obj(spans)),
         ("counters", Json::Obj(counters)),
         ("gauges", Json::Obj(gauges)),
         ("histograms", Json::Obj(histograms)),
-        ("cycles", Json::Arr(cycles)),
     ])
-}
-
-/// Local trait so the map above reads naturally.
-trait CycleJson {
-    fn to_json(&self) -> Json;
-}
-
-impl CycleJson for cycle::CycleRecord {
-    fn to_json(&self) -> Json {
-        cycle::CycleRecord::to_json(self)
-    }
 }
 
 /// Writes `payload` (typically a bench result object, optionally merged
@@ -105,7 +91,7 @@ mod tests {
         }
         let snap = snapshot_json();
         let back = json::parse(&snap.to_string()).unwrap();
-        for key in ["spans", "counters", "gauges", "histograms", "cycles"] {
+        for key in ["spans", "counters", "gauges", "histograms"] {
             assert!(back.get(key).is_some(), "missing {key}");
         }
         assert_eq!(back.get("counters").unwrap().get("snap.counter").unwrap().as_i64(), Some(7));

@@ -10,11 +10,10 @@
 //! assimilation windows, printing how the error contracts toward the
 //! observation accuracy.
 //!
-//! With `SQG_DA_TELEMETRY=1` each cycle is also captured as a structured
-//! record (RMSE, spread, per-phase timings, and the innovation / rank
-//! histogram / spread–skill diagnostics) and written to
-//! `quickstart_cycles.jsonl` — or streamed to `SQG_DA_TELEMETRY_JSONL` if
-//! that is set.
+//! Each cycle is also captured as a structured record (RMSE, spread,
+//! per-phase timings, and the innovation / rank histogram / spread–skill
+//! diagnostics), and the five records are written as JSON Lines to
+//! `quickstart_cycles.jsonl` in the working directory.
 
 use sqg_da::da_core::ForecastModel;
 use sqg_da::ensf::{Ensf, EnsfConfig, ObsSpec};
@@ -55,59 +54,53 @@ fn main() {
     println!("{:>6} {:>16} {:>16}", "cycle", "forecast RMSE", "analysis RMSE");
     let mut last_forecast = f64::NAN;
     let mut last_analysis = f64::NAN;
+    let mut records = String::new();
     for cycle in 1..=5 {
-        let t_fc = telemetry::enabled().then(std::time::Instant::now);
+        let t_fc = std::time::Instant::now();
         model.forecast(&mut truth, 12.0);
         model.forecast_ensemble(&mut ensemble, 12.0);
-        let forecast_secs = t_fc.map(|t| t.elapsed().as_secs_f64());
+        let forecast_secs = t_fc.elapsed().as_secs_f64();
         last_forecast = metrics::rmse(&ensemble.mean(), &truth);
 
         let y: Vec<f64> = truth
             .iter()
             .map(|&t| t + obs_sigma * gaussian::standard_normal(&mut obs_rng))
             .collect();
-        let pre_diag = telemetry::enabled()
-            .then(|| sqg_da::da_core::diagnostics::forecast_stats(&ensemble, &y, &obs, 0));
-        let t_an = telemetry::enabled().then(std::time::Instant::now);
+        let pre_diag = sqg_da::da_core::diagnostics::forecast_stats(&ensemble, &y, &obs, 0);
+        let t_an = std::time::Instant::now();
         ensemble = filter.analyze(&ensemble, &y, &obs_op);
-        let analysis_secs = t_an.map(|t| t.elapsed().as_secs_f64());
+        let analysis_secs = t_an.elapsed().as_secs_f64();
         last_analysis = metrics::rmse(&ensemble.mean(), &truth);
         println!("{cycle:>6} {last_forecast:>16.6} {last_analysis:>16.6}");
 
-        if telemetry::enabled() {
-            telemetry::record_cycle(telemetry::CycleRecord {
-                label: "quickstart".to_string(),
-                cycle: cycle - 1,
-                hours: cycle as f64 * 12.0,
-                rmse: last_analysis,
-                spread: ensemble.spread(),
-                obs_count: y.len(),
-                phases: vec![
-                    ("forecast".to_string(), forecast_secs.unwrap_or(0.0)),
-                    ("analysis".to_string(), analysis_secs.unwrap_or(0.0)),
-                ],
-                events: Vec::new(),
-                diagnostics: pre_diag.as_ref().map(|pre| {
-                    sqg_da::da_core::diagnostics::complete(
-                        pre,
-                        &ensemble,
-                        &y,
-                        last_analysis,
-                        &obs,
-                        0,
-                    )
-                }),
-            });
-        }
+        let record = telemetry::CycleRecord {
+            label: "quickstart".to_string(),
+            cycle: cycle - 1,
+            hours: cycle as f64 * 12.0,
+            rmse: last_analysis,
+            spread: ensemble.spread(),
+            obs_count: y.len(),
+            phases: vec![
+                ("forecast".to_string(), forecast_secs),
+                ("analysis".to_string(), analysis_secs),
+            ],
+            events: Vec::new(),
+            diagnostics: Some(sqg_da::da_core::diagnostics::complete(
+                &pre_diag,
+                &ensemble,
+                &y,
+                last_analysis,
+                &obs,
+                0,
+            )),
+        };
+        records.push_str(&format!("{}\n", record.to_json()));
     }
 
-    // Flush the per-cycle telemetry (if enabled) for downstream tooling.
-    if telemetry::enabled() && std::env::var("SQG_DA_TELEMETRY_JSONL").is_err() {
-        let path = "quickstart_cycles.jsonl";
-        telemetry::write_jsonl(std::path::Path::new(path))
-            .expect("failed to write cycle records");
-        println!("\ntelemetry: {} cycle records written to {path}", 5);
-    }
+    // The per-cycle records, for downstream tooling.
+    let path = "quickstart_cycles.jsonl";
+    std::fs::write(path, records).expect("failed to write cycle records");
+    println!("\n5 cycle records written to {path}");
 
     println!(
         "

@@ -3,33 +3,55 @@
 //! One end-to-end scenario per acceptance criterion: a chaos run that
 //! must complete every cycle and still beat the free run, a
 //! checkpoint → kill → restore round trip through a real file that must
-//! be bit-identical, and a corrupted checkpoint that must be rejected.
+//! be bit-identical, a corrupted checkpoint that must be rejected, and
+//! concurrent runs whose records and postmortems stay their own.
+//!
+//! Every run keeps its own records and writes its own postmortems, so the
+//! tests share no process state and run in parallel.
 
 use sqg_da::da_core::cycle::{run_cycles, Run, RunResult, SingleProcess};
 use sqg_da::da_core::osse::{nature_run, NatureRun, OsseConfig};
 use sqg_da::da_core::resilience::{
     AnalysisFault, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, HealthPolicy,
-    LoopState, MemberFault, MemberFaultKind, ObsFault,
+    LoopState, MemberFault, MemberFaultKind, ObsFault, SupervisedCycle,
 };
 use sqg_da::da_core::{AnalysisScheme, ForecastModel};
 use sqg_da::da_core::{Completion, EnsfScheme, LetkfScheme, NoAssimilation, SqgForecast};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
-
-/// Serializes every test of this binary: telemetry's enable flag, cycle
-/// records, flight ring and postmortem sink are process-global, so a
-/// supervised loop running while another test has telemetry on would write
-/// into that test's records and postmortem directory.
-static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn telemetry_gate() -> std::sync::MutexGuard<'static, ()> {
-    TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
+use telemetry::Json;
 
 /// A scratch path under the system temp dir, private to this process.
 fn scratch_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("sqg_da_chaos_{name}_{}", std::process::id()))
+}
+
+/// The postmortem files in `dir`, sorted by name, each with its parsed
+/// document.
+fn postmortems_in(dir: &std::path::Path) -> Vec<(String, Json)> {
+    let mut dumps: Vec<(String, Json)> = std::fs::read_dir(dir)
+        .expect("postmortem dir must exist")
+        .map(|e| e.unwrap().path())
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let doc = telemetry::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            (name, doc)
+        })
+        .collect();
+    dumps.sort_by(|a, b| a.0.cmp(&b.0));
+    dumps
+}
+
+/// The `key` string of every entry of a postmortem's `recent_cycles`.
+fn recent(doc: &Json, key: &str) -> Vec<String> {
+    let entries = doc.get("recent_cycles").and_then(Json::as_arr).unwrap();
+    entries.iter().map(|e| e.get(key).and_then(Json::as_str).unwrap().to_string()).collect()
+}
+
+/// Every event the run's log holds, in cycle order.
+fn all_events(cycles: &[SupervisedCycle]) -> Vec<&String> {
+    cycles.iter().flat_map(|c| &c.record.events).collect()
 }
 
 fn chaos_config(cycles: usize, seed: u64) -> OsseConfig {
@@ -94,11 +116,10 @@ fn ensf_scheme(cfg: &OsseConfig, dim: usize) -> EnsfScheme {
 /// Everything at once: NaN'd and blown-up members, a dropped observation
 /// batch, a thinned network, and an EnSF outage deep enough to exhaust the
 /// retry budget and hit the LETKF fallback. The run must finish every
-/// cycle, leave a recovery trail in telemetry, and still assimilate well
+/// cycle, leave a recovery trail in its records, and still assimilate well
 /// enough to beat a free (no-DA) run.
 #[test]
 fn chaos_run_completes_and_beats_free_run() {
-    let _gate = telemetry_gate();
     let cfg = chaos_config(16, 23);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
@@ -114,13 +135,11 @@ fn chaos_run_completes_and_beats_free_run() {
         ..FaultPlan::none()
     };
 
-    telemetry::set_enabled(true);
     let mut model = SqgForecast::perfect(cfg.params.clone());
     let mut scheme = ensf_scheme(&cfg, dim);
     let mut fallback = LetkfScheme::with_obs(LetkfConfig::default(), &cfg.params, cfg.obs_spec());
     let chaos = chaos_run("chaos", &cfg, faults);
     let run = drive(&chaos, &nr, &mut model, &mut scheme, Some(&mut fallback), None);
-    telemetry::set_enabled(false);
 
     // Every cycle completed despite the fault script.
     assert!(!run.interrupted);
@@ -142,17 +161,16 @@ fn chaos_run_completes_and_beats_free_run() {
     // so only scripted faults — never spontaneous collapse — trip guardrails.
     assert_eq!(counters.reinflations, 0, "no collapse repair expected");
 
-    // The recovery trail is visible in telemetry, not just return values.
-    let records: Vec<_> =
-        telemetry::cycle_records().into_iter().filter(|r| r.label == "chaos").collect();
-    assert_eq!(records.len(), cfg.cycles);
-    let all_events: Vec<String> =
-        records.iter().flat_map(|r| r.events.iter().cloned()).collect();
+    // The recovery trail is in the run's records, cycle by cycle.
+    assert!(run.cycles.iter().map(|c| &c.record).all(|r| r.label == "chaos"));
+    let records: Vec<usize> = run.cycles.iter().map(|c| c.record.cycle).collect();
+    assert_eq!(records, (0..cfg.cycles).collect::<Vec<_>>());
+    let all_events = all_events(&run.cycles);
     assert!(all_events.iter().any(|e| e.starts_with("member_quarantined:")));
-    assert!(all_events.iter().any(|e| e == "obs_dropped"));
-    assert!(all_events.iter().any(|e| e == "obs_thinned:4"));
-    assert!(all_events.iter().any(|e| e == "analysis_fallback:LETKF"));
-    assert!(telemetry::counter_value("resilience.member_quarantined") >= 3);
+    assert!(all_events.iter().any(|e| *e == "obs_dropped"));
+    assert!(all_events.iter().any(|e| *e == "obs_thinned:4"));
+    assert!(all_events.iter().any(|e| *e == "analysis_fallback:LETKF"));
+    assert!(all_events.iter().filter(|e| e.starts_with("member_quarantined:")).count() >= 3);
 
     // Despite the chaos, assimilation still beats running the model free.
     let free = free_run(&cfg, &nr);
@@ -171,7 +189,6 @@ fn chaos_run_completes_and_beats_free_run() {
 /// cycle, and the run still completes every cycle and beats the free run.
 #[test]
 fn flow_matching_chaos_run_retries_and_falls_back() {
-    let _gate = telemetry_gate();
     let cfg = chaos_config(12, 31);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
@@ -204,8 +221,7 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
     let counters = &run.checkpoint.counters;
     assert_eq!(counters.analysis_retries, 2, "retry budget spent before fallback");
     assert_eq!(counters.analysis_fallbacks, 1);
-    let all_events: Vec<&String> = run.cycles.iter().flat_map(|c| c.events.iter()).collect();
-    assert!(all_events.iter().any(|e| *e == "analysis_fallback:LETKF"));
+    assert!(all_events(&run.cycles).iter().any(|e| *e == "analysis_fallback:LETKF"));
 
     let free = free_run(&cfg, &nr);
     assert!(
@@ -216,14 +232,13 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
     );
 }
 
-/// The flight recorder end to end: an injected fault knocks the
-/// supervisor out of `Healthy`, and that exact moment must produce a
-/// structured postmortem JSON on disk carrying (a) the `healthy->degraded`
-/// transition in the flight ring, (b) the degrading cycle's record with
-/// its innovation diagnostics attached, and (c) the supervisor counters.
+/// Postmortems end to end: an injected fault knocks the supervisor out of
+/// `Healthy`, and that exact moment must produce a structured postmortem
+/// JSON in the run's directory carrying (a) the `healthy` then `degraded`
+/// states in its recent entries, (b) the degrading cycle's record with
+/// its innovation diagnostics attached, and (c) the quarantine events.
 #[test]
 fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
-    let _gate = telemetry_gate();
     let cfg = chaos_config(6, 53);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
@@ -239,72 +254,48 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
         ..FaultPlan::none()
     };
 
-    telemetry::set_enabled(true);
-    telemetry::reset();
-    telemetry::set_postmortem_dir(Some(&dir));
     let mut model = SqgForecast::perfect(cfg.params.clone());
     let mut scheme = ensf_scheme(&cfg, dim);
-    let chaos = chaos_run("postmortem", &cfg, faults);
+    let chaos = Run { postmortems: Some(dir.clone()), ..chaos_run("postmortem", &cfg, faults) };
     let run = drive(&chaos, &nr, &mut model, &mut scheme, None, None);
-    telemetry::set_postmortem_dir(None);
-    telemetry::set_enabled(false);
 
     assert_eq!(run.cycles[3].state, LoopState::Degraded, "fault must trip the supervisor");
 
     // Exactly the left-Healthy moment dumped (later cycles transition
     // Degraded → Recovering → Healthy, which is recovery, not a fault).
-    let mut dumps: Vec<_> = std::fs::read_dir(&dir)
-        .expect("postmortem dir must exist")
-        .map(|e| e.unwrap().path())
-        .collect();
-    dumps.sort();
-    assert_eq!(dumps.len(), 1, "one postmortem expected, got {dumps:?}");
-    let doc = telemetry::json::parse(&std::fs::read_to_string(&dumps[0]).unwrap()).unwrap();
+    let dumps = postmortems_in(&dir);
     std::fs::remove_dir_all(&dir).ok();
+    let names: Vec<&str> = dumps.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["postmortem-000003-0-left_healthy.json"], "one postmortem expected");
+    let doc = &dumps[0].1;
 
-    assert_eq!(doc.get("reason").and_then(telemetry::Json::as_str), Some("left_healthy"));
+    assert_eq!(doc.get("reason").and_then(Json::as_str), Some("left_healthy"));
+    assert_eq!(doc.get("cycle").and_then(Json::as_i64), Some(3));
 
-    // (a) The transition is in the flight ring, tagged with the cycle.
-    let flight = doc.get("flight").and_then(telemetry::Json::as_arr).unwrap();
-    let transition = flight
-        .iter()
-        .find(|e| e.get("kind").and_then(telemetry::Json::as_str) == Some("transition"))
-        .expect("flight ring must hold the state transition");
-    assert_eq!(transition.get("label").and_then(telemetry::Json::as_str), Some("healthy->degraded"));
-    assert_eq!(transition.get("cycle").and_then(telemetry::Json::as_i64), Some(3));
-    assert!(
-        flight.iter().any(|e| {
-            e.get("kind").and_then(telemetry::Json::as_str) == Some("guardrail")
-                && e.get("cycle").and_then(telemetry::Json::as_i64) == Some(3)
-        }),
-        "quarantine guardrail events must be on the ring"
-    );
+    // (a) The transition is in the recent entries: healthy up to cycle 2,
+    // degraded at cycle 3, the last entry.
+    let states = recent(doc, "state");
+    assert_eq!(states, ["healthy", "healthy", "healthy", "degraded"], "healthy->degraded");
 
-    // (b) The degrading cycle's record is in the snapshot, diagnostics
+    // (b) The degrading cycle's record is the last entry, diagnostics
     // attached and finite.
-    let cycles = doc.get("recent_cycles").and_then(telemetry::Json::as_arr).unwrap();
-    let degrading = cycles
-        .iter()
-        .find(|c| {
-            c.get("label").and_then(telemetry::Json::as_str) == Some("postmortem")
-                && c.get("cycle").and_then(telemetry::Json::as_i64) == Some(3)
-        })
-        .expect("snapshot must include the degrading cycle");
+    let cycles = doc.get("recent_cycles").and_then(Json::as_arr).unwrap();
+    let degrading = cycles.last().unwrap();
+    assert_eq!(degrading.get("label").and_then(Json::as_str), Some("postmortem"));
+    assert_eq!(degrading.get("cycle").and_then(Json::as_i64), Some(3));
     let diag = degrading.get("diagnostics").expect("degrading cycle must carry diagnostics");
     for key in ["of_mean", "of_var", "oa_mean", "oa_var", "chi2", "spread_skill"] {
-        let v = diag.get(key).and_then(telemetry::Json::as_f64).unwrap_or(f64::NAN);
+        let v = diag.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
         assert!(v.is_finite(), "diagnostics.{key} must be finite, got {v}");
     }
 
-    // (c) Supervisor bookkeeping rode along.
-    let counters = doc.get("counters").unwrap();
-    assert_eq!(
-        counters
-            .get("supervisor.transition.healthy_to_degraded")
-            .and_then(telemetry::Json::as_i64),
-        Some(1)
-    );
-    assert!(counters.get("resilience.member_quarantined").is_some());
+    // (c) The guardrail's events rode along with the cycle they fired in.
+    let events = degrading.get("events").and_then(Json::as_arr).unwrap();
+    let events: Vec<&str> = events.iter().filter_map(Json::as_str).collect();
+    for quarantined in ["member_quarantined:2", "member_quarantined:5"] {
+        assert!(events.contains(&quarantined), "{quarantined} missing from {events:?}");
+    }
+    assert!(doc.get("telemetry").and_then(|t| t.get("counters")).is_some());
 }
 
 /// Kill the loop mid-run with checkpointing to a real file, restore from
@@ -312,7 +303,6 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
 /// final ensemble to match an uninterrupted run bit for bit.
 #[test]
 fn checkpoint_kill_restore_is_bit_identical() {
-    let _gate = telemetry_gate();
     let cfg = chaos_config(8, 31);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
@@ -362,7 +352,6 @@ fn checkpoint_kill_restore_is_bit_identical() {
 /// fed into the cycling loop.
 #[test]
 fn corrupted_checkpoint_file_is_rejected() {
-    let _gate = telemetry_gate();
     let cfg = chaos_config(4, 41);
     let nr = nature_run(&cfg);
     let dim = nr.truth[0].len();
@@ -389,4 +378,75 @@ fn corrupted_checkpoint_file_is_rejected() {
         Checkpoint::load(std::path::Path::new("/nonexistent/ckpt.bin")),
         Err(CheckpointError::Io(_))
     ));
+}
+
+/// Two supervised runs at once, telemetry never switched on: each result
+/// holds only its own records (diagnostics on every observed cycle) and
+/// each postmortem directory only its own run's postmortems, while a third
+/// run without a directory writes no file at all.
+#[test]
+fn concurrent_runs_keep_their_own_records_and_postmortems() {
+    let cfg = chaos_config(5, 61);
+    let nr = nature_run(&cfg);
+    let dim = nr.truth[0].len();
+    let nan = |cycle, member| MemberFault { cycle, member, kind: MemberFaultKind::Nan };
+    let quarantine = FaultPlan { member_faults: vec![nan(2, 1)], ..FaultPlan::none() };
+    let drop = FaultPlan { obs_faults: vec![(1, ObsFault::Drop)], ..FaultPlan::none() };
+    let (dir_a, dir_b) = (scratch_path("isolation_a"), scratch_path("isolation_b"));
+    for dir in [&dir_a, &dir_b] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let runs = [
+        Run { postmortems: Some(dir_a.clone()), ..chaos_run("iso-a", &cfg, quarantine.clone()) },
+        Run { postmortems: Some(dir_b.clone()), ..chaos_run("iso-b", &cfg, drop) },
+        chaos_run("iso-none", &cfg, quarantine),
+    ];
+    let stray = || {
+        let listing = |dir: std::path::PathBuf| {
+            let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+            entries.map(|e| e.file_name().to_string_lossy().into_owned()).collect::<Vec<_>>()
+        };
+        let mut names = listing(std::env::temp_dir());
+        names.extend(listing(std::env::current_dir().unwrap()));
+        names.retain(|n| n.starts_with("postmortem-"));
+        names
+    };
+    let before = stray();
+
+    let results: Vec<RunResult> = std::thread::scope(|scope| {
+        let threads: Vec<_> = runs
+            .iter()
+            .map(|run| {
+                let (cfg, nr) = (&cfg, &nr);
+                scope.spawn(move || {
+                    let mut model = SqgForecast::perfect(cfg.params.clone());
+                    let mut scheme = ensf_scheme(cfg, dim);
+                    drive(run, nr, &mut model, &mut scheme, None, None)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+
+    for (run, result) in runs.iter().zip(&results) {
+        assert_eq!(result.cycles.len(), cfg.cycles, "{}", run.label);
+        for c in &result.cycles {
+            let r = &c.record;
+            assert_eq!(r.label, run.label, "a record of another run in {}", run.label);
+            assert_eq!(r.diagnostics.is_some(), r.obs_count > 0, "{} cycle {}", run.label, r.cycle);
+        }
+    }
+    assert_eq!(results[1].cycles[1].record.obs_count, 0, "the dropped batch is unobserved");
+    let a = postmortems_in(&dir_a);
+    let b = postmortems_in(&dir_b);
+    for dir in [&dir_a, &dir_b] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let names = |dumps: &[(String, Json)]| dumps.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&a), ["postmortem-000002-0-left_healthy.json"]);
+    assert_eq!(names(&b), ["postmortem-000001-0-left_healthy.json"]);
+    for (dumps, label) in [(&a, "iso-a"), (&b, "iso-b")] {
+        assert!(recent(&dumps[0].1, "label").iter().all(|l| l == label), "{label}");
+    }
+    assert_eq!(stray(), before, "a run without a postmortem directory wrote a file");
 }

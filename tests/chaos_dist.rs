@@ -1,23 +1,21 @@
 //! Chaos testing for the elastic distributed runtime: every hostile
 //! scenario — rank kill, rank rejoin, straggler-blown deadline — must
 //! terminate with a **typed outcome** (never a hang, never a panic) and
-//! leave a **flight-recorder postmortem** on disk that names the failure
+//! leave a **postmortem** in the run's directory that names the failure
 //! and carries the degrading cycle's own DA diagnostics.
 //!
 //! Mirrors `tests/chaos.rs` for the supervised single-process loop; here
-//! the fault surface is the simulated MPI world itself.
+//! the fault surface is the simulated MPI world itself. Each run keeps its
+//! own records and postmortem directory, so the tests run in parallel.
 
 use sqg_da::da_core::cycle::Run;
 use sqg_da::da_core::osse::{nature_run, NatureRun, OsseConfig};
-use sqg_da::da_core::resilience::{CheckpointConfig, RankKill, RankRejoin, Rung};
+use sqg_da::da_core::resilience::{CheckpointConfig, LoopState, RankKill, RankRejoin, Rung};
 use sqg_da::dist::{modeled_analysis_secs, run_sharded, ElasticCounters, ShardedRun, Sharding};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::hpc::{Straggler, StragglerPlan};
 use sqg_da::sqg::SqgParams;
-
-/// Serializes the tests in this file: they all flip process-global
-/// telemetry state (enable flag, counters, flight ring, postmortem sink).
-static TELEMETRY_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+use telemetry::Json;
 
 /// Reduced grid (`d = 512`, 8 members), matching the elastic unit tests.
 fn elastic_config(cycles: usize) -> (Run, Sharding) {
@@ -69,45 +67,63 @@ fn postmortems_matching(dir: &std::path::Path, slug: &str) -> String {
     text
 }
 
-fn telemetry_scope(dir: &std::path::Path) {
-    telemetry::reset();
-    telemetry::set_enabled(true);
-    telemetry::set_postmortem_dir(Some(dir));
+/// The one postmortem file in `dir` named `name`, parsed.
+fn postmortem(dir: &std::path::Path, name: &str) -> Json {
+    let text = std::fs::read_to_string(dir.join(name))
+        .unwrap_or_else(|e| panic!("postmortem {name} in {}: {e}", dir.display()));
+    telemetry::json::parse(&text).unwrap()
 }
 
-fn telemetry_close() {
-    telemetry::set_postmortem_dir(None);
-    telemetry::set_enabled(false);
-    telemetry::reset();
+/// Each entry of a postmortem's `recent_cycles`: its cycle, its state and
+/// its events.
+fn recent(doc: &Json) -> Vec<(i64, String, Vec<String>)> {
+    let entries = doc.get("recent_cycles").and_then(Json::as_arr).expect("recent_cycles");
+    let text = |v: &Json| v.as_str().unwrap().to_string();
+    entries
+        .iter()
+        .map(|e| {
+            let events = e.get("events").and_then(Json::as_arr).unwrap();
+            (
+                e.get("cycle").and_then(Json::as_i64).unwrap(),
+                text(e.get("state").unwrap()),
+                events.iter().map(text).collect(),
+            )
+        })
+        .collect()
+}
+
+/// The events of every cycle in rank 0's log, in cycle order.
+fn logged_events(result: &ShardedRun) -> Vec<Vec<String>> {
+    result.run.cycles.iter().map(|c| c.record.events.clone()).collect()
 }
 
 /// A rank killed mid-analysis terminates the run with a typed outcome and
-/// dumps a `rank_dead_shrink` postmortem whose flight ring records the
-/// shrink and whose recent-cycle log carries the degrading cycle's
-/// diagnostics.
+/// dumps a `rank_dead_shrink` postmortem whose recent entries carry the
+/// shrink and the degrading cycle's diagnostics.
 #[test]
 fn rank_kill_leaves_shrink_postmortem_with_cycle_diagnostics() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = postmortem_dir("kill");
-    telemetry_scope(&dir);
-
     let (mut run, sharding) = elastic_config(3);
     run.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
+    run.postmortems = Some(dir.clone());
     let result = sharded(&run, &sharding, 3);
 
     // Typed outcome, no hang: the survivors completed every cycle.
     assert!(!result.run.interrupted);
     assert_eq!(result.counters.shrinks, 1);
-    assert_eq!(telemetry::counter_value("elastic.shrinks"), 1);
-    assert_eq!(telemetry::counter_value("elastic.cycles"), 3);
+    assert_eq!(result.run.event_count("rank_dead_shrink"), 1);
+    assert_eq!(result.run.cycles.len(), 3);
 
     let text = postmortems_matching(&dir, "rank_dead_shrink");
     assert!(!text.is_empty(), "kill must dump a rank_dead_shrink postmortem");
-    // The black box names the shrink in the flight ring...
-    assert!(text.contains("\"collective_shrink\""), "flight ring records the shrink:\n{text}");
-    assert!(text.contains("rank_dead_shrink"), "postmortem reason names the shrink");
+    // The black box names the shrink in the shrinking cycle's entry...
+    let doc = postmortem(&dir, "postmortem-000001-0-rank_dead_shrink.json");
+    assert_eq!(doc.get("reason").and_then(Json::as_str), Some("rank_dead_shrink"));
+    let entries = recent(&doc);
+    let (cycle, _, events) = entries.last().unwrap();
+    assert_eq!((*cycle, events.as_slice()), (1, ["rank_dead_shrink".to_string()].as_slice()));
     // ...and the degrading cycle's record is present with its diagnostics
-    // (postmortems are dumped after `record_cycle`, so the cycle that
+    // (postmortems are written after the cycle's record, so the cycle that
     // shrank is in `recent_cycles` with a full DA diagnostics block).
     assert!(text.contains("\"recent_cycles\""));
     assert!(text.contains("\"diagnostics\""), "degrading cycle carries diagnostics:\n{text}");
@@ -115,23 +131,19 @@ fn rank_kill_leaves_shrink_postmortem_with_cycle_diagnostics() {
 
     // The lead's records are the one cycle loop's: measured forecast and
     // analysis seconds next to the modelled analysis time...
-    let records = telemetry::cycle_records();
-    assert_eq!(records.len(), 3);
-    for r in &records {
+    for r in result.run.cycles.iter().map(|c| &c.record) {
         let secs = |name: &str| r.phases.iter().find(|(n, _)| n == name).map(|&(_, s)| s);
         assert!(secs("forecast").is_some_and(|s| s > 0.0), "{:?}", r.phases);
         assert!(secs("analysis").is_some_and(|s| s > 0.0), "{:?}", r.phases);
         assert!(secs("analysis_modeled").is_some_and(|s| s > 0.0), "{:?}", r.phases);
     }
-    // ...and the shrink's health transition is the serial loop's event.
-    let transition = telemetry::flight_events()
-        .into_iter()
-        .find(|e| e.kind == telemetry::FlightKind::Transition && e.cycle == 1)
-        .expect("the shrink leaves healthy");
-    assert_eq!(transition.label(), "healthy->degraded");
-    assert_eq!((transition.a, transition.b), (0.0, 1.0), "from/to state codes");
+    // ...and the shrink's health transition is the serial loop's:
+    // healthy at cycle 0, degraded at the shrinking cycle 1.
+    let states: Vec<(i64, &str)> = entries.iter().map(|(c, s, _)| (*c, s.as_str())).collect();
+    assert_eq!(states, [(0, "healthy"), (1, "degraded")], "the shrink leaves healthy");
+    let logged: Vec<LoopState> = result.run.cycles.iter().map(|c| c.state).collect();
+    assert_eq!(logged[..2], [LoopState::Healthy, LoopState::Degraded]);
 
-    telemetry_close();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -142,11 +154,9 @@ fn rank_kill_leaves_shrink_postmortem_with_cycle_diagnostics() {
 /// `deadline_blown` postmortem.
 #[test]
 fn blown_deadline_leaves_postmortem_and_typed_outcome() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = postmortem_dir("deadline");
-    telemetry_scope(&dir);
-
     let (mut run, mut sharding) = elastic_config(3);
+    run.postmortems = Some(dir.clone());
     sharding.network = Some(sqg_da::dist::CommSpec::clean(2));
     let steps = sharding.ensf.n_steps;
     let full2 = modeled(&run, &sharding, steps, 2);
@@ -166,52 +176,65 @@ fn blown_deadline_leaves_postmortem_and_typed_outcome() {
     assert_eq!(result.run.event_count("deadline_blown"), 1, "redone cycle 1 must blow its budget");
     let n = result.run.cycles.len();
     assert_eq!(result.run.hit_rate(), (n - 1) as f64 / n as f64);
-    assert_eq!(telemetry::counter_value("resilience.deadline_blown"), 1);
+    let events = logged_events(&result);
+    let blown: Vec<usize> =
+        (0..n).filter(|&c| events[c].iter().any(|e| e == "deadline_blown")).collect();
+    assert_eq!(blown, [1], "one deadline_blown event, at the redone cycle");
 
     let text = postmortems_matching(&dir, "deadline_blown");
     assert!(!text.is_empty(), "blown budget must dump a deadline_blown postmortem");
     assert!(text.contains("deadline_blown"), "postmortem names the deadline event");
     assert!(text.contains("\"recent_cycles\""));
+    // The shrink's postmortem comes first, the budget's second, both at
+    // the cycle that carries both events.
+    for (k, reason) in ["rank_dead_shrink", "deadline_blown"].into_iter().enumerate() {
+        let doc = postmortem(&dir, &format!("postmortem-000001-{k}-{reason}.json"));
+        let (cycle, _, events) = recent(&doc).pop().unwrap();
+        assert_eq!(cycle, 1);
+        assert!(events.iter().any(|e| e == reason), "{reason} missing from {events:?}");
+    }
 
-    telemetry_close();
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kill → checkpoint-backed rejoin: both the death and the re-admission
-/// land in the flight ring, every rank ends with a typed `Completed`
-/// outcome, and the rejoin counter agrees with the script.
+/// land in a postmortem's recent entries, every rank ends with a typed
+/// `Completed` outcome, and the rejoin counter agrees with the script. The
+/// rejoin comes two clean cycles after the kill, when the run is healthy
+/// again, so the re-admission's own event leaves healthy and dumps.
 #[test]
 fn rejoin_after_kill_is_recorded_and_completes() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = postmortem_dir("rejoin");
-    telemetry_scope(&dir);
-
     let path = std::env::temp_dir()
         .join(format!("sqg_da_chaos_dist_rejoin_{}.ckpt", std::process::id()));
-    let (mut run, sharding) = elastic_config(4);
+    let (mut run, sharding) = elastic_config(5);
     run.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
-    run.faults.rank_rejoins.push(RankRejoin { cycle: 3, rank: 1 });
+    run.faults.rank_rejoins.push(RankRejoin { cycle: 4, rank: 1 });
     run.checkpoint = Some(CheckpointConfig { path: path.clone(), every: 1 });
+    run.postmortems = Some(dir.clone());
     let result = sharded(&run, &sharding, 2);
     std::fs::remove_file(&path).ok();
 
     assert!(!result.run.interrupted);
     assert_eq!(result.counters.rejoins, 1);
-    assert_eq!(result.group_sizes.last(), Some(&(3, 2)), "full group restored");
-    assert_eq!(telemetry::counter_value("elastic.rejoins"), 1);
-    let events = telemetry::flight_events();
+    assert_eq!(result.group_sizes.last(), Some(&(4, 2)), "full group restored");
+    assert_eq!(result.run.event_count("rank_rejoin"), 1);
+    let doc = postmortem(&dir, "postmortem-000004-0-left_healthy.json");
+    let events: Vec<(i64, String)> = recent(&doc)
+        .into_iter()
+        .flat_map(|(c, _, events)| events.into_iter().map(move |e| (c, e)))
+        .collect();
     assert!(
-        events.iter().any(|e| e.label() == "rank_dead_shrink"),
-        "flight ring records the death"
+        events.contains(&(1, "rank_dead_shrink".to_string())),
+        "the postmortem records the death: {events:?}"
     );
     assert!(
-        events.iter().any(|e| e.label() == "rank_rejoin"),
-        "flight ring records the re-admission"
+        events.contains(&(4, "rank_rejoin".to_string())),
+        "the postmortem records the re-admission: {events:?}"
     );
     // The kill itself still left its postmortem on the way down.
     assert!(!postmortems_matching(&dir, "rank_dead_shrink").is_empty());
 
-    telemetry_close();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -223,7 +246,6 @@ fn rejoin_after_kill_is_recorded_and_completes() {
 /// machinery exactly like the SDE path.
 #[test]
 fn flow_matching_survives_shrink_and_deadline_ladder() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let (mut run, mut sharding) = elastic_config(4);
     // The analysis's one gather costs the same at every step count, so the
     // ladder has a window at both group sizes only where the full grid's
@@ -265,7 +287,6 @@ fn flow_matching_survives_shrink_and_deadline_ladder() {
 /// guidance composes with the shrink machinery.
 #[test]
 fn masked_flow_matching_survives_shrink_retry() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let (mut run, mut sharding) = elastic_config(4);
     run.osse.obs_mask = sqg_da::da_core::osse::MaskKind::Block { start: 192, len: 128 };
     sharding.ensf.n_steps = 6;
@@ -281,20 +302,16 @@ fn masked_flow_matching_survives_shrink_retry() {
     assert!(result.run.series.rmse.iter().all(|r| r.is_finite()));
 }
 
-/// Runs `run` on `ranks` ranks with telemetry on and returns rank 0's
-/// result with the events of every cycle record it wrote.
+/// Runs `run` on `ranks` ranks and returns rank 0's result with the
+/// events of every cycle record in its log.
 fn run_recorded(
     run: &Run,
     sharding: &Sharding,
     ranks: usize,
     nature: &NatureRun,
 ) -> (ShardedRun, Vec<Vec<String>>) {
-    let dir = postmortem_dir("recorded");
-    telemetry_scope(&dir);
     let result = run_sharded(run, sharding, ranks, nature, None).unwrap();
-    let events = telemetry::cycle_records().into_iter().map(|r| r.events).collect();
-    telemetry_close();
-    std::fs::remove_dir_all(&dir).ok();
+    let events = logged_events(&result);
     (result, events)
 }
 
@@ -316,7 +333,6 @@ fn assert_bitwise_equal(a: &ShardedRun, b: &ShardedRun, what: &str) {
 /// 2 ranks and on 3 with the victim first after the root and last.
 #[test]
 fn forecast_gather_kill_shrinks_once_at_the_analysis_gather() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     for (ranks, victim) in [(2, 1), (3, 1), (3, 2)] {
         let what = format!("{ranks} ranks, victim {victim}");
         let (clean, sharding) = elastic_config(3);
@@ -345,7 +361,6 @@ fn forecast_gather_kill_shrinks_once_at_the_analysis_gather() {
 /// survivor-count run's bits (the ladder picks the same rungs there).
 #[test]
 fn forecast_only_kill_falls_back_until_the_next_analysis_shrinks() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
     for (ranks, last_forecast_only) in [(2, 1), (3, 1), (3, 3)] {
         let what = format!("{ranks} ranks, forecast-only cycles 1..={last_forecast_only}");
         let (mut run, mut sharding) = elastic_config(4);
@@ -404,9 +419,8 @@ fn forecast_only_kill_falls_back_until_the_next_analysis_shrinks() {
 /// typed outcome for every rank and a finite trajectory.
 #[test]
 fn combined_chaos_terminates_with_typed_outcomes() {
-    let _gate = TELEMETRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    // Telemetry stays dark here: this scenario is about termination, and
-    // running it dark also covers the counters-disabled paths.
+    // No postmortem directory here: this scenario is about termination,
+    // and running without one also covers the loop's no-postmortem path.
     let (mut run, mut sharding) = elastic_config(4);
     sharding.network = Some(sqg_da::dist::CommSpec::clean(4));
     let full = modeled(&run, &sharding, sharding.ensf.n_steps, 4);
