@@ -3,10 +3,10 @@
 //! The telemetry layer's contract is that *disabled* instrumentation is
 //! effectively free: one relaxed atomic load per call site, no allocation,
 //! no locking. These benches measure that directly — the disabled-mode
-//! span and counter figures should stay in the low-nanosecond range (the
-//! budget documented in `crates/bench/README.md` is < 20 ns/call) so the
-//! hot loops of the SQG stepper and the filters can stay instrumented
-//! unconditionally. The enabled-mode figures are reported alongside for
+//! `enabled()` check and span figures should stay in the low-nanosecond
+//! range (the budget documented in `crates/bench/README.md` is < 20 ns/call)
+//! so the hot loops of the SQG stepper and the filters can stay
+//! instrumented unconditionally. The enabled-mode figures are reported alongside for
 //! contrast, not held to a budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,12 +24,6 @@ fn bench_disabled(c: &mut Criterion) {
             black_box(&guard);
         })
     });
-    group.bench_function("counter_add", |b| {
-        b.iter(|| telemetry::counter_add(black_box("bench.disabled.counter"), 1))
-    });
-    group.bench_function("histogram_record", |b| {
-        b.iter(|| telemetry::histogram_record(black_box("bench.disabled.hist"), 1.5))
-    });
     group.finish();
 }
 
@@ -42,12 +36,6 @@ fn bench_enabled(c: &mut Criterion) {
             let guard = telemetry::span!("bench.enabled.span");
             black_box(&guard);
         })
-    });
-    group.bench_function("counter_add", |b| {
-        b.iter(|| telemetry::counter_add(black_box("bench.enabled.counter"), 1))
-    });
-    group.bench_function("histogram_record", |b| {
-        b.iter(|| telemetry::histogram_record(black_box("bench.enabled.hist"), 1.5))
     });
     group.finish();
     telemetry::set_enabled(false);

@@ -558,9 +558,8 @@ fn stamp(at: &mut Checkpoint, scheme: &dyn AnalysisScheme, model: &mut dyn Forec
 /// Writes `cycle`'s `k`-th postmortem into `dir`, as
 /// `postmortem-<cycle>-<k>-<reason>.json`: the reason, the cycle, the
 /// latest entries of the run's `log` (each its record plus state and rung;
-/// `cycle`'s is the last) and the process's spans and metrics. A
-/// postmortem never takes the run down: a failed write is reported on
-/// stderr.
+/// `cycle`'s is the last) and the process's spans. A postmortem never takes
+/// the run down: a failed write is reported on stderr.
 fn write_postmortem(dir: &Path, cycle: usize, k: usize, reason: &str, log: &[SupervisedCycle]) {
     let recent = log[log.len().saturating_sub(POSTMORTEM_CYCLES)..].iter().map(|c| {
         let mut entry = c.record.to_json();

@@ -24,7 +24,7 @@ use crate::shard::ShardPlan;
 use crate::DistError;
 use da_core::Completion;
 use ensf::parallel::{BlockAnalysis, RankPlan};
-use ensf::{relax_spread, AnalysisMethod, EnsfConfig, ObsSpec};
+use ensf::{relax_spread, EnsfConfig, ObsSpec};
 use hpc::mpi::Comm;
 use hpc::{collective_time, Collective, Topology};
 use stats::Ensemble;
@@ -148,11 +148,10 @@ pub(crate) fn analyze_replicated(
     let (start, end) = RankPlan::new(members, comm.size()).blocks[comm.rank()];
     // The prepared batch and the block's scratch die with this scope, so
     // they are not resident during the gather.
-    let (local, steps) = {
+    let local = {
         let y = Completion::Inpaint.complete(obs, cycle, forecast, y);
         let operator = obs.operator();
-        let prepared = BlockAnalysis::prepare(config, cycle, forecast, &y, &operator);
-        (prepared.run_block(start..end), prepared.steps())
+        BlockAnalysis::prepare(config, cycle, forecast, &y, &operator).run_block(start..end)
     };
 
     let bytes = (members * dim * 8) as u64;
@@ -173,12 +172,6 @@ pub(crate) fn analyze_replicated(
     if config.spread_relaxation > 0.0 {
         relax_spread(&mut analysis, forecast, config.spread_relaxation);
     }
-
-    telemetry::counter_add("dist.analyses", 1);
-    match config.method {
-        AnalysisMethod::ReverseSde => telemetry::counter_add("dist.sde_steps", steps as u64),
-        AnalysisMethod::FlowMatching => telemetry::counter_add("dist.flow_steps", steps as u64),
-    }
     Ok(analysis)
 }
 
@@ -186,7 +179,7 @@ pub(crate) fn analyze_replicated(
 mod tests {
     use super::*;
     use da_core::{AnalysisScheme, EnsfScheme};
-    use ensf::{MaskKind, ObsOperatorKind};
+    use ensf::{AnalysisMethod, MaskKind, ObsOperatorKind};
     use hpc::mpi::run_world;
     use stats::gaussian::fill_standard_normal;
     use stats::rng::member_rng;

@@ -122,7 +122,6 @@ impl<'a> BatchedScore<'a> {
         assert_eq!(out.len(), b * d);
         assert_eq!(weights.len(), b * j);
         assert_eq!(znorm.len(), b);
-        let timer = telemetry::enabled().then(std::time::Instant::now); // lint: allow(nondeterministic-api, reason="telemetry wall-clock timing; never feeds the numerics")
 
         let alpha = self.schedule.alpha(t);
         let beta_sq = self.schedule.beta_sq(t);
@@ -144,10 +143,6 @@ impl<'a> BatchedScore<'a> {
         // Weighted conditional score: S = (α W X − Z) / β², with W X as the
         // second GEMM and the affine part fused into its store epilogue.
         matmul_slices_affine_into(weights, &self.gathered, b, j, d, z, alpha * inv_b2, -inv_b2, out);
-
-        if let Some(t0) = timer {
-            telemetry::histogram_record("ensf.score.secs", t0.elapsed().as_secs_f64()); // lint: allow(nondeterministic-api, reason="telemetry wall-clock timing; never feeds the numerics")
-        }
     }
 }
 

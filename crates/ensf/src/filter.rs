@@ -167,15 +167,6 @@ impl Ensf {
             obs,
         );
         self.cycle += 1;
-        if telemetry::enabled() {
-            telemetry::counter_add("ensf.analyses", 1);
-            telemetry::gauge_set("ensf.analysis.spread", analysis.spread());
-            // Obs-space O−A residual moments: a quick filter-health pulse
-            // without the full diagnostics pipeline.
-            let (oa_mean, oa_var) = stats::diagnostics::residual_moments(&analysis.mean(), y);
-            telemetry::gauge_set("ensf.analysis.oa_mean", oa_mean);
-            telemetry::gauge_set("ensf.analysis.oa_var", oa_var);
-        }
         analysis
     }
 }

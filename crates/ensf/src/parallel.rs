@@ -142,11 +142,6 @@ impl<'a> BlockAnalysis<'a> {
         }
     }
 
-    /// Pseudo-time steps every particle is integrated through.
-    pub fn steps(&self) -> usize {
-        self.times.len() - 1
-    }
-
     /// Integrates particles `particles` (global indices) on the calling
     /// thread and returns them as a `len x dim` row-major block, before
     /// spread relaxation: a fresh `N(0, I)` start from each particle's own
@@ -164,37 +159,28 @@ impl<'a> BlockAnalysis<'a> {
             fill_standard_normal(rng, row);
         }
         let mut scratch = BatchScratch::new(b, self.score.batch_len(), dim);
-        // The batched integrators leave step accounting to the caller that
-        // owns the grid.
-        let integrated = (self.steps() * b) as u64;
         match self.config.method {
-            AnalysisMethod::ReverseSde => {
-                telemetry::counter_add("ensf.sde.euler_steps", integrated);
-                reverse_sde_assimilate_batched(
-                    &mut block,
-                    schedule,
-                    &self.times,
-                    &self.score,
-                    self.obs,
-                    self.y,
-                    &mut rngs,
-                    &mut scratch,
-                )
-            }
-            AnalysisMethod::FlowMatching => {
-                telemetry::counter_add("ensf.flow.ode_steps", integrated);
-                probability_flow_assimilate_batched(
-                    &mut block,
-                    b,
-                    schedule,
-                    &self.times,
-                    &self.score,
-                    &self.prior_var,
-                    self.obs,
-                    self.y,
-                    &mut scratch,
-                )
-            }
+            AnalysisMethod::ReverseSde => reverse_sde_assimilate_batched(
+                &mut block,
+                schedule,
+                &self.times,
+                &self.score,
+                self.obs,
+                self.y,
+                &mut rngs,
+                &mut scratch,
+            ),
+            AnalysisMethod::FlowMatching => probability_flow_assimilate_batched(
+                &mut block,
+                b,
+                schedule,
+                &self.times,
+                &self.score,
+                &self.prior_var,
+                self.obs,
+                self.y,
+                &mut scratch,
+            ),
         }
         block
     }

@@ -87,7 +87,6 @@ impl Fft2 {
     /// where intermediates live, never the operation order. The AVX2 path,
     /// where it applies, is bitwise identical to the scalar path too.
     pub fn process_with_scratch(&self, data: &mut [Complex], scratch: &mut Fft2Scratch) {
-        telemetry::counter_add("fft.fft2.calls", 1);
         assert_eq!(
             data.len(),
             self.rows * self.cols,

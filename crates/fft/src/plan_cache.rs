@@ -4,8 +4,9 @@
 //! tables and Bluestein lengths precompute chirp sequences plus an inner
 //! convolution plan. The SQG hot path (RK4 stages, state round-trips,
 //! diagnostics) keeps asking for the same few `(rows, cols, direction)`
-//! shapes, so [`fft2`] memoizes plans behind a `parking_lot::RwLock`d map
-//! and hands out `Arc` clones.
+//! shapes, so [`fft2`] memoizes plans behind an `RwLock`ed map and hands
+//! out `Arc` clones. A poisoned lock is taken anyway: the map only ever
+//! holds fully built plans, so a panic elsewhere cannot leave it torn.
 //!
 //! Concurrency: the fast path takes a read lock only; on a miss the plan is
 //! built *outside* any lock and inserted under a short write lock (first
@@ -15,18 +16,26 @@
 
 use crate::fft2::Fft2;
 use crate::plan::Direction;
-use parking_lot::RwLock;
 // lint: allow(nondeterministic-api, reason="keyed get/insert only; the plan map is never iterated")
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 type Key = (usize, usize, Direction);
-
 // lint: allow(nondeterministic-api, reason="keyed get/insert only; the plan map is never iterated")
-fn cache() -> &'static RwLock<HashMap<Key, Arc<Fft2>>> {
-    static CACHE: OnceLock<RwLock<HashMap<Key, Arc<Fft2>>>> = OnceLock::new();
-    CACHE.get_or_init(|| RwLock::new(HashMap::new()))
+type Plans = HashMap<Key, Arc<Fft2>>;
+
+fn cache() -> &'static RwLock<Plans> {
+    static CACHE: OnceLock<RwLock<Plans>> = OnceLock::new();
+    CACHE.get_or_init(|| RwLock::new(Plans::default()))
+}
+
+fn read() -> RwLockReadGuard<'static, Plans> {
+    cache().read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write() -> RwLockWriteGuard<'static, Plans> {
+    cache().write().unwrap_or_else(PoisonError::into_inner)
 }
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -39,29 +48,27 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 /// Panics if `rows == 0 || cols == 0` (same contract as [`Fft2::new`]).
 pub fn fft2(rows: usize, cols: usize, dir: Direction) -> Arc<Fft2> {
     let key = (rows, cols, dir);
-    if let Some(plan) = cache().read().get(&key) {
+    if let Some(plan) = read().get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter_add("fft.plan_cache.hits", 1);
         return Arc::clone(plan);
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    telemetry::counter_add("fft.plan_cache.misses", 1);
     // Build outside the lock: plan construction can be expensive and must
     // not serialize unrelated lookups behind a write guard.
     let built = Arc::new(Fft2::new(rows, cols, dir));
-    let mut map = cache().write();
+    let mut map = write();
     Arc::clone(map.entry(key).or_insert(built))
 }
 
 /// Number of distinct plans currently cached.
 pub fn len() -> usize {
-    cache().read().len()
+    read().len()
 }
 
 /// Drops every cached plan (outstanding `Arc`s stay valid). Mainly for
 /// tests and memory-sensitive embedders.
 pub fn clear() {
-    cache().write().clear();
+    write().clear();
 }
 
 /// Cumulative `(hits, misses)` since process start.

@@ -141,8 +141,6 @@ pub fn simulate_step(
         }
         comm_total += collective_time(topo, op, gcds, last);
     }
-    telemetry::counter_add("hpc.sim.steps", 1);
-    telemetry::counter_add("hpc.comm.bytes", wire_total);
     if gcds == 1 {
         comm_total = 0.0;
     }

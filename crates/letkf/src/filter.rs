@@ -118,8 +118,6 @@ impl Letkf {
                 return x; // no information: analysis = forecast
             }
             let p = rows.len();
-            telemetry::counter_add("letkf.local_solves", 1);
-            telemetry::histogram_record("letkf.local_obs", p as f64);
             let mut yb = Matrix::zeros(p, members);
             for (r, row) in rows.iter().enumerate() {
                 yb.row_mut(r).copy_from_slice(row);
@@ -135,14 +133,6 @@ impl Letkf {
         }
 
         rtps(&mut analysis, forecast, self.config.rtps_alpha);
-        if telemetry::enabled() {
-            telemetry::counter_add("letkf.analyses", 1);
-            telemetry::gauge_set("letkf.analysis.spread", analysis.spread());
-            // O−F innovation-consistency moments over the whole network.
-            let (of_mean, of_var) = stats::diagnostics::moments(&innov_all);
-            telemetry::gauge_set("letkf.innovation.mean", of_mean);
-            telemetry::gauge_set("letkf.innovation.var", of_var);
-        }
         analysis
     }
 

@@ -49,7 +49,6 @@ pub fn matmul_slices_into(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, c:
     assert_eq!(a.len(), m * k, "matmul_slices_into: a shape mismatch");
     assert_eq!(b.len(), k * n, "matmul_slices_into: b shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_slices_into: c shape mismatch");
-    telemetry::counter_add("linalg.gemm.flops", (2 * m * n * k) as u64);
     simd::dispatch!(matmul_slices(a, b, m, k, n, c, None));
 }
 
@@ -79,7 +78,6 @@ pub fn matmul_slices_affine_into(
     assert_eq!(b.len(), k * n, "matmul_slices_affine_into: b shape mismatch");
     assert_eq!(z.len(), m * n, "matmul_slices_affine_into: z shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_slices_affine_into: c shape mismatch");
-    telemetry::counter_add("linalg.gemm.flops", (2 * m * n * k) as u64);
     simd::dispatch!(matmul_slices(a, b, m, k, n, c, Some((z, ca, cb))));
 }
 
@@ -135,7 +133,6 @@ pub fn matmul_abt_into(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &m
     assert_eq!(a.len(), m * k, "matmul_abt_into: a shape mismatch");
     assert_eq!(b.len(), n * k, "matmul_abt_into: b shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_abt_into: c shape mismatch");
-    telemetry::counter_add("linalg.gemm.flops", (2 * m * n * k) as u64);
     simd::dispatch!(matmul_abt(a, b, m, n, k, c));
 }
 

@@ -1,7 +1,7 @@
 //! # linalg — dense linear-algebra substrate
 //!
-//! Small, dependency-free (telemetry only) dense `f64` kernels sized for the
-//! data-assimilation workloads in this workspace:
+//! Small, dependency-free dense `f64` kernels sized for the data-assimilation
+//! workloads in this workspace:
 //!
 //! - [`Matrix`] — row-major dense matrix with the layout as a public contract.
 //! - [`gemm`] — blocked, SIMD-dispatched matrix products and matrix-vector

@@ -376,7 +376,6 @@ impl Stepper {
     // lint: no_alloc
     fn run_step(&self, theta: &mut [Vec<Complex>; LEVELS], ws: &mut StepWorkspace, simd: bool) {
         let _span = telemetry::span!("sqg.step");
-        telemetry::counter_add("sqg.steps", 1);
         // Every sweep indexes, and the tier reads through pointers, each
         // grid at all n² modes.
         let m = self.grid.n * self.grid.n;
@@ -411,7 +410,6 @@ impl Stepper {
         theta: &mut [Vec<Complex>; LEVELS],
         ws: &mut StepWorkspace,
     ) {
-        telemetry::counter_add("sqg.tendency.calls", 1);
         let grid = &self.grid;
         let StepWorkspace { acc, tmp, tend } = ws;
         let TendencyScratch { fields, adv, fft: scratch } = tend;

@@ -68,9 +68,11 @@ impl CycleRecord {
     /// Deserializes from the object shape produced by [`to_json`].
     ///
     /// `cycle` and `obs_count` must be non-negative integers: a count
-    /// written as `-1`, `2.5` or `1e300` is an error naming its key.
+    /// written as `-1`, `2.5` or `1e300` is an error naming its key. A
+    /// float written as `null` (non-finite, e.g. the NaN `rmse` of a failed
+    /// analysis) reads back as NaN.
     pub fn from_json(v: &Json) -> Result<CycleRecord, String> {
-        let f = |k: &str| v.get(k).and_then(Json::as_f64).ok_or_else(|| format!("missing {k}"));
+        let f = |k: &str| v.get(k).and_then(Json::as_float).ok_or_else(|| format!("missing {k}"));
         let count = |k: &str| match v.get(k) {
             Some(&Json::Int(n)) => usize::try_from(n).map_err(|_| format!("negative {k}: {n}")),
             Some(other) => Err(format!("{k} must be a non-negative integer, got {other}")),
@@ -80,7 +82,7 @@ impl CycleRecord {
             Some(Json::Obj(pairs)) => pairs
                 .iter()
                 .map(|(k, pv)| {
-                    pv.as_f64().map(|s| (k.clone(), s)).ok_or_else(|| format!("bad phase {k}"))
+                    pv.as_float().map(|s| (k.clone(), s)).ok_or_else(|| format!("bad phase {k}"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("missing phases".into()),
@@ -173,14 +175,21 @@ mod tests {
 
     #[test]
     fn jsonl_round_trip() {
-        let records: Vec<_> = (0..4).map(sample).collect();
-        let mut text = String::new();
-        for r in &records {
-            text.push_str(&r.to_json().to_string());
-            text.push('\n');
-        }
+        // A failed analysis carries NaN, which JSON writes as `null`.
+        let mut failed = sample(0);
+        failed.rmse = f64::NAN;
+        let d = failed.diagnostics.as_mut().unwrap();
+        (d.chi2, d.oa_mean) = (f64::NAN, f64::NAN);
+        let records: Vec<_> = (0..4).map(sample).chain([failed]).collect();
+        let write = |records: &[CycleRecord]| -> String {
+            records.iter().map(|r| format!("{}\n", r.to_json())).collect()
+        };
+        let text = write(&records);
         let back = parse_jsonl(&text).unwrap();
-        assert_eq!(back, records);
+        assert_eq!(back[..4], records[..4]);
+        // NaN != NaN, so the failed record is compared by what it writes.
+        assert_eq!(write(&back), text);
+        assert!(back[4].rmse.is_nan());
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! the numerics live in `stats::diagnostics` and the wiring in
 //! `da_core::diagnostics`, keeping this crate dependency-free.
 //!
-//! Producers must keep every field **finite**: non-finite floats serialize
-//! as `null` and would fail to re-parse (by design — a NaN diagnostic is a
-//! bug upstream, not a value worth round-tripping).
+//! Non-finite values are written as `null` and read back as NaN (JSON has
+//! no NaN).
 
 use crate::json::Json;
 
@@ -52,14 +51,15 @@ impl DaDiagnostics {
         ])
     }
 
-    /// Deserializes from the object shape produced by [`to_json`].
+    /// Deserializes from the object shape produced by [`to_json`]; a float
+    /// field written as `null` reads back as NaN.
     pub fn from_json(v: &Json) -> Result<DaDiagnostics, String> {
         if !matches!(v, Json::Obj(_)) {
             return Err("diagnostics must be an object".into());
         }
         let f = |k: &str| {
             v.get(k)
-                .and_then(Json::as_f64)
+                .and_then(Json::as_float)
                 .ok_or_else(|| format!("missing diagnostics field {k}"))
         };
         let rank_hist = match v.get("rank_hist") {

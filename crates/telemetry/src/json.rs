@@ -1,7 +1,7 @@
 //! A small hand-rolled JSON value type with serialization and parsing.
 //!
 //! The workspace builds offline with no serde, so telemetry carries its own
-//! minimal JSON: enough to emit cycle records / metric snapshots and to
+//! minimal JSON: enough to emit cycle records / span snapshots and to
 //! round-trip them in tests. Objects preserve insertion order. Non-finite
 //! floats serialize as `null` (JSON has no NaN/inf).
 
@@ -14,7 +14,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Integer number (kept distinct from floats so counters print exactly).
+    /// Integer number (kept distinct from floats so counts print exactly).
     Int(i64),
     /// Floating-point number.
     Num(f64),
@@ -46,6 +46,15 @@ impl Json {
             Json::Int(i) => Some(*i as f64),
             Json::Num(n) => Some(*n),
             _ => None,
+        }
+    }
+
+    /// The value of a float field: a number, or `null` (what a non-finite
+    /// [`Json::Num`] writes) read back as NaN.
+    pub(crate) fn as_float(&self) -> Option<f64> {
+        match self {
+            Json::Null => Some(f64::NAN),
+            other => other.as_f64(),
         }
     }
 

@@ -1,31 +1,29 @@
-//! Workspace-wide telemetry: hierarchical span timers, counters / gauges /
-//! histograms, the per-cycle record type, and Chrome traces.
+//! Workspace-wide telemetry: hierarchical span timers, the per-cycle record
+//! type, and Chrome traces.
 //!
-//! Spans and metrics route through a process-global registry so
-//! instrumentation can be dropped into any crate without plumbing a
-//! context object through hot call paths. They sit behind a single enable
-//! switch:
+//! Spans are the one instrument. They route through a process-global
+//! registry so instrumentation can be dropped into any crate without
+//! plumbing a context object through hot call paths, and they sit behind a
+//! single enable switch:
 //!
 //! * Set `SQG_DA_TELEMETRY=1` (or `true` / `on`) in the environment, or call
 //!   [`set_enabled(true)`](set_enabled), to turn collection on.
-//! * When disabled (the default), every instrumentation macro reduces to one
-//!   relaxed atomic load — a few nanoseconds — so instrumented hot loops cost
+//! * When disabled (the default), opening a span reduces to one relaxed
+//!   atomic load — a few nanoseconds — so instrumented hot loops cost
 //!   effectively nothing (see `crates/bench/benches/telemetry_bench.rs`).
 //!
 //! The main entry points:
 //!
 //! * [`span!`] — RAII wall-clock timer; nested spans build dotted paths like
-//!   `osse.cycle.analysis`.
-//! * [`counter_add`] / [`gauge_set`] / [`histogram_record`] — named
-//!   metrics with sharded, thread-safe aggregation.
+//!   `osse.cycle.analysis`. A span's count is also the number of times its
+//!   scope ran (analyses, model steps, RK4 stages).
 //! * [`CycleRecord`] — one assimilation cycle's facts (RMSE, spread,
 //!   per-phase timings, events, innovation diagnostics), JSONL-serializable.
 //!   It holds no global state and ignores the switch: the cycle loop builds
 //!   one per cycle into the run's own log, and the leader's postmortems
 //!   carry the latest of them.
 //! * [`snapshot_json`](report::snapshot_json) — one JSON object with every
-//!   span and metric, used by the bench binaries' `--json` flag and by
-//!   postmortems.
+//!   span, used by the bench binaries' `--json` flag and by postmortems.
 //! * [`TraceEvent`] + [`chrome_trace`] — Chrome trace-event timelines, one
 //!   lane per rank (written by `cyclebench --trace 1`).
 
@@ -34,7 +32,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub mod cycle;
 pub mod diagnostics;
 pub mod json;
-pub mod metrics;
 pub mod report;
 pub mod span;
 pub mod trace;
@@ -42,9 +39,6 @@ pub mod trace;
 pub use cycle::CycleRecord;
 pub use diagnostics::DaDiagnostics;
 pub use json::Json;
-pub use metrics::{
-    counter_add, counter_value, gauge_set, gauge_value, histogram_record, HistogramSnapshot,
-};
 pub use span::{span_enter, span_path, span_snapshot, SpanGuard, SpanPath, SpanStat};
 pub use trace::{chrome_trace, TraceEvent};
 
@@ -86,11 +80,10 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
 }
 
-/// Resets all collected spans and metrics without touching the enable
-/// state. Intended for tests and between-experiment boundaries.
+/// Resets all collected spans without touching the enable state. Intended
+/// for tests and between-experiment boundaries.
 pub fn reset() {
     span::reset_spans();
-    metrics::reset_metrics();
 }
 
 /// Opens a named wall-clock span for the enclosing scope.
@@ -116,9 +109,13 @@ macro_rules! span {
 }
 
 /// Serializes unit tests that toggle the global enable flag or reset the
-/// global registries, since the test harness runs tests concurrently.
+/// global registry, since the test harness runs tests concurrently. A test
+/// that panics while holding it does not fail the others.
 #[cfg(test)]
-pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod tests {
@@ -126,7 +123,7 @@ mod tests {
 
     #[test]
     fn toggle_round_trip() {
-        let _lock = TEST_LOCK.lock();
+        let _lock = test_lock();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);

@@ -8,9 +8,9 @@
 //! The registry is sharded (path-hash → shard) so concurrent spans from
 //! parallel workers rarely contend on the same lock.
 
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 const SHARDS: usize = 16;
@@ -47,17 +47,17 @@ impl Registry {
         Registry { shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
     }
 
-    fn shard_for(&self, path: &str) -> &Mutex<HashMap<String, Accum>> {
+    fn shard_for(&self, path: &str) -> MutexGuard<'_, HashMap<String, Accum>> {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in path.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }
-        &self.shards[(h as usize) % SHARDS]
+        lock(&self.shards[(h as usize) % SHARDS])
     }
 
     fn record(&self, path: &str, secs: f64) {
-        let mut shard = self.shard_for(path).lock();
+        let mut shard = self.shard_for(path);
         let a = shard.entry(path.to_string()).or_default();
         if a.count == 0 {
             a.min_secs = secs;
@@ -72,6 +72,12 @@ impl Registry {
 }
 
 static REGISTRY: std::sync::LazyLock<Registry> = std::sync::LazyLock::new(Registry::new);
+
+/// Takes a shard's lock even if a panic unwound while it was held: a shard
+/// is only ever updated one whole `Accum` at a time, so it is never torn.
+fn lock(shard: &Mutex<HashMap<String, Accum>>) -> MutexGuard<'_, HashMap<String, Accum>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 thread_local! {
     /// Stack of active span names on this thread, joined with '.' to form
@@ -168,7 +174,7 @@ impl Drop for AdoptedPath {
 pub fn span_snapshot() -> Vec<SpanStat> {
     let mut out = Vec::new();
     for shard in &REGISTRY.shards {
-        for (path, a) in shard.lock().iter() {
+        for (path, a) in lock(shard).iter() {
             out.push(SpanStat {
                 path: path.clone(),
                 count: a.count,
@@ -185,7 +191,7 @@ pub fn span_snapshot() -> Vec<SpanStat> {
 /// Clears all recorded span statistics.
 pub fn reset_spans() {
     for shard in &REGISTRY.shards {
-        shard.lock().clear();
+        lock(shard).clear();
     }
 }
 
@@ -195,7 +201,7 @@ mod tests {
 
     #[test]
     fn nested_paths_and_counts() {
-        let _lock = crate::TEST_LOCK.lock();
+        let _lock = crate::test_lock();
         crate::set_enabled(true);
         reset_spans();
         {
@@ -215,7 +221,7 @@ mod tests {
 
     #[test]
     fn spawned_worker_adopts_its_spawners_path() {
-        let _lock = crate::TEST_LOCK.lock();
+        let _lock = crate::test_lock();
         crate::set_enabled(true);
         reset_spans();
         {
@@ -239,7 +245,7 @@ mod tests {
 
     #[test]
     fn adoption_while_disabled_records_nothing() {
-        let _lock = crate::TEST_LOCK.lock();
+        let _lock = crate::test_lock();
         crate::set_enabled(true);
         reset_spans();
         crate::set_enabled(false);
@@ -256,7 +262,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _lock = crate::TEST_LOCK.lock();
+        let _lock = crate::test_lock();
         crate::set_enabled(true);
         reset_spans();
         crate::set_enabled(false);

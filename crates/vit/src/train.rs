@@ -66,7 +66,6 @@ impl Trainer {
     /// One gradient step on a batch; returns the batch loss.
     pub fn step(&mut self, model: &mut SqgVit, batch: &[Sample]) -> f32 {
         assert!(!batch.is_empty());
-        telemetry::counter_add("vit.train.steps", 1);
         self.optimizer.lr = self.schedule.at(self.optimizer.steps());
         model.zero_grad();
         let xs: Vec<Vec<f32>> = batch.iter().map(|s| s.x.clone()).collect();
@@ -90,7 +89,7 @@ impl Trainer {
     /// One epoch over `data` (shuffled); returns the mean loss.
     pub fn epoch(&mut self, model: &mut SqgVit, data: &[Sample]) -> f32 {
         assert!(!data.is_empty());
-        let span = telemetry::enabled().then(std::time::Instant::now);
+        let _span = telemetry::span!("vit.train.epoch");
         let mut order: Vec<usize> = (0..data.len()).collect();
         order.shuffle(&mut self.rng);
         let mut total = 0.0;
@@ -100,15 +99,7 @@ impl Trainer {
             total += self.step(model, &batch);
             batches += 1;
         }
-        let mean = total / batches as f32;
-        if let Some(t0) = span {
-            let secs = t0.elapsed().as_secs_f64();
-            telemetry::histogram_record("vit.train.epoch_secs", secs);
-            telemetry::counter_add("vit.train.samples", data.len() as u64);
-            telemetry::gauge_set("vit.train.loss", mean as f64);
-            telemetry::gauge_set("vit.train.throughput", data.len() as f64 / secs.max(1e-12));
-        }
-        mean
+        total / batches as f32
     }
 
     /// Mean loss over `data` without updating (validation).

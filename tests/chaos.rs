@@ -295,7 +295,7 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
     for quarantined in ["member_quarantined:2", "member_quarantined:5"] {
         assert!(events.contains(&quarantined), "{quarantined} missing from {events:?}");
     }
-    assert!(doc.get("telemetry").and_then(|t| t.get("counters")).is_some());
+    assert!(doc.get("telemetry").and_then(|t| t.get("spans")).is_some());
 }
 
 /// Kill the loop mid-run with checkpointing to a real file, restore from
