@@ -11,11 +11,15 @@
 //!
 //! 1. **Per-file**: [`FileFacts::collect`] lexes and parses one file into
 //!    owned facts (tokens, comments, structure, directives); the per-file
-//!    lints in [`lints`] run over a borrowed [`FileCtx`] view of them.
+//!    lints in [`lints`] run over them.
 //! 2. **Workspace**: [`passes`] builds a [`symbols::SymbolTable`] and a
 //!    [`callgraph::CallGraph`] over *all* collected facts and runs the
 //!    interprocedural passes (`no_alloc` reachability, collective-protocol
 //!    safety, determinism dataflow).
+//!
+//! Over the whole tree ([`check_workspace`]) the [`rules`] table then checks
+//! the workspace's architecture: sole sites, confined patterns and retired
+//! dependencies. The root test `tests/architecture.rs` runs all of it.
 //!
 //! Run `cargo run -p analyzer -- check` from the workspace root; see
 //! `crates/analyzer/README.md` for the lint table and the lexer's and
@@ -28,6 +32,7 @@ pub mod lexer;
 pub mod lints;
 pub mod parse;
 pub mod passes;
+pub mod rules;
 pub mod sarif;
 pub mod symbols;
 pub mod workspace;
@@ -38,6 +43,8 @@ use allow::Directive;
 use lexer::{Comment, Token};
 use parse::Structure;
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
+use workspace::WorkFile;
 
 /// What role a file plays; several lints only apply to library code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,15 +117,6 @@ pub fn is_known_lint(name: &str) -> bool {
     LINTS.iter().any(|l| l.name == name)
 }
 
-/// Result of analyzing one file.
-#[derive(Debug, Default)]
-pub struct FileReport {
-    /// Findings, in source order.
-    pub diags: Vec<Diagnostic>,
-    /// Findings suppressed by `allow(...)` directives.
-    pub suppressed: usize,
-}
-
 /// Which lint families apply to a file, derived from its crate.
 #[derive(Debug, Clone)]
 pub struct Scope {
@@ -183,6 +181,8 @@ pub struct FileFacts {
     pub allow_ranges: Vec<(String, u32, u32)>,
     /// Malformed/unknown directives, reported as `lint-directive` errors.
     pub directive_errors: Vec<(u32, String)>,
+    /// Comment index by the comment's last line.
+    comment_by_end_line: BTreeMap<u32, usize>,
 }
 
 impl FileFacts {
@@ -227,6 +227,8 @@ impl FileFacts {
             }
         }
 
+        let comment_by_end_line =
+            lexed.comments.iter().enumerate().map(|(i, c)| (c.end_line, i)).collect();
         FileFacts {
             rel: rel.to_string(),
             kind,
@@ -238,6 +240,7 @@ impl FileFacts {
             no_alloc,
             allow_ranges,
             directive_errors,
+            comment_by_end_line,
         }
     }
 
@@ -256,66 +259,11 @@ impl FileFacts {
     pub fn allowed(&self, lint: &str, line: u32) -> bool {
         self.allow_ranges.iter().any(|(l, a, b)| l == lint && *a <= line && line <= *b)
     }
-}
 
-/// Everything the per-file lints need to know about one file: a borrowed
-/// view over [`FileFacts`] plus derived comment/token indexes.
-pub struct FileCtx<'a> {
-    /// Workspace-relative display path.
-    pub rel: &'a str,
-    /// Role of the file.
-    pub kind: FileKind,
-    /// True for the numeric crates bound by the determinism contract.
-    pub numeric: bool,
-    /// Source lines (0-indexed storage, 1-indexed queries).
-    pub lines: Vec<&'a str>,
-    /// Lexed tokens.
-    pub tokens: &'a [Token],
-    /// Lexed comments.
-    pub comments: &'a [Comment],
-    /// Structural facts (braces, test regions, fns).
-    pub structure: &'a Structure,
-    /// `fn` body token ranges marked `// lint: no_alloc`, with fn names.
-    pub no_alloc: &'a [(String, usize, usize)],
-    allow_ranges: &'a [(String, u32, u32)],
-    comment_by_end_line: BTreeMap<u32, usize>,
-}
-
-impl<'a> FileCtx<'a> {
-    /// Borrows a lint-ready view of `facts`.
-    pub fn new(facts: &'a FileFacts) -> FileCtx<'a> {
-        let mut comment_by_end_line = BTreeMap::new();
-        for (i, c) in facts.comments.iter().enumerate() {
-            comment_by_end_line.insert(c.end_line, i);
-        }
-        FileCtx {
-            rel: &facts.rel,
-            kind: facts.kind,
-            numeric: facts.scope.numeric,
-            lines: facts.text.lines().collect(),
-            tokens: &facts.tokens,
-            comments: &facts.comments,
-            structure: &facts.structure,
-            no_alloc: &facts.no_alloc,
-            allow_ranges: &facts.allow_ranges,
-            comment_by_end_line,
-        }
-    }
-
-    /// Verbatim text of 1-based `line` (empty if out of range).
-    pub fn line_text(&self, line: u32) -> &'a str {
-        self.lines.get(line as usize - 1).copied().unwrap_or("").trim_end()
-    }
-
-    /// True when `line` is inside `#[cfg(test)]` / `#[test]` code or the
-    /// file as a whole is not library code.
-    pub fn in_test_context(&self, line: u32) -> bool {
-        self.kind != FileKind::Library || self.structure.in_test_region(line)
-    }
-
-    /// True when an `allow(<lint>)` directive covers `line`.
-    pub fn allowed(&self, lint: &str, line: u32) -> bool {
-        self.allow_ranges.iter().any(|(l, a, b)| l == lint && *a <= line && line <= *b)
+    /// Lines outside `#[cfg(test)]` / `#[test]` regions.
+    pub fn library_lines(&self) -> usize {
+        let lines = self.text.lines().count() as u32;
+        (1..=lines).filter(|&l| !self.structure.in_test_region(l)).count()
     }
 
     /// All comments that touch `line` (including trailing ones).
@@ -357,44 +305,12 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Collects diagnostics, honoring `allow(...)` coverage.
-pub struct Emitter<'c, 'a> {
-    ctx: &'c FileCtx<'a>,
-    /// Findings so far.
-    pub diags: Vec<Diagnostic>,
-    /// Count of findings suppressed by allow directives.
-    pub suppressed: usize,
-}
-
-impl<'c, 'a> Emitter<'c, 'a> {
-    fn new(ctx: &'c FileCtx<'a>) -> Self {
-        Emitter { ctx, diags: Vec::new(), suppressed: 0 }
-    }
-
-    /// Emits one finding unless an allow directive covers it.
-    pub fn emit(&mut self, lint: &'static str, line: u32, col: u32, message: String, help: &str) {
-        if lint != "lint-directive" && self.ctx.allowed(lint, line) {
-            self.suppressed += 1;
-            return;
-        }
-        self.diags.push(Diagnostic {
-            lint,
-            file: self.ctx.rel.to_string(),
-            line,
-            col,
-            message,
-            snippet: self.ctx.line_text(line).to_string(),
-            help: help.to_string(),
-        });
-    }
-}
-
 /// Runs the per-file lints (plus directive errors) over collected facts.
-pub fn analyze_facts(facts: &FileFacts) -> FileReport {
-    let ctx = FileCtx::new(facts);
-    let mut em = Emitter::new(&ctx);
+pub fn analyze_facts(facts: &FileFacts) -> Report {
+    let mut report = Report::default();
     for (line, msg) in &facts.directive_errors {
-        em.emit(
+        report.emit(
+            facts,
             "lint-directive",
             *line,
             1,
@@ -402,19 +318,116 @@ pub fn analyze_facts(facts: &FileFacts) -> FileReport {
             "directives look like `// lint: allow(<lint>, reason=\"...\")` or `// lint: no_alloc`",
         );
     }
-    lints::run_all(&ctx, &mut em);
-    em.diags.sort_by(|a, b| (a.line, a.col, a.lint).cmp(&(b.line, b.col, b.lint)));
-    FileReport { diags: em.diags, suppressed: em.suppressed }
+    lints::run_all(facts, &mut report);
+    report.sorted()
 }
 
 /// Analyzes one file's source text with the per-file lints only. The
 /// workspace passes (call-graph reachability, collective protocol,
 /// determinism dataflow) additionally need [`passes::run`] over every file's
 /// facts at once.
-pub fn analyze_source(rel: &str, text: &str, kind: FileKind, numeric: bool) -> FileReport {
+pub fn analyze_source(rel: &str, text: &str, kind: FileKind, numeric: bool) -> Report {
     let mut scope = Scope::for_crate("mem");
     scope.numeric = numeric;
     analyze_facts(&FileFacts::collect(rel, text, kind, scope))
+}
+
+/// What an analyzer run found: findings and totals.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Findings, sorted by (file, line, col, lint).
+    pub diags: Vec<Diagnostic>,
+    /// Findings suppressed by `allow(...)` directives.
+    pub suppressed: usize,
+    /// Files scanned.
+    pub files_scanned: usize,
+    /// Lines of `crates/*/src` (shims excluded) outside test regions.
+    pub library_lines: usize,
+}
+
+impl Report {
+    /// Records a finding in `f` unless an allow directive covers it.
+    pub(crate) fn emit(
+        &mut self,
+        f: &FileFacts,
+        lint: &'static str,
+        line: u32,
+        col: u32,
+        message: String,
+        help: &str,
+    ) {
+        if lint != "lint-directive" && f.allowed(lint, line) {
+            self.suppressed += 1;
+            return;
+        }
+        self.diags.push(Diagnostic {
+            lint,
+            file: f.rel.clone(),
+            line,
+            col,
+            message,
+            snippet: f.line_text(line).to_string(),
+            help: help.to_string(),
+        });
+    }
+
+    /// Orders the findings by (file, line, col, lint).
+    pub(crate) fn sorted(mut self) -> Report {
+        self.diags.sort_by(|a, b| {
+            (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint))
+        });
+        self
+    }
+}
+
+/// Runs every per-file lint, every workspace pass and every architecture
+/// rule over the workspace at `root`.
+pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
+    let files = workspace::discover(root)?;
+    let (facts, mut report) = scan(&files, |wf| Scope::for_crate(&wf.crate_name))?;
+    report.diags.extend(rules::check(&facts, &workspace::manifests(root)?));
+    let library = facts.iter().filter(|f| rules::under(&f.rel, "crates/*/src/"));
+    report.library_lines = library.map(FileFacts::library_lines).sum();
+    Ok(report.sorted())
+}
+
+/// Fixture mode: the per-file lints and the workspace passes over exactly
+/// `paths`, each treated as library code with every lint family in scope.
+/// The architecture rules describe the workspace tree and do not run.
+pub fn check_files(paths: &[PathBuf]) -> std::io::Result<Report> {
+    let worklist: Vec<WorkFile> = paths
+        .iter()
+        .map(|p| WorkFile {
+            path: p.clone(),
+            rel: p.to_string_lossy().into_owned(),
+            kind: FileKind::Library,
+            crate_name: "fixture".to_string(),
+        })
+        .collect();
+    Ok(scan(&worklist, |_| Scope::fixture())?.1.sorted())
+}
+
+/// Collects facts and runs the per-file lints on each file, then the
+/// workspace passes over all of them at once.
+fn scan(
+    worklist: &[WorkFile],
+    scope: impl Fn(&WorkFile) -> Scope,
+) -> std::io::Result<(Vec<FileFacts>, Report)> {
+    let mut facts: Vec<FileFacts> = Vec::with_capacity(worklist.len());
+    let mut report = Report { files_scanned: worklist.len(), ..Report::default() };
+    for wf in worklist {
+        let text = std::fs::read_to_string(&wf.path)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("cannot read {}: {e}", wf.rel)))?;
+        let f = FileFacts::collect(&wf.rel, &text, wf.kind, scope(wf));
+        let file = analyze_facts(&f);
+        report.suppressed += file.suppressed;
+        report.diags.extend(file.diags);
+        facts.push(f);
+    }
+    let ws = passes::run(&facts);
+    report.suppressed += ws.suppressed;
+    report.diags.extend(ws.diags);
+    Ok((facts, report))
 }
 
 /// Line range an own-line `allow` directive at `line` covers: the next code
@@ -460,7 +473,7 @@ fn no_alloc_target(
 mod tests {
     use super::*;
 
-    fn lib_report(src: &str) -> FileReport {
+    fn lib_report(src: &str) -> Report {
         analyze_source("mem.rs", src, FileKind::Library, true)
     }
 

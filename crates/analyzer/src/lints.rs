@@ -1,12 +1,12 @@
-//! The per-file lints. Each is a pure scan over one file's [`FileCtx`].
+//! The per-file lints. Each is a pure scan over one file's [`FileFacts`].
 //! The interprocedural passes live in [`crate::passes`].
 
 use crate::lexer::{Token, TokenKind};
-use crate::{Emitter, FileCtx};
+use crate::{FileFacts, Report};
 use std::collections::BTreeSet;
 
 /// Runs every registered lint over `ctx`.
-pub fn run_all(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
+pub fn run_all(ctx: &FileFacts, em: &mut Report) {
     unsafe_needs_safety_comment(ctx, em);
     simd_needs_runtime_dispatch(ctx, em);
     nondeterministic_api(ctx, em);
@@ -18,8 +18,8 @@ pub fn run_all(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
 /// `unsafe-needs-safety-comment`: every `unsafe` keyword (block, fn, impl)
 /// must be justified by a `SAFETY:` comment on the same line or in the
 /// contiguous comment block above, or a `# Safety` doc section.
-fn unsafe_needs_safety_comment(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
-    for t in ctx.tokens {
+fn unsafe_needs_safety_comment(ctx: &FileFacts, em: &mut Report) {
+    for t in &ctx.tokens {
         if t.kind != TokenKind::Ident || t.text != "unsafe" {
             continue;
         }
@@ -31,6 +31,7 @@ fn unsafe_needs_safety_comment(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
             continue;
         }
         em.emit(
+            ctx,
             "unsafe-needs-safety-comment",
             t.line,
             t.col,
@@ -44,20 +45,21 @@ fn unsafe_needs_safety_comment(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
 /// intrinsics may only appear in files that also contain the
 /// `is_x86_feature_detected!` dispatch (the lexical approximation of "wired
 /// through the dispatch table").
-fn simd_needs_runtime_dispatch(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
+fn simd_needs_runtime_dispatch(ctx: &FileFacts, em: &mut Report) {
     let has_dispatch =
         ctx.tokens.iter().any(|t| t.kind == TokenKind::Ident && t.text == "is_x86_feature_detected");
     if has_dispatch {
         return;
     }
     let mut seen_lines: BTreeSet<u32> = BTreeSet::new();
-    for t in ctx.tokens {
+    for t in &ctx.tokens {
         if t.kind != TokenKind::Ident {
             continue;
         }
         let trigger = t.text == "target_feature" || t.text.starts_with("_mm");
         if trigger && seen_lines.insert(t.line) {
             em.emit(
+                ctx,
                 "simd-needs-runtime-dispatch",
                 t.line,
                 t.col,
@@ -70,8 +72,8 @@ fn simd_needs_runtime_dispatch(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
 
 /// `nondeterministic-api`: bans wall-clock, unseeded-RNG and hash-order APIs
 /// in the numeric crates' library code.
-fn nondeterministic_api(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
-    if !ctx.numeric {
+fn nondeterministic_api(ctx: &FileFacts, em: &mut Report) {
+    if !ctx.scope.numeric {
         return;
     }
     let mut seen: BTreeSet<(u32, String)> = BTreeSet::new();
@@ -103,6 +105,7 @@ fn nondeterministic_api(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
         };
         if seen.insert((t.line, t.text.clone())) {
             em.emit(
+                ctx,
                 "nondeterministic-api",
                 t.line,
                 t.col,
@@ -147,11 +150,12 @@ pub(crate) fn alloc_sites(tokens: &[Token], a: usize, b: usize) -> Vec<usize> {
 
 /// `no-alloc-in-hot-path`: functions marked `// lint: no_alloc` must not
 /// call the allocating APIs anywhere in their body (see [`alloc_sites`]).
-fn no_alloc_in_hot_path(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
-    for (fn_name, a, b) in ctx.no_alloc {
-        for i in alloc_sites(ctx.tokens, *a, *b) {
+fn no_alloc_in_hot_path(ctx: &FileFacts, em: &mut Report) {
+    for (fn_name, a, b) in &ctx.no_alloc {
+        for i in alloc_sites(&ctx.tokens, *a, *b) {
             let t = &ctx.tokens[i];
             em.emit(
+                ctx,
                 "no-alloc-in-hot-path",
                 t.line,
                 t.col,
@@ -165,7 +169,7 @@ fn no_alloc_in_hot_path(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
 /// `float-exact-compare`: `==`/`!=` with a float literal (or an `as f64`
 /// cast) operand in library code. Bitwise-determinism tests compare through
 /// `.to_bits()` or live in test code, which is exempt.
-fn float_exact_compare(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
+fn float_exact_compare(ctx: &FileFacts, em: &mut Report) {
     for (i, t) in ctx.tokens.iter().enumerate() {
         if t.kind != TokenKind::Punct || (t.text != "==" && t.text != "!=") {
             continue;
@@ -183,6 +187,7 @@ fn float_exact_compare(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
         };
         if floaty(prev) || floaty(next) {
             em.emit(
+                ctx,
                 "float-exact-compare",
                 t.line,
                 t.col,
@@ -196,7 +201,7 @@ fn float_exact_compare(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
 /// `panic-in-library`: `.unwrap()` / `.expect(...)` / `panic!` in non-test
 /// library code must be justified by an `// INVARIANT:` comment (same line
 /// or directly above) or the enclosing fn documenting `# Panics`.
-fn panic_in_library(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
+fn panic_in_library(ctx: &FileFacts, em: &mut Report) {
     for (i, t) in ctx.tokens.iter().enumerate() {
         if t.kind != TokenKind::Ident || ctx.in_test_context(t.line) {
             continue;
@@ -219,6 +224,7 @@ fn panic_in_library(ctx: &FileCtx<'_>, em: &mut Emitter<'_, '_>) {
             continue;
         }
         em.emit(
+            ctx,
             "panic-in-library",
             t.line,
             t.col,

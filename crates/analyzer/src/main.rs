@@ -5,21 +5,20 @@
 //! cargo run -p analyzer -- lints
 //! ```
 //!
-//! `check` with no FILE arguments scans the whole workspace: per-file lints
-//! under each file's crate/test classification, then the workspace passes
-//! (call-graph `no_alloc` reachability, collective protocol, determinism
-//! dataflow) over all files at once. With explicit FILE arguments it runs in
-//! *fixture mode*: every file is treated as library code with every lint
-//! family in scope, and the workspace passes run over exactly the given set
-//! — that is what the self-test corpus and the CI fixture step rely on (and
-//! how the cross-file fixture pair is exercised).
+//! `check` with no FILE arguments scans the whole workspace
+//! ([`analyzer::check_workspace`]): per-file lints under each file's
+//! crate/test classification, the workspace passes (call-graph `no_alloc`
+//! reachability, collective protocol, determinism dataflow) over all files
+//! at once, then the architecture rules. With explicit FILE arguments it
+//! runs in *fixture mode* ([`analyzer::check_files`]): every file is treated
+//! as library code with every lint family in scope, and the workspace
+//! passes run over exactly the given set — that is what the self-test
+//! corpus in `tests/fixtures.rs` relies on (and how the cross-file fixture
+//! pair is exercised).
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use analyzer::{
-    analyze_facts, diag::json_str, passes, sarif, workspace, Diagnostic, FileFacts, FileKind,
-    Scope, LINTS,
-};
+use analyzer::{diag::json_str, sarif, Diagnostic, LINTS};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -74,64 +73,21 @@ fn check(args: &[String]) -> ExitCode {
         }
     }
 
-    let worklist = if files.is_empty() {
-        match workspace::discover(&root) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("analyzer: cannot walk {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        }
+    let result = if files.is_empty() {
+        analyzer::check_workspace(&root)
     } else {
-        // Fixture mode: all lint families apply to every explicit file.
-        files
-            .into_iter()
-            .map(|p| {
-                let rel = p.to_string_lossy().into_owned();
-                workspace::WorkFile {
-                    path: p,
-                    rel,
-                    kind: FileKind::Library,
-                    numeric: true,
-                    crate_name: "fixture".to_string(),
-                }
-            })
-            .collect()
+        analyzer::check_files(&files)
     };
-
-    // Phase 1: collect facts and run the per-file lints.
-    let mut facts: Vec<FileFacts> = Vec::with_capacity(worklist.len());
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut suppressed = 0usize;
-    for wf in &worklist {
-        let text = match std::fs::read_to_string(&wf.path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("analyzer: cannot read {}: {e}", wf.rel);
-                return ExitCode::from(2);
-            }
-        };
-        let scope = if wf.crate_name == "fixture" {
-            Scope::fixture()
-        } else {
-            Scope::for_crate(&wf.crate_name)
-        };
-        let f = FileFacts::collect(&wf.rel, &text, wf.kind, scope);
-        let report = analyze_facts(&f);
-        suppressed += report.suppressed;
-        diags.extend(report.diags);
-        facts.push(f);
-    }
-
-    // Phase 2: workspace passes over all facts at once.
-    let ws = passes::run(&facts);
-    suppressed += ws.suppressed;
-    diags.extend(ws.diags);
-    diags.sort_by(|a, b| (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint)));
-
-    let files_scanned = facts.len();
+    let report = match result {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("analyzer: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let diags = &report.diags;
     let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-    for d in &diags {
+    for d in diags {
         *counts.entry(d.lint).or_insert(0) += 1;
     }
 
@@ -141,25 +97,26 @@ fn check(args: &[String]) -> ExitCode {
             let count_fields: Vec<String> =
                 counts.iter().map(|(k, v)| format!("{}:{}", json_str(k), v)).collect();
             println!(
-                "{{\"id\":\"analyzer\",\"version\":2,\"files_scanned\":{},\"suppressed\":{},\"counts\":{{{}}},\"findings\":[{}]}}",
-                files_scanned,
-                suppressed,
+                "{{\"id\":\"analyzer\",\"version\":2,\"files_scanned\":{},\"library_lines\":{},\"suppressed\":{},\"counts\":{{{}}},\"findings\":[{}]}}",
+                report.files_scanned,
+                report.library_lines,
+                report.suppressed,
                 count_fields.join(","),
                 findings.join(","),
             );
         }
         Output::Sarif => {
-            print!("{}", sarif::render(&diags, suppressed, files_scanned));
+            print!("{}", sarif::render(diags, report.suppressed, report.files_scanned));
         }
         Output::Text => {
-            for d in &diags {
+            for d in diags {
                 println!("{}", d.render());
             }
             println!(
                 "analyzer: {} finding(s), {} suppressed by allow, {} file(s) scanned",
                 diags.len(),
-                suppressed,
-                files_scanned
+                report.suppressed,
+                report.files_scanned
             );
         }
     }

@@ -87,7 +87,7 @@ pub fn analyze(tokens: &[Token]) -> Structure {
                 j += 1;
             }
             if j < tokens.len() && tokens[j].text == "[" {
-                let close = match_bracket(tokens, j);
+                let close = match_close(tokens, j);
                 let idents: Vec<&str> = tokens[j..=close]
                     .iter()
                     .filter(|t| t.kind == TokenKind::Ident)
@@ -154,22 +154,23 @@ pub fn analyze(tokens: &[Token]) -> Structure {
     st
 }
 
-/// Matching `]` for the `[` at `open` (falls back to `open` when unmatched).
-fn match_bracket(tokens: &[Token], open: usize) -> usize {
+/// Matching `)`/`]` for the `(`/`[` at `open` (falls back to `open` when
+/// unmatched).
+pub(crate) fn match_close(tokens: &[Token], open: usize) -> usize {
+    let opener = tokens[open].text.as_str();
+    let closer = if opener == "(" { ")" } else { "]" };
     let mut depth = 0usize;
     for (k, t) in tokens.iter().enumerate().skip(open) {
         if t.kind != TokenKind::Punct {
             continue;
         }
-        match t.text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
+        if t.text == opener {
+            depth += 1;
+        } else if t.text == closer {
+            depth -= 1;
+            if depth == 0 {
+                return k;
             }
-            _ => {}
         }
     }
     open

@@ -19,58 +19,20 @@
 use crate::callgraph::CallGraph;
 use crate::lexer::{Token, TokenKind};
 use crate::lints::alloc_sites;
-use crate::parse::body_block;
+use crate::parse::{body_block, match_close};
 use crate::symbols::{call_sites, SymbolTable};
-use crate::{Diagnostic, FileFacts};
+use crate::{FileFacts, Report};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Combined result of the workspace passes.
-#[derive(Debug, Default)]
-pub struct WorkspaceReport {
-    /// Findings across all files, sorted by (file, line, col).
-    pub diags: Vec<Diagnostic>,
-    /// Findings suppressed by `allow(...)` directives.
-    pub suppressed: usize,
-}
-
-impl WorkspaceReport {
-    fn emit(
-        &mut self,
-        f: &FileFacts,
-        lint: &'static str,
-        line: u32,
-        col: u32,
-        message: String,
-        help: &str,
-    ) {
-        if f.allowed(lint, line) {
-            self.suppressed += 1;
-            return;
-        }
-        self.diags.push(Diagnostic {
-            lint,
-            file: f.rel.clone(),
-            line,
-            col,
-            message,
-            snippet: f.line_text(line).to_string(),
-            help: help.to_string(),
-        });
-    }
-}
-
 /// Runs every workspace pass over the collected facts.
-pub fn run(files: &[FileFacts]) -> WorkspaceReport {
+pub fn run(files: &[FileFacts]) -> Report {
     let table = SymbolTable::build(files);
     let graph = CallGraph::build(files, &table);
-    let mut report = WorkspaceReport::default();
+    let mut report = Report::default();
     no_alloc_reachable(files, &table, &graph, &mut report);
     collective_protocol(files, &table, &graph, &mut report);
     determinism_dataflow(files, &mut report);
-    report
-        .diags
-        .sort_by(|a, b| (&a.file, a.line, a.col, a.lint).cmp(&(&b.file, b.line, b.col, b.lint)));
-    report
+    report.sorted()
 }
 
 /// `no-alloc-reachable`: BFS from every `// lint: no_alloc` fn; any
@@ -81,7 +43,7 @@ fn no_alloc_reachable(
     files: &[FileFacts],
     table: &SymbolTable,
     graph: &CallGraph,
-    report: &mut WorkspaceReport,
+    report: &mut Report,
 ) {
     // Map each no_alloc marker to its definition via (file, body-open token).
     let mut def_by_body: BTreeMap<(usize, usize), usize> = BTreeMap::new();
@@ -169,7 +131,7 @@ fn collective_protocol(
     files: &[FileFacts],
     table: &SymbolTable,
     graph: &CallGraph,
-    report: &mut WorkspaceReport,
+    report: &mut Report,
 ) {
     // Fixpoint: does a fn (transitively) perform a collective?
     let mut performs: Vec<bool> = table
@@ -311,7 +273,7 @@ const RNG_CONSTRUCTORS: &[&str] = &[
 const STREAM_DERIVERS: &[&str] = &["split_seed", "member_rng"];
 
 /// Determinism dataflow: `hash-float-fold` and `rng-stream-discipline`.
-fn determinism_dataflow(files: &[FileFacts], report: &mut WorkspaceReport) {
+fn determinism_dataflow(files: &[FileFacts], report: &mut Report) {
     for f in files {
         if f.scope.hash_order {
             hash_float_fold(f, report);
@@ -320,27 +282,6 @@ fn determinism_dataflow(files: &[FileFacts], report: &mut WorkspaceReport) {
             rng_stream_discipline(f, report);
         }
     }
-}
-
-/// Matching `)` for the `(` at `open` (token index), or `open` if unmatched.
-fn match_paren(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind != TokenKind::Punct {
-            continue;
-        }
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-    }
-    open
 }
 
 /// True when `a..=b` contains float evidence: a float literal or `f64`/`f32`.
@@ -360,7 +301,7 @@ fn has_float_evidence(tokens: &[Token], a: usize, b: usize) -> bool {
 /// type/initializer mentions `HashMap`/`HashSet`. Float evidence is searched
 /// over the enclosing fn (signature + body), so integer-only counters don't
 /// trip the lint.
-fn hash_float_fold(f: &FileFacts, report: &mut WorkspaceReport) {
+fn hash_float_fold(f: &FileFacts, report: &mut Report) {
     const HELP: &str = "iterate a BTreeMap/BTreeSet or sort keys first; hash order changes per process and reorders the float fold";
     for item in &f.structure.fns {
         let Some((a, b)) = item.body_tokens else { continue };
@@ -391,7 +332,7 @@ fn hash_float_fold(f: &FileFacts, report: &mut WorkspaceReport) {
             {
                 continue;
             }
-            let mut close = match_paren(&f.tokens, i + 3);
+            let mut close = match_close(&f.tokens, i + 3);
             // Walk the method chain looking for an accumulator.
             while f.tokens.get(close + 1).is_some_and(|n| n.text == ".")
                 && f.tokens.get(close + 2).is_some_and(|n| n.kind == TokenKind::Ident)
@@ -405,7 +346,7 @@ fn hash_float_fold(f: &FileFacts, report: &mut WorkspaceReport) {
                 if f.tokens.get(k).is_none_or(|n| n.text != "(") {
                     break;
                 }
-                let call_close = match_paren(&f.tokens, k);
+                let call_close = match_close(&f.tokens, k);
                 if ACCUM_METHODS.contains(&m.text.as_str()) {
                     report.emit(
                         f,
@@ -529,7 +470,7 @@ fn hash_bindings(tokens: &[Token], sig: usize, open: usize, close: usize) -> BTr
 /// `seeded(...)` calls whose seed is not derived through
 /// `split_seed`/`member_rng` are flagged: a raw or shared stream
 /// either breaks run-to-run reproducibility or correlates particles.
-fn rng_stream_discipline(f: &FileFacts, report: &mut WorkspaceReport) {
+fn rng_stream_discipline(f: &FileFacts, report: &mut Report) {
     for i in 0..f.tokens.len() {
         let t = &f.tokens[i];
         if t.kind != TokenKind::Ident || f.in_test_context(t.line) {
@@ -554,7 +495,7 @@ fn rng_stream_discipline(f: &FileFacts, report: &mut WorkspaceReport) {
             if i >= 1 && f.tokens[i - 1].text == "fn" {
                 continue;
             }
-            let close = match_paren(&f.tokens, i + 1);
+            let close = match_close(&f.tokens, i + 1);
             let derived = f.tokens[i + 1..=close].iter().any(|a| {
                 a.kind == TokenKind::Ident && STREAM_DERIVERS.contains(&a.text.as_str())
             });

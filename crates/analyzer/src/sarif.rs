@@ -42,10 +42,12 @@ pub fn render(diags: &[Diagnostic], suppressed: usize, files_scanned: usize) -> 
     ));
     out.push_str("      \"results\": [\n");
     for (i, d) in diags.iter().enumerate() {
-        let rule_index = LINTS.iter().position(|l| l.name == d.lint).unwrap_or(0);
         out.push_str("        {\n");
         out.push_str(&format!("          \"ruleId\": {},\n", json_str(d.lint)));
-        out.push_str(&format!("          \"ruleIndex\": {rule_index},\n"));
+        // `architecture` and `lint-directive` findings have no registry entry.
+        if let Some(rule_index) = LINTS.iter().position(|l| l.name == d.lint) {
+            out.push_str(&format!("          \"ruleIndex\": {rule_index},\n"));
+        }
         out.push_str("          \"level\": \"error\",\n");
         out.push_str(&format!(
             "          \"message\": {{\"text\": {}}},\n",

@@ -15,8 +15,6 @@ pub struct WorkFile {
     pub rel: String,
     /// Role of the file.
     pub kind: FileKind,
-    /// True when the file belongs to a numeric crate.
-    pub numeric: bool,
     /// Crate directory name (`ensf`, `dist`, ... or `sqg-da` for the root).
     pub crate_name: String,
 }
@@ -27,13 +25,28 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "node_modules"];
 /// Walks `root` for `.rs` files, skipping build output and the analyzer's
 /// own seeded-violation fixtures. Deterministic (sorted) order.
 pub fn discover(root: &Path) -> std::io::Result<Vec<WorkFile>> {
-    let mut files = Vec::new();
-    walk(root, root, &mut files)?;
-    files.sort_by(|a, b| a.rel.cmp(&b.rel));
-    Ok(files)
+    let mut rels = Vec::new();
+    walk(root, root, &|name| name.ends_with(".rs"), &mut rels)?;
+    rels.sort();
+    Ok(rels.into_iter().map(|rel| classify(root.join(&rel), rel)).collect())
 }
 
-fn walk(root: &Path, dir: &Path, out: &mut Vec<WorkFile>) -> std::io::Result<()> {
+/// Every `Cargo.toml` under `root` as `(relative path, text)`, sorted.
+pub fn manifests(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut rels = Vec::new();
+    walk(root, root, &|name| name == "Cargo.toml", &mut rels)?;
+    rels.sort();
+    rels.into_iter()
+        .map(|rel| std::fs::read_to_string(root.join(&rel)).map(|text| (rel, text)))
+        .collect()
+}
+
+fn walk(
+    root: &Path,
+    dir: &Path,
+    keep: &dyn Fn(&str) -> bool,
+    out: &mut Vec<String>,
+) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -44,14 +57,14 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<WorkFile>) -> std::io::Result<()>
                 continue;
             }
             // The fixture corpus is seeded violations; the workspace sweep
-            // must not scan it (CI runs it separately, expecting failure).
+            // must not scan it (`tests/fixtures.rs` runs it, expecting
+            // failure).
             if rel_of(root, &path) == "crates/analyzer/fixtures" {
                 continue;
             }
-            walk(root, &path, out)?;
-        } else if name.ends_with(".rs") {
-            let rel = rel_of(root, &path);
-            out.push(classify(path, rel));
+            walk(root, &path, keep, out)?;
+        } else if keep(&name) {
+            out.push(rel_of(root, &path));
         }
     }
     Ok(())
@@ -73,7 +86,6 @@ pub fn classify(path: PathBuf, rel: String) -> WorkFile {
         ["crates", name, ..] => name,
         _ => "sqg-da",
     };
-    let numeric = NUMERIC_CRATES.contains(&crate_name);
     let kind = if parts.contains(&"tests") || parts.contains(&"benches") {
         FileKind::Test
     } else if parts.contains(&"examples") {
@@ -88,7 +100,7 @@ pub fn classify(path: PathBuf, rel: String) -> WorkFile {
         FileKind::Library
     };
     // `crate_name` borrows `rel`; materialize it before `rel` moves in.
-    WorkFile { path, crate_name: crate_name.to_string(), rel, kind, numeric }
+    WorkFile { path, crate_name: crate_name.to_string(), rel, kind }
 }
 
 #[cfg(test)]
@@ -97,7 +109,7 @@ mod tests {
 
     fn kind_of(rel: &str) -> (FileKind, bool) {
         let wf = classify(PathBuf::from(rel), rel.to_string());
-        (wf.kind, wf.numeric)
+        (wf.kind, NUMERIC_CRATES.contains(&wf.crate_name.as_str()))
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Each fixture file contains exactly one violation of one lint; `clean.rs`
 //! contains none. The tests shell out to the real `analyzer` binary in
 //! fixture mode (`check --json FILE`) and assert the exact lint name and
-//! line number in the JSON diagnostics — the same invocation the CI fixture
-//! step uses.
+//! line number in the JSON diagnostics.
 
 use std::path::PathBuf;
 use std::process::Command;
