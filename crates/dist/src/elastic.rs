@@ -48,12 +48,6 @@ use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
 use hpc::{collective_time, shard_step_compute_secs, Collective, MpiError, StragglerPlan};
 use stats::Ensemble;
-use std::time::Duration;
-
-/// How long a dead rank waits for its rejoin grant before giving up. Real
-/// wall-clock (the watchdog of last resort), sized far above any test or
-/// bench cycle time.
-const GRANT_WAIT: Duration = Duration::from_secs(60);
 
 /// What the sharded face adds to a [`Run`]: the analysis every rank runs a
 /// block of, and the simulated machine it runs on.
@@ -121,11 +115,11 @@ pub fn modeled_analysis_secs(
     compute + comm
 }
 
-/// Parks a dead rank until its scripted rejoin grant arrives (or forever
-/// isn't an option: a generous real-time deadline turns a missing grant
-/// into [`Entry::Gone`]). On a grant, loads the boundary checkpoint; a
-/// missing or stale one re-kills the rank so the survivors shrink it away
-/// again instead of hanging on it.
+/// Parks a dead rank until its scripted rejoin grant arrives; a coordinator
+/// that leaves without sending it wakes the rank with
+/// [`MpiError::RankDead`], which is [`Entry::Gone`]. On a grant, loads the
+/// boundary checkpoint; on a missing or stale one the rank leaves again,
+/// and the survivors shrink it away instead of hanging on it.
 fn dead_wait(comm: &Comm, run: &Run, died_at: usize) -> Entry {
     let me = comm.world_rank();
     let world = comm.world_size();
@@ -149,10 +143,7 @@ fn dead_wait(comm: &Comm, run: &Run, died_at: usize) -> Entry {
     let Some(&coordinator) = members.first() else {
         return Entry::Gone;
     };
-    comm.set_recv_deadline(Some(GRANT_WAIT));
-    let grant = comm.recv_grant(coordinator);
-    comm.set_recv_deadline(None);
-    let Ok(grant) = grant else {
+    let Ok(grant) = comm.recv_grant(coordinator) else {
         return Entry::Gone;
     };
     let generation = grant.first().copied().unwrap_or(0.0) as u64;
@@ -163,9 +154,9 @@ fn dead_wait(comm: &Comm, run: &Run, died_at: usize) -> Entry {
         .and_then(|ck| Checkpoint::load(&ck.path).ok())
         .filter(|ck| ck.cycle == at_cycle);
     let Some(checkpoint) = checkpoint else {
-        // Can't restore bit-identical state: die again. The survivors'
-        // next collective sees RankDead and shrinks us away.
-        comm.kill();
+        // Can't restore bit-identical state: leave again. Exit registers
+        // the rank dead, so the survivors' next collective sees RankDead
+        // and shrinks it away.
         return Entry::Gone;
     };
     let new_members = faults.membership_at(at_cycle, world);
@@ -264,6 +255,10 @@ impl ProcessGroup for RankGroup<'_> {
             let generation = comm.epoch() + 1;
             if comm.rank() == 0 {
                 for &r in &admitting {
+                    // `revive` takes only a rank seen dead, and `r`'s
+                    // scripted `kill` may still be on its way: `r` sends no
+                    // grant, so waiting for one ends at its death notice.
+                    let _ = comm.recv_grant(r);
                     comm.revive(r);
                     comm.send_grant(r, &[generation as f64, cycle as f64]);
                 }
@@ -400,10 +395,11 @@ impl AnalysisScheme for ShardedEnsf<'_> {
 /// One rank's part of [`run_sharded`]: the cycle loop ([`run_cycles`])
 /// with this rank's `{member-sharded forecast, sharded analysis, group
 /// membership}` in its slots, from `resume` if given. A rank that leaves
-/// the loop — with an error or at the end — registers itself dead, so its
-/// peers meet a typed [`MpiError::RankDead`] rather than a silent member or
-/// a vanished one; `comm` is spent afterwards. A rank that dies and never
-/// rejoins returns its partial trajectory with `run.interrupted` set.
+/// the loop — with an error or at the end — is registered dead once its
+/// world drops its `comm` (survivors of a kill that only forecast-only
+/// cycles followed never got back in step), so its peers meet a typed
+/// [`MpiError::RankDead`] rather than a silent member. A rank that dies and
+/// never rejoins returns its partial trajectory with `run.interrupted` set.
 pub(crate) fn run_rank(
     comm: &Comm,
     run: &Run,
@@ -433,10 +429,6 @@ pub(crate) fn run_rank(
     let fallback = degraded.as_mut().map(|s| s as &mut dyn AnalysisScheme);
     let result =
         run_cycles(run, nature, &mut model, &mut scheme, fallback, &mut group, resume.cloned());
-    // Leaving, even at the end, registers this rank dead: survivors of a
-    // kill that only forecast-only cycles followed never got back in step,
-    // and a peer may still be sending into the failed forecast gather.
-    comm.kill();
     let (mut shrinks, mut stats, mut error) = (0, model.stats, None);
     for s in std::iter::once(scheme).chain(degraded) {
         shrinks += s.shrinks;
@@ -749,7 +741,7 @@ mod tests {
     #[test]
     fn failed_checkpoint_write_is_an_error_not_a_hang() {
         // The lead cannot write its boundary checkpoint and leaves with the
-        // error; it registers itself dead on the way out, so its peer meets
+        // error; it is registered dead on the way out, so its peer meets
         // a typed `RankDead` in the next gather and finishes alone instead
         // of waiting on a silent member forever.
         let (mut run, sharding) = tiny_config(3);
@@ -761,6 +753,22 @@ mod tests {
         let survivor = results[1].as_ref().expect("rank 1 shrinks the lead away and completes");
         assert!(!survivor.run.interrupted);
         assert_eq!(survivor.group_sizes, vec![(0, 2), (1, 1), (2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 fails")]
+    fn a_panicking_rank_fails_the_run_instead_of_hanging_it() {
+        // Rank 1 unwinds without calling `kill`: its exit registers it
+        // dead, rank 0 shrinks it away and finishes, and `run_world`
+        // re-raises rank 1's own panic.
+        let (run, sharding) = tiny_config(2);
+        let nature = nature_run(&run.osse);
+        run_world(2, |comm| {
+            if comm.world_rank() == 1 {
+                panic!("rank 1 fails");
+            }
+            run_rank(comm, &run, &sharding, &nature, None)
+        });
     }
 
     #[test]

@@ -231,7 +231,7 @@ mod tests {
                     model.forecast_ensemble(&mut e, HOURS);
                     got.push(bits(&e));
                 }
-                // Leave as the driver does, registered dead.
+                // Registered dead as leaving would, before rank 2 may start.
                 comm.kill();
                 if rank_2_late && comm.rank() == 0 {
                     root_left.wait();

@@ -12,12 +12,16 @@
 //!
 //! The runtime mirrors the ULFM (User-Level Failure Mitigation) proposal:
 //!
-//! * A rank announces its own death with [`Comm::kill`] (flipping a flag in
-//!   a world-shared liveness registry) and stops calling communication
-//!   operations. Peers blocked on a receive from it observe a typed
+//! * A rank is dead once [`Comm::kill`] flips its flag in a world-shared
+//!   liveness registry: at a scripted failure point, or on its way out,
+//!   since a rank that returns or unwinds drops its [`Comm`], and exit
+//!   means dead. `kill` then sends every peer an in-band death notice.
+//!   Peers blocked on a receive from the rank observe a typed
 //!   [`MpiError::RankDead`] carrying the offending `(src, tag)` — never a
-//!   hang: the blocking receive is a timed poll over the inbox plus the
-//!   registry.
+//!   hang: a receive blocks on its inbox alone, and any notice makes it
+//!   re-read the registry, which is the one source of truth. A sender's
+//!   messages arrive in order, so its last data is delivered before its
+//!   notice.
 //! * On any collective error a survivor calls [`Comm::revoke`], waking
 //!   every peer still parked inside the broken collective with
 //!   [`MpiError::Revoked`], then all survivors agree (deterministically,
@@ -27,10 +31,10 @@
 //!   abandoned collective attempt can never be mistaken for contributions
 //!   to its retry: older-epoch messages are dropped on receipt,
 //!   future-epoch messages are buffered until the local view catches up.
-//! * A previously dead rank rejoins through an out-of-band *grant*
-//!   ([`Comm::revive`] + [`Comm::send_grant`] on the coordinator,
-//!   [`Comm::recv_grant`] on the rejoiner) followed by a matching
-//!   [`Comm::recover`] on every member of the expanded group.
+//! * A dead rank rejoins through an out-of-band *grant*: a coordinator that
+//!   has seen it dead calls [`Comm::revive`] and [`Comm::send_grant`], the
+//!   rejoiner [`Comm::recv_grant`], and every member of the expanded group
+//!   then calls a matching [`Comm::recover`].
 //!
 //! Group views renumber ranks: after a shrink [`Comm::rank`] /
 //! [`Comm::size`] describe the surviving group in ascending world-rank
@@ -40,9 +44,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Top bit marks runtime-internal tags; user tags must keep it clear.
 const TAG_SPECIAL: u64 = 1 << 63;
@@ -50,6 +53,9 @@ const TAG_SPECIAL: u64 = 1 << 63;
 const REVOKE_TAG: u64 = u64::MAX;
 /// Out-of-band rejoin grant, valid across epochs.
 const GRANT_TAG: u64 = u64::MAX - 1;
+/// Death notice: only a wake-up, telling the receiver to re-read the
+/// liveness registry.
+const DEAD_TAG: u64 = u64::MAX - 2;
 
 /// Collective operation codes folded into epoch-stamped tags.
 const OP_REDUCE: u64 = 1;
@@ -59,9 +65,6 @@ const OP_BCAST: u64 = 4;
 const OP_SCATTER: u64 = 5;
 const OP_BARRIER: u64 = 6;
 
-/// How often a parked receive re-checks the liveness registry.
-const POLL: Duration = Duration::from_micros(200);
-
 /// Why a receive (and therefore a collective) could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpiError {
@@ -69,14 +72,6 @@ pub enum MpiError {
     /// buffered or in flight.
     RankDead {
         /// World rank of the dead peer.
-        src: usize,
-        /// Tag the receive was waiting on.
-        tag: u64,
-    },
-    /// The receive deadline ([`Comm::set_recv_deadline`]) elapsed with the
-    /// peer still alive but silent.
-    Timeout {
-        /// World rank of the silent peer.
         src: usize,
         /// Tag the receive was waiting on.
         tag: u64,
@@ -91,9 +86,6 @@ impl std::fmt::Display for MpiError {
         match self {
             MpiError::RankDead { src, tag } => {
                 write!(f, "rank {src} is dead (receive tag {tag:#x})")
-            }
-            MpiError::Timeout { src, tag } => {
-                write!(f, "receive from rank {src} timed out (tag {tag:#x})")
             }
             MpiError::Revoked => write!(f, "communication epoch revoked by a peer"),
         }
@@ -125,8 +117,6 @@ pub struct Comm {
     epoch: Cell<u64>,
     /// Set when a peer revoked the current epoch.
     revoked: Cell<bool>,
-    /// Optional per-receive deadline (safety net against silent peers).
-    deadline: Cell<Option<Duration>>,
     pending: RefCell<Vec<Message>>,
 }
 
@@ -178,28 +168,32 @@ impl Comm {
         self.alive[world_rank].load(Ordering::Acquire)
     }
 
-    /// Registers this rank dead. Call at the scripted failure point, then
-    /// stop communicating (other than [`Comm::recv_grant`]); peers observe
-    /// [`MpiError::RankDead`] instead of hanging.
+    /// Registers this rank dead and wakes every peer with a death notice.
+    /// Call at the scripted failure point, then stop communicating (other
+    /// than [`Comm::recv_grant`]); peers observe [`MpiError::RankDead`]
+    /// instead of hanging. Dropping the `Comm` calls it too.
     pub fn kill(&self) {
         self.alive[self.world_rank].store(false, Ordering::Release);
+        for (w, tx) in self.senders.iter().enumerate() {
+            if w != self.world_rank {
+                // A peer that already left needs no wake-up.
+                let _ = tx.send(Message { src: self.world_rank, tag: DEAD_TAG, data: Vec::new() });
+            }
+        }
     }
 
-    /// Re-registers `world_rank` alive ahead of a rejoin grant, so that
-    /// survivors entering the expanded group never spuriously observe the
-    /// rejoiner as dead while it is still restoring its state.
+    /// Re-registers the dead `world_rank` alive ahead of a rejoin grant, so
+    /// that survivors entering the expanded group never spuriously observe
+    /// the rejoiner as dead while it is still restoring its state. Call it
+    /// only after observing the rank dead: a revive that could overtake
+    /// the rank's own `kill` is refused here rather than failing later
+    /// inside a collective.
     ///
     /// # Panics
-    /// Panics if `world_rank` is out of range.
+    /// Panics if `world_rank` is out of range or registered alive.
     pub fn revive(&self, world_rank: usize) {
+        assert!(!self.is_alive(world_rank), "revive of rank {world_rank}, which is alive");
         self.alive[world_rank].store(true, Ordering::Release);
-    }
-
-    /// Sets (or clears) the per-receive deadline. With a deadline set, a
-    /// receive from a live-but-silent peer fails with [`MpiError::Timeout`]
-    /// instead of blocking forever — the watchdog of last resort.
-    pub fn set_recv_deadline(&self, deadline: Option<Duration>) {
-        self.deadline.set(deadline);
     }
 
     /// Epoch-stamped tag for collective operation `op`.
@@ -215,7 +209,7 @@ impl Comm {
     /// Whether `tag` is an epoch-stamped collective tag (special, but not
     /// one of the fixed out-of-band tags).
     fn is_collective_tag(tag: u64) -> bool {
-        tag & TAG_SPECIAL != 0 && tag != REVOKE_TAG && tag != GRANT_TAG
+        tag & TAG_SPECIAL != 0 && ![REVOKE_TAG, GRANT_TAG, DEAD_TAG].contains(&tag)
     }
 
     /// Raw send that tolerates disconnected dead peers.
@@ -223,12 +217,9 @@ impl Comm {
         assert!(dst < self.world_size, "send to invalid rank {dst}");
         let msg = Message { src: self.world_rank, tag, data: data.to_vec() };
         if self.senders[dst].send(msg).is_err() {
-            // A receiver only disappears when its thread exited; that is
-            // fine for a registered-dead rank and a bug otherwise.
-            assert!(
-                !self.is_alive(dst),
-                "send to rank {dst}, which exited without kill()"
-            );
+            // A receiver only disappears when its thread exited, which
+            // registered it dead; alive here means a revive after it left.
+            assert!(!self.is_alive(dst), "send to rank {dst}, which left but is registered alive");
         }
     }
 
@@ -244,9 +235,13 @@ impl Comm {
 
     /// Routes one inbound message while waiting for `(src, tag)`: returns
     /// the payload on a match, buffers unrelated user messages, drops
-    /// stale-epoch collective traffic, buffers future-epoch collective
-    /// traffic, and surfaces revocations.
+    /// stale-epoch collective traffic and death notices (the caller
+    /// re-reads the registry), buffers future-epoch collective traffic,
+    /// and surfaces revocations.
     fn route(&self, msg: Message, src: usize, tag: u64) -> Result<Option<Vec<f64>>, MpiError> {
+        if msg.tag == DEAD_TAG {
+            return Ok(None);
+        }
         if msg.tag == REVOKE_TAG {
             let revoked_epoch = msg.data.first().copied().unwrap_or(0.0) as u64;
             if revoked_epoch >= self.epoch.get() {
@@ -273,14 +268,14 @@ impl Comm {
     /// non-overtaking guarantee). Instead of hanging, fails typed:
     /// [`MpiError::RankDead`] when `src` is registered dead with no
     /// matching message buffered or in flight, [`MpiError::Revoked`] when a
-    /// peer revoked the epoch, [`MpiError::Timeout`] when the optional
-    /// receive deadline elapses.
+    /// peer revoked the epoch. Between checks it blocks on the inbox: a
+    /// death notice from `src` arrives after its last data and ends the
+    /// wait.
     ///
     /// # Panics
     /// Panics if `src` is out of range.
     pub fn recv_checked(&self, src: usize, tag: u64) -> Result<Vec<f64>, MpiError> {
         assert!(src < self.world_size, "recv from invalid rank {src}");
-        let deadline = self.deadline.get().map(|d| Instant::now() + d);
         loop {
             if self.revoked.get() {
                 return Err(MpiError::Revoked);
@@ -310,22 +305,11 @@ impl Comm {
                 }
                 return Err(MpiError::RankDead { src, tag });
             }
-            match self.inbox.recv_timeout(POLL) {
-                Ok(msg) => {
-                    if let Some(data) = self.route(msg, src, tag)? {
-                        return Ok(data);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            return Err(MpiError::Timeout { src, tag });
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(MpiError::RankDead { src, tag });
-                }
+            // INVARIANT: every `Comm` holds a sender to itself, so the inbox
+            // never disconnects.
+            let msg = self.inbox.recv().expect("a rank's inbox outlives it");
+            if let Some(data) = self.route(msg, src, tag)? {
+                return Ok(data);
             }
         }
     }
@@ -396,9 +380,11 @@ impl Comm {
         self.send_raw(dst, GRANT_TAG, data);
     }
 
-    /// Blocks until a rejoin grant arrives from world rank `src`. Unlike
-    /// [`Comm::recv_checked`] this survives revocations (a dead rank does
-    /// not participate in epochs), clearing the flag and waiting on.
+    /// Blocks until a rejoin grant arrives from world rank `src`, or fails
+    /// with [`MpiError::RankDead`] once `src` is dead (it left without
+    /// granting). Unlike [`Comm::recv_checked`] this survives revocations
+    /// (a dead rank does not participate in epochs), clearing the flag and
+    /// waiting on.
     ///
     /// # Panics
     /// Panics if `src` is out of range.
@@ -640,12 +626,22 @@ impl Comm {
     }
 }
 
+/// Exit means dead: a rank thread's `Comm` drops when its closure returns
+/// or unwinds, and `drop` runs before the fields do, so the rank is
+/// registered dead before its inbox disconnects.
+impl Drop for Comm {
+    fn drop(&mut self) {
+        self.kill();
+    }
+}
+
 /// Runs `f` on `size` concurrent ranks and returns their results in rank
 /// order.
 ///
 /// # Panics
-/// Panics when `size == 0` or when any rank's closure panics (the panic is
-/// propagated to the caller).
+/// Panics when `size == 0`, and re-raises the panic of the lowest rank
+/// whose closure panicked once every rank has left (a rank's exit wakes
+/// any peer blocked on it).
 pub fn run_world<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -674,26 +670,18 @@ where
             group: RefCell::new((0..size).collect()),
             epoch: Cell::new(0),
             revoked: Cell::new(false),
-            deadline: Cell::new(None),
             pending: RefCell::new(Vec::new()),
         })
         .collect();
     drop(txs);
 
-    let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for comm in comms {
-            let fr = &f;
-            handles.push(scope.spawn(move || fr(&comm)));
-        }
-        for (slot, h) in results.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("rank panicked"));
-        }
+    let f = &f;
+    let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            comms.into_iter().map(|comm| scope.spawn(move || f(&comm))).collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    // INVARIANT: every handle joined successfully above, so each slot holds
-    // Some(result).
-    results.into_iter().map(|r| r.expect("rank produced no result")).collect()
+    outcomes.into_iter().map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
 }
 
 #[cfg(test)]
@@ -899,7 +887,6 @@ mod tests {
                     "rank_dead".to_string()
                 }
                 Err(MpiError::Revoked) => "revoked".to_string(),
-                Err(e) => panic!("unexpected error: {e}"),
             }
         });
         assert_eq!(out[0], "rank_dead");
@@ -928,21 +915,30 @@ mod tests {
     }
 
     #[test]
-    fn silent_peer_times_out_with_deadline() {
-        let out = run_world(2, |c| {
+    #[should_panic(expected = "rank 0 fails")]
+    fn rank_panic_wakes_its_peers_and_surfaces() {
+        // Rank 0 unwinds without calling `kill`; dropping its `Comm` does,
+        // so rank 1 leaves the collective with `RankDead` and `run_world`
+        // re-raises rank 0's own panic.
+        run_world(2, |c| {
             if c.rank() == 0 {
-                c.set_recv_deadline(Some(Duration::from_millis(40)));
-                let err = c.recv_checked(1, 9).unwrap_err();
-                assert_eq!(err, MpiError::Timeout { src: 1, tag: 9 });
-                c.set_recv_deadline(None);
-                c.send(1, 1, &[0.0]); // release the peer
-                1
+                panic!("rank 0 fails");
+            }
+            c.allreduce_sum(&mut [1.0]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "revive of rank 1, which is alive")]
+    fn revive_of_a_live_rank_is_refused() {
+        run_world(2, |c| {
+            if c.rank() == 0 {
+                c.revive(1);
             } else {
-                c.recv(0, 1);
-                2
+                // Alive until rank 0 leaves.
+                assert_eq!(c.recv_checked(0, 1), Err(MpiError::RankDead { src: 0, tag: 1 }));
             }
         });
-        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]
@@ -971,22 +967,18 @@ mod tests {
         let out = run_world(2, |c| {
             if c.rank() == 1 {
                 // Contribute to an epoch-0 allreduce that rank 0 never
-                // joins, abandoning it on timeout — the classic
+                // joins, abandoning it on rank 0's revocation — the classic
                 // half-finished collective a kill leaves behind.
-                c.set_recv_deadline(Some(Duration::from_millis(30)));
                 let mut buf = vec![100.0];
-                assert!(matches!(
-                    c.try_allreduce_sum(&mut buf),
-                    Err(MpiError::Timeout { .. })
-                ));
-                c.set_recv_deadline(None);
+                assert_eq!(c.try_allreduce_sum(&mut buf), Err(MpiError::Revoked));
                 c.recover(&[0, 1], 1);
                 let mut buf = vec![2.0];
                 c.allreduce_sum(&mut buf);
                 return buf[0];
             }
-            // Rank 0 skips epoch 0 entirely; its retry at epoch 1 must not
-            // absorb the stale 100.0 contribution.
+            // Rank 0 revokes epoch 0 instead of joining it; its retry at
+            // epoch 1 must not absorb the stale 100.0 contribution.
+            c.revoke();
             c.recover(&[0, 1], 1);
             let mut buf = vec![1.0];
             c.allreduce_sum(&mut buf);
@@ -1007,11 +999,13 @@ mod tests {
                 c.allreduce_sum(&mut buf);
                 return buf[0];
             }
-            // Coordinator: shrink to itself, then re-admit rank 1. Each
-            // membership change bumps the epoch; the grant carries the
-            // epoch of the expanded group.
+            // Coordinator: shrink to itself, then re-admit rank 1 once it
+            // has seen it dead (rank 1 sends nothing, so the receive ends
+            // at its death notice). Each membership change bumps the
+            // epoch; the grant carries the epoch of the expanded group.
             c.recover(&[0], 1);
             assert_eq!((c.rank(), c.size()), (0, 1));
+            assert_eq!(c.recv_checked(1, 0), Err(MpiError::RankDead { src: 1, tag: 0 }));
             c.revive(1);
             c.send_grant(1, &[2.0, 5.0]);
             c.recover(&[0, 1], 2);
