@@ -14,7 +14,7 @@
 //!    the SDE loop entirely (computed once per analysis);
 //! 2. a row-wise log-sum-exp softmax into weights `W` (P×M);
 //! 3. the weighted conditional score `S = (α W X − Z)/β²` as a second GEMM
-//!    plus one fused [`linalg::vector::scale_add`] pass.
+//!    with the affine part fused into its store epilogue.
 //!
 //! All reductions are fixed-order and per-output-element independent
 //! (`linalg::simd`'s specification: 8 FMA chains and a fixed tree for the
@@ -23,24 +23,31 @@
 //! bitwise deterministic and invariant to how particles are partitioned
 //! into blocks — the same contract the oracle guarantees, which
 //! keeps [`crate::parallel::analyze_partitioned`]'s bitwise identity and the
-//! resilience layer's bit-identical checkpoint resume intact. Each
-//! particle keeps its own RNG stream and draws it in exactly the oracle's
-//! order (initial `N(0, I)` fill, then one normal per component per
-//! non-final step); the step's noise for the whole block is one
-//! [`stats::gaussian::add_scaled_normals`] call, which advances eight
-//! particles' streams side by side in SIMD lanes without reordering any
-//! stream. The oracle and this kernel therefore differ only by
-//! floating-point reassociation.
+//! resilience layer's bit-identical checkpoint resume intact.
+//!
+//! After the two score GEMMs a step makes **one pass** over the block. The
+//! step's noise comes from [`stats::gaussian::scaled_normal_chunks`], which
+//! advances eight particles' streams side by side in SIMD lanes and hands
+//! each row its values in 8-element chunks; per chunk the pass applies the
+//! drift `fma(decay, z, σ²Δt·s)`, adds the noise, applies the damped
+//! likelihood pull and extends the row's [`linalg::gemm::SqNorm`] chains,
+//! so the next step's `‖z_i‖²` needs no pass of its own. The final,
+//! noise-free step runs the same chunk body without drawing. Each element
+//! keeps the operation order of the separate passes (drift, then `z + v`,
+//! then the pull), and each particle keeps its own RNG stream drawn in
+//! exactly the oracle's order (initial `N(0, I)` fill, then one normal per
+//! component per non-final step). The oracle and this kernel therefore
+//! differ only by floating-point reassociation.
 //!
 //! All scratch lives in a caller-owned [`BatchScratch`]; after construction
 //! the inner SDE loop performs no heap allocation.
 
 use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
-use linalg::gemm::{matmul_abt_into, matmul_slices_affine_into, row_sq_norms, GemmScratch};
-use linalg::vector::{axpy, scale_add};
+use linalg::gemm::{matmul_abt_into, matmul_slices_affine_into, row_sq_norms, GemmScratch, SqNorm};
+use linalg::simd::at_widest_tier;
 use rand::rngs::StdRng;
-use stats::gaussian::add_scaled_normals;
+use stats::gaussian::{scaled_normal_chunks, ChunkSink};
 use stats::softmax::softmax_in_place;
 use std::borrow::Cow;
 
@@ -105,8 +112,10 @@ impl<'a> BatchedScore<'a> {
     /// Evaluates the prior score at pseudo-time `t` for all `b` particles
     /// in `z` (`b x d` row-major) at once, writing into `out` (`b x d`).
     ///
-    /// `weights` (`b x J`) and `znorm` (`b`) are scratch; `weights` holds
-    /// the normalized softmax weights on return.
+    /// `znorm` (`b`) holds the rows' squared norms `‖z_i‖²` as
+    /// [`row_sq_norms`] computes them (the reverse SDE carries them over
+    /// from its previous step's pass). `weights` (`b x J`) is scratch and
+    /// holds the normalized softmax weights on return.
     // lint: no_alloc
     pub fn score_block_into(
         &self,
@@ -115,7 +124,7 @@ impl<'a> BatchedScore<'a> {
         t: f64,
         out: &mut [f64],
         weights: &mut [f64],
-        znorm: &mut [f64],
+        znorm: &[f64],
     ) {
         let (j, d) = (self.batch_len, self.dim);
         assert_eq!(z.len(), b * d);
@@ -130,8 +139,7 @@ impl<'a> BatchedScore<'a> {
         let alpha_sq = alpha * alpha;
 
         // Distances via the norm expansion: the Gram block Z Xᵀ carries all
-        // the O(b·J·d) work; norms are O((b+J)·d) and ‖x_j‖² is hoisted.
-        row_sq_norms(z, b, d, znorm);
+        // the O(b·J·d) work; ‖z_i‖² comes in and ‖x_j‖² is hoisted.
         matmul_abt_into(z, &self.gathered, b, j, d, weights);
         for (row, &zn) in weights.chunks_exact_mut(j).zip(znorm.iter()) {
             for (w, &xn) in row.iter_mut().zip(&self.xnorm) {
@@ -149,9 +157,11 @@ impl<'a> BatchedScore<'a> {
 /// Caller-owned scratch for [`reverse_sde_assimilate_batched`].
 ///
 /// Created once per analysis (per particle block); the reverse-SDE loop
-/// borrows the same five buffers each step and never allocates.
+/// borrows the same buffers each step and never allocates.
 pub struct BatchScratch {
     buffers: GemmScratch,
+    /// One row's norm chains per particle, filled by the SDE's chunk pass.
+    norms: Vec<SqNorm>,
 }
 
 impl BatchScratch {
@@ -160,15 +170,136 @@ impl BatchScratch {
     pub fn new(b: usize, j: usize, dim: usize) -> Self {
         let mut buffers = GemmScratch::new();
         // Prewarm so the integrator loops' borrows are allocation-free (the
-        // SDE borrows the first five slices, the flow path all six).
+        // SDE borrows the first three slices, the flow path all six).
         let _ = buffers.slices([b * dim, b * j, b, dim, dim, dim]);
-        BatchScratch { buffers }
+        BatchScratch { buffers, norms: vec![SqNorm::default(); b] }
     }
 
     /// The underlying buffer pool (shared with the flow-matching
     /// integrator, which borrows the same prewarmed slices).
     pub(crate) fn buffers_mut(&mut self) -> &mut GemmScratch {
         &mut self.buffers
+    }
+}
+
+/// The likelihood pull of one reverse-SDE step on a state element `x`:
+/// `x + factor · score(x)`, the likelihood score at weight `gain`.
+#[derive(Clone, Copy)]
+enum Pull {
+    /// No pull (`gain ≤ 0`, or NaN).
+    Off,
+    /// Constant-Jacobian operators: one damping factor for every element;
+    /// `w = gain / σ²`.
+    Uniform { w: f64, factor: f64 },
+    /// The damping factor from each element's own squared Jacobian `j²`:
+    /// `c = gain·j²/σ²`, `factor = (1 − e^{−c})/c`, or 1 for `c ≤ 1e-8`.
+    Local { gain: f64, sigma_obs_sq: f64 },
+}
+
+/// The damping factor `(1 − e^{−c})/c` that bounds a pull of stiffness `c`.
+#[inline(always)]
+fn damping_factor(c: f64) -> f64 {
+    if c > 1e-8 {
+        (1.0 - (-c).exp()) / c
+    } else {
+        1.0
+    }
+}
+
+/// One reverse-SDE step's per-element coefficients.
+#[derive(Clone, Copy)]
+struct Step<'a> {
+    decay: f64,
+    /// `σ²·Δt`, the score's weight in the drift.
+    sdt: f64,
+    pull: Pull,
+    obs: &'a ObsOperator,
+}
+
+impl Step<'_> {
+    /// Advances a chunk of one row: the drift `fma(decay, z, σ²Δt·s)`, then
+    /// `z + v` when the step draws noise, then the pull — per element, in
+    /// that order.
+    #[inline(always)]
+    fn advance(&self, z: &mut [f64], s: &[f64], y: &[f64], noise: Option<&[f64]>) {
+        for (zi, si) in z.iter_mut().zip(s) {
+            *zi = self.decay.mul_add(*zi, self.sdt * si);
+        }
+        if let Some(v) = noise {
+            for (zi, vi) in z.iter_mut().zip(v) {
+                *zi += vi;
+            }
+        }
+        match self.pull {
+            Pull::Off => {}
+            Pull::Uniform { w, factor } => self.obs.add_scaled_score(z, y, w, factor),
+            Pull::Local { gain, sigma_obs_sq } => {
+                // Out of line on a copy, so `z` stays in registers.
+                let mut copy = [0.0; 8];
+                let copy = &mut copy[..z.len()];
+                copy.copy_from_slice(z);
+                pull_local(self.obs, copy, y, gain, sigma_obs_sq);
+                z.copy_from_slice(copy);
+            }
+        }
+    }
+}
+
+/// One step's pass over the block, chunk by chunk: the [`ChunkSink`] that
+/// takes the step's noise.
+struct StepPass<'a> {
+    step: Step<'a>,
+    dim: usize,
+    z: &'a mut [f64],
+    s: &'a [f64],
+    y: &'a [f64],
+    /// Each row's norm chains, extended by its whole chunks.
+    norms: &'a mut [SqNorm],
+}
+
+impl StepPass<'_> {
+    /// [`Step::advance`] on row `r`'s `n` elements from column `c` (8 but
+    /// for a row's last chunk); a whole chunk then extends the row's norm
+    /// chains.
+    #[inline(always)]
+    fn advance(&mut self, r: usize, c: usize, n: usize, noise: Option<&[f64]>) {
+        let at = r * self.dim + c;
+        if n == 8 {
+            // A whole chunk is advanced in a local array, stored once: with
+            // a constant length and no store to `z` between the loads it
+            // runs as vector operations.
+            let mut x = [0.0; 8];
+            x.copy_from_slice(&self.z[at..at + 8]);
+            self.step.advance(&mut x, &self.s[at..at + 8], &self.y[c..c + 8], noise);
+            self.z[at..at + 8].copy_from_slice(&x);
+            self.norms[r].chunk(&x);
+        } else {
+            let z = &mut self.z[at..at + n];
+            self.step.advance(z, &self.s[at..at + n], &self.y[c..c + n], noise);
+        }
+    }
+}
+
+/// [`Pull::Local`] on a chunk `z` observed as `y`: the score and the
+/// squared Jacobian of the chunk, then each element's damped update. Out of
+/// line, because it costs an `atan` and an `exp` per element either way and
+/// one call per chunk keeps the lane loop from saving its registers around
+/// every element.
+#[inline(never)]
+fn pull_local(obs: &ObsOperator, z: &mut [f64], y: &[f64], gain: f64, sigma_obs_sq: f64) {
+    let n = z.len();
+    let (mut lik, mut jsq) = ([0.0; 8], [0.0; 8]);
+    obs.likelihood_score_into(z, y, gain, &mut lik[..n]);
+    obs.jacobian_sq(z, &mut jsq[..n]);
+    for ((zi, li), ji) in z.iter_mut().zip(&lik).zip(&jsq) {
+        *zi += damping_factor(gain * ji / sigma_obs_sq) * li;
+    }
+}
+
+impl ChunkSink for StepPass<'_> {
+    #[inline(always)]
+    fn chunk(&mut self, r: usize, c: usize, v: &[f64]) {
+        self.advance(r, c, v.len(), Some(v));
     }
 }
 
@@ -188,7 +319,8 @@ impl BatchScratch {
 /// Per particle this replicates the oracle's integrator operation for
 /// operation — exponential linear step, explicit prior score, final-step
 /// noise omission, damped likelihood pull — so the two paths agree to
-/// floating-point reassociation and draw identical noise.
+/// floating-point reassociation and draw identical noise. After the score
+/// GEMMs each step is one pass over `z` in row chunks (the module doc).
 // lint: no_alloc
 #[allow(clippy::too_many_arguments)]
 pub fn reverse_sde_assimilate_batched(
@@ -205,10 +337,14 @@ pub fn reverse_sde_assimilate_batched(
     let j = score.batch_len();
     let b = rngs.len();
     assert_eq!(z.len(), b * dim, "particle block shape mismatch");
+    assert_eq!(y.len(), dim, "observation length mismatch");
     let sigma_obs_sq = obs.sigma() * obs.sigma();
-    // All five buffers live for the whole integration: the step loop below
-    // is allocation-free.
-    let [s, w, znorm, lik, jsq] = scratch.buffers.slices([b * dim, b * j, b, dim, dim]);
+    let whole = dim / 8 * 8;
+    // The buffers live for the whole integration: the step loop below is
+    // allocation-free. `znorm` enters each step holding ‖z_i‖².
+    let [s, w, znorm] = scratch.buffers.slices([b * dim, b * j, b]);
+    let norms = &mut scratch.norms[..b];
+    row_sq_norms(z, b, dim, znorm);
 
     for win in times.windows(2) {
         let t = win[0];
@@ -219,48 +355,42 @@ pub fn reverse_sde_assimilate_batched(
 
         score.score_block_into(z, b, t, s, w, znorm);
 
-        let decay = schedule.alpha(t_next) / schedule.alpha(t);
         let is_final = t_next <= 1e-300;
         let noise_amp = if is_final { 0.0 } else { sig * dt.sqrt() };
         let gain = sig2 * schedule.damping(t) * dt;
-        // When the observation Jacobian is a uniform constant, the damping
-        // factor is the same for every state element: compute it once per
-        // step (same arithmetic as the per-element branch below, so for
-        // constant-Jacobian operators the two paths agree bitwise).
-        let hoisted_factor = obs.constant_jacobian_sq().map(|jc| {
-            let c = gain * jc / sigma_obs_sq;
-            if c > 1e-8 {
-                (1.0 - (-c).exp()) / c
-            } else {
-                1.0
-            }
-        });
+        let pull = match obs.constant_jacobian_sq() {
+            // The factor is the same for every element: computed once per
+            // step, with the per-element branch's arithmetic.
+            Some(jc) if gain > 0.0 => Pull::Uniform {
+                w: gain / sigma_obs_sq,
+                factor: damping_factor(gain * jc / sigma_obs_sq),
+            },
+            None if gain > 0.0 => Pull::Local { gain, sigma_obs_sq },
+            _ => Pull::Off,
+        };
+        let decay = schedule.alpha(t_next) / schedule.alpha(t);
+        let step = Step { decay, sdt: sig2 * dt, pull, obs };
+        norms.fill(SqNorm::default());
+        let mut pass = StepPass { step, dim, z: &mut *z, s, y, norms: &mut *norms };
 
-        // Three passes over the block: every row's drift, then every row's
-        // noise in one call, then every row's likelihood pull. Each row
-        // still takes drift → noise → likelihood in that order, and each
-        // particle's stream draws in its row's element order (the
-        // reference contract).
-        for (zrow, srow) in z.chunks_exact_mut(dim).zip(s.chunks_exact(dim)) {
-            scale_add(zrow, decay, srow, sig2 * dt);
-        }
+        // The one pass: every chunk of every row, each row's chunks in
+        // ascending column order.
         if noise_amp != 0.0 { // lint: allow(float-exact-compare, reason="noise_amp is set to exactly 0.0 on the final step")
-            add_scaled_normals(z, dim, rngs, noise_amp);
-        }
-        if gain > 0.0 {
-            for zrow in z.chunks_exact_mut(dim) {
-                obs.likelihood_score_into(zrow, y, gain, lik);
-                if let Some(factor) = hoisted_factor {
-                    axpy(factor, lik, zrow);
-                } else {
-                    obs.jacobian_sq(zrow, jsq);
-                    for ((zi, li), ji) in zrow.iter_mut().zip(&*lik).zip(&*jsq) {
-                        let c = gain * ji / sigma_obs_sq;
-                        let factor = if c > 1e-8 { (1.0 - (-c).exp()) / c } else { 1.0 };
-                        *zi += factor * li;
+            scaled_normal_chunks(dim, rngs, noise_amp, pass);
+        } else {
+            at_widest_tier(|| {
+                for r in 0..b {
+                    for c in (0..whole).step_by(8) {
+                        pass.advance(r, c, 8, None);
+                    }
+                    if whole < dim {
+                        pass.advance(r, whole, dim - whole, None);
                     }
                 }
-            }
+            });
+        }
+        for ((zn, norm), row) in znorm.iter_mut().zip(&*norms).zip(z.chunks_exact(dim)) {
+            *zn = norm.finish(&row[whole..]);
         }
     }
 }
@@ -296,7 +426,8 @@ mod tests {
             let mut out = vec![0.0; b * dim];
             let mut w = vec![0.0; b * members];
             let mut zn = vec![0.0; b];
-            batched.score_block_into(&z, b, t, &mut out, &mut w, &mut zn);
+            row_sq_norms(&z, b, dim, &mut zn);
+            batched.score_block_into(&z, b, t, &mut out, &mut w, &zn);
             for i in 0..b {
                 let want = reference.score(&z[i * dim..(i + 1) * dim], t);
                 for (g, wv) in out[i * dim..(i + 1) * dim].iter().zip(&want) {
@@ -327,22 +458,16 @@ mod tests {
         let mut full = vec![0.0; b * dim];
         let mut w = vec![0.0; b * members];
         let mut zn = vec![0.0; b];
-        score.score_block_into(&z, b, 0.3, &mut full, &mut w, &mut zn);
+        row_sq_norms(&z, b, dim, &mut zn);
+        score.score_block_into(&z, b, 0.3, &mut full, &mut w, &zn);
 
         for split in 1..b {
             for (lo, hi) in [(0, split), (split, b)] {
                 let rows = hi - lo;
                 let mut part = vec![0.0; rows * dim];
                 let mut wp = vec![0.0; rows * members];
-                let mut zp = vec![0.0; rows];
-                score.score_block_into(
-                    &z[lo * dim..hi * dim],
-                    rows,
-                    0.3,
-                    &mut part,
-                    &mut wp,
-                    &mut zp,
-                );
+                let zp = &zn[lo..hi];
+                score.score_block_into(&z[lo * dim..hi * dim], rows, 0.3, &mut part, &mut wp, zp);
                 assert_eq!(part, full[lo * dim..hi * dim], "rows {lo}..{hi} diverged");
             }
         }

@@ -79,6 +79,7 @@
 use crate::batch::{BatchScratch, BatchedScore};
 use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
+use linalg::gemm::row_sq_norms;
 
 /// Per-component sample variance over `batch` members of a member-major
 /// ensemble buffer (divisor `J − 1`; all zeros when the batch has fewer
@@ -239,6 +240,7 @@ pub fn probability_flow_assimilate_batched(
     for win in times.windows(2) {
         let t = win[0];
         let t_next = win[1];
+        row_sq_norms(z, b, dim, znorm);
         score.score_block_into(z, b, t, s, w, znorm);
         for i in 0..b {
             let zrow = &mut z[i * dim..(i + 1) * dim];

@@ -286,6 +286,26 @@ impl ObsOperator {
         }
     }
 
+    /// `x += factor · s` elementwise, `s` the likelihood score of `x` that
+    /// [`likelihood_score_into`](Self::likelihood_score_into) writes, `w`
+    /// being its `weight / σ²`: that call followed by an `axpy` of
+    /// `factor`, one element at a time.
+    #[inline(always)]
+    pub(crate) fn add_scaled_score(&self, x: &mut [f64], y: &[f64], w: f64, factor: f64) {
+        match self.kind {
+            ObsOperatorKind::Identity => {
+                for (xi, yi) in x.iter_mut().zip(y) {
+                    *xi += factor * (w * (yi - *xi));
+                }
+            }
+            op => {
+                for (xi, yi) in x.iter_mut().zip(y) {
+                    *xi += factor * op.score_term(w, *yi, *xi);
+                }
+            }
+        }
+    }
+
     /// If [`jacobian_sq`](Self::jacobian_sq) writes the same
     /// state-independent constant into every slot, that constant; otherwise
     /// `None`. Lets the batched reverse-SDE integrator compute the

@@ -150,6 +150,33 @@ pub fn row_sq_norms(a: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
     }
 }
 
+/// [`row_sq_norms`] for a row that arrives in 8-element chunks, in
+/// ascending order, so a pass that writes the row can take its norm on the
+/// way: each chunk extends the 8 FMA chains, and [`SqNorm::finish`] applies
+/// the fixed tree and FMA-appends the `len mod 8` remainder. The result is
+/// `row_sq_norms`' bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SqNorm {
+    chains: [f64; 8],
+}
+
+impl SqNorm {
+    /// Extends chain `l` with `x[l]²` (one FMA each); `x` is the row's next
+    /// whole 8-chunk.
+    #[inline(always)]
+    pub fn chunk(&mut self, x: &[f64; 8]) {
+        for (c, &x) in self.chains.iter_mut().zip(x) {
+            *c = x.mul_add(x, *c);
+        }
+    }
+
+    /// The norm: the chains' fixed tree, then `tail` (the elements past the
+    /// last whole 8-chunk) FMA-appended in ascending order.
+    pub fn finish(&self, tail: &[f64]) -> f64 {
+        tail.iter().fold(simd::scalar::tree(self.chains), |sum, &x| x.mul_add(x, sum))
+    }
+}
+
 /// Reusable pool of `f64` work buffers for GEMM-based pipelines.
 ///
 /// Callers that evaluate a fixed-shape product many times (the EnSF batched
@@ -222,6 +249,24 @@ mod tests {
 
     fn test_matrix(rows: usize, cols: usize, seed: f64) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f64 * seed).sin())
+    }
+
+    /// A row fed to [`SqNorm`] chunk by chunk has `row_sq_norms`' bits at
+    /// every length residue.
+    #[test]
+    fn chunked_sq_norm_is_row_sq_norms() {
+        for len in 1..50 {
+            let row: Vec<f64> =
+                (0..len).map(|i| ((i * 7 + 3) as f64).sin() * 10f64.powi(i as i32 % 5 - 2)).collect();
+            let mut want = [0.0];
+            row_sq_norms(&row, 1, len, &mut want);
+            let mut norm = SqNorm::default();
+            let mut chunks = row.chunks_exact(8);
+            for chunk in chunks.by_ref() {
+                norm.chunk(chunk.try_into().unwrap());
+            }
+            assert_eq!(norm.finish(chunks.remainder()).to_bits(), want[0].to_bits(), "len {len}");
+        }
     }
 
     #[test]

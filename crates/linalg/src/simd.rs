@@ -5,7 +5,9 @@
 //! [`crate::gemm::matmul_slices_affine_into`], [`crate::gemm::row_sq_norms`],
 //! [`crate::vector::scale_add`]) run on the widest [`Level`] the CPU has,
 //! detected at each call (std caches the CPUID probe). The `scalar` module is
-//! the portable fallback and the specification.
+//! the portable fallback and the specification. [`at_widest_tier`] lends the
+//! same detection to other crates' elementwise passes: their closure runs
+//! compiled for the widest tier, their arithmetic unchanged.
 //!
 //! ## One arithmetic
 //!
@@ -36,14 +38,17 @@
 //!
 //! The tiers differ only in how many chains they hold in registers.
 //!
-//! - **`matmul_abt`**: AVX-512 runs `IH×4` tiles (4×4 in the body; the
-//!   `m mod 4` edge rows as 3×4, 2×4 or 1×4), AVX2 2×4 tiles of chain pairs;
-//!   edge columns (`n mod 4`) go through `dot`.
-//! - **`matmul_slices`**: 4-row tiles. AVX-512 builds the tile's union skip
-//!   list once (in segments of `SEGMENT` indices of `p`, the accumulators
-//!   round-tripping exactly through `C` between segments), then runs
-//!   32-column panels (4 registers per row, 16 accumulators), 8-column
-//!   panels and a scalar column tail; AVX2 runs 4-column panels.
+//! - **`matmul_abt`**: AVX-512 splits the rows into register tiles of at
+//!   most 5 rows, as even as possible (`m = 10`, the EnSF particle block,
+//!   runs as 5 + 5 rather than 4 + 4 + 2), and runs `IH×4` tiles over them;
+//!   AVX2 runs 2×4 tiles of chain pairs; edge columns (`n mod 4`) go through
+//!   `dot`.
+//! - **`matmul_slices`**: AVX-512 uses the same row tiles, builds each
+//!   tile's union skip list once (in segments of `SEGMENT` indices of `p`,
+//!   the accumulators round-tripping exactly through `C` between segments),
+//!   then runs 32-column panels (4 registers per row, up to 20
+//!   accumulators), 8-column panels and a scalar column tail; AVX2 runs
+//!   4-row tiles of 4-column panels.
 
 /// Instruction-set tier the dispatched kernels run on. Every tier computes
 /// the same bits; the tier only sets the speed.
@@ -69,6 +74,22 @@ pub fn level() -> Level {
         }
     }
     Level::Scalar
+}
+
+/// Calls `f` inside a function compiled for the widest tier this CPU has, so
+/// the code inlined into it — `f64::mul_add` above all, a library call in
+/// the portable build — compiles to that tier's instructions. `f` computes
+/// the same bits on every tier; only its speed changes.
+pub fn at_widest_tier<R>(f: impl FnOnce() -> R) -> R {
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` reports only tiers this CPU supports.
+        Level::Avx512 => unsafe { avx512::call(f) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above for the AVX2+FMA tier.
+        Level::Avx2 => unsafe { avx2::call(f) },
+        _ => f(),
+    }
 }
 
 /// `dispatch!(kernel(args…))` calls `kernel` on the widest tier this CPU
@@ -183,6 +204,15 @@ pub(crate) mod scalar {
 pub(crate) mod avx512 {
     use std::arch::x86_64::*;
 
+    /// [`super::at_widest_tier`] on this tier.
+    ///
+    /// # Safety
+    /// AVX-512F must be available at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn call<R>(f: impl FnOnce() -> R) -> R {
+        f()
+    }
+
     /// [`super::scalar::tree`] over the 8 lanes.
     ///
     /// # Safety
@@ -224,9 +254,24 @@ pub(crate) mod avx512 {
         }
     }
 
-    /// `C = A·Bᵀ`: `IH×4` register tiles of independent chains (4×4 in the
-    /// body, the `m mod 4` edge rows as 3×4, 2×4 or 1×4); edge columns fall
-    /// back to [`dot`], which performs the identical per-element operation
+    /// The most rows a register tile holds: an `IH×4` `matmul_abt` tile
+    /// keeps `4·IH` accumulators and 5 operands in flight, an `IH`-row
+    /// `matmul_slices` panel `4·IH` accumulators and 5 operands, so 5 rows
+    /// fill 25 of the 32 registers.
+    const MAX_ROWS: usize = 5;
+
+    /// `m` rows as `(first, height)` register tiles of at most
+    /// [`MAX_ROWS`], as even as possible and the taller first: `m = 10`
+    /// runs as 5 + 5, `m = 8` as 4 + 4, `m = 11` as 4 + 4 + 3.
+    fn row_tiles(m: usize) -> impl Iterator<Item = (usize, usize)> {
+        let tiles = m.div_ceil(MAX_ROWS);
+        let (base, taller) = (m / tiles.max(1), m % tiles.max(1));
+        (0..tiles).map(move |t| (t * base + t.min(taller), base + usize::from(t < taller)))
+    }
+
+    /// `C = A·Bᵀ`: `IH×4` register tiles of independent chains over the
+    /// row tiles of [`row_tiles`]; edge columns (`n mod 4`) fall back to
+    /// [`dot`], which performs the identical per-element operation
     /// sequence.
     ///
     /// # Safety
@@ -235,37 +280,32 @@ pub(crate) mod avx512 {
     // lint: no_alloc
     #[target_feature(enable = "avx512f")]
     pub unsafe fn matmul_abt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
-        const T: usize = 4;
-        let mut i0 = 0;
-        while i0 < m {
-            let ih = T.min(m - i0);
+        const TJ: usize = 4;
+        for (i0, ih) in row_tiles(m) {
             let mut j0 = 0;
-            while j0 < n {
-                if n - j0 >= T {
-                    // SAFETY: rows `i0..i0+ih` of `a` and `j0..j0+4` of `b`
-                    // exist (`ih <= m - i0`, `j0 + 4 <= n`); the ISA is this
-                    // fn's safety contract.
-                    unsafe {
-                        match ih {
-                            4 => abt_tile::<4>(a, b, n, k, c, i0, j0),
-                            3 => abt_tile::<3>(a, b, n, k, c, i0, j0),
-                            2 => abt_tile::<2>(a, b, n, k, c, i0, j0),
-                            _ => abt_tile::<1>(a, b, n, k, c, i0, j0),
-                        }
-                    }
-                } else {
-                    for di in 0..ih {
-                        let ar = &a[(i0 + di) * k..(i0 + di + 1) * k];
-                        for dj in j0..n {
-                            // SAFETY: `b`'s row `dj < n` has `k` elements;
-                            // the ISA is this fn's safety contract.
-                            c[(i0 + di) * n + dj] = unsafe { dot(ar, &b[dj * k..(dj + 1) * k]) };
-                        }
+            while j0 + TJ <= n {
+                // SAFETY: rows `i0..i0+ih` of `a` and `j0..j0+4` of `b`
+                // exist (`row_tiles` stays below `m`, `j0 + 4 <= n`); the
+                // ISA is this fn's safety contract.
+                unsafe {
+                    match ih {
+                        5 => abt_tile::<5>(a, b, n, k, c, i0, j0),
+                        4 => abt_tile::<4>(a, b, n, k, c, i0, j0),
+                        3 => abt_tile::<3>(a, b, n, k, c, i0, j0),
+                        2 => abt_tile::<2>(a, b, n, k, c, i0, j0),
+                        _ => abt_tile::<1>(a, b, n, k, c, i0, j0),
                     }
                 }
-                j0 += T;
+                j0 += TJ;
             }
-            i0 += T;
+            for di in 0..ih {
+                let ar = &a[(i0 + di) * k..(i0 + di + 1) * k];
+                for dj in j0..n {
+                    // SAFETY: `b`'s row `dj < n` has `k` elements; the ISA
+                    // is this fn's safety contract.
+                    c[(i0 + di) * n + dj] = unsafe { dot(ar, &b[dj * k..(dj + 1) * k]) };
+                }
+            }
         }
     }
 
@@ -330,13 +370,14 @@ pub(crate) mod avx512 {
         }
     }
 
-    /// `C = A·B` (axpy formulation): per 4-row tile, the `p`-ascending FMA
-    /// chain runs per element, so values are independent of the tiling. A
-    /// `p` index is skipped when *every* row of the tile carries a zero
-    /// coefficient — an exact no-op for finite `b` that makes peaked
-    /// (softmax-weight) coefficient matrices cheap. The tile's union skip
-    /// list is built once, then run over 32-column panels (4 registers per
-    /// row, 16 accumulators), 8-column panels and a scalar column tail.
+    /// `C = A·B` (axpy formulation): per row tile of [`row_tiles`], the
+    /// `p`-ascending FMA chain runs per element, so values are independent
+    /// of the tiling. A `p` index is skipped when *every* row of the tile
+    /// carries a zero coefficient — an exact no-op for finite `b` that
+    /// makes peaked (softmax-weight) coefficient matrices cheap. The tile's
+    /// union skip list is built once, then run over 32-column panels (4
+    /// registers per row, up to 20 accumulators), 8-column panels and a
+    /// scalar column tail.
     ///
     /// `epi = Some((z, ca, cb))` fuses the affine epilogue
     /// `C = ca·(A·B) + cb·z` into the store (one `fma` plus one rounded
@@ -358,20 +399,19 @@ pub(crate) mod avx512 {
         c: &mut [f64],
         epi: Option<(&[f64], f64, f64)>,
     ) {
-        const T: usize = 4;
-        let mut i0 = 0;
-        while i0 < m {
-            // SAFETY: rows `i0..i0 + min(4, m - i0)` exist in `a`, `c` and
-            // `z`; the ISA is this fn's safety contract.
+        for (i0, ih) in row_tiles(m) {
+            // SAFETY: rows `i0..i0 + ih` exist in `a`, `c` and `z`
+            // (`row_tiles` stays below `m`); the ISA is this fn's safety
+            // contract.
             unsafe {
-                match T.min(m - i0) {
+                match ih {
+                    5 => slices_tile::<5>(a, b, k, n, c, epi, i0),
                     4 => slices_tile::<4>(a, b, k, n, c, epi, i0),
                     3 => slices_tile::<3>(a, b, k, n, c, epi, i0),
                     2 => slices_tile::<2>(a, b, k, n, c, epi, i0),
                     _ => slices_tile::<1>(a, b, k, n, c, epi, i0),
                 }
             }
-            i0 += T;
         }
     }
 
@@ -565,6 +605,15 @@ pub(crate) mod avx512 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use std::arch::x86_64::*;
+
+    /// [`super::at_widest_tier`] on this tier.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available at runtime.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn call<R>(f: impl FnOnce() -> R) -> R {
+        f()
+    }
 
     /// [`super::scalar::tree`] over the lanes of `lo`, then of `hi`.
     ///
@@ -898,11 +947,12 @@ mod tests {
             }
         }
 
-        /// `A·Bᵀ`: full tiles and every edge-tile shape of both SIMD tiles
-        /// (4x4 and 2x4), every `k mod 8` residue.
+        /// `A·Bᵀ`: every row-tile split of the AVX-512 tier up to 4 × 5
+        /// rows (the EnSF blocks of 10 and 20 included), the AVX2 2x4 tiles
+        /// with every edge shape, every `k mod 8` residue.
         #[test]
         fn matmul_abt_is_the_scalar_body_at_every_tier(
-            m in 1usize..10, n in 1usize..10, k in 0usize..41, seed in any::<u64>(),
+            m in 1usize..=20, n in 1usize..10, k in 0usize..41, seed in any::<u64>(),
         ) {
             let (a, b) = (values(m * k, seed, 0.0), values(n * k, seed ^ 1, 0.0));
             let mut want = vec![0.0; m * n];
@@ -914,13 +964,13 @@ mod tests {
             }
         }
 
-        /// `A·B` with and without the affine epilogue: ragged row tiles,
-        /// 32-, 8- and 4-column panels with every tail, dense to 60 % zero
-        /// coefficients and peaked (softmax-like, 85–100 % zero) rows, so
-        /// whole tile columns and whole tiles are skipped.
+        /// `A·B` with and without the affine epilogue: every row-tile split
+        /// up to 20 rows, 32-, 8- and 4-column panels with every tail, dense
+        /// to 60 % zero coefficients and peaked (softmax-like, 85–100 %
+        /// zero) rows, so whole tile columns and whole tiles are skipped.
         #[test]
         fn matmul_slices_is_the_scalar_body_at_every_tier(
-            m in 1usize..10, k in 0usize..12, n in 1usize..90, zeros in 0.0f64..0.6,
+            m in 1usize..=20, k in 0usize..12, n in 1usize..90, zeros in 0.0f64..0.6,
             peaked in any::<bool>(), seed in any::<u64>(),
             (ca, cb) in (-2.0f64..2.0, -2.0f64..2.0),
         ) {

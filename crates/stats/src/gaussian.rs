@@ -16,17 +16,24 @@
 //!
 //! ## The lane kernel
 //!
-//! [`add_scaled_normals`] is the reverse SDE's noise for a whole particle
-//! block: `row += amp · N(0, I)`, each row on its own stream. Its
-//! specification is the per-row scalar loop; on a CPU with AVX-512F+DQ,
-//! groups of eight rows keep their xoshiro256++ states in the lanes of four
-//! registers and take the ziggurat's fast path lane-wise, and a lane that
-//! misses it finishes that draw on its own stream through the scalar loop's
-//! `#[cold]` resume. The contract is the scalar loop's bits *and* its final
-//! stream states, on every CPU: every lane performs the scalar draw's
-//! operations on the scalar draw's word, and multiplies then adds (no FMA).
-//! Leftover rows and elements past the last 8-chunk run the scalar loop.
+//! [`scaled_normal_chunks`] is the reverse SDE's noise for a whole particle
+//! block: `amp · N(0, I)` for every row, each row on its own stream, handed
+//! to the caller's [`ChunkSink`] in 8-element row chunks so the caller folds
+//! the noise into its own pass over the block ([`add_scaled_normals`] is
+//! the sink `row += chunk`). Its specification is the per-row scalar loop;
+//! on a CPU with AVX-512F+DQ, groups of eight rows keep their xoshiro256++
+//! states in the lanes of four registers and take the ziggurat's fast path
+//! lane-wise, and a lane that misses it finishes that draw in registers:
+//! its four state words and its word are extracted, the scalar loop's
+//! `#[cold]` resume runs on them, and the new words and the value are set
+//! back into that lane alone. The contract is the scalar loop's bits *and*
+//! its final stream states, on every CPU: every lane performs the scalar
+//! draw's operations on the scalar draw's word, and the scale is one
+//! rounded multiply. Leftover rows and elements past the last 8-chunk draw
+//! through the scalar loop. Every tier compiles the sink into itself, so
+//! the caller's per-chunk work runs with the tier's instructions.
 
+use linalg::simd::at_widest_tier;
 use linalg::Cholesky;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -143,6 +150,101 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     standard_normal_with(zig_tables(), rng)
 }
 
+/// The caller's work on the row chunks of [`scaled_normal_chunks`].
+///
+/// Every closure `FnMut(usize, usize, &[f64])` is one. A sink whose work
+/// must compile into the generator's tier — so that its `mul_add`s become
+/// FMA instructions there, and its 8-element loops vector operations —
+/// implements the trait with an `#[inline(always)]` method: a closure is
+/// inlined only where the optimizer's size heuristic lets it.
+pub trait ChunkSink {
+    /// Row `r`'s values at columns `c..c + v.len()`.
+    fn chunk(&mut self, r: usize, c: usize, v: &[f64]);
+}
+
+impl<F: FnMut(usize, usize, &[f64])> ChunkSink for F {
+    #[inline(always)]
+    fn chunk(&mut self, r: usize, c: usize, v: &[f64]) {
+        self(r, c, v)
+    }
+}
+
+/// Draws `amp · N(0, I)` for `rngs.len()` rows of `dim` elements, row `r`
+/// from `rngs[r]`, and hands the values to `sink.chunk(r, c, v)` in row
+/// chunks: `v[e]` is row `r`'s value at column `c + e`, every chunk holds 8
+/// values but a row's last one when `dim % 8 != 0` (it starts at
+/// `dim / 8 * 8`), and each row's chunks come in ascending `c`. Rows may
+/// interleave. Per row the values are exactly
+///
+/// ```text
+/// for _ in 0..dim { amp * standard_normal(rng) }
+/// ```
+///
+/// (one rounded multiply), and every stream ends where that loop leaves it.
+/// That loop is the specification; on a CPU with AVX-512F+DQ whole groups
+/// of eight rows run the lane tier (`avx512::scaled_normal_chunks`), which
+/// computes its bits and its final stream states. Without that tier the
+/// loop runs at [`at_widest_tier`], so an inlined sink's `mul_add`s are
+/// instructions.
+// lint: no_alloc
+pub fn scaled_normal_chunks<S: ChunkSink>(dim: usize, rngs: &mut [StdRng], amp: f64, mut sink: S) {
+    let t = zig_tables();
+    #[cfg(target_arch = "x86_64")]
+    if avx512::available() {
+        // SAFETY: the CPU has AVX-512F and AVX-512DQ (just checked).
+        unsafe { avx512::scaled_normal_chunks(t, dim, rngs, amp, &mut sink) };
+        return;
+    }
+    at_widest_tier(|| scaled_normal_chunks_scalar(t, dim, rngs, amp, &mut sink));
+}
+
+/// The specification of [`scaled_normal_chunks`], row by row.
+// lint: no_alloc
+#[inline(always)]
+fn scaled_normal_chunks_scalar<S: ChunkSink>(
+    t: &ZigTables,
+    dim: usize,
+    rngs: &mut [StdRng],
+    amp: f64,
+    sink: &mut S,
+) {
+    for (r, rng) in rngs.iter_mut().enumerate() {
+        row_chunks(t, r, 0, dim, rng, amp, sink);
+    }
+}
+
+/// The specification of [`scaled_normal_chunks`] for row `r` from column
+/// `from` (a multiple of 8): scalar draws, handed over 8 at a time, then
+/// the shorter last chunk.
+// lint: no_alloc
+#[inline(always)]
+fn row_chunks<S: ChunkSink>(
+    t: &ZigTables,
+    r: usize,
+    from: usize,
+    dim: usize,
+    rng: &mut StdRng,
+    amp: f64,
+    sink: &mut S,
+) {
+    let mut v = [0.0; 8];
+    let mut c = from;
+    while c + 8 <= dim {
+        for x in &mut v {
+            *x = amp * standard_normal_with(t, rng);
+        }
+        sink.chunk(r, c, &v);
+        c += 8;
+    }
+    if c < dim {
+        let tail = &mut v[..dim - c];
+        for x in tail.iter_mut() {
+            *x = amp * standard_normal_with(t, rng);
+        }
+        sink.chunk(r, c, tail);
+    }
+}
+
 /// Adds `amp` times a standard normal to every element of `rows`
 /// (`rngs.len() x dim` row-major), row `r` drawing from `rngs[r]` in
 /// ascending element order: per row exactly
@@ -151,39 +253,23 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// for z in row { *z += amp * standard_normal(rng) }
 /// ```
 ///
-/// (a rounded multiply, then a rounded add — never an FMA). That loop is
-/// the specification; on a CPU with AVX-512F+DQ whole groups of eight rows
-/// run the lane tier (`avx512::add_scaled_normals`), which computes its
-/// bits and leaves every stream in the same state.
+/// (a rounded multiply, then a rounded add — never an FMA): the chunks of
+/// [`scaled_normal_chunks`] added to the rows.
 ///
 /// # Panics
 /// Panics unless `rows.len() == rngs.len() * dim`.
 // lint: no_alloc
 pub fn add_scaled_normals(rows: &mut [f64], dim: usize, rngs: &mut [StdRng], amp: f64) {
     assert_eq!(rows.len(), rngs.len() * dim, "noise block shape mismatch");
-    let t = zig_tables();
-    #[cfg(target_arch = "x86_64")]
-    if avx512::available() {
-        // SAFETY: the CPU has AVX-512F and AVX-512DQ (just checked) and the
-        // block holds `rngs.len()` rows of `dim` elements (asserted above).
-        unsafe { avx512::add_scaled_normals(t, rows, dim, rngs, amp) };
-        return;
-    }
-    add_scaled_normals_scalar(t, rows, dim, rngs, amp);
+    scaled_normal_chunks(dim, rngs, amp, add_into(rows, dim));
 }
 
-/// The specification of [`add_scaled_normals`], row by row.
-// lint: no_alloc
-fn add_scaled_normals_scalar(
-    t: &ZigTables,
-    rows: &mut [f64],
-    dim: usize,
-    rngs: &mut [StdRng],
-    amp: f64,
-) {
-    for (r, rng) in rngs.iter_mut().enumerate() {
-        for z in &mut rows[r * dim..(r + 1) * dim] {
-            *z += amp * standard_normal_with(t, rng);
+/// The sink of [`add_scaled_normals`]: row `r`'s chunk at `c` is added
+/// into `rows[r * dim + c..]`.
+fn add_into(rows: &mut [f64], dim: usize) -> impl FnMut(usize, usize, &[f64]) + '_ {
+    move |r, c, v| {
+        for (z, v) in rows[r * dim + c..].iter_mut().zip(v) {
+            *z += v;
         }
     }
 }
@@ -230,11 +316,11 @@ pub fn log_density_isotropic(x: &[f64], mean: &[f64], sigma: f64) -> f64 {
     -x.iter().zip(mean).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() * inv2s2
 }
 
-/// AVX-512 tier of [`add_scaled_normals`]: eight rows' xoshiro256++ streams
-/// advance together, one stream per lane of four state registers.
+/// AVX-512 tier of [`scaled_normal_chunks`]: eight rows' xoshiro256++
+/// streams advance together, one stream per lane of four state registers.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{resume, standard_normal_with, ZigTables};
+    use super::{resume, row_chunks, ChunkSink, ZigTables};
     use rand::rngs::StdRng;
     use std::arch::x86_64::*;
 
@@ -244,35 +330,32 @@ mod avx512 {
         is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
     }
 
-    /// [`super::add_scaled_normals`] with rows in groups of eight: lane `l`
-    /// of every register belongs to row `8g + l`, and all eight rows draw
-    /// element `e` together, so each stream still runs in its row's element
-    /// order. A draw is the scalar fast path lane-wise — the layer index and
-    /// sign from the word's low bits, gathers of `w[i]` and `x[i+1]`, the
-    /// exact conversion of `bits >> 11`, one multiply, one compare, the sign
-    /// OR-ed in — and a lane that misses it finishes that draw on its own
-    /// stream in [`resume`]. Eight draws per row are transposed into the
-    /// rows and added as `z + amp·v` (multiply, then add). Rows past the
-    /// last group of eight and elements past the last 8-chunk run the
-    /// scalar loop.
+    /// [`super::scaled_normal_chunks`] with rows in groups of eight: lane
+    /// `l` of every register belongs to row `8g + l`, and all eight rows
+    /// draw element `e` together, so each stream still runs in its row's
+    /// element order. A draw is the scalar fast path lane-wise — the layer
+    /// index and sign from the word's low bits, gathers of `w[i]` and
+    /// `x[i+1]`, the exact conversion of `bits >> 11`, one multiply, one
+    /// compare, the sign OR-ed in — and a lane that misses it finishes that
+    /// draw in [`draw`]. Eight draws per row are scaled, transposed into
+    /// row chunks and handed to `sink` row by row. Elements past the last
+    /// 8-chunk and rows past the last group of eight run the scalar loop.
     ///
     /// # Safety
-    /// AVX-512F and AVX-512DQ must be available at runtime, and
-    /// `rows.len() == rngs.len() * dim`.
+    /// AVX-512F and AVX-512DQ must be available at runtime.
     // lint: no_alloc
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn add_scaled_normals(
+    pub(super) unsafe fn scaled_normal_chunks<S: ChunkSink>(
         t: &ZigTables,
-        rows: &mut [f64],
         dim: usize,
         rngs: &mut [StdRng],
         amp: f64,
+        sink: &mut S,
     ) {
         let whole = dim / 8 * 8;
         let grouped = rngs.len() / 8 * 8;
         let ampv = _mm512_set1_pd(amp);
         for (g, streams) in rngs[..grouped].chunks_exact_mut(8).enumerate() {
-            let block = &mut rows[g * 8 * dim..(g + 1) * 8 * dim];
             if whole > 0 {
                 let mut s = load_states(streams);
                 let mut c = 0;
@@ -281,27 +364,23 @@ mod avx512 {
                     for ve in &mut v {
                         *ve = _mm512_mul_pd(ampv, draw(t, &mut s));
                     }
-                    for (l, col) in transpose(v).into_iter().enumerate() {
-                        // SAFETY: row `l` of the group spans
-                        // `block[l*dim..(l+1)*dim]` and `c + 8 <= whole <=
-                        // dim`, so the 8-lane load and store stay inside it.
-                        unsafe {
-                            let p = block.as_mut_ptr().add(l * dim + c);
-                            _mm512_storeu_pd(p, _mm512_add_pd(_mm512_loadu_pd(p), col));
-                        }
+                    for (l, row) in transpose(v).into_iter().enumerate() {
+                        let mut buf = [0.0; 8];
+                        // SAFETY: one 64-byte store into a 64-byte local array.
+                        unsafe { _mm512_storeu_pd(buf.as_mut_ptr(), row) };
+                        sink.chunk(8 * g + l, c, &buf);
                     }
                     c += 8;
                 }
                 store_states(&s, streams);
             }
             for (l, rng) in streams.iter_mut().enumerate() {
-                for z in &mut block[l * dim + whole..(l + 1) * dim] {
-                    *z += amp * standard_normal_with(t, rng);
-                }
+                row_chunks(t, 8 * g + l, whole, dim, rng, amp, sink);
             }
         }
-        let rest = &mut rows[grouped * dim..];
-        super::add_scaled_normals_scalar(t, rest, dim, &mut rngs[grouped..], amp);
+        for (r, rng) in rngs.iter_mut().enumerate().skip(grouped) {
+            row_chunks(t, r, 0, dim, rng, amp, sink);
+        }
     }
 
     /// The eight streams' state words as lanes: register `w` holds word
@@ -337,7 +416,11 @@ mod avx512 {
         }
     }
 
-    /// One standard normal per lane, each from its lane's stream.
+    /// One standard normal per lane, each from its lane's stream. A lane
+    /// that misses the fast path finishes its draw here: its four state
+    /// words and its word come out of the registers, the scalar [`resume`]
+    /// runs on them, and the new words and the value go back into that lane
+    /// alone.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq")]
     fn draw(t: &ZigTables, s: &mut [__m512i; 4]) -> __m512d {
@@ -353,50 +436,27 @@ mod avx512 {
             let x = _mm512_mul_pd(u, _mm512_i64gather_pd::<8>(i, t.w.as_ptr()));
             let edge = _mm512_i64gather_pd::<8>(i, t.x.as_ptr().add(1));
             let hit = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(x, edge);
-            let v = _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(x), sign));
-            if hit == 0xFF {
-                v
-            } else {
-                let (state, v) = resume_lanes(t, *s, bits, v, !hit);
-                *s = state;
-                v
+            let mut v = _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(x), sign));
+            let mut miss = !hit;
+            while miss != 0 {
+                let lane = miss & miss.wrapping_neg();
+                let mut rng = StdRng::from_state(s.map(|w| lane_word(w, lane)));
+                let value = resume(t, &mut rng, lane_word(bits, lane));
+                v = _mm512_mask_mov_pd(v, lane, _mm512_set1_pd(value));
+                for (sw, w) in s.iter_mut().zip(rng.to_state()) {
+                    *sw = _mm512_mask_set1_epi64(*sw, lane, w as i64);
+                }
+                miss &= miss - 1;
             }
+            v
         }
     }
 
-    /// Finishes the draws of the lanes in `miss` on their own streams
-    /// through the scalar [`resume`]: the state is stored, each missed
-    /// lane's stream runs from its words, and its new words and value go
-    /// back into its lane. The state travels by value, so the hot loop in
-    /// [`draw`] keeps it in registers.
-    #[cold]
-    #[inline(never)]
+    /// The word in the one lane set in `lane`.
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    fn resume_lanes(
-        t: &ZigTables,
-        mut s: [__m512i; 4],
-        bits: __m512i,
-        mut v: __m512d,
-        miss: __mmask8,
-    ) -> ([__m512i; 4], __m512d) {
-        let mut words = [[0u64; 8]; 4];
-        let mut b = [0u64; 8];
-        // SAFETY: every store writes one 64-byte local array.
-        unsafe {
-            for (w, sw) in words.iter_mut().zip(&s) {
-                _mm512_storeu_si512(w.as_mut_ptr().cast(), *sw);
-            }
-            _mm512_storeu_si512(b.as_mut_ptr().cast(), bits);
-        }
-        for l in (0..8).filter(|l| (miss >> l) & 1 == 1) {
-            let mut rng = StdRng::from_state([words[0][l], words[1][l], words[2][l], words[3][l]]);
-            let lane = 1 << l;
-            v = _mm512_mask_mov_pd(v, lane, _mm512_set1_pd(resume(t, &mut rng, b[l])));
-            for (sw, w) in s.iter_mut().zip(rng.to_state()) {
-                *sw = _mm512_mask_set1_epi64(*sw, lane, w as i64);
-            }
-        }
-        (s, v)
+    fn lane_word(w: __m512i, lane: __mmask8) -> u64 {
+        _mm_cvtsi128_si64(_mm512_castsi512_si128(_mm512_maskz_compress_epi64(lane, w))) as u64
     }
 
     /// xoshiro256++ on every lane: `StdRng::next_u64`'s step, word for word.
@@ -467,21 +527,26 @@ mod tests {
         assert!(skew.abs() < 0.03, "skew {skew}");
     }
 
-    /// The kernels of [`add_scaled_normals`] this CPU runs: the scalar
-    /// specification and, where present, the AVX-512 lanes.
-    type NoiseKernel = fn(&mut [f64], usize, &mut [StdRng], f64);
+    /// A generator of [`scaled_normal_chunks`] at one tier.
+    type Generator = fn(usize, &mut [StdRng], f64, &mut dyn FnMut(usize, usize, &[f64]));
 
-    fn noise_tiers() -> Vec<(&'static str, NoiseKernel)> {
-        let mut tiers: Vec<(&'static str, NoiseKernel)> = vec![("scalar", |z, d, r, a| {
-            add_scaled_normals_scalar(zig_tables(), z, d, r, a)
+    /// The generators this CPU runs: the scalar specification, the same
+    /// loop at the widest tier, and the AVX-512 lanes where present.
+    fn noise_tiers() -> Vec<(&'static str, Generator)> {
+        let mut tiers: Vec<(&'static str, Generator)> = vec![("scalar", |d, r, a, mut f| {
+            scaled_normal_chunks_scalar(zig_tables(), d, r, a, &mut f)
         })];
         #[cfg(target_arch = "x86_64")]
-        if avx512::available() {
-            // SAFETY: the CPU has the tier (checked) and every caller below
-            // passes `rngs.len()` rows of `dim` elements.
-            tiers.push(("avx512", |z, d, r, a| unsafe {
-                avx512::add_scaled_normals(zig_tables(), z, d, r, a)
+        {
+            tiers.push(("widest", |d, r, a, mut f| {
+                at_widest_tier(|| scaled_normal_chunks_scalar(zig_tables(), d, r, a, &mut f))
             }));
+            if avx512::available() {
+                // SAFETY: the CPU has the tier (checked).
+                tiers.push(("avx512", |d, r, a, mut f| unsafe {
+                    avx512::scaled_normal_chunks(zig_tables(), d, r, a, &mut f)
+                }));
+            }
         }
         tiers
     }
@@ -490,16 +555,12 @@ mod tests {
         (0..rows).map(|r| member_rng(seed, r)).collect()
     }
 
-    /// Each tier's block result and final stream states, as bits.
-    fn noise_run(
-        kernel: NoiseKernel,
-        rows: usize,
-        dim: usize,
-        amp: f64,
-    ) -> (Vec<u64>, Vec<[u64; 4]>) {
+    /// A tier's chunks added into a block, and its final stream states, as
+    /// bits.
+    fn noise_run(gen: Generator, rows: usize, dim: usize, amp: f64) -> (Vec<u64>, Vec<[u64; 4]>) {
         let mut z = standard_normal_vec(&mut seeded(rows as u64 ^ dim as u64), rows * dim);
         let mut rngs = streams(41, rows);
-        kernel(&mut z, dim, &mut rngs, amp);
+        gen(dim, &mut rngs, amp, &mut add_into(&mut z, dim));
         (
             z.iter().map(|v| v.to_bits()).collect(),
             rngs.iter().map(StdRng::to_state).collect(),
@@ -538,9 +599,9 @@ mod tests {
         for rows in 1..=17 {
             for dim in [0, 1, 5, 8, 16, 21, 64, 67] {
                 let want = noise_run(tiers[0].1, rows, dim, -1.3);
-                for &(name, kernel) in &tiers[1..] {
+                for &(name, gen) in &tiers[1..] {
                     assert!(
-                        noise_run(kernel, rows, dim, -1.3) == want,
+                        noise_run(gen, rows, dim, -1.3) == want,
                         "{name} {rows}x{dim}"
                     );
                 }
@@ -557,7 +618,7 @@ mod tests {
         let mut z = vec![0.0; rows * dim];
         let mut rngs = streams(43, rows);
         let fresh = rngs.clone();
-        tiers[0].1(&mut z, dim, &mut rngs, 1.0);
+        tiers[0].1(dim, &mut rngs, 1.0, &mut add_into(&mut z, dim));
         for (r, row) in z.chunks_exact(dim).enumerate() {
             assert!(
                 row.iter().any(|v| v.abs() > ZIG_R),
@@ -569,15 +630,40 @@ mod tests {
             });
             assert_ne!(plain, rngs[r], "row {r} never rejected a word");
         }
-        for &(name, kernel) in &tiers[1..] {
+        for &(name, gen) in &tiers[1..] {
             let mut got = vec![0.0; rows * dim];
             let mut got_rngs = fresh.clone();
-            kernel(&mut got, dim, &mut got_rngs, 1.0);
+            gen(dim, &mut got_rngs, 1.0, &mut add_into(&mut got, dim));
             assert!(
                 got.iter().zip(&z).all(|(g, w)| g.to_bits() == w.to_bits()),
                 "{name} values"
             );
             assert_eq!(got_rngs, rngs, "{name} stream states");
+        }
+    }
+
+    /// Every tier hands row `r` its chunks in ascending column order, 8
+    /// values each but a shorter last one, and the values are
+    /// `amp · standard_normal` from that row's stream, through ≥ 200 k
+    /// draws per lane (misses dense: wedge and tail).
+    #[test]
+    fn noise_chunks_are_each_rows_draws_in_column_order() {
+        let (rows, dim, amp) = (9, 200_003, -0.75);
+        for (name, gen) in noise_tiers() {
+            let mut next = vec![0usize; rows];
+            let mut want_rngs = streams(47, rows);
+            let mut rngs = want_rngs.clone();
+            gen(dim, &mut rngs, amp, &mut |r, c, v| {
+                assert_eq!(c, next[r], "{name} row {r}: chunk out of order");
+                assert_eq!(v.len(), 8.min(dim - c), "{name} row {r} at {c}: chunk length");
+                for (e, &x) in v.iter().enumerate() {
+                    let want = amp * standard_normal(&mut want_rngs[r]);
+                    assert_eq!(x.to_bits(), want.to_bits(), "{name} row {r} col {}", c + e);
+                }
+                next[r] = c + v.len();
+            });
+            assert!(next.iter().all(|&n| n == dim), "{name}: rows left unfinished");
+            assert_eq!(rngs, want_rngs, "{name} stream states");
         }
     }
 
