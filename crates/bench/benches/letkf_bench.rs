@@ -2,13 +2,13 @@
 //! DESIGN.md (cost grows with the local observation count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use letkf::{GridGeometry, Letkf, LetkfConfig, PointObs};
+use letkf::{GridGeometry, Letkf, LetkfConfig};
 use stats::gaussian::standard_normal;
 use stats::rng::seeded;
 use stats::Ensemble;
 use std::hint::black_box;
 
-fn setup(n: usize, members: usize) -> (Letkf, Ensemble, Vec<PointObs>) {
+fn setup(n: usize, members: usize) -> (Letkf, Ensemble) {
     let geo = GridGeometry::new(n, 2, 20.0e6, 1.0e6);
     let dim = geo.state_dim();
     let letkf = Letkf::new(LetkfConfig::default(), geo);
@@ -19,19 +19,19 @@ fn setup(n: usize, members: usize) -> (Letkf, Ensemble, Vec<PointObs>) {
             *x = standard_normal(&mut rng);
         }
     }
-    let obs: Vec<PointObs> = (0..dim)
-        .map(|i| PointObs { state_index: i, value: 0.1, sigma: 0.5 })
-        .collect();
-    (letkf, e, obs)
+    (letkf, e)
 }
 
 fn bench_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("letkf_analysis");
     group.sample_size(10);
     for n in [16usize, 32] {
-        let (letkf, fc, obs) = setup(n, 20);
+        let (letkf, fc) = setup(n, 20);
+        // The identity network: H(x_m) is the forecast itself.
+        let observed: Vec<usize> = (0..fc.dim()).collect();
+        let y = vec![0.1; fc.dim()];
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| letkf.analyze(black_box(&fc), &obs))
+            b.iter(|| letkf.analyze(black_box(&fc), &observed, &fc, &y, 0.5))
         });
     }
     group.finish();
@@ -50,8 +50,9 @@ fn bench_ablation_cutoff(c: &mut Criterion) {
             *x = standard_normal(&mut rng);
         }
     }
-    let obs: Vec<PointObs> =
-        (0..dim).map(|i| PointObs { state_index: i, value: 0.1, sigma: 0.5 }).collect();
+    // The identity network: H(x_m) is the forecast itself.
+    let observed: Vec<usize> = (0..dim).collect();
+    let y = vec![0.1; dim];
     for cutoff_km in [1000u64, 2000, 4000] {
         let letkf = Letkf::new(
             LetkfConfig { cutoff: cutoff_km as f64 * 1e3, rtps_alpha: 0.3 },
@@ -60,7 +61,7 @@ fn bench_ablation_cutoff(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(cutoff_km),
             &cutoff_km,
-            |b, _| b.iter(|| letkf.analyze(black_box(&fc), &obs)),
+            |b, _| b.iter(|| letkf.analyze(black_box(&fc), &observed, &fc, &y, 0.5)),
         );
     }
     group.finish();

@@ -1,22 +1,23 @@
 //! Assimilation-diagnostics report: EnSF vs flow-matching EnSF vs LETKF
 //! filter calibration on the reduced SQG OSSE.
 //!
-//! Runs the analysis schemes over the same nature run, then aggregates the
-//! per-cycle [`telemetry::DaDiagnostics`] of each run's records into the
-//! classic filter-health pictures: the ensemble **rank histogram** (flat ⇒
-//! calibrated, U-shaped ⇒ underdispersive, dome ⇒ overdispersive), the
-//! **spread–skill ratio** trace (≈ 1 for a calibrated ensemble), and the
-//! **chi-squared** innovation-consistency trace (≈ 1 when innovations
-//! match the filter's own uncertainty budget). These are the plots behind
-//! the EXPERIMENTS.md entry.
+//! Runs the analysis schemes over the same nature run, once per
+//! observation operator (identity, `arctan(x)`, `arctan(4x)`), then
+//! aggregates the per-cycle [`telemetry::DaDiagnostics`] of each run's
+//! records into the classic filter-health pictures: the ensemble **rank
+//! histogram** (flat ⇒ calibrated, U-shaped ⇒ underdispersive, dome ⇒
+//! overdispersive), the **spread–skill ratio** trace (≈ 1 for a calibrated
+//! ensemble), and the **chi-squared** innovation-consistency trace (≈ 1
+//! when innovations match the filter's own uncertainty budget). These are
+//! the plots behind the EXPERIMENTS.md entry.
 //!
 //! Run: `cargo run --release -p bench --bin da_diagnostics --
 //! [--cycles N] [--quick] [--json PATH]`
 
 use bench::{bar, header, Json};
 use da_core::cycle::{run_cycles, Run, RunResult, SingleProcess};
-use da_core::osse::{nature_run, OsseConfig};
-use da_core::{AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, SqgForecast};
+use da_core::osse::{nature_run, ObsOperatorKind, OsseConfig};
+use da_core::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme, SqgForecast};
 use sqg::SqgParams;
 
 struct Aggregate {
@@ -113,26 +114,54 @@ fn main() {
         seed: 2024,
         ..Default::default()
     };
-    let nature = nature_run(&config);
-    let dim = nature.truth[0].len();
     println!(
-        "OSSE: n = {}, d = {dim}, {} members, {cycles} cycles, σ_obs = {}\n",
-        config.params.n, config.ens_size, config.obs_sigma
+        "OSSE: n = {}, d = {}, {} members, {cycles} cycles, σ_obs = {} (observation units)",
+        config.params.n,
+        config.params.state_dim(),
+        config.ens_size,
+        config.obs_sigma
     );
 
-    let mut model = SqgForecast::perfect(config.params.clone());
+    // The identity network first (the paper's setting), then the saturating
+    // arctan operator of arXiv:2404.00844 at a mild and a biting gain.
+    let operators = [
+        ("identity", ObsOperatorKind::Identity),
+        ("arctan1", ObsOperatorKind::Arctan { gain: 1.0 }),
+        ("arctan4", ObsOperatorKind::Arctan { gain: 4.0 }),
+    ];
+    let mut reports = Vec::new();
+    for (name, operator) in operators {
+        println!("\n=== observations through {name} ===");
+        let config = OsseConfig { obs_operator: operator, ..config.clone() };
+        reports.push(compare(name, &config));
+    }
+    println!("\nreading: a flat histogram and spread–skill ≈ 1 mean the ensemble's");
+    println!("uncertainty is honest; U-shape / ratio ≪ 1 flag overconfidence.");
+
+    bench::emit_json(
+        "da_diagnostics",
+        "EnSF vs FlowEnSF vs LETKF filter calibration on the reduced SQG OSSE",
+        Json::obj(vec![("cycles", Json::from(cycles)), ("operators", Json::Arr(reports))]),
+    );
+}
+
+/// Runs the three filters over `config`'s nature run and reports them.
+fn compare(name: &str, config: &OsseConfig) -> Json {
+    let nature = nature_run(config);
+    let dim = nature.truth[0].len();
+    let plain = |label: &str, scheme: &mut dyn AnalysisScheme| {
+        let run = Run::new(label, config.clone());
+        let mut model = SqgForecast::perfect(config.params.clone());
+        run_cycles(&run, &nature, &mut model, scheme, None, &mut SingleProcess, None)
+            .unwrap_or_else(|e| panic!("{label} run failed: {e}"))
+    };
     let mut ensf = EnsfScheme::with_obs(
         ensf::EnsfConfig { n_steps: 20, seed: config.seed ^ 0xE45F, ..Default::default() },
         dim,
         config.obs_spec(),
         Completion::Inpaint,
     );
-    let plain = |label: &str, model: &mut dyn ForecastModel, scheme: &mut dyn AnalysisScheme| {
-        let run = Run::new(label, config.clone());
-        run_cycles(&run, &nature, model, scheme, None, &mut SingleProcess, None)
-            .unwrap_or_else(|e| panic!("{label} run failed: {e}"))
-    };
-    let ensf_run = plain("EnSF", &mut model, &mut ensf);
+    let ensf_run = plain("EnSF", &mut ensf);
 
     // The flow-matching path runs the same score machinery through a 6-step
     // deterministic probability-flow ODE. Spread relaxation is backed off
@@ -140,7 +169,6 @@ fn main() {
     // the deterministic transport stays calibrated at 16 members (see
     // EXPERIMENTS.md: under full RTPS the reduced-grid forecast spread
     // runs away and the deterministic path has no obs noise to hide it).
-    let mut model_flow = SqgForecast::perfect(config.params.clone());
     let mut flow = EnsfScheme::with_obs(
         ensf::EnsfConfig {
             method: ensf::AnalysisMethod::FlowMatching,
@@ -154,40 +182,33 @@ fn main() {
         config.obs_spec(),
         Completion::Inpaint,
     );
-    let flow_run = plain("FlowEnSF", &mut model_flow, &mut flow);
+    let flow_run = plain("FlowEnSF", &mut flow);
 
-    let mut model2 = SqgForecast::perfect(config.params.clone());
     let mut letkf =
         LetkfScheme::with_obs(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
-    let letkf_run = plain("LETKF", &mut model2, &mut letkf);
+    let letkf_run = plain("LETKF", &mut letkf);
 
     let aggs = [aggregate(&ensf_run), aggregate(&flow_run), aggregate(&letkf_run)];
     let (ensf_series, flow_series, letkf_series) =
         (&ensf_run.series, &flow_run.series, &letkf_run.series);
     for agg in &aggs {
-        assert_eq!(agg.hours.len(), cycles, "{}: every cycle must carry diagnostics", agg.label);
+        let label = &agg.label;
+        assert_eq!(agg.hours.len(), config.cycles, "{label}: every cycle must carry diagnostics");
         print_aggregate(agg);
     }
     println!(
-        "\nsteady RMSE: EnSF {:.5}, FlowEnSF {:.5}, LETKF {:.5} (climatology SD {:.5})",
+        "\n{name} steady RMSE: EnSF {:.5}, FlowEnSF {:.5}, LETKF {:.5} (climatology SD {:.5})",
         ensf_series.steady_rmse(),
         flow_series.steady_rmse(),
         letkf_series.steady_rmse(),
         nature.climatology_sd
     );
-    println!("reading: a flat histogram and spread–skill ≈ 1 mean the ensemble's");
-    println!("uncertainty is honest; U-shape / ratio ≪ 1 flag overconfidence.");
-
-    bench::emit_json(
-        "da_diagnostics",
-        "EnSF vs FlowEnSF vs LETKF filter calibration on the reduced SQG OSSE",
-        Json::obj(vec![
-            ("cycles", Json::from(cycles)),
-            ("climatology_sd", Json::Num(nature.climatology_sd)),
-            ("ensf_steady_rmse", Json::Num(ensf_series.steady_rmse())),
-            ("flow_steady_rmse", Json::Num(flow_series.steady_rmse())),
-            ("letkf_steady_rmse", Json::Num(letkf_series.steady_rmse())),
-            ("schemes", Json::Arr(aggs.iter().map(aggregate_json).collect())),
-        ]),
-    );
+    Json::obj(vec![
+        ("operator", Json::from(name)),
+        ("climatology_sd", Json::Num(nature.climatology_sd)),
+        ("ensf_steady_rmse", Json::Num(ensf_series.steady_rmse())),
+        ("flow_steady_rmse", Json::Num(flow_series.steady_rmse())),
+        ("letkf_steady_rmse", Json::Num(letkf_series.steady_rmse())),
+        ("schemes", Json::Arr(aggs.iter().map(aggregate_json).collect())),
+    ])
 }

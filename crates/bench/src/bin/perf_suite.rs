@@ -343,8 +343,8 @@ fn bench_flow(quick: bool) -> Json {
         }
 
         if matches!(operator, ObsOperatorKind::Identity) {
-            // LETKF reference row (identity obs only: the localized solver
-            // assumes h = I).
+            // LETKF reference row, identity only: `BENCH_perf.json` is the
+            // gate baseline, and an arctan row would change its shape.
             let mut letkf = LetkfScheme::with_obs(
                 letkf::LetkfConfig::default(),
                 &config.params,

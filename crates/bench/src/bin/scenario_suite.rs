@@ -14,8 +14,7 @@
 //! * `strided2` — every other component observed.
 //! * `track` — moving satellite-track window, cycle-indexed.
 //! * `arctan_block25` — the block outage composed with the saturating
-//!   arctan operator (LETKF is skipped: it has no nonlinear-operator
-//!   variant).
+//!   arctan operator (LETKF takes it through the members' `H(x_m)`).
 //!
 //! Writes a machine-readable report to `BENCH_scenarios.json` (override
 //! with `--out <path>`); `--quick` shrinks the ensemble/cycle count for
@@ -26,7 +25,7 @@
 
 use bench::{header, Json};
 use da_core::osse::OsseConfig;
-use da_core::{run_scenario, standard_scenarios, ObsOperatorKind, ScenarioMethod, ScenarioResult};
+use da_core::{run_scenario, standard_scenarios, ScenarioMethod, ScenarioResult};
 use ensf::EnsfConfig;
 use sqg::SqgParams;
 
@@ -118,12 +117,6 @@ fn main() {
     let mut rows: Vec<ScenarioResult> = Vec::new();
     for spec in standard_scenarios(dim) {
         for method in methods {
-            // LETKF has no nonlinear-operator variant; skip it where the
-            // scenario composes a non-identity observation operator.
-            if method == ScenarioMethod::MaskedLetkf && spec.operator != ObsOperatorKind::Identity
-            {
-                continue;
-            }
             let r = run_scenario(&base, &spec, method, &ensf_config);
             report_row(&r);
             rows.push(r);

@@ -41,8 +41,8 @@ pub enum ScenarioMethod {
     /// zeros are assimilated as real measurements (the baseline inpainting
     /// must beat on unobserved regions).
     MaskIgnoringEnsf,
-    /// Masked LETKF (identity base): localization spreads the partial
-    /// network's information.
+    /// Masked LETKF: localization spreads the partial network's
+    /// information, under any observation operator.
     MaskedLetkf,
 }
 
@@ -155,10 +155,6 @@ impl ProcessGroup for SplitReader<'_> {
 /// the steady-state observed/unobserved RMSE split and the cumulative
 /// analysis latency. `base` supplies the grid, cycle count, noise levels
 /// and seed; its `obs_operator`/`obs_mask` are overridden by the spec.
-///
-/// # Panics
-/// Panics for [`ScenarioMethod::MaskedLetkf`] on a non-identity operator
-/// (see [`LetkfScheme::with_obs`]).
 pub fn run_scenario(
     base: &OsseConfig,
     spec: &ScenarioSpec,
@@ -205,6 +201,8 @@ pub fn run_scenario(
     };
     let run = Run::new(spec.name, config.clone());
     let series = run_cycles(&run, &nature, &mut model, scheme.as_mut(), None, &mut reader, None)
+        // INVARIANT: the nature run, the model and the scheme are all built
+        // from `config`, so their shapes agree and the loop cannot refuse them.
         .expect("the scenario's own nature run fits its configuration")
         .series;
 

@@ -189,16 +189,16 @@ impl AnalysisScheme for EnsfScheme {
     }
 }
 
-/// The LETKF adapter over the two-level SQG grid: every observed component
-/// of an [`ObsSpec`] becomes a [`letkf::PointObs`] at its true grid
-/// location, so localization spreads a partial network's information —
-/// LETKF's native answer to sensor outages, and the masked baseline the
-/// EnSF scenarios are judged against. The analysis-cycle counter that
-/// indexes moving masks travels through
+/// The LETKF adapter over the two-level SQG grid: the filter takes an
+/// [`ObsSpec`]'s observed indices and every member's `H(x_m)` (what
+/// [`ObsSpec::project`] returns), under any operator, and localization
+/// spreads a partial network's information — LETKF's native answer to
+/// sensor outages, and the masked baseline the EnSF scenarios are judged
+/// against.
+/// The analysis-cycle counter that indexes moving masks travels through
 /// [`AnalysisScheme::rng_state`]/[`AnalysisScheme::set_rng_state`].
 pub struct LetkfScheme {
     filter: letkf::Letkf,
-    dim: usize,
     obs: ObsSpec,
     cycle: u64,
 }
@@ -212,28 +212,14 @@ impl LetkfScheme {
     }
 
     /// Builds the scheme for the network `obs` describes.
-    ///
-    /// # Panics
-    /// Panics unless `obs.operator` is the identity: a [`letkf::PointObs`]
-    /// is `h = e_i`, and LETKF linearizes about the forecast, so the
-    /// saturating operators stay with the EnSF adapter.
     pub fn with_obs(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs: ObsSpec) -> Self {
-        assert!(
-            obs.operator == ObsOperatorKind::Identity,
-            "LETKF point observations are h = e_i; non-identity operators need the EnSF adapter"
-        );
         let geometry = letkf::GridGeometry::new(
             params.n,
             sqg::LEVELS,
             params.domain,
             params.rossby_radius(),
         );
-        LetkfScheme {
-            filter: letkf::Letkf::new(config, geometry),
-            dim: params.state_dim(),
-            obs,
-            cycle: 0,
-        }
+        LetkfScheme { filter: letkf::Letkf::new(config, geometry), obs, cycle: 0 }
     }
 }
 
@@ -247,14 +233,13 @@ impl AnalysisScheme for LetkfScheme {
     }
 
     fn analyze(&mut self, forecast: &Ensemble, observation: &[f64]) -> Ensemble {
-        let observed = self.obs.observed(self.dim, self.cycle);
+        let observed = self.obs.observed(forecast.dim(), self.cycle);
         self.cycle += 1;
-        let network: Vec<letkf::PointObs> = observed
-            .iter()
-            .zip(observation)
-            .map(|(&i, &v)| letkf::PointObs { state_index: i, value: v, sigma: self.obs.sigma })
-            .collect();
-        self.filter.analyze(forecast, &network)
+        // Each member's `H(x_m)`: what `ObsSpec::project` gives, gathered
+        // over the one mask walk above.
+        let h = |x: &[f64]| observed.iter().map(|&i| self.obs.operator.h(x[i])).collect();
+        let hx = Ensemble::from_members(&forecast.iter().map(h).collect::<Vec<Vec<f64>>>());
+        self.filter.analyze(forecast, &observed, &hx, observation, self.obs.sigma)
     }
 
     fn rng_state(&self) -> (u64, u64) {
@@ -350,12 +335,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "LETKF point observations are h = e_i")]
-    fn letkf_rejects_non_identity_operators() {
-        let params = sqg::SqgParams { n: 4, ..Default::default() };
-        let arctan =
-            ObsSpec { operator: ObsOperatorKind::Arctan { gain: 4.0 }, ..ObsSpec::identity(0.1) };
-        let _ = LetkfScheme::with_obs(letkf::LetkfConfig::default(), &params, arctan);
+    fn arctan_letkf_lowers_the_forecast_error() {
+        use crate::osse::{initial_ensemble, nature_run, OsseConfig};
+        let config = OsseConfig {
+            params: sqg::SqgParams { n: 16, ..Default::default() },
+            obs_operator: ObsOperatorKind::Arctan { gain: 4.0 },
+            cycles: 3,
+            obs_sigma: 0.005,
+            ens_size: 8,
+            ic_sigma: 0.01,
+            spinup_steps: 40,
+            seed: 3,
+            ..Default::default()
+        };
+        let nature = nature_run(&config);
+        let mut model = crate::SqgForecast::perfect(config.params.clone());
+        let mut scheme =
+            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
+        assert_eq!(scheme.name(), "LETKF");
+        let mut ensemble = initial_ensemble(&config, &nature.truth[0]);
+        for cycle in 0..config.cycles {
+            model.forecast_ensemble(&mut ensemble, config.obs_interval_hours);
+            let truth = &nature.truth[cycle + 1];
+            let before = stats::metrics::rmse(&ensemble.mean(), truth);
+            ensemble = scheme.analyze(&ensemble, &nature.observations[cycle]);
+            let after = stats::metrics::rmse(&ensemble.mean(), truth);
+            assert!(after < before, "cycle {cycle}: {before} -> {after}");
+        }
     }
 
     #[test]

@@ -11,17 +11,6 @@ use crate::solver::{apply_transform, solve_local, LocalTransform};
 use linalg::Matrix;
 use stats::Ensemble;
 
-/// A point observation of one state variable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointObs {
-    /// Flat state index observed (point measurements, `h = e_i`).
-    pub state_index: usize,
-    /// Observed value.
-    pub value: f64,
-    /// Observation error standard deviation.
-    pub sigma: f64,
-}
-
 /// LETKF configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LetkfConfig {
@@ -58,36 +47,43 @@ impl Letkf {
         &self.config
     }
 
-    /// One analysis step: assimilates `obs` into `forecast`.
+    /// One analysis step: assimilates `y`, observed at the state indices
+    /// `observed` with error std `sigma`. `hx` holds the members' `H(x_m)`
+    /// (`M × p`); anomalies and innovations are taken about its member
+    /// mean, which handles a nonlinear `H` (Hunt et al. 2007, §2.3). Row `j`
+    /// is localized at `observed[j]`. A point whose local rows hold a
+    /// non-finite `H(x_m)` analyses to NaN.
     ///
     /// # Panics
-    /// Panics if ensemble dimension does not match the geometry, or any
-    /// observation indexes out of range.
-    pub fn analyze(&self, forecast: &Ensemble, obs: &[PointObs]) -> Ensemble {
+    /// Panics if a shape disagrees, an index is out of range, or `sigma` is
+    /// not positive.
+    pub fn analyze(
+        &self,
+        forecast: &Ensemble,
+        observed: &[usize],
+        hx: &Ensemble,
+        y: &[f64],
+        sigma: f64,
+    ) -> Ensemble {
         let _span = telemetry::span!("letkf.analysis");
-        let dim = forecast.dim();
-        let members = forecast.members();
+        let (dim, members, p) = (forecast.dim(), forecast.members(), observed.len());
         assert_eq!(dim, self.geometry.state_dim(), "ensemble/geometry mismatch");
         assert!(members >= 2, "need at least two members");
-        for o in obs {
-            assert!(o.state_index < dim, "observation index out of range");
-            assert!(o.sigma > 0.0, "observation sigma must be positive");
-        }
+        assert!(
+            y.len() == p && hx.dim() == p && (p == 0 || hx.members() == members),
+            "observation shapes disagree"
+        );
+        assert!(observed.iter().all(|&i| i < dim), "observation index out of range");
+        assert!(sigma > 0.0, "observation sigma must be positive");
 
-        // Precompute observation-space forecast: for point obs this is just
-        // a gather of member values at the observed indices.
-        let fc_mean = forecast.mean();
+        let hx_mean = hx.mean();
         // yb_anom[j][i]: anomaly of member i at obs j.
-        let yb_anom: Vec<Vec<f64>> = obs
-            .iter()
-            .map(|o| {
-                (0..members)
-                    .map(|m| forecast.member(m)[o.state_index] - fc_mean[o.state_index])
-                    .collect()
-            })
+        let yb_anom: Vec<Vec<f64>> = (0..p)
+            .map(|j| (0..members).map(|m| hx.member(m)[j] - hx_mean[j]).collect())
             .collect();
-        let innov_all: Vec<f64> =
-            obs.iter().map(|o| o.value - fc_mean[o.state_index]).collect();
+        // A row with a non-finite `H(x_m)` (a diverged member) would fail the
+        // local eigensolve: the points that see one analyse to NaN instead.
+        let finite: Vec<bool> = yb_anom.iter().map(|r| r.iter().all(|v| v.is_finite())).collect();
 
         let cutoff = self.config.cutoff;
         let half = cutoff / 2.0; // GC length scale
@@ -96,11 +92,10 @@ impl Letkf {
         let mut analysis = Ensemble::zeros(members, dim);
         let columns: Vec<Vec<f64>> = par::map(dim, |g| {
             // Gather local observations.
-            let mut rows: Vec<&[f64]> = Vec::new();
-            let mut innov = Vec::new();
+            let mut rows: Vec<usize> = Vec::new();
             let mut inv_r = Vec::new();
-            for (j, o) in obs.iter().enumerate() {
-                let d = self.geometry.distance(g, o.state_index);
+            for (j, &i) in observed.iter().enumerate() {
+                let d = self.geometry.distance(g, i);
                 if d >= cutoff {
                     continue;
                 }
@@ -108,20 +103,22 @@ impl Letkf {
                 if rho <= 0.0 {
                     continue;
                 }
-                rows.push(&yb_anom[j]);
-                innov.push(innov_all[j]);
-                inv_r.push(rho / (o.sigma * o.sigma));
+                rows.push(j);
+                inv_r.push(rho / (sigma * sigma));
             }
 
             let x: Vec<f64> = (0..members).map(|m| forecast.member(m)[g]).collect();
             if rows.is_empty() {
                 return x; // no information: analysis = forecast
             }
-            let p = rows.len();
-            let mut yb = Matrix::zeros(p, members);
-            for (r, row) in rows.iter().enumerate() {
-                yb.row_mut(r).copy_from_slice(row);
+            if rows.iter().any(|&j| !finite[j]) {
+                return vec![f64::NAN; members];
             }
+            let mut yb = Matrix::zeros(rows.len(), members);
+            for (r, &j) in rows.iter().enumerate() {
+                yb.row_mut(r).copy_from_slice(&yb_anom[j]);
+            }
+            let innov: Vec<f64> = rows.iter().map(|&j| y[j] - hx_mean[j]).collect();
             let t: LocalTransform = solve_local(&yb, &innov, &inv_r);
             apply_transform(&x, &t)
         });
@@ -134,18 +131,6 @@ impl Letkf {
 
         rtps(&mut analysis, forecast, self.config.rtps_alpha);
         analysis
-    }
-
-    /// Generates the identity observation network for this geometry:
-    /// one observation per state variable with error `sigma`, taking values
-    /// from `truth_obs` (typically truth + noise).
-    pub fn identity_network(&self, truth_obs: &[f64], sigma: f64) -> Vec<PointObs> {
-        assert_eq!(truth_obs.len(), self.geometry.state_dim());
-        truth_obs
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| PointObs { state_index: i, value: v, sigma })
-            .collect()
     }
 }
 
@@ -170,12 +155,28 @@ mod tests {
         e
     }
 
+    /// The members' values at `observed`, through the componentwise `h`.
+    fn project(fc: &Ensemble, observed: &[usize], h: impl Fn(f64) -> f64) -> Ensemble {
+        let rows: Vec<Vec<f64>> =
+            fc.iter().map(|x| observed.iter().map(|&i| h(x[i])).collect()).collect();
+        Ensemble::from_members(&rows)
+    }
+
+    /// Point observations (`h = I`) of `y` at `observed`.
+    fn point_obs(letkf: &Letkf, fc: &Ensemble, obs: &[usize], y: &[f64], sigma: f64) -> Ensemble {
+        letkf.analyze(fc, obs, &project(fc, obs, |v| v), y, sigma)
+    }
+
+    fn every(dim: usize) -> Vec<usize> {
+        (0..dim).collect()
+    }
+
     #[test]
     fn no_obs_returns_forecast_up_to_inflation() {
         let geo = geometry(4);
         let letkf = Letkf::new(LetkfConfig { rtps_alpha: 0.0, ..Default::default() }, geo);
         let fc = random_ensemble(6, 32, 0.0, 1.0, 1);
-        let an = letkf.analyze(&fc, &[]);
+        let an = letkf.analyze(&fc, &[], &Ensemble::zeros(6, 0), &[], 1.0);
         for (a, b) in an.as_slice().iter().zip(fc.as_slice()) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -189,10 +190,7 @@ mod tests {
             geo,
         );
         let fc = random_ensemble(20, 32, 0.0, 1.0, 2);
-        let obs: Vec<PointObs> = (0..32)
-            .map(|i| PointObs { state_index: i, value: 2.0, sigma: 0.2 })
-            .collect();
-        let an = letkf.analyze(&fc, &obs);
+        let an = point_obs(&letkf, &fc, &every(32), &[2.0; 32], 0.2);
         let am = an.mean();
         let avg = am.iter().sum::<f64>() / am.len() as f64;
         assert!(avg > 1.2, "LETKF mean should approach obs: {avg}");
@@ -207,16 +205,8 @@ mod tests {
         let mut rng = seeded(7);
         let truth: Vec<f64> = (0..32).map(|_| standard_normal(&mut rng)).collect();
         let fc = random_ensemble(20, 32, 0.5, 1.0, 3);
-        let obs: Vec<PointObs> = truth
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| PointObs {
-                state_index: i,
-                value: t + 0.2 * standard_normal(&mut rng),
-                sigma: 0.2,
-            })
-            .collect();
-        let an = letkf.analyze(&fc, &obs);
+        let y: Vec<f64> = truth.iter().map(|&t| t + 0.2 * standard_normal(&mut rng)).collect();
+        let an = point_obs(&letkf, &fc, &every(32), &y, 0.2);
         let rmse_fc = stats::metrics::rmse(&fc.mean(), &truth);
         let rmse_an = stats::metrics::rmse(&an.mean(), &truth);
         assert!(
@@ -235,8 +225,7 @@ mod tests {
         );
         let fc = random_ensemble(10, 128, 0.0, 1.0, 4);
         // Observe index 0 (corner of level 0).
-        let obs = vec![PointObs { state_index: 0, value: 3.0, sigma: 0.1 }];
-        let an = letkf.analyze(&fc, &obs);
+        let an = point_obs(&letkf, &fc, &[0], &[3.0], 0.1);
         // Index at (4,4) level 0 is ~5.6e5 away: beyond cutoff.
         let far = 4 * 8 + 4;
         for m in 0..10 {
@@ -258,10 +247,8 @@ mod tests {
         let with_rtps =
             Letkf::new(LetkfConfig { cutoff: 3.0e5, rtps_alpha: 0.8 }, geo);
         let fc = random_ensemble(12, 32, 0.0, 1.0, 5);
-        let obs: Vec<PointObs> =
-            (0..32).map(|i| PointObs { state_index: i, value: 1.0, sigma: 0.3 }).collect();
-        let a0 = no_rtps.analyze(&fc, &obs);
-        let a1 = with_rtps.analyze(&fc, &obs);
+        let a0 = point_obs(&no_rtps, &fc, &every(32), &[1.0; 32], 0.3);
+        let a1 = point_obs(&with_rtps, &fc, &every(32), &[1.0; 32], 0.3);
         // Means identical (RTPS only rescales anomalies).
         for (x, y) in a0.mean().iter().zip(a1.mean()) {
             assert!((x - y).abs() < 1e-9);
@@ -275,23 +262,44 @@ mod tests {
         let geo = geometry(4);
         let letkf = Letkf::new(LetkfConfig::default(), geo);
         let fc = random_ensemble(8, 32, 0.0, 1.0, 6);
-        let obs: Vec<PointObs> =
-            (0..32).map(|i| PointObs { state_index: i, value: 0.5, sigma: 0.5 }).collect();
-        let a = letkf.analyze(&fc, &obs);
-        let b = letkf.analyze(&fc, &obs);
+        let a = point_obs(&letkf, &fc, &every(32), &[0.5; 32], 0.5);
+        let b = point_obs(&letkf, &fc, &every(32), &[0.5; 32], 0.5);
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
+    /// The ETKF is invariant to rescaling observation space, so LETKF
+    /// through `arctan(γx)` with `(y, σ)` is LETKF through `h = I` with
+    /// `(y/γ, σ/γ)` up to the cubic term `(γx)³/3`. On states of amplitude
+    /// at most `A` that term is at most `A (γA)²/3` in state units, and the
+    /// analyses agree to within it (measured: a quarter of it at both gains,
+    /// so the error scales as `γ²`).
     #[test]
-    fn identity_network_covers_state() {
-        let geo = geometry(4);
-        let letkf = Letkf::new(LetkfConfig::default(), geo);
-        let vals: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        let net = letkf.identity_network(&vals, 0.7);
-        assert_eq!(net.len(), 32);
-        assert_eq!(net[5].state_index, 5);
-        assert_eq!(net[5].value, 5.0);
-        assert_eq!(net[5].sigma, 0.7);
+    fn arctan_linearizes_to_scaled_identity() {
+        let letkf = Letkf::new(LetkfConfig { cutoff: 3.0e5, rtps_alpha: 0.3 }, geometry(8));
+        let amp = 0.05;
+        let fc = random_ensemble(10, 128, 0.0, amp / 3.0, 8);
+        let mut rng = seeded(9);
+        let truth: Vec<f64> = (0..128).map(|_| amp / 3.0 * standard_normal(&mut rng)).collect();
+        let big = fc.as_slice().iter().chain(&truth).fold(0.0f64, |a, v| a.max(v.abs()));
+        let observed = every(128);
+        for gain in [0.1, 1.0] {
+            let sigma = 0.3 * gain * amp;
+            let y: Vec<f64> = truth.iter().map(|&t| (gain * t).atan()).collect();
+            let hx = project(&fc, &observed, |v| (gain * v).atan());
+            let nonlinear = letkf.analyze(&fc, &observed, &hx, &y, sigma);
+            let y_lin: Vec<f64> = y.iter().map(|v| v / gain).collect();
+            let linear = point_obs(&letkf, &fc, &observed, &y_lin, sigma / gain);
+            let tol = big * (gain * big).powi(2) / 3.0;
+            let mut err = 0.0f64;
+            let mut moved = 0.0f64;
+            let pairs = nonlinear.as_slice().iter().zip(linear.as_slice());
+            for ((a, b), f) in pairs.zip(fc.as_slice()) {
+                err = err.max((a - b).abs());
+                moved = moved.max((b - f).abs());
+            }
+            assert!(err < tol, "γ = {gain}: {err:e} ≥ {tol:e}");
+            assert!(moved > 10.0 * tol, "γ = {gain}: the update ({moved:e}) must dwarf the bound");
+        }
     }
 
     #[test]
@@ -300,6 +308,17 @@ mod tests {
         let geo = geometry(4);
         let letkf = Letkf::new(LetkfConfig::default(), geo);
         let fc = random_ensemble(8, 10, 0.0, 1.0, 6);
-        let _ = letkf.analyze(&fc, &[]);
+        let _ = letkf.analyze(&fc, &[], &Ensemble::zeros(8, 0), &[], 1.0);
+    }
+
+    #[test]
+    fn a_diverged_member_analyses_to_nan_near_it() {
+        let letkf = Letkf::new(LetkfConfig { cutoff: 1.5e5, rtps_alpha: 0.0 }, geometry(8));
+        let mut fc = random_ensemble(6, 128, 0.0, 1.0, 10);
+        fc.member_mut(2)[0] = f64::NAN;
+        let an = point_obs(&letkf, &fc, &every(128), &[0.0; 128], 0.5);
+        assert!(an.mean()[0].is_nan(), "the diverged point stays diverged");
+        // (4, 4) on level 0 sees no observation of state 0.
+        assert!(an.mean()[4 * 8 + 4].is_finite(), "points out of its reach still analyse");
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the LETKF.
 
 use letkf::solver::{apply_transform, solve_local};
-use letkf::{gaspari_cohn, GridGeometry, Letkf, LetkfConfig, PointObs};
+use letkf::{gaspari_cohn, GridGeometry, Letkf, LetkfConfig};
 use linalg::Matrix;
 use proptest::prelude::*;
 use stats::Ensemble;
@@ -82,10 +82,7 @@ proptest! {
             LetkfConfig { cutoff: 3.0e5, rtps_alpha: 0.0 },
             geo,
         );
-        let obs: Vec<PointObs> = (0..32)
-            .map(|i| PointObs { state_index: i, value: obs_val, sigma })
-            .collect();
-        let an = letkf.analyze(&fc, &obs);
+        let an = point_obs(&letkf, &fc, &(0..32).collect::<Vec<_>>(), &[obs_val; 32], sigma);
         prop_assert_eq!(an.members(), 6);
         prop_assert!(an.as_slice().iter().all(|v| v.is_finite()));
         // Per-variable variance never grows (square-root filter property).
@@ -106,24 +103,26 @@ proptest! {
         let fc = Ensemble::from_members(&members);
         let geo = GridGeometry::new(4, 2, 4.0e5, 1.0e5);
         let letkf = Letkf::new(LetkfConfig::default(), geo);
-        let mut obs: Vec<PointObs> = (0..32)
-            .map(|i| PointObs {
-                state_index: i,
-                value: ((i as f64) * 0.37).sin(),
-                sigma: 0.5,
-            })
-            .collect();
-        let a1 = letkf.analyze(&fc, &obs);
+        let mut observed: Vec<usize> = (0..32).collect();
+        let values =
+            |obs: &[usize]| -> Vec<f64> { obs.iter().map(|&i| (i as f64 * 0.37).sin()).collect() };
+        let a1 = point_obs(&letkf, &fc, &observed, &values(&observed), 0.5);
         // Deterministic shuffle from the seed.
         let mut s = seed | 1;
-        for i in (1..obs.len()).rev() {
+        for i in (1..observed.len()).rev() {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             let j = (s >> 33) as usize % (i + 1);
-            obs.swap(i, j);
+            observed.swap(i, j);
         }
-        let a2 = letkf.analyze(&fc, &obs);
+        let a2 = point_obs(&letkf, &fc, &observed, &values(&observed), 0.5);
         for (x, y) in a1.as_slice().iter().zip(a2.as_slice()) {
             prop_assert!((x - y).abs() < 1e-8, "obs order changed the analysis");
         }
     }
+}
+
+/// Point observations (`h = I`) of `y` at `observed`.
+fn point_obs(letkf: &Letkf, fc: &Ensemble, observed: &[usize], y: &[f64], sigma: f64) -> Ensemble {
+    let hx: Vec<Vec<f64>> = fc.iter().map(|x| observed.iter().map(|&i| x[i]).collect()).collect();
+    letkf.analyze(fc, observed, &Ensemble::from_members(&hx), y, sigma)
 }

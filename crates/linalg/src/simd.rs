@@ -2,10 +2,10 @@
 //!
 //! The hot EnSF kernels ([`crate::gemm::matmul_abt_into`],
 //! [`crate::gemm::matmul_slices_into`],
-//! [`crate::gemm::matmul_slices_affine_into`], [`crate::gemm::row_sq_norms`],
-//! [`crate::vector::scale_add`]) run on the widest [`Level`] the CPU has,
-//! detected at each call (std caches the CPUID probe). The `scalar` module is
-//! the portable fallback and the specification. [`at_widest_tier`] lends the
+//! [`crate::gemm::matmul_slices_affine_into`], [`crate::gemm::row_sq_norms`])
+//! run on the widest [`Level`] the CPU has, detected at each call (std caches
+//! the CPUID probe). The `scalar` module is the portable fallback and the
+//! specification. [`at_widest_tier`] lends the
 //! same detection to other crates' elementwise passes: their closure runs
 //! compiled for the widest tier, their arithmetic unchanged.
 //!
@@ -21,8 +21,8 @@
 //!   chains in one register, AVX2 in two (`lo`/`hi`), scalar in an
 //!   `[f64; 8]`.
 //! - **`matmul_slices`**: one ascending-`p` FMA chain per element that skips
-//!   exact-zero coefficients; the affine epilogue is `fma(ca, acc, cb·z)`.
-//! - **`scale_add`**: `fma(a, y, b·x)`.
+//!   exact-zero coefficients; the affine epilogue is `fma(ca, acc, cb·z)`,
+//!   the arithmetic of the scalar [`crate::vector::scale_add`].
 //!
 //! No element's arithmetic depends on its tile, its row grouping, the matrix
 //! size or the level, so results are bitwise run-to-run deterministic,
@@ -187,14 +187,6 @@ pub(crate) mod scalar {
                     *cj = ca.mul_add(*cj, cb * zj);
                 }
             }
-        }
-    }
-
-    /// `y = fma(a, y, b·x)` elementwise. `x.len() >= y.len()`.
-    // lint: no_alloc
-    pub fn scale_add(y: &mut [f64], a: f64, x: &[f64], b: f64) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi = a.mul_add(*yi, b * xi);
         }
     }
 }
@@ -382,8 +374,8 @@ pub(crate) mod avx512 {
     /// `epi = Some((z, ca, cb))` fuses the affine epilogue
     /// `C = ca·(A·B) + cb·z` into the store (one `fma` plus one rounded
     /// multiply per element — the same per-element arithmetic as
-    /// [`scale_add`], so fused and unfused sequences agree bit for bit
-    /// while saving a full read+write pass over `C`).
+    /// [`crate::vector::scale_add`], so fused and unfused sequences agree bit
+    /// for bit while saving a full read+write pass over `C`).
     ///
     /// # Safety
     /// AVX-512F must be available at runtime; `a` is `m×k`, `b` is `k×n`,
@@ -565,35 +557,6 @@ pub(crate) mod avx512 {
                     };
                     _mm512_storeu_pd(cp.add(off), r);
                 }
-            }
-        }
-    }
-
-    /// `y = a·y + b·x` elementwise with FMA.
-    ///
-    /// # Safety
-    /// AVX-512F must be available at runtime and `x.len() >= y.len()`.
-    // lint: no_alloc
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn scale_add(y: &mut [f64], a: f64, x: &[f64], b: f64) {
-        let len = y.len();
-        // SAFETY: vector loads/stores cover `i..i+8` with `i + 8 <= vlen <=
-        // len <= x.len()`; the tail uses safe indexing. ISA availability is
-        // the fn's documented safety contract.
-        unsafe {
-            let av = _mm512_set1_pd(a);
-            let bv = _mm512_set1_pd(b);
-            let vlen = len / 8 * 8;
-            let mut i = 0;
-            while i < vlen {
-                let yv = _mm512_loadu_pd(y.as_ptr().add(i));
-                let xv = _mm512_loadu_pd(x.as_ptr().add(i));
-                let r = _mm512_fmadd_pd(av, yv, _mm512_mul_pd(bv, xv));
-                _mm512_storeu_pd(y.as_mut_ptr().add(i), r);
-                i += 8;
-            }
-            for j in vlen..len {
-                y[j] = a.mul_add(y[j], b * x[j]);
             }
         }
     }
@@ -821,35 +784,6 @@ pub(crate) mod avx2 {
             }
         }
     }
-
-    /// `y = a·y + b·x` elementwise with FMA.
-    ///
-    /// # Safety
-    /// AVX2+FMA must be available at runtime and `x.len() >= y.len()`.
-    // lint: no_alloc
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scale_add(y: &mut [f64], a: f64, x: &[f64], b: f64) {
-        let len = y.len();
-        // SAFETY: vector loads/stores cover `i..i+4` with `i + 4 <= vlen <=
-        // len <= x.len()`; the tail uses safe indexing. ISA availability is
-        // the fn's documented safety contract.
-        unsafe {
-            let av = _mm256_set1_pd(a);
-            let bv = _mm256_set1_pd(b);
-            let vlen = len / 4 * 4;
-            let mut i = 0;
-            while i < vlen {
-                let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-                let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-                let r = _mm256_fmadd_pd(av, yv, _mm256_mul_pd(bv, xv));
-                _mm256_storeu_pd(y.as_mut_ptr().add(i), r);
-                i += 4;
-            }
-            for j in vlen..len {
-                y[j] = a.mul_add(y[j], b * x[j]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -976,21 +910,6 @@ mod tests {
         ) {
             let zeros = if peaked { 0.85 + zeros / 4.0 } else { zeros };
             assert_slices_match(m, k, n, zeros, seed, (ca, cb));
-        }
-
-        /// `y = fma(a, y, b·x)` over vector bodies and scalar tails.
-        #[test]
-        fn scale_add_is_the_scalar_body_at_every_tier(
-            len in 0usize..40, seed in any::<u64>(), (a, b) in (-2.0f64..2.0, -2.0f64..2.0),
-        ) {
-            let (y, x) = (values(len, seed, 0.0), values(len, seed ^ 1, 0.0));
-            let mut want = y.clone();
-            scalar::scale_add(&mut want, a, &x, b);
-            for tier in simd_tiers() {
-                let mut got = y.clone();
-                dispatch!(@ tier, scale_add(&mut got, a, &x, b));
-                prop_assert_eq!(bits(&got), bits(&want), "{:?} len={}", tier, len);
-            }
         }
     }
 }

@@ -47,15 +47,17 @@ pub fn scale(x: &mut [f64], a: f64) {
 }
 
 /// Fused row update `y = a * y + b * x` in one pass, computed as
-/// `fma(a, y, b·x)` with the same bits at every SIMD level (elementwise, so
-/// grouping-invariant).
+/// `fma(a, y, b·x)`: the per-element arithmetic of the GEMM affine epilogue
+/// ([`crate::gemm::matmul_slices_affine_into`]), which tests hold it to.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn scale_add(y: &mut [f64], a: f64, x: &[f64], b: f64) {
     assert_eq!(x.len(), y.len(), "scale_add: length mismatch");
-    crate::simd::dispatch!(scale_add(y, a, x, b));
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi = a.mul_add(*yi, b * xi);
+    }
 }
 
 /// Euclidean norm `||x||_2`.
