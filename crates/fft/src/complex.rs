@@ -3,7 +3,7 @@
 //! We deliberately avoid an external complex-number dependency: the FFT and
 //! the SQG spectral kernels only need a handful of operations, and keeping the
 //! type local lets us guarantee `#[repr(C)]` layout (two adjacent `f64`s)
-//! which the AVX2 kernels rely on when they load complexes as `f64` lanes.
+//! which the vector kernels rely on when they load complexes as `f64` lanes.
 
 use std::fmt;
 use std::iter::Sum;

@@ -8,7 +8,8 @@
 //!
 //! Two paths compute the same bits. When the CPU has AVX2 and both axes are
 //! radix-2 and at least 4 long, `crate::simd` transforms the grid in place
-//! (rows, then columns without a transpose). Every other case (non-x86,
+//! (rows, then columns without a transpose; 64-point rows on AVX-512F where
+//! the CPU has it). Every other case (non-x86,
 //! no AVX2, a Bluestein axis, an axis shorter than 4) takes the scalar path:
 //! the 1-D plan on every row, then on every row of a cache-blocked
 //! transpose, transposed back. The scalar path is also the vector path's
@@ -18,7 +19,7 @@ use crate::complex::Complex;
 use crate::plan::{Direction, FftPlan};
 
 /// Reusable scratch for [`Fft2::process_with_scratch`]: the scalar path's
-/// transpose buffer plus the Bluestein plans' scratch (the AVX2 path needs
+/// transpose buffer plus the Bluestein plans' scratch (the vector path needs
 /// neither). Grown on first use, then reused allocation-free across calls
 /// (e.g. once per RK4 stage loop in the SQG stepper).
 #[derive(Debug, Default)]
@@ -84,7 +85,7 @@ impl Fft2 {
     /// Transforms `data` in place, reusing `scratch` across calls.
     ///
     /// Bitwise identical to [`Fft2::process`]: scratch buffers only change
-    /// where intermediates live, never the operation order. The AVX2 path,
+    /// where intermediates live, never the operation order. The vector path,
     /// where it applies, is bitwise identical to the scalar path too.
     pub fn process_with_scratch(&self, data: &mut [Complex], scratch: &mut Fft2Scratch) {
         assert_eq!(

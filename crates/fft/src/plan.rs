@@ -41,6 +41,13 @@ impl Direction {
     }
 }
 
+/// The 64-point AVX-512 row tier's twiddles (`crate::simd`), four per run:
+/// runs 0–14 are stages 0–3's fifteen twiddles, stage `s`'s from run
+/// `2^s − 1` on, each repeated in all four lanes; runs 15–26 are stage 4's
+/// table and then stage 5's, four consecutive twiddles each. A run is
+/// `[re, re]` per twiddle, then `[−im, im]` per twiddle.
+pub(crate) type Row64Twiddles = [[[f64; 8]; 2]; 27];
+
 /// Precomputed data for a radix-2 transform of a power-of-two length.
 #[derive(Debug)]
 pub(crate) struct Radix2Plan {
@@ -52,6 +59,9 @@ pub(crate) struct Radix2Plan {
     /// Bit-reversal permutation of `0..n` as its disjoint swaps `(i, r)`,
     /// `r` the bit reversal of `i` and `i < r`, in ascending `i`.
     pub swaps: Vec<(u32, u32)>,
+    /// The 64-point AVX-512 row tier's twiddle vectors, `None` for any
+    /// other length.
+    pub row64: Option<Box<Row64Twiddles>>,
 }
 
 impl Radix2Plan {
@@ -77,7 +87,23 @@ impl Radix2Plan {
                 }
             }
         }
-        Radix2Plan { n, twiddles, swaps }
+        let row64 = (n == 64).then(|| {
+            let run = |v: usize| -> [Complex; 4] {
+                if v < 15 {
+                    let s = (v + 1).ilog2() as usize;
+                    [twiddles[s][v + 1 - (1 << s)]; 4]
+                } else {
+                    let (s, r) = if v < 19 { (4, v - 15) } else { (5, v - 19) };
+                    std::array::from_fn(|l| twiddles[s][4 * r + l])
+                }
+            };
+            Box::new(std::array::from_fn(|v| {
+                let run = run(v);
+                let im = |l: usize| if l.is_multiple_of(2) { -run[l / 2].im } else { run[l / 2].im };
+                [std::array::from_fn(|l| run[l / 2].re), std::array::from_fn(im)]
+            }))
+        });
+        Radix2Plan { n, twiddles, swaps, row64 }
     }
 }
 

@@ -1,20 +1,26 @@
-//! Runtime-dispatched AVX2 path for [`crate::Fft2`].
+//! Runtime-dispatched vector path for [`crate::Fft2`]: AVX2, with an
+//! AVX-512F tier for 64-point rows.
 //!
-//! [`fft2`] transforms a grid with 256-bit lanes when the CPU has AVX2
+//! [`fft2`] transforms a grid with vector lanes when the CPU has AVX2
 //! (`is_x86_feature_detected!`) and both axes are radix-2 plans at least 4
 //! long. Otherwise it leaves the data alone and the caller runs the scalar
 //! path: `radix2::fft_in_place` on every row, then on every row of the
-//! transpose.
+//! transpose. Within the vector path, the row pass takes the AVX-512 row
+//! tier when the CPU also has AVX-512F and the rows are 64 long (the SQG
+//! paper grid); every other row length and every column pass runs on AVX2.
 //!
 //! ## Bitwise contract
 //!
 //! The lanes do the scalar kernel's arithmetic and nothing else: the same
 //! butterflies with the same table twiddles, every output element reached
-//! through the same sequence of roundings. Only `mul`, `add`, `sub` and
-//! `addsub` are used, never FMA, so the product `b·w` is
+//! through the same sequence of roundings. Only `mul`, `add`, `sub`,
+//! `addsub` and lane moves are used, never FMA, so the product `b·w` is
 //! `(b.re·w.re − b.im·w.im, b.im·w.re + b.re·w.im)`, which is the scalar
 //! `(b.re·w.re − b.im·w.im, b.re·w.im + b.im·w.re)` because IEEE addition
-//! commutes. No twiddle is special-cased (`cis(π/2)` has real part 6e-17,
+//! commutes. AVX-512 has no `addsub`: its twiddles carry the imaginary
+//! part negated in the real lane, and `b.re·w.re + b.im·(−w.im)` is the
+//! same rounding, since `x·(−y)` is exactly `−(x·y)` and `x + (−y)`
+//! exactly `x − y`. No twiddle is special-cased (`cis(π/2)` has real part 6e-17,
 //! not 0, and even `cis(0)` is multiplied, so signed zeros and infinities
 //! propagate as in the scalar kernel). The path therefore equals the scalar
 //! path bit for bit, up to NaN payloads, and has no switch: there is
@@ -22,16 +28,27 @@
 //!
 //! ## Structure
 //!
-//! - **Row pass.** Each contiguous row is bit-reversed with the plan's
-//!   swaps. Stages 0 and 1 run fused on groups of four complexes, the
-//!   remaining stages in radix-2² pairs with two butterflies per `__m256d`
-//!   and the twiddle pair loaded from the plan's table; an odd count of
-//!   remaining stages ends with one radix-2 stage.
+//! - **Row pass, AVX2.** Each contiguous row is bit-reversed with the
+//!   plan's swaps. Stages 0 and 1 run fused on groups of four complexes,
+//!   the remaining stages in radix-2² pairs with two butterflies per
+//!   `__m256d` and the twiddle pair loaded from the plan's table; an odd
+//!   count of remaining stages ends with one radix-2 stage.
+//! - **Row pass, AVX-512, 64 points.** A row lives in 16 `__m512d` of four
+//!   complexes each from load to store. The loads do the bit reversal:
+//!   register `r` loads the four complexes at `4·rev4(r)` and swaps its two
+//!   middle 128-bit lanes, so lane `l` holds bit-reversed position
+//!   `16·l + r`. Stages 0–3 pair registers `r` and `r | 2^s` under one
+//!   broadcast twiddle; a 4×4 transpose of 128-bit lanes within each group
+//!   of four registers then makes stages 4–5 register pairs too, with one
+//!   twiddle per lane, and leaves each register holding four consecutive
+//!   outputs for a plain store. Every twiddle vector comes from the plan's
+//!   `row64` table, built once per plan.
 //! - **Column pass, no transpose.** Bit-reversal swaps whole rows, and a
 //!   butterfly between two rows is a whole-row operation with one broadcast
 //!   twiddle. Stages run in radix-2² pairs (the four products of two stages
 //!   stay in registers), so one sweep over the grid does two stages; an odd
-//!   stage count ends with one radix-2 sweep.
+//!   stage count ends with one radix-2 sweep. AVX-512 column passes were
+//!   measured slower than this one and are not kept (EXPERIMENTS.md).
 //! - The inverse `1/n` scaling stays per 1-D pass, as in
 //!   `FftPlan::process_buffered`: each pass multiplies the outputs of its
 //!   last stage by `1/n` as it stores them.
@@ -40,7 +57,7 @@ use crate::complex::Complex;
 use crate::plan::FftPlan;
 
 /// Transforms the row-major grid `data` (`col_plan.len()` rows of
-/// `row_plan.len()` complexes) in place on the AVX2 path and returns
+/// `row_plan.len()` complexes) in place on the vector path and returns
 /// `true`, or returns `false` without touching `data` when the CPU lacks
 /// AVX2 or an axis is not a radix-2 plan at least 4 long.
 ///
@@ -57,11 +74,47 @@ pub(crate) fn fft2(row_plan: &FftPlan, col_plan: &FftPlan, data: &mut [Complex])
     }
     assert_eq!(data.len(), row.n * col.n, "buffer must be rows*cols");
     let inverse = row_plan.direction() == crate::Direction::Inverse;
-    // SAFETY: AVX2 was detected just above, both plans are radix-2 with
+    if !rows64(row_plan, data) {
+        // SAFETY: AVX2 was detected just above, the row plan is radix-2
+        // with `n >= 4`, and `data` is whole rows of `row.n` complexes.
+        unsafe { avx2::rows(row, inverse, data) };
+    }
+    // SAFETY: AVX2 was detected just above, the column plan is radix-2 with
     // `n >= 4`, and `data` holds `col.n` rows of `row.n` complexes
-    // (asserted): the whole contract of `avx2::fft2`.
-    unsafe { avx2::fft2(row, col, inverse, data) };
+    // (asserted), a power of two at least 4: the whole contract of
+    // `avx2::cols`.
+    unsafe { avx2::cols(col, row.n, inverse, data) };
     true
+}
+
+/// Transforms every row of `data` (whole rows of 64 complexes) in place on
+/// the AVX-512 row tier and returns `true`, or returns `false` without
+/// touching `data` when the CPU lacks AVX-512F or `plan` is not a 64-point
+/// radix-2 plan.
+///
+/// # Panics
+/// Panics if `data.len()` is not a multiple of 64 on the tier.
+// lint: no_alloc
+#[cfg(target_arch = "x86_64")]
+fn rows64(plan: &FftPlan, data: &mut [Complex]) -> bool {
+    let Some(twiddles) = plan.radix2().and_then(|row| row.row64.as_deref()) else {
+        return false;
+    };
+    if !is_x86_feature_detected!("avx512f") {
+        return false;
+    }
+    assert!(data.len().is_multiple_of(64), "buffer must be whole rows of 64");
+    let inverse = plan.direction() == crate::Direction::Inverse;
+    // SAFETY: AVX-512F was detected just above, and `data` is whole rows
+    // of 64 (asserted).
+    unsafe { avx512::rows(twiddles, inverse, data) };
+    true
+}
+
+/// Off x86-64 there is no row tier.
+#[cfg(all(test, not(target_arch = "x86_64")))]
+fn rows64(_plan: &FftPlan, _data: &mut [Complex]) -> bool {
+    false
 }
 
 /// Off x86-64 there is no vector path; every grid takes the scalar one.
@@ -158,23 +211,20 @@ mod avx2 {
         }
     }
 
-    /// Transforms `data` (`col.n` rows of `row.n` complexes) in place: the
-    /// row pass, then the column pass, each scaled by `1/n` when `inverse`.
+    /// Transforms every row of `data` (whole rows of `row.n` complexes) in
+    /// place, each scaled by `1/n` when `inverse`.
     ///
     /// # Safety
-    /// AVX2 must be available at runtime; `row` and `col` are radix-2 plans
-    /// with `n >= 4` and `data.len() == row.n * col.n`.
+    /// AVX2 must be available at runtime; `row` is a radix-2 plan with
+    /// `n >= 4` and `data.len()` a multiple of `row.n`.
     // lint: no_alloc
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fft2(row: &Radix2Plan, col: &Radix2Plan, inverse: bool, data: &mut [Complex]) {
-        let row_scale = inverse.then_some(_mm256_set1_pd(1.0 / row.n as f64));
+    pub(super) unsafe fn rows(row: &Radix2Plan, inverse: bool, data: &mut [Complex]) {
+        let scale = inverse.then_some(_mm256_set1_pd(1.0 / row.n as f64));
         for r in data.chunks_exact_mut(row.n) {
             // SAFETY: `r` is one whole row of `row.n >= 4` complexes.
-            unsafe { row_fft(row, r, row_scale) };
+            unsafe { row_fft(row, r, scale) };
         }
-        let col_scale = inverse.then_some(_mm256_set1_pd(1.0 / col.n as f64));
-        // SAFETY: `data` is `col.n >= 4` rows of `row.n >= 4` complexes.
-        unsafe { col_fft(col, row.n, data, col_scale) };
     }
 
     /// Transform of one contiguous row, its last stage scaled by `scale`.
@@ -263,15 +313,16 @@ mod avx2 {
 
     /// Transform of every column of a row-major grid with `plan.n` rows of
     /// `cols` complexes, without a transpose; the last sweep is scaled by
-    /// `scale`.
+    /// `1/n` when `inverse`.
     ///
     /// # Safety
     /// AVX2 must be available at runtime; `plan` is a radix-2 plan with
     /// `n >= 4`, `cols` is even and `data.len() == plan.n * cols`.
     // lint: no_alloc
     #[target_feature(enable = "avx2")]
-    unsafe fn col_fft(plan: &Radix2Plan, cols: usize, data: &mut [Complex], scale: Option<__m256d>) {
+    pub(super) unsafe fn cols(plan: &Radix2Plan, cols: usize, inverse: bool, data: &mut [Complex]) {
         let n = plan.n;
+        let scale = inverse.then_some(_mm256_set1_pd(1.0 / n as f64));
         for &(i, j) in &plan.swaps {
             let (i, j) = (i as usize, j as usize);
             let (lo, hi) = data.split_at_mut(j * cols);
@@ -330,6 +381,157 @@ mod avx2 {
                 }
             }
         }
+    }
+}
+
+/// The 64-point row tier: one row in 16 `__m512d` of four complexes each,
+/// no FMA.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use crate::complex::Complex;
+    use crate::plan::Row64Twiddles;
+    use std::arch::x86_64::*;
+
+    /// A twiddle per complex lane: each real part in both of its lanes, and
+    /// each imaginary part negated in the real lane (`[−im, im]`), as the
+    /// plan's `row64` runs store them.
+    type Twiddle = (__m512d, __m512d);
+
+    /// `b·w` for the four complexes in `b`: `b·wr + swap(b)·wi`, which is
+    /// `(b.re·w.re + (−b.im·w.im), b.im·w.re + b.re·w.im)`. IEEE arithmetic
+    /// makes `x·(−y)` exactly `−(x·y)` and `x + (−y)` exactly `x − y`, so
+    /// these are the scalar product's roundings.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn cmul(b: __m512d, (wr, wi): Twiddle) -> __m512d {
+        _mm512_add_pd(_mm512_mul_pd(b, wr), _mm512_mul_pd(_mm512_permute_pd::<0b0101_0101>(b), wi))
+    }
+
+    /// The butterfly on `(a, b)` with twiddle `w`: `(a + b·w, a − b·w)`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn butterfly(a: __m512d, b: __m512d, w: Twiddle) -> (__m512d, __m512d) {
+        let t = cmul(b, w);
+        (_mm512_add_pd(a, t), _mm512_sub_pd(a, t))
+    }
+
+    /// The 4×4 transpose of the 128-bit lanes of four registers: lane `l`
+    /// of register `m` becomes lane `m` of register `l`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(r: [__m512d; 4]) -> [__m512d; 4] {
+        let t0 = _mm512_shuffle_f64x2::<0x44>(r[0], r[1]);
+        let t1 = _mm512_shuffle_f64x2::<0xEE>(r[0], r[1]);
+        let t2 = _mm512_shuffle_f64x2::<0x44>(r[2], r[3]);
+        let t3 = _mm512_shuffle_f64x2::<0xEE>(r[2], r[3]);
+        [
+            _mm512_shuffle_f64x2::<0x88>(t0, t2),
+            _mm512_shuffle_f64x2::<0xDD>(t0, t2),
+            _mm512_shuffle_f64x2::<0x88>(t1, t3),
+            _mm512_shuffle_f64x2::<0xDD>(t1, t3),
+        ]
+    }
+
+    /// The eight `f64`s of a twiddle run.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn run(v: &[f64; 8]) -> __m512d {
+        // SAFETY: a reference to eight `f64`s is valid for reading them;
+        // `loadu` needs no alignment.
+        unsafe { _mm512_loadu_pd(v.as_ptr()) }
+    }
+
+    /// Transforms every row of `data` (whole rows of 64 complexes) in
+    /// place with the 64-point plan's twiddle vectors, each row scaled by
+    /// `1/64` when `inverse`.
+    ///
+    /// # Safety
+    /// AVX-512F must be available at runtime and `data.len()` must be a
+    /// multiple of 64.
+    // lint: no_alloc
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn rows(twiddles: &Row64Twiddles, inverse: bool, data: &mut [Complex]) {
+        let scale = inverse.then_some(_mm512_set1_pd(1.0 / 64.0));
+        let w: [Twiddle; 27] = std::array::from_fn(|v| (run(&twiddles[v][0]), run(&twiddles[v][1])));
+        for row in data.chunks_exact_mut(64) {
+            // SAFETY: `row` is 64 complexes.
+            unsafe { row64(&w, row.as_mut_ptr(), scale) };
+        }
+    }
+
+    /// The scalar kernel's transform of the 64 complexes at `p`, its
+    /// outputs multiplied by `scale` as they are stored.
+    ///
+    /// Bit-reversed position `q` lives in lane `q / 16` of register
+    /// `q % 16` until the transpose, and in lane `q % 4` of register
+    /// `4·(q / 4 % 4) + q / 16` after it. Stages 0–3 pair registers, so
+    /// their twiddles are one per register (`w[0..15]`); stages 4–5 pair
+    /// registers after the transpose, with one twiddle per lane
+    /// (`w[15..27]`). Every register index is a literal, so the row stays
+    /// in registers.
+    ///
+    /// # Safety
+    /// AVX-512F must be available at runtime and `p` must be valid for
+    /// reading and writing 64 complexes.
+    // lint: no_alloc
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row64(w: &[Twiddle; 27], p: *mut Complex, scale: Option<__m512d>) {
+        // Register `r` takes the four elements from `4·rev4(r)` with its
+        // middle 128-bit lanes swapped: lane `l` holds element
+        // `4·rev4(r) + rev2(l)`, bit-reversed position `16·l + r`.
+        macro_rules! load {
+            ($($at:literal)*) => {
+                [$({
+                    // SAFETY: `$at + 4 <= 64`; `loadu` needs no alignment
+                    // and `Complex` is `#[repr(C)]` `{re, im}`.
+                    let v = unsafe { _mm512_loadu_pd(p.add($at).cast()) };
+                    _mm512_shuffle_f64x2::<0b11_01_10_00>(v, v)
+                }),*]
+            };
+        }
+        let mut x = load!(0 32 16 48 8 40 24 56 4 36 20 52 12 44 28 60);
+        macro_rules! butterflies {
+            ($($a:literal $b:literal $w:expr;)*) => {
+                $( (x[$a], x[$b]) = butterfly(x[$a], x[$b], $w); )*
+            };
+        }
+        butterflies! {
+            0 1 w[0]; 2 3 w[0]; 4 5 w[0]; 6 7 w[0]; 8 9 w[0]; 10 11 w[0]; 12 13 w[0]; 14 15 w[0];
+            0 2 w[1]; 1 3 w[2]; 4 6 w[1]; 5 7 w[2]; 8 10 w[1]; 9 11 w[2]; 12 14 w[1]; 13 15 w[2];
+            0 4 w[3]; 1 5 w[4]; 2 6 w[5]; 3 7 w[6]; 8 12 w[3]; 9 13 w[4]; 10 14 w[5]; 11 15 w[6];
+            0 8 w[7]; 1 9 w[8]; 2 10 w[9]; 3 11 w[10]; 4 12 w[11]; 5 13 w[12]; 6 14 w[13]; 7 15 w[14];
+        }
+        // After the transpose register `4g + a` holds positions
+        // `16a + 4g .. 16a + 4g + 4`; stage 4 pairs `a` with `a + 1` under
+        // run `15 + g`, stage 5 pairs `a` with `a + 2` under run
+        // `19 + 4a + g`.
+        macro_rules! group {
+            ($r0:literal $r1:literal $r2:literal $r3:literal; $g:literal $g5:literal $g6:literal) => {
+                [x[$r0], x[$r1], x[$r2], x[$r3]] = transpose([x[$r0], x[$r1], x[$r2], x[$r3]]);
+                butterflies! {
+                    $r0 $r1 w[$g]; $r2 $r3 w[$g];
+                    $r0 $r2 w[$g5]; $r1 $r3 w[$g6];
+                }
+            };
+        }
+        group!(0 1 2 3; 15 19 23);
+        group!(4 5 6 7; 16 20 24);
+        group!(8 9 10 11; 17 21 25);
+        group!(12 13 14 15; 18 22 26);
+        macro_rules! store {
+            ($($r:literal $at:literal)*) => {
+                $({
+                    let v = match scale {
+                        Some(s) => _mm512_mul_pd(x[$r], s),
+                        None => x[$r],
+                    };
+                    // SAFETY: `$at + 4 <= 64`; `storeu` needs no alignment.
+                    unsafe { _mm512_storeu_pd(p.add($at).cast(), v) };
+                })*
+            };
+        }
+        store!(0 0 1 16 2 32 3 48 4 4 5 20 6 36 7 52 8 8 9 24 10 40 11 56 12 12 13 28 14 44 15 60);
     }
 }
 
@@ -405,6 +607,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn avx512f() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx512f")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    #[test]
+    fn row_tier_is_the_1d_plan_row_by_row_bitwise() {
+        // Eight rows of 64 at each 16-byte offset modulo 64 (the tier's
+        // loads and stores are unaligned), both directions, finite data and
+        // each non-finite class; NaN matches any NaN, everything else
+        // bitwise.
+        fn class(x: f64) -> Option<u64> {
+            (!x.is_nan()).then_some(x.to_bits())
+        }
+        let specials = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -0.0, f64::MIN_POSITIVE / 4.0];
+        let len = 8 * 64;
+        let mut buf = vec![Complex::ZERO; len + 3];
+        let offsets: std::collections::BTreeSet<usize> =
+            (0..4).map(|start| buf[start..].as_ptr() as usize % 64).collect();
+        assert_eq!(offsets, [0, 16, 32, 48].into(), "the allocator aligns to 16 bytes");
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let plan = crate::FftPlan::new(64, dir);
+            for (k, &special) in specials.iter().enumerate() {
+                let mut input = grid(len, 100 + k as u64);
+                if k > 0 {
+                    for idx in [0, 3, 64 + 17, len / 2 + 1] {
+                        input[idx].re = special;
+                    }
+                    input[len - 1].im = special;
+                }
+                let mut want = input.clone();
+                for row in want.chunks_exact_mut(64) {
+                    plan.process(row);
+                }
+                for start in 0..4 {
+                    let got = &mut buf[start..start + len];
+                    got.copy_from_slice(&input);
+                    let took = super::rows64(&plan, got);
+                    assert_eq!(took, avx512f(), "dispatch");
+                    if !took {
+                        return;
+                    }
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            (class(g.re), class(g.im)),
+                            (class(w.re), class(w.im)),
+                            "{dir:?} special {special} offset {start} at {i}: {g:?} vs {w:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_tier_declines_other_plans() {
+        let mut data = grid(4 * 64, 1);
+        let before = bits(&data);
+        for plan in [crate::FftPlan::new(32, Direction::Forward), crate::FftPlan::new(128, Direction::Inverse)] {
+            assert!(!super::rows64(&plan, &mut data));
+        }
+        let mut odd = grid(4 * 96, 2);
+        assert!(!super::rows64(&crate::FftPlan::new(96, Direction::Forward), &mut odd));
+        assert_eq!(bits(&data), before);
     }
 
     #[test]

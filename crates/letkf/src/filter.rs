@@ -70,7 +70,7 @@ impl Letkf {
         assert_eq!(dim, self.geometry.state_dim(), "ensemble/geometry mismatch");
         assert!(members >= 2, "need at least two members");
         assert!(
-            y.len() == p && hx.dim() == p && (p == 0 || hx.members() == members),
+            y.len() == p && hx.dim() == p && hx.members() == members,
             "observation shapes disagree"
         );
         assert!(observed.iter().all(|&i| i < dim), "observation index out of range");

@@ -44,6 +44,24 @@
 //! The split assumes the packed spectra are Hermitian, which every state
 //! built from grid fields is and which a step preserves exactly.
 //!
+//! ## Conjugate pairs
+//!
+//! Pack and assemble sweep over conjugate pairs of modes `(k, −k)`. On an
+//! even grid every column `0 < j < n/2` has a mirror column `n − j` whose
+//! zonal wavenumber is exactly `−kx[j]` (`mirror_column`), and for a
+//! Hermitian stage input ψ̂(−k) is `conj ψ̂(k)`, the split advection at −k
+//! is the conjugate of that at k, and so are the tendency and the stage's
+//! update there. So pack inverts once per pair and forms the four packed
+//! fields at both modes, and assemble computes the split, the tendency and
+//! the update once per pair and writes their conjugates to −k. The `kx = 0`
+//! and Nyquist columns, where that negation is not exact (`kx[n/2]` is
+//! `+0.0` at both ends), and every column of an odd grid are computed
+//! directly. Both sweeps keep the full `n × n` layout. The full-mode sweeps
+//! they replace are the tests' oracle (`full`): on stepped states the
+//! paired sweeps equal them bit for bit. They can differ only in the sign
+//! of an exact zero at −k: where a sum there cancels, or where an input's
+//! conjugate zeros carry the same sign. Either zero is the same value.
+//!
 //! The scalar sweeps below are the specification. On a CPU with
 //! AVX-512F+DQ, for a grid side that is a multiple of 4 and at least 8,
 //! `crate::simd`'s tier runs them instead and computes their bits: each
@@ -94,51 +112,118 @@ fn invert_mode(grid: &SpectralGrid, idx: usize, theta: [Complex; LEVELS]) -> [Co
     [(tt * is - tb * it) * fnk, (tt * it - tb * is) * fnk]
 }
 
+/// A grid the transforms run on, starting at a 64-byte boundary inside its
+/// buffer wherever the allocator's 16-byte alignment allows one: the
+/// transforms' vector loads then never straddle a cache line. A 64²
+/// transform 16 bytes past a 32-byte boundary measured ≈ 1.12× the aligned
+/// one.
+struct AlignedGrid {
+    buf: Vec<Complex>,
+    at: usize,
+    len: usize,
+}
+
+impl AlignedGrid {
+    fn new(len: usize) -> Self {
+        let buf = vec![Complex::ZERO; len + 3];
+        let at = (0..4).find(|&k| buf[k..].as_ptr().align_offset(64) == 0).unwrap_or(0);
+        AlignedGrid { buf, at, len }
+    }
+}
+
+impl AsRef<[Complex]> for AlignedGrid {
+    fn as_ref(&self) -> &[Complex] {
+        &self.buf[self.at..][..self.len]
+    }
+}
+
+impl AsMut<[Complex]> for AlignedGrid {
+    fn as_mut(&mut self) -> &mut [Complex] {
+        &mut self.buf[self.at..][..self.len]
+    }
+}
+
 /// Scratch of one tendency evaluation, 5 grids plus the FFT scratch: the
 /// four packed derivative grids `[u₀ + i·v₀, θx₀ + i·θy₀, u₁ + i·v₁,
 /// θx₁ + i·θy₁]` (spectral after the pack sweep, grid values after the
 /// inverse transforms), the packed advection `adv`, and the 2-D FFT scratch
 /// (used only where the transform falls back to its scalar path).
 pub struct TendencyScratch {
-    fields: [Vec<Complex>; 4],
-    adv: Vec<Complex>,
+    fields: [AlignedGrid; 4],
+    adv: AlignedGrid,
     fft: Fft2Scratch,
 }
 
 impl TendencyScratch {
     /// Allocates scratch for an `n x n` grid.
     pub fn new(n: usize) -> Self {
-        let z = vec![Complex::ZERO; n * n];
         TendencyScratch {
-            fields: [z.clone(), z.clone(), z.clone(), z.clone()],
-            adv: z,
+            fields: std::array::from_fn(|_| AlignedGrid::new(n * n)),
+            adv: AlignedGrid::new(n * n),
             fft: Fft2Scratch::new(),
         }
     }
 }
 
+/// The column that the sweeps write from column `j` of a grid of side
+/// `n`: `n − j` for `0 < j < n/2` on an even grid, where
+/// [`SpectralGrid::new`]'s `kx[n − j]` is exactly `−kx[j]`. Every other
+/// column — `kx = 0` (`j = 0`), the Nyquist line (`kx[n/2]` is `+0.0`, not
+/// `−0.0`), the columns past `n/2` and every column of an odd grid — has
+/// none.
+#[inline(always)]
+pub(crate) fn mirror_column(n: usize, j: usize) -> Option<usize> {
+    (n.is_multiple_of(2) && 0 < j && j < n / 2).then(|| n - j)
+}
+
+/// Whether a sweep computes column `j` itself: every column but those the
+/// paired columns write.
+#[inline(always)]
+pub(crate) fn computed(n: usize, j: usize) -> bool {
+    !n.is_multiple_of(2) || j <= n / 2
+}
+
+/// The four packed derivative fields at one mode of wavenumber
+/// `k = kx + i·ky` from ψ̂ and x̂ there: `−(k·ψ̂)` and `i·(k·x̂)` per level.
+#[inline(always)]
+fn packed(k: Complex, psi: [Complex; LEVELS], x: [Complex; LEVELS]) -> [Complex; 4] {
+    // Spectral derivatives, packed: u = -∂ψ/∂y, v = ∂ψ/∂x.
+    [-(k * psi[0]), Complex::I * (k * x[0]), -(k * psi[1]), Complex::I * (k * x[1])]
+}
+
 /// The pack sweep: ψ̂ from the stage input `x` at each mode, then
 /// `−(kx + i·ky)·ψ̂` and `i·((kx + i·ky)·x̂)` per level into `fields`.
+///
+/// A paired column ([`mirror_column`]) inverts once for the pair of modes
+/// `k` and `−k`: it takes `conj ψ̂(k)` and `conj x̂(k)` as the inputs at
+/// `−k`, which they are for a Hermitian `x`, and forms the four fields at
+/// both modes from them.
 // lint: no_alloc
-pub(crate) fn pack(
+pub(crate) fn pack<F: AsMut<[Complex]>>(
     grid: &SpectralGrid,
     x: &[Vec<Complex>; LEVELS],
-    fields: &mut [Vec<Complex>; 4],
+    fields: &mut [F; 4],
 ) {
     let n = grid.n;
-    let [u0, g0, u1, g1] = fields;
+    let mut fields = fields.each_mut().map(AsMut::as_mut);
     for i in 0..n {
         let ky = grid.ky[i];
-        for j in 0..n {
+        let ri = (n - i) % n;
+        for j in (0..n).filter(|&j| computed(n, j)) {
             let idx = i * n + j;
-            let k = Complex::new(grid.kx[j], ky);
-            let (x0, x1) = (x[0][idx], x[1][idx]);
-            let [p0, p1] = invert_mode(grid, idx, [x0, x1]);
-            // Spectral derivatives, packed: u = -∂ψ/∂y, v = ∂ψ/∂x.
-            u0[idx] = -(k * p0);
-            g0[idx] = Complex::I * (k * x0);
-            u1[idx] = -(k * p1);
-            g1[idx] = Complex::I * (k * x1);
+            let xs = [x[0][idx], x[1][idx]];
+            let psi = invert_mode(grid, idx, xs);
+            let at_k = packed(Complex::new(grid.kx[j], ky), psi, xs);
+            for (f, v) in fields.iter_mut().zip(at_k) {
+                f[idx] = v;
+            }
+            if let Some(rj) = mirror_column(n, j) {
+                let k = Complex::new(grid.kx[rj], grid.ky[ri]);
+                let at_neg_k = packed(k, psi.map(Complex::conj), xs.map(Complex::conj));
+                for (f, v) in fields.iter_mut().zip(at_neg_k) {
+                    f[ri * n + rj] = v;
+                }
+            }
         }
     }
 }
@@ -146,8 +231,8 @@ pub(crate) fn pack(
 /// The product sweep: the advection `u θx + v θy` of level 0 into the real
 /// part of `adv` and of level 1 into the imaginary part.
 // lint: no_alloc
-pub(crate) fn product(fields: &[Vec<Complex>; 4], adv: &mut [Complex]) {
-    let [u0, g0, u1, g1] = fields;
+pub(crate) fn product<F: AsRef<[Complex]>>(fields: &[F; 4], adv: &mut [Complex]) {
+    let [u0, g0, u1, g1] = fields.each_ref().map(AsRef::as_ref);
     for (idx, a) in adv.iter_mut().enumerate() {
         let (v0, t0, v1, t1) = (u0[idx], g0[idx], u1[idx], g1[idx]);
         *a = Complex::new(v0.re * t0.re + v0.im * t0.im, v1.re * t1.re + v1.im * t1.im);
@@ -229,6 +314,11 @@ impl Assembly<'_> {
 /// The assemble sweep: per mode the Hermitian split of the transformed
 /// advection `adv`, dθ̂/dt at the stage input, then the stage's update of
 /// `acc`, `tmp` or `theta`.
+///
+/// A paired column ([`mirror_column`]) computes the pair of modes `k` and
+/// `−k` once: for Hermitian inputs the split, the tendency and the update
+/// at `−k` are the conjugates of those at `k`, so it writes the conjugate
+/// of each value it stores at `k` to `−k`.
 // lint: no_alloc
 pub(crate) fn assemble(
     a: &Assembly<'_>,
@@ -237,36 +327,111 @@ pub(crate) fn assemble(
     acc: &mut [Vec<Complex>; LEVELS],
     tmp: &mut [Vec<Complex>; LEVELS],
 ) {
+    let n = a.grid.n;
+    for i in 0..n {
+        let ri = (n - i) % n;
+        for j in (0..n).filter(|&j| computed(n, j)) {
+            let idx = i * n + j;
+            assemble_mode(a, adv, i, j, theta, acc, tmp);
+            if let Some(rj) = mirror_column(n, j) {
+                let conj_to = |f: &mut [Vec<Complex>; LEVELS]| {
+                    for level in f {
+                        level[ri * n + rj] = level[idx].conj();
+                    }
+                };
+                match a.stage {
+                    Stage::First(_) | Stage::Inner(_) => {
+                        conj_to(acc);
+                        conj_to(tmp);
+                    }
+                    Stage::Last { .. } => conj_to(theta),
+                }
+            }
+        }
+    }
+}
+
+/// One mode `(i, j)` of the assemble sweep: the Hermitian split of `adv`
+/// there, dθ̂/dt at the stage input, then the stage's update.
+#[inline(always)]
+fn assemble_mode(
+    a: &Assembly<'_>,
+    adv: &[Complex],
+    i: usize,
+    j: usize,
+    theta: &mut [Vec<Complex>; LEVELS],
+    acc: &mut [Vec<Complex>; LEVELS],
+    tmp: &mut [Vec<Complex>; LEVELS],
+) {
     let grid = a.grid;
     let n = grid.n;
-    for i in 0..n {
-        for j in 0..n {
-            let idx = i * n + j;
-            let (a0, a1) = real::split_pair_mode(adv[idx], adv[real::conj_index(i, j, n, n)]);
-            let x = if a.stage.reads_theta() { &*theta } else { &*tmp };
-            let k = a.tendency(idx, grid.kx[j], [a0, a1], [x[0][idx], x[1][idx]]);
-            for l in 0..LEVELS {
-                let k = k[l];
-                match a.stage {
-                    Stage::First(c) => {
-                        acc[l][idx] = k;
-                        tmp[l][idx] = theta[l][idx] + k * c;
-                    }
-                    Stage::Inner(c) => {
-                        acc[l][idx] += k * 2.0;
-                        tmp[l][idx] = theta[l][idx] + k * c;
-                    }
-                    Stage::Last { sixth, relax, reference } => {
-                        let incr = (acc[l][idx] + k) * sixth;
-                        // Implicit hyperdiffusion: exact exponential decay per step.
-                        let mut next = (theta[l][idx] + incr) * grid.hyperdiff[idx];
-                        if relax < 1.0 {
-                            let r = reference.map_or(Complex::ZERO, |r| r[l][idx]);
-                            next = r + (next - r) * relax;
-                        }
-                        theta[l][idx] = next;
-                    }
+    let idx = i * n + j;
+    let (a0, a1) = real::split_pair_mode(adv[idx], adv[real::conj_index(i, j, n, n)]);
+    let x = if a.stage.reads_theta() { &*theta } else { &*tmp };
+    let k = a.tendency(idx, grid.kx[j], [a0, a1], [x[0][idx], x[1][idx]]);
+    for l in 0..LEVELS {
+        let k = k[l];
+        match a.stage {
+            Stage::First(c) => {
+                acc[l][idx] = k;
+                tmp[l][idx] = theta[l][idx] + k * c;
+            }
+            Stage::Inner(c) => {
+                acc[l][idx] += k * 2.0;
+                tmp[l][idx] = theta[l][idx] + k * c;
+            }
+            Stage::Last { sixth, relax, reference } => {
+                let incr = (acc[l][idx] + k) * sixth;
+                // Implicit hyperdiffusion: exact exponential decay per step.
+                let mut next = (theta[l][idx] + incr) * grid.hyperdiff[idx];
+                if relax < 1.0 {
+                    let r = reference.map_or(Complex::ZERO, |r| r[l][idx]);
+                    next = r + (next - r) * relax;
                 }
+                theta[l][idx] = next;
+            }
+        }
+    }
+}
+
+/// The sweeps as they were before the pairing, every mode computed from its
+/// own inputs: the paired sweeps' oracle.
+#[cfg(test)]
+pub(crate) mod full {
+    use super::*;
+
+    /// [`super::pack`] at every mode.
+    pub(crate) fn pack(
+        grid: &SpectralGrid,
+        x: &[Vec<Complex>; LEVELS],
+        fields: &mut [Vec<Complex>; 4],
+    ) {
+        let n = grid.n;
+        for i in 0..n {
+            for j in 0..n {
+                let idx = i * n + j;
+                let xs = [x[0][idx], x[1][idx]];
+                let psi = invert_mode(grid, idx, xs);
+                let v = packed(Complex::new(grid.kx[j], grid.ky[i]), psi, xs);
+                for (f, v) in fields.iter_mut().zip(v) {
+                    f[idx] = v;
+                }
+            }
+        }
+    }
+
+    /// [`super::assemble`] at every mode.
+    pub(crate) fn assemble(
+        a: &Assembly<'_>,
+        adv: &[Complex],
+        theta: &mut [Vec<Complex>; LEVELS],
+        acc: &mut [Vec<Complex>; LEVELS],
+        tmp: &mut [Vec<Complex>; LEVELS],
+    ) {
+        let n = a.grid.n;
+        for i in 0..n {
+            for j in 0..n {
+                assemble_mode(a, adv, i, j, theta, acc, tmp);
             }
         }
     }
@@ -314,13 +479,14 @@ impl StepWorkspace {
     /// An `n²` work buffer and the FFT scratch, free between steps (the
     /// state conversions around a member forecast borrow them).
     pub(crate) fn pair_buffers(&mut self) -> (&mut [Complex], &mut Fft2Scratch) {
-        (&mut self.tend.adv, &mut self.tend.fft)
+        (self.tend.adv.as_mut(), &mut self.tend.fft)
     }
 
     /// Whether every grid holds `m` modes.
     fn holds(&self, m: usize) -> bool {
         let t = &self.tend;
-        self.acc.iter().chain(&self.tmp).chain(&t.fields).chain([&t.adv]).all(|g| g.len() == m)
+        let tend = t.fields.iter().chain([&t.adv]).map(|g| g.as_ref().len());
+        self.acc.iter().chain(&self.tmp).map(Vec::len).chain(tend).all(|len| len == m)
     }
 }
 
@@ -383,9 +549,15 @@ impl Stepper {
         assert!(ws.holds(m), "step workspace must hold n² = {m} modes per grid");
         let tier = if simd { Avx512::detect(self.grid.n) } else { None };
 
-        // Stage inputs are θ + c·k; `acc` accumulates k1 + 2 k2 + 2 k3 in
-        // that order, so the increment sums exactly as
-        // ((k1 + 2 k2) + 2 k3) + k4.
+        for stage in self.stages() {
+            self.stage(tier, stage, theta, ws);
+        }
+    }
+
+    /// The four RK4 stages of one step. Stage inputs are θ + c·k; `acc`
+    /// accumulates k1 + 2 k2 + 2 k3 in that order, so the increment sums
+    /// exactly as ((k1 + 2 k2) + 2 k3) + k4.
+    fn stages(&self) -> [Stage<'_>; 4] {
         let dt = self.params.dt;
         let relax = if self.params.tdiab > 0.0 {
             (-dt / self.params.tdiab).exp()
@@ -393,9 +565,7 @@ impl Stepper {
             1.0
         };
         let last = Stage::Last { sixth: dt / 6.0, relax, reference: self.reference.as_ref() };
-        for stage in [Stage::First(0.5 * dt), Stage::Inner(0.5 * dt), Stage::Inner(dt), last] {
-            self.stage(tier, stage, theta, ws);
-        }
+        [Stage::First(0.5 * dt), Stage::Inner(0.5 * dt), Stage::Inner(dt), last]
     }
 
     /// One RK4 stage: the tendency at the stage input in three sweeps around
@@ -423,9 +593,10 @@ impl Stepper {
         {
             let _span = telemetry::span!("fft");
             for f in fields.iter_mut() {
-                self.ifft.process_with_scratch(f, scratch);
+                self.ifft.process_with_scratch(f.as_mut(), scratch);
             }
         }
+        let adv = adv.as_mut();
         match tier {
             // SAFETY: as for `pack`; `adv` holds `grid.n²` modes too.
             Some(t) => unsafe { t.product(fields, adv) },
@@ -555,6 +726,83 @@ mod tests {
                 for idx in 0..n * n {
                     let err = (got[l][idx] - want[l][idx]).abs();
                     assert!(err <= 1e-12 * scale, "ekman {ekman}, level {l}, mode {idx}: {err:e} of {scale:e}");
+                }
+            }
+        }
+    }
+
+    fn bits(fields: &[Vec<Complex>]) -> Vec<(u64, u64)> {
+        fields.iter().flatten().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn paired_sweeps_are_the_full_sweeps_bitwise() {
+        // Every stage of 12 steps from a perturbed random state runs the
+        // paired sweeps (scalar, and the AVX-512 tier where the CPU has it)
+        // and the full-mode sweeps on the same inputs, and goes on from the
+        // scalar paired outputs.
+        for n in [8, 16, 32, 64] {
+            for ekman in [0.0, 0.05] {
+                for relaxed in [false, true] {
+                    let tdiab = if relaxed { 5.0 * 86400.0 } else { 0.0 };
+                    let mut stepper = Stepper::new(SqgParams { n, ekman, tdiab, ..Default::default() });
+                    if relaxed {
+                        let jet = crate::init::zonal_jet(n, 0.05);
+                        stepper.set_reference([jet.level(0).to_vec(), jet.level(1).to_vec()]);
+                    }
+                    let (grid, m) = (&stepper.grid, n * n);
+                    let tier = Avx512::detect(n);
+                    let s = crate::init::perturb(&crate::init::random_large_scale(n, 0.05, 7), 1e-3, 8);
+                    let mut theta = [s.level(0).to_vec(), s.level(1).to_vec()];
+                    let zeros = || [vec![Complex::ZERO; m], vec![Complex::ZERO; m]];
+                    let (mut acc, mut tmp) = (zeros(), zeros());
+                    let mut fields: [Vec<Complex>; 4] = std::array::from_fn(|_| vec![Complex::ZERO; m]);
+                    let mut adv = vec![Complex::ZERO; m];
+                    let mut scratch = Fft2Scratch::new();
+                    for step in 0..12 {
+                        for (st, stage) in stepper.stages().into_iter().enumerate() {
+                            let what = format!("n {n}, ekman {ekman}, relaxed {relaxed}, step {step}, stage {st}");
+                            let x = if stage.reads_theta() { &theta } else { &tmp };
+                            let mut want = fields.clone();
+                            full::pack(grid, x, &mut want);
+                            if let Some(t) = tier {
+                                let mut got = fields.clone();
+                                // SAFETY: the tier was detected for `n`; every grid holds n².
+                                unsafe { t.pack(grid, x, &mut got) };
+                                assert_eq!(bits(&got), bits(&want), "tier pack, {what}");
+                            }
+                            pack(grid, x, &mut fields);
+                            assert_eq!(bits(&fields), bits(&want), "pack, {what}");
+                            for f in fields.iter_mut() {
+                                stepper.ifft.process_with_scratch(f, &mut scratch);
+                            }
+                            product(&fields, &mut adv);
+                            stepper.fwd.process_with_scratch(&mut adv, &mut scratch);
+                            let a = Assembly {
+                                grid,
+                                ubg: stepper.params.background_wind(),
+                                bbar_y: stepper.params.mean_buoyancy_gradient(),
+                                ekman,
+                                stage,
+                            };
+                            let mut want = [theta.clone(), acc.clone(), tmp.clone()];
+                            let [wt, wa, wm] = &mut want;
+                            full::assemble(&a, &adv, wt, wa, wm);
+                            if let Some(t) = tier {
+                                let mut got = [theta.clone(), acc.clone(), tmp.clone()];
+                                let [gt, ga, gm] = &mut got;
+                                // SAFETY: as above; the reference holds n² modes too.
+                                unsafe { t.assemble(&a, &adv, gt, ga, gm) };
+                                for (got, want) in got.iter().zip([&*wt, &*wa, &*wm]) {
+                                    assert_eq!(bits(got), bits(want), "tier assemble, {what}");
+                                }
+                            }
+                            assemble(&a, &adv, &mut theta, &mut acc, &mut tmp);
+                            for (got, want, name) in [(&theta, wt, "θ"), (&acc, wa, "acc"), (&tmp, wm, "tmp")] {
+                                assert_eq!(bits(got), bits(want), "assemble {name}, {what}");
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -7,14 +7,27 @@
 //! `[re, im]` per mode. Each lane does the scalar sweep's operations on its
 //! element in the scalar order, with only `mul`, `add`, `sub`, masked
 //! blends and moves, and a sign `xor` for negation; never FMA. A complex
-//! product `(ar + i·ai)·z` is `ar·z` and `ai·swap(z)` subtracted in the
-//! real lanes and added in the imaginary ones, which is the scalar
+//! product `(ar + i·ai)·z` is `ar·z + ai'·swap(z)`, with `ai'` the factor
+//! `ai` negated in the real lanes, which is the scalar
 //! `(ar·z.re − ai·z.im, ar·z.im + ai·z.re)` because IEEE multiplication and
-//! addition commute; a `0.0·x` or `1.0·x` the scalar product rounds is
+//! addition commute, `(−x)·y` is exactly `−(x·y)` and `x + (−y)` exactly
+//! `x − y`; a `0.0·x` or `1.0·x` the scalar product rounds is
 //! rounded here too, so signed zeros and infinities propagate as there.
 //! Per-mode tables load four entries at a time, each duplicated into both
 //! lanes of its mode. The tier therefore equals the scalar sweeps bit for
 //! bit, up to NaN payloads, and has no switch.
+//!
+//! ## Conjugate pairs
+//!
+//! Pack and assemble visit the blocks of columns `0..=n/2` of each row `i`.
+//! A block stores the modes it computes with a mask (columns past `n/2`
+//! belong to the mirrors), and the modes of paired columns
+//! (`dynamics::mirror_column`) reversed into row `−i` with a lane
+//! permutation and a second mask: the block at column `j ≥ 4` mirrors to
+//! columns `n − j − 3 ..= n − j`, the block at column 0 mirrors lanes 1–3 to
+//! columns `n − 1, n − 2, n − 3`. Pack forms the mirrored fields from
+//! `conj ψ̂`, `conj x̂` and `−kx`; assemble stores the conjugate of each
+//! value it stores.
 //!
 //! ## Dispatch
 //!
@@ -62,11 +75,11 @@ impl Avx512 {
     /// `self` was detected for `grid.n`, and both levels of `x` and the four
     /// `fields` hold `grid.n²` modes.
     // lint: no_alloc
-    pub(crate) unsafe fn pack(
+    pub(crate) unsafe fn pack<F: AsMut<[Complex]>>(
         self,
         grid: &SpectralGrid,
         x: &[Vec<Complex>; LEVELS],
-        fields: &mut [Vec<Complex>; 4],
+        fields: &mut [F; 4],
     ) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the token proves AVX-512F+DQ and the grid side; the caller
@@ -84,7 +97,7 @@ impl Avx512 {
     /// `self` was detected for the grid side `n`, and the four `fields` and
     /// `adv` hold `n²` modes.
     // lint: no_alloc
-    pub(crate) unsafe fn product(self, fields: &[Vec<Complex>; 4], adv: &mut [Complex]) {
+    pub(crate) unsafe fn product<F: AsRef<[Complex]>>(self, fields: &[F; 4], adv: &mut [Complex]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the token proves AVX-512F+DQ; the caller guarantees the
         // lengths, and `n² % 4 == 0` since `n % 4 == 0`.
@@ -125,7 +138,7 @@ impl Avx512 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::LEVELS;
-    use crate::dynamics::{Assembly, Stage};
+    use crate::dynamics::{self, Assembly, Stage};
     use crate::grid::SpectralGrid;
     use fft::Complex;
     use std::arch::x86_64::*;
@@ -180,13 +193,23 @@ mod avx512 {
         _mm512_permute_pd::<0b0101_0101>(z)
     }
 
-    /// `(re + i·im)·z` per mode, `re` and `im` duplicated per mode:
-    /// `re·z.re − im·z.im` and `re·z.im + im·z.re`.
+    /// `(re + i·im)·z` per mode, `re` duplicated per mode and `im` given
+    /// [`signed`]: `re·z + im·swap(z)`, which is `re·z.re + (−im)·z.im` and
+    /// `re·z.im + im·z.re`. IEEE arithmetic makes `(−x)·y` exactly `−(x·y)`
+    /// and `x + (−y)` exactly `x − y`, so the real lane rounds as the scalar
+    /// `re·z.re − im·z.im`.
     #[inline]
     #[target_feature(enable = "avx512f")]
     fn cmul(re: __m512d, im: __m512d, z: __m512d) -> __m512d {
-        let (a, b) = (_mm512_mul_pd(re, z), _mm512_mul_pd(im, swap(z)));
-        _mm512_mask_add_pd(_mm512_sub_pd(a, b), IM, a, b)
+        _mm512_add_pd(_mm512_mul_pd(re, z), _mm512_mul_pd(im, swap(z)))
+    }
+
+    /// A per-mode duplicated factor with its real lanes negated, the form
+    /// [`cmul`] takes its imaginary part in.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn signed(im: __m512d) -> __m512d {
+        _mm512_mask_xor_pd(im, !IM, im, _mm512_set1_pd(-0.0))
     }
 
     /// `−z`: every sign bit flipped, as the scalar negation does.
@@ -245,36 +268,136 @@ mod avx512 {
         invert(fnk, it, is, x[0], x[1])
     }
 
+    /// Each mode's imaginary part negated.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn conj(z: __m512d) -> __m512d {
+        _mm512_mask_xor_pd(z, IM, z, _mm512_set1_pd(-0.0))
+    }
+
+    /// The mask of the lanes of the modes `m` in `0..4` with `keep(m)`.
+    fn modes(keep: impl Fn(usize) -> bool) -> __mmask8 {
+        (0..4).filter(|&m| keep(m)).fold(0, |mask, m| mask | 0b11 << (2 * m))
+    }
+
+    /// Where a sweep writes the four modes from column `j` of row `i`:
+    /// the modes it computes at `idx` (`own`), and the modes of the paired
+    /// columns mirrored to row `−i`, which `order` places at `mirror`
+    /// (`mirrored`). The mirror of column `j + m` is column `n − j − m`: a
+    /// block at `j ≥ 4` mirrors, reversed, to columns `n − j − 3 ..= n − j`;
+    /// the block at `j = 0` mirrors lanes 1–3 to columns `n − 1, n − 2,
+    /// n − 3`, since column 0 is its own.
+    #[derive(Clone, Copy)]
+    struct Block {
+        idx: usize,
+        own: __mmask8,
+        mirror: usize,
+        order: __m512i,
+        mirrored: __mmask8,
+    }
+
+    impl Block {
+        /// The block at column `j`, a multiple of 4 with `j <= n/2`, of row
+        /// `i` of a grid of side `n`, a multiple of 4 and at least 8.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn new(n: usize, i: usize, j: usize) -> Self {
+            let row = (n - i) % n * n;
+            let paired = |col: usize| dynamics::mirror_column(n, col).is_some();
+            let own = modes(|m| dynamics::computed(n, j + m));
+            if j == 0 {
+                let order = _mm512_setr_epi64(0, 1, 6, 7, 4, 5, 2, 3);
+                Block { idx: i * n, own, mirror: row + n - 4, order, mirrored: modes(|p| p >= 1) }
+            } else {
+                let order = _mm512_setr_epi64(6, 7, 4, 5, 2, 3, 0, 1);
+                let mirrored = modes(|p| paired(j + 3 - p));
+                Block { idx: i * n + j, own, mirror: row + n - j - 3, order, mirrored }
+            }
+        }
+
+        /// Stores `v` at the block's own modes of `f`.
+        ///
+        /// # Safety
+        /// `f` must be an `n²` grid.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn put(self, f: *mut Complex, v: __m512d) {
+            // SAFETY: `idx + 4 <= n²` (`j + 4 <= n`); masked lanes are not
+            // touched.
+            unsafe { _mm512_mask_storeu_pd(f.add(self.idx).cast(), self.own, v) }
+        }
+
+        /// Stores `v`'s paired modes of `f` at their mirrors.
+        ///
+        /// # Safety
+        /// `f` must be an `n²` grid.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn put_mirror(self, f: *mut Complex, v: __m512d) {
+            let v = _mm512_permutexvar_pd(self.order, v);
+            // SAFETY: `mirror` is column `n − 4` or `n − j − 3 >= 1` of a
+            // row, so its four modes lie in that row.
+            unsafe { _mm512_mask_storeu_pd(f.add(self.mirror).cast(), self.mirrored, v) }
+        }
+    }
+
+    /// The four packed fields at the four modes of `kx`, `ky` ([`signed`])
+    /// from ψ̂ and x̂ there (`dynamics::packed`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn packed(
+        kx: __m512d,
+        ky: __m512d,
+        psi: [__m512d; LEVELS],
+        x: [__m512d; LEVELS],
+    ) -> [__m512d; 4] {
+        let (zero, one) = (_mm512_setzero_pd(), signed(_mm512_set1_pd(1.0)));
+        [
+            neg(cmul(kx, ky, psi[0])),
+            cmul(zero, one, cmul(kx, ky, x[0])),
+            neg(cmul(kx, ky, psi[1])),
+            cmul(zero, one, cmul(kx, ky, x[1])),
+        ]
+    }
+
     /// See `Avx512::pack`.
     ///
     /// # Safety
-    /// AVX-512F+DQ must be available, `grid.n` a multiple of 4, and both
-    /// levels of `x` and the four `fields` must hold `grid.n²` modes.
+    /// AVX-512F+DQ must be available, `grid.n` a multiple of 4 and at least
+    /// 8, and both levels of `x` and the four `fields` must hold `grid.n²`
+    /// modes.
     // lint: no_alloc
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn pack(
+    pub(super) unsafe fn pack<F: AsMut<[Complex]>>(
         grid: &SpectralGrid,
         x: &[Vec<Complex>; LEVELS],
-        fields: &mut [Vec<Complex>; 4],
+        fields: &mut [F; 4],
     ) {
         let n = grid.n;
-        let (zero, one) = (_mm512_setzero_pd(), _mm512_set1_pd(1.0));
-        let [u0, g0, u1, g1] = fields.each_mut().map(|f| f.as_mut_ptr());
+        let fields = fields.each_mut().map(|f| f.as_mut().as_mut_ptr());
         for i in 0..n {
-            let ky = _mm512_set1_pd(grid.ky[i]);
-            for j in (0..n).step_by(4) {
-                let idx = i * n + j;
+            let ky = signed(_mm512_set1_pd(grid.ky[i]));
+            let ky_neg = signed(_mm512_set1_pd(grid.ky[(n - i) % n]));
+            for j in (0..=n / 2).step_by(4) {
+                let b = Block::new(n, i, j);
+                let idx = b.idx;
                 // SAFETY: `j + 4 <= n` (`n % 4 == 0`), so the block's four
                 // modes `idx..idx + 4` lie in row `i` of every `n²` grid, and
-                // `kx` holds `n` entries.
+                // `kx` holds `n` entries; `Block` keeps its stores in the
+                // grids.
                 unsafe {
                     let kx = dup(grid.kx.as_ptr().add(j));
                     let xb = [load(x[0].as_ptr().add(idx)), load(x[1].as_ptr().add(idx))];
-                    let [p0, p1] = invert_at(grid, idx, xb);
-                    store(u0.add(idx), neg(cmul(kx, ky, p0)));
-                    store(g0.add(idx), cmul(zero, one, cmul(kx, ky, xb[0])));
-                    store(u1.add(idx), neg(cmul(kx, ky, p1)));
-                    store(g1.add(idx), cmul(zero, one, cmul(kx, ky, xb[1])));
+                    let psi = invert_at(grid, idx, xb);
+                    for (&f, v) in fields.iter().zip(packed(kx, ky, psi, xb)) {
+                        b.put(f, v);
+                    }
+                    if b.mirrored != 0 {
+                        let at_neg_k = packed(neg(kx), ky_neg, psi.map(|p| conj(p)), xb.map(|x| conj(x)));
+                        for (&f, v) in fields.iter().zip(at_neg_k) {
+                            b.put_mirror(f, v);
+                        }
+                    }
                 }
             }
         }
@@ -288,8 +411,8 @@ mod avx512 {
     /// hold the same multiple of 4 modes.
     // lint: no_alloc
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn product(fields: &[Vec<Complex>; 4], adv: &mut [Complex]) {
-        let [u0, g0, u1, g1] = fields.each_ref().map(|f| f.as_ptr());
+    pub(super) unsafe fn product<F: AsRef<[Complex]>>(fields: &[F; 4], adv: &mut [Complex]) {
+        let [u0, g0, u1, g1] = fields.each_ref().map(|f| f.as_ref().as_ptr());
         let out = adv.as_mut_ptr();
         for idx in (0..adv.len()).step_by(4) {
             // SAFETY: `idx + 4 <= adv.len()`, the length of every field.
@@ -342,8 +465,20 @@ mod avx512 {
         for i in 0..n {
             // SAFETY: row `(n − i) % n` of the `n²` advection grid.
             let mirror = unsafe { adv.add((n - i) % n * n) };
-            for j in (0..n).step_by(4) {
-                let idx = i * n + j;
+            for j in (0..=n / 2).step_by(4) {
+                let b = Block::new(n, i, j);
+                let idx = b.idx;
+                // Stores the stage's value `v` at the block's own modes and
+                // its conjugate at their mirrors.
+                let put = |f: *mut Complex, v: __m512d| {
+                    // SAFETY: `f` is one of the `n²` grids.
+                    unsafe {
+                        b.put(f, v);
+                        if b.mirrored != 0 {
+                            b.put_mirror(f, conj(v));
+                        }
+                    }
+                };
                 // SAFETY: `j + 4 <= n`, so `idx..idx + 4` lies in row `i` of
                 // every `n²` grid and `kx` holds `j + 4` entries. The mirror
                 // loads read columns `0..4` and `n − 4..n` (for `j = 0`) or
@@ -367,13 +502,13 @@ mod avx512 {
                     ];
                     let xb = [load(x[0].add(idx)), load(x[1].add(idx))];
                     let psi = invert_at(grid, idx, xb);
-                    let kx = dup(grid.kx.as_ptr().add(j));
+                    let ikx = signed(dup(grid.kx.as_ptr().add(j)));
                     let mask = dup(grid.dealias_mask.as_ptr().add(idx));
                     let mut k = [zero; LEVELS];
                     for l in 0..LEVELS {
                         let mut dt = neg(_mm512_mul_pd(split[l], mask));
-                        dt = _mm512_sub_pd(dt, _mm512_mul_pd(cmul(zero, kx, xb[l]), ubg[l]));
-                        dt = _mm512_sub_pd(dt, _mm512_mul_pd(cmul(zero, kx, psi[l]), bbar_y));
+                        dt = _mm512_sub_pd(dt, _mm512_mul_pd(cmul(zero, ikx, xb[l]), ubg[l]));
+                        dt = _mm512_sub_pd(dt, _mm512_mul_pd(cmul(zero, ikx, psi[l]), bbar_y));
                         k[l] = dt;
                     }
                     if let Some(ekman) = ekman {
@@ -385,17 +520,17 @@ mod avx512 {
                         let k = k[l];
                         match a.stage {
                             Stage::First(c) => {
-                                store(acc[l].add(idx), k);
+                                put(acc[l], k);
                                 let c = _mm512_set1_pd(c);
-                                store(tmp[l].add(idx), _mm512_add_pd(xb[l], _mm512_mul_pd(k, c)));
+                                put(tmp[l], _mm512_add_pd(xb[l], _mm512_mul_pd(k, c)));
                             }
                             Stage::Inner(c) => {
                                 let sum =
                                     _mm512_add_pd(load(acc[l].add(idx)), _mm512_mul_pd(k, two));
-                                store(acc[l].add(idx), sum);
+                                put(acc[l], sum);
                                 let c = _mm512_set1_pd(c);
                                 let th = load(theta[l].add(idx));
-                                store(tmp[l].add(idx), _mm512_add_pd(th, _mm512_mul_pd(k, c)));
+                                put(tmp[l], _mm512_add_pd(th, _mm512_mul_pd(k, c)));
                             }
                             Stage::Last {
                                 sixth,
@@ -418,7 +553,7 @@ mod avx512 {
                                     );
                                     next = _mm512_add_pd(r, pull);
                                 }
-                                store(theta[l].add(idx), next);
+                                put(theta[l], next);
                             }
                         }
                     }

@@ -7,6 +7,7 @@
 /// A collection of `M` equally sized state vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ensemble {
+    members: usize,
     dim: usize,
     data: Vec<f64>, // member-major: member m occupies data[m*dim..(m+1)*dim]
 }
@@ -14,7 +15,7 @@ pub struct Ensemble {
 impl Ensemble {
     /// Creates an ensemble of `members` zero vectors of dimension `dim`.
     pub fn zeros(members: usize, dim: usize) -> Self {
-        Ensemble { dim, data: vec![0.0; members * dim] }
+        Ensemble { members, dim, data: vec![0.0; members * dim] }
     }
 
     /// Builds an ensemble from member vectors.
@@ -29,12 +30,12 @@ impl Ensemble {
             assert_eq!(m.len(), dim, "ragged ensemble members");
             data.extend_from_slice(m);
         }
-        Ensemble { dim, data }
+        Ensemble { members: members.len(), dim, data }
     }
 
     /// Number of members `M`.
     pub fn members(&self) -> usize {
-        self.data.len().checked_div(self.dim).unwrap_or(0)
+        self.members
     }
 
     /// State dimension `d`.
@@ -52,15 +53,21 @@ impl Ensemble {
         &mut self.data[m * self.dim..(m + 1) * self.dim]
     }
 
-    /// Iterator over members.
+    /// Iterator over the `M` members (empty slices when `d = 0`).
     pub fn iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks(self.dim)
+        (0..self.members).map(|m| self.member(m))
     }
 
-    /// Mutable iterator over members (a parallel member loop takes
+    /// Mutable iterator over the `M` members (a parallel member loop takes
     /// [`Ensemble::as_mut_slice`] in `dim`-long pieces instead).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        self.data.chunks_mut(self.dim)
+        let dim = self.dim;
+        let mut rest = self.data.as_mut_slice();
+        (0..self.members).map(move |_| {
+            let (member, tail) = std::mem::take(&mut rest).split_at_mut(dim);
+            rest = tail;
+            member
+        })
     }
 
     /// The raw member-major buffer.
@@ -253,6 +260,20 @@ mod tests {
         // dim = 0: spread must not divide 0/0.
         let flat = Ensemble::zeros(4, 0);
         assert_eq!(flat.spread(), 0.0);
+    }
+
+    #[test]
+    fn zero_dimensional_ensembles_keep_their_members() {
+        // `M × 0`: what a network that observes nothing projects to.
+        let mut e = Ensemble::zeros(6, 0);
+        assert_eq!((e.members(), e.dim()), (6, 0));
+        assert_eq!(e.iter().map(<[f64]>::len).collect::<Vec<_>>(), vec![0; 6]);
+        assert_eq!(e.iter_mut().map(|m| m.len()).collect::<Vec<_>>(), vec![0; 6]);
+        assert_eq!(e.mean(), Vec::<f64>::new());
+        assert_eq!(e.variance(), Vec::<f64>::new());
+        assert_eq!(e.spread(), 0.0);
+        let e = Ensemble::from_members(&[vec![], vec![], vec![]]);
+        assert_eq!((e.members(), e.iter().count()), (3, 3));
     }
 
     #[test]
