@@ -33,7 +33,7 @@ pub struct Rule {
     pub reach: Reach,
     /// Path prefixes read; a `*` segment matches any one directory.
     pub scope: List,
-    /// Files of the scope where a confined pattern lives.
+    /// Files (or directories) of the scope where a confined pattern lives.
     pub except: List,
     /// Matches allowed in the rest of the scope.
     pub count: usize,
@@ -46,7 +46,8 @@ const fn sole(inv: &'static str, reach: Reach, scope: List, count: usize, pats: 
     Rule { invariant: inv, reach, scope, except: &[], count, patterns: pats }
 }
 
-/// A confined rule: matches only in `files` of `scope`.
+/// A confined rule: matches only in `files` (or under directories) of
+/// `scope`.
 const fn confined(inv: &'static str, reach: Reach, scope: List, files: List, pats: List) -> Rule {
     Rule { invariant: inv, reach, scope, except: files, count: 0, patterns: pats }
 }
@@ -62,7 +63,7 @@ const RETIRED_RUN_FACES: List = &[
     "run_supervised", "resume_supervised", "run_observed", "ResilienceConfig", "SupervisedRun",
     "run_osse", "run_elastic_experiment", "run_elastic_from", "run_elastic_osse",
     "run_elastic_osse_from", "ElasticCycleConfig", "DeadlinePolicy", "ElasticRunResult",
-    "ElasticOutcome",
+    "ElasticOutcome", "ScenarioMethod", "degraded_steps",
 ];
 #[rustfmt::skip]
 const RETIRED_TELEMETRY: List = &[
@@ -108,6 +109,11 @@ pub const RULES: &[Rule] = &[
     sole("one run description", Text,
         &["crates/core/src/cycle.rs", "crates/dist/src/elastic.rs", "crates/dist/src/cycle.rs"],
         0, &["too_many_arguments"]),
+    confined("one analysis description", Text, TREE, &["crates/core/src/"],
+        &["EnsfScheme", "LetkfScheme"]),
+    confined("one analysis description", Code, TREE,
+        &["crates/core/src/cycle.rs", "crates/core/src/osse.rs", "crates/dist/src/elastic.rs"],
+        &["run_cycles_with("]),
     sole("one record per cycle", Text, TREE, 0, RETIRED_TELEMETRY),
 ];
 
@@ -176,8 +182,9 @@ impl Rule {
     /// This rule's findings over `sources`.
     fn check(&self, sources: &[Source]) -> Vec<Diagnostic> {
         let patterns: Vec<Vec<String>> = self.patterns.iter().map(|p| atoms(p)).collect();
-        let read =
-            |rel: &str| self.scope.iter().any(|p| under(rel, p)) && !self.except.contains(&rel);
+        let read = |rel: &str| {
+            self.scope.iter().any(|p| under(rel, p)) && !self.except.iter().any(|e| under(rel, e))
+        };
         let mut sites = Vec::new();
         for s in sources.iter().filter(|s| read(&s.facts.rel)) {
             let tokens = if self.reach == Code { &s.code } else { &s.text };

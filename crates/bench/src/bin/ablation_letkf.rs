@@ -5,7 +5,7 @@
 
 use da_core::cycle::{run_cycles, Run, SingleProcess};
 use da_core::osse::{nature_run, OsseConfig};
-use da_core::{LetkfScheme, SqgForecast};
+use da_core::{Analysis, SqgForecast};
 use letkf::LetkfConfig;
 use sqg::SqgParams;
 
@@ -26,9 +26,8 @@ fn run_with(config: LetkfConfig) -> f64 {
     let osse = base_osse();
     let nature = nature_run(&osse);
     let mut model = SqgForecast::perfect(osse.params.clone());
-    let mut scheme = LetkfScheme::with_obs(config, &osse.params, osse.obs_spec());
-    let run = Run::new("letkf", osse.clone());
-    run_cycles(&run, &nature, &mut model, &mut scheme, None, &mut SingleProcess, None)
+    let run = Run::new("letkf", osse, Analysis::Letkf(config));
+    run_cycles(&run, &nature, &mut model, &mut SingleProcess, None)
         .expect("ablation OSSE is well-formed")
         .series
         .steady_rmse()

@@ -17,7 +17,7 @@
 use bench::{bar, header, Json};
 use da_core::cycle::{run_cycles, Run, RunResult, SingleProcess};
 use da_core::osse::{nature_run, ObsOperatorKind, OsseConfig};
-use da_core::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme, SqgForecast};
+use da_core::{Analysis, SqgForecast};
 use sqg::SqgParams;
 
 struct Aggregate {
@@ -148,20 +148,15 @@ fn main() {
 /// Runs the three filters over `config`'s nature run and reports them.
 fn compare(name: &str, config: &OsseConfig) -> Json {
     let nature = nature_run(config);
-    let dim = nature.truth[0].len();
-    let plain = |label: &str, scheme: &mut dyn AnalysisScheme| {
-        let run = Run::new(label, config.clone());
+    let plain = |label: &str, analysis: Analysis| {
+        let run = Run::new(label, config.clone(), analysis);
         let mut model = SqgForecast::perfect(config.params.clone());
-        run_cycles(&run, &nature, &mut model, scheme, None, &mut SingleProcess, None)
+        run_cycles(&run, &nature, &mut model, &mut SingleProcess, None)
             .unwrap_or_else(|e| panic!("{label} run failed: {e}"))
     };
-    let mut ensf = EnsfScheme::with_obs(
-        ensf::EnsfConfig { n_steps: 20, seed: config.seed ^ 0xE45F, ..Default::default() },
-        dim,
-        config.obs_spec(),
-        Completion::Inpaint,
-    );
-    let ensf_run = plain("EnSF", &mut ensf);
+    let ensf =
+        ensf::EnsfConfig { n_steps: 20, seed: config.seed ^ 0xE45F, ..Default::default() };
+    let ensf_run = plain("EnSF", Analysis::ensf(ensf));
 
     // The flow-matching path runs the same score machinery through a 6-step
     // deterministic probability-flow ODE. Spread relaxation is backed off
@@ -169,24 +164,17 @@ fn compare(name: &str, config: &OsseConfig) -> Json {
     // the deterministic transport stays calibrated at 16 members (see
     // EXPERIMENTS.md: under full RTPS the reduced-grid forecast spread
     // runs away and the deterministic path has no obs noise to hide it).
-    let mut flow = EnsfScheme::with_obs(
-        ensf::EnsfConfig {
-            method: ensf::AnalysisMethod::FlowMatching,
-            n_steps: 6,
-            seed: config.seed ^ 0xE45F,
-            spread_relaxation: 0.25,
-            variance_smoothing: 1.0,
-            ..Default::default()
-        },
-        dim,
-        config.obs_spec(),
-        Completion::Inpaint,
-    );
-    let flow_run = plain("FlowEnSF", &mut flow);
+    let flow = ensf::EnsfConfig {
+        method: ensf::AnalysisMethod::FlowMatching,
+        n_steps: 6,
+        seed: config.seed ^ 0xE45F,
+        spread_relaxation: 0.25,
+        variance_smoothing: 1.0,
+        ..Default::default()
+    };
+    let flow_run = plain("FlowEnSF", Analysis::ensf(flow));
 
-    let mut letkf =
-        LetkfScheme::with_obs(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
-    let letkf_run = plain("LETKF", &mut letkf);
+    let letkf_run = plain("LETKF", Analysis::Letkf(letkf::LetkfConfig::default()));
 
     let aggs = [aggregate(&ensf_run), aggregate(&flow_run), aggregate(&letkf_run)];
     let (ensf_series, flow_series, letkf_series) =

@@ -29,6 +29,7 @@ use bench::{header, Json};
 use da_core::cycle::Run;
 use da_core::osse::{nature_run, OsseConfig};
 use da_core::resilience::{CheckpointConfig, RankKill, RankRejoin, Rung};
+use da_core::Analysis;
 use dist::{modeled_analysis_secs, run_sharded, ShardedRun, Sharding};
 use ensf::EnsfConfig;
 use hpc::{Straggler, StragglerPlan};
@@ -47,8 +48,8 @@ struct Shape {
 }
 
 /// The clean run of `shape` with the standard deadline: budget 3× the
-/// modeled clean full analysis, degraded rung at 1/3 of the SDE steps.
-fn deadline_run(shape: &Shape) -> (Run, Sharding) {
+/// modeled clean full analysis, fallback at 1/3 of the SDE steps.
+fn deadline_run(shape: &Shape) -> Run {
     let osse = OsseConfig {
         params: SqgParams { n: shape.n, ..Default::default() },
         cycles: shape.cycles,
@@ -59,22 +60,15 @@ fn deadline_run(shape: &Shape) -> (Run, Sharding) {
         seed: 3,
         ..Default::default()
     };
-    let sharding = Sharding {
-        ensf: EnsfConfig { n_steps: shape.n_steps, seed: 5, ..Default::default() },
-        degraded_steps: Some((shape.n_steps / 3).max(1)),
-        // No network model: the ladder's fallback trades SDE steps for time,
-        // which only pays where compute dominates the cycle. At these
-        // reduced shapes the modeled latency of the cycle's one gather
-        // (~1.5e-4 s at 8 ranks, the same at every step count) swamps
-        // ~8e-5 s of modeled compute and leaves the degraded rung nothing
-        // to buy: priced with `CommSpec::clean`, the straggler cycles fall
-        // to forecast-only (hit-rate 0.7; EXPERIMENTS.md has the run).
-        ..Default::default()
-    };
+    let ensf = EnsfConfig { n_steps: shape.n_steps, seed: 5, ..Default::default() };
+    let fallback = EnsfConfig { n_steps: (shape.n_steps / 3).max(1), ..ensf.clone() };
     let dim = osse.params.state_dim();
     let full = modeled_analysis_secs(None, dim, shape.members, shape.n_steps, shape.ranks);
-    let run = Run { budget: Some(3.0 * full), ..Run::new("elastic", osse) };
-    (run, sharding)
+    Run {
+        budget: Some(3.0 * full),
+        fallback: Some(Analysis::ensf(fallback)),
+        ..Run::new("elastic", osse, Analysis::ensf(ensf))
+    }
 }
 
 /// The `[degraded, forecast-only]` cycles of `r`'s per-cycle log.
@@ -146,7 +140,15 @@ fn main() {
     let victim = shape.ranks - 1;
     let mid_kill = RankKill { cycle: KILL_CYCLE, rank: victim };
 
-    let (clean_run, sharding) = deadline_run(&shape);
+    let clean_run = deadline_run(&shape);
+    // No network model: the ladder's fallback trades SDE steps for time,
+    // which only pays where compute dominates the cycle. At these reduced
+    // shapes the modeled latency of the cycle's one gather (~1.5e-4 s at 8
+    // ranks, the same at every step count) swamps ~8e-5 s of modeled
+    // compute and leaves the fallback nothing to buy: priced with
+    // `CommSpec::clean`, the straggler cycles fall to forecast-only
+    // (hit-rate 0.7; EXPERIMENTS.md has the run).
+    let sharding = Sharding::default();
     let nature = nature_run(&clean_run.osse);
     let scenario = |run: &Run, sharding: &Sharding| {
         run_sharded(run, sharding, shape.ranks, &nature, None)

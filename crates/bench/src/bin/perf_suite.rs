@@ -23,7 +23,7 @@
 use bench::{header, Json};
 use da_core::cycle::{run_cycles, ProcessGroup, Run};
 use da_core::osse::{nature_run, NatureRun, ObsOperatorKind, OsseConfig};
-use da_core::{AnalysisScheme, Completion, EnsfScheme, LetkfScheme, SqgForecast};
+use da_core::{Analysis, SqgForecast};
 use ensf::{oracle, AnalysisMethod, Ensf, EnsfConfig, ObsOperator};
 use fft::{plan_cache, Complex, Direction, Fft2};
 use linalg::gemm::{matmul_abt_into, matmul_slices_into};
@@ -260,11 +260,11 @@ impl ProcessGroup for AnalysisClock {
 /// One cycling DA run against a precomputed nature run, timing *only* the
 /// analysis calls (the RK4 forecast dominates wall time and is identical
 /// across schemes). Returns (steady RMSE vs truth, total analysis seconds).
-fn cycle_da(config: &OsseConfig, nature: &NatureRun, scheme: &mut dyn AnalysisScheme) -> (f64, f64) {
+fn cycle_da(config: &OsseConfig, nature: &NatureRun, analysis: Analysis) -> (f64, f64) {
     let mut model = SqgForecast::perfect(config.params.clone());
     let mut clock = AnalysisClock(0.0);
-    let run = Run::new("flow-sweep", config.clone());
-    let series = run_cycles(&run, nature, &mut model, scheme, None, &mut clock, None)
+    let run = Run::new("flow-sweep", config.clone(), analysis);
+    let series = run_cycles(&run, nature, &mut model, &mut clock, None)
         .expect("the sweep's nature run fits its configuration")
         .series;
     let analysis_secs = clock.0;
@@ -276,8 +276,8 @@ fn cycle_da(config: &OsseConfig, nature: &NatureRun, scheme: &mut dyn AnalysisSc
     (series.steady_rmse(), analysis_secs)
 }
 
-/// Builds the EnSF-family scheme for one sweep point of `osse`.
-fn sweep_scheme(osse: &OsseConfig, flow: bool, n_steps: usize, dim: usize) -> EnsfScheme {
+/// The EnSF-family analysis of one sweep point.
+fn sweep_analysis(flow: bool, n_steps: usize) -> Analysis {
     // Shared calibration for both transports (see EXPERIMENTS.md): mild
     // RTPS (the paper's 1.0 re-inflates the runaway reduced-grid forecast
     // spread until the few-step ODE ensemble leaves the SQG stability
@@ -291,7 +291,7 @@ fn sweep_scheme(osse: &OsseConfig, flow: bool, n_steps: usize, dim: usize) -> En
         variance_smoothing: 1.0,
         ..Default::default()
     };
-    EnsfScheme::with_obs(config, dim, osse.obs_spec(), Completion::Inpaint)
+    Analysis::ensf(config)
 }
 
 /// Step-count-vs-RMSE sweep: few-step probability-flow ODE vs the reverse
@@ -313,7 +313,6 @@ fn bench_flow(quick: bool) -> Json {
     ] {
         let config = flow_osse_config(quick, operator);
         let nature = nature_run(&config);
-        let dim = nature.truth[0].len();
 
         for flow in [false, true] {
             // Quick mode truncates the grid but always runs the 100-step
@@ -323,8 +322,8 @@ fn bench_flow(quick: bool) -> Json {
                 steps.push(baseline_steps);
             }
             for n_steps in steps {
-                let mut scheme = sweep_scheme(&config, flow, n_steps, dim);
-                let (rmse, secs) = cycle_da(&config, &nature, &mut scheme);
+                let analysis = sweep_analysis(flow, n_steps);
+                let (rmse, secs) = cycle_da(&config, &nature, analysis);
                 let method = if flow { "flow" } else { "ensf" };
                 println!(
                     "flow sweep {op_name:8} {method:4} steps={n_steps:3}:  rmse {rmse:.5e}  analysis {secs:.4}s"
@@ -345,12 +344,8 @@ fn bench_flow(quick: bool) -> Json {
         if matches!(operator, ObsOperatorKind::Identity) {
             // LETKF reference row, identity only: `BENCH_perf.json` is the
             // gate baseline, and an arctan row would change its shape.
-            let mut letkf = LetkfScheme::with_obs(
-                letkf::LetkfConfig::default(),
-                &config.params,
-                config.obs_spec(),
-            );
-            let (rmse, secs) = cycle_da(&config, &nature, &mut letkf);
+            let letkf = Analysis::Letkf(letkf::LetkfConfig::default());
+            let (rmse, secs) = cycle_da(&config, &nature, letkf);
             println!("flow sweep {op_name:8} letkf        :  rmse {rmse:.5e}  analysis {secs:.4}s");
             sweep.push(Json::obj(vec![
                 ("operator", Json::from(op_name)),

@@ -25,8 +25,8 @@
 
 use bench::{header, Json};
 use da_core::osse::OsseConfig;
-use da_core::{run_scenario, standard_scenarios, ScenarioMethod, ScenarioResult};
-use ensf::EnsfConfig;
+use da_core::{run_scenario, standard_scenarios, Analysis, Completion, ScenarioResult};
+use ensf::{AnalysisMethod, EnsfConfig};
 use sqg::SqgParams;
 
 /// The grid/ensemble shape of one study.
@@ -50,12 +50,12 @@ fn base_config(shape: &Shape) -> OsseConfig {
     }
 }
 
-fn result_json(r: &ScenarioResult) -> Json {
+fn result_json((method, r): &(&str, ScenarioResult)) -> Json {
     // Non-finite RMSE (a filter that drove the model off the attractor)
     // serializes as `null`; `diverged` makes the failure machine-readable.
     Json::obj(vec![
         ("scenario", Json::from(r.scenario)),
-        ("method", Json::from(r.method)),
+        ("method", Json::from(*method)),
         ("rmse_observed", Json::Num(r.rmse_observed)),
         ("rmse_unobserved", Json::Num(r.rmse_unobserved)),
         ("rmse_total", Json::Num(r.rmse_total)),
@@ -65,14 +65,14 @@ fn result_json(r: &ScenarioResult) -> Json {
     ])
 }
 
-fn report_row(r: &ScenarioResult) {
+fn report_row(method: &str, r: &ScenarioResult) {
     let fmt = |v: f64| {
         if v.is_finite() { format!("{v:.5}") } else { "diverged".to_string() }
     };
     println!(
         "{:>14} {:>13} {:>10} {:>12} {:>10} {:>10.4}",
         r.scenario,
-        r.method,
+        method,
         fmt(r.rmse_observed),
         fmt(r.rmse_unobserved),
         fmt(r.rmse_total),
@@ -108,26 +108,30 @@ fn main() {
         "scenario", "method", "rmse-obs", "rmse-unobs", "rmse-tot", "secs"
     );
 
+    // Inpainting EnSF over the reverse SDE and the probability flow, the
+    // mask-ignoring baseline (dead sensors assimilated as zeros) and masked
+    // LETKF, each under its stable report label.
+    let flow = EnsfConfig { method: AnalysisMethod::FlowMatching, ..ensf_config.clone() };
     let methods = [
-        ScenarioMethod::InpaintEnsf,
-        ScenarioMethod::InpaintFlow,
-        ScenarioMethod::MaskIgnoringEnsf,
-        ScenarioMethod::MaskedLetkf,
+        ("ensf_inpaint", Analysis::ensf(ensf_config.clone())),
+        ("flow_inpaint", Analysis::ensf(flow)),
+        ("ensf_ignore", Analysis::Ensf { config: ensf_config, completion: Completion::ZeroFill }),
+        ("letkf_masked", Analysis::Letkf(letkf::LetkfConfig::default())),
     ];
-    let mut rows: Vec<ScenarioResult> = Vec::new();
+    let mut rows: Vec<(&str, ScenarioResult)> = Vec::new();
     for spec in standard_scenarios(dim) {
-        for method in methods {
-            let r = run_scenario(&base, &spec, method, &ensf_config);
-            report_row(&r);
-            rows.push(r);
+        for (method, analysis) in &methods {
+            let r = run_scenario(&base, &spec, analysis);
+            report_row(method, &r);
+            rows.push((method, r));
         }
         println!();
     }
 
     let headline = |method: &str| {
         rows.iter()
-            .find(|r| r.scenario == "block25" && r.method == method)
-            .map(|r| r.rmse_unobserved)
+            .find(|(m, r)| r.scenario == "block25" && *m == method)
+            .map(|(_, r)| r.rmse_unobserved)
             .unwrap_or(f64::NAN)
     };
     let inpaint = headline("ensf_inpaint");

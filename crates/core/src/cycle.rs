@@ -1,12 +1,14 @@
 //! The cycle: forecast → observe → analyse → verify → record, once.
 //!
-//! [`run_cycles`] is the only function in the workspace that iterates over
-//! assimilation cycles (Fig. 1 of the paper: one loop, the model and the
-//! filter as slots). What runs is one plain-data [`Run`]; where it runs is
-//! the slots: a model, a scheme, an optional fallback and a
-//! [`ProcessGroup`]. `dist::run_sharded` hands the same [`Run`] to every
-//! rank of a world with that rank's slots. DESIGN.md ("The cycle") walks
-//! the stages and says which field of the [`Run`] switches each one on.
+//! [`run_cycles_with`] is the only function in the workspace that iterates
+//! over assimilation cycles (Fig. 1 of the paper: one loop, the model and
+//! the filter as slots). What runs is one plain-data [`Run`], its filters
+//! included ([`Run::analysis`], [`Run::fallback`]); where it runs is the
+//! slots: a model and a [`ProcessGroup`]. [`run_cycles`] builds the run's
+//! filters and fills the scheme slots with them; `dist::run_sharded` hands
+//! the same [`Run`] to every rank of a world, with the sharded analysis of
+//! its filters in them. DESIGN.md ("The cycle") walks the stages and says
+//! which field of the [`Run`] switches each one on.
 //!
 //! Each executed cycle leaves one [`telemetry::CycleRecord`] in the run's
 //! log ([`RunResult::cycles`]) on every rank, whatever the telemetry
@@ -19,7 +21,7 @@ use crate::resilience::{
     decide_rung, health, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, HealthPolicy,
     Ladder, LoopState, ObsFault, RecoveryCounters, Rule, Rung, SupervisedCycle,
 };
-use crate::traits::{AnalysisScheme, ForecastModel};
+use crate::traits::{Analysis, AnalysisScheme, ForecastModel};
 use stats::rng::split_seed;
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
@@ -34,6 +36,12 @@ pub struct Run {
     pub label: String,
     /// The twin experiment: grid, cycles, observing network, ensemble, seed.
     pub osse: OsseConfig,
+    /// The filter every cycle's analysis runs first.
+    pub analysis: Analysis,
+    /// The filter on the ladder's rung below [`Self::analysis`], taken when
+    /// its retries run out or its price overruns [`Self::budget`]; `None`
+    /// drops straight to forecast-only.
+    pub fallback: Option<Analysis>,
     /// Guardrail thresholds and the ladder's retry budget. `None` runs
     /// unsupervised: nothing is scanned, repaired, retried or re-inflated,
     /// and a non-finite analysis propagates into the series.
@@ -52,12 +60,14 @@ pub struct Run {
 }
 
 impl Run {
-    /// The plain run of `osse`: unsupervised, nothing scripted, no budget,
-    /// no checkpoints and no postmortems.
-    pub fn new(label: impl Into<String>, osse: OsseConfig) -> Self {
+    /// The plain run of `analysis` in `osse`: no fallback, unsupervised,
+    /// nothing scripted, no budget, no checkpoints and no postmortems.
+    pub fn new(label: impl Into<String>, osse: OsseConfig, analysis: Analysis) -> Self {
         Run {
             label: label.into(),
             osse,
+            analysis,
+            fallback: None,
             health: None,
             faults: FaultPlan::none(),
             budget: None,
@@ -189,22 +199,43 @@ fn restore(
     Ok(ck)
 }
 
-/// Runs `run`'s cycles from `resume` (or from the initial ensemble) and
-/// returns the series, the per-cycle log and the boundary state the run
-/// ended at. The analysis walks one ladder, `scheme` → `fallback` →
-/// forecast-only ([`crate::resilience::decide_rung`]), against the health
-/// policy's retries and the modelled seconds [`Run::budget`] allows.
-/// `group` says who else cycles and hears every completed cycle
-/// ([`ProcessGroup::completed`]). After every analysis,
-/// `model.assimilate_feedback` receives the analysed transition (previous
-/// analysis mean → current one): the online training channel of Fig. 1.
+/// Runs `run`'s cycles from `resume` (or from the initial ensemble) with
+/// the schemes [`Analysis::build`] makes of [`Run::analysis`] and
+/// [`Run::fallback`], and returns the series, the per-cycle log and the
+/// boundary state the run ended at. `group` says who else cycles and hears
+/// every completed cycle ([`ProcessGroup::completed`]).
+///
+/// # Errors
+/// As [`run_cycles_with`].
+pub fn run_cycles(
+    run: &Run,
+    nature: &NatureRun,
+    model: &mut dyn ForecastModel,
+    group: &mut dyn ProcessGroup,
+    resume: Option<Checkpoint>,
+) -> Result<RunResult, OsseError> {
+    let mut scheme = run.analysis.build(&run.osse);
+    let mut fallback = run.fallback.as_ref().map(|f| f.build(&run.osse));
+    let fallback = fallback.as_mut().map(|f| f.as_mut() as &mut dyn AnalysisScheme);
+    run_cycles_with(run, nature, model, scheme.as_mut(), fallback, group, resume)
+}
+
+/// [`run_cycles`] with the scheme slots filled by the caller, for a scheme
+/// an [`Analysis`] does not describe (the sharded analysis, test doubles);
+/// [`Run::analysis`] and [`Run::fallback`] are not read. The analysis walks
+/// one ladder, `scheme` → `fallback` → forecast-only
+/// ([`crate::resilience::decide_rung`]), against the health policy's
+/// retries and the modelled seconds [`Run::budget`] allows. After every
+/// analysis, `model.assimilate_feedback` receives the analysed transition
+/// (previous analysis mean → current one): the online training channel of
+/// Fig. 1.
 ///
 /// # Errors
 /// Configuration mismatches, a fault plan naming a rank the group cannot
 /// lose and a checkpoint that does not fit the experiment;
 /// [`OsseError::Unrecoverable`] when a cycle runs out of recovery options;
 /// [`OsseError::Checkpoint`] when one cannot be written.
-pub fn run_cycles(
+pub fn run_cycles_with(
     run: &Run,
     nature: &NatureRun,
     model: &mut dyn ForecastModel,

@@ -8,11 +8,10 @@
 
 use crate::cycle::{run_cycles, Run, SingleProcess};
 use crate::forecast::SqgForecast;
-use crate::inpaint::Completion;
 use crate::model_error::{ModelError, ModelErrorConfig};
 use crate::osse::{nature_run_with_error, CycleSeries, NatureRun, OsseConfig};
 use crate::surrogate::VitSurrogate;
-use crate::traits::{AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation};
+use crate::traits::{Analysis, ForecastModel};
 use vit::VitConfig;
 
 /// Knobs of the four-way comparison.
@@ -138,64 +137,41 @@ pub fn pretrain_surrogate(config: &ComparisonConfig) -> VitSurrogate {
 /// `surrogate` is consumed (its weights continue to adapt online inside the
 /// ViT+EnSF run); pre-train it with [`pretrain_surrogate`].
 ///
-/// INVARIANT: each run below uses a model/scheme pair built from the same
-/// `config.osse`, so the shape checks the loop performs cannot fail — the
-/// `.expect` documents that consistency, not a real error path.
+/// INVARIANT: each run below uses a model and an analysis built for the
+/// same `config.osse`, so the shape checks the loop performs cannot fail —
+/// the `.expect` documents that consistency, not a real error path.
 pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) -> Comparison {
     let nature = nature_run_with_error(&config.osse, config.model_error_instance(0xA7));
-    let mut series = Vec::with_capacity(4);
-    let plain = |label: &str, model: &mut dyn ForecastModel, scheme: &mut dyn AnalysisScheme| {
-        let run = Run::new(label, config.osse.clone());
-        run_cycles(&run, &nature, model, scheme, None, &mut SingleProcess, None)
+    let plain = |label: &str, model: &mut dyn ForecastModel, analysis: Analysis| {
+        let run = Run::new(label, config.osse.clone(), analysis);
+        run_cycles(&run, &nature, model, &mut SingleProcess, None)
             .expect("comparison experiments are consistent by construction")
             .series
+    };
+    let sqg = || SqgForecast::perfect(config.osse.params.clone());
+    let letkf =
+        letkf::LetkfConfig { cutoff: config.letkf_cutoff, rtps_alpha: config.letkf_rtps };
+    let ensf = ensf::EnsfConfig {
+        n_steps: config.ensf_steps,
+        seed: config.osse.seed ^ 0xE5F,
+        ..Default::default()
     };
 
     // 1. SQG only: the (now imperfect relative to reality) physics model
     //    free-running from the same initial condition.
-    {
-        let mut model = SqgForecast::perfect(config.osse.params.clone());
-        let mut scheme = NoAssimilation;
-        series.push(plain("SQG only", &mut model, &mut scheme));
-    }
-
+    let sqg_only = plain("SQG only", &mut sqg(), Analysis::None);
     // 2. ViT only (offline surrogate, no DA, no online learning). Runs
     //    before the online-adapting run so both start from the same
     //    pre-trained weights.
-    {
-        surrogate.online_steps = 0;
-        let mut scheme = NoAssimilation;
-        series.push(plain("ViT only", &mut surrogate, &mut scheme));
-    }
-
+    surrogate.online_steps = 0;
+    let vit_only = plain("ViT only", &mut surrogate, Analysis::None);
     // 3. SQG + LETKF (SOTA baseline, paper-tuned inflation/localization).
-    {
-        let mut model = SqgForecast::perfect(config.osse.params.clone());
-        let mut scheme = LetkfScheme::with_obs(
-            letkf::LetkfConfig { cutoff: config.letkf_cutoff, rtps_alpha: config.letkf_rtps },
-            &config.osse.params,
-            config.osse.obs_spec(),
-        );
-        series.push(plain("SQG+LETKF", &mut model, &mut scheme));
-    }
-
+    let sqg_letkf = plain("SQG+LETKF", &mut sqg(), Analysis::Letkf(letkf));
     // 4. ViT + EnSF with online surrogate fine-tuning (the proposal).
-    {
-        surrogate.online_steps = config.online_steps;
-        let mut scheme = EnsfScheme::with_obs(
-            ensf::EnsfConfig {
-                n_steps: config.ensf_steps,
-                seed: config.osse.seed ^ 0xE5F,
-                ..Default::default()
-            },
-            config.osse.params.state_dim(),
-            config.osse.obs_spec(),
-            Completion::Inpaint,
-        );
-        series.push(plain("ViT+EnSF", &mut surrogate, &mut scheme));
-    }
+    surrogate.online_steps = config.online_steps;
+    let vit_ensf = plain("ViT+EnSF", &mut surrogate, Analysis::ensf(ensf));
 
-    Comparison { nature, series }
+    Comparison { nature, series: vec![sqg_only, vit_only, sqg_letkf, vit_ensf] }
 }
 
 #[cfg(test)]

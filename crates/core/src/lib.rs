@@ -56,8 +56,6 @@ pub use lorenz96::{Lorenz96, Lorenz96Params};
 pub use model_error::{ModelError, ModelErrorConfig};
 pub use surrogate::VitSurrogate;
 pub use osse::{MaskKind, ObsOperatorKind, ObsSpec};
-pub use scenario::{run_scenario, standard_scenarios, ScenarioMethod, ScenarioResult, ScenarioSpec};
+pub use scenario::{run_scenario, standard_scenarios, ScenarioResult, ScenarioSpec};
 pub use inpaint::Completion;
-pub use traits::{
-    AnalysisReport, AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation,
-};
+pub use traits::{Analysis, AnalysisReport, AnalysisScheme, EnsfScheme, ForecastModel};

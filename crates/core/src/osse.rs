@@ -6,9 +6,9 @@
 //! `R = σ² I`); the experiment under test forecasts with its own (possibly
 //! imperfect, possibly surrogate) model and assimilates with its scheme.
 
-use crate::cycle::{run_cycles, Run, SingleProcess};
+use crate::cycle::{run_cycles_with, Run, SingleProcess};
 use crate::model_error::ModelError;
-use crate::traits::{AnalysisScheme, ForecastModel};
+use crate::traits::{Analysis, AnalysisScheme, ForecastModel};
 pub use ensf::{MaskKind, ObsOperatorKind, ObsSpec};
 use sqg::{SqgModel, SqgParams};
 use stats::gaussian::standard_normal;
@@ -195,12 +195,13 @@ pub(crate) fn validate_experiment(
     Ok(())
 }
 
-/// The plain run of `config` on one process — [`run_cycles`] with
-/// [`Run::new`] — returning its series. Kept for the benchmark adapter,
-/// which names it; everything else calls [`run_cycles`].
+/// The plain run of `config` on one process with the caller's `scheme` —
+/// [`run_cycles_with`] — returning its series. Kept for the benchmark
+/// adapter, which names it; everything else describes its filter as an
+/// [`Analysis`] and calls [`crate::cycle::run_cycles`].
 ///
 /// # Errors
-/// As [`run_cycles`].
+/// As [`run_cycles_with`].
 pub fn run_experiment(
     label: &str,
     config: &OsseConfig,
@@ -208,26 +209,26 @@ pub fn run_experiment(
     model: &mut dyn ForecastModel,
     scheme: &mut dyn AnalysisScheme,
 ) -> Result<CycleSeries, crate::OsseError> {
-    let run = Run::new(label, config.clone());
-    Ok(run_cycles(&run, nature, model, scheme, None, &mut SingleProcess, None)?.series)
+    // The scheme slot is the caller's, so the run's own analysis is unread.
+    let run = Run::new(label, config.clone(), Analysis::None);
+    Ok(run_cycles_with(&run, nature, model, scheme, None, &mut SingleProcess, None)?.series)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycle::RunResult;
+    use crate::cycle::{run_cycles, RunResult};
     use crate::forecast::SqgForecast;
-    use crate::traits::{EnsfScheme, NoAssimilation};
 
-    /// `cfg`'s plain run on one process.
+    /// `cfg`'s plain run of `analysis` on one process.
     fn run_plain(
         cfg: &OsseConfig,
         nature: &NatureRun,
         model: &mut dyn ForecastModel,
-        scheme: &mut dyn AnalysisScheme,
+        analysis: Analysis,
     ) -> Result<RunResult, crate::OsseError> {
-        let run = Run::new("plain", cfg.clone());
-        run_cycles(&run, nature, model, scheme, None, &mut SingleProcess, None)
+        let run = Run::new("plain", cfg.clone(), analysis);
+        run_cycles(&run, nature, model, &mut SingleProcess, None)
     }
 
     fn tiny_config() -> OsseConfig {
@@ -393,8 +394,7 @@ mod tests {
         let nr = nature_run(&cfg);
         let wrong = SqgParams { n: 8, ..Default::default() };
         let mut model = SqgForecast::perfect(wrong);
-        let mut scheme = NoAssimilation;
-        let err = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap_err();
+        let err = run_plain(&cfg, &nr, &mut model, Analysis::None).unwrap_err();
         assert_eq!(err, crate::OsseError::DimensionMismatch { model: 128, nature: 512 });
     }
 
@@ -404,12 +404,11 @@ mod tests {
         let mut nr = nature_run(&cfg);
         nr.observations.pop();
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = NoAssimilation;
-        let err = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap_err();
+        let err = run_plain(&cfg, &nr, &mut model, Analysis::None).unwrap_err();
         assert_eq!(err, crate::OsseError::ObservationShortfall { cycles: 5, observations: 4 });
 
         nr.truth.clear();
-        let err = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap_err();
+        let err = run_plain(&cfg, &nr, &mut model, Analysis::None).unwrap_err();
         assert_eq!(err, crate::OsseError::EmptyNatureRun);
     }
 
@@ -418,8 +417,7 @@ mod tests {
         let cfg = tiny_config();
         let nr = nature_run(&cfg);
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = NoAssimilation;
-        let series = run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap().series;
+        let series = run_plain(&cfg, &nr, &mut model, Analysis::None).unwrap().series;
         assert_eq!(series.rmse.len(), 5);
         // Chaotic growth: the last RMSE exceeds the first.
         assert!(series.rmse[4] > series.rmse[0], "{:?}", series.rmse);
@@ -431,16 +429,11 @@ mod tests {
         let nr = nature_run(&cfg);
 
         let mut free_model = SqgForecast::perfect(cfg.params.clone());
-        let mut free = NoAssimilation;
-        let free_series = run_plain(&cfg, &nr, &mut free_model, &mut free).unwrap().series;
+        let free_series = run_plain(&cfg, &nr, &mut free_model, Analysis::None).unwrap().series;
 
         let mut da_model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = EnsfScheme::new(
-            ensf::EnsfConfig { n_steps: 25, seed: 5, ..Default::default() },
-            cfg.params.state_dim(),
-            cfg.obs_sigma,
-        );
-        let da_series = run_plain(&cfg, &nr, &mut da_model, &mut scheme).unwrap().series;
+        let ensf = Analysis::ensf(ensf::EnsfConfig { n_steps: 25, seed: 5, ..Default::default() });
+        let da_series = run_plain(&cfg, &nr, &mut da_model, ensf).unwrap().series;
 
         assert!(
             da_series.steady_rmse() < free_series.steady_rmse(),
@@ -490,8 +483,7 @@ mod tests {
         let cfg = tiny_config();
         let nr = nature_run(&cfg);
         let mut model = Probe { dim: 512, calls: 0 };
-        let mut scheme = NoAssimilation;
-        run_plain(&cfg, &nr, &mut model, &mut scheme).unwrap();
+        run_plain(&cfg, &nr, &mut model, Analysis::None).unwrap();
         assert_eq!(model.calls, cfg.cycles);
     }
 }

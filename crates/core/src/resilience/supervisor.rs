@@ -138,11 +138,10 @@ mod tests {
     };
     use super::super::HealthPolicy;
     use super::*;
-    use crate::cycle::{run_cycles, Run, RunResult, SingleProcess};
+    use crate::cycle::{run_cycles, run_cycles_with, Run, RunResult, SingleProcess};
     use crate::forecast::SqgForecast;
-    use crate::inpaint::Completion;
     use crate::osse::{nature_run, NatureRun, OsseConfig};
-    use crate::traits::{AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, NoAssimilation};
+    use crate::traits::{Analysis, AnalysisScheme, ForecastModel};
     use crate::OsseError;
     use sqg::SqgParams;
     use stats::Ensemble;
@@ -160,20 +159,16 @@ mod tests {
         }
     }
 
-    fn ensf_scheme(cfg: &OsseConfig, dim: usize) -> EnsfScheme {
-        EnsfScheme::with_obs(
-            ensf::EnsfConfig { n_steps: 15, seed: cfg.seed ^ 0xE45F, ..Default::default() },
-            dim,
-            cfg.obs_spec(),
-            Completion::Inpaint,
-        )
+    fn ensf(cfg: &OsseConfig) -> Analysis {
+        let seed = cfg.seed ^ 0xE45F;
+        Analysis::ensf(ensf::EnsfConfig { n_steps: 15, seed, ..Default::default() })
     }
 
-    /// `cfg` under `faults`, supervised by the guardrails scaled to its
-    /// observation error.
+    /// `cfg`'s EnSF under `faults`, supervised by the guardrails scaled to
+    /// its observation error.
     fn supervised(label: &str, cfg: &OsseConfig, faults: FaultPlan) -> Run {
         let health = Some(HealthPolicy::for_obs_sigma(cfg.obs_sigma));
-        Run { health, faults, ..Run::new(label, cfg.clone()) }
+        Run { health, faults, ..Run::new(label, cfg.clone(), ensf(cfg)) }
     }
 
     /// `run` on one process.
@@ -181,29 +176,23 @@ mod tests {
         run: &Run,
         nature: &NatureRun,
         model: &mut dyn ForecastModel,
-        scheme: &mut dyn AnalysisScheme,
-        fallback: Option<&mut dyn AnalysisScheme>,
         resume: Option<Checkpoint>,
     ) -> Result<RunResult, OsseError> {
-        run_cycles(run, nature, model, scheme, fallback, &mut SingleProcess, resume)
+        run_cycles(run, nature, model, &mut SingleProcess, resume)
     }
 
     #[test]
     fn clean_plan_matches_plain_run_and_stays_healthy() {
         let cfg = tiny_config(4);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
 
         let mut m1 = SqgForecast::perfect(cfg.params.clone());
-        let mut s1 = ensf_scheme(&cfg, dim);
-        let plain =
-            drive(&Run::new("plain", cfg.clone()), &nr, &mut m1, &mut s1, None, None).unwrap();
-        let plain = plain.series;
+        let plain = Run::new("plain", cfg.clone(), ensf(&cfg));
+        let plain = drive(&plain, &nr, &mut m1, None).unwrap().series;
 
         let mut m2 = SqgForecast::perfect(cfg.params.clone());
-        let mut s2 = ensf_scheme(&cfg, dim);
         let sup = supervised("sup", &cfg, FaultPlan::none());
-        let run = drive(&sup, &nr, &mut m2, &mut s2, None, None).unwrap();
+        let run = drive(&sup, &nr, &mut m2, None).unwrap();
 
         assert_eq!(run.series.rmse, plain.rmse, "no faults ⇒ bit-identical to plain loop");
         assert_eq!(run.series.spread, plain.spread);
@@ -219,7 +208,7 @@ mod tests {
     /// Returns an all-NaN analysis whenever it is handed `bad_batch`,
     /// however often it is retried.
     struct FailsOn {
-        inner: EnsfScheme,
+        inner: Box<dyn AnalysisScheme>,
         bad_batch: Vec<f64>,
     }
 
@@ -243,19 +232,20 @@ mod tests {
     fn without_a_policy_a_failed_analysis_propagates() {
         let cfg = tiny_config(4);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
-        let failing =
-            || FailsOn { inner: ensf_scheme(&cfg, dim), bad_batch: nr.observations[1].clone() };
+        let plain = Run::new("plain", cfg.clone(), ensf(&cfg));
+        let sup = supervised("sup", &cfg, FaultPlan::none());
+        let drive_failing = |run: &Run| {
+            let bad_batch = nr.observations[1].clone();
+            let mut failing = FailsOn { inner: run.analysis.build(&cfg), bad_batch };
+            let mut model = SqgForecast::perfect(cfg.params.clone());
+            run_cycles_with(run, &nr, &mut model, &mut failing, None, &mut SingleProcess, None)
+        };
 
-        let mut model = SqgForecast::perfect(cfg.params.clone());
-        let plain = Run::new("plain", cfg.clone());
-        let plain = drive(&plain, &nr, &mut model, &mut failing(), None, None).unwrap().series;
+        let plain = drive_failing(&plain).unwrap().series;
         assert!(plain.rmse[0].is_finite());
         assert!(plain.rmse[1..].iter().all(|r| !r.is_finite()), "{:?}", plain.rmse);
 
-        let mut model = SqgForecast::perfect(cfg.params.clone());
-        let sup = supervised("sup", &cfg, FaultPlan::none());
-        let run = drive(&sup, &nr, &mut model, &mut failing(), None, None).unwrap();
+        let run = drive_failing(&sup).unwrap();
         assert!(run.cycles[1].record.events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
         assert_eq!(run.checkpoint.counters.degraded_cycles, 1);
         assert!(run.series.rmse.iter().all(|r| r.is_finite()), "{:?}", run.series.rmse);
@@ -266,9 +256,7 @@ mod tests {
     fn member_faults_are_quarantined_and_recovered() {
         let cfg = tiny_config(5);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
         let faults = FaultPlan {
             member_faults: vec![
                 MemberFault { cycle: 1, member: 2, kind: MemberFaultKind::Nan },
@@ -277,7 +265,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let sup = supervised("quarantine", &cfg, faults);
-        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        let run = drive(&sup, &nr, &mut model, None).unwrap();
         assert_eq!(run.checkpoint.counters.quarantined_members, 2);
         assert_eq!(run.cycles[1].state, LoopState::Degraded);
         assert!(run.cycles[1].record.events.iter().any(|e| e == "member_quarantined:2"));
@@ -293,15 +281,14 @@ mod tests {
         let cfg = tiny_config(3);
         let nr = nature_run(&cfg);
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = NoAssimilation;
         let faults = FaultPlan {
             member_faults: (0..cfg.ens_size)
                 .map(|m| MemberFault { cycle: 1, member: m, kind: MemberFaultKind::Nan })
                 .collect(),
             ..FaultPlan::none()
         };
-        let sup = supervised("doom", &cfg, faults);
-        let err = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap_err();
+        let sup = Run { analysis: Analysis::None, ..supervised("doom", &cfg, faults) };
+        let err = drive(&sup, &nr, &mut model, None).unwrap_err();
         assert!(matches!(err, OsseError::Unrecoverable { cycle: 1, .. }), "got {err}");
     }
 
@@ -313,15 +300,11 @@ mod tests {
     fn analysis_failure_retries_then_falls_back() {
         let cfg = tiny_config(4);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
-        let mut fallback =
-            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_spec());
         // Fail more attempts than the retry budget allows: must fall back.
-        let sup = supervised("fallback", &cfg, analysis_faults(2, 9));
-        let run =
-            drive(&sup, &nr, &mut model, &mut scheme, Some(&mut fallback), None).unwrap();
+        let mut sup = supervised("fallback", &cfg, analysis_faults(2, 9));
+        sup.fallback = Some(Analysis::Letkf(letkf::LetkfConfig::default()));
+        let run = drive(&sup, &nr, &mut model, None).unwrap();
         let counters = &run.checkpoint.counters;
         assert_eq!(counters.analysis_retries, 2);
         assert_eq!(counters.analysis_fallbacks, 1);
@@ -333,11 +316,9 @@ mod tests {
     fn analysis_failure_without_fallback_degrades() {
         let cfg = tiny_config(4);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
         let sup = supervised("degrade", &cfg, analysis_faults(1, 9));
-        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        let run = drive(&sup, &nr, &mut model, None).unwrap();
         assert_eq!(run.checkpoint.counters.degraded_cycles, 1);
         assert!(run.cycles[1].record.events.iter().any(|e| e == "degraded_cycle:analysis_failed"));
     }
@@ -346,11 +327,9 @@ mod tests {
     fn transient_analysis_failure_recovers_via_reseed() {
         let cfg = tiny_config(4);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
         let sup = supervised("retry", &cfg, analysis_faults(1, 1));
-        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        let run = drive(&sup, &nr, &mut model, None).unwrap();
         let counters = &run.checkpoint.counters;
         assert_eq!(counters.analysis_retries, 1);
         assert_eq!(counters.analysis_fallbacks, 0);
@@ -360,12 +339,12 @@ mod tests {
 
     /// Records the analysis index each call runs at, forwarding the noise
     /// position so the loop can align it.
-    struct IndexLog<S> {
-        inner: S,
+    struct IndexLog {
+        inner: Box<dyn AnalysisScheme>,
         indices: Vec<u64>,
     }
 
-    impl<S: AnalysisScheme> AnalysisScheme for IndexLog<S> {
+    impl AnalysisScheme for IndexLog {
         fn name(&self) -> &str {
             self.inner.name()
         }
@@ -390,12 +369,15 @@ mod tests {
         let track = MaskKind::Track { width: 64, speed: 16 };
         let cfg = OsseConfig { obs_mask: track, ..tiny_config(4) };
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
-        for failures in [0, 1, 2] {
+        let logged = |analysis: Analysis| IndexLog { inner: analysis.build(&cfg), indices: vec![] };
+        let drive_with = |run: &Run, scheme: &mut dyn AnalysisScheme, fallback| {
             let mut model = SqgForecast::perfect(cfg.params.clone());
-            let mut scheme = IndexLog { inner: ensf_scheme(&cfg, dim), indices: Vec::new() };
+            run_cycles_with(run, &nr, &mut model, scheme, fallback, &mut SingleProcess, None)
+        };
+        for failures in [0, 1, 2] {
+            let mut scheme = logged(ensf(&cfg));
             let sup = supervised("track", &cfg, analysis_faults(1, failures));
-            let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+            let run = drive_with(&sup, &mut scheme, None).unwrap();
             assert_eq!(run.checkpoint.counters.analysis_retries, failures as u64);
             let ck = &run.checkpoint;
             assert_eq!(ck.scheme_epoch, ck.cycle as u64, "{failures} retries");
@@ -405,13 +387,10 @@ mod tests {
             assert_eq!(scheme.indices, want, "{failures} retries");
         }
 
-        let mut model = SqgForecast::perfect(cfg.params.clone());
-        let letkf =
-            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &cfg.params, cfg.obs_spec());
-        let mut fallback = IndexLog { inner: letkf, indices: Vec::new() };
+        let mut fallback = logged(Analysis::Letkf(letkf::LetkfConfig::default()));
         let sup = supervised("rescue", &cfg, analysis_faults(2, 9));
-        let mut scheme = ensf_scheme(&cfg, dim);
-        let run = drive(&sup, &nr, &mut model, &mut scheme, Some(&mut fallback), None).unwrap();
+        let mut scheme = ensf(&cfg).build(&cfg);
+        let run = drive_with(&sup, scheme.as_mut(), Some(&mut fallback)).unwrap();
         assert_eq!(run.checkpoint.counters.analysis_fallbacks, 1);
         assert_eq!(fallback.indices, [2], "the rescue reads cycle 2's track");
         assert_eq!(run.checkpoint.scheme_epoch, 4);
@@ -426,13 +405,12 @@ mod tests {
         let dim = nr.truth[0].len();
         assert_eq!(nr.observations[0].len(), dim - 32, "obs vector shrinks to the mask");
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
         // Thin the already-masked batch at cycle 1: the guardrails (incl.
         // the masked obs-space divergence check) must keep the run finite.
         let faults =
             FaultPlan { obs_faults: vec![(1, ObsFault::Thin { stride: 3 })], ..FaultPlan::none() };
         let sup = supervised("masked", &cfg, faults);
-        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        let run = drive(&sup, &nr, &mut model, None).unwrap();
         assert!(run.cycles[1].record.events.iter().any(|e| e == "obs_thinned:3"));
         let degraded = run.checkpoint.counters.degraded_cycles;
         assert_eq!(degraded, 0, "thinned masked batch still assimilates");
@@ -444,26 +422,21 @@ mod tests {
     fn kill_after_interrupts_and_checkpoint_resumes_bit_identically() {
         let cfg = tiny_config(6);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
 
         // Reference: uninterrupted supervised run.
         let mut m_ref = SqgForecast::perfect(cfg.params.clone());
-        let mut s_ref = ensf_scheme(&cfg, dim);
         let sup = supervised("ref", &cfg, FaultPlan::none());
-        let full = drive(&sup, &nr, &mut m_ref, &mut s_ref, None, None).unwrap();
+        let full = drive(&sup, &nr, &mut m_ref, None).unwrap();
 
         // Killed at cycle 3, then resumed from the in-memory checkpoint.
         let kill = FaultPlan { kill_after: Some(3), ..FaultPlan::none() };
         let mut m1 = SqgForecast::perfect(cfg.params.clone());
-        let mut s1 = ensf_scheme(&cfg, dim);
-        let killed =
-            drive(&supervised("kill", &cfg, kill), &nr, &mut m1, &mut s1, None, None).unwrap();
+        let killed = drive(&supervised("kill", &cfg, kill), &nr, &mut m1, None).unwrap();
         assert!(killed.interrupted);
         assert_eq!(killed.checkpoint.cycle, 3);
 
         let mut m2 = SqgForecast::perfect(cfg.params.clone());
-        let mut s2 = ensf_scheme(&cfg, dim);
-        let resumed = drive(&sup, &nr, &mut m2, &mut s2, None, Some(killed.checkpoint)).unwrap();
+        let resumed = drive(&sup, &nr, &mut m2, Some(killed.checkpoint)).unwrap();
         assert!(!resumed.interrupted);
         assert_eq!(resumed.series.rmse, full.series.rmse, "resume must be bit-identical");
         assert_eq!(resumed.series.spread, full.series.spread);
@@ -508,8 +481,7 @@ mod tests {
         let sup = supervised("bad", &cfg, FaultPlan::none());
         for ck in [wrong_dim, longer_series] {
             let mut model = SqgForecast::perfect(cfg.params.clone());
-            let mut scheme = ensf_scheme(&cfg, dim);
-            let err = drive(&sup, &nr, &mut model, &mut scheme, None, Some(ck)).unwrap_err();
+            let err = drive(&sup, &nr, &mut model, Some(ck)).unwrap_err();
             assert_eq!(err, OsseError::Checkpoint(CheckpointError::BadHeader));
         }
     }
@@ -529,8 +501,8 @@ mod tests {
         ];
         for (faults, rank) in scripts {
             let mut model = SqgForecast::perfect(cfg.params.clone());
-            let run = Run { faults, ..Run::new("ranks", cfg.clone()) };
-            let err = drive(&run, &nr, &mut model, &mut NoAssimilation, None, None).unwrap_err();
+            let run = Run { faults, ..Run::new("ranks", cfg.clone(), Analysis::None) };
+            let err = drive(&run, &nr, &mut model, None).unwrap_err();
             assert_eq!(err, OsseError::RankOutsideGroup { rank, world: 1 });
         }
     }
@@ -539,15 +511,13 @@ mod tests {
     fn dropped_and_delayed_batches_run_forecast_only_cycles() {
         let cfg = tiny_config(4);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
         let faults = FaultPlan {
             obs_faults: vec![(0, ObsFault::Drop), (1, ObsFault::Delay { by: 1 })],
             ..FaultPlan::none()
         };
         let sup = supervised("obs-late", &cfg, faults);
-        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        let run = drive(&sup, &nr, &mut model, None).unwrap();
         // Both faulted cycles degrade to forecast-only; the delayed batch
         // arrives stale one cycle later and is discarded, never assimilated.
         assert_eq!(run.checkpoint.counters.degraded_cycles, 2);
@@ -564,13 +534,11 @@ mod tests {
     fn thinned_batch_still_assimilates_the_surviving_network() {
         let cfg = tiny_config(3);
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
         let mut model = SqgForecast::perfect(cfg.params.clone());
-        let mut scheme = ensf_scheme(&cfg, dim);
         let faults =
             FaultPlan { obs_faults: vec![(1, ObsFault::Thin { stride: 4 })], ..FaultPlan::none() };
         let sup = supervised("obs-thin", &cfg, faults);
-        let run = drive(&sup, &nr, &mut model, &mut scheme, None, None).unwrap();
+        let run = drive(&sup, &nr, &mut model, None).unwrap();
         // A thinned batch is degraded data, not a degraded cycle: the
         // analysis still runs on the surviving network.
         assert_eq!(run.checkpoint.counters.degraded_cycles, 0);

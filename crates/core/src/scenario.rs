@@ -2,19 +2,19 @@
 //!
 //! A [`ScenarioSpec`] names one observing-network configuration — a mask
 //! from [`MaskKind`] composed with an [`ObsOperatorKind`] — and
-//! [`run_scenario`] runs a full OSSE under it with any of the comparison
-//! methods (inpainting EnSF over the reverse SDE or the probability-flow
-//! ODE, the mask-ignoring dense-EnSF baseline, or masked LETKF), returning
-//! the observed/unobserved RMSE split and the analysis latency. One call
-//! per (scenario, method) pair is all a comparison study needs; the
+//! [`run_scenario`] runs a full OSSE under it with any [`Analysis`]
+//! (inpainting EnSF over the reverse SDE or the probability-flow ODE, the
+//! mask-ignoring [`crate::Completion::ZeroFill`] baseline, or masked
+//! LETKF), returning the observed/unobserved RMSE split and the analysis
+//! latency. One call per (scenario, analysis) pair is all a comparison
+//! study needs; the
 //! `scenario_suite` bench bin drives the full matrix into
 //! `BENCH_scenarios.json`.
 
 use crate::cycle::{run_cycles, ProcessGroup, Run};
 use crate::forecast::SqgForecast;
-use crate::inpaint::Completion;
 use crate::osse::{nature_run, MaskKind, NatureRun, ObsOperatorKind, OsseConfig};
-use crate::traits::{AnalysisScheme, EnsfScheme, LetkfScheme};
+use crate::traits::Analysis;
 
 /// One named observing-network scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,44 +27,11 @@ pub struct ScenarioSpec {
     pub operator: ObsOperatorKind,
 }
 
-/// The analysis methods a scenario can be run with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioMethod {
-    /// Inpainting EnSF over the stochastic reverse SDE: real observations
-    /// on observed components, harmonically inpainted innovation
-    /// pseudo-observations across the outage.
-    InpaintEnsf,
-    /// Inpainting EnSF over the deterministic few-step probability-flow
-    /// ODE.
-    InpaintFlow,
-    /// Mask-ignoring dense EnSF: dead sensors flat-line at zero and those
-    /// zeros are assimilated as real measurements (the baseline inpainting
-    /// must beat on unobserved regions).
-    MaskIgnoringEnsf,
-    /// Masked LETKF: localization spreads the partial network's
-    /// information, under any observation operator.
-    MaskedLetkf,
-}
-
-impl ScenarioMethod {
-    /// Stable method label used in reports and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            ScenarioMethod::InpaintEnsf => "ensf_inpaint",
-            ScenarioMethod::InpaintFlow => "flow_inpaint",
-            ScenarioMethod::MaskIgnoringEnsf => "ensf_ignore",
-            ScenarioMethod::MaskedLetkf => "letkf_masked",
-        }
-    }
-}
-
-/// Result of one (scenario, method) OSSE run.
+/// Result of one (scenario, analysis) OSSE run.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Scenario name.
     pub scenario: &'static str,
-    /// Method label.
-    pub method: &'static str,
     /// Steady-state RMSE over the *observed* components (mean of the last
     /// half of the cycles).
     pub rmse_observed: f64,
@@ -151,44 +118,17 @@ impl ProcessGroup for SplitReader<'_> {
     }
 }
 
-/// Runs one scenario with one method over a fresh nature run, returning
+/// Runs one scenario with one analysis over a fresh nature run, returning
 /// the steady-state observed/unobserved RMSE split and the cumulative
 /// analysis latency. `base` supplies the grid, cycle count, noise levels
 /// and seed; its `obs_operator`/`obs_mask` are overridden by the spec.
-pub fn run_scenario(
-    base: &OsseConfig,
-    spec: &ScenarioSpec,
-    method: ScenarioMethod,
-    ensf_config: &ensf::EnsfConfig,
-) -> ScenarioResult {
+pub fn run_scenario(base: &OsseConfig, spec: &ScenarioSpec, analysis: &Analysis) -> ScenarioResult {
     let config = OsseConfig {
         obs_operator: spec.operator,
         obs_mask: spec.mask,
         ..base.clone()
     };
     let nature = nature_run(&config);
-    let dim = nature.truth[0].len();
-
-    let ensf_scheme = |method, completion| {
-        let ensf_config = ensf::EnsfConfig { method, ..ensf_config.clone() };
-        EnsfScheme::with_obs(ensf_config, dim, config.obs_spec(), completion)
-    };
-    let mut scheme: Box<dyn AnalysisScheme> = match method {
-        ScenarioMethod::InpaintEnsf => {
-            Box::new(ensf_scheme(ensf::AnalysisMethod::ReverseSde, Completion::Inpaint))
-        }
-        ScenarioMethod::InpaintFlow => {
-            Box::new(ensf_scheme(ensf::AnalysisMethod::FlowMatching, Completion::Inpaint))
-        }
-        ScenarioMethod::MaskIgnoringEnsf => {
-            Box::new(ensf_scheme(ensf::AnalysisMethod::ReverseSde, Completion::ZeroFill))
-        }
-        ScenarioMethod::MaskedLetkf => Box::new(LetkfScheme::with_obs(
-            letkf::LetkfConfig::default(),
-            &config.params,
-            config.obs_spec(),
-        )),
-    };
 
     // The plain run, read cycle by cycle for the observed/unobserved split
     // and the analysis wall time.
@@ -199,8 +139,8 @@ pub fn run_scenario(
         per_cycle: Vec::with_capacity(config.cycles),
         analysis_secs: 0.0,
     };
-    let run = Run::new(spec.name, config.clone());
-    let series = run_cycles(&run, &nature, &mut model, scheme.as_mut(), None, &mut reader, None)
+    let run = Run::new(spec.name, config.clone(), analysis.clone());
+    let series = run_cycles(&run, &nature, &mut model, &mut reader, None)
         // INVARIANT: the nature run, the model and the scheme are all built
         // from `config`, so their shapes agree and the loop cannot refuse them.
         .expect("the scenario's own nature run fits its configuration")
@@ -212,7 +152,6 @@ pub fn run_scenario(
     let n = tail.len().max(1) as f64;
     ScenarioResult {
         scenario: spec.name,
-        method: method.label(),
         rmse_observed: tail.iter().map(|r| r.0).sum::<f64>() / n,
         rmse_unobserved: tail.iter().map(|r| r.1).sum::<f64>() / n,
         rmse_total: series.steady_rmse(),
@@ -273,15 +212,14 @@ mod tests {
             mask: MaskKind::Block { start: 192, len: 128 },
             operator: ObsOperatorKind::Identity,
         };
-        let ec = ensf::EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
-        let a = run_scenario(&base, &spec, ScenarioMethod::InpaintEnsf, &ec);
-        let b = run_scenario(&base, &spec, ScenarioMethod::InpaintEnsf, &ec);
+        let ensf = Analysis::ensf(ensf::EnsfConfig { n_steps: 10, seed: 5, ..Default::default() });
+        let a = run_scenario(&base, &spec, &ensf);
+        let b = run_scenario(&base, &spec, &ensf);
         assert_eq!(a.rmse_observed.to_bits(), b.rmse_observed.to_bits());
         assert_eq!(a.rmse_unobserved.to_bits(), b.rmse_unobserved.to_bits());
         assert!(a.rmse_observed.is_finite() && a.rmse_observed > 0.0);
         assert!(a.rmse_unobserved.is_finite() && a.rmse_unobserved > 0.0);
         assert!(a.analysis_secs > 0.0);
-        assert_eq!(a.method, "ensf_inpaint");
         assert_eq!(a.cycles, 3);
     }
 
@@ -298,9 +236,10 @@ mod tests {
             mask: MaskKind::Block { start: 192, len: 128 },
             operator: ObsOperatorKind::Identity,
         };
-        let ec = ensf::EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
-        let inpaint = run_scenario(&base, &spec, ScenarioMethod::InpaintEnsf, &ec);
-        let ignore = run_scenario(&base, &spec, ScenarioMethod::MaskIgnoringEnsf, &ec);
+        let config = ensf::EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
+        let inpaint = run_scenario(&base, &spec, &Analysis::ensf(config.clone()));
+        let zero_fill = Analysis::Ensf { config, completion: crate::Completion::ZeroFill };
+        let ignore = run_scenario(&base, &spec, &zero_fill);
         assert!(
             ignore.rmse_unobserved > 1.25 * inpaint.rmse_unobserved,
             "inpainting {} must beat mask-ignoring {} by >=20% on the outage region",

@@ -443,10 +443,9 @@ mod tests {
     #[test]
     fn resume_into_a_fresh_surrogate_is_bitwise() {
         use crate::cycle::{run_cycles, Run, SingleProcess};
-        use crate::inpaint::Completion;
         use crate::osse::{nature_run, OsseConfig};
         use crate::resilience::{Checkpoint, CheckpointError, FaultPlan, HealthPolicy};
-        use crate::traits::EnsfScheme;
+        use crate::traits::Analysis;
         use crate::OsseError;
 
         let cfg = OsseConfig {
@@ -460,11 +459,7 @@ mod tests {
             ..Default::default()
         };
         let nr = nature_run(&cfg);
-        let dim = nr.truth[0].len();
-        let scheme = || {
-            let ensf = ensf::EnsfConfig { n_steps: 10, seed: 3, ..Default::default() };
-            EnsfScheme::with_obs(ensf, dim, cfg.obs_spec(), Completion::Inpaint)
-        };
+        let ensf = Analysis::ensf(ensf::EnsfConfig { n_steps: 10, seed: 3, ..Default::default() });
         let pretrained = || {
             let pairs = VitSurrogate::generate_training_data(&cfg.params, 12.0, 4, 10, 3);
             let mut sur = tiny(5);
@@ -472,9 +467,9 @@ mod tests {
             sur
         };
         let health = Some(HealthPolicy::for_obs_sigma(cfg.obs_sigma));
-        let run = Run { health, ..Run::new("ref", cfg.clone()) };
+        let run = Run { health, ..Run::new("ref", cfg.clone(), ensf) };
         let drive = |run: &Run, model: &mut VitSurrogate, resume| {
-            run_cycles(run, &nr, model, &mut scheme(), None, &mut SingleProcess, resume)
+            run_cycles(run, &nr, model, &mut SingleProcess, resume)
         };
         let full = drive(&run, &mut pretrained(), None).unwrap();
         let kill = FaultPlan { kill_after: Some(2), ..FaultPlan::none() };

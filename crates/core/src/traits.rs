@@ -2,9 +2,12 @@
 //!
 //! The workflow of Fig. 1 is generic in both slots: the forecast model can
 //! be the physics-based SQG, the ViT surrogate, or any AI foundation model;
-//! the analysis scheme can be EnSF, LETKF, or nothing (free runs).
+//! the analysis is EnSF, LETKF, or nothing (free runs), named as plain data
+//! by an [`Analysis`] and built into its scheme in one place,
+//! [`Analysis::build`].
 
 use crate::inpaint::Completion;
+use crate::osse::OsseConfig;
 use ensf::{ObsOperatorKind, ObsSpec};
 use stats::Ensemble;
 
@@ -43,8 +46,9 @@ pub trait ForecastModel {
     }
 }
 
-/// An analysis scheme combining a forecast ensemble with observations of
-/// the full state (the paper's `h = I` OSSE setting).
+/// An analysis scheme combining a forecast ensemble with one cycle's
+/// observations, taken through the experiment's [`ObsSpec`]: its
+/// componentwise operator over the observed components of its mask.
 pub trait AnalysisScheme {
     /// Human-readable name (used in reports).
     fn name(&self) -> &str;
@@ -101,9 +105,51 @@ pub struct AnalysisReport {
     pub shrunk: bool,
 }
 
+/// Which filter a run's analysis is, as plain data. [`Analysis::build`]
+/// turns it into the scheme for an experiment's observing network.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Analysis {
+    /// No assimilation: the analysis is the forecast (free runs).
+    None,
+    /// The EnSF: reverse SDE or probability flow is `config.method`, and
+    /// `completion` makes a partial network's vector dense.
+    Ensf {
+        /// Filter settings.
+        config: ensf::EnsfConfig,
+        /// How the unobserved components are filled.
+        completion: Completion,
+    },
+    /// The LETKF over the two-level SQG grid.
+    Letkf(letkf::LetkfConfig),
+}
+
+impl Analysis {
+    /// The EnSF with `config`, inpainting a partial network's outage.
+    pub fn ensf(config: ensf::EnsfConfig) -> Self {
+        Analysis::Ensf { config, completion: Completion::Inpaint }
+    }
+
+    /// The scheme that runs this analysis in `osse`'s experiment, observing
+    /// through [`OsseConfig::obs_spec`], so it cannot disagree with the
+    /// nature run that feeds it.
+    pub fn build(&self, osse: &OsseConfig) -> Box<dyn AnalysisScheme> {
+        let obs = osse.obs_spec();
+        match self {
+            Analysis::None => Box::new(NoAssimilation),
+            Analysis::Ensf { config, completion } => {
+                let dim = osse.params.state_dim();
+                Box::new(EnsfScheme::with_obs(config.clone(), dim, obs, *completion))
+            }
+            Analysis::Letkf(config) => {
+                Box::new(LetkfScheme::new(config.clone(), &osse.params, obs))
+            }
+        }
+    }
+}
+
 /// The "no assimilation" scheme: analysis = forecast (free run).
 #[derive(Debug, Clone, Default)]
-pub struct NoAssimilation;
+pub(crate) struct NoAssimilation;
 
 impl AnalysisScheme for NoAssimilation {
     fn name(&self) -> &str {
@@ -141,9 +187,8 @@ impl EnsfScheme {
     }
 
     /// Builds the scheme for a `dim`-dimensional state observed as `obs`
-    /// says (pass the experiment's [`crate::osse::OsseConfig::obs_spec`],
-    /// so the scheme cannot disagree with the nature run that feeds it).
-    pub fn with_obs(
+    /// says ([`Analysis::build`] passes the experiment's own spec).
+    pub(crate) fn with_obs(
         config: ensf::EnsfConfig,
         dim: usize,
         obs: ObsSpec,
@@ -197,22 +242,16 @@ impl AnalysisScheme for EnsfScheme {
 /// against.
 /// The analysis-cycle counter that indexes moving masks travels through
 /// [`AnalysisScheme::rng_state`]/[`AnalysisScheme::set_rng_state`].
-pub struct LetkfScheme {
+pub(crate) struct LetkfScheme {
     filter: letkf::Letkf,
     obs: ObsSpec,
     cycle: u64,
 }
 
 impl LetkfScheme {
-    /// The paper's setting: the `n × n × 2` grid of `params`
-    /// (Rossby-coupled vertical localization) fully observed through
-    /// `h = I` with error `obs_sigma`.
-    pub fn new(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs_sigma: f64) -> Self {
-        Self::with_obs(config, params, ObsSpec::identity(obs_sigma))
-    }
-
-    /// Builds the scheme for the network `obs` describes.
-    pub fn with_obs(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs: ObsSpec) -> Self {
+    /// The scheme on the `n × n × 2` grid of `params` (Rossby-coupled
+    /// vertical localization) for the network `obs` describes.
+    fn new(config: letkf::LetkfConfig, params: &sqg::SqgParams, obs: ObsSpec) -> Self {
         let geometry = letkf::GridGeometry::new(
             params.n,
             sqg::LEVELS,
@@ -301,7 +340,8 @@ mod tests {
     #[test]
     fn scheme_names_are_the_legacy_report_keys() {
         // Reports, BENCH_*.json rows and supervisor events
-        // (`analysis_fallback:LETKF`) key on these strings.
+        // (`analysis_fallback:LETKF`) key on these strings, and
+        // `Analysis::build` names each filter for the experiment's network.
         use ensf::AnalysisMethod::{FlowMatching, ReverseSde};
         const ID: ObsOperatorKind = ObsOperatorKind::Identity;
         const ATAN: ObsOperatorKind = ObsOperatorKind::Arctan { gain: 4.0 };
@@ -316,22 +356,27 @@ mod tests {
             (FlowMatching, ID, BLOCK, Completion::Inpaint, "FlowEnSF-inpaint"),
             (ReverseSde, ID, BLOCK, Completion::ZeroFill, "EnSF-ignore"),
         ];
+        // The two-level 2 × 2 grid: 8 components.
+        let params = sqg::SqgParams { n: 2, ..Default::default() };
+        let osse = |obs_operator, obs_mask| OsseConfig {
+            params: params.clone(),
+            obs_operator,
+            obs_mask,
+            ..Default::default()
+        };
+        let name = |analysis: Analysis, operator, mask| {
+            analysis.build(&osse(operator, mask)).name().to_string()
+        };
         for (method, operator, mask, completion, want) in ensf_cases {
             let config = ensf::EnsfConfig { method, ..Default::default() };
-            let obs = ObsSpec { operator, mask, sigma: 0.1 };
-            let scheme = EnsfScheme::with_obs(config, 8, obs, completion);
-            assert_eq!(scheme.name(), want, "{method:?} {operator:?} {mask:?} {completion:?}");
+            let analysis = Analysis::Ensf { config, completion };
+            assert_eq!(name(analysis, operator, mask), want, "{method:?} {operator:?} {mask:?}");
         }
         assert_eq!(EnsfScheme::new(ensf::EnsfConfig::default(), 8, 0.1).name(), "EnSF");
-
-        let params = sqg::SqgParams { n: 4, ..Default::default() };
-        let letkf = |mask| {
-            let obs = ObsSpec { mask, ..ObsSpec::identity(0.1) };
-            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &params, obs)
-        };
-        assert_eq!(letkf(MaskKind::Full).name(), "LETKF");
-        assert_eq!(letkf(BLOCK).name(), "LETKF-masked");
-        assert_eq!(LetkfScheme::new(letkf::LetkfConfig::default(), &params, 0.1).name(), "LETKF");
+        assert_eq!(name(Analysis::None, ID, MaskKind::Full), "none");
+        let letkf = || Analysis::Letkf(letkf::LetkfConfig::default());
+        assert_eq!(name(letkf(), ID, MaskKind::Full), "LETKF");
+        assert_eq!(name(letkf(), ATAN, BLOCK), "LETKF-masked");
     }
 
     #[test]
@@ -351,7 +396,7 @@ mod tests {
         let nature = nature_run(&config);
         let mut model = crate::SqgForecast::perfect(config.params.clone());
         let mut scheme =
-            LetkfScheme::with_obs(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
+            LetkfScheme::new(letkf::LetkfConfig::default(), &config.params, config.obs_spec());
         assert_eq!(scheme.name(), "LETKF");
         let mut ensemble = initial_ensemble(&config, &nature.truth[0]);
         for cycle in 0..config.cycles {
@@ -403,10 +448,10 @@ mod tests {
     fn letkf_stride_thins_network() {
         let params = sqg::SqgParams { n: 4, ..Default::default() };
         let config = letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() };
-        let mut dense = LetkfScheme::new(config.clone(), &params, 0.3);
+        let mut dense = LetkfScheme::new(config.clone(), &params, ObsSpec::identity(0.3));
         let every_fourth = MaskKind::Strided { stride: 4, phase: 0 };
         let sparse_obs = ObsSpec { mask: every_fourth, ..ObsSpec::identity(0.3) };
-        let mut sparse = LetkfScheme::with_obs(config, &params, sparse_obs);
+        let mut sparse = LetkfScheme::new(config, &params, sparse_obs);
         let fc = letkf_forecast();
         let ad = dense.analyze(&fc, &[1.0; 32]);
         let asp = sparse.analyze(&fc, &[1.0; 8]);
@@ -492,7 +537,7 @@ mod tests {
     fn masked_letkf_updates_only_near_observed_components() {
         let params = sqg::SqgParams { n: 4, ..Default::default() };
         let mask = MaskKind::Block { start: 1, len: 30 };
-        let mut scheme = LetkfScheme::with_obs(
+        let mut scheme = LetkfScheme::new(
             letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
             &params,
             ObsSpec { mask, ..ObsSpec::identity(0.3) },
@@ -519,7 +564,7 @@ mod tests {
         let mut scheme = LetkfScheme::new(
             letkf::LetkfConfig { rtps_alpha: 0.0, ..Default::default() },
             &params,
-            0.3,
+            ObsSpec::identity(0.3),
         );
         let fc = letkf_forecast();
         let an = scheme.analyze(&fc, &[1.0; 32]);

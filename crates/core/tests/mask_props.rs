@@ -1,8 +1,8 @@
 //! Property-based tests for the partial-observation mask algebra and the
 //! inpainting EnSF's dense-limit behavior.
 
-use da_core::osse::MaskKind;
-use da_core::{AnalysisScheme, Completion, EnsfScheme, ObsOperatorKind, ObsSpec};
+use da_core::osse::{MaskKind, OsseConfig};
+use da_core::{Analysis, ObsOperatorKind, ObsSpec};
 use ensf::{EnsfConfig, ObsOperator};
 use proptest::prelude::*;
 use stats::gaussian::fill_standard_normal;
@@ -123,10 +123,16 @@ proptest! {
         let y: Vec<f64> = (0..dim).map(|i| y_shift + 0.1 * i as f64).collect();
         let config = EnsfConfig { n_steps: 4, seed: 7, ..Default::default() };
 
-        let mut dense = EnsfScheme::new(config.clone(), dim, 0.3);
+        let osse = |obs_mask| OsseConfig {
+            params: sqg::SqgParams { n: 2, ..Default::default() },
+            obs_sigma: 0.3,
+            obs_mask,
+            ..Default::default()
+        };
+        let ensf = Analysis::ensf(config);
+        let mut dense = ensf.build(&osse(MaskKind::Full));
         // A zero-length outage: full, but only by `is_full()`'s account.
-        let full = ObsSpec { mask: MaskKind::Block { start: 3, len: 0 }, ..ObsSpec::identity(0.3) };
-        let mut masked = EnsfScheme::with_obs(config, dim, full, Completion::Inpaint);
+        let mut masked = ensf.build(&osse(MaskKind::Block { start: 3, len: 0 }));
         let a = dense.analyze(&forecast, &y);
         let b = masked.analyze(&forecast, &y);
         prop_assert_eq!(a.as_slice(), b.as_slice(), "full-mask inpainting drifted from dense");

@@ -13,7 +13,7 @@
 //! Nothing here is a second implementation of the filter. A particle's
 //! bits depend on `(seed, cycle, its global index)` and the replicated
 //! forecast only — never on which rank integrated it — so the gathered
-//! ensemble is `da_core::EnsfScheme`'s, bit for bit, at every rank count
+//! ensemble is the serial EnSF scheme's, bit for bit, at every rank count
 //! (ranks beyond the member count own an empty block), for both
 //! [`ensf::AnalysisMethod`]s and every [`ObsSpec`]: a partial network's
 //! vector is completed by the same [`Completion::Inpaint`] call the serial
@@ -178,13 +178,15 @@ pub(crate) fn analyze_replicated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use da_core::{AnalysisScheme, EnsfScheme};
+    use da_core::osse::OsseConfig;
+    use da_core::Analysis;
     use ensf::{AnalysisMethod, MaskKind, ObsOperatorKind};
     use hpc::mpi::run_world;
     use stats::gaussian::fill_standard_normal;
     use stats::rng::member_rng;
 
-    const DIM: usize = 96;
+    /// The two-level 8 × 8 grid.
+    const DIM: usize = 128;
     const MEMBERS: usize = 6;
 
     fn gaussian_ensemble(members: usize, dim: usize, seed: u64) -> Ensemble {
@@ -224,7 +226,14 @@ mod tests {
 
     fn serial(config: &EnsfConfig, obs: &ObsSpec, cycle: u64) -> Vec<f64> {
         let forecast = gaussian_ensemble(MEMBERS, DIM, 11);
-        let mut scheme = EnsfScheme::with_obs(config.clone(), DIM, *obs, Completion::Inpaint);
+        let osse = OsseConfig {
+            params: sqg::SqgParams { n: 8, ..Default::default() },
+            obs_operator: obs.operator,
+            obs_mask: obs.mask,
+            obs_sigma: obs.sigma,
+            ..Default::default()
+        };
+        let mut scheme = Analysis::ensf(config.clone()).build(&osse);
         scheme.set_rng_state(cycle, config.seed);
         scheme.analyze(&forecast, &observation(obs, cycle)).as_slice().to_vec()
     }

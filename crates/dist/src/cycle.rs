@@ -12,7 +12,7 @@
 //! (RMSE, spread) are computed redundantly on every rank from identical
 //! bytes, which keeps them trivially consistent.
 //!
-//! The loop is `da_core::cycle::run_cycles`, and [`crate::run_sharded`]
+//! The loop is `da_core::cycle::run_cycles_with`, and [`crate::run_sharded`]
 //! fills its slots on every rank. This module keeps the one-rank face the
 //! benchmark adapter names: [`run_dist_experiment`] is that driver's
 //! per-rank body with nothing scripted.
@@ -22,6 +22,7 @@ use crate::elastic::{run_rank, Sharding};
 use crate::DistError;
 use da_core::cycle::Run;
 use da_core::osse::{CycleSeries, NatureRun, OsseConfig};
+use da_core::Analysis;
 use ensf::{EnsfConfig, ObsSpec};
 use hpc::mpi::Comm;
 use stats::Ensemble;
@@ -30,8 +31,8 @@ use stats::Ensemble;
 pub const DEFAULT_TILE: usize = 64;
 
 /// Configuration of one distributed OSSE experiment, as the benchmark
-/// adapter names it: a [`Run::new`] plus a [`Sharding`] with nothing
-/// scripted, which is what everything else writes.
+/// adapter names it: a [`Run::new`] of an inpainting EnSF plus a
+/// [`Sharding`], which is what everything else writes.
 #[derive(Debug, Clone)]
 pub struct DistCycleConfig {
     /// Twin-experiment setup (grid, cycles, observation noise, ensemble).
@@ -100,9 +101,9 @@ pub fn run_dist_experiment(
     config: &DistCycleConfig,
     nature: &NatureRun,
 ) -> Result<DistRunResult, DistError> {
-    let run = Run::new(format!("dist-ensf@{}r", comm.size()), config.osse.clone());
-    let sharding =
-        Sharding { ensf: config.ensf.clone(), network: config.comm.clone(), ..Default::default() };
+    let ensf = Analysis::ensf(config.ensf.clone());
+    let run = Run::new(format!("dist-ensf@{}r", comm.size()), config.osse.clone(), ensf);
+    let sharding = Sharding { network: config.comm.clone(), ..Default::default() };
     let sharded = run_rank(comm, &run, &sharding, nature, None)?;
     Ok(DistRunResult {
         series: sharded.run.series,
@@ -121,7 +122,7 @@ mod tests {
     use sqg::SqgParams;
 
     /// Reduced grid (d = 512, 8 members): fast enough for unit tests.
-    fn tiny(cycles: usize) -> (Run, Sharding) {
+    fn tiny(cycles: usize) -> Run {
         let osse = OsseConfig {
             params: SqgParams { n: 16, ..Default::default() },
             cycles,
@@ -133,17 +134,17 @@ mod tests {
             ..Default::default()
         };
         let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
-        (Run::new("tiny", osse), Sharding { ensf, ..Default::default() })
+        Run::new("tiny", osse, Analysis::ensf(ensf))
     }
 
     fn sharded(run: &Run, sharding: &Sharding, ranks: usize) -> ShardedRun {
         run_sharded(run, sharding, ranks, &nature_run(&run.osse), None).unwrap()
     }
 
-    fn assert_rank_invariant(run: &Run, sharding: &Sharding, what: &str) {
-        let one = sharded(run, sharding, 1);
+    fn assert_rank_invariant(run: &Run, what: &str) {
+        let one = sharded(run, &Sharding::default(), 1);
         for ranks in [2, 4] {
-            let many = sharded(run, sharding, ranks);
+            let many = sharded(run, &Sharding::default(), ranks);
             for ((c, a), (_, b)) in one.cycle_means.iter().zip(&many.cycle_means) {
                 let bits_a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
                 let bits_b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
@@ -156,8 +157,7 @@ mod tests {
 
     #[test]
     fn cycling_is_bitwise_identical_across_rank_counts() {
-        let (run, sharding) = tiny(2);
-        assert_rank_invariant(&run, &sharding, "");
+        assert_rank_invariant(&tiny(2), "");
     }
 
     #[test]
@@ -165,27 +165,26 @@ mod tests {
         // 25% contiguous outage spanning the top of level 0 and the bottom
         // of level 1; the shrunk observation vector must not leak any
         // rank-count dependence into the bits.
-        let (mut run, sharding) = tiny(2);
+        let mut run = tiny(2);
         run.osse.obs_mask = da_core::MaskKind::Block { start: 192, len: 128 };
-        assert_rank_invariant(&run, &sharding, "masked ");
+        assert_rank_invariant(&run, "masked ");
     }
 
     #[test]
     fn moving_track_mask_cycles_across_ranks() {
         // The satellite track advances each cycle, so consecutive cycles
         // see different observed windows (and observation lengths).
-        let (mut run, sharding) = tiny(3);
+        let mut run = tiny(3);
         run.osse.obs_mask = da_core::MaskKind::Track { width: 256, speed: 40 };
-        let one = sharded(&run, &sharding, 1);
-        let four = sharded(&run, &sharding, 4);
+        let one = sharded(&run, &Sharding::default(), 1);
+        let four = sharded(&run, &Sharding::default(), 4);
         assert_eq!(one.cycle_means, four.cycle_means);
         assert!(one.run.series.rmse.iter().all(|r| r.is_finite()));
     }
 
     #[test]
     fn assimilation_tracks_truth() {
-        let (run, sharding) = tiny(4);
-        let result = sharded(&run, &sharding, 2);
+        let result = sharded(&tiny(4), &Sharding::default(), 2);
         assert_eq!(result.run.series.rmse.len(), 4);
         assert!(result.run.series.rmse.iter().all(|r| r.is_finite()));
         // With tight observations the analysis stays near the truth
@@ -196,9 +195,8 @@ mod tests {
 
     #[test]
     fn comm_spec_prices_cycling_collectives() {
-        let (run, mut sharding) = tiny(1);
-        sharding.network = Some(CommSpec::clean(2));
-        let result = sharded(&run, &sharding, 2);
+        let sharding = Sharding { network: Some(CommSpec::clean(2)), ..Default::default() };
+        let result = sharded(&tiny(1), &sharding, 2);
         // A member-block and a particle-block gather per cycle, whatever
         // the step count.
         assert_eq!(result.stats.collectives, 2);
@@ -208,19 +206,20 @@ mod tests {
 
     #[test]
     fn config_errors_are_reported_not_fatal() {
-        let (mut run, sharding) = tiny(1);
+        let mut run = tiny(1);
         run.osse.cycles = 99; // nature run generated for 1 cycle, then truncated
         let nature = {
-            let mut n = nature_run(&tiny(1).0.osse);
+            let mut n = nature_run(&tiny(1).osse);
             n.observations.clear();
             n
         };
+        let sharding = Sharding::default();
         let rank = |comm: &Comm| run_rank(comm, &run, &sharding, &nature, None).unwrap_err();
         let errs = run_world(1, rank);
         assert!(matches!(&errs[0], DistError::Config(_)));
 
         // Enough observations but too few truth states to verify against.
-        let (run, sharding) = tiny(2);
+        let run = tiny(2);
         let mut nature = nature_run(&run.osse);
         nature.truth.truncate(2);
         let errs = run_world(2, |comm| run_rank(comm, &run, &sharding, &nature, None).unwrap_err());

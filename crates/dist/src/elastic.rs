@@ -1,12 +1,12 @@
 //! Elastic rank-failure recovery on the cycle loop's slots.
 //!
 //! [`run_sharded`] runs one [`Run`] on every rank of a simulated world:
-//! each rank hands it to `da_core::cycle::run_cycles` with the
-//! member-sharded forecast as its model, the particle-sharded analysis as
-//! its scheme and the rank's membership in the world as its process group,
-//! wired to the live fault machinery of [`hpc::mpi`]. What the sharded face
-//! adds to a [`Run`] is a [`Sharding`]. A rank killed by the run's
-//! [`FaultPlan`](da_core::resilience::FaultPlan) leaves at the cycle
+//! each rank hands it to `da_core::cycle::run_cycles_with` with the
+//! member-sharded forecast as its model, the particle-sharded analysis of
+//! [`Run::analysis`] as its scheme and the rank's membership in the world
+//! as its process group, wired to the live fault machinery of [`hpc::mpi`].
+//! The sharded face adds the machine, a [`Sharding`]. A rank killed by the
+//! run's [`FaultPlan`](da_core::resilience::FaultPlan) leaves at the cycle
 //! boundary and surfaces as [`hpc::MpiError::RankDead`] in the first
 //! collective that misses it, the forecast gather (never a hang):
 //!
@@ -29,7 +29,7 @@
 //! rejoiner restores the latest [`Checkpoint`] bit-identically.
 //!
 //! A **deadline** is the run's analysis budget ([`Run::budget`]), and the
-//! sharded analysis at [`Sharding::degraded_steps`] fills the `fallback`
+//! sharded analysis of [`Run::fallback`] (fewer steps) fills the `fallback`
 //! slot: the loop's one ladder (`da_core::resilience::decide_rung`) holds
 //! each attempt's price ([`modeled_analysis_secs`], scaled by scripted
 //! stragglers) to the budget. Prices are pure in `(cycle, membership,
@@ -39,26 +39,20 @@
 use crate::analysis::{analyze_replicated, CommSpec, CommStats};
 use crate::forecast::ShardedForecast;
 use crate::DistError;
-use da_core::cycle::{run_cycles, Entry, ProcessGroup, Run, RunResult};
+use da_core::cycle::{run_cycles_with, Entry, ProcessGroup, Run, RunResult};
 use da_core::osse::NatureRun;
 use da_core::resilience::Checkpoint;
-use da_core::{AnalysisReport, AnalysisScheme, SqgForecast};
+use da_core::{Analysis, AnalysisReport, AnalysisScheme, Completion, SqgForecast};
 use ensf::parallel::RankPlan;
 use ensf::EnsfConfig;
 use hpc::mpi::{run_world, Comm};
 use hpc::{collective_time, shard_step_compute_secs, Collective, MpiError, StragglerPlan};
 use stats::Ensemble;
 
-/// What the sharded face adds to a [`Run`]: the analysis every rank runs a
-/// block of, and the simulated machine it runs on.
+/// What the sharded face adds to a [`Run`]: the simulated machine every
+/// rank runs its block of the run's analysis on.
 #[derive(Debug, Clone, Default)]
 pub struct Sharding {
-    /// EnSF filter settings (steps, seed, relaxation, method).
-    pub ensf: EnsfConfig,
-    /// SDE step count of the sharded analysis in the `fallback` slot (the
-    /// rung below the full analysis; forecast-only is the last). Set
-    /// exactly when [`Run::budget`] is.
-    pub degraded_steps: Option<usize>,
     /// Optional simulated-network model: prices every collective with the
     /// α–β cost model into [`CommStats::modeled_comm_secs`] and the ladder's
     /// prices. It never changes the data path.
@@ -164,11 +158,27 @@ fn dead_wait(comm: &Comm, run: &Run, died_at: usize) -> Entry {
     Entry::Restore(Box::new(checkpoint))
 }
 
-/// What the sharded face refuses before any rank cycles. Ranks the world
-/// cannot lose are the loop's to refuse.
-fn validate(run: &Run, sharding: &Sharding) -> Result<(), DistError> {
+/// The EnSF settings of `analysis`, the value of the [`Run`] field `field`:
+/// the sharded face runs inpainting EnSF only.
+fn sharded_ensf<'a>(field: &str, analysis: &'a Analysis) -> Result<&'a EnsfConfig, DistError> {
+    match analysis {
+        Analysis::Ensf { config, completion: Completion::Inpaint } => {
+            config.validate().map_err(DistError::Config)?;
+            Ok(config)
+        }
+        _ => Err(DistError::Config(format!(
+            "{field} is {analysis:?}, but the sharded face runs only inpainting EnSF"
+        ))),
+    }
+}
+
+/// What the sharded face refuses before any rank cycles, or the EnSF
+/// settings of its analysis and its fallback. Ranks the world cannot lose
+/// are the loop's to refuse.
+fn validate(run: &Run) -> Result<(&EnsfConfig, Option<&EnsfConfig>), DistError> {
     let cycles = run.osse.cycles;
-    sharding.ensf.validate().map_err(DistError::Config)?;
+    let primary = sharded_ensf("Run::analysis", &run.analysis)?;
+    let fallback = run.fallback.as_ref().map(|f| sharded_ensf("Run::fallback", f)).transpose()?;
     let faults = &run.faults;
     let serial_only = [
         ("FaultPlan::member_faults", !faults.member_faults.is_empty()),
@@ -200,22 +210,23 @@ fn validate(run: &Run, sharding: &Sharding) -> Result<(), DistError> {
         };
         return Err(DistError::Config(why));
     }
-    match (run.budget, sharding.degraded_steps) {
-        (None, None) => Ok(()),
-        (Some(budget), Some(steps)) => {
+    match (run.budget, fallback) {
+        (None, None) => Ok((primary, None)),
+        (Some(budget), Some(degraded)) => {
             if budget <= 0.0 || budget.is_nan() {
                 return Err(DistError::Config("deadline budget must be positive".into()));
             }
-            if steps == 0 || steps >= sharding.ensf.n_steps {
+            let steps = degraded.n_steps;
+            if steps == 0 || steps >= primary.n_steps {
                 return Err(DistError::Config(format!(
-                    "degraded step count {steps} must be in 1..{}",
-                    sharding.ensf.n_steps
+                    "Run::fallback's step count {steps} must be in 1..{}",
+                    primary.n_steps
                 )));
             }
-            Ok(())
+            Ok((primary, fallback))
         }
         _ => Err(DistError::Config(
-            "Run::budget and Sharding::degraded_steps are set together or not at all".into(),
+            "Run::budget and Run::fallback are set together or not at all".into(),
         )),
     }
 }
@@ -308,8 +319,8 @@ struct ShardedEnsf<'a> {
     comm: &'a Comm,
     run: &'a Run,
     sharding: &'a Sharding,
-    /// SDE steps: `ensf.n_steps`, or `degraded_steps` as the fallback.
-    steps: usize,
+    /// The filter: the run's analysis, or its fallback.
+    config: &'a EnsfConfig,
     /// Index of the next analysis cycle (noise streams, mask alignment).
     epoch: u64,
     seed: u64,
@@ -348,11 +359,11 @@ impl AnalysisScheme for ShardedEnsf<'_> {
     }
 
     fn analyze(&mut self, forecast: &Ensemble, y: &[f64]) -> Ensemble {
-        let (comm, sharding) = (self.comm, self.sharding);
+        let comm = self.comm;
         let cycle = self.epoch;
         self.epoch += 1;
-        let ensf = EnsfConfig { n_steps: self.steps, seed: self.seed, ..sharding.ensf.clone() };
-        let (obs, spec) = (self.run.osse.obs_spec(), sharding.network.as_ref());
+        let ensf = EnsfConfig { seed: self.seed, ..self.config.clone() };
+        let (obs, spec) = (self.run.osse.obs_spec(), self.sharding.network.as_ref());
         let attempt =
             analyze_replicated(comm, &ensf, cycle, forecast, y, &obs, spec, &mut self.stats);
         match attempt {
@@ -384,7 +395,7 @@ impl AnalysisScheme for ShardedEnsf<'_> {
         let slow = self.sharding.stragglers.worst(self.epoch as usize, &group);
         let (dim, members, network) =
             (osse.params.state_dim(), osse.ens_size, self.sharding.network.as_ref());
-        Some(slow * modeled_analysis_secs(network, dim, members, self.steps, group.len()))
+        Some(slow * modeled_analysis_secs(network, dim, members, self.config.n_steps, group.len()))
     }
 
     fn take_report(&mut self) -> AnalysisReport {
@@ -392,7 +403,7 @@ impl AnalysisScheme for ShardedEnsf<'_> {
     }
 }
 
-/// One rank's part of [`run_sharded`]: the cycle loop ([`run_cycles`])
+/// One rank's part of [`run_sharded`]: the cycle loop ([`run_cycles_with`])
 /// with this rank's `{member-sharded forecast, sharded analysis, group
 /// membership}` in its slots, from `resume` if given. A rank that leaves
 /// the loop — with an error or at the end — is registered dead once its
@@ -407,28 +418,29 @@ pub(crate) fn run_rank(
     nature: &NatureRun,
     resume: Option<&Checkpoint>,
 ) -> Result<ShardedRun, DistError> {
-    validate(run, sharding)?;
+    let (primary, fallback) = validate(run)?;
     let mut group =
         RankGroup { comm, run, rejoins: 0, cycle_means: Vec::new(), group_sizes: Vec::new() };
-    let sharded = |steps| ShardedEnsf {
+    let sharded = |config| ShardedEnsf {
         comm,
         run,
         sharding,
-        steps,
+        config,
         epoch: 0,
-        seed: sharding.ensf.seed,
+        seed: config.seed,
         report: AnalysisReport::default(),
         error: None,
         shrinks: 0,
         stats: CommStats::default(),
     };
-    let mut scheme = sharded(sharding.ensf.n_steps);
-    let mut degraded = sharding.degraded_steps.map(sharded);
+    let mut scheme = sharded(primary);
+    let mut degraded = fallback.map(sharded);
     let perfect = SqgForecast::perfect(run.osse.params.clone());
     let mut model = ShardedForecast::new(comm, perfect, sharding.network.as_ref());
     let fallback = degraded.as_mut().map(|s| s as &mut dyn AnalysisScheme);
-    let result =
-        run_cycles(run, nature, &mut model, &mut scheme, fallback, &mut group, resume.cloned());
+    let result = run_cycles_with(
+        run, nature, &mut model, &mut scheme, fallback, &mut group, resume.cloned(),
+    );
     let (mut shrinks, mut stats, mut error) = (0, model.stats, None);
     for s in std::iter::once(scheme).chain(degraded) {
         shrinks += s.shrinks;
@@ -455,8 +467,10 @@ pub(crate) fn run_rank(
 /// the serial run of the same [`Run`] bit for bit, at every rank count.
 ///
 /// # Errors
-/// [`DistError::Config`] for what this face refuses (the serial fault
-/// channels, [`Run::health`], a deadline without its fallback steps) and
+/// [`DistError::Config`] for what this face refuses (an analysis or a
+/// fallback other than inpainting EnSF, the serial fault channels,
+/// [`Run::health`], a budget without a fallback or a fallback without a
+/// budget) and
 /// for what the loop refuses; [`DistError::Checkpoint`] when `resume` does
 /// not fit the experiment or a checkpoint cannot be written;
 /// [`DistError::Mpi`] only for fault patterns the recovery cannot absorb.
@@ -501,6 +515,11 @@ mod tests {
     use da_core::resilience::{CheckpointConfig, FaultPlan, RankKill, RankRejoin, Rung};
     use sqg::SqgParams;
 
+    /// The EnSF of the runs below at `n_steps` steps.
+    fn ensf(n_steps: usize) -> Analysis {
+        Analysis::ensf(EnsfConfig { n_steps, seed: 5, ..Default::default() })
+    }
+
     /// Reduced grid (d = 512, 8 members), mirroring the cycle tests.
     fn tiny_config(cycles: usize) -> (Run, Sharding) {
         let osse = OsseConfig {
@@ -513,8 +532,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
-        (Run::new("elastic", osse), Sharding { ensf, ..Default::default() })
+        (Run::new("elastic", osse, ensf(10)), Sharding::default())
     }
 
     fn sharded(run: &Run, sharding: &Sharding, ranks: usize) -> Result<ShardedRun, DistError> {
@@ -599,12 +617,12 @@ mod tests {
         sharding.network = Some(crate::CommSpec::clean(2));
         // Straggler slows rank 1 by 50× in cycle 1 only; budget sits just
         // above the clean full-analysis estimate.
-        let full = modeled(&run, &sharding, sharding.ensf.n_steps, 2);
+        let full = modeled(&run, &sharding, 10, 2);
         sharding.stragglers = StragglerPlan {
             events: vec![hpc::Straggler { rank: 1, from_cycle: 1, to_cycle: 1, slowdown: 50.0 }],
         };
         run.budget = Some(full * 2.0);
-        sharding.degraded_steps = Some(3);
+        run.fallback = Some(ensf(3));
         let result = sharded(&run, &sharding, 2).unwrap();
         let rungs: Vec<Rung> = result.run.cycles.iter().map(|c| c.rung).collect();
         assert_eq!(rungs[0], Rung::Primary);
@@ -622,7 +640,7 @@ mod tests {
         // Budget below even the degraded estimate: every cycle drops to
         // forecast-only and the hit-rate collapses to zero.
         run.budget = Some(degraded * 0.5);
-        sharding.degraded_steps = Some(3);
+        run.fallback = Some(ensf(3));
         let result = sharded(&run, &sharding, 2).unwrap();
         let on = |rung| result.run.cycles.iter().filter(|c| c.rung == rung).count();
         assert_eq!(on(Rung::ForecastOnly), 2);
@@ -645,18 +663,22 @@ mod tests {
         orphan.faults.rank_rejoins.push(RankRejoin { cycle: 2, rank: 1 });
         assert!(matches!(sharded(&orphan, &sharding, 2), Err(DistError::Config(_))));
 
-        let (mut bad_deadline, mut sharding) = tiny_config(2);
-        bad_deadline.budget = Some(1.0);
-        sharding.degraded_steps = Some(0);
-        assert!(matches!(sharded(&bad_deadline, &sharding, 2), Err(DistError::Config(_))));
+        // The fallback runs fewer steps than the analysis, and at least one.
+        for steps in [0, 10] {
+            let (mut bad_deadline, sharding) = tiny_config(2);
+            bad_deadline.budget = Some(1.0);
+            bad_deadline.fallback = Some(ensf(steps));
+            let refused = sharded(&bad_deadline, &sharding, 2);
+            assert!(matches!(refused, Err(DistError::Config(_))), "{steps} steps: {refused:?}");
+        }
 
-        // The budget and the fallback's steps come together.
+        // The budget and the fallback come together.
         let (mut budget_only, sharding) = tiny_config(2);
         budget_only.budget = Some(1.0);
         assert!(matches!(sharded(&budget_only, &sharding, 2), Err(DistError::Config(_))));
-        let (steps_only, mut sharding) = tiny_config(2);
-        sharding.degraded_steps = Some(3);
-        assert!(matches!(sharded(&steps_only, &sharding, 2), Err(DistError::Config(_))));
+        let (mut fallback_only, sharding) = tiny_config(2);
+        fallback_only.fallback = Some(ensf(3));
+        assert!(matches!(sharded(&fallback_only, &sharding, 2), Err(DistError::Config(_))));
     }
 
     #[test]
@@ -666,6 +688,10 @@ mod tests {
         };
         let member = MemberFault { cycle: 0, member: 1, kind: MemberFaultKind::Nan };
         let (clean, sharding) = tiny_config(2);
+        let policy = HealthPolicy::for_obs_sigma(0.005);
+        let letkf = Analysis::Letkf(Default::default());
+        let config = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
+        let zero_fill = Analysis::Ensf { config, completion: Completion::ZeroFill };
         let faulted = |faults| Run { faults, ..clean.clone() };
         let scripts = [
             (
@@ -684,7 +710,12 @@ mod tests {
                 }),
             ),
             ("kill_after", faulted(FaultPlan { kill_after: Some(1), ..FaultPlan::none() })),
-            ("Run::health", Run { health: Some(HealthPolicy::for_obs_sigma(0.005)), ..clean }),
+            ("Run::health", Run { health: Some(policy), ..clean.clone() }),
+            // The sharded analysis is inpainting EnSF, so is its fallback.
+            ("Run::analysis", Run { analysis: letkf.clone(), ..clean.clone() }),
+            ("Run::analysis", Run { analysis: Analysis::None, ..clean.clone() }),
+            ("Run::analysis", Run { analysis: zero_fill, ..clean.clone() }),
+            ("Run::fallback", Run { budget: Some(1.0), fallback: Some(letkf), ..clean }),
         ];
         for (channel, run) in scripts {
             match sharded(&run, &sharding, 2) {
@@ -704,7 +735,7 @@ mod tests {
             cycle: 1,
             state: da_core::resilience::LoopState::Healthy,
             scheme_epoch: 1,
-            scheme_seed: sharding.ensf.seed,
+            scheme_seed: 5,
             ensemble: Ensemble::zeros(osse.ens_size, dim),
             prev_mean: vec![0.0; dim],
             hours: vec![12.0],

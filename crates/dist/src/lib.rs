@@ -13,9 +13,9 @@
 //! ## Determinism contract
 //!
 //! For a fixed `da_core::cycle::Run` the sharded run ([`run_sharded`]) is
-//! the *serial* one — `da_core::cycle::run_cycles` with
-//! `da_core::EnsfScheme`, on a full or a partial observation network —
-//! **bit for bit at every rank count**,
+//! the *serial* one — `da_core::cycle::run_cycles` of the same run's
+//! inpainting EnSF `da_core::Analysis`, on a full or a partial observation
+//! network — **bit for bit at every rank count**,
 //! including more ranks than members (`tests/dist_determinism.rs` at the workspace
 //! root proves it at 1/2/4/8 ranks). Two ingredients:
 //!
@@ -43,18 +43,18 @@
 //!   ([`dist_obs_for`]), a partial network's vector completed by
 //!   `da_core::Completion::Inpaint`, and reverse SDE versus probability
 //!   flow is [`ensf::EnsfConfig::method`] — the same `{method, ObsSpec}`
-//!   data, and the same completion call, as the serial
-//!   `da_core::EnsfScheme`.
+//!   data, and the same completion call, as the serial scheme that
+//!   `da_core::Analysis::build` makes of the run's EnSF.
 //! * `forecast` (private) — the member-sharded forecast: this rank's
 //!   member block on its own thread, one gather, and a fallback to the
 //!   replicated forecast when a peer is missing from it.
 //! * [`elastic`] — the sharded driver, [`run_sharded`]: one
-//!   `da_core::cycle::Run` plus a [`Sharding`] on every rank of a world,
-//!   each rank's slots for `da_core::cycle::run_cycles` being the
-//!   member-sharded forecast as its model, the sharded analysis as its
-//!   scheme (ULFM-style shrink on rank death) and, at a deadline's reduced
-//!   step count, its fallback, and the rank's membership as its process
-//!   group.
+//!   `da_core::cycle::Run` plus a [`Sharding`] (the machine) on every rank
+//!   of a world, each rank's slots for `da_core::cycle::run_cycles_with`
+//!   being the member-sharded forecast as its model, the sharded analysis
+//!   of the run's inpainting EnSF as its scheme (ULFM-style shrink on rank
+//!   death) and, under a deadline, of its fallback, and the rank's
+//!   membership as its process group.
 //! * [`cycle`] — the benchmark adapter's one-rank face,
 //!   [`run_dist_experiment`]: one rank's part of [`run_sharded`] with
 //!   nothing scripted.

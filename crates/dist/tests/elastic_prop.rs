@@ -16,6 +16,7 @@
 use da_core::cycle::Run;
 use da_core::osse::{nature_run, NatureRun, OsseConfig};
 use da_core::resilience::{Checkpoint, CheckpointConfig};
+use da_core::Analysis;
 use dist::{run_sharded, Sharding};
 use ensf::EnsfConfig;
 use proptest::prelude::*;
@@ -39,12 +40,13 @@ fn elastic_run(cycles: usize) -> Run {
         seed: 3,
         ..Default::default()
     };
-    Run::new("elastic-prop", osse)
+    let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
+    Run::new("elastic-prop", osse, Analysis::ensf(ensf))
 }
 
+/// No network model, no stragglers.
 fn sharding() -> Sharding {
-    let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
-    Sharding { ensf, ..Default::default() }
+    Sharding::default()
 }
 
 /// The nature run of the full experiment (the prefix runs on its start).

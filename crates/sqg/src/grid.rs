@@ -44,12 +44,12 @@ impl SpectralGrid {
         let two_pi_over_l = 2.0 * std::f64::consts::PI / p.domain;
 
         // Signed integer wavenumbers with the Nyquist derivative zeroed:
-        // d/dx of the Nyquist mode is not representable on the grid.
+        // d/dx of the Nyquist mode is not representable on the grid. Only
+        // an even grid has one: on an odd grid index `n/2` is wavenumber `n/2`.
         let signed = |idx: usize| -> f64 {
-            let half = n / 2;
-            if idx < half {
+            if 2 * idx < n {
                 idx as f64
-            } else if idx == half {
+            } else if 2 * idx == n {
                 0.0
             } else {
                 idx as f64 - n as f64

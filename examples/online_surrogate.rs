@@ -14,7 +14,7 @@
 use sqg_da::da_core::experiments::{pretrain_surrogate, ComparisonConfig};
 use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
 use sqg_da::da_core::osse::nature_run;
-use sqg_da::da_core::{Completion, EnsfScheme};
+use sqg_da::da_core::Analysis;
 use sqg_da::ensf::EnsfConfig;
 
 fn main() {
@@ -35,14 +35,9 @@ fn main() {
     let run = |label: &str, online_steps: usize| {
         let mut surrogate = pretrain_surrogate(&config);
         surrogate.online_steps = online_steps;
-        let mut scheme = EnsfScheme::with_obs(
-            EnsfConfig { n_steps: config.ensf_steps, seed: 9, ..Default::default() },
-            config.osse.params.state_dim(),
-            config.osse.obs_spec(),
-            Completion::Inpaint,
-        );
-        let run = Run::new(label, config.osse.clone());
-        run_cycles(&run, &nature, &mut surrogate, &mut scheme, None, &mut SingleProcess, None)
+        let ensf = EnsfConfig { n_steps: config.ensf_steps, seed: 9, ..Default::default() };
+        let run = Run::new(label, config.osse.clone(), Analysis::ensf(ensf));
+        run_cycles(&run, &nature, &mut surrogate, &mut SingleProcess, None)
             .expect("online-surrogate OSSE is well-formed")
             .series
     };

@@ -16,7 +16,7 @@
 
 use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
 use sqg_da::da_core::osse::{nature_run, MaskKind, OsseConfig};
-use sqg_da::da_core::{Completion, EnsfScheme, LetkfScheme, SqgForecast};
+use sqg_da::da_core::{Analysis, SqgForecast};
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
@@ -44,28 +44,23 @@ fn main() {
         let nature = nature_run(&cfg);
         climatology_sd = nature.climatology_sd;
 
-        let mut letkf_model = SqgForecast::perfect(cfg.params.clone());
-        let mut letkf_scheme = LetkfScheme::with_obs(
-            LetkfConfig { cutoff: 4.0e6, rtps_alpha: 0.3 },
-            &cfg.params,
-            cfg.obs_spec(),
-        );
-        let run = |label: &str, model, scheme| {
-            let run = Run::new(label, cfg.clone());
-            run_cycles(&run, &nature, model, scheme, None, &mut SingleProcess, None)
+        let run = |label: &str, analysis| {
+            let run = Run::new(label, cfg.clone(), analysis);
+            let mut model = SqgForecast::perfect(cfg.params.clone());
+            run_cycles(&run, &nature, &mut model, &mut SingleProcess, None)
                 .expect("sparse-network OSSE is well-formed")
                 .series
         };
-        let letkf = run("letkf", &mut letkf_model, &mut letkf_scheme);
-
-        let mut ensf_model = SqgForecast::perfect(cfg.params.clone());
-        let mut ensf_scheme = EnsfScheme::with_obs(
-            EnsfConfig { n_steps: 25, seed: 7, spread_relaxation: 0.9, ..Default::default() },
-            cfg.params.state_dim(),
-            cfg.obs_spec(),
-            Completion::Inpaint,
+        let letkf = run("letkf", Analysis::Letkf(LetkfConfig { cutoff: 4.0e6, rtps_alpha: 0.3 }));
+        let ensf = run(
+            "ensf",
+            Analysis::ensf(EnsfConfig {
+                n_steps: 25,
+                seed: 7,
+                spread_relaxation: 0.9,
+                ..Default::default()
+            }),
         );
-        let ensf = run("ensf", &mut ensf_model, &mut ensf_scheme);
 
         println!(
             "{:>8} {:>9.0}% {:>14.5} {:>14.5}",

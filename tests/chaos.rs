@@ -15,8 +15,7 @@ use sqg_da::da_core::resilience::{
     AnalysisFault, Checkpoint, CheckpointConfig, CheckpointError, FaultPlan, HealthPolicy,
     LoopState, MemberFault, MemberFaultKind, ObsFault, SupervisedCycle,
 };
-use sqg_da::da_core::{AnalysisScheme, ForecastModel};
-use sqg_da::da_core::{Completion, EnsfScheme, LetkfScheme, NoAssimilation, SqgForecast};
+use sqg_da::da_core::{Analysis, ForecastModel, SqgForecast};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
@@ -67,14 +66,18 @@ fn chaos_config(cycles: usize, seed: u64) -> OsseConfig {
     }
 }
 
-/// `cfg` under `faults`, supervised by the guardrails scaled to its
+fn ensf(cfg: &OsseConfig) -> Analysis {
+    Analysis::ensf(EnsfConfig { n_steps: 20, seed: cfg.seed ^ 0xE45F, ..Default::default() })
+}
+
+/// `cfg`'s EnSF under `faults`, supervised by the guardrails scaled to its
 /// observation error.
 fn supervised(label: &str, cfg: &OsseConfig, faults: FaultPlan) -> Run {
     let health = Some(HealthPolicy::for_obs_sigma(cfg.obs_sigma));
-    Run { health, faults, ..Run::new(label, cfg.clone()) }
+    Run { health, faults, ..Run::new(label, cfg.clone(), ensf(cfg)) }
 }
 
-/// `cfg` under `faults` with the spread floor loosened: EnSF's equilibrium
+/// [`supervised`] with the spread floor loosened: EnSF's equilibrium
 /// spread at this scale sits near the default 0.1σ floor, so only
 /// scripted faults trip guardrails.
 fn chaos_run(label: &str, cfg: &OsseConfig, faults: FaultPlan) -> Run {
@@ -82,7 +85,7 @@ fn chaos_run(label: &str, cfg: &OsseConfig, faults: FaultPlan) -> Run {
         spread_floor: 0.02 * cfg.obs_sigma,
         ..HealthPolicy::for_obs_sigma(cfg.obs_sigma)
     });
-    Run { health, faults, ..Run::new(label, cfg.clone()) }
+    Run { health, ..supervised(label, cfg, faults) }
 }
 
 /// `run` on one process.
@@ -90,27 +93,15 @@ fn drive(
     run: &Run,
     nature: &NatureRun,
     model: &mut dyn ForecastModel,
-    scheme: &mut dyn AnalysisScheme,
-    fallback: Option<&mut dyn AnalysisScheme>,
     resume: Option<Checkpoint>,
 ) -> RunResult {
-    run_cycles(run, nature, model, scheme, fallback, &mut SingleProcess, resume).unwrap()
+    run_cycles(run, nature, model, &mut SingleProcess, resume).unwrap()
 }
 
 /// The free (no-DA) run of `cfg`: its series.
 fn free_run(cfg: &OsseConfig, nature: &NatureRun) -> sqg_da::da_core::osse::CycleSeries {
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    drive(&Run::new("free", cfg.clone()), nature, &mut model, &mut NoAssimilation, None, None)
-        .series
-}
-
-fn ensf_scheme(cfg: &OsseConfig, dim: usize) -> EnsfScheme {
-    EnsfScheme::with_obs(
-        EnsfConfig { n_steps: 20, seed: cfg.seed ^ 0xE45F, ..Default::default() },
-        dim,
-        cfg.obs_spec(),
-        Completion::Inpaint,
-    )
+    drive(&Run::new("free", cfg.clone(), Analysis::None), nature, &mut model, None).series
 }
 
 /// Everything at once: NaN'd and blown-up members, a dropped observation
@@ -122,7 +113,6 @@ fn ensf_scheme(cfg: &OsseConfig, dim: usize) -> EnsfScheme {
 fn chaos_run_completes_and_beats_free_run() {
     let cfg = chaos_config(16, 23);
     let nr = nature_run(&cfg);
-    let dim = nr.truth[0].len();
 
     let faults = FaultPlan {
         member_faults: vec![
@@ -136,10 +126,9 @@ fn chaos_run_completes_and_beats_free_run() {
     };
 
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = ensf_scheme(&cfg, dim);
-    let mut fallback = LetkfScheme::with_obs(LetkfConfig::default(), &cfg.params, cfg.obs_spec());
-    let chaos = chaos_run("chaos", &cfg, faults);
-    let run = drive(&chaos, &nr, &mut model, &mut scheme, Some(&mut fallback), None);
+    let fallback = Some(Analysis::Letkf(LetkfConfig::default()));
+    let chaos = Run { fallback, ..chaos_run("chaos", &cfg, faults) };
+    let run = drive(&chaos, &nr, &mut model, None);
 
     // Every cycle completed despite the fault script.
     assert!(!run.interrupted);
@@ -191,7 +180,6 @@ fn chaos_run_completes_and_beats_free_run() {
 fn flow_matching_chaos_run_retries_and_falls_back() {
     let cfg = chaos_config(12, 31);
     let nr = nature_run(&cfg);
-    let dim = nr.truth[0].len();
 
     let faults = FaultPlan {
         analysis_faults: vec![AnalysisFault { cycle: 5, failures: 9 }],
@@ -199,21 +187,18 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
     };
 
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = EnsfScheme::with_obs(
-        EnsfConfig {
+    let chaos = Run {
+        analysis: Analysis::ensf(EnsfConfig {
             method: AnalysisMethod::FlowMatching,
             n_steps: 8,
             seed: cfg.seed ^ 0xE45F,
             ..Default::default()
-        },
-        dim,
-        cfg.obs_spec(),
-        Completion::Inpaint,
-    );
-    assert_eq!(scheme.name(), "FlowEnSF");
-    let mut fallback = LetkfScheme::with_obs(LetkfConfig::default(), &cfg.params, cfg.obs_spec());
-    let chaos = chaos_run("flow-chaos", &cfg, faults);
-    let run = drive(&chaos, &nr, &mut model, &mut scheme, Some(&mut fallback), None);
+        }),
+        fallback: Some(Analysis::Letkf(LetkfConfig::default())),
+        ..chaos_run("flow-chaos", &cfg, faults)
+    };
+    assert_eq!(chaos.analysis.build(&cfg).name(), "FlowEnSF");
+    let run = drive(&chaos, &nr, &mut model, None);
 
     assert!(!run.interrupted);
     assert_eq!(run.cycles.len(), cfg.cycles);
@@ -241,7 +226,6 @@ fn flow_matching_chaos_run_retries_and_falls_back() {
 fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
     let cfg = chaos_config(6, 53);
     let nr = nature_run(&cfg);
-    let dim = nr.truth[0].len();
     let dir = scratch_path("postmortem");
     std::fs::remove_dir_all(&dir).ok();
 
@@ -255,9 +239,8 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
     };
 
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = ensf_scheme(&cfg, dim);
     let chaos = Run { postmortems: Some(dir.clone()), ..chaos_run("postmortem", &cfg, faults) };
-    let run = drive(&chaos, &nr, &mut model, &mut scheme, None, None);
+    let run = drive(&chaos, &nr, &mut model, None);
 
     assert_eq!(run.cycles[3].state, LoopState::Degraded, "fault must trip the supervisor");
 
@@ -305,7 +288,6 @@ fn injected_fault_produces_postmortem_with_diagnostics_and_transition() {
 fn checkpoint_kill_restore_is_bit_identical() {
     let cfg = chaos_config(8, 31);
     let nr = nature_run(&cfg);
-    let dim = nr.truth[0].len();
     let path = scratch_path("ckpt.bin");
 
     // Reference: the same fault plan minus the kill, run to completion.
@@ -314,9 +296,8 @@ fn checkpoint_kill_restore_is_bit_identical() {
         ..FaultPlan::none()
     };
     let mut m_ref = SqgForecast::perfect(cfg.params.clone());
-    let mut s_ref = ensf_scheme(&cfg, dim);
     let reference = supervised("ref", &cfg, plan.clone());
-    let full = drive(&reference, &nr, &mut m_ref, &mut s_ref, None, None);
+    let full = drive(&reference, &nr, &mut m_ref, None);
 
     // Same plan, killed after cycle 4, checkpointing through the file.
     let kill = Run {
@@ -324,8 +305,7 @@ fn checkpoint_kill_restore_is_bit_identical() {
         ..supervised("kill", &cfg, FaultPlan { kill_after: Some(4), ..plan.clone() })
     };
     let mut m1 = SqgForecast::perfect(cfg.params.clone());
-    let mut s1 = ensf_scheme(&cfg, dim);
-    let killed = drive(&kill, &nr, &mut m1, &mut s1, None, None);
+    let killed = drive(&kill, &nr, &mut m1, None);
     assert!(killed.interrupted);
     assert_eq!(killed.checkpoint.cycle, 4);
 
@@ -333,8 +313,7 @@ fn checkpoint_kill_restore_is_bit_identical() {
     let ck = Checkpoint::load(&path).unwrap();
     assert_eq!(ck.cycle, 4);
     let mut m2 = SqgForecast::perfect(cfg.params.clone());
-    let mut s2 = ensf_scheme(&cfg, dim);
-    let resumed = drive(&supervised("resume", &cfg, plan), &nr, &mut m2, &mut s2, None, Some(ck));
+    let resumed = drive(&supervised("resume", &cfg, plan), &nr, &mut m2, Some(ck));
     std::fs::remove_file(&path).ok();
 
     assert!(!resumed.interrupted);
@@ -354,7 +333,6 @@ fn checkpoint_kill_restore_is_bit_identical() {
 fn corrupted_checkpoint_file_is_rejected() {
     let cfg = chaos_config(4, 41);
     let nr = nature_run(&cfg);
-    let dim = nr.truth[0].len();
     let path = scratch_path("bad_ckpt.bin");
 
     let victim = Run {
@@ -362,8 +340,7 @@ fn corrupted_checkpoint_file_is_rejected() {
         ..supervised("victim", &cfg, FaultPlan { kill_after: Some(2), ..FaultPlan::none() })
     };
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = ensf_scheme(&cfg, dim);
-    drive(&victim, &nr, &mut model, &mut scheme, None, None);
+    drive(&victim, &nr, &mut model, None);
 
     // Bit-rot in the ensemble payload: a NaN where a state value was.
     let mut raw = std::fs::read(&path).unwrap();
@@ -388,7 +365,6 @@ fn corrupted_checkpoint_file_is_rejected() {
 fn concurrent_runs_keep_their_own_records_and_postmortems() {
     let cfg = chaos_config(5, 61);
     let nr = nature_run(&cfg);
-    let dim = nr.truth[0].len();
     let nan = |cycle, member| MemberFault { cycle, member, kind: MemberFaultKind::Nan };
     let quarantine = FaultPlan { member_faults: vec![nan(2, 1)], ..FaultPlan::none() };
     let drop = FaultPlan { obs_faults: vec![(1, ObsFault::Drop)], ..FaultPlan::none() };
@@ -420,8 +396,7 @@ fn concurrent_runs_keep_their_own_records_and_postmortems() {
                 let (cfg, nr) = (&cfg, &nr);
                 scope.spawn(move || {
                     let mut model = SqgForecast::perfect(cfg.params.clone());
-                    let mut scheme = ensf_scheme(cfg, dim);
-                    drive(run, nr, &mut model, &mut scheme, None, None)
+                    drive(run, nr, &mut model, None)
                 })
             })
             .collect();

@@ -9,6 +9,7 @@
 //! own records and postmortem directory, so the tests run in parallel.
 
 use sqg_da::da_core::cycle::Run;
+use sqg_da::da_core::Analysis;
 use sqg_da::da_core::osse::{nature_run, NatureRun, OsseConfig};
 use sqg_da::da_core::resilience::{CheckpointConfig, LoopState, RankKill, RankRejoin, Rung};
 use sqg_da::dist::{modeled_analysis_secs, run_sharded, ElasticCounters, ShardedRun, Sharding};
@@ -16,6 +17,11 @@ use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::hpc::{Straggler, StragglerPlan};
 use sqg_da::sqg::SqgParams;
 use telemetry::Json;
+
+/// The EnSF of the runs below: `method` at `n_steps` steps.
+fn ensf(n_steps: usize, method: AnalysisMethod) -> Analysis {
+    Analysis::ensf(EnsfConfig { n_steps, method, seed: 5, ..Default::default() })
+}
 
 /// Reduced grid (`d = 512`, 8 members), matching the elastic unit tests.
 fn elastic_config(cycles: usize) -> (Run, Sharding) {
@@ -29,8 +35,7 @@ fn elastic_config(cycles: usize) -> (Run, Sharding) {
         seed: 3,
         ..Default::default()
     };
-    let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
-    (Run::new("chaos-dist", osse), Sharding { ensf, ..Default::default() })
+    (Run::new("chaos-dist", osse, ensf(10, AnalysisMethod::ReverseSde)), Sharding::default())
 }
 
 /// `run` on `ranks` ranks against its own nature run: world rank 0's result.
@@ -158,8 +163,7 @@ fn blown_deadline_leaves_postmortem_and_typed_outcome() {
     let (mut run, mut sharding) = elastic_config(3);
     run.postmortems = Some(dir.clone());
     sharding.network = Some(sqg_da::dist::CommSpec::clean(2));
-    let steps = sharding.ensf.n_steps;
-    let full2 = modeled(&run, &sharding, steps, 2);
+    let full2 = modeled(&run, &sharding, 10, 2);
     let deg1 = modeled(&run, &sharding, 3, 1);
     // Budget fits exactly one clean attempt plus half of the cheapest
     // possible retry: whatever rung the post-shrink re-evaluation picks
@@ -168,7 +172,7 @@ fn blown_deadline_leaves_postmortem_and_typed_outcome() {
     // rather than dropping to forecast-only.
     run.faults.rank_kills.push(RankKill { cycle: 1, rank: 1 });
     run.budget = Some(full2 + 0.5 * deg1);
-    sharding.degraded_steps = Some(3);
+    run.fallback = Some(ensf(3, AnalysisMethod::ReverseSde));
     let result = sharded(&run, &sharding, 2);
 
     assert!(!result.run.interrupted);
@@ -251,8 +255,7 @@ fn flow_matching_survives_shrink_and_deadline_ladder() {
     // ladder has a window at both group sizes only where the full grid's
     // compute outweighs the 3-rank/2-rank gather difference: 40 steps at
     // d = 512. Every cycle rides the 1-step rung, so the 40 never run.
-    sharding.ensf.n_steps = 40;
-    sharding.ensf.method = AnalysisMethod::FlowMatching;
+    run.analysis = ensf(40, AnalysisMethod::FlowMatching);
     sharding.network = Some(sqg_da::dist::CommSpec::clean(3));
     let full3 = modeled(&run, &sharding, 40, 3);
     let full2 = modeled(&run, &sharding, 40, 2);
@@ -268,7 +271,7 @@ fn flow_matching_survives_shrink_and_deadline_ladder() {
     );
     run.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
     run.budget = Some(budget);
-    sharding.degraded_steps = Some(1);
+    run.fallback = Some(ensf(1, AnalysisMethod::FlowMatching));
     let result = sharded(&run, &sharding, 3);
 
     assert!(!result.run.interrupted);
@@ -287,10 +290,9 @@ fn flow_matching_survives_shrink_and_deadline_ladder() {
 /// guidance composes with the shrink machinery.
 #[test]
 fn masked_flow_matching_survives_shrink_retry() {
-    let (mut run, mut sharding) = elastic_config(4);
+    let (mut run, sharding) = elastic_config(4);
     run.osse.obs_mask = sqg_da::da_core::osse::MaskKind::Block { start: 192, len: 128 };
-    sharding.ensf.n_steps = 6;
-    sharding.ensf.method = AnalysisMethod::FlowMatching;
+    run.analysis = ensf(6, AnalysisMethod::FlowMatching);
     run.faults.rank_kills.push(RankKill { cycle: 1, rank: 2 });
     let result = sharded(&run, &sharding, 3);
 
@@ -365,13 +367,12 @@ fn forecast_only_kill_falls_back_until_the_next_analysis_shrinks() {
         let what = format!("{ranks} ranks, forecast-only cycles 1..={last_forecast_only}");
         let (mut run, mut sharding) = elastic_config(4);
         sharding.network = Some(sqg_da::dist::CommSpec::clean(3));
-        let steps = sharding.ensf.n_steps;
-        let full = |ranks| modeled(&run, &sharding, steps, ranks);
+        let full = |ranks| modeled(&run, &sharding, 10, ranks);
         // Room for a full analysis plus its redo at any group size, and a
         // straggler no rung survives from the kill on.
         let budget = 2.0 * full(1).max(full(2)).max(full(3));
         run.budget = Some(budget);
-        sharding.degraded_steps = Some(3);
+        run.fallback = Some(ensf(3, AnalysisMethod::ReverseSde));
         sharding.stragglers = StragglerPlan {
             events: vec![Straggler {
                 rank: 0,
@@ -423,13 +424,13 @@ fn combined_chaos_terminates_with_typed_outcomes() {
     // and running without one also covers the loop's no-postmortem path.
     let (mut run, mut sharding) = elastic_config(4);
     sharding.network = Some(sqg_da::dist::CommSpec::clean(4));
-    let full = modeled(&run, &sharding, sharding.ensf.n_steps, 4);
+    let full = modeled(&run, &sharding, 10, 4);
     run.faults.rank_kills.push(RankKill { cycle: 1, rank: 3 });
     sharding.stragglers = StragglerPlan {
         events: vec![Straggler { rank: 1, from_cycle: 2, to_cycle: 2, slowdown: 8.0 }],
     };
     run.budget = Some(full * 3.0);
-    sharding.degraded_steps = Some(3);
+    run.fallback = Some(ensf(3, AnalysisMethod::ReverseSde));
     let result = sharded(&run, &sharding, 4);
 
     assert!(!result.run.interrupted);

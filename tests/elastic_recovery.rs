@@ -17,7 +17,7 @@
 use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
 use sqg_da::da_core::osse::{nature_run, NatureRun, OsseConfig};
 use sqg_da::da_core::resilience::{Checkpoint, CheckpointConfig, FaultPlan, HealthPolicy, RankKill};
-use sqg_da::da_core::{EnsfScheme, SqgForecast};
+use sqg_da::da_core::{Analysis, SqgForecast};
 use sqg_da::dist::{run_sharded, ShardedRun, Sharding};
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::sqg::SqgParams;
@@ -39,7 +39,7 @@ fn elastic_config(cycles: usize) -> (Run, Sharding) {
         ..Default::default()
     };
     let ensf = EnsfConfig { n_steps: 10, seed: 5, ..Default::default() };
-    (Run::new("elastic", osse), Sharding { ensf, ..Default::default() })
+    (Run::new("elastic", osse, Analysis::ensf(ensf)), Sharding::default())
 }
 
 /// `run` on `ranks` ranks from `resume`: world rank 0's result.
@@ -204,10 +204,7 @@ fn checkpoints_are_portable_between_the_serial_and_sharded_faces() {
     let nature = nature_run(osse);
     let serial = |run: &Run, resume| {
         let mut model = SqgForecast::perfect(osse.params.clone());
-        let mut scheme =
-            EnsfScheme::new(sharding.ensf.clone(), osse.params.state_dim(), osse.obs_sigma);
-        run_cycles(run, &nature, &mut model, &mut scheme, None, &mut SingleProcess, resume)
-            .unwrap()
+        run_cycles(run, &nature, &mut model, &mut SingleProcess, resume).unwrap()
     };
     let health = Some(HealthPolicy::for_obs_sigma(osse.obs_sigma));
     let supervised = Run { health, ..run.clone() };

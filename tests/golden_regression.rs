@@ -29,9 +29,7 @@
 //! ```
 
 use sqg_da::da_core::osse::{initial_ensemble, nature_run, MaskKind, ObsOperatorKind, OsseConfig};
-use sqg_da::da_core::{
-    AnalysisScheme, Completion, EnsfScheme, ForecastModel, LetkfScheme, SqgForecast,
-};
+use sqg_da::da_core::{Analysis, AnalysisScheme, ForecastModel, SqgForecast};
 use sqg_da::ensf::{AnalysisMethod, EnsfConfig};
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
@@ -206,13 +204,8 @@ fn assert_close(name: &str, what: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-fn check_against_golden(
-    name: &str,
-    pins: &Pins,
-    config: &OsseConfig,
-    scheme: &mut dyn AnalysisScheme,
-) {
-    let traj = &run_trajectory(config, scheme, pins);
+fn check_against_golden(name: &str, pins: &Pins, config: &OsseConfig, analysis: &Analysis) {
+    let traj = &run_trajectory(config, analysis.build(config).as_mut(), pins);
     let path = golden_path(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -240,37 +233,30 @@ fn check_against_golden(
     }
 }
 
-/// The EnSF scheme of every fixture: 10 reverse-SDE steps or 6
-/// probability-flow steps, observing what `config`'s nature run emits.
-fn ensf_scheme(config: &OsseConfig, method: AnalysisMethod) -> EnsfScheme {
+/// The EnSF of every fixture: 10 reverse-SDE steps or 6 probability-flow
+/// steps.
+fn ensf(method: AnalysisMethod) -> Analysis {
     let n_steps = match method {
         AnalysisMethod::ReverseSde => 10,
         AnalysisMethod::FlowMatching => 6,
     };
-    EnsfScheme::with_obs(
-        EnsfConfig { n_steps, seed: 5, method, ..Default::default() },
-        config.params.state_dim(),
-        config.obs_spec(),
-        Completion::Inpaint,
-    )
+    Analysis::ensf(EnsfConfig { n_steps, seed: 5, method, ..Default::default() })
 }
 
-fn letkf_scheme(config: &OsseConfig) -> LetkfScheme {
-    LetkfScheme::with_obs(LetkfConfig::default(), &config.params, config.obs_spec())
+fn letkf() -> Analysis {
+    Analysis::Letkf(LetkfConfig::default())
 }
 
 #[test]
 fn ensf_trajectory_matches_golden() {
     let config = osse_config();
-    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
-    check_against_golden("ensf", &STANDARD, &config, &mut scheme);
+    check_against_golden("ensf", &STANDARD, &config, &ensf(AnalysisMethod::ReverseSde));
 }
 
 #[test]
 fn letkf_trajectory_matches_golden() {
     let config = osse_config();
-    let mut scheme = letkf_scheme(&config);
-    check_against_golden("letkf", &STANDARD, &config, &mut scheme);
+    check_against_golden("letkf", &STANDARD, &config, &letkf());
 }
 
 /// Pins the standard nonlinear-observation scenario: EnSF assimilating
@@ -280,8 +266,7 @@ fn letkf_trajectory_matches_golden() {
 #[test]
 fn ensf_arctan_trajectory_matches_golden() {
     let config = arctan_config();
-    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
-    check_against_golden("ensf_arctan", &ENSF_ARCTAN, &config, &mut scheme);
+    check_against_golden("ensf_arctan", &ENSF_ARCTAN, &config, &ensf(AnalysisMethod::ReverseSde));
 }
 
 /// LETKF through the same saturating `arctan(40 · x)` operator: the
@@ -293,8 +278,7 @@ fn ensf_arctan_trajectory_matches_golden() {
 #[test]
 fn letkf_arctan_trajectory_matches_golden() {
     let config = arctan_config();
-    let mut scheme = letkf_scheme(&config);
-    check_against_golden("letkf_arctan", &STANDARD, &config, &mut scheme);
+    check_against_golden("letkf_arctan", &STANDARD, &config, &letkf());
 }
 
 /// Pins the few-step flow-matching analysis (6-step probability-flow ODE)
@@ -305,8 +289,7 @@ fn letkf_arctan_trajectory_matches_golden() {
 #[test]
 fn flow_trajectory_matches_golden() {
     let config = osse_config();
-    let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
-    check_against_golden("flow", &STANDARD, &config, &mut scheme);
+    check_against_golden("flow", &STANDARD, &config, &ensf(AnalysisMethod::FlowMatching));
 }
 
 /// The flow-matching scheme through the saturating `arctan(40 · x)`
@@ -315,8 +298,7 @@ fn flow_trajectory_matches_golden() {
 #[test]
 fn flow_arctan_trajectory_matches_golden() {
     let config = arctan_config();
-    let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
-    check_against_golden("flow_arctan", &FLOW_ARCTAN, &config, &mut scheme);
+    check_against_golden("flow_arctan", &FLOW_ARCTAN, &config, &ensf(AnalysisMethod::FlowMatching));
 }
 
 /// The 25 % contiguous block outage of the scenario library: covers the
@@ -331,8 +313,7 @@ const BLOCK25: MaskKind = MaskKind::Block { start: 192, len: 128 };
 #[test]
 fn ensf_mask_block_trajectory_matches_golden() {
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
-    check_against_golden("ensf_mask_block", &STANDARD, &config, &mut scheme);
+    check_against_golden("ensf_mask_block", &STANDARD, &config, &ensf(AnalysisMethod::ReverseSde));
 }
 
 /// The moving satellite-track mask: the observed window (and hence the
@@ -342,8 +323,7 @@ fn ensf_mask_block_trajectory_matches_golden() {
 fn ensf_track_trajectory_matches_golden() {
     let track = MaskKind::Track { width: 256, speed: 40 };
     let config = OsseConfig { obs_mask: track, ..osse_config() };
-    let mut scheme = ensf_scheme(&config, AnalysisMethod::ReverseSde);
-    check_against_golden("ensf_track", &STANDARD, &config, &mut scheme);
+    check_against_golden("ensf_track", &STANDARD, &config, &ensf(AnalysisMethod::ReverseSde));
 }
 
 /// The inpainting variant of the few-step probability-flow analysis on the
@@ -351,8 +331,7 @@ fn ensf_track_trajectory_matches_golden() {
 #[test]
 fn flow_inpaint_trajectory_matches_golden() {
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme = ensf_scheme(&config, AnalysisMethod::FlowMatching);
-    check_against_golden("flow_inpaint", &STANDARD, &config, &mut scheme);
+    check_against_golden("flow_inpaint", &STANDARD, &config, &ensf(AnalysisMethod::FlowMatching));
 }
 
 /// Masked LETKF on the block outage: localization spreads the surviving
@@ -361,8 +340,7 @@ fn flow_inpaint_trajectory_matches_golden() {
 #[test]
 fn letkf_mask_block_trajectory_matches_golden() {
     let config = OsseConfig { obs_mask: BLOCK25, ..osse_config() };
-    let mut scheme = letkf_scheme(&config);
-    check_against_golden("letkf_mask_block", &STANDARD, &config, &mut scheme);
+    check_against_golden("letkf_mask_block", &STANDARD, &config, &letkf());
 }
 
 #[test]

@@ -4,24 +4,26 @@
 use sqg_da::da_core::experiments::{pretrain_surrogate, run_comparison, ComparisonConfig};
 use sqg_da::da_core::cycle::{run_cycles, Run, SingleProcess};
 use sqg_da::da_core::osse::{nature_run, nature_run_with_error, CycleSeries, NatureRun, OsseConfig};
-use sqg_da::da_core::{
-    AnalysisScheme, EnsfScheme, ForecastModel, LetkfScheme, ModelError, ModelErrorConfig,
-    NoAssimilation, SqgForecast,
-};
+use sqg_da::da_core::{Analysis, ForecastModel, ModelError, ModelErrorConfig, SqgForecast};
 use sqg_da::ensf::EnsfConfig;
 use sqg_da::letkf::LetkfConfig;
 use sqg_da::sqg::SqgParams;
 
-/// The plain run of `cfg` on one process: its series.
+/// The plain run of `analysis` in `cfg` on one process: its series.
 fn run_plain(
     label: &str,
     cfg: &OsseConfig,
     nature: &NatureRun,
     model: &mut dyn ForecastModel,
-    scheme: &mut dyn AnalysisScheme,
+    analysis: Analysis,
 ) -> CycleSeries {
-    let run = Run::new(label, cfg.clone());
-    run_cycles(&run, nature, model, scheme, None, &mut SingleProcess, None).unwrap().series
+    let run = Run::new(label, cfg.clone(), analysis);
+    run_cycles(&run, nature, model, &mut SingleProcess, None).unwrap().series
+}
+
+/// The paper-tuned LETKF: 2000 km cutoff, RTPS 0.3.
+fn letkf() -> Analysis {
+    Analysis::Letkf(LetkfConfig { cutoff: 2.0e6, rtps_alpha: 0.3 })
 }
 
 fn tiny_osse(cycles: usize, seed: u64) -> OsseConfig {
@@ -69,12 +71,8 @@ fn ensf_physics_long_cycling_is_stable() {
     let cfg = tiny_osse(20, 17);
     let nr = nature_run(&cfg);
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = EnsfScheme::new(
-        EnsfConfig { n_steps: 25, seed: 2, ..Default::default() },
-        cfg.params.state_dim(),
-        cfg.obs_sigma,
-    );
-    let series = run_plain("ensf", &cfg, &nr, &mut model, &mut scheme);
+    let ensf = Analysis::ensf(EnsfConfig { n_steps: 25, seed: 2, ..Default::default() });
+    let series = run_plain("ensf", &cfg, &nr, &mut model, ensf);
     // Error must not blow up: last-5-cycle average below the climatological
     // scale of the field.
     let tail: f64 = series.rmse[15..].iter().sum::<f64>() / 5.0;
@@ -85,8 +83,7 @@ fn ensf_physics_long_cycling_is_stable() {
     );
     // And below the free-run error at the same horizon.
     let mut free_model = SqgForecast::perfect(cfg.params.clone());
-    let mut free = NoAssimilation;
-    let free_series = run_plain("free", &cfg, &nr, &mut free_model, &mut free);
+    let free_series = run_plain("free", &cfg, &nr, &mut free_model, Analysis::None);
     assert!(series.steady_rmse() < free_series.steady_rmse());
 }
 
@@ -96,12 +93,7 @@ fn letkf_physics_long_cycling_is_stable() {
     let cfg = tiny_osse(20, 29);
     let nr = nature_run(&cfg);
     let mut model = SqgForecast::perfect(cfg.params.clone());
-    let mut scheme = LetkfScheme::new(
-        LetkfConfig { cutoff: 2.0e6, rtps_alpha: 0.3 },
-        &cfg.params,
-        cfg.obs_sigma,
-    );
-    let series = run_plain("letkf", &cfg, &nr, &mut model, &mut scheme);
+    let series = run_plain("letkf", &cfg, &nr, &mut model, letkf());
     let tail: f64 = series.rmse[15..].iter().sum::<f64>() / 5.0;
     assert!(tail < nr.climatology_sd, "LETKF diverged: {tail}");
 }
@@ -116,22 +108,10 @@ fn model_error_hurts_letkf_more_than_ensf() {
 
     let run_pair = |nature: &sqg_da::da_core::osse::NatureRun| {
         let mut m1 = SqgForecast::perfect(cfg.params.clone());
-        let mut letkf_scheme = LetkfScheme::new(
-            LetkfConfig { cutoff: 2.0e6, rtps_alpha: 0.3 },
-            &cfg.params,
-            cfg.obs_sigma,
-        );
-        let letkf = run_plain("letkf", &cfg, nature, &mut m1, &mut letkf_scheme)
-            .steady_rmse();
+        let letkf = run_plain("letkf", &cfg, nature, &mut m1, letkf()).steady_rmse();
         let mut m2 = SqgForecast::perfect(cfg.params.clone());
-        let mut ensf_scheme = EnsfScheme::new(
-            EnsfConfig { n_steps: 25, seed: 4, ..Default::default() },
-            cfg.params.state_dim(),
-            cfg.obs_sigma,
-        );
-        let ensf =
-            run_plain("ensf", &cfg, nature, &mut m2, &mut ensf_scheme)
-                .steady_rmse();
+        let ensf = Analysis::ensf(EnsfConfig { n_steps: 25, seed: 4, ..Default::default() });
+        let ensf = run_plain("ensf", &cfg, nature, &mut m2, ensf).steady_rmse();
         (letkf, ensf)
     };
 
@@ -187,22 +167,12 @@ fn filters_can_be_chained() {
 
     // Cycle 1 with LETKF.
     model.forecast_ensemble(&mut ensemble, 12.0);
-    let mut letkf_scheme = LetkfScheme::new(
-        LetkfConfig { cutoff: 2.0e6, rtps_alpha: 0.3 },
-        &cfg.params,
-        cfg.obs_sigma,
-    );
-    use sqg_da::da_core::AnalysisScheme;
-    ensemble = letkf_scheme.analyze(&ensemble, &nr.observations[0]);
+    ensemble = letkf().build(&cfg).analyze(&ensemble, &nr.observations[0]);
 
     // Cycle 2 with EnSF.
     model.forecast_ensemble(&mut ensemble, 12.0);
-    let mut ensf_scheme = EnsfScheme::new(
-        EnsfConfig { n_steps: 20, seed: 6, ..Default::default() },
-        cfg.params.state_dim(),
-        cfg.obs_sigma,
-    );
-    ensemble = ensf_scheme.analyze(&ensemble, &nr.observations[1]);
+    let ensf = Analysis::ensf(EnsfConfig { n_steps: 20, seed: 6, ..Default::default() });
+    ensemble = ensf.build(&cfg).analyze(&ensemble, &nr.observations[1]);
 
     let err = sqg_da::stats::metrics::rmse(&ensemble.mean(), &nr.truth[2]);
     assert!(err.is_finite());
