@@ -15,7 +15,7 @@
 //! 2. **Workspace**: [`passes`] builds a [`symbols::SymbolTable`] and a
 //!    [`callgraph::CallGraph`] over *all* collected facts and runs the
 //!    interprocedural passes (`no_alloc` reachability, collective-protocol
-//!    safety, determinism dataflow).
+//!    safety, determinism dataflow) and the `dead-pub` mention check.
 //!
 //! Over the whole tree ([`check_workspace`]) the [`rules`] table then checks
 //! the workspace's architecture: sole sites, confined patterns and retired
@@ -33,7 +33,6 @@ pub mod lints;
 pub mod parse;
 pub mod passes;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 pub mod workspace;
 
@@ -92,7 +91,7 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         name: "collective-protocol",
-        desc: "dist/hpc collectives must use the fault-aware try_* variants, never inside rank-dependent branches",
+        desc: "dist/hpc collectives never inside rank-dependent branches",
     },
     Lint {
         name: "hash-float-fold",
@@ -101,6 +100,10 @@ pub const LINTS: &[Lint] = &[
     Lint {
         name: "rng-stream-discipline",
         desc: "dist/ensf RNGs must derive from the stats::rng per-(particle,tile) stream API, never raw construction",
+    },
+    Lint {
+        name: "dead-pub",
+        desc: "a `pub fn` in library code must be named by some other file of the tree (use lines excepted)",
     },
     Lint {
         name: "float-exact-compare",
@@ -113,7 +116,7 @@ pub const LINTS: &[Lint] = &[
 ];
 
 /// True when `name` is a registered lint name.
-pub fn is_known_lint(name: &str) -> bool {
+fn is_known_lint(name: &str) -> bool {
     LINTS.iter().any(|l| l.name == name)
 }
 
@@ -256,7 +259,7 @@ impl FileFacts {
     }
 
     /// True when an `allow(<lint>)` directive covers `line`.
-    pub fn allowed(&self, lint: &str, line: u32) -> bool {
+    fn allowed(&self, lint: &str, line: u32) -> bool {
         self.allow_ranges.iter().any(|(l, a, b)| l == lint && *a <= line && line <= *b)
     }
 

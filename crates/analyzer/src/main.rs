@@ -1,7 +1,7 @@
 //! `analyzer` CLI.
 //!
 //! ```text
-//! cargo run -p analyzer -- check [--json|--sarif] [--root DIR] [FILE...]
+//! cargo run -p analyzer -- check [--json] [--root DIR] [FILE...]
 //! cargo run -p analyzer -- lints
 //! ```
 //!
@@ -18,7 +18,7 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use analyzer::{diag::json_str, sarif, Diagnostic, LINTS};
+use analyzer::{diag::json_str, Diagnostic, LINTS};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -35,29 +35,21 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: analyzer check [--json|--sarif] [--root DIR] [FILE...]\n       analyzer lints"
+                "usage: analyzer check [--json] [--root DIR] [FILE...]\n       analyzer lints"
             );
             ExitCode::from(2)
         }
     }
 }
 
-#[derive(PartialEq)]
-enum Output {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn check(args: &[String]) -> ExitCode {
-    let mut output = Output::Text;
+    let mut json = false;
     let mut root = PathBuf::from(".");
     let mut files: Vec<PathBuf> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => output = Output::Json,
-            "--sarif" => output = Output::Sarif,
+            "--json" => json = true,
             "--root" => match it.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -91,34 +83,28 @@ fn check(args: &[String]) -> ExitCode {
         *counts.entry(d.lint).or_insert(0) += 1;
     }
 
-    match output {
-        Output::Json => {
-            let findings: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-            let count_fields: Vec<String> =
-                counts.iter().map(|(k, v)| format!("{}:{}", json_str(k), v)).collect();
-            println!(
-                "{{\"id\":\"analyzer\",\"version\":2,\"files_scanned\":{},\"library_lines\":{},\"suppressed\":{},\"counts\":{{{}}},\"findings\":[{}]}}",
-                report.files_scanned,
-                report.library_lines,
-                report.suppressed,
-                count_fields.join(","),
-                findings.join(","),
-            );
+    if json {
+        let findings: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
+        let count_fields: Vec<String> =
+            counts.iter().map(|(k, v)| format!("{}:{}", json_str(k), v)).collect();
+        println!(
+            "{{\"id\":\"analyzer\",\"version\":2,\"files_scanned\":{},\"library_lines\":{},\"suppressed\":{},\"counts\":{{{}}},\"findings\":[{}]}}",
+            report.files_scanned,
+            report.library_lines,
+            report.suppressed,
+            count_fields.join(","),
+            findings.join(","),
+        );
+    } else {
+        for d in diags {
+            println!("{}", d.render());
         }
-        Output::Sarif => {
-            print!("{}", sarif::render(diags, report.suppressed, report.files_scanned));
-        }
-        Output::Text => {
-            for d in diags {
-                println!("{}", d.render());
-            }
-            println!(
-                "analyzer: {} finding(s), {} suppressed by allow, {} file(s) scanned",
-                diags.len(),
-                report.suppressed,
-                report.files_scanned
-            );
-        }
+        println!(
+            "analyzer: {} finding(s), {} suppressed by allow, {} file(s) scanned",
+            diags.len(),
+            report.suppressed,
+            report.files_scanned
+        );
     }
     if diags.is_empty() {
         ExitCode::SUCCESS

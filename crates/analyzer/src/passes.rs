@@ -1,17 +1,18 @@
 //! Workspace passes: the interprocedural lints built on the call graph.
 //!
-//! Three passes run over every file's [`FileFacts`] at once:
+//! Four passes run over every file's [`FileFacts`] at once:
 //!
 //! * [`no_alloc_reachable`] — propagates `// lint: no_alloc` transitively:
 //!   nothing reachable from a marked fn may allocate, even across files and
 //!   crates.
-//! * [`collective_protocol`] — in `dist`/`hpc`, collectives must use the
-//!   fault-aware `try_*` variants, and no collective (direct or via a
-//!   callee that performs one) may sit inside a rank-dependent branch —
-//!   that is the classic divergence/deadlock shape.
+//! * [`collective_protocol`] — in `dist`/`hpc`, no collective (direct or
+//!   via a callee that performs one) may sit inside a rank-dependent
+//!   branch — that is the classic divergence/deadlock shape.
 //! * [`determinism_dataflow`] — `HashMap`/`HashSet` iteration feeding float
 //!   accumulation (fold-order nondeterminism) and raw RNG construction in
 //!   `dist`/`ensf` that bypasses the per-(particle,tile) stream API.
+//! * [`dead_pub`] — a `pub fn` in library code that no other file of the
+//!   tree mentions.
 //!
 //! Findings land at the offending site and honor that file's `allow(...)`
 //! directives, exactly like the per-file lints.
@@ -20,8 +21,9 @@ use crate::callgraph::CallGraph;
 use crate::lexer::{Token, TokenKind};
 use crate::lints::alloc_sites;
 use crate::parse::{body_block, match_close};
+use crate::rules::under;
 use crate::symbols::{call_sites, SymbolTable};
-use crate::{FileFacts, Report};
+use crate::{FileFacts, FileKind, Report};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs every workspace pass over the collected facts.
@@ -32,6 +34,7 @@ pub fn run(files: &[FileFacts]) -> Report {
     no_alloc_reachable(files, &table, &graph, &mut report);
     collective_protocol(files, &table, &graph, &mut report);
     determinism_dataflow(files, &mut report);
+    dead_pub(files, &mut report);
     report.sorted()
 }
 
@@ -91,20 +94,9 @@ fn no_alloc_reachable(
     }
 }
 
-/// Collective method names on `hpc::mpi::Comm`, panicking convenience form.
-const COLLECTIVES: &[&str] =
-    &["barrier", "allreduce_sum", "gather", "broadcast", "scatter", "allgather", "allgather_concat"];
-
-/// Fault-aware forms of [`COLLECTIVES`].
-const TRY_COLLECTIVES: &[&str] = &[
-    "try_barrier",
-    "try_allreduce_sum",
-    "try_gather",
-    "try_broadcast",
-    "try_scatter",
-    "try_allgather",
-    "try_allgather_concat",
-];
+/// Collective method names on `hpc::mpi::Comm`: the two allgathers and the
+/// gather and broadcast they are built from.
+const COLLECTIVES: &[&str] = &["try_gather", "try_broadcast", "try_allgather", "try_allgather_concat"];
 
 /// Identifiers that make a branch condition rank-dependent.
 const RANK_IDENTS: &[&str] = &["rank", "world_rank", "is_root"];
@@ -118,15 +110,10 @@ fn is_method_call(tokens: &[Token], i: usize, set: &[&str]) -> bool {
         && tokens.get(i + 1).is_some_and(|n| n.text == "(")
 }
 
-/// `collective-protocol`: two rules over `dist`/`hpc` library code.
-///
-/// 1. Every `Comm` collective call site must use the `try_*` fault-aware
-///    variant — the panicking forms turn a rank failure into an abort (or a
-///    hang at scale) instead of a typed, recoverable error.
-/// 2. No collective — called directly or through any fn that transitively
-///    performs one — may sit inside an `if`/`while` whose condition is
-///    rank-dependent: if only some ranks reach a collective, the others
-///    deadlock in it.
+/// `collective-protocol` over `dist`/`hpc` library code: no collective —
+/// called directly or through any fn that transitively performs one — may
+/// sit inside an `if`/`while` whose condition is rank-dependent: if only
+/// some ranks reach a collective, the others deadlock in it.
 fn collective_protocol(
     files: &[FileFacts],
     table: &SymbolTable,
@@ -140,10 +127,7 @@ fn collective_protocol(
         .map(|d| {
             // INVARIANT: the symbol table only admits bodied fns.
             let (a, b) = d.body.unwrap();
-            (a..=b).any(|i| {
-                is_method_call(&files[d.file].tokens, i, COLLECTIVES)
-                    || is_method_call(&files[d.file].tokens, i, TRY_COLLECTIVES)
-            })
+            (a..=b).any(|i| is_method_call(&files[d.file].tokens, i, COLLECTIVES))
         })
         .collect();
     loop {
@@ -163,25 +147,6 @@ fn collective_protocol(
         if !f.scope.comm {
             continue;
         }
-        // Rule 1: non-try collective call sites.
-        for i in 0..f.tokens.len() {
-            if f.in_test_context(f.tokens[i].line) {
-                continue;
-            }
-            if is_method_call(&f.tokens, i, COLLECTIVES) {
-                let t = &f.tokens[i];
-                report.emit(
-                    f,
-                    "collective-protocol",
-                    t.line,
-                    t.col,
-                    format!("`.{}()` is the panicking collective; rank failure becomes an abort", t.text),
-                    "use the fault-aware `try_*` variant (dist::elastic's shrink-retry recovers from its typed error)",
-                );
-            }
-        }
-
-        // Rule 2: collectives lexically inside rank-dependent branches.
         for i in 0..f.tokens.len() {
             let t = &f.tokens[i];
             if t.kind != TokenKind::Ident
@@ -211,9 +176,7 @@ fn collective_protocol(
             }
             for (a, b) in ranges {
                 for j in a..=b {
-                    if is_method_call(&f.tokens, j, COLLECTIVES)
-                        || is_method_call(&f.tokens, j, TRY_COLLECTIVES)
-                    {
+                    if is_method_call(&f.tokens, j, COLLECTIVES) {
                         let c = &f.tokens[j];
                         report.emit(
                             f,
@@ -247,6 +210,69 @@ fn collective_protocol(
             }
         }
     }
+}
+
+/// `dead-pub`: a `pub fn` (free or inherent method) in library code —
+/// `crates/*/src/`, shims excluded — whose name no other file of the tree
+/// mentions as an identifier. Tokens of a `use` statement are not a
+/// mention; any other occurrence is, whatever it resolves to, so the pass
+/// errs towards silence.
+fn dead_pub(files: &[FileFacts], report: &mut Report) {
+    let mut mentioned_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (fi, f) in files.iter().enumerate() {
+        let mut in_use = false;
+        for t in &f.tokens {
+            if t.kind == TokenKind::Ident {
+                if t.text == "use" {
+                    in_use = true;
+                } else if !in_use {
+                    mentioned_in.entry(&t.text).or_default().insert(fi);
+                }
+            } else if t.text == ";" {
+                in_use = false;
+            }
+        }
+    }
+    for (fi, f) in files.iter().enumerate() {
+        if f.kind != FileKind::Library
+            || !under(&f.rel, "crates/*/src/")
+            || under(&f.rel, "crates/shims/")
+        {
+            continue;
+        }
+        for item in &f.structure.fns {
+            if !is_pub(&f.tokens, item.kw_idx) || f.structure.in_test_region(item.header_line) {
+                continue;
+            }
+            let files_naming = mentioned_in.get(item.name.as_str());
+            if files_naming.is_some_and(|s| s.iter().any(|&other| other != fi)) {
+                continue;
+            }
+            let t = &f.tokens[item.kw_idx + 1];
+            report.emit(
+                f,
+                "dead-pub",
+                t.line,
+                t.col,
+                format!("`pub fn {}` is named by no other file of the tree", item.name),
+                "delete it, make it private, or keep it with an allow naming the tests that use it",
+            );
+        }
+    }
+}
+
+/// True when the `fn` keyword at `kw` is declared plain `pub`
+/// (`pub(crate)` and narrower are not public API).
+fn is_pub(tokens: &[Token], kw: usize) -> bool {
+    for t in tokens[..kw].iter().rev() {
+        match t.text.as_str() {
+            "const" | "async" | "unsafe" | "extern" => {}
+            _ if t.kind == TokenKind::Str => {}
+            "pub" => return t.kind == TokenKind::Ident,
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// Hash-container iteration entry points.
@@ -536,7 +562,7 @@ mod tests {
             facts(
                 "crates/ensf/src/hot.rs",
                 "ensf",
-                "// lint: no_alloc\npub fn hot(out: &mut [f64]) {\n    helper(out);\n}\n",
+                "// lint: no_alloc\nfn hot(out: &mut [f64]) {\n    helper(out);\n}\n",
             ),
             facts(
                 "crates/ensf/src/util.rs",
@@ -573,7 +599,7 @@ mod tests {
         let files = vec![facts(
             "crates/ensf/src/hot.rs",
             "ensf",
-            "// lint: no_alloc\npub fn hot() {\n    let v = Vec::new();\n    let _: Vec<f64> = v;\n}\n",
+            "// lint: no_alloc\nfn hot() {\n    let v = Vec::new();\n    let _: Vec<f64> = v;\n}\n",
         )];
         let found = lints_of(&files);
         assert!(found.is_empty(), "{found:?}");
@@ -585,7 +611,7 @@ mod tests {
             facts(
                 "crates/ensf/src/hot.rs",
                 "ensf",
-                "// lint: no_alloc\npub fn hot() { helper(); }\n",
+                "// lint: no_alloc\nfn hot() { helper(); }\n",
             ),
             facts(
                 "crates/ensf/src/util.rs",
@@ -599,41 +625,21 @@ mod tests {
     }
 
     #[test]
-    fn non_try_collective_flagged_in_comm_crates_only() {
-        let bad = facts(
-            "crates/dist/src/a.rs",
-            "dist",
-            "fn f(comm: &Comm, x: &mut [f64]) {\n    comm.allreduce_sum(x);\n}\n",
-        );
-        let found = lints_of(&[bad]);
-        assert_eq!(found, vec![("collective-protocol".into(), "crates/dist/src/a.rs".into(), 2)]);
-        let elsewhere = facts(
-            "crates/telemetry/src/a.rs",
-            "telemetry",
-            "fn f(comm: &Comm, x: &mut [f64]) {\n    comm.allreduce_sum(x);\n}\n",
-        );
-        assert!(lints_of(&[elsewhere]).is_empty());
-    }
-
-    #[test]
-    fn try_collective_unguarded_is_clean() {
+    fn unguarded_collective_is_clean() {
         let files = vec![facts(
             "crates/dist/src/a.rs",
             "dist",
-            "fn f(comm: &Comm, x: &mut [f64]) -> Result<(), MpiError> {\n    comm.try_allreduce_sum(x)\n}\n",
+            "fn f(comm: &Comm, x: &[f64]) -> Result<Vec<f64>, MpiError> {\n    comm.try_allgather_concat(x)\n}\n",
         )];
         assert!(lints_of(&files).is_empty());
     }
 
     #[test]
-    fn rank_guarded_collective_is_flagged() {
-        let files = vec![facts(
-            "crates/dist/src/a.rs",
-            "dist",
-            "fn f(comm: &Comm, rank: usize, x: &[f64]) {\n    if rank == 0 {\n        let _ = comm.try_allgather(x);\n    }\n}\n",
-        )];
-        let found = lints_of(&files);
+    fn rank_guarded_collective_is_flagged_in_comm_crates_only() {
+        let src = "fn f(comm: &Comm, rank: usize, x: &[f64]) {\n    if rank == 0 {\n        let _ = comm.try_allgather(x);\n    }\n}\n";
+        let found = lints_of(&[facts("crates/dist/src/a.rs", "dist", src)]);
         assert_eq!(found, vec![("collective-protocol".into(), "crates/dist/src/a.rs".into(), 3)]);
+        assert!(lints_of(&[facts("crates/telemetry/src/a.rs", "telemetry", src)]).is_empty());
     }
 
     #[test]
@@ -653,7 +659,7 @@ mod tests {
         let files = vec![facts(
             "crates/dist/src/a.rs",
             "dist",
-            "fn sync(comm: &Comm, x: &mut [f64]) {\n    let _ = comm.try_allreduce_sum(x);\n}\nfn f(comm: &Comm, rank: usize, x: &mut [f64]) {\n    if rank == 0 {\n        sync(comm, x);\n    }\n}\n",
+            "fn sync(comm: &Comm, x: &[f64]) {\n    let _ = comm.try_allgather_concat(x);\n}\nfn f(comm: &Comm, rank: usize, x: &[f64]) {\n    if rank == 0 {\n        sync(comm, x);\n    }\n}\n",
         )];
         let found = lints_of(&files);
         assert_eq!(found, vec![("collective-protocol".into(), "crates/dist/src/a.rs".into(), 6)]);
@@ -755,8 +761,59 @@ mod tests {
         let files = vec![facts(
             "crates/stats/src/rng.rs",
             "stats",
-            "pub fn seeded(seed: u64) -> StdRng {\n    StdRng::seed_from_u64(seed)\n}\n",
+            "fn seeded(seed: u64) -> StdRng {\n    StdRng::seed_from_u64(seed)\n}\n",
         )];
+        assert!(lints_of(&files).is_empty());
+    }
+
+    fn file(rel: &str, src: &str) -> FileFacts {
+        let wf = crate::workspace::classify(rel.into(), rel.to_string());
+        FileFacts::collect(rel, src, wf.kind, Scope::for_crate(&wf.crate_name))
+    }
+
+    const SOLVER: &str = "pub fn solve_tridiagonal(x: &mut [f64]) {\n    x.fill(0.0);\n}\n";
+
+    #[test]
+    fn dead_pub_fires_on_a_pub_fn_no_other_file_names() {
+        let files = vec![
+            file("crates/linalg/src/tri.rs", SOLVER),
+            file("crates/ensf/src/a.rs", "fn f(x: &mut [f64]) {\n    x.fill(1.0);\n}\n"),
+        ];
+        assert_eq!(lints_of(&files), vec![("dead-pub".into(), "crates/linalg/src/tri.rs".into(), 1)]);
+    }
+
+    #[test]
+    fn dead_pub_fires_when_the_only_mention_is_a_use() {
+        let files = vec![
+            file("crates/linalg/src/tri.rs", SOLVER),
+            file("crates/linalg/src/lib.rs", "pub mod tri;\npub use tri::{\n    solve_tridiagonal,\n};\n"),
+            file("tests/a.rs", "use linalg::solve_tridiagonal;\n"),
+        ];
+        assert_eq!(lints_of(&files), vec![("dead-pub".into(), "crates/linalg/src/tri.rs".into(), 1)]);
+    }
+
+    #[test]
+    fn dead_pub_is_silent_when_any_other_file_names_it() {
+        let caller = "fn main() {\n    linalg::tri::solve_tridiagonal(&mut [0.0]);\n}\n";
+        for rel in [
+            "crates/ensf/src/a.rs",
+            "crates/bench/src/bin/fig4.rs",
+            "examples/quickstart.rs",
+            "benchmark/src/bin/cyclebench/main.rs",
+            "crates/linalg/tests/prop.rs",
+            "tests/integration.rs",
+        ] {
+            let files = vec![file("crates/linalg/src/tri.rs", SOLVER), file(rel, caller)];
+            assert!(lints_of(&files).is_empty(), "a mention in {rel} must count");
+        }
+    }
+
+    #[test]
+    fn dead_pub_skips_narrower_visibility_tests_and_shims() {
+        let files = vec![
+            file("crates/linalg/src/tri.rs", "pub(crate) fn helper() {}\n#[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}\n"),
+            file("crates/shims/rand/src/lib.rs", "pub fn random_bool() -> bool {\n    true\n}\n"),
+        ];
         assert!(lints_of(&files).is_empty());
     }
 }

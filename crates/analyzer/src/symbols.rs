@@ -120,7 +120,7 @@ pub struct SymbolTable {
 
 /// Path identifier a crate directory name is imported under
 /// (`core` -> `da_core`, `-` -> `_`).
-pub fn crate_path_ident(crate_name: &str) -> String {
+fn crate_path_ident(crate_name: &str) -> String {
     match crate_name {
         "core" => "da_core".to_string(),
         other => other.replace('-', "_"),
@@ -191,13 +191,19 @@ impl SymbolTable {
     ///    ([`STD_METHODS`]) never resolve; the rest resolve same-file then
     ///    same-crate only — receiver types are unknown, so cross-crate
     ///    method edges would over-link the graph.
-    /// 3. Free calls: same-file, then same-crate, then the whole workspace —
-    ///    but only when the name is rare (≤ [`MAX_GLOBAL_CANDIDATES`]
-    ///    matches); common names are dropped to avoid over-linking.
+    /// 3. Free calls: a callee that names a parameter or `let` binding of
+    ///    the enclosing fn is a closure or fn pointer and never resolves;
+    ///    the rest resolve same-file, then same-crate, then the whole
+    ///    workspace — but only when the name is rare
+    ///    (≤ [`MAX_GLOBAL_CANDIDATES`] matches); common names are dropped to
+    ///    avoid over-linking.
     pub fn resolve(&self, files: &[FileFacts], from_file: usize, site: &CallSite) -> Vec<usize> {
         let Some(cands) = self.by_name.get(&site.callee) else {
             return Vec::new();
         };
+        if site.kind == CallKind::Free && bound_locally(&files[from_file], site.tok, &site.callee) {
+            return Vec::new();
+        }
         let mut global_ok = true;
         match &site.kind {
             CallKind::Path(segs) => {
@@ -245,6 +251,27 @@ impl SymbolTable {
             Vec::new()
         }
     }
+}
+
+/// True when `name` is a parameter or `let` binding of the innermost fn
+/// whose body holds token `tok`.
+fn bound_locally(f: &FileFacts, tok: usize, name: &str) -> bool {
+    let enclosing = f.structure.fns.iter().filter_map(|item| match item.body_tokens {
+        Some((open, close)) if open < tok && tok <= close => Some((item.kw_idx, open, close)),
+        _ => None,
+    });
+    let Some((kw, open, close)) = enclosing.max_by_key(|&(kw, _, _)| kw) else {
+        return false;
+    };
+    let t = &f.tokens;
+    let param = (kw..open).any(|i| t[i].text == name && t.get(i + 1).is_some_and(|n| n.text == ":"));
+    let local = (open..close).any(|i| {
+        t[i].text == "let" && {
+            let k = if t[i + 1].text == "mut" { i + 2 } else { i + 1 };
+            t[k].text == name
+        }
+    });
+    param || local
 }
 
 #[cfg(test)]
@@ -405,6 +432,29 @@ mod tests {
         let sites2 = call_sites(&files2[0].tokens, 0, files2[0].tokens.len() - 1);
         let site2 = sites2.iter().find(|s| s.callee == "tendency_into").unwrap();
         assert!(table2.resolve(&files2, 0, site2).is_empty());
+    }
+
+    #[test]
+    fn calls_through_parameters_and_locals_never_resolve() {
+        let files = vec![
+            facts(
+                "crates/linalg/src/simd.rs",
+                "linalg",
+                "pub fn g(f: impl Fn()) {\n    f();\n}\npub fn h() {\n    let f = || ();\n    f();\n}\n",
+            ),
+            FileFacts::collect(
+                "crates/bench/src/bin/probe.rs",
+                "fn f() {\n    let v = vec![0u8; 8];\n    drop(v);\n}\n",
+                FileKind::Bin,
+                Scope::for_crate("bench"),
+            ),
+        ];
+        let table = SymbolTable::build(&files);
+        let graph = crate::callgraph::CallGraph::build(&files, &table);
+        for name in ["g", "h"] {
+            let def = table.by_name[name][0];
+            assert!(graph.edges[def].is_empty(), "`{name}` linked to the bin's `f`");
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn rel_of(root: &Path, path: &Path) -> String {
 }
 
 /// Classifies a file by its workspace-relative path.
-pub fn classify(path: PathBuf, rel: String) -> WorkFile {
+pub(crate) fn classify(path: PathBuf, rel: String) -> WorkFile {
     let parts: Vec<&str> = rel.split('/').collect();
     let crate_name: &str = match parts.as_slice() {
         ["crates", "shims", name, ..] => name,

@@ -103,11 +103,6 @@ fn cross_file_no_alloc_regression_is_caught() {
 }
 
 #[test]
-fn collective_protocol_fixture() {
-    assert_single_finding("collective_protocol.rs", "collective-protocol", 4);
-}
-
-#[test]
 fn collective_rank_guard_fixture() {
     assert_single_finding("collective_rank_guard.rs", "collective-protocol", 5);
 }
@@ -146,7 +141,6 @@ fn every_fixture_is_covered_by_a_test() {
         names,
         vec![
             "clean.rs",
-            "collective_protocol.rs",
             "collective_rank_guard.rs",
             "cross", // the two-file no-alloc-reachable regression pair
             "flight_recorder_hot_path.rs",

@@ -1,7 +1,6 @@
-//! Cost-model evaluation speed and simulated-MPI round-trip benchmarks.
+//! Cost-model evaluation speed benchmarks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hpc::mpi::run_world;
 use hpc::{bus_bandwidth, collective_time, simulate_step, Collective, Strategy, Topology, TrainJob};
 use std::hint::black_box;
 
@@ -29,20 +28,5 @@ fn bench_cost_model(c: &mut Criterion) {
     });
 }
 
-fn bench_sim_mpi(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_mpi");
-    group.sample_size(10);
-    group.bench_function("allreduce_8ranks_4k", |b| {
-        b.iter(|| {
-            run_world(8, |comm| {
-                let mut buf = vec![comm.rank() as f64; 4096];
-                comm.allreduce_sum(&mut buf);
-                buf[0]
-            })
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_cost_model, bench_sim_mpi);
+criterion_group!(benches, bench_cost_model);
 criterion_main!(benches);

@@ -54,7 +54,7 @@ fn main() {
     eprintln!("pre-training the ViT surrogate offline...");
     let surrogate = pretrain_surrogate(&config);
     eprintln!("running the four architectures over {cycles} cycles...");
-    let cmp = run_comparison(&config, surrogate);
+    let cmp = run_comparison(&config, surrogate).expect("the comparison runs");
 
     println!("climatological SD: {:.5}\n", cmp.nature.climatology_sd);
     print!("{:>7}", "hour");

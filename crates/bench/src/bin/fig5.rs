@@ -64,7 +64,7 @@ fn main() {
 
     eprintln!("running the comparison ({cycles} cycles)...");
     let surrogate = pretrain_surrogate(&config);
-    let cmp = run_comparison(&config, surrogate);
+    let cmp = run_comparison(&config, surrogate).expect("the comparison runs");
     let truth = cmp.nature.truth.last().unwrap();
 
     println!("ground truth (bottom boundary, t = {} h):", cycles * 12);

@@ -20,6 +20,12 @@ pub enum OsseError {
     },
     /// The nature run carries no truth states at all.
     EmptyNatureRun,
+    /// A truth state (`0..=cycles`) or an observation (`0..cycles`) of the
+    /// nature run holds a NaN or an infinity.
+    NonFiniteNature {
+        /// The first offending index into `truth` / `observations`.
+        cycle: usize,
+    },
     /// The nature run holds fewer observations than the requested cycles.
     ObservationShortfall {
         /// Cycles requested by the configuration.
@@ -54,6 +60,9 @@ impl std::fmt::Display for OsseError {
                 write!(f, "model state dimension {model} does not match nature run {nature}")
             }
             OsseError::EmptyNatureRun => write!(f, "nature run has no truth states"),
+            OsseError::NonFiniteNature { cycle } => {
+                write!(f, "nature run holds a non-finite truth or observation at cycle {cycle}")
+            }
             OsseError::ObservationShortfall { cycles, observations } => {
                 write!(f, "{cycles} cycles requested but only {observations} observations available")
             }

@@ -7,6 +7,7 @@
 //!    surrogate forecasts, with online surrogate fine-tuning.
 
 use crate::cycle::{run_cycles, Run, SingleProcess};
+use crate::error::OsseError;
 use crate::forecast::SqgForecast;
 use crate::model_error::{ModelError, ModelErrorConfig};
 use crate::osse::{nature_run_with_error, CycleSeries, NatureRun, OsseConfig};
@@ -137,16 +138,18 @@ pub fn pretrain_surrogate(config: &ComparisonConfig) -> VitSurrogate {
 /// `surrogate` is consumed (its weights continue to adapt online inside the
 /// ViT+EnSF run); pre-train it with [`pretrain_surrogate`].
 ///
-/// INVARIANT: each run below uses a model and an analysis built for the
-/// same `config.osse`, so the shape checks the loop performs cannot fail —
-/// the `.expect` documents that consistency, not a real error path.
-pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) -> Comparison {
+/// # Errors
+/// The first run's [`OsseError`]: a nature run the loop refuses (e.g. a
+/// non-finite truth, [`OsseError::NonFiniteNature`]) or a cycle with no
+/// recovery left.
+pub fn run_comparison(
+    config: &ComparisonConfig,
+    mut surrogate: VitSurrogate,
+) -> Result<Comparison, OsseError> {
     let nature = nature_run_with_error(&config.osse, config.model_error_instance(0xA7));
     let plain = |label: &str, model: &mut dyn ForecastModel, analysis: Analysis| {
         let run = Run::new(label, config.osse.clone(), analysis);
-        run_cycles(&run, &nature, model, &mut SingleProcess, None)
-            .expect("comparison experiments are consistent by construction")
-            .series
+        Ok::<_, OsseError>(run_cycles(&run, &nature, model, &mut SingleProcess, None)?.series)
     };
     let sqg = || SqgForecast::perfect(config.osse.params.clone());
     let letkf =
@@ -159,19 +162,19 @@ pub fn run_comparison(config: &ComparisonConfig, mut surrogate: VitSurrogate) ->
 
     // 1. SQG only: the (now imperfect relative to reality) physics model
     //    free-running from the same initial condition.
-    let sqg_only = plain("SQG only", &mut sqg(), Analysis::None);
+    let sqg_only = plain("SQG only", &mut sqg(), Analysis::None)?;
     // 2. ViT only (offline surrogate, no DA, no online learning). Runs
     //    before the online-adapting run so both start from the same
     //    pre-trained weights.
     surrogate.online_steps = 0;
-    let vit_only = plain("ViT only", &mut surrogate, Analysis::None);
+    let vit_only = plain("ViT only", &mut surrogate, Analysis::None)?;
     // 3. SQG + LETKF (SOTA baseline, paper-tuned inflation/localization).
-    let sqg_letkf = plain("SQG+LETKF", &mut sqg(), Analysis::Letkf(letkf));
+    let sqg_letkf = plain("SQG+LETKF", &mut sqg(), Analysis::Letkf(letkf))?;
     // 4. ViT + EnSF with online surrogate fine-tuning (the proposal).
     surrogate.online_steps = config.online_steps;
-    let vit_ensf = plain("ViT+EnSF", &mut surrogate, Analysis::ensf(ensf));
+    let vit_ensf = plain("ViT+EnSF", &mut surrogate, Analysis::ensf(ensf))?;
 
-    Comparison { nature, series: vec![sqg_only, vit_only, sqg_letkf, vit_ensf] }
+    Ok(Comparison { nature, series: vec![sqg_only, vit_only, sqg_letkf, vit_ensf] })
 }
 
 #[cfg(test)]
@@ -182,7 +185,7 @@ mod tests {
     fn four_series_in_paper_order() {
         let config = ComparisonConfig::small(4);
         let surrogate = pretrain_surrogate(&config);
-        let cmp = run_comparison(&config, surrogate);
+        let cmp = run_comparison(&config, surrogate).unwrap();
         let labels: Vec<&str> = cmp.series.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, vec!["SQG only", "ViT only", "SQG+LETKF", "ViT+EnSF"]);
         for s in &cmp.series {
@@ -197,7 +200,7 @@ mod tests {
     fn da_architectures_beat_free_runs() {
         let config = ComparisonConfig::small(8);
         let surrogate = pretrain_surrogate(&config);
-        let cmp = run_comparison(&config, surrogate);
+        let cmp = run_comparison(&config, surrogate).unwrap();
         let sqg_free = cmp.get("SQG only").unwrap().steady_rmse();
         let letkf = cmp.get("SQG+LETKF").unwrap().steady_rmse();
         let ensf = cmp.get("ViT+EnSF").unwrap().steady_rmse();

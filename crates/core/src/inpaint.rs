@@ -112,7 +112,7 @@ fn grid_side(dim: usize) -> Option<usize> {
 ///
 /// # Panics
 /// Panics if `field` and `known` differ in length.
-pub fn harmonic_fill(field: &mut [f64], known: &[bool], sweeps: usize) {
+fn harmonic_fill(field: &mut [f64], known: &[bool], sweeps: usize) {
     assert_eq!(field.len(), known.len(), "mask/field length mismatch");
     let dim = field.len();
     if dim == 0 || known.iter().all(|&k| k) {

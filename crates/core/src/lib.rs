@@ -26,7 +26,7 @@
 //!
 //! let config = ComparisonConfig::small(10);
 //! let surrogate = pretrain_surrogate(&config);
-//! let cmp = run_comparison(&config, surrogate);
+//! let cmp = run_comparison(&config, surrogate).expect("the comparison runs");
 //! for s in &cmp.series {
 //!     println!("{:>10}: steady RMSE {:.4}", s.label, s.steady_rmse());
 //! }

@@ -95,7 +95,7 @@ impl Lorenz96 {
     }
 
     /// Integrates for `mtu` model time units.
-    pub fn integrate(&mut self, x: &mut [f64], mtu: f64) {
+    fn integrate(&mut self, x: &mut [f64], mtu: f64) {
         let steps = (mtu / self.params.dt).round().max(0.0) as usize;
         for _ in 0..steps {
             self.step(x);

@@ -72,14 +72,6 @@ impl ModelError {
         ModelError { config, rng: seeded(seed), scale: None }
     }
 
-    /// Creates a generator with an explicit climatological scale.
-    pub fn with_scale(config: ModelErrorConfig, seed: u64, scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        let mut me = Self::new(config, seed);
-        me.scale = Some(scale);
-        me
-    }
-
     /// Applies one interval's worth of model error to `state` in place.
     /// Returns the total noise standard deviation that fired (0 if none).
     pub fn perturb(&mut self, state: &mut [f64]) -> f64 {
@@ -104,17 +96,6 @@ impl ModelError {
         }
         sd
     }
-
-    /// Expected per-interval error variance as a fraction of `scale²`
-    /// (for test calibration): `Σ p_k a_k²`.
-    pub fn expected_variance_fraction(&self) -> f64 {
-        self.config
-            .probabilities
-            .iter()
-            .zip(&self.config.amplitudes)
-            .map(|(p, a)| p * a * a)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -124,9 +105,10 @@ mod tests {
     #[test]
     fn default_config_valid() {
         assert!(ModelErrorConfig::default().validate().is_ok());
-        let me = ModelError::new(ModelErrorConfig::default(), 1);
+        let cfg = ModelErrorConfig::default();
         // Σ p a² = .2·.04 + .15·.09 + .1·.16 + .05·.25 = 0.05
-        assert!((me.expected_variance_fraction() - 0.05).abs() < 1e-12);
+        let fraction: f64 = cfg.probabilities.iter().zip(&cfg.amplitudes).map(|(p, a)| p * a * a).sum();
+        assert!((fraction - 0.05).abs() < 1e-12);
     }
 
     #[test]
@@ -184,7 +166,8 @@ mod tests {
 
         // ...but the scale is frozen: a grown state does NOT grow the error
         // (this is what prevents the positive feedback / blow-up).
-        let mut me = ModelError::with_scale(ModelErrorConfig::default(), 13, 1.0);
+        let mut me = ModelError::new(ModelErrorConfig::default(), 13);
+        me.scale = Some(1.0);
         let mut total_small_state = 0.0;
         let mut total_big_state = 0.0;
         for _ in 0..400 {

@@ -171,7 +171,8 @@ impl CycleSeries {
     }
 }
 
-/// Checks that a nature run, configuration, and model agree before cycling.
+/// Checks that a nature run, configuration, and model agree before cycling,
+/// and that the truth and observations the run reads are finite.
 pub(crate) fn validate_experiment(
     config: &OsseConfig,
     nature: &NatureRun,
@@ -192,7 +193,14 @@ pub(crate) fn validate_experiment(
             observations: nature.observations.len().min(nature.truth.len().saturating_sub(1)),
         });
     }
-    Ok(())
+    let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+    let bad = (0..=config.cycles).find(|&c| {
+        !finite(&nature.truth[c]) || (c < config.cycles && !finite(&nature.observations[c]))
+    });
+    match bad {
+        Some(cycle) => Err(crate::OsseError::NonFiniteNature { cycle }),
+        None => Ok(()),
+    }
 }
 
 /// The plain run of `config` on one process with the caller's `scheme` —
@@ -396,6 +404,33 @@ mod tests {
         let mut model = SqgForecast::perfect(wrong);
         let err = run_plain(&cfg, &nr, &mut model, Analysis::None).unwrap_err();
         assert_eq!(err, crate::OsseError::DimensionMismatch { model: 128, nature: 512 });
+    }
+
+    #[test]
+    fn non_finite_nature_run_is_refused_at_its_first_bad_cycle() {
+        let cfg = tiny_config();
+        let clean = nature_run(&cfg);
+        let mut model = SqgForecast::perfect(cfg.params.clone());
+        let refused = |nr: &NatureRun, model: &mut SqgForecast| {
+            run_plain(&cfg, nr, model, Analysis::None).unwrap_err()
+        };
+        let mut nr = clean.clone();
+        nr.truth[3][7] = f64::NAN;
+        nr.observations[4][0] = f64::INFINITY;
+        assert_eq!(refused(&nr, &mut model), crate::OsseError::NonFiniteNature { cycle: 3 });
+        nr.observations[1][9] = f64::NEG_INFINITY;
+        assert_eq!(refused(&nr, &mut model), crate::OsseError::NonFiniteNature { cycle: 1 });
+        // The last truth state is read too; entries past `cycles` are not.
+        let mut nr = clean.clone();
+        nr.truth[cfg.cycles][0] = f64::NAN;
+        assert_eq!(
+            refused(&nr, &mut model),
+            crate::OsseError::NonFiniteNature { cycle: cfg.cycles }
+        );
+        let mut nr = clean;
+        nr.truth.push(vec![f64::NAN; 512]);
+        nr.observations.push(vec![f64::NAN; 512]);
+        assert!(run_plain(&cfg, &nr, &mut model, Analysis::None).is_ok());
     }
 
     #[test]

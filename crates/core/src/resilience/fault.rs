@@ -131,11 +131,6 @@ impl FaultPlan {
         self.rank_kills.iter().copied().find(|k| k.cycle == cycle && k.rank == rank)
     }
 
-    /// The scripted rejoin of `rank`, if any.
-    pub fn rank_rejoin_of(&self, rank: usize) -> Option<RankRejoin> {
-        self.rank_rejoins.iter().copied().find(|r| r.rank == rank)
-    }
-
     /// World ranks alive at the *start* of `cycle` under this script,
     /// assuming an initial world of `world` ranks: a kill removes its rank
     /// from every later cycle, a rejoin restores it. This is the pure
@@ -303,7 +298,5 @@ mod tests {
         assert_eq!(p.membership_at(7, 4), vec![0, 2, 3]);
         assert_eq!(p.rank_kill_at(2, 1), Some(RankKill { cycle: 2, rank: 1 }));
         assert_eq!(p.rank_kill_at(2, 0), None);
-        assert_eq!(p.rank_rejoin_of(1), Some(RankRejoin { cycle: 5, rank: 1 }));
-        assert_eq!(p.rank_rejoin_of(2), None);
     }
 }

@@ -103,7 +103,7 @@ impl VitSurrogate {
 
     /// Online update: fine-tune on the latest analysis transition
     /// (previous analysis mean → current analysis mean), plus replay.
-    pub fn online_update(&mut self, prev_analysis: &[f64], curr_analysis: &[f64], steps: usize) {
+    fn online_update(&mut self, prev_analysis: &[f64], curr_analysis: &[f64], steps: usize) {
         let sample =
             Sample { x: self.to_f32(prev_analysis), y: self.to_f32(curr_analysis) };
         self.online_buffer.push(sample);

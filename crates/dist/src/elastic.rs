@@ -571,6 +571,16 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_nature_run_is_a_config_error() {
+        let (run, sharding) = tiny_config(2);
+        let mut nature = nature_run(&run.osse);
+        nature.truth[1][5] = f64::NAN;
+        let err = run_sharded(&run, &sharding, 2, &nature, None).unwrap_err();
+        let want = da_core::OsseError::NonFiniteNature { cycle: 1 }.to_string();
+        assert!(matches!(&err, DistError::Config(why) if *why == want), "{err:?}");
+    }
+
+    #[test]
     fn kill_during_final_gather_is_survived() {
         let (mut run, sharding) = tiny_config(2);
         run.faults.rank_kills.push(RankKill { cycle: 0, rank: 1 });

@@ -51,11 +51,6 @@ impl ShardPlan {
         self.tile
     }
 
-    /// Number of tiles `⌈d / tile⌉`.
-    pub fn n_tiles(&self) -> usize {
-        self.n_tiles
-    }
-
     /// Number of ranks in the plan.
     pub fn ranks(&self) -> usize {
         self.tile_ranges.len()
@@ -65,17 +60,9 @@ impl ShardPlan {
     ///
     /// # Panics
     /// Panics when `t` is out of range.
-    pub fn tile_bounds(&self, t: usize) -> (usize, usize) {
+    fn tile_bounds(&self, t: usize) -> (usize, usize) {
         assert!(t < self.n_tiles, "tile {t} out of range");
         (t * self.tile, self.dim.min((t + 1) * self.tile))
-    }
-
-    /// Tile range `[t0, t1)` owned by rank `r` (empty when `t0 == t1`).
-    ///
-    /// # Panics
-    /// Panics when `r` is out of range.
-    pub fn rank_tiles(&self, r: usize) -> (usize, usize) {
-        self.tile_ranges[r]
     }
 
     /// Element range `[lo, hi)` owned by rank `r`.
@@ -90,15 +77,6 @@ impl ShardPlan {
         }
         (self.tile_bounds(t0).0, self.tile_bounds(t1 - 1).1)
     }
-
-    /// Number of state elements owned by rank `r`.
-    ///
-    /// # Panics
-    /// Panics when `r` is out of range.
-    pub fn rank_len(&self, r: usize) -> usize {
-        let (lo, hi) = self.rank_range(r);
-        hi - lo
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +89,7 @@ mod tests {
             let plan = ShardPlan::new(dim, tile, ranks);
             // Tile bounds tile the dimension.
             let mut next = 0;
-            for t in 0..plan.n_tiles() {
+            for t in 0..plan.n_tiles {
                 let (lo, hi) = plan.tile_bounds(t);
                 assert_eq!(lo, next);
                 assert!(hi > lo && hi <= dim);
@@ -136,8 +114,8 @@ mod tests {
         let reference = ShardPlan::new(8192, 64, 1);
         for ranks in [2, 3, 4, 8, 16, 200] {
             let plan = ShardPlan::new(8192, 64, ranks);
-            assert_eq!(plan.n_tiles(), reference.n_tiles());
-            for t in 0..plan.n_tiles() {
+            assert_eq!(plan.n_tiles, reference.n_tiles);
+            for t in 0..plan.n_tiles {
                 assert_eq!(plan.tile_bounds(t), reference.tile_bounds(t));
             }
         }
@@ -146,21 +124,19 @@ mod tests {
     #[test]
     fn more_ranks_than_tiles_leaves_trailing_ranks_empty() {
         let plan = ShardPlan::new(100, 64, 4); // 2 tiles, 4 ranks
-        assert_eq!(plan.n_tiles(), 2);
-        assert_eq!(plan.rank_len(0), 64);
-        assert_eq!(plan.rank_len(1), 36);
-        assert_eq!(plan.rank_len(2), 0);
-        assert_eq!(plan.rank_len(3), 0);
+        assert_eq!(plan.n_tiles, 2);
+        assert_eq!(plan.rank_range(0), (0, 64));
+        assert_eq!(plan.rank_range(1), (64, 100));
         // Empty ranges still sit at valid offsets.
         assert_eq!(plan.rank_range(2), (100, 100));
+        assert_eq!(plan.rank_range(3), (100, 100));
     }
 
     #[test]
     fn extra_tiles_go_to_leading_ranks() {
         let plan = ShardPlan::new(7 * 64, 64, 3); // 7 tiles over 3 ranks
-        assert_eq!(plan.rank_tiles(0), (0, 3));
-        assert_eq!(plan.rank_tiles(1), (3, 5));
-        assert_eq!(plan.rank_tiles(2), (5, 7));
+        assert_eq!(plan.tile_ranges, vec![(0, 3), (3, 5), (5, 7)]);
+        assert_eq!(plan.rank_range(1), (3 * 64, 5 * 64));
     }
 
     #[test]

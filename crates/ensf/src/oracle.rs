@@ -110,7 +110,7 @@ impl<'a> ScoreEstimator<'a> {
     ///
     /// # Panics
     /// Panics if any index is out of range or the batch is empty.
-    pub fn with_batch(mut self, indices: Vec<usize>) -> Self {
+    fn with_batch(mut self, indices: Vec<usize>) -> Self {
         assert!(!indices.is_empty(), "mini-batch must be nonempty");
         assert!(indices.iter().all(|&i| i < self.members), "batch index out of range");
         self.batch = indices;
@@ -199,7 +199,7 @@ impl<'a> ScoreEstimator<'a> {
 /// uniformly substepped explicit treatment diverges.
 ///
 /// `times` is the descending pseudo-time grid ([`crate::time_grid`]).
-pub fn reverse_sde_assimilate<R: Rng + ?Sized>(
+fn reverse_sde_assimilate<R: Rng + ?Sized>(
     z: &mut [f64],
     schedule: &DiffusionSchedule,
     times: &[f64],
@@ -266,7 +266,7 @@ pub fn reverse_sde_assimilate<R: Rng + ?Sized>(
 ///
 /// # Panics
 /// Panics when `prior_var` does not match the state dimension.
-pub fn probability_flow_assimilate(
+fn probability_flow_assimilate(
     z: &mut [f64],
     schedule: &DiffusionSchedule,
     times: &[f64],

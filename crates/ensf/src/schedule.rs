@@ -35,7 +35,7 @@ pub enum Damping {
 impl Damping {
     /// Evaluates the profile at (already clamped) pseudo-time `t`.
     #[inline]
-    pub fn eval(self, t: f64) -> f64 {
+    fn eval(self, t: f64) -> f64 {
         match self {
             Damping::Linear => 1.0 - t,
             Damping::Quadratic => (1.0 - t) * (1.0 - t),

@@ -141,28 +141,6 @@ pub(crate) fn transpose_into(data: &[Complex], rows: usize, cols: usize, out: &m
     }
 }
 
-/// Forward-transforms a real row-major grid into a full complex spectrum.
-///
-/// Plans come from the process-wide [`crate::plan_cache`], so repeated
-/// calls on the same grid shape skip plan construction entirely.
-pub fn rfft2(field: &[f64], rows: usize, cols: usize) -> Vec<Complex> {
-    assert_eq!(field.len(), rows * cols);
-    let mut buf: Vec<Complex> = field.iter().map(|&x| Complex::from_re(x)).collect();
-    crate::plan_cache::fft2(rows, cols, Direction::Forward).process(&mut buf);
-    buf
-}
-
-/// Inverse-transforms a complex spectrum to a real row-major grid,
-/// discarding the (round-off level) imaginary parts.
-///
-/// Plans come from the process-wide [`crate::plan_cache`].
-pub fn irfft2(spectrum: &[Complex], rows: usize, cols: usize) -> Vec<f64> {
-    assert_eq!(spectrum.len(), rows * cols);
-    let mut buf = spectrum.to_vec();
-    crate::plan_cache::fft2(rows, cols, Direction::Inverse).process(&mut buf);
-    buf.into_iter().map(|z| z.re).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,38 +220,6 @@ mod tests {
         for (g, w) in buf.iter().zip(&input) {
             assert!((*g - *w).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn real_2d_round_trip() {
-        let (rows, cols) = (32, 32);
-        let field: Vec<f64> = (0..rows * cols)
-            .map(|i| ((i / cols) as f64 * 0.2).sin() * ((i % cols) as f64 * 0.3).cos())
-            .collect();
-        let spec = rfft2(&field, rows, cols);
-        let back = irfft2(&spec, rows, cols);
-        for (a, b) in field.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn plane_wave_hits_single_mode() {
-        let (rows, cols) = (16, 16);
-        let (kx, ky) = (3usize, 5usize);
-        let field: Vec<f64> = (0..rows * cols)
-            .map(|i| {
-                let (r, c) = (i / cols, i % cols);
-                (2.0 * std::f64::consts::PI
-                    * (kx as f64 * c as f64 / cols as f64 + ky as f64 * r as f64 / rows as f64))
-                    .cos()
-            })
-            .collect();
-        let spec = rfft2(&field, rows, cols);
-        // Energy should sit at (ky,kx) and its conjugate mode only.
-        let total: f64 = spec.iter().map(|z| z.norm_sqr()).sum();
-        let main = spec[ky * cols + kx].norm_sqr() + spec[(rows - ky) * cols + (cols - kx)].norm_sqr();
-        assert!(main / total > 1.0 - 1e-9);
     }
 
     #[test]

@@ -47,5 +47,5 @@ pub mod real;
 mod simd;
 
 pub use complex::Complex;
-pub use fft2::{irfft2, rfft2, Fft2, Fft2Scratch};
+pub use fft2::{Fft2, Fft2Scratch};
 pub use plan::{Direction, FftPlan};

@@ -7,7 +7,6 @@
 //! therefore `Sync`, so one cached plan serves every forecast worker thread.
 
 use crate::complex::Complex;
-use std::sync::Arc;
 
 /// Transform direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -141,11 +140,6 @@ impl FftPlan {
             PlanKind::Bluestein(crate::bluestein::BluesteinPlan::new(n, dir))
         };
         FftPlan { n, dir, kind }
-    }
-
-    /// Convenience constructor returning an `Arc` for cross-thread sharing.
-    pub fn new_shared(n: usize, dir: Direction) -> Arc<Self> {
-        Arc::new(Self::new(n, dir))
     }
 
     /// Transform length.

@@ -5,8 +5,8 @@
 //! helpers below recover it: two real fields ride one complex transform as
 //! `a + i·b`, and the Hermitian split separates their spectra afterwards.
 //! The SQG state conversions and the tendency's advection transform both go
-//! through them. The 1-D helpers convert between real signals and full
-//! spectra and expose the symmetry checks used by the property tests.
+//! through them. The 1-D helpers transform a real signal to its full
+//! spectrum and expose the symmetry check used by the property tests.
 
 use crate::complex::Complex;
 use crate::plan::{Direction, FftPlan};
@@ -16,16 +16,6 @@ pub fn rfft(input: &[f64]) -> Vec<Complex> {
     let mut buf: Vec<Complex> = input.iter().map(|&x| Complex::from_re(x)).collect();
     FftPlan::new(input.len(), Direction::Forward).process(&mut buf);
     buf
-}
-
-/// Inverse-transforms a Hermitian-symmetric spectrum back to a real signal.
-///
-/// The imaginary residue left by rounding is discarded; callers that want to
-/// validate symmetry first can use [`hermitian_symmetry_error`].
-pub fn irfft(spectrum: &[Complex]) -> Vec<f64> {
-    let mut buf = spectrum.to_vec();
-    FftPlan::new(spectrum.len(), Direction::Inverse).process(&mut buf);
-    buf.into_iter().map(|z| z.re).collect()
 }
 
 /// Maximum deviation of `spectrum` from exact Hermitian symmetry
@@ -46,26 +36,6 @@ pub fn hermitian_symmetry_error(spectrum: &[Complex]) -> f64 {
         worst = worst.max(spectrum[n / 2].im.abs());
     }
     worst
-}
-
-/// Enforces Hermitian symmetry in place by averaging conjugate pairs.
-///
-/// Spectral filters in the DA update can leave tiny asymmetries after
-/// round-off; projecting back keeps the physical fields exactly real.
-pub fn symmetrize_hermitian(spectrum: &mut [Complex]) {
-    let n = spectrum.len();
-    if n == 0 {
-        return;
-    }
-    spectrum[0].im = 0.0;
-    if n.is_multiple_of(2) {
-        spectrum[n / 2].im = 0.0;
-    }
-    for k in 1..n.div_ceil(2) {
-        let avg = (spectrum[k] + spectrum[n - k].conj()) * 0.5;
-        spectrum[k] = avg;
-        spectrum[n - k] = avg.conj();
-    }
 }
 
 /// Packs two real fields into one complex buffer, `z = a + i·b`, so a single
@@ -142,6 +112,14 @@ pub fn split_pair(z: &[Complex], rows: usize, cols: usize, a: &mut [Complex], b:
 mod tests {
     use super::*;
 
+    /// The inverse transform of a real signal's spectrum, imaginary residue
+    /// dropped.
+    fn irfft(spectrum: &[Complex]) -> Vec<f64> {
+        let mut buf = spectrum.to_vec();
+        FftPlan::new(spectrum.len(), Direction::Inverse).process(&mut buf);
+        buf.into_iter().map(|z| z.re).collect()
+    }
+
     #[test]
     fn real_round_trip() {
         let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin() + 0.5).collect();
@@ -157,32 +135,6 @@ mod tests {
         let x: Vec<f64> = (0..32).map(|i| (i as f64).cos() * (i as f64 * 0.1).exp()).collect();
         let spec = rfft(&x);
         assert!(hermitian_symmetry_error(&spec) < 1e-9);
-    }
-
-    #[test]
-    fn symmetrize_produces_real_inverse() {
-        // Start from a deliberately asymmetric spectrum.
-        let mut spec: Vec<Complex> =
-            (0..16).map(|k| Complex::new(k as f64, (k as f64).sin())).collect();
-        symmetrize_hermitian(&mut spec);
-        assert!(hermitian_symmetry_error(&spec) < 1e-12);
-        let mut buf = spec.clone();
-        FftPlan::new(16, Direction::Inverse).process(&mut buf);
-        for z in &buf {
-            assert!(z.im.abs() < 1e-10, "inverse not real: {z:?}");
-        }
-    }
-
-    #[test]
-    fn symmetrize_is_idempotent() {
-        let mut spec: Vec<Complex> =
-            (0..15).map(|k| Complex::new((k as f64).cos(), (k * k) as f64 * 0.01)).collect();
-        symmetrize_hermitian(&mut spec);
-        let once = spec.clone();
-        symmetrize_hermitian(&mut spec);
-        for (a, b) in once.iter().zip(&spec) {
-            assert!((*a - *b).abs() < 1e-14);
-        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Collective {
     /// Data-movement multiplier of the ring algorithm relative to the
     /// message size: AllReduce moves `2 (n−1)/n · S`, the others
     /// `(n−1)/n · S`.
-    pub fn traffic_factor(self, n: usize) -> f64 {
+    fn traffic_factor(self, n: usize) -> f64 {
         let ring = (n as f64 - 1.0) / n as f64;
         match self {
             Collective::AllReduce => 2.0 * ring,

@@ -12,8 +12,9 @@
 //!   and per-step communication footprints.
 //! - [`simulate`] — training-step breakdown (Fig. 7), strong scaling
 //!   (Fig. 9), and the EnSF weak-scaling model (Fig. 10).
-//! - [`mpi`] — a simulated MPI world (threads + channels) used to run the
-//!   EnSF rank decomposition for real at laptop scale.
+//! - [`mpi`] — a simulated MPI world (threads + channels) whose one
+//!   collective, the allgather, runs the EnSF rank decomposition for real
+//!   at laptop scale.
 //! - [`resilience`] — the scripted straggler schedule that scales modelled
 //!   cycle time; a dead rank is [`mpi`]'s typed `RankDead`/`Revoked` path.
 //!
@@ -39,8 +40,8 @@ pub use mpi::{run_world, Comm, MpiError};
 pub use resilience::{Straggler, StragglerPlan};
 pub use gemm_model::{achieved_flops, fig6_heatmap, KernelShape, GCD_PEAK_FLOPS};
 pub use simulate::{
-    ensf_step_time, is_realtime, scaling_curve, shard_step_compute_secs, simulate_step,
-    workflow_cycle_time, EnsfJob, StepBreakdown, TrainJob, WorkflowCycle,
+    ensf_step_time, scaling_curve, shard_step_compute_secs, simulate_step, EnsfJob,
+    StepBreakdown, TrainJob,
 };
 pub use strategy::{bytes_per_param, Strategy};
 pub use topology::Topology;

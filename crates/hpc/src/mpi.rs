@@ -1,12 +1,13 @@
 //! An in-process simulated MPI runtime with ULFM-style fault surfacing.
 //!
 //! Real concurrent "ranks" (one OS thread each) exchanging typed messages
-//! over `std::sync::mpsc` channels, with the point-to-point and collective
-//! operations the EnSF decomposition needs: `send`/`recv` (tagged, with
-//! out-of-order buffering), `barrier`, `allreduce_sum`, `gather`,
-//! `broadcast`, `scatter` and `allgather`/`allgather_concat`. This gives
-//! the repository a faithful stand-in for the MPI parallelization of
-//! §III-A3 that runs — and is tested — on one machine.
+//! over `std::sync::mpsc` channels. The EnSF decomposition of §III-A3 is
+//! parallel along the ensemble dimension, so the one collective it needs is
+//! an allgather: [`Comm::try_allgather`] and its concatenating form
+//! [`Comm::try_allgather_concat`], a gather to the group root and a
+//! broadcast over tagged point-to-point messages (with out-of-order
+//! buffering). This gives the repository a faithful stand-in for the MPI
+//! parallelization that runs — and is tested — on one machine.
 //!
 //! ## Fault model
 //!
@@ -58,12 +59,8 @@ const GRANT_TAG: u64 = u64::MAX - 1;
 const DEAD_TAG: u64 = u64::MAX - 2;
 
 /// Collective operation codes folded into epoch-stamped tags.
-const OP_REDUCE: u64 = 1;
-const OP_RBCAST: u64 = 2;
 const OP_GATHER: u64 = 3;
 const OP_BCAST: u64 = 4;
-const OP_SCATTER: u64 = 5;
-const OP_BARRIER: u64 = 6;
 
 /// Why a receive (and therefore a collective) could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,18 +220,8 @@ impl Comm {
         }
     }
 
-    /// Sends `data` to world rank `dst` with `tag`.
-    ///
-    /// # Panics
-    /// Panics if `dst` is out of range (matching MPI's erroneous-rank
-    /// abort) or if `tag` has the runtime-reserved top bit set.
-    pub fn send(&self, dst: usize, tag: u64, data: &[f64]) {
-        assert!(tag & TAG_SPECIAL == 0, "tag {tag:#x} is runtime-reserved");
-        self.send_raw(dst, tag, data);
-    }
-
     /// Routes one inbound message while waiting for `(src, tag)`: returns
-    /// the payload on a match, buffers unrelated user messages, drops
+    /// the payload on a match, buffers unrelated messages, drops
     /// stale-epoch collective traffic and death notices (the caller
     /// re-reads the registry), buffers future-epoch collective traffic,
     /// and surfaces revocations.
@@ -261,7 +248,7 @@ impl Comm {
         Ok(None)
     }
 
-    /// Fallible blocking receive from world rank `src` with `tag`.
+    /// Blocking receive from world rank `src` with `tag`.
     ///
     /// Messages from other sources/tags arriving first are buffered, and
     /// same-`(src, tag)` messages are delivered in send order (MPI's
@@ -274,7 +261,7 @@ impl Comm {
     ///
     /// # Panics
     /// Panics if `src` is out of range.
-    pub fn recv_checked(&self, src: usize, tag: u64) -> Result<Vec<f64>, MpiError> {
+    fn recv_checked(&self, src: usize, tag: u64) -> Result<Vec<f64>, MpiError> {
         assert!(src < self.world_size, "recv from invalid rank {src}");
         loop {
             if self.revoked.get() {
@@ -312,17 +299,6 @@ impl Comm {
                 return Ok(data);
             }
         }
-    }
-
-    /// Blocking receive of the next message from world rank `src` with
-    /// `tag` (infallible wrapper over [`Comm::recv_checked`]).
-    ///
-    /// # Panics
-    /// Panics when the underlying receive fails typed — the simulated
-    /// analogue of an MPI abort for code that opted out of fault handling.
-    pub fn recv(&self, src: usize, tag: u64) -> Vec<f64> {
-        self.recv_checked(src, tag)
-            .unwrap_or_else(|e| panic!("recv(src={src}, tag={tag:#x}) failed: {e}"))
     }
 
     /// Notifies every live peer in the current group that the current
@@ -382,7 +358,7 @@ impl Comm {
 
     /// Blocks until a rejoin grant arrives from world rank `src`, or fails
     /// with [`MpiError::RankDead`] once `src` is dead (it left without
-    /// granting). Unlike [`Comm::recv_checked`] this survives revocations
+    /// granting). Unlike a collective's receive this survives revocations
     /// (a dead rank does not participate in epochs), clearing the flag and
     /// waiting on.
     ///
@@ -397,82 +373,10 @@ impl Comm {
         }
     }
 
-    /// Synchronizes the current group (fallible).
-    pub fn try_barrier(&self) -> Result<(), MpiError> {
-        let group = self.group();
-        if group.len() == 1 {
-            return Ok(());
-        }
-        let tag = self.ctag(OP_BARRIER);
-        let root = group[0];
-        if self.world_rank == root {
-            for &w in &group[1..] {
-                self.recv_checked(w, tag)?;
-            }
-            for &w in &group[1..] {
-                self.send_raw(w, tag, &[]);
-            }
-        } else {
-            self.send_raw(root, tag, &[]);
-            self.recv_checked(root, tag)?;
-        }
-        Ok(())
-    }
-
-    /// Synchronizes the current group.
-    ///
-    /// # Panics
-    /// Panics when the barrier fails typed (dead peer / revoked epoch).
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("barrier failed: {e}"));
-    }
-
-    /// Elementwise sum-reduction of `buf` across the current group
-    /// (fallible); every rank ends with the group sum (gather-to-root +
-    /// broadcast).
-    ///
-    /// # Panics
-    /// Panics if peers contribute mismatched lengths.
-    pub fn try_allreduce_sum(&self, buf: &mut [f64]) -> Result<(), MpiError> {
-        let group = self.group();
-        if group.len() == 1 {
-            return Ok(());
-        }
-        let t_red = self.ctag(OP_REDUCE);
-        let t_bc = self.ctag(OP_RBCAST);
-        let root = group[0];
-        if self.world_rank == root {
-            for &w in &group[1..] {
-                let part = self.recv_checked(w, t_red)?;
-                assert_eq!(part.len(), buf.len(), "allreduce length mismatch");
-                for (a, b) in buf.iter_mut().zip(&part) {
-                    *a += b;
-                }
-            }
-            for &w in &group[1..] {
-                self.send_raw(w, t_bc, buf);
-            }
-        } else {
-            self.send_raw(root, t_red, buf);
-            let total = self.recv_checked(root, t_bc)?;
-            buf.copy_from_slice(&total);
-        }
-        Ok(())
-    }
-
-    /// Elementwise sum-reduction of `buf` across the current group; every
-    /// rank ends with the group sum.
-    ///
-    /// # Panics
-    /// Panics when the collective fails typed (dead peer / revoked epoch).
-    pub fn allreduce_sum(&self, buf: &mut [f64]) {
-        self.try_allreduce_sum(buf).unwrap_or_else(|e| panic!("allreduce failed: {e}"));
-    }
-
-    /// Gathers every group member's `data` to the group root (fallible);
-    /// returns `Some(parts)` indexed by group position on the root and
-    /// `None` elsewhere.
-    pub fn try_gather(&self, data: &[f64]) -> Result<Option<Vec<Vec<f64>>>, MpiError> {
+    /// Gathers every group member's `data` to the group root; returns
+    /// `Some(parts)` indexed by group position on the root and `None`
+    /// elsewhere.
+    fn try_gather(&self, data: &[f64]) -> Result<Option<Vec<Vec<f64>>>, MpiError> {
         let group = self.group();
         let tag = self.ctag(OP_GATHER);
         let root = group[0];
@@ -489,19 +393,8 @@ impl Comm {
         }
     }
 
-    /// Gathers every group member's `data` to the group root; returns
-    /// `Some(parts)` (indexed by group position) on the root and `None`
-    /// elsewhere.
-    ///
-    /// # Panics
-    /// Panics when the collective fails typed (dead peer / revoked epoch).
-    pub fn gather(&self, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        self.try_gather(data).unwrap_or_else(|e| panic!("gather failed: {e}"))
-    }
-
-    /// Broadcasts the group root's `data` to the whole group, in place
-    /// (fallible).
-    pub fn try_broadcast(&self, data: &mut Vec<f64>) -> Result<(), MpiError> {
+    /// Broadcasts the group root's `data` to the whole group, in place.
+    fn try_broadcast(&self, data: &mut Vec<f64>) -> Result<(), MpiError> {
         let group = self.group();
         let tag = self.ctag(OP_BCAST);
         let root = group[0];
@@ -513,47 +406,6 @@ impl Comm {
             *data = self.recv_checked(root, tag)?;
         }
         Ok(())
-    }
-
-    /// Broadcasts the group root's `data` to the whole group (in place).
-    ///
-    /// # Panics
-    /// Panics when the collective fails typed (dead peer / revoked epoch).
-    pub fn broadcast(&self, data: &mut Vec<f64>) {
-        self.try_broadcast(data).unwrap_or_else(|e| panic!("broadcast failed: {e}"));
-    }
-
-    /// Scatters the group root's per-member `parts` (indexed by group
-    /// position) across the group (fallible); each rank returns its own
-    /// part. Non-root ranks pass `None`.
-    ///
-    /// # Panics
-    /// Panics if the root passes `None` or a parts list whose length
-    /// differs from the group size (matching MPI's erroneous-argument
-    /// abort).
-    pub fn try_scatter(&self, parts: Option<&[Vec<f64>]>) -> Result<Vec<f64>, MpiError> {
-        let group = self.group();
-        let tag = self.ctag(OP_SCATTER);
-        let root = group[0];
-        if self.world_rank == root {
-            let parts = parts.expect("scatter root needs the parts list");
-            assert_eq!(parts.len(), group.len(), "scatter needs one part per rank");
-            for (i, &w) in group.iter().enumerate().skip(1) {
-                self.send_raw(w, tag, &parts[i]);
-            }
-            Ok(parts[0].clone())
-        } else {
-            self.recv_checked(root, tag)
-        }
-    }
-
-    /// Scatters the group root's per-member `parts` across the group; each
-    /// rank returns its own part. Non-root ranks pass `None`.
-    ///
-    /// # Panics
-    /// Panics on root-argument misuse or when the collective fails typed.
-    pub fn scatter(&self, parts: Option<&[Vec<f64>]>) -> Vec<f64> {
-        self.try_scatter(parts).unwrap_or_else(|e| panic!("scatter failed: {e}"))
     }
 
     /// The gather-to-root + broadcast behind both allgathers, framed as
@@ -592,14 +444,6 @@ impl Comm {
         Ok(out)
     }
 
-    /// Gathers every group member's `data` to all members, in group order.
-    ///
-    /// # Panics
-    /// Panics when the collective fails typed (dead peer / revoked epoch).
-    pub fn allgather(&self, data: &[f64]) -> Vec<Vec<f64>> {
-        self.try_allgather(data).unwrap_or_else(|e| panic!("allgather failed: {e}"))
-    }
-
     /// [`Comm::try_allgather`] flattened: every rank receives the
     /// concatenation of all members' contributions in group order. This is
     /// the reassembly primitive for contiguous state-block decompositions:
@@ -616,14 +460,6 @@ impl Comm {
         Ok(frame)
     }
 
-    /// [`Comm::allgather`] flattened into one vector in group order.
-    ///
-    /// # Panics
-    /// Panics when the collective fails typed (dead peer / revoked epoch).
-    pub fn allgather_concat(&self, data: &[f64]) -> Vec<f64> {
-        self.try_allgather_concat(data)
-            .unwrap_or_else(|e| panic!("allgather_concat failed: {e}"))
-    }
 }
 
 /// Exit means dead: a rank thread's `Comm` drops when its closure returns
@@ -687,6 +523,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn world_runs_all_ranks() {
@@ -699,55 +536,11 @@ mod tests {
         let out = run_world(5, |c| {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
-            c.send(next, 7, &[c.rank() as f64]);
-            let got = c.recv(prev, 7);
+            c.send_raw(next, 7, &[c.rank() as f64]);
+            let got = c.recv_checked(prev, 7).unwrap();
             got[0] as usize
         });
         assert_eq!(out, vec![4, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn allreduce_sums_everywhere() {
-        let out = run_world(6, |c| {
-            let mut buf = vec![c.rank() as f64, 1.0];
-            c.allreduce_sum(&mut buf);
-            buf
-        });
-        for r in &out {
-            assert_eq!(r, &vec![15.0, 6.0]);
-        }
-    }
-
-    #[test]
-    fn allreduce_single_rank_is_identity() {
-        let out = run_world(1, |c| {
-            let mut buf = vec![3.0, 4.0];
-            c.allreduce_sum(&mut buf);
-            buf
-        });
-        assert_eq!(out[0], vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = run_world(4, |c| c.gather(&[c.rank() as f64; 2]));
-        let parts = out[0].as_ref().unwrap();
-        for (r, p) in parts.iter().enumerate() {
-            assert_eq!(p, &vec![r as f64; 2]);
-        }
-        assert!(out[1].is_none() && out[2].is_none() && out[3].is_none());
-    }
-
-    #[test]
-    fn broadcast_distributes_root_data() {
-        let out = run_world(4, |c| {
-            let mut data = if c.rank() == 0 { vec![42.0, 7.0] } else { Vec::new() };
-            c.broadcast(&mut data);
-            data
-        });
-        for r in &out {
-            assert_eq!(r, &vec![42.0, 7.0]);
-        }
     }
 
     #[test]
@@ -755,13 +548,13 @@ mod tests {
         let out = run_world(2, |c| {
             if c.rank() == 0 {
                 // Send tag 2 first, then tag 1.
-                c.send(1, 2, &[2.0]);
-                c.send(1, 1, &[1.0]);
+                c.send_raw(1, 2, &[2.0]);
+                c.send_raw(1, 1, &[1.0]);
                 0.0
             } else {
                 // Receive tag 1 first: the tag-2 message must be buffered.
-                let a = c.recv(0, 1)[0];
-                let b = c.recv(0, 2)[0];
+                let a = c.recv_checked(0, 1).unwrap()[0];
+                let b = c.recv_checked(0, 2).unwrap()[0];
                 a * 10.0 + b
             }
         });
@@ -776,41 +569,23 @@ mod tests {
         let out = run_world(2, |c| {
             if c.rank() == 0 {
                 for seq in 0..4 {
-                    c.send(1, 1, &[seq as f64]);
+                    c.send_raw(1, 1, &[seq as f64]);
                 }
-                c.send(1, 2, &[99.0]);
+                c.send_raw(1, 2, &[99.0]);
                 Vec::new()
             } else {
                 // Draining tag 2 first forces all four tag-1 messages
                 // through the pending buffer.
-                assert_eq!(c.recv(0, 2), vec![99.0]);
-                (0..4).map(|_| c.recv(0, 1)[0]).collect::<Vec<f64>>()
+                assert_eq!(c.recv_checked(0, 2), Ok(vec![99.0]));
+                (0..4).map(|_| c.recv_checked(0, 1).unwrap()[0]).collect::<Vec<f64>>()
             }
         });
         assert_eq!(out[1], vec![0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
-    fn scatter_distributes_root_parts() {
-        let out = run_world(4, |c| {
-            let parts: Option<Vec<Vec<f64>>> = (c.rank() == 0)
-                .then(|| (0..4).map(|r| vec![r as f64; r + 1]).collect());
-            c.scatter(parts.as_deref())
-        });
-        for (r, part) in out.iter().enumerate() {
-            assert_eq!(part, &vec![r as f64; r + 1]);
-        }
-    }
-
-    #[test]
-    fn scatter_single_rank_is_identity() {
-        let out = run_world(1, |c| c.scatter(Some(&[vec![5.0, 6.0]])));
-        assert_eq!(out[0], vec![5.0, 6.0]);
-    }
-
-    #[test]
     fn allgather_collects_everywhere_in_rank_order() {
-        let out = run_world(3, |c| c.allgather(&vec![c.rank() as f64; c.rank() + 1]));
+        let out = run_world(3, |c| c.try_allgather(&vec![c.rank() as f64; c.rank() + 1]).unwrap());
         for parts in &out {
             assert_eq!(parts.len(), 3);
             for (r, p) in parts.iter().enumerate() {
@@ -824,7 +599,7 @@ mod tests {
         // Rank r owns the contiguous block [2r, 2r+1] of an 8-vector.
         let out = run_world(4, |c| {
             let lo = 2 * c.rank();
-            c.allgather_concat(&[lo as f64, (lo + 1) as f64])
+            c.try_allgather_concat(&[lo as f64, (lo + 1) as f64]).unwrap()
         });
         let want: Vec<f64> = (0..8).map(|i| i as f64).collect();
         for full in &out {
@@ -833,41 +608,19 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::AtomicUsize;
-        let counter = AtomicUsize::new(0);
-        run_world(8, |c| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            c.barrier();
-            // After the barrier every rank must see all 8 increments.
-            assert_eq!(counter.load(Ordering::SeqCst), 8);
-        });
-    }
-
-    #[test]
     #[should_panic]
     fn invalid_destination_panics() {
         run_world(2, |c| {
             if c.rank() == 0 {
-                c.send(5, 0, &[1.0]);
+                c.send_raw(5, 0, &[1.0]);
             }
         });
     }
 
-    #[test]
-    #[should_panic]
-    fn reserved_tag_panics() {
-        run_world(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, TAG_SPECIAL | 3, &[1.0]);
-            }
-        });
-    }
-
-    // Regression (satellite fix): a rank dying mid-collective used to
-    // leave its peers blocked forever inside `recv`. The root must now
-    // observe a typed `RankDead` carrying the offending (src, tag), and a
-    // revocation must wake the other survivor with `Revoked`.
+    // Regression: a rank dying mid-collective used to leave its peers
+    // blocked forever inside a receive. The root must observe a typed
+    // `RankDead` carrying the offending (src, tag), and a revocation must
+    // wake the other survivor with `Revoked`.
     #[test]
     fn dead_rank_mid_collective_returns_typed_error() {
         let out = run_world(3, |c| {
@@ -875,9 +628,8 @@ mod tests {
                 c.kill();
                 return "dead".to_string();
             }
-            let mut buf = vec![1.0];
-            match c.try_allreduce_sum(&mut buf) {
-                Ok(()) => "ok".to_string(),
+            match c.try_allgather_concat(&[1.0]) {
+                Ok(_) => "ok".to_string(),
                 Err(MpiError::RankDead { src, tag }) => {
                     // Only the root receives from rank 2 directly; it
                     // revokes so the other survivor unblocks too.
@@ -898,7 +650,7 @@ mod tests {
     fn messages_sent_before_death_still_deliver() {
         let out = run_world(2, |c| {
             if c.rank() == 1 {
-                c.send(0, 5, &[7.0]);
+                c.send_raw(0, 5, &[7.0]);
                 c.kill();
                 return vec![];
             }
@@ -924,7 +676,8 @@ mod tests {
             if c.rank() == 0 {
                 panic!("rank 0 fails");
             }
-            c.allreduce_sum(&mut [1.0]);
+            let got = c.try_allgather_concat(&[1.0]);
+            assert!(matches!(got, Err(MpiError::RankDead { src: 0, .. })), "{got:?}");
         });
     }
 
@@ -950,12 +703,10 @@ mod tests {
                 return (usize::MAX, usize::MAX, 0.0);
             }
             c.recover(&survivors, 1);
-            let mut buf = vec![c.world_rank() as f64];
-            c.allreduce_sum(&mut buf);
             // Group gather returns parts in ascending world order.
-            let parts = c.allgather_concat(&[c.world_rank() as f64]);
+            let parts = c.try_allgather_concat(&[c.world_rank() as f64]).unwrap();
             assert_eq!(parts, vec![0.0, 1.0, 3.0]);
-            (c.rank(), c.size(), buf[0])
+            (c.rank(), c.size(), parts.iter().sum::<f64>())
         });
         assert_eq!(out[0], (0, 3, 4.0));
         assert_eq!(out[1], (1, 3, 4.0));
@@ -966,23 +717,18 @@ mod tests {
     fn stale_epoch_contribution_cannot_poison_a_retry() {
         let out = run_world(2, |c| {
             if c.rank() == 1 {
-                // Contribute to an epoch-0 allreduce that rank 0 never
+                // Contribute to an epoch-0 allgather that rank 0 never
                 // joins, abandoning it on rank 0's revocation — the classic
                 // half-finished collective a kill leaves behind.
-                let mut buf = vec![100.0];
-                assert_eq!(c.try_allreduce_sum(&mut buf), Err(MpiError::Revoked));
+                assert_eq!(c.try_allgather_concat(&[100.0]), Err(MpiError::Revoked));
                 c.recover(&[0, 1], 1);
-                let mut buf = vec![2.0];
-                c.allreduce_sum(&mut buf);
-                return buf[0];
+                return c.try_allgather_concat(&[2.0]).unwrap().iter().sum::<f64>();
             }
             // Rank 0 revokes epoch 0 instead of joining it; its retry at
             // epoch 1 must not absorb the stale 100.0 contribution.
             c.revoke();
             c.recover(&[0, 1], 1);
-            let mut buf = vec![1.0];
-            c.allreduce_sum(&mut buf);
-            buf[0]
+            c.try_allgather_concat(&[1.0]).unwrap().iter().sum::<f64>()
         });
         assert_eq!(out, vec![3.0, 3.0]);
     }
@@ -995,9 +741,7 @@ mod tests {
                 let grant = c.recv_grant(0).expect("grant never arrived");
                 assert_eq!(grant, vec![2.0, 5.0]);
                 c.recover(&[0, 1], grant[0] as u64);
-                let mut buf = vec![10.0];
-                c.allreduce_sum(&mut buf);
-                return buf[0];
+                return c.try_allgather_concat(&[10.0]).unwrap().iter().sum::<f64>();
             }
             // Coordinator: shrink to itself, then re-admit rank 1 once it
             // has seen it dead (rank 1 sends nothing, so the receive ends
@@ -1009,10 +753,82 @@ mod tests {
             c.revive(1);
             c.send_grant(1, &[2.0, 5.0]);
             c.recover(&[0, 1], 2);
-            let mut buf = vec![20.0];
-            c.allreduce_sum(&mut buf);
-            buf[0]
+            c.try_allgather_concat(&[20.0]).unwrap().iter().sum::<f64>()
         });
         assert_eq!(out, vec![30.0, 30.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Tagged streams from several senders, consumed by selective
+        /// receives in an arbitrary interleaving, arrive with no loss, no
+        /// duplication, no tag/source mixups, and in send order per
+        /// `(src, tag)` — MPI's non-overtaking guarantee, which the
+        /// collectives' receives rely on. The receiver's schedule is a
+        /// seeded permutation of the whole message multiset, so many
+        /// messages of one key sit in the out-of-order buffer while other
+        /// keys drain (the scenario that exposed the `swap_remove`
+        /// reordering).
+        #[test]
+        fn mpi_tagged_streams_fifo_no_loss_no_dup(
+            n_senders in 1usize..4,
+            counts in prop::collection::vec(0usize..5, 2..7),
+            order_seed in 0u64..u64::MAX,
+        ) {
+            // Key k holds counts[k] messages and maps to a distinct (src, tag).
+            let key = |k: usize| (1 + k % n_senders, (k / n_senders) as u64);
+            let total: usize = counts.iter().sum();
+            let counts = &counts;
+            let results = run_world(n_senders + 1, |comm| {
+                if comm.rank() == 0 {
+                    // Receive schedule: every (key, i) occurrence, permuted
+                    // by a seeded Fisher–Yates. Within one key the i-th
+                    // selective receive must yield the i-th message sent.
+                    let mut sched: Vec<usize> = Vec::new();
+                    for (k, &c) in counts.iter().enumerate() {
+                        sched.extend(std::iter::repeat_n(k, c));
+                    }
+                    let mut s = order_seed | 1;
+                    for i in (1..sched.len()).rev() {
+                        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let j = (s >> 33) as usize % (i + 1);
+                        sched.swap(i, j);
+                    }
+                    let mut next_seq = vec![0usize; counts.len()];
+                    for &k in &sched {
+                        let (src, tag) = key(k);
+                        let got = comm.recv_checked(src, tag).unwrap();
+                        assert_eq!(got.len(), 3, "payload shape");
+                        assert_eq!(got[0] as usize, src, "source mixup");
+                        assert_eq!(got[1] as u64, tag, "tag mixup");
+                        assert_eq!(
+                            got[2] as usize, next_seq[k],
+                            "FIFO violated for src {src} tag {tag}"
+                        );
+                        next_seq[k] += 1;
+                    }
+                    sched.len()
+                } else {
+                    // Each sender emits its keys' messages in (key, seq) order.
+                    let mut sent = 0usize;
+                    for (k, &c) in counts.iter().enumerate() {
+                        let (src, tag) = key(k);
+                        if src != comm.rank() {
+                            continue;
+                        }
+                        for seq in 0..c {
+                            comm.send_raw(0, tag, &[src as f64, tag as f64, seq as f64]);
+                            sent += 1;
+                        }
+                    }
+                    sent
+                }
+            });
+            // Conservation: the receiver consumed exactly what the senders sent.
+            prop_assert_eq!(results[0], total);
+            let sent_total: usize = results[1..].iter().sum();
+            prop_assert_eq!(sent_total, total);
+        }
     }
 }

@@ -221,40 +221,6 @@ pub fn shard_step_compute_secs(particles: usize, dim: usize) -> f64 {
     particles as f64 * dim as f64 / ENSF_GCD_RATE
 }
 
-/// The full Fig.-1 workflow cycle: online ViT fine-tuning followed by the
-/// EnSF analysis. The paper's premise is that this must complete within the
-/// operational cadence (e.g. hourly), which is what makes the HPC scaling
-/// essential.
-#[derive(Debug, Clone)]
-pub struct WorkflowCycle {
-    /// The surrogate-training job (online fine-tuning configuration).
-    pub train: TrainJob,
-    /// Gradient steps of online fine-tuning per assimilation cycle.
-    pub train_steps: usize,
-    /// Distribution strategy for the training phase.
-    pub strategy: Strategy,
-    /// Communication bucket size [bytes].
-    pub bucket_bytes: u64,
-    /// The EnSF analysis job.
-    pub ensf: EnsfJob,
-}
-
-/// Wall time [s] of one workflow cycle on `gcds` GCDs:
-/// `(training, analysis, total)`. Training and EnSF run sequentially
-/// (§III: "the overall computing time is the summation").
-pub fn workflow_cycle_time(topo: &Topology, cycle: &WorkflowCycle, gcds: usize) -> (f64, f64, f64) {
-    let step =
-        simulate_step(topo, &cycle.train, cycle.strategy, gcds, cycle.bucket_bytes).total();
-    let train = step * cycle.train_steps as f64;
-    let analysis = ensf_step_time(topo, &cycle.ensf, gcds);
-    (train, analysis, train + analysis)
-}
-
-/// True when the cycle fits inside the operational cadence.
-pub fn is_realtime(cycle_time: f64, cadence_secs: f64) -> bool {
-    cycle_time <= cadence_secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,54 +351,6 @@ mod tests {
         assert!((20.0..45.0).contains(&t100m), "100M-dim step {t100m:.1}");
         // Linear-in-dimension shape.
         assert!(t100m / t1024 > 30.0);
-    }
-
-    #[test]
-    fn workflow_cycle_composition() {
-        let cycle = WorkflowCycle {
-            train: TrainJob::table2(128),
-            train_steps: 50,
-            strategy: Strategy::Ddp,
-            bucket_bytes: 120 * MB,
-            ensf: EnsfJob { dim: 10_000_000, members_per_rank: 20, sde_steps: 50 },
-        };
-        let topo = topo_of(1024);
-        let (train, analysis, total) = workflow_cycle_time(&topo, &cycle, 1024);
-        assert!(train > 0.0 && analysis > 0.0);
-        assert!((total - train - analysis).abs() < 1e-12, "sequential composition");
-    }
-
-    #[test]
-    fn paper_scale_workflow_is_realtime_hourly_at_1024_gcds() {
-        // The paper's operational argument: with 1024 GCDs, online
-        // fine-tuning (a few hundred steps) plus a 10M-dimension EnSF
-        // analysis fits comfortably inside an hourly cadence — while a
-        // single node cannot keep up with the training share.
-        let cycle = WorkflowCycle {
-            train: TrainJob::table2(128),
-            train_steps: 200,
-            strategy: Strategy::Ddp,
-            bucket_bytes: 120 * MB,
-            ensf: EnsfJob { dim: 10_000_000, members_per_rank: 20, sde_steps: 50 },
-        };
-        let big = topo_of(1024);
-        let (_t, _a, total_1024) = workflow_cycle_time(&big, &cycle, 1024);
-        assert!(
-            is_realtime(total_1024, 3600.0),
-            "1024 GCDs must be real-time: {total_1024:.0}s"
-        );
-        // Fewer GCDs process the same *global* training workload slower:
-        // with per-GCD batch fixed, a single node does 128x less work per
-        // step, so matching the global batch takes 128x more steps.
-        let small = topo_of(8);
-        let equivalent_steps = cycle.train_steps * (1024 / 8);
-        let step8 =
-            simulate_step(&small, &cycle.train, cycle.strategy, 8, cycle.bucket_bytes).total();
-        let train8 = step8 * equivalent_steps as f64;
-        assert!(
-            train8 > total_1024 * 10.0,
-            "single node should be far slower at the same global workload"
-        );
     }
 
     #[test]

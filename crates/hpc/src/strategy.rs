@@ -50,17 +50,6 @@ pub mod bytes_per_param {
 }
 
 impl Strategy {
-    /// Table I equivalence: the ZeRO stage with the same partitioning.
-    pub fn zero_equivalent(self) -> Option<u8> {
-        match self {
-            Strategy::Ddp => None,
-            Strategy::ZeroStage1 => Some(1),
-            Strategy::ZeroStage2 | Strategy::FsdpShardGradOp => Some(2),
-            Strategy::ZeroStage3 | Strategy::FsdpFullShard => Some(3),
-            Strategy::FsdpHybrid => None,
-        }
-    }
-
     /// Memory per GCD [bytes] for a model of `params` parameters over
     /// `ranks` data-parallel ranks (`ranks_per_node` only matters for
     /// hybrid sharding).
@@ -145,17 +134,6 @@ mod tests {
     use super::*;
 
     const GB: f64 = 1024.0 * 1024.0 * 1024.0;
-
-    #[test]
-    fn table1_correspondence() {
-        assert_eq!(Strategy::ZeroStage1.zero_equivalent(), Some(1));
-        assert_eq!(Strategy::FsdpShardGradOp.zero_equivalent(), Some(2));
-        assert_eq!(Strategy::ZeroStage2.zero_equivalent(), Some(2));
-        assert_eq!(Strategy::FsdpFullShard.zero_equivalent(), Some(3));
-        assert_eq!(Strategy::ZeroStage3.zero_equivalent(), Some(3));
-        assert_eq!(Strategy::Ddp.zero_equivalent(), None);
-        assert_eq!(Strategy::FsdpHybrid.zero_equivalent(), None);
-    }
 
     #[test]
     fn ddp_memory_is_about_12x_plus_transient() {

@@ -53,21 +53,6 @@ impl Topology {
     pub fn total_gcds(&self) -> usize {
         self.nodes * self.gcds_per_node
     }
-
-    /// Total HBM across the job [bytes].
-    pub fn total_hbm(&self) -> u64 {
-        self.total_gcds() as u64 * self.hbm_per_gcd
-    }
-
-    /// True if the job spans more than one node.
-    pub fn multi_node(&self) -> bool {
-        self.nodes > 1
-    }
-
-    /// Node index of a global GCD rank.
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.gcds_per_node
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +65,6 @@ mod tests {
         assert_eq!(t.nodes, 128);
         assert_eq!(t.total_gcds(), 1024);
         assert_eq!(t.hbm_per_gcd, 64 * (1 << 30));
-        assert!(t.multi_node());
     }
 
     #[test]
@@ -94,17 +78,6 @@ mod tests {
     fn single_node_job() {
         let t = Topology::frontier(8);
         assert_eq!(t.nodes, 1);
-        assert!(!t.multi_node());
-        assert_eq!(t.node_of(0), 0);
-        assert_eq!(t.node_of(7), 0);
-    }
-
-    #[test]
-    fn node_of_ranks() {
-        let t = Topology::frontier(16);
-        assert_eq!(t.node_of(7), 0);
-        assert_eq!(t.node_of(8), 1);
-        assert_eq!(t.node_of(15), 1);
     }
 
     #[test]

@@ -38,12 +38,6 @@ pub fn rtps(analysis: &mut Ensemble, forecast: &Ensemble, alpha: f64) {
     }
 }
 
-/// Plain multiplicative inflation of the anomalies by `factor >= 1`.
-pub fn multiplicative(ensemble: &mut Ensemble, factor: f64) {
-    assert!(factor >= 1.0, "multiplicative inflation must be >= 1");
-    ensemble.inflate(factor);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,25 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn multiplicative_scales_spread() {
-        let mut e = ens(&[&[0.0, 1.0], &[2.0, 3.0]]);
-        let s0 = e.spread();
-        multiplicative(&mut e, 1.2);
-        assert!((e.spread() - 1.2 * s0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic]
     fn rtps_alpha_out_of_range_panics() {
         let fc = ens(&[&[0.0], &[1.0]]);
         let mut an = fc.clone();
         rtps(&mut an, &fc, 1.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn deflation_rejected() {
-        let mut e = ens(&[&[0.0], &[1.0]]);
-        multiplicative(&mut e, 0.9);
     }
 }

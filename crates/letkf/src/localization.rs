@@ -61,7 +61,7 @@ impl GridGeometry {
     }
 
     /// Decomposes a flat index into `(ix, iy, level)`.
-    pub fn decompose(&self, idx: usize) -> (usize, usize, usize) {
+    fn decompose(&self, idx: usize) -> (usize, usize, usize) {
         let per_level = self.n * self.n;
         let level = idx / per_level;
         let rem = idx % per_level;

@@ -73,30 +73,10 @@ impl Cholesky {
         let y = forward_substitute(&self.l, b);
         back_substitute_transposed(&self.l, &y)
     }
-
-    /// Applies `L` to a vector: `y = L z` (used to color white noise).
-    pub fn apply_l(&self, z: &[f64]) -> Vec<f64> {
-        let n = self.l.rows();
-        assert_eq!(z.len(), n);
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = 0.0;
-            for j in 0..=i {
-                s += self.l[(i, j)] * z[j];
-            }
-            y[i] = s;
-        }
-        y
-    }
-
-    /// `log(det(A)) = 2 * sum(log(L_ii))`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 /// Solves `L y = b` for lower-triangular `L`.
-pub fn forward_substitute(l: &Matrix, b: &[f64]) -> Vec<f64> {
+fn forward_substitute(l: &Matrix, b: &[f64]) -> Vec<f64> {
     let n = l.rows();
     assert_eq!(b.len(), n);
     let mut y = vec![0.0; n];
@@ -112,7 +92,7 @@ pub fn forward_substitute(l: &Matrix, b: &[f64]) -> Vec<f64> {
 
 /// Solves `L^T x = y` for lower-triangular `L` (i.e. an upper-triangular
 /// solve against the transpose, without materializing it).
-pub fn back_substitute_transposed(l: &Matrix, y: &[f64]) -> Vec<f64> {
+fn back_substitute_transposed(l: &Matrix, y: &[f64]) -> Vec<f64> {
     let n = l.rows();
     assert_eq!(y.len(), n);
     let mut x = vec![0.0; n];
@@ -167,31 +147,6 @@ mod tests {
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn apply_l_matches_matmul() {
-        let a = spd_matrix(5, 0.7);
-        let ch = Cholesky::new(&a).unwrap();
-        let z: Vec<f64> = (0..5).map(|i| (i as f64).cos()).collect();
-        let y = ch.apply_l(&z);
-        let want = matvec(ch.l(), &z);
-        for (g, w) in y.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let ch = Cholesky::new(&Matrix::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-14);
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 24.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]

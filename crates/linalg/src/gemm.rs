@@ -29,7 +29,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `C = A * B` writing into a preallocated `c` (overwritten, not accumulated).
-pub fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "matmul_into: inner dimensions differ");
@@ -79,31 +79,6 @@ pub fn matmul_slices_affine_into(
     assert_eq!(z.len(), m * n, "matmul_slices_affine_into: z shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_slices_affine_into: c shape mismatch");
     simd::dispatch!(matmul_slices(a, b, m, k, n, c, Some((z, ca, cb))));
-}
-
-/// `A^T * B` without materializing the transpose.
-pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
-    let (k, m) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "matmul_at_b: row counts differ");
-    let mut c = Matrix::zeros(m, n);
-    let a_buf = a.as_slice();
-    let b_buf = b.as_slice();
-    // c[i, j] = sum_p a[p, i] * b[p, j]: stream both by rows of p.
-    for p in 0..k {
-        let a_row = &a_buf[p * m..(p + 1) * m];
-        let b_row = &b_buf[p * n..(p + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
-            if av == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                continue;
-            }
-            let c_row = &mut c.as_mut_slice()[i * n..(i + 1) * n];
-            for (cj, &bv) in c_row.iter_mut().zip(b_row) {
-                *cj += av * bv;
-            }
-        }
-    }
-    c
 }
 
 /// `A * B^T` without materializing the transpose.
@@ -223,20 +198,6 @@ pub fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
     (0..m).map(|i| crate::vector::dot(a.row(i), x)).collect()
 }
 
-/// Transposed matrix-vector product `A^T * x`.
-pub fn matvec_t(a: &Matrix, x: &[f64]) -> Vec<f64> {
-    let (m, n) = a.shape();
-    assert_eq!(m, x.len(), "matvec_t: dimension mismatch");
-    let mut y = vec![0.0; n];
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-            continue;
-        }
-        crate::vector::axpy(xi, a.row(i), &mut y);
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,13 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn at_b_and_a_bt_match_explicit_transposes() {
-        let a = test_matrix(7, 4, 0.31);
-        let b = test_matrix(7, 5, 0.57);
-        let got = matmul_at_b(&a, &b);
-        let want = matmul(&a.transpose(), &b);
-        assert!(got.sub(&want).norm_max() < 1e-12);
-
+    fn a_bt_matches_explicit_transpose() {
         let c = test_matrix(6, 7, 0.11);
         let d = test_matrix(5, 7, 0.77);
         let got2 = matmul_a_bt(&c, &d);
@@ -319,11 +274,6 @@ mod tests {
         let via_matmul = matmul(&a, &Matrix::from_vec(8, 1, x.clone()));
         for i in 0..5 {
             assert!((y[i] - via_matmul[(i, 0)]).abs() < 1e-12);
-        }
-        let z = matvec_t(&a, &y);
-        let want = matvec(&a.transpose(), &y);
-        for i in 0..8 {
-            assert!((z[i] - want[i]).abs() < 1e-12);
         }
     }
 

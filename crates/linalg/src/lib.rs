@@ -37,9 +37,7 @@ mod matrix;
 pub mod simd;
 pub mod vector;
 
-pub use cholesky::{
-    back_substitute_transposed, forward_substitute, Cholesky, NotPositiveDefinite,
-};
+pub use cholesky::{Cholesky, NotPositiveDefinite};
 pub use eigh::SymEig;
 pub use lu::{Lu, Singular};
 pub use matrix::Matrix;

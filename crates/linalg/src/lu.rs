@@ -100,7 +100,7 @@ impl Lu {
     }
 
     /// Solves for multiple right-hand sides given as matrix columns.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
+    fn solve_matrix(&self, b: &Matrix) -> Matrix {
         let n = self.lu.rows();
         assert_eq!(b.rows(), n);
         let mut out = Matrix::zeros(n, b.cols());

@@ -40,23 +40,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Builds a matrix from a slice of rows.
-    ///
-    /// # Panics
-    /// Panics if rows have inconsistent lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        if rows.is_empty() {
-            return Matrix::zeros(0, 0);
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows");
-            data.extend_from_slice(r);
-        }
-        Matrix { rows: rows.len(), cols, data }
-    }
-
     /// Builds an `n x n` diagonal matrix from `diag`.
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();
@@ -112,11 +95,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow of row `r`.
@@ -192,20 +170,6 @@ impl Matrix {
     /// Maximum absolute entry (0 for empty).
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-    }
-
-    /// Maximum absolute off-diagonal entry (square matrices; 0 if n < 2).
-    pub fn max_offdiag(&self) -> f64 {
-        assert_eq!(self.rows, self.cols, "max_offdiag requires a square matrix");
-        let mut m = 0.0f64;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if r != c {
-                    m = m.max(self[(r, c)].abs());
-                }
-            }
-        }
-        m
     }
 
     /// Symmetry defect `max |A - A^T|` (square matrices).
@@ -313,23 +277,10 @@ mod tests {
     fn diag_and_symmetry_helpers() {
         let mut a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]);
         assert_eq!(a.symmetry_error(), 0.0);
-        assert_eq!(a.max_offdiag(), 2.0);
         a.add_diag(5.0);
         assert_eq!(a[(0, 0)], 6.0);
         a[(0, 1)] = 9.0;
         assert_eq!(a.symmetry_error(), 7.0);
-    }
-
-    #[test]
-    fn from_rows_checks_raggedness() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m[(1, 0)], 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ragged_rows_panic() {
-        let _ = Matrix::from_rows(&[vec![1.0], vec![2.0, 3.0]]);
     }
 
     #[test]

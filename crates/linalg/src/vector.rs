@@ -60,18 +60,6 @@ pub fn scale_add(y: &mut [f64], a: f64, x: &[f64], b: f64) {
     }
 }
 
-/// Euclidean norm `||x||_2`.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
-/// Infinity norm `max |x_i|` (0 for an empty slice).
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
 /// Elementwise difference `x - y` into a new vector.
 pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), y.len(), "sub: length mismatch");
@@ -130,13 +118,6 @@ mod tests {
         assert_eq!(y, [12.0, 24.0, 36.0]);
         scale(&mut y, 0.5);
         assert_eq!(y, [6.0, 12.0, 18.0]);
-    }
-
-    #[test]
-    fn norms() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]

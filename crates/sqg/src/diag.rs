@@ -1,4 +1,4 @@
-//! Diagnostics: kinetic energy, spectra, CFL.
+//! Diagnostics: kinetic-energy spectra, CFL.
 
 use crate::dynamics::invert;
 use crate::grid::SpectralGrid;
@@ -35,7 +35,7 @@ pub fn ke_spectrum(p: &SqgParams, state: &SqgState, level: usize) -> Vec<f64> {
 
 /// Maximum grid-space wind speed at either boundary, including the
 /// background shear flow. Used for CFL checks.
-pub fn max_wind_speed(p: &SqgParams, state: &SqgState) -> f64 {
+fn max_wind_speed(p: &SqgParams, state: &SqgState) -> f64 {
     let grid = SpectralGrid::new(p);
     let n = p.n;
     let theta: &[Vec<Complex>; LEVELS] =
@@ -65,27 +65,9 @@ pub fn max_wind_speed(p: &SqgParams, state: &SqgState) -> f64 {
     vmax
 }
 
-/// Domain-mean kinetic energy per unit mass `(u² + v²)/2` averaged over the
-/// two boundaries [m²/s²] (eddy part only; the background shear flow is not
-/// included).
-pub fn mean_kinetic_energy(p: &SqgParams, state: &SqgState) -> f64 {
-    // Sum the KE spectrum over shells at both levels (Parseval).
-    let mut total = 0.0;
-    for level in 0..LEVELS {
-        total += ke_spectrum(p, state, level).iter().sum::<f64>();
-    }
-    total / LEVELS as f64
-}
-
 /// Advective CFL number `u_max * dt / dx`.
 pub fn cfl(p: &SqgParams, state: &SqgState) -> f64 {
     max_wind_speed(p, state) * p.dt / p.dx()
-}
-
-/// Converts buoyancy [m/s²] to potential-temperature perturbation [K]
-/// with reference θ₀ = 300 K, g = 9.81 m/s² (for display only).
-pub fn buoyancy_to_kelvin(b: f64) -> f64 {
-    b * 300.0 / 9.81
 }
 
 #[cfg(test)]
@@ -128,30 +110,5 @@ mod tests {
         let st = random_large_scale(p.n, 0.05, 12);
         let c = cfl(&p, &st);
         assert!(c < 0.5, "CFL too aggressive: {c}");
-    }
-
-    #[test]
-    fn kinetic_energy_positive_and_scales() {
-        let p = SqgParams { n: 16, ..Default::default() };
-        let st = random_large_scale(16, 0.05, 3);
-        let ke = mean_kinetic_energy(&p, &st);
-        assert!(ke > 0.0);
-        // Doubling the buoyancy quadruples the (quadratic) energy.
-        let v = st.to_state_vector();
-        let double: Vec<f64> = v.iter().map(|x| 2.0 * x).collect();
-        let st2 = SqgState::from_state_vector(16, &double);
-        let ke2 = mean_kinetic_energy(&p, &st2);
-        assert!((ke2 / ke - 4.0).abs() < 1e-6, "ratio {}", ke2 / ke);
-    }
-
-    #[test]
-    fn zero_state_zero_energy() {
-        let p = SqgParams { n: 16, ..Default::default() };
-        assert_eq!(mean_kinetic_energy(&p, &SqgState::zeros(16)), 0.0);
-    }
-
-    #[test]
-    fn kelvin_conversion() {
-        assert!((buoyancy_to_kelvin(9.81 / 300.0) - 1.0).abs() < 1e-12);
     }
 }

@@ -135,18 +135,6 @@ impl SqgModel {
         self.stepper
             .set_reference([reference.level(0).to_vec(), reference.level(1).to_vec()]);
     }
-
-    /// Builds a jet-forced model: thermal relaxation toward a zonal jet of
-    /// amplitude `jet_amp` with timescale `params.tdiab` (which must be
-    /// positive). The jet's baroclinic zone then continuously regenerates
-    /// eddies — the statistically steady turbulence configuration.
-    pub fn with_jet_forcing(params: SqgParams, jet_amp: f64) -> Self {
-        assert!(params.tdiab > 0.0, "jet forcing requires tdiab > 0");
-        let jet = init::zonal_jet(params.n, jet_amp);
-        let mut model = SqgModel::new(params);
-        model.set_reference(&jet);
-        model
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +263,8 @@ mod tests {
         // With relaxation toward a jet, the state must neither die out nor
         // blow up over a long run: statistically steady turbulence.
         let p = SqgParams { n: 16, tdiab: 5.0 * 86400.0, ekman: 0.05, ..Default::default() };
-        let mut m = SqgModel::with_jet_forcing(p, 0.05);
+        let mut m = SqgModel::new(p);
+        m.set_reference(&init::zonal_jet(16, 0.05));
         let mut st = init::random_large_scale(16, 0.01, 9);
         m.step_spectral(&mut st, 500);
         assert!(st.is_finite());

@@ -41,11 +41,6 @@ impl SqgState {
         &self.levels[l]
     }
 
-    /// Mutable spectral field of level `l`.
-    pub fn level_mut(&mut self, l: usize) -> &mut [Complex] {
-        &mut self.levels[l]
-    }
-
     /// Both levels as a mutable pair (for the time stepper).
     pub fn levels_mut(&mut self) -> &mut [Vec<Complex>; LEVELS] {
         &mut self.levels
@@ -223,7 +218,7 @@ mod tests {
         let n = 4;
         let mut st = SqgState::zeros(n);
         assert!(st.is_finite());
-        st.level_mut(0)[3] = Complex::new(f64::NAN, 0.0);
+        st.levels_mut()[0][3] = Complex::new(f64::NAN, 0.0);
         assert!(!st.is_finite());
     }
 

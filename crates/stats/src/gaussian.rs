@@ -1,12 +1,11 @@
 //! Gaussian sampling.
 //!
 //! Standard normals via a 256-layer ziggurat (no external distribution
-//! crate), plus correlated sampling through a Cholesky factor. The EnSF
-//! update consumes O(M · d · n_steps) standard normals per analysis cycle —
-//! tens of millions per OSSE run — so [`standard_normal`] is engineered for
-//! the common case: one 64-bit RNG word, one table lookup, one multiply and
-//! one compare (~98.5% of draws take that path; the rest fall into the
-//! wedge/tail rejection). This replaced a polar Box–Muller sampler whose
+//! crate). The EnSF update consumes O(M · d · n_steps) standard normals per
+//! analysis cycle — tens of millions per OSSE run — so [`standard_normal`]
+//! is engineered for the common case: one 64-bit RNG word, one table
+//! lookup, one multiply and one compare (~98.5% of draws take that path;
+//! the rest fall into the wedge/tail rejection). This replaced a polar Box–Muller sampler whose
 //! per-draw `ln`/`sqrt` dominated the reverse-SDE noise cost.
 //!
 //! The sampler is exact (the ziggurat is a rejection method, not an
@@ -34,7 +33,6 @@
 //! the caller's per-chunk work runs with the tier's instructions.
 
 use linalg::simd::at_widest_tier;
-use linalg::Cholesky;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -282,40 +280,6 @@ pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     }
 }
 
-/// Returns a fresh vector of `n` i.i.d. standard normals.
-pub fn standard_normal_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
-    let mut v = vec![0.0; n];
-    fill_standard_normal(rng, &mut v);
-    v
-}
-
-/// Draws `x ~ N(mean, sigma^2)` elementwise with a shared scalar sigma.
-pub fn normal_vec<R: Rng + ?Sized>(rng: &mut R, mean: &[f64], sigma: f64) -> Vec<f64> {
-    mean.iter().map(|&m| m + sigma * standard_normal(rng)).collect()
-}
-
-/// Draws a sample from `N(mean, Sigma)` given the Cholesky factor of `Sigma`.
-pub fn multivariate_normal<R: Rng + ?Sized>(
-    rng: &mut R,
-    mean: &[f64],
-    chol: &Cholesky,
-) -> Vec<f64> {
-    let z = standard_normal_vec(rng, mean.len());
-    let mut x = chol.apply_l(&z);
-    for (xi, mi) in x.iter_mut().zip(mean) {
-        *xi += mi;
-    }
-    x
-}
-
-/// Log-density of `N(mean, sigma^2 I)` evaluated at `x`, up to the additive
-/// normalization constant (which cancels in every score/weight computation).
-pub fn log_density_isotropic(x: &[f64], mean: &[f64], sigma: f64) -> f64 {
-    debug_assert_eq!(x.len(), mean.len());
-    let inv2s2 = 0.5 / (sigma * sigma);
-    -x.iter().zip(mean).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() * inv2s2
-}
-
 /// AVX-512 tier of [`scaled_normal_chunks`]: eight rows' xoshiro256++
 /// streams advance together, one stream per lane of four state registers.
 #[cfg(target_arch = "x86_64")]
@@ -512,7 +476,13 @@ mod avx512 {
 mod tests {
     use super::*;
     use crate::rng::{member_rng, seeded};
-    use linalg::{gemm, Matrix};
+
+    /// A fresh vector of `n` i.i.d. standard normals.
+    fn standard_normal_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
+        let mut v = vec![0.0; n];
+        fill_standard_normal(rng, &mut v);
+        v
+    }
 
     #[test]
     fn moments_of_standard_normal() {
@@ -674,66 +644,5 @@ mod tests {
         let xs = standard_normal_vec(&mut rng, n);
         let kurt = xs.iter().map(|x| x.powi(4)).sum::<f64>() / n as f64;
         assert!((kurt - 3.0).abs() < 0.1, "kurtosis {kurt}");
-    }
-
-    #[test]
-    fn normal_vec_shifts_and_scales() {
-        let mut rng = seeded(7);
-        let mean = vec![5.0; 50_000];
-        let xs = normal_vec(&mut rng, &mean, 2.0);
-        let m = xs.iter().sum::<f64>() / xs.len() as f64;
-        let v = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-        assert!((m - 5.0).abs() < 0.05);
-        assert!((v - 4.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn multivariate_respects_covariance() {
-        // Sigma = [[2, 1], [1, 2]]
-        let sigma = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
-        let chol = linalg::Cholesky::new(&sigma).unwrap();
-        let mut rng = seeded(31);
-        let n = 100_000;
-        let mut s = Matrix::zeros(2, 2);
-        let mean = [1.0, -1.0];
-        let mut msum = [0.0f64; 2];
-        let samples: Vec<Vec<f64>> =
-            (0..n).map(|_| multivariate_normal(&mut rng, &mean, &chol)).collect();
-        for x in &samples {
-            msum[0] += x[0];
-            msum[1] += x[1];
-        }
-        let m = [msum[0] / n as f64, msum[1] / n as f64];
-        for x in &samples {
-            let d = [x[0] - m[0], x[1] - m[1]];
-            for r in 0..2 {
-                for c in 0..2 {
-                    s[(r, c)] += d[r] * d[c] / n as f64;
-                }
-            }
-        }
-        assert!((m[0] - 1.0).abs() < 0.02 && (m[1] + 1.0).abs() < 0.02);
-        assert!(s.sub(&sigma).norm_max() < 0.05, "{s:?}");
-        // sanity: the Cholesky factor actually reproduces sigma
-        let back = gemm::matmul_a_bt(chol.l(), chol.l());
-        assert!(back.sub(&sigma).norm_max() < 1e-12);
-    }
-
-    #[test]
-    fn log_density_peaks_at_mean() {
-        let mean = [0.5, -0.5, 1.0];
-        let at_mean = log_density_isotropic(&mean, &mean, 1.0);
-        let off = log_density_isotropic(&[0.0, 0.0, 0.0], &mean, 1.0);
-        assert_eq!(at_mean, 0.0);
-        assert!(off < at_mean);
-    }
-
-    #[test]
-    fn log_density_scales_with_sigma() {
-        let x = [1.0];
-        let m = [0.0];
-        let tight = log_density_isotropic(&x, &m, 0.5);
-        let loose = log_density_isotropic(&x, &m, 2.0);
-        assert!(tight < loose, "tighter sigma should penalize more");
     }
 }

@@ -14,8 +14,8 @@
 //!   chi-squared calibration, rank histograms, spread–skill ratio.
 //! - [`softmax`] — stable log-sum-exp / softmax reductions (the EnSF score
 //!   weights in batched form).
-//! - [`spectrum`] — isotropic KE spectra and inertial-range slope fitting
-//!   (the `k^{-5/3}` check).
+//! - [`spectrum`] — inertial-range slope fitting of KE spectra (the
+//!   `k^{-5/3}` check).
 //! - [`OnlineMoments`] — mergeable Welford accumulators for long series.
 
 #![warn(missing_docs)]

@@ -7,6 +7,7 @@
 
 /// Log of the sum of exponentials, `ln Σ exp(x_i)`, computed with the
 /// max-shift trick. Returns `-inf` for an empty slice.
+// lint: allow(dead-pub, reason="the reference for softmax_in_place's log-normalizer in softmax_normalizes_and_returns_log_normalizer")
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
     let mut max = f64::NEG_INFINITY;
     for &x in xs {

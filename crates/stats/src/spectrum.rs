@@ -1,45 +1,8 @@
-//! Isotropic kinetic-energy spectra.
+//! Inertial-range slope fitting for isotropic kinetic-energy spectra.
 //!
 //! The SQG model's claim to realism is its `k^{-5/3}` KE spectrum
-//! (Nastrom & Gage); these helpers bin a 2-D spectral field into isotropic
-//! wavenumber shells and fit the inertial-range slope so tests can assert it.
-
-use fft::Complex;
-
-/// Isotropic power spectrum of a 2-D complex spectral field.
-///
-/// `spec` is the unnormalized forward FFT of an `n x n` real field; the
-/// result has `n/2` shells, shell `k` collecting `|spec|^2 / n^4` over all
-/// integer wavevectors with `round(|k_vec|) == k`.
-pub fn isotropic_spectrum(spec: &[Complex], n: usize) -> Vec<f64> {
-    assert_eq!(spec.len(), n * n, "spectrum buffer must be n*n");
-    let half = n / 2;
-    let mut shells = vec![0.0f64; half.max(1)];
-    let norm = 1.0 / (n as f64).powi(4);
-    for ky_idx in 0..n {
-        // Map FFT index to signed wavenumber.
-        let ky = signed_wavenumber(ky_idx, n);
-        for kx_idx in 0..n {
-            let kx = signed_wavenumber(kx_idx, n);
-            let kmag = ((kx * kx + ky * ky) as f64).sqrt();
-            let shell = kmag.round() as usize;
-            if shell < shells.len() {
-                shells[shell] += spec[ky_idx * n + kx_idx].norm_sqr() * norm;
-            }
-        }
-    }
-    shells
-}
-
-/// Maps an FFT bin index to its signed integer wavenumber.
-#[inline]
-pub fn signed_wavenumber(idx: usize, n: usize) -> i64 {
-    if idx <= n / 2 {
-        idx as i64
-    } else {
-        idx as i64 - n as i64
-    }
-}
+//! (Nastrom & Gage); [`fit_loglog_slope`] fits the slope of shell-binned
+//! spectra (`sqg::diag::ke_spectrum`) so tests can assert it.
 
 /// Least-squares slope of `log(E)` vs `log(k)` over shells
 /// `k in [k_min, k_max]`, skipping empty shells. Returns `None` when fewer
@@ -76,51 +39,6 @@ pub fn fit_loglog_slope(shells: &[f64], k_min: usize, k_max: usize) -> Option<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fft::rfft2;
-
-    #[test]
-    fn signed_wavenumber_mapping() {
-        assert_eq!(signed_wavenumber(0, 8), 0);
-        assert_eq!(signed_wavenumber(3, 8), 3);
-        assert_eq!(signed_wavenumber(4, 8), 4);
-        assert_eq!(signed_wavenumber(5, 8), -3);
-        assert_eq!(signed_wavenumber(7, 8), -1);
-    }
-
-    #[test]
-    fn single_mode_lands_in_correct_shell() {
-        let n = 32;
-        let k0 = 5usize;
-        let field: Vec<f64> = (0..n * n)
-            .map(|i| {
-                let x = (i % n) as f64;
-                (2.0 * std::f64::consts::PI * k0 as f64 * x / n as f64).cos()
-            })
-            .collect();
-        let spec = rfft2(&field, n, n);
-        let shells = isotropic_spectrum(&spec, n);
-        let total: f64 = shells.iter().sum();
-        assert!(shells[k0] / total > 0.999, "energy not in shell {k0}: {shells:?}");
-    }
-
-    #[test]
-    fn parseval_shells_sum_to_variance() {
-        // For a zero-mean field, sum of shells ~= spatial mean square
-        // (up to energy falling outside the n/2 shell cap).
-        let n = 64;
-        let field: Vec<f64> = (0..n * n)
-            .map(|i| {
-                let x = (i % n) as f64;
-                let y = (i / n) as f64;
-                (2.0 * std::f64::consts::PI * 3.0 * x / n as f64).sin()
-                    + 0.5 * (2.0 * std::f64::consts::PI * 7.0 * y / n as f64).cos()
-            })
-            .collect();
-        let msq: f64 = field.iter().map(|v| v * v).sum::<f64>() / (n * n) as f64;
-        let spec = rfft2(&field, n, n);
-        let total: f64 = isotropic_spectrum(&spec, n).iter().sum();
-        assert!((total - msq).abs() < 1e-10, "{total} vs {msq}");
-    }
 
     #[test]
     fn slope_fit_recovers_synthetic_power_law() {

@@ -122,6 +122,7 @@ impl CycleRecord {
 }
 
 /// Parses a JSONL string back into records; errors carry the line number.
+// lint: allow(dead-pub, reason="reads back what to_json wrote in jsonl_round_trip, legacy_records_without_events_parse, malformed_diagnostics_are_rejected_not_dropped and bad_lines_report_position")
 pub fn parse_jsonl(text: &str) -> Result<Vec<CycleRecord>, String> {
     text.lines()
         .filter(|l| !l.trim().is_empty())

@@ -13,11 +13,6 @@ pub fn training_flops(config: &VitConfig, images: u64, epochs: u64) -> f64 {
     6.0 * tokens as f64 * images as f64 * epochs as f64 * config.param_count() as f64
 }
 
-/// Forward-only (inference) FLOPs per image: 2 ops per token per parameter.
-pub fn inference_flops(config: &VitConfig) -> f64 {
-    2.0 * config.tokens() as f64 * config.param_count() as f64
-}
-
 /// Converts a FLOP total into node-hours given a per-node sustained rate
 /// [FLOP/s].
 pub fn node_hours(total_flops: f64, sustained_flops_per_node: f64) -> f64 {
@@ -46,7 +41,8 @@ mod tests {
     fn factor_six_forward_backward() {
         let c = VitConfig::small(64);
         let train = training_flops(&c, 1, 1);
-        let infer = inference_flops(&c);
+        // Forward-only: 2 ops per token per parameter.
+        let infer = 2.0 * c.tokens() as f64 * c.param_count() as f64;
         assert!((train / infer - 3.0).abs() < 1e-12, "training = 3x inference per image");
     }
 

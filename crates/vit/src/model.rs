@@ -215,12 +215,6 @@ impl SqgVit {
         // INVARIANT: forward returns one output per input image.
         self.forward(&[image.to_vec()], false, &mut rng).pop().unwrap()
     }
-
-    /// f64 bridge for the DA framework: forecast a state vector.
-    pub fn predict_f64(&mut self, state: &[f64]) -> Vec<f64> {
-        let img: Vec<f32> = state.iter().map(|&v| v as f32).collect();
-        self.predict(&img).into_iter().map(|v| v as f64).collect()
-    }
 }
 
 #[cfg(test)]
@@ -353,15 +347,6 @@ mod tests {
         }
         let _ = pidx;
         assert!(checked >= 5, "gradcheck must cover several parameter tensors");
-    }
-
-    #[test]
-    fn f64_bridge_round_trips_shape() {
-        let mut m = SqgVit::new(tiny_config(), 5);
-        let state: Vec<f64> = (0..128).map(|i| (i as f64 * 0.01).cos()).collect();
-        let out = m.predict_f64(&state);
-        assert_eq!(out.len(), 128);
-        assert!(out.iter().all(|v| v.is_finite()));
     }
 
     #[test]

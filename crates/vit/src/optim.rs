@@ -49,14 +49,6 @@ impl Adam {
         }
     }
 
-    /// AdamW: Adam with decoupled weight decay.
-    pub fn adamw(lr: f32, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0);
-        let mut a = Self::new(lr);
-        a.weight_decay = weight_decay;
-        a
-    }
-
     /// Number of update steps taken.
     pub fn steps(&self) -> u64 {
         self.step
@@ -219,35 +211,6 @@ mod tests {
         // but the clipped moments must be bounded.
         assert!(clipped.m[0][0].abs() <= 0.1 + 1e-6, "clipped first moment {}", clipped.m[0][0]);
         assert!(unclipped.m[0][0].abs() > 10.0);
-    }
-
-    #[test]
-    fn adamw_decays_weights_toward_zero() {
-        // With zero gradient, AdamW shrinks weights geometrically while
-        // plain Adam leaves them untouched.
-        let mut adamw = Adam::adamw(0.1, 0.1);
-        let mut p = Param::new(vec![1.0]);
-        for _ in 0..10 {
-            p.grad[0] = 0.0;
-            adamw.step(&mut |f| f(&mut p));
-        }
-        assert!((p.value[0] - 0.99f32.powi(10)).abs() < 1e-4, "got {}", p.value[0]);
-
-        let mut adam = Adam::new(0.1);
-        let mut q = Param::new(vec![1.0]);
-        q.grad[0] = 0.0;
-        adam.step(&mut |f| f(&mut q));
-        assert_eq!(q.value[0], 1.0);
-    }
-
-    #[test]
-    fn adamw_still_converges_on_quadratic() {
-        let mut opt = Adam::adamw(0.05, 0.001);
-        let w = quadratic_test(&mut |p| {
-            opt.step(&mut |f| f(p));
-        });
-        // Weight decay biases the optimum slightly toward zero.
-        assert!((w - 3.0).abs() < 0.1, "AdamW converged to {w}");
     }
 
     #[test]

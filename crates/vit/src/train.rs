@@ -55,7 +55,7 @@ impl Trainer {
     ///
     /// # Panics
     /// Panics on an invalid schedule or zero batch size.
-    pub fn with_schedule(schedule: LrSchedule, batch_size: usize, seed: u64) -> Self {
+    fn with_schedule(schedule: LrSchedule, batch_size: usize, seed: u64) -> Self {
         assert!(batch_size >= 1);
         schedule.validate().expect("invalid LR schedule");
         let mut optimizer = Adam::new(schedule.at(0));
@@ -103,6 +103,7 @@ impl Trainer {
     }
 
     /// Mean loss over `data` without updating (validation).
+    // lint: allow(dead-pub, reason="measures the loss that training_reduces_loss and online_finetuning_adapts_to_new_regime assert on")
     pub fn evaluate(&mut self, model: &mut SqgVit, data: &[Sample]) -> f32 {
         assert!(!data.is_empty());
         let mut total = 0.0;

@@ -27,7 +27,7 @@
 //!
 //! let config = ComparisonConfig::small(10);
 //! let surrogate = pretrain_surrogate(&config);
-//! let comparison = run_comparison(&config, surrogate);
+//! let comparison = run_comparison(&config, surrogate).expect("the comparison runs");
 //! for series in &comparison.series {
 //!     println!("{:>10}: steady RMSE {:.4}", series.label, series.steady_rmse());
 //! }

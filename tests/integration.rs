@@ -45,7 +45,7 @@ fn tiny_osse(cycles: usize, seed: u64) -> OsseConfig {
 fn fig4_shape_miniature() {
     let config = ComparisonConfig::small(10);
     let surrogate = pretrain_surrogate(&config);
-    let cmp = run_comparison(&config, surrogate);
+    let cmp = run_comparison(&config, surrogate).unwrap();
 
     let sqg_free = cmp.get("SQG only").unwrap();
     let vit_free = cmp.get("ViT only").unwrap();
@@ -148,6 +148,7 @@ fn comparison_is_reproducible() {
         let config = ComparisonConfig::small(4);
         let surrogate = pretrain_surrogate(&config);
         run_comparison(&config, surrogate)
+            .unwrap()
             .series
             .iter()
             .map(|s| s.rmse.clone())
