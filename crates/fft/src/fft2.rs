@@ -8,12 +8,12 @@
 //!
 //! Two paths compute the same bits. When the CPU has AVX2 and both axes are
 //! radix-2 and at least 4 long, `crate::simd` transforms the grid in place
-//! (rows, then columns without a transpose; 64-point rows on AVX-512F where
-//! the CPU has it). Every other case (non-x86,
-//! no AVX2, a Bluestein axis, an axis shorter than 4) takes the scalar path:
-//! the 1-D plan on every row, then on every row of a cache-blocked
-//! transpose, transposed back. The scalar path is also the vector path's
-//! test oracle.
+//! (rows, then columns without a transpose; 64-point rows, and columns of
+//! rows a multiple of 4 wide, on AVX-512F where the CPU has it). Every
+//! other case (non-x86, no AVX2, a Bluestein axis, an axis shorter than 4)
+//! takes the scalar path: the 1-D plan on every row, then on every row of
+//! a cache-blocked transpose, transposed back. The scalar path is also the
+//! vector path's test oracle.
 
 use crate::complex::Complex;
 use crate::plan::{Direction, FftPlan};

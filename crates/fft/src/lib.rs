@@ -7,9 +7,10 @@
 //! - [`FftPlan`] — reusable 1-D plans; radix-2 Cooley–Tukey for power-of-two
 //!   lengths, Bluestein chirp-z for everything else.
 //! - [`Fft2`] — 2-D transforms: a runtime-dispatched AVX2 path for
-//!   radix-2 grids (transpose-free column pass; 64-point rows held in
-//!   AVX-512 registers where the CPU has AVX-512F), bitwise identical to
-//!   the scalar path, and the scalar path with cache-blocked transposes;
+//!   radix-2 grids (transpose-free column pass; where the CPU has
+//!   AVX-512F, 64-point rows held in registers and columns four complexes
+//!   per vector), bitwise identical to the scalar path, and the scalar
+//!   path with cache-blocked transposes;
 //!   [`Fft2Scratch`] makes hot loops allocation-free via
 //!   [`Fft2::process_with_scratch`].
 //! - [`plan_cache`] — process-wide memoization of 2-D plans keyed on

@@ -117,14 +117,15 @@ fn invert_mode(grid: &SpectralGrid, idx: usize, theta: [Complex; LEVELS]) -> [Co
 /// transforms' vector loads then never straddle a cache line. A 64²
 /// transform 16 bytes past a 32-byte boundary measured ≈ 1.12× the aligned
 /// one.
-struct AlignedGrid {
+pub(crate) struct AlignedGrid {
     buf: Vec<Complex>,
     at: usize,
     len: usize,
 }
 
 impl AlignedGrid {
-    fn new(len: usize) -> Self {
+    /// A zeroed grid of `len` complexes.
+    pub(crate) fn new(len: usize) -> Self {
         let buf = vec![Complex::ZERO; len + 3];
         let at = (0..4).find(|&k| buf[k..].as_ptr().align_offset(64) == 0).unwrap_or(0);
         AlignedGrid { buf, at, len }

@@ -2,6 +2,7 @@
 //! boundary levels, with conversions to/from the flat grid-space state
 //! vector the DA filters operate on.
 
+use crate::dynamics::AlignedGrid;
 use fft::{plan_cache, real, Complex, Direction, Fft2, Fft2Scratch};
 
 /// Number of vertical levels (the two boundaries of the Eady model).
@@ -87,15 +88,15 @@ impl SqgState {
     fn from_fields(n: usize, bottom: &[f64], top: &[f64]) -> Self {
         let mut state = SqgState::zeros(n);
         let fwd = plan_cache::fft2(n, n, Direction::Forward);
-        let mut pair = vec![Complex::ZERO; n * n];
-        load_fields(&fwd, bottom, top, &mut state.levels, &mut pair, &mut Fft2Scratch::new());
+        let mut pair = AlignedGrid::new(n * n);
+        load_fields(&fwd, bottom, top, &mut state.levels, pair.as_mut(), &mut Fft2Scratch::new());
         state
     }
 
     fn store(&self, bottom: &mut [f64], top: &mut [f64]) {
         let inv = plan_cache::fft2(self.n, self.n, Direction::Inverse);
-        let mut pair = vec![Complex::ZERO; self.n * self.n];
-        store_fields(&inv, &self.levels, bottom, top, &mut pair, &mut Fft2Scratch::new());
+        let mut pair = AlignedGrid::new(self.n * self.n);
+        store_fields(&inv, &self.levels, bottom, top, pair.as_mut(), &mut Fft2Scratch::new());
     }
 
     /// Mean (domain-averaged) buoyancy of each level, read off the DC mode.

@@ -11,9 +11,8 @@ use crate::layers::Param;
 /// each one to the provided callback (see [`crate::SqgVit::visit_params`]).
 pub type ParamVisitor<'a> = dyn FnMut(&mut dyn FnMut(&mut Param)) + 'a;
 
-/// Adam with bias correction (Kingma & Ba); with `weight_decay > 0` this is
-/// AdamW (decoupled decay, Loshchilov & Hutter) — the standard recipe for
-/// ViT training at the paper's scale.
+/// Adam with bias correction (Kingma & Ba), with an optional global
+/// gradient-norm clip.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
@@ -26,8 +25,6 @@ pub struct Adam {
     pub eps: f32,
     /// Optional global gradient-norm clip.
     pub grad_clip: Option<f32>,
-    /// Decoupled weight decay (AdamW); 0 disables.
-    pub weight_decay: f32,
     step: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
@@ -42,7 +39,6 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             grad_clip: None,
-            weight_decay: 0.0,
             step: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -86,8 +82,7 @@ impl Adam {
         // Work around the borrow: temporarily move the buffers out.
         let mut m = std::mem::take(&mut self.m);
         let mut v = std::mem::take(&mut self.v);
-        let (lr, b1, b2, eps, wd) =
-            (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         visit(&mut |p: &mut Param| {
             if first_call {
                 m.push(vec![0.0; p.value.len()]);
@@ -107,10 +102,6 @@ impl Adam {
                 *vs = b2 * *vs + (1.0 - b2) * g * g;
                 let mhat = *ms / bc1;
                 let vhat = *vs / bc2;
-                // Decoupled decay first (AdamW), then the Adam update.
-                if wd > 0.0 {
-                    *w -= lr * wd * *w;
-                }
                 *w -= lr * mhat / (vhat.sqrt() + eps);
             }
             idx += 1;
@@ -120,35 +111,11 @@ impl Adam {
     }
 }
 
-/// Plain SGD (baseline / tests).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// New SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// One update.
-    pub fn step(&mut self, visit: &mut ParamVisitor<'_>) {
-        let lr = self.lr;
-        visit(&mut |p: &mut Param| {
-            for (w, g) in p.value.iter_mut().zip(&p.grad) {
-                *w -= lr * g;
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimize f(w) = 0.5 (w - 3)²: both optimizers must converge.
+    /// Minimize f(w) = 0.5 (w - 3)²: the optimizer must converge.
     fn quadratic_test(run: &mut dyn FnMut(&mut Param)) -> f32 {
         let mut p = Param::new(vec![0.0]);
         for _ in 0..2000 {
@@ -166,15 +133,6 @@ mod tests {
         });
         assert!((w - 3.0).abs() < 0.01, "Adam converged to {w}");
         assert_eq!(opt.steps(), 2000);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = quadratic_test(&mut |p| {
-            opt.step(&mut |f| f(p));
-        });
-        assert!((w - 3.0).abs() < 0.01, "SGD converged to {w}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub fn mse_loss(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
 /// Trainer: owns the optimizer, the LR schedule and the shuffling/dropout
 /// RNG.
 pub struct Trainer {
-    /// Adam/AdamW optimizer.
+    /// Adam optimizer.
     pub optimizer: Adam,
     /// Learning-rate schedule (evaluated at each optimizer step).
     pub schedule: LrSchedule,
