@@ -6,11 +6,12 @@
 //! `BENCH_elastic.json` / `BENCH_scenarios.json` hold paper-scale
 //! shapes, while CI runs the suites with `--quick` (small shapes), so raw
 //! wall times are not comparable across the pair. The gate therefore
-//! checks **shape-independent derived ratios** — kernel speedups, scaling
-//! efficiency, GFLOPS throughput — each with its own tolerance: a fresh
-//! value below `baseline × (1 − tolerance)` fails the gate. Metrics
+//! checks **shape-independent derived ratios** — the flow-matching
+//! speedup, scaling efficiency, hit rates — each with its own tolerance: a
+//! fresh value below `baseline × (1 − tolerance)` fails the gate. Metrics
 //! missing from either file are reported as skipped, never failed, so the
-//! gate degrades gracefully when a suite gains or loses a section.
+//! gate degrades gracefully when a suite gains or loses a section; a unit
+//! test holds every committed baseline to carrying all of its metrics.
 //!
 //! Run: `cargo run --release -p bench --bin bench_gate -- \
 //!   --fresh-perf BENCH_perf_quick.json --baseline-perf BENCH_perf.json \
@@ -34,24 +35,6 @@ struct Metric {
     extract: fn(&Json) -> Option<f64>,
 }
 
-/// Minimum `speedup` across the EnSF kernel rows.
-fn ensf_min_speedup(doc: &Json) -> Option<f64> {
-    let rows = doc.get("results")?.get("ensf")?.as_arr()?;
-    rows.iter()
-        .map(|r| r.get("speedup").and_then(Json::as_f64))
-        .collect::<Option<Vec<f64>>>()?
-        .into_iter()
-        .reduce(f64::min)
-}
-
-/// Plan acquisition speedup (fresh build vs warm cache lookup), clamped at
-/// 10×: beyond that the cache is plainly working and the exact ratio is
-/// machine noise (lookup cost is a few lock-protected map probes).
-fn sqg_plan_cache_speedup(doc: &Json) -> Option<f64> {
-    let raw = doc.get("results")?.get("sqg")?.get("plan_cache_speedup")?.as_f64()?;
-    Some(raw.min(10.0))
-}
-
 /// Flow-matching analysis speedup over the 100-step reverse SDE at matched
 /// RMSE, scaled against the ≥5× acceptance target and clamped at 1.0: the
 /// headline requirement is "at least 5×", not a particular margin above it.
@@ -66,14 +49,6 @@ fn flow_speedup_at_matched_rmse(doc: &Json) -> Option<f64> {
 fn flow_matched_rmse_ratio(doc: &Json) -> Option<f64> {
     let ratio = doc.get("results")?.get("flow")?.get("matched_rmse_ratio")?.as_f64()?;
     (ratio > 0.0).then(|| (1.1 / ratio).min(1.0))
-}
-
-fn gemm_matmul_gflops(doc: &Json) -> Option<f64> {
-    doc.get("results")?.get("gemm")?.get("matmul_gflops")?.as_f64()
-}
-
-fn gemm_abt_gflops(doc: &Json) -> Option<f64> {
-    doc.get("results")?.get("gemm")?.get("abt_gflops")?.as_f64()
 }
 
 /// Strong-scaling speedup at a fixed rank count (rank counts shared by the
@@ -94,39 +69,12 @@ fn strong_speedup_4(doc: &Json) -> Option<f64> {
     strong_speedup_at(doc, 4)
 }
 
-/// The perf-suite metrics. Speedup ratios survive the quick/full shape
-/// change but compress at small sizes, so their tolerances are looser
-/// than the headline 25%.
+/// The perf-suite metrics, the flow-matching headline: the committed
+/// baseline must demonstrate ≥5× analysis speedup (scaled metric = 1.0) at
+/// RMSE within 10% of the 100-step SDE. The fresh-run tolerances are loose
+/// because the quick OSSE is tiny and its matched step count jitters; the
+/// acceptance floors bind on the committed artifact.
 const PERF_METRICS: &[Metric] = &[
-    Metric {
-        name: "ensf.min_speedup",
-        tolerance: 0.60,
-        min_baseline: None,
-        extract: ensf_min_speedup,
-    },
-    Metric {
-        name: "sqg.plan_cache_speedup",
-        tolerance: 0.40,
-        min_baseline: None,
-        extract: sqg_plan_cache_speedup,
-    },
-    Metric {
-        name: "gemm.matmul_gflops",
-        tolerance: 0.50,
-        min_baseline: None,
-        extract: gemm_matmul_gflops,
-    },
-    Metric {
-        name: "gemm.abt_gflops",
-        tolerance: 0.50,
-        min_baseline: None,
-        extract: gemm_abt_gflops,
-    },
-    // The flow-matching headline: the committed baseline must demonstrate
-    // ≥5× analysis speedup (scaled metric = 1.0) at RMSE within 10% of the
-    // 100-step SDE. The fresh-run tolerances are loose because the quick
-    // OSSE is tiny and its matched step count jitters; the acceptance
-    // floors bind on the committed artifact.
     Metric {
         name: "flow.speedup_at_matched_rmse",
         tolerance: 0.60,
@@ -352,14 +300,32 @@ fn gate_suite(label: &str, metrics: &[Metric], fresh: &Json, baseline: &Json) ->
     failures
 }
 
+/// One gated suite: its console label, the `<key>` of its
+/// `--fresh-<key>` / `--baseline-<key>` flags and committed
+/// `BENCH_<key>.json`, and its metrics.
+struct Suite {
+    label: &'static str,
+    key: &'static str,
+    metrics: &'static [Metric],
+}
+
+const SUITES: &[Suite] = &[
+    Suite { label: "perf_suite", key: "perf", metrics: PERF_METRICS },
+    Suite { label: "scaling_suite", key: "scaling", metrics: SCALING_METRICS },
+    Suite { label: "elastic_suite", key: "elastic", metrics: ELASTIC_METRICS },
+    Suite { label: "scenario_suite", key: "scenarios", metrics: SCENARIO_METRICS },
+];
+
+/// Parses the JSON file at `path`; `what` names it in the panic message.
+fn read_json(path: &str, what: &str) -> Json {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read {what} {path}: {e}"));
+    telemetry::json::parse(&text).unwrap_or_else(|e| panic!("{what} {path} is not valid JSON: {e}"))
+}
+
 fn load(args: &[String], flag: &str) -> Option<Json> {
     let path = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))?;
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {flag} {path}: {e}"));
-    Some(
-        telemetry::json::parse(&text)
-            .unwrap_or_else(|e| panic!("{flag} {path} is not valid JSON: {e}")),
-    )
+    Some(read_json(path, flag))
 }
 
 fn main() {
@@ -368,28 +334,13 @@ fn main() {
 
     let mut failures = 0;
     let mut compared = 0;
-    if let (Some(fresh), Some(base)) = (load(&args, "--fresh-perf"), load(&args, "--baseline-perf"))
-    {
-        failures += gate_suite("perf_suite", PERF_METRICS, &fresh, &base);
-        compared += 1;
-    }
-    if let (Some(fresh), Some(base)) =
-        (load(&args, "--fresh-scaling"), load(&args, "--baseline-scaling"))
-    {
-        failures += gate_suite("scaling_suite", SCALING_METRICS, &fresh, &base);
-        compared += 1;
-    }
-    if let (Some(fresh), Some(base)) =
-        (load(&args, "--fresh-elastic"), load(&args, "--baseline-elastic"))
-    {
-        failures += gate_suite("elastic_suite", ELASTIC_METRICS, &fresh, &base);
-        compared += 1;
-    }
-    if let (Some(fresh), Some(base)) =
-        (load(&args, "--fresh-scenarios"), load(&args, "--baseline-scenarios"))
-    {
-        failures += gate_suite("scenario_suite", SCENARIO_METRICS, &fresh, &base);
-        compared += 1;
+    for suite in SUITES {
+        let fresh = load(&args, &format!("--fresh-{}", suite.key));
+        let base = load(&args, &format!("--baseline-{}", suite.key));
+        if let (Some(fresh), Some(base)) = (fresh, base) {
+            failures += gate_suite(suite.label, suite.metrics, &fresh, &base);
+            compared += 1;
+        }
     }
     if compared == 0 {
         eprintln!(
@@ -410,42 +361,16 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn perf_doc(speedups: &[f64], plan_cache: f64, matmul: f64, abt: f64) -> Json {
-        perf_doc_with_flow(speedups, plan_cache, matmul, abt, 27.0, 0.98)
-    }
-
-    fn perf_doc_with_flow(
-        speedups: &[f64],
-        plan_cache: f64,
-        matmul: f64,
-        abt: f64,
-        flow_speedup: f64,
-        flow_ratio: f64,
-    ) -> Json {
-        let rows: Vec<Json> = speedups
-            .iter()
-            .map(|&s| Json::obj(vec![("speedup", Json::Num(s))]))
-            .collect();
+    fn flow_doc(speedup: f64, ratio: f64) -> Json {
         Json::obj(vec![(
             "results",
-            Json::obj(vec![
-                ("ensf", Json::Arr(rows)),
-                ("sqg", Json::obj(vec![("plan_cache_speedup", Json::Num(plan_cache))])),
-                (
-                    "gemm",
-                    Json::obj(vec![
-                        ("matmul_gflops", Json::Num(matmul)),
-                        ("abt_gflops", Json::Num(abt)),
-                    ]),
-                ),
-                (
-                    "flow",
-                    Json::obj(vec![
-                        ("speedup_at_matched_rmse", Json::Num(flow_speedup)),
-                        ("matched_rmse_ratio", Json::Num(flow_ratio)),
-                    ]),
-                ),
-            ]),
+            Json::obj(vec![(
+                "flow",
+                Json::obj(vec![
+                    ("speedup_at_matched_rmse", Json::Num(speedup)),
+                    ("matched_rmse_ratio", Json::Num(ratio)),
+                ]),
+            )]),
         )])
     }
 
@@ -553,11 +478,6 @@ mod tests {
 
     #[test]
     fn extractors_pull_the_right_numbers() {
-        let doc = perf_doc(&[3.2, 2.1, 3.6], 1.4, 13.0, 31.0);
-        assert_eq!(ensf_min_speedup(&doc), Some(2.1));
-        assert_eq!(sqg_plan_cache_speedup(&doc), Some(1.4));
-        assert_eq!(gemm_matmul_gflops(&doc), Some(13.0));
-        assert_eq!(gemm_abt_gflops(&doc), Some(31.0));
         let sc = scaling_doc(&[(1, 1.0), (2, 1.9), (4, 3.4)]);
         assert_eq!(strong_speedup_2(&sc), Some(1.9));
         assert_eq!(strong_speedup_4(&sc), Some(3.4));
@@ -593,14 +513,14 @@ mod tests {
 
     #[test]
     fn within_tolerance_passes_and_regression_fails() {
-        let m = &PERF_METRICS[0]; // ensf.min_speedup, tol 0.60
-        let base = perf_doc(&[3.0], 1.0, 1.0, 1.0);
-        // 40% of baseline is exactly the floor: not a regression.
-        let at_floor = perf_doc(&[3.0 * (1.0 - m.tolerance)], 1.0, 1.0, 1.0);
+        let m = &SCALING_METRICS[0]; // strong_speedup@2, tol 0.40
+        let base = scaling_doc(&[(2, 1.9)]);
+        // 60% of baseline is exactly the floor: not a regression.
+        let at_floor = scaling_doc(&[(2, 1.9 * (1.0 - m.tolerance))]);
         assert!(matches!(judge(m, &at_floor, &base), Verdict::Ok { .. }));
-        let below = perf_doc(&[3.0 * (1.0 - m.tolerance) - 0.01], 1.0, 1.0, 1.0);
+        let below = scaling_doc(&[(2, 1.9 * (1.0 - m.tolerance) - 0.01)]);
         assert!(matches!(judge(m, &below, &base), Verdict::Regressed { .. }));
-        let better = perf_doc(&[4.0], 1.0, 1.0, 1.0);
+        let better = scaling_doc(&[(2, 2.0)]);
         assert!(matches!(judge(m, &better, &base), Verdict::Ok { .. }));
     }
 
@@ -616,34 +536,26 @@ mod tests {
 
     #[test]
     fn gate_suite_counts_failures() {
-        let base = perf_doc(&[3.0], 1.5, 10.0, 30.0);
-        let bad = perf_doc(&[0.5], 1.4, 9.0, 29.0); // only ensf regresses
-        assert_eq!(gate_suite("t", PERF_METRICS, &bad, &base), 1);
-        assert_eq!(gate_suite("t", PERF_METRICS, &base, &base), 0);
+        let base = scaling_doc(&[(2, 1.9), (4, 3.4)]);
+        let bad = scaling_doc(&[(2, 0.5), (4, 3.3)]); // only @2 regresses
+        assert_eq!(gate_suite("t", SCALING_METRICS, &bad, &base), 1);
+        assert_eq!(gate_suite("t", SCALING_METRICS, &base, &base), 0);
     }
 
     #[test]
     fn flow_extractors_scale_against_the_acceptance_targets() {
         // 27.3× against the 5× target clamps to 1.0; 2.6× scales to 0.52.
-        let strong = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 27.3, 0.978);
+        let strong = flow_doc(27.3, 0.978);
         assert_eq!(flow_speedup_at_matched_rmse(&strong), Some(1.0));
         assert_eq!(flow_matched_rmse_ratio(&strong), Some(1.0));
-        let weak = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 2.6, 1.2);
+        let weak = flow_doc(2.6, 1.2);
         assert_eq!(flow_speedup_at_matched_rmse(&weak), Some(2.6 / 5.0));
         let ratio = flow_matched_rmse_ratio(&weak).unwrap();
         assert!((ratio - 1.1 / 1.2).abs() < 1e-12);
         // Degenerate / absent values are skips, not failures.
-        let degenerate = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 5.0, 0.0);
+        let degenerate = flow_doc(5.0, 0.0);
         assert_eq!(flow_matched_rmse_ratio(&degenerate), None);
         assert_eq!(flow_speedup_at_matched_rmse(&Json::Null), None);
-    }
-
-    #[test]
-    fn plan_cache_speedup_clamps_machine_noise() {
-        let doc = perf_doc(&[3.0], 18.6, 10.0, 30.0);
-        assert_eq!(sqg_plan_cache_speedup(&doc), Some(10.0));
-        let modest = perf_doc(&[3.0], 4.2, 10.0, 30.0);
-        assert_eq!(sqg_plan_cache_speedup(&modest), Some(4.2));
     }
 
     #[test]
@@ -654,18 +566,18 @@ mod tests {
             .unwrap();
         // Committed baseline below 5×: the gate fails even when the fresh
         // run matches it exactly — the headline is absolute, not relative.
-        let weak_base = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 4.0, 0.98);
+        let weak_base = flow_doc(4.0, 0.98);
         assert!(matches!(
             judge(m, &weak_base, &weak_base),
             Verdict::BaselineBelowFloor { .. }
         ));
         // Committed baseline at 27× with a jittery quick fresh run at 2.6×:
         // scaled 0.52 against floor 1.0·(1−0.60) = 0.40 — passes.
-        let base = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 27.3, 0.978);
-        let fresh = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 2.6, 1.05);
+        let base = flow_doc(27.3, 0.978);
+        let fresh = flow_doc(2.6, 1.05);
         assert!(matches!(judge(m, &fresh, &base), Verdict::Ok { .. }));
         // But a fresh run whose scaled speedup collapses below the floor fails.
-        let dead = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 1.5, 1.05);
+        let dead = flow_doc(1.5, 1.05);
         assert!(matches!(judge(m, &dead, &base), Verdict::Regressed { .. }));
     }
 
@@ -677,12 +589,32 @@ mod tests {
             .unwrap();
         // Ratio 1.2 > 1.1: scaled 0.917 < 1.0 floor → the baseline itself
         // fails the accuracy corridor.
-        let off = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 27.3, 1.2);
+        let off = flow_doc(27.3, 1.2);
         assert!(matches!(
             judge(m, &off, &off),
             Verdict::BaselineBelowFloor { .. }
         ));
-        let good = perf_doc_with_flow(&[3.0], 1.5, 10.0, 30.0, 27.3, 0.978);
+        let good = flow_doc(27.3, 0.978);
         assert!(matches!(judge(m, &good, &good), Verdict::Ok { .. }));
+    }
+
+    /// A metric missing from a file is a skip, never a failure, so a
+    /// trimmed artifact could silently drop a gate: every committed
+    /// baseline must carry every row of its suite's table, at or above the
+    /// row's acceptance floor.
+    #[test]
+    fn committed_baselines_carry_every_gated_metric() {
+        for suite in SUITES {
+            let path =
+                format!("{}/../../BENCH_{}.json", env!("CARGO_MANIFEST_DIR"), suite.key);
+            let doc = read_json(&path, suite.label);
+            for m in suite.metrics {
+                let value = (m.extract)(&doc)
+                    .unwrap_or_else(|| panic!("{path} lacks gated metric {}", m.name));
+                if let Some(min) = m.min_baseline {
+                    assert!(value >= min, "{path}: {} = {value} below floor {min}", m.name);
+                }
+            }
+        }
     }
 }

@@ -8,9 +8,8 @@
 //! mini-batch, flow prior variance, time grid and particle streams, the
 //! filter's particle blocks over the machine's cores, and its spread
 //! relaxation — so the two differ only by floating-point reassociation.
-//! The equivalence tests hold the filter to it at 1e-10 relative, and
-//! `perf_suite` times the filter against it. It is not a filter a run can
-//! select, and it records no telemetry.
+//! The equivalence tests hold the filter to it at 1e-10 relative. It is
+//! not a filter a run can select, and it records no telemetry.
 //!
 //! ## The training-free prior score (Eqs. 12–16)
 //!
@@ -126,7 +125,7 @@ impl<'a> ScoreEstimator<'a> {
     ///
     /// `scratch` must have length `batch_len()` and is overwritten with the
     /// final weights.
-    pub fn score_into(&self, z: &[f64], t: f64, out: &mut [f64], scratch: &mut [f64]) {
+    fn score_into(&self, z: &[f64], t: f64, out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(z.len(), self.dim);
         assert_eq!(out.len(), self.dim);
         assert_eq!(scratch.len(), self.batch.len());

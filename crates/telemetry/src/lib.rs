@@ -10,7 +10,7 @@
 //!   [`set_enabled(true)`](set_enabled), to turn collection on.
 //! * When disabled (the default), opening a span reduces to one relaxed
 //!   atomic load — a few nanoseconds — so instrumented hot loops cost
-//!   effectively nothing (see `crates/bench/benches/telemetry_bench.rs`).
+//!   effectively nothing (`tests/overhead.rs` holds it to a budget).
 //!
 //! The main entry points:
 //!
