@@ -182,7 +182,7 @@ fn bench_flow(quick: bool) -> Json {
     );
 
     Json::obj(vec![
-        ("ens_size", Json::from(8u64)),
+        ("ens_size", Json::from(flow_osse_config(quick, ObsOperatorKind::Identity).ens_size as u64)),
         ("baseline_steps", Json::from(baseline_steps as u64)),
         ("sweep", Json::Arr(sweep)),
         ("ensf100_rmse", Json::from(base_rmse)),

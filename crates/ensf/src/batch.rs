@@ -9,12 +9,13 @@
 //!
 //! 1. squared distances via the norm expansion
 //!    `‖z_i − α x_j‖² = ‖z_i‖² − 2α ⟨z_i, x_j⟩ + α² ‖x_j‖²`, with the Gram
-//!    block `Z Xᵀ` computed by [`linalg::gemm::matmul_abt_into`]'s
-//!    register-tiled kernel and the member norms `‖x_j‖²` hoisted out of
-//!    the SDE loop entirely (computed once per analysis);
+//!    block `Z Xᵀ` accumulated by [`linalg::gemm::GramChains`]' register
+//!    tiles and the member norms `‖x_j‖²` hoisted out of the SDE loop
+//!    entirely (computed once per analysis);
 //! 2. a row-wise log-sum-exp softmax into weights `W` (P×M);
 //! 3. the weighted conditional score `S = (α W X − Z)/β²` as a second GEMM
-//!    with the affine part fused into its store epilogue.
+//!    with the affine part fused into its store epilogue
+//!    ([`linalg::gemm::matmul_slices_affine_window`]).
 //!
 //! All reductions are fixed-order and per-output-element independent
 //! (`linalg::simd`'s specification: 8 FMA chains and a fixed tree for the
@@ -25,31 +26,58 @@
 //! keeps [`crate::parallel::analyze_partitioned`]'s bitwise identity and the
 //! resilience layer's bit-identical checkpoint resume intact.
 //!
-//! After the two score GEMMs a step makes **one pass** over the block. The
-//! step's noise comes from [`stats::gaussian::scaled_normal_chunks`], which
-//! advances eight particles' streams side by side in SIMD lanes and hands
-//! each row its values in 8-element chunks; per chunk the pass applies the
-//! drift `fma(decay, z, σ²Δt·s)`, adds the noise, applies the damped
-//! likelihood pull and extends the row's [`linalg::gemm::SqNorm`] chains,
-//! so the next step's `‖z_i‖²` needs no pass of its own. The final,
-//! noise-free step runs the same chunk body without drawing. Each element
-//! keeps the operation order of the separate passes (drift, then `z + v`,
-//! then the pull), and each particle keeps its own RNG stream drawn in
-//! exactly the oracle's order (initial `N(0, I)` fill, then one normal per
-//! component per non-final step). The oracle and this kernel therefore
-//! differ only by floating-point reassociation.
+//! ## One sweep per step
+//!
+//! A step visits the block's columns **one window of [`WINDOW`] columns at
+//! a time** (the last window may be ragged), so the ensemble is read once
+//! and the particles are read and written once per step, each window's
+//! slice of both staying in cache while all the step's work on it runs:
+//!
+//! 1. the window's score `S_w = (α W X_w − Z_w)/β²` into a `b × WINDOW`
+//!    scratch;
+//! 2. the integrator's per-element update of `Z_w`, which also extends each
+//!    row's [`linalg::gemm::SqNorm`] chains. For the reverse SDE that is one
+//!    pass in 8-element row chunks: the step's noise comes from
+//!    [`stats::gaussian::scaled_normal_chunks`] over the window (eight
+//!    particles' streams side by side in SIMD lanes, each row's stream
+//!    simply continuing from one window to the next), and per chunk the pass
+//!    applies the drift `fma(decay, z, σ²Δt·s)`, adds the noise and applies
+//!    the damped likelihood pull; the final, noise-free step runs the same
+//!    chunk body without drawing. The probability flow runs
+//!    [`crate::flow`]'s per-element step on the window's rows;
+//! 3. the next step's Gram chains extended with the updated `Z_w` against
+//!    `X_w`.
+//!
+//! After the last window the chains' fixed tree plus the tail gives the next
+//! step's Gram block and the norm chains its `‖z_i‖²`: bit for bit what
+//! separate whole-block GEMMs and passes give. Each element keeps the
+//! operation order of the separate passes (drift, then `z + v`, then the
+//! pull), and each particle keeps its own RNG stream drawn in exactly the
+//! oracle's order (initial `N(0, I)` fill, then one normal per component per
+//! non-final step). The oracle and this kernel therefore differ only by
+//! floating-point reassociation.
 //!
 //! All scratch lives in a caller-owned [`BatchScratch`]; after construction
-//! the inner SDE loop performs no heap allocation.
+//! the step loop performs no heap allocation.
 
 use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
-use linalg::gemm::{matmul_abt_into, matmul_slices_affine_into, row_sq_norms, GemmScratch, SqNorm};
+use linalg::gemm::{
+    matmul_abt_into, matmul_slices_affine_into, matmul_slices_affine_window, row_sq_norms,
+    GemmScratch, GramChains, SqNorm,
+};
 use linalg::simd::at_widest_tier;
 use rand::rngs::StdRng;
 use stats::gaussian::{scaled_normal_chunks, ChunkSink};
 use stats::softmax::softmax_in_place;
 use std::borrow::Cow;
+use std::ops::Range;
+
+/// Columns a step visits at once: a multiple of 8, so every window but the
+/// last holds whole 8-chunks. At `d = 8192` and 10 particles per block a
+/// window's slices of the ensemble, the particles and the score take
+/// 160 KiB, well inside one core's L2, where the whole block's did not fit.
+pub(crate) const WINDOW: usize = 512;
 
 /// Batched Monte-Carlo prior-score evaluator.
 ///
@@ -109,14 +137,37 @@ impl<'a> BatchedScore<'a> {
         self.dim
     }
 
+    /// Turns the Gram block `Z Xᵀ` in `weights` (`b x J`) into the
+    /// normalized softmax weights at pseudo-time `t`, `znorm` (`b`) holding
+    /// the rows' `‖z_i‖²` as [`row_sq_norms`] computes them.
+    // lint: no_alloc
+    fn weights_in_place(&self, weights: &mut [f64], znorm: &[f64], t: f64) {
+        let alpha = self.schedule.alpha(t);
+        let inv_2b2 = 0.5 / self.schedule.beta_sq(t);
+        let alpha_sq = alpha * alpha;
+        for (row, &zn) in weights.chunks_exact_mut(self.batch_len).zip(znorm) {
+            for (w, &xn) in row.iter_mut().zip(&self.xnorm) {
+                *w = -(zn - 2.0 * alpha * *w + alpha_sq * xn) * inv_2b2;
+            }
+            softmax_in_place(row);
+        }
+    }
+
+    /// The affine coefficients `(α/β², −1/β²)` of `S = (α W X − Z)/β²` at
+    /// pseudo-time `t`.
+    fn affine(&self, t: f64) -> (f64, f64) {
+        let inv_b2 = 1.0 / self.schedule.beta_sq(t);
+        (self.schedule.alpha(t) * inv_b2, -inv_b2)
+    }
+
     /// Evaluates the prior score at pseudo-time `t` for all `b` particles
-    /// in `z` (`b x d` row-major) at once, writing into `out` (`b x d`).
+    /// in `z` (`b x d` row-major) at once, writing into `out` (`b x d`):
+    /// the whole-block GEMMs that the integrators' window sweep computes
+    /// window by window, kept as the tests' reference for that sweep.
     ///
     /// `znorm` (`b`) holds the rows' squared norms `‖z_i‖²` as
-    /// [`row_sq_norms`] computes them (the reverse SDE carries them over
-    /// from its previous step's pass). `weights` (`b x J`) is scratch and
+    /// [`row_sq_norms`] computes them. `weights` (`b x J`) is scratch and
     /// holds the normalized softmax weights on return.
-    // lint: no_alloc
     pub fn score_block_into(
         &self,
         z: &[f64],
@@ -131,37 +182,25 @@ impl<'a> BatchedScore<'a> {
         assert_eq!(out.len(), b * d);
         assert_eq!(weights.len(), b * j);
         assert_eq!(znorm.len(), b);
-
-        let alpha = self.schedule.alpha(t);
-        let beta_sq = self.schedule.beta_sq(t);
-        let inv_2b2 = 0.5 / beta_sq;
-        let inv_b2 = 1.0 / beta_sq;
-        let alpha_sq = alpha * alpha;
-
-        // Distances via the norm expansion: the Gram block Z Xᵀ carries all
-        // the O(b·J·d) work; ‖z_i‖² comes in and ‖x_j‖² is hoisted.
         matmul_abt_into(z, &self.gathered, b, j, d, weights);
-        for (row, &zn) in weights.chunks_exact_mut(j).zip(znorm.iter()) {
-            for (w, &xn) in row.iter_mut().zip(&self.xnorm) {
-                *w = -(zn - 2.0 * alpha * *w + alpha_sq * xn) * inv_2b2;
-            }
-            softmax_in_place(row);
-        }
-
-        // Weighted conditional score: S = (α W X − Z) / β², with W X as the
-        // second GEMM and the affine part fused into its store epilogue.
-        matmul_slices_affine_into(weights, &self.gathered, b, j, d, z, alpha * inv_b2, -inv_b2, out);
+        self.weights_in_place(weights, znorm, t);
+        let (ca, cb) = self.affine(t);
+        matmul_slices_affine_into(weights, &self.gathered, b, j, d, z, ca, cb, out);
     }
 }
 
-/// Caller-owned scratch for [`reverse_sde_assimilate_batched`].
+/// Caller-owned scratch for the batched integrators.
 ///
-/// Created once per analysis (per particle block); the reverse-SDE loop
-/// borrows the same buffers each step and never allocates.
+/// Created once per analysis (per particle block); the step loop borrows the
+/// same buffers each step and never allocates.
 pub struct BatchScratch {
+    /// The Gram block, then the weights (`b x J`); the rows' norms (`b`);
+    /// the window's score (`b x WINDOW`).
     buffers: GemmScratch,
-    /// One row's norm chains per particle, filled by the SDE's chunk pass.
+    /// One row's norm chains per particle, extended window by window.
     norms: Vec<SqNorm>,
+    /// The next step's Gram block, extended window by window.
+    gram: GramChains,
 }
 
 impl BatchScratch {
@@ -169,16 +208,83 @@ impl BatchScratch {
     /// `j` members and state dimension `dim`.
     pub fn new(b: usize, j: usize, dim: usize) -> Self {
         let mut buffers = GemmScratch::new();
-        // Prewarm so the integrator loops' borrows are allocation-free (the
-        // SDE borrows the first three slices, the flow path all six).
-        let _ = buffers.slices([b * dim, b * j, b, dim, dim, dim]);
-        BatchScratch { buffers, norms: vec![SqNorm::default(); b] }
+        // Prewarm so the step loop's borrows are allocation-free.
+        let _ = buffers.slices([b * j, b, b * WINDOW.min(dim)]);
+        BatchScratch { buffers, norms: vec![SqNorm::default(); b], gram: GramChains::new(b, j) }
     }
+}
 
-    /// The underlying buffer pool (shared with the flow-matching
-    /// integrator, which borrows the same prewarmed slices).
-    pub(crate) fn buffers_mut(&mut self) -> &mut GemmScratch {
-        &mut self.buffers
+/// An integrator's per-element work, one column window at a time.
+pub(crate) trait WindowStep {
+    /// One step's coefficients.
+    type Step;
+
+    /// The coefficients of the step from `t` to `t_next`.
+    fn step(&self, t: f64, t_next: f64) -> Self::Step;
+
+    /// Advances columns `cols` of every row of `z` (`b x dim`) by `step`,
+    /// `s` (`b x cols.len()`) holding the rows' prior score there, and
+    /// extends each row's `norms` with the window's whole 8-chunks.
+    fn advance(
+        &mut self,
+        step: &Self::Step,
+        z: &mut [f64],
+        dim: usize,
+        cols: Range<usize>,
+        s: &[f64],
+        norms: &mut [SqNorm],
+    );
+}
+
+/// Integrates the `b x dim` block `z` over the descending grid `times`,
+/// window by window (the module doc): per step the score's weights from the
+/// Gram block and norms the previous step left, then for each window the
+/// score, `integrator`'s update and the next step's Gram chains.
+// lint: no_alloc
+pub(crate) fn integrate<I: WindowStep>(
+    z: &mut [f64],
+    b: usize,
+    times: &[f64],
+    score: &BatchedScore,
+    scratch: &mut BatchScratch,
+    integrator: &mut I,
+) {
+    let (dim, j) = (score.dim, score.batch_len);
+    assert_eq!(z.len(), b * dim, "particle block shape mismatch");
+    let x = &score.gathered[..];
+    let whole = dim / 8 * 8;
+    let [w, znorm, s] = scratch.buffers.slices([b * j, b, b * WINDOW.min(dim)]);
+    let (norms, gram) = (&mut scratch.norms[..b], &mut scratch.gram);
+    // The first step's norms and Gram block; every later step's come out of
+    // the sweep of the step before.
+    row_sq_norms(z, b, dim, znorm);
+    gram.reset();
+    gram.accumulate(z, x, dim, 0..dim);
+    gram.finish(z, x, dim, w);
+
+    for (n, pair) in times.windows(2).enumerate() {
+        let (t, t_next) = (pair[0], pair[1]);
+        let next = n + 2 < times.len();
+        score.weights_in_place(w, znorm, t);
+        let (ca, cb) = score.affine(t);
+        let step = integrator.step(t, t_next);
+        norms.fill(SqNorm::default());
+        gram.reset();
+        for c0 in (0..dim).step_by(WINDOW) {
+            let c1 = dim.min(c0 + WINDOW);
+            let s = &mut s[..b * (c1 - c0)];
+            matmul_slices_affine_window(w, x, b, j, dim, z, ca, cb, c0..c1, s);
+            integrator.advance(&step, z, dim, c0..c1, s, norms);
+            if next {
+                gram.accumulate(z, x, dim, c0..c1);
+            }
+        }
+        for ((zn, norm), row) in znorm.iter_mut().zip(&*norms).zip(z.chunks_exact(dim)) {
+            *zn = norm.finish(&row[whole..]);
+        }
+        if next {
+            gram.finish(z, x, dim, w);
+        }
     }
 }
 
@@ -245,11 +351,16 @@ impl Step<'_> {
     }
 }
 
-/// One step's pass over the block, chunk by chunk: the [`ChunkSink`] that
-/// takes the step's noise.
+/// One step's pass over a column window of the block, chunk by chunk: the
+/// [`ChunkSink`] that takes the window's noise. Chunk columns are the
+/// window's own, from 0.
 struct StepPass<'a> {
     step: Step<'a>,
     dim: usize,
+    /// The window's first column in the block.
+    c0: usize,
+    /// The window's width, the row stride of `s`.
+    width: usize,
     z: &'a mut [f64],
     s: &'a [f64],
     y: &'a [f64],
@@ -258,24 +369,24 @@ struct StepPass<'a> {
 }
 
 impl StepPass<'_> {
-    /// [`Step::advance`] on row `r`'s `n` elements from column `c` (8 but
-    /// for a row's last chunk); a whole chunk then extends the row's norm
-    /// chains.
+    /// [`Step::advance`] on row `r`'s `n` elements from window column `c`
+    /// (8 but for a row's last chunk); a whole chunk then extends the row's
+    /// norm chains.
     #[inline(always)]
     fn advance(&mut self, r: usize, c: usize, n: usize, noise: Option<&[f64]>) {
-        let at = r * self.dim + c;
+        let (at, sat, yat) = (r * self.dim + self.c0 + c, r * self.width + c, self.c0 + c);
         if n == 8 {
             // A whole chunk is advanced in a local array, stored once: with
             // a constant length and no store to `z` between the loads it
             // runs as vector operations.
             let mut x = [0.0; 8];
             x.copy_from_slice(&self.z[at..at + 8]);
-            self.step.advance(&mut x, &self.s[at..at + 8], &self.y[c..c + 8], noise);
+            self.step.advance(&mut x, &self.s[sat..sat + 8], &self.y[yat..yat + 8], noise);
             self.z[at..at + 8].copy_from_slice(&x);
             self.norms[r].chunk(&x);
         } else {
             let z = &mut self.z[at..at + n];
-            self.step.advance(z, &self.s[at..at + n], &self.y[c..c + n], noise);
+            self.step.advance(z, &self.s[sat..sat + n], &self.y[yat..yat + n], noise);
         }
     }
 }
@@ -303,6 +414,75 @@ impl ChunkSink for StepPass<'_> {
     }
 }
 
+/// The reverse SDE as a [`WindowStep`]: each step's pass over a window
+/// draws the window's noise, each row's stream continuing where the
+/// previous window left it.
+struct ReverseSde<'a> {
+    schedule: &'a DiffusionSchedule,
+    obs: &'a ObsOperator,
+    y: &'a [f64],
+    rngs: &'a mut [StdRng],
+}
+
+impl<'a> WindowStep for ReverseSde<'a> {
+    /// The per-element coefficients and the noise amplitude (0 on the
+    /// final step).
+    type Step = (Step<'a>, f64);
+
+    fn step(&self, t: f64, t_next: f64) -> (Step<'a>, f64) {
+        let (schedule, obs) = (self.schedule, self.obs);
+        let dt = t - t_next;
+        let sig2 = schedule.sigma_sq(t);
+        let is_final = t_next <= 1e-300;
+        let noise_amp = if is_final { 0.0 } else { sig2.sqrt() * dt.sqrt() };
+        let gain = sig2 * schedule.damping(t) * dt;
+        let sigma_obs_sq = obs.sigma() * obs.sigma();
+        let pull = match obs.constant_jacobian_sq() {
+            // The factor is the same for every element: computed once per
+            // step, with the per-element branch's arithmetic.
+            Some(jc) if gain > 0.0 => Pull::Uniform {
+                w: gain / sigma_obs_sq,
+                factor: damping_factor(gain * jc / sigma_obs_sq),
+            },
+            None if gain > 0.0 => Pull::Local { gain, sigma_obs_sq },
+            _ => Pull::Off,
+        };
+        let decay = schedule.alpha(t_next) / schedule.alpha(t);
+        (Step { decay, sdt: sig2 * dt, pull, obs }, noise_amp)
+    }
+
+    // lint: no_alloc
+    fn advance(
+        &mut self,
+        &(step, noise_amp): &(Step<'a>, f64),
+        z: &mut [f64],
+        dim: usize,
+        cols: Range<usize>,
+        s: &[f64],
+        norms: &mut [SqNorm],
+    ) {
+        let (b, width) = (self.rngs.len(), cols.len());
+        let whole = width / 8 * 8;
+        let mut pass = StepPass { step, dim, c0: cols.start, width, z, s, y: self.y, norms };
+        // The one pass: every chunk of every row of the window, each row's
+        // chunks in ascending column order.
+        if noise_amp != 0.0 { // lint: allow(float-exact-compare, reason="noise_amp is set to exactly 0.0 on the final step")
+            scaled_normal_chunks(width, self.rngs, noise_amp, pass);
+        } else {
+            at_widest_tier(|| {
+                for r in 0..b {
+                    for c in (0..whole).step_by(8) {
+                        pass.advance(r, c, 8, None);
+                    }
+                    if whole < width {
+                        pass.advance(r, whole, width - whole, None);
+                    }
+                }
+            });
+        }
+    }
+}
+
 /// Batched counterpart of [`crate::oracle::reverse_sde_assimilate`]:
 /// integrates a whole block of particles through the reverse SDE
 /// step-major, evaluating the prior score for all of them at once via
@@ -319,8 +499,8 @@ impl ChunkSink for StepPass<'_> {
 /// Per particle this replicates the oracle's integrator operation for
 /// operation — exponential linear step, explicit prior score, final-step
 /// noise omission, damped likelihood pull — so the two paths agree to
-/// floating-point reassociation and draw identical noise. After the score
-/// GEMMs each step is one pass over `z` in row chunks (the module doc).
+/// floating-point reassociation and draw identical noise. Each step is one
+/// sweep over the block's column windows (the module doc).
 // lint: no_alloc
 #[allow(clippy::too_many_arguments)]
 pub fn reverse_sde_assimilate_batched(
@@ -333,66 +513,10 @@ pub fn reverse_sde_assimilate_batched(
     rngs: &mut [StdRng],
     scratch: &mut BatchScratch,
 ) {
-    let dim = score.dim();
-    let j = score.batch_len();
+    assert_eq!(y.len(), score.dim(), "observation length mismatch");
     let b = rngs.len();
-    assert_eq!(z.len(), b * dim, "particle block shape mismatch");
-    assert_eq!(y.len(), dim, "observation length mismatch");
-    let sigma_obs_sq = obs.sigma() * obs.sigma();
-    let whole = dim / 8 * 8;
-    // The buffers live for the whole integration: the step loop below is
-    // allocation-free. `znorm` enters each step holding ‖z_i‖².
-    let [s, w, znorm] = scratch.buffers.slices([b * dim, b * j, b]);
-    let norms = &mut scratch.norms[..b];
-    row_sq_norms(z, b, dim, znorm);
-
-    for win in times.windows(2) {
-        let t = win[0];
-        let t_next = win[1];
-        let dt = t - t_next;
-        let sig2 = schedule.sigma_sq(t);
-        let sig = sig2.sqrt();
-
-        score.score_block_into(z, b, t, s, w, znorm);
-
-        let is_final = t_next <= 1e-300;
-        let noise_amp = if is_final { 0.0 } else { sig * dt.sqrt() };
-        let gain = sig2 * schedule.damping(t) * dt;
-        let pull = match obs.constant_jacobian_sq() {
-            // The factor is the same for every element: computed once per
-            // step, with the per-element branch's arithmetic.
-            Some(jc) if gain > 0.0 => Pull::Uniform {
-                w: gain / sigma_obs_sq,
-                factor: damping_factor(gain * jc / sigma_obs_sq),
-            },
-            None if gain > 0.0 => Pull::Local { gain, sigma_obs_sq },
-            _ => Pull::Off,
-        };
-        let decay = schedule.alpha(t_next) / schedule.alpha(t);
-        let step = Step { decay, sdt: sig2 * dt, pull, obs };
-        norms.fill(SqNorm::default());
-        let mut pass = StepPass { step, dim, z: &mut *z, s, y, norms: &mut *norms };
-
-        // The one pass: every chunk of every row, each row's chunks in
-        // ascending column order.
-        if noise_amp != 0.0 { // lint: allow(float-exact-compare, reason="noise_amp is set to exactly 0.0 on the final step")
-            scaled_normal_chunks(dim, rngs, noise_amp, pass);
-        } else {
-            at_widest_tier(|| {
-                for r in 0..b {
-                    for c in (0..whole).step_by(8) {
-                        pass.advance(r, c, 8, None);
-                    }
-                    if whole < dim {
-                        pass.advance(r, whole, dim - whole, None);
-                    }
-                }
-            });
-        }
-        for ((zn, norm), row) in znorm.iter_mut().zip(&*norms).zip(z.chunks_exact(dim)) {
-            *zn = norm.finish(&row[whole..]);
-        }
-    }
+    let mut sde = ReverseSde { schedule, obs, y, rngs };
+    integrate(z, b, times, score, scratch, &mut sde);
 }
 
 #[cfg(test)]

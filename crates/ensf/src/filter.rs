@@ -188,10 +188,8 @@ pub fn relax_spread(analysis: &mut Ensemble, forecast: &Ensemble, r: f64) {
     /// `σ_a` below this fraction of `σ_f` is treated as fully collapsed.
     const DEGENERATE: f64 = 1e-8;
     let dim = analysis.dim();
-    let var_a = analysis.variance();
-    let var_f = forecast.variance();
-    let mean = analysis.mean();
-    let fmean = forecast.mean();
+    let (mean, var_a) = analysis.mean_and_variance();
+    let (fmean, var_f) = forecast.mean_and_variance();
     let mut scale = vec![1.0; dim];
     let mut degenerate = vec![false; dim];
     for i in 0..dim {

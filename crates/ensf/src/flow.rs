@@ -76,10 +76,11 @@
 //! safeguard the SDE path already runs, exactly as the SDE relies on it
 //! to undo its own obs-pinning overdispersion correction.
 
-use crate::batch::{BatchScratch, BatchedScore};
+use crate::batch::{integrate, BatchScratch, BatchedScore, WindowStep, WINDOW};
 use crate::obs::ObsOperator;
 use crate::schedule::DiffusionSchedule;
-use linalg::gemm::row_sq_norms;
+use linalg::gemm::SqNorm;
+use std::ops::Range;
 
 /// Per-component sample variance over `batch` members of a member-major
 /// ensemble buffer (divisor `J − 1`; all zeros when the batch has fewer
@@ -150,10 +151,32 @@ pub fn smooth_variance(var: &mut [f64], gamma: f64) {
     }
 }
 
-/// One flow step for one particle: Tweedie denoising, the per-component
-/// Kalman correction of the denoised estimate, and the DDIM map to the
-/// next grid point. Shared verbatim by the batched integrator and the
-/// oracle's so they agree operation for operation.
+/// One flow step's schedule coefficients, from `t` to `t_next`.
+pub(crate) struct FlowStep {
+    alpha: f64,
+    beta_sq: f64,
+    alpha_next: f64,
+    /// Noise-direction carry-over β(t′)/β(t) of the DDIM map.
+    beta_ratio: f64,
+}
+
+impl FlowStep {
+    pub(crate) fn new(schedule: &DiffusionSchedule, t: f64, t_next: f64) -> Self {
+        let beta_sq = schedule.beta_sq(t);
+        FlowStep {
+            alpha: schedule.alpha(t),
+            beta_sq,
+            alpha_next: schedule.alpha(t_next),
+            beta_ratio: (schedule.beta_sq(t_next) / beta_sq).sqrt(),
+        }
+    }
+}
+
+/// One flow step for one particle, or for the components of one column
+/// window of it: Tweedie denoising, the per-component Kalman correction of
+/// the denoised estimate, and the DDIM map to the next grid point. Every
+/// component is computed on its own. Shared verbatim by the batched
+/// integrator and the oracle's so they agree operation for operation.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn flow_step(
@@ -166,15 +189,9 @@ pub(crate) fn flow_step(
     obs: &ObsOperator,
     y: &[f64],
     r: f64,
-    schedule: &DiffusionSchedule,
-    t: f64,
-    t_next: f64,
+    step: &FlowStep,
 ) {
-    let alpha = schedule.alpha(t);
-    let beta_sq = schedule.beta_sq(t);
-    let alpha_next = schedule.alpha(t_next);
-    // Noise-direction carry-over β(t′)/β(t) of the DDIM map.
-    let beta_ratio = (schedule.beta_sq(t_next) / beta_sq).sqrt();
+    let &FlowStep { alpha, beta_sq, alpha_next, beta_ratio } = step;
 
     // Tweedie denoising: x̂ = E[x | z] = (z + β² s)/α, elementwise from the
     // score already in hand — no extra ensemble pass.
@@ -198,11 +215,58 @@ pub(crate) fn flow_step(
     }
 }
 
+/// The probability flow as a [`WindowStep`]: [`flow_step`] on each row's
+/// slice of the window, then the row's norm chains over the updated slice.
+struct ProbabilityFlow<'a> {
+    schedule: &'a DiffusionSchedule,
+    prior_var: &'a [f64],
+    obs: &'a ObsOperator,
+    y: &'a [f64],
+    /// `σ_obs²`.
+    r: f64,
+    /// One window's `x̂`, likelihood score and squared Jacobian.
+    rows: [[f64; WINDOW]; 3],
+}
+
+impl WindowStep for ProbabilityFlow<'_> {
+    type Step = FlowStep;
+
+    fn step(&self, t: f64, t_next: f64) -> FlowStep {
+        FlowStep::new(self.schedule, t, t_next)
+    }
+
+    // lint: no_alloc
+    fn advance(
+        &mut self,
+        step: &FlowStep,
+        z: &mut [f64],
+        dim: usize,
+        cols: Range<usize>,
+        s: &[f64],
+        norms: &mut [SqNorm],
+    ) {
+        let (c0, c1) = (cols.start, cols.end);
+        let width = c1 - c0;
+        let [xh, lik, jsq] = &mut self.rows;
+        let (prior_var, y) = (&self.prior_var[c0..c1], &self.y[c0..c1]);
+        for ((row, srow), norm) in z.chunks_exact_mut(dim).zip(s.chunks_exact(width)).zip(norms) {
+            let zrow = &mut row[c0..c1];
+            let (xh, lik, jsq) = (&mut xh[..width], &mut lik[..width], &mut jsq[..width]);
+            flow_step(zrow, srow, xh, lik, jsq, prior_var, self.obs, y, self.r, step);
+            for chunk in zrow.chunks_exact(8) {
+                let mut x = [0.0; 8];
+                x.copy_from_slice(chunk);
+                norm.chunk(&x);
+            }
+        }
+    }
+}
+
 /// Batched counterpart of [`crate::oracle::probability_flow_assimilate`]:
 /// integrates a whole block of `b` particles through the probability-flow
 /// ODE step-major, evaluating the prior score for all of them at once via
-/// [`BatchedScore`] — the same two-GEMM score machinery the stochastic
-/// path uses, minus the noise stream.
+/// [`BatchedScore`] — the same window sweep the stochastic path uses, minus
+/// the noise stream.
 ///
 /// * `z` — `b x dim` row-major block; each row a sample of `N(0, I)` on
 ///   entry, a posterior sample on exit.
@@ -229,32 +293,86 @@ pub fn probability_flow_assimilate_batched(
     y: &[f64],
     scratch: &mut BatchScratch,
 ) {
-    let dim = score.dim();
-    let j = score.batch_len();
-    assert_eq!(z.len(), b * dim, "particle block shape mismatch");
-    assert_eq!(prior_var.len(), dim, "prior variance shape mismatch");
+    assert_eq!(prior_var.len(), score.dim(), "prior variance shape mismatch");
+    assert_eq!(y.len(), score.dim(), "observation length mismatch");
     let r = obs.sigma() * obs.sigma();
-    let [s, w, znorm, xh, lik, jsq] =
-        scratch.buffers_mut().slices([b * dim, b * j, b, dim, dim, dim]);
-
-    for win in times.windows(2) {
-        let t = win[0];
-        let t_next = win[1];
-        row_sq_norms(z, b, dim, znorm);
-        score.score_block_into(z, b, t, s, w, znorm);
-        for i in 0..b {
-            let zrow = &mut z[i * dim..(i + 1) * dim];
-            let srow = &s[i * dim..(i + 1) * dim];
-            flow_step(zrow, srow, xh, lik, jsq, prior_var, obs, y, r, schedule, t, t_next);
-        }
-    }
+    let mut flow = ProbabilityFlow { schedule, prior_var, obs, y, r, rows: [[0.0; WINDOW]; 3] };
+    integrate(z, b, times, score, scratch, &mut flow);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ObsOperatorKind;
+    use crate::sde::time_grid;
+    use linalg::gemm::row_sq_norms;
     use stats::gaussian::fill_standard_normal;
     use stats::rng::seeded;
+
+    fn block(rows: usize, dim: usize, seed: u64) -> Vec<f64> {
+        let mut v = vec![0.0; rows * dim];
+        fill_standard_normal(&mut seeded(seed), &mut v);
+        v
+    }
+
+    /// The flow as whole-block passes: the norms, the prior score of
+    /// [`BatchedScore::score_block_into`] over the whole width, then
+    /// [`flow_step`] on each whole row.
+    #[allow(clippy::too_many_arguments)]
+    fn whole_block_reference(
+        z: &mut [f64],
+        b: usize,
+        schedule: &DiffusionSchedule,
+        times: &[f64],
+        score: &BatchedScore,
+        prior_var: &[f64],
+        obs: &ObsOperator,
+        y: &[f64],
+    ) {
+        let (dim, j) = (score.dim(), score.batch_len());
+        let r = obs.sigma() * obs.sigma();
+        let (mut s, mut w, mut znorm) = (vec![0.0; b * dim], vec![0.0; b * j], vec![0.0; b]);
+        let (mut xh, mut lik, mut jsq) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
+        for pair in times.windows(2) {
+            row_sq_norms(z, b, dim, &mut znorm);
+            score.score_block_into(z, b, pair[0], &mut s, &mut w, &znorm);
+            let step = FlowStep::new(schedule, pair[0], pair[1]);
+            for (zrow, srow) in z.chunks_exact_mut(dim).zip(s.chunks_exact(dim)) {
+                flow_step(zrow, srow, &mut xh, &mut lik, &mut jsq, prior_var, obs, y, r, &step);
+            }
+        }
+    }
+
+    /// The windowed flow is the whole-block passes bit for bit: one window,
+    /// a whole window plus a ragged 8-chunk, and two whole windows plus a
+    /// ragged one with a `dim % 8` tail; the identity and the arctan
+    /// operator; block heights across the AVX-512 row tiles.
+    #[test]
+    fn window_sweep_is_the_whole_block_flow_bitwise() {
+        let (members, sch) = (6, DiffusionSchedule::default());
+        let times = time_grid(&sch, 4);
+        for dim in [13, WINDOW + 8, 2 * WINDOW + 67] {
+            let ens = block(members, dim, dim as u64);
+            let batch: Vec<usize> = (0..members).collect();
+            let score = BatchedScore::new(&ens, members, dim, sch, &batch);
+            let prior_var = batch_variance(&ens, members, dim, &batch);
+            let y: Vec<f64> = (0..dim).map(|i| 0.3 * (i as f64 * 0.7).sin()).collect();
+            let arctan = ObsOperatorKind::Arctan { gain: 1.3 };
+            for (name, obs) in [("identity", ObsOperator::identity(0.7)), ("arctan", ObsOperator::new(arctan, 0.5))] {
+                for b in [1, 3, 10, 11] {
+                    let mut want = block(b, dim, 100 + b as u64);
+                    let mut got = want.clone();
+                    whole_block_reference(&mut want, b, &sch, &times, &score, &prior_var, &obs, &y);
+                    let mut scratch = BatchScratch::new(b, members, dim);
+                    probability_flow_assimilate_batched(
+                        &mut got, b, &sch, &times, &score, &prior_var, &obs, &y, &mut scratch,
+                    );
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{name} b={b} dim={dim}");
+                }
+            }
+        }
+    }
 
     /// `batch_variance` matches `Ensemble::variance` on the full batch and
     /// restricts correctly to a sub-batch.

@@ -27,7 +27,7 @@
 //! exponents are O(−10⁴) and would underflow to a 0/0 without it.
 
 use crate::filter::{AnalysisMethod, EnsfConfig};
-use crate::flow::flow_step;
+use crate::flow::{flow_step, FlowStep};
 use crate::obs::ObsOperator;
 use crate::parallel::{assemble, BlockAnalysis, RankPlan};
 use crate::schedule::DiffusionSchedule;
@@ -286,7 +286,8 @@ fn probability_flow_assimilate(
         let t = w[0];
         let t_next = w[1];
         prior_score(z, t, &mut s);
-        flow_step(z, &s, &mut xh, &mut lik, &mut jsq, prior_var, obs, y, r, schedule, t, t_next);
+        let step = FlowStep::new(schedule, t, t_next);
+        flow_step(z, &s, &mut xh, &mut lik, &mut jsq, prior_var, obs, y, r, &step);
     }
 }
 

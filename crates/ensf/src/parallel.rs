@@ -21,7 +21,7 @@ use crate::flow::{batch_variance, probability_flow_assimilate_batched, smooth_va
 use crate::obs::ObsOperator;
 use crate::sde::time_grid;
 use rand::seq::SliceRandom;
-use stats::gaussian::fill_standard_normal;
+use stats::gaussian::scaled_normal_chunks;
 use stats::rng::{member_rng, seeded, split_seed};
 use stats::Ensemble;
 use std::ops::Range;
@@ -155,9 +155,11 @@ impl<'a> BlockAnalysis<'a> {
         }
         let schedule = &self.config.schedule;
         let mut rngs: Vec<_> = particles.map(|m| member_rng(self.cycle_seed, m)).collect();
-        for (row, rng) in block.chunks_exact_mut(dim).zip(rngs.iter_mut()) {
-            fill_standard_normal(rng, row);
-        }
+        // The N(0, I) start: each row's draws, as `fill_standard_normal`
+        // makes them (a scale of 1 is exact), on the lanes.
+        scaled_normal_chunks(dim, &mut rngs, 1.0, |r: usize, c: usize, v: &[f64]| {
+            block[r * dim + c..r * dim + c + v.len()].copy_from_slice(v);
+        });
         let mut scratch = BatchScratch::new(b, self.score.batch_len(), dim);
         match self.config.method {
             AnalysisMethod::ReverseSde => reverse_sde_assimilate_batched(

@@ -1,13 +1,15 @@
-//! The batched reverse SDE's one-pass step against the same step built from
+//! The batched reverse SDE's window sweep against the same step built from
 //! separate public kernels, bit for bit.
 //!
 //! The reference runs each step as whole-block passes: the prior score
-//! ([`BatchedScore::score_block_into`] on `row_sq_norms`), the drift
-//! (`scale_add` per row), the noise (`add_scaled_normals`), then the damped
-//! likelihood pull (`likelihood_score_into` + `axpy` for a constant
-//! Jacobian, else the per-element Jacobian branch). The kernel folds the last
-//! three passes and the next step's norms into one pass over the block; every
-//! element must keep its value and every particle stream its final state.
+//! ([`BatchedScore::score_block_into`] on `row_sq_norms`: the Gram GEMM and
+//! the recombination GEMM over the whole width), the drift (`scale_add` per
+//! row), the noise (`add_scaled_normals`), then the damped likelihood pull
+//! (`likelihood_score_into` + `axpy` for a constant Jacobian, else the
+//! per-element Jacobian branch). The kernel runs each step column window by
+//! column window, folding the score, the last three passes, the next step's
+//! norms and its Gram block into one sweep over the block; every element
+//! must keep its value and every particle stream its final state.
 
 use ensf::{
     reverse_sde_assimilate_batched, time_grid, BatchScratch, BatchedScore, DiffusionSchedule,
@@ -114,14 +116,16 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// Every block height past two lane groups, dimensions with and without a
 /// remainder past the last 8-chunk, each operator, on a grid whose steps
 /// are noisy, noise-free and pull-free (a zero-length step has `gain = 0`)
-/// and final.
+/// and final. With the sweep's 512-column windows, 520 spans a whole window
+/// and a ragged one of a single 8-chunk, and 1091 two whole windows and a
+/// ragged one with a `dim % 8` tail.
 #[test]
 fn one_pass_step_is_the_separate_passes_bitwise() {
     let members = 6;
     let sch = DiffusionSchedule::default();
     let mut grids = vec![time_grid(&sch, 3)];
     grids.push(vec![0.7, 0.7, 0.3, 0.0]);
-    for dim in [1, 7, 8, 67, 512] {
+    for dim in [1, 7, 8, 67, 512, 520, 1091] {
         let ens = block(members, dim, dim as u64);
         let batch: Vec<usize> = (0..members).collect();
         let score = BatchedScore::new(&ens, members, dim, sch, &batch);

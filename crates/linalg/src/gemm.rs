@@ -1,9 +1,12 @@
 //! Matrix multiplication kernels.
 //!
 //! The hot entry points ([`matmul_slices_into`],
-//! [`matmul_slices_affine_into`], [`matmul_abt_into`], [`row_sq_norms`]) run
-//! on the widest SIMD tier the CPU has, and every tier computes the portable
-//! scalar body's bits (see [`crate::simd`]). Every output element is a
+//! [`matmul_slices_affine_window`] and [`matmul_slices_affine_into`], its
+//! one-window case, [`GramChains`] and [`matmul_abt_into`], its one-window
+//! case, [`row_sq_norms`]) run on the widest SIMD tier the CPU has, and
+//! every tier computes the portable scalar body's bits (see
+//! [`crate::simd`]). The windowed forms let a caller run both score GEMMs
+//! column window by column window with the whole products' bits. Every output element is a
 //! fixed-order accumulation independent of row grouping, tile shape and
 //! SIMD level, so results are run-to-run deterministic, partition-invariant
 //! (the EnSF rank-decomposition contract) and the same on every CPU. No
@@ -14,6 +17,7 @@
 
 use crate::matrix::Matrix;
 use crate::simd;
+use std::ops::Range;
 
 /// `C = A * B`.
 ///
@@ -49,7 +53,7 @@ pub fn matmul_slices_into(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, c:
     assert_eq!(a.len(), m * k, "matmul_slices_into: a shape mismatch");
     assert_eq!(b.len(), k * n, "matmul_slices_into: b shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_slices_into: c shape mismatch");
-    simd::dispatch!(matmul_slices(a, b, m, k, n, c, None));
+    simd::dispatch!(matmul_slices(a, b, n, m, k, n, c, n, None));
 }
 
 /// `C = ca·(A·B) + cb·Z` — [`matmul_slices_into`] with the affine epilogue
@@ -74,11 +78,39 @@ pub fn matmul_slices_affine_into(
     cb: f64,
     c: &mut [f64],
 ) {
-    assert_eq!(a.len(), m * k, "matmul_slices_affine_into: a shape mismatch");
-    assert_eq!(b.len(), k * n, "matmul_slices_affine_into: b shape mismatch");
-    assert_eq!(z.len(), m * n, "matmul_slices_affine_into: z shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_slices_affine_into: c shape mismatch");
-    simd::dispatch!(matmul_slices(a, b, m, k, n, c, Some((z, ca, cb))));
+    matmul_slices_affine_window(a, b, m, k, n, z, ca, cb, 0..n, c);
+}
+
+/// [`matmul_slices_affine_into`] on the column window `cols` of `B` and
+/// `Z`: `c` (`m x cols.len()`, row-major) is overwritten with columns `cols`
+/// of `ca·(A·B) + cb·Z`. Every element is computed as in the whole-width
+/// call, so running the windows of any split of `0..n` writes the whole
+/// product's bits.
+///
+/// # Panics
+/// Panics on any shape mismatch or a window past `n`.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_slices_affine_window(
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    z: &[f64],
+    ca: f64,
+    cb: f64,
+    cols: Range<usize>,
+    c: &mut [f64],
+) {
+    assert_eq!(a.len(), m * k, "matmul_slices_affine_window: a shape mismatch");
+    assert_eq!(b.len(), k * n, "matmul_slices_affine_window: b shape mismatch");
+    assert_eq!(z.len(), m * n, "matmul_slices_affine_window: z shape mismatch");
+    assert!(cols.start <= cols.end && cols.end <= n, "matmul_slices_affine_window: window past n");
+    let w = cols.len();
+    assert_eq!(c.len(), m * w, "matmul_slices_affine_window: c shape mismatch");
+    let (b, z) = (&b[cols.start..], &z[cols.start..]);
+    simd::dispatch!(matmul_slices(a, b, n, m, k, w, c, w, Some((z, n, ca, cb))));
 }
 
 /// `A * B^T` without materializing the transpose.
@@ -107,8 +139,86 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
 pub fn matmul_abt_into(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "matmul_abt_into: a shape mismatch");
     assert_eq!(b.len(), n * k, "matmul_abt_into: b shape mismatch");
-    assert_eq!(c.len(), m * n, "matmul_abt_into: c shape mismatch");
-    simd::dispatch!(matmul_abt(a, b, m, n, k, c));
+    let mut gram = GramChains::new(m, n);
+    gram.accumulate(a, b, k, 0..k);
+    gram.finish(a, b, k, c);
+}
+
+/// [`matmul_abt_into`] accumulated column window by column window, as
+/// [`SqNorm`] accumulates a norm: each element's 8 FMA chains live here
+/// between windows, [`GramChains::accumulate`] runs them over a window's whole
+/// 8-chunks, and [`GramChains::finish`] applies the fixed tree and
+/// FMA-appends the `k mod 8` remainder. Over the windows of any split of
+/// `0..k` (each starting at a multiple of 8) the result is
+/// `matmul_abt_into`'s bits, at every SIMD level.
+#[derive(Debug, Clone)]
+pub struct GramChains {
+    chains: Vec<[f64; 8]>,
+    m: usize,
+    n: usize,
+}
+
+impl GramChains {
+    /// Zeroed chains for an `m x n` Gram block.
+    pub fn new(m: usize, n: usize) -> Self {
+        GramChains { chains: vec![[0.0; 8]; m * n], m, n }
+    }
+
+    /// Zeroes every chain, to start the next product.
+    pub fn reset(&mut self) {
+        self.chains.fill([0.0; 8]);
+    }
+
+    /// Runs every element's chains over the whole 8-chunks of window
+    /// `cols` of `a` (`m x k`) and `b` (`n x k`). The window starts at a
+    /// multiple of 8 and ends at one or at `k`; columns past `k / 8 * 8`
+    /// are [`finish`](Self::finish)'s.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch or a misaligned window.
+    pub fn accumulate(&mut self, a: &[f64], b: &[f64], k: usize, cols: Range<usize>) {
+        self.accumulate_at(simd::level(), a, b, k, cols);
+    }
+
+    /// [`accumulate`](Self::accumulate) on `tier`, which must be one this CPU has.
+    pub(crate) fn accumulate_at(&mut self, tier: simd::Level, a: &[f64], b: &[f64], k: usize, cols: Range<usize>) {
+        let (m, n) = (self.m, self.n);
+        assert_eq!(a.len(), m * k, "GramChains::accumulate: a shape mismatch");
+        assert_eq!(b.len(), n * k, "GramChains::accumulate: b shape mismatch");
+        assert!(
+            cols.start.is_multiple_of(8) && cols.start <= cols.end && cols.end <= k,
+            "GramChains::accumulate: window {cols:?} does not start an 8-chunk of {k} columns"
+        );
+        assert!(cols.end.is_multiple_of(8) || cols.end == k, "GramChains::accumulate: window {cols:?} ends inside an 8-chunk");
+        if m == 0 || n == 0 {
+            return;
+        }
+        let whole = cols.end / 8 * 8 - cols.start;
+        let (a, b) = (&a[cols.start..], &b[cols.start..]);
+        simd::dispatch!(@ tier, abt_chains(a, k, b, k, m, n, whole, &mut self.chains));
+    }
+
+    /// Writes the Gram block to `c` (`m x n`): each element's chains
+    /// through the fixed tree, then its rows' columns past `k / 8 * 8`
+    /// FMA-appended in ascending order.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch.
+    pub fn finish(&self, a: &[f64], b: &[f64], k: usize, c: &mut [f64]) {
+        let (m, n) = (self.m, self.n);
+        assert_eq!(a.len(), m * k, "GramChains::finish: a shape mismatch");
+        assert_eq!(b.len(), n * k, "GramChains::finish: b shape mismatch");
+        assert_eq!(c.len(), m * n, "GramChains::finish: c shape mismatch");
+        let whole = k / 8 * 8;
+        for i in 0..m {
+            let a_tail = &a[i * k + whole..(i + 1) * k];
+            for j in 0..n {
+                let b_tail = &b[j * k + whole..(j + 1) * k];
+                let tree = simd::scalar::tree(self.chains[i * n + j]);
+                c[i * n + j] = a_tail.iter().zip(b_tail).fold(tree, |sum, (x, y)| x.mul_add(*y, sum));
+            }
+        }
+    }
 }
 
 /// Squared Euclidean norm of each row of a row-major `rows x cols` matrix.
@@ -155,8 +265,8 @@ impl SqNorm {
 /// Reusable pool of `f64` work buffers for GEMM-based pipelines.
 ///
 /// Callers that evaluate a fixed-shape product many times (the EnSF batched
-/// analysis calls two GEMMs per reverse-SDE step) create one scratch up
-/// front and borrow the same buffers each iteration: after the first
+/// analysis runs both score GEMMs every reverse-SDE step) create one scratch
+/// up front and borrow the same buffers each iteration: after the first
 /// [`GemmScratch::slices`] call at a given set of lengths, no further heap
 /// allocation occurs.
 #[derive(Debug, Default)]

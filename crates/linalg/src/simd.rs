@@ -1,8 +1,10 @@
 //! Runtime SIMD dispatch for the GEMM-family kernels.
 //!
-//! The hot EnSF kernels ([`crate::gemm::matmul_abt_into`],
-//! [`crate::gemm::matmul_slices_into`],
-//! [`crate::gemm::matmul_slices_affine_into`], [`crate::gemm::row_sq_norms`])
+//! The hot EnSF kernels ([`crate::gemm::GramChains`] and
+//! [`crate::gemm::matmul_abt_into`], its one-window case;
+//! [`crate::gemm::matmul_slices_affine_window`] and
+//! [`crate::gemm::matmul_slices_affine_into`], its one-window case;
+//! [`crate::gemm::matmul_slices_into`], [`crate::gemm::row_sq_norms`])
 //! run on the widest [`Level`] the CPU has, detected at each call (std caches
 //! the CPUID probe). The `scalar` module is the portable fallback and the
 //! specification. [`at_widest_tier`] lends the
@@ -14,35 +16,40 @@
 //! Every level computes the scalar body's bits; the lanes only decide how
 //! many of its chains run at once.
 //!
-//! - **Reductions** (`dot`, `matmul_abt`): 8 FMA chains, chain `l` taking
+//! - **Reductions** (`dot`, `abt_chains`): 8 FMA chains, chain `l` taking
 //!   the indices `k ≡ l (mod 8)` of the whole 8-chunks in ascending order;
 //!   then the fixed tree `((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7))`; then the
 //!   `k mod 8` remainder, FMA-appended in ascending order. AVX-512 holds the
 //!   chains in one register, AVX2 in two (`lo`/`hi`), scalar in an
-//!   `[f64; 8]`.
+//!   `[f64; 8]`. `abt_chains` runs a block of chains over one column window
+//!   of row-strided operands and leaves them in memory, so a Gram block
+//!   accumulates window by window with the whole product's bits; the tree
+//!   and the remainder are [`crate::gemm::GramChains::finish`]'s.
 //! - **`matmul_slices`**: one ascending-`p` FMA chain per element that skips
 //!   exact-zero coefficients; the affine epilogue is `fma(ca, acc, cb·z)`,
-//!   the arithmetic of the scalar [`crate::vector::scale_add`].
+//!   the arithmetic of the scalar [`crate::vector::scale_add`]. The kernel
+//!   writes a column window of row-strided operands; no element depends on
+//!   the window it falls in.
 //!
-//! No element's arithmetic depends on its tile, its row grouping, the matrix
-//! size or the level, so results are bitwise run-to-run deterministic,
-//! partition-invariant (the EnSF rank-decomposition contract) and the same
-//! on every CPU. `f64::mul_add` is a correctly rounded FMA on every target,
-//! so the scalar body is exact wherever it runs. One nuance sits outside
-//! finite arithmetic: the SIMD `matmul_slices` tiles skip a `p` only when
-//! every row of the tile has a zero coefficient there, which differs from
-//! the scalar per-row skip only where `b` holds an infinity or NaN, or in
-//! the sign of an exactly zero sum.
+//! No element's arithmetic depends on its tile, its row grouping, its column
+//! window, the matrix size or the level, so results are bitwise run-to-run
+//! deterministic, partition-invariant (the EnSF rank-decomposition contract)
+//! and the same on every CPU. `f64::mul_add` is a correctly rounded FMA on
+//! every target, so the scalar body is exact wherever it runs. One nuance
+//! sits outside finite arithmetic: the SIMD `matmul_slices` tiles skip a `p`
+//! only when every row of the tile has a zero coefficient there, which
+//! differs from the scalar per-row skip only where `b` holds an infinity or
+//! NaN, or in the sign of an exactly zero sum.
 //!
 //! ## Tiles
 //!
 //! The tiers differ only in how many chains they hold in registers.
 //!
-//! - **`matmul_abt`**: AVX-512 splits the rows into register tiles of at
+//! - **`abt_chains`**: AVX-512 splits the rows into register tiles of at
 //!   most 5 rows, as even as possible (`m = 10`, the EnSF particle block,
 //!   runs as 5 + 5 rather than 4 + 4 + 2), and runs `IH×4` tiles over them;
-//!   AVX2 runs 2×4 tiles of chain pairs; edge columns (`n mod 4`) go through
-//!   `dot`.
+//!   AVX2 runs 2×4 tiles of chain pairs; edge elements run as `1×1` tiles.
+//!   A tile loads its chains, runs the window and stores them back.
 //! - **`matmul_slices`**: AVX-512 uses the same row tiles, builds each
 //!   tile's union skip list once (in segments of `SEGMENT` indices of `p`,
 //!   the accumulators round-tripping exactly through `C` between segments),
@@ -144,46 +151,69 @@ pub(crate) mod scalar {
         sum
     }
 
-    /// `C = A·Bᵀ`, each element the [`dot`] of its two rows. `a` is `m×k`,
-    /// `b` is `n×k`, `c` holds `m·n` elements (row-major).
+    /// The Gram chains of `C = A·Bᵀ` over a column window: chain block
+    /// `chains[i·n + j]` takes [`dot`]'s 8 chains of row `i` of `a` and
+    /// row `j` of `b` a window further, over the window's first `cols`
+    /// columns (a multiple of 8). Row `i` of `a` starts at `a[i·lda]`, row
+    /// `j` of `b` at `b[j·ldb]`.
     // lint: no_alloc
-    pub fn matmul_abt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
+    #[allow(clippy::too_many_arguments)]
+    pub fn abt_chains(
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        m: usize,
+        n: usize,
+        cols: usize,
+        chains: &mut [[f64; 8]],
+    ) {
         for i in 0..m {
-            let ar = &a[i * k..(i + 1) * k];
+            let ar = &a[i * lda..i * lda + cols];
             for j in 0..n {
-                c[i * n + j] = dot(ar, &b[j * k..(j + 1) * k]);
+                let br = &b[j * ldb..j * ldb + cols];
+                let l = &mut chains[i * n + j];
+                for (ca, cb) in ar.chunks_exact(8).zip(br.chunks_exact(8)) {
+                    for c in 0..8 {
+                        l[c] = ca[c].mul_add(cb[c], l[c]);
+                    }
+                }
             }
         }
     }
 
     /// `C = A·B` as an i-p-j nest: one ascending-`p` FMA chain per element,
-    /// skipping exact-zero coefficients. `epi = Some((z, ca, cb))` stores
-    /// `fma(ca, acc, cb·z)` instead. `a` is `m×k`, `b` is `k×n`, `c` (and
-    /// `z`) hold `m·n` elements.
+    /// skipping exact-zero coefficients. `epi = Some((z, ldz, ca, cb))`
+    /// stores `fma(ca, acc, cb·z)` instead. `a` is `m×k` (contiguous); row
+    /// `p` of `b` starts at `b[p·ldb]`, row `i` of `c` at `c[i·ldc]` and of
+    /// `z` at `z[i·ldz]`, each `n` columns wide.
     // lint: no_alloc
+    #[allow(clippy::too_many_arguments)]
     pub fn matmul_slices(
         a: &[f64],
         b: &[f64],
+        ldb: usize,
         m: usize,
         k: usize,
         n: usize,
         c: &mut [f64],
-        epi: Option<(&[f64], f64, f64)>,
+        ldc: usize,
+        epi: Option<(&[f64], usize, f64, f64)>,
     ) {
         for i in 0..m {
-            let c_row = &mut c[i * n..(i + 1) * n];
+            let c_row = &mut c[i * ldc..i * ldc + n];
             c_row.fill(0.0);
             for p in 0..k {
                 let av = a[i * k + p];
                 if av == 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
                     continue;
                 }
-                for (cj, &bj) in c_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                for (cj, &bj) in c_row.iter_mut().zip(&b[p * ldb..p * ldb + n]) {
                     *cj = av.mul_add(bj, *cj);
                 }
             }
-            if let Some((z, ca, cb)) = epi {
-                for (cj, &zj) in c_row.iter_mut().zip(&z[i * n..(i + 1) * n]) {
+            if let Some((z, ldz, ca, cb)) = epi {
+                for (cj, &zj) in c_row.iter_mut().zip(&z[i * ldz..i * ldz + n]) {
                     *cj = ca.mul_add(*cj, cb * zj);
                 }
             }
@@ -246,7 +276,7 @@ pub(crate) mod avx512 {
         }
     }
 
-    /// The most rows a register tile holds: an `IH×4` `matmul_abt` tile
+    /// The most rows a register tile holds: an `IH×4` `abt_chains` tile
     /// keeps `4·IH` accumulators and 5 operands in flight, an `IH`-row
     /// `matmul_slices` panel `4·IH` accumulators and 5 operands, so 5 rows
     /// fill 25 of the 32 registers.
@@ -261,88 +291,107 @@ pub(crate) mod avx512 {
         (0..tiles).map(move |t| (t * base + t.min(taller), base + usize::from(t < taller)))
     }
 
-    /// `C = A·Bᵀ`: `IH×4` register tiles of independent chains over the
-    /// row tiles of [`row_tiles`]; edge columns (`n mod 4`) fall back to
-    /// [`dot`], which performs the identical per-element operation
-    /// sequence.
+    /// [`super::scalar::abt_chains`]: `IH×4` register tiles of chain
+    /// blocks over the row tiles of [`row_tiles`], each tile's chains
+    /// loaded into registers, run over the window and stored back; edge
+    /// columns (`n mod 4`) run as `1×1` tiles.
     ///
     /// # Safety
-    /// AVX-512F must be available at runtime; `a` is `m×k`, `b` is `n×k`,
-    /// and `c` holds at least `m·n` elements (row-major).
+    /// AVX-512F must be available at runtime; rows `0..m` of `a` (at
+    /// stride `lda`) and `0..n` of `b` (at stride `ldb`) hold `cols`
+    /// elements each, and `chains` holds `m·n` chain blocks.
     // lint: no_alloc
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_abt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
-        const TJ: usize = 4;
+    pub unsafe fn abt_chains(
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        m: usize,
+        n: usize,
+        cols: usize,
+        chains: &mut [[f64; 8]],
+    ) {
+        let op = Gram { a, lda, b, ldb, n, cols };
         for (i0, ih) in row_tiles(m) {
             let mut j0 = 0;
-            while j0 + TJ <= n {
+            while j0 + 4 <= n {
                 // SAFETY: rows `i0..i0+ih` of `a` and `j0..j0+4` of `b`
                 // exist (`row_tiles` stays below `m`, `j0 + 4 <= n`); the
                 // ISA is this fn's safety contract.
                 unsafe {
                     match ih {
-                        5 => abt_tile::<5>(a, b, n, k, c, i0, j0),
-                        4 => abt_tile::<4>(a, b, n, k, c, i0, j0),
-                        3 => abt_tile::<3>(a, b, n, k, c, i0, j0),
-                        2 => abt_tile::<2>(a, b, n, k, c, i0, j0),
-                        _ => abt_tile::<1>(a, b, n, k, c, i0, j0),
+                        5 => chain_tile::<5, 4>(&op, chains, i0, j0),
+                        4 => chain_tile::<4, 4>(&op, chains, i0, j0),
+                        3 => chain_tile::<3, 4>(&op, chains, i0, j0),
+                        2 => chain_tile::<2, 4>(&op, chains, i0, j0),
+                        _ => chain_tile::<1, 4>(&op, chains, i0, j0),
                     }
                 }
-                j0 += TJ;
+                j0 += 4;
             }
-            for di in 0..ih {
-                let ar = &a[(i0 + di) * k..(i0 + di + 1) * k];
-                for dj in j0..n {
-                    // SAFETY: `b`'s row `dj < n` has `k` elements; the ISA
-                    // is this fn's safety contract.
-                    c[(i0 + di) * n + dj] = unsafe { dot(ar, &b[dj * k..(dj + 1) * k]) };
+            for i in i0..i0 + ih {
+                for j in j0..n {
+                    // SAFETY: row `i < m` of `a` and `j < n` of `b` exist;
+                    // the ISA is this fn's safety contract.
+                    unsafe { chain_tile::<1, 1>(&op, chains, i, j) };
                 }
             }
         }
     }
 
-    /// One `IH×4` tile of [`matmul_abt`] at rows `i0..`, columns `j0..`:
-    /// each element an 8-lane FMA chain over the whole 8-chunks, [`hsum`],
-    /// then the ascending scalar remainder — [`dot`]'s sequence.
+    /// The operands of one [`abt_chains`] call.
+    struct Gram<'a> {
+        a: &'a [f64],
+        lda: usize,
+        b: &'a [f64],
+        ldb: usize,
+        n: usize,
+        cols: usize,
+    }
+
+    /// One `IH×TJ` tile of [`abt_chains`] at rows `i0..`, columns `j0..`:
+    /// each chain block an 8-lane FMA chain over the window's 8-chunks.
     ///
     /// # Safety
     /// AVX-512F must be available at runtime; rows `i0..i0+IH` of `a` and
-    /// `j0..j0+4` of `b` exist (`k` elements each), and `c` holds them.
+    /// `j0..j0+TJ` of `b` exist (`cols` elements each), and `chains` holds
+    /// their blocks.
     // lint: no_alloc
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn abt_tile<const IH: usize>(
-        a: &[f64],
-        b: &[f64],
-        n: usize,
-        k: usize,
-        c: &mut [f64],
+    unsafe fn chain_tile<const IH: usize, const TJ: usize>(
+        op: &Gram,
+        chains: &mut [[f64; 8]],
         i0: usize,
         j0: usize,
     ) {
-        const TJ: usize = 4;
+        let block = |di: usize, dj: usize| (i0 + di) * op.n + j0 + dj;
         // SAFETY: the row pointers address existing rows (this fn's
         // contract) and every load reads `off..off+8` with
-        // `off + 8 <= chunks·8 <= k`; the remainder reads `p < k`.
+        // `off + 8 <= cols`; each chain block is a 64-byte array.
         unsafe {
-            let mut ap = [a.as_ptr(); IH];
+            let mut ap = [op.a.as_ptr(); IH];
             for (di, api) in ap.iter_mut().enumerate() {
-                *api = api.add((i0 + di) * k);
+                *api = api.add((i0 + di) * op.lda);
             }
-            let mut bp = [b.as_ptr(); TJ];
+            let mut bp = [op.b.as_ptr(); TJ];
             for (dj, bpj) in bp.iter_mut().enumerate() {
-                *bpj = bpj.add((j0 + dj) * k);
+                *bpj = bpj.add((j0 + dj) * op.ldb);
             }
-            let chunks = k / 8;
             let mut acc = [[_mm512_setzero_pd(); TJ]; IH];
-            for ch in 0..chunks {
+            for (di, accd) in acc.iter_mut().enumerate() {
+                for (dj, accdj) in accd.iter_mut().enumerate() {
+                    *accdj = _mm512_loadu_pd(chains[block(di, dj)].as_ptr());
+                }
+            }
+            for ch in 0..op.cols / 8 {
                 let off = ch * 8;
-                let bv = [
-                    _mm512_loadu_pd(bp[0].add(off)),
-                    _mm512_loadu_pd(bp[1].add(off)),
-                    _mm512_loadu_pd(bp[2].add(off)),
-                    _mm512_loadu_pd(bp[3].add(off)),
-                ];
+                let mut bv = [_mm512_setzero_pd(); TJ];
+                for (bvj, &bpj) in bv.iter_mut().zip(&bp) {
+                    *bvj = _mm512_loadu_pd(bpj.add(off));
+                }
                 for (accd, &api) in acc.iter_mut().zip(&ap) {
                     let av = _mm512_loadu_pd(api.add(off));
                     for (accdj, &bvj) in accd.iter_mut().zip(&bv) {
@@ -352,59 +401,71 @@ pub(crate) mod avx512 {
             }
             for (di, accd) in acc.iter().enumerate() {
                 for (dj, &accdj) in accd.iter().enumerate() {
-                    let mut sum = hsum(accdj);
-                    for p in chunks * 8..k {
-                        sum = (*ap[di].add(p)).mul_add(*bp[dj].add(p), sum);
-                    }
-                    c[(i0 + di) * n + j0 + dj] = sum;
+                    _mm512_storeu_pd(chains[block(di, dj)].as_mut_ptr(), accdj);
                 }
             }
         }
     }
 
-    /// `C = A·B` (axpy formulation): per row tile of [`row_tiles`], the
-    /// `p`-ascending FMA chain runs per element, so values are independent
-    /// of the tiling. A `p` index is skipped when *every* row of the tile
-    /// carries a zero coefficient — an exact no-op for finite `b` that
-    /// makes peaked (softmax-weight) coefficient matrices cheap. The tile's
-    /// union skip list is built once, then run over 32-column panels (4
-    /// registers per row, up to 20 accumulators), 8-column panels and a
-    /// scalar column tail.
+    /// [`super::scalar::matmul_slices`] (the axpy formulation): per row
+    /// tile of [`row_tiles`], the `p`-ascending FMA chain runs per element,
+    /// so values are independent of the tiling. A `p` index is skipped when
+    /// *every* row of the tile carries a zero coefficient — an exact no-op
+    /// for finite `b` that makes peaked (softmax-weight) coefficient
+    /// matrices cheap. The tile's union skip list is built once, then run
+    /// over 32-column panels (4 registers per row, up to 20 accumulators),
+    /// 8-column panels and a scalar column tail.
     ///
-    /// `epi = Some((z, ca, cb))` fuses the affine epilogue
+    /// `epi = Some((z, ldz, ca, cb))` fuses the affine epilogue
     /// `C = ca·(A·B) + cb·z` into the store (one `fma` plus one rounded
     /// multiply per element — the same per-element arithmetic as
     /// [`crate::vector::scale_add`], so fused and unfused sequences agree bit
     /// for bit while saving a full read+write pass over `C`).
     ///
     /// # Safety
-    /// AVX-512F must be available at runtime; `a` is `m×k`, `b` is `k×n`,
-    /// `c` (and `z` when `epi` is set) hold at least `m·n` elements.
+    /// AVX-512F must be available at runtime; `a` is `m×k`, rows `0..k` of
+    /// `b` (at stride `ldb`) and `0..m` of `c` (at `ldc`) and of `z` (at
+    /// `ldz`, when `epi` is set) hold `n` elements each.
     // lint: no_alloc
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn matmul_slices(
         a: &[f64],
         b: &[f64],
+        ldb: usize,
         m: usize,
         k: usize,
         n: usize,
         c: &mut [f64],
-        epi: Option<(&[f64], f64, f64)>,
+        ldc: usize,
+        epi: Option<(&[f64], usize, f64, f64)>,
     ) {
+        let op = Slices { a, b, ldb, k, n, ldc, epi };
         for (i0, ih) in row_tiles(m) {
             // SAFETY: rows `i0..i0 + ih` exist in `a`, `c` and `z`
             // (`row_tiles` stays below `m`); the ISA is this fn's safety
             // contract.
             unsafe {
                 match ih {
-                    5 => slices_tile::<5>(a, b, k, n, c, epi, i0),
-                    4 => slices_tile::<4>(a, b, k, n, c, epi, i0),
-                    3 => slices_tile::<3>(a, b, k, n, c, epi, i0),
-                    2 => slices_tile::<2>(a, b, k, n, c, epi, i0),
-                    _ => slices_tile::<1>(a, b, k, n, c, epi, i0),
+                    5 => slices_tile::<5>(&op, c, i0),
+                    4 => slices_tile::<4>(&op, c, i0),
+                    3 => slices_tile::<3>(&op, c, i0),
+                    2 => slices_tile::<2>(&op, c, i0),
+                    _ => slices_tile::<1>(&op, c, i0),
                 }
             }
         }
+    }
+
+    /// The read-only operands of one [`matmul_slices`] call.
+    struct Slices<'a> {
+        a: &'a [f64],
+        b: &'a [f64],
+        ldb: usize,
+        k: usize,
+        n: usize,
+        ldc: usize,
+        epi: Option<(&'a [f64], usize, f64, f64)>,
     }
 
     /// Capacity of a tile's union skip list: `p` runs in segments of this
@@ -416,20 +477,12 @@ pub(crate) mod avx512 {
     ///
     /// # Safety
     /// AVX-512F must be available at runtime; rows `i0..i0+IH` exist in
-    /// `a` (`m×k`), `c` and `z` (`m×n`), and `b` is `k×n`.
+    /// `a`, `c` and `z`, and `b` holds its `k` rows.
     // lint: no_alloc
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn slices_tile<const IH: usize>(
-        a: &[f64],
-        b: &[f64],
-        k: usize,
-        n: usize,
-        c: &mut [f64],
-        epi: Option<(&[f64], f64, f64)>,
-        i0: usize,
-    ) {
-        let epiv = epi.map(|(z, ca, cb)| (z, _mm512_set1_pd(ca), _mm512_set1_pd(cb)));
+    unsafe fn slices_tile<const IH: usize>(op: &Slices, c: &mut [f64], i0: usize) {
+        let (a, k, n) = (op.a, op.k, op.n);
         let vcols = n / 8 * 8;
         let mut live = [0usize; SEGMENT];
         let mut p0 = 0;
@@ -456,11 +509,11 @@ pub(crate) mod avx512 {
             // safety contract.
             unsafe {
                 while jv + 32 <= vcols {
-                    slices_panel::<IH, 4>(a, b, k, n, c, epiv, i0, jv, &seg);
+                    slices_panel::<IH, 4>(op, c, i0, jv, &seg);
                     jv += 32;
                 }
                 while jv < vcols {
-                    slices_panel::<IH, 1>(a, b, k, n, c, epiv, i0, jv, &seg);
+                    slices_panel::<IH, 1>(op, c, i0, jv, &seg);
                     jv += 8;
                 }
             }
@@ -475,12 +528,11 @@ pub(crate) mod avx512 {
                 for p in 0..k {
                     let av = a[(i0 + di) * k + p];
                     if av != 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                        sum = av.mul_add(b[p * n + j], sum);
+                        sum = av.mul_add(op.b[p * op.ldb + j], sum);
                     }
                 }
-                let idx = (i0 + di) * n + j;
-                c[idx] = match epi {
-                    Some((z, ca, cb)) => ca.mul_add(sum, cb * z[idx]),
+                c[(i0 + di) * op.ldc + j] = match op.epi {
+                    Some((z, ldz, ca, cb)) => ca.mul_add(sum, cb * z[(i0 + di) * ldz + j]),
                     None => sum,
                 };
             }
@@ -502,43 +554,44 @@ pub(crate) mod avx512 {
     /// # Safety
     /// AVX-512F must be available at runtime; columns `jv..jv + 8·W <= n`
     /// of rows `i0..i0+IH` exist in `c` (and `z`), every live `p < k`
-    /// indexes a row of `b` (`k×n`), and rows `i0..i0+IH` exist in `a`.
+    /// indexes a row of `b`, and rows `i0..i0+IH` exist in `a`.
     // lint: no_alloc
     #[inline]
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
     unsafe fn slices_panel<const IH: usize, const W: usize>(
-        a: &[f64],
-        b: &[f64],
-        k: usize,
-        n: usize,
+        op: &Slices,
         c: &mut [f64],
-        epiv: Option<(&[f64], __m512d, __m512d)>,
         i0: usize,
         jv: usize,
         seg: &Segment,
     ) {
+        let epiv = op.epi.map(|(z, ldz, ca, cb)| (z, ldz, _mm512_set1_pd(ca), _mm512_set1_pd(cb)));
         // SAFETY: the loads and stores touch columns `jv..jv + 8·W` of
-        // rows `i0..i0+IH` (of `c`, `z`) and of rows `p < k` (of `b`), all
-        // inside the slices by this fn's contract; `a` uses safe indexing.
+        // rows `i0..i0+IH` (of `c`, `z`) and of rows `p < k` (of `b`), and
+        // element `p < k` of rows `i0..i0+IH` of `a`, all inside the
+        // slices by this fn's contract.
         unsafe {
+            let mut ap = [op.a.as_ptr(); IH];
+            for (di, api) in ap.iter_mut().enumerate() {
+                *api = api.add((i0 + di) * op.k);
+            }
             let cp = c.as_mut_ptr();
             let mut acc = [[_mm512_setzero_pd(); W]; IH];
             if !seg.first {
                 for (di, accd) in acc.iter_mut().enumerate() {
                     for (w, accdw) in accd.iter_mut().enumerate() {
-                        *accdw = _mm512_loadu_pd(cp.add((i0 + di) * n + jv + 8 * w));
+                        *accdw = _mm512_loadu_pd(cp.add((i0 + di) * op.ldc + jv + 8 * w));
                     }
                 }
             }
             for &p in seg.live {
-                let bp = b.as_ptr().add(p * n + jv);
+                let bp = op.b.as_ptr().add(p * op.ldb + jv);
                 let mut bv = [_mm512_setzero_pd(); W];
                 for (w, bvw) in bv.iter_mut().enumerate() {
                     *bvw = _mm512_loadu_pd(bp.add(8 * w));
                 }
-                for (di, accd) in acc.iter_mut().enumerate() {
-                    let av = _mm512_set1_pd(a[(i0 + di) * k + p]);
+                for (accd, &api) in acc.iter_mut().zip(&ap) {
+                    let av = _mm512_set1_pd(*api.add(p));
                     for (accdw, &bvw) in accd.iter_mut().zip(&bv) {
                         *accdw = _mm512_fmadd_pd(av, bvw, *accdw);
                     }
@@ -546,16 +599,16 @@ pub(crate) mod avx512 {
             }
             for (di, accd) in acc.iter().enumerate() {
                 for (w, &accdw) in accd.iter().enumerate() {
-                    let off = (i0 + di) * n + jv + 8 * w;
+                    let col = jv + 8 * w;
                     let r = match epiv {
-                        Some((z, cav, cbv)) if seg.last => _mm512_fmadd_pd(
+                        Some((z, ldz, cav, cbv)) if seg.last => _mm512_fmadd_pd(
                             cav,
                             accdw,
-                            _mm512_mul_pd(cbv, _mm512_loadu_pd(z.as_ptr().add(off))),
+                            _mm512_mul_pd(cbv, _mm512_loadu_pd(z.as_ptr().add((i0 + di) * ldz + col))),
                         ),
                         _ => accdw,
                     };
-                    _mm512_storeu_pd(cp.add(off), r);
+                    _mm512_storeu_pd(cp.add((i0 + di) * op.ldc + col), r);
                 }
             }
         }
@@ -623,114 +676,150 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// `C = A·Bᵀ`: 2x4 register tiles of 8 chain pairs (4x4 pairs would
-    /// need 32 ymm registers); edge elements fall back to [`dot`], which
-    /// performs the identical per-element operation sequence.
+    /// [`super::scalar::abt_chains`]: 2x4 register tiles of chain pairs
+    /// (4x4 pairs would need 32 ymm registers), each tile's chains loaded
+    /// into registers, run over the window and stored back; edge rows and
+    /// columns run as `1×1` tiles.
     ///
     /// # Safety
-    /// AVX2+FMA must be available at runtime; `a` is `m×k`, `b` is `n×k`,
-    /// and `c` holds at least `m·n` elements (row-major).
+    /// AVX2+FMA must be available at runtime; rows `0..m` of `a` (at stride
+    /// `lda`) and `0..n` of `b` (at stride `ldb`) hold `cols` elements
+    /// each, and `chains` holds `m·n` chain blocks.
     // lint: no_alloc
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_abt(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &mut [f64]) {
-        const TI: usize = 2;
-        const TJ: usize = 4;
-        // SAFETY: the full-tile path only runs when 2 whole rows of `a` and
-        // 4 of `b` exist, so the row pointers and their `off + 8 <= k` loads
-        // stay inside the slices; edge tiles use safe indexing through
-        // [`dot`]. The ISA requirement is the fn's documented contract.
-        unsafe {
-            let chunks = k / 8;
-            let mut i0 = 0;
-            while i0 < m {
-                let ih = TI.min(m - i0);
-                let mut j0 = 0;
-                while j0 < n {
-                    let jh = TJ.min(n - j0);
-                    if ih == TI && jh == TJ {
-                        let ap = [a.as_ptr().add(i0 * k), a.as_ptr().add((i0 + 1) * k)];
-                        let bp = [
-                            b.as_ptr().add(j0 * k),
-                            b.as_ptr().add((j0 + 1) * k),
-                            b.as_ptr().add((j0 + 2) * k),
-                            b.as_ptr().add((j0 + 3) * k),
-                        ];
-                        let zero = _mm256_setzero_pd();
-                        let mut acc = [[(zero, zero); TJ]; TI];
-                        for ch in 0..chunks {
-                            let off = ch * 8;
-                            let av = [
-                                (
-                                    _mm256_loadu_pd(ap[0].add(off)),
-                                    _mm256_loadu_pd(ap[0].add(off + 4)),
-                                ),
-                                (
-                                    _mm256_loadu_pd(ap[1].add(off)),
-                                    _mm256_loadu_pd(ap[1].add(off + 4)),
-                                ),
-                            ];
-                            for (dj, &bpj) in bp.iter().enumerate() {
-                                let blo = _mm256_loadu_pd(bpj.add(off));
-                                let bhi = _mm256_loadu_pd(bpj.add(off + 4));
-                                for (di, &(alo, ahi)) in av.iter().enumerate() {
-                                    let (lo, hi) = acc[di][dj];
-                                    acc[di][dj] = (
-                                        _mm256_fmadd_pd(alo, blo, lo),
-                                        _mm256_fmadd_pd(ahi, bhi, hi),
-                                    );
-                                }
-                            }
-                        }
-                        for di in 0..TI {
-                            for dj in 0..TJ {
-                                let (lo, hi) = acc[di][dj];
-                                let mut sum = hsum(lo, hi);
-                                for p in chunks * 8..k {
-                                    sum = (*ap[di].add(p)).mul_add(*bp[dj].add(p), sum);
-                                }
-                                c[(i0 + di) * n + j0 + dj] = sum;
-                            }
-                        }
-                    } else {
-                        for di in 0..ih {
-                            let ar = &a[(i0 + di) * k..(i0 + di + 1) * k];
-                            for dj in 0..jh {
-                                let br = &b[(j0 + dj) * k..(j0 + dj + 1) * k];
-                                c[(i0 + di) * n + j0 + dj] = dot(ar, br);
-                            }
-                        }
-                    }
-                    j0 += TJ;
-                }
-                i0 += TI;
+    pub unsafe fn abt_chains(
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        m: usize,
+        n: usize,
+        cols: usize,
+        chains: &mut [[f64; 8]],
+    ) {
+        let op = Gram { a, lda, b, ldb, n, cols };
+        let (tiled_m, tiled_n) = (m / 2 * 2, n / 4 * 4);
+        for i0 in (0..tiled_m).step_by(2) {
+            for j0 in (0..tiled_n).step_by(4) {
+                // SAFETY: rows `i0..i0+2 <= m` of `a` and `j0..j0+4 <= n`
+                // of `b` exist; the ISA is this fn's safety contract.
+                unsafe { chain_tile::<2, 4>(&op, chains, i0, j0) };
+            }
+        }
+        for i in 0..m {
+            let edge = if i < tiled_m { tiled_n } else { 0 };
+            for j in edge..n {
+                // SAFETY: row `i < m` of `a` and `j < n` of `b` exist; the
+                // ISA is this fn's safety contract.
+                unsafe { chain_tile::<1, 1>(&op, chains, i, j) };
             }
         }
     }
 
-    /// `C = A·B` (axpy formulation), 4-lane panels; `epi` fuses the affine
-    /// epilogue `C = ca·(A·B) + cb·z` exactly as the AVX-512 variant does.
+    /// The operands of one [`abt_chains`] call.
+    struct Gram<'a> {
+        a: &'a [f64],
+        lda: usize,
+        b: &'a [f64],
+        ldb: usize,
+        n: usize,
+        cols: usize,
+    }
+
+    /// One `TI×TJ` tile of [`abt_chains`] at rows `i0..`, columns `j0..`:
+    /// each chain block a pair of 4-lane FMA chains over the window's
+    /// 8-chunks.
     ///
     /// # Safety
-    /// AVX2+FMA must be available at runtime; `a` is `m×k`, `b` is `k×n`,
-    /// `c` (and `z` when `epi` is set) hold at least `m·n` elements.
+    /// AVX2+FMA must be available at runtime; rows `i0..i0+TI` of `a` and
+    /// `j0..j0+TJ` of `b` exist (`cols` elements each), and `chains` holds
+    /// their blocks.
     // lint: no_alloc
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn chain_tile<const TI: usize, const TJ: usize>(
+        op: &Gram,
+        chains: &mut [[f64; 8]],
+        i0: usize,
+        j0: usize,
+    ) {
+        let block = |di: usize, dj: usize| (i0 + di) * op.n + j0 + dj;
+        // SAFETY: the row pointers address existing rows (this fn's
+        // contract) and every load reads `off..off+8` with
+        // `off + 8 <= cols`; each chain block is a 64-byte array.
+        unsafe {
+            let mut ap = [op.a.as_ptr(); TI];
+            for (di, api) in ap.iter_mut().enumerate() {
+                *api = api.add((i0 + di) * op.lda);
+            }
+            let mut bp = [op.b.as_ptr(); TJ];
+            for (dj, bpj) in bp.iter_mut().enumerate() {
+                *bpj = bpj.add((j0 + dj) * op.ldb);
+            }
+            let zero = _mm256_setzero_pd();
+            let mut acc = [[(zero, zero); TJ]; TI];
+            for (di, accd) in acc.iter_mut().enumerate() {
+                for (dj, accdj) in accd.iter_mut().enumerate() {
+                    let l = chains[block(di, dj)].as_ptr();
+                    *accdj = (_mm256_loadu_pd(l), _mm256_loadu_pd(l.add(4)));
+                }
+            }
+            for ch in 0..op.cols / 8 {
+                let off = ch * 8;
+                let mut av = [(zero, zero); TI];
+                for (avi, &api) in av.iter_mut().zip(&ap) {
+                    *avi = (_mm256_loadu_pd(api.add(off)), _mm256_loadu_pd(api.add(off + 4)));
+                }
+                for (dj, &bpj) in bp.iter().enumerate() {
+                    let blo = _mm256_loadu_pd(bpj.add(off));
+                    let bhi = _mm256_loadu_pd(bpj.add(off + 4));
+                    for (accd, &(alo, ahi)) in acc.iter_mut().zip(&av) {
+                        let (lo, hi) = accd[dj];
+                        accd[dj] = (_mm256_fmadd_pd(alo, blo, lo), _mm256_fmadd_pd(ahi, bhi, hi));
+                    }
+                }
+            }
+            for (di, accd) in acc.iter().enumerate() {
+                for (dj, &(lo, hi)) in accd.iter().enumerate() {
+                    let l = chains[block(di, dj)].as_mut_ptr();
+                    _mm256_storeu_pd(l, lo);
+                    _mm256_storeu_pd(l.add(4), hi);
+                }
+            }
+        }
+    }
+
+    /// [`super::scalar::matmul_slices`] (the axpy formulation), 4-row tiles
+    /// of 4-lane panels; `epi` fuses the affine epilogue
+    /// `C = ca·(A·B) + cb·z` exactly as the AVX-512 variant does.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available at runtime; `a` is `m×k`, rows `0..k` of
+    /// `b` (at stride `ldb`) and `0..m` of `c` (at `ldc`) and of `z` (at
+    /// `ldz`, when `epi` is set) hold `n` elements each.
+    // lint: no_alloc
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_slices(
         a: &[f64],
         b: &[f64],
+        ldb: usize,
         m: usize,
         k: usize,
         n: usize,
         c: &mut [f64],
-        epi: Option<(&[f64], f64, f64)>,
+        ldc: usize,
+        epi: Option<(&[f64], usize, f64, f64)>,
     ) {
         const T: usize = 4;
         // SAFETY: panel loads/stores touch `jv..jv+4` with `jv + 4 <= vcols
-        // <= n`, inside rows `< m` of `b`/`c`/`z`; the scalar column tail
-        // uses safe indexing. ISA availability is the documented contract.
+        // <= n`, inside rows `< k` of `b` and `< m` of `c`/`z`; the scalar
+        // column tail uses safe indexing. ISA availability is the
+        // documented contract.
         unsafe {
             let vcols = n / 4 * 4;
-            let epiv = epi.map(|(z, ca, cb)| (z, _mm256_set1_pd(ca), _mm256_set1_pd(cb)));
+            let epiv = epi.map(|(z, ldz, ca, cb)| (z, ldz, _mm256_set1_pd(ca), _mm256_set1_pd(cb)));
             let mut i0 = 0;
             while i0 < m {
                 let ih = T.min(m - i0);
@@ -745,22 +834,21 @@ pub(crate) mod avx2 {
                         if !any {
                             continue;
                         }
-                        let bv = _mm256_loadu_pd(b.as_ptr().add(p * n + jv));
+                        let bv = _mm256_loadu_pd(b.as_ptr().add(p * ldb + jv));
                         for (di, accd) in acc.iter_mut().enumerate().take(ih) {
                             let av = _mm256_set1_pd(a[(i0 + di) * k + p]);
                             *accd = _mm256_fmadd_pd(av, bv, *accd);
                         }
                     }
                     for (di, accd) in acc.iter().enumerate().take(ih) {
-                        let off = (i0 + di) * n + jv;
                         let r = match epiv {
-                            Some((z, cav, cbv)) => {
-                                let zv = _mm256_loadu_pd(z.as_ptr().add(off));
+                            Some((z, ldz, cav, cbv)) => {
+                                let zv = _mm256_loadu_pd(z.as_ptr().add((i0 + di) * ldz + jv));
                                 _mm256_fmadd_pd(cav, *accd, _mm256_mul_pd(cbv, zv))
                             }
                             None => *accd,
                         };
-                        _mm256_storeu_pd(c.as_mut_ptr().add(off), r);
+                        _mm256_storeu_pd(c.as_mut_ptr().add((i0 + di) * ldc + jv), r);
                     }
                     jv += 4;
                 }
@@ -770,12 +858,11 @@ pub(crate) mod avx2 {
                         for p in 0..k {
                             let av = a[(i0 + di) * k + p];
                             if av != 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                                sum = av.mul_add(b[p * n + j], sum);
+                                sum = av.mul_add(b[p * ldb + j], sum);
                             }
                         }
-                        let idx = (i0 + di) * n + j;
-                        c[idx] = match epi {
-                            Some((z, ca, cb)) => ca.mul_add(sum, cb * z[idx]),
+                        c[(i0 + di) * ldc + j] = match epi {
+                            Some((z, ldz, ca, cb)) => ca.mul_add(sum, cb * z[(i0 + di) * ldz + j]),
                             None => sum,
                         };
                     }
@@ -789,6 +876,7 @@ pub(crate) mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{matmul_abt_into, matmul_slices_affine_into, matmul_slices_affine_window, GramChains};
     use proptest::prelude::*;
 
     /// The SIMD tiers this CPU can run; each is compared with `scalar`.
@@ -837,12 +925,12 @@ mod tests {
     ) {
         let (a, b) = (values(m * k, seed, zeros), values(k * n, seed ^ 1, 0.0));
         let z = values(m * n, seed ^ 2, 0.0);
-        for epi in [None, Some((&z[..], ca, cb))] {
+        for epi in [None, Some((&z[..], n, ca, cb))] {
             let mut want = vec![0.0; m * n];
-            scalar::matmul_slices(&a, &b, m, k, n, &mut want, epi);
+            scalar::matmul_slices(&a, &b, n, m, k, n, &mut want, n, epi);
             for tier in simd_tiers() {
                 let mut got = vec![f64::NAN; m * n];
-                dispatch!(@ tier, matmul_slices(&a, &b, m, k, n, &mut got, epi));
+                dispatch!(@ tier, matmul_slices(&a, &b, n, m, k, n, &mut got, n, epi));
                 let form = if epi.is_some() { "affine" } else { "plain" };
                 assert_eq!(
                     bits(&got),
@@ -851,6 +939,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `0..k` split into windows at the multiples of 8 that `cuts` picks
+    /// (in units of 8 columns, sorted, deduplicated), the last window
+    /// ragged.
+    fn windows(k: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
+        let mut edges: Vec<usize> = cuts.iter().map(|c| 8 * c).filter(|&e| e > 0 && e < k).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges.insert(0, 0);
+        edges.push(k);
+        edges.windows(2).map(|w| w[0]..w[1]).collect()
     }
 
     /// `k` past the AVX-512 tile's skip-list segment: the chains resume
@@ -881,21 +981,76 @@ mod tests {
             }
         }
 
-        /// `A·Bᵀ`: every row-tile split of the AVX-512 tier up to 4 × 5
-        /// rows (the EnSF blocks of 10 and 20 included), the AVX2 2x4 tiles
-        /// with every edge shape, every `k mod 8` residue.
+        /// The Gram block window by window: for any split of the columns
+        /// into windows starting at multiples of 8, [`GramChains`] at every
+        /// tier (the scalar specification included) gives the bits of the
+        /// one-window scalar product and of `matmul_abt_into`. Every row-tile
+        /// split of the AVX-512 tier up to 4 × 5 rows (the EnSF blocks of 10
+        /// and 20 included), the AVX2 2x4 tiles with every edge shape, every
+        /// `k mod 8` residue.
         #[test]
-        fn matmul_abt_is_the_scalar_body_at_every_tier(
-            m in 1usize..=20, n in 1usize..10, k in 0usize..41, seed in any::<u64>(),
+        fn gram_chains_over_windows_are_the_whole_product_at_every_tier(
+            m in 1usize..=20, n in 1usize..10, k in 0usize..90,
+            cuts in prop::collection::vec(0usize..12, 0..4), seed in any::<u64>(),
         ) {
             let (a, b) = (values(m * k, seed, 0.0), values(n * k, seed ^ 1, 0.0));
             let mut want = vec![0.0; m * n];
-            scalar::matmul_abt(&a, &b, m, n, k, &mut want);
-            for tier in simd_tiers() {
+            let mut whole = GramChains::new(m, n);
+            whole.accumulate_at(Level::Scalar, &a, &b, k, 0..k);
+            whole.finish(&a, &b, k, &mut want);
+            let mut dispatched = vec![f64::NAN; m * n];
+            matmul_abt_into(&a, &b, m, n, k, &mut dispatched);
+            prop_assert_eq!(bits(&dispatched), bits(&want), "matmul_abt_into {}x{}x{}", m, n, k);
+            let split = windows(k, &cuts);
+            for tier in std::iter::once(Level::Scalar).chain(simd_tiers()) {
+                let mut gram = GramChains::new(m, n);
+                for cols in &split {
+                    gram.accumulate_at(tier, &a, &b, k, cols.clone());
+                }
                 let mut got = vec![f64::NAN; m * n];
-                dispatch!(@ tier, matmul_abt(&a, &b, m, n, k, &mut got));
-                prop_assert_eq!(bits(&got), bits(&want), "{:?} {}x{}x{}", tier, m, n, k);
+                gram.finish(&a, &b, k, &mut got);
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} {}x{}x{} {:?}", tier, m, n, k, split);
             }
+        }
+
+        /// The recombination window by window: for any split of the columns
+        /// into windows (multiples of 8, then a ragged tail), each tier's
+        /// affine `matmul_slices` on the windows of row-strided operands
+        /// gives the bits of `matmul_slices_affine_into` over the whole
+        /// width.
+        #[test]
+        fn recombination_over_windows_is_the_whole_product_at_every_tier(
+            m in 1usize..=20, k in 1usize..24, n in 1usize..90,
+            cuts in prop::collection::vec(0usize..12, 0..4), zeros in 0.0f64..0.9,
+            seed in any::<u64>(), (ca, cb) in (-2.0f64..2.0, -2.0f64..2.0),
+        ) {
+            let (a, b) = (values(m * k, seed, zeros), values(k * n, seed ^ 1, 0.0));
+            let z = values(m * n, seed ^ 2, 0.0);
+            let mut want = vec![0.0; m * n];
+            matmul_slices_affine_into(&a, &b, m, k, n, &z, ca, cb, &mut want);
+            let split = windows(n, &cuts);
+            for tier in std::iter::once(Level::Scalar).chain(simd_tiers()) {
+                let mut got = vec![f64::NAN; m * n];
+                for cols in &split {
+                    let w = cols.len();
+                    let mut c = vec![f64::NAN; m * w];
+                    let (bw, zw) = (&b[cols.start..], &z[cols.start..]);
+                    dispatch!(@ tier, matmul_slices(&a, bw, n, m, k, w, &mut c, w, Some((zw, n, ca, cb))));
+                    for (row, c_row) in got.chunks_exact_mut(n).zip(c.chunks_exact(w)) {
+                        row[cols.clone()].copy_from_slice(c_row);
+                    }
+                }
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} {}x{}x{} {:?}", tier, m, k, n, split);
+            }
+            let mut windowed = vec![f64::NAN; m * n];
+            for cols in &split {
+                let mut c = vec![f64::NAN; m * cols.len()];
+                matmul_slices_affine_window(&a, &b, m, k, n, &z, ca, cb, cols.clone(), &mut c);
+                for (row, c_row) in windowed.chunks_exact_mut(n).zip(c.chunks_exact(cols.len())) {
+                    row[cols.clone()].copy_from_slice(c_row);
+                }
+            }
+            prop_assert_eq!(bits(&windowed), bits(&want), "matmul_slices_affine_window {:?}", split);
         }
 
         /// `A·B` with and without the affine epilogue: every row-tile split

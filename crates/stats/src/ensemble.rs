@@ -105,12 +105,19 @@ impl Ensemble {
     /// is defined as all zeros rather than panicking or dividing by zero,
     /// so health checks on collapsed/quarantined ensembles stay total.
     pub fn variance(&self) -> Vec<f64> {
-        let m = self.members();
-        if m < 2 {
-            return vec![0.0; self.dim];
-        }
+        self.mean_and_variance().1
+    }
+
+    /// [`mean`](Self::mean) and [`variance`](Self::variance) together, the
+    /// variance's passes reusing the one mean: the two calls' bits for one
+    /// read of the members fewer.
+    pub fn mean_and_variance(&self) -> (Vec<f64>, Vec<f64>) {
         let mean = self.mean();
         let mut var = vec![0.0; self.dim];
+        let m = self.members();
+        if m < 2 {
+            return (mean, var);
+        }
         for member in self.iter() {
             for ((v, x), mu) in var.iter_mut().zip(member).zip(&mean) {
                 let d = x - mu;
@@ -121,7 +128,7 @@ impl Ensemble {
         for v in &mut var {
             *v *= inv;
         }
-        var
+        (mean, var)
     }
 
     /// Scalar ensemble spread: sqrt of the mean of the per-variable variances.
@@ -196,7 +203,11 @@ mod tests {
         assert_eq!(e.mean(), vec![3.0, 4.0]);
         // variance per variable: ((1-3)^2 + 0 + (5-3)^2)/2 = 4
         assert_eq!(e.variance(), vec![4.0, 4.0]);
+        assert_eq!(e.mean_and_variance(), (e.mean(), e.variance()));
         assert!((e.spread() - 2.0).abs() < 1e-14);
+        // One member: its own mean, no spread.
+        let one = Ensemble::from_members(&[vec![1.5, -2.0]]);
+        assert_eq!(one.mean_and_variance(), (vec![1.5, -2.0], vec![0.0, 0.0]));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! its final stream states, on every CPU: every lane performs the scalar
 //! draw's operations on the scalar draw's word, and the scale is one
 //! rounded multiply. Leftover rows and elements past the last 8-chunk draw
-//! through the scalar loop. Every tier compiles the sink into itself, so
+//! through the scalar loop, leftover rows two at a time so that the two
+//! streams' dependency chains overlap. Every tier compiles the sink into itself, so
 //! the caller's per-chunk work runs with the tier's instructions.
 
 use linalg::simd::at_widest_tier;
@@ -243,6 +244,37 @@ fn row_chunks<S: ChunkSink>(
     }
 }
 
+/// [`row_chunks`] for rows `r` and `r + 1` at once: the two streams draw
+/// element by element in turn, so their independent dependency chains
+/// overlap, and each row keeps its own draws in its own order.
+// lint: no_alloc
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn row_pair_chunks<S: ChunkSink>(
+    t: &ZigTables,
+    r: usize,
+    dim: usize,
+    rng_a: &mut StdRng,
+    rng_b: &mut StdRng,
+    amp: f64,
+    sink: &mut S,
+) {
+    let (mut va, mut vb) = ([0.0; 8], [0.0; 8]);
+    let mut c = 0;
+    while c + 8 <= dim {
+        for (a, b) in va.iter_mut().zip(&mut vb) {
+            *a = amp * standard_normal_with(t, rng_a);
+            *b = amp * standard_normal_with(t, rng_b);
+        }
+        sink.chunk(r, c, &va);
+        sink.chunk(r + 1, c, &vb);
+        c += 8;
+    }
+    row_chunks(t, r, c, dim, rng_a, amp, sink);
+    row_chunks(t, r + 1, c, dim, rng_b, amp, sink);
+}
+
 /// Adds `amp` times a standard normal to every element of `rows`
 /// (`rngs.len() x dim` row-major), row `r` drawing from `rngs[r]` in
 /// ascending element order: per row exactly
@@ -284,7 +316,7 @@ pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
 /// streams advance together, one stream per lane of four state registers.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{resume, row_chunks, ChunkSink, ZigTables};
+    use super::{resume, row_chunks, row_pair_chunks, ChunkSink, ZigTables};
     use rand::rngs::StdRng;
     use std::arch::x86_64::*;
 
@@ -303,7 +335,8 @@ mod avx512 {
     /// compare, the sign OR-ed in — and a lane that misses it finishes that
     /// draw in [`draw`]. Eight draws per row are scaled, transposed into
     /// row chunks and handed to `sink` row by row. Elements past the last
-    /// 8-chunk and rows past the last group of eight run the scalar loop.
+    /// 8-chunk and rows past the last group of eight run the scalar loop,
+    /// the leftover rows two at a time ([`row_pair_chunks`]).
     ///
     /// # Safety
     /// AVX-512F and AVX-512DQ must be available at runtime.
@@ -342,8 +375,14 @@ mod avx512 {
                 row_chunks(t, 8 * g + l, whole, dim, rng, amp, sink);
             }
         }
-        for (r, rng) in rngs.iter_mut().enumerate().skip(grouped) {
-            row_chunks(t, r, 0, dim, rng, amp, sink);
+        let rows = rngs.len();
+        let mut left = rngs[grouped..].chunks_exact_mut(2);
+        for (p, pair) in left.by_ref().enumerate() {
+            let (a, b) = pair.split_at_mut(1);
+            row_pair_chunks(t, grouped + 2 * p, dim, &mut a[0], &mut b[0], amp, sink);
+        }
+        for rng in left.into_remainder() {
+            row_chunks(t, rows - 1, 0, dim, rng, amp, sink);
         }
     }
 
@@ -580,10 +619,11 @@ mod tests {
     }
 
     /// Over ≥ 200 k draws per lane both rejections occur (the wedge and,
-    /// visible as |v| > R, the tail), and every tier still agrees.
+    /// visible as |v| > R, the tail), and every tier still agrees: eight
+    /// lane rows, then three leftover rows (a pair and one alone).
     #[test]
     fn noise_tiers_agree_through_wedge_and_tail() {
-        let (rows, dim) = (9, 200_003);
+        let (rows, dim) = (11, 200_003);
         let tiers = noise_tiers();
         let mut z = vec![0.0; rows * dim];
         let mut rngs = streams(43, rows);
@@ -615,10 +655,11 @@ mod tests {
     /// Every tier hands row `r` its chunks in ascending column order, 8
     /// values each but a shorter last one, and the values are
     /// `amp · standard_normal` from that row's stream, through ≥ 200 k
-    /// draws per lane (misses dense: wedge and tail).
+    /// draws per lane (misses dense: wedge and tail), lane rows and
+    /// leftover rows alike.
     #[test]
     fn noise_chunks_are_each_rows_draws_in_column_order() {
-        let (rows, dim, amp) = (9, 200_003, -0.75);
+        let (rows, dim, amp) = (11, 200_003, -0.75);
         for (name, gen) in noise_tiers() {
             let mut next = vec![0usize; rows];
             let mut want_rngs = streams(47, rows);
