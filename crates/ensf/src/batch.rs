@@ -67,11 +67,11 @@ use linalg::gemm::{
     GemmScratch, GramChains, SqNorm,
 };
 use linalg::simd::at_widest_tier;
+use linalg::AlignedVec;
 use rand::rngs::StdRng;
 use stats::gaussian::{scaled_normal_chunks, ChunkSink};
 use stats::softmax::softmax_in_place;
-use std::borrow::Cow;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
 /// Columns a step visits at once: a multiple of 8, so every window but the
 /// last holds whole 8-chunks. At `d = 8192` and 10 particles per block a
@@ -79,17 +79,36 @@ use std::ops::Range;
 /// 160 KiB, well inside one core's L2, where the whole block's did not fit.
 pub(crate) const WINDOW: usize = 512;
 
+/// The score's ensemble operand: the ensemble buffer itself, or the
+/// mini-batch gathered into a buffer of its own on a 64-byte boundary.
+enum Members<'a> {
+    Borrowed(&'a [f64]),
+    Gathered(AlignedVec<f64>),
+}
+
+impl Deref for Members<'_> {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match self {
+            Members::Borrowed(members) => members,
+            Members::Gathered(members) => members,
+        }
+    }
+}
+
 /// Batched Monte-Carlo prior-score evaluator.
 ///
 /// Holds the (mini-batched) forecast ensemble as a contiguous `J x d` block
 /// in batch order — the ensemble buffer itself when the batch is every
 /// member in order, an index-ordered gather otherwise — plus the per-member
 /// squared norms, computed once per analysis and shared read-only by every
-/// particle block.
+/// particle block. A gather starts on a cache line, as an
+/// [`stats::Ensemble`]'s buffer does.
 pub struct BatchedScore<'a> {
     /// Mini-batch members contiguously, `J x d` row-major, in batch order
     /// (matching the reference path's summation order).
-    gathered: Cow<'a, [f64]>,
+    gathered: Members<'a>,
     /// `‖x_j‖²` per gathered member.
     xnorm: Vec<f64>,
     batch_len: usize,
@@ -114,13 +133,13 @@ impl<'a> BatchedScore<'a> {
         assert!(!batch.is_empty(), "mini-batch must be nonempty");
         assert!(batch.iter().all(|&j| j < members), "batch index out of range");
         let gathered = if batch.iter().copied().eq(0..members) {
-            Cow::Borrowed(ensemble)
+            Members::Borrowed(ensemble)
         } else {
-            let mut gathered = Vec::with_capacity(batch.len() * dim);
-            for &j in batch {
-                gathered.extend_from_slice(&ensemble[j * dim..(j + 1) * dim]);
+            let mut gathered = AlignedVec::zeroed(batch.len() * dim);
+            for (row, &j) in gathered.chunks_exact_mut(dim).zip(batch) {
+                row.copy_from_slice(&ensemble[j * dim..(j + 1) * dim]);
             }
-            Cow::Owned(gathered)
+            Members::Gathered(gathered)
         };
         let mut xnorm = vec![0.0; batch.len()];
         row_sq_norms(&gathered, batch.len(), dim, &mut xnorm);
@@ -192,7 +211,8 @@ impl<'a> BatchedScore<'a> {
 /// Caller-owned scratch for the batched integrators.
 ///
 /// Created once per analysis (per particle block); the step loop borrows the
-/// same buffers each step and never allocates.
+/// same buffers each step and never allocates. Every buffer starts on a
+/// 64-byte cache line.
 pub struct BatchScratch {
     /// The Gram block, then the weights (`b x J`); the rows' norms (`b`);
     /// the window's score (`b x WINDOW`).
@@ -567,6 +587,23 @@ mod tests {
                 assert!((sum - 1.0).abs() < 1e-12);
             }
         }
+    }
+
+    /// The kernel's operands start on cache lines: the scratch buffers and
+    /// chains, and a mini-batch gather.
+    #[test]
+    fn scratch_and_gathered_members_are_cache_line_aligned() {
+        let aligned = |p: *const f64| p.align_offset(64) == 0;
+        for (b, j, dim) in [(1, 1, 1), (3, 5, 17), (10, 20, 8192), (7, 11, 600)] {
+            let mut scratch = BatchScratch::new(b, j, dim);
+            let [w, znorm, s] = scratch.buffers.slices([b * j, b, b * WINDOW.min(dim)]);
+            assert!([w.as_ptr(), znorm.as_ptr(), s.as_ptr()].into_iter().all(aligned), "{b}x{j}x{dim}");
+            assert_eq!(scratch.norms.as_ptr().align_offset(64), 0, "norm chains {b}x{j}x{dim}");
+        }
+        let ens = gaussian_block(6, 40, 5);
+        let score = BatchedScore::new(&ens, 6, 40, DiffusionSchedule::default(), &[4, 1, 3]);
+        assert!(aligned(score.gathered.as_ptr()));
+        assert_eq!(&score.gathered[40..80], &ens[40..80]);
     }
 
     /// Block evaluation is bitwise invariant to how particles are grouped.

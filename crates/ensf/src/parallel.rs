@@ -20,6 +20,7 @@ use crate::filter::{relax_spread, AnalysisMethod, EnsfConfig};
 use crate::flow::{batch_variance, probability_flow_assimilate_batched, smooth_variance};
 use crate::obs::ObsOperator;
 use crate::sde::time_grid;
+use linalg::AlignedVec;
 use rand::seq::SliceRandom;
 use stats::gaussian::scaled_normal_chunks;
 use stats::rng::{member_rng, seeded, split_seed};
@@ -70,12 +71,17 @@ impl RankPlan {
 /// One EnSF analysis, prepared once and shared read-only by every particle
 /// block: the mini-batch of `(seed, cycle)`, its batched score, the flow
 /// prior variance and the pseudo-time grid.
+///
+/// The kernels' operands start on 64-byte cache lines: the forecast
+/// ensemble (borrowed), the observation vector (copied once here), every
+/// block [`BlockAnalysis::run_block`] integrates and its scratch.
 pub struct BlockAnalysis<'a> {
     config: &'a EnsfConfig,
     /// Seeds every particle's stream (`member_rng(cycle_seed, index)`).
     pub(crate) cycle_seed: u64,
     dim: usize,
-    y: &'a [f64],
+    /// The observation vector, on a cache line.
+    y: AlignedVec<f64>,
     obs: &'a ObsOperator,
     /// Members of the score's Monte-Carlo sum, in summation order.
     pub(crate) batch: Vec<usize>,
@@ -133,7 +139,7 @@ impl<'a> BlockAnalysis<'a> {
             config,
             cycle_seed,
             dim,
-            y,
+            y: AlignedVec::from_slice(y),
             obs,
             batch,
             score,
@@ -146,10 +152,11 @@ impl<'a> BlockAnalysis<'a> {
     /// thread and returns them as a `len x dim` row-major block, before
     /// spread relaxation: a fresh `N(0, I)` start from each particle's own
     /// stream, then the reverse SDE or the probability flow with posterior
-    /// score = prior score + likelihood guidance.
-    pub fn run_block(&self, particles: Range<usize>) -> Vec<f64> {
+    /// score = prior score + likelihood guidance. The block starts on a
+    /// 64-byte cache line and is integrated in place.
+    pub fn run_block(&self, particles: Range<usize>) -> AlignedVec<f64> {
         let (dim, b) = (self.dim, particles.len());
-        let mut block = vec![0.0; b * dim];
+        let mut block = AlignedVec::zeroed(b * dim);
         if b == 0 {
             return block;
         }
@@ -168,7 +175,7 @@ impl<'a> BlockAnalysis<'a> {
                 &self.times,
                 &self.score,
                 self.obs,
-                self.y,
+                &self.y,
                 &mut rngs,
                 &mut scratch,
             ),
@@ -180,7 +187,7 @@ impl<'a> BlockAnalysis<'a> {
                 &self.score,
                 &self.prior_var,
                 self.obs,
-                self.y,
+                &self.y,
                 &mut scratch,
             ),
         }
@@ -214,11 +221,11 @@ pub fn analyze_partitioned(
 ///
 /// # Panics
 /// Panics when `plan` does not cover the ensemble.
-pub(crate) fn assemble(
+pub(crate) fn assemble<B: AsRef<[f64]> + Send>(
     config: &EnsfConfig,
     plan: &RankPlan,
     forecast: &Ensemble,
-    run: impl Fn(Range<usize>) -> Vec<f64> + Sync,
+    run: impl Fn(Range<usize>) -> B + Sync,
 ) -> Ensemble {
     let members = forecast.members();
     let dim = forecast.dim();
@@ -234,7 +241,7 @@ pub(crate) fn assemble(
 
     let mut analysis = Ensemble::zeros(members, dim);
     for (&(start, end), block) in plan.blocks.iter().zip(&blocks) {
-        analysis.as_mut_slice()[start * dim..end * dim].copy_from_slice(block);
+        analysis.as_mut_slice()[start * dim..end * dim].copy_from_slice(block.as_ref());
     }
     if config.spread_relaxation > 0.0 {
         relax_spread(&mut analysis, forecast, config.spread_relaxation);
@@ -294,6 +301,23 @@ mod tests {
                 reference.as_slice(),
                 "rank decomposition changed results at {ranks} ranks"
             );
+        }
+    }
+
+    /// Every block starts on a cache line, and a prepared analysis keeps
+    /// its observation vector on one.
+    #[test]
+    fn blocks_and_observations_are_cache_line_aligned() {
+        let fc = ens(12, 24, 4);
+        let obs = ObsOperator::identity(0.5);
+        let y = [0.1; 25];
+        let config = EnsfConfig { seed: 3, n_steps: 4, ..Default::default() };
+        let prepared = BlockAnalysis::prepare(&config, 0, &fc, &y[1..], &obs);
+        assert_eq!(prepared.y.as_ptr().align_offset(64), 0);
+        for range in [0..0, 0..1, 2..7, 0..12] {
+            let block = prepared.run_block(range.clone());
+            assert_eq!(block.len(), range.len() * 24);
+            assert_eq!(block.as_ptr().align_offset(64), 0, "block {range:?}");
         }
     }
 

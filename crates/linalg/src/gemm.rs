@@ -15,8 +15,9 @@
 //! the ViT crate's f32 tensors (it has its own copy specialized to f32);
 //! here everything is f64 for the DA math.
 
+use crate::aligned::AlignedVec;
 use crate::matrix::Matrix;
-use crate::simd;
+use crate::simd::{self, ChainBlock};
 use std::ops::Range;
 
 /// `C = A * B`.
@@ -150,10 +151,11 @@ pub fn matmul_abt_into(a: &[f64], b: &[f64], m: usize, n: usize, k: usize, c: &m
 /// 8-chunks, and [`GramChains::finish`] applies the fixed tree and
 /// FMA-appends the `k mod 8` remainder. Over the windows of any split of
 /// `0..k` (each starting at a multiple of 8) the result is
-/// `matmul_abt_into`'s bits, at every SIMD level.
+/// `matmul_abt_into`'s bits, at every SIMD level. Each element's chains
+/// sit on a cache line of their own.
 #[derive(Debug, Clone)]
 pub struct GramChains {
-    chains: Vec<[f64; 8]>,
+    chains: Vec<ChainBlock>,
     m: usize,
     n: usize,
 }
@@ -161,12 +163,12 @@ pub struct GramChains {
 impl GramChains {
     /// Zeroed chains for an `m x n` Gram block.
     pub fn new(m: usize, n: usize) -> Self {
-        GramChains { chains: vec![[0.0; 8]; m * n], m, n }
+        GramChains { chains: vec![ChainBlock::default(); m * n], m, n }
     }
 
     /// Zeroes every chain, to start the next product.
     pub fn reset(&mut self) {
-        self.chains.fill([0.0; 8]);
+        self.chains.fill(ChainBlock::default());
     }
 
     /// Runs every element's chains over the whole 8-chunks of window
@@ -214,7 +216,7 @@ impl GramChains {
             let a_tail = &a[i * k + whole..(i + 1) * k];
             for j in 0..n {
                 let b_tail = &b[j * k + whole..(j + 1) * k];
-                let tree = simd::scalar::tree(self.chains[i * n + j]);
+                let tree = simd::scalar::tree(self.chains[i * n + j].0);
                 c[i * n + j] = a_tail.iter().zip(b_tail).fold(tree, |sum, (x, y)| x.mul_add(*y, sum));
             }
         }
@@ -239,10 +241,10 @@ pub fn row_sq_norms(a: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
 /// ascending order, so a pass that writes the row can take its norm on the
 /// way: each chunk extends the 8 FMA chains, and [`SqNorm::finish`] applies
 /// the fixed tree and FMA-appends the `len mod 8` remainder. The result is
-/// `row_sq_norms`' bits.
+/// `row_sq_norms`' bits. The chains sit on a cache line of their own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SqNorm {
-    chains: [f64; 8],
+    chains: ChainBlock,
 }
 
 impl SqNorm {
@@ -250,7 +252,7 @@ impl SqNorm {
     /// whole 8-chunk.
     #[inline(always)]
     pub fn chunk(&mut self, x: &[f64; 8]) {
-        for (c, &x) in self.chains.iter_mut().zip(x) {
+        for (c, &x) in self.chains.0.iter_mut().zip(x) {
             *c = x.mul_add(x, *c);
         }
     }
@@ -258,7 +260,7 @@ impl SqNorm {
     /// The norm: the chains' fixed tree, then `tail` (the elements past the
     /// last whole 8-chunk) FMA-appended in ascending order.
     pub fn finish(&self, tail: &[f64]) -> f64 {
-        tail.iter().fold(simd::scalar::tree(self.chains), |sum, &x| x.mul_add(x, sum))
+        tail.iter().fold(simd::scalar::tree(self.chains.0), |sum, &x| x.mul_add(x, sum))
     }
 }
 
@@ -268,10 +270,10 @@ impl SqNorm {
 /// analysis runs both score GEMMs every reverse-SDE step) create one scratch
 /// up front and borrow the same buffers each iteration: after the first
 /// [`GemmScratch::slices`] call at a given set of lengths, no further heap
-/// allocation occurs.
+/// allocation occurs. Every buffer starts on a 64-byte cache line.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
-    pool: Vec<Vec<f64>>,
+    pool: Vec<AlignedVec<f64>>,
 }
 
 impl GemmScratch {
@@ -281,12 +283,13 @@ impl GemmScratch {
     }
 
     /// Borrows `N` disjoint zero-initialized-on-growth buffers of the given
-    /// lengths. Buffer `i` keeps its capacity across calls, so repeated
-    /// calls with the same lengths are allocation-free. Contents persist
-    /// between calls (they are scratch, not cleared).
+    /// lengths, each on a 64-byte boundary. Buffer `i` keeps its length
+    /// across calls, so repeated calls with the same lengths are
+    /// allocation-free. Contents persist between calls (they are scratch,
+    /// not cleared; a buffer that grows keeps its old prefix).
     pub fn slices<const N: usize>(&mut self, lens: [usize; N]) -> [&mut [f64]; N] {
         if self.pool.len() < N {
-            self.pool.resize_with(N, Vec::new);
+            self.pool.resize_with(N, || AlignedVec::zeroed(0));
         }
         let mut it = self.pool.iter_mut();
         lens.map(|len| {
@@ -294,7 +297,9 @@ impl GemmScratch {
             // the iterator yields one buffer per requested length.
             let buf = it.next().expect("pool sized above");
             if buf.len() < len {
-                buf.resize(len, 0.0);
+                let mut grown = AlignedVec::zeroed(len);
+                grown[..buf.len()].copy_from_slice(buf);
+                *buf = grown;
             }
             &mut buf[..len]
         })
@@ -511,5 +516,22 @@ mod tests {
         };
         let [x2, y2] = scratch.slices([4, 8]);
         assert_eq!(ptrs, vec![x2.as_ptr(), y2.as_ptr()]);
+        // Growth keeps the prefix and the alignment.
+        let [x3, y3] = scratch.slices([6, 8 * 8192]);
+        assert_eq!(x3, &[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]);
+        assert!(y3[..8].iter().all(|&v| v == 2.0) && y3[8..].iter().all(|&v| v == 0.0));
+        assert!([x3.as_ptr(), y3.as_ptr()].iter().all(|p| p.align_offset(64) == 0));
+    }
+
+    /// Chain blocks and norm chains each sit on one cache line, in a
+    /// vector as in a single value.
+    #[test]
+    fn chain_arrays_are_cache_line_aligned() {
+        assert_eq!((std::mem::size_of::<ChainBlock>(), std::mem::align_of::<ChainBlock>()), (64, 64));
+        assert_eq!(std::mem::align_of::<SqNorm>(), 64);
+        let gram = GramChains::new(10, 20);
+        assert_eq!(gram.chains.as_ptr().align_offset(64), 0);
+        let norms = vec![SqNorm::default(); 10];
+        assert_eq!(norms.as_ptr().align_offset(64), 0);
     }
 }

@@ -12,6 +12,19 @@
 //!   of the LETKF ensemble-space transform, including `f(A)` evaluation
 //!   (`A⁻¹`, `A^{-1/2}`).
 //! - [`vector`] — slice-level dot/axpy/norm helpers.
+//! - [`AlignedVec`] — an owned buffer whose first element sits on a 64-byte
+//!   cache line.
+//!
+//! ## Alignment
+//!
+//! The EnSF analysis' operands start on 64-byte boundaries: the forecast
+//! ensemble (`stats::Ensemble` stores its members in an [`AlignedVec`]),
+//! each particle block, the [`gemm::GemmScratch`] pool, and the chain
+//! arrays of [`gemm::GramChains`] and [`gemm::SqNorm`] (cache-line aligned
+//! types). Rows of `d = 8192` elements are 64 KiB apart, so every row of
+//! such a buffer starts on a line too and no 512-bit load or store of the
+//! kernels straddles two. The kernels themselves take any alignment and
+//! compute the same bits at every offset; alignment only sets their speed.
 //!
 //! ```
 //! use linalg::{Matrix, gemm};
@@ -29,6 +42,7 @@
 // explicit index loops are the clearer idiom (dense kernels index multiple parallel arrays).
 #![allow(clippy::needless_range_loop)]
 
+mod aligned;
 mod cholesky;
 mod eigh;
 pub mod gemm;
@@ -37,6 +51,7 @@ mod matrix;
 pub mod simd;
 pub mod vector;
 
+pub use aligned::AlignedVec;
 pub use cholesky::{Cholesky, NotPositiveDefinite};
 pub use eigh::SymEig;
 pub use lu::{Lu, Singular};

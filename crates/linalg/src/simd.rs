@@ -54,8 +54,19 @@
 //!   tile's union skip list once (in segments of `SEGMENT` indices of `p`,
 //!   the accumulators round-tripping exactly through `C` between segments),
 //!   then runs 32-column panels (4 registers per row, up to 20
-//!   accumulators), 8-column panels and a scalar column tail; AVX2 runs
-//!   4-row tiles of 4-column panels.
+//!   accumulators), 8-column panels and a scalar column tail; AVX2 builds
+//!   the same skip list per 4-row tile and runs 8-column panels (2
+//!   registers per row), 4-column panels and the same column tail. Both
+//!   read a tile's coefficients through per-row pointers.
+//!
+//! A chain block ([`ChainBlock`]) is 64-byte aligned, so the tiers' chain
+//! loads and stores each touch one cache line.
+
+/// One output element's 8 FMA chains, alone on a 64-byte cache line, so
+/// a tier's loads and stores of a block never straddle two lines.
+#[repr(C, align(64))]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ChainBlock(pub [f64; 8]);
 
 /// Instruction-set tier the dispatched kernels run on. Every tier computes
 /// the same bits; the tier only sets the speed.
@@ -125,6 +136,8 @@ pub(crate) use dispatch;
 /// The specification: portable loops that every SIMD tier reproduces bit
 /// for bit.
 pub(crate) mod scalar {
+    use super::ChainBlock;
+
     /// The fixed combine of the 8 chain partials, shared by every tier's
     /// reductions.
     #[inline(always)]
@@ -166,13 +179,13 @@ pub(crate) mod scalar {
         m: usize,
         n: usize,
         cols: usize,
-        chains: &mut [[f64; 8]],
+        chains: &mut [ChainBlock],
     ) {
         for i in 0..m {
             let ar = &a[i * lda..i * lda + cols];
             for j in 0..n {
                 let br = &b[j * ldb..j * ldb + cols];
-                let l = &mut chains[i * n + j];
+                let l = &mut chains[i * n + j].0;
                 for (ca, cb) in ar.chunks_exact(8).zip(br.chunks_exact(8)) {
                     for c in 0..8 {
                         l[c] = ca[c].mul_add(cb[c], l[c]);
@@ -221,9 +234,82 @@ pub(crate) mod scalar {
     }
 }
 
+/// The read-only operands of one SIMD-tier `matmul_slices` call.
+#[cfg(target_arch = "x86_64")]
+struct Slices<'a> {
+    a: &'a [f64],
+    b: &'a [f64],
+    ldb: usize,
+    k: usize,
+    n: usize,
+    ldc: usize,
+    epi: Option<(&'a [f64], usize, f64, f64)>,
+}
+
+/// Capacity of a tile's union skip list: `p` runs in segments of this
+/// many indices, and a panel's accumulators round-trip through `C` (an
+/// exact store and reload) between segments.
+#[cfg(target_arch = "x86_64")]
+const SEGMENT: usize = 128;
+
+/// One segment of a tile's `p` range: its live indices, and whether it
+/// starts the chains (else they resume from `C`) or ends them (then the
+/// epilogue stores the result).
+#[cfg(target_arch = "x86_64")]
+struct Segment<'a> {
+    live: &'a [usize],
+    first: bool,
+    last: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Slices<'_> {
+    /// The segment of rows `i0..i0+IH` from `p0`, its live indices written
+    /// to `live`, and the index it ends at. A `p` is live iff any of the
+    /// tile's rows has a nonzero coefficient there: per-row zero
+    /// coefficients are exact no-ops, so the union never changes a row's
+    /// value.
+    #[inline(always)]
+    fn segment<'l, const IH: usize>(&self, i0: usize, p0: usize, live: &'l mut [usize; SEGMENT]) -> (Segment<'l>, usize) {
+        let (a, k) = (self.a, self.k);
+        let p1 = k.min(p0 + SEGMENT);
+        let mut count = 0;
+        for p in p0..p1 {
+            if (0..IH).any(|di| a[(i0 + di) * k + p] != 0.0) { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
+                live[count] = p;
+                count += 1;
+            }
+        }
+        (Segment { live: &live[..count], first: p0 == 0, last: p1 == k }, p1)
+    }
+
+    /// Columns `vcols..n` of rows `i0..i0+ih`: the scalar body, element by
+    /// element.
+    #[inline(always)]
+    fn column_tail(&self, c: &mut [f64], i0: usize, ih: usize, vcols: usize) {
+        let (a, k) = (self.a, self.k);
+        for j in vcols..self.n {
+            for di in 0..ih {
+                let mut sum = 0.0f64;
+                for p in 0..k {
+                    let av = a[(i0 + di) * k + p];
+                    if av != 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
+                        sum = av.mul_add(self.b[p * self.ldb + j], sum);
+                    }
+                }
+                c[(i0 + di) * self.ldc + j] = match self.epi {
+                    Some((z, ldz, ca, cb)) => ca.mul_add(sum, cb * z[(i0 + di) * ldz + j]),
+                    None => sum,
+                };
+            }
+        }
+    }
+}
+
 /// AVX-512F kernels: the 8 chains in one 8-lane register.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
+    use super::{ChainBlock, Segment, Slices, SEGMENT};
     use std::arch::x86_64::*;
 
     /// [`super::at_widest_tier`] on this tier.
@@ -311,7 +397,7 @@ pub(crate) mod avx512 {
         m: usize,
         n: usize,
         cols: usize,
-        chains: &mut [[f64; 8]],
+        chains: &mut [ChainBlock],
     ) {
         let op = Gram { a, lda, b, ldb, n, cols };
         for (i0, ih) in row_tiles(m) {
@@ -363,7 +449,7 @@ pub(crate) mod avx512 {
     #[target_feature(enable = "avx512f")]
     unsafe fn chain_tile<const IH: usize, const TJ: usize>(
         op: &Gram,
-        chains: &mut [[f64; 8]],
+        chains: &mut [ChainBlock],
         i0: usize,
         j0: usize,
     ) {
@@ -383,7 +469,7 @@ pub(crate) mod avx512 {
             let mut acc = [[_mm512_setzero_pd(); TJ]; IH];
             for (di, accd) in acc.iter_mut().enumerate() {
                 for (dj, accdj) in accd.iter_mut().enumerate() {
-                    *accdj = _mm512_loadu_pd(chains[block(di, dj)].as_ptr());
+                    *accdj = _mm512_loadu_pd(chains[block(di, dj)].0.as_ptr());
                 }
             }
             for ch in 0..op.cols / 8 {
@@ -401,7 +487,7 @@ pub(crate) mod avx512 {
             }
             for (di, accd) in acc.iter().enumerate() {
                 for (dj, &accdj) in accd.iter().enumerate() {
-                    _mm512_storeu_pd(chains[block(di, dj)].as_mut_ptr(), accdj);
+                    _mm512_storeu_pd(chains[block(di, dj)].0.as_mut_ptr(), accdj);
                 }
             }
         }
@@ -457,22 +543,6 @@ pub(crate) mod avx512 {
         }
     }
 
-    /// The read-only operands of one [`matmul_slices`] call.
-    struct Slices<'a> {
-        a: &'a [f64],
-        b: &'a [f64],
-        ldb: usize,
-        k: usize,
-        n: usize,
-        ldc: usize,
-        epi: Option<(&'a [f64], usize, f64, f64)>,
-    }
-
-    /// Capacity of a tile's union skip list: `p` runs in segments of this
-    /// many indices, and a panel's accumulators round-trip through `C`
-    /// (an exact store and reload) between segments.
-    const SEGMENT: usize = 128;
-
     /// Rows `i0..i0+IH` of [`matmul_slices`].
     ///
     /// # Safety
@@ -482,27 +552,11 @@ pub(crate) mod avx512 {
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn slices_tile<const IH: usize>(op: &Slices, c: &mut [f64], i0: usize) {
-        let (a, k, n) = (op.a, op.k, op.n);
-        let vcols = n / 8 * 8;
+        let vcols = op.n / 8 * 8;
         let mut live = [0usize; SEGMENT];
         let mut p0 = 0;
         loop {
-            let p1 = k.min(p0 + SEGMENT);
-            // Union skip list: p contributes iff any of the tile's rows has
-            // a nonzero coefficient (per-row zero coefficients are exact
-            // no-ops, so the union never changes a row's value).
-            let mut count = 0;
-            for p in p0..p1 {
-                if (0..IH).any(|di| a[(i0 + di) * k + p] != 0.0) { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                    live[count] = p;
-                    count += 1;
-                }
-            }
-            let seg = Segment {
-                live: &live[..count],
-                first: p0 == 0,
-                last: p1 == k,
-            };
+            let (seg, p1) = op.segment::<IH>(i0, p0, &mut live);
             let mut jv = 0;
             // SAFETY: every panel spans columns `jv..jv + 8·W <= vcols <= n`
             // of rows that exist (this fn's contract); the ISA is this fn's
@@ -522,30 +576,7 @@ pub(crate) mod avx512 {
             }
             p0 = p1;
         }
-        for j in vcols..n {
-            for di in 0..IH {
-                let mut sum = 0.0f64;
-                for p in 0..k {
-                    let av = a[(i0 + di) * k + p];
-                    if av != 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                        sum = av.mul_add(op.b[p * op.ldb + j], sum);
-                    }
-                }
-                c[(i0 + di) * op.ldc + j] = match op.epi {
-                    Some((z, ldz, ca, cb)) => ca.mul_add(sum, cb * z[(i0 + di) * ldz + j]),
-                    None => sum,
-                };
-            }
-        }
-    }
-
-    /// One segment of a tile's `p` range: its live indices, and whether
-    /// it starts the chains (else they resume from `C`) or ends them (then
-    /// the epilogue stores the result).
-    struct Segment<'a> {
-        live: &'a [usize],
-        first: bool,
-        last: bool,
+        op.column_tail(c, i0, IH, vcols);
     }
 
     /// An `IH`-row, `8·W`-column panel of [`slices_tile`] at column `jv`:
@@ -620,6 +651,7 @@ pub(crate) mod avx512 {
 /// and contracts.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
+    use super::{ChainBlock, Segment, Slices, SEGMENT};
     use std::arch::x86_64::*;
 
     /// [`super::at_widest_tier`] on this tier.
@@ -696,7 +728,7 @@ pub(crate) mod avx2 {
         m: usize,
         n: usize,
         cols: usize,
-        chains: &mut [[f64; 8]],
+        chains: &mut [ChainBlock],
     ) {
         let op = Gram { a, lda, b, ldb, n, cols };
         let (tiled_m, tiled_n) = (m / 2 * 2, n / 4 * 4);
@@ -740,7 +772,7 @@ pub(crate) mod avx2 {
     #[target_feature(enable = "avx2,fma")]
     unsafe fn chain_tile<const TI: usize, const TJ: usize>(
         op: &Gram,
-        chains: &mut [[f64; 8]],
+        chains: &mut [ChainBlock],
         i0: usize,
         j0: usize,
     ) {
@@ -761,7 +793,7 @@ pub(crate) mod avx2 {
             let mut acc = [[(zero, zero); TJ]; TI];
             for (di, accd) in acc.iter_mut().enumerate() {
                 for (dj, accdj) in accd.iter_mut().enumerate() {
-                    let l = chains[block(di, dj)].as_ptr();
+                    let l = chains[block(di, dj)].0.as_ptr();
                     *accdj = (_mm256_loadu_pd(l), _mm256_loadu_pd(l.add(4)));
                 }
             }
@@ -782,7 +814,7 @@ pub(crate) mod avx2 {
             }
             for (di, accd) in acc.iter().enumerate() {
                 for (dj, &(lo, hi)) in accd.iter().enumerate() {
-                    let l = chains[block(di, dj)].as_mut_ptr();
+                    let l = chains[block(di, dj)].0.as_mut_ptr();
                     _mm256_storeu_pd(l, lo);
                     _mm256_storeu_pd(l.add(4), hi);
                 }
@@ -790,9 +822,12 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// [`super::scalar::matmul_slices`] (the axpy formulation), 4-row tiles
-    /// of 4-lane panels; `epi` fuses the affine epilogue
-    /// `C = ca·(A·B) + cb·z` exactly as the AVX-512 variant does.
+    /// [`super::scalar::matmul_slices`] (the axpy formulation) in 4-row
+    /// tiles, as the AVX-512 variant runs it: each tile's union skip list
+    /// built once per segment of `p`, then run over 8-column panels (2
+    /// registers per row), 4-column panels and a scalar column tail, the
+    /// coefficients read through per-row pointers. `epi` fuses the affine
+    /// epilogue `C = ca·(A·B) + cb·z` exactly as the AVX-512 variant does.
     ///
     /// # Safety
     /// AVX2+FMA must be available at runtime; `a` is `m×k`, rows `0..k` of
@@ -812,62 +847,119 @@ pub(crate) mod avx2 {
         ldc: usize,
         epi: Option<(&[f64], usize, f64, f64)>,
     ) {
-        const T: usize = 4;
-        // SAFETY: panel loads/stores touch `jv..jv+4` with `jv + 4 <= vcols
-        // <= n`, inside rows `< k` of `b` and `< m` of `c`/`z`; the scalar
-        // column tail uses safe indexing. ISA availability is the
-        // documented contract.
-        unsafe {
-            let vcols = n / 4 * 4;
-            let epiv = epi.map(|(z, ldz, ca, cb)| (z, ldz, _mm256_set1_pd(ca), _mm256_set1_pd(cb)));
-            let mut i0 = 0;
-            while i0 < m {
-                let ih = T.min(m - i0);
-                let mut jv = 0;
+        let op = Slices { a, b, ldb, k, n, ldc, epi };
+        for i0 in (0..m).step_by(4) {
+            // SAFETY: rows `i0..i0 + ih` exist in `a`, `c` and `z` (the
+            // tile stays below `m`); the ISA is this fn's safety contract.
+            unsafe {
+                match 4.min(m - i0) {
+                    4 => slices_tile::<4>(&op, c, i0),
+                    3 => slices_tile::<3>(&op, c, i0),
+                    2 => slices_tile::<2>(&op, c, i0),
+                    _ => slices_tile::<1>(&op, c, i0),
+                }
+            }
+        }
+    }
+
+    /// Rows `i0..i0+IH` of [`matmul_slices`].
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available at runtime; rows `i0..i0+IH` exist in
+    /// `a`, `c` and `z`, and `b` holds its `k` rows.
+    // lint: no_alloc
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn slices_tile<const IH: usize>(op: &Slices, c: &mut [f64], i0: usize) {
+        let vcols = op.n / 4 * 4;
+        let mut live = [0usize; SEGMENT];
+        let mut p0 = 0;
+        loop {
+            let (seg, p1) = op.segment::<IH>(i0, p0, &mut live);
+            let mut jv = 0;
+            // SAFETY: every panel spans columns `jv..jv + 4·W <= vcols <= n`
+            // of rows that exist (this fn's contract); the ISA is this fn's
+            // safety contract.
+            unsafe {
+                while jv + 8 <= vcols {
+                    slices_panel::<IH, 2>(op, c, i0, jv, &seg);
+                    jv += 8;
+                }
                 while jv < vcols {
-                    let mut acc = [_mm256_setzero_pd(); T];
-                    for p in 0..k {
-                        let mut any = false;
-                        for di in 0..ih {
-                            any |= a[(i0 + di) * k + p] != 0.0; // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                        }
-                        if !any {
-                            continue;
-                        }
-                        let bv = _mm256_loadu_pd(b.as_ptr().add(p * ldb + jv));
-                        for (di, accd) in acc.iter_mut().enumerate().take(ih) {
-                            let av = _mm256_set1_pd(a[(i0 + di) * k + p]);
-                            *accd = _mm256_fmadd_pd(av, bv, *accd);
-                        }
-                    }
-                    for (di, accd) in acc.iter().enumerate().take(ih) {
-                        let r = match epiv {
-                            Some((z, ldz, cav, cbv)) => {
-                                let zv = _mm256_loadu_pd(z.as_ptr().add((i0 + di) * ldz + jv));
-                                _mm256_fmadd_pd(cav, *accd, _mm256_mul_pd(cbv, zv))
-                            }
-                            None => *accd,
-                        };
-                        _mm256_storeu_pd(c.as_mut_ptr().add((i0 + di) * ldc + jv), r);
-                    }
+                    slices_panel::<IH, 1>(op, c, i0, jv, &seg);
                     jv += 4;
                 }
-                for j in vcols..n {
-                    for di in 0..ih {
-                        let mut sum = 0.0f64;
-                        for p in 0..k {
-                            let av = a[(i0 + di) * k + p];
-                            if av != 0.0 { // lint: allow(float-exact-compare, reason="exact-zero coefficient skip is a bitwise no-op")
-                                sum = av.mul_add(b[p * ldb + j], sum);
-                            }
-                        }
-                        c[(i0 + di) * ldc + j] = match epi {
-                            Some((z, ldz, ca, cb)) => ca.mul_add(sum, cb * z[(i0 + di) * ldz + j]),
-                            None => sum,
-                        };
+            }
+            if seg.last {
+                break;
+            }
+            p0 = p1;
+        }
+        op.column_tail(c, i0, IH, vcols);
+    }
+
+    /// An `IH`-row, `4·W`-column panel of [`slices_tile`] at column `jv`:
+    /// `IH·W` accumulators, each FMA-chained over the segment's live `p`.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available at runtime; columns `jv..jv + 4·W <= n`
+    /// of rows `i0..i0+IH` exist in `c` (and `z`), every live `p < k`
+    /// indexes a row of `b`, and rows `i0..i0+IH` exist in `a`.
+    // lint: no_alloc
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn slices_panel<const IH: usize, const W: usize>(
+        op: &Slices,
+        c: &mut [f64],
+        i0: usize,
+        jv: usize,
+        seg: &Segment,
+    ) {
+        let epiv = op.epi.map(|(z, ldz, ca, cb)| (z, ldz, _mm256_set1_pd(ca), _mm256_set1_pd(cb)));
+        // SAFETY: the loads and stores touch columns `jv..jv + 4·W` of
+        // rows `i0..i0+IH` (of `c`, `z`) and of rows `p < k` (of `b`), and
+        // element `p < k` of rows `i0..i0+IH` of `a`, all inside the
+        // slices by this fn's contract.
+        unsafe {
+            let mut ap = [op.a.as_ptr(); IH];
+            for (di, api) in ap.iter_mut().enumerate() {
+                *api = api.add((i0 + di) * op.k);
+            }
+            let cp = c.as_mut_ptr();
+            let mut acc = [[_mm256_setzero_pd(); W]; IH];
+            if !seg.first {
+                for (di, accd) in acc.iter_mut().enumerate() {
+                    for (w, accdw) in accd.iter_mut().enumerate() {
+                        *accdw = _mm256_loadu_pd(cp.add((i0 + di) * op.ldc + jv + 4 * w));
                     }
                 }
-                i0 += T;
+            }
+            for &p in seg.live {
+                let bp = op.b.as_ptr().add(p * op.ldb + jv);
+                let mut bv = [_mm256_setzero_pd(); W];
+                for (w, bvw) in bv.iter_mut().enumerate() {
+                    *bvw = _mm256_loadu_pd(bp.add(4 * w));
+                }
+                for (accd, &api) in acc.iter_mut().zip(&ap) {
+                    let av = _mm256_set1_pd(*api.add(p));
+                    for (accdw, &bvw) in accd.iter_mut().zip(&bv) {
+                        *accdw = _mm256_fmadd_pd(av, bvw, *accdw);
+                    }
+                }
+            }
+            for (di, accd) in acc.iter().enumerate() {
+                for (w, &accdw) in accd.iter().enumerate() {
+                    let col = jv + 4 * w;
+                    let r = match epiv {
+                        Some((z, ldz, cav, cbv)) if seg.last => _mm256_fmadd_pd(
+                            cav,
+                            accdw,
+                            _mm256_mul_pd(cbv, _mm256_loadu_pd(z.as_ptr().add((i0 + di) * ldz + col))),
+                        ),
+                        _ => accdw,
+                    };
+                    _mm256_storeu_pd(cp.add((i0 + di) * op.ldc + col), r);
+                }
             }
         }
     }

@@ -72,6 +72,7 @@ use crate::params::SqgParams;
 use crate::simd::Avx512;
 use crate::state::LEVELS;
 use fft::{plan_cache, real, Complex, Direction, Fft2, Fft2Scratch};
+use linalg::AlignedVec;
 use std::sync::Arc;
 
 /// Inverts boundary buoyancy to boundary streamfunction, writing into `psi`.
@@ -112,46 +113,17 @@ fn invert_mode(grid: &SpectralGrid, idx: usize, theta: [Complex; LEVELS]) -> [Co
     [(tt * is - tb * it) * fnk, (tt * it - tb * is) * fnk]
 }
 
-/// A grid the transforms run on, starting at a 64-byte boundary inside its
-/// buffer wherever the allocator's 16-byte alignment allows one: the
-/// transforms' vector loads then never straddle a cache line. A 64²
-/// transform 16 bytes past a 32-byte boundary measured ≈ 1.12× the aligned
-/// one.
-pub(crate) struct AlignedGrid {
-    buf: Vec<Complex>,
-    at: usize,
-    len: usize,
-}
-
-impl AlignedGrid {
-    /// A zeroed grid of `len` complexes.
-    pub(crate) fn new(len: usize) -> Self {
-        let buf = vec![Complex::ZERO; len + 3];
-        let at = (0..4).find(|&k| buf[k..].as_ptr().align_offset(64) == 0).unwrap_or(0);
-        AlignedGrid { buf, at, len }
-    }
-}
-
-impl AsRef<[Complex]> for AlignedGrid {
-    fn as_ref(&self) -> &[Complex] {
-        &self.buf[self.at..][..self.len]
-    }
-}
-
-impl AsMut<[Complex]> for AlignedGrid {
-    fn as_mut(&mut self) -> &mut [Complex] {
-        &mut self.buf[self.at..][..self.len]
-    }
-}
-
 /// Scratch of one tendency evaluation, 5 grids plus the FFT scratch: the
 /// four packed derivative grids `[u₀ + i·v₀, θx₀ + i·θy₀, u₁ + i·v₁,
 /// θx₁ + i·θy₁]` (spectral after the pack sweep, grid values after the
 /// inverse transforms), the packed advection `adv`, and the 2-D FFT scratch
-/// (used only where the transform falls back to its scalar path).
+/// (used only where the transform falls back to its scalar path). The
+/// grids start on 64-byte boundaries, so the transforms' vector loads never
+/// straddle a cache line: a 64² transform 16 bytes past a 32-byte boundary
+/// measured ≈ 1.12× the aligned one.
 pub struct TendencyScratch {
-    fields: [AlignedGrid; 4],
-    adv: AlignedGrid,
+    fields: [AlignedVec<Complex>; 4],
+    adv: AlignedVec<Complex>,
     fft: Fft2Scratch,
 }
 
@@ -159,8 +131,8 @@ impl TendencyScratch {
     /// Allocates scratch for an `n x n` grid.
     pub fn new(n: usize) -> Self {
         TendencyScratch {
-            fields: std::array::from_fn(|_| AlignedGrid::new(n * n)),
-            adv: AlignedGrid::new(n * n),
+            fields: std::array::from_fn(|_| AlignedVec::zeroed(n * n)),
+            adv: AlignedVec::zeroed(n * n),
             fft: Fft2Scratch::new(),
         }
     }

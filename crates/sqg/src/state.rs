@@ -2,8 +2,8 @@
 //! boundary levels, with conversions to/from the flat grid-space state
 //! vector the DA filters operate on.
 
-use crate::dynamics::AlignedGrid;
 use fft::{plan_cache, real, Complex, Direction, Fft2, Fft2Scratch};
+use linalg::AlignedVec;
 
 /// Number of vertical levels (the two boundaries of the Eady model).
 pub const LEVELS: usize = 2;
@@ -88,14 +88,14 @@ impl SqgState {
     fn from_fields(n: usize, bottom: &[f64], top: &[f64]) -> Self {
         let mut state = SqgState::zeros(n);
         let fwd = plan_cache::fft2(n, n, Direction::Forward);
-        let mut pair = AlignedGrid::new(n * n);
+        let mut pair = AlignedVec::zeroed(n * n);
         load_fields(&fwd, bottom, top, &mut state.levels, pair.as_mut(), &mut Fft2Scratch::new());
         state
     }
 
     fn store(&self, bottom: &mut [f64], top: &mut [f64]) {
         let inv = plan_cache::fft2(self.n, self.n, Direction::Inverse);
-        let mut pair = AlignedGrid::new(self.n * self.n);
+        let mut pair = AlignedVec::zeroed(self.n * self.n);
         store_fields(&inv, &self.levels, bottom, top, pair.as_mut(), &mut Fft2Scratch::new());
     }
 

@@ -149,6 +149,12 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     standard_normal_with(zig_tables(), rng)
 }
 
+/// A row chunk's eight values on one cache line, where every tier builds
+/// the chunks it hands a sink.
+#[repr(C, align(64))]
+#[derive(Clone, Copy, Default)]
+struct Chunk([f64; 8]);
+
 /// The caller's work on the row chunks of [`scaled_normal_chunks`].
 ///
 /// Every closure `FnMut(usize, usize, &[f64])` is one. A sink whose work
@@ -226,17 +232,17 @@ fn row_chunks<S: ChunkSink>(
     amp: f64,
     sink: &mut S,
 ) {
-    let mut v = [0.0; 8];
+    let mut v = Chunk::default();
     let mut c = from;
     while c + 8 <= dim {
-        for x in &mut v {
+        for x in &mut v.0 {
             *x = amp * standard_normal_with(t, rng);
         }
-        sink.chunk(r, c, &v);
+        sink.chunk(r, c, &v.0);
         c += 8;
     }
     if c < dim {
-        let tail = &mut v[..dim - c];
+        let tail = &mut v.0[..dim - c];
         for x in tail.iter_mut() {
             *x = amp * standard_normal_with(t, rng);
         }
@@ -260,15 +266,15 @@ fn row_pair_chunks<S: ChunkSink>(
     amp: f64,
     sink: &mut S,
 ) {
-    let (mut va, mut vb) = ([0.0; 8], [0.0; 8]);
+    let (mut va, mut vb) = (Chunk::default(), Chunk::default());
     let mut c = 0;
     while c + 8 <= dim {
-        for (a, b) in va.iter_mut().zip(&mut vb) {
+        for (a, b) in va.0.iter_mut().zip(&mut vb.0) {
             *a = amp * standard_normal_with(t, rng_a);
             *b = amp * standard_normal_with(t, rng_b);
         }
-        sink.chunk(r, c, &va);
-        sink.chunk(r + 1, c, &vb);
+        sink.chunk(r, c, &va.0);
+        sink.chunk(r + 1, c, &vb.0);
         c += 8;
     }
     row_chunks(t, r, c, dim, rng_a, amp, sink);
@@ -316,7 +322,7 @@ pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
 /// streams advance together, one stream per lane of four state registers.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{resume, row_chunks, row_pair_chunks, ChunkSink, ZigTables};
+    use super::{resume, row_chunks, row_pair_chunks, Chunk, ChunkSink, ZigTables};
     use rand::rngs::StdRng;
     use std::arch::x86_64::*;
 
@@ -362,10 +368,10 @@ mod avx512 {
                         *ve = _mm512_mul_pd(ampv, draw(t, &mut s));
                     }
                     for (l, row) in transpose(v).into_iter().enumerate() {
-                        let mut buf = [0.0; 8];
+                        let mut buf = Chunk::default();
                         // SAFETY: one 64-byte store into a 64-byte local array.
-                        unsafe { _mm512_storeu_pd(buf.as_mut_ptr(), row) };
-                        sink.chunk(8 * g + l, c, &buf);
+                        unsafe { _mm512_storeu_pd(buf.0.as_mut_ptr(), row) };
+                        sink.chunk(8 * g + l, c, &buf.0);
                     }
                     c += 8;
                 }
