@@ -103,7 +103,7 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         name: "dead-pub",
-        desc: "a `pub fn` in library code must be named by some other file of the tree (use lines excepted)",
+        desc: "a `pub` item in library code must be named by some other file outside test code (use lines excepted)",
     },
     Lint {
         name: "float-exact-compare",
@@ -138,7 +138,7 @@ pub struct Scope {
 
 impl Scope {
     /// Scope for a workspace crate, by crate directory name.
-    pub fn for_crate(crate_name: &str) -> Scope {
+    pub(crate) fn for_crate(crate_name: &str) -> Scope {
         let numeric = workspace::NUMERIC_CRATES.contains(&crate_name);
         Scope {
             crate_name: crate_name.to_string(),
@@ -150,7 +150,7 @@ impl Scope {
     }
 
     /// Fixture-mode scope: every lint family applies.
-    pub fn fixture() -> Scope {
+    pub(crate) fn fixture() -> Scope {
         Scope {
             crate_name: "fixture".to_string(),
             numeric: true,
@@ -309,7 +309,7 @@ impl FileFacts {
 }
 
 /// Runs the per-file lints (plus directive errors) over collected facts.
-pub fn analyze_facts(facts: &FileFacts) -> Report {
+fn analyze_facts(facts: &FileFacts) -> Report {
     let mut report = Report::default();
     for (line, msg) in &facts.directive_errors {
         report.emit(
@@ -329,6 +329,7 @@ pub fn analyze_facts(facts: &FileFacts) -> Report {
 /// workspace passes (call-graph reachability, collective protocol,
 /// determinism dataflow) additionally need [`passes::run`] over every file's
 /// facts at once.
+// lint: allow(dead-pub, reason="the per-file entry point of tests/prop_lexer.rs and the lints and lib unit tests")
 pub fn analyze_source(rel: &str, text: &str, kind: FileKind, numeric: bool) -> Report {
     let mut scope = Scope::for_crate("mem");
     scope.numeric = numeric;

@@ -11,8 +11,8 @@
 //! * [`determinism_dataflow`] — `HashMap`/`HashSet` iteration feeding float
 //!   accumulation (fold-order nondeterminism) and raw RNG construction in
 //!   `dist`/`ensf` that bypasses the per-(particle,tile) stream API.
-//! * [`dead_pub`] — a `pub fn` in library code that no other file of the
-//!   tree mentions.
+//! * [`dead_pub`] — a `pub` item in library code that no other file of the
+//!   tree names outside test code.
 //!
 //! Findings land at the offending site and honor that file's `allow(...)`
 //! directives, exactly like the per-file lints.
@@ -212,53 +212,241 @@ fn collective_protocol(
     }
 }
 
-/// `dead-pub`: a `pub fn` (free or inherent method) in library code —
-/// `crates/*/src/`, shims excluded — whose name no other file of the tree
-/// mentions as an identifier. Tokens of a `use` statement are not a
-/// mention; any other occurrence is, whatever it resolves to, so the pass
-/// errs towards silence.
+/// `dead-pub`: public library surface that only tests use.
+///
+/// Items are the plain-`pub` fns (free or inherent methods), structs, enums,
+/// unions, traits, type aliases, consts and statics of library code —
+/// `crates/*/src/`, shims excluded — outside test regions. An item is used
+/// when
+///
+/// * another file names it outside test code (`tests/`, `benches/` and
+///   `#[cfg(test)]` regions) and outside `use` statements — bins, examples
+///   and all of `benchmark/` count, and so does any identifier whatever it
+///   resolves to, so the pass errs towards silence — and, for a method or
+///   associated const, the type of its inherent `impl` is used too; or
+/// * it is a type or const that its own file names in the signature of a
+///   used public item outside the type's own `impl` (`span_enter` returns
+///   `SpanGuard`: callers never name it, and narrowing it breaks the build).
+///
+/// An item kept with an `allow(dead-pub, ...)` counts as used for the
+/// signature rule. Every unused item is a finding, except the members of an
+/// unused type, which go with the type.
 fn dead_pub(files: &[FileFacts], report: &mut Report) {
-    let mut mentioned_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    let mut real_mentions: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     for (fi, f) in files.iter().enumerate() {
+        let test_file = f.kind == FileKind::Test && !under(&f.rel, "benchmark/");
         let mut in_use = false;
         for t in &f.tokens {
             if t.kind == TokenKind::Ident {
                 if t.text == "use" {
                     in_use = true;
-                } else if !in_use {
-                    mentioned_in.entry(&t.text).or_default().insert(fi);
+                } else if !in_use && !test_file && !f.structure.in_test_region(t.line) {
+                    real_mentions.entry(&t.text).or_default().insert(fi);
                 }
             } else if t.text == ";" {
                 in_use = false;
             }
         }
     }
-    for (fi, f) in files.iter().enumerate() {
-        if f.kind != FileKind::Library
-            || !under(&f.rel, "crates/*/src/")
-            || under(&f.rel, "crates/shims/")
+    let items: Vec<PubItem> = files
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| {
+            f.kind == FileKind::Library
+                && under(&f.rel, "crates/*/src/")
+                && !under(&f.rel, "crates/shims/")
+        })
+        .flat_map(|(fi, f)| pub_items(fi, f))
+        .collect();
+    let crate_of = |it: &PubItem| &files[it.file].scope.crate_name;
+    // The types an item's inherent `impl` may belong to (an `impl` lives in
+    // its type's crate), and the items of a type's file whose signature
+    // names it, outside its own `impl`.
+    let owners: Vec<Vec<usize>> = items
+        .iter()
+        .map(|it| {
+            let is_owner =
+                |t: &PubItem| t.is_type && Some(t.name) == it.owner && crate_of(t) == crate_of(it);
+            (0..items.len()).filter(|&j| is_owner(&items[j])).collect()
+        })
+        .collect();
+    let named_by: Vec<Vec<usize>> = items
+        .iter()
+        .enumerate()
+        .map(|(i, it)| {
+            let names = |j: usize| {
+                let s = &items[j];
+                j != i
+                    && s.file == it.file
+                    && s.owner != Some(it.name)
+                    && files[s.file].tokens[s.sig.0..=s.sig.1].iter().any(|t| t.text == it.name)
+            };
+            (0..items.len()).filter(|&j| it.is_type && names(j)).collect()
+        })
+        .collect();
+    // The least fixpoint of the rules above, seeded with `seed`.
+    let used_from = |seed: &[bool]| {
+        let mut used = vec![false; items.len()];
+        let ready = |i: usize, used: &[bool]| {
+            (seed[i] && (owners[i].is_empty() || owners[i].iter().any(|&o| used[o])))
+                || named_by[i].iter().any(|&j| used[j])
+        };
+        while let Some(i) = (0..items.len()).find(|&i| !used[i] && ready(i, &used)) {
+            used[i] = true;
+        }
+        used
+    };
+    let named_elsewhere: Vec<bool> = items
+        .iter()
+        .map(|it| real_mentions.get(it.name).is_some_and(|s| s.iter().any(|&o| o != it.file)))
+        .collect();
+    let allowed: Vec<bool> = items
+        .iter()
+        .map(|it| files[it.file].allowed("dead-pub", files[it.file].tokens[it.kw].line))
+        .collect();
+    let used = used_from(&named_elsewhere);
+    let kept: Vec<bool> = named_elsewhere.iter().zip(&allowed).map(|(n, a)| n | a).collect();
+    let used_or_kept = used_from(&kept);
+    for (i, it) in items.iter().enumerate() {
+        let owner_unused = owners[i].iter().any(|&o| !used_or_kept[o]);
+        if used[i] || (!allowed[i] && (used_or_kept[i] || owner_unused)) {
+            continue;
+        }
+        let f = &files[it.file];
+        let t = &f.tokens[it.kw + 1];
+        report.emit(
+            f,
+            "dead-pub",
+            t.line,
+            t.col,
+            format!(
+                "`pub {} {}` is used by no other file of the tree outside tests",
+                f.tokens[it.kw].text, it.name
+            ),
+            "delete it, narrow it, or keep it with an allow naming the test or ROADMAP item that needs it",
+        );
+    }
+}
+
+/// A plain-`pub` item of one library file, for [`dead_pub`].
+struct PubItem<'a> {
+    file: usize,
+    name: &'a str,
+    /// Token index of the item keyword (`fn`, `struct`, `const`, ...).
+    kw: usize,
+    /// A type, const or static rather than a fn.
+    is_type: bool,
+    /// Self type of the inherent `impl` the item sits in.
+    owner: Option<&'a str>,
+    /// Token range of what callers see: a fn up to its body, any other item
+    /// whole.
+    sig: (usize, usize),
+}
+
+/// The plain-`pub` items of `f` outside test regions.
+fn pub_items(fi: usize, f: &FileFacts) -> Vec<PubItem<'_>> {
+    let tokens = &f.tokens;
+    let impls: Vec<(&str, usize, usize)> = (0..tokens.len())
+        .filter(|&i| {
+            // An item-position `impl`, not `-> impl Trait` or `x: impl Trait`.
+            tokens[i].kind == TokenKind::Ident
+                && tokens[i].text == "impl"
+                && (i == 0
+                    || matches!(tokens[i - 1].text.as_str(), "}" | ";" | "]" | "{" | "unsafe"))
+        })
+        .filter_map(|i| {
+            let ty = inherent_impl_type(tokens, i)?;
+            let (open, close) = body_block(tokens, &f.structure.brace_pair, i)?;
+            Some((ty, open, close))
+        })
+        .collect();
+    let owner = |kw: usize| impls.iter().find(|&&(_, a, b)| a < kw && kw < b).map(|&(ty, ..)| ty);
+    let mut out = Vec::new();
+    for item in &f.structure.fns {
+        if is_pub(tokens, item.kw_idx) && !f.structure.in_test_region(item.header_line) {
+            let end =
+                item.body_tokens.map_or_else(|| item_end(tokens, item.kw_idx), |(open, _)| open);
+            out.push(PubItem {
+                file: fi,
+                name: &item.name,
+                kw: item.kw_idx,
+                is_type: false,
+                owner: owner(item.kw_idx),
+                sig: (item.kw_idx, end),
+            });
+        }
+    }
+    for i in 0..tokens.len() {
+        let t = &tokens[i];
+        if t.kind != TokenKind::Ident
+            || t.text != "pub"
+            || tokens.get(i + 1).is_some_and(|n| n.text == "(")
         {
             continue;
         }
-        for item in &f.structure.fns {
-            if !is_pub(&f.tokens, item.kw_idx) || f.structure.in_test_region(item.header_line) {
-                continue;
-            }
-            let files_naming = mentioned_in.get(item.name.as_str());
-            if files_naming.is_some_and(|s| s.iter().any(|&other| other != fi)) {
-                continue;
-            }
-            let t = &f.tokens[item.kw_idx + 1];
-            report.emit(
-                f,
-                "dead-pub",
-                t.line,
-                t.col,
-                format!("`pub fn {}` is named by no other file of the tree", item.name),
-                "delete it, make it private, or keep it with an allow naming the tests that use it",
-            );
+        let mut kw = i + 1;
+        if tokens.get(kw).is_some_and(|n| n.text == "unsafe") {
+            kw += 1;
+        }
+        let Some(k) = tokens.get(kw) else { continue };
+        let braced = matches!(k.text.as_str(), "struct" | "enum" | "union" | "trait");
+        if !(braced || matches!(k.text.as_str(), "type" | "const" | "static"))
+            || f.structure.in_test_region(k.line)
+        {
+            continue;
+        }
+        let mut name = kw + 1;
+        if tokens.get(name).is_some_and(|n| n.text == "mut") {
+            name += 1;
+        }
+        // `pub const fn` and its kin are fns, collected above.
+        let is_name = |n: &&Token| {
+            n.kind == TokenKind::Ident
+                && !matches!(n.text.as_str(), "fn" | "unsafe" | "extern" | "async")
+        };
+        let Some(n) = tokens.get(name).filter(is_name) else { continue };
+        let end = match body_block(tokens, &f.structure.brace_pair, kw) {
+            Some((_, close)) if braced => close,
+            _ => item_end(tokens, kw),
+        };
+        let sig = (kw, end);
+        out.push(PubItem { file: fi, name: &n.text, kw, is_type: true, owner: owner(kw), sig });
+    }
+    out
+}
+
+/// Token index of the `;` that ends the item starting at `start` (the last
+/// token when there is none).
+fn item_end(tokens: &[Token], start: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in tokens.iter().enumerate().skip(start) {
+        match t.text.as_str() {
+            "(" | "[" | "{" if t.kind == TokenKind::Punct => depth += 1,
+            ")" | "]" | "}" if t.kind == TokenKind::Punct => depth -= 1,
+            ";" if depth == 0 => return k,
+            _ => {}
         }
     }
+    tokens.len() - 1
+}
+
+/// The self type of the `impl` at token `i` when it is an inherent impl
+/// (`impl<T> Name<T> {`), `None` for a trait impl.
+fn inherent_impl_type(tokens: &[Token], i: usize) -> Option<&str> {
+    let mut ty = None;
+    let mut angle = 0i32;
+    for t in &tokens[i + 1..] {
+        match t.text.as_str() {
+            "<" => angle += 1,
+            ">" => angle -= 1,
+            ">>" => angle -= 2,
+            "for" if angle == 0 => return None,
+            "{" | "where" | ";" if angle == 0 => return ty,
+            _ if angle == 0 && t.kind == TokenKind::Ident => ty = Some(t.text.as_str()),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// True when the `fn` keyword at `kw` is declared plain `pub`
@@ -793,19 +981,83 @@ mod tests {
     }
 
     #[test]
-    fn dead_pub_is_silent_when_any_other_file_names_it() {
+    fn dead_pub_counts_library_bin_example_and_benchmark_callers() {
         let caller = "fn main() {\n    linalg::tri::solve_tridiagonal(&mut [0.0]);\n}\n";
         for rel in [
             "crates/ensf/src/a.rs",
             "crates/bench/src/bin/fig4.rs",
+            "crates/bench/src/lib.rs",
             "examples/quickstart.rs",
             "benchmark/src/bin/cyclebench/main.rs",
-            "crates/linalg/tests/prop.rs",
-            "tests/integration.rs",
+            "benchmark/tests/harness.rs",
         ] {
             let files = vec![file("crates/linalg/src/tri.rs", SOLVER), file(rel, caller)];
             assert!(lints_of(&files).is_empty(), "a mention in {rel} must count");
         }
+    }
+
+    #[test]
+    fn dead_pub_fires_when_only_tests_name_it() {
+        let caller = "fn t() {\n    linalg::tri::solve_tridiagonal(&mut [0.0]);\n}\n";
+        let unit = format!("pub fn other() {{}}\n#[cfg(test)]\nmod tests {{\n{caller}}}\n");
+        for (rel, src) in [
+            ("tests/integration.rs", caller.to_string()),
+            ("crates/linalg/tests/prop.rs", caller.to_string()),
+            ("crates/ensf/src/a.rs", unit),
+        ] {
+            let files = vec![
+                file("crates/linalg/src/tri.rs", SOLVER),
+                file(rel, &src),
+                file("crates/ensf/src/b.rs", "fn f() {\n    other();\n}\n"),
+            ];
+            let want = vec![("dead-pub".into(), "crates/linalg/src/tri.rs".into(), 1)];
+            assert_eq!(lints_of(&files), want, "a mention in test code of {rel} must not count");
+        }
+    }
+
+    #[test]
+    fn dead_pub_fires_on_a_type_no_other_file_names() {
+        // `new` and `solve` are named everywhere; the type is named nowhere,
+        // and its methods go with it.
+        let lu = "pub struct Lu {\n    n: usize,\n}\nimpl Lu {\n    pub fn new() -> Lu {\n        Lu { n: 0 }\n    }\n    pub fn solve(&self) -> usize {\n        self.n\n    }\n}\npub const PIVOTS: usize = 2;\n";
+        let caller = "fn f() {\n    let v: Vec<u8> = Vec::new();\n    let _ = solve(v);\n}\n";
+        let files = vec![file("crates/linalg/src/lu.rs", lu), file("crates/ensf/src/a.rs", caller)];
+        assert_eq!(
+            lints_of(&files),
+            vec![
+                ("dead-pub".into(), "crates/linalg/src/lu.rs".into(), 1),
+                ("dead-pub".into(), "crates/linalg/src/lu.rs".into(), 12),
+            ]
+        );
+        // Named by a test only, a used type's method fires too.
+        let test = file("crates/linalg/tests/prop.rs", "fn t(lu: &linalg::Lu) {\n    lu.solve();\n}\n");
+        let files = vec![file("crates/linalg/src/lu.rs", lu), file("crates/ensf/src/a.rs", "fn f(_: Lu, _: usize) {\n    let _ = Lu::new();\n    let _ = PIVOTS;\n}\n"), test];
+        assert_eq!(lints_of(&files), vec![("dead-pub".into(), "crates/linalg/src/lu.rs".into(), 8)]);
+    }
+
+    #[test]
+    fn dead_pub_spares_a_type_its_file_names_in_a_used_signature() {
+        let span = "pub struct SpanGuard;\npub fn span_enter() -> SpanGuard {\n    SpanGuard\n}\n";
+        let caller = "fn f() {\n    let _g = telemetry::span_enter();\n}\n";
+        let files = vec![file("crates/telemetry/src/span.rs", span), file("crates/ensf/src/a.rs", caller)];
+        assert!(lints_of(&files).is_empty());
+        // When the signature's own item is a finding, so is the type.
+        let files = vec![file("crates/telemetry/src/span.rs", span)];
+        assert_eq!(
+            lints_of(&files),
+            vec![
+                ("dead-pub".into(), "crates/telemetry/src/span.rs".into(), 1),
+                ("dead-pub".into(), "crates/telemetry/src/span.rs".into(), 2),
+            ]
+        );
+    }
+
+    #[test]
+    fn dead_pub_allow_with_a_reason_suppresses() {
+        let kept = format!("// lint: allow(dead-pub, reason=\"the reference of tests/tri.rs\")\n{SOLVER}");
+        let r = run(&[file("crates/linalg/src/tri.rs", &kept)]);
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert_eq!(r.suppressed, 1);
     }
 
     #[test]

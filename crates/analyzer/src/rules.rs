@@ -78,7 +78,7 @@ const RETIRED_TELEMETRY: List = &[
 /// The table. Rows of one invariant sit together; DESIGN.md says why each
 /// invariant holds.
 #[rustfmt::skip]
-pub const RULES: &[Rule] = &[
+const RULES: &[Rule] = &[
     sole("one cycle loop", Code, CYCLE, 1, &[".forecast_ensemble("]),
     sole("one cycle loop", Code, CYCLE, 1, &["CycleRecord {"]),
     sole("one cycle loop", Code, CYCLE, 1, &["CycleSeries { ... rmse"]),
@@ -120,7 +120,7 @@ pub const RULES: &[Rule] = &[
 /// Dependencies no `Cargo.toml` may name: their jobs went to the checkpoint
 /// codec (`bytes`), `par` (`crossbeam`, `rayon`) and `std::sync`
 /// (`parking_lot`).
-pub const RETIRED_DEPENDENCIES: List = &["bytes", "crossbeam", "rayon", "parking_lot"];
+const RETIRED_DEPENDENCIES: List = &["bytes", "crossbeam", "rayon", "parking_lot"];
 
 /// This file spells every pattern it forbids, so no rule reads it.
 const TABLE: &str = "crates/analyzer/src/rules.rs";

@@ -17,11 +17,6 @@ impl SqgForecast {
         SqgForecast { model: SqgModel::new(params) }
     }
 
-    /// Access to the wrapped model (diagnostics, spin-up).
-    pub fn model_mut(&mut self) -> &mut SqgModel {
-        &mut self.model
-    }
-
     /// SQG parameters.
     pub fn params(&self) -> &SqgParams {
         self.model.params()
@@ -58,7 +53,7 @@ mod tests {
     fn perfect_forecast_is_deterministic() {
         let mut a = SqgForecast::perfect(params());
         let mut b = SqgForecast::perfect(params());
-        let ic = a.model_mut().spinup_nature(3, 0.05, 5).to_state_vector();
+        let ic = SqgModel::new(params()).spinup_nature(3, 0.05, 5).to_state_vector();
         let mut s1 = ic.clone();
         let mut s2 = ic;
         a.forecast(&mut s1, 12.0);
@@ -75,7 +70,7 @@ mod tests {
 
     #[test]
     fn forecast_ensemble_is_bitwise_the_member_loop() {
-        let base = SqgForecast::perfect(params()).model_mut().spinup_nature(3, 0.05, 5);
+        let base = SqgModel::new(params()).spinup_nature(3, 0.05, 5);
         // Uneven blocks, and fewer members than cores.
         for members in [1, 2, 3, 20] {
             let rows: Vec<Vec<f64>> = (0..members)

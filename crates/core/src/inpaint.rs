@@ -92,7 +92,7 @@ impl Completion {
 /// vertically anchored), 64 sweeps converge far below the observation
 /// noise floor while keeping the fill cost at `O(sweeps · dim)` —
 /// negligible next to one diffusion step.
-pub const FILL_SWEEPS: usize = 64;
+const FILL_SWEEPS: usize = 64;
 
 /// Side length `n` when `dim` is a two-level `n × n` row-major state.
 fn grid_side(dim: usize) -> Option<usize> {

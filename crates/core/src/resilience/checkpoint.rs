@@ -202,7 +202,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Serializes to a byte buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new(MAGIC, VERSION);
         w.u64(self.cycle as u64);
         w.u8(self.state as u8);
@@ -231,7 +231,7 @@ impl Checkpoint {
     }
 
     /// Deserializes from a byte buffer, validating framing and finiteness.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::new(bytes, MAGIC, VERSION)?;
         let cycle = r.usize()?;
         let state = LoopState::from_u8(r.u8()?).ok_or(CheckpointError::BadHeader)?;

@@ -41,6 +41,7 @@ impl HealthPolicy {
     /// A policy scaled to an OSSE's observation error: collapse means the
     /// spread fell an order of magnitude below σ_obs, recovery restores it
     /// to σ_obs, and resampled members are perturbed at σ_obs.
+    // lint: allow(dead-pub, reason="the guardrail policy of chaos.rs, dist_determinism.rs, elastic_recovery.rs and the supervisor, surrogate and elastic unit tests")
     pub fn for_obs_sigma(obs_sigma: f64) -> Self {
         HealthPolicy {
             spread_floor: 0.1 * obs_sigma,

@@ -185,7 +185,7 @@ mod tests {
         assert_eq!(names, vec!["block25", "strided2", "track", "arctan_block25"]);
         // The headline block outage hides exactly a quarter of the state.
         let block = &scenarios[0];
-        assert_eq!(block.mask.obs_dim(512, 0), 384);
+        assert_eq!(block.mask.observed_indices(512, 0).len(), 384);
         // Composed scenario: arctan base through the same outage (gain 4 —
         // saturating but informative, see the registry comment).
         assert_eq!(scenarios[3].operator, ObsOperatorKind::Arctan { gain: 4.0 });

@@ -329,8 +329,6 @@ mod tests {
             heads: 2,
             embed_dim: 16,
             mlp_ratio: 2,
-            dropout: 0.0,
-            drop_path: 0.0,
         };
         VitSurrogate::new(config, 12.0, 1e-3, seed)
     }

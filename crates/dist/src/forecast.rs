@@ -116,7 +116,7 @@ mod tests {
     }
 
     fn ensemble(members: usize) -> Ensemble {
-        let base = perfect().model_mut().spinup_nature(3, 0.05, 5);
+        let base = sqg::SqgModel::new(SqgParams { n: 16, ..Default::default() }).spinup_nature(3, 0.05, 5);
         let rows: Vec<Vec<f64>> = (0..members)
             .map(|m| sqg::init::perturb(&base, 0.01, 50 + m as u64).to_state_vector())
             .collect();

@@ -187,6 +187,7 @@ impl<'a> BatchedScore<'a> {
     /// `znorm` (`b`) holds the rows' squared norms `‖z_i‖²` as
     /// [`row_sq_norms`] computes them. `weights` (`b x J`) is scratch and
     /// holds the normalized softmax weights on return.
+    // lint: allow(dead-pub, reason="the whole-block reference that ensf/tests/step_equiv.rs holds the window sweep to")
     pub fn score_block_into(
         &self,
         z: &[f64],

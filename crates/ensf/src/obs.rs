@@ -119,7 +119,7 @@ impl MaskKind {
 
     /// Is state component `i` observed at assimilation `cycle` (0-based)
     /// in a state of dimension `dim`?
-    pub fn is_observed(self, i: usize, dim: usize, cycle: u64) -> bool {
+    fn is_observed(self, i: usize, dim: usize, cycle: u64) -> bool {
         debug_assert!(i < dim);
         match self {
             MaskKind::Full => true,
@@ -138,7 +138,7 @@ impl MaskKind {
     }
 
     /// Number of observed components at `cycle`.
-    pub fn obs_dim(self, dim: usize, cycle: u64) -> usize {
+    fn obs_dim(self, dim: usize, cycle: u64) -> usize {
         (0..dim).filter(|&i| self.is_observed(i, dim, cycle)).count()
     }
 
@@ -354,6 +354,25 @@ mod tests {
         let mut s = vec![f64::NAN; x.len()];
         op.likelihood_score_into(x, y, weight, &mut s);
         s
+    }
+
+    #[test]
+    fn observed_indices_are_exactly_the_observed_components() {
+        let dim = 97;
+        let masks = [
+            MaskKind::Full,
+            MaskKind::Block { start: 80, len: 40 }, // clamped at dim
+            MaskKind::Strided { stride: 4, phase: 9 },
+            MaskKind::Track { width: 13, speed: 30 },
+        ];
+        for mask in masks {
+            for cycle in [0u64, 1, 7, 96, 97] {
+                let want: Vec<usize> =
+                    (0..dim).filter(|&i| mask.is_observed(i, dim, cycle)).collect();
+                assert_eq!(mask.observed_indices(dim, cycle), want, "{mask:?} cycle {cycle}");
+                assert_eq!(mask.obs_dim(dim, cycle), want.len(), "{mask:?} cycle {cycle}");
+            }
+        }
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub fn analyze(
 /// Borrows the (member-major) forecast ensemble; one estimator is shared
 /// read-only across all reverse-SDE particles, which is what makes the
 /// filter embarrassingly parallel over particles.
+// lint: allow(dead-pub, reason="the per-particle score of oracle::analyze, which batch_equiv and flow_equiv hold the filter to; ensf/tests/prop.rs checks it directly")
 pub struct ScoreEstimator<'a> {
     ensemble: &'a [f64],
     members: usize,

@@ -100,12 +100,6 @@ impl DiffusionSchedule {
         self.beta_sq(t).sqrt()
     }
 
-    /// Drift coefficient `b(t) = d log α_t / dt = −1/(1 − t)`.
-    #[inline]
-    pub fn drift(&self, t: f64) -> f64 {
-        -1.0 / (1.0 - self.clamp(t))
-    }
-
     /// Squared diffusion coefficient
     /// `σ²(t) = dβ²/dt − 2 b(t) β² = 1 + 2t/(1 − t)`.
     #[inline]
@@ -153,10 +147,10 @@ mod tests {
             // b = d log alpha / dt via finite differences.
             let h = 1e-7;
             let num_b = ((s.alpha(t + h)).ln() - (s.alpha(t - h)).ln()) / (2.0 * h);
-            assert!((s.drift(t) - num_b).abs() < 1e-5, "drift at {t}");
+            assert!((num_b + 1.0 / (1.0 - t)).abs() < 1e-5, "drift at {t}");
             // sigma^2 = d beta^2/dt - 2 b beta^2
             let num_db2 = (s.beta_sq(t + h) - s.beta_sq(t - h)) / (2.0 * h);
-            let want = num_db2 - 2.0 * s.drift(t) * s.beta_sq(t);
+            let want = num_db2 - 2.0 * num_b * s.beta_sq(t);
             assert!((s.sigma_sq(t) - want).abs() < 1e-4, "sigma_sq at {t}");
         }
     }

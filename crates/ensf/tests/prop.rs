@@ -23,7 +23,6 @@ proptest! {
         prop_assert!(s.alpha(t) > 0.0 && s.alpha(t) <= 1.0);
         prop_assert!(s.beta_sq(t) > 0.0 && s.beta_sq(t) < 1.0);
         prop_assert!(s.sigma_sq(t) >= 1.0 - 1e-12);
-        prop_assert!(s.drift(t) < 0.0);
         prop_assert!((0.0..=1.0).contains(&s.damping(t)));
     }
 

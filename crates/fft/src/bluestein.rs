@@ -152,7 +152,7 @@ mod tests {
         let n = 7;
         let plan = FftPlan::new(n, Direction::Forward);
         let mut scratch = Vec::new();
-        let input: Vec<Complex> = (0..n).map(|i| Complex::from_re(i as f64)).collect();
+        let input: Vec<Complex> = (0..n).map(|i| Complex::from(i as f64)).collect();
         let mut a = input.clone();
         let mut b = input.clone();
         plan.process(&mut a);

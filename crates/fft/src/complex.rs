@@ -22,8 +22,6 @@ pub struct Complex {
 impl Complex {
     /// The additive identity.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-    /// The multiplicative identity.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
     /// The imaginary unit.
     pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
@@ -31,12 +29,6 @@ impl Complex {
     #[inline(always)]
     pub const fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
-    }
-
-    /// Creates a purely real complex number.
-    #[inline(always)]
-    pub const fn from_re(re: f64) -> Self {
-        Complex { re, im: 0.0 }
     }
 
     /// Euler's formula: `exp(i theta)`.
@@ -239,7 +231,7 @@ impl Sum for Complex {
 impl From<f64> for Complex {
     #[inline(always)]
     fn from(re: f64) -> Self {
-        Complex::from_re(re)
+        Complex { re, im: 0.0 }
     }
 }
 
@@ -253,9 +245,9 @@ mod tests {
     fn arithmetic_identities() {
         let z = Complex::new(3.0, -4.0);
         assert_eq!(z + Complex::ZERO, z);
-        assert_eq!(z * Complex::ONE, z);
+        assert_eq!(z * Complex::from(1.0), z);
         assert_eq!(-z + z, Complex::ZERO);
-        assert!((z * z.inv() - Complex::ONE).abs() < EPS);
+        assert!((z * z.inv() - Complex::from(1.0)).abs() < EPS);
     }
 
     #[test]
@@ -263,7 +255,7 @@ mod tests {
         let z = Complex::new(3.0, 4.0);
         assert!((z.abs() - 5.0).abs() < EPS);
         assert_eq!(z.conj(), Complex::new(3.0, -4.0));
-        assert!((z * z.conj() - Complex::from_re(25.0)).abs() < EPS);
+        assert!((z * z.conj() - Complex::from(25.0)).abs() < EPS);
     }
 
     #[test]
@@ -277,7 +269,7 @@ mod tests {
 
     #[test]
     fn i_squared_is_minus_one() {
-        assert!((Complex::I * Complex::I + Complex::ONE).abs() < EPS);
+        assert!((Complex::I * Complex::I + Complex::from(1.0)).abs() < EPS);
     }
 
     #[test]

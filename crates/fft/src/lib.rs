@@ -16,7 +16,7 @@
 //! - [`plan_cache`] — process-wide memoization of 2-D plans keyed on
 //!   `(rows, cols, direction)`, shared as `Arc<Fft2>`.
 //! - [`real`] — two real fields per complex transform (pack / Hermitian
-//!   split), real-signal helpers and Hermitian-symmetry utilities.
+//!   split) and the index of a mode's conjugate.
 //!
 //! ## Conventions
 //!
@@ -28,7 +28,7 @@
 //! use fft::{Complex, Direction, FftPlan};
 //!
 //! let plan = FftPlan::new(8, Direction::Forward);
-//! let mut data = vec![Complex::ONE; 8];
+//! let mut data = vec![Complex::from(1.0); 8];
 //! plan.process(&mut data);
 //! assert!((data[0].re - 8.0).abs() < 1e-12); // DC bin picks up the sum
 //! ```

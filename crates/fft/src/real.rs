@@ -1,42 +1,13 @@
-//! Real-input transforms and spectral-convention helpers.
+//! Real-field pair transforms and spectral-convention helpers.
 //!
 //! The spectrum of a real field is Hermitian (`X(k) = conj X(−k)`), so a
 //! complex transform of one real field wastes half its work. The pair
 //! helpers below recover it: two real fields ride one complex transform as
 //! `a + i·b`, and the Hermitian split separates their spectra afterwards.
 //! The SQG state conversions and the tendency's advection transform both go
-//! through them. The 1-D helpers transform a real signal to its full
-//! spectrum and expose the symmetry check used by the property tests.
+//! through them.
 
 use crate::complex::Complex;
-use crate::plan::{Direction, FftPlan};
-
-/// Forward-transforms a real signal, returning the full complex spectrum.
-pub fn rfft(input: &[f64]) -> Vec<Complex> {
-    let mut buf: Vec<Complex> = input.iter().map(|&x| Complex::from_re(x)).collect();
-    FftPlan::new(input.len(), Direction::Forward).process(&mut buf);
-    buf
-}
-
-/// Maximum deviation of `spectrum` from exact Hermitian symmetry
-/// (`X[k] == conj(X[n-k])`), which characterizes the spectrum of a real
-/// signal. Returns 0 for lengths < 2.
-pub fn hermitian_symmetry_error(spectrum: &[Complex]) -> f64 {
-    let n = spectrum.len();
-    let mut worst = 0.0f64;
-    for k in 1..n {
-        let d = (spectrum[k] - spectrum[n - k].conj()).abs();
-        if d > worst {
-            worst = d;
-        }
-    }
-    // DC (and Nyquist for even n) must be purely real.
-    worst = worst.max(spectrum[0].im.abs());
-    if n.is_multiple_of(2) && n > 0 {
-        worst = worst.max(spectrum[n / 2].im.abs());
-    }
-    worst
-}
 
 /// Packs two real fields into one complex buffer, `z = a + i·b`, so a single
 /// forward transform carries both (separate with [`split_pair`]).
@@ -104,45 +75,6 @@ pub fn split_pair(z: &[Complex], rows: usize, cols: usize, a: &mut [Complex], b:
         for j in 0..cols {
             let idx = i * cols + j;
             (a[idx], b[idx]) = split_pair_mode(z[idx], z[conj_index(i, j, rows, cols)]);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The inverse transform of a real signal's spectrum, imaginary residue
-    /// dropped.
-    fn irfft(spectrum: &[Complex]) -> Vec<f64> {
-        let mut buf = spectrum.to_vec();
-        FftPlan::new(spectrum.len(), Direction::Inverse).process(&mut buf);
-        buf.into_iter().map(|z| z.re).collect()
-    }
-
-    #[test]
-    fn real_round_trip() {
-        let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin() + 0.5).collect();
-        let spec = rfft(&x);
-        let back = irfft(&spec);
-        for (a, b) in x.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn real_signal_spectrum_is_hermitian() {
-        let x: Vec<f64> = (0..32).map(|i| (i as f64).cos() * (i as f64 * 0.1).exp()).collect();
-        let spec = rfft(&x);
-        assert!(hermitian_symmetry_error(&spec) < 1e-9);
-    }
-
-    #[test]
-    fn odd_length_round_trip() {
-        let x: Vec<f64> = (0..21).map(|i| (i as f64 * 0.7).cos()).collect();
-        let back = irfft(&rfft(&x));
-        for (a, b) in x.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-9);
         }
     }
 }

@@ -15,7 +15,7 @@
 
 /// Peak matrix-engine throughput of one GCD [FLOP/s] (fp16/bf16 with fp32
 /// accumulate; half of an MI250X's 383 TFLOPS).
-pub const GCD_PEAK_FLOPS: f64 = 95.7e12;
+const GCD_PEAK_FLOPS: f64 = 95.7e12;
 
 /// Architecture knobs relevant to kernel sizing.
 #[derive(Debug, Clone, Copy, PartialEq)]

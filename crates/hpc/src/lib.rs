@@ -38,10 +38,10 @@ mod topology;
 pub use collective::{bus_bandwidth, collective_time, Collective};
 pub use mpi::{run_world, Comm, MpiError};
 pub use resilience::{Straggler, StragglerPlan};
-pub use gemm_model::{achieved_flops, fig6_heatmap, KernelShape, GCD_PEAK_FLOPS};
+pub use gemm_model::{achieved_flops, fig6_heatmap, KernelShape};
 pub use simulate::{
     ensf_step_time, scaling_curve, shard_step_compute_secs, simulate_step, EnsfJob,
     StepBreakdown, TrainJob,
 };
-pub use strategy::{bytes_per_param, Strategy};
+pub use strategy::Strategy;
 pub use topology::Topology;

@@ -199,7 +199,7 @@ pub struct EnsfJob {
 /// Calibrated per-element throughput of the EnSF update on one GCD
 /// [score-element-updates/s]: reproduces the paper's 0.4 s per step at
 /// dim = 10⁶ (20 members, 50 SDE steps → 10⁹ updates in 0.4 s).
-pub const ENSF_GCD_RATE: f64 = 2.5e9;
+const ENSF_GCD_RATE: f64 = 2.5e9;
 
 /// Predicted EnSF analysis time [s] on `gcds` ranks.
 pub fn ensf_step_time(topo: &Topology, job: &EnsfJob, gcds: usize) -> f64 {
@@ -213,7 +213,7 @@ pub fn ensf_step_time(topo: &Topology, job: &EnsfJob, gcds: usize) -> f64 {
 /// Modeled compute time [s] of one reverse-SDE step on one rank of the
 /// particle-sharded analysis: the rank scores its block of `particles`
 /// over the full `dim`-component state at the calibrated
-/// [`ENSF_GCD_RATE`]. The elastic cycle driver prices its per-cycle
+/// `ENSF_GCD_RATE`. The elastic cycle driver prices its per-cycle
 /// deadline budget with this — ranks only meet at the cycle's one gather,
 /// so the analysis costs the *worst* rank's figure (largest block ×
 /// largest straggler slowdown).

@@ -38,15 +38,15 @@ pub enum Strategy {
 }
 
 /// Bytes per parameter of each memory component (mixed precision + Adam).
-pub mod bytes_per_param {
+mod bytes_per_param {
     /// fp16 master copy used in compute.
-    pub const WEIGHTS: f64 = 2.0;
+    pub(crate) const WEIGHTS: f64 = 2.0;
     /// fp16 gradients.
-    pub const GRADS: f64 = 2.0;
+    pub(crate) const GRADS: f64 = 2.0;
     /// fp32 Adam first+second moments.
-    pub const OPTIMIZER: f64 = 8.0;
+    pub(crate) const OPTIMIZER: f64 = 8.0;
     /// Transient working set (FSDP units, activation slack) ≈ 2× weights.
-    pub const TRANSIENT: f64 = 4.0;
+    pub(crate) const TRANSIENT: f64 = 4.0;
 }
 
 impl Strategy {

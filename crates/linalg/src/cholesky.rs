@@ -23,6 +23,7 @@ impl std::fmt::Display for NotPositiveDefinite {
 impl std::error::Error for NotPositiveDefinite {}
 
 /// Lower-triangular Cholesky factor `L` with `A = L L^T`.
+// lint: allow(dead-pub, reason="ROADMAP item 2: the Kalman posterior of the closed-form filter checks factors with it")
 #[derive(Debug, Clone)]
 pub struct Cholesky {
     l: Matrix,
@@ -69,6 +70,7 @@ impl Cholesky {
     }
 
     /// Solves `A x = b` via two triangular solves.
+    // lint: allow(dead-pub, reason="ROADMAP item 2: the Kalman posterior mean of the closed-form filter")
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let y = forward_substitute(&self.l, b);
         back_substitute_transposed(&self.l, &y)
@@ -109,21 +111,19 @@ fn back_substitute_transposed(l: &Matrix, y: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{matmul, matmul_a_bt, matvec};
+    use crate::gemm::{matmul, matvec};
 
     fn spd_matrix(n: usize, seed: f64) -> Matrix {
         // B B^T + n I is SPD for any B.
         let b = Matrix::from_fn(n, n, |r, c| ((r * n + c) as f64 * seed).sin());
-        let mut a = matmul_a_bt(&b, &b);
-        a.add_diag(n as f64);
-        a
+        matmul(&b, &b.transpose()).add(&Matrix::identity(n).scaled(n as f64))
     }
 
     #[test]
     fn factor_reconstructs_matrix() {
         let a = spd_matrix(6, 0.37);
         let ch = Cholesky::new(&a).unwrap();
-        let back = matmul_a_bt(ch.l(), ch.l());
+        let back = matmul(ch.l(), &ch.l().transpose());
         assert!(back.sub(&a).norm_max() < 1e-10);
     }
 

@@ -128,11 +128,6 @@ impl SymEig {
     pub fn inverse(&self) -> Matrix {
         self.apply_fn(|w| 1.0 / w)
     }
-
-    /// Symmetric inverse square root `A^{-1/2}` (assumes positive spectrum).
-    pub fn inv_sqrt(&self) -> Matrix {
-        self.apply_fn(|w| 1.0 / w.sqrt())
-    }
 }
 
 fn off_diag_norm(m: &Matrix) -> f64 {
@@ -149,11 +144,11 @@ fn off_diag_norm(m: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{matmul, matmul_a_bt};
+    use crate::gemm::matmul;
 
     fn sym_matrix(n: usize, seed: f64) -> Matrix {
         let b = Matrix::from_fn(n, n, |r, c| ((r * n + c + 1) as f64 * seed).sin());
-        matmul_a_bt(&b, &b)
+        matmul(&b, &b.transpose())
     }
 
     #[test]
@@ -199,7 +194,7 @@ mod tests {
 
     #[test]
     fn diagonal_matrix_exact() {
-        let a = Matrix::from_diag(&[3.0, 1.0, 2.0]);
+        let a = Matrix::from_fn(3, 3, |r, c| if r == c { [3.0, 1.0, 2.0][r] } else { 0.0 });
         let eig = SymEig::new(&a);
         assert!((eig.values[0] - 1.0).abs() < 1e-12);
         assert!((eig.values[1] - 2.0).abs() < 1e-12);
@@ -217,12 +212,11 @@ mod tests {
 
     #[test]
     fn inverse_and_inv_sqrt() {
-        let mut a = sym_matrix(5, 0.83);
-        a.add_diag(5.0); // ensure SPD
+        let a = sym_matrix(5, 0.83).add(&Matrix::identity(5).scaled(5.0)); // ensure SPD
         let eig = SymEig::new(&a);
         let inv = eig.inverse();
         assert!(matmul(&a, &inv).sub(&Matrix::identity(5)).norm_max() < 1e-8);
-        let is = eig.inv_sqrt();
+        let is = eig.apply_fn(|w| 1.0 / w.sqrt());
         let isis = matmul(&is, &is);
         assert!(matmul(&a, &isis).sub(&Matrix::identity(5)).norm_max() < 1e-7);
     }

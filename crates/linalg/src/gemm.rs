@@ -114,16 +114,6 @@ pub fn matmul_slices_affine_window(
     simd::dispatch!(matmul_slices(a, b, n, m, k, w, c, w, Some((z, n, ca, cb))));
 }
 
-/// `A * B^T` without materializing the transpose.
-pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(k, kb, "matmul_a_bt: inner dimensions differ");
-    let mut c = Matrix::zeros(m, n);
-    matmul_abt_into(a.as_slice(), b.as_slice(), m, n, k, c.as_mut_slice());
-    c
-}
-
 /// `C = A * B^T` on raw row-major slices: `a` is `m x k`, `b` is `n x k`
 /// (so both operands stream along contiguous rows), `c` (overwritten) is
 /// `m x n`.
@@ -370,15 +360,6 @@ mod tests {
         let i = Matrix::identity(6);
         assert!(matmul(&a, &i).sub(&a).norm_max() < 1e-14);
         assert!(matmul(&i, &a).sub(&a).norm_max() < 1e-14);
-    }
-
-    #[test]
-    fn a_bt_matches_explicit_transpose() {
-        let c = test_matrix(6, 7, 0.11);
-        let d = test_matrix(5, 7, 0.77);
-        let got2 = matmul_a_bt(&c, &d);
-        let want2 = matmul(&c, &d.transpose());
-        assert!(got2.sub(&want2).norm_max() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! - [`gemm`] — blocked, SIMD-dispatched matrix products and matrix-vector
 //!   kernels (plus transpose-free `AᵀB` / `ABᵀ` variants the LETKF uses).
 //! - [`Cholesky`] — SPD factorization for covariance sampling and solves.
-//! - [`Lu`] — general solver / determinant / inverse with partial pivoting.
 //! - [`SymEig`] — cyclic Jacobi symmetric eigendecomposition; the workhorse
 //!   of the LETKF ensemble-space transform, including `f(A)` evaluation
 //!   (`A⁻¹`, `A^{-1/2}`).
@@ -46,7 +45,6 @@ mod aligned;
 mod cholesky;
 mod eigh;
 pub mod gemm;
-mod lu;
 mod matrix;
 pub mod simd;
 pub mod vector;
@@ -54,5 +52,4 @@ pub mod vector;
 pub use aligned::AlignedVec;
 pub use cholesky::{Cholesky, NotPositiveDefinite};
 pub use eigh::SymEig;
-pub use lu::{Lu, Singular};
 pub use matrix::Matrix;

@@ -40,16 +40,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Builds an `n x n` diagonal matrix from `diag`.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Populates a matrix from a closure over `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -153,35 +143,15 @@ impl Matrix {
         out
     }
 
-    /// Adds `a` to each diagonal entry (square not required; uses
-    /// `min(rows, cols)` entries).
-    pub fn add_diag(&mut self, a: f64) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] += a;
-        }
-    }
-
     /// Frobenius norm.
     pub fn norm_frobenius(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry (0 for empty).
+    // lint: allow(dead-pub, reason="the residual measure of the gemm, eigh, cholesky and matrix unit tests and linalg/tests/prop.rs")
     pub fn norm_max(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-    }
-
-    /// Symmetry defect `max |A - A^T|` (square matrices).
-    pub fn symmetry_error(&self) -> f64 {
-        assert_eq!(self.rows, self.cols, "symmetry_error requires a square matrix");
-        let mut m = 0.0f64;
-        for r in 0..self.rows {
-            for c in (r + 1)..self.cols {
-                m = m.max((self[(r, c)] - self[(c, r)]).abs());
-            }
-        }
-        m
     }
 }
 
@@ -241,10 +211,6 @@ mod tests {
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
 
-        let d = Matrix::from_diag(&[1.0, 2.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(1, 0)], 0.0);
-
         let f = Matrix::from_fn(2, 2, |r, c| (r * 10 + c) as f64);
         assert_eq!(f[(1, 1)], 11.0);
     }
@@ -271,16 +237,6 @@ mod tests {
         assert_eq!(a.sub(&b)[(1, 1)], 3.0);
         assert!((a.norm_frobenius() - (30.0f64).sqrt()).abs() < 1e-15);
         assert_eq!(a.norm_max(), 4.0);
-    }
-
-    #[test]
-    fn diag_and_symmetry_helpers() {
-        let mut a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]);
-        assert_eq!(a.symmetry_error(), 0.0);
-        a.add_diag(5.0);
-        assert_eq!(a[(0, 0)], 6.0);
-        a[(0, 1)] = 9.0;
-        assert_eq!(a.symmetry_error(), 7.0);
     }
 
     #[test]

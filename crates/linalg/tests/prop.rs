@@ -1,14 +1,12 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use linalg::{gemm, Cholesky, Lu, Matrix, SymEig};
+use linalg::{gemm, Cholesky, Matrix, SymEig};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned square matrix (random + diagonal dominance).
 fn square_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-1.0f64..1.0, n * n).prop_map(move |data| {
-        let mut m = Matrix::from_vec(n, n, data);
-        m.add_diag(n as f64 + 1.0);
-        m
+        Matrix::from_vec(n, n, data).add(&Matrix::identity(n).scaled(n as f64 + 1.0))
     })
 }
 
@@ -16,9 +14,7 @@ fn square_matrix(n: usize) -> impl Strategy<Value = Matrix> {
 fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-1.0f64..1.0, n * n).prop_map(move |data| {
         let b = Matrix::from_vec(n, n, data);
-        let mut a = gemm::matmul_a_bt(&b, &b);
-        a.add_diag(n as f64 + 1.0);
-        a
+        gemm::matmul(&b, &b.transpose()).add(&Matrix::identity(n).scaled(n as f64 + 1.0))
     })
 }
 
@@ -43,31 +39,11 @@ proptest! {
         prop_assert!(lhs.sub(&rhs).norm_max() < 1e-10);
     }
 
-    /// LU solve residual is tiny for well-conditioned systems.
-    #[test]
-    fn lu_solve_residual(a in square_matrix(6), b in prop::collection::vec(-10.0f64..10.0, 6)) {
-        let lu = Lu::new(&a).unwrap();
-        let x = lu.solve(&b);
-        let ax = gemm::matvec(&a, &x);
-        for (g, w) in ax.iter().zip(&b) {
-            prop_assert!((g - w).abs() < 1e-8);
-        }
-    }
-
-    /// det(AB) == det(A) det(B)
-    #[test]
-    fn det_multiplicative(a in square_matrix(4), b in square_matrix(4)) {
-        let da = Lu::new(&a).unwrap().det();
-        let db = Lu::new(&b).unwrap().det();
-        let dab = Lu::new(&gemm::matmul(&a, &b)).unwrap().det();
-        prop_assert!((dab - da * db).abs() < 1e-6 * dab.abs().max(1.0));
-    }
-
     /// Cholesky reconstructs and solves.
     #[test]
     fn cholesky_round_trip(a in spd_matrix(5), b in prop::collection::vec(-5.0f64..5.0, 5)) {
         let ch = Cholesky::new(&a).unwrap();
-        let back = gemm::matmul_a_bt(ch.l(), ch.l());
+        let back = gemm::matmul(ch.l(), &ch.l().transpose());
         prop_assert!(back.sub(&a).norm_max() < 1e-9 * a.norm_max());
         let x = ch.solve(&b);
         let ax = gemm::matvec(&a, &x);
@@ -84,7 +60,7 @@ proptest! {
         let a = Matrix::from_fn(6, 6, |r, c| 0.5 * (b[(r, c)] + b[(c, r)]));
         let eig = SymEig::new(&a);
         // V Vᵀ = I
-        let vvt = gemm::matmul_a_bt(&eig.vectors, &eig.vectors);
+        let vvt = gemm::matmul(&eig.vectors, &eig.vectors.transpose());
         prop_assert!(vvt.sub(&Matrix::identity(6)).norm_max() < 1e-9);
         // V diag(w) Vᵀ = A
         let back = eig.apply_fn(|w| w);
@@ -102,7 +78,7 @@ proptest! {
         for &w in &eig.values {
             prop_assert!(w > 0.0);
         }
-        let is = eig.inv_sqrt();
+        let is = eig.apply_fn(|w| 1.0 / w.sqrt());
         let inv_via_sqrt = gemm::matmul(&is, &is);
         let ident = gemm::matmul(&a, &inv_via_sqrt);
         prop_assert!(ident.sub(&Matrix::identity(5)).norm_max() < 1e-6);

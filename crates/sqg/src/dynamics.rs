@@ -611,6 +611,13 @@ mod tests {
         (Stepper::new(p), ws)
     }
 
+    /// The state holding the spectral levels `st`.
+    fn state_of(n: usize, st: &[Vec<Complex>; LEVELS]) -> SqgState {
+        let mut state = SqgState::zeros(n);
+        *state.levels_mut() = st.clone();
+        state
+    }
+
     /// dθ̂/dt at `theta` from the first stage's sweeps, dispatched as in a
     /// step: that stage's update stores the tendency itself (`acc = k₁`).
     fn tendency(
@@ -660,7 +667,7 @@ mod tests {
             let tx = derivative(&theta[l], true, 1.0);
             let ty = derivative(&theta[l], false, 1.0);
             let mut adv: Vec<Complex> = (0..m)
-                .map(|idx| Complex::from_re(u[idx].re * tx[idx].re + v[idx].re * ty[idx].re))
+                .map(|idx| Complex::from(u[idx].re * tx[idx].re + v[idx].re * ty[idx].re))
                 .collect();
             fwd.process(&mut adv);
             for idx in 0..m {
@@ -827,7 +834,7 @@ mod tests {
         let n = p.n;
         let mut theta = [vec![Complex::ZERO; n * n], vec![Complex::ZERO; n * n]];
         let idx = 3; // mode (ky=0, kx=3)
-        theta[0][idx] = Complex::ONE;
+        theta[0][idx] = Complex::from(1.0);
         let mut psi = theta.clone();
         invert(&grid, &theta, &mut psi);
         assert!(psi[0][idx].re < 0.0, "bottom psi should oppose bottom theta");
@@ -883,7 +890,7 @@ mod tests {
         let n = p.n;
         let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 0.05, 42);
-        st[0][0] = Complex::from_re(7.0 * (n * n) as f64);
+        st[0][0] = Complex::from(7.0 * (n * n) as f64);
         let dc0 = st[0][0];
         let dc1 = st[1][0];
         for _ in 0..10 {
@@ -932,7 +939,7 @@ mod tests {
         for _ in 0..50 {
             stepper.step(&mut st, &mut ws);
         }
-        let state = SqgState::from_spectral(n, st[0].clone(), st[1].clone());
+        let state = state_of(n, &st);
         assert!(state.is_finite());
         // Hermitian symmetry preserved => grid fields real.
         let grids = state.to_grid();
@@ -959,11 +966,11 @@ mod tests {
         let n = p.n;
         let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 0.05, 99);
-        let v0 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
+        let v0 = state_of(n, &st).total_variance();
         for _ in 0..20 {
             stepper.step(&mut st, &mut ws);
         }
-        let v1 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
+        let v1 = state_of(n, &st).total_variance();
         assert!(
             (v1 - v0).abs() < 1e-4 * v0,
             "variance drifted: {v0} -> {v1}"
@@ -985,14 +992,14 @@ mod tests {
             }
         }
         // Restore Hermitian symmetry after the manual edit.
-        let grids = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).to_grid();
+        let grids = state_of(n, &st).to_grid();
         let sym = SqgState::from_grid(n, &grids);
         let mut st = [sym.level(0).to_vec(), sym.level(1).to_vec()];
-        let v0 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
+        let v0 = state_of(n, &st).total_variance();
         for _ in 0..10 {
             stepper.step(&mut st, &mut ws);
         }
-        let v1 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
+        let v1 = state_of(n, &st).total_variance();
         assert!(v1 < v0, "hyperdiffusion must dissipate variance: {v0} -> {v1}");
     }
 
@@ -1041,11 +1048,11 @@ mod tests {
         let n = p.n;
         let (stepper, mut ws) = stepper_for(p);
         let mut st = random_state(n, 1e-4, 11);
-        let v0 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
+        let v0 = state_of(n, &st).total_variance();
         for _ in 0..200 {
             stepper.step(&mut st, &mut ws);
         }
-        let v1 = SqgState::from_spectral(n, st[0].clone(), st[1].clone()).total_variance();
+        let v1 = state_of(n, &st).total_variance();
         assert!(v1 > 1.5 * v0, "expected baroclinic growth: {v0} -> {v1}");
     }
 }

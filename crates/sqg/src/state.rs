@@ -22,16 +22,6 @@ impl SqgState {
         SqgState { n, levels: [vec![Complex::ZERO; n * n], vec![Complex::ZERO; n * n]] }
     }
 
-    /// Builds a state from two spectral fields.
-    ///
-    /// # Panics
-    /// Panics if the fields are not both `n * n` long.
-    pub fn from_spectral(n: usize, bottom: Vec<Complex>, top: Vec<Complex>) -> Self {
-        assert_eq!(bottom.len(), n * n);
-        assert_eq!(top.len(), n * n);
-        SqgState { n, levels: [bottom, top] }
-    }
-
     /// Grid points per side.
     pub fn n(&self) -> usize {
         self.n
@@ -99,15 +89,11 @@ impl SqgState {
         store_fields(&inv, &self.levels, bottom, top, pair.as_mut(), &mut Fft2Scratch::new());
     }
 
-    /// Mean (domain-averaged) buoyancy of each level, read off the DC mode.
-    pub fn mean_buoyancy(&self) -> [f64; LEVELS] {
-        let norm = 1.0 / (self.n * self.n) as f64;
-        [self.levels[0][0].re * norm, self.levels[1][0].re * norm]
-    }
-
     /// Total buoyancy variance (about the level means) summed over levels,
-    /// computed spectrally via Parseval.
-    pub fn total_variance(&self) -> f64 {
+    /// computed spectrally via Parseval: the tests' measure of growth and
+    /// decay.
+    #[cfg(test)]
+    pub(crate) fn total_variance(&self) -> f64 {
         let n2 = (self.n * self.n) as f64;
         let mut total = 0.0;
         for spec in &self.levels {
@@ -188,17 +174,6 @@ mod tests {
         for (a, b) in v.iter().zip(&v2) {
             assert!((a - b).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn mean_buoyancy_reads_dc_mode() {
-        let n = 8;
-        let bottom = vec![3.0; n * n];
-        let top = vec![-1.5; n * n];
-        let st = SqgState::from_grid(n, &[bottom, top]);
-        let m = st.mean_buoyancy();
-        assert!((m[0] - 3.0).abs() < 1e-10);
-        assert!((m[1] + 1.5).abs() < 1e-10);
     }
 
     #[test]

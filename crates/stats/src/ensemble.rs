@@ -5,7 +5,7 @@
 //! per-variable statistics both stride predictably.
 //!
 //! The buffer starts on a 64-byte cache line ([`linalg::AlignedVec`]) —
-//! every constructor's, a clone's and [`Ensemble::anomalies`]' — so when
+//! every constructor's and a clone's — so when
 //! `d` is a multiple of 8 every member does too: the EnSF score kernels
 //! borrow the forecast's buffer as their ensemble operand, and their
 //! 512-bit loads of it then never straddle two lines.
@@ -150,29 +150,6 @@ impl Ensemble {
         (var.iter().sum::<f64>() / self.dim as f64).sqrt()
     }
 
-    /// Anomalies (deviations from the mean), same layout as the ensemble.
-    pub fn anomalies(&self) -> Ensemble {
-        let mean = self.mean();
-        let mut out = self.clone();
-        for member in out.iter_mut() {
-            for (x, mu) in member.iter_mut().zip(&mean) {
-                *x -= mu;
-            }
-        }
-        out
-    }
-
-    /// Recentres the ensemble on `new_mean` keeping the anomalies.
-    pub fn recenter(&mut self, new_mean: &[f64]) {
-        assert_eq!(new_mean.len(), self.dim);
-        let old = self.mean();
-        for member in self.iter_mut() {
-            for ((x, om), nm) in member.iter_mut().zip(&old).zip(new_mean) {
-                *x += nm - om;
-            }
-        }
-    }
-
     /// Scales all anomalies by `factor` about the current mean
     /// (multiplicative covariance inflation).
     pub fn inflate(&mut self, factor: f64) {
@@ -216,23 +193,6 @@ mod tests {
         // One member: its own mean, no spread.
         let one = Ensemble::from_members(&[vec![1.5, -2.0]]);
         assert_eq!(one.mean_and_variance(), (vec![1.5, -2.0], vec![0.0, 0.0]));
-    }
-
-    #[test]
-    fn anomalies_sum_to_zero() {
-        let e = small();
-        let a = e.anomalies();
-        let s = a.mean();
-        assert!(s.iter().all(|v| v.abs() < 1e-14));
-    }
-
-    #[test]
-    fn recenter_preserves_spread() {
-        let mut e = small();
-        let sp = e.spread();
-        e.recenter(&[10.0, -10.0]);
-        assert_eq!(e.mean(), vec![10.0, -10.0]);
-        assert!((e.spread() - sp).abs() < 1e-12);
     }
 
     #[test]
@@ -313,7 +273,6 @@ mod tests {
             let copy = e.clone();
             assert!(aligned(&copy), "clone {members}x{dim}");
             assert_eq!(copy, e);
-            assert!(aligned(&e.anomalies()), "anomalies {members}x{dim}");
         }
     }
 

@@ -294,6 +294,7 @@ fn row_pair_chunks<S: ChunkSink>(
 ///
 /// # Panics
 /// Panics unless `rows.len() == rngs.len() * dim`.
+// lint: allow(dead-pub, reason="ensf/tests/step_equiv.rs holds the fused step's noise to it")
 // lint: no_alloc
 pub fn add_scaled_normals(rows: &mut [f64], dim: usize, rngs: &mut [StdRng], amp: f64) {
     assert_eq!(rows.len(), rngs.len() * dim, "noise block shape mismatch");

@@ -4,19 +4,19 @@
 //!
 //! - [`rng`] — explicit seeding and per-member stream splitting, so whole
 //!   OSSE experiments are bit-reproducible even when members run in parallel.
-//! - [`gaussian`] — ziggurat standard normals (with a lane-parallel
-//!   AVX-512 tier for the reverse-SDE noise block) and Cholesky-colored
-//!   multivariate sampling (no external distribution crates).
+//! - [`gaussian`] — ziggurat standard normals, with a lane-parallel
+//!   AVX-512 tier for the reverse-SDE noise block (no external
+//!   distribution crates).
 //! - [`Ensemble`] — member-major ensemble container with mean/variance/
-//!   spread/anomaly/inflation operations used by both filters.
-//! - [`metrics`] — RMSE/bias/pattern-correlation verification.
+//!   spread/inflation operations used by both filters.
+//! - [`metrics`] — RMSE/pattern-correlation verification.
 //! - [`diagnostics`] — DA consistency statistics: innovation moments,
 //!   chi-squared calibration, rank histograms, spread–skill ratio.
 //! - [`softmax`] — stable log-sum-exp / softmax reductions (the EnSF score
 //!   weights in batched form).
 //! - [`spectrum`] — inertial-range slope fitting of KE spectra (the
 //!   `k^{-5/3}` check).
-//! - [`OnlineMoments`] — mergeable Welford accumulators for long series.
+//! - [`OnlineMoments`] — Welford accumulators for long series.
 
 #![warn(missing_docs)]
 // Every unsafe operation must sit in its own audited `unsafe { }` block.

@@ -1,7 +1,7 @@
 //! Verification metrics for DA experiments.
 //!
 //! The paper's headline accuracy figure (Fig. 4) is RMSE of the analysis
-//! ensemble mean against the nature run; we also provide bias and pattern
+//! ensemble mean against the nature run; we also provide pattern
 //! correlation. Ensemble calibration (rank histogram, χ², spread–skill)
 //! lives in [`crate::diagnostics`].
 
@@ -14,13 +14,6 @@ pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
     assert!(!a.is_empty(), "rmse: empty input");
     let s: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
     (s / a.len() as f64).sqrt()
-}
-
-/// Mean error (bias) `mean(a - b)`.
-pub fn bias(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "bias: length mismatch");
-    assert!(!a.is_empty(), "bias: empty input");
-    a.iter().zip(b).map(|(x, y)| x - y).sum::<f64>() / a.len() as f64
 }
 
 /// Centered anomaly (Pearson) correlation between two fields.
@@ -64,13 +57,6 @@ mod tests {
         assert!((rmse(&[1.0, 2.0], &[0.0, 3.0]) - 1.0).abs() < 1e-15);
         // errors: 3, 4 -> rmse = sqrt(12.5)
         assert!((rmse(&[3.0, 4.0], &[0.0, 0.0]) - 12.5f64.sqrt()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn bias_known_value() {
-        assert!((bias(&[2.0, 4.0], &[1.0, 1.0]) - 2.0).abs() < 1e-15);
-        // opposite errors cancel
-        assert_eq!(bias(&[1.0, -1.0], &[0.0, 0.0]), 0.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Long OSSE runs record RMSE/spread series over thousands of cycles; the
 //! Welford accumulator lets the harness track means and variances without
-//! storing the series, and merges across parallel workers.
+//! storing the series.
 
-/// Numerically stable running mean/variance (Welford), mergeable.
+/// Numerically stable running mean/variance (Welford).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineMoments {
     n: u64,
@@ -53,11 +53,6 @@ impl OnlineMoments {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observed value (+inf when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -66,26 +61,6 @@ impl OnlineMoments {
     /// Maximum observed value (-inf when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (Chan et al. parallel form).
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -115,24 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let ys: Vec<f64> = (50..100).map(|i| (i as f64).sqrt()).collect();
-        let mut whole = OnlineMoments::new();
-        whole.extend(xs.iter().copied().chain(ys.iter().copied()));
-        let mut a = OnlineMoments::new();
-        a.extend(xs.iter().copied());
-        let mut b = OnlineMoments::new();
-        b.extend(ys.iter().copied());
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
     fn empty_and_single() {
         let mut acc = OnlineMoments::new();
         assert_eq!(acc.mean(), 0.0);
@@ -142,17 +99,5 @@ mod tests {
         assert_eq!(acc.variance(), 0.0);
         assert_eq!(acc.min(), 5.0);
         assert_eq!(acc.max(), 5.0);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineMoments::new();
-        a.extend([1.0, 2.0, 3.0]);
-        let before = a;
-        a.merge(&OnlineMoments::new());
-        assert_eq!(a, before);
-        let mut empty = OnlineMoments::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

@@ -17,10 +17,6 @@ pub struct VitConfig {
     pub embed_dim: usize,
     /// MLP hidden dim = `mlp_ratio * embed_dim`.
     pub mlp_ratio: usize,
-    /// Dropout probability (attention projection and MLP).
-    pub dropout: f64,
-    /// Stochastic-depth (DropPath) probability.
-    pub drop_path: f64,
 }
 
 impl Default for VitConfig {
@@ -33,8 +29,6 @@ impl Default for VitConfig {
             heads: 8,
             embed_dim: 1024,
             mlp_ratio: 4,
-            dropout: 0.0,
-            drop_path: 0.0,
         }
     }
 }
@@ -64,8 +58,6 @@ impl VitConfig {
             heads: 4,
             embed_dim: 64,
             mlp_ratio: 2,
-            dropout: 0.0,
-            drop_path: 0.0,
         }
     }
 
@@ -96,9 +88,6 @@ impl VitConfig {
         }
         if self.depth == 0 || self.embed_dim == 0 || self.heads == 0 {
             return Err("depth, embed_dim and heads must be positive".into());
-        }
-        if !(0.0..1.0).contains(&self.dropout) || !(0.0..1.0).contains(&self.drop_path) {
-            return Err("dropout probabilities must be in [0,1)".into());
         }
         Ok(())
     }
@@ -165,7 +154,6 @@ mod tests {
         assert!(VitConfig { patch_size: 5, ..Default::default() }.validate().is_err());
         assert!(VitConfig { heads: 3, ..Default::default() }.validate().is_err());
         assert!(VitConfig { depth: 0, ..Default::default() }.validate().is_err());
-        assert!(VitConfig { dropout: 1.0, ..Default::default() }.validate().is_err());
     }
 
     #[test]

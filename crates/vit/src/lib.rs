@@ -2,10 +2,9 @@
 //!
 //! A from-scratch vision transformer (Fig. 2 of the paper) that emulates the
 //! SQG forecast model: patch embedding, multi-head self-attention, MLP with
-//! GELU, pre/post normalization, Dropout and DropPath regularization —
-//! all with **manual backprop** (finite-difference-checked) and Adam
-//! training in `f32`, mirroring the mixed-precision GPU arithmetic the paper
-//! profiles.
+//! GELU and pre/post normalization — all with **manual backprop**
+//! (finite-difference-checked) and Adam training in `f32`, mirroring the
+//! mixed-precision GPU arithmetic the paper profiles.
 //!
 //! The three architectures of Table II are provided by
 //! [`VitConfig::table2`] (157M / 1.2B / 2.5B parameters — these are sized

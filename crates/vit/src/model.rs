@@ -7,7 +7,7 @@
 //! it learns the 12 h flow map of the SQG system.
 
 use crate::config::VitConfig;
-use crate::layers::{Block, ForwardCtx, Layer, LayerNorm, Linear, Param};
+use crate::layers::{Block, Layer, LayerNorm, Linear, Param};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use stats::rng::seeded;
@@ -35,17 +35,7 @@ impl SqgVit {
         let d = config.embed_dim;
         let pd = config.patch_dim();
         let blocks = (0..config.depth)
-            .map(|_| {
-                Block::new(
-                    d,
-                    config.heads,
-                    config.mlp_ratio,
-                    tokens,
-                    config.dropout,
-                    config.drop_path,
-                    &mut rng,
-                )
-            })
+            .map(|_| Block::new(d, config.heads, config.mlp_ratio, tokens, &mut rng))
             .collect();
         SqgVit {
             embed: Linear::new(pd, d, &mut rng),
@@ -135,17 +125,16 @@ impl SqgVit {
     }
 
     /// Forward pass on a batch of flattened images; returns predictions of
-    /// the same shape. `rng` drives dropout when `train` is true.
-    pub fn forward(&mut self, images: &[Vec<f32>], train: bool, rng: &mut StdRng) -> Vec<Vec<f32>> {
+    /// the same shape.
+    pub fn forward(&mut self, images: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let batch = images.len();
         assert!(batch > 0, "empty batch");
         self.cache_batch = batch;
         let tokens = self.config.tokens();
         let d = self.config.embed_dim;
-        let mut ctx = ForwardCtx { train, rng };
 
         let patches = self.patchify(images);
-        let mut h = self.embed.forward(&patches, &mut ctx);
+        let mut h = self.embed.forward(&patches);
         // Add positional embedding (broadcast over the batch).
         for b in 0..batch {
             for tok in 0..tokens {
@@ -156,10 +145,10 @@ impl SqgVit {
             }
         }
         for blk in &mut self.blocks {
-            h = blk.forward(&h, &mut ctx);
+            h = blk.forward(&h);
         }
-        let h = self.norm.forward(&h, &mut ctx);
-        let y = self.head.forward(&h, &mut ctx);
+        let h = self.norm.forward(&h);
+        let y = self.head.forward(&h);
         self.unpatchify(&y, batch)
     }
 
@@ -211,9 +200,8 @@ impl SqgVit {
 
     /// Convenience inference on one image.
     pub fn predict(&mut self, image: &[f32]) -> Vec<f32> {
-        let mut rng = seeded(0);
         // INVARIANT: forward returns one output per input image.
-        self.forward(&[image.to_vec()], false, &mut rng).pop().unwrap()
+        self.forward(&[image.to_vec()]).pop().unwrap()
     }
 }
 
@@ -230,8 +218,6 @@ mod tests {
             heads: 2,
             embed_dim: 16,
             mlp_ratio: 2,
-            dropout: 0.0,
-            drop_path: 0.0,
         }
     }
 
@@ -284,17 +270,15 @@ mod tests {
         let mut m = SqgVit::new(tiny_config(), 4);
         let x = test_image(0.29, 128);
         let target = test_image(0.41, 128);
-        let mut rng = seeded(0);
 
         let loss_of = |m: &mut SqgVit, x: &[f32], tgt: &[f32]| -> f32 {
-            let mut r = seeded(0);
-            let y = m.forward(&[x.to_vec()], false, &mut r).pop().unwrap();
+            let y = m.forward(&[x.to_vec()]).pop().unwrap();
             0.5 * y.iter().zip(tgt).map(|(a, b)| (a - b) * (a - b)).sum::<f32>()
         };
 
         // Analytic grads.
         m.zero_grad();
-        let y = m.forward(std::slice::from_ref(&x), false, &mut rng).pop().unwrap();
+        let y = m.forward(std::slice::from_ref(&x)).pop().unwrap();
         let dy: Vec<f32> = y.iter().zip(&target).map(|(a, b)| a - b).collect();
         let _ = m.backward(&[dy]);
 

@@ -20,7 +20,7 @@ pub struct Sample {
 }
 
 /// Mean-squared-error loss and its gradient.
-pub fn mse_loss(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
+fn mse_loss(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
     assert_eq!(pred.len(), target.len());
     let n = pred.len() as f32;
     let mut grad = vec![0.0f32; pred.len()];
@@ -33,8 +33,7 @@ pub fn mse_loss(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
     (loss / n, grad)
 }
 
-/// Trainer: owns the optimizer, the LR schedule and the shuffling/dropout
-/// RNG.
+/// Trainer: owns the optimizer, the LR schedule and the shuffling RNG.
 pub struct Trainer {
     /// Adam optimizer.
     pub optimizer: Adam,
@@ -69,7 +68,7 @@ impl Trainer {
         self.optimizer.lr = self.schedule.at(self.optimizer.steps());
         model.zero_grad();
         let xs: Vec<Vec<f32>> = batch.iter().map(|s| s.x.clone()).collect();
-        let preds = model.forward(&xs, true, &mut self.rng);
+        let preds = model.forward(&xs);
         let mut total = 0.0f32;
         let mut grads = Vec::with_capacity(batch.len());
         for (pred, sample) in preds.iter().zip(batch) {
@@ -119,6 +118,7 @@ impl Trainer {
 mod tests {
     use super::*;
     use crate::config::VitConfig;
+    use proptest::prelude::*;
 
     fn tiny_model(seed: u64) -> SqgVit {
         SqgVit::new(
@@ -130,8 +130,6 @@ mod tests {
                 heads: 2,
                 embed_dim: 16,
                 mlp_ratio: 2,
-                dropout: 0.0,
-                drop_path: 0.0,
             },
             seed,
         )
@@ -165,6 +163,30 @@ mod tests {
         assert_eq!(g[1], 0.0);
         let (l0, _) = mse_loss(&[3.0], &[3.0]);
         assert_eq!(l0, 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// MSE loss is nonnegative, zero iff identical, and its gradient
+        /// points from target to prediction.
+        #[test]
+        fn mse_properties(
+            p in prop::collection::vec(-10.0f32..10.0, 1..64),
+            delta in prop::collection::vec(-1.0f32..1.0, 64),
+        ) {
+            let t: Vec<f32> = p.iter().zip(&delta).map(|(a, d)| a + d).collect();
+            let (loss, grad) = mse_loss(&p, &t);
+            prop_assert!(loss >= 0.0);
+            let (self_loss, _) = mse_loss(&p, &p);
+            prop_assert_eq!(self_loss, 0.0);
+            for ((g, pi), ti) in grad.iter().zip(&p).zip(&t) {
+                // gradient sign matches (pred - target)
+                if (pi - ti).abs() > 1e-6 {
+                    prop_assert!(g.signum() == (pi - ti).signum());
+                }
+            }
+        }
     }
 
     #[test]
